@@ -17,7 +17,7 @@ short:
 	go test -short ./...
 
 bench:
-	go test -bench . -benchmem -run XXX ./internal/sim ./internal/fabric .
+	go test -bench . -benchmem -run XXX ./internal/sim ./internal/fabric ./internal/proto ./internal/ring .
 
 # Simulator performance gate: re-measure the scale suite (TATP and bank
 # at 9, 50 and 100 machines, each under both coalescing policies) and

@@ -9,19 +9,24 @@ import (
 // log records polled out of ring buffers (§4) and the envelope-RPC service
 // methods. Message dispatch lives in transport.go's handler registry.
 
-// handleRecord processes one parsed log record from the ring of lr.src.
-func (m *Machine) handleRecord(lr *logReader, rec *proto.Record, seq uint64) {
-	m.handleRecordInner(lr, rec, seq, false)
+// recCell returns the "rec TYPE" counter's cell, resolved on the type's
+// first record so counting one costs no string building or map lookup.
+func (c *Cluster) recCell(t proto.RecordType) *uint64 {
+	if c.recCells[t] == nil {
+		c.recCells[t] = c.Counters.Cell("rec " + t.String())
+	}
+	return c.recCells[t]
 }
 
-// handleRecordInner is handleRecord with drain semantics: records that
-// were already in the log when draining started bypass the stale-record
-// rejection, because the drain must examine them (§5.3 step 2).
-func (m *Machine) handleRecordInner(lr *logReader, rec *proto.Record, seq uint64, preDrain bool) {
+// handleRecord processes one decoded log record from the ring of lr.src.
+// preDrain gives it drain semantics: records that were already in the log
+// when draining started bypass the stale-record rejection, because the
+// drain must examine them (§5.3 step 2).
+func (m *Machine) handleRecord(lr *logReader, rec *proto.Record, seq uint64, preDrain bool) {
 	if rec.Type == proto.RecTruncate {
 		// Explicit truncation carrier: apply its piggyback and reclaim the
 		// record itself immediately.
-		m.c.Counters.Inc("rec TRUNCATE", 1)
+		*m.c.recCell(proto.RecTruncate)++
 		m.applyPiggyback(lr, rec)
 		lr.rd.Truncate(seq)
 		return
@@ -48,7 +53,7 @@ func (m *Machine) handleRecordInner(lr *logReader, rec *proto.Record, seq uint64
 		return
 	}
 
-	m.c.Counters.Inc("rec "+rec.Type.String(), 1)
+	*m.c.recCell(rec.Type)++
 	key := mtlOf(rec.Tx)
 	rt := m.pend[key]
 	if rt == nil {
@@ -63,7 +68,6 @@ func (m *Machine) handleRecordInner(lr *logReader, rec *proto.Record, seq uint64
 		rt = &remoteTx{id: rec.Tx}
 		m.pend[key] = rt
 	}
-	rt.frameSeqs = append(rt.frameSeqs, seq)
 	rt.lastChange = m.c.Eng.Now()
 	lr.frames[key] = append(lr.frames[key], seq)
 	if len(rec.Regions) > 0 {
@@ -99,18 +103,25 @@ func (m *Machine) handleRecordInner(lr *logReader, rec *proto.Record, seq uint64
 // for another; it then receives both LOCK and COMMIT-BACKUP records with
 // different write subsets).
 func mergeRecords(a, b *proto.Record) *proto.Record {
-	seen := make(map[proto.Addr]bool, len(a.Writes))
-	for _, w := range a.Writes {
-		seen[w.Addr] = true
-	}
 	merged := *a
-	merged.Writes = append(append([]proto.ObjectWrite(nil), a.Writes...), nil...)
+	// Capacity-capped, so the first append copies and a.Writes — which may
+	// still be reachable through a recovery message — is never written.
+	merged.Writes = a.Writes[:len(a.Writes):len(a.Writes)]
 	for _, w := range b.Writes {
-		if !seen[w.Addr] {
+		if !writesAddr(a.Writes, w.Addr) {
 			merged.Writes = append(merged.Writes, w)
 		}
 	}
 	return &merged
+}
+
+func writesAddr(ws []proto.ObjectWrite, addr proto.Addr) bool {
+	for i := range ws {
+		if ws[i].Addr == addr {
+			return true
+		}
+	}
+	return false
 }
 
 // applyPiggyback processes the truncation metadata every record carries.
@@ -128,7 +139,7 @@ func (m *Machine) applyPiggyback(lr *logReader, rec *proto.Record) {
 // (§4 step 1) and reports the outcome to the coordinator.
 func (m *Machine) processLock(rt *remoteTx, rec *proto.Record) {
 	ok := true
-	var acquired []proto.ObjectWrite
+	held := len(rt.lockedObjs) // a replayed LOCK record finds earlier entries
 	for _, w := range rec.Writes {
 		rep := m.replicas[w.Addr.Region]
 		if rep == nil || !rep.primary {
@@ -147,15 +158,14 @@ func (m *Machine) processLock(rt *remoteTx, rec *proto.Record) {
 			break
 		}
 		rep.lockOwner[w.Addr.Off] = rec.Tx
-		acquired = append(acquired, w)
 		rt.lockedObjs = append(rt.lockedObjs, w.Addr)
 	}
 	if !ok {
 		// Roll back partial locks; the coordinator will write ABORT.
-		for _, w := range acquired {
-			rep := m.replicas[w.Addr.Region]
-			regionmem.Unlock(rep.mem, int(w.Addr.Off))
-			delete(rep.lockOwner, w.Addr.Off)
+		for _, addr := range rt.lockedObjs[held:] {
+			rep := m.replicas[addr.Region]
+			regionmem.Unlock(rep.mem, int(addr.Off))
+			delete(rep.lockOwner, addr.Off)
 		}
 		rt.lockedObjs = nil
 		m.c.Counters.Inc("lock_failed", 1)

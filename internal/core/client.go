@@ -129,7 +129,7 @@ func (m *Machine) serveClient(fn func()) {
 // onClientRead serves a read on a worker thread.
 func (m *Machine) onClientRead(src int, req *clientReadReq) {
 	m.serveClient(func() {
-		m.readObject(0, req.Addr, req.Size, 0, 0, func(_ uint64, data []byte, err error) {
+		m.LockFreeRead(0, req.Addr, req.Size, func(data []byte, err error) {
 			resp := &clientResp{Token: req.Token}
 			if err != nil {
 				resp.Err = err.Error()

@@ -35,6 +35,9 @@ type Cluster struct {
 	// Counters aggregates protocol-level counts (commits, aborts,
 	// recovering transactions, lease expiries, ...).
 	Counters *stats.Counters
+	// recCells caches the "rec TYPE" counter cell per record type (see
+	// recCell).
+	recCells [proto.RecTruncate + 1]*uint64
 	// MsgLatency holds per-message-type delivery latency (transport
 	// enqueue → receiver dispatch), recorded by the message transport.
 	MsgLatency *stats.LatencySet

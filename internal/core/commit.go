@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"farm/internal/fabric"
 	"farm/internal/history"
 	"farm/internal/nvram"
@@ -36,14 +38,15 @@ type coordTx struct {
 	phase int
 
 	writeRegions []uint32
-	// primWrites / backupWrites group the write set by destination machine.
-	primWrites   map[int][]proto.ObjectWrite
-	backupWrites map[int][]proto.ObjectWrite
-	participants []int // all machines holding records (dedup, sorted)
-
-	// reservations[machine] holds the per-record-kind payload sizes
-	// reserved there, consumed as records are written.
-	reservations map[int]*resSet
+	// groups is the write set split by destination machine, one entry per
+	// participant (every machine holding records), sorted by machine id —
+	// so each protocol phase walks it in deterministic order without
+	// sorting anything.
+	groups []destGroup
+	// primaries and backups count the groups with primWrites (the LOCK,
+	// ABORT and COMMIT-PRIMARY fan-out) and with backupWrites (the
+	// COMMIT-BACKUP fan-out).
+	primaries, backups int
 
 	lockOutstanding int
 	lockFailed      bool
@@ -55,6 +58,8 @@ type coordTx struct {
 	cpOutstanding int
 	reported      bool
 
+	abortOutstanding int // ABORT record acks still due
+
 	// recovering is set when reconfiguration classifies this transaction
 	// as recovering (§5.3): normal-path acks and replies are ignored from
 	// then on and the outcome comes from vote/decide.
@@ -63,9 +68,8 @@ type coordTx struct {
 	// a lock/validate reply); the stall watchdog aborts lock/validate-phase
 	// transactions whose replies were lost to network faults.
 	lastProgress sim.Time
-	// truncRemaining tracks participants that have not yet had this
-	// transaction's truncation delivered.
-	truncRemaining map[int]bool
+	// truncLeft counts groups whose truncPending is set.
+	truncLeft int
 
 	// traceCtx is a copy of the transaction's root span context (it
 	// survives the root span closing at the commit report, because the
@@ -74,6 +78,63 @@ type coordTx struct {
 	traceCtx trace.Ctx
 	phaseCtx trace.Ctx
 	truncCtx trace.Ctx
+}
+
+// destGroup is one participant machine's share of a committing
+// transaction.
+type destGroup struct {
+	dst int
+	// primWrites are the written objects dst is primary for (its LOCK
+	// record); backupWrites those it backs (its COMMIT-BACKUP record).
+	// nPrim/nBackup are their final lengths, counted before they are filled.
+	primWrites     []proto.ObjectWrite
+	backupWrites   []proto.ObjectWrite
+	nPrim, nBackup int
+	// res holds the payload sizes reserved in dst's log, consumed as
+	// records are written.
+	res resSet
+	// truncPending is set from queueing this transaction's truncation at
+	// dst until its delivery there is acked (or dst leaves).
+	truncPending bool
+}
+
+// group returns dst's group, or nil if dst is not a participant.
+func (ct *coordTx) group(dst int) *destGroup {
+	for i := range ct.groups {
+		if ct.groups[i].dst == dst {
+			return &ct.groups[i]
+		}
+	}
+	return nil
+}
+
+// groupFor returns dst's group, inserting an empty one in sorted position
+// if needed. The pointer is valid until the next insertion.
+func (ct *coordTx) groupFor(dst int) *destGroup {
+	i := 0
+	for i < len(ct.groups) && ct.groups[i].dst < dst {
+		i++
+	}
+	if i == len(ct.groups) || ct.groups[i].dst != dst {
+		if ct.groups == nil {
+			// Room for two regions' replica sets before growing.
+			ct.groups = make([]destGroup, 0, 2*ct.tx.m.c.Opts.Replication)
+		}
+		ct.groups = append(ct.groups, destGroup{})
+		copy(ct.groups[i+1:], ct.groups[i:])
+		ct.groups[i] = destGroup{dst: dst}
+	}
+	return &ct.groups[i]
+}
+
+// truncDone notes that dst no longer awaits this transaction's truncation
+// and reports whether no participant does.
+func (ct *coordTx) truncDone(dst int) bool {
+	if g := ct.group(dst); g != nil && g.truncPending {
+		g.truncPending = false
+		ct.truncLeft--
+	}
+	return ct.truncLeft == 0
 }
 
 // beginPhase opens the named commit-phase child span, closing whichever
@@ -159,42 +220,50 @@ func (t *Tx) Commit(cb func(err error)) {
 		}
 	}
 
-	ct := &coordTx{
-		tx:           t,
-		cb:           cb,
-		primWrites:   make(map[int][]proto.ObjectWrite),
-		backupWrites: make(map[int][]proto.ObjectWrite),
-		reservations: make(map[int]*resSet),
-	}
+	ct := &coordTx{tx: t, cb: cb}
 
-	// Group the write set by primary and backup machines.
-	seenRegion := make(map[uint32]bool)
-	part := make(map[int]bool)
+	// Group the write set by primary and backup machines: size the groups
+	// first, so that all their write lists are carved out of one slab.
+	total := 0
 	for _, addr := range t.order {
-		w := t.writes[addr]
 		rm := m.mapping(addr.Region)
 		if rm == nil || len(rm.Replicas) < 1 {
 			t.releaseAllocs()
 			m.failTx(cb, ErrUnavailable)
 			return
 		}
-		if !seenRegion[addr.Region] {
-			seenRegion[addr.Region] = true
+		if !slices.Contains(ct.writeRegions, addr.Region) {
 			ct.writeRegions = append(ct.writeRegions, addr.Region)
 		}
-		ow := proto.ObjectWrite{Addr: addr, Version: w.version, Allocated: w.allocated, Value: w.value}
-		pm := int(rm.Replicas[0])
-		ct.primWrites[pm] = append(ct.primWrites[pm], ow)
-		part[pm] = true
+		ct.groupFor(int(rm.Replicas[0])).nPrim++
 		for _, b := range rm.Replicas[1:] {
-			ct.backupWrites[int(b)] = append(ct.backupWrites[int(b)], ow)
-			part[int(b)] = true
+			ct.groupFor(int(b)).nBackup++
+		}
+		total += len(rm.Replicas)
+	}
+	slab := make([]proto.ObjectWrite, total)
+	for i := range ct.groups {
+		g := &ct.groups[i]
+		g.primWrites, slab = slab[:0:g.nPrim], slab[g.nPrim:]
+		g.backupWrites, slab = slab[:0:g.nBackup], slab[g.nBackup:]
+		if g.nPrim > 0 {
+			ct.primaries++
+		}
+		if g.nBackup > 0 {
+			ct.backups++
 		}
 	}
-	for p := range part {
-		ct.participants = append(ct.participants, p)
+	for _, addr := range t.order {
+		w := t.writes[addr]
+		ow := proto.ObjectWrite{Addr: addr, Version: w.version, Allocated: w.allocated, Value: w.value}
+		replicas := m.mapping(addr.Region).Replicas
+		g := ct.group(int(replicas[0]))
+		g.primWrites = append(g.primWrites, ow)
+		for _, b := range replicas[1:] {
+			g = ct.group(int(b))
+			g.backupWrites = append(g.backupWrites, ow)
+		}
 	}
-	sortInts(ct.participants)
 
 	// Assign the transaction id ⟨c, m, t, l⟩ at the start of commit (§5.3).
 	m.nextLocal[t.thread]++
@@ -204,7 +273,6 @@ func (t *Tx) Commit(cb func(err error)) {
 		Thread:  uint16(t.thread),
 		Local:   m.nextLocal[t.thread],
 	}
-	m.threadTrunc(t.thread).open(ct.id.Local)
 
 	// Reserve log space for every record this commit and its truncation
 	// will need (§4): LOCK + COMMIT-PRIMARY/ABORT at primaries,
@@ -235,40 +303,13 @@ func (m *Machine) failTx(cb func(error), err error) {
 	})
 }
 
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// recordSizes computes the marshaled payload sizes to reserve.
-func (m *Machine) lockRecordFor(ct *coordTx, pm int) *proto.Record {
-	return &proto.Record{
-		Type:    proto.RecLock,
-		Tx:      ct.id,
-		Regions: ct.writeRegions,
-		Writes:  ct.primWrites[pm],
-	}
-}
-
-func (m *Machine) backupRecordFor(ct *coordTx, bm int) *proto.Record {
-	return &proto.Record{
-		Type:    proto.RecCommitBackup,
-		Tx:      ct.id,
-		Regions: ct.writeRegions,
-		Writes:  ct.backupWrites[bm],
-	}
-}
-
-func recordSize(r *proto.Record) int { return len(proto.MarshalRecord(r)) + piggyBudget }
+// recordSize is the reservation for rec: its encoding plus room for a full
+// truncation piggyback.
+func recordSize(rec *proto.Record) int { return proto.RecordSize(rec) + piggyBudget }
 
 // truncateRecordSize is the reservation for a worst-case explicit
-// TRUNCATE record.
-func truncateRecordSize() int {
-	return recordSize(&proto.Record{Type: proto.RecTruncate})
-}
+// TRUNCATE record: an empty record plus a full piggyback.
+var truncateRecordSize = recordSize(&proto.Record{Type: proto.RecTruncate})
 
 // resSet holds one participant's outstanding reservations by record kind
 // (0 = none). Truncate-record reservations are pooled per destination in
@@ -276,62 +317,70 @@ func truncateRecordSize() int {
 // pooled counts this transaction's contributions to that pool.
 type resSet struct{ lock, cp, cb, pooled int }
 
+// releaseRes returns every unconsumed reservation in r to dst's log.
+func (m *Machine) releaseRes(dst int, r *resSet) {
+	w := m.logW[dst]
+	for _, s := range [...]int{r.lock, r.cp, r.cb} {
+		if s > 0 {
+			w.Release(s)
+		}
+	}
+	for i := 0; i < r.pooled; i++ {
+		m.truncPoolRelease(dst)
+	}
+	*r = resSet{}
+}
+
 // reserveCommit makes all per-participant ring reservations, rolling back
 // on failure.
 func (m *Machine) reserveCommit(ct *coordTx) bool {
-	res := func(dst int) *resSet {
-		r := ct.reservations[dst]
-		if r == nil {
-			r = &resSet{}
-			ct.reservations[dst] = r
+	rec := proto.Record{Tx: ct.id, Regions: ct.writeRegions}
+	smallRec := recordSize(&rec)
+	for i := range ct.groups {
+		g := &ct.groups[i]
+		if !m.reserveGroup(g, &rec, smallRec) {
+			for j := 0; j <= i; j++ {
+				m.releaseRes(ct.groups[j].dst, &ct.groups[j].res)
+			}
+			return false
 		}
-		return r
 	}
-	rollback := func() bool {
-		for dst, r := range ct.reservations {
-			w := m.logW[dst]
-			for _, s := range []int{r.lock, r.cp, r.cb} {
-				if s > 0 {
-					w.Release(s)
-				}
-			}
-			for i := 0; i < r.pooled; i++ {
-				m.truncPoolRelease(dst)
-			}
-		}
-		ct.reservations = make(map[int]*resSet)
+	return true
+}
+
+// reserveGroup reserves, in g.dst's log, LOCK + COMMIT-PRIMARY/ABORT space
+// if it is a primary, COMMIT-BACKUP space if it is a backup, and exactly
+// ONE pooled truncate-record slot: a machine that is both primary (for one
+// region) and backup (for another) still receives a single truncation for
+// the transaction. rec carries the transaction's id and regions; smallRec
+// is its size without writes.
+func (m *Machine) reserveGroup(g *destGroup, rec *proto.Record, smallRec int) bool {
+	w := m.logW[g.dst]
+	if w == nil {
 		return false
 	}
-	smallRec := recordSize(&proto.Record{Type: proto.RecCommitPrimary, Tx: ct.id, Regions: ct.writeRegions})
-	for pm := range ct.primWrites {
-		w := m.logW[pm]
-		lockSz := recordSize(m.lockRecordFor(ct, pm))
-		if w == nil || !w.Reserve(lockSz) {
-			return rollback()
+	if len(g.primWrites) > 0 {
+		rec.Writes = g.primWrites
+		if g.res.lock = recordSize(rec); !w.Reserve(g.res.lock) {
+			g.res.lock = 0
+			return false
 		}
-		res(pm).lock = lockSz
 		if !w.Reserve(smallRec) {
-			return rollback()
+			return false
 		}
-		res(pm).cp = smallRec
+		g.res.cp = smallRec
 	}
-	for bm := range ct.backupWrites {
-		w := m.logW[bm]
-		cbSz := recordSize(m.backupRecordFor(ct, bm))
-		if w == nil || !w.Reserve(cbSz) {
-			return rollback()
+	if len(g.backupWrites) > 0 {
+		rec.Writes = g.backupWrites
+		if g.res.cb = recordSize(rec); !w.Reserve(g.res.cb) {
+			g.res.cb = 0
+			return false
 		}
-		res(bm).cb = cbSz
 	}
-	// Exactly ONE pooled truncate-record slot per participant machine: a
-	// machine that is both primary (for one region) and backup (for
-	// another) still receives a single truncation for the transaction.
-	for _, p := range ct.participants {
-		if !m.truncPoolReserve(p) {
-			return rollback()
-		}
-		res(p).pooled++
+	if !m.truncPoolReserve(g.dst) {
+		return false
 	}
+	g.res.pooled++
 	return true
 }
 
@@ -340,37 +389,29 @@ func (m *Machine) reserveCommit(ct *coordTx) bool {
 // decisions). Reservations toward machines that left the configuration
 // vanished with their rings.
 func (m *Machine) releaseCoordReservations(ct *coordTx) {
-	for dst, r := range ct.reservations {
-		w := m.logW[dst]
-		if w == nil || !m.isMember(dst) {
-			continue
+	for i := range ct.groups {
+		g := &ct.groups[i]
+		if m.logW[g.dst] != nil && m.isMember(g.dst) {
+			m.releaseRes(g.dst, &g.res)
 		}
-		for _, s := range []int{r.lock, r.cp, r.cb} {
-			if s > 0 {
-				w.Release(s)
-			}
-		}
-		for i := 0; i < r.pooled; i++ {
-			m.truncPoolRelease(dst)
-		}
+		g.res = resSet{}
 	}
-	ct.reservations = make(map[int]*resSet)
 }
 
 // takeReservation consumes the reservation matching a record kind.
 func (ct *coordTx) takeReservation(dst int, typ proto.RecordType) int {
-	r := ct.reservations[dst]
-	if r == nil {
+	g := ct.group(dst)
+	if g == nil {
 		return -1
 	}
 	var s *int
 	switch typ {
 	case proto.RecLock:
-		s = &r.lock
+		s = &g.res.lock
 	case proto.RecCommitPrimary, proto.RecAbort:
-		s = &r.cp
+		s = &g.res.cp
 	case proto.RecCommitBackup:
-		s = &r.cb
+		s = &g.res.cb
 	default:
 		return -1
 	}
@@ -382,51 +423,93 @@ func (ct *coordTx) takeReservation(dst int, typ proto.RecordType) int {
 	return size
 }
 
-// writeRecord marshals rec with piggybacked truncation ids for dst and
-// appends it to dst's log; ack receives the hardware ack.
-func (m *Machine) writeRecord(ct *coordTx, dst int, rec *proto.Record, ack func(error)) {
+// recWrite is one of a committing transaction's records on its way into a
+// participant's log: scheduled on the coordinator thread (one verb per
+// record), encoded straight into a ring frame with piggybacked truncation
+// ids, acked by the NIC. It is pooled like msgTask, runFn/ackFn bound
+// once. rec never leaves the coordinator — it is encoded and dropped, and
+// participants decode their own copy out of the ring — which is what makes
+// reusing it, and ids (the backing store of rec.TruncIDs), safe.
+type recWrite struct {
+	m   *Machine
+	ct  *coordTx
+	dst int
+	rec proto.Record
+	ids []uint64
+
+	runFn func()
+	ackFn func(error)
+}
+
+// writeTxRecord sends ct's record of the given type to g's machine: LOCK
+// and COMMIT-BACKUP carry the group's writes, the others only the header.
+func (m *Machine) writeTxRecord(ct *coordTx, typ proto.RecordType, g *destGroup) {
+	var op *recWrite
+	if k := len(m.recFree); k > 0 {
+		op = m.recFree[k-1]
+		m.recFree = m.recFree[:k-1]
+	} else {
+		op = &recWrite{m: m}
+		op.runFn = op.run
+		op.ackFn = op.ack
+	}
+	op.ct, op.dst = ct, g.dst
+	op.rec = proto.Record{Type: typ, Tx: ct.id, Regions: ct.writeRegions, TruncIDs: op.ids[:0]}
+	switch typ {
+	case proto.RecLock:
+		op.rec.Writes = g.primWrites
+	case proto.RecCommitBackup:
+		op.rec.Writes = g.backupWrites
+	}
+	m.OnThread(ct.tx.thread, m.c.Opts.CPUVerb, op.runFn)
+}
+
+func (op *recWrite) run() {
+	m, dst, rec := op.m, op.dst, &op.rec
 	m.attachPiggyback(dst, rec)
-	reserved := -1
-	if ct != nil {
-		reserved = ct.takeReservation(dst, rec.Type)
-	}
-	payload := proto.MarshalRecord(rec)
-	delivered := rec.TruncIDs
+	op.ids = rec.TruncIDs[:0] // keep the buffer attachPiggyback may have grown
 	w := m.logW[dst]
-	okAck := func(err error) {
-		if err == nil {
-			m.truncDelivered(dst, delivered, 0)
-		}
-		if ack != nil {
-			ack(err)
-		}
-	}
-	if !w.Append(payload, reserved, okAck) {
-		// Only possible for unreserved writes; the caller retries.
+	if buf, ok := w.Begin(proto.RecordSize(rec), op.ct.takeReservation(dst, rec.Type)); ok {
+		proto.AppendRecord(buf[:0], rec)
+		w.Commit(op.ackFn)
+	} else {
+		// Only possible when the reservation is gone (unreserved write).
 		m.requeuePiggyback(dst, rec)
-		if ack != nil {
-			ack(ErrNoSpace)
-		}
+		op.ack(ErrNoSpace)
+	}
+	// Phase-end doorbell: the record is on the wire; any transport traffic
+	// queued toward dst departs with it instead of trailing the phase by a
+	// flush interval.
+	m.tp.flushHint(dst)
+}
+
+// ack is the hardware ack of the record's ring write: settle the
+// piggybacked truncations, recycle, then advance the commit protocol.
+func (op *recWrite) ack(err error) {
+	m, ct, dst, typ := op.m, op.ct, op.dst, op.rec.Type
+	if err == nil {
+		m.truncDelivered(dst, op.rec.TruncIDs, 0)
+	}
+	op.ct, op.rec = nil, proto.Record{}
+	m.recFree = append(m.recFree, op)
+	switch typ {
+	case proto.RecAbort:
+		m.onAbortAck(ct)
+	case proto.RecCommitBackup:
+		m.onBackupAck(ct, dst, err)
+	case proto.RecCommitPrimary:
+		m.onPrimaryAck(ct, dst, err)
 	}
 }
 
 // sendLocks writes a LOCK record to the log at every primary of a written
-// object (§4 step 1). The coordinator thread issues one verb per record.
+// object (§4 step 1).
 func (m *Machine) sendLocks(ct *coordTx) {
-	ct.lockOutstanding = len(ct.primWrites)
-	for _, pm := range intKeys(ct.primWrites) {
-		pm := pm
-		rec := m.lockRecordFor(ct, pm)
-		m.pool.ByIndex(ct.tx.thread).Do(m.c.Opts.CPUVerb, func() {
-			if !m.alive {
-				return
-			}
-			m.writeRecord(ct, pm, rec, nil)
-			// Phase-end doorbell: the LOCK record is on the wire; any
-			// transport traffic queued toward pm departs with it instead
-			// of trailing the phase by a flush interval.
-			m.tp.flushHint(pm)
-		})
+	ct.lockOutstanding = ct.primaries
+	for i := range ct.groups {
+		if g := &ct.groups[i]; len(g.primWrites) > 0 {
+			m.writeTxRecord(ct, proto.RecLock, g)
+		}
 	}
 }
 
@@ -459,47 +542,34 @@ func (m *Machine) abortTx(ct *coordTx, err error) {
 	m.endPhase(ct)
 	delete(m.inflight, ct.id)
 	ct.tx.releaseAllocs()
-	acks := len(ct.primWrites)
-	for _, pm := range intKeys(ct.primWrites) {
-		rec := &proto.Record{Type: proto.RecAbort, Tx: ct.id, Regions: ct.writeRegions}
-		pm := pm
-		m.pool.ByIndex(ct.tx.thread).Do(m.c.Opts.CPUVerb, func() {
-			if !m.alive {
-				return
-			}
-			m.writeRecord(ct, pm, rec, func(e error) {
-				acks--
-				if acks == 0 && m.alive {
-					m.queueTruncation(ct, ct.primariesOnly())
-				}
-			})
-			m.tp.flushHint(pm) // phase-end doorbell
-		})
-	}
-	// Backups never see this transaction: release their COMMIT-BACKUP
-	// space (and, for pure backups, their pooled truncate reservation —
-	// they will get no record to truncate).
-	for bm := range ct.backupWrites {
-		if r := ct.reservations[bm]; r != nil && r.cb > 0 {
-			m.logW[bm].Release(r.cb)
-			r.cb = 0
+	ct.abortOutstanding = ct.primaries
+	for i := range ct.groups {
+		g := &ct.groups[i]
+		// No backup will see this transaction: release its COMMIT-BACKUP
+		// space and, for pure backups, their pooled truncate reservation —
+		// they get no record to truncate.
+		if g.res.cb > 0 {
+			m.logW[g.dst].Release(g.res.cb)
+			g.res.cb = 0
 		}
-		if _, alsoPrimary := ct.primWrites[bm]; !alsoPrimary {
-			m.truncPoolRelease(bm)
+		if len(g.primWrites) == 0 {
+			m.truncPoolRelease(g.dst)
+			continue
 		}
+		m.writeTxRecord(ct, proto.RecAbort, g)
 	}
 	m.c.Counters.Inc("tx_aborted", 1)
 	m.Aborted++
 	ct.cb(err)
 }
 
-func (ct *coordTx) primariesOnly() []int {
-	out := make([]int, 0, len(ct.primWrites))
-	for pm := range ct.primWrites {
-		out = append(out, pm)
+// onAbortAck queues the aborted transaction's truncation once every
+// primary's ABORT record is acked (delivered or given up on).
+func (m *Machine) onAbortAck(ct *coordTx) {
+	ct.abortOutstanding--
+	if ct.abortOutstanding == 0 && m.alive {
+		m.queueTruncation(ct, true)
 	}
-	sortInts(out)
-	return out
 }
 
 // validate performs read validation (§4 step 2): one-sided reads of the
@@ -515,21 +585,14 @@ func (m *Machine) validate(ct *coordTx) {
 		return
 	}
 	t := ct.tx
-	byPrimary := make(map[int][]*readEntry)
-	for _, addr := range addrKeys(t.reads) {
-		if _, written := t.writes[addr]; written {
-			continue
-		}
-		pm := m.primaryOf(addr.Region)
-		if pm == -1 {
-			m.abortTx(ct, ErrUnavailable)
-			return
-		}
-		byPrimary[pm] = append(byPrimary[pm], t.reads[addr])
-	}
-	if len(byPrimary) == 0 {
+	vs := t.validationSet()
+	if len(vs) == 0 {
 		ct.phase = phaseCommitBackup
 		m.commitBackups(ct)
+		return
+	}
+	if vs[0].pm == -1 { // unknown primaries sort first
+		m.abortTx(ct, ErrUnavailable)
 		return
 	}
 	// abortTx sets phase to done, so late replies become no-ops.
@@ -546,20 +609,18 @@ func (m *Machine) validate(ct *coordTx) {
 			m.commitBackups(ct)
 		}
 	}
-	for pm, entries := range byPrimary {
-		if pm != m.ID && len(entries) > m.c.Opts.ValidateRPCThreshold {
-			ct.valOutstanding++
-		} else {
-			ct.valOutstanding += len(entries)
-		}
+	for i, j := 0, 0; i < len(vs); i = j {
+		j = primaryRun(vs, i)
+		ct.valOutstanding += m.validationOps(vs[i].pm, j-i)
 	}
-	for _, pm := range intKeys(byPrimary) {
-		pm, entries := pm, byPrimary[pm]
+	for i, j := 0, 0; i < len(vs); i = j {
+		j = primaryRun(vs, i)
+		pm, entries := vs[i].pm, vs[i:j]
 		switch {
 		case pm == m.ID:
 			// Local validation: direct header loads.
-			for _, r := range entries {
-				r := r
+			for _, e := range entries {
+				r := e.r
 				m.OnThread(t.thread, m.c.Opts.CPULocal, func() {
 					if ct.phase != phaseValidate || ct.recovering {
 						return
@@ -576,17 +637,14 @@ func (m *Machine) validate(ct *coordTx) {
 			// Validation over RPC (Table 2 VALIDATE). The phase span's
 			// context rides along, so the primary's work and its reply are
 			// parented on this validation.
-			req := &proto.ValidateReq{Tx: ct.id}
-			for _, r := range entries {
-				req.Addrs = append(req.Addrs, r.addr)
-				req.Versions = append(req.Versions, r.version)
-			}
+			req := validateReqFor(entries)
+			req.Tx = ct.id
 			// Doorbell: this request is the validate phase's entire
 			// fan-out to pm; it should depart with the phase.
 			m.sendFromThreadCtxDoorbell(t.thread, pm, req, ct.phaseCtx)
 		default:
-			for _, r := range entries {
-				r := r
+			for _, e := range entries {
+				r := e.r
 				m.OnThread(t.thread, m.c.Opts.CPUVerb, func() {
 					m.nic.Read(fabric.MachineID(pm), nvram.RegionID(r.addr.Region),
 						int(r.addr.Off), regionmem.HeaderSize, func(raw []byte, err error) {
@@ -603,6 +661,61 @@ func (m *Machine) validate(ct *coordTx) {
 			}
 		}
 	}
+}
+
+// valRead is one read-set entry tagged with its primary (-1 = unknown).
+type valRead struct {
+	pm int
+	r  *readEntry
+}
+
+// validationSet returns the read-but-not-written objects sorted by primary
+// then address: each run of equal pm is that primary's share of the
+// validation, and the whole walk is deterministic.
+func (t *Tx) validationSet() []valRead {
+	vs := make([]valRead, 0, len(t.reads))
+	for addr, r := range t.reads {
+		if _, written := t.writes[addr]; !written {
+			vs = append(vs, valRead{pm: t.m.primaryOf(addr.Region), r: r})
+		}
+	}
+	slices.SortFunc(vs, func(a, b valRead) int {
+		if a.pm != b.pm {
+			return a.pm - b.pm
+		}
+		return addrCmp(a.r.addr, b.r.addr)
+	})
+	return vs
+}
+
+// primaryRun returns the end of the run of entries sharing vs[i]'s primary.
+func primaryRun(vs []valRead, i int) int {
+	j := i + 1
+	for j < len(vs) && vs[j].pm == vs[i].pm {
+		j++
+	}
+	return j
+}
+
+// validationOps is how many completions validating n objects at primary pm
+// takes: one RPC when a remote primary holds more than the threshold (§4
+// step 2), else one header read each.
+func (m *Machine) validationOps(pm, n int) int {
+	if pm != m.ID && n > m.c.Opts.ValidateRPCThreshold {
+		return 1
+	}
+	return n
+}
+
+func validateReqFor(entries []valRead) *proto.ValidateReq {
+	req := &proto.ValidateReq{
+		Addrs:    make([]proto.Addr, len(entries)),
+		Versions: make([]uint64, len(entries)),
+	}
+	for i, e := range entries {
+		req.Addrs[i], req.Versions[i] = e.r.addr, e.r.version
+	}
+	return req
 }
 
 func validHeader(mem []byte, r *readEntry) bool {
@@ -636,44 +749,40 @@ func (m *Machine) onValidateReply(reply *proto.ValidateReply) {
 // any backup CPU (§4 step 3).
 func (m *Machine) commitBackups(ct *coordTx) {
 	m.beginPhase(ct, "COMMIT-BACKUP")
-	if len(ct.backupWrites) == 0 {
+	ct.cbOutstanding = ct.backups
+	if ct.backups == 0 {
 		ct.phase = phaseCommitPrimary
 		m.commitPrimaries(ct)
 		return
 	}
-	ct.cbOutstanding = len(ct.backupWrites)
-	for _, bm := range intKeys(ct.backupWrites) {
-		bm := bm
-		rec := m.backupRecordFor(ct, bm)
-		m.pool.ByIndex(ct.tx.thread).Do(m.c.Opts.CPUVerb, func() {
-			if !m.alive {
-				return
-			}
-			m.writeRecord(ct, bm, rec, func(err error) {
-				if !m.alive || ct.recovering || ct.phase != phaseCommitBackup {
-					return
-				}
-				if err != nil {
-					// The ring writer retried far longer than any transient
-					// fault episode: the backup is effectively unreachable.
-					// The transaction must wait for recovery (the backup may
-					// hold its COMMIT-BACKUP record), but the membership
-					// layer should know about the dead destination.
-					m.reportWriteFailure(bm)
-					return
-				}
-				// Precise membership: ignore acks from non-members (§5.2).
-				if !m.isMember(bm) {
-					return
-				}
-				ct.cbOutstanding--
-				if ct.cbOutstanding == 0 {
-					ct.phase = phaseCommitPrimary
-					m.commitPrimaries(ct)
-				}
-			})
-			m.tp.flushHint(bm) // phase-end doorbell
-		})
+	for i := range ct.groups {
+		if g := &ct.groups[i]; len(g.backupWrites) > 0 {
+			m.writeTxRecord(ct, proto.RecCommitBackup, g)
+		}
+	}
+}
+
+func (m *Machine) onBackupAck(ct *coordTx, bm int, err error) {
+	if !m.alive || ct.recovering || ct.phase != phaseCommitBackup {
+		return
+	}
+	if err != nil {
+		// The ring writer retried far longer than any transient fault
+		// episode: the backup is effectively unreachable. The transaction
+		// must wait for recovery (the backup may hold its COMMIT-BACKUP
+		// record), but the membership layer should know about the dead
+		// destination.
+		m.reportWriteFailure(bm)
+		return
+	}
+	// Precise membership: ignore acks from non-members (§5.2).
+	if !m.isMember(bm) {
+		return
+	}
+	ct.cbOutstanding--
+	if ct.cbOutstanding == 0 {
+		ct.phase = phaseCommitPrimary
+		m.commitPrimaries(ct)
 	}
 }
 
@@ -682,39 +791,35 @@ func (m *Machine) commitBackups(ct *coordTx) {
 // queued once all primaries acked (§4 step 5).
 func (m *Machine) commitPrimaries(ct *coordTx) {
 	m.beginPhase(ct, "COMMIT-PRIMARY")
-	ct.cpOutstanding = len(ct.primWrites)
-	for _, pm := range intKeys(ct.primWrites) {
-		pm := pm
-		rec := &proto.Record{Type: proto.RecCommitPrimary, Tx: ct.id, Regions: ct.writeRegions}
-		m.pool.ByIndex(ct.tx.thread).Do(m.c.Opts.CPUVerb, func() {
-			if !m.alive {
-				return
-			}
-			m.writeRecord(ct, pm, rec, func(err error) {
-				if !m.alive || ct.recovering {
-					return
-				}
-				if err != nil {
-					m.reportWriteFailure(pm)
-					return
-				}
-				if !m.isMember(pm) {
-					return
-				}
-				if !ct.reported {
-					ct.reported = true
-					m.reportCommitted(ct)
-				}
-				ct.cpOutstanding--
-				if ct.cpOutstanding == 0 {
-					ct.phase = phaseDone
-					m.endPhase(ct)
-					delete(m.inflight, ct.id)
-					m.queueTruncation(ct, ct.participants)
-				}
-			})
-			m.tp.flushHint(pm) // phase-end doorbell
-		})
+	ct.cpOutstanding = ct.primaries
+	for i := range ct.groups {
+		if g := &ct.groups[i]; len(g.primWrites) > 0 {
+			m.writeTxRecord(ct, proto.RecCommitPrimary, g)
+		}
+	}
+}
+
+func (m *Machine) onPrimaryAck(ct *coordTx, pm int, err error) {
+	if !m.alive || ct.recovering {
+		return
+	}
+	if err != nil {
+		m.reportWriteFailure(pm)
+		return
+	}
+	if !m.isMember(pm) {
+		return
+	}
+	if !ct.reported {
+		ct.reported = true
+		m.reportCommitted(ct)
+	}
+	ct.cpOutstanding--
+	if ct.cpOutstanding == 0 {
+		ct.phase = phaseDone
+		m.endPhase(ct)
+		delete(m.inflight, ct.id)
+		m.queueTruncation(ct, false)
 	}
 }
 
@@ -783,18 +888,11 @@ func (t *Tx) validateReadOnly(cb func(error)) {
 		})
 		return
 	}
-	byPrimary := make(map[int][]*readEntry)
-	for _, addr := range addrKeys(t.reads) {
-		r := t.reads[addr]
-		byPrimary[m.primaryOf(r.addr.Region)] = append(byPrimary[m.primaryOf(r.addr.Region)], r)
-	}
+	vs := t.validationSet()
 	outstanding := 0
-	for pm, entries := range byPrimary {
-		if pm != m.ID && len(entries) > m.c.Opts.ValidateRPCThreshold {
-			outstanding++
-		} else {
-			outstanding += len(entries)
-		}
+	for i, j := 0, 0; i < len(vs); i = j {
+		j = primaryRun(vs, i)
+		outstanding += m.validationOps(vs[i].pm, j-i)
 	}
 	failed := false
 	finish := func(ok bool) {
@@ -821,12 +919,13 @@ func (t *Tx) validateReadOnly(cb func(error)) {
 			})
 		}
 	}
-	for _, pm := range intKeys(byPrimary) {
-		pm, entries := pm, byPrimary[pm]
+	for i, j := 0, 0; i < len(vs); i = j {
+		j = primaryRun(vs, i)
+		pm, entries := vs[i].pm, vs[i:j]
 		switch {
 		case pm == m.ID:
-			for _, r := range entries {
-				r := r
+			for _, e := range entries {
+				r := e.r
 				m.OnThread(t.thread, m.c.Opts.CPULocal, func() {
 					rep := m.replicas[r.addr.Region]
 					finish(rep != nil && validHeader(rep.mem, r))
@@ -836,11 +935,7 @@ func (t *Tx) validateReadOnly(cb func(error)) {
 			m.OnThread(t.thread, m.c.Opts.CPULocal, func() { finish(false) })
 		case len(entries) > m.c.Opts.ValidateRPCThreshold:
 			// One RPC validates the whole per-primary read set.
-			req := &proto.ValidateReq{}
-			for _, r := range entries {
-				req.Addrs = append(req.Addrs, r.addr)
-				req.Versions = append(req.Versions, r.version)
-			}
+			req := validateReqFor(entries)
 			id := m.nextRPC
 			m.nextRPC++
 			m.rpcWaiters[id] = func(resp interface{}) {
@@ -849,8 +944,8 @@ func (t *Tx) validateReadOnly(cb func(error)) {
 			// Doorbell: a read-only commit waits on nothing else.
 			m.sendFromThreadDoorbell(t.thread, pm, &rpcEnvelope{ID: id, From: m.ID, Body: req, Ctx: t.ctx})
 		default:
-			for _, r := range entries {
-				r := r
+			for _, e := range entries {
+				r := e.r
 				m.OnThread(t.thread, m.c.Opts.CPUVerb, func() {
 					m.nic.Read(fabric.MachineID(pm), nvram.RegionID(r.addr.Region), int(r.addr.Off),
 						regionmem.HeaderSize, func(raw []byte, err error) {

@@ -71,9 +71,6 @@ type remoteTx struct {
 	// lockedObjs are objects this machine locked as primary.
 	lockedObjs []proto.Addr
 	applied    bool
-	// frameSeqs are ring frame sequence numbers per source machine (all
-	// records of one transaction arrive from its coordinator).
-	frameSeqs []uint64
 	// regionHint caches the written-region list from any record, for
 	// recovery classification when the lock record is absent.
 	regionHint []uint32
@@ -258,8 +255,12 @@ type Machine struct {
 
 	// taskFree recycles msgTask carriers (deferred receive dispatches and
 	// outbound enqueues) so the per-message paths allocate nothing in
-	// steady state.
+	// steady state; pollFree, readFree and recFree do the same for log-poll
+	// batches, object reads (read.go) and commit-record writes (commit.go).
 	taskFree []*msgTask
+	pollFree []*pollTask
+	readFree []*readOp
+	recFree  []*recWrite
 
 	// Stats.
 	Committed, Aborted uint64
@@ -382,6 +383,7 @@ type truncQueue struct {
 	ids        []uint64 // packed thread<<48 | local
 	pool       int      // pooled truncate-record reservations
 	flushArmed bool
+	flushFn    func() // the flush timer's callback, bound once (truncQueueFor)
 }
 
 func packTruncID(thread uint16, local uint64) uint64 {
@@ -464,12 +466,9 @@ func (m *Machine) ConfigID() uint64 { return m.config.ID }
 func (m *Machine) IsCM() bool { return m.alive && m.config.CM == uint16(m.ID) }
 
 // OnThread schedules application work costing cost CPU on worker thread i.
+// fn is dropped if the machine has died by the time the work completes.
 func (m *Machine) OnThread(i int, cost sim.Time, fn func()) {
-	m.pool.ByIndex(i).Do(cost, func() {
-		if m.alive {
-			fn()
-		}
-	})
+	m.pool.ByIndex(i).DoIf(cost, &m.alive, fn)
 }
 
 // Threads returns the worker thread count.
@@ -622,47 +621,95 @@ func (m *Machine) onRemoteWrite(region nvram.RegionID, _, _ int) {
 	m.c.Eng.After(m.c.Opts.PollDelay, lr.pollFn)
 }
 
+// parsedRecord is one decoded log record with its frame's sequence number.
+type parsedRecord struct {
+	rec *proto.Record
+	seq uint64
+}
+
+// pollTask carries one polled batch of log records to the worker thread
+// that processes them. Like msgTask it is pooled with runFn bound once; it
+// recycles itself once the records are handled, before the drain barrier
+// runs. Only the carrier and its batch slice are reused: each Record is a
+// fresh GC-owned value, because participant state (remoteTx.lock) and
+// recovery messages keep them long after the batch is done.
+type pollTask struct {
+	m     *Machine
+	lr    *logReader
+	batch []parsedRecord
+	// preDrain marks frames captured before a drain: they must be
+	// processed with drain semantics even if the worker thread gets to
+	// them afterwards.
+	preDrain bool
+	done     func() // drain barrier (drainLog), nil for ordinary polls
+	runFn    func()
+}
+
+// decodeFrames decodes newly polled frames of lr into a pollTask and
+// returns it with the CPU cost of processing them. Garbage frames are
+// skipped; recovery re-examines logs anyway.
+func (m *Machine) decodeFrames(lr *logReader) (*pollTask, sim.Time) {
+	var pt *pollTask
+	if k := len(m.pollFree); k > 0 {
+		pt = m.pollFree[k-1]
+		m.pollFree = m.pollFree[:k-1]
+	} else {
+		pt = &pollTask{m: m}
+		pt.runFn = pt.run
+	}
+	pt.lr = lr
+	var cost sim.Time
+	for _, f := range lr.rd.Poll() {
+		rec := new(proto.Record)
+		if proto.DecodeRecord(f.Payload, rec) != nil {
+			continue
+		}
+		pt.batch = append(pt.batch, parsedRecord{rec, f.Seq})
+		cost += m.c.Opts.CPUMsg/4 + sim.Time(len(rec.Writes))*m.c.Opts.CPUPerObject
+	}
+	return pt, cost
+}
+
+func (pt *pollTask) recycle() {
+	clear(pt.batch)
+	pt.batch = pt.batch[:0]
+	pt.lr, pt.done, pt.preDrain = nil, nil, false
+	pt.m.pollFree = append(pt.m.pollFree, pt)
+}
+
+func (pt *pollTask) run() {
+	m, lr, done, preDrain := pt.m, pt.lr, pt.done, pt.preDrain
+	if !m.alive {
+		// Processing lost with the process; the records are still in the
+		// non-volatile log — surface them to the next poll/drain.
+		if len(pt.batch) > 0 {
+			lr.rd.RewindTo(pt.batch[0].seq)
+		}
+	} else {
+		for _, p := range pt.batch {
+			m.handleRecord(lr, p.rec, p.seq, preDrain)
+		}
+		if done == nil {
+			m.maybeReportConsumed(lr)
+		}
+	}
+	pt.recycle()
+	if done != nil {
+		done()
+	}
+}
+
 // pollLog drains newly arrived frames from one peer's log and processes
 // the records on a worker thread (sharded by sender so records from one
 // coordinator stay ordered).
 func (m *Machine) pollLog(lr *logReader) {
-	frames := lr.rd.Poll()
-	if len(frames) == 0 {
+	pt, cost := m.decodeFrames(lr)
+	if len(pt.batch) == 0 {
+		pt.recycle()
 		return
 	}
-	type parsed struct {
-		rec *proto.Record
-		seq uint64
-	}
-	var batch []parsed
-	var cost sim.Time
-	for _, f := range frames {
-		rec, err := proto.UnmarshalRecord(f.Payload)
-		if err != nil {
-			continue // garbage is skipped; recovery re-examines logs anyway
-		}
-		batch = append(batch, parsed{rec, f.Seq})
-		cost += m.c.Opts.CPUMsg/4 + sim.Time(len(rec.Writes))*m.c.Opts.CPUPerObject
-	}
-	if len(batch) == 0 {
-		return
-	}
-	// Frames captured before a drain must be processed with drain
-	// semantics even if the worker thread gets to them afterwards.
-	preDrain := m.lastDrained < m.config.ID
-	first := batch[0].seq
-	m.pool.ByIndex(lr.src).Do(cost, func() {
-		if !m.alive {
-			// Processing lost with the process; the records are still in
-			// the non-volatile log — surface them to the next poll/drain.
-			lr.rd.RewindTo(first)
-			return
-		}
-		for _, p := range batch {
-			m.handleRecordInner(lr, p.rec, p.seq, preDrain)
-		}
-		m.maybeReportConsumed(lr)
-	})
+	pt.preDrain = m.lastDrained < m.config.ID
+	m.pool.ByIndex(lr.src).Do(cost, pt.runFn)
 }
 
 // maybeReportConsumed lazily tells the sender how far its ring has been

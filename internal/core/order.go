@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"sort"
 
 	"farm/internal/proto"
@@ -87,18 +88,10 @@ func txIDLess(a, b proto.TxID) bool {
 	return a.Local < b.Local
 }
 
-func addrKeys[V any](m map[proto.Addr]V) []proto.Addr {
-	keys := make([]proto.Addr, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return addrLess(keys[i], keys[j]) })
-	return keys
-}
-
-func addrLess(a, b proto.Addr) bool {
+// addrCmp orders addresses by region, then offset.
+func addrCmp(a, b proto.Addr) int {
 	if a.Region != b.Region {
-		return a.Region < b.Region
+		return cmp.Compare(a.Region, b.Region)
 	}
-	return a.Off < b.Off
+	return cmp.Compare(a.Off, b.Off)
 }

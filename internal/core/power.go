@@ -116,11 +116,11 @@ func (c *Cluster) reestablishRings() {
 		for _, src := range intKeys(m.logR) {
 			lr := m.logR[src]
 			for _, f := range lr.rd.Pending() {
-				rec, err := proto.UnmarshalRecord(f.Payload)
-				if err != nil {
+				rec := new(proto.Record)
+				if proto.DecodeRecord(f.Payload, rec) != nil {
 					continue
 				}
-				m.handleRecordInner(lr, rec, f.Seq, true)
+				m.handleRecord(lr, rec, f.Seq, true)
 			}
 		}
 	}
@@ -147,7 +147,7 @@ func (c *Cluster) reestablishRings() {
 			// still accounts for.
 			if q := sender.truncQ[m.ID]; q != nil {
 				for i := 0; i < q.pool; i++ {
-					sender.logW[m.ID].Reserve(truncateRecordSize())
+					sender.logW[m.ID].Reserve(truncateRecordSize)
 				}
 			}
 		}
@@ -160,7 +160,9 @@ func (c *Cluster) reestablishRings() {
 			continue
 		}
 		for _, ct := range m.inflight {
-			ct.reservations = make(map[int]*resSet)
+			for i := range ct.groups {
+				ct.groups[i].res = resSet{}
+			}
 		}
 		for _, dst := range intKeys(m.truncPending) {
 			pend := m.truncPending[dst]

@@ -157,31 +157,9 @@ func (m *Machine) startTxRecovery(configID uint64) {
 // the owning thread — behind any earlier poll batches for the same ring,
 // preserving record order.
 func (m *Machine) drainLog(lr *logReader, cb func()) {
-	frames := lr.rd.Poll()
-	type parsed struct {
-		rec *proto.Record
-		seq uint64
-	}
-	var batch []parsed
-	var cost sim.Time
-	for _, f := range frames {
-		rec, err := proto.UnmarshalRecord(f.Payload)
-		if err != nil {
-			continue
-		}
-		batch = append(batch, parsed{rec, f.Seq})
-		cost += m.c.Opts.CPUMsg/4 + sim.Time(len(rec.Writes))*m.c.Opts.CPUPerObject
-	}
-	m.pool.ByIndex(lr.src).Do(cost, func() {
-		if m.alive {
-			for _, p := range batch {
-				m.handleRecordInner(lr, p.rec, p.seq, true)
-			}
-		} else if len(batch) > 0 {
-			lr.rd.RewindTo(batch[0].seq)
-		}
-		cb()
-	})
+	pt, cost := m.decodeFrames(lr)
+	pt.preDrain, pt.done = true, cb
+	m.pool.ByIndex(lr.src).Do(cost, pt.runFn)
 }
 
 // findRecoveringTxs is step 3: classify every transaction with records in
@@ -797,9 +775,9 @@ func (m *Machine) armVoteCollector(id proto.TxID, knownRegions []uint32, partici
 // participantSet lists all machines holding records for a coordinator's
 // transaction.
 func (ct *coordTx) participantSet() map[int]bool {
-	out := make(map[int]bool)
-	for _, p := range ct.participants {
-		out[p] = true
+	out := make(map[int]bool, len(ct.groups))
+	for i := range ct.groups {
+		out[ct.groups[i].dst] = true
 	}
 	return out
 }

@@ -322,7 +322,8 @@ func (t *transport) innerSize(body interface{}) int {
 }
 
 // recordWireSize models the serialized size of a log record carried inside
-// a recovery message (MarshalRecord's framing plus payloads).
+// a recovery message (a modelled framing plus payloads; the ring encoding
+// is proto.AppendRecord's and is sized by proto.RecordSize).
 func recordWireSize(r *proto.Record) int {
 	if r == nil {
 		return 0

@@ -34,9 +34,6 @@ func (m *Machine) threadTrunc(thread int) *threadTruncState {
 	return s
 }
 
-// open notes that a local id is now in use (ids are contiguous per thread).
-func (s *threadTruncState) open(uint64) {}
-
 // retire marks a local id fully truncated and advances the low bound over
 // the contiguous prefix.
 func (s *threadTruncState) retire(local uint64) {
@@ -57,6 +54,12 @@ func (m *Machine) truncQueueFor(dst int) *truncQueue {
 	q := m.truncQ[dst]
 	if q == nil {
 		q = &truncQueue{}
+		q.flushFn = func() {
+			q.flushArmed = false
+			if m.alive && m.isMember(dst) {
+				m.flushTruncations(dst)
+			}
+		}
 		m.truncQ[dst] = q
 	}
 	return q
@@ -65,7 +68,7 @@ func (m *Machine) truncQueueFor(dst int) *truncQueue {
 // truncPoolReserve reserves one pooled truncate-record slot at dst.
 func (m *Machine) truncPoolReserve(dst int) bool {
 	w := m.logW[dst]
-	if w == nil || !w.Reserve(truncateRecordSize()) {
+	if w == nil || !w.Reserve(truncateRecordSize) {
 		return false
 	}
 	m.truncQueueFor(dst).pool++
@@ -80,7 +83,7 @@ func (m *Machine) truncPoolRelease(dst int) {
 	}
 	q.pool--
 	if w := m.logW[dst]; w != nil {
-		w.Release(truncateRecordSize())
+		w.Release(truncateRecordSize)
 	}
 }
 
@@ -94,34 +97,47 @@ func (m *Machine) endTruncSpan(ct *coordTx) {
 }
 
 // queueTruncation enqueues a finished transaction's id for truncation at
-// each participant and arms the flush timer.
-func (m *Machine) queueTruncation(ct *coordTx, participants []int) {
+// each participant (after an abort: at the primaries only, the one place
+// that saw records) and arms the flush timer.
+func (m *Machine) queueTruncation(ct *coordTx, primariesOnly bool) {
 	if ct.traceCtx.Valid() {
+		n := len(ct.groups)
+		if primariesOnly {
+			n = ct.primaries
+		}
 		ct.truncCtx = m.trb.Begin("tx", "TRUNCATE", m.c.Eng.Now(),
-			ct.traceCtx.Trace, ct.traceCtx.Span, int64(len(participants)))
+			ct.traceCtx.Trace, ct.traceCtx.Span, int64(n))
 	}
 	packed := packTruncID(ct.id.Thread, ct.id.Local)
-	ct.truncRemaining = make(map[int]bool, len(participants))
-	for _, dst := range participants {
-		if !m.isMember(dst) {
+	for i := range ct.groups {
+		g := &ct.groups[i]
+		if (primariesOnly && len(g.primWrites) == 0) || !m.isMember(g.dst) {
 			continue
 		}
-		ct.truncRemaining[dst] = true
-		q := m.truncQueueFor(dst)
+		g.truncPending = true
+		ct.truncLeft++
+		q := m.truncQueueFor(g.dst)
 		q.ids = append(q.ids, packed)
 		if m.truncPending == nil {
 			m.truncPending = make(map[int]map[uint64]*coordTx)
 		}
-		if m.truncPending[dst] == nil {
-			m.truncPending[dst] = make(map[uint64]*coordTx)
+		if m.truncPending[g.dst] == nil {
+			m.truncPending[g.dst] = make(map[uint64]*coordTx)
 		}
-		m.truncPending[dst][packed] = ct
-		m.armTruncFlush(dst)
+		m.truncPending[g.dst][packed] = ct
+		m.armTruncFlush(g.dst)
 	}
-	if len(ct.truncRemaining) == 0 {
-		m.threadTrunc(int(ct.id.Thread)).retire(ct.id.Local)
-		m.endTruncSpan(ct)
+	if ct.truncLeft == 0 {
+		m.truncFinished(ct)
 	}
+}
+
+// truncFinished runs once every participant has had ct's truncation
+// delivered (or left the configuration): the local id retires, advancing
+// the thread's low bound.
+func (m *Machine) truncFinished(ct *coordTx) {
+	m.threadTrunc(int(ct.id.Thread)).retire(ct.id.Local)
+	m.endTruncSpan(ct)
 }
 
 // attachPiggyback moves queued truncation ids (up to the per-record
@@ -137,7 +153,9 @@ func (m *Machine) attachPiggyback(dst int, rec *proto.Record) {
 		n = maxPiggyIDs
 	}
 	rec.TruncIDs = append(rec.TruncIDs, q.ids[:n]...)
-	q.ids = q.ids[n:]
+	// Slide the rest down rather than re-slicing forward, so the queue
+	// reuses its backing array instead of creeping into a reallocation.
+	q.ids = q.ids[:copy(q.ids, q.ids[n:])]
 }
 
 // requeuePiggyback puts ids back when a record could not be appended.
@@ -169,10 +187,8 @@ func (m *Machine) truncDelivered(dst int, ids []uint64, slotsConsumed int) {
 			continue
 		}
 		delete(pend, id)
-		delete(ct.truncRemaining, dst)
-		if len(ct.truncRemaining) == 0 {
-			m.threadTrunc(int(ct.id.Thread)).retire(ct.id.Local)
-			m.endTruncSpan(ct)
+		if ct.truncDone(dst) {
+			m.truncFinished(ct)
 		}
 	}
 }
@@ -185,20 +201,14 @@ func (m *Machine) armTruncFlush(dst int) {
 		return
 	}
 	q.flushArmed = true
-	m.c.Eng.After(m.c.Opts.TruncateFlushInterval, func() {
-		q.flushArmed = false
-		if !m.alive || !m.isMember(dst) {
-			return
-		}
-		m.flushTruncations(dst)
-	})
+	m.c.Eng.After(m.c.Opts.TruncateFlushInterval, q.flushFn)
 }
 
 // flushTruncations writes explicit TRUNCATE records for all queued ids.
 func (m *Machine) flushTruncations(dst int) {
 	q := m.truncQueueFor(dst)
 	for len(q.ids) > 0 {
-		rec := &proto.Record{
+		rec := &proto.Record{ // never escapes: encoded below, then dropped
 			Type: proto.RecTruncate,
 			Tx:   proto.TxID{Config: m.config.ID, Machine: uint16(m.ID)},
 		}
@@ -210,20 +220,21 @@ func (m *Machine) flushTruncations(dst int) {
 		reserved := -1
 		if q.pool > 0 {
 			q.pool--
-			reserved = truncateRecordSize()
+			reserved = truncateRecordSize
 		}
-		delivered := rec.TruncIDs
-		payload := proto.MarshalRecord(rec)
-		ok := m.logW[dst].Append(payload, reserved, func(err error) {
-			if err == nil && m.alive {
-				m.truncDelivered(dst, delivered, 1)
-			}
-		})
+		buf, ok := m.logW[dst].Begin(proto.RecordSize(rec), reserved)
 		if !ok {
 			m.requeuePiggyback(dst, rec)
 			m.armTruncFlush(dst)
 			return
 		}
+		proto.AppendRecord(buf[:0], rec)
+		delivered := rec.TruncIDs
+		m.logW[dst].Commit(func(err error) {
+			if err == nil && m.alive {
+				m.truncDelivered(dst, delivered, 1)
+			}
+		})
 		m.c.Counters.Inc("explicit_truncate", 1)
 	}
 }
@@ -280,10 +291,8 @@ func (m *Machine) armTruncSweep() {
 func (m *Machine) dropTruncStateFor(dst int) {
 	for id, ct := range m.truncPending[dst] {
 		delete(m.truncPending[dst], id)
-		delete(ct.truncRemaining, dst)
-		if len(ct.truncRemaining) == 0 {
-			m.threadTrunc(int(ct.id.Thread)).retire(ct.id.Local)
-			m.endTruncSpan(ct)
+		if ct.truncDone(dst) {
+			m.truncFinished(ct)
 		}
 	}
 	delete(m.truncQ, dst)

@@ -3,9 +3,7 @@ package core
 import (
 	"errors"
 
-	"farm/internal/fabric"
 	"farm/internal/history"
-	"farm/internal/nvram"
 	"farm/internal/proto"
 	"farm/internal/regionmem"
 	"farm/internal/sim"
@@ -151,32 +149,23 @@ func mappingBackoff(retry int) sim.Time {
 // are atomic and see only committed data (§3); consistency across objects
 // is enforced at commit time by validation.
 func (t *Tx) Read(addr proto.Addr, size int, cb func(data []byte, err error)) {
-	// Read-your-writes.
+	op := t.m.getReadOp(t.thread, addr, size, cb)
+	op.tx = t
+	// Read-your-writes, then repeated reads return the same data (§3):
+	// both are served from the transaction's own buffers on its thread.
 	if w, ok := t.writes[addr]; ok {
-		t.m.OnThread(t.thread, t.m.c.Opts.CPULocal, func() { cb(append([]byte(nil), w.value...), nil) })
+		op.own = &w.value
+	} else if r, ok := t.reads[addr]; ok {
+		op.own = &r.data
+	}
+	if op.own != nil {
+		t.m.OnThread(t.thread, t.m.c.Opts.CPULocal, op.ownFn)
 		return
 	}
-	// Repeated reads return the same data (§3).
-	if r, ok := t.reads[addr]; ok {
-		t.m.OnThread(t.thread, t.m.c.Opts.CPULocal, func() { cb(append([]byte(nil), r.data...), nil) })
-		return
-	}
-	rctx := trace.Ctx{}
 	if t.ctx.Valid() {
-		rctx = t.m.trb.Begin("tx", "read", t.m.c.Eng.Now(), t.ctx.Trace, t.ctx.Span, int64(addr.Region))
+		op.rctx = t.m.trb.Begin("tx", "read", t.m.c.Eng.Now(), t.ctx.Trace, t.ctx.Span, int64(addr.Region))
 	}
-	t.m.readObject(t.thread, addr, size, 0, 0, func(word uint64, data []byte, err error) {
-		if rctx.Valid() {
-			t.m.trb.End(rctx, t.m.c.Eng.Now(), 0)
-		}
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		t.reads[addr] = &readEntry{addr: addr, version: regionmem.Version(word), size: size, data: data}
-		t.histRead(addr, regionmem.Version(word))
-		cb(append([]byte(nil), data...), nil)
-	})
+	op.start()
 }
 
 // Write buffers a write of value to addr. The object must have been read
@@ -295,106 +284,6 @@ func (t *Tx) releaseAllocs() {
 	}
 }
 
-// LockFreeRead performs FaRM's optimized single-object read-only
-// transaction (§3): one RDMA read, no commit phase. It retries while the
-// object is write-locked.
-func (m *Machine) LockFreeRead(thread int, addr proto.Addr, size int, cb func(data []byte, err error)) {
-	m.readObject(thread, addr, size, 0, 0, func(_ uint64, data []byte, err error) {
-		cb(data, err)
-	})
-}
-
-// readObject resolves the primary and reads header+payload, retrying on
-// locks, stale mappings, blocked regions and transient failures.
-func (m *Machine) readObject(thread int, addr proto.Addr, size, lockRetries, mapRetries int, cb func(word uint64, data []byte, err error)) {
-	if !m.alive {
-		return
-	}
-	if m.clientsBlocked {
-		// §5.2: from the moment a machine suspects a reconfiguration it
-		// blocks requests until it learns the outcome. An evicted machine
-		// never learns one and stays fenced (until it rejoins), so a
-		// machine partitioned out of the configuration cannot serve reads
-		// of its own stale replicas to local transactions.
-		m.clientQueue = append(m.clientQueue, func() {
-			m.readObject(thread, addr, size, lockRetries, mapRetries, cb)
-		})
-		return
-	}
-	retryMapping := func() {
-		if mapRetries >= maxMappingRetries {
-			cb(0, nil, ErrUnavailable)
-			return
-		}
-		m.c.Eng.After(mappingBackoff(mapRetries), func() {
-			m.fetchMapping(addr.Region, func() {
-				m.readObject(thread, addr, size, lockRetries, mapRetries+1, cb)
-			})
-		})
-	}
-	p := m.primaryOf(addr.Region)
-	if p == -1 {
-		retryMapping()
-		return
-	}
-	if m.regionBlocked(addr.Region) {
-		// §5.3 step 1: requests for references to recovering regions block
-		// until lock recovery completes.
-		m.blockUntilActive(addr.Region, func() {
-			m.readObject(thread, addr, size, lockRetries, mapRetries, cb)
-		})
-		return
-	}
-	handle := func(raw []byte, err error) {
-		if !m.alive {
-			return
-		}
-		if err != nil {
-			retryMapping()
-			return
-		}
-		word := regionmem.ReadHeader(raw, 0)
-		if regionmem.Locked(word) {
-			if lockRetries >= maxReadRetries {
-				cb(0, nil, ErrReadLocked)
-				return
-			}
-			m.c.Eng.After(2*sim.Microsecond, func() {
-				m.readObject(thread, addr, size, lockRetries+1, mapRetries, cb)
-			})
-			return
-		}
-		cb(word, raw[regionmem.HeaderSize:], nil)
-	}
-	if p == m.ID {
-		rep := m.replicas[addr.Region]
-		if rep == nil || !rep.primary {
-			retryMapping()
-			return
-		}
-		m.OnThread(thread, m.c.Opts.CPULocal, func() {
-			if int(addr.Off)+regionmem.HeaderSize+size > len(rep.mem) {
-				cb(0, nil, fabric.ErrBadAddress)
-				return
-			}
-			raw := make([]byte, regionmem.HeaderSize+size)
-			copy(raw, rep.mem[addr.Off:])
-			handle(raw, nil)
-		})
-		return
-	}
-	if !m.isMember(p) {
-		retryMapping()
-		return
-	}
-	m.OnThread(thread, m.c.Opts.CPUVerb, func() {
-		m.nic.Read(fabric.MachineID(p), nvram.RegionID(addr.Region), int(addr.Off),
-			regionmem.HeaderSize+size, func(raw []byte, err error) {
-				handle(raw, err)
-			})
-	})
-}
-
 // allocCandidates orders regions to try for an allocation.
 func (m *Machine) allocCandidates(hint *proto.Addr) []uint32 {
 	if hint != nil {
@@ -412,18 +301,8 @@ func (m *Machine) allocCandidates(hint *proto.Addr) []uint32 {
 			remote = append(remote, id)
 		}
 	}
-	// Deterministic order: sort ascending.
-	sortU32(local)
-	sortU32(remote)
+	// Deterministic order: regionKeys is ascending, so both halves are.
 	return append(local, remote...)
-}
-
-func sortU32(s []uint32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // allocSlotReq and friends are the slot-reservation RPCs between a

@@ -119,15 +119,33 @@ type Record struct {
 // ErrBadRecord is returned when a log record fails to parse.
 var ErrBadRecord = errors.New("proto: malformed log record")
 
-// MarshalRecord encodes r into self-describing bytes suitable for a ring
-// buffer frame.
-func MarshalRecord(r *Record) []byte {
-	size := 1 + 8 + 2 + 2 + 8 + 8 + 2 + 8*len(r.TruncIDs) + 2 + 4*len(r.Regions) + 2
-	for _, w := range r.Writes {
-		size += 4 + 4 + 8 + 1 + 4 + len(w.Value)
+// Encoded layout (little-endian):
+//
+//	u8 type | u64 config | u16 machine | u16 thread | u64 local | u64 truncLow
+//	u16 n | n × u64 truncID
+//	u16 n | n × u32 region
+//	u16 n | n × { u32 region | u32 off | u64 version | u8 allocated | u32 len | len bytes }
+const (
+	recordFixedBytes = 1 + 8 + 2 + 2 + 8 + 8 + 2 + 2 + 2
+	writeFixedBytes  = 4 + 4 + 8 + 1 + 4
+)
+
+// RecordSize returns the exact encoded length of r — what AppendRecord
+// appends — by arithmetic, so reservations and frame buffers are sized
+// without encoding anything.
+func RecordSize(r *Record) int {
+	size := recordFixedBytes + 8*len(r.TruncIDs) + 4*len(r.Regions) + writeFixedBytes*len(r.Writes)
+	for i := range r.Writes {
+		size += len(r.Writes[i].Value)
 	}
-	b := make([]byte, 0, size)
-	b = append(b, byte(r.Type))
+	return size
+}
+
+// AppendRecord appends r's self-describing encoding to dst and returns the
+// extended slice. With cap(dst)-len(dst) >= RecordSize(r) it allocates
+// nothing, which is how ring frames are filled in place.
+func AppendRecord(dst []byte, r *Record) []byte {
+	b := append(dst, byte(r.Type))
 	b = binary.LittleEndian.AppendUint64(b, r.Tx.Config)
 	b = binary.LittleEndian.AppendUint16(b, r.Tx.Machine)
 	b = binary.LittleEndian.AppendUint16(b, r.Tx.Thread)
@@ -142,7 +160,8 @@ func MarshalRecord(r *Record) []byte {
 		b = binary.LittleEndian.AppendUint32(b, rg)
 	}
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(r.Writes)))
-	for _, w := range r.Writes {
+	for i := range r.Writes {
+		w := &r.Writes[i]
 		b = binary.LittleEndian.AppendUint32(b, w.Addr.Region)
 		b = binary.LittleEndian.AppendUint32(b, w.Addr.Off)
 		b = binary.LittleEndian.AppendUint64(b, w.Version)
@@ -157,6 +176,9 @@ func MarshalRecord(r *Record) []byte {
 	return b
 }
 
+// reader is a bounds-checked cursor over an encoded record: once a take
+// runs past the end every later take fails too, so DecodeRecord checks the
+// error once.
 type reader struct {
 	b   []byte
 	pos int
@@ -164,11 +186,11 @@ type reader struct {
 }
 
 func (r *reader) take(n int) []byte {
-	if r.err || r.pos+n > len(r.b) {
+	if r.err || n < 0 || n > len(r.b)-r.pos {
 		r.err = true
 		return nil
 	}
-	out := r.b[r.pos : r.pos+n]
+	out := r.b[r.pos : r.pos+n : r.pos+n]
 	r.pos += n
 	return out
 }
@@ -205,32 +227,50 @@ func (r *reader) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// UnmarshalRecord decodes a record previously produced by MarshalRecord.
-func UnmarshalRecord(data []byte) (*Record, error) {
-	rd := &reader{b: data}
-	rec := &Record{}
-	rec.Type = RecordType(rd.u8())
+// count reads an element count and rejects one the remaining bytes cannot
+// hold at minBytes per element, so hostile input cannot demand a large
+// allocation.
+func (r *reader) count(minBytes int) int {
+	n := int(r.u16())
+	if n*minBytes > len(r.b)-r.pos {
+		r.err = true
+		return 0
+	}
+	return n
+}
+
+// DecodeRecord decodes a record produced by AppendRecord into *rec,
+// overwriting it. The decoded ObjectWrite.Values ALIAS data (capacity-
+// capped, so appending to one cannot scribble on its neighbour): the
+// caller must hand in bytes that nothing will modify while the record is
+// reachable — a ring frame's private payload copy, never ring memory
+// itself. It allocates the three element slices and nothing per write.
+// On ErrBadRecord *rec is left zero.
+func DecodeRecord(data []byte, rec *Record) error {
+	rd := reader{b: data}
+	*rec = Record{Type: RecordType(rd.u8())}
 	if rec.Type == RecInvalid || rec.Type > RecTruncate {
-		return nil, ErrBadRecord
+		*rec = Record{}
+		return ErrBadRecord
 	}
 	rec.Tx.Config = rd.u64()
 	rec.Tx.Machine = rd.u16()
 	rec.Tx.Thread = rd.u16()
 	rec.Tx.Local = rd.u64()
 	rec.TruncLow = rd.u64()
-	if n := int(rd.u16()); n > 0 {
+	if n := rd.count(8); n > 0 {
 		rec.TruncIDs = make([]uint64, n)
 		for i := range rec.TruncIDs {
 			rec.TruncIDs[i] = rd.u64()
 		}
 	}
-	if n := int(rd.u16()); n > 0 {
+	if n := rd.count(4); n > 0 {
 		rec.Regions = make([]uint32, n)
 		for i := range rec.Regions {
 			rec.Regions[i] = rd.u32()
 		}
 	}
-	if n := int(rd.u16()); n > 0 {
+	if n := rd.count(writeFixedBytes); n > 0 {
 		rec.Writes = make([]ObjectWrite, n)
 		for i := range rec.Writes {
 			w := &rec.Writes[i]
@@ -238,18 +278,14 @@ func UnmarshalRecord(data []byte) (*Record, error) {
 			w.Addr.Off = rd.u32()
 			w.Version = rd.u64()
 			w.Allocated = rd.u8() != 0
-			vlen := int(rd.u32())
-			v := rd.take(vlen)
-			if v != nil {
-				w.Value = make([]byte, vlen)
-				copy(w.Value, v)
-			}
+			w.Value = rd.take(int(rd.u32()))
 		}
 	}
 	if rd.err || rd.pos != len(data) {
-		return nil, ErrBadRecord
+		*rec = Record{}
+		return ErrBadRecord
 	}
-	return rec, nil
+	return nil
 }
 
 // Vote is a recovery vote (§5.3 step 6) sent by the primary of a region to

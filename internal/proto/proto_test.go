@@ -2,9 +2,10 @@ package proto
 
 import (
 	"bytes"
-	"reflect"
+	"errors"
+	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
 )
 
 func sampleRecord() *Record {
@@ -21,99 +22,235 @@ func sampleRecord() *Record {
 	}
 }
 
-func TestRecordRoundTrip(t *testing.T) {
-	r := sampleRecord()
-	b := MarshalRecord(r)
-	got, err := UnmarshalRecord(b)
-	if err != nil {
+// encode is AppendRecord into a buffer of exactly RecordSize bytes, the
+// way ring frames are filled.
+func encode(r *Record) []byte {
+	return AppendRecord(make([]byte, 0, RecordSize(r)), r)
+}
+
+func decode(t *testing.T, b []byte) *Record {
+	t.Helper()
+	got := new(Record)
+	if err := DecodeRecord(b, got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Type != r.Type || got.Tx != r.Tx || got.TruncLow != r.TruncLow {
-		t.Fatalf("header mismatch: %+v vs %+v", got, r)
+	return got
+}
+
+// sameRecord compares field by field, treating nil and empty slices alike
+// (the wire carries only lengths).
+func sameRecord(a, b *Record) bool {
+	if a.Type != b.Type || a.Tx != b.Tx || a.TruncLow != b.TruncLow ||
+		!slices.Equal(a.Regions, b.Regions) || !slices.Equal(a.TruncIDs, b.TruncIDs) ||
+		len(a.Writes) != len(b.Writes) {
+		return false
 	}
-	if !reflect.DeepEqual(got.Regions, r.Regions) {
-		t.Fatalf("regions: %v vs %v", got.Regions, r.Regions)
-	}
-	if !reflect.DeepEqual(got.TruncIDs, r.TruncIDs) {
-		t.Fatalf("trunc ids: %v vs %v", got.TruncIDs, r.TruncIDs)
-	}
-	if len(got.Writes) != len(r.Writes) {
-		t.Fatalf("writes: %d vs %d", len(got.Writes), len(r.Writes))
-	}
-	for i := range r.Writes {
-		if got.Writes[i].Addr != r.Writes[i].Addr || got.Writes[i].Version != r.Writes[i].Version {
-			t.Fatalf("write %d header mismatch", i)
+	for i := range a.Writes {
+		x, y := a.Writes[i], b.Writes[i]
+		if x.Addr != y.Addr || x.Version != y.Version || x.Allocated != y.Allocated || !bytes.Equal(x.Value, y.Value) {
+			return false
 		}
-		if !bytes.Equal(got.Writes[i].Value, r.Writes[i].Value) {
-			t.Fatalf("write %d value mismatch", i)
-		}
+	}
+	return true
+}
+
+func TestRecordRoundTrip(t *testing.T) {
+	r := sampleRecord()
+	b := encode(r)
+	if len(b) != RecordSize(r) {
+		t.Fatalf("encoded %d bytes, RecordSize says %d", len(b), RecordSize(r))
+	}
+	if got := decode(t, b); !sameRecord(got, r) {
+		t.Fatalf("round trip mismatch: %+v vs %+v", got, r)
 	}
 }
 
 func TestAllTable1RecordTypesRoundTrip(t *testing.T) {
 	for _, typ := range []RecordType{RecLock, RecCommitBackup, RecCommitPrimary, RecAbort, RecTruncate} {
 		r := &Record{Type: typ, Tx: TxID{Config: 1, Machine: 2, Thread: 3, Local: 4}}
-		got, err := UnmarshalRecord(MarshalRecord(r))
-		if err != nil {
-			t.Fatalf("%v: %v", typ, err)
-		}
-		if got.Type != typ || got.Tx != r.Tx {
+		if got := decode(t, encode(r)); got.Type != typ || got.Tx != r.Tx {
 			t.Fatalf("%v: round trip mismatch", typ)
 		}
 	}
 }
 
-func TestUnmarshalRejectsGarbage(t *testing.T) {
+// TestAppendRecordExtends: AppendRecord appends after what dst already
+// holds and leaves it untouched.
+func TestAppendRecordExtends(t *testing.T) {
+	r := sampleRecord()
+	b := AppendRecord([]byte("hdr"), r)
+	if string(b[:3]) != "hdr" || !sameRecord(decode(t, b[3:]), r) {
+		t.Fatal("AppendRecord must extend dst, not overwrite it")
+	}
+}
+
+func TestDecodeRejectsGarbage(t *testing.T) {
+	good := encode(sampleRecord())
+	hugeCount := append([]byte(nil), good[:29]...) // fixed header, then a count nothing backs
+	hugeCount = append(hugeCount, 0xff, 0xff)
 	cases := [][]byte{
 		nil,
 		{},
-		{0},                                      // invalid type
-		{255, 1, 2, 3},                           // unknown type
-		MarshalRecord(sampleRecord())[:10],       // truncated
-		append(MarshalRecord(sampleRecord()), 0), // trailing bytes
+		{0},            // invalid type
+		{255, 1, 2, 3}, // unknown type
+		good[:10],      // truncated
+		good[:len(good)-1],
+		append(append([]byte(nil), good...), 0), // trailing bytes
+		hugeCount,
 	}
 	for i, c := range cases {
-		if _, err := UnmarshalRecord(c); err == nil {
-			t.Errorf("case %d: garbage accepted", i)
+		rec := Record{Type: RecLock}
+		if err := DecodeRecord(c, &rec); !errors.Is(err, ErrBadRecord) {
+			t.Errorf("case %d: garbage accepted (err=%v)", i, err)
+		}
+		if rec.Type != RecInvalid || rec.Writes != nil || rec.Regions != nil || rec.TruncIDs != nil {
+			t.Errorf("case %d: failed decode left content behind: %+v", i, rec)
 		}
 	}
 }
 
-func TestRecordRoundTripQuick(t *testing.T) {
-	f := func(cfg uint64, m, th uint16, local uint64, regions []uint32, low uint64, vals [][]byte) bool {
-		if len(regions) > 1000 || len(vals) > 100 {
-			return true
+// randomRecord draws a record with every field exercised, including empty
+// values and frees.
+func randomRecord(rng *rand.Rand) *Record {
+	r := &Record{
+		Type:     RecordType(1 + rng.Intn(int(RecTruncate))),
+		Tx:       TxID{Config: rng.Uint64(), Machine: uint16(rng.Uint32()), Thread: uint16(rng.Uint32()), Local: rng.Uint64()},
+		TruncLow: rng.Uint64(),
+	}
+	for i := rng.Intn(10); i > 0; i-- {
+		r.TruncIDs = append(r.TruncIDs, rng.Uint64())
+	}
+	for i := rng.Intn(6); i > 0; i-- {
+		r.Regions = append(r.Regions, rng.Uint32())
+	}
+	for i := rng.Intn(40); i > 0; i-- {
+		v := make([]byte, rng.Intn(200))
+		rng.Read(v)
+		r.Writes = append(r.Writes, ObjectWrite{
+			Addr:      Addr{Region: rng.Uint32(), Off: rng.Uint32()},
+			Version:   rng.Uint64(),
+			Allocated: rng.Intn(2) == 0,
+			Value:     v,
+		})
+	}
+	return r
+}
+
+func TestRandomRecordsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		r := randomRecord(rng)
+		b := encode(r)
+		if len(b) != RecordSize(r) {
+			t.Fatalf("record %d: encoded %d bytes, RecordSize says %d", i, len(b), RecordSize(r))
 		}
-		r := &Record{
-			Type:     RecCommitBackup,
-			Tx:       TxID{Config: cfg, Machine: m, Thread: th, Local: local},
-			Regions:  regions,
-			TruncLow: low,
+		if got := decode(t, b); !sameRecord(got, r) {
+			t.Fatalf("record %d: round trip mismatch:\n got %+v\nwant %+v", i, got, r)
 		}
-		for i, v := range vals {
-			r.Writes = append(r.Writes, ObjectWrite{
-				Addr:    Addr{Region: uint32(i), Off: uint32(i * 8)},
-				Version: uint64(i),
-				Value:   v,
-			})
+	}
+}
+
+// TestDecodedValuesAliasInput pins the one-copy contract: decoded values
+// point into the input (no per-object copy) and are capacity-capped, so
+// appending to one cannot overwrite its neighbour.
+func TestDecodedValuesAliasInput(t *testing.T) {
+	r := sampleRecord()
+	r.Writes[1].Value = []byte("world")
+	b := encode(r)
+	got := decode(t, b)
+	v := got.Writes[0].Value
+	if i := bytes.Index(b, []byte("hello")); &b[i] != &v[0] {
+		t.Fatal("decoded value is a copy, not an alias of the input")
+	}
+	if cap(v) != len(v) {
+		t.Fatalf("decoded value has spare capacity %d: append would overwrite the input", cap(v)-len(v))
+	}
+	_ = append(v, 'X')
+	if !bytes.Equal(got.Writes[1].Value, []byte("world")) || !sameRecord(decode(t, b), r) {
+		t.Fatal("append to a decoded value corrupted the input")
+	}
+}
+
+// TestCodecAllocationBudget: sizing and encoding into a sized buffer are
+// free, and decoding allocates the record's three slices (plus the
+// caller's Record) however many objects it carries.
+func TestCodecAllocationBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	small, large := randomRecord(rng), randomRecord(rng)
+	small.Writes, large.Writes = small.Writes[:0], nil
+	for i := 0; i < 2; i++ {
+		small.Writes = append(small.Writes, ObjectWrite{Value: make([]byte, 64)})
+	}
+	for i := 0; i < 40; i++ {
+		large.Writes = append(large.Writes, ObjectWrite{Value: make([]byte, 64)})
+	}
+	small.Regions, large.Regions = []uint32{1}, []uint32{1}
+	small.TruncIDs, large.TruncIDs = []uint64{1}, []uint64{1}
+	for _, r := range []*Record{small, large} {
+		buf := make([]byte, 0, RecordSize(r))
+		if n := testing.AllocsPerRun(100, func() { buf = AppendRecord(buf[:0], r) }); n != 0 {
+			t.Errorf("RecordSize+AppendRecord of %d writes: %v allocs, want 0", len(r.Writes), n)
 		}
-		got, err := UnmarshalRecord(MarshalRecord(r))
-		if err != nil {
-			return false
+		if n := testing.AllocsPerRun(100, func() { sink = RecordSize(r) }); n != 0 {
+			t.Errorf("RecordSize of %d writes: %v allocs, want 0", len(r.Writes), n)
 		}
-		if got.Tx != r.Tx || len(got.Writes) != len(r.Writes) {
-			return false
-		}
-		for i := range r.Writes {
-			if !bytes.Equal(got.Writes[i].Value, r.Writes[i].Value) {
-				return false
+		n := testing.AllocsPerRun(100, func() {
+			rec := new(Record)
+			if DecodeRecord(buf, rec) != nil {
+				t.Fatal("decode failed")
 			}
+			sinkRec = rec
+		})
+		if n > 4 {
+			t.Errorf("DecodeRecord of %d writes: %v allocs, want <= 4 whatever the write count", len(r.Writes), n)
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+}
+
+var (
+	sink    int
+	sinkRec *Record
+)
+
+// FuzzDecodeRecord: arbitrary bytes never panic; they either fail with
+// ErrBadRecord or decode to a record that re-encodes to the same bytes.
+// Without -fuzz it runs the seed corpus as an ordinary test.
+func FuzzDecodeRecord(f *testing.F) {
+	good := encode(sampleRecord())
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add(append(append([]byte(nil), good...), 7))
+	f.Add([]byte{})
+	f.Add([]byte{byte(RecTruncate)})
+	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	f.Add(encode(&Record{Type: RecCommitPrimary, Tx: TxID{Config: 1, Machine: 2, Thread: 3, Local: 4}}))
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 8; i++ {
+		b := encode(randomRecord(rng))
+		f.Add(b)
+		b = append([]byte(nil), b...)
+		b[rng.Intn(len(b))] ^= byte(1 << rng.Intn(8)) // one flipped bit
+		f.Add(b)
 	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var rec Record
+		err := DecodeRecord(data, &rec)
+		if err != nil {
+			if !errors.Is(err, ErrBadRecord) {
+				t.Fatalf("unexpected error %v", err)
+			}
+			return
+		}
+		if RecordSize(&rec) != len(data) {
+			t.Fatalf("decoded %d bytes but RecordSize says %d", len(data), RecordSize(&rec))
+		}
+		// Allocated is one byte on the wire and any non-zero value reads
+		// as true, so compare re-decoded records rather than raw bytes.
+		var again Record
+		if err := DecodeRecord(encode(&rec), &again); err != nil || !sameRecord(&rec, &again) {
+			t.Fatalf("re-encoded record does not round-trip: %v", err)
+		}
+	})
 }
 
 func TestTxIDHelpers(t *testing.T) {

@@ -64,6 +64,13 @@ type Writer struct {
 	reserved int    // bytes promised to reservations not yet written
 	psn      uint64 // next frame's packet sequence number
 	closed   bool   // Close() called: no further writes or retries
+
+	// cur is the frame opened by Begin and not yet issued by Commit.
+	cur *writeOp
+	// opFree recycles writeOps — and the frame buffers they own — so an
+	// append allocates nothing in steady state. The pool is bounded by the
+	// number of frame writes in flight at once.
+	opFree []*writeOp
 }
 
 // Retransmission of timed-out frame writes. An RC connection delivers
@@ -83,6 +90,40 @@ const (
 	writeRetries    = 7
 	writeRetryDelay = sim.Millisecond // doubles per attempt: ~127 ms total span
 )
+
+// writeOp is one frame's write-and-retry state machine. frame is the
+// sender's only copy of the bytes (the fabric copies them at every issue),
+// kept until the final ack because a retry re-sends it; only then does the
+// op, buffer included, go back to the pool. ackFn/retryFn are bound once
+// when the op is first allocated.
+type writeOp struct {
+	w       *Writer
+	off     int
+	frame   []byte
+	end     uint64 // w.appended after this frame
+	attempt int
+	cb      func(error)
+
+	ackFn   func(error)
+	retryFn func()
+}
+
+func (w *Writer) getOp(size int) *writeOp {
+	var op *writeOp
+	if k := len(w.opFree); k > 0 {
+		op = w.opFree[k-1]
+		w.opFree = w.opFree[:k-1]
+	} else {
+		op = &writeOp{w: w}
+		op.ackFn = op.ack
+		op.retryFn = op.issue
+	}
+	if cap(op.frame) < size {
+		op.frame = make([]byte, size)
+	}
+	op.frame = op.frame[:size]
+	return op
+}
 
 // NewWriter creates the sender side of the ring stored in (dst, region)
 // with the given byte capacity. Capacity must be a multiple of 8 and large
@@ -125,68 +166,103 @@ func (w *Writer) Release(n int) {
 	}
 }
 
-// Append writes payload as one frame. reservedSize >= len(payload) must
-// name a prior Reserve(reservedSize); pass -1 for unreserved appends, which
-// fail (return false) when space is insufficient. cb, if non-nil, receives
-// the hardware ack (or error) for the frame's RDMA write.
-func (w *Writer) Append(payload []byte, reservedSize int, cb func(error)) bool {
-	need := FrameBytes(len(payload))
+// Begin opens a frame for an n-byte payload and returns the payload's
+// place inside the frame buffer for the caller to encode into directly;
+// Commit then issues the frame. reservedSize >= n must name a prior
+// Reserve(reservedSize); pass -1 for unreserved appends, which fail
+// (return false, nothing opened) when space is insufficient.
+func (w *Writer) Begin(n, reservedSize int) ([]byte, bool) {
+	if w.cur != nil {
+		panic("ring: Begin with a frame already open")
+	}
+	need := FrameBytes(n)
 	if reservedSize >= 0 {
-		if len(payload) > reservedSize {
-			panic(fmt.Sprintf("ring: payload %d exceeds reservation %d", len(payload), reservedSize))
+		if n > reservedSize {
+			panic(fmt.Sprintf("ring: payload %d exceeds reservation %d", n, reservedSize))
 		}
 		w.reserved -= FrameBytes(reservedSize)
 		if w.reserved < 0 {
 			panic("ring: append without matching reservation")
 		}
 	} else if need > w.free() {
-		return false
+		return nil, false
 	}
 	// Wrap if the frame does not fit before the end of the buffer.
 	if w.tail+need > w.capacity {
 		w.writeWrapMarker()
 	}
-	frame := make([]byte, need)
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], frameMagic)
-	binary.LittleEndian.PutUint64(frame[8:], w.psn)
+	op := w.getOp(need)
+	binary.LittleEndian.PutUint32(op.frame, uint32(n))
+	binary.LittleEndian.PutUint32(op.frame[4:], frameMagic)
+	binary.LittleEndian.PutUint64(op.frame[8:], w.psn)
 	w.psn++
-	copy(frame[headerBytes:], payload)
-	off := w.tail
+	clear(op.frame[headerBytes+n:]) // a recycled buffer's stale padding
+	op.off = w.tail
 	w.tail = (w.tail + need) % w.capacity
 	w.appended += uint64(need)
-	w.writeFrame(off, frame, w.appended, 0, cb)
+	op.end = w.appended
+	w.cur = op
+	return op.frame[headerBytes : headerBytes+n : headerBytes+n], true
+}
+
+// Commit issues the frame opened by Begin as one RDMA write. cb, if
+// non-nil, receives the hardware ack (or error).
+func (w *Writer) Commit(cb func(error)) {
+	op := w.cur
+	w.cur = nil
+	op.cb = cb
+	op.issue()
+}
+
+// Append writes payload as one frame: Begin, copy, Commit.
+func (w *Writer) Append(payload []byte, reservedSize int, cb func(error)) bool {
+	buf, ok := w.Begin(len(payload), reservedSize)
+	if !ok {
+		return false
+	}
+	copy(buf, payload)
+	w.Commit(cb)
 	return true
 }
 
-// writeFrame issues the frame's RDMA write and retries timeouts in place
-// with doubling backoff. end is the writer's cumulative appended counter
-// after this frame: once the receiver's truncation watermark reaches it the
-// frame was provably processed, so a pending retry reports success instead
-// of firing (the slot may already hold a newer frame). Other errors (bad
-// address = the ring is gone) and exhausted retries surface to cb.
-func (w *Writer) writeFrame(off int, frame []byte, end uint64, attempt int, cb func(error)) {
+// issue sends the frame's RDMA write; ack retries timeouts in place with
+// doubling backoff. Once the receiver's truncation watermark reaches
+// op.end the frame was provably processed, so a pending retry reports
+// success instead of firing (the slot may already hold a newer frame).
+// Other errors (bad address = the ring is gone) and exhausted retries
+// surface to cb.
+func (op *writeOp) issue() {
+	w := op.w
 	if w.closed {
 		return
 	}
-	if w.consumed >= end {
-		if cb != nil {
-			cb(nil)
-		}
+	if w.consumed >= op.end {
+		op.finish(nil)
 		return
 	}
-	w.nic.Write(w.dst, w.region, off, frame, func(err error) {
-		if err == nil || !errors.Is(err, fabric.ErrTimeout) || attempt >= writeRetries || w.closed {
-			if cb != nil {
-				cb(err)
-			}
-			return
-		}
-		backoff := writeRetryDelay << attempt
-		w.nic.Engine().After(backoff, func() {
-			w.writeFrame(off, frame, end, attempt+1, cb)
-		})
-	})
+	w.nic.Write(w.dst, w.region, op.off, op.frame, op.ackFn)
+}
+
+func (op *writeOp) ack(err error) {
+	w := op.w
+	if err == nil || !errors.Is(err, fabric.ErrTimeout) || op.attempt >= writeRetries || w.closed {
+		op.finish(err)
+		return
+	}
+	backoff := writeRetryDelay << op.attempt
+	op.attempt++
+	w.nic.Engine().After(backoff, op.retryFn)
+}
+
+// finish recycles the op before invoking the callback (fabric's rule), so
+// a callback that appends again may reuse it.
+func (op *writeOp) finish(err error) {
+	cb := op.cb
+	op.cb, op.attempt = nil, 0
+	op.w.opFree = append(op.w.opFree, op)
+	if cb != nil {
+		cb(err)
+	}
 }
 
 // Close permanently disables the writer: pending retries stop and further
@@ -197,14 +273,15 @@ func (w *Writer) Close() { w.closed = true }
 
 func (w *Writer) writeWrapMarker() {
 	skip := w.capacity - w.tail
-	marker := make([]byte, headerBytes)
-	binary.LittleEndian.PutUint32(marker, uint32(skip))
-	binary.LittleEndian.PutUint32(marker[4:], wrapMagic)
-	binary.LittleEndian.PutUint64(marker[8:], w.psn)
+	op := w.getOp(headerBytes)
+	binary.LittleEndian.PutUint32(op.frame, uint32(skip))
+	binary.LittleEndian.PutUint32(op.frame[4:], wrapMagic)
+	binary.LittleEndian.PutUint64(op.frame[8:], w.psn)
 	w.psn++
 	w.appended += uint64(skip)
-	w.writeFrame(w.tail, marker, w.appended, 0, nil)
+	op.off, op.end = w.tail, w.appended
 	w.tail = 0
+	op.issue()
 }
 
 // UpdateConsumed installs the receiver's cumulative truncation counter.
@@ -231,10 +308,13 @@ func (w *Writer) FreeBytes() int { return w.free() }
 
 // Frame is a received, still-untruncated log entry.
 type Frame struct {
-	// Seq is the frame's position in arrival order, unique per ring.
+	// Seq is the frame's position in arrival order, unique per ring
+	// (consecutive, wrap markers included).
 	Seq uint64
-	// Payload is the frame body (aliases ring memory readers must treat as
-	// read-only; it is copied out at parse time).
+	// Payload is the frame body: a private, GC-owned copy made at parse
+	// time and never written again. It does NOT alias ring memory — reclaim
+	// zeroes that and the writer wraps over it — so holders (decoded log
+	// records alias it) may keep it for as long as they like.
 	Payload []byte
 
 	off  int
@@ -250,10 +330,11 @@ type Reader struct {
 	head     int // truncation head: first byte of first retained frame
 	scan     int // parse head: next byte to parse
 	nextSeq  uint64
-	nextPSN  uint64   // next expected writer psn (duplicate drop)
-	frames   []*Frame // retained (parsed, not yet reclaimed), in order
-	polled   int      // how many of frames were returned by Poll already
-	consumed uint64   // cumulative truncated bytes (reported to writer)
+	nextPSN  uint64  // next expected writer psn (duplicate drop)
+	frames   []Frame // retained (parsed, not yet reclaimed), in Seq order
+	polled   int     // how many of frames were returned by Poll already
+	consumed uint64  // cumulative truncated bytes (reported to writer)
+	out      []Frame // Poll's result, reused by the next Poll
 }
 
 // NewReader wraps the receiver's ring memory.
@@ -285,10 +366,9 @@ func (r *Reader) parse() {
 			}
 			// Wrap marker: account its span and restart at 0. It is
 			// reclaimed like a frame, in order.
-			f := &Frame{Seq: r.nextSeq, off: r.scan, size: int(length), gone: true}
+			r.frames = append(r.frames, Frame{Seq: r.nextSeq, off: r.scan, size: int(length), gone: true})
 			r.nextSeq++
 			r.nextPSN++
-			r.frames = append(r.frames, f)
 			r.scan = 0
 		case frameMagic:
 			size := headerBytes + pad16(int(length))
@@ -301,10 +381,9 @@ func (r *Reader) parse() {
 			}
 			payload := make([]byte, length)
 			copy(payload, r.mem[r.scan+headerBytes:])
-			f := &Frame{Seq: r.nextSeq, Payload: payload, off: r.scan, size: size}
+			r.frames = append(r.frames, Frame{Seq: r.nextSeq, Payload: payload, off: r.scan, size: size})
 			r.nextSeq++
 			r.nextPSN++
-			r.frames = append(r.frames, f)
 			r.scan += size
 		default:
 			return // nothing (or not yet) here
@@ -312,30 +391,36 @@ func (r *Reader) parse() {
 	}
 }
 
-// zero clears a stale frame's span so its bytes cannot re-parse.
+// zero clears a stale or reclaimed frame's span so its bytes cannot
+// re-parse.
 func (r *Reader) zero(off, size int) {
-	end := off + size
-	if end > len(r.mem) {
-		end = len(r.mem)
-	}
-	for i := off; i < end; i++ {
-		r.mem[i] = 0
-	}
+	clear(r.mem[off:min(off+size, len(r.mem))])
 }
 
 // Poll returns frames that have landed since the last Poll, in order.
 // Frames remain in the log (for recovery draining and voting) until
-// truncated.
-func (r *Reader) Poll() []*Frame {
+// truncated. The returned slice is reused by the next Poll; the Payloads
+// it points at are not.
+func (r *Reader) Poll() []Frame {
 	r.parse()
-	var out []*Frame
-	for _, f := range r.frames[r.polled:] {
-		if !f.gone { // skip wrap markers
-			out = append(out, f)
+	out := r.out[:0]
+	for i := r.polled; i < len(r.frames); i++ {
+		if !r.frames[i].gone { // skip wrap markers
+			out = append(out, r.frames[i])
 		}
 	}
 	r.polled = len(r.frames)
+	r.out = out
 	return out
+}
+
+// index returns the position in frames of sequence number seq, or
+// len(frames) when it is not retained (Seqs are consecutive).
+func (r *Reader) index(seq uint64) int {
+	if len(r.frames) == 0 || seq < r.frames[0].Seq || seq-r.frames[0].Seq >= uint64(len(r.frames)) {
+		return len(r.frames)
+	}
+	return int(seq - r.frames[0].Seq)
 }
 
 // RewindTo makes frames with sequence numbers >= seq eligible for Poll
@@ -344,22 +429,21 @@ func (r *Reader) Poll() []*Frame {
 // non-volatile log): the records must be handed out again rather than
 // silently skipped.
 func (r *Reader) RewindTo(seq uint64) {
-	for i, f := range r.frames {
-		if f.Seq >= seq {
-			if i < r.polled {
-				r.polled = i
-			}
-			return
-		}
+	i := 0
+	if len(r.frames) > 0 && seq > r.frames[0].Seq {
+		i = r.index(seq)
+	}
+	if i < r.polled {
+		r.polled = i
 	}
 }
 
 // Pending returns every parsed-but-untruncated frame (the records a drain
-// or recovery vote examines).
-func (r *Reader) Pending() []*Frame {
+// or recovery vote examines) in a slice of the caller's own.
+func (r *Reader) Pending() []Frame {
 	r.parse()
 	r.polled = len(r.frames)
-	var out []*Frame
+	var out []Frame
 	for _, f := range r.frames {
 		if !f.gone {
 			out = append(out, f)
@@ -374,11 +458,8 @@ func (r *Reader) Pending() []*Frame {
 // prefix catches up — mirroring FaRM's by-transaction truncation over a
 // FIFO log.
 func (r *Reader) Truncate(seq uint64) {
-	for _, f := range r.frames {
-		if f.Seq == seq {
-			f.gone = true
-			break
-		}
+	if i := r.index(seq); i < len(r.frames) {
+		r.frames[i].gone = true
 	}
 	r.reclaim()
 }
@@ -386,22 +467,21 @@ func (r *Reader) Truncate(seq uint64) {
 func (r *Reader) reclaim() {
 	i := 0
 	for ; i < len(r.frames) && r.frames[i].gone; i++ {
-		f := r.frames[i]
-		end := f.off + f.size
-		if end > len(r.mem) {
-			end = len(r.mem)
-		}
-		for j := f.off; j < end; j++ {
-			r.mem[j] = 0
-		}
+		f := &r.frames[i]
+		r.zero(f.off, f.size)
 		r.consumed += uint64(f.size)
 		r.head = (f.off + f.size) % len(r.mem)
 	}
-	r.frames = r.frames[i:]
-	r.polled -= i
-	if r.polled < 0 {
-		r.polled = 0
+	if i == 0 {
+		return
 	}
+	// Slide the survivors down so the backing array is reused (and drops
+	// its references to reclaimed payloads) instead of creeping forward
+	// into a reallocation.
+	n := copy(r.frames, r.frames[i:])
+	clear(r.frames[n:])
+	r.frames = r.frames[:n]
+	r.polled = max(r.polled-i, 0)
 }
 
 // ConsumedBytes returns the cumulative truncated byte counter the receiver
@@ -411,8 +491,8 @@ func (r *Reader) ConsumedBytes() uint64 { return r.consumed }
 // Retained returns how many frames are currently held (diagnostics).
 func (r *Reader) Retained() int {
 	n := 0
-	for _, f := range r.frames {
-		if !f.gone {
+	for i := range r.frames {
+		if !r.frames[i].gone {
 			n++
 		}
 	}

@@ -3,11 +3,13 @@ package ring
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"farm/internal/fabric"
 	"farm/internal/nvram"
+	"farm/internal/proto"
 	"farm/internal/sim"
 )
 
@@ -318,7 +320,7 @@ func TestRewindToRedeliversFrames(t *testing.T) {
 		g.w.Append([]byte{byte(i)}, -1, nil)
 	}
 	g.pump()
-	fs := g.r.Poll()
+	fs := slices.Clone(g.r.Poll()) // the next Poll reuses its result slice
 	if len(fs) != 3 {
 		t.Fatalf("polled %d", len(fs))
 	}
@@ -374,5 +376,125 @@ func TestWriterDiagnostics(t *testing.T) {
 	}
 	if g.w.FreeBytes() != before {
 		t.Fatalf("space not reclaimed: %d vs %d", g.w.FreeBytes(), before)
+	}
+}
+
+// TestBeginCommitFillsFrameInPlace: a payload encoded straight into the
+// frame Begin hands out arrives like one passed to Append.
+func TestBeginCommitFillsFrameInPlace(t *testing.T) {
+	g := newRig(t, 1024)
+	if !g.w.Reserve(40) {
+		t.Fatal("reserve")
+	}
+	buf, ok := g.w.Begin(5, 40)
+	if !ok || len(buf) != 5 || cap(buf) != 5 {
+		t.Fatalf("Begin = len %d cap %d ok %v, want a 5-byte capped window", len(buf), cap(buf), ok)
+	}
+	copy(buf, "hello")
+	acked := false
+	g.w.Commit(func(err error) { acked = err == nil })
+	g.pump()
+	if fs := g.r.Poll(); len(fs) != 1 || string(fs[0].Payload) != "hello" || !acked {
+		t.Fatalf("polled %v acked %v", fs, acked)
+	}
+	if g.w.ReservedBytes() != 0 {
+		t.Fatalf("reservation not consumed: %d", g.w.ReservedBytes())
+	}
+	if _, ok := g.w.Begin(2000, -1); ok {
+		t.Fatal("unreserved Begin beyond capacity must fail")
+	}
+}
+
+// TestAppendPollTruncateAllocationBudget pins the per-frame cost of the
+// whole ring path: the writer's frame buffer and retry state are pooled,
+// the reader keeps frames by value and reuses Poll's slice, so the one
+// allocation left is the private payload copy made at parse time (plus
+// head-room for the fabric's pooled buffers warming up).
+func TestAppendPollTruncateAllocationBudget(t *testing.T) {
+	g := newRig(t, 1<<16)
+	payload := make([]byte, 128)
+	op := func() {
+		if !g.w.Append(payload, -1, nil) {
+			t.Fatal("ring full")
+		}
+		g.pump()
+		for _, f := range g.r.Poll() {
+			g.r.Truncate(f.Seq)
+		}
+		g.w.UpdateConsumed(g.r.ConsumedBytes())
+	}
+	for i := 0; i < 1000; i++ { // wrap a few times, fill the pools
+		op()
+	}
+	if n := testing.AllocsPerRun(1000, op); n > 1.1 {
+		t.Fatalf("append→poll→truncate of a 128 B payload: %v allocs, want 1 (budget 3 in ISSUE 14, 6 before it)", n)
+	}
+}
+
+// TestDecodedRecordOutlivesItsRingBytes is the ownership rule as a test: a
+// decoded record aliases the frame's private payload copy, never ring
+// memory. Hold a decoded LOCK record, truncate its frame (the reader
+// zeroes the bytes), let the writer wrap over the same offsets with other
+// data, and the held values must not change. Aliasing ring memory in
+// parse or decode fails here.
+func TestDecodedRecordOutlivesItsRingBytes(t *testing.T) {
+	const capacity = 1024
+	g := newRig(t, capacity)
+	lock := &proto.Record{
+		Type:    proto.RecLock,
+		Tx:      proto.TxID{Config: 1, Machine: 0, Thread: 2, Local: 3},
+		Regions: []uint32{7},
+		Writes: []proto.ObjectWrite{
+			{Addr: proto.Addr{Region: 7, Off: 64}, Version: 4, Allocated: true, Value: bytes.Repeat([]byte{0xAA}, 48)},
+			{Addr: proto.Addr{Region: 7, Off: 128}, Version: 9, Allocated: true, Value: bytes.Repeat([]byte{0xBB}, 48)},
+		},
+	}
+	buf, ok := g.w.Begin(proto.RecordSize(lock), -1)
+	if !ok {
+		t.Fatal("begin")
+	}
+	proto.AppendRecord(buf[:0], lock)
+	g.w.Commit(nil)
+	g.pump()
+	fs := g.r.Poll()
+	if len(fs) != 1 {
+		t.Fatalf("polled %d frames", len(fs))
+	}
+	var held proto.Record
+	if err := proto.DecodeRecord(fs[0].Payload, &held); err != nil {
+		t.Fatal(err)
+	}
+	span := FrameBytes(proto.RecordSize(lock))
+	if !bytes.Contains(g.region[:span], lock.Writes[0].Value) {
+		t.Fatal("test is blind: the record's bytes are not where it expects them in the ring")
+	}
+
+	g.r.Truncate(fs[0].Seq)
+	g.w.UpdateConsumed(g.r.ConsumedBytes())
+	if !bytes.Equal(g.region[:span], make([]byte, span)) {
+		t.Fatal("truncate did not zero the frame")
+	}
+	// Wrap the writer over offset 0 with different bytes.
+	filler := bytes.Repeat([]byte{0x55}, 200)
+	for wrote := 0; wrote < capacity+span; wrote += FrameBytes(len(filler)) {
+		if !g.w.Append(filler, -1, nil) {
+			t.Fatal("filler append failed")
+		}
+		g.pump()
+		for _, f := range g.r.Poll() {
+			g.r.Truncate(f.Seq)
+		}
+		g.w.UpdateConsumed(g.r.ConsumedBytes())
+		if bytes.Contains(g.region[:span], filler[:32]) {
+			break // the slot is overwritten; stop before it is zeroed again
+		}
+	}
+	g.w.Append(filler, -1, nil) // and leave live foreign bytes somewhere in the ring
+	g.pump()
+
+	for i, w := range held.Writes {
+		if !bytes.Equal(w.Value, lock.Writes[i].Value) || w.Addr != lock.Writes[i].Addr || w.Version != lock.Writes[i].Version {
+			t.Fatalf("held write %d changed after its frame was truncated and overwritten: %x", i, w.Value)
+		}
 	}
 }

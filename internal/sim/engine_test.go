@@ -246,6 +246,31 @@ func TestThreadPriority(t *testing.T) {
 	}
 }
 
+// TestThreadDoIfGuard: a guarded item is served and charged either way, but
+// its fn runs only if the guard still holds when the work completes — and
+// scheduling one allocates nothing (a pre-bound fn, no wrapper closure).
+func TestThreadDoIfGuard(t *testing.T) {
+	e := NewEngine(1)
+	th := NewThread(e, "t0")
+	alive := true
+	var ran []string
+	th.DoIf(100, &alive, func() { ran = append(ran, "a"); alive = false })
+	th.DoIf(100, &alive, func() { ran = append(ran, "b") }) // guard drops while queued
+	th.Do(100, func() { ran = append(ran, "c") })
+	e.Run()
+	if len(ran) != 2 || ran[0] != "a" || ran[1] != "c" {
+		t.Fatalf("ran %v, want [a c]", ran)
+	}
+	if th.BusyTime() != 300 || th.Served() != 3 {
+		t.Fatalf("skipped item must still be served and charged: busy %v served %d", th.BusyTime(), th.Served())
+	}
+	alive = true
+	nop := func() {}
+	if n := testing.AllocsPerRun(100, func() { th.DoIf(10, &alive, nop); e.Run() }); n != 0 {
+		t.Fatalf("DoIf allocates %v per item", n)
+	}
+}
+
 func TestThreadJitter(t *testing.T) {
 	e := NewEngine(1)
 	th := NewThread(e, "t0")

@@ -36,6 +36,11 @@ type Thread struct {
 type workItem struct {
 	cost Time
 	fn   func()
+	// guard, when non-nil, is checked at completion: fn is skipped (the
+	// cost is still charged) if it reads false by then. It lets a host gate
+	// every item on "is my machine still alive" without wrapping each fn
+	// in a fresh closure.
+	guard *bool
 }
 
 // workRing is a growable FIFO ring of work items. Pop zeroes the vacated
@@ -89,16 +94,21 @@ func (t *Thread) SetJitter(f func(r *Rand) Time) { t.jitter = f }
 
 // Do enqueues work costing cost CPU time; fn runs when the work completes.
 // fn may be nil for pure CPU-burn accounting.
-func (t *Thread) Do(cost Time, fn func()) { t.enqueue(cost, fn, false) }
+func (t *Thread) Do(cost Time, fn func()) { t.enqueue(cost, fn, nil, false) }
+
+// DoIf is Do for work that only matters while *guard holds: the thread
+// serves the item and charges its cost either way, but runs fn only if
+// *guard is still true when the work completes.
+func (t *Thread) DoIf(cost Time, guard *bool, fn func()) { t.enqueue(cost, fn, guard, false) }
 
 // DoPriority enqueues work ahead of all normal-priority work.
-func (t *Thread) DoPriority(cost Time, fn func()) { t.enqueue(cost, fn, true) }
+func (t *Thread) DoPriority(cost Time, fn func()) { t.enqueue(cost, fn, nil, true) }
 
-func (t *Thread) enqueue(cost Time, fn func(), prio bool) {
+func (t *Thread) enqueue(cost Time, fn func(), guard *bool, prio bool) {
 	if cost < 0 {
 		cost = 0
 	}
-	it := workItem{cost: cost, fn: fn}
+	it := workItem{cost: cost, fn: fn, guard: guard}
 	if prio {
 		t.high.push(it)
 	} else {
@@ -138,7 +148,7 @@ func (t *Thread) finish() {
 	it := t.cur
 	t.cur = workItem{}
 	t.served++
-	if it.fn != nil {
+	if it.fn != nil && (it.guard == nil || *it.guard) {
 		it.fn()
 	}
 	t.serveNext()

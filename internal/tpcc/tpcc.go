@@ -14,6 +14,7 @@ package tpcc
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"farm/internal/btree"
 	"farm/internal/core"
@@ -681,16 +682,17 @@ func (w *Workload) StockLevel(m *core.Machine, thread int, wh *warehouse, rng *s
 				done(false)
 				return
 			}
-			items := make(map[uint32]bool)
+			// Distinct item ids in scan order: the stock Gets below are
+			// simulation events, so their order must be a function of the
+			// seed (a map's iteration order is not).
+			var ids []uint32
 			for _, l := range lines {
 				if int(l.Key>>40) != d {
 					break
 				}
-				items[binary.LittleEndian.Uint32(l.Val)] = true
-			}
-			ids := make([]uint32, 0, len(items))
-			for i := range items {
-				ids = append(ids, i)
+				if id := binary.LittleEndian.Uint32(l.Val); !slices.Contains(ids, id) {
+					ids = append(ids, id)
+				}
 			}
 			low := 0
 			var check func(i int)

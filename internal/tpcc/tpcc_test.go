@@ -161,6 +161,28 @@ func TestMixThroughput(t *testing.T) {
 	}
 }
 
+// TestMixIsDeterministic: two clusters built from one seed run the mix
+// through the identical event sequence. StockLevel once issued its stock
+// reads in Go map-iteration order, which made every tpcc run interleave
+// differently with NewOrder.
+func TestMixIsDeterministic(t *testing.T) {
+	run := func() (events, committed, aborted uint64) {
+		c, w := setup(t, 8)
+		g := loadgen.New(c, w.Mix())
+		g.RunPoint([]int{0, 1, 2, 3, 4}, 2, 1, sim.Millisecond, 10*sim.Millisecond)
+		return c.Eng.Executed(), g.Committed(), g.Aborted()
+	}
+	e1, c1, a1 := run()
+	e2, c2, a2 := run()
+	if e1 != e2 || c1 != c2 || a1 != a2 {
+		t.Fatalf("same seed, different runs: events %d vs %d, committed %d vs %d, aborted %d vs %d",
+			e1, e2, c1, c2, a1, a2)
+	}
+	if c1 == 0 {
+		t.Fatal("nothing committed")
+	}
+}
+
 func TestTPCCContinuesAcrossFailure(t *testing.T) {
 	c := core.New(core.Options{NumMachines: 5, Seed: 43, LeaseDuration: 5 * sim.Millisecond})
 	cfg := DefaultConfig(8)
