@@ -5,6 +5,7 @@
 //	farm-loadgen -workload tatp -machines 9 -threads 8 -concurrency 4
 //	farm-loadgen -workload tpcc -warehouses 36
 //	farm-loadgen -workload kv -measure 100ms
+//	farm-loadgen -machines 100 -subscribers 10000 -regions 12 -logcap 32768 -warm 1ms -measure 9ms
 package main
 
 import (
@@ -27,22 +28,24 @@ var (
 	threads     = flag.Int("threads", 8, "active worker threads per machine")
 	concurrency = flag.Int("concurrency", 4, "transactions in flight per thread")
 	subscribers = flag.Uint64("subscribers", 2000, "TATP subscribers / KV keys")
+	regions     = flag.Int("regions", 6, "regions the TATP / KV tables are spread over")
 	warehouses  = flag.Int("warehouses", 18, "TPC-C warehouses")
 	warm        = flag.Duration("warm", 5*time.Millisecond, "warmup (simulated)")
 	measure     = flag.Duration("measure", 50*time.Millisecond, "measurement window (simulated)")
 	seed        = flag.Uint64("seed", 1, "simulation seed")
+	logCap      = flag.Int("logcap", 0, "bytes per transaction-log ring (0 = default)")
 )
 
 func main() {
 	flag.Parse()
-	opts := core.Options{NumMachines: *machines, Threads: *threads, Seed: *seed}
+	opts := core.Options{NumMachines: *machines, Threads: *threads, Seed: *seed, LogCapacity: *logCap}
 	c := core.New(opts)
 
 	var op loadgen.Op
 	var tpccW *tpcc.Workload
 	switch *workload {
 	case "tatp":
-		w, err := tatp.Setup(c, *subscribers, 6)
+		w, err := tatp.Setup(c, *subscribers, *regions)
 		must(err)
 		op = w.Mix()
 	case "tpcc":
@@ -52,7 +55,7 @@ func main() {
 		tpccW = w
 		op = w.Mix()
 	case "kv":
-		w, err := ycsb.Setup(c, *subscribers, 6)
+		w, err := ycsb.Setup(c, *subscribers, *regions)
 		must(err)
 		op = w.LookupOp()
 	default:
@@ -77,6 +80,8 @@ func main() {
 		g.Latency.Median(), g.Latency.Percentile(90), g.Latency.P99(), g.Latency.Max())
 	fmt.Printf("aborts:     %d of %d attempts (%.2f%%)\n", g.Aborted(), g.Aborted()+g.Committed(),
 		100*float64(g.Aborted())/float64(g.Aborted()+g.Committed()))
+	fmt.Printf("            by cause, whole run: conflict=%d no_log_space=%d unavailable=%d\n",
+		c.Counters.Get("tx_aborted"), c.Counters.Get("tx_no_log_space"), c.Counters.Get("tx_unavailable"))
 	if tpccW != nil {
 		fmt.Printf("new orders: %d committed, median %v\n", tpccW.NewOrders, tpccW.NewOrderLat.Median())
 	}

@@ -67,7 +67,8 @@ func main() {
 		if len(res.Violations) > 0 {
 			fail("bank run violated invariants: %v", res.Violations)
 		}
-		fmt.Printf("bank: %d commits, %d aborts on %d machines\n", res.Commits, res.Aborts, cfg.Machines)
+		fmt.Printf("bank: %d commits, %d aborts (%d for log space, %d unavailable) on %d machines\n",
+			res.Commits, res.Aborts, res.NoLogSpace, res.Unavailable, cfg.Machines)
 		data = res.TraceJSON
 		required = commitPhases
 

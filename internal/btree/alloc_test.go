@@ -1,0 +1,174 @@
+package btree
+
+import (
+	"bytes"
+	"testing"
+
+	"farm/internal/core"
+	"farm/internal/proto"
+)
+
+// localTree is a 9-machine cluster with a two-level tree (a root over
+// several half-full leaves) in one region, and that region's primary:
+// descents issued from it read locally.
+type localTree struct {
+	c *core.Cluster
+	m *core.Machine
+	t *Tree
+}
+
+const localTreeKeys = 40 // order 8: splits into a root over ~8 leaves
+
+func newLocalTree(tb testing.TB) *localTree {
+	tb.Helper()
+	c := core.New(core.Options{NumMachines: 9, Seed: 13})
+	regions, err := c.CreateRegions(0, 1, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m := c.Machine(c.Machine(0).PrimaryOf(regions[0]))
+	r := &localTree{c: c, m: m}
+	r.t = MustCreate(c, m, Config{Name: "local", Order: 8, MaxVal: 16, Region: regions[0]})
+	for k := uint64(0); k < localTreeKeys; k++ {
+		tx := m.Begin(0)
+		r.put(tb, tx, 10*k, bytes.Repeat([]byte{byte(k)}, 16))
+		r.commit(tb, tx)
+	}
+	// Depth 2: the anchor points at an internal root whose children are
+	// leaves.
+	tx := m.Begin(0)
+	root := r.read(tb, tx, addrFromBytes(r.read(tb, tx, r.t.anchor, 8)), r.t.NodeBytes())
+	rn := node{t: r.t, data: root}
+	if rn.isLeaf() || !(node{t: r.t, data: r.read(tb, tx, rn.child(0), r.t.NodeBytes())}).isLeaf() {
+		tb.Fatal("rig tree is not two levels deep")
+	}
+	tx.Abort()
+	return r
+}
+
+func (r *localTree) run(pred func() bool) {
+	for !pred() && r.c.Eng.Step() {
+	}
+}
+
+func (r *localTree) read(tb testing.TB, tx *core.Tx, addr proto.Addr, size int) []byte {
+	var out []byte
+	tx.Read(addr, size, func(data []byte, err error) {
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = data
+	})
+	r.run(func() bool { return out != nil })
+	return out
+}
+
+func (r *localTree) put(tb testing.TB, tx *core.Tx, key uint64, val []byte) {
+	done := false
+	r.t.Put(tx, key, val, func(err error) {
+		if err != nil {
+			tb.Fatalf("put %d: %v", key, err)
+		}
+		done = true
+	})
+	r.run(func() bool { return done })
+}
+
+func (r *localTree) commit(tb testing.TB, tx *core.Tx) {
+	done := false
+	tx.Commit(func(err error) {
+		if err != nil {
+			tb.Fatalf("commit: %v", err)
+		}
+		done = true
+	})
+	r.run(func() bool { return done })
+}
+
+// TestPutAllocationBudget: inserting a new key into a leaf with room, two
+// levels down, costs the treeOp, the slab chunks for the anchor, root and
+// leaf (each read twice over: private copy and the op's own) and for the
+// buffered leaf write — no closure per level, no path slice, no bounce
+// buffers (23 allocations before ISSUE 16, 4 since).
+func TestPutAllocationBudget(t *testing.T) {
+	r := newLocalTree(t)
+	val := bytes.Repeat([]byte{0xAB}, 16)
+	done := false
+	onPut := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		done = true
+	}
+	measure := func(put bool) float64 {
+		return testing.AllocsPerRun(100, func() {
+			tx := r.m.Begin(0)
+			if put {
+				done = false
+				r.t.Put(tx, 205, val, onPut) // a new key; Abort leaves the leaf as it was
+				r.run(func() bool { return done })
+				if tx.WriteSetSize() != 1 {
+					t.Fatalf("Put wrote %d objects, want the leaf alone", tx.WriteSetSize())
+				}
+			}
+			tx.Abort()
+		})
+	}
+	measure(true)
+	base, withPut := measure(false), measure(true)
+	t.Logf("btree.Put into a non-full leaf at depth 2: %.1f allocs", withPut-base)
+	if n := withPut - base; n > 4.4 {
+		t.Fatalf("btree.Put into a non-full leaf at depth 2: %v allocs, want <= 4.4", n)
+	}
+}
+
+// TestScanPairsAreTheCallersAlone: the values Scan hands out are capacity-
+// capped slices of leaf copies only the caller holds: appending to one pair
+// does not reach the next, and they read the same after the transaction
+// finished and a thousand later ones rewrote the rows.
+func TestScanPairsAreTheCallersAlone(t *testing.T) {
+	r := newLocalTree(t)
+	tx := r.m.Begin(0)
+	var pairs []Pair
+	r.t.Scan(tx, 0, 12, func(p []Pair, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs = p
+	})
+	r.run(func() bool { return pairs != nil })
+	if len(pairs) != 12 {
+		t.Fatalf("scan returned %d pairs", len(pairs))
+	}
+	want := make([][]byte, len(pairs))
+	for i, p := range pairs {
+		if p.Key != uint64(10*i) || cap(p.Val) != len(p.Val) {
+			t.Fatalf("pair %d: key %d, cap %d for len %d", i, p.Key, cap(p.Val), len(p.Val))
+		}
+		want[i] = bytes.Clone(p.Val)
+	}
+	_ = append(pairs[0].Val, bytes.Repeat([]byte{0xEE}, 64)...)
+	r.commit(t, tx)
+	for i := 0; i < 1000; i++ {
+		tx := r.m.Begin(0)
+		r.put(t, tx, uint64(10*(i%12)), bytes.Repeat([]byte{byte(i)}, 16))
+		r.commit(t, tx)
+	}
+	for i, p := range pairs {
+		if !bytes.Equal(p.Val, want[i]) {
+			t.Fatalf("pair %d changed after its transaction: %x, want %x", i, p.Val, want[i])
+		}
+	}
+}
+
+func BenchmarkTreePut(b *testing.B) {
+	r := newLocalTree(b)
+	val := bytes.Repeat([]byte{0xAB}, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx := r.m.Begin(0)
+		r.put(b, tx, uint64(10*(i%localTreeKeys)), val) // an update: the tree keeps its shape
+		r.commit(b, tx)
+	}
+}

@@ -257,171 +257,277 @@ func (t *Tree) CacheStats(machine int) (uint64, uint64) {
 	return c.hits, c.miss
 }
 
-// Get looks key up within tx. The descent uses the machine-local cache of
-// internal nodes; only the leaf is read transactionally, so the common
-// case costs one remote read. Fence keys catch stale cache entries.
-func (t *Tree) Get(tx *core.Tx, m *core.Machine, key uint64, cb func(val []byte, ok bool, err error)) {
-	t.cachedDescend(tx, m, key, 0, func(leafAddr proto.Addr, leafData []byte, err error) {
-		if err != nil {
-			cb(nil, false, err)
-			return
-		}
-		n := node{t: t, data: leafData}
-		if i, found := n.leafIndex(key); found {
-			cb(append([]byte(nil), n.val(i)...), true, nil)
-		} else {
-			cb(nil, false, nil)
-		}
-	})
-}
-
-// cachedDescend finds the leaf covering key: cached internal hops, a
-// transactional leaf read, fence validation, right-links for splits, and a
-// full transactional re-traverse when the cache proves stale.
-func (t *Tree) cachedDescend(tx *core.Tx, m *core.Machine, key uint64, attempt int, cb func(proto.Addr, []byte, error)) {
-	if attempt > 2 {
-		// Cache hopeless: transactional descent from the anchor.
-		t.txDescend(tx, key, cb)
-		return
-	}
-	c := t.cacheFor(m.ID)
-	var step func(addr proto.Addr, depth int)
-	step = func(addr proto.Addr, depth int) {
-		if depth > 64 {
-			cb(proto.Addr{}, nil, fmt.Errorf("btree: descent too deep"))
-			return
-		}
-		if cached, ok := c.nodes[addr]; ok {
-			c.hits++
-			n := node{t: t, data: cached}
-			if n.isLeaf() || key < n.lo() || key >= n.hi() {
-				// A cached leaf (root just created) or a stale span:
-				// resolve transactionally below.
-				delete(c.nodes, addr)
-				t.cachedDescend(tx, m, key, attempt+1, cb)
-				return
-			}
-			step(n.child(n.childIndex(key)), depth+1)
-			return
-		}
-		c.miss++
-		// Fetch the node with a lock-free read; cache it if internal.
-		m.LockFreeRead(tx2thread(tx), addr, t.NodeBytes(), func(data []byte, err error) {
-			if err != nil {
-				cb(proto.Addr{}, nil, err)
-				return
-			}
-			n := node{t: t, data: data}
-			if key < n.lo() {
-				// Stale parent pointed too far right: re-traverse.
-				t.cachedDescend(tx, m, key, attempt+1, cb)
-				return
-			}
-			if key >= n.hi() {
-				// Node split since: follow the right-link (B-link move).
-				step(n.next(), depth+1)
-				return
-			}
-			if !n.isLeaf() {
-				cp := append([]byte(nil), data...)
-				c.nodes[addr] = cp
-				step(n.child(n.childIndex(key)), depth+1)
-				return
-			}
-			// Leaf: (re)read transactionally so commit-time validation
-			// covers it.
-			tx.Read(addr, t.NodeBytes(), func(ld []byte, err error) {
-				if err != nil {
-					cb(proto.Addr{}, nil, err)
-					return
-				}
-				ln := node{t: t, data: ld}
-				if key < ln.lo() || key >= ln.hi() {
-					t.cachedDescend(tx, m, key, attempt+1, cb)
-					return
-				}
-				cb(addr, ld, nil)
-			})
-		})
-	}
-	// The anchor is tiny and hot: cache it like an internal node.
-	if cachedRoot, ok := c.nodes[t.anchor]; ok && len(cachedRoot) == 8 {
-		c.hits++
-		step(addrFromBytes(cachedRoot), 0)
-		return
-	}
-	c.miss++
-	m.LockFreeRead(tx2thread(tx), t.anchor, 8, func(data []byte, err error) {
-		if err != nil {
-			cb(proto.Addr{}, nil, err)
-			return
-		}
-		c.nodes[t.anchor] = append([]byte(nil), data...)
-		step(addrFromBytes(data), 0)
-	})
-}
-
-func addrFromBytes(b []byte) proto.Addr {
-	return proto.Addr{Region: binary.LittleEndian.Uint32(b), Off: binary.LittleEndian.Uint32(b[4:])}
-}
-
-// tx2thread recovers the coordinator thread for auxiliary lock-free reads.
-func tx2thread(tx *core.Tx) int { return tx.Thread() }
-
-// txDescend is the fully transactional descent used by writers and by
-// readers whose cache failed: every node on the path joins the read set.
-func (t *Tree) txDescend(tx *core.Tx, key uint64, cb func(proto.Addr, []byte, error)) {
-	t.txDescendPath(tx, key, func(path []pathEntry, err error) {
-		if err != nil {
-			cb(proto.Addr{}, nil, err)
-			return
-		}
-		last := path[len(path)-1]
-		cb(last.addr, last.data, nil)
-	})
-}
+var errTooDeep = fmt.Errorf("btree: descent too deep")
 
 type pathEntry struct {
 	addr proto.Addr
 	data []byte
 }
 
-// txDescendPath returns the whole root→leaf path (transactionally read).
-func (t *Tree) txDescendPath(tx *core.Tx, key uint64, cb func([]pathEntry, error)) {
-	tx.Read(t.anchor, 8, func(ab []byte, err error) {
-		if err != nil {
-			cb(nil, err)
+// treeOp is one tree operation: a descent to the leaf covering key, then
+// the operation's work there. It is the read handler of every node read on
+// the way (stage says which read is outstanding), so an operation allocates
+// this and nothing per level, and the root→leaf path lives in it. Node
+// bytes delivered to it are its own copy (core's ownership rule): Get and
+// Scan hand out slices of them, writers edit them in place and write them
+// back.
+type treeOp struct {
+	t   *Tree
+	tx  *core.Tx
+	m   *core.Machine // cached descents (Get) only
+	key uint64
+	val []byte
+
+	stage   uint8
+	attempt int        // cached descents abandoned so far
+	depth   int        // of the node being read
+	addr    proto.Addr // the node being read
+	// path is the transactionally read root→leaf path (tx descents only).
+	path    []pathEntry
+	pathBuf [4]pathEntry
+
+	limit int // Scan
+	out   []Pair
+
+	// A Put that splits: left (at leftAddr, path[up]) is the node being
+	// split, whose new right sibling is being allocated, and sep the
+	// separator to insert into left's parent afterwards.
+	left     node
+	leftAddr proto.Addr
+	sep      uint64
+	up       int
+	allocFn  func(proto.Addr, error)
+
+	// Exactly one of these is set; it says which operation this is.
+	getCb  func(val []byte, ok bool, err error)
+	putCb  func(err error)
+	delCb  func(ok bool, err error)
+	scanCb func(pairs []Pair, err error)
+}
+
+// The read a treeOp is waiting for.
+const (
+	stAnchor       = iota // tx read of the anchor
+	stNode                // tx read of a path node
+	stCachedAnchor        // lock-free read of the anchor
+	stCachedNode          // lock-free read of an uncached node
+	stCachedLeaf          // tx read of the leaf a cached descent found
+	stScanLeaf            // tx read of a scan's next leaf
+)
+
+func (op *treeOp) fail(err error) {
+	switch {
+	case op.getCb != nil:
+		op.getCb(nil, false, err)
+	case op.putCb != nil:
+		op.putCb(err)
+	case op.delCb != nil:
+		op.delCb(false, err)
+	default:
+		op.scanCb(nil, err)
+	}
+}
+
+func (op *treeOp) ReadDone(data []byte, err error) {
+	if err != nil {
+		op.fail(err)
+		return
+	}
+	t := op.t
+	switch op.stage {
+	case stAnchor:
+		op.path = op.pathBuf[:0]
+		op.txStep(addrFromBytes(data), 0)
+	case stNode:
+		n := node{t: t, data: data}
+		if op.key >= n.hi() {
+			// Concurrent split: B-link right move (replace the path tail
+			// with the right sibling).
+			op.txStep(n.next(), op.depth)
 			return
 		}
-		var path []pathEntry
-		var step func(addr proto.Addr, depth int)
-		step = func(addr proto.Addr, depth int) {
-			if depth > 64 {
-				cb(nil, fmt.Errorf("btree: descent too deep"))
-				return
-			}
-			tx.Read(addr, t.NodeBytes(), func(data []byte, err error) {
-				if err != nil {
-					cb(nil, err)
-					return
-				}
-				n := node{t: t, data: data}
-				if key >= n.hi() {
-					// Concurrent split: B-link right move (replace the
-					// path tail with the right sibling).
-					step(n.next(), depth)
-					return
-				}
-				path = append(path, pathEntry{addr: addr, data: data})
-				if n.isLeaf() {
-					cb(path, nil)
-					return
-				}
-				step(n.child(n.childIndex(key)), depth+1)
-			})
+		op.path = append(op.path, pathEntry{addr: op.addr, data: data})
+		if n.isLeaf() {
+			op.atLeaf(op.addr, data)
+			return
 		}
-		step(addrFromBytes(ab), 0)
-	})
+		op.txStep(n.child(n.childIndex(op.key)), op.depth+1)
+	case stCachedAnchor:
+		c := t.cacheFor(op.m.ID)
+		c.nodes[t.anchor] = data
+		op.cachedStep(c, addrFromBytes(data), 0)
+	case stCachedNode:
+		n := node{t: t, data: data}
+		switch {
+		case op.key < n.lo():
+			// Stale parent pointed too far right: re-traverse.
+			op.restart()
+		case op.key >= n.hi():
+			// Node split since: follow the right-link (B-link move).
+			op.cachedStep(t.cacheFor(op.m.ID), n.next(), op.depth+1)
+		case !n.isLeaf():
+			c := t.cacheFor(op.m.ID)
+			c.nodes[op.addr] = data
+			op.cachedStep(c, n.child(n.childIndex(op.key)), op.depth+1)
+		default:
+			// Leaf: (re)read transactionally so commit-time validation
+			// covers it.
+			op.stage = stCachedLeaf
+			op.tx.ReadTo(op.addr, t.NodeBytes(), op)
+		}
+	case stCachedLeaf:
+		if n := (node{t: t, data: data}); op.key < n.lo() || op.key >= n.hi() {
+			op.restart()
+			return
+		}
+		op.atLeaf(op.addr, data)
+	case stScanLeaf:
+		op.scanLeaf(data)
+	}
+}
+
+// txDescend starts the fully transactional descent used by writers and by
+// readers whose cache failed: every node on the path joins the read set.
+func (op *treeOp) txDescend() {
+	op.stage = stAnchor
+	op.tx.ReadTo(op.t.anchor, 8, op)
+}
+
+func (op *treeOp) txStep(addr proto.Addr, depth int) {
+	if depth > 64 {
+		op.fail(errTooDeep)
+		return
+	}
+	op.addr, op.depth, op.stage = addr, depth, stNode
+	op.tx.ReadTo(addr, op.t.NodeBytes(), op)
+}
+
+// cachedDescend finds the leaf covering key: cached internal hops, a
+// transactional leaf read, fence validation, right-links for splits, and a
+// full transactional re-traverse when the cache proves stale.
+func (op *treeOp) cachedDescend() {
+	t := op.t
+	if op.attempt > 2 {
+		// Cache hopeless: transactional descent from the anchor.
+		op.txDescend()
+		return
+	}
+	c := t.cacheFor(op.m.ID)
+	// The anchor is tiny and hot: cache it like an internal node.
+	if cachedRoot, ok := c.nodes[t.anchor]; ok && len(cachedRoot) == 8 {
+		c.hits++
+		op.cachedStep(c, addrFromBytes(cachedRoot), 0)
+		return
+	}
+	c.miss++
+	op.stage = stCachedAnchor
+	op.m.LockFreeReadTo(op.tx.Thread(), t.anchor, 8, op)
+}
+
+func (op *treeOp) restart() {
+	op.attempt++
+	op.cachedDescend()
+}
+
+// cachedStep walks down from addr through cached internal nodes and fetches
+// the first uncached one with a lock-free read (cached if internal).
+func (op *treeOp) cachedStep(c *cache, addr proto.Addr, depth int) {
+	for ; ; depth++ {
+		if depth > 64 {
+			op.fail(errTooDeep)
+			return
+		}
+		cached, ok := c.nodes[addr]
+		if !ok {
+			break
+		}
+		c.hits++
+		n := node{t: op.t, data: cached}
+		if n.isLeaf() || op.key < n.lo() || op.key >= n.hi() {
+			// A cached leaf (root just created) or a stale span: resolve
+			// transactionally.
+			delete(c.nodes, addr)
+			op.restart()
+			return
+		}
+		addr = n.child(n.childIndex(op.key))
+	}
+	c.miss++
+	op.addr, op.depth, op.stage = addr, depth, stCachedNode
+	op.m.LockFreeReadTo(op.tx.Thread(), addr, op.t.NodeBytes(), op)
+}
+
+func addrFromBytes(b []byte) proto.Addr {
+	return proto.Addr{Region: binary.LittleEndian.Uint32(b), Off: binary.LittleEndian.Uint32(b[4:])}
+}
+
+// atLeaf does the operation's work at the leaf covering key.
+func (op *treeOp) atLeaf(addr proto.Addr, data []byte) {
+	t, n := op.t, node{t: op.t, data: data}
+	switch {
+	case op.getCb != nil:
+		if i, found := n.leafIndex(op.key); found {
+			op.getCb(owned(n.val(i)), true, nil)
+		} else {
+			op.getCb(nil, false, nil)
+		}
+	case op.putCb != nil:
+		i, found := n.leafIndex(op.key)
+		switch {
+		case found:
+			n.setVal(i, op.val)
+		case n.nkeys() < t.order:
+			n.leafInsertAt(i, op.key, op.val)
+		default:
+			op.splitLeaf()
+			return
+		}
+		op.tx.Write(addr, n.data)
+		op.putCb(nil)
+	case op.delCb != nil:
+		i, found := n.leafIndex(op.key)
+		if found {
+			n.leafRemoveAt(i)
+			op.tx.Write(addr, n.data)
+		}
+		op.delCb(found, nil)
+	default:
+		op.scanLeaf(data)
+	}
+}
+
+// scanLeaf collects a leaf's pairs from key on and moves to the next leaf
+// until limit pairs are found or the leaves end.
+func (op *treeOp) scanLeaf(data []byte) {
+	n := node{t: op.t, data: data}
+	for i := 0; i < n.nkeys() && len(op.out) < op.limit; i++ {
+		if n.key(i) >= op.key {
+			if op.out == nil {
+				op.out = make([]Pair, 0, min(op.limit, 2*op.t.order))
+			}
+			op.out = append(op.out, Pair{Key: n.key(i), Val: owned(n.val(i))})
+		}
+	}
+	next := n.next()
+	if len(op.out) >= op.limit || next == (proto.Addr{}) {
+		op.scanCb(op.out, nil)
+		return
+	}
+	op.stage = stScanLeaf
+	op.tx.ReadTo(next, op.t.NodeBytes(), op)
+}
+
+// owned caps a value cut from node bytes the operation owns, so the caller
+// it is handed to can append to it without reaching the next slot.
+func owned(v []byte) []byte { return v[:len(v):len(v)] }
+
+// Get looks key up within tx. The descent uses the machine-local cache of
+// internal nodes; only the leaf is read transactionally, so the common
+// case costs one remote read. Fence keys catch stale cache entries. val is
+// the caller's to keep and change.
+func (t *Tree) Get(tx *core.Tx, m *core.Machine, key uint64, cb func(val []byte, ok bool, err error)) {
+	op := &treeOp{t: t, tx: tx, m: m, key: key, getCb: cb}
+	op.cachedDescend()
 }
 
 // Put inserts or updates key within tx, splitting full nodes along the
@@ -431,34 +537,15 @@ func (t *Tree) Put(tx *core.Tx, key uint64, val []byte, cb func(err error)) {
 		cb(fmt.Errorf("btree: value too long"))
 		return
 	}
-	t.txDescendPath(tx, key, func(path []pathEntry, err error) {
-		if err != nil {
-			cb(err)
-			return
-		}
-		leaf := path[len(path)-1]
-		n := node{t: t, data: leaf.data}
-		if i, found := n.leafIndex(key); found {
-			n.setVal(i, val)
-			tx.Write(leaf.addr, n.data)
-			cb(nil)
-			return
-		}
-		if n.nkeys() < t.order {
-			i, _ := n.leafIndex(key)
-			n.leafInsertAt(i, key, val)
-			tx.Write(leaf.addr, n.data)
-			cb(nil)
-			return
-		}
-		t.splitAndInsert(tx, path, key, val, cb)
-	})
+	op := &treeOp{t: t, tx: tx, key: key, val: val, putCb: cb}
+	op.txDescend()
 }
 
-// splitAndInsert splits the full leaf at the end of path and inserts the
-// separator upward, splitting parents as needed.
-func (t *Tree) splitAndInsert(tx *core.Tx, path []pathEntry, key uint64, val []byte, cb func(error)) {
-	leafE := path[len(path)-1]
+// splitLeaf splits the full leaf at the end of path, inserts the pair into
+// the proper half and starts inserting the separator upward.
+func (op *treeOp) splitLeaf() {
+	t := op.t
+	leafE := op.path[len(op.path)-1]
 	left := node{t: t, data: leafE.data}
 
 	right := node{t: t, data: make([]byte, t.NodeBytes())}
@@ -478,57 +565,69 @@ func (t *Tree) splitAndInsert(tx *core.Tx, path []pathEntry, key uint64, val []b
 	left.setHi(sep)
 
 	// Insert the new pair into the proper half.
-	if key < sep {
-		i, _ := left.leafIndex(key)
-		left.leafInsertAt(i, key, val)
-	} else {
-		i, _ := right.leafIndex(key)
-		right.leafInsertAt(i, key, val)
+	half := right
+	if op.key < sep {
+		half = left
 	}
+	i, _ := half.leafIndex(op.key)
+	half.leafInsertAt(i, op.key, op.val)
 
-	hint := leafE.addr
-	tx.Alloc(len(right.data), right.data, &hint, func(rightAddr proto.Addr, err error) {
-		if err != nil {
-			cb(err)
-			return
-		}
-		left.setNext(rightAddr)
-		tx.Write(leafE.addr, left.data)
-		t.insertUp(tx, path[:len(path)-1], sep, rightAddr, leafE.addr, cb)
-	})
+	op.allocSibling(left, leafE.addr, sep, right, len(op.path)-1)
 }
 
-// insertUp adds (sep → right) into the parent chain.
-func (t *Tree) insertUp(tx *core.Tx, path []pathEntry, sep uint64, right, leftAddr proto.Addr, cb func(error)) {
-	if len(path) == 0 {
-		// Root split: new root with two children; update the anchor.
+// allocSibling allocates right — the new right sibling of the just split
+// node left (path[up]), or the new root above it when up is -1 — next to
+// left. onAlloc continues once its address is known; it is bound on the
+// first split and serves every level.
+func (op *treeOp) allocSibling(left node, leftAddr proto.Addr, sep uint64, right node, up int) {
+	op.left, op.leftAddr, op.sep, op.up = left, leftAddr, sep, up
+	if op.allocFn == nil {
+		op.allocFn = op.onAlloc
+	}
+	op.tx.Alloc(len(right.data), right.data, &leftAddr, op.allocFn)
+}
+
+func (op *treeOp) onAlloc(addr proto.Addr, err error) {
+	if err != nil {
+		op.putCb(err)
+		return
+	}
+	if op.up < 0 {
+		// addr is the new root: point the anchor at it.
+		anchor := make([]byte, 8)
+		binary.LittleEndian.PutUint32(anchor, addr.Region)
+		binary.LittleEndian.PutUint32(anchor[4:], addr.Off)
+		op.tx.Write(op.t.anchor, anchor)
+		op.putCb(nil)
+		return
+	}
+	op.left.setNext(addr)
+	op.tx.Write(op.leftAddr, op.left.data)
+	op.insertUp(addr)
+}
+
+// insertUp adds (sep → right) to the parent of the node just split,
+// path[up-1], splitting it in turn when it is full.
+func (op *treeOp) insertUp(right proto.Addr) {
+	t, sep := op.t, op.sep
+	if op.up == 0 {
+		// Root split: new root with two children.
 		newRoot := node{t: t, data: make([]byte, t.NodeBytes())}
 		newRoot.setLeaf(false)
 		newRoot.setHi(maxKey)
 		newRoot.setNKeys(1)
 		newRoot.setKey(0, sep)
-		newRoot.setChild(0, leftAddr)
+		newRoot.setChild(0, op.leftAddr)
 		newRoot.setChild(1, right)
-		hint := leftAddr
-		tx.Alloc(len(newRoot.data), newRoot.data, &hint, func(rootAddr proto.Addr, err error) {
-			if err != nil {
-				cb(err)
-				return
-			}
-			anchor := make([]byte, 8)
-			binary.LittleEndian.PutUint32(anchor, rootAddr.Region)
-			binary.LittleEndian.PutUint32(anchor[4:], rootAddr.Off)
-			tx.Write(t.anchor, anchor)
-			cb(nil)
-		})
+		op.allocSibling(node{}, op.leftAddr, 0, newRoot, -1)
 		return
 	}
-	parentE := path[len(path)-1]
+	parentE := op.path[op.up-1]
 	p := node{t: t, data: parentE.data}
 	if p.nkeys() < t.order {
 		p.innerInsertAt(p.childIndex(sep), sep, right)
-		tx.Write(parentE.addr, p.data)
-		cb(nil)
+		op.tx.Write(parentE.addr, p.data)
+		op.putCb(nil)
 		return
 	}
 	// Split the internal node.
@@ -554,36 +653,14 @@ func (t *Tree) insertUp(tx *core.Tx, path []pathEntry, sep uint64, right, leftAd
 	} else {
 		rn.innerInsertAt(rn.childIndex(sep), sep, right)
 	}
-	hint := parentE.addr
-	tx.Alloc(len(rn.data), rn.data, &hint, func(rightAddr proto.Addr, err error) {
-		if err != nil {
-			cb(err)
-			return
-		}
-		p.setNext(rightAddr)
-		tx.Write(parentE.addr, p.data)
-		t.insertUp(tx, path[:len(path)-1], upSep, rightAddr, parentE.addr, cb)
-	})
+	op.allocSibling(p, parentE.addr, upSep, rn, op.up-1)
 }
 
 // Delete removes key within tx (lazy deletion: leaves may underflow but
 // are never merged, which keeps fence keys stable).
 func (t *Tree) Delete(tx *core.Tx, key uint64, cb func(ok bool, err error)) {
-	t.txDescend(tx, key, func(addr proto.Addr, data []byte, err error) {
-		if err != nil {
-			cb(false, err)
-			return
-		}
-		n := node{t: t, data: data}
-		i, found := n.leafIndex(key)
-		if !found {
-			cb(false, nil)
-			return
-		}
-		n.leafRemoveAt(i)
-		tx.Write(addr, n.data)
-		cb(true, nil)
-	})
+	op := &treeOp{t: t, tx: tx, key: key, delCb: cb}
+	op.txDescend()
 }
 
 // Pair is one key/value result of a Scan.
@@ -593,35 +670,9 @@ type Pair struct {
 }
 
 // Scan returns up to limit pairs with key >= from, in key order, reading
-// leaves transactionally (TPC-C's range queries).
+// leaves transactionally (TPC-C's range queries). The pairs are the
+// caller's to keep and change.
 func (t *Tree) Scan(tx *core.Tx, from uint64, limit int, cb func(pairs []Pair, err error)) {
-	t.txDescend(tx, from, func(addr proto.Addr, data []byte, err error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		var out []Pair
-		var walk func(data []byte)
-		walk = func(data []byte) {
-			n := node{t: t, data: data}
-			for i := 0; i < n.nkeys() && len(out) < limit; i++ {
-				if n.key(i) >= from {
-					out = append(out, Pair{Key: n.key(i), Val: append([]byte(nil), n.val(i)...)})
-				}
-			}
-			next := n.next()
-			if len(out) >= limit || next == (proto.Addr{}) {
-				cb(out, nil)
-				return
-			}
-			tx.Read(next, t.NodeBytes(), func(nd []byte, err error) {
-				if err != nil {
-					cb(nil, err)
-					return
-				}
-				walk(nd)
-			})
-		}
-		walk(data)
-	})
+	op := &treeOp{t: t, tx: tx, key: from, limit: limit, scanCb: cb}
+	op.txDescend()
 }

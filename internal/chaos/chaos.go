@@ -125,9 +125,14 @@ func DefaultConfig() Config {
 
 // Result summarizes one run.
 type Result struct {
-	Seed        uint64
-	Commits     uint64
-	Aborts      uint64
+	Seed    uint64
+	Commits uint64
+	Aborts  uint64
+	// NoLogSpace and Unavailable are the aborts that were not conflicts:
+	// commits refused for want of log space or of a region mapping (core's
+	// tx_no_log_space / tx_unavailable counters). Not part of String.
+	NoLogSpace  uint64
+	Unavailable uint64
 	Kills       int
 	CMKills     int
 	Partitions  int
@@ -670,6 +675,7 @@ func Run(cfg Config) Result {
 	c.ClearNetworkFaults()
 	c.RunFor(500 * sim.Millisecond)
 	res.Commits, res.Aborts = commits, aborts
+	res.NoLogSpace, res.Unavailable = c.Counters.Get("tx_no_log_space"), c.Counters.Get("tx_unavailable")
 
 	// finish closes out the run: it exports the recorded history and runs
 	// the strict-serializability checker over it. Every return below funnels

@@ -38,6 +38,10 @@ type Cluster struct {
 	// recCells caches the "rec TYPE" counter cell per record type (see
 	// recCell).
 	recCells [proto.RecTruncate + 1]*uint64
+	// cNoLogSpace and cUnavailable are the "tx_no_log_space" and
+	// "tx_unavailable" cells: commits that failed before any record was
+	// written (failTx), by cause. Conflict aborts count in "tx_aborted".
+	cNoLogSpace, cUnavailable *uint64
 	// MsgLatency holds per-message-type delivery latency (transport
 	// enqueue → receiver dispatch), recorded by the message transport.
 	MsgLatency *stats.LatencySet
@@ -86,6 +90,8 @@ func New(opts Options) *Cluster {
 		MsgLatency:        stats.NewLatencySet(),
 		RegionRecoveredAt: make(map[uint32]sim.Time),
 	}
+	c.cNoLogSpace = c.Counters.Cell("tx_no_log_space")
+	c.cUnavailable = c.Counters.Cell("tx_unavailable")
 
 	if opts.Trace.Enabled {
 		c.Tracer = trace.NewSet(opts.Trace, opts.NumMachines)

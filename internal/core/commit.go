@@ -183,53 +183,35 @@ func (t *Tx) Commit(cb func(err error)) {
 		return
 	}
 
-	if t.ctx.Valid() {
-		// Close the root trace span on whatever path reports the outcome.
-		inner := cb
-		cb = func(err error) { t.endTxSpan(err); inner(err) }
-	}
-	if t.hrec != nil {
-		// Record the reported outcome and its simulated time. Requeue
-		// paths below may wrap cb again on re-entry; Finish is idempotent,
-		// so only the first (outermost) report lands. A coordinator that
-		// dies before reporting leaves the event indeterminate — exactly
-		// what the checker's commit inference is for.
-		inner := cb
-		cb = func(err error) {
-			o := history.Committed
-			if err != nil {
-				o = history.Aborted
-			}
-			t.histFinish(o)
-			inner(err)
-		}
-	}
+	// (A variable of its own, assigned once: the closures below capture it
+	// by value instead of boxing it.)
+	report := t.instrumented(cb)
 
-	if len(t.writes) == 0 {
-		t.validateReadOnly(cb)
+	if t.nWrites == 0 {
+		t.validateReadOnly(report)
 		return
 	}
 
 	// Wait for any blocked (recovering) write region before starting.
-	for _, addr := range t.order {
-		if m.regionBlocked(addr.Region) {
-			region := addr.Region
+	for i := t.firstW; i >= 0; i = t.set[i].wnext {
+		if region := t.set[i].addr.Region; m.regionBlocked(region) {
 			t.finished = false
-			m.blockUntilActive(region, func() { t.Commit(cb) })
+			m.blockUntilActive(region, func() { t.Commit(report) })
 			return
 		}
 	}
 
-	ct := &coordTx{tx: t, cb: cb}
+	ct := &coordTx{tx: t, cb: report}
 
 	// Group the write set by primary and backup machines: size the groups
 	// first, so that all their write lists are carved out of one slab.
 	total := 0
-	for _, addr := range t.order {
+	for i := t.firstW; i >= 0; i = t.set[i].wnext {
+		addr := t.set[i].addr
 		rm := m.mapping(addr.Region)
 		if rm == nil || len(rm.Replicas) < 1 {
 			t.releaseAllocs()
-			m.failTx(cb, ErrUnavailable)
+			m.failTx(report, ErrUnavailable)
 			return
 		}
 		if !slices.Contains(ct.writeRegions, addr.Region) {
@@ -253,10 +235,10 @@ func (t *Tx) Commit(cb func(err error)) {
 			ct.backups++
 		}
 	}
-	for _, addr := range t.order {
-		w := t.writes[addr]
-		ow := proto.ObjectWrite{Addr: addr, Version: w.version, Allocated: w.allocated, Value: w.value}
-		replicas := m.mapping(addr.Region).Replicas
+	for i := t.firstW; i >= 0; i = t.set[i].wnext {
+		e := &t.set[i]
+		ow := proto.ObjectWrite{Addr: e.addr, Version: e.version, Allocated: e.allocated, Value: e.value}
+		replicas := m.mapping(e.addr.Region).Replicas
 		g := ct.group(int(replicas[0]))
 		g.primWrites = append(g.primWrites, ow)
 		for _, b := range replicas[1:] {
@@ -280,7 +262,7 @@ func (t *Tx) Commit(cb func(err error)) {
 	if !m.reserveCommit(ct) {
 		m.threadTrunc(t.thread).retire(ct.id.Local)
 		t.releaseAllocs()
-		m.failTx(cb, ErrNoSpace)
+		m.failTx(report, ErrNoSpace)
 		return
 	}
 
@@ -293,11 +275,46 @@ func (t *Tx) Commit(cb func(err error)) {
 	m.sendLocks(ct)
 }
 
-// failTx reports a commit failure on the coordinator thread.
+// instrumented wraps a commit callback with what a traced or history-
+// recorded transaction owes on whatever path reports the outcome.
+func (t *Tx) instrumented(cb func(error)) func(error) {
+	if t.ctx.Valid() {
+		// Close the root trace span.
+		inner := cb
+		cb = func(err error) { t.endTxSpan(err); inner(err) }
+	}
+	if t.hrec != nil {
+		// Record the reported outcome and its simulated time. Commit's
+		// requeue paths wrap again on re-entry; Finish is idempotent, so
+		// only the first (outermost) report lands. A coordinator that dies
+		// before reporting leaves the event indeterminate — exactly what
+		// the checker's commit inference is for.
+		inner := cb
+		cb = func(err error) {
+			o := history.Committed
+			if err != nil {
+				o = history.Aborted
+			}
+			t.histFinish(o)
+			inner(err)
+		}
+	}
+	return cb
+}
+
+// failTx reports, on the coordinator thread, a commit that failed before
+// any record was written: ErrNoSpace (a participant's log had no room for
+// the reservations) or ErrUnavailable (a written region has no mapping).
+// Neither is a conflict, so each is counted under its own name.
 func (m *Machine) failTx(cb func(error), err error) {
+	cell := m.c.cNoLogSpace
+	if err == ErrUnavailable {
+		cell = m.c.cUnavailable
+	}
 	m.c.Eng.After(m.c.Opts.CPULocal, func() {
 		if m.alive {
 			m.Aborted++
+			*cell++
 			cb(err)
 		}
 	})
@@ -595,20 +612,6 @@ func (m *Machine) validate(ct *coordTx) {
 		m.abortTx(ct, ErrUnavailable)
 		return
 	}
-	// abortTx sets phase to done, so late replies become no-ops.
-	fail := func() {
-		if ct.phase == phaseValidate && !ct.recovering {
-			m.abortTx(ct, ErrConflict)
-		}
-	}
-	done := func() {
-		ct.lastProgress = m.c.Eng.Now()
-		ct.valOutstanding--
-		if ct.valOutstanding == 0 && ct.phase == phaseValidate && !ct.recovering {
-			ct.phase = phaseCommitBackup
-			m.commitBackups(ct)
-		}
-	}
 	for i, j := 0, 0; i < len(vs); i = j {
 		j = primaryRun(vs, i)
 		ct.valOutstanding += m.validationOps(vs[i].pm, j-i)
@@ -616,74 +619,141 @@ func (m *Machine) validate(ct *coordTx) {
 	for i, j := 0, 0; i < len(vs); i = j {
 		j = primaryRun(vs, i)
 		pm, entries := vs[i].pm, vs[i:j]
-		switch {
-		case pm == m.ID:
-			// Local validation: direct header loads.
-			for _, e := range entries {
-				r := e.r
-				m.OnThread(t.thread, m.c.Opts.CPULocal, func() {
-					if ct.phase != phaseValidate || ct.recovering {
-						return
-					}
-					rep := m.replicas[r.addr.Region]
-					if rep == nil || !validHeader(rep.mem, r) {
-						fail()
-						return
-					}
-					done()
-				})
-			}
-		case len(entries) > m.c.Opts.ValidateRPCThreshold:
+		if pm != m.ID && len(entries) > m.c.Opts.ValidateRPCThreshold {
 			// Validation over RPC (Table 2 VALIDATE). The phase span's
 			// context rides along, so the primary's work and its reply are
 			// parented on this validation.
-			req := validateReqFor(entries)
+			req := t.validateReqFor(entries)
 			req.Tx = ct.id
 			// Doorbell: this request is the validate phase's entire
 			// fan-out to pm; it should depart with the phase.
 			m.sendFromThreadCtxDoorbell(t.thread, pm, req, ct.phaseCtx)
-		default:
-			for _, e := range entries {
-				r := e.r
-				m.OnThread(t.thread, m.c.Opts.CPUVerb, func() {
-					m.nic.Read(fabric.MachineID(pm), nvram.RegionID(r.addr.Region),
-						int(r.addr.Off), regionmem.HeaderSize, func(raw []byte, err error) {
-							if !m.alive || ct.phase != phaseValidate || ct.recovering {
-								return
-							}
-							if err != nil || !validHeaderWord(regionmem.ReadHeader(raw, 0), r.version) {
-								fail()
-								return
-							}
-							done()
-						})
-				})
-			}
+			continue
+		}
+		for _, e := range entries {
+			m.validateObject(ct, t, pm, e.i)
 		}
 	}
 }
 
-// valRead is one read-set entry tagged with its primary (-1 = unknown).
-type valRead struct {
+// valOp is one read-set object on its way through validation: a direct
+// header load on the coordinator thread when this machine is the primary,
+// else a one-sided read of the version word issued from that thread. It is
+// pooled like recWrite, its stages bound once, and names its object by
+// position in the transaction's table; it is recycled before the verdict is
+// acted on, because that can run the application's commit callback. One
+// that dies with its machine is dropped, never recycled.
+type valOp struct {
+	m  *Machine
+	ct *coordTx // nil for a read-only transaction, whose state is in t
+	t  *Tx
+	i  int32
 	pm int
-	r  *readEntry
+
+	localFn, issueFn func()
+	readFn           func([]byte, error)
+}
+
+// validateObject schedules the validation of t.set[i], whose primary pm is
+// this machine or a member validated by one-sided reads.
+func (m *Machine) validateObject(ct *coordTx, t *Tx, pm int, i int32) {
+	var op *valOp
+	if k := len(m.valFree); k > 0 {
+		op = m.valFree[k-1]
+		m.valFree = m.valFree[:k-1]
+	} else {
+		op = &valOp{m: m}
+		op.localFn = op.local
+		op.issueFn = op.issue
+		op.readFn = op.readDone
+	}
+	op.ct, op.t, op.i, op.pm = ct, t, i, pm
+	if pm == m.ID {
+		// Local validation: direct header loads.
+		m.OnThread(t.thread, m.c.Opts.CPULocal, op.localFn)
+	} else {
+		m.OnThread(t.thread, m.c.Opts.CPUVerb, op.issueFn)
+	}
+}
+
+func (op *valOp) recycle() (ct *coordTx, t *Tx, e *txEntry) {
+	ct, t, e = op.ct, op.t, &op.t.set[op.i]
+	op.ct, op.t = nil, nil
+	op.m.valFree = append(op.m.valFree, op)
+	return
+}
+
+func (op *valOp) local() {
+	m := op.m
+	ct, t, e := op.recycle()
+	if ct != nil && (ct.phase != phaseValidate || ct.recovering) {
+		return
+	}
+	rep := m.replicas[e.addr.Region]
+	m.validated(ct, t, rep != nil && validHeaderWord(regionmem.ReadHeader(rep.mem, int(e.addr.Off)), e.version))
+}
+
+func (op *valOp) issue() {
+	addr := op.t.set[op.i].addr
+	op.m.nic.Read(fabric.MachineID(op.pm), nvram.RegionID(addr.Region), int(addr.Off), regionmem.HeaderSize, op.readFn)
+}
+
+func (op *valOp) readDone(raw []byte, err error) {
+	m := op.m
+	ct, t, e := op.recycle()
+	// abortTx sets phase to done, so late replies become no-ops.
+	if !m.alive || (ct != nil && (ct.phase != phaseValidate || ct.recovering)) || (ct == nil && t.roFailed) {
+		return
+	}
+	m.validated(ct, t, err == nil && validHeaderWord(regionmem.ReadHeader(raw, 0), e.version))
+}
+
+// validated acts on one object's verdict.
+func (m *Machine) validated(ct *coordTx, t *Tx, ok bool) {
+	switch {
+	case ct == nil:
+		t.roValidated(ok)
+	case !ok:
+		m.abortTx(ct, ErrConflict)
+	default:
+		m.validationDone(ct)
+	}
+}
+
+// validationDone counts one successful validation completion (an object, or
+// a primary's RPC) and moves on to COMMIT-BACKUP after the last.
+func (m *Machine) validationDone(ct *coordTx) {
+	ct.lastProgress = m.c.Eng.Now()
+	ct.valOutstanding--
+	if ct.valOutstanding == 0 {
+		ct.phase = phaseCommitBackup
+		m.commitBackups(ct)
+	}
+}
+
+// valRead is one read-set entry — its address and position in the table —
+// tagged with its primary (-1 = unknown).
+type valRead struct {
+	addr proto.Addr
+	pm   int
+	i    int32
 }
 
 // validationSet returns the read-but-not-written objects sorted by primary
 // then address: each run of equal pm is that primary's share of the
 // validation, and the whole walk is deterministic.
 func (t *Tx) validationSet() []valRead {
-	vs := make([]valRead, 0, len(t.reads))
-	for addr, r := range t.reads {
-		if _, written := t.writes[addr]; !written {
-			vs = append(vs, valRead{pm: t.m.primaryOf(addr.Region), r: r})
+	vs := make([]valRead, 0, t.nReads)
+	for i := range t.set {
+		if e := &t.set[i]; e.read && !e.written {
+			vs = append(vs, valRead{addr: e.addr, pm: t.m.primaryOf(e.addr.Region), i: int32(i)})
 		}
 	}
 	slices.SortFunc(vs, func(a, b valRead) int {
 		if a.pm != b.pm {
 			return a.pm - b.pm
 		}
-		return addrCmp(a.r.addr, b.r.addr)
+		return addrCmp(a.addr, b.addr)
 	})
 	return vs
 }
@@ -707,19 +777,15 @@ func (m *Machine) validationOps(pm, n int) int {
 	return n
 }
 
-func validateReqFor(entries []valRead) *proto.ValidateReq {
+func (t *Tx) validateReqFor(entries []valRead) *proto.ValidateReq {
 	req := &proto.ValidateReq{
 		Addrs:    make([]proto.Addr, len(entries)),
 		Versions: make([]uint64, len(entries)),
 	}
-	for i, e := range entries {
-		req.Addrs[i], req.Versions[i] = e.r.addr, e.r.version
+	for i, v := range entries {
+		req.Addrs[i], req.Versions[i] = t.set[v.i].addr, t.set[v.i].version
 	}
 	return req
-}
-
-func validHeader(mem []byte, r *readEntry) bool {
-	return validHeaderWord(regionmem.ReadHeader(mem, int(r.addr.Off)), r.version)
 }
 
 func validHeaderWord(word, version uint64) bool {
@@ -736,12 +802,7 @@ func (m *Machine) onValidateReply(reply *proto.ValidateReply) {
 		m.abortTx(ct, ErrConflict)
 		return
 	}
-	ct.lastProgress = m.c.Eng.Now()
-	ct.valOutstanding--
-	if ct.valOutstanding == 0 {
-		ct.phase = phaseCommitBackup
-		m.commitBackups(ct)
-	}
+	m.validationDone(ct)
 }
 
 // commitBackups writes COMMIT-BACKUP records to every backup's
@@ -876,7 +937,7 @@ func (m *Machine) reportCommitted(ct *coordTx) {
 // RPC, like the read-write path (§4 step 2).
 func (t *Tx) validateReadOnly(cb func(error)) {
 	m := t.m
-	if m.c.Opts.SkipReadValidation || len(t.reads) == 0 {
+	if m.c.Opts.SkipReadValidation || t.nReads == 0 {
 		m.c.Eng.After(m.c.Opts.CPULocal, func() {
 			if m.alive {
 				m.fencedReport(func() {
@@ -889,73 +950,61 @@ func (t *Tx) validateReadOnly(cb func(error)) {
 		return
 	}
 	vs := t.validationSet()
-	outstanding := 0
+	t.roCb = cb
 	for i, j := 0, 0; i < len(vs); i = j {
 		j = primaryRun(vs, i)
-		outstanding += m.validationOps(vs[i].pm, j-i)
-	}
-	failed := false
-	finish := func(ok bool) {
-		if failed {
-			return
-		}
-		if !ok {
-			failed = true
-			m.Aborted++
-			m.c.Counters.Inc("tx_aborted", 1)
-			cb(ErrConflict)
-			return
-		}
-		outstanding--
-		if outstanding == 0 {
-			// Read-only commits serialize at their last read; the report is
-			// lease-fenced like the read-write path, so a coordinator that
-			// validated against replicas the configuration has moved past
-			// cannot vouch for a stale snapshot.
-			m.fencedReport(func() {
-				m.Committed++
-				m.c.Counters.Inc("tx_committed", 1)
-				cb(nil)
-			})
-		}
+		t.roOutstanding += m.validationOps(vs[i].pm, j-i)
 	}
 	for i, j := 0, 0; i < len(vs); i = j {
 		j = primaryRun(vs, i)
 		pm, entries := vs[i].pm, vs[i:j]
 		switch {
 		case pm == m.ID:
-			for _, e := range entries {
-				r := e.r
-				m.OnThread(t.thread, m.c.Opts.CPULocal, func() {
-					rep := m.replicas[r.addr.Region]
-					finish(rep != nil && validHeader(rep.mem, r))
-				})
-			}
 		case pm == -1 || !m.isMember(pm):
-			m.OnThread(t.thread, m.c.Opts.CPULocal, func() { finish(false) })
+			m.OnThread(t.thread, m.c.Opts.CPULocal, func() { t.roValidated(false) })
+			continue
 		case len(entries) > m.c.Opts.ValidateRPCThreshold:
 			// One RPC validates the whole per-primary read set.
-			req := validateReqFor(entries)
+			req := t.validateReqFor(entries)
 			id := m.nextRPC
 			m.nextRPC++
 			m.rpcWaiters[id] = func(resp interface{}) {
-				finish(resp.(*proto.ValidateReply).OK)
+				t.roValidated(resp.(*proto.ValidateReply).OK)
 			}
 			// Doorbell: a read-only commit waits on nothing else.
 			m.sendFromThreadDoorbell(t.thread, pm, &rpcEnvelope{ID: id, From: m.ID, Body: req, Ctx: t.ctx})
-		default:
-			for _, e := range entries {
-				r := e.r
-				m.OnThread(t.thread, m.c.Opts.CPUVerb, func() {
-					m.nic.Read(fabric.MachineID(pm), nvram.RegionID(r.addr.Region), int(r.addr.Off),
-						regionmem.HeaderSize, func(raw []byte, err error) {
-							if !m.alive || failed {
-								return
-							}
-							finish(err == nil && validHeaderWord(regionmem.ReadHeader(raw, 0), r.version))
-						})
-				})
-			}
+			continue
 		}
+		for _, e := range entries {
+			m.validateObject(nil, t, pm, e.i)
+		}
+	}
+}
+
+// roValidated acts on one validation completion of a read-only commit: the
+// first failure reports the conflict, the last success the commit.
+func (t *Tx) roValidated(ok bool) {
+	m := t.m
+	if t.roFailed {
+		return
+	}
+	if !ok {
+		t.roFailed = true
+		m.Aborted++
+		m.c.Counters.Inc("tx_aborted", 1)
+		t.roCb(ErrConflict)
+		return
+	}
+	t.roOutstanding--
+	if t.roOutstanding == 0 {
+		// Read-only commits serialize at their last read; the report is
+		// lease-fenced like the read-write path, so a coordinator that
+		// validated against replicas the configuration has moved past
+		// cannot vouch for a stale snapshot.
+		m.fencedReport(func() {
+			m.Committed++
+			m.c.Counters.Inc("tx_committed", 1)
+			t.roCb(nil)
+		})
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"farm/internal/fabric"
 	"farm/internal/nvram"
 	"farm/internal/proto"
@@ -62,11 +60,7 @@ func (c *Cluster) Join() *Machine {
 // writer toward peer (idempotent; used when machines appear dynamically).
 func (m *Machine) ensureLogPair(peer int) {
 	if m.logR[peer] == nil {
-		mem, err := m.store.Allocate(nvram.RegionID(logRegionID(peer)), m.c.Opts.LogCapacity)
-		if err != nil {
-			panic(fmt.Sprintf("core: log ring for peer %d: %v", peer, err))
-		}
-		m.logR[peer] = newLogReader(m, peer, ring.NewReader(mem))
+		m.addLogRing(peer)
 	}
 	if m.logW[peer] == nil {
 		m.logW[peer] = ring.NewWriter(m.nic, fabric.MachineID(peer),

@@ -122,7 +122,12 @@ func (d *truncDomain) setLow(low uint64) {
 
 // logReader wraps the receiver side of one peer's transaction log.
 type logReader struct {
-	src           int
+	src int
+	// rd parses the ring. It is nil until the first write lands in the
+	// ring (onRemoteWrite): until then the ring is empty, and neither it
+	// nor its bytes (nvram's AllocateOnUse) exist. Most of a large
+	// cluster's machines² rings stay that way, because a machine only ever
+	// receives records from coordinators it shares a region with.
 	rd            *ring.Reader
 	pollScheduled bool
 	// pollFn is the reader's single pre-bound poll callback (see
@@ -133,6 +138,15 @@ type logReader struct {
 	frames map[mtl][]uint64
 	// reported is the consumed-bytes watermark last pushed to the sender.
 	reported uint64
+}
+
+// addLogRing declares the receive ring for src's records — empty, its
+// bytes not made yet — and installs its logReader.
+func (m *Machine) addLogRing(src int) {
+	if err := m.store.AllocateOnUse(nvram.RegionID(logRegionID(src)), m.c.Opts.LogCapacity); err != nil {
+		panic(fmt.Sprintf("core: log ring for peer %d: %v", src, err))
+	}
+	m.logR[src] = newLogReader(m, src, nil)
 }
 
 // newLogReader builds the reader for one peer's log ring with its poll
@@ -255,12 +269,14 @@ type Machine struct {
 
 	// taskFree recycles msgTask carriers (deferred receive dispatches and
 	// outbound enqueues) so the per-message paths allocate nothing in
-	// steady state; pollFree, readFree and recFree do the same for log-poll
-	// batches, object reads (read.go) and commit-record writes (commit.go).
+	// steady state; pollFree, readFree, recFree and valFree do the same for
+	// log-poll batches, object reads (read.go), commit-record writes and
+	// per-object validations (commit.go).
 	taskFree []*msgTask
 	pollFree []*pollTask
 	readFree []*readOp
 	recFree  []*recWrite
+	valFree  []*valOp
 
 	// Stats.
 	Committed, Aborted uint64
@@ -427,24 +443,11 @@ func (c *Cluster) newMachine(id int) *Machine {
 // initLogs allocates the receive rings for every peer and the write halves
 // toward every peer.
 func (m *Machine) initLogs() {
+	// The self log is one of them: coordinators co-located with a
+	// primary/backup write locally (§4 "local memory accesses rather than
+	// RDMA").
 	for _, peer := range m.c.Machines {
-		if peer.ID == m.ID {
-			continue
-		}
-		mem, err := m.store.Allocate(nvram.RegionID(logRegionID(peer.ID)), m.c.Opts.LogCapacity)
-		if err != nil {
-			panic(err)
-		}
-		m.logR[peer.ID] = newLogReader(m, peer.ID, ring.NewReader(mem))
-	}
-	// Self log: coordinators co-located with a primary/backup write
-	// locally (§4 "local memory accesses rather than RDMA").
-	mem, err := m.store.Allocate(nvram.RegionID(logRegionID(m.ID)), m.c.Opts.LogCapacity)
-	if err != nil {
-		panic(err)
-	}
-	m.logR[m.ID] = newLogReader(m, m.ID, ring.NewReader(mem))
-	for _, peer := range m.c.Machines {
+		m.addLogRing(peer.ID)
 		m.logW[peer.ID] = ring.NewWriter(m.nic, fabric.MachineID(peer.ID), nvram.RegionID(logRegionID(m.ID)), m.c.Opts.LogCapacity)
 	}
 }
@@ -614,7 +617,14 @@ func (m *Machine) onRemoteWrite(region nvram.RegionID, _, _ int) {
 	}
 	sender := int(r &^ 0x80000000)
 	lr := m.logR[sender]
-	if lr == nil || lr.pollScheduled {
+	if lr == nil {
+		return
+	}
+	if lr.rd == nil {
+		// The ring's first frame: this write made its bytes.
+		lr.rd = ring.NewReader(m.store.Region(region))
+	}
+	if lr.pollScheduled {
 		return
 	}
 	lr.pollScheduled = true
@@ -659,6 +669,9 @@ func (m *Machine) decodeFrames(lr *logReader) (*pollTask, sim.Time) {
 	}
 	pt.lr = lr
 	var cost sim.Time
+	if lr.rd == nil {
+		return pt, 0 // nothing was ever written to this ring
+	}
 	for _, f := range lr.rd.Poll() {
 		rec := new(proto.Record)
 		if proto.DecodeRecord(f.Payload, rec) != nil {

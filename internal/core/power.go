@@ -115,6 +115,9 @@ func (c *Cluster) reestablishRings() {
 		}
 		for _, src := range intKeys(m.logR) {
 			lr := m.logR[src]
+			if lr.rd == nil {
+				continue
+			}
 			for _, f := range lr.rd.Pending() {
 				rec := new(proto.Record)
 				if proto.DecodeRecord(f.Payload, rec) != nil {
@@ -129,12 +132,13 @@ func (c *Cluster) reestablishRings() {
 		if !m.alive {
 			continue
 		}
-		for src := range m.logR {
-			mem := m.store.Region(toNVRAM(logRegionID(src)))
-			for i := range mem {
-				mem[i] = 0
+		for src, lr := range m.logR {
+			if lr.rd != nil {
+				// A ring nothing was ever written to is fresh already.
+				mem := m.store.Region(toNVRAM(logRegionID(src)))
+				clear(mem)
+				m.logR[src] = newLogReader(m, src, ring.NewReader(mem))
 			}
-			m.logR[src] = newLogReader(m, src, ring.NewReader(mem))
 			sender := c.Machines[src]
 			// Close the replaced writer so any retransmissions it still has
 			// scheduled die with it instead of landing in the fresh ring.

@@ -24,15 +24,15 @@ type readOp struct {
 	thread int
 	addr   proto.Addr
 	size   int
-	cb     func(data []byte, err error)
+	h      ReadHandler
 
 	// tx is set for Tx.Read: a fresh read joins tx's read set and the
 	// caller gets a copy. nil (LockFreeRead, external clients) hands the
 	// fetched payload over as is.
 	tx *Tx
-	// own points at the transaction's buffered value for read-your-writes
-	// and repeated reads; it is read at delivery, not at issue.
-	own  *[]byte
+	// own is the table entry serving a read-your-writes or repeated read
+	// (-1 for a fresh read); its bytes are read at delivery, not at issue.
+	own  int
 	rctx trace.Ctx
 
 	lockRetries, mapRetries int
@@ -43,7 +43,7 @@ type readOp struct {
 	readDoneFn                                               func([]byte, error)
 }
 
-func (m *Machine) getReadOp(thread int, addr proto.Addr, size int, cb func([]byte, error)) *readOp {
+func (m *Machine) getReadOp(thread int, addr proto.Addr, size int, h ReadHandler) *readOp {
 	var op *readOp
 	if k := len(m.readFree); k > 0 {
 		op = m.readFree[k-1]
@@ -58,14 +58,14 @@ func (m *Machine) getReadOp(thread int, addr proto.Addr, size int, cb func([]byt
 		op.lockRetryFn = op.retryLocked
 		op.readDoneFn = op.handle
 	}
-	op.thread, op.addr, op.size, op.cb = thread, addr, size, cb
+	op.thread, op.addr, op.size, op.h, op.own = thread, addr, size, h, -1
 	return op
 }
 
 // recycle clears the op and returns it to the pool; callers copy out what
 // they still need first.
 func (op *readOp) recycle() {
-	op.tx, op.own, op.cb, op.rep = nil, nil, nil, nil
+	op.tx, op.h, op.rep = nil, nil, nil
 	op.rctx = trace.Ctx{}
 	op.lockRetries, op.mapRetries = 0, 0
 	op.m.readFree = append(op.m.readFree, op)
@@ -73,9 +73,14 @@ func (op *readOp) recycle() {
 
 // LockFreeRead performs FaRM's optimized single-object read-only
 // transaction (§3): one RDMA read, no commit phase. It retries while the
-// object is write-locked.
+// object is write-locked. data belongs to the callback.
 func (m *Machine) LockFreeRead(thread int, addr proto.Addr, size int, cb func(data []byte, err error)) {
-	m.getReadOp(thread, addr, size, cb).start()
+	m.getReadOp(thread, addr, size, ReadFunc(cb)).start()
+}
+
+// LockFreeReadTo is LockFreeRead delivering to a ReadHandler.
+func (m *Machine) LockFreeReadTo(thread int, addr proto.Addr, size int, h ReadHandler) {
+	m.getReadOp(thread, addr, size, h).start()
 }
 
 // start resolves the primary and schedules the read; every retry re-enters
@@ -143,16 +148,27 @@ func (op *readOp) retryLocked() {
 	op.start()
 }
 
-// readLocal serves the read from this machine's own primary replica.
+// readLocal serves the read from this machine's own primary replica: the
+// payload is copied once, from region memory into the bytes the read set
+// (or, outside a transaction, the caller) keeps.
 func (op *readOp) readLocal() {
 	rep, off := op.rep, int(op.addr.Off)
 	if off+regionmem.HeaderSize+op.size > len(rep.mem) {
 		op.deliver(0, nil, fabric.ErrBadAddress)
 		return
 	}
-	raw := make([]byte, regionmem.HeaderSize+op.size)
-	copy(raw, rep.mem[off:])
-	op.handle(raw, nil)
+	word := regionmem.ReadHeader(rep.mem, off)
+	if op.retryIfLocked(word) {
+		return
+	}
+	var data []byte
+	if op.tx != nil {
+		data = op.tx.carve(op.size)
+	} else {
+		data = make([]byte, op.size)
+	}
+	copy(data, rep.mem[off+regionmem.HeaderSize:])
+	op.deliver(word, data, nil)
 }
 
 func (op *readOp) issue() {
@@ -160,11 +176,10 @@ func (op *readOp) issue() {
 		regionmem.HeaderSize+op.size, op.readDoneFn)
 }
 
-// handle inspects the fetched header+payload, which this read owns: the
-// fabric (or readLocal) made raw for it and keeps no reference.
+// handle inspects the header+payload of a remote read, which this read
+// owns: the fabric made raw for it and keeps no reference.
 func (op *readOp) handle(raw []byte, err error) {
-	m := op.m
-	if !m.alive {
+	if !op.m.alive {
 		return
 	}
 	if err != nil {
@@ -172,40 +187,51 @@ func (op *readOp) handle(raw []byte, err error) {
 		return
 	}
 	word := regionmem.ReadHeader(raw, 0)
-	if regionmem.Locked(word) {
-		if op.lockRetries >= maxReadRetries {
-			op.deliver(0, nil, ErrReadLocked)
-			return
-		}
-		m.c.Eng.After(2*sim.Microsecond, op.lockRetryFn)
-		return
+	if !op.retryIfLocked(word) {
+		op.deliver(word, raw[regionmem.HeaderSize:], nil)
 	}
-	op.deliver(word, raw[regionmem.HeaderSize:], nil)
 }
 
-// deliver finishes a fetched read.
+// retryIfLocked reports whether the header word shows a write lock, having
+// scheduled the retry (or given up) if so.
+func (op *readOp) retryIfLocked(word uint64) bool {
+	if !regionmem.Locked(word) {
+		return false
+	}
+	if op.lockRetries >= maxReadRetries {
+		op.deliver(0, nil, ErrReadLocked)
+	} else {
+		op.m.c.Eng.After(2*sim.Microsecond, op.lockRetryFn)
+	}
+	return true
+}
+
+// deliver finishes a fetched read. Inside a transaction data becomes the
+// read set's private copy and the caller gets its own.
 func (op *readOp) deliver(word uint64, data []byte, err error) {
-	m, t, addr, size, rctx, cb := op.m, op.tx, op.addr, op.size, op.rctx, op.cb
+	m, t, addr, rctx, h := op.m, op.tx, op.addr, op.rctx, op.h
 	op.recycle()
 	if rctx.Valid() {
 		m.trb.End(rctx, m.c.Eng.Now(), 0)
 	}
 	if err != nil {
-		cb(nil, err)
+		h.ReadDone(nil, err)
 		return
 	}
-	if t == nil {
-		cb(data, nil)
-		return
+	if t != nil {
+		t.noteRead(addr, regionmem.Version(word), data)
+		data = t.copyOut(data)
 	}
-	t.reads[addr] = &readEntry{addr: addr, version: regionmem.Version(word), size: size, data: data}
-	t.histRead(addr, regionmem.Version(word))
-	cb(append([]byte(nil), data...), nil)
+	h.ReadDone(data, nil)
 }
 
 // deliverOwn finishes a read served from the transaction's own buffers.
 func (op *readOp) deliverOwn() {
-	own, cb := op.own, op.cb
+	t, e, h := op.tx, &op.tx.set[op.own], op.h
 	op.recycle()
-	cb(append([]byte(nil), *own...), nil)
+	src := e.data
+	if e.written {
+		src = e.value
+	}
+	h.ReadDone(t.copyOut(src), nil)
 }

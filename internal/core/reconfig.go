@@ -483,8 +483,12 @@ func (m *Machine) coordTxRecovering(ct *coordTx) bool {
 			return true
 		}
 	}
-	for addr := range ct.tx.reads {
-		rm := m.mappings[addr.Region]
+	for i := range ct.tx.set {
+		e := &ct.tx.set[i]
+		if !e.read {
+			continue
+		}
+		rm := m.mappings[e.addr.Region]
 		if rm == nil || rm.LastPrimaryChange >= m.config.ID {
 			return true
 		}

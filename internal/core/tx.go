@@ -21,21 +21,29 @@ type mtl struct {
 
 func mtlOf(id proto.TxID) mtl { return mtl{m: id.Machine, t: id.Thread, local: id.Local} }
 
-// readEntry records one object read during execution.
-type readEntry struct {
-	addr    proto.Addr
+// txEntry is one object a transaction has touched: a row of its read/write
+// table. An object is in the read set once a fresh read of it was delivered
+// and in the write set once it was written, allocated or freed; it can be in
+// both.
+type txEntry struct {
+	addr proto.Addr
+	// version is what validation checks and LOCK locks at: the version the
+	// last fresh read observed, frozen by the first write (or the version
+	// the allocator reported for a fresh slot).
 	version uint64
-	size    int
-	data    []byte
-}
+	// data is the library's private copy of the payload a fresh read
+	// fetched. Repeated reads are served from it; it is never handed out.
+	data []byte
+	// value is the buffered write. It flows by reference into the commit
+	// records' ObjectWrite.Value and is copied once, into the ring frame.
+	value []byte
+	// wnext chains the written entries in the order they were first
+	// written, which is the order of the commit records' write lists.
+	wnext int32
 
-// writeEntry is a buffered write.
-type writeEntry struct {
-	addr      proto.Addr
-	version   uint64 // version observed at read/alloc time (lock target)
-	value     []byte
-	allocated bool // allocation bit after commit (false for frees)
-	isAlloc   bool // freshly allocated slot: released back on abort
+	read, written bool
+	allocated     bool // allocation bit after commit (false for frees)
+	isAlloc       bool // freshly allocated slot: released back on abort
 }
 
 // Tx is a FaRM transaction. The thread that begins a transaction is its
@@ -46,12 +54,31 @@ type Tx struct {
 	m      *Machine
 	thread int
 
-	reads  map[proto.Addr]*readEntry
-	writes map[proto.Addr]*writeEntry
-	order  []proto.Addr // write order, for deterministic record layout
+	// set is the read/write table in insertion order. It starts on inline,
+	// so Begin allocates the Tx and nothing else and a transaction touching
+	// a few objects never allocates a table. Entries move when set grows:
+	// hold indexes, not pointers, across anything that can insert.
+	set    []txEntry
+	inline [4]txEntry
+	// index finds an entry by address once set is too long to scan: open
+	// addressing over positions+1 (0 = empty), at most half full.
+	index           []int32
+	nReads, nWrites int
+	firstW, lastW   int32 // ends of the wnext chain (-1 = empty)
+
+	// slab is the unused tail of the transaction's newest byte chunk and
+	// chunk that chunk's size (see carve).
+	slab  []byte
+	chunk int
 
 	started  sim.Time
 	finished bool
+
+	// Read-only commit (validateReadOnly): the report callback, header
+	// checks still due, and whether one already failed.
+	roCb          func(error)
+	roOutstanding int
+	roFailed      bool
 
 	// ctx is the root trace span of a sampled transaction (zero when this
 	// transaction is untraced); reads and commit phases hang off it.
@@ -69,10 +96,11 @@ func (m *Machine) Begin(thread int) *Tx {
 	t := &Tx{
 		m:       m,
 		thread:  thread % m.c.Opts.Threads,
-		reads:   make(map[proto.Addr]*readEntry),
-		writes:  make(map[proto.Addr]*writeEntry),
+		firstW:  -1,
+		lastW:   -1,
 		started: m.c.Eng.Now(),
 	}
+	t.set = t.inline[:0]
 	if m.trb != nil && m.trb.SampleTx() {
 		t.ctx = m.trb.Begin("tx", "tx", t.started, 0, 0, int64(t.thread))
 	}
@@ -80,6 +108,141 @@ func (m *Machine) Begin(thread int) *Tx {
 		t.hrec = m.c.Hist.Open(m.ID, t.thread, t.started)
 	}
 	return t
+}
+
+// scanMax is the longest table find scans instead of indexing.
+const scanMax = 8
+
+func addrHash(a proto.Addr) uint32 {
+	return uint32((uint64(a.Region)<<32 | uint64(a.Off)) * 0x9E3779B97F4A7C15 >> 32)
+}
+
+// find returns addr's position in the table, or -1.
+func (t *Tx) find(addr proto.Addr) int {
+	if t.index == nil {
+		for i := range t.set {
+			if t.set[i].addr == addr {
+				return i
+			}
+		}
+		return -1
+	}
+	mask := uint32(len(t.index) - 1)
+	for h := addrHash(addr) & mask; ; h = (h + 1) & mask {
+		k := t.index[h]
+		if k == 0 {
+			return -1
+		}
+		if t.set[k-1].addr == addr {
+			return int(k - 1)
+		}
+	}
+}
+
+// entry returns addr's position in the table, appending a blank entry if it
+// has none.
+func (t *Tx) entry(addr proto.Addr) int {
+	i := t.find(addr)
+	if i >= 0 {
+		return i
+	}
+	i = len(t.set)
+	t.set = append(t.set, txEntry{addr: addr, wnext: -1})
+	switch {
+	case i < scanMax:
+	case 2*len(t.set) > len(t.index):
+		// First index, or half full: quadruple and re-insert everything.
+		t.index = make([]int32, max(4*scanMax, 4*len(t.index)))
+		for j := range t.set {
+			t.indexPut(j)
+		}
+	default:
+		t.indexPut(i)
+	}
+	return i
+}
+
+func (t *Tx) indexPut(i int) {
+	mask := uint32(len(t.index) - 1)
+	h := addrHash(t.set[i].addr) & mask
+	for t.index[h] != 0 {
+		h = (h + 1) & mask
+	}
+	t.index[h] = int32(i + 1)
+}
+
+// maxChunk bounds a slab chunk; requests of half of it or more get an
+// allocation of their own.
+const maxChunk = 4096
+
+// carve returns n zeroed bytes owned by this transaction, capacity-capped so
+// that appending to them cannot reach a neighbour. The payload bytes a
+// transaction keeps or hands out (private read copies, the copies callbacks
+// receive, buffered write values) are carved from a few GC-owned chunks
+// instead of allocated one by one: the first chunk is four times the first
+// request, each later one twice the last, up to maxChunk. A chunk belongs to
+// one transaction, is never reused, and dies with the last slice into it.
+func (t *Tx) carve(n int) []byte {
+	if n > len(t.slab) {
+		if n >= maxChunk/2 {
+			return make([]byte, n)
+		}
+		t.chunk = min(max(4*n, 2*t.chunk), maxChunk)
+		t.slab = make([]byte, t.chunk)
+	}
+	b := t.slab[:n:n]
+	t.slab = t.slab[n:]
+	return b
+}
+
+// copyOut returns a copy of src the caller may keep and mutate.
+func (t *Tx) copyOut(src []byte) []byte {
+	b := t.carve(len(src))
+	copy(b, src)
+	return b
+}
+
+// noteRead enters a delivered fresh read into the read set. data becomes
+// the entry's private copy.
+func (t *Tx) noteRead(addr proto.Addr, version uint64, data []byte) {
+	i := t.entry(addr) // may move set: index it afterwards
+	e := &t.set[i]
+	if !e.read {
+		e.read = true
+		t.nReads++
+	}
+	if !e.written {
+		e.version = version
+	}
+	e.data = data
+	t.histRead(addr, version)
+}
+
+// writeEntry returns entry i after making it part of the write set, at the
+// end of the write order, if it is not yet.
+func (t *Tx) writeEntry(i int) *txEntry {
+	e := &t.set[i]
+	if !e.written {
+		e.written = true
+		t.nWrites++
+		if t.lastW < 0 {
+			t.firstW = int32(i)
+		} else {
+			t.set[t.lastW].wnext = int32(i)
+		}
+		t.lastW = int32(i)
+	}
+	return e
+}
+
+// setValue stores a copy of value as e's buffered write, in place when the
+// bytes e already has are enough.
+func (t *Tx) setValue(e *txEntry, value []byte) {
+	if cap(e.value) < len(value) {
+		e.value = t.carve(len(value))
+	}
+	e.value = e.value[:len(value)]
+	copy(e.value, value)
 }
 
 // histRead records a fresh object read with the version it observed.
@@ -145,20 +308,34 @@ func mappingBackoff(retry int) sim.Time {
 	return d
 }
 
+// ReadHandler receives the outcome of an object read. A reader that makes
+// several dependent reads (a hash chain, a tree descent) implements it on
+// its per-call state, so a hop costs no closure; a plain callback is a
+// ReadFunc.
+type ReadHandler interface {
+	ReadDone(data []byte, err error)
+}
+
+// ReadFunc adapts a callback to ReadHandler.
+type ReadFunc func(data []byte, err error)
+
+func (f ReadFunc) ReadDone(data []byte, err error) { f(data, err) }
+
 // Read reads size payload bytes of the object at addr. Individual reads
 // are atomic and see only committed data (§3); consistency across objects
-// is enforced at commit time by validation.
+// is enforced at commit time by validation. data belongs to the callback:
+// it may change it and keep it, and the transaction never touches it again.
 func (t *Tx) Read(addr proto.Addr, size int, cb func(data []byte, err error)) {
-	op := t.m.getReadOp(t.thread, addr, size, cb)
+	t.ReadTo(addr, size, ReadFunc(cb))
+}
+
+// ReadTo is Read delivering to a ReadHandler.
+func (t *Tx) ReadTo(addr proto.Addr, size int, h ReadHandler) {
+	op := t.m.getReadOp(t.thread, addr, size, h)
 	op.tx = t
 	// Read-your-writes, then repeated reads return the same data (§3):
 	// both are served from the transaction's own buffers on its thread.
-	if w, ok := t.writes[addr]; ok {
-		op.own = &w.value
-	} else if r, ok := t.reads[addr]; ok {
-		op.own = &r.data
-	}
-	if op.own != nil {
+	if op.own = t.find(addr); op.own >= 0 {
 		t.m.OnThread(t.thread, t.m.c.Opts.CPULocal, op.ownFn)
 		return
 	}
@@ -173,23 +350,17 @@ func (t *Tx) Read(addr proto.Addr, size int, cb func(data []byte, err error)) {
 // version to lock at — FaRM applications read objects before updating
 // them.
 func (t *Tx) Write(addr proto.Addr, value []byte) {
-	if w, ok := t.writes[addr]; ok {
-		w.value = append(w.value[:0], value...)
-		t.histWrite(addr, w.version, value, w.isAlloc, !w.allocated)
-		return
-	}
-	r, ok := t.reads[addr]
-	if !ok {
+	i := t.find(addr)
+	if i < 0 {
 		panic("farm: Write of object not read or allocated in this transaction")
 	}
-	t.writes[addr] = &writeEntry{
-		addr:      addr,
-		version:   r.version,
-		value:     append([]byte(nil), value...),
-		allocated: true,
+	e := &t.set[i]
+	if !e.written {
+		e.allocated = true // a read object's first write
 	}
-	t.order = append(t.order, addr)
-	t.histWrite(addr, r.version, value, false, false)
+	t.writeEntry(i)
+	t.setValue(e, value)
+	t.histWrite(addr, e.version, value, e.isAlloc, !e.allocated)
 }
 
 // Alloc allocates a new object of the given payload size and buffers its
@@ -217,14 +388,9 @@ func (t *Tx) tryAlloc(regions []uint32, i, size int, value []byte, cb func(proto
 			return
 		}
 		addr := proto.Addr{Region: region, Off: off}
-		t.writes[addr] = &writeEntry{
-			addr:      addr,
-			version:   version,
-			value:     append([]byte(nil), value...),
-			allocated: true,
-			isAlloc:   true,
-		}
-		t.order = append(t.order, addr)
+		e := t.writeEntry(t.entry(addr))
+		e.version, e.allocated, e.isAlloc = version, true, true
+		t.setValue(e, value)
 		t.histWrite(addr, version, value, true, false)
 		cb(addr, nil)
 	})
@@ -235,23 +401,18 @@ func (t *Tx) tryAlloc(regions []uint32, i, size int, value []byte, cb func(proto
 // commit like any write (§5.5); the slot returns to the primary's free
 // list when the commit is applied.
 func (t *Tx) Free(addr proto.Addr) {
-	r, ok := t.reads[addr]
-	if !ok {
+	i := t.find(addr)
+	if i < 0 || !t.set[i].read {
 		panic("farm: Free of object not read in this transaction")
 	}
-	t.writes[addr] = &writeEntry{
-		addr:      addr,
-		version:   r.version,
-		value:     make([]byte, len(r.data)),
-		allocated: false,
-	}
-	t.order = append(t.order, addr)
-	t.histWrite(addr, r.version, t.writes[addr].value, false, true)
+	e := t.writeEntry(i)
+	e.value, e.allocated = t.carve(len(e.data)), false
+	t.histWrite(addr, e.version, e.value, false, true)
 }
 
 // ReadSetSize and WriteSetSize expose execution-phase footprints.
-func (t *Tx) ReadSetSize() int  { return len(t.reads) }
-func (t *Tx) WriteSetSize() int { return len(t.writes) }
+func (t *Tx) ReadSetSize() int  { return t.nReads }
+func (t *Tx) WriteSetSize() int { return t.nWrites }
 
 // Thread returns the coordinator thread index running this transaction.
 func (t *Tx) Thread() int { return t.thread }
@@ -274,12 +435,12 @@ func (t *Tx) Abort() {
 	t.m.c.Counters.Inc("tx_user_abort", 1)
 }
 
-// abortLocal cleans up execute-phase side effects (allocated slots) for a
+// releaseAllocs cleans up execute-phase side effects (allocated slots) for a
 // transaction abandoned before or during commit.
 func (t *Tx) releaseAllocs() {
-	for _, w := range t.writes {
-		if w.isAlloc {
-			t.m.releaseSlot(w.addr)
+	for i := t.firstW; i >= 0; i = t.set[i].wnext {
+		if e := &t.set[i]; e.isAlloc {
+			t.m.releaseSlot(e.addr)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -431,5 +432,96 @@ func TestPlacementRespectsCapacity(t *testing.T) {
 	// The next allocation must fail cleanly.
 	if _, err := c.CreateRegions(0, 1, 0); err == nil {
 		t.Fatal("allocation beyond cluster capacity succeeded")
+	}
+}
+
+// TestLogRingsMaterialiseOnFirstUse: every machine declares a receive ring
+// per peer, but a ring's bytes and reader exist only once a record was
+// written to it — after a transaction, at its participants and nowhere
+// else — and an untouched ring drains as the empty ring it is.
+func TestLogRingsMaterialiseOnFirstUse(t *testing.T) {
+	c, region := testCluster(t, Options{NumMachines: 12})
+	made := func() (rings, bytes int) {
+		for _, m := range c.Machines {
+			if len(m.logR) != len(c.Machines) {
+				t.Fatalf("machine %d declares %d rings, want one per machine", m.ID, len(m.logR))
+			}
+			for src, lr := range m.logR {
+				if lr.rd != nil {
+					rings++
+					bytes += len(m.store.Region(toNVRAM(logRegionID(src))))
+				}
+			}
+		}
+		return
+	}
+	if rings, _ := made(); rings != 0 {
+		t.Fatalf("%d rings materialised before any record was written", rings)
+	}
+	coord := c.Machine(5)
+	addr := writeObjectIn(t, c, coord, region, []byte("first record"))
+	c.RunFor(sim.Millisecond)
+	rings, bytes := made()
+	if want := c.Opts.Replication; rings != want || bytes != want*c.Opts.LogCapacity {
+		t.Fatalf("%d rings (%d bytes) materialised by one transaction, want its %d participants'", rings, bytes, want)
+	}
+	for _, r := range c.Machine(0).mappings[region].Replicas {
+		if c.Machine(int(r)).logR[coord.ID].rd == nil {
+			t.Fatalf("participant %d has no ring from the coordinator", r)
+		}
+	}
+	// Recovery drains all 12 rings of every survivor, materialised or not.
+	victim := int(c.Machine(0).mappings[region].Replicas[1])
+	c.Kill(victim)
+	c.RunFor(200 * sim.Millisecond)
+	if got := readObject(t, c, c.Machine((victim+1)%12), addr, 12); string(got) != "first record" {
+		t.Fatalf("read %q after the failover", got)
+	}
+	if rings, _ := made(); rings > 3*c.Opts.Replication {
+		t.Fatalf("draining materialised rings: %d exist", rings)
+	}
+}
+
+// TestCommitFailuresAreCountedByCause: a commit refused for want of log
+// space is an abort the application sees, but not a conflict; it counts in
+// tx_no_log_space, not in tx_aborted.
+func TestCommitFailuresAreCountedByCause(t *testing.T) {
+	c, _ := testCluster(t, Options{LogCapacity: 1 << 10})
+	m := c.Machine(0)
+	addrs := make([]proto.Addr, 24)
+	for i := range addrs {
+		addrs[i] = writeObject(t, c, m, make([]byte, 64))
+	}
+	c.RunFor(sim.Millisecond)
+	before := c.Counters.Snapshot()
+	noSpace, other, done := 0, 0, 0
+	for _, addr := range addrs { // all at once: more reservations than 1 KB of log holds
+		tx := m.Begin(0)
+		tx.Read(addr, 64, func(d []byte, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx.Write(addr, d)
+			tx.Commit(func(err error) {
+				done++
+				switch {
+				case errors.Is(err, ErrNoSpace):
+					noSpace++
+				case err != nil:
+					other++
+				}
+			})
+		})
+	}
+	runUntil(t, c, sim.Second, func() bool { return done == len(addrs) })
+	diff := c.Counters.Diff(before)
+	if noSpace == 0 {
+		t.Fatal("no commit ran out of log space; the test needs a smaller log")
+	}
+	if got := diff["tx_no_log_space"]; got != uint64(noSpace) {
+		t.Fatalf("tx_no_log_space = %d, want the %d ErrNoSpace reports", got, noSpace)
+	}
+	if diff["tx_aborted"] != uint64(other) || diff["tx_unavailable"] != 0 {
+		t.Fatalf("tx_aborted = %d (want %d), tx_unavailable = %d", diff["tx_aborted"], other, diff["tx_unavailable"])
 	}
 }

@@ -1,0 +1,262 @@
+package kv
+
+import (
+	"bytes"
+	"hash/fnv"
+	"testing"
+
+	"farm/internal/core"
+	"farm/internal/proto"
+	"farm/internal/sim"
+)
+
+// localRig is a 9-machine cluster with a table whose buckets all live in one
+// region, and that region's primary: operations issued from it read locally,
+// so the counts below are the execute phase's own, with no fabric buffers.
+type localRig struct {
+	c    *core.Cluster
+	m    *core.Machine
+	t    *Table
+	keys [][]byte
+}
+
+func newLocalRig(tb testing.TB, keys int) *localRig {
+	tb.Helper()
+	c := core.New(core.Options{NumMachines: 9, Seed: 9})
+	regions, err := c.CreateRegions(0, 1, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m := c.Machine(c.Machine(0).PrimaryOf(regions[0]))
+	r := &localRig{c: c, m: m}
+	r.t = MustCreate(c, m, Config{Name: "local", Buckets: 4 * keys, Slots: 4, MaxKey: 8, MaxVal: 16, Regions: regions})
+	for i := 0; i < keys; i++ {
+		r.keys = append(r.keys, U64Key(uint64(i)))
+		tx := m.Begin(0)
+		r.t.Put(tx, r.keys[i], bytes.Repeat([]byte{byte(i)}, 16), func(err error) {
+			if err != nil {
+				tb.Fatal(err)
+			}
+		})
+		r.run(func() bool { return tx.WriteSetSize() == 1 })
+		r.commit(tb, tx)
+	}
+	return r
+}
+
+// run steps the simulation until pred holds.
+func (r *localRig) run(pred func() bool) {
+	for !pred() && r.c.Eng.Step() {
+	}
+}
+
+func (r *localRig) commit(tb testing.TB, tx *core.Tx) {
+	done := false
+	tx.Commit(func(err error) {
+		if err != nil {
+			tb.Fatalf("commit: %v", err)
+		}
+		done = true
+	})
+	r.run(func() bool { return done })
+}
+
+// getPutLoop drives, within one transaction, a Get of every key and
+// (optionally) a Put of what it returned. Its callbacks are made once, so
+// AllocsPerRun counts only what kv and core allocate.
+type getPutLoop struct {
+	r     *localRig
+	tx    *core.Tx
+	put   bool
+	i     int
+	onGet func([]byte, bool, error)
+	onPut func(error)
+}
+
+func newGetPutLoop(tb testing.TB, r *localRig) *getPutLoop {
+	l := &getPutLoop{r: r}
+	l.onGet = func(val []byte, ok bool, err error) {
+		if err != nil || !ok || len(val) != 16 || val[0] != byte(l.i) {
+			tb.Fatalf("get %d: %x %v %v", l.i, val, ok, err)
+		}
+		if l.put {
+			val[1]++
+			r.t.Put(l.tx, r.keys[l.i], val, l.onPut)
+			return
+		}
+		l.onPut(nil)
+	}
+	l.onPut = func(err error) {
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if l.i++; l.i < len(r.keys) {
+			r.t.Get(l.tx, r.keys[l.i], l.onGet)
+		}
+	}
+	return l
+}
+
+func (l *getPutLoop) run(tx *core.Tx, put bool) {
+	l.tx, l.put, l.i = tx, put, 0
+	l.r.t.Get(tx, l.r.keys[0], l.onGet)
+	l.r.run(func() bool { return l.i == len(l.r.keys) })
+}
+
+// TestGetPutAllocationBudget: a transactional Get that hits costs its
+// chainOp plus its share of the transaction's slab chunks and table (1.44
+// here; 5.38 before ISSUE 16: hop closure, bounce buffer, read-set entry,
+// caller's copy, value copy); a Put of the key just read costs its chainOp
+// plus its share of the slab for the re-read bucket and the buffered write
+// (1.06; 4.69 before).
+func TestGetPutAllocationBudget(t *testing.T) {
+	const keys = 16
+	r := newLocalRig(t, keys)
+	l := newGetPutLoop(t, r)
+	measure := func(get, put bool) float64 {
+		return testing.AllocsPerRun(100, func() {
+			tx := r.m.Begin(0)
+			if get {
+				l.run(tx, put)
+			}
+			tx.Abort()
+		})
+	}
+	measure(true, true) // warm the pools
+	base, gets, both := measure(false, false), measure(true, false), measure(true, true)
+	perGet, perPut := (gets-base)/keys, (both-gets)/keys
+	t.Logf("kv.Get hit: %.2f allocs, kv.Put of the key just read: %.2f allocs (amortised over %d)", perGet, perPut, keys)
+	if perGet > 1.6 {
+		t.Errorf("kv.Get hit: %v allocs, want <= 1.6", perGet)
+	}
+	if perPut > 1.2 {
+		t.Errorf("kv.Put of a key just read: %v allocs, want <= 1.2", perPut)
+	}
+}
+
+// TestGetValueIsTheCallersAlone: a value Get hands out is a capacity-capped
+// slice of bytes only the caller holds. Appending to or overwriting it
+// changes neither the key's neighbour in the same bucket, nor a later Get
+// of the same key in the same transaction, nor what a Put of another value
+// commits — and it still reads the same after the transaction finished and
+// a thousand later ones rewrote the row.
+func TestGetValueIsTheCallersAlone(t *testing.T) {
+	c := core.New(core.Options{NumMachines: 5, Seed: 9})
+	regions, err := c.CreateRegions(0, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := c.Machine(0)
+	// One bucket: both keys share it.
+	tbl := MustCreate(c, m, Config{Name: "alias", Buckets: 1, Slots: 4, MaxKey: 8, MaxVal: 16, Regions: regions})
+	r := &localRig{c: c, m: m, t: tbl}
+	k1, k2 := U64Key(1), U64Key(2)
+	v1, v2 := bytes.Repeat([]byte{0x11}, 12), bytes.Repeat([]byte{0x22}, 12)
+	get := func(tx *core.Tx, key []byte) []byte {
+		var out []byte
+		done := false
+		tbl.Get(tx, key, func(val []byte, ok bool, err error) {
+			if err != nil || !ok {
+				t.Fatalf("get: %v %v", ok, err)
+			}
+			out, done = val, true
+		})
+		r.run(func() bool { return done })
+		return out
+	}
+	put := func(tx *core.Tx, key, val []byte) {
+		done := false
+		tbl.Put(tx, key, val, func(err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			done = true
+		})
+		r.run(func() bool { return done })
+	}
+	tx := m.Begin(0)
+	put(tx, k1, v1)
+	put(tx, k2, v2)
+	r.commit(t, tx)
+
+	tx = m.Begin(0)
+	a, b := get(tx, k1), get(tx, k2)
+	if cap(a) != len(a) {
+		t.Fatalf("value has cap %d for len %d", cap(a), len(a))
+	}
+	_ = append(a, bytes.Repeat([]byte{0xEE}, 40)...)
+	for i := range a {
+		a[i] = 0xEE
+	}
+	if !bytes.Equal(b, v2) {
+		t.Fatal("scribbling on one value changed its bucket neighbour's")
+	}
+	if got := get(tx, k1); !bytes.Equal(got, v1) {
+		t.Fatalf("a later Get returned the caller's scribble: %x", got)
+	}
+	w := bytes.Repeat([]byte{0x33}, 12)
+	put(tx, k2, w)
+	for i := range w {
+		w[i] = 0xEE
+	}
+	r.commit(t, tx)
+	held := get(m.Begin(0), k2)
+	want := bytes.Repeat([]byte{0x33}, 12)
+	if !bytes.Equal(held, want) {
+		t.Fatalf("commit wrote %x, want the value passed to Put", held)
+	}
+	if got := get(m.Begin(0), k1); !bytes.Equal(got, v1) {
+		t.Fatalf("a key only read changed: %x", got)
+	}
+	for i := 0; i < 1000; i++ {
+		tx := m.Begin(0)
+		put(tx, k2, bytes.Repeat([]byte{byte(i)}, 12))
+		r.commit(t, tx)
+	}
+	c.RunFor(sim.Millisecond)
+	if !bytes.Equal(held, want) {
+		t.Fatalf("a value held from a finished transaction changed: %x", held)
+	}
+}
+
+// TestHashIsFNV1a: bucket placement is part of every committed table's
+// layout; the inlined hash must stay the FNV-1a it replaced.
+func TestHashIsFNV1a(t *testing.T) {
+	tbl := &Table{buckets: make([]proto.Addr, 1021)}
+	rng := sim.NewRand(5)
+	for i := 0; i < 2000; i++ {
+		key := make([]byte, rng.Intn(17))
+		for j := range key {
+			key[j] = byte(rng.Intn(256))
+		}
+		h := fnv.New64a()
+		h.Write(key)
+		if want := int(h.Sum64() % 1021); tbl.hash(key) != want {
+			t.Fatalf("hash(%x) = %d, want %d", key, tbl.hash(key), want)
+		}
+	}
+}
+
+func BenchmarkTxGet(b *testing.B) {
+	r := newLocalRig(b, 16)
+	l := newGetPutLoop(b, r)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(r.keys) {
+		tx := r.m.Begin(0)
+		l.run(tx, false)
+		tx.Abort()
+	}
+}
+
+func BenchmarkTxPut(b *testing.B) {
+	r := newLocalRig(b, 16)
+	l := newGetPutLoop(b, r)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(r.keys) {
+		tx := r.m.Begin(0)
+		l.run(tx, true)
+		tx.Abort()
+	}
+}

@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"farm/internal/core"
 	"farm/internal/proto"
@@ -53,9 +52,11 @@ func (t *Table) Buckets() int { return len(t.buckets) }
 
 // hash maps a key to a top-level bucket.
 func (t *Table) hash(key []byte) int {
-	h := fnv.New64a()
-	h.Write(key)
-	return int(h.Sum64() % uint64(len(t.buckets)))
+	h := uint64(14695981039346656037) // FNV-1a, 64 bit
+	for _, c := range key {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return int(h % uint64(len(t.buckets)))
 }
 
 // BucketAddr exposes the bucket address a key maps to (used by workloads
@@ -224,32 +225,115 @@ func (b bucket) freeSlot() int {
 
 var zeroAddr = proto.Addr{}
 
-// Get looks key up within tx. ok reports presence; val is a copy.
+// chainOp is one table operation on its way down a bucket chain. It is the
+// read handler of every hop, so an operation allocates this and nothing per
+// hop. Bucket bytes delivered to it are its own copy (core's ownership
+// rule), which is what lets Get hand out a slice of them instead of a copy
+// and Put edit them in place before writing them back.
+type chainOp struct {
+	t      *Table
+	tx     *core.Tx      // nil for a lock-free get
+	m      *core.Machine // lock-free get only
+	thread int
+	addr   proto.Addr // bucket being read
+
+	key, val []byte
+	// Exactly one of these is set; it says which operation this is.
+	getCb func(val []byte, ok bool, err error)
+	putCb func(err error)
+	delCb func(ok bool, err error)
+}
+
+func (op *chainOp) read() {
+	if op.tx != nil {
+		op.tx.ReadTo(op.addr, op.t.BucketBytes(), op)
+	} else {
+		op.m.LockFreeReadTo(op.thread, op.addr, op.t.BucketBytes(), op)
+	}
+}
+
+// ReadDone examines one bucket: act on the key's slot, follow the chain, or
+// finish at its end.
+func (op *chainOp) ReadDone(data []byte, err error) {
+	if err != nil {
+		op.fail(err)
+		return
+	}
+	b := bucket{t: op.t, data: data}
+	i := b.find(op.key)
+	if i < 0 {
+		if n := b.next(); n != zeroAddr {
+			op.addr = n
+			op.read()
+			return
+		}
+	}
+	switch {
+	case op.getCb != nil:
+		if i >= 0 {
+			v := slotVal(b.slot(i), op.t.maxKey)
+			op.getCb(v[:len(v):len(v)], true, nil)
+		} else {
+			op.getCb(nil, false, nil)
+		}
+	case op.delCb != nil:
+		if i >= 0 {
+			b.clearSlot(i)
+			op.tx.Write(op.addr, b.data)
+		}
+		op.delCb(i >= 0, nil)
+	default:
+		if i < 0 {
+			i = b.freeSlot()
+		}
+		if i < 0 {
+			op.chainOverflow(b)
+			return
+		}
+		b.setSlot(i, op.key, op.val)
+		op.tx.Write(op.addr, b.data)
+		op.putCb(nil)
+	}
+}
+
+// chainOverflow links a fresh overflow bucket holding the pair behind the
+// full last bucket b, near it (same region).
+func (op *chainOp) chainOverflow(b bucket) {
+	overflow := make([]byte, op.t.BucketBytes())
+	bucket{t: op.t, data: overflow}.setSlot(0, op.key, op.val)
+	hint := op.addr
+	op.tx.Alloc(len(overflow), overflow, &hint, func(oaddr proto.Addr, err error) {
+		if err != nil {
+			op.putCb(ErrFull)
+			return
+		}
+		b.setNext(oaddr)
+		op.tx.Write(op.addr, b.data)
+		op.putCb(nil)
+	})
+}
+
+// fail reports err through whichever callback the operation has.
+func (op *chainOp) fail(err error) {
+	switch {
+	case op.getCb != nil:
+		op.getCb(nil, false, err)
+	case op.delCb != nil:
+		op.delCb(false, err)
+	default:
+		op.putCb(err)
+	}
+}
+
+// Get looks key up within tx. ok reports presence; val is the caller's to
+// keep and change.
 func (t *Table) Get(tx *core.Tx, key []byte, cb func(val []byte, ok bool, err error)) {
 	if len(key) > t.maxKey {
 		cb(nil, false, fmt.Errorf("kv: key too long"))
 		return
 	}
-	t.getAt(tx, t.buckets[t.hash(key)], key, cb)
-}
-
-func (t *Table) getAt(tx *core.Tx, addr proto.Addr, key []byte, cb func([]byte, bool, error)) {
-	tx.Read(addr, t.BucketBytes(), func(data []byte, err error) {
-		if err != nil {
-			cb(nil, false, err)
-			return
-		}
-		b := bucket{t: t, data: data}
-		if i := b.find(key); i >= 0 {
-			cb(append([]byte(nil), slotVal(b.slot(i), t.maxKey)...), true, nil)
-			return
-		}
-		if n := b.next(); n != zeroAddr {
-			t.getAt(tx, n, key, cb)
-			return
-		}
-		cb(nil, false, nil)
-	})
+	op := &chainOp{t: t, tx: tx, addr: t.buckets[t.hash(key)], key: key, getCb: cb}
+	op.read()
 }
 
 // LockFreeGet is the single-read lookup outside any transaction (FaRM's
@@ -257,26 +341,8 @@ func (t *Table) getAt(tx *core.Tx, addr proto.Addr, key []byte, cb func([]byte, 
 // only examines the top-level bucket chain, retrying through the machine's
 // lock-free read path.
 func (t *Table) LockFreeGet(m *core.Machine, thread int, key []byte, cb func(val []byte, ok bool, err error)) {
-	t.lockFreeGetAt(m, thread, t.buckets[t.hash(key)], key, cb)
-}
-
-func (t *Table) lockFreeGetAt(m *core.Machine, thread int, addr proto.Addr, key []byte, cb func([]byte, bool, error)) {
-	m.LockFreeRead(thread, addr, t.BucketBytes(), func(data []byte, err error) {
-		if err != nil {
-			cb(nil, false, err)
-			return
-		}
-		b := bucket{t: t, data: data}
-		if i := b.find(key); i >= 0 {
-			cb(append([]byte(nil), slotVal(b.slot(i), t.maxKey)...), true, nil)
-			return
-		}
-		if n := b.next(); n != zeroAddr {
-			t.lockFreeGetAt(m, thread, n, key, cb)
-			return
-		}
-		cb(nil, false, nil)
-	})
+	op := &chainOp{t: t, m: m, thread: thread, addr: t.buckets[t.hash(key)], key: key, getCb: cb}
+	op.read()
 }
 
 // Put inserts or updates key within tx.
@@ -285,73 +351,14 @@ func (t *Table) Put(tx *core.Tx, key, val []byte, cb func(err error)) {
 		cb(fmt.Errorf("kv: key/value too long"))
 		return
 	}
-	t.putAt(tx, t.buckets[t.hash(key)], key, val, cb)
-}
-
-func (t *Table) putAt(tx *core.Tx, addr proto.Addr, key, val []byte, cb func(error)) {
-	tx.Read(addr, t.BucketBytes(), func(data []byte, err error) {
-		if err != nil {
-			cb(err)
-			return
-		}
-		b := bucket{t: t, data: data}
-		if i := b.find(key); i >= 0 {
-			b.setSlot(i, key, val)
-			tx.Write(addr, b.data)
-			cb(nil)
-			return
-		}
-		if n := b.next(); n != zeroAddr {
-			t.putAt(tx, n, key, val, cb)
-			return
-		}
-		if i := b.freeSlot(); i >= 0 {
-			b.setSlot(i, key, val)
-			tx.Write(addr, b.data)
-			cb(nil)
-			return
-		}
-		// Chain a fresh overflow bucket near this one (same region).
-		overflow := make([]byte, t.BucketBytes())
-		ob := bucket{t: t, data: overflow}
-		ob.setSlot(0, key, val)
-		hint := addr
-		tx.Alloc(len(overflow), overflow, &hint, func(oaddr proto.Addr, err error) {
-			if err != nil {
-				cb(ErrFull)
-				return
-			}
-			b.setNext(oaddr)
-			tx.Write(addr, b.data)
-			cb(nil)
-		})
-	})
+	op := &chainOp{t: t, tx: tx, addr: t.buckets[t.hash(key)], key: key, val: val, putCb: cb}
+	op.read()
 }
 
 // Delete removes key within tx; ok reports whether it was present.
 func (t *Table) Delete(tx *core.Tx, key []byte, cb func(ok bool, err error)) {
-	t.deleteAt(tx, t.buckets[t.hash(key)], key, cb)
-}
-
-func (t *Table) deleteAt(tx *core.Tx, addr proto.Addr, key []byte, cb func(bool, error)) {
-	tx.Read(addr, t.BucketBytes(), func(data []byte, err error) {
-		if err != nil {
-			cb(false, err)
-			return
-		}
-		b := bucket{t: t, data: data}
-		if i := b.find(key); i >= 0 {
-			b.clearSlot(i)
-			tx.Write(addr, b.data)
-			cb(true, nil)
-			return
-		}
-		if n := b.next(); n != zeroAddr {
-			t.deleteAt(tx, n, key, cb)
-			return
-		}
-		cb(false, nil)
-	})
+	op := &chainOp{t: t, tx: tx, addr: t.buckets[t.hash(key)], key: key, delCb: cb}
+	op.read()
 }
 
 // U64Key encodes an integer key (the common TATP/TPC-C case).

@@ -22,44 +22,86 @@ type RegionID uint32
 // or losing more than the save window allows) destroys data.
 type Store struct {
 	regions map[RegionID][]byte
+	// onUse holds the sizes of regions allocated with AllocateOnUse whose
+	// bytes nobody has asked for yet. Such a region is all zeroes, so the
+	// simulator need not spend host memory on it until someone looks.
+	onUse map[RegionID]int
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{regions: make(map[RegionID][]byte)}
+	return &Store{regions: make(map[RegionID][]byte), onUse: make(map[RegionID]int)}
+}
+
+func (s *Store) checkNew(id RegionID, size int) error {
+	if s.Has(id) {
+		return fmt.Errorf("nvram: region %d already allocated", id)
+	}
+	if size <= 0 {
+		return fmt.Errorf("nvram: invalid region size %d", size)
+	}
+	return nil
 }
 
 // Allocate creates a zeroed region of the given size. It is an error if the
 // region already exists.
 func (s *Store) Allocate(id RegionID, size int) ([]byte, error) {
-	if _, ok := s.regions[id]; ok {
-		return nil, fmt.Errorf("nvram: region %d already allocated", id)
-	}
-	if size <= 0 {
-		return nil, fmt.Errorf("nvram: invalid region size %d", size)
+	if err := s.checkNew(id, size); err != nil {
+		return nil, err
 	}
 	b := make([]byte, size)
 	s.regions[id] = b
 	return b, nil
 }
 
+// AllocateOnUse is Allocate for a region that may never be touched: the
+// region exists from now on (Has, RegionIDs and TotalBytes count it), but
+// its zeroed bytes are made by the first Region call, be it the owner's or
+// a one-sided verb landing in it.
+func (s *Store) AllocateOnUse(id RegionID, size int) error {
+	if err := s.checkNew(id, size); err != nil {
+		return err
+	}
+	s.onUse[id] = size
+	return nil
+}
+
 // Free releases a region. Freeing a missing region is a no-op (idempotent
 // cleanup after failed allocations).
-func (s *Store) Free(id RegionID) { delete(s.regions, id) }
+func (s *Store) Free(id RegionID) {
+	delete(s.regions, id)
+	delete(s.onUse, id)
+}
 
 // Region returns the backing bytes of a region, or nil if absent.
-func (s *Store) Region(id RegionID) []byte { return s.regions[id] }
+func (s *Store) Region(id RegionID) []byte {
+	b, ok := s.regions[id]
+	if !ok {
+		if size, lazy := s.onUse[id]; lazy {
+			b = make([]byte, size)
+			s.regions[id] = b
+			delete(s.onUse, id)
+		}
+	}
+	return b
+}
 
 // Has reports whether the region exists.
 func (s *Store) Has(id RegionID) bool {
 	_, ok := s.regions[id]
+	if !ok {
+		_, ok = s.onUse[id]
+	}
 	return ok
 }
 
 // RegionIDs returns the ids of all allocated regions (unordered).
 func (s *Store) RegionIDs() []RegionID {
-	out := make([]RegionID, 0, len(s.regions))
+	out := make([]RegionID, 0, len(s.regions)+len(s.onUse))
 	for id := range s.regions {
+		out = append(out, id)
+	}
+	for id := range s.onUse {
 		out = append(out, id)
 	}
 	return out
@@ -71,12 +113,18 @@ func (s *Store) TotalBytes() int {
 	for _, b := range s.regions {
 		total += len(b)
 	}
+	for _, size := range s.onUse {
+		total += size
+	}
 	return total
 }
 
 // Wipe destroys all regions, modelling loss of the machine's memory (e.g.
 // the machine is replaced, or the battery could not cover the save).
-func (s *Store) Wipe() { s.regions = make(map[RegionID][]byte) }
+func (s *Store) Wipe() {
+	s.regions = make(map[RegionID][]byte)
+	s.onUse = make(map[RegionID]int)
+}
 
 // SaveModel captures the distributed-UPS save path of §2.1: on power
 // failure, the battery powers the CPUs and SSDs while memory is streamed to

@@ -146,3 +146,47 @@ func TestStoreAllocationSizesQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAllocateOnUse: a region allocated on use exists from the start for
+// every accounting purpose, gets its zeroed bytes from the first Region call
+// and is an ordinary region from then on.
+func TestAllocateOnUse(t *testing.T) {
+	s := NewStore()
+	if err := s.AllocateOnUse(3, 256); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Has(3) || s.TotalBytes() != 256 || len(s.RegionIDs()) != 1 {
+		t.Fatalf("before use: Has=%v TotalBytes=%d RegionIDs=%v", s.Has(3), s.TotalBytes(), s.RegionIDs())
+	}
+	if _, err := s.Allocate(3, 256); err == nil {
+		t.Fatal("Allocate over a region allocated on use succeeded")
+	}
+	if err := s.AllocateOnUse(3, 256); err == nil {
+		t.Fatal("double AllocateOnUse succeeded")
+	}
+	if err := s.AllocateOnUse(4, 0); err == nil {
+		t.Fatal("zero-size AllocateOnUse succeeded")
+	}
+	b := s.Region(3)
+	if len(b) != 256 {
+		t.Fatalf("first Region call returned %d bytes", len(b))
+	}
+	b[5] = 0xCD
+	if got := s.Region(3); got[5] != 0xCD {
+		t.Fatal("Region does not return the same bytes twice")
+	}
+	if !s.Has(3) || s.TotalBytes() != 256 || len(s.RegionIDs()) != 1 {
+		t.Fatal("accounting changed when the bytes were made")
+	}
+	if err := s.AllocateOnUse(9, 64); err != nil {
+		t.Fatal(err)
+	}
+	s.Free(9)
+	if s.Has(9) || s.Region(9) != nil {
+		t.Fatal("Free did not remove an unused region")
+	}
+	s.Wipe()
+	if s.Has(3) || s.TotalBytes() != 0 {
+		t.Fatal("Wipe left a region behind")
+	}
+}

@@ -114,6 +114,11 @@ const (
 func orderKey(d, o int) uint64 { return uint64(d)<<40 | uint64(o) }
 func olKey(d, o, n int) uint64 { return uint64(d)<<40 | uint64(o)<<8 | uint64(n) }
 func custKey(d, c int) []byte  { return kv.U64Key(uint64(d)<<16 | uint64(c)) }
+
+// warehouseKey is the one key of a warehouse table (kv never changes or
+// keeps a key it is given, so every transaction can share it).
+var warehouseKey = kv.U64Key(0)
+
 func custNameKey(d, c int) uint64 {
 	// Customers keyed by (district, synthetic last-name bucket, id) so
 	// by-name range lookups are possible.
@@ -199,7 +204,7 @@ func (w *Workload) setupWarehouse(wid int) (*warehouse, error) {
 		steps = steps[:0]
 		wrow := make([]byte, warehouseRow)
 		binary.LittleEndian.PutUint32(wrow[8:], uint32(wid%20)) // tax
-		steps = append(steps, put(tx, wh.wTbl, kv.U64Key(0), wrow))
+		steps = append(steps, put(tx, wh.wTbl, warehouseKey, wrow))
 	}
 	_ = collect
 
@@ -208,7 +213,7 @@ func (w *Workload) setupWarehouse(wid int) (*warehouse, error) {
 		var fns []func(func(error))
 		wrow := make([]byte, warehouseRow)
 		binary.LittleEndian.PutUint32(wrow[8:], uint32(wid%20))
-		fns = append(fns, put(tx, wh.wTbl, kv.U64Key(0), wrow))
+		fns = append(fns, put(tx, wh.wTbl, warehouseKey, wrow))
 		for d := 1; d <= cfg.Districts; d++ {
 			drow := make([]byte, districtRow)
 			binary.LittleEndian.PutUint32(drow, 1) // next_o_id
@@ -352,20 +357,21 @@ func (w *Workload) NewOrder(m *core.Machine, thread int, wh *warehouse, rng *sim
 	nItems := rng.Intn(11) + 5
 	fail := func(error) { done(false) }
 
+	dkey := kv.U64Key(uint64(d))
 	tx := m.Begin(thread)
-	wh.wTbl.Get(tx, kv.U64Key(0), func(_ []byte, ok bool, err error) {
+	wh.wTbl.Get(tx, warehouseKey, func(_ []byte, ok bool, err error) {
 		if err != nil || !ok {
 			fail(err)
 			return
 		}
-		wh.dTbl.Get(tx, kv.U64Key(uint64(d)), func(drow []byte, ok bool, err error) {
+		wh.dTbl.Get(tx, dkey, func(drow []byte, ok bool, err error) {
 			if err != nil || !ok {
 				fail(err)
 				return
 			}
 			oid := int(binary.LittleEndian.Uint32(drow))
 			binary.LittleEndian.PutUint32(drow, uint32(oid+1))
-			wh.dTbl.Put(tx, kv.U64Key(uint64(d)), drow, func(err error) {
+			wh.dTbl.Put(tx, dkey, drow, func(err error) {
 				if err != nil {
 					fail(err)
 					return
@@ -417,13 +423,14 @@ func (w *Workload) orderLinesLoop(tx *core.Tx, m *core.Machine, wh *warehouse, r
 			w.RemoteAccesses++
 		}
 	}
-	wh.iTbl.Get(tx, kv.U64Key(uint64(item)), func(irow []byte, ok bool, err error) {
+	ikey := kv.U64Key(uint64(item)) // the item row and its stock row share it
+	wh.iTbl.Get(tx, ikey, func(irow []byte, ok bool, err error) {
 		if err != nil || !ok {
 			done(false)
 			return
 		}
 		price := binary.LittleEndian.Uint32(irow)
-		supply.sTbl.Get(tx, kv.U64Key(uint64(item)), func(srow []byte, ok bool, err error) {
+		supply.sTbl.Get(tx, ikey, func(srow []byte, ok bool, err error) {
 			if err != nil || !ok {
 				done(false)
 				return
@@ -435,7 +442,7 @@ func (w *Workload) orderLinesLoop(tx *core.Tx, m *core.Machine, wh *warehouse, r
 			order := uint32(rng.Intn(10) + 1)
 			binary.LittleEndian.PutUint32(srow, qty-order)
 			binary.LittleEndian.PutUint32(srow[8:], binary.LittleEndian.Uint32(srow[8:])+1) // order_cnt
-			supply.sTbl.Put(tx, kv.U64Key(uint64(item)), srow, func(err error) {
+			supply.sTbl.Put(tx, ikey, srow, func(err error) {
 				if err != nil {
 					done(false)
 					return
@@ -470,37 +477,38 @@ func (w *Workload) Payment(m *core.Machine, thread int, wh *warehouse, rng *sim.
 	cid := rng.Intn(w.Cfg.CustomersPerDist)
 	amount := uint64(rng.Intn(5000) + 1)
 
+	dkey, ckey := kv.U64Key(uint64(d)), custKey(d, cid)
 	tx := m.Begin(thread)
-	wh.wTbl.Get(tx, kv.U64Key(0), func(wrow []byte, ok bool, err error) {
+	wh.wTbl.Get(tx, warehouseKey, func(wrow []byte, ok bool, err error) {
 		if err != nil || !ok {
 			done(false)
 			return
 		}
 		binary.LittleEndian.PutUint64(wrow, binary.LittleEndian.Uint64(wrow)+amount)
-		wh.wTbl.Put(tx, kv.U64Key(0), wrow, func(err error) {
+		wh.wTbl.Put(tx, warehouseKey, wrow, func(err error) {
 			if err != nil {
 				done(false)
 				return
 			}
-			wh.dTbl.Get(tx, kv.U64Key(uint64(d)), func(drow []byte, ok bool, err error) {
+			wh.dTbl.Get(tx, dkey, func(drow []byte, ok bool, err error) {
 				if err != nil || !ok {
 					done(false)
 					return
 				}
 				binary.LittleEndian.PutUint64(drow[8:], binary.LittleEndian.Uint64(drow[8:])+amount)
-				wh.dTbl.Put(tx, kv.U64Key(uint64(d)), drow, func(err error) {
+				wh.dTbl.Put(tx, dkey, drow, func(err error) {
 					if err != nil {
 						done(false)
 						return
 					}
-					cwh.cTbl.Get(tx, custKey(d, cid), func(crow []byte, ok bool, err error) {
+					cwh.cTbl.Get(tx, ckey, func(crow []byte, ok bool, err error) {
 						if err != nil || !ok {
 							done(false)
 							return
 						}
 						binary.LittleEndian.PutUint64(crow, binary.LittleEndian.Uint64(crow)+amount)
 						binary.LittleEndian.PutUint32(crow[16:], binary.LittleEndian.Uint32(crow[16:])+1)
-						cwh.cTbl.Put(tx, custKey(d, cid), crow, func(err error) {
+						cwh.cTbl.Put(tx, ckey, crow, func(err error) {
 							if err != nil {
 								done(false)
 								return
@@ -627,14 +635,15 @@ func (w *Workload) Delivery(m *core.Machine, thread int, wh *warehouse, rng *sim
 									total += uint64(binary.LittleEndian.Uint32(l.Val[8:]))
 								}
 							}
-							wh.cTbl.Get(tx, custKey(d, cid), func(crow []byte, ok bool, err error) {
+							ckey := custKey(d, cid)
+							wh.cTbl.Get(tx, ckey, func(crow []byte, ok bool, err error) {
 								if err != nil || !ok {
 									done(false)
 									return
 								}
 								binary.LittleEndian.PutUint64(crow, binary.LittleEndian.Uint64(crow)+total)
 								binary.LittleEndian.PutUint32(crow[20:], binary.LittleEndian.Uint32(crow[20:])+1)
-								wh.cTbl.Put(tx, custKey(d, cid), crow, func(err error) {
+								wh.cTbl.Put(tx, ckey, crow, func(err error) {
 									if err != nil {
 										done(false)
 										return
