@@ -69,6 +69,14 @@ func main() {
 	}
 	g := loadgen.New(c, op)
 	snap := c.Net.Counters.Snapshot()
+	// Worker busy time is cumulative: note it where the measured window
+	// starts.
+	busyAtWarm := make([][]sim.Time, *machines)
+	c.Eng.After(sim.Time(warm.Nanoseconds()), func() {
+		for i := range busyAtWarm {
+			busyAtWarm[i] = c.Machine(i).WorkerBusy()
+		}
+	})
 	tput, _, _ := g.RunPoint(all, *threads, *concurrency,
 		sim.Time(warm.Nanoseconds()), sim.Time(measure.Nanoseconds()))
 	diff := c.Net.Counters.Diff(snap)
@@ -82,6 +90,20 @@ func main() {
 		100*float64(g.Aborted())/float64(g.Aborted()+g.Committed()))
 	fmt.Printf("            by cause, whole run: conflict=%d no_log_space=%d unavailable=%d\n",
 		c.Counters.Get("tx_aborted"), c.Counters.Get("tx_no_log_space"), c.Counters.Get("tx_unavailable"))
+	fmt.Printf("workers:    busy %% of the measured window, least busy/mean/busiest worker of each machine")
+	for i := range busyAtWarm {
+		lo, hi, sum := 101.0, 0.0, 0.0
+		busy := c.Machine(i).WorkerBusy()
+		for th, b := range busy {
+			pct := 100 * float64(b-busyAtWarm[i][th]) / float64(measure.Nanoseconds())
+			lo, hi, sum = min(lo, pct), max(hi, pct), sum+pct
+		}
+		if i%6 == 0 {
+			fmt.Printf("\n           ")
+		}
+		fmt.Printf(" m%d %.0f/%.0f/%.0f ", i, lo, sum/float64(len(busy)), hi)
+	}
+	fmt.Println()
 	if tpccW != nil {
 		fmt.Printf("new orders: %d committed, median %v\n", tpccW.NewOrders, tpccW.NewOrderLat.Median())
 	}

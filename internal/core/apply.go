@@ -38,7 +38,7 @@ func (m *Machine) handleRecord(lr *logReader, rec *proto.Record, seq uint64, pre
 	// that never learned of its eviction could otherwise slip LOCK and
 	// COMMIT records built on pre-eviction reads into live logs, and
 	// recovery would then commit a lost update.
-	if !preDrain && rec.Tx.Config < m.config.ID && !m.config.Member(rec.Tx.Machine) {
+	if m.fromNonMember(rec, preDrain) {
 		m.c.Counters.Inc("nonmember_record_rejected", 1)
 		lr.rd.Truncate(seq)
 		return
@@ -96,6 +96,12 @@ func (m *Machine) handleRecord(lr *logReader, rec *proto.Record, seq uint64, pre
 		m.releaseLocks(rt)
 	}
 	m.applyPiggyback(lr, rec)
+}
+
+// fromNonMember is handleRecord's §5.2 gate: a record, not captured by a
+// drain, of an older configuration's coordinator that is no longer a member.
+func (m *Machine) fromNonMember(rec *proto.Record, preDrain bool) bool {
+	return !preDrain && rec.Tx.Config < m.config.ID && !m.config.Member(rec.Tx.Machine)
 }
 
 // mergeRecords combines the object writes of two records for the same
@@ -168,6 +174,7 @@ func (m *Machine) processLock(rt *remoteTx, rec *proto.Record) {
 			delete(rep.lockOwner, addr.Off)
 		}
 		rt.lockedObjs = nil
+		rt.lockRefused = held == 0
 		m.c.Counters.Inc("lock_failed", 1)
 	}
 	// Doorbell: the coordinator's lock phase is blocked on this reply.

@@ -185,14 +185,16 @@ func (m *Machine) StartRegionAudit(region uint32, cb func(AuditReport)) {
 
 // regionQuiet reports whether no transaction is in flight against the
 // region at this machine: no held object locks and no pending (non-
-// aborted, un-truncated) log records that write it. Aggregation only, so
-// ranging the maps directly is safe (see order.go).
+// aborted, un-truncated) log records that write it. A transaction whose
+// LOCK was refused here counts as aborted, or the retry stream the audit
+// fence itself provokes keeps a busy region from ever looking quiet.
+// Aggregation only, so ranging the maps directly is safe (see order.go).
 func (m *Machine) regionQuiet(region uint32, rep *replica) bool {
 	if len(rep.lockOwner) != 0 {
 		return false
 	}
 	for _, rt := range m.pend {
-		if rt.saw&(proto.SawAbort|proto.SawAbortRecovery) != 0 {
+		if rt.lockRefused || rt.saw&(proto.SawAbort|proto.SawAbortRecovery) != 0 {
 			continue
 		}
 		if remoteTxTouches(rt, region) {

@@ -196,3 +196,55 @@ func TestStaleMappingSurfacesError(t *testing.T) {
 		t.Fatalf("gave up after %v, want bounded backoff", elapsed)
 	}
 }
+
+// TestAuditSettlesUnderClosedLoopWriters pins regionQuiet against the
+// audit fence's own retry stream: writers that retry the instant they are
+// refused keep a LOCK record they hold nothing for in the primary's pend
+// table most of the time. Those must not count as in flight, or the region
+// never looks quiet twice in a row and the audit times out inconclusive.
+func TestAuditSettlesUnderClosedLoopWriters(t *testing.T) {
+	c, _ := testCluster(t, Options{})
+	var addrs []proto.Addr
+	for i := 0; i < 12; i++ {
+		addrs = append(addrs, writeObject(t, c, c.Machine(0), []byte{byte(i), 0, 0, 0}))
+	}
+	stop := false
+	var loop func(m *Machine, i int)
+	loop = func(m *Machine, i int) {
+		if stop {
+			return
+		}
+		tx := m.Begin(i)
+		addr := addrs[i]
+		tx.Read(addr, 4, func(data []byte, err error) {
+			if err != nil {
+				loop(m, i)
+				return
+			}
+			tx.Write(addr, []byte{data[0], data[1] + 1, 0, 0})
+			tx.Commit(func(error) { loop(m, i) })
+		})
+	}
+	for i := range addrs {
+		loop(c.Machine(i%len(c.Machines)), i)
+	}
+	c.RunFor(2 * sim.Millisecond)
+
+	start := c.Now()
+	reports := collectAudit(t, c)
+	if took := c.Now() - start; took > auditSettleDeadline {
+		t.Fatalf("audit took %v under load, want it settled within %v", took, auditSettleDeadline)
+	}
+	stop = true
+	for _, r := range reports {
+		if !r.Conclusive || !r.Clean {
+			t.Fatalf("audit under closed-loop writers: %v", r)
+		}
+	}
+	if n := c.Counters.Get("audit_inconclusive"); n != 0 {
+		t.Fatalf("audit_inconclusive = %d, want 0", n)
+	}
+	if c.Counters.Get("audit_fence_conflict") == 0 {
+		t.Fatal("the fence refused no LOCK: the writers never loaded the audited region")
+	}
+}

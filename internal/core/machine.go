@@ -71,6 +71,9 @@ type remoteTx struct {
 	// lockedObjs are objects this machine locked as primary.
 	lockedObjs []proto.Addr
 	applied    bool
+	// lockRefused marks a transaction whose LOCK this primary refused: it
+	// holds nothing here and its coordinator must abort it.
+	lockRefused bool
 	// regionHint caches the written-region list from any record, for
 	// recovery classification when the lock record is absent.
 	regionHint []uint32
@@ -277,6 +280,9 @@ type Machine struct {
 	readFree []*readOp
 	recFree  []*recWrite
 	valFree  []*valOp
+	// pollShards is decodeFrames' per-poll table, one slot per coordinator
+	// thread (mod workers); every slot is nil between polls.
+	pollShards []*pollTask
 
 	// Stats.
 	Committed, Aborted uint64
@@ -428,6 +434,8 @@ func (c *Cluster) newMachine(id int) *Machine {
 		nextLocal: make([]uint64, c.Opts.Threads),
 		truncQ:    make(map[int]*truncQueue),
 
+		pollShards: make([]*pollTask, c.Opts.Threads),
+
 		rpcWaiters:     make(map[uint64]func(interface{})),
 		blocked:        make(map[uint32][]func()),
 		mappingWaiters: make(map[uint32][]func()),
@@ -476,6 +484,16 @@ func (m *Machine) OnThread(i int, cost sim.Time, fn func()) {
 
 // Threads returns the worker thread count.
 func (m *Machine) Threads() int { return m.c.Opts.Threads }
+
+// WorkerBusy returns each worker thread's cumulative service time, in thread
+// order; two calls bracket a window to show how evenly its work was spread.
+func (m *Machine) WorkerBusy() []sim.Time {
+	busy := make([]sim.Time, len(m.pool.Threads))
+	for i, th := range m.pool.Threads {
+		busy[i] = th.BusyTime()
+	}
+	return busy
+}
 
 // mapping returns the cached placement for a region.
 func (m *Machine) mapping(region uint32) *proto.RegionMap { return m.mappings[region] }
@@ -631,22 +649,27 @@ func (m *Machine) onRemoteWrite(region nvram.RegionID, _, _ int) {
 	m.c.Eng.After(m.c.Opts.PollDelay, lr.pollFn)
 }
 
-// parsedRecord is one decoded log record with its frame's sequence number.
+// parsedRecord is one item of a polled batch: a decoded log record with its
+// frame's sequence number, or — split set — the one piggybacked truncation
+// id, truncID, that rec carried for another coordinator thread.
 type parsedRecord struct {
-	rec *proto.Record
-	seq uint64
+	rec     *proto.Record
+	seq     uint64
+	truncID uint64
+	split   bool
 }
 
-// pollTask carries one polled batch of log records to the worker thread
-// that processes them. Like msgTask it is pooled with runFn bound once; it
-// recycles itself once the records are handled, before the drain barrier
-// runs. Only the carrier and its batch slice are reused: each Record is a
-// fresh GC-owned value, because participant state (remoteTx.lock) and
-// recovery messages keep them long after the batch is done.
+// pollTask carries one coordinator thread's share of a polled batch to the
+// worker thread that processes it. Like msgTask it is pooled with runFn
+// bound once; it recycles itself once the records are handled, before the
+// drain barrier runs. Only the carrier and its batch slice are reused: each
+// Record is a fresh GC-owned value, because participant state
+// (remoteTx.lock) and recovery messages keep them long after the batch.
 type pollTask struct {
 	m     *Machine
 	lr    *logReader
 	batch []parsedRecord
+	cost  sim.Time // CPU cost of processing batch
 	// preDrain marks frames captured before a drain: they must be
 	// processed with drain semantics even if the worker thread gets to
 	// them afterwards.
@@ -655,38 +678,85 @@ type pollTask struct {
 	runFn    func()
 }
 
-// decodeFrames decodes newly polled frames of lr into a pollTask and
-// returns it with the CPU cost of processing them. Garbage frames are
-// skipped; recovery re-examines logs anyway.
-func (m *Machine) decodeFrames(lr *logReader) (*pollTask, sim.Time) {
-	var pt *pollTask
-	if k := len(m.pollFree); k > 0 {
-		pt = m.pollFree[k-1]
-		m.pollFree = m.pollFree[:k-1]
-	} else {
-		pt = &pollTask{m: m}
-		pt.runFn = pt.run
+// shardFor returns the task collecting coordinator thread `thread`'s records
+// in the poll being decoded, made on its first record. A thread id comes
+// off the wire: it is only ever used modulo the worker count.
+func (m *Machine) shardFor(lr *logReader, thread uint16) *pollTask {
+	s := int(thread) % len(m.pollShards)
+	pt := m.pollShards[s]
+	if pt == nil {
+		if k := len(m.pollFree); k > 0 {
+			pt = m.pollFree[k-1]
+			m.pollFree = m.pollFree[:k-1]
+		} else {
+			pt = &pollTask{m: m}
+			pt.runFn = pt.run
+		}
+		pt.lr = lr
+		m.pollShards[s] = pt
 	}
-	pt.lr = lr
-	var cost sim.Time
+	return pt
+}
+
+// decodeFrames decodes newly polled frames of lr and splits them by
+// coordinator thread into m.pollShards, each shard in ring order and
+// charged the CPU cost of its own records. Log order only matters within a
+// transaction, whose records all come from one coordinator thread. Its
+// truncation id does not: truncQueue is per destination, so the id rides
+// whichever thread's record leaves next. An id of another thread moves to
+// that thread's shard, behind the transaction's own records; left with its
+// carrier it could overtake them on another worker, and the COMMIT-BACKUP
+// of a truncated transaction is dropped unapplied. Garbage frames are
+// skipped; recovery re-examines logs anyway.
+func (m *Machine) decodeFrames(lr *logReader) {
 	if lr.rd == nil {
-		return pt, 0 // nothing was ever written to this ring
+		return // nothing was ever written to this ring
 	}
 	for _, f := range lr.rd.Poll() {
 		rec := new(proto.Record)
 		if proto.DecodeRecord(f.Payload, rec) != nil {
 			continue
 		}
-		pt.batch = append(pt.batch, parsedRecord{rec, f.Seq})
-		cost += m.c.Opts.CPUMsg/4 + sim.Time(len(rec.Writes))*m.c.Opts.CPUPerObject
+		pt := m.shardFor(lr, rec.Tx.Thread)
+		pt.batch = append(pt.batch, parsedRecord{rec: rec, seq: f.Seq})
+		pt.cost += m.c.Opts.CPUMsg/4 + sim.Time(len(rec.Writes))*m.c.Opts.CPUPerObject
+		own := rec.TruncIDs[:0]
+		for _, id := range rec.TruncIDs {
+			if thread, _ := unpackTruncID(id); thread != rec.Tx.Thread {
+				owner := m.shardFor(lr, thread)
+				owner.batch = append(owner.batch, parsedRecord{rec: rec, seq: f.Seq, truncID: id, split: true})
+			} else {
+				own = append(own, id)
+			}
+		}
+		rec.TruncIDs = own
 	}
-	return pt, cost
+}
+
+// dispatchShards hands every shard decodeFrames filled to its worker:
+// (sender + coordinator thread) mod workers. One (sender, thread) always
+// maps to one worker, so its records are handled in ring order; the sender
+// offset keeps a coordinator thread from also serving its same-numbered
+// peers on every other machine. A drain barrier also goes, as a zero-cost
+// item, to the workers that got no records.
+func (m *Machine) dispatchShards(lr *logReader, preDrain bool, done func()) {
+	for s, pt := range m.pollShards {
+		if pt == nil {
+			if done == nil {
+				continue
+			}
+			pt = m.shardFor(lr, uint16(s))
+		}
+		m.pollShards[s] = nil
+		pt.preDrain, pt.done = preDrain, done
+		m.pool.ByIndex(lr.src+s).Do(pt.cost, pt.runFn)
+	}
 }
 
 func (pt *pollTask) recycle() {
 	clear(pt.batch)
 	pt.batch = pt.batch[:0]
-	pt.lr, pt.done, pt.preDrain = nil, nil, false
+	pt.lr, pt.done, pt.preDrain, pt.cost = nil, nil, false, 0
 	pt.m.pollFree = append(pt.m.pollFree, pt)
 }
 
@@ -694,13 +764,19 @@ func (pt *pollTask) run() {
 	m, lr, done, preDrain := pt.m, pt.lr, pt.done, pt.preDrain
 	if !m.alive {
 		// Processing lost with the process; the records are still in the
-		// non-volatile log — surface them to the next poll/drain.
+		// non-volatile log — surface them to the next poll/drain. Each
+		// shard rewinds to its own first frame: the reader keeps the
+		// earliest, and replays are idempotent.
 		if len(pt.batch) > 0 {
 			lr.rd.RewindTo(pt.batch[0].seq)
 		}
 	} else {
 		for _, p := range pt.batch {
-			m.handleRecord(lr, p.rec, p.seq, preDrain)
+			if p.split {
+				m.truncateSplit(lr, p.rec, p.truncID, preDrain)
+			} else {
+				m.handleRecord(lr, p.rec, p.seq, preDrain)
+			}
 		}
 		if done == nil {
 			m.maybeReportConsumed(lr)
@@ -712,17 +788,23 @@ func (pt *pollTask) run() {
 	}
 }
 
-// pollLog drains newly arrived frames from one peer's log and processes
-// the records on a worker thread (sharded by sender so records from one
-// coordinator stay ordered).
-func (m *Machine) pollLog(lr *logReader) {
-	pt, cost := m.decodeFrames(lr)
-	if len(pt.batch) == 0 {
-		pt.recycle()
+// truncateSplit applies a truncation id that decodeFrames split off its
+// carrier, unless handleRecord drops the carrier's piggyback with it: the
+// non-member gate, which explicit TRUNCATEs do not pass through.
+func (m *Machine) truncateSplit(lr *logReader, carrier *proto.Record, id uint64, preDrain bool) {
+	if carrier.Type != proto.RecTruncate && m.fromNonMember(carrier, preDrain) {
 		return
 	}
-	pt.preDrain = m.lastDrained < m.config.ID
-	m.pool.ByIndex(lr.src).Do(cost, pt.runFn)
+	thread, local := unpackTruncID(id)
+	m.truncateTx(lr, proto.CoordKey{Machine: carrier.Tx.Machine, Thread: thread}, local)
+}
+
+// pollLog processes newly arrived frames of one peer's log on the worker
+// threads, sharded by coordinator thread: every worker shares the load of
+// a busy ring, and one transaction's records stay ordered.
+func (m *Machine) pollLog(lr *logReader) {
+	m.decodeFrames(lr)
+	m.dispatchShards(lr, m.lastDrained < m.config.ID, nil)
 }
 
 // maybeReportConsumed lazily tells the sender how far its ring has been

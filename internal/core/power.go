@@ -53,6 +53,11 @@ func (c *Cluster) RestorePower() {
 		m.poweredOff = false
 		m.alive = true
 		m.nic.SetPowered(true)
+		// Commit reports parked behind a lapsed lease rest on completions
+		// that predate the outage, and recovery may have aborted them while
+		// this machine sat evicted behind a partition. The fresh lease
+		// manager must not flush them: their outcome stays indeterminate.
+		m.fencedReports = nil
 		m.lease = newLeaseManager(m)
 		m.lease.start()
 		m.startTruncSweep()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"farm/internal/history"
 	"farm/internal/proto"
 	"farm/internal/regionmem"
 	"farm/internal/sim"
@@ -135,5 +136,70 @@ func TestPowerFailureReportedCommitsSurvive(t *testing.T) {
 		if got[0] != kv.val {
 			t.Fatalf("committed value %d lost: got %d", kv.val, got[0])
 		}
+	}
+}
+
+// TestPowerCycleVoidsLeaseFencedCommitReports drives the one order in which
+// a parked commit report used to outlive its transaction's abort: the
+// coordinator is partitioned away right after its LOCK is granted, the
+// surviving configuration evicts it and aborts the transaction, another
+// transaction installs the same version, the partition heals, the zombie's
+// COMMIT-PRIMARY gets its hardware ack and the report is parked behind the
+// stale lease — and then a power cycle hands the zombie a fresh lease
+// manager. The application must never be told that transaction committed.
+func TestPowerCycleVoidsLeaseFencedCommitReports(t *testing.T) {
+	o := recoveryOpts()
+	o.History = true
+	c, region := testCluster(t, o)
+	prim, zm := primaryAndOutsider(t, c, region)
+	addr := writeObjectIn(t, c, prim, region, []byte("aaaaaaaa"))
+	c.RunFor(20 * sim.Millisecond)
+
+	var zombieDone bool
+	var zombieErr error
+	update(t, zm, 3, addr, []byte("zzzzzzzz"), &zombieDone, &zombieErr)
+	// Cut the coordinator off the instant its LOCK-REPLY is in.
+	runUntil(t, c, sim.Second, func() bool {
+		for _, ct := range zm.inflight {
+			return ct.phase > phaseLock
+		}
+		return false
+	})
+	// Heal within the ring writer's ~127 ms retransmission span, so the
+	// zombie's COMMIT records still land once the partition is gone.
+	c.Partition(map[int]int{zm.ID: 1})
+	c.RunFor(60 * sim.Millisecond)
+	if prim.config.Member(uint16(zm.ID)) {
+		t.Fatal("partitioned coordinator was not evicted")
+	}
+	if zombieDone {
+		t.Fatalf("partitioned coordinator reported an outcome: %v", zombieErr)
+	}
+
+	// The survivors aborted it; this update installs the version it locked.
+	var updated bool
+	var liveErr error
+	update(t, prim, 0, addr, []byte("bbbbbbbb"), &updated, &liveErr)
+	runUntil(t, c, sim.Second, func() bool { return updated })
+	if liveErr != nil {
+		t.Fatalf("commit after eviction: %v", liveErr)
+	}
+
+	c.Heal()
+	runUntil(t, c, sim.Second, func() bool { return len(zm.fencedReports) > 0 })
+	if zombieDone {
+		t.Fatal("report was not fenced by the stale lease")
+	}
+
+	c.PowerCycle(50 * sim.Millisecond)
+	c.RunFor(500 * sim.Millisecond)
+	if zombieDone && zombieErr == nil {
+		t.Fatal("aborted transaction reported committed after the power cycle")
+	}
+	if got := readObject(t, c, prim, addr, 8); string(got) != "bbbbbbbb" {
+		t.Fatalf("object holds %q, want the survivors' update", got)
+	}
+	if rep := history.Check(c.Hist.Export()); !rep.Ok() {
+		t.Fatalf("history judge: %v", rep.Violations)
 	}
 }

@@ -146,20 +146,24 @@ func (m *Machine) startTxRecovery(configID uint64) {
 	for _, src := range intKeys(m.logR) {
 		lr := m.logR[src]
 		outstanding++
-		m.drainLog(lr, func() { done() })
+		m.drainLog(lr, done)
 	}
 	done()
 }
 
 // drainLog polls one ring and processes everything found, bypassing the
 // stale-record rejection (these records were in the log at drain time and
-// must be examined, §5.3 step 2). cb runs after processing completes on
-// the owning thread — behind any earlier poll batches for the same ring,
-// preserving record order.
+// must be examined, §5.3 step 2). The ring's records are spread over the
+// workers (dispatchShards), so cb runs once every worker has passed the
+// barrier item queued here, behind its earlier batches of the same ring.
 func (m *Machine) drainLog(lr *logReader, cb func()) {
-	pt, cost := m.decodeFrames(lr)
-	pt.preDrain, pt.done = true, cb
-	m.pool.ByIndex(lr.src).Do(cost, pt.runFn)
+	m.decodeFrames(lr)
+	left := len(m.pollShards)
+	m.dispatchShards(lr, true, func() {
+		if left--; left == 0 {
+			cb()
+		}
+	})
 }
 
 // findRecoveringTxs is step 3: classify every transaction with records in

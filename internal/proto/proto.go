@@ -111,8 +111,9 @@ type Record struct {
 	// TruncLow is the piggybacked low bound on non-truncated local ids for
 	// this coordinator thread.
 	TruncLow uint64
-	// TruncIDs are piggybacked local ids (same coordinator thread) whose
-	// records can be truncated.
+	// TruncIDs are piggybacked ids, packed thread<<48 | local, of
+	// transactions of any thread of this coordinator machine whose records
+	// can be truncated.
 	TruncIDs []uint64
 }
 

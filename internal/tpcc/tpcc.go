@@ -199,20 +199,12 @@ func (w *Workload) setupWarehouse(wid int) (*warehouse, error) {
 	put := func(tx *core.Tx, t *kv.Table, key, val []byte) func(func(error)) {
 		return func(next func(error)) { t.Put(tx, key, val, next) }
 	}
-	var steps []func(func(error))
-	collect := func(tx *core.Tx) {
-		steps = steps[:0]
-		wrow := make([]byte, warehouseRow)
-		binary.LittleEndian.PutUint32(wrow[8:], uint32(wid%20)) // tax
-		steps = append(steps, put(tx, wh.wTbl, warehouseKey, wrow))
-	}
-	_ = collect
 
 	// Warehouse + districts in one transaction.
 	err = loadgen.RunSync(c, m, 0, func(tx *core.Tx, done func(error)) {
 		var fns []func(func(error))
 		wrow := make([]byte, warehouseRow)
-		binary.LittleEndian.PutUint32(wrow[8:], uint32(wid%20))
+		binary.LittleEndian.PutUint32(wrow[8:], uint32(wid%20)) // tax
 		fns = append(fns, put(tx, wh.wTbl, warehouseKey, wrow))
 		for d := 1; d <= cfg.Districts; d++ {
 			drow := make([]byte, districtRow)
