@@ -104,6 +104,12 @@ func main() {
 		fmt.Printf(" m%d %.0f/%.0f/%.0f ", i, lo, sum/float64(len(busy)), hi)
 	}
 	fmt.Println()
+	// A processed LOCK record answers with a LOCK-REPLY message unless its
+	// coordinator is the primary that processed it.
+	if locks := c.Counters.Get("rec LOCK"); locks > 0 {
+		fmt.Printf("locks:      %d LOCK records, whole run: %.1f%% answered by local hand-off, the rest by LOCK-REPLY\n",
+			locks, 100*(1-float64(c.Counters.Get("sent LOCK-REPLY"))/float64(locks)))
+	}
 	if tpccW != nil {
 		fmt.Printf("new orders: %d committed, median %v\n", tpccW.NewOrders, tpccW.NewOrderLat.Median())
 	}

@@ -189,3 +189,48 @@ func TestBankTransferAllocationBudget(t *testing.T) {
 		t.Fatalf("bank transfer: %v allocs end to end, want <= 94", n)
 	}
 }
+
+// TestLocalPrimaryCommitAllocationBudget: an update of one object from the
+// machine that is its primary — a local read, LOCK and COMMIT-PRIMARY
+// appended to the self log, the LOCK verdict handed to the coordinator's
+// thread in a pooled carrier, COMMIT-BACKUP to two backups, truncation — end
+// to end. It measured 60 while the verdict was a LOCK-REPLY message the
+// machine sent to itself and measures 59 now: the message is gone and the
+// hand-off allocates nothing in its place. (No head-room: the run is
+// deterministic, and one closure per hand-off would read 60.)
+func TestLocalPrimaryCommitAllocationBudget(t *testing.T) {
+	c, m, addrs := localObjects(t, 1, 8)
+	val := make([]byte, 8)
+	committed := 0
+	onCommit := func(err error) {
+		if err == nil {
+			committed++
+		}
+	}
+	var tx *core.Tx
+	onRead := func(_ []byte, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx.Write(addrs[0], val)
+		tx.Commit(onCommit)
+	}
+	one := func() {
+		tx = m.Begin(committed % m.Threads())
+		tx.Read(addrs[0], 8, onRead)
+		c.RunFor(300 * sim.Microsecond) // past the truncation flush
+	}
+	for i := 0; i < 500; i++ { // steady state: pools filled, rings wrapped
+		one()
+	}
+	before := committed
+	const runs = 300
+	n := testing.AllocsPerRun(runs, one)
+	if committed-before != runs+1 {
+		t.Fatalf("%d of %d updates committed", committed-before, runs+1)
+	}
+	t.Logf("local-primary update: %.1f allocs end to end", n)
+	if n > 59 {
+		t.Fatalf("local-primary update: %v allocs end to end, want <= 59", n)
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"farm/internal/proto"
 	"farm/internal/regionmem"
+	"farm/internal/trace"
 )
 
 // This file is the participant side of the commit protocol: processing of
@@ -177,8 +178,48 @@ func (m *Machine) processLock(rt *remoteTx, rec *proto.Record) {
 		rt.lockRefused = held == 0
 		m.c.Counters.Inc("lock_failed", 1)
 	}
+	if int(rec.Tx.Machine) == m.ID {
+		m.handOffLockVerdict(rec.Tx, ok) // the coordinator is this machine: no LOCK-REPLY
+		return
+	}
 	// Doorbell: the coordinator's lock phase is blocked on this reply.
 	m.sendDoorbell(int(rec.Tx.Machine), &proto.LockReply{Tx: rec.Tx, OK: ok})
+}
+
+// lockVerdict carries the outcome of a LOCK record this machine wrote into
+// its own log from the worker that processed the record to the coordinator's
+// thread: what a remote primary says in a LOCK-REPLY message, without the
+// message. Pooled like msgTask, runFn bound once, and recycled before the
+// verdict is acted on; one whose machine dies first is dropped with the rest
+// of that thread's work, never recycled.
+type lockVerdict struct {
+	m     *Machine
+	tx    proto.TxID
+	ok    bool
+	ctx   trace.Ctx
+	runFn func()
+}
+
+func (m *Machine) handOffLockVerdict(tx proto.TxID, ok bool) {
+	var v *lockVerdict
+	if k := len(m.lockFree); k > 0 {
+		v = m.lockFree[k-1]
+		m.lockFree = m.lockFree[:k-1]
+	} else {
+		v = &lockVerdict{m: m}
+		v.runFn = v.run
+	}
+	v.tx, v.ok, v.ctx = tx, ok, m.curCtx
+	// A thread id off the wire only ever picks a thread (ByIndex is modular).
+	m.OnThread(int(tx.Thread), m.c.Opts.CPULocal, v.runFn)
+}
+
+func (v *lockVerdict) run() {
+	m, tx, ok, prev := v.m, v.tx, v.ok, v.m.curCtx
+	m.curCtx = v.ctx
+	m.lockFree = append(m.lockFree, v)
+	m.onLockReply(tx, ok)
+	m.curCtx = prev
 }
 
 // applyCommitPrimary installs a committed transaction's writes at regions

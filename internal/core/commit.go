@@ -442,11 +442,12 @@ func (ct *coordTx) takeReservation(dst int, typ proto.RecordType) int {
 
 // recWrite is one of a committing transaction's records on its way into a
 // participant's log: scheduled on the coordinator thread (one verb per
-// record), encoded straight into a ring frame with piggybacked truncation
-// ids, acked by the NIC. It is pooled like msgTask, runFn/ackFn bound
-// once. rec never leaves the coordinator — it is encoded and dropped, and
-// participants decode their own copy out of the ring — which is what makes
-// reusing it, and ids (the backing store of rec.TruncIDs), safe.
+// record, or a memory write when the log is this machine's own), encoded
+// straight into a ring frame with piggybacked truncation ids, acked by the
+// NIC. It is pooled like msgTask, runFn/ackFn bound once. rec never leaves
+// the coordinator — it is encoded and dropped, and participants decode their
+// own copy out of the ring — which is what makes reusing it, and ids (the
+// backing store of rec.TruncIDs), safe.
 type recWrite struct {
 	m   *Machine
 	ct  *coordTx
@@ -478,7 +479,11 @@ func (m *Machine) writeTxRecord(ct *coordTx, typ proto.RecordType, g *destGroup)
 	case proto.RecCommitBackup:
 		op.rec.Writes = g.backupWrites
 	}
-	m.OnThread(ct.tx.thread, m.c.Opts.CPUVerb, op.runFn)
+	cost := m.c.Opts.CPUVerb
+	if g.dst == m.ID {
+		cost = m.c.Opts.CPULocal // its own log: a memory write, no verb to issue or reap
+	}
+	m.OnThread(ct.tx.thread, cost, op.runFn)
 }
 
 func (op *recWrite) run() {
@@ -530,13 +535,14 @@ func (m *Machine) sendLocks(ct *coordTx) {
 	}
 }
 
-// onLockReply handles a primary's lock result (Table 2 LOCK-REPLY).
-func (m *Machine) onLockReply(reply *proto.LockReply) {
-	ct := m.inflight[reply.Tx]
+// onLockReply handles a primary's lock result: Table 2's LOCK-REPLY from a
+// remote primary, the handed-off verdict (lockVerdict) from this machine.
+func (m *Machine) onLockReply(tx proto.TxID, ok bool) {
+	ct := m.inflight[tx]
 	if ct == nil || ct.recovering || ct.phase != phaseLock {
 		return
 	}
-	if !reply.OK {
+	if !ok {
 		ct.lockFailed = true
 	}
 	ct.lastProgress = m.c.Eng.Now()

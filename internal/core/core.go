@@ -177,8 +177,9 @@ type Options struct {
 	VoteTimeout sim.Time
 	// TxStallTimeout bounds how long a committing transaction may sit in
 	// its lock or validate phase without progress before the coordinator
-	// aborts it. Lost LOCK-REPLY or VALIDATE-REPLY messages (drop faults,
-	// one-way cuts) otherwise leave the transaction holding locks forever.
+	// aborts it. A LOCK-REPLY from a remote primary or a VALIDATE-REPLY lost
+	// to drop faults or one-way cuts otherwise leaves the transaction holding
+	// locks forever.
 	// Aborting is safe only in those phases; from COMMIT-BACKUP on, the
 	// outcome belongs to recovery. Negative disables the watchdog.
 	TxStallTimeout sim.Time

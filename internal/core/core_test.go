@@ -536,7 +536,7 @@ func TestMessageCountsCommitProtocol(t *testing.T) {
 	}
 	// Backups' worker CPUs must not have been touched by commit: no
 	// messages should have been handled there. (LOCK-REPLY is the only
-	// message, from the written primary.)
+	// message, from the written — here remote — primary.)
 	if diff["msg_send"] > 2 {
 		t.Fatalf("messages = %d, want ≤ 2 (lock reply)", diff["msg_send"])
 	}

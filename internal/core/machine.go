@@ -272,14 +272,16 @@ type Machine struct {
 
 	// taskFree recycles msgTask carriers (deferred receive dispatches and
 	// outbound enqueues) so the per-message paths allocate nothing in
-	// steady state; pollFree, readFree, recFree and valFree do the same for
-	// log-poll batches, object reads (read.go), commit-record writes and
-	// per-object validations (commit.go).
+	// steady state; pollFree, readFree, recFree, valFree and lockFree do the
+	// same for log-poll batches, object reads (read.go), commit-record
+	// writes, per-object validations (commit.go) and local LOCK verdicts
+	// (apply.go).
 	taskFree []*msgTask
 	pollFree []*pollTask
 	readFree []*readOp
 	recFree  []*recWrite
 	valFree  []*valOp
+	lockFree []*lockVerdict
 	// pollShards is decodeFrames' per-poll table, one slot per coordinator
 	// thread (mod workers); every slot is nil between polls.
 	pollShards []*pollTask
@@ -646,7 +648,11 @@ func (m *Machine) onRemoteWrite(region nvram.RegionID, _, _ int) {
 		return
 	}
 	lr.pollScheduled = true
-	m.c.Eng.After(m.c.Opts.PollDelay, lr.pollFn)
+	delay := m.c.Opts.PollDelay
+	if sender == m.ID {
+		delay = 0 // the event loop that polls the self ring is the one that wrote it
+	}
+	m.c.Eng.After(delay, lr.pollFn)
 }
 
 // parsedRecord is one item of a polled batch: a decoded log record with its
@@ -816,6 +822,11 @@ func (m *Machine) maybeReportConsumed(lr *logReader) {
 	}
 	lr.reported = consumed
 	src := lr.src
+	if src == m.ID {
+		// The self ring's writer is in this process: no write, no wire.
+		m.logW[src].UpdateConsumed(consumed)
+		return
+	}
 	m.c.Net.Counters.Inc("rdma_write", 1)
 	m.c.Eng.After(m.c.Opts.Fabric.WireLatency+sim.Microsecond, func() {
 		peer := m.c.Machines[src]
@@ -881,71 +892,51 @@ func (m *Machine) installAllocHook(r *replica) {
 	})
 }
 
-// send transmits a reliable message through the transport, charging the
-// sender-side CPU cost. All control-plane sends funnel through here (and
-// sendFromThread); only the lease manager talks to the NIC directly. The
-// current handler context (if any) is captured synchronously, so the
-// message carries the causal parent even though the transport enqueue runs
-// later on a worker thread.
-func (m *Machine) send(dst int, msg interface{}) {
-	m.sendCtx(dst, msg, m.curCtx)
+// sendMsg is the one body behind the send* wrappers below: it transmits a
+// reliable message through the transport, charging the sender-side CPU cost
+// to worker `thread` (anyThread: the least loaded). All control-plane sends
+// funnel through here; only the lease manager talks to the NIC directly.
+// ctx is the message's causal parent, captured by the wrappers while the
+// handler context is live (the transport enqueue runs later, on the worker).
+// With bell set the phase-end doorbell follows the message into its
+// destination's coalescing queue, which flushes at once (transport.flushHint)
+// instead of waiting out its timer: for the commit protocol's latency-critical
+// legs — LOCK-REPLY from a remote primary, validation requests and replies,
+// RPC replies — where one message is the phase's entire fan-out to dst.
+func (m *Machine) sendMsg(thread, dst int, msg interface{}, ctx trace.Ctx, bell bool) {
+	if !m.alive {
+		return
+	}
+	tk := m.getTask()
+	tk.send, tk.bell, tk.dst, tk.msg, tk.ctx = true, bell, dst, msg, ctx
+	if thread == anyThread {
+		m.pool.Dispatch(m.c.Opts.CPUMsg, tk.runFn)
+		return
+	}
+	m.pool.ByIndex(thread).Do(m.c.Opts.CPUMsg, tk.runFn)
 }
 
-// sendCtx is send with an explicit causal context, for call sites inside
-// timer closures where the handler context is no longer live (NEW-CONFIG
-// pushes, recovery votes and decisions).
+const anyThread = -1
+
+// The wrappers: the running handler's context or an explicit one (Ctx: timer
+// closures of NEW-CONFIG pushes, recovery votes and decisions have no live
+// handler), any worker or a named one (FromThread), without or with the bell.
+func (m *Machine) send(dst int, msg interface{}) { m.sendMsg(anyThread, dst, msg, m.curCtx, false) }
 func (m *Machine) sendCtx(dst int, msg interface{}, ctx trace.Ctx) {
-	if !m.alive {
-		return
-	}
-	tk := m.getTask()
-	tk.send, tk.dst, tk.msg, tk.ctx = true, dst, msg, ctx
-	m.pool.Dispatch(m.c.Opts.CPUMsg, tk.runFn)
+	m.sendMsg(anyThread, dst, msg, ctx, false)
 }
-
-// sendDoorbell is send plus the phase-end doorbell: after the message
-// joins its destination's coalescing queue, the queue flushes immediately
-// (transport.flushHint) instead of waiting out the flush timer. Used on
-// the commit protocol's latency-critical legs — LOCK-REPLY, validation
-// requests and replies, RPC replies — where one message is the phase's
-// entire fan-out to that destination and nothing further is coming.
 func (m *Machine) sendDoorbell(dst int, msg interface{}) {
-	if !m.alive {
-		return
-	}
-	tk := m.getTask()
-	tk.send, tk.bell, tk.dst, tk.msg, tk.ctx = true, true, dst, msg, m.curCtx
-	m.pool.Dispatch(m.c.Opts.CPUMsg, tk.runFn)
+	m.sendMsg(anyThread, dst, msg, m.curCtx, true)
 }
-
-// sendFromThread is send with the CPU cost charged to a specific thread.
 func (m *Machine) sendFromThread(thread, dst int, msg interface{}) {
-	m.sendFromThreadCtx(thread, dst, msg, m.curCtx)
+	m.sendMsg(thread, dst, msg, m.curCtx, false)
 }
-
-// sendFromThreadCtx is sendFromThread with an explicit causal context.
 func (m *Machine) sendFromThreadCtx(thread, dst int, msg interface{}, ctx trace.Ctx) {
-	if !m.alive {
-		return
-	}
-	tk := m.getTask()
-	tk.send, tk.dst, tk.msg, tk.ctx = true, dst, msg, ctx
-	m.pool.ByIndex(thread).Do(m.c.Opts.CPUMsg, tk.runFn)
+	m.sendMsg(thread, dst, msg, ctx, false)
 }
-
-// sendFromThreadDoorbell is sendDoorbell with the CPU cost charged to a
-// specific thread.
 func (m *Machine) sendFromThreadDoorbell(thread, dst int, msg interface{}) {
-	m.sendFromThreadCtxDoorbell(thread, dst, msg, m.curCtx)
+	m.sendMsg(thread, dst, msg, m.curCtx, true)
 }
-
-// sendFromThreadCtxDoorbell is sendFromThreadDoorbell with an explicit
-// causal context.
 func (m *Machine) sendFromThreadCtxDoorbell(thread, dst int, msg interface{}, ctx trace.Ctx) {
-	if !m.alive {
-		return
-	}
-	tk := m.getTask()
-	tk.send, tk.bell, tk.dst, tk.msg, tk.ctx = true, true, dst, msg, ctx
-	m.pool.ByIndex(thread).Do(m.c.Opts.CPUMsg, tk.runFn)
+	m.sendMsg(thread, dst, msg, ctx, true)
 }

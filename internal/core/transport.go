@@ -345,7 +345,7 @@ func (t *transport) registerHandlers() {
 
 	// Transaction protocol (Table 2).
 	proto.Register(r, "LOCK-REPLY", nil,
-		func(_ int, v *proto.LockReply) { m.onLockReply(v) })
+		func(_ int, v *proto.LockReply) { m.onLockReply(v.Tx, v.OK) })
 	proto.Register(r, "VALIDATE",
 		func(v *proto.ValidateReq) int { return 24 + 16*len(v.Addrs) },
 		func(src int, v *proto.ValidateReq) { m.onValidateReq(src, v) })

@@ -1,11 +1,12 @@
 package core
 
 // Coordinator stall watchdog. FaRM's normal path assumes reliable sends:
-// LOCK-REPLY and VALIDATE-REPLY are messages, and a dropped reply (RC retry
-// exhaustion, one-way cut) leaves the coordinator waiting forever while the
-// primaries hold the transaction's locks — every later transaction touching
-// those objects aborts on conflict. No protocol message ever comes to break
-// the tie, because nothing failed in a way leases notice.
+// LOCK-REPLY from a remote primary and VALIDATE-REPLY are messages, and a
+// dropped reply (RC retry exhaustion, one-way cut) leaves the coordinator
+// waiting forever while the primaries hold the transaction's locks — every
+// later transaction touching those objects aborts on conflict. No protocol
+// message ever comes to break the tie, because nothing failed in a way
+// leases notice.
 //
 // The watchdog sweeps in-flight transactions and aborts those stuck in the
 // lock or validate phase past Options.TxStallTimeout. Aborting there is
