@@ -2,6 +2,9 @@
 
 .PHONY: check test harness bench perf figures chaos examples vet race trace
 
+# Everything the chaos and trace targets write lands here (gitignored).
+OUT := .farm-out
+
 # Default local gate: static checks, the full suite (including the
 # 100-machine scale run in internal/perf), the race detector, a
 # multi-seed nemesis campaign with every fault kind enabled, then traced
@@ -27,13 +30,12 @@ bench:
 	go test -bench . -benchmem -run XXX ./internal/sim ./internal/fabric ./internal/proto ./internal/ring ./internal/kv ./internal/btree .
 
 # Simulator performance gate: re-measure the scale suite (TATP and bank
-# at 9, 50 and 100 machines, each under both coalescing policies) and
-# compare against the committed BENCH_sim.json — fails on a >25%
-# events/sec regression (wall-clock, noisy, hence generous), a >10%
-# growth in committed-tx p99 or msgs/tx (both deterministic, so those
-# gates never fire on host noise), or any steady-state engine
-# allocation. Prints the fresh-vs-committed and
-# adaptive-vs-fixed tables; the fresh report lands in
+# at 9, 50 and 100 machines: six points) and compare against the
+# committed BENCH_sim.json — fails on a >25% events/sec regression
+# (wall-clock, noisy, hence generous), a >10% growth in committed-tx p99
+# or msgs/tx (both deterministic, so those gates never fire on host
+# noise), or any steady-state engine allocation. Prints the
+# fresh-vs-committed table; the fresh report lands in
 # BENCH_sim.fresh.json (gitignored; CI uploads it on failure). Refresh
 # the baseline after a deliberate change with
 # `go run ./cmd/farm-perf -update`.
@@ -57,8 +59,8 @@ chaos:
 	go run ./cmd/farm-chaos -runs 20
 	go run ./cmd/farm-chaos -runs 1 -corrupt
 	go run ./cmd/farm-chaos -replay 1
-	! go run ./cmd/farm-chaos -runs 1 -bug-validation -histdump /tmp/farm-bugval
-	! go run ./cmd/farm-histcheck /tmp/farm-bugval/seed-1.history.json
+	! go run ./cmd/farm-chaos -runs 1 -bug-validation -histdump $(OUT)/bugval
+	! go run ./cmd/farm-histcheck $(OUT)/bugval/seed-1.history.json
 	go test -race -run TestRunIsDeterministic ./internal/chaos
 
 # Traced smoke runs: a fault-free bank run and a Figure 9 recovery run,
@@ -66,8 +68,9 @@ chaos:
 # tool itself (-check, on by default) — the recovery run must contain
 # every commit phase and every §5 recovery step.
 trace:
-	go run ./cmd/farm-trace -seed 1 -workload bank -sample 8 -out /tmp/farm-trace-bank.json
-	go run ./cmd/farm-trace -seed 1 -workload recovery -out /tmp/farm-trace-recovery.json
+	mkdir -p $(OUT)
+	go run ./cmd/farm-trace -seed 1 -workload bank -sample 8 -out $(OUT)/trace-bank.json
+	go run ./cmd/farm-trace -seed 1 -workload recovery -out $(OUT)/trace-recovery.json
 
 examples:
 	go run ./examples/quickstart
@@ -76,9 +79,10 @@ examples:
 	go run ./examples/recovery
 	go run ./examples/tatp
 
+# gofmt -l only lists; a listed file must fail the target.
 vet:
 	go vet ./...
-	gofmt -l .
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt -l lists:"; echo "$$files"; exit 1; fi
 
 # The chaos campaign under the race detector legitimately needs more
 # than go test's default 10m package budget.

@@ -1,8 +1,7 @@
 // farm-perf measures the simulator and the protocol hot path: host events
 // per second, committed-transaction latency percentiles (virtual time),
-// fabric messages and wire bytes per committed transaction, abort rate —
-// each workload/scale point run under both coalescing policies. The
-// result is the perf trajectory committed as BENCH_sim.json. With -check
+// fabric messages and wire bytes per committed transaction, abort rate.
+// The result is the perf trajectory committed as BENCH_sim.json. With -check
 // (on by default) the fresh measurement is compared against the committed
 // baseline and the run fails on a >25% events/sec regression (wall-clock,
 // so the gate is generous) or a >10% growth in committed-tx p99 or
@@ -21,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"farm/internal/perf"
 )
@@ -47,49 +45,19 @@ func pct(fresh, base float64) string {
 // baseline, one row per point, with the gated columns.
 func printComparison(baseline, fresh *perf.Report) {
 	fmt.Println("\nfresh vs committed baseline:")
-	fmt.Printf("%-14s %12s %8s  %12s %8s  %10s %8s\n",
+	fmt.Printf("%-9s %12s %8s  %12s %8s  %10s %8s\n",
 		"point", "ev/s", "Δ", "tx p99 µs", "Δ", "msgs/tx", "Δ")
 	for _, b := range baseline.Points {
 		g := fresh.Point(b.Name)
 		if g == nil {
-			fmt.Printf("%-14s  MISSING from fresh report\n", b.Name)
+			fmt.Printf("%-9s  MISSING from fresh report\n", b.Name)
 			continue
 		}
-		fmt.Printf("%-14s %12.0f %8s  %12.1f %8s  %10.2f %8s\n",
+		fmt.Printf("%-9s %12.0f %8s  %12.1f %8s  %10.2f %8s\n",
 			b.Name,
 			g.EventsPerSec, pct(g.EventsPerSec, b.EventsPerSec),
 			g.TxP99Us, pct(g.TxP99Us, b.TxP99Us),
 			g.MsgsPerTx, pct(g.MsgsPerTx, b.MsgsPerTx))
-	}
-}
-
-// printAB renders the adaptive-vs-fixed policy pairs within one report:
-// the latency the adaptive policy buys and the message-coalescing cost it
-// pays, per workload and scale.
-func printAB(r *perf.Report) {
-	var pairs [][2]*perf.Point
-	for i := range r.Points {
-		p := &r.Points[i]
-		if strings.HasSuffix(p.Name, perf.FixedSuffix) {
-			continue
-		}
-		if f := r.Point(p.Name + perf.FixedSuffix); f != nil {
-			pairs = append(pairs, [2]*perf.Point{p, f})
-		}
-	}
-	if len(pairs) == 0 {
-		return
-	}
-	fmt.Println("\nadaptive vs fixed coalescing (Δ = adaptive relative to fixed):")
-	fmt.Printf("%-10s %14s %8s  %14s %8s  %12s %8s\n",
-		"point", "p50 µs a/f", "Δ", "p99 µs a/f", "Δ", "msgs/tx a/f", "Δ")
-	for _, pr := range pairs {
-		a, f := pr[0], pr[1]
-		fmt.Printf("%-10s %6.1f/%-7.1f %8s  %6.1f/%-7.1f %8s  %5.2f/%-6.2f %8s\n",
-			a.Name,
-			a.TxP50Us, f.TxP50Us, pct(a.TxP50Us, f.TxP50Us),
-			a.TxP99Us, f.TxP99Us, pct(a.TxP99Us, f.TxP99Us),
-			a.MsgsPerTx, f.MsgsPerTx, pct(a.MsgsPerTx, f.MsgsPerTx))
 	}
 }
 
@@ -103,7 +71,6 @@ func main() {
 	}
 	fmt.Printf("peak machines simulated: %d; engine steady-state allocs/event: %.2f\n",
 		report.PeakMachines, report.EngineAllocsPerEvent)
-	printAB(report)
 
 	if *outPath != "" {
 		if err := report.WriteFile(*outPath); err != nil {

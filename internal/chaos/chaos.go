@@ -93,10 +93,6 @@ type Config struct {
 	// set is EXPECTED to fail: the history checker must catch the
 	// resulting serializability violations with a concrete cycle witness.
 	BugSkipValidation bool
-	// CoalescePolicy selects the transport flush policy for the run (the
-	// zero value is core.CoalesceAdaptive, the shipping default); campaigns
-	// can pin core.CoalesceFixed to chaos-test the A/B baseline too.
-	CoalescePolicy core.CoalescePolicy
 }
 
 // DefaultConfig returns a campaign tuned to finish one run in a few wall
@@ -484,7 +480,6 @@ func Run(cfg Config) Result {
 		AuditRepair:        cfg.Audit,
 		History:            cfg.HistCheck || cfg.HistDump,
 		SkipReadValidation: cfg.BugSkipValidation,
-		CoalescePolicy:     cfg.CoalescePolicy,
 	}
 	c := core.New(opts)
 	regions, err := c.CreateRegions(0, 3, 0)

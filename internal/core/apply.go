@@ -182,8 +182,7 @@ func (m *Machine) processLock(rt *remoteTx, rec *proto.Record) {
 		m.handOffLockVerdict(rec.Tx, ok) // the coordinator is this machine: no LOCK-REPLY
 		return
 	}
-	// Doorbell: the coordinator's lock phase is blocked on this reply.
-	m.sendDoorbell(int(rec.Tx.Machine), &proto.LockReply{Tx: rec.Tx, OK: ok})
+	m.send(int(rec.Tx.Machine), &proto.LockReply{Tx: rec.Tx, OK: ok})
 }
 
 // lockVerdict carries the outcome of a LOCK record this machine wrote into
@@ -344,8 +343,7 @@ func (m *Machine) rpcAllocSlot(from int, id uint64, req *allocSlotReq) {
 		return // §5.2: no slot reservations for non-member coordinators
 	}
 	off, ver, err := m.allocSlotLocal(req.Region, req.Size)
-	// Doorbell: the coordinator's execute phase is blocked on this slot.
-	m.sendDoorbell(from, &rpcReply{ID: id, Body: &allocSlotResp{
+	m.send(from, &rpcReply{ID: id, Body: &allocSlotResp{
 		Region: req.Region, OK: err == nil, Off: off, Version: ver,
 	}})
 }
@@ -366,8 +364,7 @@ func (m *Machine) rpcValidate(from int, id uint64, req *proto.ValidateReq) {
 			break
 		}
 	}
-	// Doorbell: a read-only commit is blocked on this validation verdict.
-	m.sendDoorbell(from, &rpcReply{ID: id, Body: &proto.ValidateReply{OK: ok}})
+	m.send(from, &rpcReply{ID: id, Body: &proto.ValidateReply{OK: ok}})
 }
 
 // rpcMapping answers a region-placement cache miss. The response is a bare
@@ -402,6 +399,5 @@ func (m *Machine) onValidateReq(src int, req *proto.ValidateReq) {
 			break
 		}
 	}
-	// Doorbell: the coordinator's validate phase is blocked on this reply.
-	m.sendDoorbell(src, &proto.ValidateReply{Tx: req.Tx, OK: ok})
+	m.send(src, &proto.ValidateReply{Tx: req.Tx, OK: ok})
 }

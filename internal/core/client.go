@@ -70,18 +70,13 @@ func (c *Cluster) NewClient() *Client {
 		}
 	}
 	cl.nic.SetMessageHandler(func(_ fabric.MachineID, msg interface{}) {
-		// Members reply through their coalescing transport, so responses
-		// may arrive batched.
+		// Members reply through their transport: one response per frame.
 		if b, ok := msg.(*fabric.Batch); ok {
 			for _, inner := range b.Msgs {
 				if resp, ok := inner.(*clientResp); ok {
 					deliver(resp)
 				}
 			}
-			return
-		}
-		if resp, ok := msg.(*clientResp); ok {
-			deliver(resp)
 		}
 	})
 	return cl

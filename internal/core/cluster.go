@@ -78,9 +78,6 @@ type Cluster struct {
 // with machine 0 as CM, stored in Zookeeper; leases are armed.
 func New(opts Options) *Cluster {
 	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		panic(err)
-	}
 	eng := sim.NewEngine(opts.Seed)
 	c := &Cluster{
 		Eng:               eng,

@@ -499,10 +499,6 @@ func (op *recWrite) run() {
 		m.requeuePiggyback(dst, rec)
 		op.ack(ErrNoSpace)
 	}
-	// Phase-end doorbell: the record is on the wire; any transport traffic
-	// queued toward dst departs with it instead of trailing the phase by a
-	// flush interval.
-	m.tp.flushHint(dst)
 }
 
 // ack is the hardware ack of the record's ring write: settle the
@@ -631,9 +627,7 @@ func (m *Machine) validate(ct *coordTx) {
 			// parented on this validation.
 			req := t.validateReqFor(entries)
 			req.Tx = ct.id
-			// Doorbell: this request is the validate phase's entire
-			// fan-out to pm; it should depart with the phase.
-			m.sendFromThreadCtxDoorbell(t.thread, pm, req, ct.phaseCtx)
+			m.sendFromThreadCtx(t.thread, pm, req, ct.phaseCtx)
 			continue
 		}
 		for _, e := range entries {
@@ -977,8 +971,7 @@ func (t *Tx) validateReadOnly(cb func(error)) {
 			m.rpcWaiters[id] = func(resp interface{}) {
 				t.roValidated(resp.(*proto.ValidateReply).OK)
 			}
-			// Doorbell: a read-only commit waits on nothing else.
-			m.sendFromThreadDoorbell(t.thread, pm, &rpcEnvelope{ID: id, From: m.ID, Body: req, Ctx: t.ctx})
+			m.sendFromThread(t.thread, pm, &rpcEnvelope{ID: id, From: m.ID, Body: req, Ctx: t.ctx})
 			continue
 		}
 		for _, e := range entries {

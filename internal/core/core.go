@@ -25,7 +25,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"farm/internal/fabric"
 	"farm/internal/regionmem"
@@ -88,45 +87,6 @@ func (v LeaseVariant) String() string {
 		return "unknown"
 	}
 }
-
-// CoalescePolicy selects how the message transport decides when a
-// per-destination coalescing queue flushes into one fabric frame.
-type CoalescePolicy int
-
-const (
-	// CoalesceAdaptive is the default: a queue flushes immediately when it
-	// crosses a byte or message-count budget (CoalesceMaxBytes /
-	// CoalesceMaxMsgs) or when a protocol phase rings the doorbell
-	// (transport.flushHint); otherwise a per-destination timer flushes it.
-	// The timer interval adapts — it stretches toward CoalesceMaxInterval
-	// while budgets keep firing (sustained load: bigger frames, fewer
-	// sends) and shrinks toward CoalesceMinInterval when timers find
-	// near-empty queues (idle: latency matters more than batching). The
-	// policy is a pure function of simulated state, so runs stay
-	// deterministic and replayable.
-	CoalesceAdaptive CoalescePolicy = iota
-	// CoalesceFixed is the original policy: every queue flushes exactly
-	// CoalesceInterval after its first message arrives; budgets and
-	// doorbells are ignored. Kept selectable as the A/B baseline.
-	CoalesceFixed
-)
-
-// String names the policy for reports and benchmark output.
-func (p CoalescePolicy) String() string {
-	switch p {
-	case CoalesceAdaptive:
-		return "adaptive"
-	case CoalesceFixed:
-		return "fixed"
-	default:
-		return "unknown"
-	}
-}
-
-// CoalesceDisabled is the explicit spelling for "no coalescing": set
-// Options.CoalesceInterval to it and every message becomes its own fabric
-// send. Any other negative interval is rejected by New.
-const CoalesceDisabled = -1 * sim.Nanosecond
 
 // Options configures a cluster. Zero fields take defaults from
 // DefaultOptions. CPU-cost constants are calibrated so that per-machine
@@ -200,31 +160,6 @@ type Options struct {
 	AllocScanBatch    int
 	AllocScanInterval sim.Time
 
-	// CoalesceInterval is how long the message transport buffers small
-	// control messages per destination before flushing them as one fabric
-	// frame (§1/§4: reduce message counts). 0 takes the library default
-	// (3 µs); CoalesceDisabled turns coalescing off (every message is its
-	// own fabric send); any other negative value is rejected by New. Under
-	// CoalesceAdaptive this is the starting interval each queue adapts
-	// from; under CoalesceFixed it is the exact flush delay. Lease traffic
-	// never coalesces regardless.
-	CoalesceInterval sim.Time
-	// CoalescePolicy selects the flush policy; the zero value is
-	// CoalesceAdaptive.
-	CoalescePolicy CoalescePolicy
-	// CoalesceMaxBytes is the adaptive byte budget: a queue whose buffered
-	// payload reaches it flushes immediately instead of waiting out the
-	// timer. 0 takes the default; negative is rejected by New.
-	CoalesceMaxBytes int
-	// CoalesceMaxMsgs is the adaptive message-count budget, with the same
-	// zero/negative conventions.
-	CoalesceMaxMsgs int
-	// CoalesceMinInterval and CoalesceMaxInterval bound the adaptive
-	// timer. 0 takes defaults derived from CoalesceInterval (interval/6
-	// and interval×4); negatives and min > max are rejected by New.
-	CoalesceMinInterval sim.Time
-	CoalesceMaxInterval sim.Time
-
 	// CPUVerb is the worker-thread cost to issue a one-sided verb and
 	// later reap its completion.
 	CPUVerb sim.Time
@@ -291,9 +226,6 @@ func DefaultOptions() Options {
 		DataRecConcurrency:    1,
 		AllocScanBatch:        100,
 		AllocScanInterval:     100 * sim.Microsecond,
-		CoalesceInterval:      3 * sim.Microsecond,
-		CoalesceMaxBytes:      1024,
-		CoalesceMaxMsgs:       16,
 		CPUVerb:               2500 * sim.Nanosecond,
 		CPUMsg:                2500 * sim.Nanosecond,
 		CPUPerObject:          300 * sim.Nanosecond,
@@ -353,27 +285,6 @@ func (o Options) withDefaults() Options {
 	if o.AllocScanInterval == 0 {
 		o.AllocScanInterval = d.AllocScanInterval
 	}
-	if o.CoalesceInterval == 0 {
-		o.CoalesceInterval = d.CoalesceInterval
-	}
-	if o.CoalesceMaxBytes == 0 {
-		o.CoalesceMaxBytes = d.CoalesceMaxBytes
-	}
-	if o.CoalesceMaxMsgs == 0 {
-		o.CoalesceMaxMsgs = d.CoalesceMaxMsgs
-	}
-	// The adaptive timer bounds default relative to the base interval
-	// (500 ns and 12 µs at the 3 µs default), so overriding just
-	// CoalesceInterval keeps a sensible adaptation range.
-	if o.CoalesceMinInterval == 0 && o.CoalesceInterval > 0 {
-		o.CoalesceMinInterval = o.CoalesceInterval / 6
-		if o.CoalesceMinInterval < sim.Nanosecond {
-			o.CoalesceMinInterval = sim.Nanosecond
-		}
-	}
-	if o.CoalesceMaxInterval == 0 && o.CoalesceInterval > 0 {
-		o.CoalesceMaxInterval = 4 * o.CoalesceInterval
-	}
 	if o.CPUVerb == 0 {
 		o.CPUVerb = d.CPUVerb
 	}
@@ -393,38 +304,6 @@ func (o Options) withDefaults() Options {
 		o.Seed = d.Seed
 	}
 	return o
-}
-
-// validate rejects malformed coalescing knobs. It runs in New after
-// withDefaults, so 0 has already been resolved to the library default and
-// anything still out of range was asked for explicitly. Returning an error
-// instead of silently reinterpreting (the old behavior: any negative
-// interval meant "send direct") keeps configuration typos loud.
-func (o Options) validate() error {
-	if o.CoalesceInterval < 0 && o.CoalesceInterval != CoalesceDisabled {
-		return fmt.Errorf("core: CoalesceInterval %d is negative; use core.CoalesceDisabled (%d) to turn coalescing off",
-			o.CoalesceInterval, CoalesceDisabled)
-	}
-	if o.CoalescePolicy != CoalesceAdaptive && o.CoalescePolicy != CoalesceFixed {
-		return fmt.Errorf("core: unknown CoalescePolicy %d", o.CoalescePolicy)
-	}
-	if o.CoalesceMaxBytes < 0 {
-		return fmt.Errorf("core: CoalesceMaxBytes %d is negative", o.CoalesceMaxBytes)
-	}
-	if o.CoalesceMaxMsgs < 0 {
-		return fmt.Errorf("core: CoalesceMaxMsgs %d is negative", o.CoalesceMaxMsgs)
-	}
-	if o.CoalesceMinInterval < 0 {
-		return fmt.Errorf("core: CoalesceMinInterval %d is negative", o.CoalesceMinInterval)
-	}
-	if o.CoalesceMaxInterval < 0 {
-		return fmt.Errorf("core: CoalesceMaxInterval %d is negative", o.CoalesceMaxInterval)
-	}
-	if o.CoalesceMinInterval > o.CoalesceMaxInterval {
-		return fmt.Errorf("core: CoalesceMinInterval %d exceeds CoalesceMaxInterval %d",
-			o.CoalesceMinInterval, o.CoalesceMaxInterval)
-	}
-	return nil
 }
 
 // logRegionID returns the reserved region id of the transaction-log ring

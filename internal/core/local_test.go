@@ -117,20 +117,26 @@ func unloadedUpdate(t *testing.T, c *Cluster, m *Machine, addr proto.Addr) sim.T
 }
 
 // TestUnloadedCommitLatencyLocalAndRemotePrimary pins the virtual latency of
-// one unloaded update. With a remote primary it is what it was before the
-// local split, to the nanosecond: nothing on that path changed. With the
-// coordinator on the primary it was 19.560 µs while the coordinator treated
-// itself as a remote participant: two verbs, two poll gaps and a LOCK-REPLY
-// message to itself that the local path does not pay.
+// one unloaded update, to the nanosecond. With the coordinator on the primary
+// it was 19.560 µs while the coordinator treated itself as a remote
+// participant: two verbs, two poll gaps and a LOCK-REPLY message to itself
+// that the local path does not pay. While messages were coalesced the two
+// pins read 28.099 and 8.910 µs; no step was added to or taken off either
+// path since. Every fabric hop adds up to 200 ns of wire jitter drawn from the
+// engine's one random stream; set-up, whose messages now leave one per frame,
+// ends at another position in that stream, so the hops of these two commits
+// draw other values (the pins move by as much, then as now, when the commits
+// start a millisecond later, past a lease renewal's draws). The remote path
+// also sheds the 16-byte batch header its LOCK-REPLY frame carried: 1 ns.
 func TestUnloadedCommitLatencyLocalAndRemotePrimary(t *testing.T) {
 	c, region := testCluster(t, Options{})
 	prim, out := primaryAndOutsider(t, c, region)
 	addr := writeObjectIn(t, c, prim, region, []byte("aaaaaaaa"))
 	c.RunFor(20 * sim.Millisecond)
 
-	const wantRemote, wantLocal = 28099 * sim.Nanosecond, 8910 * sim.Nanosecond
+	const wantRemote, wantLocal = 27766 * sim.Nanosecond, 8789 * sim.Nanosecond
 	if got := unloadedUpdate(t, c, out, addr); got != wantRemote {
-		t.Errorf("remote-primary update took %v, want %v (the remote path must not move)", got, wantRemote)
+		t.Errorf("remote-primary update took %v, want %v", got, wantRemote)
 	}
 	c.RunFor(20 * sim.Millisecond)
 	if got := unloadedUpdate(t, c, prim, addr); got != wantLocal {

@@ -175,8 +175,8 @@ type Machine struct {
 	nic   *fabric.NIC
 	store *nvram.Store
 	pool  *sim.ThreadPool
-	// tp is the typed message transport: handler registry, per-destination
-	// coalescing queues, and per-type accounting.
+	// tp is the typed message transport: handler registry, the one send
+	// path, and per-type accounting.
 	tp *transport
 
 	alive bool
@@ -291,7 +291,7 @@ type Machine struct {
 }
 
 // msgTask is one pooled unit of deferred message work: dispatching a
-// received message's handler, or enqueueing an outbound message into the
+// received message's handler, or handing an outbound message to the
 // transport — both run on a worker thread with the CPU cost charged there.
 // runFn is bound to the task once at allocation; the task recycles itself
 // before invoking the handler, so nested sends can reuse it immediately.
@@ -303,7 +303,6 @@ type msgTask struct {
 	msg   interface{}
 	ctx   trace.Ctx
 	send  bool
-	bell  bool // ring the phase-end doorbell after enqueueing
 	runFn func()
 }
 
@@ -320,21 +319,14 @@ func (m *Machine) getTask() *msgTask {
 
 func (t *msgTask) run() {
 	m := t.m
-	h, src, dst, msg, ctx, send, bell := t.h, t.src, t.dst, t.msg, t.ctx, t.send, t.bell
-	t.h, t.msg, t.ctx, t.send, t.bell = nil, nil, trace.Ctx{}, false, false
+	h, src, dst, msg, ctx, send := t.h, t.src, t.dst, t.msg, t.ctx, t.send
+	t.h, t.msg, t.ctx, t.send = nil, nil, trace.Ctx{}, false
 	m.taskFree = append(m.taskFree, t)
 	if !m.alive {
 		return
 	}
 	if send {
 		m.tp.enqueue(dst, msg, ctx)
-		if bell {
-			// The doorbell rides the same deferred task as the enqueue, so
-			// the flush happens at the same simulated instant on the same
-			// worker thread — deterministic, and the message it follows is
-			// guaranteed to be in the queue it flushes.
-			m.tp.flushHint(dst)
-		}
 		return
 	}
 	if m.trb != nil && ctx.Valid() {
@@ -564,34 +556,33 @@ func (m *Machine) LogSpaceReport() map[int][4]int {
 	return out
 }
 
-// onMessage is the NIC upcall for reliable sends. Coalesced frames are
-// unpacked here (in completion context, free — the real cost is the
-// per-message handling charged in dispatchMsg); bare messages still arrive
-// from external clients and from transports with coalescing disabled.
+// onMessage is the NIC upcall for reliable sends. A member's transport
+// sends every message in a frame of its own, unpacked here (in completion
+// context, free — the real cost is the per-message handling charged in
+// dispatchMsg); the loop is what keeps a duplicated frame or one carrying
+// several messages correct. External clients have no transport: their
+// requests arrive bare, unstamped and untraced.
 func (m *Machine) onMessage(src fabric.MachineID, msg interface{}) {
 	if !m.alive {
 		return
 	}
 	s := int(src)
-	if b, ok := msg.(*fabric.Batch); ok {
-		for i, inner := range b.Msgs {
-			var stamp sim.Time
-			if i < len(b.Stamps) {
-				stamp = b.Stamps[i]
-			}
-			var ctx trace.Ctx
-			if i < len(b.Ctxs) {
-				ctx = b.Ctxs[i]
-			}
-			m.dispatchMsg(s, inner, stamp, ctx)
+	b, ok := msg.(*fabric.Batch)
+	if !ok {
+		m.dispatchMsg(s, msg, 0, trace.Ctx{})
+		return
+	}
+	for i, inner := range b.Msgs {
+		var stamp sim.Time
+		if i < len(b.Stamps) {
+			stamp = b.Stamps[i]
 		}
-		return
+		var ctx trace.Ctx
+		if i < len(b.Ctxs) {
+			ctx = b.Ctxs[i]
+		}
+		m.dispatchMsg(s, inner, stamp, ctx)
 	}
-	if tr, ok := msg.(*trace.Traced); ok {
-		m.dispatchMsg(s, tr.Msg, 0, tr.Ctx)
-		return
-	}
-	m.dispatchMsg(s, msg, 0, trace.Ctx{})
 }
 
 // dispatchMsg routes one received message through the handler registry:
@@ -898,17 +889,12 @@ func (m *Machine) installAllocHook(r *replica) {
 // funnel through here; only the lease manager talks to the NIC directly.
 // ctx is the message's causal parent, captured by the wrappers while the
 // handler context is live (the transport enqueue runs later, on the worker).
-// With bell set the phase-end doorbell follows the message into its
-// destination's coalescing queue, which flushes at once (transport.flushHint)
-// instead of waiting out its timer: for the commit protocol's latency-critical
-// legs — LOCK-REPLY from a remote primary, validation requests and replies,
-// RPC replies — where one message is the phase's entire fan-out to dst.
-func (m *Machine) sendMsg(thread, dst int, msg interface{}, ctx trace.Ctx, bell bool) {
+func (m *Machine) sendMsg(thread, dst int, msg interface{}, ctx trace.Ctx) {
 	if !m.alive {
 		return
 	}
 	tk := m.getTask()
-	tk.send, tk.bell, tk.dst, tk.msg, tk.ctx = true, bell, dst, msg, ctx
+	tk.send, tk.dst, tk.msg, tk.ctx = true, dst, msg, ctx
 	if thread == anyThread {
 		m.pool.Dispatch(m.c.Opts.CPUMsg, tk.runFn)
 		return
@@ -920,23 +906,14 @@ const anyThread = -1
 
 // The wrappers: the running handler's context or an explicit one (Ctx: timer
 // closures of NEW-CONFIG pushes, recovery votes and decisions have no live
-// handler), any worker or a named one (FromThread), without or with the bell.
-func (m *Machine) send(dst int, msg interface{}) { m.sendMsg(anyThread, dst, msg, m.curCtx, false) }
+// handler), any worker or a named one (FromThread).
+func (m *Machine) send(dst int, msg interface{}) { m.sendMsg(anyThread, dst, msg, m.curCtx) }
 func (m *Machine) sendCtx(dst int, msg interface{}, ctx trace.Ctx) {
-	m.sendMsg(anyThread, dst, msg, ctx, false)
-}
-func (m *Machine) sendDoorbell(dst int, msg interface{}) {
-	m.sendMsg(anyThread, dst, msg, m.curCtx, true)
+	m.sendMsg(anyThread, dst, msg, ctx)
 }
 func (m *Machine) sendFromThread(thread, dst int, msg interface{}) {
-	m.sendMsg(thread, dst, msg, m.curCtx, false)
+	m.sendMsg(thread, dst, msg, m.curCtx)
 }
 func (m *Machine) sendFromThreadCtx(thread, dst int, msg interface{}, ctx trace.Ctx) {
-	m.sendMsg(thread, dst, msg, ctx, false)
-}
-func (m *Machine) sendFromThreadDoorbell(thread, dst int, msg interface{}) {
-	m.sendMsg(thread, dst, msg, m.curCtx, true)
-}
-func (m *Machine) sendFromThreadCtxDoorbell(thread, dst int, msg interface{}, ctx trace.Ctx) {
-	m.sendMsg(thread, dst, msg, ctx, true)
+	m.sendMsg(thread, dst, msg, ctx)
 }

@@ -483,12 +483,10 @@ func (m *Machine) recoverLocks(rep *replica, rt *recTx) {
 			continue
 		}
 		off := int(w.Addr.Off)
-		if owner, held := rep.lockOwner[w.Addr.Off]; held {
-			if owner == rt.id {
-				continue
-			}
-			continue // another recovering transaction holds it; version
-			// checks at decision time keep this safe
+		if _, held := rep.lockOwner[w.Addr.Off]; held {
+			// Held for this transaction already, or for another recovering
+			// one that passes it on when it is decided (passRecoveryLocks).
+			continue
 		}
 		word := regionmem.ReadHeader(rep.mem, off)
 		if regionmem.Version(word) > w.Version {
@@ -1037,7 +1035,59 @@ func (m *Machine) onRecoveryDecision(src int, id proto.TxID, commit bool) {
 		rt.saw |= proto.SawAbortRecovery
 		m.releaseLocksRecovered(rt)
 	}
+	m.passRecoveryLocks(rt)
 	m.send(src, &proto.RecoveryDecisionAck{Config: m.config.ID, Tx: id})
+}
+
+// passRecoveryLocks runs when the decision for recovering transaction rt has
+// just given up its objects at this primary. Lock recovery holds an object
+// for one transaction at a time, and recovering transactions can be chained
+// on one: A installed v+1 at the old primary, B read that and reached
+// COMMIT-BACKUP with v+2, and the promoted backup still has v, locked for A.
+// Were A's decision to leave the object free, a new transaction could lock
+// v+1 before B's COMMIT-RECOVERY installs v+2 over that lock, and the new
+// transaction's own write would then be version-gated away: a lost update.
+// So each object rt wrote that is free now goes, locked, to the undecided
+// recovering transaction of the region with the lowest unapplied write to
+// it — what recoverLocks would have done had rt not been in the way — and
+// is free only when there is none. Normal commits never come through here.
+func (m *Machine) passRecoveryLocks(rt *remoteTx) {
+	if rt.lock == nil || m.recov == nil {
+		return
+	}
+	for _, w := range rt.lock.Writes {
+		rep, rr := m.replicas[w.Addr.Region], m.recov.regions[w.Addr.Region]
+		if rep == nil || !rep.primary || rr == nil {
+			continue
+		}
+		if _, held := rep.lockOwner[w.Addr.Off]; held {
+			continue
+		}
+		word := regionmem.ReadHeader(rep.mem, int(w.Addr.Off))
+		var heir *recTx
+		var heirVersion uint64
+		for _, other := range rr.txs {
+			p := m.pend[mtlOf(other.id)]
+			if other.lock == nil || p == nil ||
+				(other.saw|p.saw)&(proto.SawAbort|proto.SawAbortRecovery|proto.SawCommitRecovery) != 0 {
+				continue // nothing to protect, truncated, or decided
+			}
+			for _, ow := range other.lock.Writes {
+				if ow.Addr != w.Addr || ow.Version < regionmem.Version(word) {
+					continue
+				}
+				// rr.txs is a map: the choice must not depend on its order.
+				if heir == nil || ow.Version < heirVersion ||
+					ow.Version == heirVersion && mtlLess(mtlOf(other.id), mtlOf(heir.id)) {
+					heir, heirVersion = other, ow.Version
+				}
+			}
+		}
+		if heir != nil {
+			regionmem.WriteHeader(rep.mem, int(w.Addr.Off), word|1<<63)
+			rep.lockOwner[w.Addr.Off] = heir.id
+		}
+	}
 }
 
 // releaseLocksRecovered releases both normal and recovery locks held for

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"testing"
 
+	"farm/internal/history"
 	"farm/internal/proto"
+	"farm/internal/regionmem"
 	"farm/internal/sim"
 )
 
@@ -381,6 +383,13 @@ func TestRecoveringTransactionCompletes(t *testing.T) {
 	if txErr != nil && string(got) != "xxxxxxxx" {
 		t.Fatalf("reported aborted (%v) but value %q", txErr, got)
 	}
+	// Every message type rides the one stamped carrier, so reconfiguration
+	// and recovery traffic has delivery histograms like the commit path's.
+	for _, name := range []string{"NEW-CONFIG", "RECOVERY-VOTE"} {
+		if h := c.MsgLatency.Get(name); h == nil || h.Count() == 0 {
+			t.Errorf("no delivery-latency histogram for %s after a kill and recovery", name)
+		}
+	}
 }
 
 func TestEvictedMachineStopsOperating(t *testing.T) {
@@ -565,4 +574,157 @@ func TestThroughputRecoversAfterFailure(t *testing.T) {
 		t.Fatalf("throughput recovery took %d ms, want < 100 ms", recovery)
 	}
 	t.Logf("throughput recovered %d ms after kill (pre=%.1f commits/ms)", recovery, pre)
+}
+
+// TestRecoveringTransactionsChainedOnOneObject builds two recovering
+// transactions chained on one object and checks the lock outlives the first
+// decision. A (v → v+1) is applied at the primary and reported; its
+// truncation is still queued at its coordinator, so the backups hold its
+// COMMIT-BACKUP record and the object at v. B read v+1, holds the lock and
+// has its COMMIT-BACKUP records (v+1 → v+2) at both backups when the primary
+// dies. The promoted backup locks the object for A; B finds it held. B's
+// recovery coordinator is kept busy, so A is decided first — and from then
+// until B's COMMIT-RECOVERY installs v+2 the object must stay locked, for B:
+// a writer hammers it the whole time. Left free it takes the writer's lock at
+// v+1; B installs v+2 over that lock and the writer's own v+2 is gated away.
+func TestRecoveringTransactionsChainedOnOneObject(t *testing.T) {
+	o := recoveryOpts()
+	o.History = true
+	o.TruncateFlushInterval = sim.Second // A's truncation stays queued: no carrier, no flush
+	c, _ := testCluster(t, o)
+	region := regionWithPrimaryNotIn(t, c, 0)
+	old := primaryOfRegion(c, region)
+	var outsiders []*Machine
+	for _, m := range c.Machines {
+		if m.replicas[region] == nil && !m.IsCM() {
+			outsiders = append(outsiders, m)
+		}
+	}
+	if len(outsiders) < 2 {
+		t.Fatalf("need two coordinators outside region %d's replicas, have %d", region, len(outsiders))
+	}
+	coordA, coordB, writer := outsiders[0], outsiders[1], outsiders[len(outsiders)-1]
+	addr := writeObjectIn(t, c, coordA, region, u64b(0))
+	c.RunFor(20 * sim.Millisecond)
+	// With no flush timer, truncations that found no carrier go out by hand:
+	// the set-up transaction's here — A's must not — and the last ones
+	// before the audit, which waits for the region's transactions to go.
+	flushTruncations := func() {
+		for _, m := range c.Machines {
+			for _, dst := range intKeys(m.truncQ) {
+				if m.alive && m.isMember(dst) {
+					m.flushTruncations(dst)
+				}
+			}
+		}
+		c.RunFor(sim.Millisecond)
+	}
+	flushTruncations()
+	version := func(m *Machine) uint64 {
+		return regionmem.Version(regionmem.ReadHeader(m.replicas[region].mem, int(addr.Off)))
+	}
+	v := version(old)
+
+	committed := 0
+	increment := func(m *Machine, thread int, done func(error)) {
+		tx := m.Begin(thread)
+		tx.Read(addr, 8, func(data []byte, err error) {
+			if err != nil {
+				tx.Abort()
+				done(err)
+				return
+			}
+			tx.Write(addr, u64b(u64(data)+1))
+			tx.Commit(func(err error) {
+				if err == nil {
+					committed++
+				}
+				done(err)
+			})
+		})
+	}
+
+	var doneA, doneB bool
+	var errA, errB error
+	increment(coordA, 0, func(err error) { doneA, errA = true, err })
+	runUntil(t, c, sim.Second, func() bool { return doneA && version(old) == v+1 })
+	const threadB = 3
+	increment(coordB, threadB, func(err error) { doneB, errB = true, err })
+	runUntil(t, c, sim.Second, func() bool {
+		for _, ct := range coordB.inflight {
+			if ct.phase == phaseCommitPrimary {
+				return true
+			}
+		}
+		return false
+	})
+	c.Kill(old.ID)
+
+	stop := false
+	var hammer func(error)
+	hammer = func(error) {
+		if !stop {
+			c.Eng.After(5*sim.Microsecond, func() { increment(writer, 1, hammer) })
+		}
+	}
+	hammer(nil)
+
+	// Lock recovery at the promoted backup: both transactions, one lock.
+	var next *Machine
+	var rr *regionRecovery
+	runUntil(t, c, sim.Second, func() bool {
+		next = primaryOfRegion(c, region)
+		if next == old || next.recov == nil {
+			return false
+		}
+		rr = next.recov.regions[region]
+		return rr != nil && rr.phase == 2
+	})
+	rep := next.replicas[region]
+	var idA, idB proto.TxID
+	for _, rt := range rr.txs {
+		switch int(rt.id.Machine) {
+		case coordA.ID:
+			idA = rt.id
+		case coordB.ID:
+			idB = rt.id
+		}
+	}
+	if len(rr.txs) != 2 || idA == (proto.TxID{}) || idB == (proto.TxID{}) || version(next) != v {
+		t.Fatalf("the chain was not built: %d recovering transactions (A %v, B %v), object at v%d, want v%d",
+			len(rr.txs), idA, idB, version(next), v)
+	}
+	if owner := rep.lockOwner[addr.Off]; owner != idA {
+		t.Fatalf("after lock recovery the object is held for %v, want A %v", owner, idA)
+	}
+	// B's votes go to its coordinator thread: A is decided well before B.
+	coordB.pool.ByIndex(threadB).Do(300*sim.Microsecond, nil)
+	runUntil(t, c, sim.Second, func() bool { return version(next) == v+1 })
+	if owner, held := rep.lockOwner[addr.Off]; !held || owner != idB ||
+		!regionmem.Locked(regionmem.ReadHeader(rep.mem, int(addr.Off))) {
+		t.Errorf("A's decision left the object free (owner %v, held %v) with B undecided", owner, held)
+	}
+	runUntil(t, c, sim.Second, func() bool { return doneB })
+	c.RunFor(100 * sim.Millisecond)
+	stop = true
+	c.RunFor(30 * sim.Millisecond)
+	flushTruncations()
+
+	if errA != nil || errB != nil {
+		t.Fatalf("A: %v, B: %v: both reached COMMIT-BACKUP everywhere and must commit", errA, errB)
+	}
+	if committed < 100 {
+		t.Fatalf("only %d increments committed: the writer never got going", committed)
+	}
+	if got := u64(readObject(t, c, coordA, addr, 8)); got != uint64(committed) {
+		t.Errorf("counter reads %d after %d committed increments", got, committed)
+	}
+	if r := history.Check(c.Hist.Export()); !r.Ok() {
+		t.Errorf("history checker: %v", r.Violations)
+	}
+	for _, r := range conclusiveAudit(t, c) {
+		if !r.Clean {
+			t.Errorf("backup differs from its primary: %v", r)
+		}
+	}
 }

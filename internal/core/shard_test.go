@@ -302,6 +302,11 @@ func TestDeathBetweenShardsOfOnePoll(t *testing.T) {
 		var doneA, doneB bool
 		var errA, errB error
 		update(t, coord, first, a, []byte("AAAAAAAA"), &doneA, &errA)
+		// A head start makes the held worker's frame the earlier one by
+		// construction: started together, the two LOCK records leave 180 ns
+		// apart, in an order set by what else the coordinator's workers are
+		// doing at the instant the test happens to start.
+		c.RunFor(5 * sim.Microsecond)
 		update(t, coord, second, b, []byte("BBBBBBBB"), &doneB, &errB)
 		c.RunFor(30 * sim.Microsecond)
 		if !between {

@@ -9,95 +9,33 @@ import (
 )
 
 // TestTracingDisabledEnqueueAllocsNothing pins the zero-cost contract: with
-// tracing off (trb == nil) the transport's steady-state enqueue path — a
-// message joining an already-armed coalescing queue — performs no heap
-// allocations. The queue is pre-grown and re-wound each iteration so the
-// measurement sees the hot path, not slice growth or timer arming.
+// tracing off (trb == nil) the transport's steady-state send path performs
+// no heap allocations. The engine runs between sends, so each frame and its
+// fabric state machine are back in their pools — delivered, dispatched and
+// handled — before the next send draws on them.
 func TestTracingDisabledEnqueueAllocsNothing(t *testing.T) {
 	c := New(Options{NumMachines: 2, Seed: 1})
 	m := c.Machine(0)
 	if m.trb != nil {
 		t.Fatal("tracing unexpectedly enabled")
 	}
-	b := m.nic.GetBatch()
-	b.Msgs = make([]interface{}, 0, 8)
-	b.Stamps = make([]sim.Time, 0, 8)
-	q := &sendQueue{
-		b:     b,
-		armed: true, // flush timer already pending: steady-state coalescing
+	// With the lease managers stopped nothing else runs in the window; a
+	// LOCK-REPLY for no transaction exercises send, delivery and dispatch
+	// and then does nothing.
+	for _, mm := range c.Machines {
+		mm.lease.stop()
 	}
-	m.tp.queues[1] = q
 	msg := &proto.LockReply{}
-	allocs := testing.AllocsPerRun(200, func() {
-		b.Msgs = b.Msgs[:0]
-		b.Stamps = b.Stamps[:0]
-		q.bytes = 0
+	send := func() {
 		m.tp.enqueue(1, msg, trace.Ctx{})
-	})
-	if allocs != 0 {
+		c.RunFor(20 * sim.Microsecond)
+	}
+	send() // grow the pools
+	if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
 		t.Fatalf("enqueue with tracing disabled allocates %.1f objects per call, want 0", allocs)
 	}
-}
-
-// TestPriorityTypesNeverBatched covers both halves of the priority
-// contract: the failure-detection and recovery control classes are
-// registered priority, and priority enqueues go straight to the fabric —
-// they never enter a coalescing queue, so no batch can contain them.
-func TestPriorityTypesNeverBatched(t *testing.T) {
-	c := New(Options{NumMachines: 3, Seed: 2}) // default coalescing interval: on
-	m := c.Machine(0)
-
-	priority := []interface{}{
-		&suspectReport{},
-		&reconfigAsk{}, &proto.NewConfig{}, &proto.NewConfigAck{}, &proto.NewConfigCommit{},
-		&proto.RecoveryVote{}, &proto.RequestVote{},
-		&proto.CommitRecovery{}, &proto.AbortRecovery{}, &proto.RecoveryDecisionAck{},
-	}
-	for _, msg := range priority {
-		h := m.tp.reg.Lookup(msg)
-		if h == nil || !h.Priority {
-			t.Errorf("%T is not registered as a priority type", msg)
-		}
-	}
-	for _, msg := range []interface{}{&proto.LockReply{}, &proto.ValidateReq{}, &appMsg{}} {
-		if h := m.tp.reg.Lookup(msg); h == nil || h.Priority {
-			t.Errorf("%T should not be a priority type", msg)
-		}
-	}
-
-	c.RunFor(sim.Millisecond) // settle boot traffic
-	const n = 8
-	sendsBefore := c.Net.Counters.Get("msg_send")
-
-	// Priority sends transmit immediately — one fabric send each, no queue.
-	// Config 999 never matches, so the receiver's handler ignores them.
-	for i := 0; i < n; i++ {
-		m.tp.enqueue(1, &suspectReport{Config: 999, Suspect: 2}, trace.Ctx{})
-	}
-	if got := c.Net.Counters.Get("msg_send") - sendsBefore; got != n {
-		t.Fatalf("priority messages used %d fabric sends, want %d (one each, uncoalesced)", got, n)
-	}
-	if q := m.tp.queues[1]; q != nil && q.b != nil && len(q.b.Msgs) != 0 {
-		t.Fatalf("priority messages sat in a coalescing queue: %d queued", len(q.b.Msgs))
-	}
-
-	// Non-priority sends queue up and flush as one batch.
-	coalescedBefore := c.Net.Counters.Get("msg_send_coalesced")
-	for i := 0; i < n; i++ {
-		m.tp.enqueue(1, &appMsg{}, trace.Ctx{})
-	}
-	q := m.tp.queues[1]
-	if q == nil || q.b == nil || len(q.b.Msgs) != n {
-		t.Fatalf("non-priority messages did not queue for coalescing")
-	}
-	for _, queued := range q.b.Msgs {
-		if h := m.tp.reg.Lookup(queued); h != nil && h.Priority {
-			t.Fatalf("priority message %T found in a coalescing queue", queued)
-		}
-	}
-	c.RunFor(sim.Millisecond)
-	if got := c.Net.Counters.Get("msg_send_coalesced") - coalescedBefore; got != n {
-		t.Fatalf("flushed batch coalesced %d messages, want %d", got, n)
+	if got := c.Counters.Get("msg LOCK-REPLY"); got < 200 {
+		t.Fatalf("only %d LOCK-REPLYs were dispatched: the measurement did not cover delivery", got)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"farm/internal/fabric"
 	"farm/internal/proto"
-	"farm/internal/sim"
 	"farm/internal/trace"
 )
 
@@ -21,48 +20,15 @@ import (
 //     protocol name, wire-size model and typed handler, replacing the old
 //     monolithic type switches in handleMessage/onRPC. Counter names are
 //     precomputed at registration, so the receive path allocates nothing.
-//   - Per-destination send queues: FaRM's first design principle is to
-//     reduce message counts (§1, §4). Small control messages to the same
-//     destination travel as a single fabric frame (fabric.Batch); the
-//     receiver dispatches them individually, so handlers and per-message
-//     CPU costs are unchanged. When a queue flushes is the adaptive
-//     policy's job (CoalescePolicy): byte/message budgets flush busy
-//     queues immediately, phase-end doorbells (flushHint) flush
-//     commit-critical traffic without waiting out the timer, and the
-//     per-queue timer interval stretches under sustained load and shrinks
-//     when the destination goes idle — all from simulated state only, so
-//     runs replay byte-identically.
+//   - The one send path (enqueue): every message leaves at once, alone in
+//     a pooled fabric.Batch frame that also carries its send stamp and,
+//     when traced, its causal context. The paper cuts message counts by
+//     turning messages into one-sided ring writes (§4), not by batching
+//     the few that are left; nothing here delays a message, and nothing
+//     orders two messages to one destination beyond what the NIC does.
 //   - Accounting: per-type sent/wire-byte counters and per-type delivery
-//     latency histograms (enqueue → handler dispatch) via internal/stats.
-
-// batchFrameOverhead models the transport header of one coalesced frame.
-const batchFrameOverhead = 16
-
-// sendQueue buffers outbound messages for one destination until a flush:
-// the armed timer firing, a budget crossing, or a phase-end doorbell
-// (flushHint). Messages accumulate directly into a pooled fabric.Batch
-// frame (b.Ctxs is parallel to b.Msgs only while tracing is enabled;
-// untraced runs never append to it), and flushFn is the queue's single
-// pre-bound flush closure, so steady-state coalescing allocates nothing:
-// the fabric recycles the frame after delivery and the queue grabs a
-// fresh one from the pool on the next enqueue.
-//
-// interval is the queue's current adaptive flush interval — per
-// destination, adjusted only from simulated events (enqueue budget
-// crossings and timer firings), so it is a deterministic function of the
-// run. lastFlush remembers when the queue last went empty; a long gap
-// before the next arm means the destination went idle and the interval
-// shrinks back toward the minimum.
-type sendQueue struct {
-	dst       int
-	b         *fabric.Batch
-	bytes     int
-	armed     bool
-	interval  sim.Time
-	lastFlush sim.Time
-	timer     sim.Timer
-	flushFn   func()
-}
+//     latency histograms (send → receiver dispatch: NIC queue, wire and
+//     receive, nothing else) via internal/stats.
 
 // rpcHandler serves one request type arriving inside an rpcEnvelope.
 type rpcHandler struct {
@@ -72,42 +38,18 @@ type rpcHandler struct {
 
 // transport is one machine's message layer.
 type transport struct {
-	m      *Machine
-	reg    *proto.Registry
-	rpc    map[reflect.Type]*rpcHandler
-	queues map[int]*sendQueue
+	m   *Machine
+	reg *proto.Registry
+	rpc map[reflect.Type]*rpcHandler
 
-	// Flush policy (from Options): interval is the base (and fixed-policy)
-	// flush delay, negative when coalescing is disabled. Under the adaptive
-	// policy, queues flush early at the byte/message budgets and their
-	// timers wander within [minInterval, maxInterval].
-	interval    sim.Time
-	adaptive    bool
-	budgetBytes int
-	budgetMsgs  int
-	minInterval sim.Time
-	maxInterval sim.Time
-
-	// Pre-resolved counter cells for the flush paths.
-	cUnknown     *uint64
-	cFlushBudget *uint64
-	cFlushTimer  *uint64
-	cFlushBell   *uint64
+	cUnknown *uint64 // the "msg unknown" cell
 }
 
 func newTransport(m *Machine) *transport {
-	o := m.c.Opts
 	t := &transport{
-		m:           m,
-		reg:         proto.NewRegistry(),
-		rpc:         make(map[reflect.Type]*rpcHandler),
-		queues:      make(map[int]*sendQueue),
-		interval:    o.CoalesceInterval,
-		adaptive:    o.CoalescePolicy == CoalesceAdaptive,
-		budgetBytes: o.CoalesceMaxBytes,
-		budgetMsgs:  o.CoalesceMaxMsgs,
-		minInterval: o.CoalesceMinInterval,
-		maxInterval: o.CoalesceMaxInterval,
+		m:   m,
+		reg: proto.NewRegistry(),
+		rpc: make(map[reflect.Type]*rpcHandler),
 	}
 	t.registerHandlers()
 	t.registerRPCHandlers()
@@ -120,19 +62,15 @@ func newTransport(m *Machine) *transport {
 		h.BytesCell = ctr.Cell(h.BytesCounter)
 	})
 	t.cUnknown = ctr.Cell("msg unknown")
-	t.cFlushBudget = ctr.Cell("coalesce_flush_budget")
-	t.cFlushTimer = ctr.Cell("coalesce_flush_timer")
-	t.cFlushBell = ctr.Cell("coalesce_flush_doorbell")
 	return t
 }
 
-// enqueue accepts one outbound message. It runs on a worker thread with
-// the send CPU cost already charged (m.send / m.sendFromThread dispatch
-// here from inside their costed closures). Priority types (failure
-// detection and recovery control, proto.RegisterPriority) and transports
-// with coalescing disabled send directly — never batched; everything else
-// joins the destination's queue and the first message arms the flush
-// timer. ctx is the sender's causal context (zero when untraced).
+// enqueue sends one outbound message, of any registered type, as one
+// fabric frame charged the message's modeled wire size. It runs on a worker
+// thread with the send CPU cost already charged (sendMsg dispatches here
+// from inside its costed task). ctx is the sender's causal context (zero
+// when untraced). The frame is the fabric's from SendBatch on: it is
+// reclaimed after the last delivery, a loss, or a send by a dead NIC.
 func (t *transport) enqueue(dst int, msg interface{}, ctx trace.Ctx) {
 	h := t.reg.Lookup(msg)
 	if h == nil {
@@ -147,141 +85,17 @@ func (t *transport) enqueue(dst int, msg interface{}, ctx trace.Ctx) {
 	sz := h.SizeOf(msg)
 	*h.SentCell++
 	*h.BytesCell += uint64(sz)
+	now := t.m.c.Eng.Now()
+	b := t.m.nic.GetBatch()
+	b.Msgs = append(b.Msgs, msg)
+	b.Stamps = append(b.Stamps, now)
 	if t.m.trb != nil && ctx.Valid() {
 		// h.SentCounter ("sent NAME") doubles as the precomputed event
 		// name; the charged wire bytes ride along as the span attribute.
-		t.m.trb.Event("msg", h.SentCounter, t.m.c.Eng.Now(), ctx.Trace, ctx.Span, int64(sz))
+		t.m.trb.Event("msg", h.SentCounter, now, ctx.Trace, ctx.Span, int64(sz))
+		b.Ctxs = append(b.Ctxs, ctx)
 	}
-	if t.interval < 0 || h.Priority {
-		t.sendDirect(dst, msg, sz, ctx)
-		return
-	}
-	q := t.queues[dst]
-	if q == nil {
-		q = &sendQueue{dst: dst, interval: t.interval}
-		q.flushFn = func() { t.timerFlush(q) }
-		t.queues[dst] = q
-	}
-	if q.b == nil {
-		q.b = t.m.nic.GetBatch()
-	}
-	q.b.Msgs = append(q.b.Msgs, msg)
-	q.b.Stamps = append(q.b.Stamps, t.m.c.Eng.Now())
-	if t.m.trb != nil {
-		// Parallel to Msgs, so zero contexts pad untraced messages.
-		q.b.Ctxs = append(q.b.Ctxs, ctx)
-	}
-	q.bytes += sz
-	if t.adaptive && (len(q.b.Msgs) >= t.budgetMsgs || q.bytes >= t.budgetBytes) {
-		// Budget crossed: the frame already carries enough to be worth a
-		// send on its own, so it departs now — and the queue is clearly
-		// under sustained load, so the timer stretches to gather bigger
-		// frames next time.
-		*t.cFlushBudget++
-		q.interval = t.stretched(q.interval)
-		t.fire(q)
-		return
-	}
-	if !q.armed {
-		q.armed = true
-		iv := t.interval
-		if t.adaptive {
-			// An arm after the queue sat empty for longer than its own
-			// interval means the destination went idle: shrink back toward
-			// the minimum so sparse traffic stops paying peak-load delays.
-			if now := t.m.c.Eng.Now(); now-q.lastFlush > q.interval {
-				q.interval = t.shrunk(q.interval)
-			}
-			iv = q.interval
-		}
-		q.timer = t.m.c.Eng.AfterTimer(iv, q.flushFn)
-	}
-}
-
-// stretched and shrunk move an adaptive interval one step toward its
-// bound; both are pure functions of the argument, so the policy stays
-// deterministic.
-func (t *transport) stretched(iv sim.Time) sim.Time {
-	if iv *= 2; iv > t.maxInterval {
-		return t.maxInterval
-	}
-	return iv
-}
-
-func (t *transport) shrunk(iv sim.Time) sim.Time {
-	if iv /= 2; iv < t.minInterval {
-		return t.minInterval
-	}
-	return iv
-}
-
-// sendDirect transmits one uncoalesced message, charging its modeled wire
-// size against the NIC (all reliable sends occupy the wire, not just
-// batches). A live causal context travels in a trace.Traced wrapper —
-// allocated only on traced sends, so untraced runs are byte-for-byte the
-// old direct path.
-func (t *transport) sendDirect(dst int, msg interface{}, sz int, ctx trace.Ctx) {
-	if t.m.trb != nil && ctx.Valid() {
-		msg = &trace.Traced{Ctx: ctx, Msg: msg}
-	}
-	t.m.nic.SendSized(fabric.MachineID(dst), msg, sz)
-}
-
-// timerFlush is the armed timer's path: the queue flushes because its
-// interval elapsed. Under the adaptive policy the timer's own harvest
-// steers the interval — a near-empty frame means the interval is too long
-// for the current traffic (shrink), a frame at half the message budget or
-// more means budget flushes are imminent anyway (stretch).
-func (t *transport) timerFlush(q *sendQueue) {
-	if !q.armed {
-		return
-	}
-	if t.adaptive && q.b != nil {
-		if n := len(q.b.Msgs); n <= 1 {
-			q.interval = t.shrunk(q.interval)
-		} else if 2*n >= t.budgetMsgs {
-			q.interval = t.stretched(q.interval)
-		}
-	}
-	*t.cFlushTimer++
-	t.fire(q)
-}
-
-// flushHint is the phase-end doorbell: a commit-protocol step that just
-// finished fanning out to dst rings it so whatever the step queued departs
-// now instead of waiting out the flush timer. It is a hint — empty queues
-// and the fixed policy (the A/B baseline, which models the pre-doorbell
-// transport) ignore it — so callers ring unconditionally.
-func (t *transport) flushHint(dst int) {
-	if !t.adaptive {
-		return
-	}
-	q := t.queues[dst]
-	if q == nil || !q.armed {
-		return
-	}
-	*t.cFlushBell++
-	t.fire(q)
-}
-
-// fire drains one destination's queue into a single fabric frame,
-// cancelling any armed timer. A machine that died since enqueueing sends
-// nothing — the same messages would have been dropped by the old per-send
-// alive check — and its frame goes back to the pool.
-func (t *transport) fire(q *sendQueue) {
-	q.armed = false
-	q.timer.Stop() // no-op when fire runs from the timer itself
-	q.lastFlush = t.m.c.Eng.Now()
-	b, bytes := q.b, q.bytes
-	q.b, q.bytes = nil, 0
-	if b == nil {
-		return
-	}
-	if len(b.Msgs) == 0 || !t.m.alive {
-		t.m.nic.ReleaseBatch(b)
-		return
-	}
-	t.m.nic.SendBatch(fabric.MachineID(q.dst), b, bytes+batchFrameOverhead)
+	t.m.nic.SendBatch(fabric.MachineID(dst), b, sz)
 }
 
 // dispatchRPC routes an rpcEnvelope body to its registered service method.
@@ -411,21 +225,18 @@ func (t *transport) registerHandlers() {
 			}
 		})
 
-	// Hierarchical lease suspicions (§5.1). Priority: suspicion reports
-	// feed failure detection and must not sit in coalescing queues.
-	proto.RegisterPriority(r, "SUSPECT-REPORT", nil,
+	// Hierarchical lease suspicions (§5.1).
+	proto.Register(r, "SUSPECT-REPORT", nil,
 		func(_ int, v *suspectReport) {
 			if v.Config == m.config.ID && m.IsCM() {
 				m.suspect(v.Suspect)
 			}
 		})
 
-	// Reconfiguration (§5.2). The NEW-CONFIG class is priority: during
-	// reconfiguration the queues are at their fullest and these messages
-	// gate every other protocol's progress.
-	proto.RegisterPriority(r, "RECONFIG-ASK", nil,
+	// Reconfiguration (§5.2).
+	proto.Register(r, "RECONFIG-ASK", nil,
 		func(_ int, v *reconfigAsk) { m.onReconfigAsk(v) })
-	proto.RegisterPriority(r, "NEW-CONFIG",
+	proto.Register(r, "NEW-CONFIG",
 		func(v *proto.NewConfig) int {
 			n := 32 + 2*len(v.Config.Machines)
 			for i := range v.Regions {
@@ -434,9 +245,9 @@ func (t *transport) registerHandlers() {
 			return n
 		},
 		func(src int, v *proto.NewConfig) { m.onNewConfig(src, v) })
-	proto.RegisterPriority(r, "NEW-CONFIG-ACK", nil,
+	proto.Register(r, "NEW-CONFIG-ACK", nil,
 		func(src int, v *proto.NewConfigAck) { m.onNewConfigAck(src, v) })
-	proto.RegisterPriority(r, "NEW-CONFIG-COMMIT", nil,
+	proto.Register(r, "NEW-CONFIG-COMMIT", nil,
 		func(_ int, v *proto.NewConfigCommit) { m.onNewConfigCommit(v) })
 	proto.Register(r, "REGIONS-ACTIVE", nil,
 		func(src int, v *proto.RegionsActive) { m.onRegionsActive(src, v) })
@@ -463,22 +274,20 @@ func (t *transport) registerHandlers() {
 		func(src int, v *proto.ReplicateTxState) { m.onReplicateTxState(src, v) })
 	proto.Register(r, "REPLICATE-TX-STATE-ACK", nil,
 		func(_ int, v *proto.ReplicateTxStateAck) { m.onReplicateTxStateAck(v) })
-	// Votes and decisions are priority: recovery latency is bounded by the
-	// slowest vote, so they bypass coalescing (never batched).
-	proto.RegisterPriority(r, "RECOVERY-VOTE",
+	proto.Register(r, "RECOVERY-VOTE",
 		func(v *proto.RecoveryVote) int { return 40 + 4*len(v.Regions) },
 		func(src int, v *proto.RecoveryVote) { m.onRecoveryVote(src, v) })
-	proto.RegisterPriority(r, "REQUEST-VOTE", nil,
+	proto.Register(r, "REQUEST-VOTE", nil,
 		func(src int, v *proto.RequestVote) { m.onRequestVote(src, v) })
-	proto.RegisterPriority(r, "COMMIT-RECOVERY", nil,
+	proto.Register(r, "COMMIT-RECOVERY", nil,
 		func(src int, v *proto.CommitRecovery) { m.onRecoveryDecision(src, v.Tx, true) })
-	proto.RegisterPriority(r, "ABORT-RECOVERY", nil,
+	proto.Register(r, "ABORT-RECOVERY", nil,
 		func(src int, v *proto.AbortRecovery) { m.onRecoveryDecision(src, v.Tx, false) })
-	proto.RegisterPriority(r, "RECOVERY-DECISION-ACK", nil,
+	proto.Register(r, "RECOVERY-DECISION-ACK", nil,
 		func(src int, v *proto.RecoveryDecisionAck) { m.onRecoveryDecisionAck(src, v) })
 	proto.Register(r, "TRUNCATE-RECOVERY", nil,
 		func(_ int, v *proto.TruncateRecovery) { m.onTruncateRecovery(v) })
-	proto.RegisterPriority(r, "QUERY-DECISION",
+	proto.Register(r, "QUERY-DECISION",
 		func(v *queryDecision) int { return 28 + 4*len(v.Regions) },
 		func(src int, v *queryDecision) { m.onQueryDecision(src, v) })
 
@@ -486,23 +295,21 @@ func (t *transport) registerHandlers() {
 	proto.Register(r, "DATA-REC-DONE", nil,
 		func(_ int, v *dataRecoveryDone) { m.onDataRecoveryDone(v) })
 
-	// State-integrity auditing. Priority: audits run right after heals and
-	// recoveries (queues at their fullest) and hold a region fence while in
-	// flight, so they must not sit in coalescing queues.
-	proto.RegisterPriority(r, "AUDIT-SNAP",
+	// State-integrity auditing.
+	proto.Register(r, "AUDIT-SNAP",
 		func(v *proto.AuditSnap) int { return 24 + 16*len(v.Headers) },
 		func(src int, v *proto.AuditSnap) { m.onAuditSnap(src, v) })
-	proto.RegisterPriority(r, "AUDIT-SNAP-REPLY",
+	proto.Register(r, "AUDIT-SNAP-REPLY",
 		func(v *proto.AuditSnapReply) int { return 48 + 16*len(v.Blocks) },
 		func(src int, v *proto.AuditSnapReply) { m.onAuditSnapReply(src, v) })
-	proto.RegisterPriority(r, "AUDIT-OBJECTS-REQ", nil,
+	proto.Register(r, "AUDIT-OBJECTS-REQ", nil,
 		func(src int, v *proto.AuditObjectsReq) { m.onAuditObjectsReq(src, v) })
-	proto.RegisterPriority(r, "AUDIT-OBJECTS-REPLY",
+	proto.Register(r, "AUDIT-OBJECTS-REPLY",
 		func(v *proto.AuditObjectsReply) int { return 24 + 8*len(v.Objects) },
 		func(src int, v *proto.AuditObjectsReply) { m.onAuditObjectsReply(src, v) })
-	proto.RegisterPriority(r, "AUDIT-REPAIR", nil,
+	proto.Register(r, "AUDIT-REPAIR", nil,
 		func(src int, v *proto.AuditRepair) { m.onAuditRepair(src, v) })
-	proto.RegisterPriority(r, "AUDIT-REPAIR-DONE", nil,
+	proto.Register(r, "AUDIT-REPAIR-DONE", nil,
 		func(src int, v *proto.AuditRepairDone) { m.onAuditRepairDone(src, v) })
 
 	// Cluster growth (§3).

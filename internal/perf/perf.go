@@ -5,9 +5,7 @@
 // percentiles (virtual time), fabric messages and wire bytes per
 // committed transaction, abort rate — what the transport and commit
 // pipeline actually cost, measured deterministically so regressions are
-// exact, not noise. Every workload/scale point runs twice, once per
-// coalescing policy, so the adaptive-vs-fixed trade-off is part of the
-// committed record. cmd/farm-perf runs the suite, writes BENCH_sim.json,
+// exact, not noise. cmd/farm-perf runs the suite, writes BENCH_sim.json,
 // and checks it against the committed baseline so regressions fail CI
 // instead of silently eroding the scale ceiling.
 //
@@ -32,7 +30,7 @@ import (
 )
 
 // SchemaVersion identifies the BENCH_sim.json layout. v2 added the
-// protocol-level columns (policy, tx_p50_us, tx_p99_us, msgs_per_tx,
+// protocol-level columns (tx_p50_us, tx_p99_us, msgs_per_tx,
 // wire_bytes_per_tx, abort_rate) and the bank workload points.
 const SchemaVersion = "farm/bench-sim/v2"
 
@@ -40,7 +38,6 @@ const SchemaVersion = "farm/bench-sim/v2"
 type PointSpec struct {
 	Name        string
 	Workload    string // "tatp" or "bank"
-	Policy      core.CoalescePolicy
 	Machines    int
 	Threads     int    // worker threads per machine
 	Concurrency int    // outstanding ops per client thread
@@ -56,9 +53,6 @@ type PointSpec struct {
 type Point struct {
 	Name     string `json:"name"`
 	Workload string `json:"workload"`
-	// Policy is the transport coalescing policy the run used
-	// ("adaptive" or "fixed").
-	Policy   string `json:"policy"`
 	Machines int    `json:"machines"`
 	// ClientThreads is machines × threads × concurrency: the number of
 	// closed-loop simulated clients driving load.
@@ -91,8 +85,8 @@ type Point struct {
 	// window (all traffic included — lease, heartbeat and recovery
 	// overhead is part of the protocol's real cost).
 	MsgsPerTx float64 `json:"msgs_per_tx"`
-	// WireBytesPerTx is fabric payload+frame bytes per committed
-	// transaction over the window.
+	// WireBytesPerTx is the modelled wire size of every fabric send, per
+	// committed transaction over the window.
 	WireBytesPerTx float64 `json:"wire_bytes_per_tx"`
 	// AbortRate is aborted / (committed + aborted) over the window.
 	AbortRate float64 `json:"abort_rate"`
@@ -118,15 +112,11 @@ type Report struct {
 	Points               []Point `json:"points"`
 }
 
-// FixedSuffix marks the fixed-policy twin of an adaptive point; farm-perf
-// pairs "<name>" with "<name>-fixed" for its A/B table.
-const FixedSuffix = "-fixed"
-
 // DefaultSpecs is the committed trajectory: both workloads at the seed
-// scale and the paper scales, each as an adaptive/fixed policy pair.
-// Windows are sized so the full suite runs in a few minutes of host time.
+// scale and the paper scales. Windows are sized so the full suite runs in
+// a couple of minutes of host time.
 func DefaultSpecs() []PointSpec {
-	base := []PointSpec{
+	return []PointSpec{
 		{Name: "tatp-9", Workload: "tatp", Machines: 9, Threads: 8, Concurrency: 4,
 			Subscribers: 2000, Regions: 6, Warm: sim.Millisecond, Measure: 10 * sim.Millisecond, Seed: 1},
 		{Name: "tatp-50", Workload: "tatp", Machines: 50, Threads: 8, Concurrency: 4,
@@ -140,15 +130,6 @@ func DefaultSpecs() []PointSpec {
 		{Name: "bank-100", Workload: "bank", Machines: 100, Threads: 8, Concurrency: 4,
 			Accounts: 12288, Regions: 12, Warm: sim.Millisecond, Measure: 3 * sim.Millisecond, Seed: 1},
 	}
-	specs := make([]PointSpec, 0, 2*len(base))
-	for _, s := range base {
-		s.Policy = core.CoalesceAdaptive
-		specs = append(specs, s)
-		s.Name += FixedSuffix
-		s.Policy = core.CoalesceFixed
-		specs = append(specs, s)
-	}
-	return specs
 }
 
 // options sizes cluster knobs to the machine count: big clusters shrink
@@ -156,8 +137,7 @@ func DefaultSpecs() []PointSpec {
 // bounded — a 100-machine cluster with default 256 KB rings would need
 // gigabytes for rings alone.
 func (s PointSpec) options() core.Options {
-	o := core.Options{NumMachines: s.Machines, Threads: s.Threads, Seed: s.Seed,
-		CoalescePolicy: s.Policy}
+	o := core.Options{NumMachines: s.Machines, Threads: s.Threads, Seed: s.Seed}
 	switch {
 	case s.Machines >= 80:
 		o.LogCapacity = 1 << 15
@@ -220,7 +200,6 @@ func Run(s PointSpec) (Point, error) {
 	p := Point{
 		Name:          s.Name,
 		Workload:      s.Workload,
-		Policy:        s.Policy.String(),
 		Machines:      s.Machines,
 		ClientThreads: s.Machines * s.Threads * s.Concurrency,
 		SimulatedMS:   s.Measure.Millis(),
@@ -288,8 +267,8 @@ func RunAll(specs []PointSpec, progress func(string)) (*Report, error) {
 		}
 		r.Points = append(r.Points, p)
 		if progress != nil {
-			progress(fmt.Sprintf("%-14s %3dm %-8s %8.0f ev/s  p50 %6.1fµs  p99 %7.1fµs  %5.2f msg/tx  %6.0f B/tx  %4.1f%% abort  %.1fs wall",
-				p.Name, p.Machines, p.Policy, p.EventsPerSec, p.TxP50Us, p.TxP99Us,
+			progress(fmt.Sprintf("%-9s %3dm %8.0f ev/s  p50 %6.1fµs  p99 %7.1fµs  %5.2f msg/tx  %6.0f B/tx  %4.1f%% abort  %.1fs wall",
+				p.Name, p.Machines, p.EventsPerSec, p.TxP50Us, p.TxP99Us,
 				p.MsgsPerTx, p.WireBytesPerTx, p.AbortRate*100, p.WallSeconds))
 		}
 	}

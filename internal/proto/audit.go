@@ -2,10 +2,7 @@ package proto
 
 // This file defines the state-integrity audit protocol messages: a
 // primary snapshots its region digest at a fenced point, asks every
-// backup for theirs, and on divergence drills down block → object. All
-// audit messages are registered priority (they bypass send coalescing):
-// audits run right after heals and recoveries, exactly when queues are
-// fullest, and a fence is held while they are in flight.
+// backup for theirs, and on divergence drills down block → object.
 
 // AuditSnap asks a backup for its digest snapshot of one region. The
 // primary's block-header map rides along so a backup that missed a

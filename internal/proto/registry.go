@@ -37,11 +37,6 @@ type Handler struct {
 	Fn func(src int, msg interface{})
 	// Size models the message's wire size in bytes (nil: DefaultMsgSize).
 	Size func(msg interface{}) int
-	// Priority marks failure-detection and recovery control messages
-	// (RECOVERY-VOTE, NEW-CONFIG class) that bypass the transport's
-	// coalescing queues: they are latency-critical during exactly the
-	// windows when queues are fullest, so they are never batched.
-	Priority bool
 }
 
 // SizeOf returns the modeled wire size of msg.
@@ -90,14 +85,6 @@ func Register[T any](r *Registry, name string, size func(T) int, fn func(src int
 		h.Size = func(msg interface{}) int { return size(msg.(T)) }
 	}
 	r.handlers[t] = h
-}
-
-// RegisterPriority is Register for message types that must bypass send
-// coalescing (see Handler.Priority).
-func RegisterPriority[T any](r *Registry, name string, size func(T) int, fn func(src int, msg T)) {
-	Register(r, name, size, fn)
-	var zero T
-	r.handlers[reflect.TypeOf(zero)].Priority = true
 }
 
 // Lookup returns the handler registered for msg's concrete type, or nil.

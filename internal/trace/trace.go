@@ -2,8 +2,7 @@
 // subsystem. It records spans (Begin/End pairs) and point events stamped
 // from sim.Engine virtual time into fixed-capacity per-machine rings, and
 // links records across machines through a small Ctx (trace ID + parent
-// span ID) that the typed transport piggybacks on coalesced fabric frames
-// and direct sends.
+// span ID) that the typed transport piggybacks on its fabric frames.
 //
 // Determinism is load-bearing: the tracer consumes no randomness, schedules
 // no events, and derives every identifier from per-buffer monotonic
@@ -56,15 +55,6 @@ type Ctx struct {
 
 // Valid reports whether the context carries a trace.
 func (c Ctx) Valid() bool { return c.Trace != 0 }
-
-// Traced wraps a directly-sent (uncoalesced) message with its causal
-// context. The transport wraps only when a context is present and tracing
-// is enabled, so untraced runs never see (or allocate) it; receivers
-// unwrap before registry dispatch.
-type Traced struct {
-	Ctx Ctx
-	Msg interface{}
-}
 
 // Record is one trace event in a buffer.
 type Record struct {
