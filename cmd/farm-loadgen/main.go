@@ -72,9 +72,14 @@ func main() {
 	// Worker busy time is cumulative: note it where the measured window
 	// starts.
 	busyAtWarm := make([][]sim.Time, *machines)
+	var treesAtWarm [5]uint64
+	var committedAtWarm uint64
 	c.Eng.After(sim.Time(warm.Nanoseconds()), func() {
 		for i := range busyAtWarm {
 			busyAtWarm[i] = c.Machine(i).WorkerBusy()
+		}
+		if tpccW != nil {
+			treesAtWarm, committedAtWarm = tpccW.DescentStats(), c.Counters.Get("tx_committed")
 		}
 	})
 	tput, _, _ := g.RunPoint(all, *threads, *concurrency,
@@ -112,6 +117,17 @@ func main() {
 	}
 	if tpccW != nil {
 		fmt.Printf("new orders: %d committed, median %v\n", tpccW.NewOrders, tpccW.NewOrderLat.Median())
+		// A warm descent walks the machine's cached internal nodes and
+		// reads its leaf, once, transactionally.
+		trees := tpccW.DescentStats()
+		for i := range trees {
+			trees[i] -= treesAtWarm[i]
+		}
+		descents := float64(max(trees[0], 1))
+		perTx := float64(max(c.Counters.Get("tx_committed")-committedAtWarm, 1))
+		fmt.Printf("btree:      %.1f descents per committed tx, each %.2f transactional + %.2f lock-free reads; per committed tx %.2f fence misses, %.2f transactional fallbacks\n",
+			descents/perTx, float64(trees[1])/descents, float64(trees[2])/descents,
+			float64(trees[3])/perTx, float64(trees[4])/perTx)
 	}
 	fmt.Printf("fabric:     rdma_read=%d rdma_write=%d local_read=%d local_write=%d msg=%d\n",
 		diff["rdma_read"], diff["rdma_write"], diff["local_read"], diff["local_write"], diff["msg_send"])

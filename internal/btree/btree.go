@@ -1,14 +1,16 @@
 // Package btree implements the FaRM B-tree used for TPC-C's range indexes
 // (§6.2): a B-link tree whose nodes are FaRM objects. Internal nodes are
-// cached at each machine so a lookup costs a single (RDMA) leaf read in the
-// common case; fence keys on every node make stale-cache traversals safe —
-// a reader that lands on the wrong node detects it from the fences and
-// either follows the right-link or re-traverses transactionally, as in
-// Minuet [37].
+// cached at each machine, so every operation — Get, Put, Delete, the start
+// of a Scan — reaches its leaf through the cache and reads that one object
+// in the common case; fence keys on every node make stale-cache traversals
+// safe — an operation that lands on the wrong node detects it from the
+// fences and either follows the right-link or re-traverses, as in Minuet
+// [37]. Only the leaf decides the operation, and only the leaf joins the
+// transaction's read set.
 //
-// All mutations run inside the caller's transaction; structure
-// modifications (splits) update the whole affected path atomically within
-// that transaction.
+// All mutations run inside the caller's transaction; a structure
+// modification (split) re-descends transactionally and updates the whole
+// affected path atomically within that transaction.
 package btree
 
 import (
@@ -37,20 +39,51 @@ type Tree struct {
 	caches map[int]*cache
 }
 
+// cache is one machine's copy of the anchor and of internal nodes: committed
+// bytes from lock-free reads, looked up by address and never iterated. An
+// entry can be stale; it is dropped when the node it named rejects a key by
+// its fences, and deleting one is always safe.
 type cache struct {
 	nodes map[proto.Addr][]byte
-	hits  uint64
-	miss  uint64
+	hits  uint64 // cached entries walked through
+	miss  uint64 // lock-free reads that fetched an entry
+
+	descents  uint64 // operations that looked for their leaf
+	txReads   uint64 // transactional node reads on the way there
+	fenceMiss uint64 // nodes reached whose fences rejected the key
+	fallbacks uint64 // transactional descents from the anchor
 }
 
 // Node layout (payload bytes):
 //
-//	isLeaf u8 | pad u8 | nkeys u16 | pad u32
+//	isLeaf u8 | height u8 | nkeys u16 | pad u32
 //	loFence u64 | hiFence u64 | next (u32 region, u32 off)
 //	keys   order × u64
 //	leaf:  vals order × (u16 len | maxVal bytes)
 //	inner: children (order+1) × (u32 region, u32 off)
-const nodeHeader = 8 + 8 + 8 + 8
+//
+// height is the node's distance from the leaves (0 for a leaf). It never
+// changes, nor does loFence; hiFence only shrinks (splits move the upper
+// half to a new right sibling), and nodes are never freed or merged. So a
+// pointer, however old, reaches a live node of the level it was read at,
+// and the node covering a key is that one or to its right.
+//
+// The anchor is root (u32 region, u32 off) | root height u8 | pad: it tells
+// a descent how many cached levels lie above the leaf it must read.
+const (
+	nodeHeader  = 8 + 8 + 8 + 8
+	anchorBytes = 16
+)
+
+func anchorRoot(a []byte) (proto.Addr, int) { return addrFromBytes(a), int(a[8]) }
+
+func newAnchor(root proto.Addr, height int) []byte {
+	a := make([]byte, anchorBytes)
+	binary.LittleEndian.PutUint32(a, root.Region)
+	binary.LittleEndian.PutUint32(a[4:], root.Off)
+	a[8] = byte(height)
+	return a
+}
 
 func (t *Tree) valSlot() int { return 2 + t.maxVal }
 
@@ -70,14 +103,16 @@ type node struct {
 	data []byte
 }
 
-func (n node) isLeaf() bool   { return n.data[0] != 0 }
-func (n node) setLeaf(v bool) { n.data[0] = b2u(v) }
-func (n node) nkeys() int     { return int(binary.LittleEndian.Uint16(n.data[2:])) }
-func (n node) setNKeys(k int) { binary.LittleEndian.PutUint16(n.data[2:], uint16(k)) }
-func (n node) lo() uint64     { return binary.LittleEndian.Uint64(n.data[8:]) }
-func (n node) hi() uint64     { return binary.LittleEndian.Uint64(n.data[16:]) }
-func (n node) setLo(v uint64) { binary.LittleEndian.PutUint64(n.data[8:], v) }
-func (n node) setHi(v uint64) { binary.LittleEndian.PutUint64(n.data[16:], v) }
+func (n node) isLeaf() bool    { return n.data[0] != 0 }
+func (n node) setLeaf(v bool)  { n.data[0] = b2u(v) }
+func (n node) height() int     { return int(n.data[1]) }
+func (n node) setHeight(h int) { n.data[1] = byte(h) }
+func (n node) nkeys() int      { return int(binary.LittleEndian.Uint16(n.data[2:])) }
+func (n node) setNKeys(k int)  { binary.LittleEndian.PutUint16(n.data[2:], uint16(k)) }
+func (n node) lo() uint64      { return binary.LittleEndian.Uint64(n.data[8:]) }
+func (n node) hi() uint64      { return binary.LittleEndian.Uint64(n.data[16:]) }
+func (n node) setLo(v uint64)  { binary.LittleEndian.PutUint64(n.data[8:], v) }
+func (n node) setHi(v uint64)  { binary.LittleEndian.PutUint64(n.data[16:], v) }
 func (n node) next() proto.Addr {
 	return proto.Addr{Region: binary.LittleEndian.Uint32(n.data[24:]), Off: binary.LittleEndian.Uint32(n.data[28:])}
 }
@@ -205,10 +240,7 @@ func Create(m *core.Machine, cfg Config, cb func(*Tree, error)) {
 			cb(nil, err)
 			return
 		}
-		anchor := make([]byte, 8)
-		binary.LittleEndian.PutUint32(anchor, rootAddr.Region)
-		binary.LittleEndian.PutUint32(anchor[4:], rootAddr.Off)
-		tx.Alloc(8, anchor, &hint, func(anchorAddr proto.Addr, err error) {
+		tx.Alloc(anchorBytes, newAnchor(rootAddr, 0), &hint, func(anchorAddr proto.Addr, err error) {
 			if err != nil {
 				cb(nil, err)
 				return
@@ -251,10 +283,26 @@ func (t *Tree) cacheFor(id int) *cache {
 	return c
 }
 
-// CacheStats reports (hits, misses) of a machine's internal-node cache.
+// CacheStats reports (hits, misses) of a machine's internal-node cache:
+// cached entries its descents walked through, and lock-free reads that
+// fetched one.
 func (t *Tree) CacheStats(machine int) (uint64, uint64) {
 	c := t.cacheFor(machine)
 	return c.hits, c.miss
+}
+
+// DescentStats sums, over every machine, what finding leaves has cost, in
+// this order: operations that descended, the transactional and the lock-free
+// node reads they made on the way (a scan's walk along the leaves is not a
+// descent), nodes whose fences rejected the key, and fully transactional
+// descents.
+func (t *Tree) DescentStats() (s [5]uint64) {
+	for _, c := range t.caches {
+		for i, v := range [...]uint64{c.descents, c.txReads, c.miss, c.fenceMiss, c.fallbacks} {
+			s[i] += v
+		}
+	}
+	return s
 }
 
 var errTooDeep = fmt.Errorf("btree: descent too deep")
@@ -267,22 +315,25 @@ type pathEntry struct {
 // treeOp is one tree operation: a descent to the leaf covering key, then
 // the operation's work there. It is the read handler of every node read on
 // the way (stage says which read is outstanding), so an operation allocates
-// this and nothing per level, and the root→leaf path lives in it. Node
-// bytes delivered to it are its own copy (core's ownership rule): Get and
-// Scan hand out slices of them, writers edit them in place and write them
-// back.
+// this and nothing per level. Node bytes delivered to it are its own copy
+// (core's ownership rule): Get and Scan hand out slices of them, writers
+// edit them in place and write them back.
 type treeOp struct {
 	t   *Tree
 	tx  *core.Tx
-	m   *core.Machine // cached descents (Get) only
+	c   *cache // of the coordinator's machine
 	key uint64
 	val []byte
 
 	stage   uint8
 	attempt int        // cached descents abandoned so far
-	depth   int        // of the node being read
 	addr    proto.Addr // the node being read
-	// path is the transactionally read root→leaf path (tx descents only).
+	depth   int        // its level below the root (tx descents)
+	height  int        // its expected height (cached descents)
+	from    proto.Addr // the cache entry that named it (cached descents)
+	hops    int        // nodes cached descents have visited, all attempts together
+	// path is the transactionally read root→leaf path: set by tx descents
+	// only, which is how a Put at a full leaf tells whether it can split.
 	path    []pathEntry
 	pathBuf [4]pathEntry
 
@@ -291,7 +342,8 @@ type treeOp struct {
 
 	// A Put that splits: left (at leftAddr, path[up]) is the node being
 	// split, whose new right sibling is being allocated, and sep the
-	// separator to insert into left's parent afterwards.
+	// separator to insert into left's parent afterwards. For the new root
+	// above a split root (up is -1) left is that root itself.
 	left     node
 	leftAddr proto.Addr
 	sep      uint64
@@ -310,8 +362,8 @@ const (
 	stAnchor       = iota // tx read of the anchor
 	stNode                // tx read of a path node
 	stCachedAnchor        // lock-free read of the anchor
-	stCachedNode          // lock-free read of an uncached node
-	stCachedLeaf          // tx read of the leaf a cached descent found
+	stCachedNode          // lock-free read of an uncached internal node
+	stLeaf                // tx read of the leaf a cached descent found
 	stScanLeaf            // tx read of a scan's next leaf
 )
 
@@ -337,7 +389,8 @@ func (op *treeOp) ReadDone(data []byte, err error) {
 	switch op.stage {
 	case stAnchor:
 		op.path = op.pathBuf[:0]
-		op.txStep(addrFromBytes(data), 0)
+		root, _ := anchorRoot(data)
+		op.txStep(root, 0)
 	case stNode:
 		n := node{t: t, data: data}
 		if op.key >= n.hi() {
@@ -352,45 +405,45 @@ func (op *treeOp) ReadDone(data []byte, err error) {
 			return
 		}
 		op.txStep(n.child(n.childIndex(op.key)), op.depth+1)
-	case stCachedAnchor:
-		c := t.cacheFor(op.m.ID)
-		c.nodes[t.anchor] = data
-		op.cachedStep(c, addrFromBytes(data), 0)
-	case stCachedNode:
+	case stCachedAnchor, stCachedNode:
+		// Committed bytes, this operation's alone: cache them and walk on
+		// through the cache.
+		op.c.nodes[op.addr] = data
+		if op.stage == stCachedAnchor {
+			op.descend()
+		} else {
+			op.step(op.from, op.addr, op.height)
+		}
+	case stLeaf:
 		n := node{t: t, data: data}
 		switch {
-		case op.key < n.lo():
-			// Stale parent pointed too far right: re-traverse.
-			op.restart()
-		case op.key >= n.hi():
-			// Node split since: follow the right-link (B-link move).
-			op.cachedStep(t.cacheFor(op.m.ID), n.next(), op.depth+1)
-		case !n.isLeaf():
-			c := t.cacheFor(op.m.ID)
-			c.nodes[op.addr] = data
-			op.cachedStep(c, n.child(n.childIndex(op.key)), op.depth+1)
+		case n.height() == 0 && n.lo() <= op.key && op.key < n.hi():
+			op.atLeaf(op.addr, data)
+		case op.key >= n.hi() && op.tx.Wrote(op.addr):
+			// These are the transaction's own buffered bytes: it split this
+			// leaf, or wrote it after someone else did. The committed tree
+			// the cache mirrors may not show the sibling: B-link right move.
+			op.readLeaf(n.next())
 		default:
-			// Leaf: (re)read transactionally so commit-time validation
-			// covers it.
-			op.stage = stCachedLeaf
-			op.tx.ReadTo(op.addr, t.NodeBytes(), op)
-		}
-	case stCachedLeaf:
-		if n := (node{t: t, data: data}); op.key < n.lo() || op.key >= n.hi() {
+			// Split since the entry that named it was cached. The dropped
+			// entry is fetched afresh on the way down again, and the leaf
+			// chain stays out of the read set.
+			op.fenceMiss()
 			op.restart()
-			return
 		}
-		op.atLeaf(op.addr, data)
 	case stScanLeaf:
 		op.scanLeaf(data)
 	}
 }
 
-// txDescend starts the fully transactional descent used by writers and by
-// readers whose cache failed: every node on the path joins the read set.
+// txDescend is the fully transactional descent from the anchor — every
+// node on the path joins the read set — for a Put that must split its leaf
+// and so update that path, and for an operation whose cache failed it.
 func (op *treeOp) txDescend() {
+	op.c.fallbacks++
+	op.c.txReads++
 	op.stage = stAnchor
-	op.tx.ReadTo(op.t.anchor, 8, op)
+	op.tx.ReadTo(op.t.anchor, anchorBytes, op)
 }
 
 func (op *treeOp) txStep(addr proto.Addr, depth int) {
@@ -398,63 +451,90 @@ func (op *treeOp) txStep(addr proto.Addr, depth int) {
 		op.fail(errTooDeep)
 		return
 	}
+	op.c.txReads++
 	op.addr, op.depth, op.stage = addr, depth, stNode
 	op.tx.ReadTo(addr, op.t.NodeBytes(), op)
 }
 
-// cachedDescend finds the leaf covering key: cached internal hops, a
-// transactional leaf read, fence validation, right-links for splits, and a
-// full transactional re-traverse when the cache proves stale.
-func (op *treeOp) cachedDescend() {
-	t := op.t
+// descend finds the leaf covering key: down the machine's cached internal
+// nodes from the cached anchor, then one transactional read of the leaf,
+// accepted by its fence keys. A cache that misled three times gives way to
+// txDescend.
+func (op *treeOp) descend() {
+	t, c := op.t, op.c
 	if op.attempt > 2 {
-		// Cache hopeless: transactional descent from the anchor.
 		op.txDescend()
 		return
 	}
-	c := t.cacheFor(op.m.ID)
-	// The anchor is tiny and hot: cache it like an internal node.
-	if cachedRoot, ok := c.nodes[t.anchor]; ok && len(cachedRoot) == 8 {
+	if a, ok := c.nodes[t.anchor]; ok {
 		c.hits++
-		op.cachedStep(c, addrFromBytes(cachedRoot), 0)
+		root, height := anchorRoot(a)
+		op.step(t.anchor, root, height)
 		return
 	}
 	c.miss++
-	op.stage = stCachedAnchor
-	op.m.LockFreeReadTo(op.tx.Thread(), t.anchor, 8, op)
+	op.addr, op.stage = t.anchor, stCachedAnchor
+	op.tx.Coordinator().LockFreeReadTo(op.tx.Thread(), t.anchor, anchorBytes, op)
 }
 
 func (op *treeOp) restart() {
 	op.attempt++
-	op.cachedDescend()
+	op.descend()
 }
 
-// cachedStep walks down from addr through cached internal nodes and fetches
-// the first uncached one with a lock-free read (cached if internal).
-func (op *treeOp) cachedStep(c *cache, addr proto.Addr, depth int) {
-	for ; ; depth++ {
-		if depth > 64 {
+// fenceMiss notes that the node just reached does not cover key and drops
+// the cache entry (anchor or parent) that named it for key: that entry
+// predates a split, and would send every later descent the same way round.
+func (op *treeOp) fenceMiss() {
+	op.c.fenceMiss++
+	delete(op.c.nodes, op.from)
+}
+
+// step walks down from the node at addr, height levels above the leaves and
+// named by cache entry from, through cached internal nodes. The first
+// uncached one is fetched with a lock-free read and cached; the leaf is
+// read through the transaction.
+func (op *treeOp) step(from, addr proto.Addr, height int) {
+	c := op.c
+	op.from = from
+	for height > 0 {
+		if op.hops++; op.hops > 64 {
 			op.fail(errTooDeep)
 			return
 		}
 		cached, ok := c.nodes[addr]
 		if !ok {
-			break
+			c.miss++
+			op.addr, op.height, op.stage = addr, height, stCachedNode
+			op.tx.Coordinator().LockFreeReadTo(op.tx.Thread(), addr, op.t.NodeBytes(), op)
+			return
 		}
 		c.hits++
 		n := node{t: op.t, data: cached}
-		if n.isLeaf() || op.key < n.lo() || op.key >= n.hi() {
-			// A cached leaf (root just created) or a stale span: resolve
-			// transactionally.
-			delete(c.nodes, addr)
+		switch {
+		case n.height() != height || op.key < n.lo():
+			op.fenceMiss()
 			op.restart()
 			return
+		case op.key >= n.hi():
+			op.fenceMiss()
+			addr = n.next()
+		default:
+			op.from, addr, height = addr, n.child(n.childIndex(op.key)), height-1
 		}
-		addr = n.child(n.childIndex(op.key))
 	}
-	c.miss++
-	op.addr, op.depth, op.stage = addr, depth, stCachedNode
-	op.m.LockFreeReadTo(op.tx.Thread(), addr, op.t.NodeBytes(), op)
+	op.readLeaf(addr)
+}
+
+// readLeaf reads the node a cached descent takes for key's leaf.
+func (op *treeOp) readLeaf(addr proto.Addr) {
+	if op.hops++; op.hops > 64 {
+		op.fail(errTooDeep)
+		return
+	}
+	op.c.txReads++
+	op.addr, op.stage = addr, stLeaf
+	op.tx.ReadTo(addr, op.t.NodeBytes(), op)
 }
 
 func addrFromBytes(b []byte) proto.Addr {
@@ -478,6 +558,11 @@ func (op *treeOp) atLeaf(addr proto.Addr, data []byte) {
 			n.setVal(i, op.val)
 		case n.nkeys() < t.order:
 			n.leafInsertAt(i, op.key, op.val)
+		case len(op.path) == 0:
+			// Full, and reached through the cache: the split rewrites the
+			// path above the leaf, which must be read to be written.
+			op.txDescend()
+			return
 		default:
 			op.splitLeaf()
 			return
@@ -521,13 +606,19 @@ func (op *treeOp) scanLeaf(data []byte) {
 // it is handed to can append to it without reaching the next slot.
 func owned(v []byte) []byte { return v[:len(v):len(v)] }
 
-// Get looks key up within tx. The descent uses the machine-local cache of
-// internal nodes; only the leaf is read transactionally, so the common
-// case costs one remote read. Fence keys catch stale cache entries. val is
-// the caller's to keep and change.
-func (t *Tree) Get(tx *core.Tx, m *core.Machine, key uint64, cb func(val []byte, ok bool, err error)) {
-	op := &treeOp{t: t, tx: tx, m: m, key: key, getCb: cb}
-	op.cachedDescend()
+// start begins op's descent through the cache of tx's machine. The leaf is
+// the one node read transactionally, so the common case costs one read and
+// one read-set entry; the leaf's version covers the key whether or not it
+// is there.
+func (op *treeOp) start() {
+	op.c = op.t.cacheFor(op.tx.Coordinator().ID)
+	op.c.descents++
+	op.descend()
+}
+
+// Get looks key up within tx. val is the caller's to keep and change.
+func (t *Tree) Get(tx *core.Tx, key uint64, cb func(val []byte, ok bool, err error)) {
+	(&treeOp{t: t, tx: tx, key: key, getCb: cb}).start()
 }
 
 // Put inserts or updates key within tx, splitting full nodes along the
@@ -537,8 +628,7 @@ func (t *Tree) Put(tx *core.Tx, key uint64, val []byte, cb func(err error)) {
 		cb(fmt.Errorf("btree: value too long"))
 		return
 	}
-	op := &treeOp{t: t, tx: tx, key: key, val: val, putCb: cb}
-	op.txDescend()
+	(&treeOp{t: t, tx: tx, key: key, val: val, putCb: cb}).start()
 }
 
 // splitLeaf splits the full leaf at the end of path, inserts the pair into
@@ -576,9 +666,9 @@ func (op *treeOp) splitLeaf() {
 }
 
 // allocSibling allocates right — the new right sibling of the just split
-// node left (path[up]), or the new root above it when up is -1 — next to
-// left. onAlloc continues once its address is known; it is bound on the
-// first split and serves every level.
+// node left (path[up]), or the new root (left and right both) when up is -1
+// — next to leftAddr. onAlloc continues once its address is known; it is
+// bound on the first split and serves every level.
 func (op *treeOp) allocSibling(left node, leftAddr proto.Addr, sep uint64, right node, up int) {
 	op.left, op.leftAddr, op.sep, op.up = left, leftAddr, sep, up
 	if op.allocFn == nil {
@@ -594,16 +684,20 @@ func (op *treeOp) onAlloc(addr proto.Addr, err error) {
 	}
 	if op.up < 0 {
 		// addr is the new root: point the anchor at it.
-		anchor := make([]byte, 8)
-		binary.LittleEndian.PutUint32(anchor, addr.Region)
-		binary.LittleEndian.PutUint32(anchor[4:], addr.Off)
-		op.tx.Write(op.t.anchor, anchor)
+		op.rewrite(op.t.anchor, newAnchor(addr, op.left.height()))
 		op.putCb(nil)
 		return
 	}
 	op.left.setNext(addr)
-	op.tx.Write(op.leftAddr, op.left.data)
+	op.rewrite(op.leftAddr, op.left.data)
 	op.insertUp(addr)
+}
+
+// rewrite buffers a split's write of the anchor or a node and drops the
+// machine's cached copy, which commit would leave stale.
+func (op *treeOp) rewrite(addr proto.Addr, data []byte) {
+	delete(op.c.nodes, addr)
+	op.tx.Write(addr, data)
 }
 
 // insertUp adds (sep → right) to the parent of the node just split,
@@ -613,26 +707,26 @@ func (op *treeOp) insertUp(right proto.Addr) {
 	if op.up == 0 {
 		// Root split: new root with two children.
 		newRoot := node{t: t, data: make([]byte, t.NodeBytes())}
-		newRoot.setLeaf(false)
+		newRoot.setHeight(op.left.height() + 1)
 		newRoot.setHi(maxKey)
 		newRoot.setNKeys(1)
 		newRoot.setKey(0, sep)
 		newRoot.setChild(0, op.leftAddr)
 		newRoot.setChild(1, right)
-		op.allocSibling(node{}, op.leftAddr, 0, newRoot, -1)
+		op.allocSibling(newRoot, op.leftAddr, 0, newRoot, -1)
 		return
 	}
 	parentE := op.path[op.up-1]
 	p := node{t: t, data: parentE.data}
 	if p.nkeys() < t.order {
 		p.innerInsertAt(p.childIndex(sep), sep, right)
-		op.tx.Write(parentE.addr, p.data)
+		op.rewrite(parentE.addr, p.data)
 		op.putCb(nil)
 		return
 	}
 	// Split the internal node.
 	rn := node{t: t, data: make([]byte, t.NodeBytes())}
-	rn.setLeaf(false)
+	rn.setHeight(p.height())
 	mid := t.order / 2
 	upSep := p.key(mid)
 	for i := mid + 1; i < p.nkeys(); i++ {
@@ -659,8 +753,7 @@ func (op *treeOp) insertUp(right proto.Addr) {
 // Delete removes key within tx (lazy deletion: leaves may underflow but
 // are never merged, which keeps fence keys stable).
 func (t *Tree) Delete(tx *core.Tx, key uint64, cb func(ok bool, err error)) {
-	op := &treeOp{t: t, tx: tx, key: key, delCb: cb}
-	op.txDescend()
+	(&treeOp{t: t, tx: tx, key: key, delCb: cb}).start()
 }
 
 // Pair is one key/value result of a Scan.
@@ -669,10 +762,11 @@ type Pair struct {
 	Val []byte
 }
 
-// Scan returns up to limit pairs with key >= from, in key order, reading
-// leaves transactionally (TPC-C's range queries). The pairs are the
-// caller's to keep and change.
+// Scan returns up to limit pairs with key >= from, in key order (TPC-C's
+// range queries): a descent to from's leaf, then along the leaves, each
+// read transactionally — no key can appear in the range without changing a
+// leaf the transaction validates. The pairs are the caller's to keep and
+// change.
 func (t *Tree) Scan(tx *core.Tx, from uint64, limit int, cb func(pairs []Pair, err error)) {
-	op := &treeOp{t: t, tx: tx, key: from, limit: limit, scanCb: cb}
-	op.txDescend()
+	(&treeOp{t: t, tx: tx, key: from, limit: limit, scanCb: cb}).start()
 }

@@ -26,17 +26,27 @@ func newRig(t *testing.T, order int) *rig {
 	return &rig{c: c, t: tree}
 }
 
+// do runs fn in a transaction of machine mi and commits it.
 func (r *rig) do(t *testing.T, mi int, fn func(tx *core.Tx, done func(error))) error {
+	t.Helper()
+	return r.run(t, mi, true, fn)
+}
+
+func (r *rig) run(t *testing.T, mi int, commit bool, fn func(tx *core.Tx, done func(error))) error {
 	t.Helper()
 	finished := false
 	var result error
 	tx := r.c.Machine(mi).Begin(0)
 	fn(tx, func(err error) {
-		if err != nil {
+		switch {
+		case err != nil:
 			finished, result = true, err
-			return
+		case commit:
+			tx.Commit(func(err error) { finished, result = true, err })
+		default:
+			tx.Abort()
+			finished = true
 		}
-		tx.Commit(func(err error) { finished, result = true, err })
 	})
 	deadline := r.c.Eng.Now() + 5*sim.Second
 	for !finished && r.c.Eng.Now() < deadline {
@@ -64,7 +74,7 @@ func (r *rig) get(t *testing.T, mi int, key uint64) (string, bool) {
 	var out string
 	var found bool
 	if err := r.do(t, mi, func(tx *core.Tx, done func(error)) {
-		r.t.Get(tx, r.c.Machine(mi), key, func(val []byte, ok bool, err error) {
+		r.t.Get(tx, key, func(val []byte, ok bool, err error) {
 			out, found = string(val), ok
 			done(err)
 		})
@@ -72,6 +82,20 @@ func (r *rig) get(t *testing.T, mi int, key uint64) (string, bool) {
 		t.Fatalf("get %d: %v", key, err)
 	}
 	return out, found
+}
+
+func (r *rig) del(t *testing.T, mi int, key uint64) bool {
+	t.Helper()
+	var found bool
+	if err := r.do(t, mi, func(tx *core.Tx, done func(error)) {
+		r.t.Delete(tx, key, func(ok bool, err error) {
+			found = ok
+			done(err)
+		})
+	}); err != nil {
+		t.Fatalf("delete %d: %v", key, err)
+	}
+	return found
 }
 
 func (r *rig) scan(t *testing.T, mi int, from uint64, limit int) []Pair {
@@ -190,6 +214,36 @@ func TestCacheHitsAndStalenessSafety(t *testing.T) {
 			t.Fatalf("new key %d via stale cache: %q %v", k, v, ok)
 		}
 	}
+	// More splits elsewhere, then the stale machine writes, deletes and
+	// scans through what it has cached.
+	for k := uint64(2000); k < 2100; k++ {
+		r.put(t, 3, k, "yyy")
+	}
+	for k := uint64(2000); k < 2100; k += 3 {
+		r.put(t, 1, k, "mine")
+	}
+	for k := uint64(2001); k < 2100; k += 3 {
+		if !r.del(t, 1, k) {
+			t.Fatalf("delete of %d via stale cache missed", k)
+		}
+	}
+	r.put(t, 1, 3000, "new") // beyond everything machine 1 has seen
+	pairs := r.scan(t, 1, 2000, 200)
+	if len(pairs) != 34+33+1 {
+		t.Fatalf("scan via stale cache: %d pairs, want 68", len(pairs))
+	}
+	for i, p := range pairs[:67] {
+		want, val := uint64(2000+3*(i/2)+2*(i%2)), "mine"
+		if i%2 == 1 {
+			val = "yyy"
+		}
+		if p.Key != want || string(p.Val) != val {
+			t.Fatalf("scan via stale cache, pair %d: %d=%q, want %d=%q", i, p.Key, p.Val, want, val)
+		}
+	}
+	if pairs[67].Key != 3000 {
+		t.Fatalf("scan via stale cache ends at %d", pairs[67].Key)
+	}
 }
 
 func TestConcurrentInsertersConflictCleanly(t *testing.T) {
@@ -247,33 +301,51 @@ func TestQuickSortedMapEquivalence(t *testing.T) {
 		if len(keys) > 80 {
 			keys = keys[:80]
 		}
+		// Three machines take turns, each through its own cache, which the
+		// other two keep making stale.
 		r := newRig(t, 5)
 		model := map[uint64]string{}
 		for i, k := range keys {
-			key := uint64(k % 500)
+			key, mi := uint64(k%500), 1+i%3
+			if _, ok := model[key]; ok && k%3 == 0 {
+				if !r.del(t, mi, key) {
+					return false
+				}
+				delete(model, key)
+				continue
+			}
 			val := fmt.Sprintf("v%d", i)
-			r.put(t, i%5, key, val)
+			r.put(t, mi, key, val)
 			model[key] = val
 		}
-		// Everything retrievable.
-		for k, want := range model {
-			if got, ok := r.get(t, 0, k); !ok || got != want {
-				return false
-			}
-		}
-		// Scan equals sorted model keys.
 		var want []uint64
 		for k := range model {
 			want = append(want, k)
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		pairs := r.scan(t, 1, 0, len(model)+5)
-		if len(pairs) != len(want) {
-			return false
-		}
-		for i := range want {
-			if pairs[i].Key != want[i] {
+		for mi := 1; mi <= 3; mi++ {
+			// Everything retrievable, and nothing deleted is.
+			for i, k := range want {
+				if got, ok := r.get(t, 1+(mi+i)%3, k); !ok || got != model[k] {
+					return false
+				}
+			}
+			for _, k := range keys {
+				if _, ok := model[uint64(k%500)]; !ok {
+					if _, found := r.get(t, mi, uint64(k%500)); found {
+						return false
+					}
+				}
+			}
+			// Scan equals sorted model keys.
+			pairs := r.scan(t, mi, 0, len(model)+5)
+			if len(pairs) != len(want) {
 				return false
+			}
+			for i := range want {
+				if pairs[i].Key != want[i] || string(pairs[i].Val) != model[want[i]] {
+					return false
+				}
 			}
 		}
 		return true

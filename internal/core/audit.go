@@ -204,6 +204,21 @@ func (m *Machine) regionQuiet(region uint32, rep *replica) bool {
 	return true
 }
 
+// logGap reports whether a member's log here holds frames this machine
+// cannot process yet, because an earlier frame's write is being retried. A
+// coordinator gets its hardware acks regardless and goes on to COMMIT-PRIMARY,
+// so among them can be the COMMIT-BACKUP of a transaction the primary has
+// applied: the backup looks quiet and is a version behind. Such a backup is
+// not settled. Aggregation only, so ranging the map directly is safe.
+func (m *Machine) logGap() bool {
+	for src, lr := range m.logR {
+		if lr.rd != nil && m.isMember(src) && lr.rd.Gap() {
+			return true
+		}
+	}
+	return false
+}
+
 // remoteTxTouches reports whether a pending transaction writes the region.
 func remoteTxTouches(rt *remoteTx, region uint32) bool {
 	if rt.lock != nil {
@@ -334,7 +349,7 @@ func (m *Machine) onAuditSnap(src int, v *proto.AuditSnap) {
 			rep.needsDataRecovery || rep.primary {
 			return // audit aborted or superseded; primary's deadline handles it
 		}
-		if m.regionQuiet(v.Region, rep) {
+		if m.regionQuiet(v.Region, rep) && !m.logGap() {
 			quiet++
 			if quiet >= auditSettleRounds {
 				reply.Settled = true

@@ -393,15 +393,13 @@ func TestWireThreadIDOnSelfRecordOnlyPicksAThread(t *testing.T) {
 	if len(m.lockFree) != 1 {
 		t.Fatalf("%d verdict carriers back in the pool, want the one that ran", len(m.lockFree))
 	}
-	// The shard ran on worker (sender + 65535) mod 8, the sender of the self
-	// ring being this machine, and the verdict on worker 65535 mod 8.
+	// The shard and the verdict both ran on worker 65535 mod 8: the self
+	// ring's shards go to the coordinator thread that wrote them, with no
+	// sender offset.
 	for i, b := range m.WorkerBusy() {
 		var want sim.Time
-		if i == (m.ID+65535)%m.Threads() {
-			want += m.c.Opts.CPUMsg/4 + m.c.Opts.CPUPerObject
-		}
 		if i == 65535%m.Threads() {
-			want += m.c.Opts.CPULocal
+			want = m.c.Opts.CPUMsg/4 + m.c.Opts.CPUPerObject + m.c.Opts.CPULocal
 		}
 		if b-busy[i] != want {
 			t.Fatalf("worker %d was busy %v, want %v", i, b-busy[i], want)

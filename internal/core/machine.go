@@ -734,9 +734,16 @@ func (m *Machine) decodeFrames(lr *logReader) {
 // (sender + coordinator thread) mod workers. One (sender, thread) always
 // maps to one worker, so its records are handled in ring order; the sender
 // offset keeps a coordinator thread from also serving its same-numbered
-// peers on every other machine. A drain barrier also goes, as a zero-cost
-// item, to the workers that got no records.
+// peers on every other machine. The self ring has no offset: the thread
+// that appended a LOCK record to it is the one waiting for the verdict, so
+// it processes the record itself instead of queueing it behind another
+// worker's client. A drain barrier also goes, as a zero-cost item, to the
+// workers that got no records.
 func (m *Machine) dispatchShards(lr *logReader, preDrain bool, done func()) {
+	offset := lr.src
+	if offset == m.ID {
+		offset = 0
+	}
 	for s, pt := range m.pollShards {
 		if pt == nil {
 			if done == nil {
@@ -746,7 +753,7 @@ func (m *Machine) dispatchShards(lr *logReader, preDrain bool, done func()) {
 		}
 		m.pollShards[s] = nil
 		pt.preDrain, pt.done = preDrain, done
-		m.pool.ByIndex(lr.src+s).Do(pt.cost, pt.runFn)
+		m.pool.ByIndex(offset+s).Do(pt.cost, pt.runFn)
 	}
 }
 

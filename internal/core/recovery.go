@@ -206,8 +206,15 @@ func (m *Machine) findRecoveringTxs() {
 			if rm == nil || len(rm.Replicas) == 0 {
 				continue
 			}
-			hosted := m.replicas[region]
-			if hosted == nil {
+			// What we saw is evidence for the regions our records write to
+			// (step 3: transactions "that updated the region"), not for every
+			// region they list: a record carries the writes of the regions
+			// its receiver replicated when it was written, and this
+			// reconfiguration may have made us a replica of another. Were
+			// our COMMIT-BACKUP to count there, a region none of whose
+			// replicas ever received the write would vote commit-backup and
+			// the transaction commit without it.
+			if m.replicas[region] == nil || !remoteTxTouches(rt, region) {
 				continue
 			}
 			if int(rm.Replicas[0]) == m.ID {
@@ -356,7 +363,7 @@ func (m *Machine) onNeedRecovery(src int, nr *proto.NeedRecovery) {
 				continue
 			}
 			for _, r := range rt.regions() {
-				if r == nr.Region {
+				if r == nr.Region && remoteTxTouches(rt, r) {
 					rr.add(m.ID, rt.id, rt.saw, rt.lock)
 				}
 			}
@@ -693,25 +700,14 @@ func (m *Machine) onSendTxState(s *proto.SendTxState) {
 	}
 }
 
-// onReplicateTxState stores a replicated lock record at a backup (step 5).
+// onReplicateTxState stores a replicated lock record at a backup (step 5),
+// merged into what the backup holds: that can be the transaction's record
+// for another region, without this region's writes.
 func (m *Machine) onReplicateTxState(src int, r *proto.ReplicateTxState) {
 	if r.Config != m.config.ID {
 		return
 	}
-	k := mtlOf(r.Tx)
-	rt := m.pend[k]
-	if rt == nil {
-		rt = &remoteTx{id: r.Tx}
-		m.pend[k] = rt
-	}
-	if rt.lock == nil {
-		rt.lock = r.Lock
-	}
-	rt.saw |= proto.SawLock
-	rt.lastChange = m.c.Eng.Now()
-	if r.Lock != nil {
-		rt.regionHint = r.Lock.Regions
-	}
+	m.installPendLock(r.Tx, r.Lock)
 	m.send(src, &proto.ReplicateTxStateAck{Config: r.Config, Region: r.Region, Tx: r.Tx})
 }
 
@@ -871,7 +867,7 @@ func (m *Machine) onRequestVote(src int, rv *proto.RequestVote) {
 			}
 		}
 	}
-	if rt := m.pend[k]; rt != nil {
+	if rt := m.pend[k]; rt != nil && remoteTxTouches(rt, rv.Region) {
 		vote = voteFromSaw(rt.saw)
 		regions = rt.regions()
 	} else if m.truncDomainFor(rv.Tx.Coord()).truncated(rv.Tx.Local) {

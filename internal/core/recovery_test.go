@@ -728,3 +728,94 @@ func TestRecoveringTransactionsChainedOnOneObject(t *testing.T) {
 		}
 	}
 }
+
+// TestNewReplicaIsNoEvidenceForItsRegion: what a machine saw of a
+// recovering transaction counts for the regions its records write to, not
+// for every region the records list. A coordinator that is the primary of
+// region B dies after LOCK reached the primary of region A and COMMIT-BACKUP
+// both of A's backups, and before any replica of B was told anything. The
+// reconfiguration gives B a new backup, which can only be one of A's three
+// replicas — each of them holds a record of the transaction that names B.
+// Were that to make B vote lock or commit-backup, the transaction would
+// commit: A's write installed, B's nowhere to install from. Once chaos seed
+// 110867 lost three units of money that way.
+func TestNewReplicaIsNoEvidenceForItsRegion(t *testing.T) {
+	c, _ := testCluster(t, recoveryOpts())
+	// Two regions with no replica in common, B's primary not the CM.
+	var a, b uint32
+	for i := 0; i < 40 && a == 0; i++ {
+		regions, err := c.CreateRegions(0, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = regions[0]
+		rb := c.Machine(0).mappings[b].Replicas
+		if c.Machine(int(rb[0])).IsCM() {
+			continue
+		}
+	search:
+		for _, id := range regionKeys(c.Machine(0).mappings) {
+			for _, x := range c.Machine(0).mappings[id].Replicas {
+				for _, y := range rb {
+					if x == y {
+						continue search
+					}
+				}
+			}
+			a = id
+			break
+		}
+	}
+	if a == 0 {
+		t.Fatal("no two regions with disjoint replica sets")
+	}
+	replicasA := c.Machine(0).mappings[a].Replicas
+	victim := primaryOfRegion(c, b)
+	reader := c.Machine(int(replicasA[1]))
+	addrA := writeObjectIn(t, c, reader, a, []byte("aaaaaaaa"))
+	addrB := writeObjectIn(t, c, reader, b, []byte("bbbbbbbb"))
+	c.RunFor(20 * sim.Millisecond)
+	versionAt := func(m *Machine, addr proto.Addr) uint64 {
+		return regionmem.Version(regionmem.ReadHeader(m.replicas[addr.Region].mem, int(addr.Off)))
+	}
+
+	id := proto.TxID{Config: victim.config.ID, Machine: uint16(victim.ID), Thread: 0, Local: 1 << 40}
+	regions := []uint32{a, b}
+	writeA := []proto.ObjectWrite{{Addr: addrA, Version: versionAt(primaryOfRegion(c, a), addrA), Allocated: true, Value: []byte("AAAAAAAA")}}
+	writeB := []proto.ObjectWrite{{Addr: addrB, Version: versionAt(victim, addrB), Allocated: true, Value: []byte("BBBBBBBB")}}
+	appendRecord(t, victim, victim.ID, &proto.Record{Type: proto.RecLock, Tx: id, Regions: regions, Writes: writeB})
+	appendRecord(t, victim, int(replicasA[0]), &proto.Record{Type: proto.RecLock, Tx: id, Regions: regions, Writes: writeA})
+	for _, backup := range replicasA[1:] {
+		appendRecord(t, victim, int(backup), &proto.Record{Type: proto.RecCommitBackup, Tx: id, Regions: regions, Writes: writeA})
+	}
+	runUntil(t, c, sim.Millisecond, func() bool {
+		for _, r := range replicasA {
+			if c.Machine(int(r)).pend[mtlOf(id)] == nil {
+				return false
+			}
+		}
+		return true
+	})
+	c.Kill(victim.ID)
+	c.RunFor(300 * sim.Millisecond)
+
+	joined := false
+	for _, r := range c.Machine(0).mappings[b].Replicas {
+		for _, x := range replicasA {
+			joined = joined || r == x
+		}
+	}
+	if !joined {
+		t.Fatalf("region %d was re-replicated to %v, none of them a replica of region %d: nothing tested",
+			b, c.Machine(0).mappings[b].Replicas, a)
+	}
+	gotA, gotB := readObject(t, c, reader, addrA, 8), readObject(t, c, reader, addrB, 8)
+	if string(gotA) != "aaaaaaaa" || string(gotB) != "bbbbbbbb" {
+		t.Fatalf("objects read %q and %q: no replica of region %d ever held its write, the transaction must abort whole", gotA, gotB, b)
+	}
+	for _, m := range c.Machines {
+		if m.alive && m.pend[mtlOf(id)] != nil {
+			t.Errorf("machine %d still holds the transaction", m.ID)
+		}
+	}
+}

@@ -414,6 +414,13 @@ func (t *Tx) Free(addr proto.Addr) {
 func (t *Tx) ReadSetSize() int  { return t.nReads }
 func (t *Tx) WriteSetSize() int { return t.nWrites }
 
+// Wrote reports whether addr is in the write set, so that a read of it
+// returns this transaction's buffered bytes rather than committed ones.
+func (t *Tx) Wrote(addr proto.Addr) bool {
+	i := t.find(addr)
+	return i >= 0 && t.set[i].written
+}
+
 // Thread returns the coordinator thread index running this transaction.
 func (t *Tx) Thread() int { return t.thread }
 

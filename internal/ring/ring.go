@@ -414,6 +414,28 @@ func (r *Reader) Poll() []Frame {
 	return out
 }
 
+// Gap reports whether a frame has landed beyond the parse head: the reader
+// waits for an earlier frame whose write is still being retried, and cannot
+// hand out what the ring already holds past it. Ring bytes are zero unless a
+// frame landed there and was not reclaimed, so any other byte outside the
+// retained span [head, scan) is such a frame (or a stale retransmission the
+// parser will drop when it gets there).
+func (r *Reader) Gap() bool {
+	r.parse()
+	landed := func(lo, hi int) bool {
+		for _, b := range r.mem[lo:hi] {
+			if b != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	if r.scan < r.head || r.scan == r.head && len(r.frames) > 0 {
+		return landed(r.scan, r.head) // retained frames wrap around the end (or fill the ring)
+	}
+	return landed(r.scan, len(r.mem)) || landed(0, r.head)
+}
+
 // index returns the position in frames of sequence number seq, or
 // len(frames) when it is not retained (Seqs are consecutive).
 func (r *Reader) index(seq uint64) int {

@@ -16,6 +16,7 @@ import (
 // rig builds a two-machine fabric with a ring from machine 0 to machine 1.
 type rig struct {
 	eng    *sim.Engine
+	net    *fabric.Network
 	w      *Writer
 	r      *Reader
 	region []byte
@@ -34,6 +35,7 @@ func newRig(t *testing.T, capacity int) *rig {
 	}
 	return &rig{
 		eng:    eng,
+		net:    net,
 		w:      NewWriter(n0, 1, 100, capacity),
 		r:      NewReader(mem),
 		region: mem,
@@ -495,6 +497,59 @@ func TestDecodedRecordOutlivesItsRingBytes(t *testing.T) {
 	for i, w := range held.Writes {
 		if !bytes.Equal(w.Value, lock.Writes[i].Value) || w.Addr != lock.Writes[i].Addr || w.Version != lock.Writes[i].Version {
 			t.Fatalf("held write %d changed after its frame was truncated and overwritten: %x", i, w.Value)
+		}
+	}
+}
+
+// TestGapIsAFrameBehindOneThatHasNotLanded: a write that times out is
+// retried in place while later frames land and are acknowledged. The reader
+// hands out nothing past the hole, and says so.
+func TestGapIsAFrameBehindOneThatHasNotLanded(t *testing.T) {
+	g := newRig(t, 256)
+	poll := func(want ...string) {
+		t.Helper()
+		frames := g.r.Poll()
+		if len(frames) != len(want) {
+			t.Fatalf("polled %d frames, want %d", len(frames), len(want))
+		}
+		for i, f := range frames {
+			if string(f.Payload) != want[i] {
+				t.Fatalf("frame %d = %q, want %q", i, f.Payload, want[i])
+			}
+			g.r.Truncate(f.Seq)
+		}
+		g.w.UpdateConsumed(g.r.ConsumedBytes())
+	}
+	if g.r.Gap() {
+		t.Fatal("gap in an empty ring")
+	}
+	for round := 0; round < 8; round++ { // far enough to wrap several times
+		g.w.Append([]byte("first"), -1, nil)
+		g.eng.RunFor(10 * sim.Microsecond)
+		if g.r.Gap() {
+			t.Fatalf("round %d: gap with every frame landed", round)
+		}
+		g.net.CutLink(0, 1)
+		g.w.Append([]byte("lost and retried"), -1, nil)
+		g.eng.RunFor(10 * sim.Microsecond) // reaches the cut and is dropped
+		g.net.HealLink(0, 1)
+		acked := false
+		g.w.Append([]byte("behind"), -1, func(err error) { acked = err == nil })
+		g.eng.RunFor(10 * sim.Microsecond)
+		if !acked {
+			t.Fatalf("round %d: the frame behind the hole was not acknowledged", round)
+		}
+		poll("first")
+		if !g.r.Gap() {
+			t.Fatalf("round %d: a frame landed past the hole, and no gap", round)
+		}
+		g.pump() // the retry lands
+		if g.r.Gap() {
+			t.Fatalf("round %d: gap after the hole was filled", round)
+		}
+		poll("lost and retried", "behind")
+		if g.r.Gap() {
+			t.Fatalf("round %d: gap in a reclaimed ring", round)
 		}
 	}
 }

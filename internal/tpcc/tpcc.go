@@ -14,6 +14,7 @@ package tpcc
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
 	"farm/internal/btree"
@@ -110,6 +111,10 @@ const (
 	orderLineVal = 16 // i_id, qty, amount
 )
 
+// treeOrder is the range indexes' keys per node. Tests shrink it so that a
+// short run splits nodes at every level.
+var treeOrder = 32
+
 // B-tree keys within one warehouse.
 func orderKey(d, o int) uint64 { return uint64(d)<<40 | uint64(o) }
 func olKey(d, o, n int) uint64 { return uint64(d)<<40 | uint64(o)<<8 | uint64(n) }
@@ -185,7 +190,7 @@ func (w *Workload) setupWarehouse(wid int) (*warehouse, error) {
 
 	mkTree := func(name string, maxVal int) *btree.Tree {
 		return btree.MustCreate(c, m, btree.Config{
-			Name: fmt.Sprintf("%s-%d", name, wid), Order: 32, MaxVal: maxVal, Region: regions[0],
+			Name: fmt.Sprintf("%s-%d", name, wid), Order: treeOrder, MaxVal: maxVal, Region: regions[0],
 		})
 	}
 	for d := 0; d <= cfg.Districts; d++ {
@@ -288,6 +293,110 @@ func (w *Workload) HomeMachines() map[int][]int {
 		out[wh.home] = append(out[wh.home], wh.id)
 	}
 	return out
+}
+
+// CheckConsistency judges the database against the TPC-C consistency
+// conditions (clause 3.3.2) this schema can express, on a quiescent cluster,
+// reading each district in one transaction through its home machine:
+//
+//   - d_next_o_id − 1 is the greatest order id, in the order index and — when
+//     that is not empty — in the new-order index (3.3.2.2); stronger, the
+//     order index holds exactly the ids 1 … d_next_o_id − 1;
+//   - the new-order ids are contiguous (3.3.2.3);
+//   - every order has exactly o_ol_cnt order lines, numbered from 0, and no
+//     line belongs to no order (3.3.2.6).
+//
+// A lost insert, a phantom or a half-applied split breaks one of them. It
+// returns the orders it counted: on a fault-free run, Workload.NewOrders.
+func (w *Workload) CheckConsistency() (orders uint64, err error) {
+	for _, wh := range w.whs {
+		for d := 1; d <= w.Cfg.Districts; d++ {
+			n, err := w.checkDistrict(wh, d)
+			if err != nil {
+				return 0, fmt.Errorf("tpcc: warehouse %d district %d: %w", wh.id, d, err)
+			}
+			orders += uint64(n)
+		}
+	}
+	return orders, nil
+}
+
+func (w *Workload) checkDistrict(wh *warehouse, d int) (last int, err error) {
+	err = loadgen.RunSync(w.C, w.C.Machine(wh.home), 0, func(tx *core.Tx, done func(error)) {
+		wh.dTbl.Get(tx, kv.U64Key(uint64(d)), func(drow []byte, ok bool, err error) {
+			if err != nil || !ok {
+				done(fmt.Errorf("district row: found=%v, %v", ok, err))
+				return
+			}
+			last = int(binary.LittleEndian.Uint32(drow)) - 1
+			wh.orders[d].Scan(tx, 0, math.MaxInt, func(orders []btree.Pair, err error) {
+				if err != nil {
+					done(err)
+					return
+				}
+				wh.newOrders[d].Scan(tx, 0, math.MaxInt, func(newOrders []btree.Pair, err error) {
+					if err != nil {
+						done(err)
+						return
+					}
+					wh.orderLines[d].Scan(tx, 0, math.MaxInt, func(lines []btree.Pair, err error) {
+						if err != nil {
+							done(err)
+							return
+						}
+						done(judgeDistrict(d, last, orders, newOrders, lines))
+					})
+				})
+			})
+		})
+	})
+	return last, err
+}
+
+// judgeDistrict checks one district's indexes, each scanned whole and in key
+// order, against its d_next_o_id − 1.
+func judgeDistrict(d, last int, orders, newOrders, lines []btree.Pair) error {
+	if len(orders) != last {
+		return fmt.Errorf("d_next_o_id-1 = %d, order index holds %d orders", last, len(orders))
+	}
+	k := 0
+	for i, o := range orders {
+		if o.Key != orderKey(d, i+1) {
+			return fmt.Errorf("order index: key %#x where order %d belongs", o.Key, i+1)
+		}
+		for n := 0; n < int(o.Val[12]); n++ {
+			if k == len(lines) || lines[k].Key != olKey(d, i+1, n) {
+				return fmt.Errorf("order %d has o_ol_cnt %d, line %d is missing", i+1, o.Val[12], n)
+			}
+			k++
+		}
+	}
+	if k != len(lines) {
+		return fmt.Errorf("order-line index: key %#x belongs to no order", lines[k].Key)
+	}
+	for i, no := range newOrders {
+		if no.Key != newOrders[0].Key+uint64(i) {
+			return fmt.Errorf("new-order index: key %#x after %#x", no.Key, newOrders[i-1].Key)
+		}
+	}
+	if n := len(newOrders); n > 0 && newOrders[n-1].Key != orderKey(d, last) {
+		return fmt.Errorf("d_next_o_id-1 = %d, new-order index ends at %#x", last, newOrders[n-1].Key)
+	}
+	return nil
+}
+
+// DescentStats sums btree.Tree.DescentStats over every range index.
+func (w *Workload) DescentStats() (s [5]uint64) {
+	for _, wh := range w.whs {
+		for _, trees := range [][]*btree.Tree{wh.orders, wh.orderLines, wh.newOrders, {wh.custByName}} {
+			for _, t := range trees {
+				for i, v := range t.DescentStats() {
+					s[i] += v
+				}
+			}
+		}
+	}
+	return s
 }
 
 // warehouseFor picks a home warehouse for a driver on machine m (falling
@@ -542,7 +651,7 @@ func (w *Workload) OrderStatus(m *core.Machine, thread int, wh *warehouse, rng *
 				return
 			}
 			oid := next - 1
-			wh.orders[d].Get(tx, m, orderKey(d, oid), func(_ []byte, _ bool, err error) {
+			wh.orders[d].Get(tx, orderKey(d, oid), func(_ []byte, _ bool, err error) {
 				if err != nil {
 					done(false)
 					return
@@ -604,7 +713,7 @@ func (w *Workload) Delivery(m *core.Machine, thread int, wh *warehouse, rng *sim
 					done(false)
 					return
 				}
-				wh.orders[d].Get(tx, m, key, func(orow []byte, ok bool, err error) {
+				wh.orders[d].Get(tx, key, func(orow []byte, ok bool, err error) {
 					if err != nil || !ok {
 						done(false)
 						return

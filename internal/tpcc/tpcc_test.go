@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"farm/internal/core"
+	"farm/internal/history"
 	"farm/internal/kv"
 	"farm/internal/loadgen"
 	"farm/internal/sim"
@@ -233,7 +234,7 @@ func TestTPCCContinuesAcrossFailure(t *testing.T) {
 		for o := 1; o < int(next); o++ {
 			o := o
 			err := loadgen.RunSync(c, m, 1, func(tx *core.Tx, done func(error)) {
-				wh.orders[d].Get(tx, m, orderKey(d, o), func(_ []byte, ok bool, err error) {
+				wh.orders[d].Get(tx, orderKey(d, o), func(_ []byte, ok bool, err error) {
 					if err == nil && !ok {
 						t.Errorf("district %d order %d missing from index", d, o)
 					}
@@ -244,5 +245,46 @@ func TestTPCCContinuesAcrossFailure(t *testing.T) {
 				t.Fatalf("order read: %v", err)
 			}
 		}
+	}
+}
+
+// TestConcurrentMixIsConsistentAndSerializable judges what the throughput
+// tests cannot see: nine machines run the mix against range indexes whose
+// nodes hold four keys, so that leaves, internal nodes and roots split under
+// concurrent readers and writers all the time; afterwards the TPC-C
+// consistency conditions hold, every committed new-order is in the database,
+// and the recorded history is strictly serializable.
+func TestConcurrentMixIsConsistentAndSerializable(t *testing.T) {
+	defer func(order int) { treeOrder = order }(treeOrder)
+	treeOrder = 4
+
+	c := core.New(core.Options{NumMachines: 9, Seed: 47, History: true})
+	cfg := DefaultConfig(9)
+	cfg.CustomersPerDist = 12
+	cfg.Items = 240
+	w, err := Setup(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := loadgen.New(c, w.Mix())
+	g.RunPoint([]int{0, 1, 2, 3, 4, 5, 6, 7, 8}, 2, 1, sim.Millisecond, 20*sim.Millisecond)
+	c.RunFor(5 * sim.Millisecond) // what was in flight finishes
+
+	orders, err := w.CheckConsistency()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if orders != w.NewOrders || orders < 1000 {
+		t.Fatalf("the districts hold %d orders, %d new-orders committed (want 1000 or more)", orders, w.NewOrders)
+	}
+	// Order lines, the fastest growing index, get some ten keys per order:
+	// ninety trees of that many keys, four to a node, are four levels deep.
+	if splits := w.DescentStats()[4]; splits < 3*orders {
+		t.Fatalf("%d leaf splits for %d orders: the indexes did not grow as intended", splits, orders)
+	}
+	rep := history.Check(c.Hist.Export())
+	t.Logf("%d orders, %d committed transactions judged, %d aborted", orders, rep.Stats.Committed, rep.Stats.Aborted)
+	if !rep.Ok() {
+		t.Fatalf("history not strictly serializable:\n%s", rep)
 	}
 }
