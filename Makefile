@@ -1,6 +1,6 @@
 # Convenience targets; everything is stdlib-only `go` commands.
 
-.PHONY: check test harness bench perf figures chaos examples vet race trace
+.PHONY: check test harness bench perf figures chaos examples vet race trace count
 
 # Everything the chaos and trace targets write lands here (gitignored).
 OUT := .farm-out
@@ -78,6 +78,18 @@ examples:
 	go run ./examples/powerfail
 	go run ./examples/recovery
 	go run ./examples/tatp
+
+# The design-diet ledger (ROADMAP, CHANGES.md): four sizes of internal/core
+# that a simplification should move down and nothing should move up
+# unnoticed. Plain grep/sed/wc over the source.
+CORE := internal/core
+count:
+	@echo "core non-test lines:    $$(ls $(CORE)/*.go | grep -v _test.go | xargs cat | wc -l)"
+	@echo "core.Options fields:    $$(sed -n '/^type Options struct {/,/^}/p' $(CORE)/core.go | grep -c '^	[A-Z]')"
+	@echo "map fields in Machine, cmState, logReader: $$( \
+		{ sed -n '/^type Machine struct {/,/^}/p;/^type logReader struct {/,/^}/p' $(CORE)/machine.go; \
+		  sed -n '/^type cmState struct {/,/^}/p' $(CORE)/cm.go; } | grep -v '^[[:space:]]*//' | grep -c 'map\[')"
+	@echo "sorted-keys call sites: $$(ls $(CORE)/*.go | grep -v _test.go | xargs grep -h '[A-Za-z0-9]Keys(' | grep -v '^func \|^[[:space:]]*//' | wc -l)"
 
 # gofmt -l only lists; a listed file must fail the target.
 vet:

@@ -882,7 +882,11 @@ func Run(cfg Config) Result {
 	})
 	if err != nil {
 		res.Violations = append(res.Violations, "liveness: post-chaos commit failed: "+err.Error())
-		for dst, rep := range reader.LogSpaceReport() {
+		// One entry per machine of the cluster, printed in id order: result
+		// lines must not depend on map iteration.
+		report := reader.LogSpaceReport()
+		for dst := 0; dst < len(report); dst++ {
+			rep := report[dst]
 			res.Violations = append(res.Violations,
 				fmt.Sprintf("  logW[%d]: free=%d reserved=%d appended=%d consumed=%d",
 					dst, rep[0], rep[1], rep[2], rep[3]))

@@ -58,7 +58,8 @@ func TestHeldLockRecordSurvivesLogWrap(t *testing.T) {
 	}
 
 	appended := func() (n uint64) {
-		for _, w := range c.Machine(0).logW {
+		for _, p := range c.Machine(0).peers {
+			w := p.logW
 			n += w.Appended()
 		}
 		return
@@ -233,7 +234,7 @@ func TestAbortedAllocsAreReleasedOnce(t *testing.T) {
 	p := c.Machine(c.Machine(0).PrimaryOf(region))
 	hint := proto.Addr{Region: region}
 	contended := writeObjectIn(t, c, p, region, make([]byte, size))
-	free := func() int { return p.replicas[region].alloc.FreeCount(size) }
+	free := func() int { return p.replica(region).alloc.FreeCount(size) }
 	want := free()
 
 	alloc := func(tx *Tx) {

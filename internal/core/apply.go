@@ -58,8 +58,7 @@ func (m *Machine) handleRecord(lr *logReader, rec *proto.Record, seq uint64, pre
 	key := mtlOf(rec.Tx)
 	rt := m.pend[key]
 	if rt == nil {
-		d := m.truncDomainFor(rec.Tx.Coord())
-		if d.truncated(rec.Tx.Local) {
+		if m.truncWindow(rec.Tx.Coord()).has(rec.Tx.Local) {
 			// A record for an already-truncated transaction (late commit-
 			// primary after recovery truncated): drop it.
 			lr.rd.Truncate(seq)
@@ -134,7 +133,7 @@ func writesAddr(ws []proto.ObjectWrite, addr proto.Addr) bool {
 // applyPiggyback processes the truncation metadata every record carries.
 func (m *Machine) applyPiggyback(lr *logReader, rec *proto.Record) {
 	if rec.TruncLow > 0 {
-		m.truncDomainFor(rec.Tx.Coord()).setLow(rec.TruncLow)
+		m.truncWindow(rec.Tx.Coord()).setLow(rec.TruncLow)
 	}
 	for _, packed := range rec.TruncIDs {
 		thread, local := unpackTruncID(packed)
@@ -148,7 +147,7 @@ func (m *Machine) processLock(rt *remoteTx, rec *proto.Record) {
 	ok := true
 	held := len(rt.lockedObjs) // a replayed LOCK record finds earlier entries
 	for _, w := range rec.Writes {
-		rep := m.replicas[w.Addr.Region]
+		rep := m.replica(w.Addr.Region)
 		if rep == nil || !rep.primary {
 			ok = false
 			break
@@ -170,7 +169,7 @@ func (m *Machine) processLock(rt *remoteTx, rec *proto.Record) {
 	if !ok {
 		// Roll back partial locks; the coordinator will write ABORT.
 		for _, addr := range rt.lockedObjs[held:] {
-			rep := m.replicas[addr.Region]
+			rep := m.replica(addr.Region)
 			regionmem.Unlock(rep.mem, int(addr.Off))
 			delete(rep.lockOwner, addr.Off)
 		}
@@ -210,7 +209,7 @@ func (m *Machine) handOffLockVerdict(tx proto.TxID, ok bool) {
 	}
 	v.tx, v.ok, v.ctx = tx, ok, m.curCtx
 	// A thread id off the wire only ever picks a thread (ByIndex is modular).
-	m.OnThread(int(tx.Thread), m.c.Opts.CPULocal, v.runFn)
+	m.OnThread(int(tx.Thread), cpuLocal, v.runFn)
 }
 
 func (v *lockVerdict) run() {
@@ -230,7 +229,7 @@ func (m *Machine) applyCommitPrimary(rt *remoteTx) {
 	}
 	rt.applied = true
 	for _, w := range rt.lock.Writes {
-		rep := m.replicas[w.Addr.Region]
+		rep := m.replica(w.Addr.Region)
 		if rep == nil || !rep.primary {
 			continue
 		}
@@ -268,7 +267,7 @@ func (m *Machine) freeSlotAtPrimary(rep *replica, off int) {
 // releaseLocks undoes a transaction's locks after an ABORT record.
 func (m *Machine) releaseLocks(rt *remoteTx) {
 	for _, addr := range rt.lockedObjs {
-		rep := m.replicas[addr.Region]
+		rep := m.replica(addr.Region)
 		if rep == nil {
 			continue
 		}
@@ -291,7 +290,7 @@ func (m *Machine) truncateTx(lr *logReader, key proto.CoordKey, local uint64) {
 		}
 		delete(m.pend, k)
 	}
-	m.truncDomainFor(key).add(local)
+	m.truncWindow(key).add(local)
 	for _, seq := range lr.frames[k] {
 		lr.rd.Truncate(seq)
 	}
@@ -306,7 +305,7 @@ func (m *Machine) applyAtBackup(rt *remoteTx) {
 		return
 	}
 	for _, w := range rt.lock.Writes {
-		rep := m.replicas[w.Addr.Region]
+		rep := m.replica(w.Addr.Region)
 		if rep == nil || rep.primary {
 			continue
 		}
@@ -328,7 +327,7 @@ func (m *Machine) recordIsRecovering(rec *proto.Record) bool {
 		return true
 	}
 	for _, region := range rec.Regions {
-		rm := m.mappings[region]
+		rm := m.mapping(region)
 		if rm == nil || rm.LastReplicaChange >= m.config.ID {
 			return true
 		}
@@ -357,7 +356,7 @@ func (m *Machine) rpcValidate(from int, id uint64, req *proto.ValidateReq) {
 	}
 	ok := true
 	for i, addr := range req.Addrs {
-		rep := m.replicas[addr.Region]
+		rep := m.replica(addr.Region)
 		if rep == nil || !rep.primary ||
 			!validHeaderWord(regionmem.ReadHeader(rep.mem, int(addr.Off)), req.Versions[i]) {
 			ok = false
@@ -376,10 +375,10 @@ func (m *Machine) rpcMapping(from int, _ uint64, req *proto.MappingReq) {
 	// retry with backoff) instead of hanging until some unrelated refresh.
 	resp.Map.Region = req.Region
 	if m.cm != nil {
-		if rm := m.cm.regions[req.Region]; rm != nil {
+		if rm := m.cm.mapping(req.Region); rm != nil {
 			resp = proto.MappingResp{OK: true, Map: *rm}
 		}
-	} else if rm := m.mappings[req.Region]; rm != nil {
+	} else if rm := m.mapping(req.Region); rm != nil {
 		resp = proto.MappingResp{OK: true, Map: *rm}
 	}
 	m.send(from, &resp)
@@ -392,7 +391,7 @@ func (m *Machine) onValidateReq(src int, req *proto.ValidateReq) {
 	}
 	ok := true
 	for i, addr := range req.Addrs {
-		rep := m.replicas[addr.Region]
+		rep := m.replica(addr.Region)
 		if rep == nil || !rep.primary ||
 			!validHeaderWord(regionmem.ReadHeader(rep.mem, int(addr.Off)), req.Versions[i]) {
 			ok = false

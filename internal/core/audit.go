@@ -28,6 +28,7 @@ package core
 // in-flight audits and drops every fence.
 
 import (
+	"cmp"
 	"fmt"
 
 	"farm/internal/audit"
@@ -156,7 +157,7 @@ func (m *Machine) foldBlock(rep *replica, block, class int) {
 // its deadline.
 func (m *Machine) StartRegionAudit(region uint32, cb func(AuditReport)) {
 	report := AuditReport{Region: region, Backup: -1, Block: -1, Off: -1}
-	rep := m.replicas[region]
+	rep := m.replica(region)
 	if !m.alive || rep == nil || !rep.primary || !rep.active ||
 		rep.auditFence || m.regionBlocked(region) || rep.allocRecovering {
 		report.Note = "primary not auditable"
@@ -209,10 +210,10 @@ func (m *Machine) regionQuiet(region uint32, rep *replica) bool {
 // coordinator gets its hardware acks regardless and goes on to COMMIT-PRIMARY,
 // so among them can be the COMMIT-BACKUP of a transaction the primary has
 // applied: the backup looks quiet and is a version behind. Such a backup is
-// not settled. Aggregation only, so ranging the map directly is safe.
+// not settled.
 func (m *Machine) logGap() bool {
-	for src, lr := range m.logR {
-		if lr.rd != nil && m.isMember(src) && lr.rd.Gap() {
+	for src, p := range m.peers {
+		if rd := p.logR.rd; rd != nil && m.isMember(src) && rd.Gap() {
 			return true
 		}
 	}
@@ -291,7 +292,7 @@ func (m *Machine) auditSnapshot(run *auditRun) {
 	}
 
 	run.backups = run.backups[:0]
-	rm := m.mappings[run.region]
+	rm := m.mapping(run.region)
 	if rm != nil {
 		for _, b := range rm.Replicas[1:] {
 			if int(b) != m.ID && m.isMember(int(b)) {
@@ -327,13 +328,13 @@ func (m *Machine) auditSnapshot(run *auditRun) {
 // mismatch — answers Settled=false and the audit is inconclusive.
 func (m *Machine) onAuditSnap(src int, v *proto.AuditSnap) {
 	reply := &proto.AuditSnapReply{AuditID: v.AuditID, Config: m.config.ID, Region: v.Region}
-	rep := m.replicas[v.Region]
+	rep := m.replica(v.Region)
 	if v.Config != m.config.ID || rep == nil || rep.primary ||
 		rep.needsDataRecovery || rep.repairing {
 		m.send(src, reply)
 		return
 	}
-	for _, b := range intKeys(v.Headers) {
+	for _, b := range sortedKeys(v.Headers, cmp.Compare[int]) {
 		if _, known := rep.headers[b]; !known {
 			rep.headers[b] = v.Headers[b]
 			m.foldBlock(rep, b, v.Headers[b])
@@ -345,7 +346,7 @@ func (m *Machine) onAuditSnap(src int, v *proto.AuditSnap) {
 	quiet := 0
 	var poll func()
 	poll = func() {
-		if !m.alive || m.config.ID != cfg || m.replicas[v.Region] != rep ||
+		if !m.alive || m.config.ID != cfg || m.replica(v.Region) != rep ||
 			rep.needsDataRecovery || rep.primary {
 			return // audit aborted or superseded; primary's deadline handles it
 		}
@@ -409,7 +410,7 @@ func (m *Machine) auditCompare(run *auditRun) {
 		if v.Inc != v.Scan {
 			run.report.Note = "backup incremental/scan mismatch"
 		}
-		blk := audit.FirstDivergentBlock(intKeys(run.primaryBlocks), run.primaryBlocks, v.Blocks)
+		blk := audit.FirstDivergentBlock(sortedKeys(run.primaryBlocks, cmp.Compare[int]), run.primaryBlocks, v.Blocks)
 		if blk < 0 {
 			// Scans agree per block yet something mismatched (stale
 			// incremental only): no object to localize, repair directly.
@@ -436,7 +437,7 @@ func (m *Machine) auditCompare(run *auditRun) {
 // onAuditObjectsReq serves the drill-down at a diverged backup: the named
 // block's per-slot digests in slot order.
 func (m *Machine) onAuditObjectsReq(src int, v *proto.AuditObjectsReq) {
-	rep := m.replicas[v.Region]
+	rep := m.replica(v.Region)
 	if rep == nil || v.Config != m.config.ID {
 		return
 	}
@@ -496,7 +497,7 @@ func (m *Machine) auditDiverged(run *auditRun) {
 // region from the primary, overwriting every differing slot (the audit
 // fence at the primary keeps the region quiescent meanwhile).
 func (m *Machine) onAuditRepair(src int, v *proto.AuditRepair) {
-	rep := m.replicas[v.Region]
+	rep := m.replica(v.Region)
 	if v.Config != m.config.ID || rep == nil || rep.primary ||
 		rep.needsDataRecovery || rep.repairing {
 		m.send(src, &proto.AuditRepairDone{AuditID: v.AuditID, Config: m.config.ID, Region: v.Region})
@@ -560,14 +561,16 @@ func (m *Machine) finishAudit(run *auditRun) {
 // and on power restoration, so a fence can never leak past the epoch it
 // was taken in.
 func (m *Machine) abortAudits(reason string) {
-	for _, id := range u64Keys(m.audits) {
+	for _, id := range sortedKeys(m.audits, cmp.Compare[uint64]) {
 		run := m.audits[id]
 		run.report.Note = reason
 		m.finishAudit(run)
 	}
-	for _, r := range m.replicas {
-		r.auditFence = false
-		r.repairing = false
+	for i := range m.regions {
+		if r := m.regions[i].rep; r != nil {
+			r.auditFence = false
+			r.repairing = false
+		}
 	}
 }
 
@@ -587,7 +590,12 @@ func (c *Cluster) StartAudit(done func([]AuditReport)) {
 		done(nil)
 		return
 	}
-	regions := regionKeys(src.mappings)
+	var regions []uint32
+	for id := range src.regions {
+		if src.regions[id].mapping != nil {
+			regions = append(regions, uint32(id))
+		}
+	}
 	if len(regions) == 0 {
 		done(nil)
 		return
@@ -603,7 +611,7 @@ func (c *Cluster) StartAudit(done func([]AuditReport)) {
 				done(reports)
 			}
 		}
-		rm := src.mappings[r]
+		rm := src.mapping(r)
 		if rm == nil || len(rm.Replicas) == 0 {
 			collect(AuditReport{Region: r, Backup: -1, Block: -1, Off: -1, Note: "no mapping"})
 			continue
@@ -627,11 +635,11 @@ func (c *Cluster) RegionReplicas(region uint32) []int {
 			src = m
 		}
 	}
-	if src == nil || src.mappings[region] == nil {
+	if src == nil || src.mapping(region) == nil {
 		return nil
 	}
-	out := make([]int, 0, len(src.mappings[region].Replicas))
-	for _, r := range src.mappings[region].Replicas {
+	out := make([]int, 0, len(src.mapping(region).Replicas))
+	for _, r := range src.mapping(region).Replicas {
 		out = append(out, int(r))
 	}
 	return out
@@ -654,18 +662,18 @@ func (c *Cluster) CorruptBackupObject(region uint32, allocated bool) (machine, o
 	if src == nil {
 		return -1, -1, false
 	}
-	rm := src.mappings[region]
+	rm := src.mapping(region)
 	if rm == nil || len(rm.Replicas) < 2 {
 		return -1, -1, false
 	}
 	layout := c.Opts.Layout
 	for _, b := range rm.Replicas[1:] {
 		bm := c.Machines[int(b)]
-		rep := bm.replicas[region]
+		rep := bm.replica(region)
 		if !bm.alive || rep == nil || rep.primary {
 			continue
 		}
-		blocks := intKeys(rep.headers)
+		blocks := sortedKeys(rep.headers, cmp.Compare[int])
 		if !allocated {
 			// Search from the top so the victim slot is the least likely
 			// to be claimed by the allocator later.

@@ -119,8 +119,8 @@ func TestAuditDetectsLocalizesAndRepairsCorruption(t *testing.T) {
 
 	// The repaired backup's bytes must match the primary's again, and a
 	// fresh audit must be clean.
-	prim := c.Machine(int(c.Machine(0).mappings[region].Replicas[0])).replicas[region]
-	rep := c.Machine(victim).replicas[region]
+	prim := c.Machine(int(c.Machine(0).mapping(region).Replicas[0])).replica(region)
+	rep := c.Machine(victim).replica(region)
 	pw, pd := regionmem.ReadObject(prim.mem, off, 4)
 	bw, bd := regionmem.ReadObject(rep.mem, off, 4)
 	if regionmem.MaskLock(pw) != regionmem.MaskLock(bw) || string(pd) != string(bd) {
@@ -260,7 +260,7 @@ func TestAuditSettlesUnderClosedLoopWriters(t *testing.T) {
 func TestAuditWaitsForFramesBehindAHole(t *testing.T) {
 	c, region := testCluster(t, Options{})
 	prim, coord := primaryAndOutsider(t, c, region)
-	backup := c.Machine(int(prim.mappings[region].Replicas[1]))
+	backup := c.Machine(int(prim.mapping(region).Replicas[1]))
 	addr := writeObjectIn(t, c, coord, region, u64b(0))
 	c.RunFor(20 * sim.Millisecond)
 
@@ -298,9 +298,9 @@ func TestAuditWaitsForFramesBehindAHole(t *testing.T) {
 	c.Eng.After(start+1600*sim.Microsecond-c.Now(), func() { c.Net.HealLink(src, dst) })
 
 	version := func(m *Machine) uint64 {
-		return regionmem.Version(regionmem.ReadHeader(m.replicas[region].mem, int(addr.Off)))
+		return regionmem.Version(regionmem.ReadHeader(m.replica(region).mem, int(addr.Off)))
 	}
-	if version(backup) == version(prim) || len(backup.pend) != 0 || !backup.logR[coord.ID].rd.Gap() {
+	if version(backup) == version(prim) || len(backup.pend) != 0 || !backup.peer(coord.ID).logR.rd.Gap() {
 		t.Fatalf("the hole was not built: primary v%d, backup v%d with %d pending transactions",
 			version(prim), version(backup), len(backup.pend))
 	}

@@ -316,7 +316,7 @@ func (c *Cluster) PeekObject(addr proto.Addr, size int) ([]byte, error) {
 		if !m.alive || m.primaryOf(addr.Region) != m.ID {
 			continue
 		}
-		rep := m.replicas[addr.Region]
+		rep := m.replica(addr.Region)
 		if rep == nil || !rep.primary {
 			continue
 		}
@@ -327,7 +327,7 @@ func (c *Cluster) PeekObject(addr proto.Addr, size int) ([]byte, error) {
 	if best == nil {
 		return nil, ErrUnavailable
 	}
-	rep := best.replicas[addr.Region]
+	rep := best.replica(addr.Region)
 	start := int(addr.Off) + regionmem.HeaderSize
 	if start+size > len(rep.mem) {
 		return nil, fabric.ErrBadAddress

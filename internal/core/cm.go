@@ -1,11 +1,11 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"farm/internal/nvram"
 	"farm/internal/proto"
-	"farm/internal/regionmem"
 )
 
 // cmState is the configuration manager's authoritative view (§3): the
@@ -13,32 +13,48 @@ import (
 // It exists only on the machine currently acting as CM; a new CM rebuilds
 // it during reconfiguration (the cost the paper measures in Figure 11).
 type cmState struct {
-	regions    map[uint32]*proto.RegionMap
-	locality   map[uint32]uint32 // region → co-located target region
-	nextRegion uint32
+	// regions is indexed by region id. The CM numbers regions 1, 2, 3, ...:
+	// the next one gets len(regions), and entry 0 is never used.
+	regions []cmRegion
 
-	pendingAllocs map[uint32]*allocPending
+	// regionsActive tracks REGIONS-ACTIVE reports during recovery, by
+	// machine id.
+	regionsActive []bool
+}
 
-	// regionsActive tracks REGIONS-ACTIVE reports during recovery.
-	regionsActive map[int]bool
+// cmRegion is the CM's entry for one region id it has handed out.
+type cmRegion struct {
+	rm       *proto.RegionMap // nil until the allocation commits
+	locality uint32           // co-located target region, 0 for none
+	pending  *allocPending    // the allocation's prepare phase, while it runs
 }
 
 type allocPending struct {
 	rm        proto.RegionMap
 	requester int
 	reqID     uint64
-	awaiting  map[int]bool
+	awaiting  []uint16 // replicas yet to answer the prepare
 	failed    bool
 }
 
 func newCMState() *cmState {
-	return &cmState{
-		regions:       make(map[uint32]*proto.RegionMap),
-		locality:      make(map[uint32]uint32),
-		nextRegion:    1,
-		pendingAllocs: make(map[uint32]*allocPending),
-		regionsActive: make(map[int]bool),
+	return &cmState{regions: make([]cmRegion, 1)}
+}
+
+// region returns the entry for a region id, nil for one never handed out.
+func (cm *cmState) region(id uint32) *cmRegion {
+	if uint64(id) >= uint64(len(cm.regions)) {
+		return nil
 	}
+	return &cm.regions[id]
+}
+
+// mapping returns the placement of a region, nil if none was committed.
+func (cm *cmState) mapping(id uint32) *proto.RegionMap {
+	if r := cm.region(id); r != nil {
+		return r.rm
+	}
+	return nil
 }
 
 // AllocateRegion asks the CM for a new region, optionally co-located with
@@ -58,9 +74,8 @@ func (m *Machine) AllocateRegion(hint uint32, cb func(region uint32, err error))
 			cb(0, ErrNoSpace)
 			return
 		}
-		cp := r.Map
-		m.mappings[cp.Region] = &cp
-		cb(cp.Region, nil)
+		m.setMapping(&r.Map)
+		cb(r.Map.Region, nil)
 	}
 	m.send(int(m.config.CM), &rpcEnvelope{ID: id, From: m.ID, Body: req})
 }
@@ -75,15 +90,14 @@ func (m *Machine) onAllocRegionReq(from int, reqID uint64, req *proto.AllocRegio
 	}
 	var target *proto.RegionMap
 	if req.HasHint {
-		target = m.cm.regions[req.Locality]
+		target = m.cm.mapping(req.Locality)
 	}
-	replicas := m.pickReplicas(nil, m.c.Opts.Replication, target, int(m.cm.nextRegion))
+	region := uint32(len(m.cm.regions))
+	replicas := m.pickReplicas(nil, m.c.Opts.Replication, target, int(region))
 	if len(replicas) < m.c.Opts.Replication {
 		m.send(from, &rpcReply{ID: reqID, Body: &proto.AllocRegionResp{}})
 		return
 	}
-	region := m.cm.nextRegion
-	m.cm.nextRegion++
 	rm := proto.RegionMap{
 		Region:            region,
 		Replicas:          replicas,
@@ -91,13 +105,13 @@ func (m *Machine) onAllocRegionReq(from int, reqID uint64, req *proto.AllocRegio
 		LastPrimaryChange: m.config.ID,
 		LastReplicaChange: m.config.ID,
 	}
-	if req.HasHint && target != nil {
-		m.cm.locality[region] = req.Locality
+	p := &allocPending{rm: rm, requester: from, reqID: reqID, awaiting: append([]uint16(nil), replicas...)}
+	entry := cmRegion{pending: p}
+	if target != nil {
+		entry.locality = req.Locality
 	}
-	p := &allocPending{rm: rm, requester: from, reqID: reqID, awaiting: make(map[int]bool)}
-	m.cm.pendingAllocs[region] = p
+	m.cm.regions = append(m.cm.regions, entry)
 	for _, r := range replicas {
-		p.awaiting[int(r)] = true
 		m.send(int(r), &proto.AllocRegionPrepare{Region: region, Size: req.Size})
 	}
 }
@@ -114,18 +128,23 @@ func (m *Machine) onAllocPrepared(src int, resp *proto.AllocRegionPrepared) {
 	if m.cm == nil {
 		return
 	}
-	p := m.cm.pendingAllocs[resp.Region]
-	if p == nil || !p.awaiting[src] {
+	entry := m.cm.region(resp.Region)
+	if entry == nil || entry.pending == nil {
 		return
 	}
-	delete(p.awaiting, src)
+	p := entry.pending
+	i := slices.Index(p.awaiting, uint16(src))
+	if i < 0 {
+		return
+	}
+	p.awaiting = slices.Delete(p.awaiting, i, i+1)
 	if !resp.OK {
 		p.failed = true
 	}
 	if len(p.awaiting) > 0 {
 		return
 	}
-	delete(m.cm.pendingAllocs, resp.Region)
+	entry.pending = nil
 	if p.failed {
 		for _, r := range p.rm.Replicas {
 			m.send(int(r), &proto.AllocRegionCommit{Region: resp.Region}) // empty map = abort
@@ -134,9 +153,8 @@ func (m *Machine) onAllocPrepared(src int, resp *proto.AllocRegionPrepared) {
 		return
 	}
 	rm := p.rm
-	m.cm.regions[rm.Region] = &rm
-	cp := rm
-	m.mappings[rm.Region] = &cp
+	entry.rm = &rm
+	m.setMapping(&rm)
 	for _, r := range rm.Replicas {
 		m.send(int(r), &proto.AllocRegionCommit{Region: rm.Region, Map: rm})
 	}
@@ -154,26 +172,13 @@ func (m *Machine) onAllocCommit(msg *proto.AllocRegionCommit) {
 		return
 	}
 	mem := m.store.Region(toNVRAM(msg.Region))
-	if mem == nil {
+	rs := m.growRegion(msg.Region)
+	if mem == nil || rs == nil {
 		return
 	}
-	primary := int(msg.Map.Replicas[0]) == m.ID
-	r := &replica{
-		id:        msg.Region,
-		mem:       mem,
-		size:      msg.Map.Size,
-		primary:   primary,
-		active:    true,
-		headers:   make(map[int]int),
-		lockOwner: make(map[uint32]proto.TxID),
-	}
-	m.replicas[msg.Region] = r
 	cp := msg.Map
-	m.mappings[msg.Region] = &cp
-	if primary {
-		r.alloc = regionmem.NewAllocator(m.c.Opts.Layout, mem)
-		m.installAllocHook(r)
-	}
+	rs.mapping = &cp
+	m.installReplica(msg.Region, mem, cp.Size, int(cp.Replicas[0]) == m.ID)
 }
 
 // pickReplicas chooses count machines for a region, balancing hosted
@@ -206,9 +211,11 @@ func (m *Machine) pickReplicas(exclude map[uint16]bool, count int, target *proto
 func (m *Machine) fillReplicas(have []uint16, exclude map[uint16]bool, count, rotate int) []uint16 {
 	load := make(map[uint16]int)
 	if m.cm != nil {
-		for _, rm := range m.cm.regions {
-			for _, r := range rm.Replicas {
-				load[r]++
+		for i := range m.cm.regions {
+			if rm := m.cm.regions[i].rm; rm != nil {
+				for _, r := range rm.Replicas {
+					load[r]++
+				}
 			}
 		}
 	}
@@ -218,7 +225,7 @@ func (m *Machine) fillReplicas(have []uint16, exclude map[uint16]bool, count, ro
 		used[r] = true
 		usedDomains[m.config.Domains[r]] = true
 	}
-	candidates := candidates0(m)
+	candidates := append([]uint16(nil), m.config.Machines...)
 	n := len(candidates)
 	rank := func(x uint16) int { return (int(x) + rotate) % max(n, 1) }
 	sort.Slice(candidates, func(i, j int) bool {
@@ -260,17 +267,5 @@ func (m *Machine) fillReplicas(have []uint16, exclude map[uint16]bool, count, ro
 	return out
 }
 
-// candidates0 snapshots the membership for placement.
-func candidates0(m *Machine) []uint16 {
-	return append([]uint16(nil), m.config.Machines...)
-}
-
 // toNVRAM converts a FaRM region id to its NVRAM store key.
 func toNVRAM(region uint32) nvram.RegionID { return nvram.RegionID(region) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -260,7 +260,7 @@ func (t *Tx) Commit(cb func(err error)) {
 	// will need (§4): LOCK + COMMIT-PRIMARY/ABORT at primaries,
 	// COMMIT-BACKUP at backups, and a truncate record everywhere.
 	if !m.reserveCommit(ct) {
-		m.threadTrunc(t.thread).retire(ct.id.Local)
+		m.truncThreads[t.thread].add(ct.id.Local)
 		t.releaseAllocs()
 		m.failTx(report, ErrNoSpace)
 		return
@@ -311,7 +311,7 @@ func (m *Machine) failTx(cb func(error), err error) {
 	if err == ErrUnavailable {
 		cell = m.c.cUnavailable
 	}
-	m.c.Eng.After(m.c.Opts.CPULocal, func() {
+	m.c.Eng.After(cpuLocal, func() {
 		if m.alive {
 			m.Aborted++
 			*cell++
@@ -334,16 +334,15 @@ var truncateRecordSize = recordSize(&proto.Record{Type: proto.RecTruncate})
 // pooled counts this transaction's contributions to that pool.
 type resSet struct{ lock, cp, cb, pooled int }
 
-// releaseRes returns every unconsumed reservation in r to dst's log.
-func (m *Machine) releaseRes(dst int, r *resSet) {
-	w := m.logW[dst]
+// releaseRes returns every unconsumed reservation in r to p's log.
+func (m *Machine) releaseRes(p *peer, r *resSet) {
 	for _, s := range [...]int{r.lock, r.cp, r.cb} {
 		if s > 0 {
-			w.Release(s)
+			p.logW.Release(s)
 		}
 	}
 	for i := 0; i < r.pooled; i++ {
-		m.truncPoolRelease(dst)
+		m.truncPoolRelease(p)
 	}
 	*r = resSet{}
 }
@@ -357,7 +356,9 @@ func (m *Machine) reserveCommit(ct *coordTx) bool {
 		g := &ct.groups[i]
 		if !m.reserveGroup(g, &rec, smallRec) {
 			for j := 0; j <= i; j++ {
-				m.releaseRes(ct.groups[j].dst, &ct.groups[j].res)
+				if p := m.peer(ct.groups[j].dst); p != nil {
+					m.releaseRes(p, &ct.groups[j].res)
+				}
 			}
 			return false
 		}
@@ -372,10 +373,11 @@ func (m *Machine) reserveCommit(ct *coordTx) bool {
 // the transaction. rec carries the transaction's id and regions; smallRec
 // is its size without writes.
 func (m *Machine) reserveGroup(g *destGroup, rec *proto.Record, smallRec int) bool {
-	w := m.logW[g.dst]
-	if w == nil {
-		return false
+	p := m.peer(g.dst)
+	if p == nil {
+		return false // a mapping names a machine that does not exist
 	}
+	w := p.logW
 	if len(g.primWrites) > 0 {
 		rec.Writes = g.primWrites
 		if g.res.lock = recordSize(rec); !w.Reserve(g.res.lock) {
@@ -394,7 +396,7 @@ func (m *Machine) reserveGroup(g *destGroup, rec *proto.Record, smallRec int) bo
 			return false
 		}
 	}
-	if !m.truncPoolReserve(g.dst) {
+	if !m.truncPoolReserve(p) {
 		return false
 	}
 	g.res.pooled++
@@ -408,8 +410,8 @@ func (m *Machine) reserveGroup(g *destGroup, rec *proto.Record, smallRec int) bo
 func (m *Machine) releaseCoordReservations(ct *coordTx) {
 	for i := range ct.groups {
 		g := &ct.groups[i]
-		if m.logW[g.dst] != nil && m.isMember(g.dst) {
-			m.releaseRes(g.dst, &g.res)
+		if p := m.peer(g.dst); p != nil && m.isMember(g.dst) {
+			m.releaseRes(p, &g.res)
 		}
 		g.res = resSet{}
 	}
@@ -479,24 +481,23 @@ func (m *Machine) writeTxRecord(ct *coordTx, typ proto.RecordType, g *destGroup)
 	case proto.RecCommitBackup:
 		op.rec.Writes = g.backupWrites
 	}
-	cost := m.c.Opts.CPUVerb
+	cost := cpuVerb
 	if g.dst == m.ID {
-		cost = m.c.Opts.CPULocal // its own log: a memory write, no verb to issue or reap
+		cost = cpuLocal // its own log: a memory write, no verb to issue or reap
 	}
 	m.OnThread(ct.tx.thread, cost, op.runFn)
 }
 
 func (op *recWrite) run() {
-	m, dst, rec := op.m, op.dst, &op.rec
-	m.attachPiggyback(dst, rec)
+	m, p, rec := op.m, op.m.peer(op.dst), &op.rec
+	m.attachPiggyback(p, rec)
 	op.ids = rec.TruncIDs[:0] // keep the buffer attachPiggyback may have grown
-	w := m.logW[dst]
-	if buf, ok := w.Begin(proto.RecordSize(rec), op.ct.takeReservation(dst, rec.Type)); ok {
+	if buf, ok := p.logW.Begin(proto.RecordSize(rec), op.ct.takeReservation(p.id, rec.Type)); ok {
 		proto.AppendRecord(buf[:0], rec)
-		w.Commit(op.ackFn)
+		p.logW.Commit(op.ackFn)
 	} else {
 		// Only possible when the reservation is gone (unreserved write).
-		m.requeuePiggyback(dst, rec)
+		m.requeuePiggyback(p, rec)
 		op.ack(ErrNoSpace)
 	}
 }
@@ -506,7 +507,7 @@ func (op *recWrite) run() {
 func (op *recWrite) ack(err error) {
 	m, ct, dst, typ := op.m, op.ct, op.dst, op.rec.Type
 	if err == nil {
-		m.truncDelivered(dst, op.rec.TruncIDs, 0)
+		m.truncDelivered(m.peer(dst), op.rec.TruncIDs, 0)
 	}
 	op.ct, op.rec = nil, proto.Record{}
 	m.recFree = append(m.recFree, op)
@@ -567,12 +568,13 @@ func (m *Machine) abortTx(ct *coordTx, err error) {
 		// No backup will see this transaction: release its COMMIT-BACKUP
 		// space and, for pure backups, their pooled truncate reservation —
 		// they get no record to truncate.
+		p := m.peer(g.dst)
 		if g.res.cb > 0 {
-			m.logW[g.dst].Release(g.res.cb)
+			p.logW.Release(g.res.cb)
 			g.res.cb = 0
 		}
 		if len(g.primWrites) == 0 {
-			m.truncPoolRelease(g.dst)
+			m.truncPoolRelease(p)
 			continue
 		}
 		m.writeTxRecord(ct, proto.RecAbort, g)
@@ -670,9 +672,9 @@ func (m *Machine) validateObject(ct *coordTx, t *Tx, pm int, i int32) {
 	op.ct, op.t, op.i, op.pm = ct, t, i, pm
 	if pm == m.ID {
 		// Local validation: direct header loads.
-		m.OnThread(t.thread, m.c.Opts.CPULocal, op.localFn)
+		m.OnThread(t.thread, cpuLocal, op.localFn)
 	} else {
-		m.OnThread(t.thread, m.c.Opts.CPUVerb, op.issueFn)
+		m.OnThread(t.thread, cpuVerb, op.issueFn)
 	}
 }
 
@@ -689,7 +691,7 @@ func (op *valOp) local() {
 	if ct != nil && (ct.phase != phaseValidate || ct.recovering) {
 		return
 	}
-	rep := m.replicas[e.addr.Region]
+	rep := m.replica(e.addr.Region)
 	m.validated(ct, t, rep != nil && validHeaderWord(regionmem.ReadHeader(rep.mem, int(e.addr.Off)), e.version))
 }
 
@@ -938,7 +940,7 @@ func (m *Machine) reportCommitted(ct *coordTx) {
 func (t *Tx) validateReadOnly(cb func(error)) {
 	m := t.m
 	if m.c.Opts.SkipReadValidation || t.nReads == 0 {
-		m.c.Eng.After(m.c.Opts.CPULocal, func() {
+		m.c.Eng.After(cpuLocal, func() {
 			if m.alive {
 				m.fencedReport(func() {
 					m.Committed++
@@ -961,7 +963,7 @@ func (t *Tx) validateReadOnly(cb func(error)) {
 		switch {
 		case pm == m.ID:
 		case pm == -1 || !m.isMember(pm):
-			m.OnThread(t.thread, m.c.Opts.CPULocal, func() { t.roValidated(false) })
+			m.OnThread(t.thread, cpuLocal, func() { t.roValidated(false) })
 			continue
 		case len(entries) > m.c.Opts.ValidateRPCThreshold:
 			// One RPC validates the whole per-primary read set.

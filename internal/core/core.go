@@ -10,17 +10,27 @@
 //
 // File map:
 //
-//	core.go      Options, ids, errors
+//	core.go      Options, CPU-cost constants, ids, errors
 //	cluster.go   bootstrap, failure injection, test/bench observability
-//	machine.go   per-machine state, message dispatch, log polling
+//	machine.go   per-machine state (the peer and region tables), message
+//	             dispatch, log polling
+//	transport.go typed message transport: handler registry, the one send path
 //	cm.go        region allocation and placement at the CM
 //	lease.go     failure detection: 3-way lease handshake, manager variants
-//	tx.go        transaction API: reads, writes, alloc/free, lock-free reads
+//	tx.go        transaction API: writes, alloc/free, the read and write set
+//	read.go      object reads as pooled state machines, lock-free reads
 //	commit.go    the four-phase commit protocol (Figure 4)
 //	apply.go     participant-side log record processing and truncation
+//	truncate.go  coordinator-side lazy truncation, the id-window set
+//	watchdog.go  stall sweep: stuck lock/validate phases, lost decisions
 //	reconfig.go  precise-membership reconfiguration (Figure 5)
+//	join.go      cluster growth: a new machine joins by reconfiguration
 //	recovery.go  transaction state recovery (Figure 6)
 //	datarec.go   bulk data re-replication and allocator recovery
+//	power.go     whole-cluster power failure and restoration
+//	audit.go     replica state-integrity audits, localization and repair
+//	client.go    external clients: requests from outside the configuration
+//	order.go     sorted iteration over the sparse maps that remain
 package core
 
 import (
@@ -88,9 +98,22 @@ func (v LeaseVariant) String() string {
 	}
 }
 
+// Worker-thread CPU costs, calibrated so that per-machine verb rates match
+// Figure 2 when Threads is set to the paper's 30.
+const (
+	// cpuVerb: issue a one-sided verb and later reap its completion.
+	cpuVerb = 2500 * sim.Nanosecond
+	// cpuMsg: send or handle one message.
+	cpuMsg = 2500 * sim.Nanosecond
+	// cpuPerObject: extra cost per object processed in a log record (lock
+	// CAS, in-place update, ...).
+	cpuPerObject = 300 * sim.Nanosecond
+	// cpuLocal: a local-memory object access.
+	cpuLocal = 150 * sim.Nanosecond
+)
+
 // Options configures a cluster. Zero fields take defaults from
-// DefaultOptions. CPU-cost constants are calibrated so that per-machine
-// verb rates match Figure 2 when Threads is set to the paper's 30.
+// DefaultOptions.
 type Options struct {
 	// NumMachines is the cluster size (the paper uses 90; simulations
 	// default to 9 and report per-machine rates).
@@ -125,54 +148,19 @@ type Options struct {
 	// grouped; the CM exchanges leases only with group leaders, leaders
 	// with their members. Worst-case detection time doubles.
 	LeaseGroupSize int
-	// BackupCMs is k, the number of CM successors asked to take over
-	// reconfiguration before a machine tries itself (§5.2 step 1).
-	BackupCMs int
 
 	// ValidateRPCThreshold is tr: primaries holding more than this many
 	// read objects are validated over RPC instead of RDMA reads (§4).
 	ValidateRPCThreshold int
-	// VoteTimeout is how long the recovery coordinator waits for votes
-	// before sending explicit REQUEST-VOTE messages (250 µs in §5.3).
-	VoteTimeout sim.Time
-	// TxStallTimeout bounds how long a committing transaction may sit in
-	// its lock or validate phase without progress before the coordinator
-	// aborts it. A LOCK-REPLY from a remote primary or a VALIDATE-REPLY lost
-	// to drop faults or one-way cuts otherwise leaves the transaction holding
-	// locks forever.
-	// Aborting is safe only in those phases; from COMMIT-BACKUP on, the
-	// outcome belongs to recovery. Negative disables the watchdog.
-	TxStallTimeout sim.Time
 	// TruncateFlushInterval bounds how lazily truncations are delivered
 	// when no records are available to piggyback on.
 	TruncateFlushInterval sim.Time
 
 	// DataRecBlock is the data-recovery fetch granularity (8 KB in §5.4).
 	DataRecBlock int
-	// DataRecInterval is the pacing interval: the next fetch starts at a
-	// random point within it (4 ms in §5.4).
-	DataRecInterval sim.Time
 	// DataRecConcurrency is the number of concurrent fetches per thread
 	// (1 normally; 4 in the aggressive mode of §6.4).
 	DataRecConcurrency int
-	// AllocScanBatch/AllocScanInterval pace allocator recovery (100
-	// objects every 100 µs in §5.5).
-	AllocScanBatch    int
-	AllocScanInterval sim.Time
-
-	// CPUVerb is the worker-thread cost to issue a one-sided verb and
-	// later reap its completion.
-	CPUVerb sim.Time
-	// CPUMsg is the worker-thread cost to send or handle one message.
-	CPUMsg sim.Time
-	// CPUPerObject is the extra cost per object processed in a log record
-	// (lock CAS, in-place update, ...).
-	CPUPerObject sim.Time
-	// CPULocal is the cost of a local-memory object access.
-	CPULocal sim.Time
-	// PollDelay models the gap between a log write landing and the
-	// receiver's event loop noticing it.
-	PollDelay sim.Time
 
 	// AuditRepair lets a state-integrity audit that localized a divergent
 	// backup fence that backup into force-copy re-replication and then
@@ -216,21 +204,10 @@ func DefaultOptions() Options {
 		LogCapacity:           1 << 18,
 		LeaseDuration:         10 * sim.Millisecond,
 		LeaseVariant:          LeaseUDThreadPri,
-		BackupCMs:             2,
 		ValidateRPCThreshold:  4,
-		VoteTimeout:           250 * sim.Microsecond,
-		TxStallTimeout:        30 * sim.Millisecond,
 		TruncateFlushInterval: 200 * sim.Microsecond,
 		DataRecBlock:          8 << 10,
-		DataRecInterval:       4 * sim.Millisecond,
 		DataRecConcurrency:    1,
-		AllocScanBatch:        100,
-		AllocScanInterval:     100 * sim.Microsecond,
-		CPUVerb:               2500 * sim.Nanosecond,
-		CPUMsg:                2500 * sim.Nanosecond,
-		CPUPerObject:          300 * sim.Nanosecond,
-		CPULocal:              150 * sim.Nanosecond,
-		PollDelay:             1 * sim.Microsecond,
 		Seed:                  1,
 	}
 }
@@ -255,17 +232,8 @@ func (o Options) withDefaults() Options {
 	if o.LeaseDuration == 0 {
 		o.LeaseDuration = d.LeaseDuration
 	}
-	if o.BackupCMs == 0 {
-		o.BackupCMs = d.BackupCMs
-	}
 	if o.ValidateRPCThreshold == 0 {
 		o.ValidateRPCThreshold = d.ValidateRPCThreshold
-	}
-	if o.VoteTimeout == 0 {
-		o.VoteTimeout = d.VoteTimeout
-	}
-	if o.TxStallTimeout == 0 {
-		o.TxStallTimeout = d.TxStallTimeout
 	}
 	if o.TruncateFlushInterval == 0 {
 		o.TruncateFlushInterval = d.TruncateFlushInterval
@@ -273,32 +241,8 @@ func (o Options) withDefaults() Options {
 	if o.DataRecBlock == 0 {
 		o.DataRecBlock = d.DataRecBlock
 	}
-	if o.DataRecInterval == 0 {
-		o.DataRecInterval = d.DataRecInterval
-	}
 	if o.DataRecConcurrency == 0 {
 		o.DataRecConcurrency = d.DataRecConcurrency
-	}
-	if o.AllocScanBatch == 0 {
-		o.AllocScanBatch = d.AllocScanBatch
-	}
-	if o.AllocScanInterval == 0 {
-		o.AllocScanInterval = d.AllocScanInterval
-	}
-	if o.CPUVerb == 0 {
-		o.CPUVerb = d.CPUVerb
-	}
-	if o.CPUMsg == 0 {
-		o.CPUMsg = d.CPUMsg
-	}
-	if o.CPUPerObject == 0 {
-		o.CPUPerObject = d.CPUPerObject
-	}
-	if o.CPULocal == 0 {
-		o.CPULocal = d.CPULocal
-	}
-	if o.PollDelay == 0 {
-		o.PollDelay = d.PollDelay
 	}
 	if o.Seed == 0 {
 		o.Seed = d.Seed

@@ -150,12 +150,12 @@ func TestUpdateIncrementsVersionAndReplicates(t *testing.T) {
 	// Let truncation propagate so backups apply the update.
 	c.RunFor(50 * sim.Millisecond)
 
-	rm := c.Machine(0).mappings[region]
+	rm := c.Machine(0).mapping(region)
 	if rm == nil || len(rm.Replicas) != 3 {
 		t.Fatalf("mapping: %+v", rm)
 	}
 	for i, r := range rm.Replicas {
-		rep := c.Machine(int(r)).replicas[region]
+		rep := c.Machine(int(r)).replica(region)
 		if rep == nil {
 			t.Fatalf("replica %d missing at machine %d", i, r)
 		}
@@ -296,8 +296,8 @@ func TestFreeReturnsSlotAndClearsAllocBit(t *testing.T) {
 	runUntil(t, c, sim.Second, func() bool { return done })
 	c.RunFor(10 * sim.Millisecond)
 
-	primary := c.Machine(int(m.mappings[region].Replicas[0]))
-	rep := primary.replicas[region]
+	primary := c.Machine(int(m.mapping(region).Replicas[0]))
+	rep := primary.replica(region)
 	word := regionmem.ReadHeader(rep.mem, int(addr.Off))
 	if regionmem.Allocated(word) {
 		t.Fatal("allocation bit still set after free")
@@ -391,8 +391,8 @@ func TestAbortReleasesAllocation(t *testing.T) {
 	// returned to a free list): verified by the absence of leaked live
 	// objects across all regions.
 	for _, mm := range c.Machines {
-		for _, rep := range mm.replicas {
-			if rep.primary {
+		for _, rid := range mm.HostedRegions() {
+			if rep := mm.replica(rid); rep.primary {
 				for _, off := range rep.alloc.LiveObjects() {
 					_, data := regionmem.ReadObject(rep.mem, off, 8)
 					if string(data) == "leaked??" {
@@ -485,7 +485,7 @@ func TestMessageCountsCommitProtocol(t *testing.T) {
 	c.RunFor(20 * sim.Millisecond)
 
 	// Coordinator on a machine hosting neither object's region.
-	rm := c.Machine(0).mappings[w.Region]
+	rm := c.Machine(0).mapping(w.Region)
 	hosts := map[int]bool{}
 	for _, rr := range rm.Replicas {
 		hosts[int(rr)] = true

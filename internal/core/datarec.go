@@ -23,12 +23,16 @@ type dataRecoveryDone struct {
 	Region   uint32
 }
 
+// dataRecInterval is the pacing interval of data recovery: a thread's next
+// fetch starts at a random point within it (§5.4).
+const dataRecInterval = 4 * sim.Millisecond
+
 // startDataRecovery re-replicates one region at a freshly assigned backup:
 // worker threads divide the region and fetch blocks from the primary with
 // one-sided reads, each thread scheduling its next read at a random point
 // within the pacing interval (§5.4).
 func (m *Machine) startDataRecovery(rep *replica) {
-	rm := m.mappings[rep.id]
+	rm := m.mapping(rep.id)
 	if rm == nil || len(rm.Replicas) == 0 || int(rm.Replicas[0]) == m.ID {
 		return
 	}
@@ -61,11 +65,11 @@ func (m *Machine) startDataRecovery(rep *replica) {
 			n = rep.size - off
 		}
 		// Pacing: start at a random point within the interval (§5.4).
-		m.c.Eng.After(m.c.Eng.Rand().Duration(m.c.Opts.DataRecInterval), func() {
+		m.c.Eng.After(m.c.Eng.Rand().Duration(dataRecInterval), func() {
 			if !m.alive || m.config.ID != cfgAtStart {
 				return
 			}
-			m.pool.ByIndex(chain).Do(m.c.Opts.CPUVerb, func() {
+			m.pool.ByIndex(chain).Do(cpuVerb, func() {
 				if !m.alive {
 					return
 				}
@@ -78,7 +82,7 @@ func (m *Machine) startDataRecovery(rep *replica) {
 						// reconfiguration restarts data recovery.
 						return
 					}
-					cost := m.c.Opts.CPULocal + sim.Time(n/256)*m.c.Opts.CPUPerObject/8
+					cost := cpuLocal + sim.Time(n/256)*cpuPerObject/8
 					m.pool.ByIndex(chain).Do(cost, func() {
 						if !m.alive {
 							return
@@ -203,14 +207,21 @@ func (m *Machine) finishDataRecovery(rep *replica) {
 // onDataRecoveryDone is CM bookkeeping.
 func (m *Machine) onDataRecoveryDone(*dataRecoveryDone) {}
 
+// allocScanBatch objects every allocScanInterval is the pace of allocator
+// recovery (§5.5).
+const (
+	allocScanBatch    = 100
+	allocScanInterval = 100 * sim.Microsecond
+)
+
 // startAllocRecovery rebuilds a promoted primary's slab free lists by
-// scanning allocation bits, paced at AllocScanBatch objects per
-// AllocScanInterval (§5.5). Deallocations queue until the scan completes.
+// scanning allocation bits, paced at allocScanBatch objects per
+// allocScanInterval. Deallocations queue until the scan completes.
 func (m *Machine) startAllocRecovery(rep *replica) {
 	layout := m.c.Opts.Layout
 	total := regionmem.ScanWork(layout, rep.headers)
-	batches := (total + m.c.Opts.AllocScanBatch - 1) / m.c.Opts.AllocScanBatch
-	duration := sim.Time(batches) * m.c.Opts.AllocScanInterval
+	batches := (total + allocScanBatch - 1) / allocScanBatch
+	duration := sim.Time(batches) * allocScanInterval
 	cfgAtStart := m.config.ID
 	var actx trace.Ctx
 	if m.trb != nil {

@@ -1,0 +1,145 @@
+package core
+
+import (
+	"errors"
+	"testing"
+
+	"farm/internal/proto"
+	"farm/internal/regionmem"
+	"farm/internal/sim"
+)
+
+// Machine, thread and region ids arrive in log records and messages; the
+// peer and region tables are indexed by them. Each test here hands a handler
+// an id its table does not hold and checks it is dropped or answered
+// "unavailable", and that the machine goes on serving.
+
+const (
+	noSuchMachine = 999
+	noSuchRegion  = 0x7ffffff0 // far above anything a CM numbers
+	unallocated   = 40         // a plausible id the CM never handed out
+)
+
+// TestRecordFromUnknownMachine: LOCK, ABORT and an explicit TRUNCATE naming a
+// coordinator machine beyond the cluster, written into a real ring. The
+// records are processed like any other coordinator's — the LOCK takes the
+// lock and its reply goes nowhere, the ABORT releases it, the truncation
+// (carrier machine × piggybacked thread, both unknown) reclaims the entry.
+func TestRecordFromUnknownMachine(t *testing.T) {
+	c, region := testCluster(t, Options{})
+	prim, coord := primaryAndOutsider(t, c, region)
+	addr := writeObjectIn(t, c, prim, region, []byte("aaaaaaaa"))
+	c.RunFor(20 * sim.Millisecond)
+	rep := prim.replica(region)
+	locked := func() bool { return regionmem.Locked(regionmem.ReadHeader(rep.mem, int(addr.Off))) }
+	version := regionmem.Version(regionmem.ReadHeader(rep.mem, int(addr.Off)))
+
+	id := proto.TxID{Config: prim.config.ID, Machine: noSuchMachine, Thread: 3, Local: 1}
+	appendRecord(t, coord, prim.ID, &proto.Record{
+		Type: proto.RecLock, Tx: id, Regions: []uint32{region}, TruncLow: 1,
+		Writes: []proto.ObjectWrite{{Addr: addr, Version: version, Allocated: true, Value: []byte("bbbbbbbb")}},
+	})
+	c.RunFor(50 * sim.Microsecond)
+	if rt := prim.pend[mtlOf(id)]; rt == nil || !locked() {
+		t.Fatalf("LOCK record of machine %d not processed: %+v", noSuchMachine, rt)
+	}
+	appendRecord(t, coord, prim.ID, &proto.Record{Type: proto.RecAbort, Tx: id})
+	appendRecord(t, coord, prim.ID, &proto.Record{
+		Type: proto.RecTruncate, Tx: proto.TxID{Config: prim.config.ID, Machine: noSuchMachine},
+		TruncIDs: []uint64{packTruncID(3, 1), packTruncID(65535, 7)},
+	})
+	c.RunFor(50 * sim.Microsecond)
+	if len(prim.pend) != 0 || locked() {
+		t.Fatalf("transaction of machine %d not cleaned up: %d pending, locked=%v", noSuchMachine, len(prim.pend), locked())
+	}
+	// Recovery messages about that coordinator's transactions are answered.
+	replies := c.Counters.Get("sent RECOVERY-VOTE") + c.Counters.Get("sent RECOVERY-DECISION-ACK")
+	prim.onRequestVote(coord.ID, &proto.RequestVote{Config: prim.config.ID, Tx: id, Region: region})
+	prim.onTruncateRecovery(&proto.TruncateRecovery{Config: prim.config.ID, Tx: id})
+	prim.onRecoveryDecision(coord.ID, id, false)
+	prim.onTruncateRecovery(&proto.TruncateRecovery{Config: prim.config.ID, Tx: id})
+	c.RunFor(sim.Millisecond)
+	if got := c.Counters.Get("sent RECOVERY-VOTE") + c.Counters.Get("sent RECOVERY-DECISION-ACK"); got != replies+1 || len(prim.pend) != 0 {
+		// (No vote: this machine never ran a recovery. One ack.)
+		t.Fatalf("%d replies to recovery messages about machine %d, want 1; %d pending", got-replies, noSuchMachine, len(prim.pend))
+	}
+	if got := readObject(t, c, coord, addr, 8); string(got) != "aaaaaaaa" {
+		t.Fatalf("object after the aborted transaction: %q", got)
+	}
+	writeObjectIn(t, c, coord, region, []byte("still serving"))
+}
+
+// TestMessagesNamingUnknownIDs drives the message handlers that index a table
+// by an id taken from the message.
+func TestMessagesNamingUnknownIDs(t *testing.T) {
+	c, region := testCluster(t, Options{})
+	prim, coord := primaryAndOutsider(t, c, region)
+	cm := c.Machine(0)
+	addr := writeObjectIn(t, c, coord, region, []byte("aaaaaaaa"))
+
+	for _, r := range []uint32{unallocated, noSuchRegion, logRegionID(1)} {
+		// A read resolves the primary through MAPPING-REQ at the CM, which
+		// has no such region; the reader gives up with "unavailable".
+		for _, reader := range []*Machine{cm, coord} {
+			var err error
+			reader.LockFreeRead(0, proto.Addr{Region: r}, 8, func(_ []byte, e error) { err = e })
+			runUntil(t, c, 10*sim.Second, func() bool { return err != nil })
+			if !errors.Is(err, ErrUnavailable) {
+				t.Fatalf("read of region %#x at machine %d: %v, want unavailable", r, reader.ID, err)
+			}
+		}
+		// The MAPPING-REQ service itself, at the CM and at a non-CM, echoes
+		// the region in a miss.
+		misses := c.Counters.Get("sent MAPPING-RESP")
+		cm.rpcMapping(coord.ID, 0, &proto.MappingReq{Region: r})
+		prim.rpcMapping(coord.ID, 0, &proto.MappingReq{Region: r})
+		c.RunFor(sim.Millisecond)
+		if got := c.Counters.Get("sent MAPPING-RESP") - misses; got != 2 || coord.mapping(r) != nil {
+			t.Fatalf("region %#x: %d MAPPING-RESP, mapping %v", r, got, coord.mapping(r))
+		}
+		// BLOCK-HEADER-SYNC and REGION-ACTIVE for a region not hosted: dropped.
+		prim.onBlockHeaderSync(&proto.BlockHeaderSync{ConfigID: prim.config.ID, Region: r, Headers: map[int]int{0: 64}})
+		prim.unblockRegion(r)
+		if prim.replica(r) != nil || prim.regionBlocked(r) {
+			t.Fatalf("region %#x appeared at machine %d", r, prim.ID)
+		}
+		// VALIDATE over both paths answers "not valid".
+		var reply *proto.ValidateReply
+		rpc := coord.nextRPC
+		coord.nextRPC++
+		coord.rpcWaiters[rpc] = func(resp interface{}) { reply = resp.(*proto.ValidateReply) }
+		req := &proto.ValidateReq{Addrs: []proto.Addr{{Region: r}}, Versions: []uint64{0}}
+		coord.send(prim.ID, &rpcEnvelope{ID: rpc, From: coord.ID, Body: req})
+		sent := c.Counters.Get("sent VALIDATE-REPLY")
+		prim.onValidateReq(coord.ID, req)
+		runUntil(t, c, sim.Second, func() bool { return reply != nil })
+		if reply.OK || c.Counters.Get("sent VALIDATE-REPLY") != sent+1 {
+			t.Fatalf("validation of an object in region %#x: OK=%v", r, reply.OK)
+		}
+		// Slot RPCs and a transaction allocating there.
+		if _, _, err := prim.allocSlotLocal(r, 8); !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("slot in region %#x: %v", r, err)
+		}
+		prim.releaseSlot(proto.Addr{Region: r})
+	}
+
+	// REGIONS-ACTIVE from a machine beyond the cluster never completes the
+	// CM's count; an ack from one never completes a NEW-CONFIG collection.
+	before := c.Counters.Get("sent ALL-REGIONS-ACTIVE") + c.Counters.Get("sent NEW-CONFIG-COMMIT")
+	cm.onRegionsActive(noSuchMachine, &proto.RegionsActive{ConfigID: cm.config.ID})
+	cm.onNewConfigAck(noSuchMachine, &proto.NewConfigAck{ConfigID: cm.config.ID})
+	cm.onAllocPrepared(noSuchMachine, &proto.AllocRegionPrepared{Region: noSuchRegion, OK: true})
+	cm.onAllocPrepared(1, &proto.AllocRegionPrepared{Region: region, OK: true})
+	c.RunFor(sim.Millisecond)
+	if got := c.Counters.Get("sent ALL-REGIONS-ACTIVE") + c.Counters.Get("sent NEW-CONFIG-COMMIT"); got != before {
+		t.Fatalf("machine %d was counted: %d broadcasts", noSuchMachine, got-before)
+	}
+	// A write landing in the log region of a sender beyond the cluster
+	// schedules no poll.
+	prim.onRemoteWrite(toNVRAM(logRegionID(noSuchMachine)), 0, 8)
+
+	if got := readObject(t, c, prim, addr, 8); string(got) != "aaaaaaaa" {
+		t.Fatalf("object afterwards: %q", got)
+	}
+	writeObjectIn(t, c, coord, region, []byte("still serving"))
+}

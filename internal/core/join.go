@@ -1,11 +1,6 @@
 package core
 
-import (
-	"farm/internal/fabric"
-	"farm/internal/nvram"
-	"farm/internal/proto"
-	"farm/internal/ring"
-)
+import "farm/internal/proto"
 
 // This file implements cluster growth: §3's configurations "change over
 // time as machines fail or new machines are added". A joining machine
@@ -32,12 +27,11 @@ func (c *Cluster) Join() *Machine {
 	m.config = proto.Config{ID: 0, CM: c.Machines[0].config.CM}
 	c.Machines = append(c.Machines, m)
 
-	// Receive rings for every possible peer (including future ones up to
-	// the current population) plus self; peers establish their halves on
-	// NEW-CONFIG.
+	// A peer entry, and the log pair in it, for every machine so far and
+	// itself; every earlier machine gets the newcomer's.
 	m.initLogs()
-	for _, peer := range c.Machines[:id] {
-		peer.ensureLogPair(id)
+	for _, old := range c.Machines[:id] {
+		old.addPeer()
 	}
 	m.lease = newLeaseManager(m)
 	m.startTruncSweep()
@@ -54,18 +48,6 @@ func (c *Cluster) Join() *Machine {
 	})
 	c.trace("join-requested", id, 0)
 	return m
-}
-
-// ensureLogPair makes sure this machine has a receive ring for peer and a
-// writer toward peer (idempotent; used when machines appear dynamically).
-func (m *Machine) ensureLogPair(peer int) {
-	if m.logR[peer] == nil {
-		m.addLogRing(peer)
-	}
-	if m.logW[peer] == nil {
-		m.logW[peer] = ring.NewWriter(m.nic, fabric.MachineID(peer),
-			nvram.RegionID(logRegionID(m.ID)), m.c.Opts.LogCapacity)
-	}
 }
 
 // onJoinReq runs at the CM: admit the machine through the reconfiguration

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"farm/internal/sim"
@@ -58,7 +59,7 @@ func TestJoinBecomesPlacementTarget(t *testing.T) {
 	}
 	hosted := 0
 	for _, r := range regions {
-		for _, rep := range c.Machine(0).mappings[r].Replicas {
+		for _, rep := range c.Machine(0).mapping(r).Replicas {
 			if int(rep) == nj.ID {
 				hosted++
 			}
@@ -93,5 +94,58 @@ func TestJoinedMachineParticipatesInRecovery(t *testing.T) {
 	}
 	if got := readObject(t, c, nj, addr, 14); string(got) != "grow-then-fail" {
 		t.Fatalf("read after kill via newcomer: %q", got)
+	}
+}
+
+// TestJoinedMachineGetsLogPairEverywhere: a machine added after boot gets a
+// log pair on every machine there is — members, and an earlier joiner — and
+// they on it; commits run through the new pairs in both directions.
+func TestJoinedMachineGetsLogPairEverywhere(t *testing.T) {
+	c, _ := testCluster(t, Options{NumMachines: 4, Seed: 83})
+	first := c.Join()
+	c.RunFor(100 * sim.Millisecond)
+	second := c.Join()
+	c.RunFor(100 * sim.Millisecond)
+	for _, m := range c.Machines {
+		if !m.config.Member(uint16(second.ID)) {
+			t.Fatalf("machine %d does not see the second newcomer", m.ID)
+		}
+		if got := len(m.LogSpaceReport()); got != len(c.Machines) {
+			t.Fatalf("machine %d has log writers toward %d machines, want %d", m.ID, got, len(c.Machines))
+		}
+	}
+	appended := func(from *Machine, to int) int { return from.LogSpaceReport()[to][2] }
+
+	// New regions land on the newcomers; find one the second hosts and the
+	// first does not, and commit to it from the first.
+	regions, err := c.CreateRegions(0, 6, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var target uint32
+	for _, r := range regions {
+		hosts := c.RegionReplicas(r)
+		if slices.Contains(hosts, second.ID) && !slices.Contains(hosts, first.ID) {
+			target = r
+		}
+	}
+	if target == 0 {
+		t.Fatalf("no region on machine %d alone of the newcomers", second.ID)
+	}
+	before := appended(first, second.ID)
+	addr := writeObjectIn(t, c, first, target, []byte("joiner to joiner"))
+	if appended(first, second.ID) == before {
+		t.Fatalf("machine %d committed to region %d without writing machine %d's log", first.ID, target, second.ID)
+	}
+	if got := readObject(t, c, c.Machine(1), addr, 16); string(got) != "joiner to joiner" {
+		t.Fatalf("read back %q", got)
+	}
+	// And the other way: the second newcomer coordinates a write to the
+	// boot-time region, whose replicas are boot-time machines.
+	prim := c.Machine(0).PrimaryOf(1)
+	before = appended(second, prim)
+	writeObjectIn(t, c, second, 1, []byte("to the old guard"))
+	if appended(second, prim) == before {
+		t.Fatalf("machine %d committed to region 1 without writing its primary's log", second.ID)
 	}
 }

@@ -253,7 +253,7 @@ func (lm *leaseManager) transmit(dst int, msg interface{}) {
 		// Shared queue pairs and worker threads: wait out any QP stall,
 		// then queue behind normal work.
 		m.c.Eng.After(lm.stallDelay()+m.c.Eng.Rand().Duration(200*sim.Microsecond), func() {
-			m.pool.Dispatch(m.c.Opts.CPUMsg, func() {
+			m.pool.Dispatch(cpuMsg, func() {
 				if m.alive {
 					// Lease RPCs share the reliable queue pairs, so they
 					// occupy wire bandwidth like any other reliable send.
@@ -265,7 +265,7 @@ func (lm *leaseManager) transmit(dst int, msg interface{}) {
 		// Own queue pair, shared thread: wait out event-loop stalls, then
 		// the send is prioritized within the thread.
 		m.c.Eng.After(lm.stallDelay()+m.c.Eng.Rand().Duration(50*sim.Microsecond), func() {
-			m.pool.ByIndex(0).DoPriority(m.c.Opts.CPUMsg, func() {
+			m.pool.ByIndex(0).DoPriority(cpuMsg, func() {
 				if m.alive {
 					m.nic.SendUD(fabric.MachineID(dst), msg)
 				}
@@ -301,7 +301,7 @@ func (lm *leaseManager) onUD(src fabric.MachineID, msg interface{}) {
 	case LeaseUD:
 		// Same event-loop stall exposure on the receive side.
 		lm.m.c.Eng.After(lm.stallDelay(), func() {
-			lm.m.pool.ByIndex(0).DoPriority(lm.m.c.Opts.CPUMsg, process)
+			lm.m.pool.ByIndex(0).DoPriority(cpuMsg, process)
 		})
 	default:
 		lm.thread.Do(sim.Microsecond, process)

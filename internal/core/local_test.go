@@ -22,7 +22,7 @@ import (
 
 // primaryOfRegion returns the machine holding the region's primary replica.
 func primaryOfRegion(c *Cluster, region uint32) *Machine {
-	return c.Machine(int(c.Machine(0).mappings[region].Replicas[0]))
+	return c.Machine(int(c.Machine(0).mapping(region).Replicas[0]))
 }
 
 // stateFingerprint renders what a twin run must agree on: every replica's
@@ -32,8 +32,8 @@ func stateFingerprint(c *Cluster) string {
 	h := fnv.New64a()
 	var out bytes.Buffer
 	for _, m := range c.Machines {
-		for _, r := range regionKeys(m.replicas) {
-			rep := m.replicas[r]
+		for _, r := range m.HostedRegions() {
+			rep := m.replica(r)
 			h.Write(rep.mem)
 			fmt.Fprintf(&out, "m%d r%d locks=%d ", m.ID, r, len(rep.lockOwner))
 		}
@@ -159,9 +159,9 @@ func TestDeathBetweenLocalLockAndHandOff(t *testing.T) {
 		c.RunFor(20 * sim.Millisecond)
 
 		const thread = 2
-		rep := m.replicas[region]
+		rep := m.replica(region)
 		locked := func() bool { return regionmem.Locked(regionmem.ReadHeader(rep.mem, int(addr.Off))) }
-		lr := m.logR[m.ID]
+		lr := m.peer(m.ID).logR
 		if !between {
 			lr.pollScheduled = true // the record lands and is never polled
 		}
@@ -264,9 +264,9 @@ func TestLocalPrimaryBackupKilledMidCommitBackup(t *testing.T) {
 			}
 			runUntil(t, c, sim.Second, midBackup)
 			sent := c.Counters.Get("sent LOCK-REPLY")
-			victim := int(c.Machine(0).mappings[region].Replicas[1])
+			victim := int(c.Machine(0).mapping(region).Replicas[1])
 			if c.Machine(victim).IsCM() {
-				victim = int(c.Machine(0).mappings[region].Replicas[2])
+				victim = int(c.Machine(0).mapping(region).Replicas[2])
 			}
 			c.Kill(victim)
 			c.RunFor(100 * sim.Millisecond)
@@ -308,7 +308,7 @@ func TestRefusedLocalLockAborts(t *testing.T) {
 			m := primaryOfRegion(c, region)
 			addr := writeObjectIn(t, c, m, region, []byte("aaaaaaaa"))
 			c.RunFor(20 * sim.Millisecond)
-			rep := m.replicas[region]
+			rep := m.replica(region)
 
 			other := proto.TxID{Config: m.config.ID, Machine: uint16(m.ID), Thread: 7, Local: 1 << 40}
 			var done bool
@@ -358,7 +358,7 @@ func TestRefusedLocalLockAborts(t *testing.T) {
 			if len(m.pend) != 0 || len(m.inflight) != 0 || len(rep.lockOwner) != 0 {
 				t.Fatalf("left behind: %d pending, %d in flight, %d lock owners", len(m.pend), len(m.inflight), len(rep.lockOwner))
 			}
-			if lr := m.logR[m.ID]; len(lr.frames) != 0 || lr.rd.Retained() != 0 {
+			if lr := m.peer(m.ID).logR; len(lr.frames) != 0 || lr.rd.Retained() != 0 {
 				t.Fatalf("self ring not truncated: %d transactions indexed, %d frames retained", len(lr.frames), lr.rd.Retained())
 			}
 			if got := readObject(t, c, m, addr, 8); string(got) != "aaaaaaaa" {
@@ -377,7 +377,7 @@ func TestWireThreadIDOnSelfRecordOnlyPicksAThread(t *testing.T) {
 	m := primaryOfRegion(c, region)
 	addr := writeObjectIn(t, c, m, region, []byte("aaaaaaaa"))
 	c.RunFor(20 * sim.Millisecond)
-	rep := m.replicas[region]
+	rep := m.replica(region)
 	version := regionmem.Version(regionmem.ReadHeader(rep.mem, int(addr.Off)))
 
 	id := proto.TxID{Config: m.config.ID, Machine: uint16(m.ID), Thread: 65535, Local: 1}
@@ -399,7 +399,7 @@ func TestWireThreadIDOnSelfRecordOnlyPicksAThread(t *testing.T) {
 	for i, b := range m.WorkerBusy() {
 		var want sim.Time
 		if i == 65535%m.Threads() {
-			want = m.c.Opts.CPUMsg/4 + m.c.Opts.CPUPerObject + m.c.Opts.CPULocal
+			want = cpuMsg/4 + cpuPerObject + cpuLocal
 		}
 		if b-busy[i] != want {
 			t.Fatalf("worker %d was busy %v, want %v", i, b-busy[i], want)

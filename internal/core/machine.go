@@ -83,46 +83,6 @@ type remoteTx struct {
 	lastChange sim.Time
 }
 
-// truncDomain tracks truncation state for one coordinator thread (§5.3
-// step 6): the set of truncated local ids, compacted with a low bound.
-type truncDomain struct {
-	low uint64
-	ids map[uint64]bool
-}
-
-func (d *truncDomain) truncated(local uint64) bool {
-	return local < d.low || d.ids[local]
-}
-
-func (d *truncDomain) add(local uint64) {
-	if local < d.low {
-		return
-	}
-	d.ids[local] = true
-	for d.ids[d.low] {
-		delete(d.ids, d.low)
-		d.low++
-	}
-}
-
-func (d *truncDomain) setLow(low uint64) {
-	if low <= d.low {
-		return
-	}
-	for l := range d.ids {
-		if l < low {
-			delete(d.ids, l)
-		}
-	}
-	if d.low < low {
-		d.low = low
-	}
-	for d.ids[d.low] {
-		delete(d.ids, d.low)
-		d.low++
-	}
-}
-
 // logReader wraps the receiver side of one peer's transaction log.
 type logReader struct {
 	src int
@@ -143,13 +103,74 @@ type logReader struct {
 	reported uint64
 }
 
-// addLogRing declares the receive ring for src's records — empty, its
-// bytes not made yet — and installs its logReader.
-func (m *Machine) addLogRing(src int) {
-	if err := m.store.AllocateOnUse(nvram.RegionID(logRegionID(src)), m.c.Opts.LogCapacity); err != nil {
-		panic(fmt.Sprintf("core: log ring for peer %d: %v", src, err))
+// peer is this machine's state toward one machine of the cluster, itself
+// included: "each sender-receiver pair has its own log" (§4), and whatever
+// else is kept per machine.
+type peer struct {
+	id   int
+	logW *ring.Writer // appends to this machine's ring in the peer's memory
+	logR *logReader   // reads the peer's ring here
+	// truncQ is the coordinator's truncation work toward the peer;
+	// truncPending the transactions whose truncation has not been delivered
+	// there, by packed id (made with the first).
+	truncQ       truncQueue
+	truncPending map[uint64]*coordTx
+	// awaitAck: at the CM, the peer's NEW-CONFIG-ACK is outstanding.
+	awaitAck bool
+	// trunc holds, per coordinator thread of the peer, the transaction ids
+	// truncated here (§5.3 step 6).
+	trunc []idWindow
+}
+
+// peer returns the entry for machine id, nil for an id the table does not
+// hold: machine ids arrive in log records and messages.
+func (m *Machine) peer(id int) *peer {
+	if id < 0 || id >= len(m.peers) {
+		return nil
 	}
-	m.logR[src] = newLogReader(m, src, nil)
+	return m.peers[id]
+}
+
+// truncWindow returns the truncated-id set of one coordinator thread, nil
+// for a machine the table does not hold. The peer's sets grow to the thread
+// id, two bytes off the wire, and a set is made ready at its first use; they
+// move when they grow, so the pointer is for immediate use.
+func (m *Machine) truncWindow(k proto.CoordKey) *idWindow {
+	p := m.peer(int(k.Machine))
+	if p == nil {
+		return nil
+	}
+	if n := int(k.Thread) + 1 - len(p.trunc); n > 0 {
+		p.trunc = append(p.trunc, make([]idWindow, n)...)
+	}
+	w := &p.trunc[k.Thread]
+	if w.ids == nil {
+		w.ids = make(map[uint64]bool)
+	}
+	return w
+}
+
+// addPeer appends the entry of the next machine id, with the write half
+// toward it and the receive ring for its records (empty: no bytes yet). The
+// self log is one of them: coordinators co-located with a primary or backup
+// write locally (§4 "local memory accesses rather than RDMA").
+func (m *Machine) addPeer() {
+	id := len(m.peers)
+	if err := m.store.AllocateOnUse(nvram.RegionID(logRegionID(id)), m.c.Opts.LogCapacity); err != nil {
+		panic(fmt.Sprintf("core: log ring for peer %d: %v", id, err))
+	}
+	p := &peer{
+		id:   id,
+		logW: ring.NewWriter(m.nic, fabric.MachineID(id), nvram.RegionID(logRegionID(m.ID)), m.c.Opts.LogCapacity),
+		logR: newLogReader(m, id, nil),
+	}
+	p.truncQ.flushFn = func() {
+		p.truncQ.flushArmed = false
+		if m.alive && m.isMember(id) {
+			m.flushTruncations(p)
+		}
+	}
+	m.peers = append(m.peers, p)
 }
 
 // newLogReader builds the reader for one peer's log ring with its poll
@@ -185,24 +206,22 @@ type Machine struct {
 	poweredOff bool
 
 	// config is this machine's view of the current configuration.
-	config proto.Config
-	// mappings caches region → placement, refreshed by NEW-CONFIG and
-	// allocation announcements.
-	mappings    map[uint32]*proto.RegionMap
+	config      proto.Config
 	lastDrained uint64
 
-	replicas map[uint32]*replica
-	logW     map[int]*ring.Writer
-	logR     map[int]*logReader
-	pend     map[mtl]*remoteTx
-	trunc    map[proto.CoordKey]*truncDomain
+	// peers is indexed by machine id, regions by region id. An id from
+	// outside goes through peer, region, mapping, replica or truncWindow,
+	// which answer nil for one not held.
+	peers   []*peer
+	regions []regionState
+	pend    map[mtl]*remoteTx
 
-	// Coordinator-side state.
+	// Coordinator-side state. truncThreads holds, per own thread, the local
+	// ids truncated at every participant; the low bound rides on records
+	// (Table 1) so participants can compact their sets (§5.3 step 6).
 	inflight     map[proto.TxID]*coordTx
 	nextLocal    []uint64
-	truncQ       map[int]*truncQueue
-	truncThreads []*threadTruncState
-	truncPending map[int]map[uint64]*coordTx
+	truncThreads []idWindow
 
 	lease *leaseManager
 	// fencedReports holds application outcome reports deferred because
@@ -218,12 +237,11 @@ type Machine struct {
 	earlyNeedRec []earlyNeed
 
 	// reconfiguring guards against concurrent reconfiguration attempts by
-	// this machine; cmAwaitAcks tracks outstanding NEW-CONFIG-ACKs.
+	// this machine. The CM's NEW-CONFIG-ACK collection is peer.awaitAck;
+	// cmAckRound versions it so ack-collection timeout timers from a
+	// superseded NEW-CONFIG push cannot act on a newer one.
 	reconfiguring bool
-	cmAwaitAcks   map[int]bool
-	// cmAckRound versions cmAwaitAcks so ack-collection timeout timers from
-	// a superseded NEW-CONFIG push cannot act on a newer one.
-	cmAckRound int
+	cmAckRound    int
 	// configCommitted is false between adopting a NEW-CONFIG and receiving
 	// its COMMIT; while false the member periodically re-acks so a lost ack
 	// or lost COMMIT cannot wedge the protocol (clients stay blocked until
@@ -240,11 +258,6 @@ type Machine struct {
 	// RPC plumbing for slot allocation and mapping fetches.
 	nextRPC    uint64
 	rpcWaiters map[uint64]func(interface{})
-	// blocked holds callbacks waiting for recovering regions to become
-	// active again (§5.3 step 1).
-	blocked map[uint32][]func()
-	// mappingWaiters holds callbacks waiting on mapping fetches.
-	mappingWaiters map[uint32][]func()
 
 	// appHandler receives application messages (function shipping).
 	appHandler func(src int, msg interface{})
@@ -339,22 +352,74 @@ func (t *msgTask) run() {
 	h.Fn(src, msg)
 }
 
+// regionState is what this machine knows of one region.
+type regionState struct {
+	// mapping caches the placement, refreshed by NEW-CONFIG and allocation
+	// announcements; rep is the replica hosted here, if any.
+	mapping *proto.RegionMap
+	rep     *replica
+	// blocked: lock recovery is pending (§5.3 step 1); activeWaiters run
+	// when the region is announced active again.
+	blocked       bool
+	activeWaiters []func()
+	// mappingWaiters await the outstanding mapping fetch; nil when none is.
+	mappingWaiters []func()
+}
+
+// maxRegions bounds the region table: the CM numbers regions 1, 2, 3, ...
+// (under 10 000 in the paper's cluster), so it allocated no id this high.
+const maxRegions = 1 << 16
+
+// region returns the entry for a region id, nil for one the table does not
+// hold: region ids arrive in addresses, log records and messages.
+func (m *Machine) region(id uint32) *regionState {
+	if uint64(id) >= uint64(len(m.regions)) {
+		return nil
+	}
+	return &m.regions[id]
+}
+
+// growRegion is region for an id being installed or waited on: the table
+// grows to hold it, and entries move: a *regionState is for immediate use.
+func (m *Machine) growRegion(id uint32) *regionState {
+	if id >= maxRegions {
+		return nil
+	}
+	if n := int(id) + 1 - len(m.regions); n > 0 {
+		m.regions = append(m.regions, make([]regionState, n)...)
+	}
+	return &m.regions[id]
+}
+
+// setMapping installs a copy of rm as the region's cached placement.
+func (m *Machine) setMapping(rm *proto.RegionMap) {
+	if rs := m.growRegion(rm.Region); rs != nil {
+		cp := *rm
+		rs.mapping = &cp
+	}
+}
+
 // regionBlocked reports whether access to a region is blocked pending lock
 // recovery.
 func (m *Machine) regionBlocked(region uint32) bool {
-	_, ok := m.blocked[region]
-	return ok
+	rs := m.region(region)
+	return rs != nil && rs.blocked
 }
 
-// blockUntilActive queues fn until the region is announced active.
+// blockUntilActive queues fn until the blocked region is announced active.
 func (m *Machine) blockUntilActive(region uint32, fn func()) {
-	m.blocked[region] = append(m.blocked[region], fn)
+	rs := m.region(region)
+	rs.activeWaiters = append(rs.activeWaiters, fn)
 }
 
 // unblockRegion releases queued work when a region becomes active.
 func (m *Machine) unblockRegion(region uint32) {
-	waiters := m.blocked[region]
-	delete(m.blocked, region)
+	rs := m.region(region)
+	if rs == nil {
+		return
+	}
+	waiters := rs.activeWaiters
+	rs.blocked, rs.activeWaiters = false, nil
 	for _, fn := range waiters {
 		fn()
 	}
@@ -363,18 +428,23 @@ func (m *Machine) unblockRegion(region uint32) {
 // fetchMapping refreshes one region's placement from the CM; fn runs when
 // the response (or a failure) arrives.
 func (m *Machine) fetchMapping(region uint32, fn func()) {
-	if m.mappingWaiters[region] != nil {
-		m.mappingWaiters[region] = append(m.mappingWaiters[region], fn)
+	rs := m.growRegion(region)
+	if rs == nil {
+		fn() // no CM numbers a region that high: nothing to fetch
 		return
 	}
-	m.mappingWaiters[region] = []func(){fn}
+	if rs.mappingWaiters != nil {
+		rs.mappingWaiters = append(rs.mappingWaiters, fn)
+		return
+	}
+	rs.mappingWaiters = []func(){fn}
 	cm := int(m.config.CM)
 	if cm == m.ID {
 		// The CM answers from its own table.
 		if m.cm != nil {
-			if rm := m.cm.regions[region]; rm != nil {
+			if rm := m.cm.mapping(region); rm != nil {
 				cp := *rm
-				m.mappings[region] = &cp
+				rs.mapping = &cp
 			}
 		}
 		m.wakeMappingWaiters(region)
@@ -384,8 +454,12 @@ func (m *Machine) fetchMapping(region uint32, fn func()) {
 }
 
 func (m *Machine) wakeMappingWaiters(region uint32) {
-	waiters := m.mappingWaiters[region]
-	delete(m.mappingWaiters, region)
+	rs := m.region(region)
+	if rs == nil {
+		return
+	}
+	waiters := rs.mappingWaiters
+	rs.mappingWaiters = nil
 	for _, fn := range waiters {
 		fn()
 	}
@@ -399,7 +473,7 @@ type truncQueue struct {
 	ids        []uint64 // packed thread<<48 | local
 	pool       int      // pooled truncate-record reservations
 	flushArmed bool
-	flushFn    func() // the flush timer's callback, bound once (truncQueueFor)
+	flushFn    func() // the flush timer's callback, bound once (addPeer)
 }
 
 func packTruncID(thread uint16, local uint64) uint64 {
@@ -418,22 +492,18 @@ func (c *Cluster) newMachine(id int) *Machine {
 		store:     store,
 		pool:      sim.NewThreadPool(c.Eng, c.Opts.Threads, fmt.Sprintf("m%d", id)),
 		alive:     true,
-		mappings:  make(map[uint32]*proto.RegionMap),
-		replicas:  make(map[uint32]*replica),
-		logW:      make(map[int]*ring.Writer),
-		logR:      make(map[int]*logReader),
 		pend:      make(map[mtl]*remoteTx),
-		trunc:     make(map[proto.CoordKey]*truncDomain),
 		inflight:  make(map[proto.TxID]*coordTx),
 		nextLocal: make([]uint64, c.Opts.Threads),
-		truncQ:    make(map[int]*truncQueue),
 
-		pollShards: make([]*pollTask, c.Opts.Threads),
+		truncThreads: make([]idWindow, c.Opts.Threads),
+		pollShards:   make([]*pollTask, c.Opts.Threads),
 
-		rpcWaiters:     make(map[uint64]func(interface{})),
-		blocked:        make(map[uint32][]func()),
-		mappingWaiters: make(map[uint32][]func()),
-		audits:         make(map[uint64]*auditRun),
+		rpcWaiters: make(map[uint64]func(interface{})),
+		audits:     make(map[uint64]*auditRun),
+	}
+	for i := range m.truncThreads {
+		m.truncThreads[i] = idWindow{low: 1, ids: make(map[uint64]bool)} // local ids start at 1
 	}
 	m.nic = c.Net.AddMachine(fabric.MachineID(id), store)
 	m.tp = newTransport(m)
@@ -442,15 +512,11 @@ func (c *Cluster) newMachine(id int) *Machine {
 	return m
 }
 
-// initLogs allocates the receive rings for every peer and the write halves
-// toward every peer.
+// initLogs makes the peer entry, and with it the log pair, of every machine
+// of the cluster; Join adds the entry of a later one.
 func (m *Machine) initLogs() {
-	// The self log is one of them: coordinators co-located with a
-	// primary/backup write locally (§4 "local memory accesses rather than
-	// RDMA").
-	for _, peer := range m.c.Machines {
-		m.addLogRing(peer.ID)
-		m.logW[peer.ID] = ring.NewWriter(m.nic, fabric.MachineID(peer.ID), nvram.RegionID(logRegionID(m.ID)), m.c.Opts.LogCapacity)
+	for range m.c.Machines {
+		m.addPeer()
 	}
 }
 
@@ -489,13 +555,32 @@ func (m *Machine) WorkerBusy() []sim.Time {
 	return busy
 }
 
-// mapping returns the cached placement for a region.
-func (m *Machine) mapping(region uint32) *proto.RegionMap { return m.mappings[region] }
+// mapping returns the cached placement for a region, nil if there is none.
+func (m *Machine) mapping(region uint32) *proto.RegionMap {
+	if rs := m.region(region); rs != nil {
+		return rs.mapping
+	}
+	return nil
+}
 
-// HostedRegions lists the data regions this machine holds a replica of
-// (observability for experiments choosing failure victims).
+// replica returns this machine's copy of a region, nil if it hosts none.
+func (m *Machine) replica(region uint32) *replica {
+	if rs := m.region(region); rs != nil {
+		return rs.rep
+	}
+	return nil
+}
+
+// HostedRegions lists the data regions this machine holds a replica of, in
+// id order (observability for experiments choosing failure victims).
 func (m *Machine) HostedRegions() []uint32 {
-	return regionKeys(m.replicas)
+	var out []uint32
+	for id := range m.regions {
+		if m.regions[id].rep != nil {
+			out = append(out, uint32(id))
+		}
+	}
+	return out
 }
 
 // PrimaryOf exposes the cached primary machine for a region (-1 when
@@ -520,7 +605,7 @@ type appMsg struct{ Body interface{} }
 
 // primaryOf returns the primary machine for a region, or -1 if unknown.
 func (m *Machine) primaryOf(region uint32) int {
-	rm := m.mappings[region]
+	rm := m.mapping(region)
 	if rm == nil || len(rm.Replicas) == 0 {
 		return -1
 	}
@@ -529,7 +614,7 @@ func (m *Machine) primaryOf(region uint32) int {
 
 // backupsOf returns the backup machines for a region.
 func (m *Machine) backupsOf(region uint32) []uint16 {
-	rm := m.mappings[region]
+	rm := m.mapping(region)
 	if rm == nil || len(rm.Replicas) == 0 {
 		return nil
 	}
@@ -545,12 +630,13 @@ func (m *Machine) isMember(id int) bool { return m.config.Member(uint16(id)) }
 // the configuration (observability).
 func (m *Machine) Member(id int) bool { return m.isMember(id) }
 
-// LogSpaceReport returns, per destination machine, the free/reserved/
-// appended/consumed state of this machine's log writers (diagnostics for
-// space-leak hunting).
+// LogSpaceReport returns, per destination machine (an entry for every id
+// below the cluster's size), the free/reserved/appended/consumed state of
+// this machine's log writers (diagnostics for space-leak hunting).
 func (m *Machine) LogSpaceReport() map[int][4]int {
-	out := make(map[int][4]int, len(m.logW))
-	for dst, w := range m.logW {
+	out := make(map[int][4]int, len(m.peers))
+	for dst, p := range m.peers {
+		w := p.logW
 		out[dst] = [4]int{w.FreeBytes(), w.ReservedBytes(), int(w.Appended()), int(w.ConsumedEstimate())}
 	}
 	return out
@@ -610,11 +696,15 @@ func (m *Machine) dispatchMsg(src int, msg interface{}, stamp sim.Time, ctx trac
 	tk.h, tk.src, tk.msg, tk.ctx = h, src, msg, ctx
 	if v, ok := msg.(*proto.RecoveryVote); ok {
 		// Votes go to the peer thread of the coordinator thread (§5.3).
-		m.pool.ByIndex(int(v.Tx.Thread)).Do(m.c.Opts.CPUMsg, tk.runFn)
+		m.pool.ByIndex(int(v.Tx.Thread)).Do(cpuMsg, tk.runFn)
 		return
 	}
-	m.pool.Dispatch(m.c.Opts.CPUMsg, tk.runFn)
+	m.pool.Dispatch(cpuMsg, tk.runFn)
 }
+
+// pollDelay models the gap between a log write landing and the receiver's
+// event loop noticing it.
+const pollDelay = 1 * sim.Microsecond
 
 // onRemoteWrite reacts to one-sided writes landing in local memory; for
 // log regions it schedules a poll of that sender's ring.
@@ -627,10 +717,11 @@ func (m *Machine) onRemoteWrite(region nvram.RegionID, _, _ int) {
 		return // not a log; data-recovery writes need no upcall
 	}
 	sender := int(r &^ 0x80000000)
-	lr := m.logR[sender]
-	if lr == nil {
+	p := m.peer(sender)
+	if p == nil {
 		return
 	}
+	lr := p.logR
 	if lr.rd == nil {
 		// The ring's first frame: this write made its bytes.
 		lr.rd = ring.NewReader(m.store.Region(region))
@@ -639,7 +730,7 @@ func (m *Machine) onRemoteWrite(region nvram.RegionID, _, _ int) {
 		return
 	}
 	lr.pollScheduled = true
-	delay := m.c.Opts.PollDelay
+	delay := pollDelay
 	if sender == m.ID {
 		delay = 0 // the event loop that polls the self ring is the one that wrote it
 	}
@@ -716,7 +807,7 @@ func (m *Machine) decodeFrames(lr *logReader) {
 		}
 		pt := m.shardFor(lr, rec.Tx.Thread)
 		pt.batch = append(pt.batch, parsedRecord{rec: rec, seq: f.Seq})
-		pt.cost += m.c.Opts.CPUMsg/4 + sim.Time(len(rec.Writes))*m.c.Opts.CPUPerObject
+		pt.cost += cpuMsg/4 + sim.Time(len(rec.Writes))*cpuPerObject
 		own := rec.TruncIDs[:0]
 		for _, id := range rec.TruncIDs {
 			if thread, _ := unpackTruncID(id); thread != rec.Tx.Thread {
@@ -822,37 +913,19 @@ func (m *Machine) maybeReportConsumed(lr *logReader) {
 	src := lr.src
 	if src == m.ID {
 		// The self ring's writer is in this process: no write, no wire.
-		m.logW[src].UpdateConsumed(consumed)
+		m.peer(src).logW.UpdateConsumed(consumed)
 		return
 	}
 	m.c.Net.Counters.Inc("rdma_write", 1)
 	m.c.Eng.After(m.c.Opts.Fabric.WireLatency+sim.Microsecond, func() {
-		peer := m.c.Machines[src]
-		if peer.alive {
-			if w := peer.logW[m.ID]; w != nil {
-				w.UpdateConsumed(consumed)
-			}
+		if sender := m.c.Machines[src]; sender.alive {
+			sender.peer(m.ID).logW.UpdateConsumed(consumed)
 		}
 	})
 }
 
-// truncDomainFor returns (creating if needed) the truncation-tracking
-// state for a coordinator thread.
-func (m *Machine) truncDomainFor(k proto.CoordKey) *truncDomain {
-	d := m.trunc[k]
-	if d == nil {
-		d = &truncDomain{ids: make(map[uint64]bool)}
-		m.trunc[k] = d
-	}
-	return d
-}
-
-// hostReplica installs a region replica backed by fresh NVRAM.
-func (m *Machine) hostReplica(region uint32, size int, primary bool) *replica {
-	mem, err := m.store.Allocate(nvram.RegionID(region), size)
-	if err != nil {
-		panic(err)
-	}
+// installReplica makes mem this machine's replica of a region in the table.
+func (m *Machine) installReplica(region uint32, mem []byte, size int, primary bool) *replica {
 	r := &replica{
 		id:        region,
 		mem:       mem,
@@ -866,7 +939,7 @@ func (m *Machine) hostReplica(region uint32, size int, primary bool) *replica {
 		r.alloc = regionmem.NewAllocator(m.c.Opts.Layout, mem)
 		m.installAllocHook(r)
 	}
-	m.replicas[region] = r
+	m.region(region).rep = r
 	return r
 }
 
@@ -903,10 +976,10 @@ func (m *Machine) sendMsg(thread, dst int, msg interface{}, ctx trace.Ctx) {
 	tk := m.getTask()
 	tk.send, tk.dst, tk.msg, tk.ctx = true, dst, msg, ctx
 	if thread == anyThread {
-		m.pool.Dispatch(m.c.Opts.CPUMsg, tk.runFn)
+		m.pool.Dispatch(cpuMsg, tk.runFn)
 		return
 	}
-	m.pool.ByIndex(thread).Do(m.c.Opts.CPUMsg, tk.runFn)
+	m.pool.ByIndex(thread).Do(cpuMsg, tk.runFn)
 }
 
 const anyThread = -1

@@ -2,7 +2,7 @@ package core
 
 import (
 	"cmp"
-	"sort"
+	"slices"
 
 	"farm/internal/proto"
 )
@@ -11,87 +11,37 @@ import (
 //
 // The simulation's event sequence must be a pure function of the seed: the
 // chaos harness and every failure-reproduction workflow depend on a seed
-// replaying the exact run that produced a violation. Go randomizes map
-// iteration order per range statement, so any loop whose body emits
-// simulation events (ring writes, messages, one-sided reads, thread
-// dispatches, timers) or mutates order-sensitive state (placement load,
-// truncation queues) must walk its map in sorted key order. regionmem.Rebuild
+// replaying the exact run that produced a violation. State kept per machine,
+// per region or per coordinator thread lives in tables (Machine.peers,
+// Machine.regions, cmState.regions, peer.trunc) and iterates in index order.
+// What remains in Go maps is sparse — transactions, audits, block headers,
+// the per-run sets of recovery — and Go randomizes map iteration order per
+// range statement, so any loop over one whose body emits simulation events
+// (ring writes, messages, one-sided reads, thread dispatches, timers, trace
+// records) or mutates order-sensitive state walks sortedKeys. regionmem.Rebuild
 // applies the same rule to block headers. Loops that only aggregate
-// commutatively (counting, flag folding, map-to-map copies) may still range
-// directly.
+// commutatively (counting, flag folding, map-to-map copies) range directly.
 
-func intKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
+// sortedKeys returns m's keys in ascending order by cmp.
+func sortedKeys[K comparable, V any](m map[K]V, cmp func(a, b K) int) []K {
+	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Ints(keys)
+	slices.SortFunc(keys, cmp)
 	return keys
 }
 
-func regionKeys[V any](m map[uint32]V) []uint32 {
-	keys := make([]uint32, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
+func mtlCmp(a, b mtl) int {
+	return cmp.Or(cmp.Compare(a.m, b.m), cmp.Compare(a.t, b.t), cmp.Compare(a.local, b.local))
 }
 
-func u64Keys[V any](m map[uint64]V) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-func mtlKeys[V any](m map[mtl]V) []mtl {
-	keys := make([]mtl, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return mtlLess(keys[i], keys[j]) })
-	return keys
-}
-
-func mtlLess(a, b mtl) bool {
-	if a.m != b.m {
-		return a.m < b.m
-	}
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.local < b.local
-}
-
-func txIDKeys[V any](m map[proto.TxID]V) []proto.TxID {
-	keys := make([]proto.TxID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return txIDLess(keys[i], keys[j]) })
-	return keys
-}
-
-func txIDLess(a, b proto.TxID) bool {
-	if a.Config != b.Config {
-		return a.Config < b.Config
-	}
-	if a.Machine != b.Machine {
-		return a.Machine < b.Machine
-	}
-	if a.Thread != b.Thread {
-		return a.Thread < b.Thread
-	}
-	return a.Local < b.Local
+func txIDCmp(a, b proto.TxID) int {
+	return cmp.Or(cmp.Compare(a.Config, b.Config), cmp.Compare(a.Machine, b.Machine),
+		cmp.Compare(a.Thread, b.Thread), cmp.Compare(a.Local, b.Local))
 }
 
 // addrCmp orders addresses by region, then offset.
 func addrCmp(a, b proto.Addr) int {
-	if a.Region != b.Region {
-		return cmp.Compare(a.Region, b.Region)
-	}
-	return cmp.Compare(a.Off, b.Off)
+	return cmp.Or(cmp.Compare(a.Region, b.Region), cmp.Compare(a.Off, b.Off))
 }

@@ -118,8 +118,8 @@ func (c *Cluster) reestablishRings() {
 		if !m.alive {
 			continue
 		}
-		for _, src := range intKeys(m.logR) {
-			lr := m.logR[src]
+		for _, p := range m.peers {
+			lr := p.logR
 			if lr.rd == nil {
 				continue
 			}
@@ -137,27 +137,24 @@ func (c *Cluster) reestablishRings() {
 		if !m.alive {
 			continue
 		}
-		for src, lr := range m.logR {
-			if lr.rd != nil {
+		for src, p := range m.peers {
+			if p.logR.rd != nil {
 				// A ring nothing was ever written to is fresh already.
 				mem := m.store.Region(toNVRAM(logRegionID(src)))
 				clear(mem)
-				m.logR[src] = newLogReader(m, src, ring.NewReader(mem))
+				p.logR = newLogReader(m, src, ring.NewReader(mem))
 			}
 			sender := c.Machines[src]
+			toMe := sender.peer(m.ID)
 			// Close the replaced writer so any retransmissions it still has
 			// scheduled die with it instead of landing in the fresh ring.
-			if old := sender.logW[m.ID]; old != nil {
-				old.Close()
-			}
-			sender.logW[m.ID] = ring.NewWriter(sender.nic, fabric.MachineID(m.ID),
+			toMe.logW.Close()
+			toMe.logW = ring.NewWriter(sender.nic, fabric.MachineID(m.ID),
 				toNVRAM(logRegionID(src)), c.Opts.LogCapacity)
 			// Restore the pooled truncate-record reservations the sender
 			// still accounts for.
-			if q := sender.truncQ[m.ID]; q != nil {
-				for i := 0; i < q.pool; i++ {
-					sender.logW[m.ID].Reserve(truncateRecordSize)
-				}
+			for i := 0; i < toMe.truncQ.pool; i++ {
+				toMe.logW.Reserve(truncateRecordSize)
 			}
 		}
 	}
@@ -173,22 +170,10 @@ func (c *Cluster) reestablishRings() {
 				ct.groups[i].res = resSet{}
 			}
 		}
-		for _, dst := range intKeys(m.truncPending) {
-			pend := m.truncPending[dst]
-			q := m.truncQueueFor(dst)
-			queued := make(map[uint64]bool, len(q.ids))
-			for _, id := range q.ids {
-				queued[id] = true
-			}
-			for _, id := range u64Keys(pend) {
-				if !queued[id] {
-					q.ids = append(q.ids, id)
-				}
-			}
-		}
-		for _, dst := range intKeys(m.truncQ) {
-			if q := m.truncQ[dst]; len(q.ids) > 0 && !q.flushArmed {
-				m.armTruncFlush(dst)
+		for _, p := range m.peers {
+			requeuePending(p)
+			if len(p.truncQ.ids) > 0 {
+				m.armTruncFlush(p)
 			}
 		}
 	}

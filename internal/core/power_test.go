@@ -91,8 +91,8 @@ func TestPowerFailureResolvesInFlightTransactions(t *testing.T) {
 	// No object may be left locked after recovery.
 	c.RunFor(100 * sim.Millisecond)
 	for _, mm := range c.Machines {
-		for rid, rep := range mm.replicas {
-			if rep.primary {
+		for _, rid := range mm.HostedRegions() {
+			if rep := mm.replica(rid); rep.primary {
 				word := regionmem.ReadHeader(rep.mem, int(addr.Off))
 				if rid == addr.Region && regionmem.Locked(word) {
 					t.Fatal("object left locked after power-failure recovery")
@@ -103,9 +103,9 @@ func TestPowerFailureResolvesInFlightTransactions(t *testing.T) {
 	// The final value must be consistent across all replicas of the
 	// region after truncation settles.
 	var vals [][]byte
-	rm := c.Machine(0).mappings[addr.Region]
+	rm := c.Machine(0).mapping(addr.Region)
 	for _, r := range rm.Replicas {
-		rep := c.Machine(int(r)).replicas[addr.Region]
+		rep := c.Machine(int(r)).replica(addr.Region)
 		_, data := regionmem.ReadObject(rep.mem, int(addr.Off), 8)
 		vals = append(vals, data)
 	}

@@ -185,11 +185,11 @@ func TestVersionsNeverRegress(t *testing.T) {
 	// Sample versions continuously at the (current) primary.
 	var sample func()
 	sample = func() {
-		rm := c.Machine(0).mappings[addr.Region]
+		rm := c.Machine(0).mapping(addr.Region)
 		if rm != nil {
 			p := c.Machine(int(rm.Replicas[0]))
 			if p.Alive() {
-				if rep := p.replicas[addr.Region]; rep != nil {
+				if rep := p.replica(addr.Region); rep != nil {
 					word := u64(rep.mem[addr.Off : addr.Off+8])
 					v := word & (1<<62 - 1)
 					if v < lastVer {
@@ -206,7 +206,7 @@ func TestVersionsNeverRegress(t *testing.T) {
 	c.Eng.After(sim.Millisecond, sample)
 	c.Eng.After(5*sim.Millisecond, func() {
 		// Kill a backup to force recovery mid-stream.
-		rm := c.Machine(0).mappings[addr.Region]
+		rm := c.Machine(0).mapping(addr.Region)
 		for _, r := range rm.Replicas[1:] {
 			if int(r) != 0 && int(r) != 2 {
 				c.Kill(int(r))

@@ -112,12 +112,12 @@ func (op *readOp) start() {
 		return
 	}
 	if p == m.ID {
-		op.rep = m.replicas[region]
+		op.rep = m.replica(region)
 		if op.rep == nil || !op.rep.primary {
 			op.retryMapping()
 			return
 		}
-		m.OnThread(op.thread, m.c.Opts.CPULocal, op.localFn)
+		m.OnThread(op.thread, cpuLocal, op.localFn)
 		return
 	}
 	if !m.isMember(p) {
@@ -125,7 +125,7 @@ func (op *readOp) start() {
 		return
 	}
 	op.primary = p
-	m.OnThread(op.thread, m.c.Opts.CPUVerb, op.issueFn)
+	m.OnThread(op.thread, cpuVerb, op.issueFn)
 }
 
 // retryMapping refreshes the region's placement after a capped exponential

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"farm/internal/fabric"
 	"farm/internal/proto"
 	"farm/internal/sim"
@@ -133,6 +136,10 @@ func (m *Machine) maybeWithdrawSuspicion() {
 	m.unblockClients()
 }
 
+// backupCMs is k, the number of CM successors asked to take over
+// reconfiguration before a machine tries itself (§5.2 step 1).
+const backupCMs = 2
+
 // suspectCM reacts to an expired CM lease: ask the k backup CMs (the CM's
 // consistent-hashing successors) to reconfigure, then try ourselves if the
 // configuration is unchanged after a timeout.
@@ -149,7 +156,7 @@ func (m *Machine) suspectCM() {
 		return
 	}
 	for i, s := range succ {
-		if i >= m.c.Opts.BackupCMs {
+		if i >= backupCMs {
 			break
 		}
 		m.send(s, &reconfigAsk{Suspect: cm, ConfigID: cfg})
@@ -234,28 +241,31 @@ func (m *Machine) becomeCM(cfg *proto.Config, suspects map[int]bool, bumpAll boo
 		}
 		if m.cm == nil {
 			m.cm = newCMState()
-			// Rebuild the region table from our mapping cache.
-			next := uint32(1)
-			for id, rm := range m.mappings {
-				cp := *rm
-				m.cm.regions[id] = &cp
-				if id >= next {
-					next = id + 1
+			// Rebuild the region table from our mapping cache; the next
+			// region allocated follows the highest id in it.
+			for id := range m.regions {
+				if rm := m.regions[id].mapping; rm != nil {
+					cp := *rm
+					m.cm.regions = append(m.cm.regions, make([]cmRegion, id+1-len(m.cm.regions))...)
+					m.cm.regions[id].rm = &cp
 				}
 			}
-			m.cm.nextRegion = next
 		}
-		m.cm.regionsActive = make(map[int]bool)
+		m.cm.regionsActive = make([]bool, len(m.peers))
 		if bumpAll {
-			for _, rm := range m.cm.regions {
-				rm.LastPrimaryChange = cfg.ID
-				rm.LastReplicaChange = cfg.ID
+			for i := range m.cm.regions {
+				if rm := m.cm.regions[i].rm; rm != nil {
+					rm.LastPrimaryChange = cfg.ID
+					rm.LastReplicaChange = cfg.ID
+				}
 			}
 		}
 		m.remapRegions(cfg, suspects)
 		nc := &proto.NewConfig{Config: *cfg}
-		for _, id := range regionKeys(m.cm.regions) {
-			nc.Regions = append(nc.Regions, *m.cm.regions[id])
+		for i := range m.cm.regions {
+			if rm := m.cm.regions[i].rm; rm != nil {
+				nc.Regions = append(nc.Regions, *rm)
+			}
 		}
 		m.c.trace("remap-done", m.ID, 0)
 		if m.trb != nil {
@@ -264,10 +274,12 @@ func (m *Machine) becomeCM(cfg *proto.Config, suspects map[int]bool, bumpAll boo
 			m.trb.Event("recovery", "remap-done", now, rid, 0, 0)
 			m.reconfigCtx = m.trb.Begin("recovery", "new-config", now, rid, 0, int64(len(cfg.Machines)))
 		}
-		m.cmAwaitAcks = make(map[int]bool)
+		m.clearAwaitAcks()
 		m.cmAckRound++
 		for _, mem := range cfg.Machines {
-			m.cmAwaitAcks[int(mem)] = true
+			if p := m.peer(int(mem)); p != nil {
+				p.awaitAck = true
+			}
 			m.sendCtx(int(mem), nc, m.reconfigCtx)
 		}
 		m.armAckTimeout(m.cmAckRound, nc, 0)
@@ -275,7 +287,13 @@ func (m *Machine) becomeCM(cfg *proto.Config, suspects map[int]bool, bumpAll boo
 	if cmChanged && m.cm == nil {
 		// A new CM must first build the data structures only the CM
 		// maintains — the dominant cost in Figure 11's slower recovery.
-		cost := sim.Time(len(m.mappings)) * 16 * sim.Microsecond
+		known := 0
+		for i := range m.regions {
+			if m.regions[i].mapping != nil {
+				known++
+			}
+		}
+		cost := sim.Time(known) * 16 * sim.Microsecond
 		m.pool.ByIndex(0).Do(cost, proceed)
 		return
 	}
@@ -285,8 +303,11 @@ func (m *Machine) becomeCM(cfg *proto.Config, suspects map[int]bool, bumpAll boo
 // remapRegions is step 4: restore f+1 replicas for regions that lost any,
 // promoting surviving backups to primary so the region recovers fast.
 func (m *Machine) remapRegions(cfg *proto.Config, suspects map[int]bool) {
-	for _, id := range regionKeys(m.cm.regions) {
-		rm := m.cm.regions[id]
+	for i := range m.cm.regions {
+		rm := m.cm.regions[i].rm
+		if rm == nil {
+			continue
+		}
 		var survivors []uint16
 		primaryFailed := false
 		for i, r := range rm.Replicas {
@@ -309,10 +330,7 @@ func (m *Machine) remapRegions(cfg *proto.Config, suspects map[int]bool) {
 		for _, s := range survivors {
 			exclude[s] = true
 		}
-		var target *proto.RegionMap
-		if loc, ok := m.cm.locality[rm.Region]; ok {
-			target = m.cm.regions[loc]
-		}
+		target := m.cm.mapping(m.cm.regions[i].locality) // nil for 0, none
 		// Survivors stay (first survivor is promoted primary); new backups
 		// fill the remainder.
 		needed := m.c.Opts.Replication - len(survivors)
@@ -388,8 +406,12 @@ func (m *Machine) onNewConfig(src int, nc *proto.NewConfig) {
 	// promotions, and which regions must block pending lock recovery.
 	for i := range nc.Regions {
 		rm := nc.Regions[i]
+		rs := m.growRegion(rm.Region)
+		if rs == nil {
+			continue // not an id a CM hands out
+		}
 		cp := rm
-		m.mappings[rm.Region] = &cp
+		rs.mapping = &cp
 		hosted := false
 		idx := -1
 		for j, r := range rm.Replicas {
@@ -398,13 +420,16 @@ func (m *Machine) onNewConfig(src int, nc *proto.NewConfig) {
 				idx = j
 			}
 		}
-		rep := m.replicas[rm.Region]
+		rep := rs.rep
 		switch {
 		case hosted && rep == nil:
 			// Newly assigned backup: fresh zeroed replica, to be filled by
 			// data recovery (§5.4).
-			nr := m.hostReplica(rm.Region, rm.Size, false)
-			nr.needsDataRecovery = true
+			mem, err := m.store.Allocate(toNVRAM(rm.Region), rm.Size)
+			if err != nil {
+				panic(err)
+			}
+			m.installReplica(rm.Region, mem, rm.Size, false).needsDataRecovery = true
 		case hosted && rep != nil && idx == 0 && !rep.primary:
 			// Promoted from backup to primary (§5.2 step 4).
 			rep.primary = true
@@ -414,27 +439,20 @@ func (m *Machine) onNewConfig(src int, nc *proto.NewConfig) {
 		case !hosted && rep != nil:
 			// No longer a replica here (shouldn't normally happen: the CM
 			// never removes live replicas); drop it.
-			delete(m.replicas, rm.Region)
+			rs.rep = nil
 			m.store.Free(toNVRAM(rm.Region))
 		}
 		// Block access to regions whose primary changed until their lock
 		// recovery completes (§5.3 step 1).
 		if rm.LastPrimaryChange == m.config.ID {
-			if _, already := m.blocked[rm.Region]; !already {
-				m.blocked[rm.Region] = nil
-			}
+			rs.blocked = true
 		}
 	}
-	// Precise membership: drop state toward machines no longer present,
-	// and establish log rings toward newcomers.
-	for _, peer := range m.c.Machines {
-		if peer.ID != m.ID && !m.isMember(peer.ID) {
-			m.dropTruncStateFor(peer.ID)
-		}
-	}
-	for _, mem := range m.config.Machines {
-		if int(mem) != m.ID {
-			m.ensureLogPair(int(mem))
+	// Precise membership: drop state toward machines no longer present. (A
+	// newcomer's entry, and the log pair in it, is there since its Join.)
+	for _, p := range m.peers {
+		if p.id != m.ID && !m.isMember(p.id) {
+			m.dropTruncStateFor(p)
 		}
 	}
 	// Classify in-flight transactions (§5.3 step 3, coordinator side).
@@ -478,7 +496,7 @@ func (m *Machine) coordTxRecovering(ct *coordTx) bool {
 		return false
 	}
 	for _, region := range ct.writeRegions {
-		rm := m.mappings[region]
+		rm := m.mapping(region)
 		if rm == nil || rm.LastReplicaChange >= m.config.ID {
 			return true
 		}
@@ -488,7 +506,7 @@ func (m *Machine) coordTxRecovering(ct *coordTx) bool {
 		if !e.read {
 			continue
 		}
-		rm := m.mappings[e.addr.Region]
+		rm := m.mapping(e.addr.Region)
 		if rm == nil || rm.LastPrimaryChange >= m.config.ID {
 			return true
 		}
@@ -505,26 +523,41 @@ func (m *Machine) coordTxRecovering(ct *coordTx) bool {
 // treated exactly like one that failed its lease.
 func (m *Machine) armAckTimeout(round int, nc *proto.NewConfig, resends int) {
 	m.c.Eng.After(2*m.c.Opts.LeaseDuration, func() {
-		if !m.alive || m.cmAckRound != round || m.cmAwaitAcks == nil ||
-			len(m.cmAwaitAcks) == 0 || m.config.ID != nc.Config.ID || !m.IsCM() {
+		silent := m.awaitingAck()
+		if !m.alive || m.cmAckRound != round || silent < 0 ||
+			m.config.ID != nc.Config.ID || !m.IsCM() {
 			return
 		}
 		if resends < 2 {
 			m.c.Counters.Inc("reconfig_newconfig_resend", 1)
-			for _, id := range intKeys(m.cmAwaitAcks) {
-				m.sendCtx(id, nc, m.reconfigCtx)
+			for _, p := range m.peers {
+				if p.awaitAck {
+					m.sendCtx(p.id, nc, m.reconfigCtx)
+				}
 			}
 			m.armAckTimeout(round, nc, resends+1)
 			return
 		}
 		// Deaf member: evict the lowest-id non-acker; a follow-up round
 		// removes any others.
-		silent := intKeys(m.cmAwaitAcks)[0]
-		m.cmAwaitAcks = nil
+		m.clearAwaitAcks()
 		m.c.Counters.Inc("reconfig_ack_timeout", 1)
 		m.c.trace("ack-timeout", m.ID, silent)
 		m.suspect(silent)
 	})
+}
+
+// awaitingAck returns the lowest-id machine whose NEW-CONFIG-ACK the CM is
+// waiting for, -1 when no collection is running.
+func (m *Machine) awaitingAck() int {
+	return slices.IndexFunc(m.peers, func(p *peer) bool { return p.awaitAck })
+}
+
+// clearAwaitAcks ends, or resets, the CM's NEW-CONFIG-ACK collection.
+func (m *Machine) clearAwaitAcks() {
+	for _, p := range m.peers {
+		p.awaitAck = false
+	}
 }
 
 // onNewConfigAck is step 7 at the CM: once every member acked, wait out
@@ -533,7 +566,7 @@ func (m *Machine) onNewConfigAck(src int, ack *proto.NewConfigAck) {
 	if ack.ConfigID != m.config.ID {
 		return
 	}
-	if m.cmAwaitAcks == nil {
+	if m.awaitingAck() < 0 {
 		// Ack collection already finished: this is a member re-acking
 		// because it never saw NEW-CONFIG-COMMIT (the commit was dropped, or
 		// its original ack was a duplicate). The commit wait already ran, so
@@ -543,11 +576,12 @@ func (m *Machine) onNewConfigAck(src int, ack *proto.NewConfigAck) {
 		}
 		return
 	}
-	delete(m.cmAwaitAcks, src)
-	if len(m.cmAwaitAcks) > 0 {
+	if p := m.peer(src); p != nil {
+		p.awaitAck = false
+	}
+	if m.awaitingAck() >= 0 {
 		return
 	}
-	m.cmAwaitAcks = nil
 	m.c.Eng.After(m.c.Opts.LeaseDuration, func() {
 		if !m.alive || !m.IsCM() {
 			return
@@ -582,8 +616,8 @@ func (m *Machine) onNewConfigCommit(cc *proto.NewConfigCommit) {
 	m.unblockClients()
 	// New primaries push block headers to all backups right away so
 	// allocator metadata survives further failures (§5.5).
-	for _, id := range regionKeys(m.replicas) {
-		if rep := m.replicas[id]; rep.primary && rep.promotedAt == m.config.ID {
+	for id := range m.regions {
+		if rep := m.regions[id].rep; rep != nil && rep.primary && rep.promotedAt == m.config.ID {
 			m.syncBlockHeaders(rep)
 		}
 	}
@@ -607,11 +641,11 @@ func (m *Machine) syncBlockHeaders(rep *replica) {
 // folding newly classed blocks into the digest domain (block classes are
 // immutable, so an already known header never changes the domain).
 func (m *Machine) onBlockHeaderSync(s *proto.BlockHeaderSync) {
-	rep := m.replicas[s.Region]
+	rep := m.replica(s.Region)
 	if rep == nil {
 		return
 	}
-	for _, b := range intKeys(s.Headers) {
+	for _, b := range sortedKeys(s.Headers, cmp.Compare[int]) {
 		if _, known := rep.headers[b]; !known {
 			rep.headers[b] = s.Headers[b]
 			m.foldBlock(rep, b, s.Headers[b])
@@ -625,9 +659,12 @@ func (m *Machine) onRegionsActive(src int, ra *proto.RegionsActive) {
 	if !m.IsCM() || ra.ConfigID != m.config.ID || m.cm == nil {
 		return
 	}
+	if src < 0 || src >= len(m.cm.regionsActive) {
+		return
+	}
 	m.cm.regionsActive[src] = true
 	for _, mem := range m.config.Machines {
-		if !m.cm.regionsActive[int(mem)] {
+		if int(mem) >= len(m.cm.regionsActive) || !m.cm.regionsActive[mem] {
 			return
 		}
 	}
@@ -644,8 +681,11 @@ func (m *Machine) onAllRegionsActive(aa *proto.AllRegionsActive) {
 		return
 	}
 	m.c.trace("data-rec-start", m.ID, 0)
-	for _, id := range regionKeys(m.replicas) {
-		rep := m.replicas[id]
+	for id := range m.regions {
+		rep := m.regions[id].rep
+		if rep == nil {
+			continue
+		}
 		if rep.needsDataRecovery {
 			m.startDataRecovery(rep)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"hash/fnv"
 
 	"farm/internal/proto"
@@ -112,7 +113,7 @@ func (m *Machine) startTxRecovery(configID uint64) {
 	}
 	if m.trb != nil {
 		m.recov.ctx = m.trb.Begin("recovery", "drain", m.c.Eng.Now(),
-			trace.RecoveryTraceBit|configID, 0, int64(len(m.logR)))
+			trace.RecoveryTraceBit|configID, 0, int64(len(m.peers)))
 	}
 	// Replay NEED-RECOVERY messages that raced ahead of our commit.
 	early := m.earlyNeedRec
@@ -143,10 +144,9 @@ func (m *Machine) startTxRecovery(configID uint64) {
 		}
 		m.findRecoveringTxs()
 	}
-	for _, src := range intKeys(m.logR) {
-		lr := m.logR[src]
+	for _, p := range m.peers {
 		outstanding++
-		m.drainLog(lr, done)
+		m.drainLog(p.logR, done)
 	}
 	done()
 }
@@ -174,9 +174,9 @@ func (m *Machine) findRecoveringTxs() {
 	// for. Regions whose replicas are all unchanged never instantiate
 	// recovery state, matching the paper's "only recovering transactions
 	// go through transaction recovery".
-	for id, rep := range m.replicas {
-		rm := m.mappings[id]
-		if rm == nil || !rep.primary {
+	for i := range m.regions {
+		id, rm, rep := uint32(i), m.regions[i].mapping, m.regions[i].rep
+		if rm == nil || rep == nil || !rep.primary {
 			continue
 		}
 		if rm.LastReplicaChange < m.config.ID && !m.configShrank {
@@ -196,13 +196,13 @@ func (m *Machine) findRecoveringTxs() {
 
 	// Classify our participant-side transactions.
 	needByPrimary := make(map[int]map[uint32][]proto.TxSeen)
-	for _, k := range mtlKeys(m.pend) {
+	for _, k := range sortedKeys(m.pend, mtlCmp) {
 		rt := m.pend[k]
 		if !m.txIsRecovering(rt) {
 			continue
 		}
 		for _, region := range rt.regions() {
-			rm := m.mappings[region]
+			rm := m.mapping(region)
 			if rm == nil || len(rm.Replicas) == 0 {
 				continue
 			}
@@ -214,7 +214,7 @@ func (m *Machine) findRecoveringTxs() {
 			// our COMMIT-BACKUP to count there, a region none of whose
 			// replicas ever received the write would vote commit-backup and
 			// the transaction commit without it.
-			if m.replicas[region] == nil || !remoteTxTouches(rt, region) {
+			if m.replica(region) == nil || !remoteTxTouches(rt, region) {
 				continue
 			}
 			if int(rm.Replicas[0]) == m.ID {
@@ -243,9 +243,9 @@ func (m *Machine) findRecoveringTxs() {
 	}
 	// Every backup sends NEED-RECOVERY for every recovering region it
 	// backs, even when it has nothing, so primaries can detect completion.
-	for id, rep := range m.replicas {
-		rm := m.mappings[id]
-		if rm == nil || rep.primary || len(rm.Replicas) == 0 || int(rm.Replicas[0]) == m.ID {
+	for i := range m.regions {
+		id, rm, rep := uint32(i), m.regions[i].mapping, m.regions[i].rep
+		if rm == nil || rep == nil || rep.primary || len(rm.Replicas) == 0 || int(rm.Replicas[0]) == m.ID {
 			continue
 		}
 		if rm.LastReplicaChange < m.config.ID && !m.configShrank {
@@ -259,9 +259,9 @@ func (m *Machine) findRecoveringTxs() {
 			needByPrimary[p][id] = nil
 		}
 	}
-	for _, p := range intKeys(needByPrimary) {
+	for _, p := range sortedKeys(needByPrimary, cmp.Compare[int]) {
 		byRegion := needByPrimary[p]
-		for _, region := range regionKeys(byRegion) {
+		for _, region := range sortedKeys(byRegion, cmp.Compare[uint32]) {
 			m.sendCtx(p, &proto.NeedRecovery{Config: m.config.ID, Region: region, Txs: byRegion[region]},
 				m.recoveryTraceCtx())
 		}
@@ -270,12 +270,12 @@ func (m *Machine) findRecoveringTxs() {
 
 	// Coordinator side: arm vote collection for our own recovering
 	// transactions so read-set-only recoveries make progress too.
-	for _, id := range txIDKeys(m.inflight) {
+	for _, id := range sortedKeys(m.inflight, txIDCmp) {
 		if ct := m.inflight[id]; ct.recovering {
 			m.armVoteCollector(ct.id, ct.writeRegions, ct.participantSet())
 		}
 	}
-	for _, region := range regionKeys(rs.regions) {
+	for _, region := range sortedKeys(rs.regions, cmp.Compare[uint32]) {
 		m.maybeRecoverRegion(rs.regions[region])
 	}
 	m.maybeAllPrimariesActive()
@@ -308,7 +308,7 @@ func (m *Machine) txIsRecovering(rt *remoteTx) bool {
 		return true
 	}
 	for _, region := range rt.regions() {
-		rm := m.mappings[region]
+		rm := m.mapping(region)
 		if rm == nil || rm.LastReplicaChange >= m.config.ID {
 			return true
 		}
@@ -346,8 +346,8 @@ func (m *Machine) onNeedRecovery(src int, nr *proto.NeedRecovery) {
 	if rr == nil {
 		// We did not classify this region as recovering (e.g. only the
 		// coordinator died); create recovery state on demand.
-		rm := m.mappings[nr.Region]
-		rep := m.replicas[nr.Region]
+		rm := m.mapping(nr.Region)
+		rep := m.replica(nr.Region)
 		if rm == nil || rep == nil || !rep.primary {
 			return
 		}
@@ -390,7 +390,7 @@ func (m *Machine) maybeRecoverRegion(rr *regionRecovery) {
 		rr.ctx = m.trb.Begin("recovery", "lock-recovery", m.c.Eng.Now(),
 			trace.RecoveryTraceBit|m.config.ID, 0, int64(rr.region))
 	}
-	rep := m.replicas[rr.region]
+	rep := m.replica(rr.region)
 	if rep == nil {
 		return
 	}
@@ -403,12 +403,16 @@ func (m *Machine) maybeRecoverRegion(rr *regionRecovery) {
 		}
 		// Shard lock recovery across threads by coordinator thread id and
 		// charge the CPU there (§5.3 step 4).
-		work := make(map[int][]*recTx)
-		for _, k := range mtlKeys(rr.txs) {
+		work := make([][]*recTx, m.c.Opts.Threads)
+		pendingThreads := 0
+		for _, k := range sortedKeys(rr.txs, mtlCmp) {
 			rt := rr.txs[k]
-			work[int(rt.id.Thread)%m.c.Opts.Threads] = append(work[int(rt.id.Thread)%m.c.Opts.Threads], rt)
+			th := int(rt.id.Thread) % len(work)
+			if work[th] == nil {
+				pendingThreads++
+			}
+			work[th] = append(work[th], rt)
 		}
-		pendingThreads := len(work)
 		finish := func() {
 			pendingThreads--
 			if pendingThreads > 0 {
@@ -419,16 +423,15 @@ func (m *Machine) maybeRecoverRegion(rr *regionRecovery) {
 			m.activateRegion(rr.region)
 			m.replicateAndVote(rr)
 		}
-		if len(work) == 0 {
-			rr.phase = 2
-			m.endLockRecSpan(rr)
-			m.activateRegion(rr.region)
-			m.replicateAndVote(rr)
+		if pendingThreads == 0 {
+			finish()
 			return
 		}
-		for _, th := range intKeys(work) {
-			th, txs := th, work[th]
-			cost := sim.Time(len(txs)) * (m.c.Opts.CPUPerObject*4 + m.c.Opts.CPULocal)
+		for th, txs := range work {
+			if txs == nil {
+				continue
+			}
+			cost := sim.Time(len(txs)) * (cpuPerObject*4 + cpuLocal)
 			m.pool.ByIndex(th).Do(cost, func() {
 				if !m.alive {
 					return
@@ -441,12 +444,12 @@ func (m *Machine) maybeRecoverRegion(rr *regionRecovery) {
 		}
 	}
 	// Fetch lock records we are missing but some backup saw (step 4).
-	for _, k := range mtlKeys(rr.txs) {
+	for _, k := range sortedKeys(rr.txs, mtlCmp) {
 		rt := rr.txs[k]
 		if rt.lock != nil || rt.saw&(proto.SawLock|proto.SawCommitBackup) == 0 {
 			continue
 		}
-		for _, b := range intKeys(rt.sawBy) {
+		for _, b := range sortedKeys(rt.sawBy, cmp.Compare[int]) {
 			if saw := rt.sawBy[b]; b != m.ID && saw&(proto.SawLock|proto.SawCommitBackup) != 0 {
 				rt.fetchOutstanding++
 				m.sendCtx(b, &proto.FetchTxState{Config: m.config.ID, Region: rr.region, TxIDs: []proto.TxID{rt.id}}, rr.ctx)
@@ -524,8 +527,7 @@ func (m *Machine) endLockRecSpan(rr *regionRecovery) {
 // activateRegion completes §5.3 step 4's fast path: the region accepts
 // reads and commits again, long before data recovery finishes.
 func (m *Machine) activateRegion(region uint32) {
-	rep := m.replicas[region]
-	if rep != nil {
+	if rep := m.replica(region); rep != nil {
 		rep.active = true
 	}
 	m.unblockRegion(region)
@@ -544,8 +546,8 @@ func (m *Machine) maybeAllPrimariesActive() {
 	if m.recov == nil || m.recov.regionsActiveSent {
 		return
 	}
-	for _, rep := range m.replicas {
-		if rep.primary && !rep.active {
+	for i := range m.regions {
+		if rep := m.regions[i].rep; rep != nil && rep.primary && !rep.active {
 			return
 		}
 	}
@@ -561,11 +563,11 @@ func (m *Machine) maybeAllPrimariesActive() {
 // replicateAndVote is steps 5–6: push lock records to backups missing
 // them, then vote to the recovery coordinator, sharded by thread.
 func (m *Machine) replicateAndVote(rr *regionRecovery) {
-	rm := m.mappings[rr.region]
+	rm := m.mapping(rr.region)
 	if rm == nil {
 		return
 	}
-	for _, k := range mtlKeys(rr.txs) {
+	for _, k := range sortedKeys(rr.txs, mtlCmp) {
 		rt := rr.txs[k]
 		if rt.voted {
 			continue
@@ -732,6 +734,10 @@ func (m *Machine) onReplicateTxStateAck(a *proto.ReplicateTxStateAck) {
 	}
 }
 
+// voteTimeout is how long the recovery coordinator waits for votes before
+// sending explicit REQUEST-VOTE messages (§5.3).
+const voteTimeout = 250 * sim.Microsecond
+
 // armVoteCollector creates (or refreshes) a vote collector and its
 // REQUEST-VOTE timeout.
 func (m *Machine) armVoteCollector(id proto.TxID, knownRegions []uint32, participants map[int]bool) *voteCollector {
@@ -755,7 +761,7 @@ func (m *Machine) armVoteCollector(id proto.TxID, knownRegions []uint32, partici
 			vc.ctx = m.trb.Begin("recovery", "vote-decide", m.c.Eng.Now(),
 				trace.RecoveryTraceBit|m.config.ID, 0, int64(id.Local))
 		}
-		m.c.Eng.After(m.c.Opts.VoteTimeout, func() {
+		m.c.Eng.After(voteTimeout, func() {
 			if m.alive {
 				m.requestMissingVotes(vc)
 			}
@@ -805,19 +811,19 @@ func (m *Machine) requestMissingVotes(vc *voteCollector) {
 		return
 	}
 	missing := false
-	for _, region := range regionKeys(vc.known) {
+	for _, region := range sortedKeys(vc.known, cmp.Compare[uint32]) {
 		if _, ok := vc.regions[region]; ok {
 			continue
 		}
 		missing = true
-		rm := m.mappings[region]
+		rm := m.mapping(region)
 		if rm == nil || len(rm.Replicas) == 0 {
 			continue
 		}
 		m.sendCtx(int(rm.Replicas[0]), &proto.RequestVote{Config: m.config.ID, Tx: vc.id, Region: region}, vc.ctx)
 	}
 	if missing {
-		m.c.Eng.After(m.c.Opts.VoteTimeout, func() {
+		m.c.Eng.After(voteTimeout, func() {
 			if m.alive {
 				m.requestMissingVotes(vc)
 			}
@@ -870,7 +876,7 @@ func (m *Machine) onRequestVote(src int, rv *proto.RequestVote) {
 	if rt := m.pend[k]; rt != nil && remoteTxTouches(rt, rv.Region) {
 		vote = voteFromSaw(rt.saw)
 		regions = rt.regions()
-	} else if m.truncDomainFor(rv.Tx.Coord()).truncated(rv.Tx.Local) {
+	} else if m.truncWindow(rv.Tx.Coord()).has(rv.Tx.Local) {
 		vote = proto.VoteTruncated
 	}
 	m.send(src, &proto.RecoveryVote{Config: m.config.ID, Region: rv.Region, Tx: rv.Tx, Regions: regions, Vote: vote})
@@ -936,7 +942,7 @@ func (m *Machine) decide(vc *voteCollector, commit bool) {
 	}
 	// Participants: all replicas of all written regions.
 	for region := range vc.known {
-		if rm := m.mappings[region]; rm != nil {
+		if rm := m.mapping(region); rm != nil {
 			for _, r := range rm.Replicas {
 				vc.participants[int(r)] = true
 			}
@@ -944,7 +950,7 @@ func (m *Machine) decide(vc *voteCollector, commit bool) {
 	}
 	vc.acked = make(map[int]bool)
 	anySent := false
-	for _, p := range intKeys(vc.participants) {
+	for _, p := range sortedKeys(vc.participants, cmp.Compare[int]) {
 		if !m.isMember(p) {
 			continue
 		}
@@ -1004,7 +1010,7 @@ func (m *Machine) sendDecision(vc *voteCollector, dst int) {
 // backups; ABORT-RECOVERY releases locks (§5.3 step 7).
 func (m *Machine) onRecoveryDecision(src int, id proto.TxID, commit bool) {
 	k := mtlOf(id)
-	if m.truncDomainFor(id.Coord()).truncated(id.Local) {
+	if m.truncWindow(id.Coord()).has(id.Local) {
 		// A retransmitted decision for a transaction we already truncated:
 		// recreating participant state here would leak a pend entry that no
 		// future truncation cleans. Just re-acknowledge.
@@ -1052,7 +1058,7 @@ func (m *Machine) passRecoveryLocks(rt *remoteTx) {
 		return
 	}
 	for _, w := range rt.lock.Writes {
-		rep, rr := m.replicas[w.Addr.Region], m.recov.regions[w.Addr.Region]
+		rep, rr := m.replica(w.Addr.Region), m.recov.regions[w.Addr.Region]
 		if rep == nil || !rep.primary || rr == nil {
 			continue
 		}
@@ -1074,7 +1080,7 @@ func (m *Machine) passRecoveryLocks(rt *remoteTx) {
 				}
 				// rr.txs is a map: the choice must not depend on its order.
 				if heir == nil || ow.Version < heirVersion ||
-					ow.Version == heirVersion && mtlLess(mtlOf(other.id), mtlOf(heir.id)) {
+					ow.Version == heirVersion && mtlCmp(mtlOf(other.id), mtlOf(heir.id)) < 0 {
 					heir, heirVersion = other, ow.Version
 				}
 			}
@@ -1096,7 +1102,7 @@ func (m *Machine) releaseLocksRecovered(rt *remoteTx) {
 		return
 	}
 	for _, w := range rt.lock.Writes {
-		rep := m.replicas[w.Addr.Region]
+		rep := m.replica(w.Addr.Region)
 		if rep == nil {
 			continue
 		}
@@ -1125,7 +1131,7 @@ func (m *Machine) onRecoveryDecisionAck(src int, a *proto.RecoveryDecisionAck) {
 }
 
 func (m *Machine) sendTruncateRecovery(vc *voteCollector) {
-	for _, p := range intKeys(vc.participants) {
+	for _, p := range sortedKeys(vc.participants, cmp.Compare[int]) {
 		if m.isMember(p) {
 			m.sendCtx(p, &proto.TruncateRecovery{Config: m.config.ID, Tx: vc.id}, vc.ctx)
 		}
@@ -1136,17 +1142,15 @@ func (m *Machine) sendTruncateRecovery(vc *voteCollector) {
 // apply committed writes, locks are dropped, frames reclaimed.
 func (m *Machine) onTruncateRecovery(t *proto.TruncateRecovery) {
 	k := mtlOf(t.Tx)
-	lr := m.logR[int(t.Tx.Machine)]
-	if lr != nil {
-		m.truncateTx(lr, t.Tx.Coord(), t.Tx.Local)
-	} else {
-		if rt := m.pend[k]; rt != nil {
-			if rt.saw&(proto.SawAbort|proto.SawAbortRecovery) == 0 {
-				m.applyAtBackup(rt)
-			}
-			delete(m.pend, k)
+	if p := m.peer(int(t.Tx.Machine)); p != nil {
+		m.truncateTx(p.logR, t.Tx.Coord(), t.Tx.Local)
+	} else if rt := m.pend[k]; rt != nil {
+		// A coordinator the table does not hold has no log here, and no
+		// truncated-id set to join.
+		if rt.saw&(proto.SawAbort|proto.SawAbortRecovery) == 0 {
+			m.applyAtBackup(rt)
 		}
-		m.truncDomainFor(t.Tx.Coord()).add(t.Tx.Local)
+		delete(m.pend, k)
 	}
 }
 
@@ -1172,10 +1176,9 @@ func (m *Machine) sweepStuckRecovering(now sim.Time) {
 	if m.recov != nil && (m.recov.configID != m.config.ID || !m.recov.drained) {
 		return // recovery for this configuration is still classifying
 	}
-	d := m.c.Opts.TxStallTimeout
-	for _, k := range mtlKeys(m.pend) {
+	for _, k := range sortedKeys(m.pend, mtlCmp) {
 		rt := m.pend[k]
-		if now-rt.lastChange < d || !m.txIsRecovering(rt) {
+		if now-rt.lastChange < txStallTimeout || !m.txIsRecovering(rt) {
 			continue
 		}
 		regions := rt.regions()
@@ -1205,7 +1208,7 @@ func (m *Machine) onQueryDecision(src int, q *queryDecision) {
 	if q.Config != m.config.ID || !m.isMember(src) {
 		return
 	}
-	if m.truncDomainFor(q.Tx.Coord()).truncated(q.Tx.Local) {
+	if m.truncWindow(q.Tx.Coord()).has(q.Tx.Local) {
 		m.c.Counters.Inc("recovery_query_truncated", 1)
 		m.send(src, &proto.TruncateRecovery{Config: m.config.ID, Tx: q.Tx})
 		return

@@ -48,7 +48,7 @@ func TestReconfigurationAfterKill(t *testing.T) {
 	c.RunFor(20 * sim.Millisecond)
 
 	// Kill a backup of the region (not the primary, not the CM).
-	rm := c.Machine(0).mappings[region]
+	rm := c.Machine(0).mapping(region)
 	victim := int(rm.Replicas[1])
 	if victim == 0 {
 		victim = int(rm.Replicas[2])
@@ -73,7 +73,7 @@ func TestReconfigurationAfterKill(t *testing.T) {
 		t.Fatal("no config-commit trace event")
 	}
 	// Region must have been remapped back to 3 replicas.
-	rm2 := c.Machine(0).mappings[region]
+	rm2 := c.Machine(0).mapping(region)
 	if len(rm2.Replicas) != 3 {
 		t.Fatalf("replicas after remap: %v", rm2.Replicas)
 	}
@@ -102,7 +102,7 @@ func regionWithPrimaryNotIn(t *testing.T, c *Cluster, avoid ...int) uint32 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rm := c.Machine(0).mappings[regions[0]]
+		rm := c.Machine(0).mapping(regions[0])
 		if rm != nil && !bad[int(rm.Replicas[0])] {
 			return regions[0]
 		}
@@ -128,13 +128,13 @@ func TestPrimaryFailurePromotesBackupAndPreservesData(t *testing.T) {
 	runUntil(t, c, sim.Second, func() bool { return done })
 	c.RunFor(30 * sim.Millisecond)
 
-	rm := c.Machine(0).mappings[region]
+	rm := c.Machine(0).mapping(region)
 	oldPrimary := int(rm.Replicas[0])
 	oldBackup := int(rm.Replicas[1])
 	c.Kill(oldPrimary)
 	c.RunFor(400 * sim.Millisecond)
 
-	rm2 := c.Machine(0).mappings[region]
+	rm2 := c.Machine(0).mapping(region)
 	if int(rm2.Replicas[0]) != oldBackup {
 		t.Fatalf("promotion: new primary %d, want surviving backup %d", rm2.Replicas[0], oldBackup)
 	}
@@ -174,7 +174,7 @@ func TestDataRecoveryRestoresReplication(t *testing.T) {
 	}
 	c.RunFor(30 * sim.Millisecond)
 
-	rm := c.Machine(0).mappings[region]
+	rm := c.Machine(0).mapping(region)
 	victim := int(rm.Replicas[1])
 	if victim == 0 {
 		victim = int(rm.Replicas[2])
@@ -184,7 +184,7 @@ func TestDataRecoveryRestoresReplication(t *testing.T) {
 	// ~2 ms/block/thread-chain → well under 2 s with 8 threads).
 	c.RunFor(2 * sim.Second)
 
-	rm2 := c.Machine(0).mappings[region]
+	rm2 := c.Machine(0).mapping(region)
 	newBackup := -1
 	for _, r := range rm2.Replicas {
 		if int(r) != int(rm.Replicas[0]) && int(r) != int(rm.Replicas[2]) && int(r) != victim {
@@ -211,8 +211,8 @@ func TestDataRecoveryRestoresReplication(t *testing.T) {
 		t.Fatal("data recovery did not complete")
 	}
 	// The new backup's bytes must match the primary's for every object.
-	pRep := c.Machine(int(rm2.Replicas[0])).replicas[region]
-	bRep := c.Machine(newBackup).replicas[region]
+	pRep := c.Machine(int(rm2.Replicas[0])).replica(region)
+	bRep := c.Machine(newBackup).replica(region)
 	for _, a := range addrs {
 		for i := 0; i < 12; i++ {
 			if pRep.mem[int(a.Off)+i] != bRep.mem[int(a.Off)+i] {
@@ -298,7 +298,7 @@ func TestOutcomePreservation(t *testing.T) {
 	}
 	loop(1)
 	c.RunFor(30 * sim.Millisecond)
-	rm := c.Machine(0).mappings[addr.Region]
+	rm := c.Machine(0).mapping(addr.Region)
 	victim := int(rm.Replicas[1])
 	if victim == 0 || victim == 1 {
 		victim = int(rm.Replicas[2])
@@ -355,7 +355,7 @@ func TestRecoveringTransactionCompletes(t *testing.T) {
 	region := regionWithPrimaryNotIn(t, c, 0, 1, 3)
 	addr := writeObjectIn(t, c, c.Machine(1), region, []byte("xxxxxxxx"))
 	c.RunFor(20 * sim.Millisecond)
-	rm := c.Machine(0).mappings[region]
+	rm := c.Machine(0).mapping(region)
 	primary := int(rm.Replicas[0])
 
 	var txErr error
@@ -454,7 +454,7 @@ func TestCorrelatedFailureDomain(t *testing.T) {
 
 	// Replicas must span three distinct domains, so killing any one
 	// domain leaves ≥ 2 copies.
-	rm := c.Machine(1).mappings[addr.Region]
+	rm := c.Machine(1).mapping(addr.Region)
 	domains := map[int]bool{}
 	for _, r := range rm.Replicas {
 		domains[c.Machine(0).config.Domains[r]] = true
@@ -596,7 +596,7 @@ func TestRecoveringTransactionsChainedOnOneObject(t *testing.T) {
 	old := primaryOfRegion(c, region)
 	var outsiders []*Machine
 	for _, m := range c.Machines {
-		if m.replicas[region] == nil && !m.IsCM() {
+		if m.replica(region) == nil && !m.IsCM() {
 			outsiders = append(outsiders, m)
 		}
 	}
@@ -611,9 +611,9 @@ func TestRecoveringTransactionsChainedOnOneObject(t *testing.T) {
 	// before the audit, which waits for the region's transactions to go.
 	flushTruncations := func() {
 		for _, m := range c.Machines {
-			for _, dst := range intKeys(m.truncQ) {
-				if m.alive && m.isMember(dst) {
-					m.flushTruncations(dst)
+			for _, p := range m.peers {
+				if m.alive && m.isMember(p.id) {
+					m.flushTruncations(p)
 				}
 			}
 		}
@@ -621,7 +621,7 @@ func TestRecoveringTransactionsChainedOnOneObject(t *testing.T) {
 	}
 	flushTruncations()
 	version := func(m *Machine) uint64 {
-		return regionmem.Version(regionmem.ReadHeader(m.replicas[region].mem, int(addr.Off)))
+		return regionmem.Version(regionmem.ReadHeader(m.replica(region).mem, int(addr.Off)))
 	}
 	v := version(old)
 
@@ -680,7 +680,7 @@ func TestRecoveringTransactionsChainedOnOneObject(t *testing.T) {
 		rr = next.recov.regions[region]
 		return rr != nil && rr.phase == 2
 	})
-	rep := next.replicas[region]
+	rep := next.replica(region)
 	var idA, idB proto.TxID
 	for _, rt := range rr.txs {
 		switch int(rt.id.Machine) {
@@ -749,34 +749,38 @@ func TestNewReplicaIsNoEvidenceForItsRegion(t *testing.T) {
 			t.Fatal(err)
 		}
 		b = regions[0]
-		rb := c.Machine(0).mappings[b].Replicas
+		rb := c.Machine(0).mapping(b).Replicas
 		if c.Machine(int(rb[0])).IsCM() {
 			continue
 		}
 	search:
-		for _, id := range regionKeys(c.Machine(0).mappings) {
-			for _, x := range c.Machine(0).mappings[id].Replicas {
+		for id := range c.Machine(0).regions {
+			rm := c.Machine(0).regions[id].mapping
+			if rm == nil {
+				continue
+			}
+			for _, x := range rm.Replicas {
 				for _, y := range rb {
 					if x == y {
 						continue search
 					}
 				}
 			}
-			a = id
+			a = uint32(id)
 			break
 		}
 	}
 	if a == 0 {
 		t.Fatal("no two regions with disjoint replica sets")
 	}
-	replicasA := c.Machine(0).mappings[a].Replicas
+	replicasA := c.Machine(0).mapping(a).Replicas
 	victim := primaryOfRegion(c, b)
 	reader := c.Machine(int(replicasA[1]))
 	addrA := writeObjectIn(t, c, reader, a, []byte("aaaaaaaa"))
 	addrB := writeObjectIn(t, c, reader, b, []byte("bbbbbbbb"))
 	c.RunFor(20 * sim.Millisecond)
 	versionAt := func(m *Machine, addr proto.Addr) uint64 {
-		return regionmem.Version(regionmem.ReadHeader(m.replicas[addr.Region].mem, int(addr.Off)))
+		return regionmem.Version(regionmem.ReadHeader(m.replica(addr.Region).mem, int(addr.Off)))
 	}
 
 	id := proto.TxID{Config: victim.config.ID, Machine: uint16(victim.ID), Thread: 0, Local: 1 << 40}
@@ -800,14 +804,14 @@ func TestNewReplicaIsNoEvidenceForItsRegion(t *testing.T) {
 	c.RunFor(300 * sim.Millisecond)
 
 	joined := false
-	for _, r := range c.Machine(0).mappings[b].Replicas {
+	for _, r := range c.Machine(0).mapping(b).Replicas {
 		for _, x := range replicasA {
 			joined = joined || r == x
 		}
 	}
 	if !joined {
 		t.Fatalf("region %d was re-replicated to %v, none of them a replica of region %d: nothing tested",
-			b, c.Machine(0).mappings[b].Replicas, a)
+			b, c.Machine(0).mapping(b).Replicas, a)
 	}
 	gotA, gotB := readObject(t, c, reader, addrA, 8), readObject(t, c, reader, addrB, 8)
 	if string(gotA) != "aaaaaaaa" || string(gotB) != "bbbbbbbb" {

@@ -76,10 +76,10 @@ func shardOrderProperty(t *testing.T, seed uint64) {
 	}
 	// The participant: primary of the first region. Every object lives in
 	// a region it holds a replica of.
-	part := c.Machine(int(c.Machine(0).mappings[regions[0]].Replicas[0]))
+	part := c.Machine(int(c.Machine(0).mapping(regions[0]).Replicas[0]))
 	var addrs []proto.Addr
 	for _, r := range regions {
-		if part.replicas[r] == nil {
+		if part.replica(r) == nil {
 			continue
 		}
 		for i := 0; i < 8; i++ {
@@ -210,7 +210,7 @@ func shardOrderProperty(t *testing.T, seed uint64) {
 // would.
 func appendRecord(t *testing.T, from *Machine, to int, rec *proto.Record) {
 	t.Helper()
-	w := from.logW[to]
+	w := from.peer(to).logW
 	buf, ok := w.Begin(proto.RecordSize(rec), -1)
 	if !ok {
 		t.Fatal("ring full")
@@ -223,9 +223,9 @@ func appendRecord(t *testing.T, from *Machine, to int, rec *proto.Record) {
 // replica of it (and not the CM), to act as a remote coordinator.
 func primaryAndOutsider(t *testing.T, c *Cluster, region uint32) (prim, out *Machine) {
 	t.Helper()
-	prim = c.Machine(int(c.Machine(0).mappings[region].Replicas[0]))
+	prim = c.Machine(int(c.Machine(0).mapping(region).Replicas[0]))
 	for _, m := range c.Machines {
-		if m.replicas[region] == nil && !m.IsCM() {
+		if m.replica(region) == nil && !m.IsCM() {
 			return prim, m
 		}
 	}
@@ -269,7 +269,7 @@ func TestDrainBarrierWaitsForEveryWorker(t *testing.T) {
 	}
 
 	fired, handledFirst := false, false
-	prim.drainLog(prim.logR[coord.ID], func() { fired, handledFirst = true, len(prim.pend) == 1 })
+	prim.drainLog(prim.peer(coord.ID).logR, func() { fired, handledFirst = true, len(prim.pend) == 1 })
 	runUntil(t, c, sim.Second, func() bool { return fired })
 	if !handledFirst || c.Now() < held {
 		t.Fatalf("drain barrier fired at %v, before the batch polled ahead of it was handled (its worker was held until %v)", c.Now(), held)
@@ -295,7 +295,7 @@ func TestDeathBetweenShardsOfOnePoll(t *testing.T) {
 
 		// Both LOCK records land before one poll decodes them; the first
 		// one's worker is held.
-		lr := prim.logR[coord.ID]
+		lr := prim.peer(coord.ID).logR
 		lr.pollScheduled = true
 		const first, second = 1, 2
 		prim.pool.ByIndex(coord.ID+first).Do(100*sim.Microsecond, nil)
@@ -330,15 +330,15 @@ func TestDeathBetweenShardsOfOnePoll(t *testing.T) {
 		h := fnv.New64a()
 		var out bytes.Buffer
 		for _, m := range c.Machines {
-			for _, r := range regionKeys(m.replicas) {
-				rep := m.replicas[r]
+			for _, r := range m.HostedRegions() {
+				rep := m.replica(r)
 				h.Write(rep.mem)
 				fmt.Fprintf(&out, "m%d r%d locks=%d ", m.ID, r, len(rep.lockOwner))
 			}
 			fmt.Fprintf(&out, "pend=%d\n", len(m.pend))
 		}
 		for _, addr := range []proto.Addr{a, b} {
-			rep := prim.replicas[region]
+			rep := prim.replica(region)
 			if regionmem.Locked(regionmem.ReadHeader(rep.mem, int(addr.Off))) {
 				t.Fatalf("object %v left locked", addr)
 			}
@@ -359,7 +359,7 @@ func TestWireThreadIDOnlyPicksAShard(t *testing.T) {
 	prim, coord := primaryAndOutsider(t, c, region)
 	addr := writeObjectIn(t, c, prim, region, []byte("aaaaaaaa"))
 	c.RunFor(20 * sim.Millisecond)
-	rep := prim.replicas[region]
+	rep := prim.replica(region)
 	version := regionmem.Version(regionmem.ReadHeader(rep.mem, int(addr.Off)))
 
 	id := proto.TxID{Config: prim.config.ID, Machine: uint16(coord.ID), Thread: 65535, Local: 1}
@@ -379,7 +379,7 @@ func TestWireThreadIDOnlyPicksAShard(t *testing.T) {
 		TruncIDs: []uint64{packTruncID(65535, 1)},
 	})
 	c.RunFor(50 * sim.Microsecond)
-	if len(prim.pend) != 0 || !prim.truncDomainFor(id.Coord()).truncated(1) {
+	if len(prim.pend) != 0 || !prim.truncWindow(id.Coord()).has(1) {
 		t.Fatalf("transaction of thread 65535 not truncated: %d pending", len(prim.pend))
 	}
 	if regionmem.Locked(regionmem.ReadHeader(rep.mem, int(addr.Off))) {

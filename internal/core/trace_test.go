@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"farm/internal/proto"
@@ -66,5 +67,75 @@ func TestTracedMessagesCarryChargedBytes(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no send event recorded for the traced message")
+	}
+}
+
+// TestEvictionRetiresPendingTruncationsInIDOrder: truncations still pending
+// toward a machine when it leaves the configuration retire in ascending id
+// order, run after run. Retiring one ends its TRUNCATE span, and a trace
+// record's sequence number is assigned when it is pushed, so an order taken
+// from a map would reorder the export of a traced run from one replay to the
+// next. Six transactions, one per coordinator thread and started in thread
+// order, commit and queue their truncations; a backup dies before any carrier
+// reaches it; the other participants get theirs from the flush timer; the
+// eviction then finds all six pending toward the dead backup alone.
+func TestEvictionRetiresPendingTruncationsInIDOrder(t *testing.T) {
+	const txs = 6
+	run := func() []trace.Record {
+		opts := recoveryOpts()
+		opts.Trace = trace.Options{Enabled: true}
+		opts.TruncateFlushInterval = 2 * sim.Millisecond // no flush before the kill
+		c, region := testCluster(t, opts)
+		_, coord := primaryAndOutsider(t, c, region)
+		victim := -1
+		for _, b := range c.Machine(0).mapping(region).Replicas[1:] {
+			if !c.Machine(int(b)).IsCM() {
+				victim = int(b)
+			}
+		}
+		var addrs [txs]proto.Addr
+		for i := range addrs {
+			addrs[i] = writeObjectIn(t, c, coord, region, []byte("00000000"))
+		}
+		c.RunFor(20 * sim.Millisecond) // set-up's own truncations are delivered
+
+		var done [txs]bool
+		var errs [txs]error
+		for i := range addrs {
+			update(t, coord, i, addrs[i], []byte("11111111"), &done[i], &errs[i])
+		}
+		runUntil(t, c, sim.Second, func() bool {
+			for i := range done {
+				if !done[i] {
+					return false
+				}
+			}
+			return true
+		})
+		c.Kill(victim)
+		runUntil(t, c, sim.Second, func() bool { return !coord.isMember(victim) })
+
+		var ends []trace.Record
+		for _, r := range c.Tracer.Records() {
+			if r.Machine == coord.ID && r.Kind == trace.KindEnd && r.Name == "TRUNCATE" && r.At == c.Now() {
+				ends = append(ends, r)
+			}
+		}
+		return ends
+	}
+	first := run()
+	if len(first) != txs {
+		t.Fatalf("%d TRUNCATE spans ended by the eviction, want %d", len(first), txs)
+	}
+	for i := 1; i < len(first); i++ {
+		// Trace ids were handed out in thread order, which is id order.
+		if first[i].Trace <= first[i-1].Trace {
+			t.Fatalf("TRUNCATE spans ended out of id order: trace %#x after %#x", first[i].Trace, first[i-1].Trace)
+		}
+	}
+	for rep := 1; rep < 20; rep++ {
+		if again := run(); !reflect.DeepEqual(again, first) {
+			t.Fatalf("repetition %d ended the spans differently:\n%+v\nfirst:\n%+v", rep, again, first)
+		}
 	}
 }

@@ -186,15 +186,14 @@ func (t *transport) registerHandlers() {
 			if !m.isMember(src) {
 				return
 			}
-			if rep := m.replicas[v.Region]; rep != nil && rep.primary && !rep.allocRecovering {
+			if rep := m.replica(v.Region); rep != nil && rep.primary && !rep.allocRecovering {
 				rep.alloc.Free(int(v.Off))
 			}
 		})
 	proto.Register(r, "MAPPING-RESP", nil,
 		func(_ int, v *proto.MappingResp) {
 			if v.OK {
-				cp := v.Map
-				m.mappings[cp.Region] = &cp
+				m.setMapping(&v.Map)
 			}
 			// Wake waiters on failure too (the CM echoes the region in a
 			// miss): they retry with backoff and eventually surface an

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+
 	"farm/internal/proto"
 	"farm/internal/sim"
 	"farm/internal/trace"
@@ -13,78 +15,70 @@ import (
 // appears within TruncateFlushInterval or when logs fill — using the
 // truncate-record reservations pooled at commit time.
 
-// threadTruncState tracks, per coordinator thread, the low bound on local
-// transaction ids that are fully truncated at every participant. The low
-// bound is piggybacked on records (Table 1) so participants can compact
-// their truncated-id sets (§5.3 step 6).
-type threadTruncState struct {
-	next    uint64 // all locals < next are fully truncated
-	retired map[uint64]bool
+// idWindow is a set of transaction-local ids: every id below low, plus ids.
+// Adding the id at the bound advances it over the contiguous prefix, so a
+// set fed ids roughly in order stays a bound and a few stragglers; an id far
+// above low — they come off the wire — costs one map entry like any other.
+// peer.trunc and Machine.truncThreads hold them. A nil window, standing for
+// a coordinator the peer table does not hold, is empty and stays so.
+type idWindow struct {
+	low uint64
+	ids map[uint64]bool // made with the window (truncWindow, newMachine)
 }
 
-func (m *Machine) threadTrunc(thread int) *threadTruncState {
-	if m.truncThreads == nil {
-		m.truncThreads = make([]*threadTruncState, m.c.Opts.Threads)
-	}
-	s := m.truncThreads[thread]
-	if s == nil {
-		s = &threadTruncState{next: 1, retired: make(map[uint64]bool)}
-		m.truncThreads[thread] = s
-	}
-	return s
+func (w *idWindow) has(id uint64) bool {
+	return w != nil && (id < w.low || w.ids[id])
 }
 
-// retire marks a local id fully truncated and advances the low bound over
-// the contiguous prefix.
-func (s *threadTruncState) retire(local uint64) {
-	if local < s.next {
+func (w *idWindow) add(id uint64) {
+	if w == nil || id < w.low {
 		return
 	}
-	s.retired[local] = true
-	for s.retired[s.next] {
-		delete(s.retired, s.next)
-		s.next++
+	if id > w.low {
+		w.ids[id] = true
+		return
 	}
+	w.low++
+	w.advance()
 }
 
-func (s *threadTruncState) low() uint64 { return s.next }
-
-// truncQueueFor returns (creating) the truncation queue toward dst.
-func (m *Machine) truncQueueFor(dst int) *truncQueue {
-	q := m.truncQ[dst]
-	if q == nil {
-		q = &truncQueue{}
-		q.flushFn = func() {
-			q.flushArmed = false
-			if m.alive && m.isMember(dst) {
-				m.flushTruncations(dst)
-			}
+// setLow raises the bound to low, if it is below it.
+func (w *idWindow) setLow(low uint64) {
+	if w == nil || low <= w.low {
+		return
+	}
+	for id := range w.ids {
+		if id < low {
+			delete(w.ids, id)
 		}
-		m.truncQ[dst] = q
 	}
-	return q
+	w.low = low
+	w.advance()
 }
 
-// truncPoolReserve reserves one pooled truncate-record slot at dst.
-func (m *Machine) truncPoolReserve(dst int) bool {
-	w := m.logW[dst]
-	if w == nil || !w.Reserve(truncateRecordSize) {
+func (w *idWindow) advance() {
+	for len(w.ids) > 0 && w.ids[w.low] {
+		delete(w.ids, w.low)
+		w.low++
+	}
+}
+
+// truncPoolReserve reserves one pooled truncate-record slot in p's log.
+func (m *Machine) truncPoolReserve(p *peer) bool {
+	if !p.logW.Reserve(truncateRecordSize) {
 		return false
 	}
-	m.truncQueueFor(dst).pool++
+	p.truncQ.pool++
 	return true
 }
 
 // truncPoolRelease returns one pooled slot.
-func (m *Machine) truncPoolRelease(dst int) {
-	q := m.truncQueueFor(dst)
-	if q.pool <= 0 {
+func (m *Machine) truncPoolRelease(p *peer) {
+	if p.truncQ.pool <= 0 {
 		return
 	}
-	q.pool--
-	if w := m.logW[dst]; w != nil {
-		w.Release(truncateRecordSize)
-	}
+	p.truncQ.pool--
+	p.logW.Release(truncateRecordSize)
 }
 
 // endTruncSpan closes a transaction's TRUNCATE span once every participant
@@ -116,16 +110,13 @@ func (m *Machine) queueTruncation(ct *coordTx, primariesOnly bool) {
 		}
 		g.truncPending = true
 		ct.truncLeft++
-		q := m.truncQueueFor(g.dst)
-		q.ids = append(q.ids, packed)
-		if m.truncPending == nil {
-			m.truncPending = make(map[int]map[uint64]*coordTx)
+		p := m.peer(g.dst)
+		p.truncQ.ids = append(p.truncQ.ids, packed)
+		if p.truncPending == nil {
+			p.truncPending = make(map[uint64]*coordTx)
 		}
-		if m.truncPending[g.dst] == nil {
-			m.truncPending[g.dst] = make(map[uint64]*coordTx)
-		}
-		m.truncPending[g.dst][packed] = ct
-		m.armTruncFlush(g.dst)
+		p.truncPending[packed] = ct
+		m.armTruncFlush(p)
 	}
 	if ct.truncLeft == 0 {
 		m.truncFinished(ct)
@@ -136,16 +127,16 @@ func (m *Machine) queueTruncation(ct *coordTx, primariesOnly bool) {
 // delivered (or left the configuration): the local id retires, advancing
 // the thread's low bound.
 func (m *Machine) truncFinished(ct *coordTx) {
-	m.threadTrunc(int(ct.id.Thread)).retire(ct.id.Local)
+	m.truncThreads[ct.id.Thread].add(ct.id.Local)
 	m.endTruncSpan(ct)
 }
 
 // attachPiggyback moves queued truncation ids (up to the per-record
-// budget) onto an outgoing record and stamps the thread's low bound.
-func (m *Machine) attachPiggyback(dst int, rec *proto.Record) {
-	rec.TruncLow = m.threadTrunc(int(rec.Tx.Thread)).low()
-	q := m.truncQ[dst]
-	if q == nil || len(q.ids) == 0 {
+// budget) onto a record bound for p and stamps the thread's low bound.
+func (m *Machine) attachPiggyback(p *peer, rec *proto.Record) {
+	rec.TruncLow = m.truncThreads[rec.Tx.Thread].low
+	q := &p.truncQ
+	if len(q.ids) == 0 {
 		return
 	}
 	n := len(q.ids)
@@ -159,12 +150,11 @@ func (m *Machine) attachPiggyback(dst int, rec *proto.Record) {
 }
 
 // requeuePiggyback puts ids back when a record could not be appended.
-func (m *Machine) requeuePiggyback(dst int, rec *proto.Record) {
+func (m *Machine) requeuePiggyback(p *peer, rec *proto.Record) {
 	if len(rec.TruncIDs) == 0 {
 		return
 	}
-	q := m.truncQueueFor(dst)
-	q.ids = append(append([]uint64(nil), rec.TruncIDs...), q.ids...)
+	p.truncQ.ids = append(append([]uint64(nil), rec.TruncIDs...), p.truncQ.ids...)
 	rec.TruncIDs = nil
 }
 
@@ -172,31 +162,30 @@ func (m *Machine) requeuePiggyback(dst int, rec *proto.Record) {
 // every delivered id frees one pooled reservation (minus any slot the
 // carrier record itself consumed) and may complete a transaction's
 // truncation, advancing the thread low bound.
-func (m *Machine) truncDelivered(dst int, ids []uint64, slotsConsumed int) {
+func (m *Machine) truncDelivered(p *peer, ids []uint64, slotsConsumed int) {
 	if len(ids) == 0 {
 		return
 	}
 	release := len(ids) - slotsConsumed
 	for i := 0; i < release; i++ {
-		m.truncPoolRelease(dst)
+		m.truncPoolRelease(p)
 	}
-	pend := m.truncPending[dst]
 	for _, id := range ids {
-		ct := pend[id]
+		ct := p.truncPending[id]
 		if ct == nil {
 			continue
 		}
-		delete(pend, id)
-		if ct.truncDone(dst) {
+		delete(p.truncPending, id)
+		if ct.truncDone(p.id) {
 			m.truncFinished(ct)
 		}
 	}
 }
 
-// armTruncFlush schedules an explicit TRUNCATE record toward dst in case
-// no carrier record shows up (rare in steady state, needed for liveness).
-func (m *Machine) armTruncFlush(dst int) {
-	q := m.truncQueueFor(dst)
+// armTruncFlush schedules an explicit TRUNCATE record toward p in case no
+// carrier record shows up (rare in steady state, needed for liveness).
+func (m *Machine) armTruncFlush(p *peer) {
+	q := &p.truncQ
 	if q.flushArmed {
 		return
 	}
@@ -205,14 +194,14 @@ func (m *Machine) armTruncFlush(dst int) {
 }
 
 // flushTruncations writes explicit TRUNCATE records for all queued ids.
-func (m *Machine) flushTruncations(dst int) {
-	q := m.truncQueueFor(dst)
+func (m *Machine) flushTruncations(p *peer) {
+	q := &p.truncQ
 	for len(q.ids) > 0 {
 		rec := &proto.Record{ // never escapes: encoded below, then dropped
 			Type: proto.RecTruncate,
 			Tx:   proto.TxID{Config: m.config.ID, Machine: uint16(m.ID)},
 		}
-		m.attachPiggyback(dst, rec)
+		m.attachPiggyback(p, rec)
 		if len(rec.TruncIDs) == 0 {
 			return
 		}
@@ -222,21 +211,42 @@ func (m *Machine) flushTruncations(dst int) {
 			q.pool--
 			reserved = truncateRecordSize
 		}
-		buf, ok := m.logW[dst].Begin(proto.RecordSize(rec), reserved)
+		w := p.logW
+		buf, ok := w.Begin(proto.RecordSize(rec), reserved)
 		if !ok {
-			m.requeuePiggyback(dst, rec)
-			m.armTruncFlush(dst)
+			m.requeuePiggyback(p, rec)
+			m.armTruncFlush(p)
 			return
 		}
 		proto.AppendRecord(buf[:0], rec)
 		delivered := rec.TruncIDs
-		m.logW[dst].Commit(func(err error) {
+		w.Commit(func(err error) {
 			if err == nil && m.alive {
-				m.truncDelivered(dst, delivered, 1)
+				m.truncDelivered(p, delivered, 1)
 			}
 		})
 		m.c.Counters.Inc("explicit_truncate", 1)
 	}
+}
+
+// requeuePending appends to p's queue, in id order, every pending truncation
+// that is not on it, and reports whether there was one.
+func requeuePending(p *peer) bool {
+	if len(p.truncPending) == 0 {
+		return false
+	}
+	q := &p.truncQ
+	queued := make(map[uint64]bool, len(q.ids))
+	for _, id := range q.ids {
+		queued[id] = true
+	}
+	n := len(q.ids)
+	for _, id := range sortedKeys(p.truncPending, cmp.Compare[uint64]) {
+		if !queued[id] {
+			q.ids = append(q.ids, id)
+		}
+	}
+	return len(q.ids) > n
 }
 
 // startTruncSweep arms the liveness sweep for truncation delivery: a
@@ -261,25 +271,9 @@ func (m *Machine) armTruncSweep() {
 			m.truncSweepOn = false
 			return
 		}
-		for _, dst := range intKeys(m.truncPending) {
-			pend := m.truncPending[dst]
-			if len(pend) == 0 || !m.isMember(dst) {
-				continue
-			}
-			q := m.truncQueueFor(dst)
-			queued := make(map[uint64]bool, len(q.ids))
-			for _, id := range q.ids {
-				queued[id] = true
-			}
-			requeued := false
-			for _, id := range u64Keys(pend) {
-				if !queued[id] {
-					q.ids = append(q.ids, id)
-					requeued = true
-				}
-			}
-			if requeued {
-				m.armTruncFlush(dst)
+		for _, p := range m.peers {
+			if m.isMember(p.id) && requeuePending(p) {
+				m.armTruncFlush(p)
 			}
 		}
 		m.armTruncSweep()
@@ -288,12 +282,14 @@ func (m *Machine) armTruncSweep() {
 
 // dropTruncStateFor discards truncation bookkeeping toward a machine that
 // left the configuration (its log, and with it our reservations, is gone).
-func (m *Machine) dropTruncStateFor(dst int) {
-	for id, ct := range m.truncPending[dst] {
-		delete(m.truncPending[dst], id)
-		if ct.truncDone(dst) {
+// Pending truncations retire in id order: truncFinished ends trace spans.
+func (m *Machine) dropTruncStateFor(p *peer) {
+	for _, id := range sortedKeys(p.truncPending, cmp.Compare[uint64]) {
+		ct := p.truncPending[id]
+		delete(p.truncPending, id)
+		if ct.truncDone(p.id) {
 			m.truncFinished(ct)
 		}
 	}
-	delete(m.truncQ, dst)
+	p.truncQ.ids, p.truncQ.pool, p.truncQ.flushArmed = nil, 0, false
 }

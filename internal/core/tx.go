@@ -336,7 +336,7 @@ func (t *Tx) ReadTo(addr proto.Addr, size int, h ReadHandler) {
 	// Read-your-writes, then repeated reads return the same data (§3):
 	// both are served from the transaction's own buffers on its thread.
 	if op.own = t.find(addr); op.own >= 0 {
-		t.m.OnThread(t.thread, t.m.c.Opts.CPULocal, op.ownFn)
+		t.m.OnThread(t.thread, cpuLocal, op.ownFn)
 		return
 	}
 	if t.ctx.Valid() {
@@ -370,7 +370,7 @@ func (t *Tx) Write(addr proto.Addr, value []byte) {
 func (t *Tx) Alloc(size int, value []byte, hint *proto.Addr, cb func(addr proto.Addr, err error)) {
 	regions := t.m.allocCandidates(hint)
 	if len(regions) == 0 {
-		t.m.OnThread(t.thread, t.m.c.Opts.CPULocal, func() { cb(proto.Addr{}, ErrNoSpace) })
+		t.m.OnThread(t.thread, cpuLocal, func() { cb(proto.Addr{}, ErrNoSpace) })
 		return
 	}
 	t.tryAlloc(regions, 0, size, value, cb)
@@ -458,18 +458,18 @@ func (m *Machine) allocCandidates(hint *proto.Addr) []uint32 {
 		return []uint32{hint.Region}
 	}
 	var local, remote []uint32
-	for _, id := range regionKeys(m.mappings) {
-		rm := m.mappings[id]
-		if len(rm.Replicas) == 0 {
+	for i := range m.regions {
+		rm := m.regions[i].mapping
+		if rm == nil || len(rm.Replicas) == 0 {
 			continue
 		}
 		if int(rm.Replicas[0]) == m.ID {
-			local = append(local, id)
+			local = append(local, uint32(i))
 		} else {
-			remote = append(remote, id)
+			remote = append(remote, uint32(i))
 		}
 	}
-	// Deterministic order: regionKeys is ascending, so both halves are.
+	// Both halves ascend, like the table.
 	return append(local, remote...)
 }
 
@@ -502,7 +502,7 @@ func (m *Machine) allocSlot(thread int, region uint32, size int, cb func(off uin
 		return
 	}
 	if p == m.ID {
-		m.OnThread(thread, m.c.Opts.CPULocal, func() {
+		m.OnThread(thread, cpuLocal, func() {
 			off, ver, err := m.allocSlotLocal(region, size)
 			cb(off, ver, err)
 		})
@@ -524,7 +524,7 @@ func (m *Machine) allocSlot(thread int, region uint32, size int, cb func(off uin
 
 // allocSlotLocal pops a slot from the local primary's free list.
 func (m *Machine) allocSlotLocal(region uint32, size int) (uint32, uint64, error) {
-	rep := m.replicas[region]
+	rep := m.replica(region)
 	if rep == nil || !rep.primary {
 		return 0, 0, ErrUnavailable
 	}
@@ -543,7 +543,7 @@ func (m *Machine) allocSlotLocal(region uint32, size int) (uint32, uint64, error
 func (m *Machine) releaseSlot(addr proto.Addr) {
 	p := m.primaryOf(addr.Region)
 	if p == m.ID {
-		if rep := m.replicas[addr.Region]; rep != nil && rep.primary && !rep.allocRecovering {
+		if rep := m.replica(addr.Region); rep != nil && rep.primary && !rep.allocRecovering {
 			rep.alloc.Free(int(addr.Off))
 		}
 		return

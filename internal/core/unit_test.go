@@ -12,11 +12,10 @@ import (
 // Focused unit tests for protocol helpers.
 
 func TestTruncDomainAddAndLowBound(t *testing.T) {
-	d := &truncDomain{ids: make(map[uint64]bool)}
-	d.low = 1
+	d := &idWindow{low: 1, ids: make(map[uint64]bool)}
 	d.add(3)
 	d.add(5)
-	if d.truncated(1) || !d.truncated(3) || d.truncated(4) || !d.truncated(5) {
+	if d.has(1) || !d.has(3) || d.has(4) || !d.has(5) {
 		t.Fatal("membership wrong")
 	}
 	d.add(1)
@@ -28,7 +27,7 @@ func TestTruncDomainAddAndLowBound(t *testing.T) {
 		t.Fatalf("ids = %v", d.ids)
 	}
 	d.setLow(10)
-	if !d.truncated(5) || !d.truncated(9) || d.truncated(10) {
+	if !d.has(5) || !d.has(9) || d.has(10) {
 		t.Fatal("setLow semantics wrong")
 	}
 	if len(d.ids) != 0 {
@@ -36,24 +35,67 @@ func TestTruncDomainAddAndLowBound(t *testing.T) {
 	}
 }
 
+// TestTruncDomainQuick checks idWindow against a plain set over random
+// schedules of add, setLow and has. Ids are drawn near the bound, where the
+// contiguous prefix forms, and 2^32 and more above it, where an id off the
+// wire can land: those must cost an entry each, never a range. The window's
+// own invariants are checked after every step: nothing at or below the bound
+// is kept, and the bound never sits on a member.
 func TestTruncDomainQuick(t *testing.T) {
-	f := func(adds []uint16) bool {
-		d := &truncDomain{low: 1, ids: make(map[uint64]bool)}
+	type step struct {
+		Op  uint8
+		Val uint16
+		Far uint8
+	}
+	f := func(start uint8, steps []step) bool {
+		w := &idWindow{low: uint64(start), ids: make(map[uint64]bool)}
 		model := map[uint64]bool{}
-		for _, a := range adds {
-			v := uint64(a%100) + 1
-			d.add(v)
-			model[v] = true
+		modelLow := uint64(start)
+		has := func(id uint64) bool { return id < modelLow || model[id] }
+		id := func(s step) uint64 {
+			v := w.low + uint64(s.Val%64)
+			if s.Far%4 == 0 {
+				v += uint64(s.Far) << 32
+			}
+			return v
 		}
-		for v := uint64(1); v <= 100; v++ {
-			if d.truncated(v) != model[v] {
+		for _, s := range steps {
+			v := id(s)
+			switch s.Op % 4 {
+			case 0, 1:
+				w.add(v)
+				model[v] = true
+			case 2:
+				w.setLow(v)
+				if v > modelLow {
+					modelLow = v
+				}
+			}
+			for _, probe := range []uint64{0, w.low - 1, w.low, w.low + 1, v, v + 1, v + 1<<32} {
+				if w.has(probe) != has(probe) {
+					t.Logf("has(%d) = %v, reference says %v", probe, w.has(probe), has(probe))
+					return false
+				}
+			}
+			if w.ids[w.low] || len(w.ids) > len(steps) {
 				return false
+			}
+			for kept := range w.ids {
+				if kept <= w.low {
+					return false
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+	var none *idWindow // a coordinator thread the tables do not hold
+	none.add(7)
+	none.setLow(9)
+	if none.has(0) || none.has(7) {
+		t.Fatal("a nil window has members")
 	}
 }
 
@@ -71,20 +113,20 @@ func TestPackTruncIDRoundTrip(t *testing.T) {
 func TestThreadTruncRetireOrder(t *testing.T) {
 	c := New(Options{NumMachines: 2, Seed: 1})
 	m := c.Machine(0)
-	s := m.threadTrunc(0)
-	if s.low() != 1 {
-		t.Fatalf("initial low %d", s.low())
+	s := &m.truncThreads[0]
+	if s.low != 1 {
+		t.Fatalf("initial low %d", s.low)
 	}
-	s.retire(2)
-	s.retire(3)
-	if s.low() != 1 {
+	s.add(2)
+	s.add(3)
+	if s.low != 1 {
 		t.Fatal("low advanced past unretired 1")
 	}
-	s.retire(1)
-	if s.low() != 4 {
-		t.Fatalf("low = %d, want 4", s.low())
+	s.add(1)
+	if s.low != 4 {
+		t.Fatalf("low = %d, want 4", s.low)
 	}
-	if len(s.retired) != 0 {
+	if len(s.ids) != 0 {
 		t.Fatal("retired set not compacted")
 	}
 }
@@ -134,7 +176,7 @@ func TestPlacementRespectsFailureDomains(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range regions {
-		rm := c.Machine(0).mappings[r]
+		rm := c.Machine(0).mapping(r)
 		domains := map[int]bool{}
 		for _, rep := range rm.Replicas {
 			domains[c.Machine(0).config.Domains[rep]] = true
@@ -152,9 +194,11 @@ func TestPlacementBalances(t *testing.T) {
 	}
 	// 12 regions × 3 replicas = 36 slots over 6 machines → 6 each.
 	counts := map[uint16]int{}
-	for _, rm := range c.Machine(0).cm.regions {
-		for _, r := range rm.Replicas {
-			counts[r]++
+	for _, cr := range c.Machine(0).cm.regions {
+		if cr.rm != nil {
+			for _, r := range cr.rm.Replicas {
+				counts[r]++
+			}
 		}
 	}
 	for mID, n := range counts {
@@ -174,9 +218,9 @@ func TestLocalityCoPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := c.Machine(0).mappings[base[0]].Replicas
+	want := c.Machine(0).mapping(base[0]).Replicas
 	for _, r := range co {
-		got := c.Machine(0).mappings[r].Replicas
+		got := c.Machine(0).mapping(r).Replicas
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("locality hint ignored: %v vs %v", got, want)
@@ -283,7 +327,7 @@ func TestBlockedRegionQueuesReads(t *testing.T) {
 	m := c.Machine(2)
 	// Manually block the region (as reconfiguration would) and issue a
 	// read: it must not complete until the region is unblocked.
-	m.blocked[region] = nil
+	m.region(region).blocked = true
 	got := false
 	tx := m.Begin(0)
 	tx.Read(addr, 4, func(_ []byte, err error) {
@@ -373,7 +417,7 @@ func TestProtocolVocabularyExercised(t *testing.T) {
 	}
 	loop(0)
 	c.RunFor(10 * sim.Millisecond)
-	rm := c.Machine(0).mappings[addr.Region]
+	rm := c.Machine(0).mapping(addr.Region)
 	victim := int(rm.Replicas[0])
 	if victim == 0 || victim == 1 {
 		victim = int(rm.Replicas[1])
@@ -419,9 +463,11 @@ func TestPlacementRespectsCapacity(t *testing.T) {
 		t.Fatalf("allocated %d", len(regions))
 	}
 	counts := map[uint16]int{}
-	for _, rm := range c.Machine(0).cm.regions {
-		for _, r := range rm.Replicas {
-			counts[r]++
+	for _, cr := range c.Machine(0).cm.regions {
+		if cr.rm != nil {
+			for _, r := range cr.rm.Replicas {
+				counts[r]++
+			}
 		}
 	}
 	for id, n := range counts {
@@ -443,11 +489,11 @@ func TestLogRingsMaterialiseOnFirstUse(t *testing.T) {
 	c, region := testCluster(t, Options{NumMachines: 12})
 	made := func() (rings, bytes int) {
 		for _, m := range c.Machines {
-			if len(m.logR) != len(c.Machines) {
-				t.Fatalf("machine %d declares %d rings, want one per machine", m.ID, len(m.logR))
+			if len(m.peers) != len(c.Machines) {
+				t.Fatalf("machine %d declares %d rings, want one per machine", m.ID, len(m.peers))
 			}
-			for src, lr := range m.logR {
-				if lr.rd != nil {
+			for src, p := range m.peers {
+				if p.logR.rd != nil {
 					rings++
 					bytes += len(m.store.Region(toNVRAM(logRegionID(src))))
 				}
@@ -465,13 +511,13 @@ func TestLogRingsMaterialiseOnFirstUse(t *testing.T) {
 	if want := c.Opts.Replication; rings != want || bytes != want*c.Opts.LogCapacity {
 		t.Fatalf("%d rings (%d bytes) materialised by one transaction, want its %d participants'", rings, bytes, want)
 	}
-	for _, r := range c.Machine(0).mappings[region].Replicas {
-		if c.Machine(int(r)).logR[coord.ID].rd == nil {
+	for _, r := range c.Machine(0).mapping(region).Replicas {
+		if c.Machine(int(r)).peer(coord.ID).logR.rd == nil {
 			t.Fatalf("participant %d has no ring from the coordinator", r)
 		}
 	}
 	// Recovery drains all 12 rings of every survivor, materialised or not.
-	victim := int(c.Machine(0).mappings[region].Replicas[1])
+	victim := int(c.Machine(0).mapping(region).Replicas[1])
 	c.Kill(victim)
 	c.RunFor(200 * sim.Millisecond)
 	if got := readObject(t, c, c.Machine((victim+1)%12), addr, 12); string(got) != "first record" {

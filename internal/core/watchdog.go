@@ -1,5 +1,7 @@
 package core
 
+import "farm/internal/sim"
+
 // Coordinator stall watchdog. FaRM's normal path assumes reliable sends:
 // LOCK-REPLY from a remote primary and VALIDATE-REPLY are messages, and a
 // dropped reply (RC retry exhaustion, one-way cut) leaves the coordinator
@@ -9,7 +11,7 @@ package core
 // leases notice.
 //
 // The watchdog sweeps in-flight transactions and aborts those stuck in the
-// lock or validate phase past Options.TxStallTimeout. Aborting there is
+// lock or validate phase past txStallTimeout. Aborting there is
 // safe: the ABORT record is ordered after the LOCK record in each primary's
 // ring, so it releases exactly the locks this transaction took, and no
 // backup has seen anything. From COMMIT-BACKUP on the watchdog must NOT
@@ -17,8 +19,13 @@ package core
 // the transaction's outcome recovery's to settle (§5.3) — so those phases
 // rely on ring-writer retransmission plus the reportWriteFailure backstop.
 
+// txStallTimeout is how long a transaction may go without progress before
+// its coordinator aborts it (lock and validate phases) or a participant asks
+// for the recovery decision again (sweepStuckRecovering).
+const txStallTimeout = 30 * sim.Millisecond
+
 func (m *Machine) startTxStallSweep() {
-	if m.c.Opts.TxStallTimeout <= 0 || m.stallSweepOn {
+	if m.stallSweepOn {
 		return
 	}
 	m.stallSweepOn = true
@@ -26,8 +33,7 @@ func (m *Machine) startTxStallSweep() {
 }
 
 func (m *Machine) armTxStallSweep() {
-	d := m.c.Opts.TxStallTimeout
-	m.c.Eng.After(d/2, func() {
+	m.c.Eng.After(txStallTimeout/2, func() {
 		if !m.alive {
 			m.stallSweepOn = false
 			return
@@ -35,7 +41,7 @@ func (m *Machine) armTxStallSweep() {
 		now := m.c.Eng.Now()
 		// Sorted iteration: the sweep emits events (abort records) and maps
 		// iterate in random order.
-		for _, id := range txIDKeys(m.inflight) {
+		for _, id := range sortedKeys(m.inflight, txIDCmp) {
 			ct := m.inflight[id]
 			if ct == nil || ct.recovering {
 				continue
@@ -43,7 +49,7 @@ func (m *Machine) armTxStallSweep() {
 			if ct.phase != phaseLock && ct.phase != phaseValidate {
 				continue
 			}
-			if now-ct.lastProgress < d {
+			if now-ct.lastProgress < txStallTimeout {
 				continue
 			}
 			m.c.Counters.Inc("tx_stall_aborted", 1)
