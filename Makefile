@@ -27,7 +27,7 @@ short:
 	go test -short ./...
 
 bench:
-	go test -bench . -benchmem -run XXX ./internal/sim ./internal/fabric ./internal/proto ./internal/ring ./internal/kv ./internal/btree .
+	go test -bench . -benchmem -run XXX ./internal/sim ./internal/fabric ./internal/proto ./internal/ring ./internal/audit ./internal/kv ./internal/btree .
 
 # Simulator performance gate: re-measure the scale suite (TATP and bank
 # at 9, 50 and 100 machines: six points) and compare against the

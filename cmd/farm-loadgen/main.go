@@ -1,6 +1,7 @@
 // farm-loadgen drives one workload at one load point and prints
-// throughput, latency percentiles and protocol counters — the tool for
-// exploring the simulator's operating envelope by hand.
+// throughput, latency percentiles, protocol counters and the host
+// allocations per committed operation — the tool for exploring the
+// simulator's operating envelope by hand.
 //
 //	farm-loadgen -workload tatp -machines 9 -threads 8 -concurrency 4
 //	farm-loadgen -workload tpcc -warehouses 36
@@ -12,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"farm/internal/core"
@@ -73,7 +75,8 @@ func main() {
 	// starts.
 	busyAtWarm := make([][]sim.Time, *machines)
 	var treesAtWarm [5]uint64
-	var committedAtWarm uint64
+	var committedAtWarm, opsAtWarm uint64
+	var memAtWarm, memAtEnd runtime.MemStats
 	c.Eng.After(sim.Time(warm.Nanoseconds()), func() {
 		for i := range busyAtWarm {
 			busyAtWarm[i] = c.Machine(i).WorkerBusy()
@@ -81,9 +84,12 @@ func main() {
 		if tpccW != nil {
 			treesAtWarm, committedAtWarm = tpccW.DescentStats(), c.Counters.Get("tx_committed")
 		}
+		opsAtWarm = g.Committed()
+		runtime.ReadMemStats(&memAtWarm)
 	})
 	tput, _, _ := g.RunPoint(all, *threads, *concurrency,
 		sim.Time(warm.Nanoseconds()), sim.Time(measure.Nanoseconds()))
+	runtime.ReadMemStats(&memAtEnd)
 	diff := c.Net.Counters.Diff(snap)
 
 	fmt.Printf("workload=%s machines=%d threads=%d concurrency=%d (simulated %v + %v)\n",
@@ -131,6 +137,12 @@ func main() {
 	}
 	fmt.Printf("fabric:     rdma_read=%d rdma_write=%d local_read=%d local_write=%d msg=%d\n",
 		diff["rdma_read"], diff["rdma_write"], diff["local_read"], diff["local_write"], diff["msg_send"])
+	// Host heap allocations of the whole process (simulator, protocol and
+	// workload) over the measured window.
+	ops := float64(max(g.Committed()-opsAtWarm, 1))
+	fmt.Printf("allocs:     %.1f allocations, %.0f B allocated per committed op over the measured window (%d ops)\n",
+		float64(memAtEnd.Mallocs-memAtWarm.Mallocs)/ops, float64(memAtEnd.TotalAlloc-memAtWarm.TotalAlloc)/ops,
+		g.Committed()-opsAtWarm)
 }
 
 func must(err error) {

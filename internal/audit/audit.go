@@ -28,36 +28,88 @@
 // self-check (incremental value vs. fresh scan) enforces.
 package audit
 
-import "farm/internal/regionmem"
+import (
+	"encoding/binary"
+	"math/bits"
 
-// fnvOffset and fnvPrime are the FNV-1a 64-bit parameters; the digest is
-// not cryptographic — it defends against bugs and bit rot, not adversaries.
-const (
-	fnvOffset = uint64(14695981039346656037)
-	fnvPrime  = uint64(1099511628211)
+	"farm/internal/regionmem"
 )
 
-// ObjectHash hashes one slot's state: its region offset, its header word
-// (callers pass the lock-masked word) and its payload bytes (the full slot
-// extent past the header). It allocates nothing.
+// The XXH64 primes. The digest is not cryptographic — it defends against
+// bugs and bit rot, not adversaries.
+const (
+	prime1 = uint64(11400714785074694791)
+	prime2 = uint64(14029467366897019519)
+	prime3 = uint64(1609587929392839161)
+	prime4 = uint64(9650029242287828579)
+	prime5 = uint64(2870177450012600261)
+)
+
+// ObjectHash hashes one slot's state: its region offset (the seed), its
+// header word (callers pass the lock-masked word), its payload bytes (the
+// full slot extent past the header) and their length. It is XXH64-shaped:
+// four lanes take 8 bytes each per 32-byte stripe, the word and the tail
+// follow, and a final avalanche mixes every bit. Every step but the lane
+// merge is a bijection of the state for a fixed rest of the input, so
+// changing any one tail byte, the word or the offset of a short payload
+// always changes the hash. It allocates nothing.
 func ObjectHash(off int, word uint64, payload []byte) uint64 {
-	h := fnvOffset
-	h = (h ^ uint64(off)) * fnvPrime
-	for s := 0; s < 64; s += 8 {
-		h = (h ^ (word>>s)&0xff) * fnvPrime
+	seed, p := uint64(off), payload
+	var h uint64
+	if len(p) >= 32 {
+		v1, v2, v3, v4 := seed+prime1+prime2, seed+prime2, seed, seed-prime1
+		for ; len(p) >= 32; p = p[32:] {
+			v1 = round(v1, binary.LittleEndian.Uint64(p))
+			v2 = round(v2, binary.LittleEndian.Uint64(p[8:]))
+			v3 = round(v3, binary.LittleEndian.Uint64(p[16:]))
+			v4 = round(v4, binary.LittleEndian.Uint64(p[24:]))
+		}
+		h = bits.RotateLeft64(v1, 1) + bits.RotateLeft64(v2, 7) + bits.RotateLeft64(v3, 12) + bits.RotateLeft64(v4, 18)
+		h = mergeRound(h, v1)
+		h = mergeRound(h, v2)
+		h = mergeRound(h, v3)
+		h = mergeRound(h, v4)
+	} else {
+		h = seed + prime5
 	}
-	for _, b := range payload {
-		h = (h ^ uint64(b)) * fnvPrime
+	h += uint64(len(payload))
+	h = mix8(h, word)
+	for ; len(p) >= 8; p = p[8:] {
+		h = mix8(h, binary.LittleEndian.Uint64(p))
 	}
-	// One more round so a zero payload still mixes the length in.
-	h = (h ^ uint64(len(payload))) * fnvPrime
+	if len(p) >= 4 {
+		h ^= uint64(binary.LittleEndian.Uint32(p)) * prime1
+		h = bits.RotateLeft64(h, 23)*prime2 + prime3
+		p = p[4:]
+	}
+	for _, b := range p {
+		h ^= uint64(b) * prime5
+		h = bits.RotateLeft64(h, 11) * prime1
+	}
+	h ^= h >> 33
+	h *= prime2
+	h ^= h >> 29
+	h *= prime3
+	h ^= h >> 32
 	return h
 }
 
+func round(acc, in uint64) uint64 {
+	return bits.RotateLeft64(acc+in*prime2, 31) * prime1
+}
+
+func mergeRound(acc, v uint64) uint64 {
+	return (acc^round(0, v))*prime1 + prime4
+}
+
+func mix8(h, in uint64) uint64 {
+	return bits.RotateLeft64(h^round(0, in), 27)*prime1 + prime4
+}
+
 // Digest is the incrementally maintained commutative digest of one
-// replica. The zero value is the digest of an empty domain. Fold and
-// Unfold are exact inverses, so maintaining a Digest costs two hashes per
-// mutation and no allocation.
+// replica: the sum of its slots' ObjectHashes modulo 2^64. The zero value is
+// the digest of an empty domain. Fold and Unfold are exact inverses, so
+// maintaining a Digest costs two hashes per mutation and no allocation.
 type Digest struct {
 	sum uint64
 }

@@ -14,6 +14,44 @@ func write(mem []byte, off int, ver uint64, alloc bool, payload []byte, class in
 	regionmem.CommitWriteDigest(mem, off, ver, alloc, payload, class, dig)
 }
 
+// TestObjectHashSeesEverySingleByteChange: for payloads of every length up
+// to 300 bytes, every other value of every byte changes the hash, and so
+// do another offset, another header word and one more trailing zero byte.
+func TestObjectHashSeesEverySingleByteChange(t *testing.T) {
+	const off, word = 4096 + 16, uint64(7)<<1 | 1
+	payload := make([]byte, 300)
+	for i := range payload {
+		payload[i] = byte(i*131 + 17)
+	}
+	for n := 0; n <= len(payload); n++ {
+		p := payload[:n]
+		base := ObjectHash(off, word, p)
+		for i := range p {
+			orig := p[i]
+			for v := 0; v < 256; v++ {
+				if p[i] = byte(v); byte(v) != orig && ObjectHash(off, word, p) == base {
+					t.Fatalf("length %d: byte %d set to %#x leaves the hash unchanged", n, i, v)
+				}
+			}
+			p[i] = orig
+		}
+		for _, o := range []int{0, off - 1, off + 1, off + 1<<20} {
+			if ObjectHash(o, word, p) == base {
+				t.Fatalf("length %d: offset %d hashes like offset %d", n, o, off)
+			}
+		}
+		for bit := 0; bit < 64; bit++ {
+			if ObjectHash(off, word^1<<bit, p) == base {
+				t.Fatalf("length %d: header word bit %d does not reach the hash", n, bit)
+			}
+		}
+		zeros := make([]byte, n+1)
+		if ObjectHash(off, word, zeros[:n]) == ObjectHash(off, word, zeros) {
+			t.Fatalf("%d and %d zero bytes hash alike", n, n+1)
+		}
+	}
+}
+
 // TestFoldUnfoldInverse asserts Unfold exactly cancels Fold, in any order.
 func TestFoldUnfoldInverse(t *testing.T) {
 	var d Digest

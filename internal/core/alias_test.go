@@ -10,13 +10,13 @@ import (
 )
 
 // TestHeldLockRecordSurvivesLogWrap is the record-ownership rule seen from
-// core: participant state and recovery messages (SendTxState,
-// ReplicateTxState) hold *proto.Record values whose ObjectWrite.Values
-// alias the ring frame's private payload copy. Grab a participant's record
-// while its transaction is in flight — exactly what a recovery message
-// would carry — then let the transaction truncate and drive enough traffic
-// through a deliberately small log to wrap every ring several times. The
-// held values must not change.
+// core: recovery messages (SendTxState, ReplicateTxState) carry clones of
+// participant records whose ObjectWrite.Values alias the ring frame's
+// private payload copy. Clone a participant's record while its transaction
+// is in flight — exactly what a recovery message would carry — then let the
+// transaction truncate and drive enough traffic through a deliberately
+// small log to wrap every ring several times. The held values must not
+// change.
 func TestHeldLockRecordSurvivesLogWrap(t *testing.T) {
 	const logCap = 1 << 12
 	c, _ := testCluster(t, Options{LogCapacity: logCap})
@@ -48,7 +48,7 @@ func TestHeldLockRecordSurvivesLogWrap(t *testing.T) {
 				// (the set-up transaction's records carry zeros, not val)
 				if rt.lock != nil && !holding[rt.lock] && bytes.Equal(rt.lock.Writes[0].Value, val) {
 					holding[rt.lock] = true
-					held = append(held, rt.lock)
+					held = append(held, rt.lock.Clone())
 				}
 			}
 		}

@@ -19,17 +19,67 @@ func (c *Cluster) recCell(t proto.RecordType) *uint64 {
 	return c.recCells[t]
 }
 
+// newRecord returns a record from the machine's pool for a log frame to be
+// decoded into. A pooled record is the machine's alone (DESIGN.md §12): it
+// goes back to the pool when its handling ends (putRecord) or, kept as a
+// participant entry's lock, with that entry (dropRemoteTx); it leaves the
+// machine only as a Clone.
+func (m *Machine) newRecord() *proto.Record {
+	if k := len(m.decFree); k > 0 {
+		r := m.decFree[k-1]
+		m.decFree = m.decFree[:k-1]
+		return r
+	}
+	return new(proto.Record)
+}
+
+// putRecord returns a record to the pool, dropping the frame payloads its
+// Values alias so they can be collected while it waits.
+func (m *Machine) putRecord(r *proto.Record) {
+	clear(r.Writes)
+	m.decFree = append(m.decFree, r)
+}
+
+// newRemoteTx makes transaction id's participant entry under key k, from the
+// pool.
+func (m *Machine) newRemoteTx(k mtl, id proto.TxID) *remoteTx {
+	var rt *remoteTx
+	if n := len(m.pendFree); n > 0 {
+		rt = m.pendFree[n-1]
+		m.pendFree = m.pendFree[:n-1]
+	} else {
+		rt = new(remoteTx)
+	}
+	rt.id = id
+	m.pend[k] = rt
+	return rt
+}
+
+// dropRemoteTx ends a participant entry: it leaves pend and goes back to the
+// pool, and its lock record with it. Its slices keep their capacity.
+func (m *Machine) dropRemoteTx(k mtl, rt *remoteTx) {
+	delete(m.pend, k)
+	if rt.lock != nil {
+		m.putRecord(rt.lock)
+	}
+	*rt = remoteTx{lockedObjs: rt.lockedObjs[:0], regionHint: rt.regionHint[:0], frames: rt.frames[:0]}
+	m.pendFree = append(m.pendFree, rt)
+}
+
 // handleRecord processes one decoded log record from the ring of lr.src.
 // preDrain gives it drain semantics: records that were already in the log
 // when draining started bypass the stale-record rejection, because the
-// drain must examine them (§5.3 step 2).
+// drain must examine them (§5.3 step 2). rec comes from the machine's pool:
+// it becomes the participant entry's lock, or goes back when its handling
+// ends.
 func (m *Machine) handleRecord(lr *logReader, rec *proto.Record, seq uint64, preDrain bool) {
 	if rec.Type == proto.RecTruncate {
 		// Explicit truncation carrier: apply its piggyback and reclaim the
 		// record itself immediately.
 		*m.c.recCell(proto.RecTruncate)++
-		m.applyPiggyback(lr, rec)
+		m.applyPiggyback(rec)
 		lr.rd.Truncate(seq)
+		m.putRecord(rec)
 		return
 	}
 	// §5.2 precise membership: reject log records from coordinators outside
@@ -39,9 +89,10 @@ func (m *Machine) handleRecord(lr *logReader, rec *proto.Record, seq uint64, pre
 	// that never learned of its eviction could otherwise slip LOCK and
 	// COMMIT records built on pre-eviction reads into live logs, and
 	// recovery would then commit a lost update.
-	if m.fromNonMember(rec, preDrain) {
+	if m.fromNonMember(rec.Tx, preDrain) {
 		m.c.Counters.Inc("nonmember_record_rejected", 1)
 		lr.rd.Truncate(seq)
+		m.putRecord(rec)
 		return
 	}
 	// Reject stale records from transactions that recovery already dealt
@@ -50,7 +101,8 @@ func (m *Machine) handleRecord(lr *logReader, rec *proto.Record, seq uint64, pre
 	if !preDrain && rec.Tx.Config < m.config.ID && m.lastDrained >= m.config.ID && m.recordIsRecovering(rec) {
 		m.c.Counters.Inc("stale_record_rejected", 1)
 		lr.rd.Truncate(seq)
-		m.applyPiggyback(lr, rec)
+		m.applyPiggyback(rec)
+		m.putRecord(rec)
 		return
 	}
 
@@ -62,31 +114,35 @@ func (m *Machine) handleRecord(lr *logReader, rec *proto.Record, seq uint64, pre
 			// A record for an already-truncated transaction (late commit-
 			// primary after recovery truncated): drop it.
 			lr.rd.Truncate(seq)
-			m.applyPiggyback(lr, rec)
+			m.applyPiggyback(rec)
+			m.putRecord(rec)
 			return
 		}
-		rt = &remoteTx{id: rec.Tx}
-		m.pend[key] = rt
+		rt = m.newRemoteTx(key, rec.Tx)
 	}
 	rt.lastChange = m.c.Eng.Now()
-	lr.frames[key] = append(lr.frames[key], seq)
+	rt.frames = append(rt.frames, logFrame{lr: lr, seq: seq})
 	if len(rec.Regions) > 0 {
-		rt.regionHint = rec.Regions
+		rt.regionHint = append(rt.regionHint[:0], rec.Regions...)
 	}
 
+	kept := false
 	switch rec.Type {
 	case proto.RecLock:
 		rt.saw |= proto.SawLock
-		rt.lock = rec
+		if rt.lock != nil {
+			m.putRecord(rt.lock) // a replayed LOCK record replaces what it held
+		}
+		rt.lock, kept = rec, true
 		m.processLock(rt, rec)
 	case proto.RecCommitBackup:
 		rt.saw |= proto.SawCommitBackup
 		if rt.lock == nil {
-			rt.lock = rec // same payload as LOCK (§4 step 3)
+			rt.lock, kept = rec, true // same payload as LOCK (§4 step 3)
 		} else {
 			// Merge writes this machine backs that the LOCK record (which
 			// carries only primary-owned objects) did not include.
-			rt.lock = mergeRecords(rt.lock, rec)
+			mergeRecords(rt.lock, rec)
 		}
 	case proto.RecCommitPrimary:
 		rt.saw |= proto.SawCommitPrimary
@@ -95,30 +151,33 @@ func (m *Machine) handleRecord(lr *logReader, rec *proto.Record, seq uint64, pre
 		rt.saw |= proto.SawAbort
 		m.releaseLocks(rt)
 	}
-	m.applyPiggyback(lr, rec)
+	// The piggyback may truncate rt, and rec with it if kept: neither is
+	// touched after.
+	m.applyPiggyback(rec)
+	if !kept {
+		m.putRecord(rec)
+	}
 }
 
-// fromNonMember is handleRecord's §5.2 gate: a record, not captured by a
-// drain, of an older configuration's coordinator that is no longer a member.
-func (m *Machine) fromNonMember(rec *proto.Record, preDrain bool) bool {
-	return !preDrain && rec.Tx.Config < m.config.ID && !m.config.Member(rec.Tx.Machine)
+// fromNonMember is handleRecord's §5.2 gate: a record of transaction tx, not
+// captured by a drain, of an older configuration's coordinator that is no
+// longer a member.
+func (m *Machine) fromNonMember(tx proto.TxID, preDrain bool) bool {
+	return !preDrain && tx.Config < m.config.ID && !m.config.Member(tx.Machine)
 }
 
-// mergeRecords combines the object writes of two records for the same
-// transaction (a machine can be primary for one written region and backup
-// for another; it then receives both LOCK and COMMIT-BACKUP records with
-// different write subsets).
-func mergeRecords(a, b *proto.Record) *proto.Record {
-	merged := *a
-	// Capacity-capped, so the first append copies and a.Writes — which may
-	// still be reachable through a recovery message — is never written.
-	merged.Writes = a.Writes[:len(a.Writes):len(a.Writes)]
-	for _, w := range b.Writes {
-		if !writesAddr(a.Writes, w.Addr) {
-			merged.Writes = append(merged.Writes, w)
+// mergeRecords adds to dst, a participant entry's own lock record, the
+// writes of src — another record of the same transaction — that dst lacks
+// (a machine can be primary for one written region and backup for another;
+// it then receives both LOCK and COMMIT-BACKUP records with different write
+// subsets). The Values appended alias src's payload, which outlives src.
+func mergeRecords(dst, src *proto.Record) {
+	n := len(dst.Writes)
+	for _, w := range src.Writes {
+		if !writesAddr(dst.Writes[:n], w.Addr) {
+			dst.Writes = append(dst.Writes, w)
 		}
 	}
-	return &merged
 }
 
 func writesAddr(ws []proto.ObjectWrite, addr proto.Addr) bool {
@@ -131,13 +190,13 @@ func writesAddr(ws []proto.ObjectWrite, addr proto.Addr) bool {
 }
 
 // applyPiggyback processes the truncation metadata every record carries.
-func (m *Machine) applyPiggyback(lr *logReader, rec *proto.Record) {
+func (m *Machine) applyPiggyback(rec *proto.Record) {
 	if rec.TruncLow > 0 {
 		m.truncWindow(rec.Tx.Coord()).setLow(rec.TruncLow)
 	}
 	for _, packed := range rec.TruncIDs {
 		thread, local := unpackTruncID(packed)
-		m.truncateTx(lr, proto.CoordKey{Machine: rec.Tx.Machine, Thread: thread}, local)
+		m.truncateTx(proto.CoordKey{Machine: rec.Tx.Machine, Thread: thread}, local)
 	}
 }
 
@@ -173,7 +232,7 @@ func (m *Machine) processLock(rt *remoteTx, rec *proto.Record) {
 			regionmem.Unlock(rep.mem, int(addr.Off))
 			delete(rep.lockOwner, addr.Off)
 		}
-		rt.lockedObjs = nil
+		rt.lockedObjs = rt.lockedObjs[:0]
 		rt.lockRefused = held == 0
 		m.c.Counters.Inc("lock_failed", 1)
 	}
@@ -249,7 +308,7 @@ func (m *Machine) applyCommitPrimary(rt *remoteTx) {
 			delete(rep.lockOwner, w.Addr.Off)
 		}
 	}
-	rt.lockedObjs = nil
+	rt.lockedObjs = rt.lockedObjs[:0]
 }
 
 // freeSlotAtPrimary returns a freed object's slot to the allocator,
@@ -276,25 +335,25 @@ func (m *Machine) releaseLocks(rt *remoteTx) {
 			delete(rep.lockOwner, addr.Off)
 		}
 	}
-	rt.lockedObjs = nil
+	rt.lockedObjs = rt.lockedObjs[:0]
 }
 
 // truncateTx performs §4 step 5 at a participant: backups apply the
 // transaction's writes to their replicas, the transaction's log frames are
-// reclaimed, and the id joins the truncated set.
-func (m *Machine) truncateTx(lr *logReader, key proto.CoordKey, local uint64) {
+// reclaimed, its participant entry is recycled, and the id joins the
+// truncated set.
+func (m *Machine) truncateTx(key proto.CoordKey, local uint64) {
 	k := mtl{m: key.Machine, t: key.Thread, local: local}
 	if rt := m.pend[k]; rt != nil {
 		if rt.saw&(proto.SawAbort|proto.SawAbortRecovery) == 0 {
 			m.applyAtBackup(rt)
 		}
-		delete(m.pend, k)
+		for _, f := range rt.frames {
+			f.lr.rd.Truncate(f.seq)
+		}
+		m.dropRemoteTx(k, rt)
 	}
 	m.truncWindow(key).add(local)
-	for _, seq := range lr.frames[k] {
-		lr.rd.Truncate(seq)
-	}
-	delete(lr.frames, k)
 }
 
 // applyAtBackup applies a committed transaction's writes to regions this

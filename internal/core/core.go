@@ -20,7 +20,8 @@
 //	tx.go        transaction API: writes, alloc/free, the read and write set
 //	read.go      object reads as pooled state machines, lock-free reads
 //	commit.go    the four-phase commit protocol (Figure 4)
-//	apply.go     participant-side log record processing and truncation
+//	apply.go     participant-side log record processing and truncation, the
+//	             pools of decoded records and participant entries
 //	truncate.go  coordinator-side lazy truncation, the id-window set
 //	watchdog.go  stall sweep: stuck lock/validate phases, lost decisions
 //	reconfig.go  precise-membership reconfiguration (Figure 5)

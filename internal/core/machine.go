@@ -63,24 +63,39 @@ type replica struct {
 }
 
 // remoteTx is participant-side state for a transaction whose records
-// appear in this machine's logs.
+// appear in this machine's logs. Entries come from the machine's pool
+// (newRemoteTx) and go back to it when the transaction truncates, with the
+// capacity of their slices (DESIGN.md §12).
 type remoteTx struct {
-	id   proto.TxID
-	lock *proto.Record // LOCK or COMMIT-BACKUP contents (our objects)
-	saw  uint8         // proto.Saw* bits
+	id proto.TxID
+	// lock holds the LOCK or COMMIT-BACKUP contents (our objects), the two
+	// merged when both arrive: a pooled record this entry owns, recycled
+	// with it. It never leaves the machine; recovery hands out clones.
+	lock *proto.Record
+	saw  uint8 // proto.Saw* bits
 	// lockedObjs are objects this machine locked as primary.
 	lockedObjs []proto.Addr
 	applied    bool
 	// lockRefused marks a transaction whose LOCK this primary refused: it
 	// holds nothing here and its coordinator must abort it.
 	lockRefused bool
-	// regionHint caches the written-region list from any record, for
-	// recovery classification when the lock record is absent.
+	// regionHint is a copy of the written-region list of the last record
+	// that carried one, for recovery classification when the lock record is
+	// absent.
 	regionHint []uint32
+	// frames are the log frames holding the transaction's records, reclaimed
+	// when it truncates.
+	frames []logFrame
 	// lastChange is when this entry last made protocol progress (a record,
 	// replicated state, or a recovery decision arrived). The stall sweep
 	// uses it to detect recovering transactions whose decision was lost.
 	lastChange sim.Time
+}
+
+// logFrame is one frame of a peer's log ring, by sequence number.
+type logFrame struct {
+	lr  *logReader
+	seq uint64
 }
 
 // logReader wraps the receiver side of one peer's transaction log.
@@ -96,9 +111,6 @@ type logReader struct {
 	// pollFn is the reader's single pre-bound poll callback (see
 	// newLogReader), so scheduling a poll allocates nothing.
 	pollFn func()
-	// frames indexes untruncated frame seqs by transaction (keyed without
-	// the configuration component, matching truncation references).
-	frames map[mtl][]uint64
 	// reported is the consumed-bytes watermark last pushed to the sender.
 	reported uint64
 }
@@ -176,7 +188,7 @@ func (m *Machine) addPeer() {
 // newLogReader builds the reader for one peer's log ring with its poll
 // callback bound once.
 func newLogReader(m *Machine, src int, rd *ring.Reader) *logReader {
-	lr := &logReader{src: src, rd: rd, frames: make(map[mtl][]uint64)}
+	lr := &logReader{src: src, rd: rd}
 	lr.pollFn = func() {
 		lr.pollScheduled = false
 		if m.alive {
@@ -288,13 +300,16 @@ type Machine struct {
 	// steady state; pollFree, readFree, recFree, valFree and lockFree do the
 	// same for log-poll batches, object reads (read.go), commit-record
 	// writes, per-object validations (commit.go) and local LOCK verdicts
-	// (apply.go).
+	// (apply.go), decFree and pendFree for the log records participants
+	// decode and their participant entries (apply.go).
 	taskFree []*msgTask
 	pollFree []*pollTask
 	readFree []*readOp
 	recFree  []*recWrite
 	valFree  []*valOp
 	lockFree []*lockVerdict
+	decFree  []*proto.Record
+	pendFree []*remoteTx
 	// pollShards is decodeFrames' per-poll table, one slot per coordinator
 	// thread (mod workers); every slot is nil between polls.
 	pollShards []*pollTask
@@ -739,20 +754,24 @@ func (m *Machine) onRemoteWrite(region nvram.RegionID, _, _ int) {
 
 // parsedRecord is one item of a polled batch: a decoded log record with its
 // frame's sequence number, or — split set — the one piggybacked truncation
-// id, truncID, that rec carried for another coordinator thread.
+// id, truncID, that a record of type typ from transaction tx carried for
+// another coordinator thread. A split item holds no pointer to its carrier:
+// the carrier's own shard, on another worker, may have recycled it first.
 type parsedRecord struct {
 	rec     *proto.Record
 	seq     uint64
 	truncID uint64
 	split   bool
+	typ     proto.RecordType
+	tx      proto.TxID
 }
 
 // pollTask carries one coordinator thread's share of a polled batch to the
 // worker thread that processes it. Like msgTask it is pooled with runFn
 // bound once; it recycles itself once the records are handled, before the
-// drain barrier runs. Only the carrier and its batch slice are reused: each
-// Record is a fresh GC-owned value, because participant state
-// (remoteTx.lock) and recovery messages keep them long after the batch.
+// drain barrier runs. Its records come from the machine's pool too, and
+// handleRecord decides whether each goes back (DESIGN.md §12); the records
+// of a batch dropped with a dead machine are left to the collector.
 type pollTask struct {
 	m     *Machine
 	lr    *logReader
@@ -801,8 +820,9 @@ func (m *Machine) decodeFrames(lr *logReader) {
 		return // nothing was ever written to this ring
 	}
 	for _, f := range lr.rd.Poll() {
-		rec := new(proto.Record)
+		rec := m.newRecord()
 		if proto.DecodeRecord(f.Payload, rec) != nil {
+			m.putRecord(rec)
 			continue
 		}
 		pt := m.shardFor(lr, rec.Tx.Thread)
@@ -812,7 +832,7 @@ func (m *Machine) decodeFrames(lr *logReader) {
 		for _, id := range rec.TruncIDs {
 			if thread, _ := unpackTruncID(id); thread != rec.Tx.Thread {
 				owner := m.shardFor(lr, thread)
-				owner.batch = append(owner.batch, parsedRecord{rec: rec, seq: f.Seq, truncID: id, split: true})
+				owner.batch = append(owner.batch, parsedRecord{seq: f.Seq, truncID: id, split: true, typ: rec.Type, tx: rec.Tx})
 			} else {
 				own = append(own, id)
 			}
@@ -868,7 +888,7 @@ func (pt *pollTask) run() {
 	} else {
 		for _, p := range pt.batch {
 			if p.split {
-				m.truncateSplit(lr, p.rec, p.truncID, preDrain)
+				m.truncateSplit(p, preDrain)
 			} else {
 				m.handleRecord(lr, p.rec, p.seq, preDrain)
 			}
@@ -886,12 +906,12 @@ func (pt *pollTask) run() {
 // truncateSplit applies a truncation id that decodeFrames split off its
 // carrier, unless handleRecord drops the carrier's piggyback with it: the
 // non-member gate, which explicit TRUNCATEs do not pass through.
-func (m *Machine) truncateSplit(lr *logReader, carrier *proto.Record, id uint64, preDrain bool) {
-	if carrier.Type != proto.RecTruncate && m.fromNonMember(carrier, preDrain) {
+func (m *Machine) truncateSplit(p parsedRecord, preDrain bool) {
+	if p.typ != proto.RecTruncate && m.fromNonMember(p.tx, preDrain) {
 		return
 	}
-	thread, local := unpackTruncID(id)
-	m.truncateTx(lr, proto.CoordKey{Machine: carrier.Tx.Machine, Thread: thread}, local)
+	thread, local := unpackTruncID(p.truncID)
+	m.truncateTx(proto.CoordKey{Machine: p.tx.Machine, Thread: thread}, local)
 }
 
 // pollLog processes newly arrived frames of one peer's log on the worker

@@ -124,18 +124,25 @@ func (c *Cluster) reestablishRings() {
 				continue
 			}
 			for _, f := range lr.rd.Pending() {
-				rec := new(proto.Record)
+				rec := m.newRecord()
 				if proto.DecodeRecord(f.Payload, rec) != nil {
+					m.putRecord(rec)
 					continue
 				}
 				m.handleRecord(lr, rec, f.Seq, true)
 			}
 		}
 	}
-	// 2. Fresh ring state on both ends.
+	// 2. Fresh ring state on both ends. The participant entries' frame
+	// indexes name frames of the old readers, which share the memory the
+	// fresh ones wrap: forget them, the rings are emptied.
 	for _, m := range c.Machines {
 		if !m.alive {
 			continue
+		}
+		for _, rt := range m.pend {
+			clear(rt.frames)
+			rt.frames = rt.frames[:0]
 		}
 		for src, p := range m.peers {
 			if p.logR.rd != nil {

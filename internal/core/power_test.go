@@ -116,6 +116,67 @@ func TestPowerFailureResolvesInFlightTransactions(t *testing.T) {
 	}
 }
 
+// TestPowerCycleForgetsOldLogFrames: restoring power replaces every log
+// reader by a fresh one over the same, emptied ring memory. A participant
+// entry that survives the outage must not name frames of the old readers,
+// or truncating it would zero what the fresh ring has since received.
+func TestPowerCycleForgetsOldLogFrames(t *testing.T) {
+	c, _ := testCluster(t, Options{NumMachines: 5, Seed: 53})
+	addr := writeObject(t, c, c.Machine(1), []byte("vvvvvvvv"))
+	c.RunFor(20 * sim.Millisecond)
+	stale := func() (n, all int) {
+		for _, m := range c.Machines {
+			for _, rt := range m.pend {
+				for _, f := range rt.frames {
+					all++
+					if f.lr != m.peer(f.lr.src).logR {
+						n++
+					}
+				}
+			}
+		}
+		return n, all
+	}
+
+	m := c.Machine(1)
+	stop := false
+	var loop func(i byte)
+	loop = func(i byte) {
+		if stop || !m.Alive() {
+			return
+		}
+		tx := m.Begin(int(i) % m.Threads())
+		tx.Read(addr, 8, func(_ []byte, err error) {
+			if err != nil {
+				return
+			}
+			tx.Write(addr, []byte{i, i, i, i, i, i, i, i})
+			tx.Commit(func(error) { loop(i + 1) })
+		})
+	}
+	for th := byte(0); th < 4; th++ {
+		loop(th * 64)
+	}
+	c.RunFor(5 * sim.Millisecond)
+	c.PowerFailure()
+	if _, all := stale(); all == 0 {
+		t.Fatal("no participant entry holds frames at the outage")
+	}
+	c.RunFor(50 * sim.Millisecond)
+	c.RestorePower()
+	for i := 0; i < 50; i++ {
+		if n, _ := stale(); n != 0 {
+			t.Fatalf("%v after power returned: %d frames of replaced log readers", c.Now(), n)
+		}
+		c.RunFor(sim.Millisecond)
+	}
+	stop = true
+	c.RunFor(100 * sim.Millisecond)
+	if n, _ := stale(); n != 0 {
+		t.Fatalf("%d frames of replaced log readers", n)
+	}
+}
+
 func TestPowerFailureReportedCommitsSurvive(t *testing.T) {
 	// Transactions reported committed before the outage must read back
 	// afterwards — the paper's core durability promise.

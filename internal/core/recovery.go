@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"hash/fnv"
+	"slices"
 
 	"farm/internal/proto"
 	"farm/internal/regionmem"
@@ -229,7 +230,7 @@ func (m *Machine) findRecoveringTxs() {
 					}
 					rs.regions[region] = rr
 				}
-				rr.add(m.ID, rt.id, rt.saw, rt.lock)
+				rr.add(m.ID, rt.id, rt.saw, rt.lock.Clone())
 			} else {
 				// We are a backup: report to the primary (step 3).
 				p := int(rm.Replicas[0])
@@ -364,7 +365,7 @@ func (m *Machine) onNeedRecovery(src int, nr *proto.NeedRecovery) {
 			}
 			for _, r := range rt.regions() {
 				if r == nr.Region && remoteTxTouches(rt, r) {
-					rr.add(m.ID, rt.id, rt.saw, rt.lock)
+					rr.add(m.ID, rt.id, rt.saw, rt.lock.Clone())
 				}
 			}
 		}
@@ -462,24 +463,27 @@ func (m *Machine) maybeRecoverRegion(rr *regionRecovery) {
 }
 
 // installPendLock upserts a recovered lock record into the participant
-// state used by record application.
+// state used by record application. lock came in a message: it is foreign,
+// so the entry keeps a copy of its own (or merges lock into the one it has)
+// and lock itself is never recycled.
 func (m *Machine) installPendLock(id proto.TxID, lock *proto.Record) {
 	k := mtlOf(id)
 	rt := m.pend[k]
 	if rt == nil {
-		rt = &remoteTx{id: id}
-		m.pend[k] = rt
+		rt = m.newRemoteTx(k, id)
 	}
-	if rt.lock == nil {
-		rt.lock = lock
-	} else if lock != nil {
-		rt.lock = mergeRecords(rt.lock, lock)
+	if lock != nil {
+		if rt.lock == nil {
+			rt.lock = lock.Clone()
+		} else {
+			mergeRecords(rt.lock, lock)
+		}
+		if len(lock.Regions) > 0 {
+			rt.regionHint = append(rt.regionHint[:0], lock.Regions...)
+		}
 	}
 	rt.saw |= proto.SawLock
 	rt.lastChange = m.c.Eng.Now()
-	if lock != nil && len(lock.Regions) > 0 {
-		rt.regionHint = lock.Regions
-	}
 }
 
 // recoverLocks write-locks every object a recovering transaction modified
@@ -580,8 +584,9 @@ func (m *Machine) replicateAndVote(rr *regionRecovery) {
 				}
 				if rt.sawBy[bid]&(proto.SawLock|proto.SawCommitBackup) == 0 {
 					rt.replOutstanding++
+					lock := rt.lock.Clone() // records leave a machine as copies of their own
 					m.sendCtx(bid, &proto.ReplicateTxState{
-						Config: m.config.ID, Region: rr.region, Tx: rt.id, Lock: rt.lock,
+						Config: m.config.ID, Region: rr.region, Tx: rt.id, Lock: lock,
 					}, m.recoveryTraceCtx())
 				}
 			}
@@ -658,7 +663,7 @@ func (m *Machine) onFetchTxState(src int, f *proto.FetchTxState) {
 		rt := m.pend[mtlOf(id)]
 		var lock *proto.Record
 		if rt != nil {
-			lock = rt.lock
+			lock = rt.lock.Clone()
 		}
 		m.send(src, &proto.SendTxState{Config: m.config.ID, Region: f.Region, Tx: id, Lock: lock})
 	}
@@ -875,7 +880,7 @@ func (m *Machine) onRequestVote(src int, rv *proto.RequestVote) {
 	}
 	if rt := m.pend[k]; rt != nil && remoteTxTouches(rt, rv.Region) {
 		vote = voteFromSaw(rt.saw)
-		regions = rt.regions()
+		regions = slices.Clone(rt.regions())
 	} else if m.truncWindow(rv.Tx.Coord()).has(rv.Tx.Local) {
 		vote = proto.VoteTruncated
 	}
@@ -1019,8 +1024,7 @@ func (m *Machine) onRecoveryDecision(src int, id proto.TxID, commit bool) {
 	}
 	rt := m.pend[k]
 	if rt == nil {
-		rt = &remoteTx{id: id}
-		m.pend[k] = rt
+		rt = m.newRemoteTx(k, id)
 	}
 	rt.lastChange = m.c.Eng.Now()
 	if commit {
@@ -1139,19 +1143,11 @@ func (m *Machine) sendTruncateRecovery(vc *voteCollector) {
 }
 
 // onTruncateRecovery reclaims a recovered transaction's state: backups
-// apply committed writes, locks are dropped, frames reclaimed.
+// apply committed writes, locks are dropped, frames reclaimed. (A
+// coordinator the peer table does not hold has no truncated-id set to
+// join.)
 func (m *Machine) onTruncateRecovery(t *proto.TruncateRecovery) {
-	k := mtlOf(t.Tx)
-	if p := m.peer(int(t.Tx.Machine)); p != nil {
-		m.truncateTx(p.logR, t.Tx.Coord(), t.Tx.Local)
-	} else if rt := m.pend[k]; rt != nil {
-		// A coordinator the table does not hold has no log here, and no
-		// truncated-id set to join.
-		if rt.saw&(proto.SawAbort|proto.SawAbortRecovery) == 0 {
-			m.applyAtBackup(rt)
-		}
-		delete(m.pend, k)
-	}
+	m.truncateTx(t.Tx.Coord(), t.Tx.Local)
 }
 
 // queryDecision asks a transaction's recovery coordinator what became of a
@@ -1187,7 +1183,7 @@ func (m *Machine) sweepStuckRecovering(now sim.Time) {
 		}
 		rt.lastChange = now
 		m.c.Counters.Inc("recovery_query", 1)
-		q := &queryDecision{Config: m.config.ID, Tx: rt.id, Regions: regions}
+		q := &queryDecision{Config: m.config.ID, Tx: rt.id, Regions: slices.Clone(regions)}
 		coord := m.recoveryCoordinator(rt.id)
 		if coord == m.ID {
 			m.onQueryDecision(m.ID, q)

@@ -40,7 +40,7 @@ func observePolls(m *Machine, n int, log *[]handled) {
 				src := pt.lr.src
 				if p.split {
 					th, local := unpackTruncID(p.truncID)
-					*log = append(*log, handled{src: src, tx: mtl{m: p.rec.Tx.Machine, t: th, local: local}, seq: p.seq, trunc: true, split: true})
+					*log = append(*log, handled{src: src, tx: mtl{m: p.tx.Machine, t: th, local: local}, seq: p.seq, trunc: true, split: true})
 					continue
 				}
 				*log = append(*log, handled{src: src, tx: mtlOf(p.rec.Tx), seq: p.seq})

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Addr is a FaRM global address: a region identifier plus an offset within
@@ -241,52 +242,73 @@ func (r *reader) count(minBytes int) int {
 }
 
 // DecodeRecord decodes a record produced by AppendRecord into *rec,
-// overwriting it. The decoded ObjectWrite.Values ALIAS data (capacity-
-// capped, so appending to one cannot scribble on its neighbour): the
-// caller must hand in bytes that nothing will modify while the record is
-// reachable — a ring frame's private payload copy, never ring memory
-// itself. It allocates the three element slices and nothing per write.
-// On ErrBadRecord *rec is left zero.
+// overwriting every field. The Writes, Regions and TruncIDs slices reuse
+// rec's backing arrays where they are big enough, so decoding into a record
+// that held as many elements before allocates nothing; an empty list leaves
+// a nil slice nil and cuts a used one to length zero. The decoded
+// ObjectWrite.Values ALIAS data (capacity-capped, so appending to one cannot
+// scribble on its neighbour): the caller must hand in bytes that nothing
+// will modify while the record is reachable — a ring frame's private
+// payload copy, never ring memory itself. On ErrBadRecord *rec is left
+// zero.
 func DecodeRecord(data []byte, rec *Record) error {
 	rd := reader{b: data}
-	*rec = Record{Type: RecordType(rd.u8())}
-	if rec.Type == RecInvalid || rec.Type > RecTruncate {
+	typ := RecordType(rd.u8())
+	if typ == RecInvalid || typ > RecTruncate {
 		*rec = Record{}
 		return ErrBadRecord
 	}
+	rec.Type = typ
 	rec.Tx.Config = rd.u64()
 	rec.Tx.Machine = rd.u16()
 	rec.Tx.Thread = rd.u16()
 	rec.Tx.Local = rd.u64()
 	rec.TruncLow = rd.u64()
-	if n := rd.count(8); n > 0 {
-		rec.TruncIDs = make([]uint64, n)
-		for i := range rec.TruncIDs {
-			rec.TruncIDs[i] = rd.u64()
-		}
+	rec.TruncIDs = resize(rec.TruncIDs, rd.count(8))
+	for i := range rec.TruncIDs {
+		rec.TruncIDs[i] = rd.u64()
 	}
-	if n := rd.count(4); n > 0 {
-		rec.Regions = make([]uint32, n)
-		for i := range rec.Regions {
-			rec.Regions[i] = rd.u32()
-		}
+	rec.Regions = resize(rec.Regions, rd.count(4))
+	for i := range rec.Regions {
+		rec.Regions[i] = rd.u32()
 	}
-	if n := rd.count(writeFixedBytes); n > 0 {
-		rec.Writes = make([]ObjectWrite, n)
-		for i := range rec.Writes {
-			w := &rec.Writes[i]
-			w.Addr.Region = rd.u32()
-			w.Addr.Off = rd.u32()
-			w.Version = rd.u64()
-			w.Allocated = rd.u8() != 0
-			w.Value = rd.take(int(rd.u32()))
-		}
+	rec.Writes = resize(rec.Writes, rd.count(writeFixedBytes))
+	for i := range rec.Writes {
+		w := &rec.Writes[i]
+		w.Addr.Region = rd.u32()
+		w.Addr.Off = rd.u32()
+		w.Version = rd.u64()
+		w.Allocated = rd.u8() != 0
+		w.Value = rd.take(int(rd.u32()))
 	}
 	if rd.err || rd.pos != len(data) {
 		*rec = Record{}
 		return ErrBadRecord
 	}
 	return nil
+}
+
+// resize returns s cut or extended to n elements, reusing its backing array
+// when it holds n; the caller overwrites every element.
+func resize[T any](s []T, n int) []T {
+	if n > cap(s) {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Clone returns a copy of r that shares no memory with it but the Values,
+// which no holder writes in place: what a record owned by a pool is handed
+// out as. A nil r clones to nil.
+func (r *Record) Clone() *Record {
+	if r == nil {
+		return nil
+	}
+	c := *r
+	c.Regions = slices.Clone(r.Regions)
+	c.Writes = slices.Clone(r.Writes)
+	c.TruncIDs = slices.Clone(r.TruncIDs)
+	return &c
 }
 
 // Vote is a recovery vote (§5.3 step 6) sent by the primary of a region to

@@ -171,9 +171,58 @@ func TestDecodedValuesAliasInput(t *testing.T) {
 	}
 }
 
+// bigRecord draws random records until one has at least 30 writes and 4
+// regions and truncation ids.
+func bigRecord(rng *rand.Rand) *Record {
+	for {
+		if r := randomRecord(rng); len(r.Writes) >= 30 && len(r.Regions) >= 4 && len(r.TruncIDs) >= 4 {
+			return r
+		}
+	}
+}
+
+// TestDecodeIntoUsedRecord: decoding into a record that held more writes,
+// regions and ids leaves none of them behind, whatever the new record's
+// lists hold; an empty list is nil in a fresh record and empty (its array
+// kept for the next decode) in a used one, and a failed decode zeroes it.
+func TestDecodeIntoUsedRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	big := bigRecord(rng)
+	small := sampleRecord()
+	small.Writes, small.Regions = small.Writes[:1], small.Regions[:1]
+	empty := &Record{Type: RecCommitPrimary, Tx: TxID{Config: 9, Machine: 1, Thread: 2, Local: 3}}
+	for _, want := range []*Record{small, empty, randomRecord(rng), big} {
+		used := decode(t, encode(big))
+		capW := cap(used.Writes)
+		if err := DecodeRecord(encode(want), used); err != nil {
+			t.Fatal(err)
+		}
+		if !sameRecord(used, want) {
+			t.Fatalf("decoded into a used record:\n got %+v\nwant %+v", used, want)
+		}
+		if len(want.Writes) <= capW && cap(used.Writes) != capW {
+			t.Fatalf("%d writes into capacity %d reallocated", len(want.Writes), capW)
+		}
+	}
+	used := decode(t, encode(big))
+	if err := DecodeRecord(encode(empty), used); err != nil ||
+		used.Writes == nil || used.Regions == nil || used.TruncIDs == nil ||
+		len(used.Writes)+len(used.Regions)+len(used.TruncIDs) != 0 {
+		t.Fatalf("empty lists in a used record: %+v (%v)", used, err)
+	}
+	if fresh := decode(t, encode(empty)); fresh.Writes != nil || fresh.Regions != nil || fresh.TruncIDs != nil {
+		t.Fatalf("empty lists in a fresh record are not nil: %+v", fresh)
+	}
+	if DecodeRecord(encode(big)[:40], used) == nil || used.Type != RecInvalid ||
+		used.Writes != nil || used.Regions != nil || used.TruncIDs != nil {
+		t.Fatalf("failed decode into a used record left %+v", used)
+	}
+}
+
 // TestCodecAllocationBudget: sizing and encoding into a sized buffer are
-// free, and decoding allocates the record's three slices (plus the
-// caller's Record) however many objects it carries.
+// free, decoding allocates the record's three slices (plus the caller's
+// Record) however many objects it carries, and decoding into a record that
+// held as many elements allocates nothing.
 func TestCodecAllocationBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	small, large := randomRecord(rng), randomRecord(rng)
@@ -204,6 +253,15 @@ func TestCodecAllocationBudget(t *testing.T) {
 		if n > 4 {
 			t.Errorf("DecodeRecord of %d writes: %v allocs, want <= 4 whatever the write count", len(r.Writes), n)
 		}
+		warm := new(Record)
+		n = testing.AllocsPerRun(100, func() {
+			if DecodeRecord(buf, warm) != nil {
+				t.Fatal("decode failed")
+			}
+		})
+		if n != 0 {
+			t.Errorf("DecodeRecord of %d writes into a warm record: %v allocs, want 0", len(r.Writes), n)
+		}
 	}
 }
 
@@ -213,8 +271,9 @@ var (
 )
 
 // FuzzDecodeRecord: arbitrary bytes never panic; they either fail with
-// ErrBadRecord or decode to a record that re-encodes to the same bytes.
-// Without -fuzz it runs the seed corpus as an ordinary test.
+// ErrBadRecord or decode to a record that re-encodes to the same bytes —
+// and to the same record when decoded into one that held more. Without
+// -fuzz it runs the seed corpus as an ordinary test.
 func FuzzDecodeRecord(f *testing.F) {
 	good := encode(sampleRecord())
 	f.Add(good)
@@ -232,9 +291,17 @@ func FuzzDecodeRecord(f *testing.F) {
 		b[rng.Intn(len(b))] ^= byte(1 << rng.Intn(8)) // one flipped bit
 		f.Add(b)
 	}
+	used := encode(bigRecord(rand.New(rand.NewSource(5))))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var rec Record
+		var rec, reused Record
 		err := DecodeRecord(data, &rec)
+		if DecodeRecord(used, &reused) != nil {
+			t.Fatal("decode of the reused record's first contents failed")
+		}
+		if rerr := DecodeRecord(data, &reused); rerr != err ||
+			(err == nil && !sameRecord(&rec, &reused)) || (err != nil && reused.Writes != nil) {
+			t.Fatalf("decoding into a used record: %v and %+v, into a fresh one: %v and %+v", rerr, reused, err, rec)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrBadRecord) {
 				t.Fatalf("unexpected error %v", err)
