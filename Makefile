@@ -31,11 +31,11 @@ bench:
 
 # Simulator performance gate: re-measure the scale suite (TATP and bank
 # at 9, 50 and 100 machines: six points) and compare against the
-# committed BENCH_sim.json — fails on a >25% events/sec regression
-# (wall-clock, noisy, hence generous), a >10% growth in committed-tx p99
-# or msgs/tx (both deterministic, so those gates never fire on host
-# noise), or any steady-state engine allocation. Prints the
-# fresh-vs-committed table; the fresh report lands in
+# committed BENCH_sim.json — fails on a >10% growth in committed-tx p99
+# or msgs/tx (both deterministic, so the gate never fires on host noise)
+# or any steady-state engine allocation. Events/sec is printed, not
+# gated: it is wall-clock, and a wall-time claim needs paired runs.
+# Prints the fresh-vs-committed table; the fresh report lands in
 # BENCH_sim.fresh.json (gitignored; CI uploads it on failure). Refresh
 # the baseline after a deliberate change with
 # `go run ./cmd/farm-perf -update`.

@@ -74,6 +74,7 @@ func main() {
 	// Worker busy time is cumulative: note it where the measured window
 	// starts.
 	busyAtWarm := make([][]sim.Time, *machines)
+	var cpuAtWarm map[string]uint64
 	var treesAtWarm [5]uint64
 	var committedAtWarm, opsAtWarm uint64
 	var memAtWarm, memAtEnd runtime.MemStats
@@ -81,6 +82,7 @@ func main() {
 		for i := range busyAtWarm {
 			busyAtWarm[i] = c.Machine(i).WorkerBusy()
 		}
+		cpuAtWarm = c.Counters.Snapshot()
 		if tpccW != nil {
 			treesAtWarm, committedAtWarm = tpccW.DescentStats(), c.Counters.Get("tx_committed")
 		}
@@ -102,10 +104,12 @@ func main() {
 	fmt.Printf("            by cause, whole run: conflict=%d no_log_space=%d unavailable=%d\n",
 		c.Counters.Get("tx_aborted"), c.Counters.Get("tx_no_log_space"), c.Counters.Get("tx_unavailable"))
 	fmt.Printf("workers:    busy %% of the measured window, least busy/mean/busiest worker of each machine")
+	var busyNs float64
 	for i := range busyAtWarm {
 		lo, hi, sum := 101.0, 0.0, 0.0
 		busy := c.Machine(i).WorkerBusy()
 		for th, b := range busy {
+			busyNs += float64(b - busyAtWarm[i][th])
 			pct := 100 * float64(b-busyAtWarm[i][th]) / float64(measure.Nanoseconds())
 			lo, hi, sum = min(lo, pct), max(hi, pct), sum+pct
 		}
@@ -115,6 +119,14 @@ func main() {
 		fmt.Printf(" m%d %.0f/%.0f/%.0f ", i, lo, sum/float64(len(busy)), hi)
 	}
 	fmt.Println()
+	// Worker time by what it was charged for, as each cost was queued: log
+	// records (polled shards, and the per-object work of a machine's appends
+	// to its own log), message receive and message send.
+	cpu := c.Counters.Diff(cpuAtWarm)
+	share := func(name string) float64 { return 100 * float64(cpu[name]) / max(busyNs, 1) }
+	records, recv, send := share("cpu_records_ns"), share("cpu_msg_recv_ns"), share("cpu_msg_send_ns")
+	fmt.Printf("cpu:        share of worker busy time over the measured window: records %.1f%%, msg receive %.1f%%, msg send %.1f%%, rest %.1f%%\n",
+		records, recv, send, 100-records-recv-send)
 	// A processed LOCK record answers with a LOCK-REPLY message unless its
 	// coordinator is the primary that processed it.
 	if locks := c.Counters.Get("rec LOCK"); locks > 0 {

@@ -3,17 +3,15 @@
 // fabric messages and wire bytes per committed transaction, abort rate.
 // The result is the perf trajectory committed as BENCH_sim.json. With -check
 // (on by default) the fresh measurement is compared against the committed
-// baseline and the run fails on a >25% events/sec regression (wall-clock,
-// so the gate is generous) or a >10% growth in committed-tx p99 or
-// msgs/tx (deterministic, so the gate is tight and never fires on host
-// noise) — transport and engine regressions are caught in CI rather than
-// discovered when a 100-machine experiment stops fitting in a lunch
-// break.
+// baseline and the run fails on a >10% growth in committed-tx p99 or
+// msgs/tx. Those are deterministic, so the gate is tight and never fires on
+// host noise. Events/sec is printed beside them and not gated: it swings
+// with host load, and a wall-time claim needs paired runs of both binaries.
 //
 //	farm-perf                          # measure, check against BENCH_sim.json
 //	farm-perf -update                  # measure and rewrite the baseline
 //	farm-perf -out /tmp/b.json -check=false
-//	farm-perf -threshold 0.2           # tolerate up to 20% regression
+//	farm-perf -exact-threshold 0.05    # tolerate up to 5% p99 or msgs/tx growth
 package main
 
 import (
@@ -28,7 +26,6 @@ var (
 	baselinePath = flag.String("baseline", "BENCH_sim.json", "committed baseline to compare against")
 	outPath      = flag.String("out", "", "write the fresh report to this path (empty: don't write)")
 	check        = flag.Bool("check", true, "fail on regression against the baseline")
-	threshold    = flag.Float64("threshold", 0.25, "allowed fractional events/sec regression (wall-clock, noisy)")
 	exactThresh  = flag.Float64("exact-threshold", 0.10, "allowed fractional growth of the deterministic metrics (tx p99, msgs/tx)")
 	update       = flag.Bool("update", false, "rewrite the baseline with the fresh measurement")
 )
@@ -42,7 +39,8 @@ func pct(fresh, base float64) string {
 }
 
 // printComparison renders the fresh measurement next to the committed
-// baseline, one row per point, with the gated columns.
+// baseline, one row per point: the reported events/sec, then the gated
+// columns.
 func printComparison(baseline, fresh *perf.Report) {
 	fmt.Println("\nfresh vs committed baseline:")
 	fmt.Printf("%-9s %12s %8s  %12s %8s  %10s %8s\n",
@@ -97,12 +95,12 @@ func main() {
 		os.Exit(1)
 	}
 	printComparison(baseline, report)
-	if bad := perf.Compare(baseline, report, *threshold, *exactThresh); len(bad) > 0 {
+	if bad := perf.Compare(baseline, report, *exactThresh); len(bad) > 0 {
 		for _, b := range bad {
 			fmt.Fprintln(os.Stderr, "REGRESSION:", b)
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("PASS: no point regressed more than %.0f%% ev/s or %.0f%% p99/msgs-per-tx vs %s\n",
-		*threshold*100, *exactThresh*100, *baselinePath)
+	fmt.Printf("PASS: no point's p99 or msgs/tx grew more than %.0f%% vs %s\n",
+		*exactThresh*100, *baselinePath)
 }

@@ -244,11 +244,12 @@ func (m *Machine) processLock(rt *remoteTx, rec *proto.Record) {
 }
 
 // lockVerdict carries the outcome of a LOCK record this machine wrote into
-// its own log from the worker that processed the record to the coordinator's
-// thread: what a remote primary says in a LOCK-REPLY message, without the
-// message. Pooled like msgTask, runFn bound once, and recycled before the
-// verdict is acted on; one whose machine dies first is dropped with the rest
-// of that thread's work, never recycled.
+// its own log from where the record landed to the coordinator's thread: what
+// a remote primary says in a LOCK-REPLY message, without the message. The
+// coordinator acts on it there, not inside the landing (DESIGN.md §5). Pooled
+// like msgTask, runFn bound once, and recycled before the verdict is acted
+// on; one whose machine dies first is dropped with the rest of that thread's
+// work, never recycled.
 type lockVerdict struct {
 	m     *Machine
 	tx    proto.TxID

@@ -42,6 +42,11 @@ type Cluster struct {
 	// "tx_unavailable" cells: commits that failed before any record was
 	// written (failTx), by cause. Conflict aborts count in "tx_aborted".
 	cNoLogSpace, cUnavailable *uint64
+	// cCPURecords, cCPURecv and cCPUSend are the "cpu_records_ns",
+	// "cpu_msg_recv_ns" and "cpu_msg_send_ns" cells: worker time charged for
+	// log-record handling, message receive (dispatchMsg) and message send
+	// (sendMsg), added where each cost is enqueued.
+	cCPURecords, cCPURecv, cCPUSend *uint64
 	// MsgLatency holds per-message-type delivery latency (transport
 	// enqueue → receiver dispatch), recorded by the message transport.
 	MsgLatency *stats.LatencySet
@@ -89,6 +94,9 @@ func New(opts Options) *Cluster {
 	}
 	c.cNoLogSpace = c.Counters.Cell("tx_no_log_space")
 	c.cUnavailable = c.Counters.Cell("tx_unavailable")
+	c.cCPURecords = c.Counters.Cell("cpu_records_ns")
+	c.cCPURecv = c.Counters.Cell("cpu_msg_recv_ns")
+	c.cCPUSend = c.Counters.Cell("cpu_msg_send_ns")
 
 	if opts.Trace.Enabled {
 		c.Tracer = trace.NewSet(opts.Trace, opts.NumMachines)

@@ -483,7 +483,12 @@ func (m *Machine) writeTxRecord(ct *coordTx, typ proto.RecordType, g *destGroup)
 	}
 	cost := cpuVerb
 	if g.dst == m.ID {
-		cost = cpuLocal // its own log: a memory write, no verb to issue or reap
+		// Its own log: a memory write, no verb to issue or reap. The record is
+		// handled where it lands (onRemoteWrite), so its per-object work is
+		// charged here, to the item that writes it.
+		objs := sim.Time(len(op.rec.Writes)) * cpuPerObject
+		*m.c.cCPURecords += uint64(objs)
+		cost = cpuLocal + objs
 	}
 	m.OnThread(ct.tx.thread, cost, op.runFn)
 }

@@ -106,7 +106,9 @@ type logReader struct {
 	// nor its bytes (nvram's AllocateOnUse) exist. Most of a large
 	// cluster's machines² rings stay that way, because a machine only ever
 	// receives records from coordinators it shares a region with.
-	rd            *ring.Reader
+	rd *ring.Reader
+	// pollScheduled: a poll of the ring is pending, and frames landing
+	// meanwhile are left to it.
 	pollScheduled bool
 	// pollFn is the reader's single pre-bound poll callback (see
 	// newLogReader), so scheduling a poll allocates nothing.
@@ -709,6 +711,7 @@ func (m *Machine) dispatchMsg(src int, msg interface{}, stamp sim.Time, ctx trac
 	}
 	tk := m.getTask()
 	tk.h, tk.src, tk.msg, tk.ctx = h, src, msg, ctx
+	*m.c.cCPURecv += uint64(cpuMsg)
 	if v, ok := msg.(*proto.RecoveryVote); ok {
 		// Votes go to the peer thread of the coordinator thread (§5.3).
 		m.pool.ByIndex(int(v.Tx.Thread)).Do(cpuMsg, tk.runFn)
@@ -721,8 +724,12 @@ func (m *Machine) dispatchMsg(src int, msg interface{}, stamp sim.Time, ctx trac
 // event loop noticing it.
 const pollDelay = 1 * sim.Microsecond
 
-// onRemoteWrite reacts to one-sided writes landing in local memory; for
-// log regions it schedules a poll of that sender's ring.
+// onRemoteWrite reacts to writes landing in local memory; for log regions it
+// schedules a poll of that sender's ring. The machine's own ring is never
+// polled: this process wrote what lands there, and handles it on the spot,
+// shard by shard, before the write's ack runs. The item that appended a
+// record was charged its per-object work (writeTxRecord); a LOCK verdict
+// still goes to the coordinator's thread (handOffLockVerdict).
 func (m *Machine) onRemoteWrite(region nvram.RegionID, _, _ int) {
 	if !m.alive {
 		return
@@ -744,12 +751,20 @@ func (m *Machine) onRemoteWrite(region nvram.RegionID, _, _ int) {
 	if lr.pollScheduled {
 		return
 	}
-	lr.pollScheduled = true
-	delay := pollDelay
 	if sender == m.ID {
-		delay = 0 // the event loop that polls the self ring is the one that wrote it
+		m.decodeFrames(lr)
+		preDrain := m.lastDrained < m.config.ID
+		for s, pt := range m.pollShards {
+			if pt != nil {
+				m.pollShards[s] = nil
+				pt.preDrain = preDrain
+				pt.runFn()
+			}
+		}
+		return
 	}
-	m.c.Eng.After(delay, lr.pollFn)
+	lr.pollScheduled = true
+	m.c.Eng.After(pollDelay, lr.pollFn)
 }
 
 // parsedRecord is one item of a polled batch: a decoded log record with its
@@ -767,9 +782,10 @@ type parsedRecord struct {
 }
 
 // pollTask carries one coordinator thread's share of a polled batch to the
-// worker thread that processes it. Like msgTask it is pooled with runFn
-// bound once; it recycles itself once the records are handled, before the
-// drain barrier runs. Its records come from the machine's pool too, and
+// worker thread that processes it (a batch of the self ring is handled at
+// once, onRemoteWrite). Like msgTask it is pooled with runFn bound once; it
+// recycles itself once the records are handled, before the drain barrier
+// runs. Its records come from the machine's pool too, and
 // handleRecord decides whether each goes back (DESIGN.md §12); the records
 // of a batch dropped with a dead machine are left to the collector.
 type pollTask struct {
@@ -845,16 +861,9 @@ func (m *Machine) decodeFrames(lr *logReader) {
 // (sender + coordinator thread) mod workers. One (sender, thread) always
 // maps to one worker, so its records are handled in ring order; the sender
 // offset keeps a coordinator thread from also serving its same-numbered
-// peers on every other machine. The self ring has no offset: the thread
-// that appended a LOCK record to it is the one waiting for the verdict, so
-// it processes the record itself instead of queueing it behind another
-// worker's client. A drain barrier also goes, as a zero-cost item, to the
-// workers that got no records.
+// peers on every other machine. A drain barrier also goes, as a zero-cost
+// item, to the workers that got no records.
 func (m *Machine) dispatchShards(lr *logReader, preDrain bool, done func()) {
-	offset := lr.src
-	if offset == m.ID {
-		offset = 0
-	}
 	for s, pt := range m.pollShards {
 		if pt == nil {
 			if done == nil {
@@ -864,7 +873,8 @@ func (m *Machine) dispatchShards(lr *logReader, preDrain bool, done func()) {
 		}
 		m.pollShards[s] = nil
 		pt.preDrain, pt.done = preDrain, done
-		m.pool.ByIndex(offset+s).Do(pt.cost, pt.runFn)
+		*m.c.cCPURecords += uint64(pt.cost)
+		m.pool.ByIndex(lr.src+s).Do(pt.cost, pt.runFn)
 	}
 }
 
@@ -995,6 +1005,7 @@ func (m *Machine) sendMsg(thread, dst int, msg interface{}, ctx trace.Ctx) {
 	}
 	tk := m.getTask()
 	tk.send, tk.dst, tk.msg, tk.ctx = true, dst, msg, ctx
+	*m.c.cCPUSend += uint64(cpuMsg)
 	if thread == anyThread {
 		m.pool.Dispatch(cpuMsg, tk.runFn)
 		return

@@ -6,8 +6,8 @@
 // committed transaction, abort rate — what the transport and commit
 // pipeline actually cost, measured deterministically so regressions are
 // exact, not noise. cmd/farm-perf runs the suite, writes BENCH_sim.json,
-// and checks it against the committed baseline so regressions fail CI
-// instead of silently eroding the scale ceiling.
+// and checks the deterministic columns against the committed baseline so
+// protocol regressions fail CI; the wall-clock columns are reported only.
 //
 // Simulated system throughput experiments (Figures 7–8 style sweeps)
 // belong to internal/exper and EXPERIMENTS.md; this package measures the
@@ -308,18 +308,17 @@ func (r *Report) Point(name string) *Point {
 }
 
 // Compare checks got against a committed baseline: every baseline point
-// must be present, events/sec must not regress by more than wall
-// (0.25 = 25%), and the protocol-level metrics — committed-tx p99 and
-// messages per transaction — must not grow by more than exact. The two
-// thresholds exist because the metrics have different noise floors:
-// events/sec is a wall-clock measure that swings with host load, while
-// the protocol metrics are deterministic functions of the simulation and
-// regress bit-exactly, so their gate can be tight without ever firing on
-// noise. A baseline whose protocol field is zero (a v1 report, or a
-// window with no commits) skips that gate. The engine's zero-alloc
-// contract is also enforced here. It returns a list of human-readable
-// violations, empty when the report passes.
-func Compare(baseline, got *Report, wall, exact float64) []string {
+// must be present, and the protocol-level metrics — committed-tx p99 and
+// messages per transaction — must not grow by more than exact (0.10 =
+// 10%). They are deterministic functions of the simulation and regress
+// bit-exactly, so the gate never fires on host noise. Events/sec is
+// reported, not gated: it is a wall-clock measure that swings with host
+// load, and a wall-time claim needs paired runs of both binaries instead.
+// A baseline whose protocol field is zero (a v1 report, or a window with no
+// commits) skips that gate. The engine's zero-alloc contract is also
+// enforced here. It returns a list of human-readable violations, empty when
+// the report passes.
+func Compare(baseline, got *Report, exact float64) []string {
 	var bad []string
 	if got.EngineAllocsPerEvent > 0 {
 		bad = append(bad, fmt.Sprintf(
@@ -334,11 +333,6 @@ func Compare(baseline, got *Report, wall, exact float64) []string {
 		if !ok {
 			bad = append(bad, fmt.Sprintf("point %q missing from new report", b.Name))
 			continue
-		}
-		if floor := b.EventsPerSec * (1 - wall); g.EventsPerSec < floor {
-			bad = append(bad, fmt.Sprintf(
-				"%s: %.0f events/sec is a >%.0f%% regression from baseline %.0f",
-				b.Name, g.EventsPerSec, wall*100, b.EventsPerSec))
 		}
 		if b.TxP99Us > 0 {
 			if ceil := b.TxP99Us * (1 + exact); g.TxP99Us > ceil {

@@ -81,30 +81,23 @@ func TestCompare(t *testing.T) {
 		{Name: "a", EventsPerSec: 1000},
 		{Name: "b", EventsPerSec: 500},
 	}}
-	ok := &Report{Points: []Point{
-		{Name: "a", EventsPerSec: 950}, // -5%: inside a 10% threshold
-		{Name: "b", EventsPerSec: 800}, // improvement
+	// Events/sec is wall-clock: reported, never gated, however far it moves.
+	slower := &Report{Points: []Point{
+		{Name: "a", EventsPerSec: 100},
+		{Name: "b", EventsPerSec: 800},
 	}}
-	if bad := Compare(base, ok, 0.10, 0.10); len(bad) != 0 {
-		t.Fatalf("clean report flagged: %v", bad)
-	}
-
-	regressed := &Report{Points: []Point{
-		{Name: "a", EventsPerSec: 850}, // -15%: beyond threshold
-		{Name: "b", EventsPerSec: 500},
-	}}
-	if bad := Compare(base, regressed, 0.10, 0.10); len(bad) != 1 {
-		t.Fatalf("want exactly the point-a regression, got: %v", bad)
+	if bad := Compare(base, slower, 0.10); len(bad) != 0 {
+		t.Fatalf("a wall-clock move was flagged: %v", bad)
 	}
 
 	missing := &Report{Points: []Point{{Name: "a", EventsPerSec: 1000}}}
-	if bad := Compare(base, missing, 0.10, 0.10); len(bad) != 1 {
+	if bad := Compare(base, missing, 0.10); len(bad) != 1 {
 		t.Fatalf("want exactly the missing-b violation, got: %v", bad)
 	}
 
 	// The zero-alloc contract is enforced regardless of speed.
 	leaky := &Report{EngineAllocsPerEvent: 0.5, Points: base.Points}
-	if bad := Compare(base, leaky, 0.10, 0.10); len(bad) != 1 {
+	if bad := Compare(base, leaky, 0.10); len(bad) != 1 {
 		t.Fatalf("want exactly the allocs violation, got: %v", bad)
 	}
 }
@@ -119,24 +112,24 @@ func TestCompareProtocolGates(t *testing.T) {
 	ok := &Report{Points: []Point{
 		{Name: "a", EventsPerSec: 1000, TxP99Us: 105, MsgsPerTx: 4.2}, // +5%: inside
 	}}
-	if bad := Compare(base, ok, 0.10, 0.10); len(bad) != 0 {
+	if bad := Compare(base, ok, 0.10); len(bad) != 0 {
 		t.Fatalf("clean report flagged: %v", bad)
 	}
 	slow := &Report{Points: []Point{
 		{Name: "a", EventsPerSec: 1000, TxP99Us: 120, MsgsPerTx: 4.0}, // p99 +20%
 	}}
-	if bad := Compare(base, slow, 0.25, 0.10); len(bad) != 1 {
+	if bad := Compare(base, slow, 0.10); len(bad) != 1 {
 		t.Fatalf("want exactly the p99 violation, got: %v", bad)
 	}
 	chatty := &Report{Points: []Point{
 		{Name: "a", EventsPerSec: 1000, TxP99Us: 100, MsgsPerTx: 5.0}, // msgs/tx +25%
 	}}
-	if bad := Compare(base, chatty, 0.25, 0.10); len(bad) != 1 {
+	if bad := Compare(base, chatty, 0.10); len(bad) != 1 {
 		t.Fatalf("want exactly the msgs/tx violation, got: %v", bad)
 	}
 	// A v1 baseline has no protocol fields: both gates must skip.
 	v1 := &Report{Points: []Point{{Name: "a", EventsPerSec: 1000}}}
-	if bad := Compare(v1, chatty, 0.25, 0.10); len(bad) != 0 {
+	if bad := Compare(v1, chatty, 0.10); len(bad) != 0 {
 		t.Fatalf("v1 baseline fired protocol gates: %v", bad)
 	}
 }

@@ -79,6 +79,8 @@ type Workload struct {
 	C   *core.Cluster
 	Cfg Config
 	whs []*warehouse
+	// local holds, per machine id, the warehouses homed there, in id order.
+	local [][]*warehouse
 
 	histSeq uint64
 
@@ -144,6 +146,10 @@ func Setup(c *core.Cluster, cfg Config) (*Workload, error) {
 			return nil, fmt.Errorf("tpcc: warehouse %d: %w", wid, err)
 		}
 		w.whs = append(w.whs, wh)
+	}
+	w.local = make([][]*warehouse, len(c.Machines))
+	for _, wh := range w.whs {
+		w.local[wh.home] = append(w.local[wh.home], wh)
 	}
 	return w, nil
 }
@@ -406,10 +412,8 @@ func (w *Workload) warehouseFor(m *core.Machine, rng *sim.Rand) *warehouse {
 		return w.whs[rng.Intn(len(w.whs))]
 	}
 	var local []*warehouse
-	for _, wh := range w.whs {
-		if wh.home == m.ID {
-			local = append(local, wh)
-		}
+	if m.ID < len(w.local) {
+		local = w.local[m.ID] // a machine that joined after Setup homes none
 	}
 	if len(local) == 0 {
 		return w.whs[rng.Intn(len(w.whs))]
