@@ -7,11 +7,12 @@ OUT := .farm-out
 
 # Default local gate: static checks, the full suite (including the
 # 100-machine scale run in internal/perf), the race detector, a
-# multi-seed nemesis campaign with every fault kind enabled, then traced
-# smoke runs whose exports are schema-validated. CI runs the same
-# targets split across parallel jobs (check / chaos / perf) in
-# .github/workflows/check.yml.
-check: vet test harness race chaos trace
+# multi-seed nemesis campaign with every fault kind enabled, traced
+# smoke runs whose exports are schema-validated, then every example
+# (examples/bank and examples/powerfail exit non-zero when their closing
+# invariant fails). CI runs the same targets split across parallel jobs
+# (check / chaos / perf) in .github/workflows/check.yml.
+check: vet test harness race chaos trace examples
 
 test:
 	go test ./...

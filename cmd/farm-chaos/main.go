@@ -33,6 +33,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"time"
 
@@ -45,7 +46,7 @@ var (
 	machines = flag.Int("machines", 6, "cluster size")
 	duration = flag.Duration("duration", 1200*time.Millisecond, "virtual time per run")
 	seed     = flag.Uint64("seed", 1, "base seed")
-	faults   = flag.String("faults", "", "comma-separated fault kinds to enable (kill,cmkill,partition,oneway,flap,gray,power); empty = all")
+	faults   = flag.String("faults", "", "comma-separated fault kinds to enable ("+kindNames()+"); empty = all")
 	replay   = flag.Uint64("replay", 0, "replay one seed twice, verify the runs are identical, and print its fault timeline")
 	audit    = flag.Bool("audit", true, "audit replica state-integrity after every nemesis heal and at end of run")
 	corrupt  = flag.Bool("corrupt", false, "flip one byte in a backup replica mid-run; audits must detect, localize and repair it")
@@ -151,40 +152,51 @@ func printDivergences(r chaos.Result) {
 	}
 }
 
+// faultKind is one nemesis kind: its -faults name, the Config weight it
+// sets and that weight's default.
+type faultKind struct {
+	name   string
+	weight *int
+	def    int
+}
+
+// faultKinds lists every nemesis kind of cfg, in banner order.
+func faultKinds(cfg *chaos.Config) []faultKind {
+	def := chaos.DefaultConfig()
+	return []faultKind{
+		{"kill", &cfg.KillWeight, def.KillWeight},
+		{"cmkill", &cfg.CMKillWeight, def.CMKillWeight},
+		{"partition", &cfg.PartitionWeight, def.PartitionWeight},
+		{"oneway", &cfg.OneWayWeight, def.OneWayWeight},
+		{"flap", &cfg.FlapWeight, def.FlapWeight},
+		{"gray", &cfg.GrayWeight, def.GrayWeight},
+		{"power", &cfg.PowerWeight, def.PowerWeight},
+	}
+}
+
+// kindNames lists every kind's name, comma-separated.
+func kindNames() string {
+	var names []string
+	for _, k := range faultKinds(&chaos.Config{}) {
+		names = append(names, k.name)
+	}
+	return strings.Join(names, ",")
+}
+
 // selectFaults zeroes every nemesis weight, then restores the default
 // weight of each kind named in the comma-separated list.
 func selectFaults(cfg *chaos.Config, list string) error {
-	def := chaos.DefaultConfig()
-	weights := map[string]*int{
-		"kill":      &cfg.KillWeight,
-		"cmkill":    &cfg.CMKillWeight,
-		"partition": &cfg.PartitionWeight,
-		"oneway":    &cfg.OneWayWeight,
-		"flap":      &cfg.FlapWeight,
-		"gray":      &cfg.GrayWeight,
-		"power":     &cfg.PowerWeight,
-	}
-	defaults := map[string]int{
-		"kill":      def.KillWeight,
-		"cmkill":    def.CMKillWeight,
-		"partition": def.PartitionWeight,
-		"oneway":    def.OneWayWeight,
-		"flap":      def.FlapWeight,
-		"gray":      def.GrayWeight,
-		"power":     def.PowerWeight,
-	}
-	for _, w := range weights {
-		*w = 0
+	kinds := faultKinds(cfg)
+	for _, k := range kinds {
+		*k.weight = 0
 	}
 	for _, name := range strings.Split(list, ",") {
 		name = strings.TrimSpace(name)
-		w, ok := weights[name]
-		if !ok {
-			return fmt.Errorf("farm-chaos: unknown fault kind %q (have kill,cmkill,partition,oneway,flap,gray,power)", name)
+		i := slices.IndexFunc(kinds, func(k faultKind) bool { return k.name == name })
+		if i < 0 {
+			return fmt.Errorf("farm-chaos: unknown fault kind %q (have %s)", name, kindNames())
 		}
-		if *w == 0 {
-			*w = defaults[name]
-		}
+		*kinds[i].weight = kinds[i].def
 	}
 	return nil
 }
@@ -192,15 +204,8 @@ func selectFaults(cfg *chaos.Config, list string) error {
 // enabledKinds renders the active fault kinds for the banner.
 func enabledKinds(cfg chaos.Config) string {
 	var kinds []string
-	for _, k := range []struct {
-		name string
-		w    int
-	}{
-		{"kill", cfg.KillWeight}, {"cmkill", cfg.CMKillWeight},
-		{"partition", cfg.PartitionWeight}, {"oneway", cfg.OneWayWeight},
-		{"flap", cfg.FlapWeight}, {"gray", cfg.GrayWeight}, {"power", cfg.PowerWeight},
-	} {
-		if k.w > 0 {
+	for _, k := range faultKinds(&cfg) {
+		if *k.weight > 0 {
 			kinds = append(kinds, k.name)
 		}
 	}

@@ -6,17 +6,17 @@
 package main
 
 import (
-	"encoding/binary"
 	"fmt"
 	"log"
 
 	"farm"
+	"farm/internal/bank"
+	"farm/internal/loadgen"
 )
 
 const (
 	accounts = 32
 	initial  = 1_000
-	drivers  = 8
 )
 
 func main() {
@@ -25,77 +25,15 @@ func main() {
 		Seed:          7,
 		LeaseDuration: 5 * farm.Millisecond,
 	})
-	c.MustCreateRegions(3)
-
-	// Open accounts.
-	addrs := make([]farm.Addr, accounts)
-	for i := range addrs {
-		i := i
-		err := c.Sync(func(done func(error)) {
-			tx := c.Machine(i % 6).Begin(0)
-			tx.Alloc(8, u64(initial), nil, func(a farm.Addr, err error) {
-				if err != nil {
-					done(err)
-					return
-				}
-				addrs[i] = a
-				tx.Commit(done)
-			})
-		})
-		if err != nil {
-			log.Fatalf("open account %d: %v", i, err)
-		}
+	w, err := bank.Setup(c.Cluster, accounts, 3, initial)
+	if err != nil {
+		log.Fatalf("open accounts: %v", err)
 	}
-	fmt.Printf("opened %d accounts × %d = total %d\n", accounts, initial, accounts*initial)
+	fmt.Printf("opened %d accounts × %d = total %d\n", accounts, initial, w.Total())
 
-	// Concurrent transfer drivers on machines 0-3 (4 and 5 may die).
-	transfers, conflicts := 0, 0
-	for d := 0; d < drivers; d++ {
-		m := c.Machine(d % 4)
-		rng := newRand(uint64(d) + 99)
-		var drive func(n int)
-		drive = func(n int) {
-			if n >= 400 || !m.Alive() {
-				return
-			}
-			from := addrs[rng(accounts)]
-			to := addrs[rng(accounts)]
-			if from == to {
-				drive(n + 1)
-				return
-			}
-			amount := rng(20) + 1
-			tx := m.Begin(d % m.Threads())
-			tx.Read(from, 8, func(fb []byte, err error) {
-				if err != nil {
-					drive(n) // retry
-					return
-				}
-				tx.Read(to, 8, func(tb []byte, err error) {
-					if err != nil {
-						drive(n)
-						return
-					}
-					bal := binary.LittleEndian.Uint64(fb)
-					if bal < uint64(amount) {
-						tx.Commit(func(error) { drive(n + 1) })
-						return
-					}
-					tx.Write(from, u64(bal-uint64(amount)))
-					tx.Write(to, u64(binary.LittleEndian.Uint64(tb)+uint64(amount)))
-					tx.Commit(func(err error) {
-						if err == nil {
-							transfers++
-						} else {
-							conflicts++
-						}
-						drive(n + 1)
-					})
-				})
-			})
-		}
-		drive(0)
-	}
+	// Two transfer clients on each of machines 0-3 (4 and 5 may die).
+	g := loadgen.New(c.Cluster, w.Transfer)
+	g.Start([]int{0, 1, 2, 3}, 2, 1)
 
 	// Kill a machine while transfers are in flight; FaRM detects the
 	// failure via leases, reconfigures, recovers in-flight transactions
@@ -104,48 +42,27 @@ func main() {
 		fmt.Printf("t=%v: killing machine 5\n", c.Now())
 		c.Kill(5)
 	})
+	c.Eng.After(100*farm.Millisecond, g.Stop)
 	c.RunFor(2 * farm.Second)
 
-	// Audit.
+	// Audit: one transaction reads every account.
 	var total uint64
-	for i, a := range addrs {
-		err := c.Sync(func(done func(error)) {
-			tx := c.Machine(0).Begin(1)
-			tx.Read(a, 8, func(b []byte, err error) {
-				if err == nil {
-					total += binary.LittleEndian.Uint64(b)
-				}
-				done(err)
-			})
+	err = loadgen.RunSync(c.Cluster, c.Machine(0), 1, func(tx *farm.Tx, done func(error)) {
+		w.Sum(tx, func(sum uint64, err error) {
+			total = sum
+			done(err)
 		})
-		if err != nil {
-			log.Fatalf("audit account %d: %v", i, err)
-		}
+	})
+	if err != nil {
+		log.Fatalf("audit: %v", err)
 	}
-	fmt.Printf("transfers committed: %d, conflicts retried: %d\n", transfers, conflicts)
+	fmt.Printf("operations committed: %d, aborted and retried: %d\n", g.Committed(), g.Aborted())
 	fmt.Printf("recovery events: %s\n", recoverySummary(c))
-	fmt.Printf("final total: %d (expected %d)\n", total, accounts*initial)
-	if total != accounts*initial {
+	fmt.Printf("final total: %d (expected %d)\n", total, w.Total())
+	if total != w.Total() {
 		log.Fatal("INVARIANT VIOLATED: money created or destroyed")
 	}
 	fmt.Println("invariant holds: no money created or destroyed across the failure")
-}
-
-func u64(v uint64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, v)
-	return b
-}
-
-// newRand returns a tiny deterministic generator.
-func newRand(seed uint64) func(n int) int {
-	state := seed*2654435761 + 1
-	return func(n int) int {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		return int(state % uint64(n))
-	}
 }
 
 func recoverySummary(c *farm.Cluster) string {

@@ -4,11 +4,8 @@
 // (locks at two primaries, backup fan-out), and read-only audits that
 // exercise validation-only commits. It is the write-heavy counterpart to
 // TATP's read-dominated mix, so latency experiments report both ends of
-// the spectrum.
-//
-// The chaos harness keeps its own inlined transfer driver (it needs
-// fault-aware bookkeeping wired into the nemesis loop); this package is
-// the reusable, measurement-friendly form for benchmarks.
+// the spectrum. The chaos campaign and examples/bank drive the same
+// Transfer, and judge conservation with Sum.
 package bank
 
 import (
@@ -34,8 +31,12 @@ type Workload struct {
 // Setup creates `regions` fresh regions and opens `accounts` accounts with
 // `initial` balance each. Accounts are opened in batches of eight per
 // setup transaction, rotating the allocating machine so the allocator's
-// local-primary preference spreads accounts across the cluster.
+// local-primary preference spreads accounts across the cluster. Transfer
+// needs two distinct accounts, so fewer than two is an error.
 func Setup(c *core.Cluster, accounts, regions int, initial uint64) (*Workload, error) {
+	if accounts < 2 {
+		return nil, fmt.Errorf("bank: %d accounts, need at least 2 to transfer between", accounts)
+	}
 	if _, err := c.CreateRegions(0, regions, 0); err != nil {
 		return nil, err
 	}
@@ -137,6 +138,29 @@ func (w *Workload) Audit(m *core.Machine, thread int, rng *sim.Rand, done func(b
 				done(false)
 				return
 			}
+			read(i + 1)
+		})
+	}
+	read(0)
+}
+
+// Sum reads every account inside the caller's transaction and reports the
+// total; it neither commits nor aborts tx. A failed read stops the scan and
+// names its account.
+func (w *Workload) Sum(tx *core.Tx, done func(sum uint64, err error)) {
+	var sum uint64
+	var read func(i int)
+	read = func(i int) {
+		if i == len(w.Accounts) {
+			done(sum, nil)
+			return
+		}
+		tx.Read(w.Accounts[i], 8, func(b []byte, err error) {
+			if err != nil {
+				done(0, fmt.Errorf("account %d unreadable: %w", i, err))
+				return
+			}
+			sum += u64(b)
 			read(i + 1)
 		})
 	}

@@ -5,6 +5,11 @@
 // configuration tolerates), agreement (one configuration), and liveness
 // (the surviving majority keeps committing).
 //
+// The workload is internal/bank driven by loadgen, two clients per
+// machine. With history on, about one operation in ten is a probe: a
+// read-only bank.Sum over every account. Result.Commits counts committed
+// operations, declined transfers and probes included.
+//
 // Faults are produced by a nemesis schedule: a weighted set of composable
 // fault generators. Instantaneous nemeses (machine kills, CM kills) leave
 // permanent damage; durational nemeses (partitions, one-way cuts, link
@@ -19,11 +24,11 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"farm/internal/bank"
 	"farm/internal/core"
 	"farm/internal/fabric"
 	"farm/internal/history"
 	"farm/internal/loadgen"
-	"farm/internal/proto"
 	"farm/internal/sim"
 	"farm/internal/trace"
 )
@@ -323,7 +328,7 @@ func schedule(n *nemesisCtx) []Nemesis {
 				return false
 			}
 			if v == n.aliveCM() {
-				n.cmKillCfg = maxU64(n.cmKillCfg, n.c.Machine(v).ConfigID())
+				n.cmKillCfg = max(n.cmKillCfg, n.c.Machine(v).ConfigID())
 				n.res.CMKills++
 			} else {
 				n.res.Kills++
@@ -340,7 +345,7 @@ func schedule(n *nemesisCtx) []Nemesis {
 			if cm < 0 {
 				return false
 			}
-			n.cmKillCfg = maxU64(n.cmKillCfg, n.c.Machine(cm).ConfigID())
+			n.cmKillCfg = max(n.cmKillCfg, n.c.Machine(cm).ConfigID())
 			n.res.CMKills++
 			n.c.Kill(cm)
 			n.scheduleAudit()
@@ -482,137 +487,48 @@ func Run(cfg Config) Result {
 		SkipReadValidation: cfg.BugSkipValidation,
 	}
 	c := core.New(opts)
-	regions, err := c.CreateRegions(0, 3, 0)
+	w, err := bank.Setup(c, cfg.Accounts, 3, cfg.Initial)
 	if err != nil {
 		res.Violations = append(res.Violations, "setup: "+err.Error())
 		return res
 	}
+	total := w.Total()
 
-	// Open accounts.
-	addrs := make([]proto.Addr, cfg.Accounts)
-	for i := range addrs {
-		i := i
-		err := loadgen.RunSync(c, c.Machine(i%cfg.Machines), 0, func(tx *core.Tx, done func(error)) {
-			tx.Alloc(8, u64b(cfg.Initial), nil, func(a proto.Addr, err error) {
-				if err != nil {
-					done(err)
-					return
-				}
-				addrs[i] = a
-				done(nil)
-			})
-		})
-		if err != nil {
-			res.Violations = append(res.Violations, "open: "+err.Error())
-			return res
-		}
-	}
-	total := cfg.Initial * uint64(cfg.Accounts)
-
-	// Transfer drivers on every machine (dead drivers just stop).
-	var commits, aborts uint64
+	// Two bank clients per machine (a dead machine's just stop). With
+	// history on, one operation in ten is a probe: a read-only Sum of every
+	// account. A committed sum ≠ total is a conservation violation, and in
+	// the history these wide reads turn broken validation into a cycle.
 	var snapBad int
-	for mi := 0; mi < cfg.Machines; mi++ {
-		m := c.Machine(mi)
-		rng := sim.NewRand(cfg.Seed*977 + uint64(mi))
-		for th := 0; th < 2; th++ {
-			th := th
-			var drive func()
-			// bail finishes a transaction whose execute phase failed —
-			// the read error already counts as an abort, but the Tx must
-			// still be explicitly aborted, not dropped: abandoning it
-			// would leak allocated slots and leave it dangling forever.
-			bail := func(tx *core.Tx) {
-				tx.Abort()
-				aborts++
-				c.Eng.After(100*sim.Microsecond, drive)
+	op := w.Transfer
+	if opts.History {
+		op = func(m *core.Machine, thread int, rng *sim.Rand, done func(bool)) {
+			if rng.Intn(10) != 0 {
+				w.Transfer(m, thread, rng, done)
+				return
 			}
-			// probe commits a read-only sum over every account. A
-			// committed sum ≠ total is an immediate conservation
-			// violation against a serializable snapshot — and in the
-			// recorded history these wide reads are what turn a broken
-			// validation into a dependency cycle the checker can report.
-			probe := func() {
-				tx := m.Begin(th)
-				var sum uint64
-				var step func(i int)
-				step = func(i int) {
-					if i == len(addrs) {
-						tx.Commit(func(err error) {
-							if err != nil {
-								aborts++
-							} else {
-								commits++
-								if sum != total {
-									snapBad++
-									if snapBad <= 3 {
-										res.Violations = append(res.Violations,
-											fmt.Sprintf("conservation-snapshot: committed read-only Σ=%d want %d (m%d at %v)",
-												sum, total, m.ID, c.Now()))
-									}
-								}
-							}
-							drive()
-						})
-						return
+			tx := m.Begin(thread)
+			w.Sum(tx, func(sum uint64, err error) {
+				if err != nil {
+					tx.Abort()
+					done(false)
+					return
+				}
+				tx.Commit(func(err error) {
+					if err == nil && sum != total {
+						snapBad++
+						if snapBad <= 3 {
+							res.Violations = append(res.Violations,
+								fmt.Sprintf("conservation-snapshot: committed read-only Σ=%d want %d (m%d at %v)",
+									sum, total, m.ID, c.Now()))
+						}
 					}
-					tx.Read(addrs[i], 8, func(b []byte, err error) {
-						if err != nil {
-							bail(tx)
-							return
-						}
-						sum += u64(b)
-						step(i + 1)
-					})
-				}
-				step(0)
-			}
-			drive = func() {
-				if !m.Alive() || c.Now() > cfg.Duration {
-					return
-				}
-				if opts.History && rng.Intn(10) == 0 {
-					probe()
-					return
-				}
-				from := addrs[rng.Intn(cfg.Accounts)]
-				to := addrs[rng.Intn(cfg.Accounts)]
-				if from == to {
-					c.Eng.After(5*sim.Microsecond, drive)
-					return
-				}
-				amount := uint64(rng.Intn(9) + 1)
-				tx := m.Begin(th)
-				tx.Read(from, 8, func(fb []byte, err error) {
-					if err != nil {
-						bail(tx)
-						return
-					}
-					tx.Read(to, 8, func(tb []byte, err error) {
-						if err != nil {
-							bail(tx)
-							return
-						}
-						if u64(fb) < amount {
-							tx.Commit(func(error) { drive() })
-							return
-						}
-						tx.Write(from, u64b(u64(fb)-amount))
-						tx.Write(to, u64b(u64(tb)+amount))
-						tx.Commit(func(err error) {
-							if err == nil {
-								commits++
-							} else {
-								aborts++
-							}
-							drive()
-						})
-					})
+					done(err == nil)
 				})
-			}
-			drive()
+			})
 		}
 	}
+	load := loadgen.New(c, op)
+	load.Start(c.AliveMachines(), 2, 1)
 
 	// Nemesis schedule: pick a generator by weight at randomized intervals.
 	nctx := &nemesisCtx{
@@ -634,7 +550,7 @@ func Run(cfg Config) Result {
 	corruptMachine, corruptRegion := -1, uint32(0)
 	if cfg.Audit && cfg.InjectCorruption {
 		c.Eng.After(cfg.Duration/2, func() {
-			corruptRegion = regions[int(nctx.rng.Intn(len(regions)))]
+			corruptRegion = w.Accounts[nctx.rng.Intn(len(w.Accounts))].Region
 			if mach, off, ok := c.CorruptBackupObject(corruptRegion, false); ok {
 				corruptMachine = mach
 				res.Timeline = append(res.Timeline,
@@ -664,12 +580,13 @@ func Run(cfg Config) Result {
 	c.Eng.After(cfg.FaultEvery, inject)
 
 	c.Eng.RunUntil(cfg.Duration)
+	load.Stop()
 	// Quiesce: let recovery and truncation settle. Every episode healed
 	// itself, but clear defensively so the audits never run over a
 	// half-faulted fabric left by a bug in a generator.
 	c.ClearNetworkFaults()
 	c.RunFor(500 * sim.Millisecond)
-	res.Commits, res.Aborts = commits, aborts
+	res.Commits, res.Aborts = load.Committed(), load.Aborted()
 	res.NoLogSpace, res.Unavailable = c.Counters.Get("tx_no_log_space"), c.Counters.Get("tx_unavailable")
 
 	// finish closes out the run: it exports the recorded history and runs
@@ -832,7 +749,7 @@ func Run(cfg Config) Result {
 	// vouch for a broken commit path.
 	var stateSum uint64
 	stateReadable := true
-	for i, a := range addrs {
+	for i, a := range w.Accounts {
 		b, err := c.PeekObject(a, 8)
 		if err != nil {
 			res.Violations = append(res.Violations,
@@ -840,30 +757,25 @@ func Run(cfg Config) Result {
 			stateReadable = false
 			break
 		}
-		stateSum += u64(b)
+		stateSum += binary.LittleEndian.Uint64(b)
 	}
 	if stateReadable && stateSum != total {
 		res.Violations = append(res.Violations,
 			fmt.Sprintf("conservation-state: replica memory Σ=%d want %d", stateSum, total))
 	}
 
-	// Conservation + liveness: audit reads must succeed and sum to total.
+	// Conservation + liveness: one transaction reads every account.
 	reader := member0
 	var sum uint64
-	for i, a := range addrs {
-		var val []byte
-		err := loadgen.RunSync(c, reader, 1, func(tx *core.Tx, done func(error)) {
-			tx.Read(a, 8, func(data []byte, err error) {
-				val = data
-				done(err)
-			})
+	err = loadgen.RunSync(c, reader, 1, func(tx *core.Tx, done func(error)) {
+		w.Sum(tx, func(s uint64, err error) {
+			sum = s
+			done(err)
 		})
-		if err != nil {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("liveness: account %d unreadable: %v", i, err))
-			return finish()
-		}
-		sum += u64(val)
+	})
+	if err != nil {
+		res.Violations = append(res.Violations, "liveness: "+err.Error())
+		return finish()
 	}
 	if sum != total {
 		res.Violations = append(res.Violations,
@@ -871,12 +783,12 @@ func Run(cfg Config) Result {
 	}
 	// Liveness: a fresh transfer commits.
 	err = loadgen.RunSync(c, reader, 0, func(tx *core.Tx, done func(error)) {
-		tx.Read(addrs[0], 8, func(data []byte, err error) {
+		tx.Read(w.Accounts[0], 8, func(data []byte, err error) {
 			if err != nil {
 				done(err)
 				return
 			}
-			tx.Write(addrs[0], data)
+			tx.Write(w.Accounts[0], data)
 			done(nil)
 		})
 	})
@@ -904,14 +816,4 @@ func Campaign(cfg Config, n int) []Result {
 		out = append(out, Run(run))
 	}
 	return out
-}
-
-func u64(b []byte) uint64  { return binary.LittleEndian.Uint64(b) }
-func u64b(v uint64) []byte { b := make([]byte, 8); binary.LittleEndian.PutUint64(b, v); return b }
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -168,13 +168,6 @@ func (m *Machine) applyRecoveredBlock(rep *replica, base int, data []byte) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // finishDataRecovery marks the replica whole again. An audit repair ends
 // here too: the digest is reseeded from a ground-truth scan (force-copied
 // slots bypassed the incremental updates) and the auditing primary is told

@@ -118,7 +118,6 @@ func RunFailure(spec RecoverySpec) RecoveryRun {
 	c := core.New(opts)
 
 	var op loadgen.Op
-	var tpccW *tpcc.Workload
 	switch spec.Workload {
 	case "tpcc":
 		// Keep the drivers-per-warehouse ratio sane (§6.2): TPC-C melts
@@ -134,7 +133,6 @@ func RunFailure(spec RecoverySpec) RecoveryRun {
 		if err != nil {
 			panic(err)
 		}
-		tpccW = w
 		op = w.Mix()
 	default:
 		w, err := tatp.Setup(c, sc.Subscribers, sc.Regions)
@@ -143,7 +141,6 @@ func RunFailure(spec RecoverySpec) RecoveryRun {
 		}
 		op = w.Mix()
 	}
-	_ = tpccW
 
 	g := loadgen.New(c, op)
 	g.Start(allMachines(sc.Machines), spec.Threads, spec.Conc)
@@ -260,15 +257,8 @@ func RunFailure(spec RecoverySpec) RecoveryRun {
 	return run
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func mDomain(c *core.Cluster, id int) int {
-	return id % 3 // matches FailureDomains=3 assignment in core
+	return id % c.Opts.FailureDomains
 }
 
 // String renders the run like the paper's figure annotations.

@@ -72,13 +72,6 @@ func (r *workRing) pop() workItem {
 	return it
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // NewThread creates an idle thread attached to eng.
 func NewThread(eng *Engine, name string) *Thread {
 	t := &Thread{eng: eng, name: name}
