@@ -31,10 +31,11 @@ bench:
 	go test -bench . -benchmem -run XXX ./internal/sim ./internal/fabric ./internal/proto ./internal/ring ./internal/audit ./internal/kv ./internal/btree .
 
 # Simulator performance gate: re-measure the scale suite (TATP and bank
-# at 9, 50 and 100 machines: six points) and compare against the
-# committed BENCH_sim.json — fails on a >10% growth in committed-tx p99
-# or msgs/tx (both deterministic, so the gate never fires on host noise)
-# or any steady-state engine allocation. Events/sec is printed, not
+# at 9, 50 and 100 machines: six points, plus a backup kill and a CM kill
+# at 9) and compare against the committed BENCH_sim.json — fails on a
+# >10% growth in committed-tx p99, msgs/tx or a kill point's
+# config-commit or throughput-back time (all deterministic, so the gate
+# never fires on host noise) or any steady-state engine allocation. Events/sec is printed, not
 # gated: it is wall-clock, and a wall-time claim needs paired runs.
 # Prints the fresh-vs-committed table; the fresh report lands in
 # BENCH_sim.fresh.json (gitignored; CI uploads it on failure). Refresh

@@ -4,8 +4,9 @@
 // The result is the perf trajectory committed as BENCH_sim.json. With -check
 // (on by default) the fresh measurement is compared against the committed
 // baseline and the run fails on a >10% growth in committed-tx p99 or
-// msgs/tx. Those are deterministic, so the gate is tight and never fires on
-// host noise. Events/sec is printed beside them and not gated: it swings
+// msgs/tx, or in a kill point's config-commit or throughput-back time.
+// Those are deterministic, so the gate is tight and never fires on host
+// noise. Events/sec is printed beside them and not gated: it swings
 // with host load, and a wall-time claim needs paired runs of both binaries.
 //
 //	farm-perf                          # measure, check against BENCH_sim.json
@@ -26,7 +27,7 @@ var (
 	baselinePath = flag.String("baseline", "BENCH_sim.json", "committed baseline to compare against")
 	outPath      = flag.String("out", "", "write the fresh report to this path (empty: don't write)")
 	check        = flag.Bool("check", true, "fail on regression against the baseline")
-	exactThresh  = flag.Float64("exact-threshold", 0.10, "allowed fractional growth of the deterministic metrics (tx p99, msgs/tx)")
+	exactThresh  = flag.Float64("exact-threshold", 0.10, "allowed fractional growth of the deterministic metrics (tx p99, msgs/tx, recovery times)")
 	update       = flag.Bool("update", false, "rewrite the baseline with the fresh measurement")
 )
 
@@ -40,18 +41,24 @@ func pct(fresh, base float64) string {
 
 // printComparison renders the fresh measurement next to the committed
 // baseline, one row per point: the reported events/sec, then the gated
-// columns.
+// columns — for a kill point, its config-commit and throughput-back times.
 func printComparison(baseline, fresh *perf.Report) {
 	fmt.Println("\nfresh vs committed baseline:")
-	fmt.Printf("%-9s %12s %8s  %12s %8s  %10s %8s\n",
+	fmt.Printf("%-13s %12s %8s  %12s %8s  %10s %8s\n",
 		"point", "ev/s", "Δ", "tx p99 µs", "Δ", "msgs/tx", "Δ")
 	for _, b := range baseline.Points {
 		g := fresh.Point(b.Name)
-		if g == nil {
-			fmt.Printf("%-9s  MISSING from fresh report\n", b.Name)
+		switch {
+		case g == nil:
+			fmt.Printf("%-13s  MISSING from fresh report\n", b.Name)
+			continue
+		case b.ConfigCommitMs > 0:
+			fmt.Printf("%-13s config-commit %6.2f ms %8s  throughput back %5.1f ms %8s\n",
+				b.Name, g.ConfigCommitMs, pct(g.ConfigCommitMs, b.ConfigCommitMs),
+				g.TputBackMs, pct(g.TputBackMs, b.TputBackMs))
 			continue
 		}
-		fmt.Printf("%-9s %12.0f %8s  %12.1f %8s  %10.2f %8s\n",
+		fmt.Printf("%-13s %12.0f %8s  %12.1f %8s  %10.2f %8s\n",
 			b.Name,
 			g.EventsPerSec, pct(g.EventsPerSec, b.EventsPerSec),
 			g.TxP99Us, pct(g.TxP99Us, b.TxP99Us),
@@ -101,6 +108,6 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("PASS: no point's p99 or msgs/tx grew more than %.0f%% vs %s\n",
+	fmt.Printf("PASS: no point's p99, msgs/tx or recovery time grew more than %.0f%% vs %s\n",
 		*exactThresh*100, *baselinePath)
 }

@@ -20,6 +20,13 @@ type cmState struct {
 	// regionsActive tracks REGIONS-ACTIVE reports during recovery, by
 	// machine id.
 	regionsActive []bool
+
+	// The NEW-CONFIG round (becomeCM): the configuration it collects acks
+	// for, the machines removed since this CM's last commit, and whether
+	// some lease they may hold was not granted by this CM (commitWait).
+	ackCfg    uint64
+	removed   []int
+	unbounded bool
 }
 
 // cmRegion is the CM's entry for one region id it has handed out.

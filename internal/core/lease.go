@@ -41,14 +41,21 @@ type leaseManager struct {
 	// a stall every lease message through that path waits.
 	stallUntil sim.Time
 
-	// lastFromCM is when the CM's lease to this machine was last renewed.
+	// lastFromCM is when the CM's lease to this machine was last renewed:
+	// the send time of the request the latest grant+request answered, never
+	// that grant's arrival, so the CM's granted bounds it.
 	lastFromCM sim.Time
-	// grants (CM only): machine → last time its lease was renewed.
+	// grants (CM, or a group leader) holds the renewals received: machine →
+	// when its grant completing our grant+request last arrived.
 	grants map[int]sim.Time
+	// granted (CM only) holds the grants sent: machine → when this CM last
+	// sent it a grant+request. Its holder's lease lapses by granted +
+	// duration, whatever the datagram's delay (commitWait).
+	granted map[int]sim.Time
 
 	stopped bool
-	// expirySuspended pauses suspecting (used between a member-side CM
-	// suspicion and the resulting reconfiguration).
+	// started is set once renewal and expiry checking are armed; start is
+	// called at every NEW-CONFIG-COMMIT and does nothing after the first.
 	started bool
 }
 
@@ -61,6 +68,7 @@ func newLeaseManager(m *Machine) *leaseManager {
 		variant:  m.c.Opts.LeaseVariant,
 		duration: m.c.Opts.LeaseDuration,
 		grants:   make(map[int]sim.Time),
+		granted:  make(map[int]sim.Time),
 	}
 	lm.thread = sim.NewThread(m.c.Eng, "lease")
 	switch lm.variant {
@@ -179,7 +187,7 @@ func (lm *leaseManager) tick() {
 		}
 	} else {
 		// Renew our lease at the CM.
-		lm.transmit(int(lm.m.config.CM), &proto.LeaseRequest{Config: lm.m.config.ID})
+		lm.transmit(int(lm.m.config.CM), &proto.LeaseRequest{Config: lm.m.config.ID, Sent: int64(now)})
 		if now-lm.lastFromCM > lm.duration {
 			lm.expired(int(lm.m.config.CM))
 		}
@@ -320,13 +328,36 @@ func (lm *leaseManager) onRequest(src int, req *proto.LeaseRequest) {
 		return
 	}
 	if lm.m.IsCM() && !req.Grant {
-		lm.transmit(src, &proto.LeaseRequest{Config: lm.m.config.ID, Grant: true})
+		lm.granted[src] = lm.m.c.Eng.Now()
+		lm.transmit(src, &proto.LeaseRequest{Config: lm.m.config.ID, Grant: true, Sent: req.Sent})
 		return
 	}
 	if req.Grant && src == int(lm.m.config.CM) {
-		lm.lastFromCM = lm.m.c.Eng.Now()
+		lm.lastFromCM = max(lm.lastFromCM, sim.Time(req.Sent))
 		lm.transmit(src, &proto.LeaseGrant{Config: lm.m.config.ID})
 	}
+}
+
+// commitWait is how long the CM holds NEW-CONFIG-COMMIT after the last
+// NEW-CONFIG-ACK (§5.2 step 7): until the leases it granted to the removed
+// machines have lapsed. A holder times its lease from a request that left
+// before the grant did, so it lapses by granted + duration, and a crash,
+// suspected only after that, needs no wait at all. Where the CM cannot
+// bound a removed machine's lease it waits a full lease duration: the
+// round is unbounded (another CM or a power restore started the leases), a
+// group leader granted it (hierarchical leases), or this CM has no record
+// of a grant to it.
+func (lm *leaseManager) commitWait(removed []int, unbounded bool) sim.Time {
+	var wait sim.Time
+	for _, r := range removed {
+		g, ok := lm.granted[r]
+		unbounded = unbounded || !ok
+		wait = max(wait, g+lm.duration+1-lm.m.c.Eng.Now())
+	}
+	if unbounded || lm.hierarchical() {
+		return lm.duration
+	}
+	return wait
 }
 
 // onGrant completes the handshake at the grantor (CM, or a group leader
@@ -348,6 +379,7 @@ func (lm *leaseManager) resetFor(cfg *proto.Config) {
 	now := lm.m.c.Eng.Now()
 	lm.lastFromCM = now
 	lm.grants = make(map[int]sim.Time)
+	clear(lm.granted)
 	if int(cfg.CM) == lm.m.ID {
 		for _, mem := range cfg.Machines {
 			if int(mem) != lm.m.ID {
@@ -444,6 +476,7 @@ func (lm *leaseManager) hierTick() {
 		}
 	}
 	lm.m.maybeWithdrawSuspicion()
+	lm.m.flushFencedReports()
 	lm.m.c.Eng.After(lm.renewInterval(), func() { lm.hierTick() })
 }
 

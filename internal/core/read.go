@@ -220,7 +220,15 @@ func (op *readOp) deliver(word uint64, data []byte, err error) {
 	}
 	if t != nil {
 		t.noteRead(addr, regionmem.Version(word), data)
-		data = t.copyOut(data)
+		h.ReadDone(t.copyOut(data), nil)
+		return
+	}
+	if !m.selfLeaseOK() {
+		// A lock-free read is an outcome too: with its lease lapsed this
+		// machine may have been evicted, and the replica it read may no
+		// longer be the primary. (A transaction's reads wait for its commit.)
+		m.fencedReport(func() { h.ReadDone(data, nil) })
+		return
 	}
 	h.ReadDone(data, nil)
 }

@@ -274,6 +274,14 @@ func (m *Machine) becomeCM(cfg *proto.Config, suspects map[int]bool, bumpAll boo
 			m.trb.Event("recovery", "remap-done", now, rid, 0, 0)
 			m.reconfigCtx = m.trb.Begin("recovery", "new-config", now, rid, 0, int64(len(cfg.Machines)))
 		}
+		// A round superseded before its commit hands its removals on: the
+		// machines it dropped may still hold leases.
+		for _, mem := range m.config.Machines {
+			if !cfg.Member(mem) {
+				m.cm.removed = append(m.cm.removed, int(mem))
+			}
+		}
+		m.cm.ackCfg, m.cm.unbounded = cfg.ID, m.cm.unbounded || cmChanged || bumpAll
 		m.clearAwaitAcks()
 		m.cmAckRound++
 		for _, mem := range cfg.Machines {
@@ -561,9 +569,11 @@ func (m *Machine) clearAwaitAcks() {
 }
 
 // onNewConfigAck is step 7 at the CM: once every member acked, wait out
-// leases granted in previous configurations, then commit.
+// the leases the removed machines may hold (commitWait), then commit. Acks
+// and the commit timer belong to one round: a round that begins meanwhile
+// (another suspicion) collects and commits its own configuration.
 func (m *Machine) onNewConfigAck(src int, ack *proto.NewConfigAck) {
-	if ack.ConfigID != m.config.ID {
+	if m.cm == nil || ack.ConfigID != m.config.ID || ack.ConfigID != m.cm.ackCfg {
 		return
 	}
 	if m.awaitingAck() < 0 {
@@ -582,10 +592,15 @@ func (m *Machine) onNewConfigAck(src int, ack *proto.NewConfigAck) {
 	if m.awaitingAck() >= 0 {
 		return
 	}
-	m.c.Eng.After(m.c.Opts.LeaseDuration, func() {
-		if !m.alive || !m.IsCM() {
+	round, cfg := m.cmAckRound, m.config.ID
+	m.c.Eng.After(m.lease.commitWait(m.cm.removed, m.cm.unbounded), func() {
+		if !m.alive || !m.IsCM() || m.cmAckRound != round || m.config.ID != cfg {
 			return
 		}
+		for _, r := range m.cm.removed {
+			delete(m.lease.granted, r) // an id that comes back starts afresh
+		}
+		m.cm.removed, m.cm.unbounded = m.cm.removed[:0], false
 		m.c.trace("config-commit", m.ID, int(m.config.ID))
 		if m.reconfigCtx.Valid() {
 			m.trb.End(m.reconfigCtx, m.c.Eng.Now(), int64(m.config.ID))

@@ -4,7 +4,8 @@
 // can chew through. Protocol-level: committed-transaction latency
 // percentiles (virtual time), fabric messages and wire bytes per
 // committed transaction, abort rate — what the transport and commit
-// pipeline actually cost, measured deterministically so regressions are
+// pipeline actually cost — and, at two kill points, how soon a failure is
+// recovered from, all measured deterministically so regressions are
 // exact, not noise. cmd/farm-perf runs the suite, writes BENCH_sim.json,
 // and checks the deterministic columns against the committed baseline so
 // protocol regressions fail CI; the wall-clock columns are reported only.
@@ -24,6 +25,7 @@ import (
 
 	"farm/internal/bank"
 	"farm/internal/core"
+	"farm/internal/exper"
 	"farm/internal/loadgen"
 	"farm/internal/sim"
 	"farm/internal/tatp"
@@ -47,6 +49,11 @@ type PointSpec struct {
 	Warm        sim.Time
 	Measure     sim.Time
 	Seed        uint64
+	// Kill makes the point a failure run (exper.RunFailure, 10 ms leases)
+	// instead of a steady-state window: "backup" kills the non-CM machine
+	// hosting the most regions (Figure 9), "cm" the configuration manager
+	// (Figure 11). Warm is the load before the kill, Measure the run after.
+	Kill string
 }
 
 // Point is one measured scale run, as serialized into BENCH_sim.json.
@@ -96,6 +103,13 @@ type Point struct {
 	AllocsPerEvent float64 `json:"allocs_per_event"`
 	// HeapMB is the live heap after the run, in MiB.
 	HeapMB float64 `json:"heap_mb"`
+	// ConfigCommitMs and TputBackMs are a kill point's recovery, in virtual
+	// milliseconds after the kill: when the CM committed the configuration
+	// without the victim, and when throughput was back at 80 % of the
+	// survivors' share (§6.4). Deterministic, like p99; only kill points
+	// have them.
+	ConfigCommitMs float64 `json:"config_commit_ms,omitempty"`
+	TputBackMs     float64 `json:"tput_back_ms,omitempty"`
 }
 
 // Report is the BENCH_sim.json document.
@@ -129,6 +143,10 @@ func DefaultSpecs() []PointSpec {
 			Accounts: 12288, Regions: 12, Warm: sim.Millisecond, Measure: 4 * sim.Millisecond, Seed: 1},
 		{Name: "bank-100", Workload: "bank", Machines: 100, Threads: 8, Concurrency: 4,
 			Accounts: 12288, Regions: 12, Warm: sim.Millisecond, Measure: 3 * sim.Millisecond, Seed: 1},
+		{Name: "tatp-9-kill", Workload: "tatp", Machines: 9, Threads: 8, Concurrency: 4,
+			Subscribers: 2000, Regions: 6, Warm: 20 * sim.Millisecond, Measure: 60 * sim.Millisecond, Seed: 1, Kill: "backup"},
+		{Name: "tatp-9-cmkill", Workload: "tatp", Machines: 9, Threads: 8, Concurrency: 4,
+			Subscribers: 2000, Regions: 6, Warm: 20 * sim.Millisecond, Measure: 60 * sim.Millisecond, Seed: 1, Kill: "cm"},
 	}
 }
 
@@ -153,6 +171,9 @@ const bankInitial = 1000
 
 // Run executes one scale run and measures it.
 func Run(s PointSpec) (Point, error) {
+	if s.Kill != "" {
+		return runKill(s)
+	}
 	c := core.New(s.options())
 	var op loadgen.Op
 	switch s.Workload {
@@ -233,6 +254,37 @@ func Run(s PointSpec) (Point, error) {
 	return p, nil
 }
 
+// runKill measures a kill point's recovery: only the shape, the milestones
+// and the wall time (of the whole run, set-up included) are filled in.
+func runKill(s PointSpec) (Point, error) {
+	spec := exper.DefaultRecoverySpec(exper.Scale{Machines: s.Machines, Threads: s.Threads,
+		Subscribers: s.Subscribers, Regions: s.Regions, Seed: s.Seed})
+	switch s.Kill {
+	case "backup":
+	case "cm":
+		spec.Kind = exper.KillCM
+	default:
+		return Point{}, fmt.Errorf("unknown kill %q", s.Kill)
+	}
+	spec.Conc, spec.WarmFor, spec.RunFor = s.Concurrency, s.Warm, s.Measure
+	t0 := time.Now()
+	run := exper.RunFailure(spec)
+	commit, ok := run.Milestones["config-commit"]
+	if !ok || run.FullThroughput < 0 {
+		return Point{}, fmt.Errorf("no recovery within %v of the kill", s.Measure)
+	}
+	return Point{
+		Name:           s.Name,
+		Workload:       s.Workload,
+		Machines:       s.Machines,
+		ClientThreads:  s.Machines * s.Threads * s.Concurrency,
+		SimulatedMS:    s.Measure.Millis(),
+		WallSeconds:    time.Since(t0).Seconds(),
+		ConfigCommitMs: commit.Millis(),
+		TputBackMs:     run.FullThroughput.Millis(),
+	}, nil
+}
+
 // EngineAllocsPerEvent measures the engine's own steady-state cost of one
 // scheduled-and-dispatched event, in heap allocations.
 func EngineAllocsPerEvent() float64 {
@@ -266,7 +318,12 @@ func RunAll(specs []PointSpec, progress func(string)) (*Report, error) {
 			r.PeakMachines = p.Machines
 		}
 		r.Points = append(r.Points, p)
-		if progress != nil {
+		switch {
+		case progress == nil:
+		case p.ConfigCommitMs > 0:
+			progress(fmt.Sprintf("%-13s %3dm  config-commit %6.2fms  throughput back %6.2fms after the kill  %.1fs wall",
+				p.Name, p.Machines, p.ConfigCommitMs, p.TputBackMs, p.WallSeconds))
+		default:
 			progress(fmt.Sprintf("%-9s %3dm %8.0f ev/s  p50 %6.1fµs  p99 %7.1fµs  %5.2f msg/tx  %6.0f B/tx  %4.1f%% abort  %.1fs wall",
 				p.Name, p.Machines, p.EventsPerSec, p.TxP50Us, p.TxP99Us,
 				p.MsgsPerTx, p.WireBytesPerTx, p.AbortRate*100, p.WallSeconds))
@@ -308,8 +365,9 @@ func (r *Report) Point(name string) *Point {
 }
 
 // Compare checks got against a committed baseline: every baseline point
-// must be present, and the protocol-level metrics — committed-tx p99 and
-// messages per transaction — must not grow by more than exact (0.10 =
+// must be present, and the protocol-level metrics — committed-tx p99,
+// messages per transaction, and a kill point's config-commit and
+// throughput-back times — must not grow by more than exact (0.10 =
 // 10%). They are deterministic functions of the simulation and regress
 // bit-exactly, so the gate never fires on host noise. Events/sec is
 // reported, not gated: it is a wall-clock measure that swings with host
@@ -346,6 +404,15 @@ func Compare(baseline, got *Report, exact float64) []string {
 				bad = append(bad, fmt.Sprintf(
 					"%s: %.2f msgs/tx is a >%.0f%% regression from baseline %.2f",
 					b.Name, g.MsgsPerTx, exact*100, b.MsgsPerTx))
+			}
+		}
+		for _, r := range []struct {
+			what      string
+			base, got float64
+		}{{"config-commit", b.ConfigCommitMs, g.ConfigCommitMs}, {"throughput back", b.TputBackMs, g.TputBackMs}} {
+			if r.base > 0 && r.got > r.base*(1+exact) {
+				bad = append(bad, fmt.Sprintf("%s: %s %.2fms after the kill is a >%.0f%% regression from baseline %.2fms",
+					b.Name, r.what, r.got, exact*100, r.base))
 			}
 		}
 	}

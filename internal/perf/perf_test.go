@@ -134,6 +134,30 @@ func TestCompareProtocolGates(t *testing.T) {
 	}
 }
 
+// TestCompareRecoveryGates: a kill point's config-commit and throughput-back
+// times are gated like p99, and a steady-state point, which has neither,
+// skips both.
+func TestCompareRecoveryGates(t *testing.T) {
+	base := &Report{Points: []Point{
+		{Name: "kill", ConfigCommitMs: 12, TputBackMs: 13},
+		{Name: "steady", TxP99Us: 100},
+	}}
+	ok := &Report{Points: []Point{
+		{Name: "kill", ConfigCommitMs: 13, TputBackMs: 14}, // +8%: inside
+		{Name: "steady", TxP99Us: 100},
+	}}
+	if bad := Compare(base, ok, 0.10); len(bad) != 0 {
+		t.Fatalf("clean report flagged: %v", bad)
+	}
+	slow := &Report{Points: []Point{
+		{Name: "kill", ConfigCommitMs: 22, TputBackMs: 23}, // a lease wait back
+		{Name: "steady", TxP99Us: 100},
+	}}
+	if bad := Compare(base, slow, 0.10); len(bad) != 2 {
+		t.Fatalf("want the config-commit and throughput-back violations, got: %v", bad)
+	}
+}
+
 // TestBankPointRuns is the completion gate for the bank workload in the
 // perf harness: a small bank point must set up, measure, and report
 // non-zero protocol metrics.

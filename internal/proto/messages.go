@@ -142,6 +142,9 @@ type LeaseRequest struct {
 	Config uint64
 	// Grant piggybacks a grant in the CM's combined grant+request message.
 	Grant bool
+	// Sent is the requester's clock (virtual ns) when it sent the request;
+	// the grant+request echoes it, and the holder times its lease from it.
+	Sent int64
 }
 
 // LeaseGrant completes the handshake.
