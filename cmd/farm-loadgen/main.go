@@ -133,6 +133,12 @@ func main() {
 		fmt.Printf("locks:      %d LOCK records, whole run: %.1f%% answered by local hand-off, the rest by LOCK-REPLY\n",
 			locks, 100*(1-float64(c.Counters.Get("sent LOCK-REPLY"))/float64(locks)))
 	}
+	// Read validation over the window: read-set objects checked by a header
+	// read (local or one-sided), VALIDATE RPCs, and read-only commits that
+	// left their last read unchecked because they serialize there.
+	ops := float64(max(g.Committed()-opsAtWarm, 1))
+	fmt.Printf("validate:   per committed op over the measured window: %.3f header reads, %.3f RPCs, %.3f last reads skipped\n",
+		float64(cpu["validate_reads"])/ops, float64(cpu["validate_rpcs"])/ops, float64(cpu["validate_skipped"])/ops)
 	if tpccW != nil {
 		fmt.Printf("new orders: %d committed, median %v\n", tpccW.NewOrders, tpccW.NewOrderLat.Median())
 		// A warm descent walks the machine's cached internal nodes and
@@ -151,7 +157,6 @@ func main() {
 		diff["rdma_read"], diff["rdma_write"], diff["local_read"], diff["local_write"], diff["msg_send"])
 	// Host heap allocations of the whole process (simulator, protocol and
 	// workload) over the measured window.
-	ops := float64(max(g.Committed()-opsAtWarm, 1))
 	fmt.Printf("allocs:     %.1f allocations, %.0f B allocated per committed op over the measured window (%d ops)\n",
 		float64(memAtEnd.Mallocs-memAtWarm.Mallocs)/ops, float64(memAtEnd.TotalAlloc-memAtWarm.TotalAlloc)/ops,
 		g.Committed()-opsAtWarm)

@@ -47,6 +47,10 @@ type Cluster struct {
 	// log-record handling, message receive (dispatchMsg) and message send
 	// (sendMsg), added where each cost is enqueued.
 	cCPURecords, cCPURecv, cCPUSend *uint64
+	// cValidate* are the "validate_reads", "validate_rpcs" and
+	// "validate_skipped" cells: objects validated by a header read (local or
+	// one-sided), VALIDATE RPCs, and last reads left unvalidated.
+	cValidateReads, cValidateRPCs, cValidateSkipped *uint64
 	// MsgLatency holds per-message-type delivery latency (transport
 	// enqueue → receiver dispatch), recorded by the message transport.
 	MsgLatency *stats.LatencySet
@@ -97,6 +101,9 @@ func New(opts Options) *Cluster {
 	c.cCPURecords = c.Counters.Cell("cpu_records_ns")
 	c.cCPURecv = c.Counters.Cell("cpu_msg_recv_ns")
 	c.cCPUSend = c.Counters.Cell("cpu_msg_send_ns")
+	c.cValidateReads = c.Counters.Cell("validate_reads")
+	c.cValidateRPCs = c.Counters.Cell("validate_rpcs")
+	c.cValidateSkipped = c.Counters.Cell("validate_skipped")
 
 	if opts.Trace.Enabled {
 		c.Tracer = trace.NewSet(opts.Trace, opts.NumMachines)

@@ -611,7 +611,7 @@ func (m *Machine) validate(ct *coordTx) {
 		return
 	}
 	t := ct.tx
-	vs := t.validationSet()
+	vs := t.validationSet(-1)
 	if len(vs) == 0 {
 		ct.phase = phaseCommitBackup
 		m.commitBackups(ct)
@@ -634,6 +634,7 @@ func (m *Machine) validate(ct *coordTx) {
 			// parented on this validation.
 			req := t.validateReqFor(entries)
 			req.Tx = ct.id
+			*m.c.cValidateRPCs++
 			m.sendFromThreadCtx(t.thread, pm, req, ct.phaseCtx)
 			continue
 		}
@@ -675,6 +676,7 @@ func (m *Machine) validateObject(ct *coordTx, t *Tx, pm int, i int32) {
 		op.readFn = op.readDone
 	}
 	op.ct, op.t, op.i, op.pm = ct, t, i, pm
+	*m.c.cValidateReads++
 	if pm == m.ID {
 		// Local validation: direct header loads.
 		m.OnThread(t.thread, cpuLocal, op.localFn)
@@ -749,10 +751,10 @@ type valRead struct {
 // validationSet returns the read-but-not-written objects sorted by primary
 // then address: each run of equal pm is that primary's share of the
 // validation, and the whole walk is deterministic.
-func (t *Tx) validationSet() []valRead {
+func (t *Tx) validationSet(skip int32) []valRead {
 	vs := make([]valRead, 0, t.nReads)
 	for i := range t.set {
-		if e := &t.set[i]; e.read && !e.written {
+		if e := &t.set[i]; e.read && !e.written && int32(i) != skip {
 			vs = append(vs, valRead{addr: e.addr, pm: t.m.primaryOf(e.addr.Region), i: int32(i)})
 		}
 	}
@@ -938,13 +940,22 @@ func (m *Machine) reportCommitted(ct *coordTx) {
 	})
 }
 
-// validateReadOnly is the read-only fast path: committed read-only
-// transactions serialize at their last read, so only validation is needed.
-// Primaries holding more than tr read objects are validated with a single
-// RPC, like the read-write path (§4 step 2).
+// validateReadOnly is the read-only fast path: a committed read-only
+// transaction serializes at its last read. If that read ran alone, every
+// other read finished before it was issued, so validating those alone
+// proves they held at its instant (DESIGN.md §5); otherwise every read is
+// validated. Primaries holding more than tr read objects are validated with
+// a single RPC, like the read-write path (§4 step 2).
 func (t *Tx) validateReadOnly(cb func(error)) {
 	m := t.m
-	if m.c.Opts.SkipReadValidation || t.nReads == 0 {
+	var vs []valRead
+	if !m.c.Opts.SkipReadValidation {
+		if t.lastAlone >= 0 {
+			*m.c.cValidateSkipped++
+		}
+		vs = t.validationSet(t.lastAlone)
+	}
+	if len(vs) == 0 {
 		m.c.Eng.After(cpuLocal, func() {
 			if m.alive {
 				m.fencedReport(func() {
@@ -956,7 +967,6 @@ func (t *Tx) validateReadOnly(cb func(error)) {
 		})
 		return
 	}
-	vs := t.validationSet()
 	t.roCb = cb
 	for i, j := 0, 0; i < len(vs); i = j {
 		j = primaryRun(vs, i)
@@ -978,6 +988,8 @@ func (t *Tx) validateReadOnly(cb func(error)) {
 			m.rpcWaiters[id] = func(resp interface{}) {
 				t.roValidated(resp.(*proto.ValidateReply).OK)
 			}
+			m.roWaits = append(m.roWaits, roWait{id: id, t: t, sent: m.c.Eng.Now()})
+			*m.c.cValidateRPCs++
 			m.sendFromThread(t.thread, pm, &rpcEnvelope{ID: id, From: m.ID, Body: req, Ctx: t.ctx})
 			continue
 		}
@@ -985,6 +997,22 @@ func (t *Tx) validateReadOnly(cb func(error)) {
 			m.validateObject(nil, t, pm, e.i)
 		}
 	}
+}
+
+// roWait is a read-only commit's VALIDATE RPC awaiting its reply.
+type roWait struct {
+	id   uint64
+	t    *Tx
+	sent sim.Time
+}
+
+// roFail reports a read-only commit's first failure; completions after it
+// are ignored.
+func (t *Tx) roFail(err error) {
+	t.roFailed = true
+	t.m.Aborted++
+	t.m.c.Counters.Inc("tx_aborted", 1)
+	t.roCb(err)
 }
 
 // roValidated acts on one validation completion of a read-only commit: the
@@ -995,10 +1023,7 @@ func (t *Tx) roValidated(ok bool) {
 		return
 	}
 	if !ok {
-		t.roFailed = true
-		m.Aborted++
-		m.c.Counters.Inc("tx_aborted", 1)
-		t.roCb(ErrConflict)
+		t.roFail(ErrConflict)
 		return
 	}
 	t.roOutstanding--

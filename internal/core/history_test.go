@@ -126,16 +126,24 @@ func TestSkipReadValidationKnobBreaksValidation(t *testing.T) {
 	c, _ := testCluster(t, Options{SkipReadValidation: true})
 	m := c.Machine(1)
 	addr := writeObject(t, c, m, []byte{1, 0, 0, 0})
+	other := writeObject(t, c, m, []byte{9, 0, 0, 0})
 
-	// Tx A reads addr, then Tx B updates it, then A commits read-only: the
-	// validation that should abort A is skipped.
+	// Tx A reads addr and then other, then Tx B updates addr, then A
+	// commits read-only: the validation of addr that should abort A is
+	// skipped. (Its last read, other, is never validated: a read-only
+	// transaction serializes there.)
 	txA := m.Begin(0)
 	var readDone bool
 	txA.Read(addr, 4, func(_ []byte, err error) {
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}
-		readDone = true
+		txA.Read(other, 4, func(_ []byte, err error) {
+			if err != nil {
+				t.Fatalf("read: %v", err)
+			}
+			readDone = true
+		})
 	})
 	runUntil(t, c, sim.Second, func() bool { return readDone })
 

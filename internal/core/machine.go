@@ -272,6 +272,9 @@ type Machine struct {
 	// RPC plumbing for slot allocation and mapping fetches.
 	nextRPC    uint64
 	rpcWaiters map[uint64]func(interface{})
+	// roWaits lists read-only commits' VALIDATE RPCs in id order, for the
+	// stall sweep to fail those no reply answers (watchdog.go).
+	roWaits []roWait
 
 	// appHandler receives application messages (function shipping).
 	appHandler func(src int, msg interface{})

@@ -214,12 +214,13 @@ func (op *readOp) deliver(word uint64, data []byte, err error) {
 	if rctx.Valid() {
 		m.trb.End(rctx, m.c.Eng.Now(), 0)
 	}
+	alone := t != nil && t.readLanded()
 	if err != nil {
 		h.ReadDone(nil, err)
 		return
 	}
 	if t != nil {
-		t.noteRead(addr, regionmem.Version(word), data)
+		t.noteRead(addr, regionmem.Version(word), data, alone)
 		h.ReadDone(t.copyOut(data), nil)
 		return
 	}

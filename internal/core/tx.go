@@ -74,6 +74,13 @@ type Tx struct {
 	started  sim.Time
 	finished bool
 
+	// reading counts fresh reads in flight; crowded: two were, since none.
+	// lastAlone is the entry of the last fresh read if it was delivered and
+	// ran alone (-1 otherwise): a read-only commit serializes at that read.
+	reading   int
+	crowded   bool
+	lastAlone int32
+
 	// Read-only commit (validateReadOnly): the report callback, header
 	// checks still due, and whether one already failed.
 	roCb          func(error)
@@ -94,11 +101,12 @@ type Tx struct {
 // here whether this transaction gets a root span.
 func (m *Machine) Begin(thread int) *Tx {
 	t := &Tx{
-		m:       m,
-		thread:  thread % m.c.Opts.Threads,
-		firstW:  -1,
-		lastW:   -1,
-		started: m.c.Eng.Now(),
+		m:         m,
+		thread:    thread % m.c.Opts.Threads,
+		firstW:    -1,
+		lastW:     -1,
+		lastAlone: -1,
+		started:   m.c.Eng.Now(),
 	}
 	t.set = t.inline[:0]
 	if m.trb != nil && m.trb.SampleTx() {
@@ -202,10 +210,23 @@ func (t *Tx) copyOut(src []byte) []byte {
 	return b
 }
 
+// readLanded retires a fresh read that was delivered, with data or an
+// error, and reports whether it ran alone: no other fresh read of t was in
+// flight at any time between its issue and now.
+func (t *Tx) readLanded() bool {
+	alone := !t.crowded
+	t.reading--
+	t.crowded = t.crowded && t.reading > 0
+	return alone
+}
+
 // noteRead enters a delivered fresh read into the read set. data becomes
 // the entry's private copy.
-func (t *Tx) noteRead(addr proto.Addr, version uint64, data []byte) {
+func (t *Tx) noteRead(addr proto.Addr, version uint64, data []byte, alone bool) {
 	i := t.entry(addr) // may move set: index it afterwards
+	if alone {
+		t.lastAlone = int32(i)
+	}
 	e := &t.set[i]
 	if !e.read {
 		e.read = true
@@ -342,6 +363,9 @@ func (t *Tx) ReadTo(addr proto.Addr, size int, h ReadHandler) {
 	if t.ctx.Valid() {
 		op.rctx = t.m.trb.Begin("tx", "read", t.m.c.Eng.Now(), t.ctx.Trace, t.ctx.Span, int64(addr.Region))
 	}
+	t.reading++
+	t.crowded = t.crowded || t.reading > 1
+	t.lastAlone = -1
 	op.start()
 }
 

@@ -55,12 +55,39 @@ func (m *Machine) armTxStallSweep() {
 			m.c.Counters.Inc("tx_stall_aborted", 1)
 			m.abortTx(ct, ErrAborted)
 		}
+		m.sweepROWaits(now)
 		// Participant side: recovering transactions whose COMMIT/ABORT-
 		// RECOVERY or TRUNCATE-RECOVERY was lost re-query their recovery
 		// coordinator (recovery.go).
 		m.sweepStuckRecovering(now)
 		m.armTxStallSweep()
 	})
+}
+
+// sweepROWaits fails, in id order, the read-only commits whose VALIDATE RPC
+// has gone unanswered for txStallTimeout (a reply lost with its primary),
+// and forgets the answered ones. A read-only commit holds no locks.
+func (m *Machine) sweepROWaits(now sim.Time) {
+	var stalled []*Tx
+	kept := m.roWaits[:0]
+	for _, w := range m.roWaits {
+		switch {
+		case m.rpcWaiters[w.id] == nil: // answered
+		case now-w.sent < txStallTimeout:
+			kept = append(kept, w)
+		default:
+			delete(m.rpcWaiters, w.id)
+			stalled = append(stalled, w.t)
+		}
+	}
+	clear(m.roWaits[len(kept):]) // hold no finished transaction
+	m.roWaits = kept
+	for _, t := range stalled {
+		if !t.roFailed {
+			m.c.Counters.Inc("tx_ro_validate_stalled", 1)
+			t.roFail(ErrAborted)
+		}
+	}
 }
 
 // reportWriteFailure tells the membership layer a log write's retries were
