@@ -139,6 +139,14 @@ func main() {
 	ops := float64(max(g.Committed()-opsAtWarm, 1))
 	fmt.Printf("validate:   per committed op over the measured window: %.3f header reads, %.3f RPCs, %.3f last reads skipped\n",
 		float64(cpu["validate_reads"])/ops, float64(cpu["validate_rpcs"])/ops, float64(cpu["validate_skipped"])/ops)
+	// Hash-table lookups over the window: the reads (one-sided or local) each
+	// made, and where it was answered — the key's home bucket, a neighbour in
+	// the same span read, the overflow chain, or nowhere.
+	if lookups := float64(cpu["kv_found_home"] + cpu["kv_found_hood"] + cpu["kv_found_chain"] + cpu["kv_missed"]); lookups > 0 {
+		pct := func(name string) float64 { return 100 * float64(cpu[name]) / lookups }
+		fmt.Printf("kv:         %.3f reads per lookup over the measured window; answered in the home %.1f%%, a neighbour %.1f%%, the chain %.1f%%, missed %.1f%%\n",
+			float64(cpu["kv_reads"])/lookups, pct("kv_found_home"), pct("kv_found_hood"), pct("kv_found_chain"), pct("kv_missed"))
+	}
 	if tpccW != nil {
 		fmt.Printf("new orders: %d committed, median %v\n", tpccW.NewOrders, tpccW.NewOrderLat.Median())
 		// A warm descent walks the machine's cached internal nodes and

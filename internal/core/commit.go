@@ -611,7 +611,7 @@ func (m *Machine) validate(ct *coordTx) {
 		return
 	}
 	t := ct.tx
-	vs := t.validationSet(-1)
+	vs := t.validationSet(0, 0)
 	if len(vs) == 0 {
 		ct.phase = phaseCommitBackup
 		m.commitBackups(ct)
@@ -621,10 +621,8 @@ func (m *Machine) validate(ct *coordTx) {
 		m.abortTx(ct, ErrUnavailable)
 		return
 	}
-	for i, j := 0, 0; i < len(vs); i = j {
-		j = primaryRun(vs, i)
-		ct.valOutstanding += m.validationOps(vs[i].pm, j-i)
-	}
+	// Every completion arrives through the engine, so the count may grow as
+	// the loop issues.
 	for i, j := 0, 0; i < len(vs); i = j {
 		j = primaryRun(vs, i)
 		pm, entries := vs[i].pm, vs[i:j]
@@ -635,9 +633,11 @@ func (m *Machine) validate(ct *coordTx) {
 			req := t.validateReqFor(entries)
 			req.Tx = ct.id
 			*m.c.cValidateRPCs++
+			ct.valOutstanding++
 			m.sendFromThreadCtx(t.thread, pm, req, ct.phaseCtx)
 			continue
 		}
+		ct.valOutstanding += len(entries)
 		for _, e := range entries {
 			m.validateObject(ct, t, pm, e.i)
 		}
@@ -751,10 +751,10 @@ type valRead struct {
 // validationSet returns the read-but-not-written objects sorted by primary
 // then address: each run of equal pm is that primary's share of the
 // validation, and the whole walk is deterministic.
-func (t *Tx) validationSet(skip int32) []valRead {
+func (t *Tx) validationSet(skipLo, skipHi int32) []valRead {
 	vs := make([]valRead, 0, t.nReads)
 	for i := range t.set {
-		if e := &t.set[i]; e.read && !e.written && int32(i) != skip {
+		if e := &t.set[i]; e.read && !e.written && (int32(i) < skipLo || int32(i) >= skipHi) {
 			vs = append(vs, valRead{addr: e.addr, pm: t.m.primaryOf(e.addr.Region), i: int32(i)})
 		}
 	}
@@ -774,16 +774,6 @@ func primaryRun(vs []valRead, i int) int {
 		j++
 	}
 	return j
-}
-
-// validationOps is how many completions validating n objects at primary pm
-// takes: one RPC when a remote primary holds more than the threshold (§4
-// step 2), else one header read each.
-func (m *Machine) validationOps(pm, n int) int {
-	if pm != m.ID && n > m.c.Opts.ValidateRPCThreshold {
-		return 1
-	}
-	return n
 }
 
 func (t *Tx) validateReqFor(entries []valRead) *proto.ValidateReq {
@@ -882,7 +872,7 @@ func (m *Machine) onPrimaryAck(ct *coordTx, pm int, err error) {
 	}
 	if !ct.reported {
 		ct.reported = true
-		m.reportCommitted(ct)
+		m.reportCommitted(ct.cb)
 	}
 	ct.cpOutstanding--
 	if ct.cpOutstanding == 0 {
@@ -932,11 +922,11 @@ func (m *Machine) flushFencedReports() {
 }
 
 // reportCommitted finalizes a successful commit at the application.
-func (m *Machine) reportCommitted(ct *coordTx) {
+func (m *Machine) reportCommitted(cb func(error)) {
 	m.fencedReport(func() {
 		m.Committed++
 		m.c.Counters.Inc("tx_committed", 1)
-		ct.cb(nil)
+		cb(nil)
 	})
 }
 
@@ -950,27 +940,18 @@ func (t *Tx) validateReadOnly(cb func(error)) {
 	m := t.m
 	var vs []valRead
 	if !m.c.Opts.SkipReadValidation {
-		if t.lastAlone >= 0 {
-			*m.c.cValidateSkipped++
-		}
-		vs = t.validationSet(t.lastAlone)
+		*m.c.cValidateSkipped += uint64(t.aloneHi - t.aloneLo)
+		vs = t.validationSet(t.aloneLo, t.aloneHi)
 	}
+	t.roCb = cb
 	if len(vs) == 0 {
+		t.roOutstanding = 1
 		m.c.Eng.After(cpuLocal, func() {
 			if m.alive {
-				m.fencedReport(func() {
-					m.Committed++
-					m.c.Counters.Inc("tx_committed", 1)
-					cb(nil)
-				})
+				t.roValidated(true)
 			}
 		})
 		return
-	}
-	t.roCb = cb
-	for i, j := 0, 0; i < len(vs); i = j {
-		j = primaryRun(vs, i)
-		t.roOutstanding += m.validationOps(vs[i].pm, j-i)
 	}
 	for i, j := 0, 0; i < len(vs); i = j {
 		j = primaryRun(vs, i)
@@ -978,6 +959,7 @@ func (t *Tx) validateReadOnly(cb func(error)) {
 		switch {
 		case pm == m.ID:
 		case pm == -1 || !m.isMember(pm):
+			t.roOutstanding++
 			m.OnThread(t.thread, cpuLocal, func() { t.roValidated(false) })
 			continue
 		case len(entries) > m.c.Opts.ValidateRPCThreshold:
@@ -988,22 +970,26 @@ func (t *Tx) validateReadOnly(cb func(error)) {
 			m.rpcWaiters[id] = func(resp interface{}) {
 				t.roValidated(resp.(*proto.ValidateReply).OK)
 			}
-			m.roWaits = append(m.roWaits, roWait{id: id, t: t, sent: m.c.Eng.Now()})
+			m.rpcWaits = append(m.rpcWaits, rpcWait{id: id, sent: m.c.Eng.Now(), t: t})
 			*m.c.cValidateRPCs++
+			t.roOutstanding++
 			m.sendFromThread(t.thread, pm, &rpcEnvelope{ID: id, From: m.ID, Body: req, Ctx: t.ctx})
 			continue
 		}
+		t.roOutstanding += len(entries)
 		for _, e := range entries {
 			m.validateObject(nil, t, pm, e.i)
 		}
 	}
 }
 
-// roWait is a read-only commit's VALIDATE RPC awaiting its reply.
-type roWait struct {
-	id   uint64
-	t    *Tx
-	sent sim.Time
+// rpcWait is an RPC the stall sweep watches for its reply: a read-only
+// commit's VALIDATE (t), or a slot reservation (alloc).
+type rpcWait struct {
+	id    uint64
+	sent  sim.Time
+	t     *Tx
+	alloc func(off uint32, version uint64, err error)
 }
 
 // roFail reports a read-only commit's first failure; completions after it
@@ -1032,10 +1018,6 @@ func (t *Tx) roValidated(ok bool) {
 		// lease-fenced like the read-write path, so a coordinator that
 		// validated against replicas the configuration has moved past
 		// cannot vouch for a stale snapshot.
-		m.fencedReport(func() {
-			m.Committed++
-			m.c.Counters.Inc("tx_committed", 1)
-			t.roCb(nil)
-		})
+		m.reportCommitted(t.roCb)
 	}
 }

@@ -47,10 +47,7 @@ func (m *Machine) startDataRecovery(rep *replica) {
 	}
 	units := (rep.size + unit - 1) / unit
 	threads := m.c.Opts.Threads
-	chains := threads * m.c.Opts.DataRecConcurrency
-	if chains > units {
-		chains = units
-	}
+	chains := min(threads*m.c.Opts.DataRecConcurrency, units)
 	remaining := units
 	cfgAtStart := m.config.ID
 

@@ -196,7 +196,41 @@ func TestReadOnlyValidationRPCToDeadPrimaryReports(t *testing.T) {
 	if n := c.Counters.Get("tx_ro_validate_stalled"); n != 1 {
 		t.Fatalf("tx_ro_validate_stalled = %d, want 1", n)
 	}
-	if len(m.rpcWaiters) != 0 || len(m.roWaits) != 0 {
-		t.Fatalf("%d RPC waiters and %d read-only waits left", len(m.rpcWaiters), len(m.roWaits))
+	if len(m.rpcWaiters) != 0 || len(m.rpcWaits) != 0 {
+		t.Fatalf("%d RPC waiters and %d watched RPCs left", len(m.rpcWaiters), len(m.rpcWaits))
 	}
+}
+
+// TestAllocRPCToDeadPrimaryReports: a slot reservation sent to a primary
+// that dies before answering gets no reply. The same stall sweep must fail
+// it, so that the allocation reports an error instead of never calling back.
+func TestAllocRPCToDeadPrimaryReports(t *testing.T) {
+	c := New(Options{NumMachines: 5, Seed: 19})
+	region := regionWithPrimaryNotIn(t, c, 0, 1, 2, 3)
+	c.RunFor(20 * sim.Millisecond)
+
+	m := c.Machine(1)
+	tx := m.Begin(0)
+	hint := proto.Addr{Region: region}
+	var allocErr error
+	done := false
+	tx.Alloc(8, []byte("objectxx"), &hint, func(_ proto.Addr, err error) { allocErr, done = err, true })
+	if len(m.rpcWaiters) != 1 {
+		t.Fatalf("%d RPCs pending, want one slot reservation", len(m.rpcWaiters))
+	}
+	c.Kill(4)
+	runUntil(t, c, 500*sim.Millisecond, func() bool { return done })
+	if !done || allocErr == nil {
+		t.Fatalf("allocation at a dead primary: done %v, err %v; want an error", done, allocErr)
+	}
+	if n := c.Counters.Get("alloc_slot_stalled"); n != 1 {
+		t.Fatalf("alloc_slot_stalled = %d, want 1", n)
+	}
+	if n := c.Counters.Get("tx_stall_aborted"); n != 0 {
+		t.Fatalf("tx_stall_aborted = %d, want 0", n)
+	}
+	if len(m.rpcWaiters) != 0 || len(m.rpcWaits) != 0 {
+		t.Fatalf("%d RPC waiters and %d watched RPCs left", len(m.rpcWaiters), len(m.rpcWaits))
+	}
+	tx.Abort()
 }

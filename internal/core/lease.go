@@ -136,10 +136,7 @@ func (lm *leaseManager) renewInterval() sim.Time {
 	if rem := iv % timerResolution; rem != 0 {
 		iv += timerResolution - rem
 	}
-	if iv < timerResolution {
-		iv = timerResolution
-	}
-	return iv
+	return max(iv, timerResolution)
 }
 
 // start arms renewal and expiry checking.

@@ -10,6 +10,7 @@ import (
 	"farm/internal/regionmem"
 	"farm/internal/ring"
 	"farm/internal/sim"
+	"farm/internal/stats"
 	"farm/internal/trace"
 )
 
@@ -272,9 +273,10 @@ type Machine struct {
 	// RPC plumbing for slot allocation and mapping fetches.
 	nextRPC    uint64
 	rpcWaiters map[uint64]func(interface{})
-	// roWaits lists read-only commits' VALIDATE RPCs in id order, for the
-	// stall sweep to fail those no reply answers (watchdog.go).
-	roWaits []roWait
+	// rpcWaits lists the RPCs a lost reply must not wedge — read-only
+	// commits' VALIDATEs and slot reservations — in id order, for the stall
+	// sweep to fail those no reply answers (watchdog.go).
+	rpcWaits []rpcWait
 
 	// appHandler receives application messages (function shipping).
 	appHandler func(src int, msg interface{})
@@ -561,6 +563,9 @@ func (m *Machine) IsCM() bool { return m.alive && m.config.CM == uint16(m.ID) }
 func (m *Machine) OnThread(i int, cost sim.Time, fn func()) {
 	m.pool.ByIndex(i).DoIf(cost, &m.alive, fn)
 }
+
+// Counters returns the cluster's protocol counters.
+func (m *Machine) Counters() *stats.Counters { return m.c.Counters }
 
 // Threads returns the worker thread count.
 func (m *Machine) Threads() int { return m.c.Opts.Threads }

@@ -25,6 +25,9 @@ type readOp struct {
 	addr   proto.Addr
 	size   int
 	h      ReadHandler
+	// sh is set for a span read of n adjacent objects (h is then nil).
+	sh SpanHandler
+	n  int
 
 	// tx is set for Tx.Read: a fresh read joins tx's read set and the
 	// caller gets a copy. nil (LockFreeRead, external clients) hands the
@@ -65,9 +68,9 @@ func (m *Machine) getReadOp(thread int, addr proto.Addr, size int, h ReadHandler
 // recycle clears the op and returns it to the pool; callers copy out what
 // they still need first.
 func (op *readOp) recycle() {
-	op.tx, op.h, op.rep = nil, nil, nil
+	op.tx, op.h, op.sh, op.rep = nil, nil, nil, nil
 	op.rctx = trace.Ctx{}
-	op.lockRetries, op.mapRetries = 0, 0
+	op.lockRetries, op.mapRetries, op.n = 0, 0, 0
 	op.m.readFree = append(op.m.readFree, op)
 }
 
@@ -81,6 +84,55 @@ func (m *Machine) LockFreeRead(thread int, addr proto.Addr, size int, cb func(da
 // LockFreeReadTo is LockFreeRead delivering to a ReadHandler.
 func (m *Machine) LockFreeReadTo(thread int, addr proto.Addr, size int, h ReadHandler) {
 	m.getReadOp(thread, addr, size, h).start()
+}
+
+// LockFreeReadSpanTo reads n adjacent objects of one slab — the object at
+// addr and the n-1 that follow it in memory, each with a size-byte payload —
+// with one verb, or one local copy, outside any transaction. Every object is
+// read at the same instant; the read is retried only while an object h says
+// the answer depends on is write-locked. The span's bytes belong to h.
+func (m *Machine) LockFreeReadSpanTo(thread int, addr proto.Addr, size, n int, h SpanHandler) {
+	op := m.getReadOp(thread, addr, size, nil)
+	op.sh, op.n = h, n
+	op.start()
+}
+
+// Span is what a span read saw: the payloads of N adjacent objects, at most
+// four, all read at one instant. Payloads are views to look at only: inside a
+// transaction they are its read set's copies, or its own buffers for objects
+// it already held. Own returns bytes the caller may keep and change.
+type Span struct {
+	N    int
+	data [4][]byte
+	t    *Tx
+}
+
+// Payload returns object i's bytes, to look at only.
+func (s *Span) Payload(i int) []byte { return s.data[i] }
+
+// Own returns object i's bytes for the caller to keep and change: a copy
+// inside a transaction, the fetched bytes themselves outside one.
+func (s *Span) Own(i int) []byte {
+	if s.t == nil {
+		return s.data[i]
+	}
+	return s.t.copyOut(s.data[i])
+}
+
+// SpanHandler receives a span read. SpanNeeds names, as bit sets over the
+// span's objects (bit i is object i), those the answer depends on — the read
+// is retried while one of them is write-locked — and those a transaction's
+// read set also keeps if they were not locked. It may run again after a
+// retry; SpanDone follows the last run.
+type SpanHandler interface {
+	SpanNeeds(s Span) (need, keep uint8)
+	SpanDone(s Span, err error)
+}
+
+// length is how many bytes the read fetches: header and payload, after n-1
+// whole slots for a span.
+func (op *readOp) length() int {
+	return max(op.n-1, 0)*regionmem.SlotSize(op.size) + regionmem.HeaderSize + op.size
 }
 
 // start resolves the primary and schedules the read; every retry re-enters
@@ -148,36 +200,42 @@ func (op *readOp) retryLocked() {
 	op.start()
 }
 
+// lockedRetry schedules another try at a locked read, or gives up once the
+// retry budget is spent.
+func (op *readOp) lockedRetry() {
+	if op.lockRetries >= maxReadRetries {
+		op.deliver(0, nil, ErrReadLocked)
+	} else {
+		op.m.c.Eng.After(2*sim.Microsecond, op.lockRetryFn)
+	}
+}
+
 // readLocal serves the read from this machine's own primary replica: the
-// payload is copied once, from region memory into the bytes the read set
-// (or, outside a transaction, the caller) keeps.
+// header and payload are copied once, from region memory into the bytes the
+// read set (or, outside a transaction, the caller) keeps.
 func (op *readOp) readLocal() {
-	rep, off := op.rep, int(op.addr.Off)
-	if off+regionmem.HeaderSize+op.size > len(rep.mem) {
+	rep, off, n := op.rep, int(op.addr.Off), op.length()
+	if off+n > len(rep.mem) {
 		op.deliver(0, nil, fabric.ErrBadAddress)
 		return
 	}
-	word := regionmem.ReadHeader(rep.mem, off)
-	if op.retryIfLocked(word) {
-		return
-	}
-	var data []byte
+	var raw []byte
 	if op.tx != nil {
-		data = op.tx.carve(op.size)
+		raw = op.tx.carve(n)
 	} else {
-		data = make([]byte, op.size)
+		raw = make([]byte, n)
 	}
-	copy(data, rep.mem[off+regionmem.HeaderSize:])
-	op.deliver(word, data, nil)
+	copy(raw, rep.mem[off:])
+	op.landed(raw)
 }
 
 func (op *readOp) issue() {
 	op.m.nic.Read(fabric.MachineID(op.primary), nvram.RegionID(op.addr.Region), int(op.addr.Off),
-		regionmem.HeaderSize+op.size, op.readDoneFn)
+		op.length(), op.readDoneFn)
 }
 
-// handle inspects the header+payload of a remote read, which this read
-// owns: the fabric made raw for it and keeps no reference.
+// handle takes a remote read, which this read owns: the fabric made raw for
+// it and keeps no reference.
 func (op *readOp) handle(raw []byte, err error) {
 	if !op.m.alive {
 		return
@@ -186,41 +244,102 @@ func (op *readOp) handle(raw []byte, err error) {
 		op.retryMapping()
 		return
 	}
-	word := regionmem.ReadHeader(raw, 0)
-	if !op.retryIfLocked(word) {
+	op.landed(raw)
+}
+
+// landed inspects the header and payload a read fetched, and retries it while
+// the object is write-locked.
+func (op *readOp) landed(raw []byte) {
+	if op.sh != nil {
+		op.spanLanded(raw)
+	} else if word := regionmem.ReadHeader(raw, 0); regionmem.Locked(word) {
+		op.lockedRetry()
+	} else {
 		op.deliver(word, raw[regionmem.HeaderSize:], nil)
 	}
 }
 
-// retryIfLocked reports whether the header word shows a write lock, having
-// scheduled the retry (or given up) if so.
-func (op *readOp) retryIfLocked(word uint64) bool {
-	if !regionmem.Locked(word) {
-		return false
+// spanLanded examines a fetched span, header words included, one slot
+// apart. Objects the transaction already holds are served from its own
+// buffers; of the rest, a lock on one the handler needs sends the read around
+// again, and the read set takes the needed ones and the unlocked kept ones.
+func (op *readOp) spanLanded(raw []byte) {
+	m, t, h, addr := op.m, op.tx, op.sh, op.addr
+	stride := regionmem.SlotSize(op.size)
+	s := Span{N: op.n, t: t}
+	var locked, held uint8
+	for i := 0; i < op.n; i++ {
+		at := i*stride + regionmem.HeaderSize
+		s.data[i] = raw[at : at+op.size : at+op.size]
+		if t != nil {
+			if j := t.find(proto.Addr{Region: addr.Region, Off: addr.Off + uint32(i*stride)}); j >= 0 {
+				s.data[i], held = t.set[j].view(), held|1<<i
+				continue
+			}
+		}
+		if regionmem.Locked(regionmem.ReadHeader(raw, i*stride)) {
+			locked |= 1 << i
+		}
 	}
-	if op.lockRetries >= maxReadRetries {
-		op.deliver(0, nil, ErrReadLocked)
-	} else {
-		op.m.c.Eng.After(2*sim.Microsecond, op.lockRetryFn)
+	need, keep := h.SpanNeeds(s)
+	if need&locked != 0 {
+		m.c.Counters.Inc("span_lock_retries", 1)
+		op.lockedRetry()
+		return
 	}
-	return true
+	alone := op.land()
+	if t == nil && !m.selfLeaseOK() {
+		m.fencedReport(func() { h.SpanDone(s, nil) })
+		return
+	}
+	if t != nil {
+		// Every object the span adds was read at the same instant, so a span
+		// that ran alone is the read a read-only commit serializes at, whole.
+		keep = (need | keep&^locked) &^ held
+		lo := int32(len(t.set))
+		for i := 0; i < s.N; i++ {
+			if keep&(1<<i) != 0 {
+				word := regionmem.ReadHeader(raw, i*stride)
+				t.noteRead(proto.Addr{Region: addr.Region, Off: addr.Off + uint32(i*stride)}, regionmem.Version(word), s.data[i])
+			}
+		}
+		if alone {
+			t.aloneLo, t.aloneHi = lo, int32(len(t.set))
+		}
+	}
+	h.SpanDone(s, nil)
+}
+
+// land finishes a read its caller is about to be told of: the op returns to
+// the pool, its trace span ends and a transaction's fresh read retires.
+// It reports whether that read ran alone (readLanded).
+func (op *readOp) land() bool {
+	m, t, rctx := op.m, op.tx, op.rctx
+	op.recycle()
+	if rctx.Valid() {
+		m.trb.End(rctx, m.c.Eng.Now(), 0)
+	}
+	return t != nil && t.readLanded()
 }
 
 // deliver finishes a fetched read. Inside a transaction data becomes the
 // read set's private copy and the caller gets its own.
 func (op *readOp) deliver(word uint64, data []byte, err error) {
-	m, t, addr, rctx, h := op.m, op.tx, op.addr, op.rctx, op.h
-	op.recycle()
-	if rctx.Valid() {
-		m.trb.End(rctx, m.c.Eng.Now(), 0)
-	}
-	alone := t != nil && t.readLanded()
+	m, t, addr, h, sh := op.m, op.tx, op.addr, op.h, op.sh
+	alone := op.land()
 	if err != nil {
-		h.ReadDone(nil, err)
+		if sh != nil {
+			sh.SpanDone(Span{}, err)
+		} else {
+			h.ReadDone(nil, err)
+		}
 		return
 	}
 	if t != nil {
-		t.noteRead(addr, regionmem.Version(word), data, alone)
+		i := t.noteRead(addr, regionmem.Version(word), data)
+		if alone {
+			t.aloneLo, t.aloneHi = i, i+1
+		}
 		h.ReadDone(t.copyOut(data), nil)
 		return
 	}
@@ -238,9 +357,5 @@ func (op *readOp) deliver(word uint64, data []byte, err error) {
 func (op *readOp) deliverOwn() {
 	t, e, h := op.tx, &op.tx.set[op.own], op.h
 	op.recycle()
-	src := e.data
-	if e.written {
-		src = e.value
-	}
-	h.ReadDone(t.copyOut(src), nil)
+	h.ReadDone(t.copyOut(e.view()), nil)
 }

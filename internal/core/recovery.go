@@ -974,7 +974,7 @@ func (m *Machine) decide(vc *voteCollector, commit bool) {
 		if commit {
 			if !ct.reported {
 				ct.reported = true
-				m.reportCommitted(ct)
+				m.reportCommitted(ct.cb)
 			}
 		} else {
 			if ct.reported {

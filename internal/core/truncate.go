@@ -139,10 +139,7 @@ func (m *Machine) attachPiggyback(p *peer, rec *proto.Record) {
 	if len(q.ids) == 0 {
 		return
 	}
-	n := len(q.ids)
-	if n > maxPiggyIDs {
-		n = maxPiggyIDs
-	}
+	n := min(len(q.ids), maxPiggyIDs)
 	rec.TruncIDs = append(rec.TruncIDs, q.ids[:n]...)
 	// Slide the rest down rather than re-slicing forward, so the queue
 	// reuses its backing array instead of creeping into a reallocation.

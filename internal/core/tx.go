@@ -75,11 +75,12 @@ type Tx struct {
 	finished bool
 
 	// reading counts fresh reads in flight; crowded: two were, since none.
-	// lastAlone is the entry of the last fresh read if it was delivered and
-	// ran alone (-1 otherwise): a read-only commit serializes at that read.
-	reading   int
-	crowded   bool
-	lastAlone int32
+	// [aloneLo, aloneHi) are the entries of the last fresh read if it was
+	// delivered and ran alone (empty otherwise): a read-only commit
+	// serializes at that read. A span read's entries are all its objects.
+	reading          int
+	crowded          bool
+	aloneLo, aloneHi int32
 
 	// Read-only commit (validateReadOnly): the report callback, header
 	// checks still due, and whether one already failed.
@@ -101,12 +102,11 @@ type Tx struct {
 // here whether this transaction gets a root span.
 func (m *Machine) Begin(thread int) *Tx {
 	t := &Tx{
-		m:         m,
-		thread:    thread % m.c.Opts.Threads,
-		firstW:    -1,
-		lastW:     -1,
-		lastAlone: -1,
-		started:   m.c.Eng.Now(),
+		m:       m,
+		thread:  thread % m.c.Opts.Threads,
+		firstW:  -1,
+		lastW:   -1,
+		started: m.c.Eng.Now(),
 	}
 	t.set = t.inline[:0]
 	if m.trb != nil && m.trb.SampleTx() {
@@ -220,13 +220,10 @@ func (t *Tx) readLanded() bool {
 	return alone
 }
 
-// noteRead enters a delivered fresh read into the read set. data becomes
-// the entry's private copy.
-func (t *Tx) noteRead(addr proto.Addr, version uint64, data []byte, alone bool) {
+// noteRead enters a delivered fresh read into the read set and returns its
+// entry. data becomes the entry's private copy.
+func (t *Tx) noteRead(addr proto.Addr, version uint64, data []byte) int32 {
 	i := t.entry(addr) // may move set: index it afterwards
-	if alone {
-		t.lastAlone = int32(i)
-	}
 	e := &t.set[i]
 	if !e.read {
 		e.read = true
@@ -237,6 +234,16 @@ func (t *Tx) noteRead(addr proto.Addr, version uint64, data []byte, alone bool) 
 	}
 	e.data = data
 	t.histRead(addr, version)
+	return int32(i)
+}
+
+// view is the entry's payload as the transaction sees it: its buffered
+// write, or else what it read.
+func (e *txEntry) view() []byte {
+	if e.written {
+		return e.value
+	}
+	return e.data
 }
 
 // writeEntry returns entry i after making it part of the write set, at the
@@ -319,14 +326,7 @@ const (
 // base doubled per attempt, capped (no jitter — the simulation needs
 // determinism, and retries are already desynchronized by fetch latency).
 func mappingBackoff(retry int) sim.Time {
-	d := mappingBackoffBase
-	for i := 0; i < retry && d < mappingBackoffCap; i++ {
-		d *= 2
-	}
-	if d > mappingBackoffCap {
-		d = mappingBackoffCap
-	}
-	return d
+	return min(mappingBackoffBase<<min(retry, 16), mappingBackoffCap)
 }
 
 // ReadHandler receives the outcome of an object read. A reader that makes
@@ -360,12 +360,27 @@ func (t *Tx) ReadTo(addr proto.Addr, size int, h ReadHandler) {
 		t.m.OnThread(t.thread, cpuLocal, op.ownFn)
 		return
 	}
+	t.issue(op)
+}
+
+// ReadSpanTo is LockFreeReadSpanTo inside the transaction: one verb reads
+// the n objects, and the read set gets the ones h names, at the versions
+// that verb saw. Objects the transaction already holds are served from its
+// own buffers and keep their entries.
+func (t *Tx) ReadSpanTo(addr proto.Addr, size, n int, h SpanHandler) {
+	op := t.m.getReadOp(t.thread, addr, size, nil)
+	op.sh, op.n, op.tx = h, n, t
+	t.issue(op)
+}
+
+// issue starts a fresh read.
+func (t *Tx) issue(op *readOp) {
 	if t.ctx.Valid() {
-		op.rctx = t.m.trb.Begin("tx", "read", t.m.c.Eng.Now(), t.ctx.Trace, t.ctx.Span, int64(addr.Region))
+		op.rctx = t.m.trb.Begin("tx", "read", t.m.c.Eng.Now(), t.ctx.Trace, t.ctx.Span, int64(op.addr.Region))
 	}
 	t.reading++
 	t.crowded = t.crowded || t.reading > 1
-	t.lastAlone = -1
+	t.aloneLo, t.aloneHi = 0, 0
 	op.start()
 }
 
@@ -437,6 +452,10 @@ func (t *Tx) Free(addr proto.Addr) {
 // ReadSetSize and WriteSetSize expose execution-phase footprints.
 func (t *Tx) ReadSetSize() int  { return t.nReads }
 func (t *Tx) WriteSetSize() int { return t.nWrites }
+
+// Holds reports whether addr is in the transaction's table, so that a read
+// of it is served from the transaction's own buffers.
+func (t *Tx) Holds(addr proto.Addr) bool { return t.find(addr) >= 0 }
 
 // Wrote reports whether addr is in the write set, so that a read of it
 // returns this transaction's buffered bytes rather than committed ones.
@@ -543,6 +562,7 @@ func (m *Machine) allocSlot(thread int, region uint32, size int, cb func(off uin
 		}
 		cb(r.Off, r.Version, nil)
 	}
+	m.rpcWaits = append(m.rpcWaits, rpcWait{id: id, sent: m.c.Eng.Now(), alloc: cb})
 	m.sendFromThread(thread, p, &rpcEnvelope{ID: id, From: m.ID, Body: req})
 }
 

@@ -55,7 +55,7 @@ func (m *Machine) armTxStallSweep() {
 			m.c.Counters.Inc("tx_stall_aborted", 1)
 			m.abortTx(ct, ErrAborted)
 		}
-		m.sweepROWaits(now)
+		m.sweepRPCWaits(now)
 		// Participant side: recovering transactions whose COMMIT/ABORT-
 		// RECOVERY or TRUNCATE-RECOVERY was lost re-query their recovery
 		// coordinator (recovery.go).
@@ -64,28 +64,35 @@ func (m *Machine) armTxStallSweep() {
 	})
 }
 
-// sweepROWaits fails, in id order, the read-only commits whose VALIDATE RPC
-// has gone unanswered for txStallTimeout (a reply lost with its primary),
-// and forgets the answered ones. A read-only commit holds no locks.
-func (m *Machine) sweepROWaits(now sim.Time) {
-	var stalled []*Tx
-	kept := m.roWaits[:0]
-	for _, w := range m.roWaits {
+// sweepRPCWaits fails, in id order, the watched RPCs that have gone
+// unanswered for txStallTimeout (a reply lost with its primary), and
+// forgets the answered ones. A read-only commit holds no locks, so it
+// aborts; a slot reservation reports ErrUnavailable, and its transaction
+// tries the next candidate region (a late reply is dropped, and its slot
+// left to allocator recovery).
+func (m *Machine) sweepRPCWaits(now sim.Time) {
+	var stalled []rpcWait
+	kept := m.rpcWaits[:0]
+	for _, w := range m.rpcWaits {
 		switch {
 		case m.rpcWaiters[w.id] == nil: // answered
 		case now-w.sent < txStallTimeout:
 			kept = append(kept, w)
 		default:
 			delete(m.rpcWaiters, w.id)
-			stalled = append(stalled, w.t)
+			stalled = append(stalled, w)
 		}
 	}
-	clear(m.roWaits[len(kept):]) // hold no finished transaction
-	m.roWaits = kept
-	for _, t := range stalled {
-		if !t.roFailed {
+	clear(m.rpcWaits[len(kept):]) // hold no finished transaction
+	m.rpcWaits = kept
+	for _, w := range stalled {
+		switch {
+		case w.alloc != nil:
+			m.c.Counters.Inc("alloc_slot_stalled", 1)
+			w.alloc(0, 0, ErrUnavailable)
+		case !w.t.roFailed:
 			m.c.Counters.Inc("tx_ro_validate_stalled", 1)
-			t.roFail(ErrAborted)
+			w.t.roFail(ErrAborted)
 		}
 	}
 }

@@ -104,9 +104,10 @@ func (l *getPutLoop) run(tx *core.Tx, put bool) {
 }
 
 // TestGetPutAllocationBudget: a transactional Get that hits costs its
-// chainOp plus its share of the transaction's slab chunks and table (1.44
-// here; 5.38 before ISSUE 16: hop closure, bounce buffer, read-set entry,
-// caller's copy, value copy); a Put of the key just read costs its chainOp
+// chainOp plus its share of the transaction's slab chunks and table (1.50
+// here, 1.44 when it read one bucket instead of the neighbourhood; 5.38
+// when it also allocated a hop closure, a bounce buffer, a read-set entry,
+// the caller's copy and a value copy); a Put of the key just read costs its chainOp
 // plus its share of the slab for the re-read bucket and the buffered write
 // (1.06; 4.69 before).
 func TestGetPutAllocationBudget(t *testing.T) {
@@ -258,5 +259,34 @@ func BenchmarkTxPut(b *testing.B) {
 		tx := r.m.Begin(0)
 		l.run(tx, true)
 		tx.Abort()
+	}
+}
+
+// TestLockFreeGetAllocationBudget: a lock-free lookup costs its chainOp and
+// one buffer for what it read — the whole neighbourhood now, one bucket
+// before — so reading four buckets allocates no more than reading one did.
+func TestLockFreeGetAllocationBudget(t *testing.T) {
+	const keys = 16
+	r := newLocalRig(t, keys)
+	i := 0
+	var onGet func([]byte, bool, error)
+	onGet = func(val []byte, ok bool, err error) {
+		if err != nil || !ok || len(val) != 16 || val[0] != byte(i) {
+			t.Fatalf("lock-free get %d: %x %v %v", i, val, ok, err)
+		}
+		if i++; i < keys {
+			r.t.LockFreeGet(r.m, 0, r.keys[i], onGet)
+		}
+	}
+	run := func() {
+		i = 0
+		r.t.LockFreeGet(r.m, 0, r.keys[0], onGet)
+		r.run(func() bool { return i == keys })
+	}
+	run() // warm the pools
+	per := testing.AllocsPerRun(100, run) / keys
+	t.Logf("kv.LockFreeGet: %.2f allocs", per)
+	if per > 2 {
+		t.Errorf("kv.LockFreeGet: %v allocs, want <= 2", per)
 	}
 }

@@ -1,9 +1,11 @@
 // Package kv implements the FaRM hash table (§6.2, [16]): a distributed
 // hash table over the FaRM global address space whose buckets are FaRM
-// objects. A lookup is a single object read — one RDMA read when the
-// bucket's primary is remote — and all mutations run inside the caller's
-// transaction, so multi-table operations (TATP, TPC-C) compose into one
-// atomic commit.
+// objects. It is chained associative hopscotch hashing: a key lives in its
+// home bucket, in one of the hood-1 buckets that follow the home in memory
+// (its neighbourhood), or in the home's overflow chain, and one span read —
+// one RDMA read when the buckets' primary is remote — fetches the whole
+// neighbourhood. All mutations run inside the caller's transaction, so
+// multi-table operations (TATP, TPC-C) compose into one atomic commit.
 //
 // Buckets hold a fixed number of slots plus an overflow chain pointer.
 // The bucket directory (the []Addr produced at creation) is table
@@ -19,11 +21,16 @@ import (
 
 	"farm/internal/core"
 	"farm/internal/proto"
+	"farm/internal/regionmem"
 )
 
 // ErrFull is returned when neither the bucket nor a new overflow bucket
 // can accommodate an insert.
 var ErrFull = errors.New("kv: table full")
+
+// hood is the neighbourhood size: a home bucket and the hood-1 buckets that
+// follow it in memory.
+const hood = 4
 
 // Table is a distributed hash table descriptor. It is immutable after
 // Create and safe to share across machines.
@@ -34,13 +41,33 @@ type Table struct {
 	maxKey   int
 	maxVal   int
 	bodySize int
+	// adj[j] is how many of the buckets after j in its region (j+step,
+	// j+2*step, ...) follow it directly in memory, up to hood-1: bucket j's
+	// neighbourhood is j and those. 0 at the end of a region's run, or where
+	// an allocation broke adjacency.
+	adj  []uint8
+	step int
+	// Where Get and LockFreeGet answered, and the reads they made: the
+	// "kv_found_home", "kv_found_hood", "kv_found_chain", "kv_missed" and
+	// "kv_reads" counter cells.
+	cHome, cHood, cChain, cMiss, cReads *uint64
 }
 
 // Layout:
 //
 //	bucket := nextRegion u32 | nextOff u32 | slots × slot
 //	slot   := used u8 | keyLen u16 | valLen u16 | key [maxKey] | val [maxVal]
-const bucketHeader = 8
+//
+// A bucket's offset is a multiple of its slot size (at least 16), so the low
+// four bits of nextOff are free: bits 1..hood-1 are the home's hop bits,
+// bit d set when neighbour d may hold a key of this home. The invariant: a
+// key lives in its home, in a neighbour the home's hop bits name, or in the
+// home's chain.
+const (
+	bucketHeader = 8
+	hopBits      = 1<<hood - 2
+	offLowBits   = 0xf
+)
 
 func (t *Table) slotSize() int { return 5 + t.maxKey + t.maxVal }
 
@@ -93,6 +120,11 @@ func Create(m *core.Machine, cfg Config, cb func(*Table, error)) {
 		maxVal: cfg.MaxVal,
 	}
 	t.buckets = make([]proto.Addr, cfg.Buckets)
+	t.step = len(cfg.Regions)
+	counters := m.Counters()
+	t.cHome, t.cHood = counters.Cell("kv_found_home"), counters.Cell("kv_found_hood")
+	t.cChain, t.cMiss = counters.Cell("kv_found_chain"), counters.Cell("kv_missed")
+	t.cReads = counters.Cell("kv_reads")
 	empty := make([]byte, t.BucketBytes())
 
 	// Allocate in batches so one giant transaction does not exceed log
@@ -101,6 +133,7 @@ func Create(m *core.Machine, cfg Config, cb func(*Table, error)) {
 	var allocFrom func(i int)
 	allocFrom = func(i int) {
 		if i >= cfg.Buckets {
+			t.measureAdjacency()
 			cb(t, nil)
 			return
 		}
@@ -136,6 +169,22 @@ func Create(m *core.Machine, cfg Config, cb func(*Table, error)) {
 	allocFrom(0)
 }
 
+// measureAdjacency fills adj from the bucket addresses. One slab class in
+// ascending offsets lays a region's buckets back to back, a slot apart.
+func (t *Table) measureAdjacency() {
+	stride := uint32(regionmem.SlotSize(t.BucketBytes()))
+	t.adj = make([]uint8, len(t.buckets))
+	for j, a := range t.buckets {
+		for d := 1; d < hood; d++ {
+			i := j + d*t.step
+			if i >= len(t.buckets) || t.buckets[i] != (proto.Addr{Region: a.Region, Off: a.Off + uint32(d)*stride}) {
+				break
+			}
+			t.adj[j]++
+		}
+	}
+}
+
 // MustCreate drives the simulation until Create completes (bootstrap
 // helper for tests, examples and benchmarks).
 func MustCreate(c *core.Cluster, m *core.Machine, cfg Config) *Table {
@@ -165,14 +214,19 @@ type bucket struct {
 func (b bucket) next() proto.Addr {
 	return proto.Addr{
 		Region: binary.LittleEndian.Uint32(b.data[0:]),
-		Off:    binary.LittleEndian.Uint32(b.data[4:]),
+		Off:    binary.LittleEndian.Uint32(b.data[4:]) &^ offLowBits,
 	}
 }
 
+// hops returns the home's hop bits: bit d names neighbour d.
+func (b bucket) hops() uint8 { return b.data[4] & hopBits }
+
 func (b bucket) setNext(a proto.Addr) {
 	binary.LittleEndian.PutUint32(b.data[0:], a.Region)
-	binary.LittleEndian.PutUint32(b.data[4:], a.Off)
+	binary.LittleEndian.PutUint32(b.data[4:], a.Off|uint32(b.hops()))
 }
+
+func (b bucket) setHops(h uint8) { b.data[4] = b.data[4]&^hopBits | h }
 
 func (b bucket) slot(i int) []byte {
 	s := b.t.slotSize()
@@ -223,19 +277,45 @@ func (b bucket) freeSlot() int {
 	return -1
 }
 
+// holdsKeyOf reports whether b holds a key whose home is bucket home.
+func (b bucket) holdsKeyOf(home int) bool {
+	for i := 0; i < b.t.slots; i++ {
+		if s := b.slot(i); slotUsed(s) && b.t.hash(slotKey(s)) == home {
+			return true
+		}
+	}
+	return false
+}
+
 var zeroAddr = proto.Addr{}
 
-// chainOp is one table operation on its way down a bucket chain. It is the
-// read handler of every hop, so an operation allocates this and nothing per
-// hop. Bucket bytes delivered to it are its own copy (core's ownership
-// rule), which is what lets Get hand out a slice of them instead of a copy
-// and Put edit them in place before writing them back.
+// chainOp is one table operation: a span read of the key's neighbourhood,
+// then, if the key is in none of its buckets, a walk down the home's chain.
+// It is the handler of every read it makes, so an operation allocates this
+// and nothing per read. A transaction that already holds the home walks the
+// neighbourhood bucket by bucket from its own buffers instead, so repeating
+// an operation on a key costs no verb.
 type chainOp struct {
 	t      *Table
 	tx     *core.Tx      // nil for a lock-free get
 	m      *core.Machine // lock-free get only
 	thread int
-	addr   proto.Addr // bucket being read
+
+	home, n int // home bucket, and the buckets in its neighbourhood
+	// nb holds the neighbourhood's bucket bytes as far as they are known
+	// (nil: not read). A span's are views, to look at only, until SpanDone
+	// replaces those the operation changes or hands out with its own copies;
+	// a bucket read alone is the operation's own.
+	nb [hood][]byte
+	// at is the neighbour holding the key, in its slot (-1: not in the
+	// neighbourhood); free is the first neighbour with a free slot (-1:
+	// none). pos is the neighbour a bucket read is for (-1: the chain
+	// bucket at addr); placing says a Put is looking for a free slot.
+	at, slot, free, pos int
+	placing             bool
+	addr                proto.Addr
+	// tail is the last chain bucket, once a walk reached it (nil: no chain).
+	tail []byte
 
 	key, val []byte
 	// Exactly one of these is set; it says which operation this is.
@@ -244,7 +324,46 @@ type chainOp struct {
 	delCb func(ok bool, err error)
 }
 
-func (op *chainOp) read() {
+func (t *Table) newOp(tx *core.Tx, key []byte) *chainOp {
+	home := t.hash(key)
+	return &chainOp{t: t, tx: tx, home: home, n: 1 + int(t.adj[home]), key: key}
+}
+
+// nbAddr is the address of neighbour d.
+func (op *chainOp) nbAddr(d int) proto.Addr { return op.t.buckets[op.home+d*op.t.step] }
+
+// start reads the neighbourhood.
+func (op *chainOp) start() {
+	home, size := op.t.buckets[op.home], op.t.BucketBytes()
+	switch {
+	case op.tx == nil:
+		op.count(home)
+		op.m.LockFreeReadSpanTo(op.thread, home, size, op.n, op)
+	case op.tx.Holds(home):
+		op.readNeighbour(0)
+	default:
+		op.count(home)
+		op.tx.ReadSpanTo(home, size, op.n, op)
+	}
+}
+
+// count notes a read a lookup makes that its transaction's own buffers do
+// not serve.
+func (op *chainOp) count(addr proto.Addr) {
+	if op.getCb != nil && (op.tx == nil || !op.tx.Holds(addr)) {
+		*op.t.cReads++
+	}
+}
+
+func (op *chainOp) readNeighbour(d int) {
+	op.pos = d
+	op.count(op.nbAddr(d))
+	op.tx.ReadTo(op.nbAddr(d), op.t.BucketBytes(), op)
+}
+
+func (op *chainOp) readChain() {
+	op.pos = -1
+	op.count(op.addr)
 	if op.tx != nil {
 		op.tx.ReadTo(op.addr, op.t.BucketBytes(), op)
 	} else {
@@ -252,63 +371,225 @@ func (op *chainOp) read() {
 	}
 }
 
-// ReadDone examines one bucket: act on the key's slot, follow the chain, or
-// finish at its end.
+// search looks for the key in the home and the neighbours its hop bits
+// name. It returns a flagged neighbour still to be read — one the
+// transaction holds if there is one — or -1 once at says where the key is,
+// or that no bucket of the neighbourhood has it.
+func (op *chainOp) search() int {
+	op.at = -1
+	hops, missing := bucket{t: op.t, data: op.nb[0]}.hops(), -1
+	for d := 0; d < op.n; d++ {
+		if d > 0 && hops&(1<<d) == 0 {
+			continue
+		}
+		if op.nb[d] == nil {
+			if missing < 0 || op.tx.Holds(op.nbAddr(d)) {
+				missing = d
+			}
+			continue
+		}
+		if i := (bucket{t: op.t, data: op.nb[d]}).find(op.key); i >= 0 {
+			op.at, op.slot = d, i
+			return -1
+		}
+	}
+	return missing
+}
+
+// SpanNeeds names what the operation's answer depends on. A hit depends on
+// the bucket holding the key, and a Get's read set also keeps the home,
+// as an overflow hit keeps it; a Delete may clear a hop bit, so it needs the
+// home. A miss depends on the home and its flagged neighbours, and a Put's
+// also on the neighbour it will place the key in.
+func (op *chainOp) SpanNeeds(s core.Span) (need, keep uint8) {
+	for d := 0; d < s.N; d++ {
+		op.nb[d] = s.Payload(d)
+	}
+	op.search()
+	switch {
+	case op.at == 0:
+		return 1, 0
+	case op.at > 0 && op.delCb != nil:
+		return 1 | 1<<op.at, 0
+	case op.at > 0:
+		return 1 << op.at, 1
+	}
+	need = 1 | bucket{t: op.t, data: op.nb[0]}.hops()
+	if op.free = -1; op.putCb != nil {
+		for d := 0; d < op.n && op.free < 0; d++ {
+			if (bucket{t: op.t, data: op.nb[d]}).freeSlot() >= 0 {
+				op.free = d
+			}
+		}
+		if op.free > 0 {
+			need |= 1 << op.free
+		}
+	}
+	return need, 0
+}
+
+// SpanDone acts on the neighbourhood, having first made its own copies of
+// the buckets it hands out or changes.
+func (op *chainOp) SpanDone(s core.Span, err error) {
+	if err != nil {
+		op.fail(err)
+		return
+	}
+	switch {
+	case op.at >= 0:
+		op.nb[op.at] = s.Own(op.at)
+		if op.delCb != nil && op.at > 0 {
+			op.nb[0] = s.Own(0)
+		}
+	case op.putCb != nil:
+		op.nb[0] = s.Own(0)
+		if op.free > 0 {
+			op.nb[op.free] = s.Own(op.free)
+		}
+	}
+	op.searched()
+}
+
+// ReadDone takes one bucket read alone: a neighbour, or a chain bucket.
 func (op *chainOp) ReadDone(data []byte, err error) {
 	if err != nil {
 		op.fail(err)
 		return
 	}
-	b := bucket{t: op.t, data: data}
-	i := b.find(op.key)
-	if i < 0 {
-		if n := b.next(); n != zeroAddr {
-			op.addr = n
-			op.read()
-			return
+	if op.pos >= 0 {
+		op.nb[op.pos] = data
+		if op.placing {
+			op.place()
+		} else if d := op.search(); d >= 0 {
+			op.readNeighbour(d)
+		} else {
+			op.searched()
 		}
+		return
 	}
+	b := bucket{t: op.t, data: data}
+	if i := b.find(op.key); i >= 0 {
+		op.hit(b, op.addr, -1, i)
+		return
+	}
+	if n := b.next(); n != zeroAddr {
+		op.addr = n
+		op.readChain()
+		return
+	}
+	op.tail = data
+	op.missed()
+}
+
+// searched goes on from a finished neighbourhood search: act on a hit, or
+// walk the home's chain, or act on a miss.
+func (op *chainOp) searched() {
+	if op.at >= 0 {
+		op.hit(bucket{t: op.t, data: op.nb[op.at]}, op.nbAddr(op.at), op.at, op.slot)
+		return
+	}
+	if n := (bucket{t: op.t, data: op.nb[0]}).next(); n != zeroAddr {
+		op.addr = n
+		op.readChain()
+		return
+	}
+	op.missed()
+}
+
+// hit acts on the key's slot i in bucket b at addr, neighbour d of the
+// home (-1: a chain bucket). b is the operation's own.
+func (op *chainOp) hit(b bucket, addr proto.Addr, d, i int) {
 	switch {
 	case op.getCb != nil:
-		if i >= 0 {
-			v := slotVal(b.slot(i), op.t.maxKey)
-			op.getCb(v[:len(v):len(v)], true, nil)
-		} else {
-			op.getCb(nil, false, nil)
+		switch {
+		case d == 0:
+			*op.t.cHome++
+		case d > 0:
+			*op.t.cHood++
+		default:
+			*op.t.cChain++
 		}
+		v := slotVal(b.slot(i), op.t.maxKey)
+		op.getCb(v[:len(v):len(v)], true, nil)
 	case op.delCb != nil:
-		if i >= 0 {
-			b.clearSlot(i)
-			op.tx.Write(op.addr, b.data)
+		b.clearSlot(i)
+		op.tx.Write(addr, b.data)
+		if home := (bucket{t: op.t, data: op.nb[0]}); d > 0 && !b.holdsKeyOf(op.home) {
+			home.setHops(home.hops() &^ (1 << d))
+			op.tx.Write(op.nbAddr(0), home.data)
 		}
-		op.delCb(i >= 0, nil)
+		op.delCb(true, nil)
 	default:
-		if i < 0 {
-			i = b.freeSlot()
-		}
-		if i < 0 {
-			op.chainOverflow(b)
-			return
-		}
 		b.setSlot(i, op.key, op.val)
-		op.tx.Write(op.addr, b.data)
+		op.tx.Write(addr, b.data)
 		op.putCb(nil)
 	}
 }
 
+// missed acts on a key that is nowhere.
+func (op *chainOp) missed() {
+	switch {
+	case op.getCb != nil:
+		*op.t.cMiss++
+		op.getCb(nil, false, nil)
+	case op.delCb != nil:
+		op.delCb(false, nil)
+	default:
+		op.placing = true
+		op.place()
+	}
+}
+
+// place puts a new key in the first free slot of its home, then of the
+// home's neighbours in order, setting the home's hop bit for a neighbour.
+// Only a full neighbourhood sends it to the end of the home's chain.
+func (op *chainOp) place() {
+	for d := 0; d < op.n; d++ {
+		if op.nb[d] == nil {
+			op.readNeighbour(d)
+			return
+		}
+		b := bucket{t: op.t, data: op.nb[d]}
+		i := b.freeSlot()
+		if i < 0 {
+			continue
+		}
+		b.setSlot(i, op.key, op.val)
+		op.tx.Write(op.nbAddr(d), b.data)
+		if home := (bucket{t: op.t, data: op.nb[0]}); d > 0 && home.hops()&(1<<d) == 0 {
+			home.setHops(home.hops() | 1<<d)
+			op.tx.Write(op.nbAddr(0), home.data)
+		}
+		op.putCb(nil)
+		return
+	}
+	if op.tail == nil {
+		op.chainOverflow(bucket{t: op.t, data: op.nb[0]}, op.nbAddr(0))
+		return
+	}
+	b := bucket{t: op.t, data: op.tail}
+	if i := b.freeSlot(); i >= 0 {
+		b.setSlot(i, op.key, op.val)
+		op.tx.Write(op.addr, b.data)
+		op.putCb(nil)
+		return
+	}
+	op.chainOverflow(b, op.addr)
+}
+
 // chainOverflow links a fresh overflow bucket holding the pair behind the
-// full last bucket b, near it (same region).
-func (op *chainOp) chainOverflow(b bucket) {
+// full last bucket b at addr, near it (same region).
+func (op *chainOp) chainOverflow(b bucket, addr proto.Addr) {
 	overflow := make([]byte, op.t.BucketBytes())
 	bucket{t: op.t, data: overflow}.setSlot(0, op.key, op.val)
-	hint := op.addr
+	hint := addr
 	op.tx.Alloc(len(overflow), overflow, &hint, func(oaddr proto.Addr, err error) {
 		if err != nil {
 			op.putCb(ErrFull)
 			return
 		}
 		b.setNext(oaddr)
-		op.tx.Write(op.addr, b.data)
+		op.tx.Write(addr, b.data)
 		op.putCb(nil)
 	})
 }
@@ -332,17 +613,18 @@ func (t *Table) Get(tx *core.Tx, key []byte, cb func(val []byte, ok bool, err er
 		cb(nil, false, fmt.Errorf("kv: key too long"))
 		return
 	}
-	op := &chainOp{t: t, tx: tx, addr: t.buckets[t.hash(key)], key: key, getCb: cb}
-	op.read()
+	op := t.newOp(tx, key)
+	op.getCb = cb
+	op.start()
 }
 
-// LockFreeGet is the single-read lookup outside any transaction (FaRM's
-// lock-free reads, used by TATP's read-only single-row operations). It
-// only examines the top-level bucket chain, retrying through the machine's
-// lock-free read path.
+// LockFreeGet is the lookup outside any transaction (FaRM's lock-free reads,
+// used by TATP's read-only single-row operations): one span read of the
+// key's neighbourhood, then the home's chain if the key is in none of it.
 func (t *Table) LockFreeGet(m *core.Machine, thread int, key []byte, cb func(val []byte, ok bool, err error)) {
-	op := &chainOp{t: t, m: m, thread: thread, addr: t.buckets[t.hash(key)], key: key, getCb: cb}
-	op.read()
+	op := t.newOp(nil, key)
+	op.m, op.thread, op.getCb = m, thread, cb
+	op.start()
 }
 
 // Put inserts or updates key within tx.
@@ -351,14 +633,16 @@ func (t *Table) Put(tx *core.Tx, key, val []byte, cb func(err error)) {
 		cb(fmt.Errorf("kv: key/value too long"))
 		return
 	}
-	op := &chainOp{t: t, tx: tx, addr: t.buckets[t.hash(key)], key: key, val: val, putCb: cb}
-	op.read()
+	op := t.newOp(tx, key)
+	op.val, op.putCb = val, cb
+	op.start()
 }
 
 // Delete removes key within tx; ok reports whether it was present.
 func (t *Table) Delete(tx *core.Tx, key []byte, cb func(ok bool, err error)) {
-	op := &chainOp{t: t, tx: tx, addr: t.buckets[t.hash(key)], key: key, delCb: cb}
-	op.read()
+	op := t.newOp(tx, key)
+	op.delCb = cb
+	op.start()
 }
 
 // U64Key encodes an integer key (the common TATP/TPC-C case).
