@@ -1,6 +1,6 @@
 # Convenience targets; everything is stdlib-only `go` commands.
 
-.PHONY: check test harness bench perf figures chaos examples vet race trace count
+.PHONY: check test harness bench perf figures chaos examples tools vet race trace count
 
 # Everything the chaos and trace targets write lands here (gitignored).
 OUT := .farm-out
@@ -10,9 +10,10 @@ OUT := .farm-out
 # multi-seed nemesis campaign with every fault kind enabled, traced
 # smoke runs whose exports are schema-validated, then every example
 # (examples/bank and examples/powerfail exit non-zero when their closing
-# invariant fails). CI runs the same targets split across parallel jobs
-# (check / chaos / perf) in .github/workflows/check.yml.
-check: vet test harness race chaos trace examples
+# invariant fails), and a short run of every tool. CI runs the same targets
+# split across parallel jobs (check / chaos / perf) in
+# .github/workflows/check.yml.
+check: vet test harness race chaos trace examples tools
 
 test:
 	go test ./...
@@ -81,9 +82,20 @@ examples:
 	go run ./examples/recovery
 	go run ./examples/tatp
 
+# Smoke runs of the load, recovery and figure tools: every workload
+# farm-loadgen knows at a 2 ms window, a short failure run, two quick
+# figures — and an unknown figure name, which must fail.
+tools:
+	for w in tatp tpcc kv bank; do go run ./cmd/farm-loadgen -workload $$w -warm 1ms -measure 2ms || exit 1; done
+	go run ./cmd/farm-recovery -run 60ms -plot=false
+	go run ./cmd/farm-bench -fig 1
+	go run ./cmd/farm-bench -fig kv
+	! go run ./cmd/farm-bench -fig nope
+
 # The design-diet ledger (ROADMAP, CHANGES.md): four sizes of internal/core
-# that a simplification should move down and nothing should move up
-# unnoticed. Plain grep/sed/wc over the source.
+# and the size of the tools and experiment drivers around it, which a
+# simplification should move down and nothing should move up unnoticed.
+# Plain grep/sed/wc over the source.
 CORE := internal/core
 count:
 	@echo "core non-test lines:    $$(ls $(CORE)/*.go | grep -v _test.go | xargs cat | wc -l)"
@@ -92,6 +104,7 @@ count:
 		{ sed -n '/^type Machine struct {/,/^}/p;/^type logReader struct {/,/^}/p' $(CORE)/machine.go; \
 		  sed -n '/^type cmState struct {/,/^}/p' $(CORE)/cm.go; } | grep -v '^[[:space:]]*//' | grep -c 'map\[')"
 	@echo "sorted-keys call sites: $$(ls $(CORE)/*.go | grep -v _test.go | xargs grep -h '[A-Za-z0-9]Keys(' | grep -v '^func \|^[[:space:]]*//' | wc -l)"
+	@echo "cmd, examples, exper, perf non-test lines: $$(find cmd examples internal/exper internal/perf -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 
 # gofmt -l only lists; a listed file must fail the target.
 vet:

@@ -161,10 +161,10 @@ func failureBench(b *testing.B, kind exper.FailureKind, workload string, aggress
 		spec.Workload = workload
 		spec.Aggressive = aggressive
 		spec.Lease = 5 * sim.Millisecond
-		spec.WarmFor = 30 * sim.Millisecond
-		spec.RunFor = 400 * sim.Millisecond
+		spec.Warm = 30 * sim.Millisecond
+		spec.Measure = 400 * sim.Millisecond
 		if kind == exper.KillCM {
-			spec.RunFor = 600 * sim.Millisecond
+			spec.Measure = 600 * sim.Millisecond
 		}
 		run = exper.RunFailure(spec)
 		if run.FullThroughput < 0 {
@@ -207,7 +207,7 @@ func BenchmarkFigure13_CorrelatedFailure(b *testing.B) {
 		spec := exper.DefaultRecoverySpec(sc)
 		spec.Kind = exper.KillDomain
 		spec.Lease = 5 * sim.Millisecond
-		spec.RunFor = 800 * sim.Millisecond
+		spec.Measure = 800 * sim.Millisecond
 		run = exper.RunFailure(spec)
 	}
 	b.ReportMetric(float64(len(run.Victims)), "machines-killed")

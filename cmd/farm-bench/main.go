@@ -15,6 +15,7 @@
 //	farm-bench -fig 14     aggressive re-replication, TATP (Figure 14)
 //	farm-bench -fig 15     aggressive re-replication, TPC-C (Figure 15)
 //	farm-bench -fig 16     lease-manager false positives (Figure 16)
+//	farm-bench -fig ablations  design-choice ablations (DESIGN.md)
 //	farm-bench -fig all    everything
 //
 // All times are simulated; shapes, ratios and orderings are the
@@ -25,14 +26,45 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"farm/internal/baseline"
 	"farm/internal/exper"
 	"farm/internal/sim"
 )
 
+// figures is every figure farm-bench regenerates, in -fig all's order.
+var figures = []struct {
+	name string
+	run  func()
+}{
+	{"1", fig1}, {"2", fig2}, {"4", fig4}, {"7", fig7}, {"8", fig8}, {"kv", figKV},
+	{"9", failure("TATP failure timeline (paper: back to peak < 50 ms; paced data recovery)",
+		exper.KillBackup, "tatp", false)},
+	{"10", failure("TPC-C failure timeline (paper: most throughput back < 50 ms; slower data recovery)",
+		exper.KillBackup, "tpcc", false)},
+	{"11", failure("CM failure timeline (paper: ~110 ms, slower than non-CM due to CM state rebuild)",
+		exper.KillCM, "tatp", false)},
+	{"12", fig12},
+	{"13", failure("correlated failure: killing a whole failure domain (paper: peak back < 400 ms)",
+		exper.KillDomain, "tatp", false)},
+	{"14", failure("TATP with aggressive re-replication (paper: data recovered ~1.1 s but throughput dips)",
+		exper.KillBackup, "tatp", true)},
+	{"15", failure("TPC-C with aggressive re-replication (paper: 4× faster, no throughput impact)",
+		exper.KillBackup, "tpcc", true)},
+	{"16", fig16}, {"ablations", ablations},
+}
+
+func figureNames() string {
+	var names []string
+	for _, f := range figures {
+		names = append(names, f.name)
+	}
+	return strings.Join(append(names, "all"), ",")
+}
+
 var (
-	fig      = flag.String("fig", "all", "figure to regenerate (1,2,4,7,8,kv,9,10,11,12,13,14,15,16,all)")
+	fig      = flag.String("fig", "all", "figure to regenerate ("+figureNames()+")")
 	machines = flag.Int("machines", 9, "cluster size")
 	threads  = flag.Int("threads", 8, "worker threads per machine")
 	subs     = flag.Uint64("subscribers", 2000, "TATP subscribers")
@@ -59,30 +91,21 @@ func window() (sim.Time, sim.Time) {
 
 func main() {
 	flag.Parse()
-	run := func(name string, fn func()) {
-		if *fig == name || *fig == "all" {
-			fmt.Printf("==== Figure %s ====\n", name)
-			fn()
-			fmt.Println()
-		}
-	}
-	run("1", fig1)
-	run("2", fig2)
-	run("4", fig4)
-	run("7", fig7)
-	run("8", fig8)
-	run("kv", figKV)
-	run("9", fig9)
-	run("10", fig10)
-	run("11", fig11)
-	run("12", fig12)
-	run("13", fig13)
-	run("14", fig14)
-	run("15", fig15)
-	run("16", fig16)
-	run("ablations", ablations)
 	if flag.NArg() > 0 {
 		fmt.Fprintln(os.Stderr, "unexpected arguments")
+		os.Exit(2)
+	}
+	ran := false
+	for _, f := range figures {
+		if *fig == f.name || *fig == "all" {
+			fmt.Printf("==== Figure %s ====\n", f.name)
+			f.run()
+			fmt.Println()
+			ran = true
+		}
+	}
+	if !ran {
+		fmt.Fprintf(os.Stderr, "unknown figure %q (want one of %s)\n", *fig, figureNames())
 		os.Exit(2)
 	}
 }
@@ -164,34 +187,22 @@ func figKV() {
 	fmt.Print(exper.FormatCurve([]exper.CurvePoint{p}))
 }
 
-func failureRun(kind exper.FailureKind, workload string, aggressive bool) {
-	spec := exper.DefaultRecoverySpec(scale())
-	spec.Kind = kind
-	spec.Workload = workload
-	spec.Aggressive = aggressive
-	if *long {
-		spec.RunFor = 2 * sim.Second
+// failure is a failure-timeline figure: title, then one RunFailure.
+func failure(title string, kind exper.FailureKind, workload string, aggressive bool) func() {
+	return func() {
+		fmt.Println(title)
+		spec := exper.DefaultRecoverySpec(scale())
+		spec.Kind = kind
+		spec.Workload = workload
+		spec.Aggressive = aggressive
+		if *long {
+			spec.Measure = 2 * sim.Second
+		}
+		if kind == exper.KillCM {
+			spec.Measure *= 2
+		}
+		fmt.Print(exper.RunFailure(spec))
 	}
-	if kind == exper.KillCM {
-		spec.RunFor = spec.RunFor * 2
-	}
-	run := exper.RunFailure(spec)
-	fmt.Print(run)
-}
-
-func fig9() {
-	fmt.Println("TATP failure timeline (paper: back to peak < 50 ms; paced data recovery)")
-	failureRun(exper.KillBackup, "tatp", false)
-}
-
-func fig10() {
-	fmt.Println("TPC-C failure timeline (paper: most throughput back < 50 ms; slower data recovery)")
-	failureRun(exper.KillBackup, "tpcc", false)
-}
-
-func fig11() {
-	fmt.Println("CM failure timeline (paper: ~110 ms, slower than non-CM due to CM state rebuild)")
-	failureRun(exper.KillCM, "tatp", false)
 }
 
 func fig12() {
@@ -200,21 +211,6 @@ func fig12() {
 	fmt.Printf("  runs: %v\n", d)
 	fmt.Printf("  p50=%.0fms p70=%.0fms p90=%.0fms max=%.0fms\n",
 		exper.Percentile(d, 50), exper.Percentile(d, 70), exper.Percentile(d, 90), exper.Percentile(d, 100))
-}
-
-func fig13() {
-	fmt.Println("correlated failure: killing a whole failure domain (paper: peak back < 400 ms)")
-	failureRun(exper.KillDomain, "tatp", false)
-}
-
-func fig14() {
-	fmt.Println("TATP with aggressive re-replication (paper: data recovered ~1.1 s but throughput dips)")
-	failureRun(exper.KillBackup, "tatp", true)
-}
-
-func fig15() {
-	fmt.Println("TPC-C with aggressive re-replication (paper: 4× faster, no throughput impact)")
-	failureRun(exper.KillBackup, "tpcc", true)
 }
 
 func fig16() {

@@ -6,93 +6,52 @@
 //	farm-loadgen -workload tatp -machines 9 -threads 8 -concurrency 4
 //	farm-loadgen -workload tpcc -warehouses 36
 //	farm-loadgen -workload kv -measure 100ms
-//	farm-loadgen -machines 100 -subscribers 10000 -regions 12 -logcap 32768 -warm 1ms -measure 9ms
+//	farm-loadgen -workload bank -subscribers 4096
+//	farm-loadgen -machines 100 -subscribers 10000 -regions 12 -warm 1ms -measure 9ms
+//
+// The cluster's log rings shrink with the machine count (exper.Scale).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
-	"farm/internal/core"
-	"farm/internal/loadgen"
+	"farm/internal/exper"
 	"farm/internal/sim"
-	"farm/internal/tatp"
-	"farm/internal/tpcc"
-	"farm/internal/ycsb"
 )
 
 var (
-	workload    = flag.String("workload", "tatp", "tatp | tpcc | kv")
+	workload    = flag.String("workload", "tatp", exper.Workloads())
 	machines    = flag.Int("machines", 9, "cluster size")
 	threads     = flag.Int("threads", 8, "active worker threads per machine")
 	concurrency = flag.Int("concurrency", 4, "transactions in flight per thread")
-	subscribers = flag.Uint64("subscribers", 2000, "TATP subscribers / KV keys")
-	regions     = flag.Int("regions", 6, "regions the TATP / KV tables are spread over")
+	subscribers = flag.Uint64("subscribers", 2000, "TATP subscribers / KV keys / bank accounts")
+	regions     = flag.Int("regions", 6, "regions the TATP / KV / bank tables are spread over")
 	warehouses  = flag.Int("warehouses", 18, "TPC-C warehouses")
 	warm        = flag.Duration("warm", 5*time.Millisecond, "warmup (simulated)")
 	measure     = flag.Duration("measure", 50*time.Millisecond, "measurement window (simulated)")
 	seed        = flag.Uint64("seed", 1, "simulation seed")
-	logCap      = flag.Int("logcap", 0, "bytes per transaction-log ring (0 = default)")
 )
 
 func main() {
 	flag.Parse()
-	opts := core.Options{NumMachines: *machines, Threads: *threads, Seed: *seed, LogCapacity: *logCap}
-	c := core.New(opts)
-
-	var op loadgen.Op
-	var tpccW *tpcc.Workload
-	switch *workload {
-	case "tatp":
-		w, err := tatp.Setup(c, *subscribers, *regions)
-		must(err)
-		op = w.Mix()
-	case "tpcc":
-		w, err := tpcc.Setup(c, tpcc.DefaultConfig(*warehouses))
-		must(err)
-		w.MeasureFrom = c.Now() + sim.Time(warm.Nanoseconds())
-		tpccW = w
-		op = w.Mix()
-	case "kv":
-		w, err := ycsb.Setup(c, *subscribers, *regions)
-		must(err)
-		op = w.LookupOp()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
+	s, err := exper.Load{
+		Scale: exper.Scale{Machines: *machines, Threads: *threads, Subscribers: *subscribers,
+			Warehouses: *warehouses, Accounts: int(*subscribers), Regions: *regions, Seed: *seed},
+		Workload: *workload, Concurrency: *concurrency,
+		Warm: sim.Time(warm.Nanoseconds()), Measure: sim.Time(measure.Nanoseconds()),
+	}.SetUp()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	all := make([]int, *machines)
-	for i := range all {
-		all[i] = i
-	}
-	g := loadgen.New(c, op)
-	snap := c.Net.Counters.Snapshot()
-	// Worker busy time is cumulative: note it where the measured window
-	// starts.
-	busyAtWarm := make([][]sim.Time, *machines)
-	var cpuAtWarm map[string]uint64
-	var treesAtWarm [5]uint64
-	var committedAtWarm, opsAtWarm uint64
-	var memAtWarm, memAtEnd runtime.MemStats
-	c.Eng.After(sim.Time(warm.Nanoseconds()), func() {
-		for i := range busyAtWarm {
-			busyAtWarm[i] = c.Machine(i).WorkerBusy()
-		}
-		cpuAtWarm = c.Counters.Snapshot()
-		if tpccW != nil {
-			treesAtWarm, committedAtWarm = tpccW.DescentStats(), c.Counters.Get("tx_committed")
-		}
-		opsAtWarm = g.Committed()
-		runtime.ReadMemStats(&memAtWarm)
-	})
-	tput, _, _ := g.RunPoint(all, *threads, *concurrency,
-		sim.Time(warm.Nanoseconds()), sim.Time(measure.Nanoseconds()))
-	runtime.ReadMemStats(&memAtEnd)
-	diff := c.Net.Counters.Diff(snap)
+	c, g := s.C, s.G
+	// The fabric line counts from here, the load's start, warm-up included.
+	fabric := c.Net.Counters.Snapshot()
+	w := s.Drive()
+	tput := g.ThroughputPerSecond(w.Start, w.Start+s.Measure)
 
 	fmt.Printf("workload=%s machines=%d threads=%d concurrency=%d (simulated %v + %v)\n",
 		*workload, *machines, *threads, *concurrency, *warm, *measure)
@@ -105,12 +64,11 @@ func main() {
 		c.Counters.Get("tx_aborted"), c.Counters.Get("tx_no_log_space"), c.Counters.Get("tx_unavailable"))
 	fmt.Printf("workers:    busy %% of the measured window, least busy/mean/busiest worker of each machine")
 	var busyNs float64
-	for i := range busyAtWarm {
+	for i, busy := range w.Busy {
 		lo, hi, sum := 101.0, 0.0, 0.0
-		busy := c.Machine(i).WorkerBusy()
-		for th, b := range busy {
-			busyNs += float64(b - busyAtWarm[i][th])
-			pct := 100 * float64(b-busyAtWarm[i][th]) / float64(measure.Nanoseconds())
+		for _, b := range busy {
+			busyNs += float64(b)
+			pct := 100 * float64(b) / float64(measure.Nanoseconds())
 			lo, hi, sum = min(lo, pct), max(hi, pct), sum+pct
 		}
 		if i%6 == 0 {
@@ -122,7 +80,7 @@ func main() {
 	// Worker time by what it was charged for, as each cost was queued: log
 	// records (polled shards, and the per-object work of a machine's appends
 	// to its own log), message receive and message send.
-	cpu := c.Counters.Diff(cpuAtWarm)
+	cpu := w.Counters
 	share := func(name string) float64 { return 100 * float64(cpu[name]) / max(busyNs, 1) }
 	records, recv, send := share("cpu_records_ns"), share("cpu_msg_recv_ns"), share("cpu_msg_send_ns")
 	fmt.Printf("cpu:        share of worker busy time over the measured window: records %.1f%%, msg receive %.1f%%, msg send %.1f%%, rest %.1f%%\n",
@@ -136,7 +94,7 @@ func main() {
 	// Read validation over the window: read-set objects checked by a header
 	// read (local or one-sided), VALIDATE RPCs, and read-only commits that
 	// left their last read unchecked because they serialize there.
-	ops := float64(max(g.Committed()-opsAtWarm, 1))
+	ops := float64(max(w.Committed, 1))
 	fmt.Printf("validate:   per committed op over the measured window: %.3f header reads, %.3f RPCs, %.3f last reads skipped\n",
 		float64(cpu["validate_reads"])/ops, float64(cpu["validate_rpcs"])/ops, float64(cpu["validate_skipped"])/ops)
 	// Hash-table lookups over the window: the reads (one-sided or local) each
@@ -147,32 +105,22 @@ func main() {
 		fmt.Printf("kv:         %.3f reads per lookup over the measured window; answered in the home %.1f%%, a neighbour %.1f%%, the chain %.1f%%, missed %.1f%%\n",
 			float64(cpu["kv_reads"])/lookups, pct("kv_found_home"), pct("kv_found_hood"), pct("kv_found_chain"), pct("kv_missed"))
 	}
-	if tpccW != nil {
-		fmt.Printf("new orders: %d committed, median %v\n", tpccW.NewOrders, tpccW.NewOrderLat.Median())
+	if s.TPCC != nil {
+		fmt.Printf("new orders: %d committed, median %v\n", s.TPCC.NewOrders, s.TPCC.NewOrderLat.Median())
 		// A warm descent walks the machine's cached internal nodes and
 		// reads its leaf, once, transactionally.
-		trees := tpccW.DescentStats()
-		for i := range trees {
-			trees[i] -= treesAtWarm[i]
-		}
+		trees := w.Descents
 		descents := float64(max(trees[0], 1))
-		perTx := float64(max(c.Counters.Get("tx_committed")-committedAtWarm, 1))
+		perTx := float64(max(cpu["tx_committed"], 1))
 		fmt.Printf("btree:      %.1f descents per committed tx, each %.2f transactional + %.2f lock-free reads; per committed tx %.2f fence misses, %.2f transactional fallbacks\n",
 			descents/perTx, float64(trees[1])/descents, float64(trees[2])/descents,
 			float64(trees[3])/perTx, float64(trees[4])/perTx)
 	}
+	diff := c.Net.Counters.Diff(fabric)
 	fmt.Printf("fabric:     rdma_read=%d rdma_write=%d local_read=%d local_write=%d msg=%d\n",
 		diff["rdma_read"], diff["rdma_write"], diff["local_read"], diff["local_write"], diff["msg_send"])
 	// Host heap allocations of the whole process (simulator, protocol and
 	// workload) over the measured window.
 	fmt.Printf("allocs:     %.1f allocations, %.0f B allocated per committed op over the measured window (%d ops)\n",
-		float64(memAtEnd.Mallocs-memAtWarm.Mallocs)/ops, float64(memAtEnd.TotalAlloc-memAtWarm.TotalAlloc)/ops,
-		g.Committed()-opsAtWarm)
-}
-
-func must(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+		float64(w.Mallocs)/ops, float64(w.AllocBytes)/ops, w.Committed)
 }

@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"farm/internal/exper"
@@ -22,7 +21,7 @@ import (
 var (
 	machines   = flag.Int("machines", 9, "cluster size")
 	threads    = flag.Int("threads", 8, "worker threads per machine")
-	workload   = flag.String("workload", "tatp", "tatp | tpcc")
+	workload   = flag.String("workload", "tatp", exper.Workloads())
 	victim     = flag.String("victim", "backup", "backup | cm | domain")
 	lease      = flag.Duration("lease", 10*time.Millisecond, "lease duration")
 	warm       = flag.Duration("warm", 40*time.Millisecond, "load before the kill")
@@ -40,20 +39,15 @@ func main() {
 	spec := exper.DefaultRecoverySpec(sc)
 	spec.Workload = *workload
 	spec.Lease = sim.Time(lease.Nanoseconds())
-	spec.WarmFor = sim.Time(warm.Nanoseconds())
-	spec.RunFor = sim.Time(runFor.Nanoseconds())
+	spec.Warm = sim.Time(warm.Nanoseconds())
+	spec.Measure = sim.Time(runFor.Nanoseconds())
 	spec.Aggressive = *aggressive
-	switch *victim {
-	case "backup":
-		spec.Kind = exper.KillBackup
-	case "cm":
-		spec.Kind = exper.KillCM
-	case "domain":
-		spec.Kind = exper.KillDomain
-	default:
-		fmt.Fprintf(os.Stderr, "unknown victim %q\n", *victim)
+	kind, err := exper.ParseVictim(*victim)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	spec.Kind = kind
 
 	fmt.Printf("workload=%s victim=%s lease=%v machines=%d threads=%d aggressive=%v\n\n",
 		*workload, *victim, *lease, *machines, *threads, *aggressive)
@@ -62,23 +56,6 @@ func main() {
 
 	if *plot {
 		fmt.Println("\nthroughput (1 ms buckets, ±50 ms around the kill):")
-		pts := run.TimelineAround(50 * sim.Millisecond)
-		var peak float64
-		for _, p := range pts {
-			if p.Ops > peak {
-				peak = p.Ops
-			}
-		}
-		if peak == 0 {
-			peak = 1
-		}
-		killMs := int64(run.KillAt / sim.Millisecond)
-		for _, p := range pts {
-			marker := " "
-			if p.AtMs == killMs {
-				marker = "×"
-			}
-			fmt.Printf("%6dms %s|%s\n", p.AtMs, marker, strings.Repeat("#", int(p.Ops/peak*60)))
-		}
+		fmt.Print(run.Plot(50*sim.Millisecond, "#", 6))
 	}
 }

@@ -79,7 +79,7 @@ func main() {
 		spec := exper.DefaultRecoverySpec(sc)
 		spec.Trace = topts
 		if *duration > 0 {
-			spec.RunFor = sim.Time(duration.Nanoseconds())
+			spec.Measure = sim.Time(duration.Nanoseconds())
 		}
 		run := exper.RunFailure(spec)
 		fmt.Print(run)

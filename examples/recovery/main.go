@@ -7,7 +7,6 @@ package main
 
 import (
 	"fmt"
-	"strings"
 
 	"farm/internal/exper"
 	"farm/internal/sim"
@@ -22,33 +21,18 @@ func main() {
 
 	spec := exper.DefaultRecoverySpec(sc)
 	spec.Lease = 10 * sim.Millisecond // the paper's configuration (§6.1)
-	spec.WarmFor = 50 * sim.Millisecond
-	spec.RunFor = 600 * sim.Millisecond
+	spec.Warm = 50 * sim.Millisecond
+	spec.Measure = 600 * sim.Millisecond
 	spec.Trace = trace.Options{Enabled: true}
 
 	fmt.Printf("running TATP on %d machines, killing the most-loaded non-CM machine after %v of load...\n\n",
-		sc.Machines, spec.WarmFor)
+		sc.Machines, spec.Warm)
 	run := exper.RunFailure(spec)
 	fmt.Print(run)
 
 	// ASCII throughput timeline around the failure (Figure 9a).
 	fmt.Println("\nthroughput (1 ms buckets, ± 50 ms around the kill):")
-	points := run.TimelineAround(50 * sim.Millisecond)
-	var peak float64
-	for _, p := range points {
-		if p.Ops > peak {
-			peak = p.Ops
-		}
-	}
-	killMs := int64(run.KillAt / sim.Millisecond)
-	for _, p := range points {
-		bar := int(p.Ops / peak * 60)
-		marker := " "
-		if p.AtMs == killMs {
-			marker = "×"
-		}
-		fmt.Printf("%5dms %s|%s\n", p.AtMs, marker, strings.Repeat("█", bar))
-	}
+	fmt.Print(run.Plot(50*sim.Millisecond, "█", 5))
 
 	fmt.Println("\nre-replication progress (paced, §5.4):")
 	for _, r := range run.RegionsRecovered {

@@ -49,6 +49,15 @@ type recoveryState struct {
 	ctx trace.Ctx
 }
 
+// newRecoveryState opens transaction recovery for configuration configID.
+func newRecoveryState(configID uint64) *recoveryState {
+	return &recoveryState{
+		configID: configID,
+		regions:  make(map[uint32]*regionRecovery),
+		votes:    make(map[proto.TxID]*voteCollector),
+	}
+}
+
 // recoveryTraceCtx tags a send with the current configuration's recovery
 // timeline. It is for sends made from timer or thread-pool closures, where
 // the dispatch-scoped curCtx of the message that caused them is gone.
@@ -72,6 +81,18 @@ type regionRecovery struct {
 	ctx trace.Ctx
 	// pendingLock resumes lock acquisition once record fetches complete.
 	pendingLock func()
+}
+
+// newRegionRecovery opens recovery of region at its primary, waiting for a
+// NEED-RECOVERY from every other replica rm lists.
+func (m *Machine) newRegionRecovery(region uint32, rm *proto.RegionMap) *regionRecovery {
+	rr := &regionRecovery{region: region, needed: make(map[int]bool), txs: make(map[mtl]*recTx)}
+	for _, b := range rm.Replicas[1:] {
+		if int(b) != m.ID {
+			rr.needed[int(b)] = true
+		}
+	}
+	return rr
 }
 
 // recTx is one recovering transaction's state at a region primary.
@@ -107,11 +128,7 @@ type voteCollector struct {
 
 // startTxRecovery runs on NEW-CONFIG-COMMIT.
 func (m *Machine) startTxRecovery(configID uint64) {
-	m.recov = &recoveryState{
-		configID: configID,
-		regions:  make(map[uint32]*regionRecovery),
-		votes:    make(map[proto.TxID]*voteCollector),
-	}
+	m.recov = newRecoveryState(configID)
 	if m.trb != nil {
 		m.recov.ctx = m.trb.Begin("recovery", "drain", m.c.Eng.Now(),
 			trace.RecoveryTraceBit|configID, 0, int64(len(m.peers)))
@@ -186,13 +203,7 @@ func (m *Machine) findRecoveringTxs() {
 		if rs.regions[id] != nil {
 			continue // created on demand by an early NEED-RECOVERY
 		}
-		rr := &regionRecovery{region: id, needed: make(map[int]bool), txs: make(map[mtl]*recTx)}
-		for _, b := range rm.Replicas[1:] {
-			if int(b) != m.ID {
-				rr.needed[int(b)] = true
-			}
-		}
-		rs.regions[id] = rr
+		rs.regions[id] = m.newRegionRecovery(id, rm)
 	}
 
 	// Classify our participant-side transactions.
@@ -222,12 +233,7 @@ func (m *Machine) findRecoveringTxs() {
 				// We are the primary: fold into region recovery directly.
 				rr := rs.regions[region]
 				if rr == nil {
-					rr = &regionRecovery{region: region, needed: make(map[int]bool), txs: make(map[mtl]*recTx)}
-					for _, b := range rm.Replicas[1:] {
-						if int(b) != m.ID {
-							rr.needed[int(b)] = true
-						}
-					}
+					rr = m.newRegionRecovery(region, rm)
 					rs.regions[region] = rr
 				}
 				rr.add(m.ID, rt.id, rt.saw, rt.lock.Clone())
@@ -352,12 +358,7 @@ func (m *Machine) onNeedRecovery(src int, nr *proto.NeedRecovery) {
 		if rm == nil || rep == nil || !rep.primary {
 			return
 		}
-		rr = &regionRecovery{region: nr.Region, needed: make(map[int]bool), txs: make(map[mtl]*recTx)}
-		for _, b := range rm.Replicas[1:] {
-			if int(b) != m.ID {
-				rr.needed[int(b)] = true
-			}
-		}
+		rr = m.newRegionRecovery(nr.Region, rm)
 		// Fold in our own matching pending transactions.
 		for _, rt := range m.pend {
 			if !m.txIsRecovering(rt) {
@@ -747,11 +748,7 @@ const voteTimeout = 250 * sim.Microsecond
 // REQUEST-VOTE timeout.
 func (m *Machine) armVoteCollector(id proto.TxID, knownRegions []uint32, participants map[int]bool) *voteCollector {
 	if m.recov == nil {
-		m.recov = &recoveryState{
-			configID: m.config.ID,
-			regions:  make(map[uint32]*regionRecovery),
-			votes:    make(map[proto.TxID]*voteCollector),
-		}
+		m.recov = newRecoveryState(m.config.ID)
 	}
 	vc := m.recov.votes[id]
 	if vc == nil {

@@ -8,7 +8,6 @@ import (
 	"farm/internal/loadgen"
 	"farm/internal/proto"
 	"farm/internal/sim"
-	"farm/internal/tpcc"
 )
 
 // This file contains ablations of the design choices DESIGN.md calls out:
@@ -126,27 +125,17 @@ func AblationValidation(sc Scale, warm, measure sim.Time) []AblationRow {
 func AblationLocality(sc Scale, warm, measure sim.Time) []AblationRow {
 	var rows []AblationRow
 	for _, ignore := range []bool{false, true} {
-		c := core.New(sc.options())
-		w, err := tpcc.Setup(c, tpcc.DefaultConfig(sc.Warehouses))
-		if err != nil {
-			panic(err)
-		}
-		w.IgnoreLocality = ignore
-		w.MeasureFrom = c.Now() + warm
-		g := loadgen.New(c, w.Mix())
-		start := c.Now()
-		g.RunPoint(allMachines(sc.Machines), sc.Threads/2, 1, warm, measure)
-		noTput := w.NewOrderTimeline.WindowAverage(start+warm, start+warm+measure) * 1000
+		s := mustSetUp(Load{Scale: sc, Workload: "tpcc", Active: sc.Threads / 2, Concurrency: 1,
+			Warm: warm, Measure: measure})
+		s.TPCC.IgnoreLocality = ignore
+		p := s.curvePoint()
 		name := "co-partitioned"
 		if ignore {
 			name = "random-warehouse"
 		}
 		rows = append(rows, AblationRow{
-			Setting: name,
-			Tput:    noTput,
-			Median:  w.NewOrderLat.Median(),
-			P99:     w.NewOrderLat.P99(),
-			Extra:   fmt.Sprintf("remote-touches=%d", w.RemoteAccesses),
+			Setting: name, Tput: p.Tput, Median: p.Median, P99: p.P99,
+			Extra: fmt.Sprintf("remote-touches=%d", s.TPCC.RemoteAccesses),
 		})
 	}
 	return rows
@@ -160,8 +149,8 @@ func AblationLeaseDuration(sc Scale, leases []sim.Time) []AblationRow {
 	for _, lease := range leases {
 		spec := DefaultRecoverySpec(sc)
 		spec.Lease = lease
-		spec.WarmFor = 30 * sim.Millisecond
-		spec.RunFor = 300*sim.Millisecond + 10*lease
+		spec.Warm = 30 * sim.Millisecond
+		spec.Measure = 300*sim.Millisecond + 10*lease
 		run := RunFailure(spec)
 		detect := run.Milestones["suspect"]
 		rows = append(rows, AblationRow{
@@ -188,7 +177,7 @@ func AblationRecoveryPacing(sc Scale) []AblationRow {
 		spec := DefaultRecoverySpec(sc)
 		spec.Aggressive = cc.aggressive
 		spec.Lease = 5 * sim.Millisecond
-		spec.RunFor = 600 * sim.Millisecond
+		spec.Measure = 600 * sim.Millisecond
 		run := RunFailure(spec)
 		// Dip: minimum 1 ms throughput in the 100 ms after recovery of
 		// locks, as a fraction of pre-failure throughput.

@@ -10,42 +10,9 @@ import (
 	"strings"
 
 	"farm/internal/baseline"
-	"farm/internal/core"
-	"farm/internal/loadgen"
 	"farm/internal/nvram"
 	"farm/internal/sim"
-	"farm/internal/tatp"
-	"farm/internal/tpcc"
-	"farm/internal/ycsb"
 )
-
-// Scale is the common knob set for the simulated cluster.
-type Scale struct {
-	Machines    int
-	Threads     int
-	Subscribers uint64 // TATP
-	Warehouses  int    // TPC-C
-	Regions     int    // extra data regions for TATP/KV
-	Seed        uint64
-}
-
-// DefaultScale is sized to run every experiment in seconds on a laptop.
-func DefaultScale() Scale {
-	return Scale{Machines: 9, Threads: 8, Subscribers: 2000, Warehouses: 18, Regions: 6, Seed: 1}
-}
-
-func (s Scale) options() core.Options {
-	o := core.Options{NumMachines: s.Machines, Threads: s.Threads, Seed: s.Seed}
-	return o
-}
-
-func allMachines(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
 
 // --- Figure 1: energy to copy one GB from DRAM to SSD ---
 
@@ -121,19 +88,8 @@ func LoadPoints(maxThreads int) [][2]int {
 func Figure7(sc Scale, points [][2]int, warm, measure sim.Time) []CurvePoint {
 	var out []CurvePoint
 	for _, p := range points {
-		c := core.New(sc.options())
-		w, err := tatp.Setup(c, sc.Subscribers, sc.Regions)
-		if err != nil {
-			panic(err)
-		}
-		g := loadgen.New(c, w.Mix())
-		tput, med, p99 := g.RunPoint(allMachines(sc.Machines), p[0], p[1], warm, measure)
-		out = append(out, CurvePoint{
-			Threads: p[0], Concurrency: p[1],
-			Tput: tput, PerMachine: tput / float64(sc.Machines),
-			Median: med, P99: p99,
-			AbortRate: rate(g.Aborted(), g.Committed()),
-		})
+		out = append(out, mustSetUp(Load{Scale: sc, Workload: "tatp",
+			Active: p[0], Concurrency: p[1], Warm: warm, Measure: measure}).curvePoint())
 	}
 	return out
 }
@@ -146,32 +102,12 @@ func Figure7(sc Scale, points [][2]int, warm, measure sim.Time) []CurvePoint {
 func Figure8(sc Scale, points [][2]int, warm, measure sim.Time) []CurvePoint {
 	var out []CurvePoint
 	for _, p := range points {
-		warehouses := sc.Warehouses
-		if drivers := sc.Machines * p[0] * p[1]; warehouses < drivers {
-			warehouses = drivers
-		}
+		l := Load{Scale: sc, Workload: "tpcc", Active: p[0], Concurrency: p[1], Warm: warm, Measure: measure}
 		// Cap database size so population stays tractable; beyond the cap
 		// the drivers-per-warehouse ratio (and with it the abort rate)
 		// rises above the paper's, which EXPERIMENTS.md notes.
-		if warehouses > 96 {
-			warehouses = 96
-		}
-		c := core.New(sc.options())
-		w, err := tpcc.Setup(c, tpcc.DefaultConfig(warehouses))
-		if err != nil {
-			panic(err)
-		}
-		w.MeasureFrom = c.Now() + warm
-		g := loadgen.New(c, w.Mix())
-		start := c.Now()
-		g.RunPoint(allMachines(sc.Machines), p[0], p[1], warm, measure)
-		noTput := w.NewOrderTimeline.WindowAverage(start+warm, start+warm+measure) * 1000
-		out = append(out, CurvePoint{
-			Threads: p[0], Concurrency: p[1],
-			Tput: noTput, PerMachine: noTput / float64(sc.Machines),
-			Median: w.NewOrderLat.Median(), P99: w.NewOrderLat.P99(),
-			AbortRate: rate(g.Aborted(), g.Committed()),
-		})
+		l.Warehouses = min(max(sc.Warehouses, sc.Machines*p[0]*p[1]), 96)
+		out = append(out, mustSetUp(l).curvePoint())
 	}
 	return out
 }
@@ -179,18 +115,30 @@ func Figure8(sc Scale, points [][2]int, warm, measure sim.Time) []CurvePoint {
 // KVReadPerformance reproduces §6.3's lookup workload (16 B keys, 32 B
 // values, uniform): throughput and latency of lock-free reads.
 func KVReadPerformance(sc Scale, warm, measure sim.Time) CurvePoint {
-	c := core.New(sc.options())
-	w, err := ycsb.Setup(c, sc.Subscribers, sc.Regions)
+	return mustSetUp(Load{Scale: sc, Workload: "kv", Concurrency: 4, Warm: warm, Measure: measure}).curvePoint()
+}
+
+func mustSetUp(l Load) *Setup {
+	s, err := l.SetUp()
 	if err != nil {
 		panic(err)
 	}
-	g := loadgen.New(c, w.LookupOp())
-	tput, med, p99 := g.RunPoint(allMachines(sc.Machines), sc.Threads, 4, warm, measure)
-	return CurvePoint{
-		Threads: sc.Threads, Concurrency: 4,
-		Tput: tput, PerMachine: tput / float64(sc.Machines),
-		Median: med, P99: p99,
+	return s
+}
+
+// curvePoint drives the load point and reports its window as a point of a
+// throughput–latency curve; TPC-C reports committed new orders.
+func (s *Setup) curvePoint() CurvePoint {
+	w := s.Drive()
+	p := CurvePoint{Threads: s.Active, Concurrency: s.Concurrency,
+		Tput: s.G.ThroughputPerSecond(w.Start, w.Start+s.Measure), Median: s.G.Latency.Median(), P99: s.G.Latency.P99(),
+		AbortRate: rate(s.G.Aborted(), s.G.Committed())}
+	if s.TPCC != nil {
+		p.Tput = s.TPCC.NewOrderTimeline.WindowAverage(w.Start, w.Start+s.Measure) * 1000
+		p.Median, p.P99 = s.TPCC.NewOrderLat.Median(), s.TPCC.NewOrderLat.P99()
 	}
+	p.PerMachine = p.Tput / float64(s.Machines)
+	return p
 }
 
 func rate(a, b uint64) float64 {

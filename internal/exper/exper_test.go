@@ -111,7 +111,7 @@ func TestFigure11CMFailure(t *testing.T) {
 	spec := DefaultRecoverySpec(smallScale())
 	spec.Kind = KillCM
 	spec.Lease = 5 * sim.Millisecond
-	spec.RunFor = 600 * sim.Millisecond
+	spec.Measure = 600 * sim.Millisecond
 	run := RunFailure(spec)
 	if run.FullThroughput < 0 {
 		t.Fatal("throughput never recovered after CM failure")

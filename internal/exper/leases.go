@@ -7,7 +7,6 @@ import (
 	"farm/internal/core"
 	"farm/internal/loadgen"
 	"farm/internal/sim"
-	"farm/internal/ycsb"
 )
 
 // This file reproduces Figure 16: false-positive lease expiries for the
@@ -45,11 +44,11 @@ func measureLeases(sc Scale, variant core.LeaseVariant, lease sim.Time, runFor s
 	// Stress traffic: uniform lock-free reads keep worker threads and NICs
 	// busy (the paper's storm reads from the CM; ours reads uniformly,
 	// loading every machine's send path, including the CM's receive path).
-	w, err := ycsb.Setup(c, 300, 2)
+	op, _, err := populate(c, "kv", Scale{Subscribers: 300, Regions: 2})
 	if err != nil {
 		panic(err)
 	}
-	g := loadgen.New(c, w.LookupOp())
+	g := loadgen.New(c, op)
 	g.Start(allMachines(sc.Machines), sc.Threads, 2)
 	before := c.Counters.Get("lease_expiry")
 	c.RunFor(runFor)

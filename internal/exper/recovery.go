@@ -2,14 +2,12 @@ package exper
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"farm/internal/core"
-	"farm/internal/loadgen"
 	"farm/internal/sim"
-	"farm/internal/tatp"
-	"farm/internal/tpcc"
 	"farm/internal/trace"
 )
 
@@ -28,21 +26,29 @@ const (
 	KillDomain                    // a whole failure domain (Figure 13)
 )
 
+// victims names each FailureKind the way the tools' -victim flags do.
+var victims = [...]string{KillBackup: "backup", KillCM: "cm", KillDomain: "domain"}
+
+// ParseVictim returns the FailureKind a victim name selects.
+func ParseVictim(name string) (FailureKind, error) {
+	if k := slices.Index(victims[:], name); k >= 0 {
+		return FailureKind(k), nil
+	}
+	return 0, fmt.Errorf("unknown victim %q (want %s)", name, strings.Join(victims[:], " | "))
+}
+
 // RecoverySpec parameterizes a failure run.
 type RecoverySpec struct {
-	Scale    Scale
-	Kind     FailureKind
-	Domain   int // for KillDomain
-	Workload string
+	// Load is the workload that runs throughout: Warm is the load before
+	// the kill, Measure the run after it.
+	Load
+	Kind   FailureKind
+	Domain int // for KillDomain
 	// Lease is the failure-detection lease (10 ms in §6.1).
 	Lease sim.Time
-	// WarmFor runs load before the kill; RunFor continues afterwards.
-	WarmFor, RunFor sim.Time
 	// Aggressive selects the §6.4 aggressive data recovery (4 concurrent
 	// 32 KB fetches per thread).
 	Aggressive bool
-	Threads    int
-	Conc       int
 	// Trace enables causality tracing; the exported Chrome JSON and the
 	// phase/timeline report land on the RecoveryRun.
 	Trace trace.Options
@@ -51,14 +57,10 @@ type RecoverySpec struct {
 // DefaultRecoverySpec mirrors the Figure 9 setup, scaled.
 func DefaultRecoverySpec(sc Scale) RecoverySpec {
 	return RecoverySpec{
-		Scale:    sc,
-		Kind:     KillBackup,
-		Workload: "tatp",
-		Lease:    10 * sim.Millisecond,
-		WarmFor:  40 * sim.Millisecond,
-		RunFor:   400 * sim.Millisecond,
-		Threads:  sc.Threads,
-		Conc:     4,
+		Load: Load{Scale: sc, Workload: "tatp", Concurrency: 4,
+			Warm: 40 * sim.Millisecond, Measure: 400 * sim.Millisecond},
+		Kind:  KillBackup,
+		Lease: 10 * sim.Millisecond,
 	}
 }
 
@@ -115,36 +117,22 @@ func RunFailure(spec RecoverySpec) RecoveryRun {
 		opts.DataRecBlock = 32 << 10
 		opts.DataRecConcurrency = 4
 	}
-	c := core.New(opts)
-
-	var op loadgen.Op
-	switch spec.Workload {
-	case "tpcc":
-		// Keep the drivers-per-warehouse ratio sane (§6.2): TPC-C melts
-		// under OCC when many drivers share a warehouse, which would
-		// drown the recovery signal in conflict noise.
-		if spec.Threads*spec.Conc*sc.Machines > 2*sc.Warehouses {
-			spec.Conc = 1
-			if spec.Threads*sc.Machines > 2*sc.Warehouses {
-				spec.Threads = max(1, 2*sc.Warehouses/sc.Machines)
-			}
-		}
-		w, err := tpcc.Setup(c, tpcc.DefaultConfig(sc.Warehouses))
-		if err != nil {
-			panic(err)
-		}
-		op = w.Mix()
-	default:
-		w, err := tatp.Setup(c, sc.Subscribers, sc.Regions)
-		if err != nil {
-			panic(err)
-		}
-		op = w.Mix()
+	s, err := spec.setUp(opts)
+	if err != nil {
+		panic(err)
 	}
-
-	g := loadgen.New(c, op)
-	g.Start(allMachines(sc.Machines), spec.Threads, spec.Conc)
-	c.RunFor(spec.WarmFor)
+	c, g := s.C, s.G
+	// Keep the drivers-per-warehouse ratio sane (§6.2): TPC-C melts under
+	// OCC when many drivers share a warehouse, which would drown the
+	// recovery signal in conflict noise.
+	if s.TPCC != nil && s.Active*s.Concurrency*sc.Machines > 2*sc.Warehouses {
+		s.Concurrency = 1
+		if s.Active*sc.Machines > 2*sc.Warehouses {
+			s.Active = max(1, 2*sc.Warehouses/sc.Machines)
+		}
+	}
+	g.Start(allMachines(sc.Machines), s.Active, s.Concurrency)
+	c.RunFor(spec.Warm)
 
 	killAt := c.Now()
 	var victims []int
@@ -186,12 +174,12 @@ func RunFailure(spec RecoverySpec) RecoveryRun {
 		victims = []int{v}
 		c.Kill(v)
 	}
-	c.RunFor(spec.RunFor)
+	c.RunFor(spec.Measure)
 	g.Stop()
 
 	run := RecoveryRun{Victims: victims, KillAt: killAt, Milestones: map[string]sim.Time{}}
 	// Pre-failure throughput (skip the first ramp-up fifth).
-	run.PreTput = g.Timeline.WindowAverage(spec.WarmFor/5, killAt)
+	run.PreTput = g.Timeline.WindowAverage(spec.Warm/5, killAt)
 
 	times, vals := g.Timeline.Series()
 	for i, at := range times {
@@ -221,7 +209,7 @@ func RunFailure(spec RecoverySpec) RecoveryRun {
 		if at <= killAt {
 			continue
 		}
-		if at <= from+spec.RunFor/2 && p.Ops < minOps {
+		if at <= from+spec.Measure/2 && p.Ops < minOps {
 			minOps = p.Ops
 		}
 		if at <= from {
@@ -285,18 +273,33 @@ func (r RecoveryRun) String() string {
 	return b.String()
 }
 
-// TimelineAround returns ±window of 1 ms buckets around the kill, for the
-// zoomed "time to full throughput" views of Figures 9a/10a.
-func (r RecoveryRun) TimelineAround(window sim.Time) []TimelinePoint {
+// Plot renders ±window of 1 ms buckets around the kill as a bar chart for
+// the zoomed "time to full throughput" views of Figures 9a/10a: one line a
+// bucket, its millisecond right-aligned in digits columns, the kill's
+// bucket marked ×, and a bar of up to 60 marks scaled to the busiest one.
+func (r RecoveryRun) Plot(window sim.Time, mark string, digits int) string {
 	killMs := int64(r.KillAt / sim.Millisecond)
 	w := int64(window / sim.Millisecond)
-	var out []TimelinePoint
+	var pts []TimelinePoint
+	peak := 0.0
 	for _, p := range r.Timeline {
 		if p.AtMs >= killMs-w && p.AtMs <= killMs+w {
-			out = append(out, p)
+			pts = append(pts, p)
+			peak = max(peak, p.Ops)
 		}
 	}
-	return out
+	if peak == 0 {
+		peak = 1
+	}
+	var b strings.Builder
+	for _, p := range pts {
+		at := " "
+		if p.AtMs == killMs {
+			at = "×"
+		}
+		fmt.Fprintf(&b, "%*dms %s|%s\n", digits, p.AtMs, at, strings.Repeat(mark, int(p.Ops/peak*60)))
+	}
+	return b.String()
 }
 
 // RecoveryDistribution repeats the Figure 9 experiment n times with
@@ -308,13 +311,13 @@ func RecoveryDistribution(sc Scale, n int, lease sim.Time) []float64 {
 		spec := DefaultRecoverySpec(sc)
 		spec.Scale.Seed = sc.Seed + uint64(i)*101
 		spec.Lease = lease
-		spec.WarmFor = 30 * sim.Millisecond
-		spec.RunFor = 300 * sim.Millisecond
+		spec.Warm = 30 * sim.Millisecond
+		spec.Measure = 300 * sim.Millisecond
 		run := RunFailure(spec)
 		if run.FullThroughput >= 0 {
 			out = append(out, run.FullThroughput.Millis())
 		} else {
-			out = append(out, spec.RunFor.Millis())
+			out = append(out, spec.Measure.Millis())
 		}
 	}
 	sort.Float64s(out)

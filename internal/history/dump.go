@@ -44,5 +44,10 @@ func Load(data []byte) (*History, error) {
 	if h.Schema != Schema {
 		return nil, fmt.Errorf("history: unknown schema %q (want %q)", h.Schema, Schema)
 	}
+	for i, ev := range h.Events {
+		if ev == nil {
+			return nil, fmt.Errorf("history: event %d is null", i)
+		}
+	}
 	return &h, nil
 }

@@ -23,12 +23,8 @@ import (
 	"testing"
 	"time"
 
-	"farm/internal/bank"
-	"farm/internal/core"
 	"farm/internal/exper"
-	"farm/internal/loadgen"
 	"farm/internal/sim"
-	"farm/internal/tatp"
 )
 
 // SchemaVersion identifies the BENCH_sim.json layout. v2 added the
@@ -36,19 +32,11 @@ import (
 // wire_bytes_per_tx, abort_rate) and the bank workload points.
 const SchemaVersion = "farm/bench-sim/v2"
 
-// PointSpec describes one scale run.
+// PointSpec describes one scale run: an exper load point ("tatp" or "bank"
+// here) with all of every machine's threads active.
 type PointSpec struct {
-	Name        string
-	Workload    string // "tatp" or "bank"
-	Machines    int
-	Threads     int    // worker threads per machine
-	Concurrency int    // outstanding ops per client thread
-	Subscribers uint64 // tatp: database size
-	Accounts    int    // bank: database size
-	Regions     int
-	Warm        sim.Time
-	Measure     sim.Time
-	Seed        uint64
+	Name string
+	exper.Load
 	// Kill makes the point a failure run (exper.RunFailure, 10 ms leases)
 	// instead of a steady-state window: "backup" kills the non-CM machine
 	// hosting the most regions (Figure 9), "cm" the configuration manager
@@ -130,126 +118,58 @@ type Report struct {
 // scale and the paper scales. Windows are sized so the full suite runs in
 // a couple of minutes of host time.
 func DefaultSpecs() []PointSpec {
+	point := func(name, workload string, sc exper.Scale, warm, measure sim.Time, kill string) PointSpec {
+		sc.Threads, sc.Seed = 8, 1
+		return PointSpec{Name: name, Kill: kill, Load: exper.Load{Scale: sc, Workload: workload,
+			Concurrency: 4, Warm: warm, Measure: measure}}
+	}
+	ms := sim.Millisecond
 	return []PointSpec{
-		{Name: "tatp-9", Workload: "tatp", Machines: 9, Threads: 8, Concurrency: 4,
-			Subscribers: 2000, Regions: 6, Warm: sim.Millisecond, Measure: 10 * sim.Millisecond, Seed: 1},
-		{Name: "tatp-50", Workload: "tatp", Machines: 50, Threads: 8, Concurrency: 4,
-			Subscribers: 10000, Regions: 12, Warm: sim.Millisecond, Measure: 4 * sim.Millisecond, Seed: 1},
-		{Name: "tatp-100", Workload: "tatp", Machines: 100, Threads: 8, Concurrency: 4,
-			Subscribers: 10000, Regions: 12, Warm: sim.Millisecond, Measure: 3 * sim.Millisecond, Seed: 1},
-		{Name: "bank-9", Workload: "bank", Machines: 9, Threads: 8, Concurrency: 4,
-			Accounts: 4096, Regions: 6, Warm: sim.Millisecond, Measure: 10 * sim.Millisecond, Seed: 1},
-		{Name: "bank-50", Workload: "bank", Machines: 50, Threads: 8, Concurrency: 4,
-			Accounts: 12288, Regions: 12, Warm: sim.Millisecond, Measure: 4 * sim.Millisecond, Seed: 1},
-		{Name: "bank-100", Workload: "bank", Machines: 100, Threads: 8, Concurrency: 4,
-			Accounts: 12288, Regions: 12, Warm: sim.Millisecond, Measure: 3 * sim.Millisecond, Seed: 1},
-		{Name: "tatp-9-kill", Workload: "tatp", Machines: 9, Threads: 8, Concurrency: 4,
-			Subscribers: 2000, Regions: 6, Warm: 20 * sim.Millisecond, Measure: 60 * sim.Millisecond, Seed: 1, Kill: "backup"},
-		{Name: "tatp-9-cmkill", Workload: "tatp", Machines: 9, Threads: 8, Concurrency: 4,
-			Subscribers: 2000, Regions: 6, Warm: 20 * sim.Millisecond, Measure: 60 * sim.Millisecond, Seed: 1, Kill: "cm"},
+		point("tatp-9", "tatp", exper.Scale{Machines: 9, Subscribers: 2000, Regions: 6}, ms, 10*ms, ""),
+		point("tatp-50", "tatp", exper.Scale{Machines: 50, Subscribers: 10000, Regions: 12}, ms, 4*ms, ""),
+		point("tatp-100", "tatp", exper.Scale{Machines: 100, Subscribers: 10000, Regions: 12}, ms, 3*ms, ""),
+		point("bank-9", "bank", exper.Scale{Machines: 9, Accounts: 4096, Regions: 6}, ms, 10*ms, ""),
+		point("bank-50", "bank", exper.Scale{Machines: 50, Accounts: 12288, Regions: 12}, ms, 4*ms, ""),
+		point("bank-100", "bank", exper.Scale{Machines: 100, Accounts: 12288, Regions: 12}, ms, 3*ms, ""),
+		point("tatp-9-kill", "tatp", exper.Scale{Machines: 9, Subscribers: 2000, Regions: 6}, 20*ms, 60*ms, "backup"),
+		point("tatp-9-cmkill", "tatp", exper.Scale{Machines: 9, Subscribers: 2000, Regions: 6}, 20*ms, 60*ms, "cm"),
 	}
 }
-
-// options sizes cluster knobs to the machine count: big clusters shrink
-// the per-sender log rings (machines × machines of them) so memory stays
-// bounded — a 100-machine cluster with default 256 KB rings would need
-// gigabytes for rings alone.
-func (s PointSpec) options() core.Options {
-	o := core.Options{NumMachines: s.Machines, Threads: s.Threads, Seed: s.Seed}
-	switch {
-	case s.Machines >= 80:
-		o.LogCapacity = 1 << 15
-	case s.Machines >= 30:
-		o.LogCapacity = 1 << 16
-	}
-	return o
-}
-
-// bankInitial is the per-account starting balance for bank points; the
-// value only matters in that it keeps declined transfers rare.
-const bankInitial = 1000
 
 // Run executes one scale run and measures it.
 func Run(s PointSpec) (Point, error) {
 	if s.Kill != "" {
 		return runKill(s)
 	}
-	c := core.New(s.options())
-	var op loadgen.Op
-	switch s.Workload {
-	case "bank":
-		w, err := bank.Setup(c, s.Accounts, s.Regions, bankInitial)
-		if err != nil {
-			return Point{}, err
-		}
-		op = w.Mix()
-	case "tatp", "":
-		w, err := tatp.Setup(c, s.Subscribers, s.Regions)
-		if err != nil {
-			return Point{}, err
-		}
-		op = w.Mix()
-	default:
-		return Point{}, fmt.Errorf("unknown workload %q", s.Workload)
+	set, err := s.SetUp()
+	if err != nil {
+		return Point{}, err
 	}
-	machines := make([]int, s.Machines)
-	for i := range machines {
-		machines[i] = i
-	}
-	g := loadgen.New(c, op)
-	g.Warmup = s.Warm
-	g.Start(machines, s.Threads, s.Concurrency)
-	c.RunFor(s.Warm)
-
-	runtime.GC()
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	ev0, cm0, ab0 := c.Eng.Executed(), g.Committed(), g.Aborted()
-	msg0 := c.Net.Counters.Get("msg_send")
-	byt0 := c.Net.Counters.Get("msg_send_bytes")
-	t0 := time.Now()
-	c.RunFor(s.Measure)
-	wall := time.Since(t0).Seconds()
-	runtime.ReadMemStats(&ms1)
-	ev, cm, ab := c.Eng.Executed()-ev0, g.Committed()-cm0, g.Aborted()-ab0
-	msgs := c.Net.Counters.Get("msg_send") - msg0
-	bytes := c.Net.Counters.Get("msg_send_bytes") - byt0
-	// The latency histogram records committed operations after Warmup,
-	// which is exactly the measure window.
-	lat := g.Latency.Summarize()
-
-	p := Point{
-		Name:          s.Name,
-		Workload:      s.Workload,
-		Machines:      s.Machines,
-		ClientThreads: s.Machines * s.Threads * s.Concurrency,
-		SimulatedMS:   s.Measure.Millis(),
-		WallSeconds:   wall,
-		HostEvents:    ev,
-		Committed:     cm,
-		TxP50Us:       float64(lat.P50) / float64(sim.Microsecond),
-		TxP99Us:       float64(lat.P99) / float64(sim.Microsecond),
-		HeapMB:        float64(ms1.HeapAlloc) / (1 << 20),
-	}
-	if p.Workload == "" {
-		p.Workload = "tatp"
-	}
-	if wall > 0 {
-		p.EventsPerSec = float64(ev) / wall
-		p.TxPerWallSec = float64(cm) / wall
+	w := set.Drive()
+	// The latency histogram records committed operations after the warm-up,
+	// which is exactly the measured window.
+	lat := set.G.Latency.Summarize()
+	p := s.point(w.Wall)
+	p.HostEvents, p.Committed = w.Events, w.Committed
+	p.TxP50Us = float64(lat.P50) / float64(sim.Microsecond)
+	p.TxP99Us = float64(lat.P99) / float64(sim.Microsecond)
+	p.HeapMB = float64(w.HeapAlloc) / (1 << 20)
+	if wall := p.WallSeconds; wall > 0 {
+		p.EventsPerSec = float64(w.Events) / wall
+		p.TxPerWallSec = float64(w.Committed) / wall
 	}
 	if s.Measure > 0 {
-		p.SimTxPerSec = float64(cm) / s.Measure.Seconds()
+		p.SimTxPerSec = float64(w.Committed) / s.Measure.Seconds()
 	}
-	if cm > 0 {
-		p.MsgsPerTx = float64(msgs) / float64(cm)
-		p.WireBytesPerTx = float64(bytes) / float64(cm)
+	if cm := float64(w.Committed); cm > 0 {
+		p.MsgsPerTx = float64(w.Net["msg_send"]) / cm
+		p.WireBytesPerTx = float64(w.Net["msg_send_bytes"]) / cm
 	}
-	if cm+ab > 0 {
-		p.AbortRate = float64(ab) / float64(cm+ab)
+	if w.Committed+w.Aborted > 0 {
+		p.AbortRate = float64(w.Aborted) / float64(w.Committed+w.Aborted)
 	}
-	if ev > 0 {
-		p.AllocsPerEvent = float64(ms1.Mallocs-ms0.Mallocs) / float64(ev)
+	if w.Events > 0 {
+		p.AllocsPerEvent = float64(w.Mallocs) / float64(w.Events)
 	}
 	return p, nil
 }
@@ -257,32 +177,28 @@ func Run(s PointSpec) (Point, error) {
 // runKill measures a kill point's recovery: only the shape, the milestones
 // and the wall time (of the whole run, set-up included) are filled in.
 func runKill(s PointSpec) (Point, error) {
-	spec := exper.DefaultRecoverySpec(exper.Scale{Machines: s.Machines, Threads: s.Threads,
-		Subscribers: s.Subscribers, Regions: s.Regions, Seed: s.Seed})
-	switch s.Kill {
-	case "backup":
-	case "cm":
-		spec.Kind = exper.KillCM
-	default:
-		return Point{}, fmt.Errorf("unknown kill %q", s.Kill)
+	kind, err := exper.ParseVictim(s.Kill)
+	if err != nil {
+		return Point{}, err
 	}
-	spec.Conc, spec.WarmFor, spec.RunFor = s.Concurrency, s.Warm, s.Measure
+	spec := exper.DefaultRecoverySpec(s.Scale)
+	spec.Load, spec.Kind = s.Load, kind
 	t0 := time.Now()
 	run := exper.RunFailure(spec)
 	commit, ok := run.Milestones["config-commit"]
 	if !ok || run.FullThroughput < 0 {
 		return Point{}, fmt.Errorf("no recovery within %v of the kill", s.Measure)
 	}
-	return Point{
-		Name:           s.Name,
-		Workload:       s.Workload,
-		Machines:       s.Machines,
-		ClientThreads:  s.Machines * s.Threads * s.Concurrency,
-		SimulatedMS:    s.Measure.Millis(),
-		WallSeconds:    time.Since(t0).Seconds(),
-		ConfigCommitMs: commit.Millis(),
-		TputBackMs:     run.FullThroughput.Millis(),
-	}, nil
+	p := s.point(time.Since(t0))
+	p.ConfigCommitMs, p.TputBackMs = commit.Millis(), run.FullThroughput.Millis()
+	return p, nil
+}
+
+// point is the spec's shape and the wall time it took.
+func (s PointSpec) point(wall time.Duration) Point {
+	return Point{Name: s.Name, Workload: s.Workload, Machines: s.Machines,
+		ClientThreads: s.Machines * s.Threads * s.Concurrency,
+		SimulatedMS:   s.Measure.Millis(), WallSeconds: wall.Seconds()}
 }
 
 // EngineAllocsPerEvent measures the engine's own steady-state cost of one

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"farm/internal/exper"
 	"farm/internal/sim"
 )
 
@@ -22,8 +23,9 @@ func TestScale100TATP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100-machine scale run skipped in -short mode")
 	}
-	spec := PointSpec{Name: "tatp-100", Machines: 100, Threads: 8, Concurrency: 4,
-		Subscribers: 10000, Regions: 12, Warm: sim.Millisecond, Measure: 2 * sim.Millisecond, Seed: 1}
+	scale := exper.Scale{Machines: 100, Threads: 8, Subscribers: 10000, Regions: 12, Seed: 1}
+	spec := PointSpec{Name: "tatp-100", Load: exper.Load{Scale: scale, Workload: "tatp",
+		Concurrency: 4, Warm: sim.Millisecond, Measure: 2 * sim.Millisecond}}
 	p, err := Run(spec)
 	if err != nil {
 		t.Fatalf("100-machine TATP run failed: %v", err)
@@ -162,8 +164,9 @@ func TestCompareRecoveryGates(t *testing.T) {
 // perf harness: a small bank point must set up, measure, and report
 // non-zero protocol metrics.
 func TestBankPointRuns(t *testing.T) {
-	spec := PointSpec{Name: "bank-tiny", Workload: "bank", Machines: 5, Threads: 2, Concurrency: 2,
-		Accounts: 256, Regions: 3, Warm: sim.Millisecond, Measure: 2 * sim.Millisecond, Seed: 1}
+	scale := exper.Scale{Machines: 5, Threads: 2, Accounts: 256, Regions: 3, Seed: 1}
+	spec := PointSpec{Name: "bank-tiny", Load: exper.Load{Scale: scale, Workload: "bank",
+		Concurrency: 2, Warm: sim.Millisecond, Measure: 2 * sim.Millisecond}}
 	p, err := Run(spec)
 	if err != nil {
 		t.Fatalf("bank point failed: %v", err)
