@@ -1,6 +1,6 @@
 # Convenience targets; everything is stdlib-only `go` commands.
 
-.PHONY: check test harness bench perf figures chaos examples tools vet race trace count
+.PHONY: check test harness bench perf figures chaos examples tools fuzz vet race trace count
 
 # Everything the chaos and trace targets write lands here (gitignored).
 OUT := .farm-out
@@ -10,10 +10,10 @@ OUT := .farm-out
 # multi-seed nemesis campaign with every fault kind enabled, traced
 # smoke runs whose exports are schema-validated, then every example
 # (examples/bank and examples/powerfail exit non-zero when their closing
-# invariant fails), and a short run of every tool. CI runs the same targets
-# split across parallel jobs (check / chaos / perf) in
-# .github/workflows/check.yml.
-check: vet test harness race chaos trace examples tools
+# invariant fails), a short run of every tool, and ten seconds of every fuzz
+# target. CI runs the same targets split across parallel jobs (check / chaos
+# / perf) in .github/workflows/check.yml.
+check: vet test harness race chaos trace examples tools fuzz
 
 test:
 	go test ./...
@@ -91,6 +91,16 @@ tools:
 	go run ./cmd/farm-bench -fig 1
 	go run ./cmd/farm-bench -fig kv
 	! go run ./cmd/farm-bench -fig nope
+
+# Ten seconds of coverage-guided fuzzing per target, one `go test -fuzz`
+# each (go runs one fuzz target at a time): the log-record decoder, the
+# history loader and the ring reader over arbitrary ring bytes. A failing
+# input lands in the package's testdata/fuzz/ and replays with plain
+# `go test` from then on.
+fuzz:
+	go test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/proto
+	go test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/history
+	go test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s ./internal/ring
 
 # The design-diet ledger (ROADMAP, CHANGES.md): four sizes of internal/core
 # and the size of the tools and experiment drivers around it, which a

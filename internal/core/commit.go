@@ -970,7 +970,7 @@ func (t *Tx) validateReadOnly(cb func(error)) {
 			m.rpcWaiters[id] = func(resp interface{}) {
 				t.roValidated(resp.(*proto.ValidateReply).OK)
 			}
-			m.rpcWaits = append(m.rpcWaits, rpcWait{id: id, sent: m.c.Eng.Now(), t: t})
+			m.rpcWaits = append(m.rpcWaits, rpcWait{id: id, dst: pm, sent: m.c.Eng.Now(), t: t})
 			*m.c.cValidateRPCs++
 			t.roOutstanding++
 			m.sendFromThread(t.thread, pm, &rpcEnvelope{ID: id, From: m.ID, Body: req, Ctx: t.ctx})
@@ -983,13 +983,15 @@ func (t *Tx) validateReadOnly(cb func(error)) {
 	}
 }
 
-// rpcWait is an RPC the stall sweep watches for its reply: a read-only
-// commit's VALIDATE (t), or a slot reservation (alloc).
+// rpcWait is an RPC to dst watched for its reply: a read-only commit's
+// VALIDATE (t), a slot reservation (alloc), or an application call (app).
 type rpcWait struct {
 	id    uint64
+	dst   int
 	sent  sim.Time
 	t     *Tx
 	alloc func(off uint32, version uint64, err error)
+	app   func(resp interface{}, err error)
 }
 
 // roFail reports a read-only commit's first failure; completions after it

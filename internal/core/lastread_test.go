@@ -234,3 +234,42 @@ func TestAllocRPCToDeadPrimaryReports(t *testing.T) {
 	}
 	tx.Abort()
 }
+
+// TestAppCallFailsWhenNoAnswerComes: an application call gets its handler's
+// answer; a call its live handler never answers fails with ErrUnavailable at
+// the stall sweep; and a call to a machine that dies fails as soon as the
+// configuration without it arrives, well inside txStallTimeout.
+func TestAppCallFailsWhenNoAnswerComes(t *testing.T) {
+	c := New(Options{NumMachines: 5, Seed: 19})
+	c.Machine(2).SetAppHandler(func(_ int, req interface{}, call AppCall) { call.Reply(req.(int) + 1) })
+	for _, mi := range []int{3, 4} {
+		c.Machine(mi).SetAppHandler(func(int, interface{}, AppCall) {})
+	}
+	c.RunFor(20 * sim.Millisecond)
+	m := c.Machine(1)
+	call := func(dst int, kill bool) (resp interface{}, took sim.Time, err error) {
+		t.Helper()
+		done, start := false, c.Now()
+		m.CallApp(dst, 41, func(r interface{}, e error) { resp, err, took, done = r, e, c.Now()-start, true })
+		if kill {
+			c.Kill(dst)
+		}
+		runUntil(t, c, sim.Second, func() bool { return done })
+		return resp, took, err
+	}
+	if resp, _, err := call(2, false); err != nil || resp != 42 {
+		t.Fatalf("answered call: %v %v, want 42", resp, err)
+	}
+	if _, took, err := call(3, false); err != ErrUnavailable || took < txStallTimeout {
+		t.Fatalf("unanswered call: %v after %v, want ErrUnavailable after at least %v", err, took, txStallTimeout)
+	}
+	if _, took, err := call(4, true); err != ErrUnavailable || took >= txStallTimeout {
+		t.Fatalf("call to a dying machine: %v after %v, want ErrUnavailable within %v", err, took, txStallTimeout)
+	}
+	if n := c.Counters.Get("app_call_stalled"); n != 2 {
+		t.Fatalf("app_call_stalled = %d, want 2", n)
+	}
+	if len(m.rpcWaiters) != 0 || len(m.rpcWaits) != 0 {
+		t.Fatalf("%d RPC waiters and %d watched RPCs left", len(m.rpcWaiters), len(m.rpcWaits))
+	}
+}

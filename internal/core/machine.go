@@ -274,12 +274,13 @@ type Machine struct {
 	nextRPC    uint64
 	rpcWaiters map[uint64]func(interface{})
 	// rpcWaits lists the RPCs a lost reply must not wedge — read-only
-	// commits' VALIDATEs and slot reservations — in id order, for the stall
-	// sweep to fail those no reply answers (watchdog.go).
+	// commits' VALIDATEs, slot reservations and application calls — in id
+	// order, for the stall sweep and configuration changes to fail those no
+	// reply answers (watchdog.go).
 	rpcWaits []rpcWait
 
-	// appHandler receives application messages (function shipping).
-	appHandler func(src int, msg interface{})
+	// appHandler receives application calls (function shipping).
+	appHandler func(src int, req interface{}, call AppCall)
 
 	// audits tracks state-integrity audits this machine coordinates (as
 	// the audited region's primary), keyed by audit id; nextAudit feeds
@@ -614,19 +615,42 @@ func (m *Machine) HostedRegions() []uint32 {
 // shipping of single-field updates (§6.2).
 func (m *Machine) PrimaryOf(region uint32) int { return m.primaryOf(region) }
 
-// SetAppHandler installs the application-level message handler used with
-// SendApp. FaRM applications link with the platform in the same process
-// (§6.2); function-shipped operations arrive here, on a worker thread with
-// the handling cost charged.
-func (m *Machine) SetAppHandler(h func(src int, msg interface{})) { m.appHandler = h }
+// SetAppHandler installs the handler of application calls (CallApp). FaRM
+// applications link with the platform in the same process (§6.2);
+// function-shipped operations arrive here, on a worker thread with the
+// handling cost charged, and call.Reply answers them.
+func (m *Machine) SetAppHandler(h func(src int, req interface{}, call AppCall)) { m.appHandler = h }
 
-// SendApp sends an application message to a member machine.
-func (m *Machine) SendApp(dst int, msg interface{}) {
-	m.send(dst, &appMsg{Body: msg})
+// CallApp sends req to the application handler of machine dst and passes cb
+// the handler's answer. The call is watched like a read-only VALIDATE: once
+// dst leaves the configuration, or txStallTimeout passes unanswered, cb gets
+// ErrUnavailable and a late answer is dropped.
+func (m *Machine) CallApp(dst int, req interface{}, cb func(resp interface{}, err error)) {
+	id := m.nextRPC
+	m.nextRPC++
+	m.rpcWaiters[id] = func(resp interface{}) { cb(resp, nil) }
+	m.rpcWaits = append(m.rpcWaits, rpcWait{id: id, dst: dst, sent: m.c.Eng.Now(), app: cb})
+	m.send(dst, &appCall{ID: id, Req: req})
 }
 
-// appMsg wraps application payloads for routing.
-type appMsg struct{ Body interface{} }
+// AppCall is how an application handler answers one CallApp request.
+type AppCall struct {
+	m    *Machine
+	from int
+	id   uint64
+}
+
+// Reply sends resp to the caller.
+func (a AppCall) Reply(resp interface{}) {
+	a.m.send(a.from, &rpcReply{ID: a.id, Body: resp})
+}
+
+// appCall carries an application call's request; the answer comes back in
+// an rpcReply.
+type appCall struct {
+	ID  uint64
+	Req interface{}
+}
 
 // primaryOf returns the primary machine for a region, or -1 if unknown.
 func (m *Machine) primaryOf(region uint32) int {

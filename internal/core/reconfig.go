@@ -482,6 +482,8 @@ func (m *Machine) onNewConfig(src int, nc *proto.NewConfig) {
 	// instead of being evicted for it.
 	m.configCommitted = false
 	m.armCommitReack(m.config.ID)
+	// No reply comes from a machine that left: its watched RPCs fail now.
+	m.failRPCWaits(func(w rpcWait) bool { return !m.isMember(w.dst) })
 }
 
 // armCommitReack re-sends NEW-CONFIG-ACK while the commit is outstanding.

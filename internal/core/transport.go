@@ -175,6 +175,7 @@ func (t *transport) registerHandlers() {
 		func(_ int, v *rpcReply) {
 			if w := m.rpcWaiters[v.ID]; w != nil {
 				delete(m.rpcWaiters, v.ID)
+				m.dropAnsweredWaits()
 				w(v.Body)
 			}
 		})
@@ -325,11 +326,11 @@ func (t *transport) registerHandlers() {
 		func(v *clientResp) int { return 24 + len(v.Data) + len(v.Err) },
 		nil) // send-only: responses terminate at external clients
 
-	// Application messages (function shipping, §6.2).
+	// Application calls (function shipping, §6.2).
 	proto.Register(r, "APP", nil,
-		func(src int, v *appMsg) {
+		func(src int, v *appCall) {
 			if m.appHandler != nil {
-				m.appHandler(src, v.Body)
+				m.appHandler(src, v.Req, AppCall{m: m, from: src, id: v.ID})
 			}
 		})
 

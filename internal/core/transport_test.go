@@ -26,7 +26,7 @@ func TestRegistryCompleteness(t *testing.T) {
 		&rpcEnvelope{}, &rpcReply{}, &releaseSlotReq{},
 		&suspectReport{}, &reconfigAsk{}, &regionActiveAnnounce{},
 		&dataRecoveryDone{}, &joinReq{},
-		&clientReadReq{}, &clientUpdateReq{}, &appMsg{},
+		&clientReadReq{}, &clientUpdateReq{}, &appCall{},
 	}
 	for _, msg := range internal {
 		if !m.tp.reg.Handles(msg) {
@@ -86,38 +86,48 @@ func TestUnknownMessageDroppedAtSend(t *testing.T) {
 }
 
 // TestEveryMessageArrivesOnceInItsOwnFrame sends a burst of application
-// messages to one destination and asserts every one of them reaches the
-// handler exactly once and that the burst cost exactly one fabric frame
-// per message: nothing is held back to share a frame, nothing is sent
-// twice. Arrival order is not asserted — the transport promises none
-// (receive dispatch picks the least-loaded worker).
+// calls to one destination and asserts every request reaches the handler
+// exactly once, every answer reaches its caller exactly once, and the burst
+// cost exactly one fabric frame per message, request or answer: nothing is
+// held back to share a frame, nothing is sent twice. Arrival order is not
+// asserted — the transport promises none (receive dispatch picks the
+// least-loaded worker).
 func TestEveryMessageArrivesOnceInItsOwnFrame(t *testing.T) {
 	const n = 24
-	run := func(burst int) (seen []int, frames, msgs uint64) {
+	run := func(burst int) (seen, answered []int, frames, msgs uint64) {
 		c := New(Options{NumMachines: 2, Seed: 5})
-		seen = make([]int, burst)
-		c.Machine(1).SetAppHandler(func(_ int, msg interface{}) { seen[msg.(int)]++ })
+		seen, answered = make([]int, burst), make([]int, burst)
+		c.Machine(1).SetAppHandler(func(_ int, req interface{}, call AppCall) {
+			seen[req.(int)]++
+			call.Reply(req)
+		})
 		c.RunFor(sim.Millisecond) // settle boot traffic
 		for i := 0; i < burst; i++ {
-			c.Machine(0).SendApp(1, i)
+			c.Machine(0).CallApp(1, i, func(resp interface{}, err error) {
+				if err != nil {
+					t.Errorf("call %d: %v", i, err)
+					return
+				}
+				answered[resp.(int)]++
+			})
 		}
 		c.RunFor(sim.Millisecond)
-		return seen, c.Net.Counters.Get("msg_send"), c.Net.Counters.Get("msg_send_coalesced")
+		return seen, answered, c.Net.Counters.Get("msg_send"), c.Net.Counters.Get("msg_send_coalesced")
 	}
-	seen, frames, msgs := run(n)
+	seen, answered, frames, msgs := run(n)
 	// The twin run sends no burst: whatever the cluster sends on its own
 	// in the same two milliseconds cancels out.
-	_, idleFrames, idleMsgs := run(0)
-	for i, k := range seen {
-		if k != 1 {
-			t.Errorf("message %d delivered %d times, want once", i, k)
+	_, _, idleFrames, idleMsgs := run(0)
+	for i := range seen {
+		if seen[i] != 1 || answered[i] != 1 {
+			t.Errorf("call %d delivered %d times and answered %d times, want once each", i, seen[i], answered[i])
 		}
 	}
-	if got := frames - idleFrames; got != n {
-		t.Errorf("%d messages left in %d fabric frames, want one frame each", n, got)
+	if got := frames - idleFrames; got != 2*n {
+		t.Errorf("%d messages left in %d fabric frames, want one frame each", 2*n, got)
 	}
-	if got := msgs - idleMsgs; got != n {
-		t.Errorf("frames carried %d messages, want %d", got, n)
+	if got := msgs - idleMsgs; got != 2*n {
+		t.Errorf("frames carried %d messages, want %d", got, 2*n)
 	}
 }
 

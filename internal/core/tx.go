@@ -562,7 +562,7 @@ func (m *Machine) allocSlot(thread int, region uint32, size int, cb func(off uin
 		}
 		cb(r.Off, r.Version, nil)
 	}
-	m.rpcWaits = append(m.rpcWaits, rpcWait{id: id, sent: m.c.Eng.Now(), alloc: cb})
+	m.rpcWaits = append(m.rpcWaits, rpcWait{id: id, dst: p, sent: m.c.Eng.Now(), alloc: cb})
 	m.sendFromThread(thread, p, &rpcEnvelope{ID: id, From: m.ID, Body: req})
 }
 

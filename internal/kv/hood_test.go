@@ -2,6 +2,7 @@ package kv
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"farm/internal/core"
@@ -16,14 +17,15 @@ import (
 // chain, and one span read fetches the home and its neighbours.
 
 // hoodRig is a 5-machine cluster with a table of 2-slot buckets, all in one
-// region, so that bucket j's neighbours are j+1..j+3. reader is a
-// machine other than the primary: its lookups are one-sided reads.
+// region, so that bucket j's neighbours are j+1..j+3, hashing keys with the
+// given Config.GroupBits. reader is a machine other than the primary: its
+// lookups are one-sided reads.
 type hoodRig struct {
 	rig
 	prim, reader int
 }
 
-func newHoodRig(t *testing.T, buckets int) *hoodRig {
+func newHoodRig(t *testing.T, buckets, groupBits int) *hoodRig {
 	t.Helper()
 	c := core.New(core.Options{NumMachines: 5, Seed: 9})
 	regions, err := c.CreateRegions(0, 1, 0)
@@ -32,7 +34,7 @@ func newHoodRig(t *testing.T, buckets int) *hoodRig {
 	}
 	prim := c.Machine(0).PrimaryOf(regions[0])
 	table := MustCreate(c, c.Machine(prim), Config{
-		Name: "hood", Buckets: buckets, Slots: 2, MaxKey: 16, MaxVal: 32, Regions: regions,
+		Name: "hood", Buckets: buckets, Slots: 2, MaxKey: 16, MaxVal: 32, GroupBits: groupBits, Regions: regions,
 	})
 	for j := range table.adj {
 		if want := min(buckets-1-j, hood-1); int(table.adj[j]) != want {
@@ -122,7 +124,7 @@ func (r *hoodRig) reads() uint64 { return r.c.Net.Counters.Get("rdma_read") }
 // lookup that hits the home, one that hits the neighbour and one that misses
 // each cost one one-sided read, inside a transaction or outside one.
 func TestLookupIsOneRead(t *testing.T) {
-	r := newHoodRig(t, 8)
+	r := newHoodRig(t, 8, 0)
 	k := keysOf(r.t, 0, 0, 4)
 	r.mustPut(t, k[0], k[1], k[2])
 	if hops := r.bucketAt(t, 0).hops(); hops != 1<<1 {
@@ -160,7 +162,7 @@ func TestLookupIsOneRead(t *testing.T) {
 // next key, which costs a lookup a second read; deleting a neighbour's last
 // key of the home clears its hop bit, and deleting one of two does not.
 func TestFullNeighbourhoodChains(t *testing.T) {
-	r := newHoodRig(t, 4)
+	r := newHoodRig(t, 4, 0)
 	k := keysOf(r.t, 0, 0, 9)
 	r.mustPut(t, k...)
 	home := r.bucketAt(t, 0)
@@ -216,7 +218,7 @@ func TestFullNeighbourhoodChains(t *testing.T) {
 // locked, a lock-free hit in the home is answered at once, and a hit whose
 // holder is neighbour 1 is retried until the writer commits.
 func TestSpanReadWaitsOnlyForWhatItNeeds(t *testing.T) {
-	r := newHoodRig(t, 8)
+	r := newHoodRig(t, 8, 0)
 	k, j := keysOf(r.t, 0, 0, 3), keysOf(r.t, 1, 0, 1)
 	r.mustPut(t, k[0], k[1], k[2], j[0]) // neighbour 1 holds k[2] and its own j[0]
 	writer := (r.prim + 2) % 5
@@ -267,7 +269,7 @@ func TestSpanReadWaitsOnlyForWhatItNeeds(t *testing.T) {
 // holding the key on a hit, and the home and its flagged neighbours on a
 // miss; a Put of the key just read costs no read.
 func TestGetReadSet(t *testing.T) {
-	r := newHoodRig(t, 8)
+	r := newHoodRig(t, 8, 0)
 	k := keysOf(r.t, 0, 0, 6)
 	r.mustPut(t, k[:5]...) // home 0 and neighbour 1 full, k[4] in neighbour 2
 	m := r.c.Machine(r.reader)
@@ -312,51 +314,147 @@ func TestGetReadSet(t *testing.T) {
 	}
 }
 
-// TestModelCheckedNeighbourhoods: random Puts and Deletes from random
-// machines over tables of three and four buckets, so that neighbours and
-// chains both fill and drain. After every commit a lock-free Get and a
-// transactional Get of every key agree with a map.
-func TestModelCheckedNeighbourhoods(t *testing.T) {
-	const keys, steps = 16, 100
-	for seed := uint64(1); seed <= 10; seed++ {
-		rng := sim.NewRand(seed)
-		r := newHoodRig(t, 3+int(seed%2))
-		model := map[string]string{}
-		for step := 0; step < steps; step++ {
-			key := fmt.Sprintf("k%d", rng.Intn(keys))
-			mi := rng.Intn(5)
-			if rng.Intn(3) > 0 {
-				val := fmt.Sprintf("v%d.%d", seed, step)
-				if err := r.put(t, mi, key, val); err != nil {
-					t.Fatalf("seed %d step %d: put %s: %v", seed, step, key, err)
-				}
-				model[key] = val
-			} else {
-				_, want := model[key]
-				err := r.do(t, mi, func(tx *core.Tx, done func(error)) {
-					r.t.Delete(tx, []byte(key), func(ok bool, err error) {
-						if err == nil && ok != want {
-							err = fmt.Errorf("delete found %v, model has it %v", ok, want)
-						}
-						done(err)
-					})
-				})
-				if err != nil {
-					t.Fatalf("seed %d step %d: delete %s: %v", seed, step, key, err)
-				}
-				delete(model, key)
+// TestGroupedKeysShareAHome: a table with GroupBits 5 gives every key of a
+// group — keys differing only in their low five bits — one home, and still
+// spreads the groups over the buckets; a table without GroupBits hashes every
+// key whole, as 64-bit FNV-1a of its bytes. (A prime bucket count: FNV modulo
+// a power of two sees only the low bits of every byte.) A transaction's
+// lookups of three keys of one group cost one one-sided read, also when the
+// third spilled into a neighbour: a grouped Get keeps the home's flagged
+// neighbours.
+func TestGroupedKeysShareAHome(t *testing.T) {
+	const buckets = 61
+	c := core.New(core.Options{NumMachines: 5, Seed: 9})
+	regions, err := c.CreateRegions(0, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Name: "whole", Buckets: buckets, Slots: 4, MaxKey: 16, MaxVal: 32, Regions: regions}
+	whole := MustCreate(c, c.Machine(0), cfg)
+	cfg.Name, cfg.GroupBits = "grouped", 5
+	grouped := MustCreate(c, c.Machine(0), cfg)
+	key := func(g, low uint64) []byte { return U64Key(g<<5 | low) }
+	homes := map[int]bool{}
+	for g := uint64(0); g < buckets; g++ {
+		home := grouped.hash(key(g, 0))
+		homes[home] = true
+		for low := uint64(0); low < 32; low++ {
+			k := key(g, low)
+			if h := grouped.hash(k); h != home {
+				t.Fatalf("group %d: key %d hashes to %d, key 0 to %d", g, low, h, home)
 			}
-			for i := 0; i < keys; i++ {
-				key := fmt.Sprintf("k%d", i)
-				want, inModel := model[key]
-				if v, ok := r.lockFreeGet(t, rng.Intn(5), key); ok != inModel || v != want {
-					t.Fatalf("seed %d step %d: lock-free get %s = %q %v, model %q %v", seed, step, key, v, ok, want, inModel)
-				}
-				if v, ok := r.get(t, rng.Intn(5), key); ok != inModel || v != want {
-					t.Fatalf("seed %d step %d: get %s = %q %v, model %q %v", seed, step, key, v, ok, want, inModel)
+			for _, k := range [][]byte{k, []byte(fmt.Sprintf("key-%d-%d", g, low))} {
+				f := fnv.New64a()
+				f.Write(k)
+				if h, want := whole.hash(k), int(f.Sum64()%buckets); h != want {
+					t.Fatalf("ungrouped table hashes %q to %d, FNV-1a to %d", k, h, want)
 				}
 			}
 		}
+	}
+	if len(homes) < buckets/2 {
+		t.Fatalf("%d groups have only %d homes", buckets, len(homes))
+	}
+
+	r := newHoodRig(t, 8, 5)
+	g := uint64(0)
+	for r.t.hash(key(g, 0)) > 4 { // a home with three neighbours
+		g++
+	}
+	rows := []string{string(key(g, 0)), string(key(g, 8)), string(key(g, 16))}
+	r.mustPut(t, rows...) // two 2-slot buckets: the third row goes to neighbour 1
+	tx := r.c.Machine(r.reader).Begin(0)
+	r0, hood0 := r.reads(), r.c.Counters.Get("kv_found_hood")
+	for _, k := range rows {
+		if v, ok := r.txGet(t, tx, k); !ok || v != "v-"+k {
+			t.Fatalf("get %x: %q %v", k, v, ok)
+		}
+	}
+	if n, hood := r.reads()-r0, r.c.Counters.Get("kv_found_hood")-hood0; n != 1 || hood != 1 {
+		t.Fatalf("three lookups of one group: %d one-sided reads, %d answered in a neighbour; want 1 and 1", n, hood)
+	}
+	tx.Abort()
+}
+
+// checkHops holds every home's hop bits to the buckets' contents: bit d is
+// set exactly when neighbour d holds a key of that home.
+func (r *hoodRig) checkHops(t *testing.T) {
+	t.Helper()
+	b := make([]bucket, len(r.t.buckets))
+	for j := range b {
+		b[j] = r.bucketAt(t, j)
+	}
+	for j := range b {
+		for d := 1; d <= int(r.t.adj[j]); d++ {
+			if set, holds := b[j].hops()&(1<<d) != 0, b[j+d].holdsKeyOf(j); set != holds {
+				t.Fatalf("bucket %d: hop bit %d is %v, neighbour holds a key of it %v", j, d, set, holds)
+			}
+		}
+	}
+}
+
+// TestModelCheckedNeighbourhoods: random Puts and Deletes from random
+// machines over tables of three and four buckets, so that neighbours and
+// chains both fill and drain. After every commit a lock-free Get and a
+// transactional Get of every key agree with a map, and every home's hop bits
+// name exactly the neighbours holding its keys. The grouped tables give
+// eight keys each of two homes, so that clumped keys spill into neighbours
+// and the chain.
+func TestModelCheckedNeighbourhoods(t *testing.T) {
+	const keys, steps = 16, 100
+	for _, groupBits := range []int{0, 3} {
+		name := func(i int) string { return fmt.Sprintf("k%d", i) }
+		if groupBits > 0 {
+			name = func(i int) string { return string(U64Key(uint64(i))) }
+		}
+		var hood, chain uint64 // lookups answered in a neighbour, in the chain
+		for seed := uint64(1); seed <= 10; seed++ {
+			rng := sim.NewRand(seed)
+			r := newHoodRig(t, 3+int(seed%2), groupBits)
+			model := map[string]string{}
+			for step := 0; step < steps; step++ {
+				key := name(rng.Intn(keys))
+				mi := rng.Intn(5)
+				if rng.Intn(3) > 0 {
+					val := fmt.Sprintf("v%d.%d", seed, step)
+					if err := r.put(t, mi, key, val); err != nil {
+						t.Fatalf("group bits %d seed %d step %d: put %q: %v", groupBits, seed, step, key, err)
+					}
+					model[key] = val
+				} else {
+					_, want := model[key]
+					err := r.do(t, mi, func(tx *core.Tx, done func(error)) {
+						r.t.Delete(tx, []byte(key), func(ok bool, err error) {
+							if err == nil && ok != want {
+								err = fmt.Errorf("delete found %v, model has it %v", ok, want)
+							}
+							done(err)
+						})
+					})
+					if err != nil {
+						t.Fatalf("group bits %d seed %d step %d: delete %q: %v", groupBits, seed, step, key, err)
+					}
+					delete(model, key)
+				}
+				for i := 0; i < keys; i++ {
+					key := name(i)
+					want, inModel := model[key]
+					if v, ok := r.lockFreeGet(t, rng.Intn(5), key); ok != inModel || v != want {
+						t.Fatalf("group bits %d seed %d step %d: lock-free get %q = %q %v, model %q %v", groupBits, seed, step, key, v, ok, want, inModel)
+					}
+					if v, ok := r.get(t, rng.Intn(5), key); ok != inModel || v != want {
+						t.Fatalf("group bits %d seed %d step %d: get %q = %q %v, model %q %v", groupBits, seed, step, key, v, ok, want, inModel)
+					}
+				}
+				r.checkHops(t)
+			}
+			hood += r.c.Counters.Get("kv_found_hood")
+			chain += r.c.Counters.Get("kv_found_chain")
+		}
+		if hood == 0 || chain == 0 {
+			t.Fatalf("group bits %d: %d lookups answered in a neighbour, %d in a chain; want both", groupBits, hood, chain)
+		}
+		t.Logf("group bits %d: %d lookups answered in a neighbour, %d in a chain", groupBits, hood, chain)
 	}
 }
 

@@ -47,6 +47,9 @@ type Table struct {
 	// an allocation broke adjacency.
 	adj  []uint8
 	step int
+	// group masks the low bits of a key's first byte out of its hash
+	// (Config.GroupBits).
+	group byte
 	// Where Get and LockFreeGet answered, and the reads they made: the
 	// "kv_found_home", "kv_found_hood", "kv_found_chain", "kv_missed" and
 	// "kv_reads" counter cells.
@@ -80,7 +83,10 @@ func (t *Table) Buckets() int { return len(t.buckets) }
 // hash maps a key to a top-level bucket.
 func (t *Table) hash(key []byte) int {
 	h := uint64(14695981039346656037) // FNV-1a, 64 bit
-	for _, c := range key {
+	for i, c := range key {
+		if i == 0 {
+			c &^= t.group
+		}
 		h = (h ^ uint64(c)) * 1099511628211
 	}
 	return int(h % uint64(len(t.buckets)))
@@ -97,6 +103,11 @@ type Config struct {
 	Slots   int // slots per bucket (default 4)
 	MaxKey  int
 	MaxVal  int
+	// GroupBits gives keys that differ only in the low GroupBits bits of
+	// their first byte — the low bits of a U64Key — one home bucket, so a
+	// transaction that looks up several keys of a group reads their
+	// neighbourhood once. 0 (every key hashed whole) up to 7.
+	GroupBits int
 	// Regions to spread buckets over (round-robin). Required.
 	Regions []uint32
 }
@@ -106,7 +117,7 @@ type Config struct {
 // regions round-robin; with locality-partitioned workloads callers pass
 // region sets hosted by specific machines.
 func Create(m *core.Machine, cfg Config, cb func(*Table, error)) {
-	if cfg.Buckets <= 0 || cfg.MaxKey <= 0 || cfg.MaxVal < 0 || len(cfg.Regions) == 0 {
+	if cfg.Buckets <= 0 || cfg.MaxKey <= 0 || cfg.MaxVal < 0 || len(cfg.Regions) == 0 || cfg.GroupBits < 0 || cfg.GroupBits > 7 {
 		cb(nil, fmt.Errorf("kv: bad config %+v", cfg))
 		return
 	}
@@ -118,6 +129,7 @@ func Create(m *core.Machine, cfg Config, cb func(*Table, error)) {
 		slots:  cfg.Slots,
 		maxKey: cfg.MaxKey,
 		maxVal: cfg.MaxVal,
+		group:  1<<cfg.GroupBits - 1,
 	}
 	t.buckets = make([]proto.Addr, cfg.Buckets)
 	t.step = len(cfg.Regions)
@@ -400,19 +412,25 @@ func (op *chainOp) search() int {
 // the bucket holding the key, and a Get's read set also keeps the home,
 // as an overflow hit keeps it; a Delete may clear a hop bit, so it needs the
 // home. A miss depends on the home and its flagged neighbours, and a Put's
-// also on the neighbour it will place the key in.
+// also on the neighbour it will place the key in. A Get in a grouped table
+// also keeps the home's flagged neighbours, where the rest of its key's
+// group lives, so the transaction's next lookups of the group read nothing.
 func (op *chainOp) SpanNeeds(s core.Span) (need, keep uint8) {
 	for d := 0; d < s.N; d++ {
 		op.nb[d] = s.Payload(d)
 	}
 	op.search()
+	var group uint8 // what a grouped Get keeps besides its answer
+	if op.getCb != nil && op.t.group != 0 {
+		group = bucket{t: op.t, data: op.nb[0]}.hops()
+	}
 	switch {
 	case op.at == 0:
-		return 1, 0
+		return 1, group
 	case op.at > 0 && op.delCb != nil:
 		return 1 | 1<<op.at, 0
 	case op.at > 0:
-		return 1 << op.at, 1
+		return 1 << op.at, 1 | group
 	}
 	need = 1 | bucket{t: op.t, data: op.nb[0]}.hops()
 	if op.free = -1; op.putCb != nil {

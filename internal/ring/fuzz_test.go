@@ -1,0 +1,138 @@
+package ring
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"slices"
+	"testing"
+	"time"
+)
+
+// frameAt lays a frame header (and, for a data frame, its payload) into mem
+// at off, the way a writer's one-sided write lands it.
+func frameAt(mem []byte, off int, magic uint32, psn uint64, payload []byte, length int) {
+	binary.LittleEndian.PutUint32(mem[off:], uint32(length))
+	binary.LittleEndian.PutUint32(mem[off+4:], magic)
+	binary.LittleEndian.PutUint64(mem[off+8:], psn)
+	copy(mem[off+headerBytes:], payload)
+}
+
+// FuzzReader hands a Reader arbitrary ring bytes and a sequence of Poll,
+// Pending, Truncate, RewindTo and Gap calls, with more bytes landing between
+// them. Whatever the bytes, no call may panic or hang; the retained frames
+// carry consecutive Seqs; a frame's payload is the ring bytes it was parsed
+// from; Poll hands frames out in Seq order; and the bytes Truncate reclaims
+// are zero. NewReader refuses exactly the sizes NewWriter refuses.
+func FuzzReader(f *testing.F) {
+	valid := make([]byte, 256)
+	frameAt(valid, 0, frameMagic, 0, []byte("first frame"), 11)
+	frameAt(valid, 32, frameMagic, 1, []byte("second"), 6)
+	frameAt(valid, 64, wrapMagic, 2, nil, 192)
+	f.Add(valid, []byte{0, 0, 2, 0, 2, 1, 4, 0, 0, 0})
+	stale := slices.Clone(valid)
+	frameAt(stale, 32, frameMagic, 7, []byte("stale"), 5)
+	f.Add(stale, []byte{4, 0, 1, 0, 3, 0, 2, 0, 0, 0})
+	huge := make([]byte, 64)
+	frameAt(huge, 0, wrapMagic, 0, nil, 1<<31)
+	frameAt(huge, 16, frameMagic, 0, nil, 1<<30)
+	f.Add(huge, []byte{0, 0, 2, 0, 5, 1, 0, 0})
+	f.Add(make([]byte, 8), []byte{0, 0})
+	f.Fuzz(func(t *testing.T, ring, ops []byte) {
+		if len(ring) > 4096 {
+			ring = ring[:4096]
+		}
+		done := make(chan error, 1)
+		go func() { done <- readerOps(ring, ops) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("reader calls did not return within 2 s")
+		}
+	})
+}
+
+// readerOps runs the operation sequence ops over a Reader of ring's bytes
+// and reports the first broken promise.
+func readerOps(ring, ops []byte) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
+		}
+	}()
+	if bad := len(ring)%16 != 0 || len(ring) < 64; bad {
+		refused := func() (refused bool) {
+			defer func() { refused = recover() != nil }()
+			NewReader(slices.Clone(ring))
+			return false
+		}()
+		if !refused {
+			return fmt.Errorf("NewReader took %d bytes", len(ring))
+		}
+	}
+	mem := make([]byte, max(64, len(ring)&^15))
+	copy(mem, ring)
+	r := NewReader(mem)
+	parsed := map[uint64][]byte{} // Seq → the ring bytes its payload was parsed from
+	for i := 0; i+1 < len(ops); i += 2 {
+		arg := int(ops[i+1])
+		base := r.nextSeq
+		if len(r.frames) > 0 {
+			base = r.frames[0].Seq
+		}
+		before, kept := slices.Clone(mem), slices.Clone(r.frames)
+		var polled []Frame
+		switch ops[i] % 6 {
+		case 0:
+			polled = r.Poll()
+		case 1:
+			polled = r.Pending()
+		case 2:
+			r.Truncate(base + uint64(arg%8))
+		case 3:
+			r.RewindTo(base + uint64(arg%8))
+		case 4:
+			r.Gap()
+		case 5: // more bytes land
+			copy(mem[arg*16%len(mem):], ring[min(arg, len(ring)):])
+		}
+		for j, fr := range r.frames {
+			if fr.Seq != r.frames[0].Seq+uint64(j) || fr.Seq >= r.nextSeq {
+				return fmt.Errorf("op %d: frame %d has Seq %d after %d (next %d)", i/2, j, fr.Seq, r.frames[0].Seq, r.nextSeq)
+			}
+		}
+		if len(r.frames) > 0 && r.frames[len(r.frames)-1].Seq != r.nextSeq-1 {
+			return fmt.Errorf("op %d: last frame %d, next Seq %d", i/2, r.frames[len(r.frames)-1].Seq, r.nextSeq)
+		}
+		for _, fr := range r.frames {
+			if _, seen := parsed[fr.Seq]; seen || fr.gone {
+				continue
+			}
+			at := fr.off + headerBytes
+			if at+len(fr.Payload) > len(before) || !bytes.Equal(fr.Payload, before[at:at+len(fr.Payload)]) {
+				return fmt.Errorf("op %d: frame %d at %d parsed as %x, not its ring bytes", i/2, fr.Seq, fr.off, fr.Payload)
+			}
+			parsed[fr.Seq] = fr.Payload
+		}
+		for j, fr := range polled {
+			if j > 0 && fr.Seq <= polled[j-1].Seq {
+				return fmt.Errorf("op %d: handed out Seq %d after %d", i/2, fr.Seq, polled[j-1].Seq)
+			}
+			if !bytes.Equal(fr.Payload, parsed[fr.Seq]) {
+				return fmt.Errorf("op %d: handed out frame %d as %x, parsed %x", i/2, fr.Seq, fr.Payload, parsed[fr.Seq])
+			}
+		}
+		for _, fr := range kept {
+			if len(r.frames) > 0 && fr.Seq >= r.frames[0].Seq {
+				break
+			}
+			if end := min(fr.off+fr.size, len(mem)); slices.ContainsFunc(mem[fr.off:end], func(b byte) bool { return b != 0 }) {
+				return fmt.Errorf("op %d: reclaimed frame %d left bytes in [%d, %d)", i/2, fr.Seq, fr.off, end)
+			}
+		}
+	}
+	return nil
+}

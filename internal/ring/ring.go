@@ -337,10 +337,12 @@ type Reader struct {
 	out      []Frame // Poll's result, reused by the next Poll
 }
 
-// NewReader wraps the receiver's ring memory.
+// NewReader wraps the receiver's ring memory, which must be what NewWriter
+// accepts as a capacity: a multiple of 16 bytes, at least 64. (Shorter than
+// a frame header, parse would wrap to offset 0 forever.)
 func NewReader(mem []byte) *Reader {
-	if len(mem)%8 != 0 {
-		panic("ring: reader memory not 8-aligned")
+	if len(mem)%16 != 0 || len(mem) < 64 {
+		panic(fmt.Sprintf("ring: bad reader memory of %d bytes", len(mem)))
 	}
 	return &Reader{mem: mem}
 }

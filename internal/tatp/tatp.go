@@ -39,10 +39,6 @@ type Workload struct {
 	SpecialFac *kv.Table
 	CallFwd    *kv.Table
 
-	// Function-shipping plumbing for UPDATE_LOCATION.
-	nextToken uint64
-	pending   map[uint64]func(bool)
-
 	// FunctionShipped counts UPDATE_LOCATION operations executed at the
 	// row's primary instead of through a distributed commit.
 	FunctionShipped uint64
@@ -51,8 +47,15 @@ type Workload struct {
 // Composite keys.
 func aiKey(s uint64, ai int) []byte { return kv.U64Key(s<<2 | uint64(ai-1)) }
 func sfKey(s uint64, sf int) []byte { return kv.U64Key(s<<2 | uint64(sf-1)) }
+
+// cfStartBits is the width of a call-forwarding key's start-time field, its
+// low bits: the up-to-three rows of one facility differ only there, so the
+// table gives them one home (kv.Config.GroupBits) and GET_NEW_DESTINATION
+// reads them with one neighbourhood read.
+const cfStartBits = 5
+
 func cfKey(s uint64, sf, start int) []byte {
-	return kv.U64Key(s<<7 | uint64(sf-1)<<5 | uint64(start))
+	return kv.U64Key(s<<(cfStartBits+2) | uint64(sf-1)<<cfStartBits | uint64(start))
 }
 
 // Setup creates the tables over `regions` fresh regions and populates n
@@ -64,7 +67,7 @@ func Setup(c *core.Cluster, n uint64, regions int) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Workload{C: c, N: n, pending: make(map[uint64]func(bool))}
+	w := &Workload{C: c, N: n}
 	w.Subscriber = kv.MustCreate(c, c.Machine(0), kv.Config{
 		Name: "subscriber", Buckets: int(n/3) + 1, Slots: 4, MaxKey: 8, MaxVal: subscriberRow, Regions: regionIDs,
 	})
@@ -75,7 +78,8 @@ func Setup(c *core.Cluster, n uint64, regions int) (*Workload, error) {
 		Name: "special_facility", Buckets: int(n) + 1, Slots: 4, MaxKey: 8, MaxVal: specialFacRow, Regions: regionIDs,
 	})
 	w.CallFwd = kv.MustCreate(c, c.Machine(0), kv.Config{
-		Name: "call_forwarding", Buckets: int(n) + 1, Slots: 4, MaxKey: 8, MaxVal: callFwdRow, Regions: regionIDs,
+		Name: "call_forwarding", Buckets: int(n) + 1, Slots: 4, MaxKey: 8, MaxVal: callFwdRow,
+		GroupBits: cfStartBits, Regions: regionIDs,
 	})
 
 	rng := sim.NewRand(c.Opts.Seed * 77)
@@ -176,32 +180,19 @@ func subscriberValue(s uint64, msc, vlr uint32) []byte {
 
 // --- Function shipping (UPDATE_LOCATION, §6.2) ---
 
+// shipUpdateLocation is an UPDATE_LOCATION shipped to the row's primary on
+// core's watched call path; the answer is whether it committed.
 type shipUpdateLocation struct {
-	S     uint64
-	VLR   uint32
-	Token uint64
-	From  int
-}
-
-type shipAck struct {
-	Token uint64
-	OK    bool
+	S   uint64
+	VLR uint32
 }
 
 func (w *Workload) installHandlers() {
 	for _, m := range w.C.Machines {
 		m := m
-		m.SetAppHandler(func(src int, msg interface{}) {
-			switch v := msg.(type) {
-			case *shipUpdateLocation:
-				w.execUpdateLocation(m, v, func(ok bool) {
-					m.SendApp(v.From, &shipAck{Token: v.Token, OK: ok})
-				})
-			case *shipAck:
-				if cb := w.pending[v.Token]; cb != nil {
-					delete(w.pending, v.Token)
-					cb(v.OK)
-				}
+		m.SetAppHandler(func(_ int, req interface{}, call core.AppCall) {
+			if v, ok := req.(*shipUpdateLocation); ok {
+				w.execUpdateLocation(m, v, func(ok bool) { call.Reply(ok) })
 			}
 		})
 	}
@@ -276,7 +267,11 @@ func (w *Workload) GetAccessData(m *core.Machine, thread int, s uint64, rng *sim
 // GetNewDestination reads a special facility and its call-forwarding rows
 // (2–4 rows) and needs validation at commit (§6.2).
 func (w *Workload) GetNewDestination(m *core.Machine, thread int, s uint64, rng *sim.Rand, done func(bool)) {
-	sf := rng.Intn(4) + 1
+	w.getNewDestination(m, thread, s, rng.Intn(4)+1, done)
+}
+
+// getNewDestination is GET_NEW_DESTINATION of facility sf.
+func (w *Workload) getNewDestination(m *core.Machine, thread int, s uint64, sf int, done func(bool)) {
 	tx := m.Begin(thread)
 	w.SpecialFac.Get(tx, sfKey(s, sf), func(val []byte, ok bool, err error) {
 		if err != nil {
@@ -347,16 +342,16 @@ func (w *Workload) UpdateSubscriberData(m *core.Machine, thread int, s uint64, r
 // UpdateLocation updates a single subscriber field. Since 70% of TATP
 // updates touch one field, the paper function-ships them to the primary;
 // we ship when the row's primary is known and remote, and run locally
-// otherwise.
+// otherwise. A shipped call that gets no answer — its primary left the
+// configuration, or the stall timeout passed — counts as an abort.
 func (w *Workload) UpdateLocation(m *core.Machine, thread int, s uint64, rng *sim.Rand, done func(bool)) {
 	vlr := uint32(rng.Intn(1 << 30))
 	pm := m.PrimaryOf(w.Subscriber.BucketAddr(kv.U64Key(s)).Region)
 	if pm >= 0 && pm != m.ID {
 		w.FunctionShipped++
-		w.nextToken++
-		token := w.nextToken
-		w.pending[token] = done
-		m.SendApp(pm, &shipUpdateLocation{S: s, VLR: vlr, Token: token, From: m.ID})
+		m.CallApp(pm, &shipUpdateLocation{S: s, VLR: vlr}, func(resp interface{}, err error) {
+			done(err == nil && resp.(bool))
+		})
 		return
 	}
 	w.execUpdateLocation(m, &shipUpdateLocation{S: s, VLR: vlr}, done)

@@ -69,6 +69,54 @@ func TestEachTransactionType(t *testing.T) {
 	run("DeleteCallForwarding", func(d func(bool)) { w.DeleteCallForwarding(m, 2, 8, rng, d) })
 }
 
+// TestGetNewDestinationReadsAFacilityOnce: GET_NEW_DESTINATION of an active
+// facility whose three call-forwarding rows and special-facility row sit in
+// their home buckets, run on a machine that is primary of none of them, makes
+// three one-sided reads: the special-facility row; the facility's
+// neighbourhood, which the first call-forwarding lookup reads and the other
+// two find in the transaction's buffers; and the validation of the
+// special-facility row (the neighbourhood read was the last and ran alone).
+// With the rows hashed apart it made seven.
+func TestGetNewDestinationReadsAFacilityOnce(t *testing.T) {
+	c, w := setup(t, 100)
+	c.RunFor(20 * sim.Millisecond)
+	remote := func(m *core.Machine, tbl *kv.Table, key []byte) bool {
+		return m.PrimaryOf(tbl.BucketAddr(key).Region) != m.ID
+	}
+	judged := 0
+	for s := uint64(0); s < 100; s++ {
+		for sf := 1; sf <= 4; sf++ {
+			for _, m := range c.Machines {
+				if !remote(m, w.SpecialFac, sfKey(s, sf)) || !remote(m, w.CallFwd, cfKey(s, sf, 0)) ||
+					!remote(m, w.CallFwd, cfKey(s, sf, 8)) || !remote(m, w.CallFwd, cfKey(s, sf, 16)) {
+					continue
+				}
+				reads, home := c.Net.Counters.Get("rdma_read"), c.Counters.Get("kv_found_home")
+				done := false
+				w.getNewDestination(m, 0, s, sf, func(ok bool) {
+					if !ok {
+						t.Errorf("subscriber %d facility %d on m%d aborted", s, sf, m.ID)
+					}
+					done = true
+				})
+				for !done && c.Eng.Step() {
+				}
+				if c.Counters.Get("kv_found_home")-home != 4 {
+					continue // inactive, fewer than three rows, or a row off its home
+				}
+				judged++
+				if n := c.Net.Counters.Get("rdma_read") - reads; n != 3 {
+					t.Errorf("subscriber %d facility %d on m%d: %d one-sided reads, want 3", s, sf, m.ID, n)
+				}
+			}
+		}
+	}
+	if judged < 20 {
+		t.Fatalf("only %d facility reads judged", judged)
+	}
+	t.Logf("%d facility reads judged", judged)
+}
+
 func TestUpdateLocationPersists(t *testing.T) {
 	c, w := setup(t, 50)
 	rng := sim.NewRand(9)
@@ -124,10 +172,12 @@ func TestMixRunsAndCommits(t *testing.T) {
 
 // TestMixIsStrictlySerializable judges the TATP mix with the history
 // checker: nine machines run it over 40 subscribers, so that the 2–4 row
-// read-only GET_NEW_DESTINATION often meets the updates of the same rows,
-// and the recorded history must be strictly serializable. The same run with
-// read validation switched off must be convicted, or the judge sees nothing
-// this workload can break.
+// read-only GET_NEW_DESTINATION often meets the updates of the same rows —
+// a facility's call-forwarding rows share a bucket, so its inserts and
+// deletes contend too — and the recorded history must be strictly
+// serializable. After the drain a cluster-wide audit must find every
+// region's replicas equal. The same run with read validation switched off
+// must be convicted, or the judge sees nothing this workload can break.
 func TestMixIsStrictlySerializable(t *testing.T) {
 	run := func(skipValidation bool) *history.Report {
 		c := core.New(core.Options{NumMachines: 9, Seed: 3, History: true, SkipReadValidation: skipValidation})
@@ -138,6 +188,19 @@ func TestMixIsStrictlySerializable(t *testing.T) {
 		g := loadgen.New(c, w.Mix())
 		g.RunPoint([]int{0, 1, 2, 3, 4, 5, 6, 7, 8}, 4, 2, sim.Millisecond, 20*sim.Millisecond)
 		c.RunFor(5 * sim.Millisecond) // what was in flight finishes
+		var audits []core.AuditReport
+		done := false
+		c.StartAudit(func(rs []core.AuditReport) { audits, done = rs, true })
+		for !done && c.Eng.Step() {
+		}
+		if len(audits) == 0 {
+			t.Fatalf("skip validation %v: the audit reported no region", skipValidation)
+		}
+		for _, a := range audits {
+			if !a.Conclusive || !a.Clean {
+				t.Fatalf("skip validation %v: %s", skipValidation, a)
+			}
+		}
 		return history.Check(c.Hist.Export())
 	}
 	rep := run(false)
@@ -150,19 +213,38 @@ func TestMixIsStrictlySerializable(t *testing.T) {
 	}
 }
 
+// TestTATPSurvivesFailureWithIntegrity kills m3 under the mix: every
+// subscriber row stays readable, and every operation a survivor started
+// finishes — an UPDATE_LOCATION shipped to m3 included.
 func TestTATPSurvivesFailureWithIntegrity(t *testing.T) {
 	c := core.New(core.Options{NumMachines: 5, Seed: 59, LeaseDuration: 5 * sim.Millisecond})
 	w, err := Setup(c, 300, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := loadgen.New(c, w.Mix())
+	mix, open := w.Mix(), 0 // open: survivors' operations not yet finished
+	g := loadgen.New(c, func(m *core.Machine, thread int, rng *sim.Rand, done func(bool)) {
+		survivor := m.ID != 3
+		if survivor {
+			open++
+		}
+		mix(m, thread, rng, func(ok bool) {
+			if survivor {
+				open--
+			}
+			done(ok)
+		})
+	})
 	g.Start([]int{0, 1, 2, 3, 4}, 3, 2)
 	c.RunFor(20 * sim.Millisecond)
+	shipped := w.FunctionShipped
 	c.Kill(3)
 	c.RunFor(300 * sim.Millisecond)
 	g.Stop()
 	c.RunFor(20 * sim.Millisecond)
+	if open != 0 || w.FunctionShipped == shipped {
+		t.Fatalf("%d survivors' operations never finished (%d shipped after the kill)", open, w.FunctionShipped-shipped)
+	}
 
 	// Every subscriber row must still be readable through a survivor.
 	missing, fired := 0, 0
