@@ -3,7 +3,8 @@
 // promises: conservation (serializable transfers never create or destroy
 // money), durability (committed state survives every fault the
 // configuration tolerates), agreement (one configuration), and liveness
-// (the surviving majority keeps committing).
+// (the surviving majority keeps committing, and none of its clients waits
+// forever on an operation).
 //
 // The workload is internal/bank driven by loadgen, two clients per
 // machine. With history on, about one operation in ten is a probe: a
@@ -216,6 +217,10 @@ type nemesisCtx struct {
 	// CM kill; the post-run audit requires the final configuration to have
 	// advanced past it (failover happened).
 	cmKillCfg uint64
+	// restoredAt is the last power restore. Operations an outage caught in
+	// flight may stay open for good (their outcome is indeterminate); the
+	// liveness judge looks only at operations begun after it.
+	restoredAt sim.Time
 }
 
 // afterHeal ends a durational episode and, when auditing is enabled,
@@ -259,17 +264,23 @@ func (n *nemesisCtx) tally(reports []core.AuditReport) {
 	}
 }
 
+// latestMember returns the lowest-numbered alive machine holding the latest
+// configuration any alive machine holds, or nil when none is alive.
+func latestMember(c *core.Cluster) *core.Machine {
+	var latest *core.Machine
+	for _, id := range c.AliveMachines() {
+		if m := c.Machine(id); latest == nil || m.ConfigID() > latest.ConfigID() {
+			latest = m
+		}
+	}
+	return latest
+}
+
 // aliveMembers counts alive machines that are members of the latest
 // configuration any alive machine holds — the population that matters for
 // probe majorities and replica placement.
 func (n *nemesisCtx) aliveMembers() int {
-	var latest *core.Machine
-	for _, id := range n.c.AliveMachines() {
-		m := n.c.Machine(id)
-		if latest == nil || m.ConfigID() > latest.ConfigID() {
-			latest = m
-		}
-	}
+	latest := latestMember(n.c)
 	if latest == nil {
 		return 0
 	}
@@ -464,6 +475,7 @@ func schedule(n *nemesisCtx) []Nemesis {
 			n.c.PowerFailure()
 			n.c.Eng.After(n.rng.Between(20*sim.Millisecond, 80*sim.Millisecond), func() {
 				n.c.RestorePower()
+				n.restoredAt = n.c.Now()
 				n.afterHeal()
 			})
 			return true
@@ -587,6 +599,19 @@ func Run(cfg Config) Result {
 	c.ClearNetworkFaults()
 	c.RunFor(500 * sim.Millisecond)
 	res.Commits, res.Aborts = load.Committed(), load.Aborted()
+	// Liveness after the quiesce: no client of an alive member of the final
+	// configuration still waits on an operation it began after the last
+	// power restore. Waiting on an answer owed by a machine that has left
+	// is not a legal stuck state: the configuration without it fails the
+	// call.
+	if last := latestMember(c); last != nil {
+		for _, id := range c.AliveMachines() {
+			if n := load.Open(id, nctx.restoredAt); n > 0 && last.Member(id) {
+				res.Violations = append(res.Violations,
+					fmt.Sprintf("liveness: m%d still has %d operations open after the quiesce", id, n))
+			}
+		}
+	}
 	res.NoLogSpace, res.Unavailable = c.Counters.Get("tx_no_log_space"), c.Counters.Get("tx_unavailable")
 
 	// finish closes out the run: it exports the recorded history and runs
@@ -680,24 +705,12 @@ func Run(cfg Config) Result {
 	// machines (e.g. cut off by a healed partition) legitimately hold
 	// stale configurations: precise membership keeps them harmless, and
 	// they are excluded here as they would be replaced in production.
-	var latest uint64
-	for _, id := range c.AliveMachines() {
-		if v := c.Machine(id).ConfigID(); v > latest {
-			latest = v
-		}
-	}
-	var member0 *core.Machine
-	for _, id := range c.AliveMachines() {
-		m := c.Machine(id)
-		if m.ConfigID() == latest {
-			member0 = m
-			break
-		}
-	}
+	member0 := latestMember(c)
 	if member0 == nil {
 		res.Violations = append(res.Violations, "no machine reached the latest configuration")
 		return finish()
 	}
+	latest := member0.ConfigID()
 	// Agreement judged against the LATEST configuration's membership (a
 	// stale machine's own view would trivially include itself).
 	for _, id := range c.AliveMachines() {

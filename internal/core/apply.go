@@ -7,8 +7,9 @@ import (
 )
 
 // This file is the participant side of the commit protocol: processing of
-// log records polled out of ring buffers (§4) and the envelope-RPC service
-// methods. Message dispatch lives in transport.go's handler registry.
+// log records polled out of ring buffers (§4) and the services that answer
+// a coordinator's calls (ALLOC-SLOT, MAPPING-REQ, VALIDATE). Message dispatch
+// lives in transport.go's handler registry.
 
 // recCell returns the "rec TYPE" counter's cell, resolved on the type's
 // first record so counting one costs no string building or map lookup.
@@ -395,51 +396,30 @@ func (m *Machine) recordIsRecovering(rec *proto.Record) bool {
 	return false
 }
 
-// rpcAllocSlot serves a slot-reservation request at the region's primary
+// onAllocSlot serves a slot-reservation request at the region's primary
 // (the free lists live only there, §5.5).
-func (m *Machine) rpcAllocSlot(from int, id uint64, req *allocSlotReq) {
+func (m *Machine) onAllocSlot(from int, req *allocSlotReq) {
 	if !m.isMember(from) {
 		return // §5.2: no slot reservations for non-member coordinators
 	}
 	off, ver, err := m.allocSlotLocal(req.Region, req.Size)
-	m.send(from, &rpcReply{ID: id, Body: &allocSlotResp{
+	m.send(from, &rpcReply{ID: req.ID, Body: &allocSlotResp{
 		Region: req.Region, OK: err == nil, Off: off, Version: ver,
 	}})
 }
 
-// rpcValidate serves RPC validation for read-only transactions: the reply
-// is matched by envelope id because there is no coordinator-side
-// transaction record to route through.
-func (m *Machine) rpcValidate(from int, id uint64, req *proto.ValidateReq) {
-	if !m.isMember(from) {
-		return // §5.2: no validation service for non-member coordinators
-	}
-	ok := true
-	for i, addr := range req.Addrs {
-		rep := m.replica(addr.Region)
-		if rep == nil || !rep.primary ||
-			!validHeaderWord(regionmem.ReadHeader(rep.mem, int(addr.Off)), req.Versions[i]) {
-			ok = false
-			break
-		}
-	}
-	m.send(from, &rpcReply{ID: id, Body: &proto.ValidateReply{OK: ok}})
-}
-
-// rpcMapping answers a region-placement cache miss. The response is a bare
-// MappingResp (not an rpcReply): mapping fetches are keyed by region, not
-// request id, so late responses still refresh the cache.
-func (m *Machine) rpcMapping(from int, _ uint64, req *proto.MappingReq) {
-	var resp proto.MappingResp
+// onMappingReq answers a region-placement cache miss with a MAPPING-RESP
+// that echoes the call id.
+func (m *Machine) onMappingReq(from int, req *proto.MappingReq) {
 	// Echo the region even on a miss so the requester's waiters wake (and
 	// retry with backoff) instead of hanging until some unrelated refresh.
-	resp.Map.Region = req.Region
+	resp := proto.MappingResp{ID: req.ID, Map: proto.RegionMap{Region: req.Region}}
 	if m.cm != nil {
 		if rm := m.cm.mapping(req.Region); rm != nil {
-			resp = proto.MappingResp{OK: true, Map: *rm}
+			resp.OK, resp.Map = true, *rm
 		}
 	} else if rm := m.mapping(req.Region); rm != nil {
-		resp = proto.MappingResp{OK: true, Map: *rm}
+		resp.OK, resp.Map = true, *rm
 	}
 	m.send(from, &resp)
 }
@@ -458,5 +438,5 @@ func (m *Machine) onValidateReq(src int, req *proto.ValidateReq) {
 			break
 		}
 	}
-	m.send(src, &proto.ValidateReply{Tx: req.Tx, OK: ok})
+	m.send(src, &proto.ValidateReply{ID: req.ID, OK: ok})
 }

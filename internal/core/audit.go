@@ -30,6 +30,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"maps"
 
 	"farm/internal/audit"
 	"farm/internal/proto"
@@ -140,9 +141,22 @@ func (m *Machine) commitWrite(rep *replica, off int, newVersion uint64, allocate
 	regionmem.CommitWriteDigest(rep.mem, off, newVersion, allocated, payload, class, &rep.dig)
 }
 
+// learnHeaders installs the block headers of a primary's header map that a
+// backup does not know yet, folding each newly classed block into the
+// digest domain (block classes are immutable, so an already known header
+// never changes the domain). Blocks are learned in index order.
+func (m *Machine) learnHeaders(rep *replica, headers map[int]int) {
+	for _, b := range sortedKeys(headers, cmp.Compare[int]) {
+		if _, known := rep.headers[b]; !known {
+			rep.headers[b] = headers[b]
+			m.foldBlock(rep, b, headers[b])
+		}
+	}
+}
+
 // foldBlock adds a newly classed block's current contents to the digest
 // domain (called when a block header is learned: allocation hook at the
-// primary, BLOCK-HEADER-SYNC or an audit snapshot's header map at backups).
+// primary, learnHeaders at backups).
 func (m *Machine) foldBlock(rep *replica, block, class int) {
 	base := block * m.c.Opts.Layout.BlockSize
 	for off := base; off+class <= base+m.c.Opts.Layout.BlockSize; off += class {
@@ -307,10 +321,7 @@ func (m *Machine) auditSnapshot(run *auditRun) {
 		m.finishAudit(run)
 		return
 	}
-	headers := make(map[int]int, len(rep.headers))
-	for b, s := range rep.headers {
-		headers[b] = s
-	}
+	headers := maps.Clone(rep.headers)
 	run.replies = make(map[int]*proto.AuditSnapReply, len(run.backups))
 	run.awaiting = len(run.backups)
 	for _, b := range run.backups {
@@ -334,12 +345,7 @@ func (m *Machine) onAuditSnap(src int, v *proto.AuditSnap) {
 		m.send(src, reply)
 		return
 	}
-	for _, b := range sortedKeys(v.Headers, cmp.Compare[int]) {
-		if _, known := rep.headers[b]; !known {
-			rep.headers[b] = v.Headers[b]
-			m.foldBlock(rep, b, v.Headers[b])
-		}
-	}
+	m.learnHeaders(rep, v.Headers)
 	layout := m.c.Opts.Layout
 	cfg := m.config.ID
 	deadline := m.c.Eng.Now() + auditSettleDeadline

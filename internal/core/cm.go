@@ -66,16 +66,19 @@ func (cm *cmState) mapping(id uint32) *proto.RegionMap {
 
 // AllocateRegion asks the CM for a new region, optionally co-located with
 // the region containing hint (§3's locality constraint). cb receives the
-// new region id.
+// new region id, or ErrUnavailable if the CM does not answer.
 func (m *Machine) AllocateRegion(hint uint32, cb func(region uint32, err error)) {
 	req := &proto.AllocRegionReq{Size: m.c.Opts.Layout.RegionSize}
 	if hint != 0 {
 		req.Locality = hint
 		req.HasHint = true
 	}
-	id := m.nextRPC
-	m.nextRPC++
-	m.rpcWaiters[id] = func(resp interface{}) {
+	req.ID = m.call(int(m.config.CM), func(resp interface{}, err error) {
+		if err != nil {
+			m.c.Counters.Inc("region_alloc_stalled", 1)
+			cb(0, err)
+			return
+		}
 		r := resp.(*proto.AllocRegionResp)
 		if !r.OK {
 			cb(0, ErrNoSpace)
@@ -83,16 +86,16 @@ func (m *Machine) AllocateRegion(hint uint32, cb func(region uint32, err error))
 		}
 		m.setMapping(&r.Map)
 		cb(r.Map.Region, nil)
-	}
-	m.send(int(m.config.CM), &rpcEnvelope{ID: id, From: m.ID, Body: req})
+	})
+	m.send(int(m.config.CM), req)
 }
 
 // onAllocRegionReq runs at the CM: pick replicas, then run the two-phase
 // prepare/commit of §3 so the mapping is valid and replicated at all region
 // replicas before use.
-func (m *Machine) onAllocRegionReq(from int, reqID uint64, req *proto.AllocRegionReq) {
+func (m *Machine) onAllocRegionReq(from int, req *proto.AllocRegionReq) {
 	if m.cm == nil {
-		m.send(from, &rpcReply{ID: reqID, Body: &proto.AllocRegionResp{}})
+		m.send(from, &rpcReply{ID: req.ID, Body: &proto.AllocRegionResp{}})
 		return
 	}
 	var target *proto.RegionMap
@@ -102,7 +105,7 @@ func (m *Machine) onAllocRegionReq(from int, reqID uint64, req *proto.AllocRegio
 	region := uint32(len(m.cm.regions))
 	replicas := m.pickReplicas(nil, m.c.Opts.Replication, target, int(region))
 	if len(replicas) < m.c.Opts.Replication {
-		m.send(from, &rpcReply{ID: reqID, Body: &proto.AllocRegionResp{}})
+		m.send(from, &rpcReply{ID: req.ID, Body: &proto.AllocRegionResp{}})
 		return
 	}
 	rm := proto.RegionMap{
@@ -112,7 +115,7 @@ func (m *Machine) onAllocRegionReq(from int, reqID uint64, req *proto.AllocRegio
 		LastPrimaryChange: m.config.ID,
 		LastReplicaChange: m.config.ID,
 	}
-	p := &allocPending{rm: rm, requester: from, reqID: reqID, awaiting: append([]uint16(nil), replicas...)}
+	p := &allocPending{rm: rm, requester: from, reqID: req.ID, awaiting: append([]uint16(nil), replicas...)}
 	entry := cmRegion{pending: p}
 	if target != nil {
 		entry.locality = req.Locality

@@ -629,9 +629,15 @@ func (m *Machine) validate(ct *coordTx) {
 		if pm != m.ID && len(entries) > m.c.Opts.ValidateRPCThreshold {
 			// Validation over RPC (Table 2 VALIDATE). The phase span's
 			// context rides along, so the primary's work and its reply are
-			// parented on this validation.
+			// parented on this validation. A call that fails is the stall
+			// sweep's and recovery's to settle, like a lost LOCK-REPLY.
 			req := t.validateReqFor(entries)
-			req.Tx = ct.id
+			tx := ct.id
+			req.ID = m.call(pm, func(resp interface{}, err error) {
+				if err == nil {
+					m.onValidateReply(tx, resp.(*proto.ValidateReply).OK)
+				}
+			})
 			*m.c.cValidateRPCs++
 			ct.valOutstanding++
 			m.sendFromThreadCtx(t.thread, pm, req, ct.phaseCtx)
@@ -792,12 +798,12 @@ func validHeaderWord(word, version uint64) bool {
 }
 
 // onValidateReply finishes an RPC validation.
-func (m *Machine) onValidateReply(reply *proto.ValidateReply) {
-	ct := m.inflight[reply.Tx]
+func (m *Machine) onValidateReply(tx proto.TxID, ok bool) {
+	ct := m.inflight[tx]
 	if ct == nil || ct.recovering || ct.phase != phaseValidate {
 		return
 	}
-	if !reply.OK {
+	if !ok {
 		m.abortTx(ct, ErrConflict)
 		return
 	}
@@ -963,17 +969,21 @@ func (t *Tx) validateReadOnly(cb func(error)) {
 			m.OnThread(t.thread, cpuLocal, func() { t.roValidated(false) })
 			continue
 		case len(entries) > m.c.Opts.ValidateRPCThreshold:
-			// One RPC validates the whole per-primary read set.
+			// One RPC validates the whole per-primary read set. A read-only
+			// commit holds no locks, so one whose answer will not come aborts.
 			req := t.validateReqFor(entries)
-			id := m.nextRPC
-			m.nextRPC++
-			m.rpcWaiters[id] = func(resp interface{}) {
-				t.roValidated(resp.(*proto.ValidateReply).OK)
-			}
-			m.rpcWaits = append(m.rpcWaits, rpcWait{id: id, dst: pm, sent: m.c.Eng.Now(), t: t})
+			req.ID = m.call(pm, func(resp interface{}, err error) {
+				switch {
+				case err == nil:
+					t.roValidated(resp.(*proto.ValidateReply).OK)
+				case !t.roFailed:
+					m.c.Counters.Inc("tx_ro_validate_stalled", 1)
+					t.roFail(ErrAborted)
+				}
+			})
 			*m.c.cValidateRPCs++
 			t.roOutstanding++
-			m.sendFromThread(t.thread, pm, &rpcEnvelope{ID: id, From: m.ID, Body: req, Ctx: t.ctx})
+			m.sendFromThreadCtx(t.thread, pm, req, t.ctx)
 			continue
 		}
 		t.roOutstanding += len(entries)
@@ -981,17 +991,6 @@ func (t *Tx) validateReadOnly(cb func(error)) {
 			m.validateObject(nil, t, pm, e.i)
 		}
 	}
-}
-
-// rpcWait is an RPC to dst watched for its reply: a read-only commit's
-// VALIDATE (t), a slot reservation (alloc), or an application call (app).
-type rpcWait struct {
-	id    uint64
-	dst   int
-	sent  sim.Time
-	t     *Tx
-	alloc func(off uint32, version uint64, err error)
-	app   func(resp interface{}, err error)
 }
 
 // roFail reports a read-only commit's first failure; completions after it

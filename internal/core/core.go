@@ -14,7 +14,8 @@
 //	cluster.go   bootstrap, failure injection, test/bench observability
 //	machine.go   per-machine state (the peer and region tables), message
 //	             dispatch, log polling
-//	transport.go typed message transport: handler registry, the one send path
+//	transport.go typed message transport: handler registry, the one send path,
+//	             the call table of requests awaiting an answer
 //	cm.go        region allocation and placement at the CM
 //	lease.go     failure detection: 3-way lease handshake, manager variants
 //	tx.go        transaction API: writes, alloc/free, the read and write set
@@ -23,7 +24,8 @@
 //	apply.go     participant-side log record processing and truncation, the
 //	             pools of decoded records and participant entries
 //	truncate.go  coordinator-side lazy truncation, the id-window set
-//	watchdog.go  stall sweep: stuck lock/validate phases, lost decisions
+//	watchdog.go  stall sweep: stuck lock/validate phases, unanswered calls,
+//	             lost decisions
 //	reconfig.go  precise-membership reconfiguration (Figure 5)
 //	join.go      cluster growth: a new machine joins by reconfiguration
 //	recovery.go  transaction state recovery (Figure 6)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"maps"
 
 	"farm/internal/audit"
 	"farm/internal/fabric"
@@ -222,10 +223,7 @@ func (m *Machine) startAllocRecovery(rep *replica) {
 		if !m.alive || m.config.ID != cfgAtStart || rep.alloc != nil {
 			return
 		}
-		headers := make(map[int]int, len(rep.headers))
-		for b, s := range rep.headers {
-			headers[b] = s
-		}
+		headers := maps.Clone(rep.headers)
 		// Rebuild doubles as a digest reseed point: the promoted primary's
 		// digest is recomputed from the same full scan of the bytes.
 		var dig audit.Digest

@@ -91,8 +91,8 @@ func TestMessagesNamingUnknownIDs(t *testing.T) {
 		// The MAPPING-REQ service itself, at the CM and at a non-CM, echoes
 		// the region in a miss.
 		misses := c.Counters.Get("sent MAPPING-RESP")
-		cm.rpcMapping(coord.ID, 0, &proto.MappingReq{Region: r})
-		prim.rpcMapping(coord.ID, 0, &proto.MappingReq{Region: r})
+		cm.onMappingReq(coord.ID, &proto.MappingReq{Region: r})
+		prim.onMappingReq(coord.ID, &proto.MappingReq{Region: r})
 		c.RunFor(sim.Millisecond)
 		if got := c.Counters.Get("sent MAPPING-RESP") - misses; got != 2 || coord.mapping(r) != nil {
 			t.Fatalf("region %#x: %d MAPPING-RESP, mapping %v", r, got, coord.mapping(r))
@@ -103,15 +103,12 @@ func TestMessagesNamingUnknownIDs(t *testing.T) {
 		if prim.replica(r) != nil || prim.regionBlocked(r) {
 			t.Fatalf("region %#x appeared at machine %d", r, prim.ID)
 		}
-		// VALIDATE over both paths answers "not valid".
+		// VALIDATE answers "not valid".
 		var reply *proto.ValidateReply
-		rpc := coord.nextRPC
-		coord.nextRPC++
-		coord.rpcWaiters[rpc] = func(resp interface{}) { reply = resp.(*proto.ValidateReply) }
 		req := &proto.ValidateReq{Addrs: []proto.Addr{{Region: r}}, Versions: []uint64{0}}
-		coord.send(prim.ID, &rpcEnvelope{ID: rpc, From: coord.ID, Body: req})
+		req.ID = coord.call(prim.ID, func(resp interface{}, _ error) { reply, _ = resp.(*proto.ValidateReply) })
 		sent := c.Counters.Get("sent VALIDATE-REPLY")
-		prim.onValidateReq(coord.ID, req)
+		coord.send(prim.ID, req)
 		runUntil(t, c, sim.Second, func() bool { return reply != nil })
 		if reply.OK || c.Counters.Get("sent VALIDATE-REPLY") != sent+1 {
 			t.Fatalf("validation of an object in region %#x: OK=%v", r, reply.OK)
@@ -122,6 +119,24 @@ func TestMessagesNamingUnknownIDs(t *testing.T) {
 		}
 		prim.releaseSlot(proto.Addr{Region: r})
 	}
+
+	// RPC-REPLY, VALIDATE-REPLY and MAPPING-RESP naming a call never issued,
+	// or one that already failed, answer nothing: the failed call's done ran
+	// once, and a call still pending stays pending.
+	dones := 0
+	failed := coord.call(prim.ID, func(interface{}, error) { dones++ })
+	live := coord.call(prim.ID, func(interface{}, error) { dones++ })
+	coord.failCalls(func(pc pendingCall) bool { return pc.id == failed })
+	for _, id := range []uint64{0, failed, live + 1, 1<<64 - 1} {
+		prim.send(coord.ID, &rpcReply{ID: id, Body: &allocSlotResp{OK: true}})
+		prim.send(coord.ID, &proto.ValidateReply{ID: id, OK: true})
+		prim.send(coord.ID, &proto.MappingResp{ID: id, Map: proto.RegionMap{Region: unallocated}})
+	}
+	c.RunFor(sim.Millisecond)
+	if dones != 1 || len(coord.calls) != 1 || coord.calls[0].id != live || coord.mapping(unallocated) != nil {
+		t.Fatalf("stray answers: %d done calls, %d pending, want 1 and 1", dones, len(coord.calls))
+	}
+	coord.answer(live, nil)
 
 	// REGIONS-ACTIVE from a machine beyond the cluster never completes the
 	// CM's count; an ack from one never completes a NEW-CONFIG collection.

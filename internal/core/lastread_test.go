@@ -186,8 +186,8 @@ func TestReadOnlyValidationRPCToDeadPrimaryReports(t *testing.T) {
 	var commitErr error
 	done := false
 	tx.Commit(func(err error) { commitErr, done = err, true })
-	if len(m.rpcWaiters) != 1 {
-		t.Fatalf("%d RPCs pending, want one VALIDATE (more than tr objects at one primary)", len(m.rpcWaiters))
+	if len(m.calls) != 1 {
+		t.Fatalf("%d calls pending, want one VALIDATE (more than tr objects at one primary)", len(m.calls))
 	}
 	runUntil(t, c, 500*sim.Millisecond, func() bool { return done })
 	if commitErr == nil {
@@ -196,8 +196,8 @@ func TestReadOnlyValidationRPCToDeadPrimaryReports(t *testing.T) {
 	if n := c.Counters.Get("tx_ro_validate_stalled"); n != 1 {
 		t.Fatalf("tx_ro_validate_stalled = %d, want 1", n)
 	}
-	if len(m.rpcWaiters) != 0 || len(m.rpcWaits) != 0 {
-		t.Fatalf("%d RPC waiters and %d watched RPCs left", len(m.rpcWaiters), len(m.rpcWaits))
+	if len(m.calls) != 0 {
+		t.Fatalf("%d calls left", len(m.calls))
 	}
 }
 
@@ -215,8 +215,8 @@ func TestAllocRPCToDeadPrimaryReports(t *testing.T) {
 	var allocErr error
 	done := false
 	tx.Alloc(8, []byte("objectxx"), &hint, func(_ proto.Addr, err error) { allocErr, done = err, true })
-	if len(m.rpcWaiters) != 1 {
-		t.Fatalf("%d RPCs pending, want one slot reservation", len(m.rpcWaiters))
+	if len(m.calls) != 1 {
+		t.Fatalf("%d calls pending, want one slot reservation", len(m.calls))
 	}
 	c.Kill(4)
 	runUntil(t, c, 500*sim.Millisecond, func() bool { return done })
@@ -229,28 +229,34 @@ func TestAllocRPCToDeadPrimaryReports(t *testing.T) {
 	if n := c.Counters.Get("tx_stall_aborted"); n != 0 {
 		t.Fatalf("tx_stall_aborted = %d, want 0", n)
 	}
-	if len(m.rpcWaiters) != 0 || len(m.rpcWaits) != 0 {
-		t.Fatalf("%d RPC waiters and %d watched RPCs left", len(m.rpcWaiters), len(m.rpcWaits))
+	if len(m.calls) != 0 {
+		t.Fatalf("%d calls left", len(m.calls))
 	}
 	tx.Abort()
 }
 
 // TestAppCallFailsWhenNoAnswerComes: an application call gets its handler's
-// answer; a call its live handler never answers fails with ErrUnavailable at
-// the stall sweep; and a call to a machine that dies fails as soon as the
-// configuration without it arrives, well inside txStallTimeout.
+// answer; a call its live handler answers only after txStallTimeout fails
+// with ErrUnavailable at the stall sweep, and its late answer is dropped; and
+// a call to a machine that dies fails as soon as the configuration without
+// it arrives, well inside txStallTimeout.
 func TestAppCallFailsWhenNoAnswerComes(t *testing.T) {
 	c := New(Options{NumMachines: 5, Seed: 19})
 	c.Machine(2).SetAppHandler(func(_ int, req interface{}, call AppCall) { call.Reply(req.(int) + 1) })
-	for _, mi := range []int{3, 4} {
-		c.Machine(mi).SetAppHandler(func(int, interface{}, AppCall) {})
-	}
+	c.Machine(3).SetAppHandler(func(_ int, req interface{}, call AppCall) {
+		c.Eng.After(2*txStallTimeout, func() { call.Reply(req) })
+	})
+	c.Machine(4).SetAppHandler(func(int, interface{}, AppCall) {})
 	c.RunFor(20 * sim.Millisecond)
 	m := c.Machine(1)
+	dones := 0
 	call := func(dst int, kill bool) (resp interface{}, took sim.Time, err error) {
 		t.Helper()
 		done, start := false, c.Now()
-		m.CallApp(dst, 41, func(r interface{}, e error) { resp, err, took, done = r, e, c.Now()-start, true })
+		m.CallApp(dst, 41, func(r interface{}, e error) {
+			resp, err, took, done = r, e, c.Now()-start, true
+			dones++
+		})
 		if kill {
 			c.Kill(dst)
 		}
@@ -261,15 +267,19 @@ func TestAppCallFailsWhenNoAnswerComes(t *testing.T) {
 		t.Fatalf("answered call: %v %v, want 42", resp, err)
 	}
 	if _, took, err := call(3, false); err != ErrUnavailable || took < txStallTimeout {
-		t.Fatalf("unanswered call: %v after %v, want ErrUnavailable after at least %v", err, took, txStallTimeout)
+		t.Fatalf("call answered late: %v after %v, want ErrUnavailable after at least %v", err, took, txStallTimeout)
 	}
 	if _, took, err := call(4, true); err != ErrUnavailable || took >= txStallTimeout {
 		t.Fatalf("call to a dying machine: %v after %v, want ErrUnavailable within %v", err, took, txStallTimeout)
 	}
+	c.RunFor(2 * txStallTimeout)
+	if n := c.Counters.Get("sent RPC-REPLY"); n != 2 || dones != 3 {
+		t.Fatalf("%d answers sent, %d calls done; want the late answer sent and dropped", n, dones)
+	}
 	if n := c.Counters.Get("app_call_stalled"); n != 2 {
 		t.Fatalf("app_call_stalled = %d, want 2", n)
 	}
-	if len(m.rpcWaiters) != 0 || len(m.rpcWaits) != 0 {
-		t.Fatalf("%d RPC waiters and %d watched RPCs left", len(m.rpcWaiters), len(m.rpcWaits))
+	if len(m.calls) != 0 {
+		t.Fatalf("%d calls left", len(m.calls))
 	}
 }

@@ -270,14 +270,10 @@ type Machine struct {
 	truncSweepOn bool
 	stallSweepOn bool
 
-	// RPC plumbing for slot allocation and mapping fetches.
-	nextRPC    uint64
-	rpcWaiters map[uint64]func(interface{})
-	// rpcWaits lists the RPCs a lost reply must not wedge — read-only
-	// commits' VALIDATEs, slot reservations and application calls — in id
-	// order, for the stall sweep and configuration changes to fail those no
-	// reply answers (watchdog.go).
-	rpcWaits []rpcWait
+	// calls are the requests awaiting an answer, in id order; nextRPC is
+	// the last id issued (the call table, transport.go).
+	calls   []pendingCall
+	nextRPC uint64
 
 	// appHandler receives application calls (function shipping).
 	appHandler func(src int, req interface{}, call AppCall)
@@ -473,7 +469,14 @@ func (m *Machine) fetchMapping(region uint32, fn func()) {
 		m.wakeMappingWaiters(region)
 		return
 	}
-	m.send(cm, &rpcEnvelope{From: m.ID, Body: &proto.MappingReq{Region: region}})
+	id := m.call(cm, func(_ interface{}, err error) {
+		// The MAPPING-RESP handler wakes the waiters of an answered fetch.
+		if err != nil {
+			m.c.Counters.Inc("mapping_fetch_stalled", 1)
+			m.wakeMappingWaiters(region)
+		}
+	})
+	m.send(cm, &proto.MappingReq{ID: id, Region: region})
 }
 
 func (m *Machine) wakeMappingWaiters(region uint32) {
@@ -522,8 +525,7 @@ func (c *Cluster) newMachine(id int) *Machine {
 		truncThreads: make([]idWindow, c.Opts.Threads),
 		pollShards:   make([]*pollTask, c.Opts.Threads),
 
-		rpcWaiters: make(map[uint64]func(interface{})),
-		audits:     make(map[uint64]*auditRun),
+		audits: make(map[uint64]*auditRun),
 	}
 	for i := range m.truncThreads {
 		m.truncThreads[i] = idWindow{low: 1, ids: make(map[uint64]bool)} // local ids start at 1
@@ -626,10 +628,12 @@ func (m *Machine) SetAppHandler(h func(src int, req interface{}, call AppCall)) 
 // dst leaves the configuration, or txStallTimeout passes unanswered, cb gets
 // ErrUnavailable and a late answer is dropped.
 func (m *Machine) CallApp(dst int, req interface{}, cb func(resp interface{}, err error)) {
-	id := m.nextRPC
-	m.nextRPC++
-	m.rpcWaiters[id] = func(resp interface{}) { cb(resp, nil) }
-	m.rpcWaits = append(m.rpcWaits, rpcWait{id: id, dst: dst, sent: m.c.Eng.Now(), app: cb})
+	id := m.call(dst, func(resp interface{}, err error) {
+		if err != nil {
+			m.c.Counters.Inc("app_call_stalled", 1)
+		}
+		cb(resp, err)
+	})
 	m.send(dst, &appCall{ID: id, Req: req})
 }
 

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"cmp"
+	"maps"
 	"slices"
 
 	"farm/internal/fabric"
@@ -482,8 +482,8 @@ func (m *Machine) onNewConfig(src int, nc *proto.NewConfig) {
 	// instead of being evicted for it.
 	m.configCommitted = false
 	m.armCommitReack(m.config.ID)
-	// No reply comes from a machine that left: its watched RPCs fail now.
-	m.failRPCWaits(func(w rpcWait) bool { return !m.isMember(w.dst) })
+	// No answer comes from a machine that left: its calls fail now.
+	m.failCalls(func(c pendingCall) bool { return !m.isMember(c.dst) })
 }
 
 // armCommitReack re-sends NEW-CONFIG-ACK while the commit is outstanding.
@@ -643,10 +643,7 @@ func (m *Machine) onNewConfigCommit(cc *proto.NewConfigCommit) {
 
 // syncBlockHeaders replicates a region's block headers to all backups.
 func (m *Machine) syncBlockHeaders(rep *replica) {
-	headers := make(map[int]int, len(rep.headers))
-	for b, s := range rep.headers {
-		headers[b] = s
-	}
+	headers := maps.Clone(rep.headers)
 	for _, b := range m.backupsOf(rep.id) {
 		if int(b) != m.ID {
 			m.send(int(b), &proto.BlockHeaderSync{ConfigID: m.config.ID, Region: rep.id, Headers: headers})
@@ -654,19 +651,10 @@ func (m *Machine) syncBlockHeaders(rep *replica) {
 	}
 }
 
-// onBlockHeaderSync installs replicated allocator metadata at a backup,
-// folding newly classed blocks into the digest domain (block classes are
-// immutable, so an already known header never changes the domain).
+// onBlockHeaderSync installs replicated allocator metadata at a backup.
 func (m *Machine) onBlockHeaderSync(s *proto.BlockHeaderSync) {
-	rep := m.replica(s.Region)
-	if rep == nil {
-		return
-	}
-	for _, b := range sortedKeys(s.Headers, cmp.Compare[int]) {
-		if _, known := rep.headers[b]; !known {
-			rep.headers[b] = s.Headers[b]
-			m.foldBlock(rep, b, s.Headers[b])
-		}
+	if rep := m.replica(s.Region); rep != nil {
+		m.learnHeaders(rep, s.Headers)
 	}
 }
 

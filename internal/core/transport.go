@@ -1,10 +1,12 @@
 package core
 
 import (
-	"reflect"
+	"cmp"
+	"slices"
 
 	"farm/internal/fabric"
 	"farm/internal/proto"
+	"farm/internal/sim"
 	"farm/internal/trace"
 )
 
@@ -14,11 +16,10 @@ import (
 // its dedicated priority path so failure-detection timing is independent
 // of control-plane load, §5.1).
 //
-// The transport owns three things:
+// The transport owns four things:
 //
 //   - The handler registry: each message type is registered once with its
-//     protocol name, wire-size model and typed handler, replacing the old
-//     monolithic type switches in handleMessage/onRPC. Counter names are
+//     protocol name, wire-size model and typed handler. Counter names are
 //     precomputed at registration, so the receive path allocates nothing.
 //   - The one send path (enqueue): every message leaves at once, alone in
 //     a pooled fabric.Batch frame that also carries its send stamp and,
@@ -26,21 +27,16 @@ import (
 //     turning messages into one-sided ring writes (§4), not by batching
 //     the few that are left; nothing here delays a message, and nothing
 //     orders two messages to one destination beyond what the NIC does.
+//   - The call table: the requests that await an answer, matched to it by
+//     call id and failed when it will not come.
 //   - Accounting: per-type sent/wire-byte counters and per-type delivery
 //     latency histograms (send → receiver dispatch: NIC queue, wire and
 //     receive, nothing else) via internal/stats.
-
-// rpcHandler serves one request type arriving inside an rpcEnvelope.
-type rpcHandler struct {
-	name string
-	fn   func(from int, id uint64, body interface{})
-}
 
 // transport is one machine's message layer.
 type transport struct {
 	m   *Machine
 	reg *proto.Registry
-	rpc map[reflect.Type]*rpcHandler
 
 	cUnknown *uint64 // the "msg unknown" cell
 }
@@ -49,10 +45,8 @@ func newTransport(m *Machine) *transport {
 	t := &transport{
 		m:   m,
 		reg: proto.NewRegistry(),
-		rpc: make(map[reflect.Type]*rpcHandler),
 	}
 	t.registerHandlers()
-	t.registerRPCHandlers()
 	// Pre-resolve every handler's counter cells so the send and receive hot
 	// paths bump pointers instead of hashing counter names per message.
 	ctr := m.c.Counters
@@ -98,42 +92,63 @@ func (t *transport) enqueue(dst int, msg interface{}, ctx trace.Ctx) {
 	t.m.nic.SendBatch(fabric.MachineID(dst), b, sz)
 }
 
-// dispatchRPC routes an rpcEnvelope body to its registered service method.
-// An envelope-piggybacked trace context parents the service work (and any
-// reply it sends) on the requester's span.
-func (t *transport) dispatchRPC(env *rpcEnvelope) {
-	h := t.rpc[reflect.TypeOf(env.Body)]
-	if h == nil {
-		t.m.c.Counters.Inc("rpc unknown", 1)
-		return
-	}
-	if t.m.trb != nil && env.Ctx.Valid() {
-		prev := t.m.curCtx
-		t.m.curCtx = env.Ctx
-		h.fn(env.From, env.ID, env.Body)
-		t.m.curCtx = prev
-		return
-	}
-	h.fn(env.From, env.ID, env.Body)
+// The call table: every request that awaits an answer from another
+// machine's CPU — VALIDATE, ALLOC-SLOT, MAPPING-REQ, ALLOC-REGION-REQ and
+// application calls — is a plain message carrying the id call returned. The
+// reply handler hands the answer to answer; failCalls fails the calls whose
+// answer will not come, because their destination left the configuration
+// (§5.2) or txStallTimeout passed (watchdog.go). Either way done runs once.
+
+// pendingCall is one request awaiting its answer from dst.
+type pendingCall struct {
+	id   uint64
+	dst  int
+	sent sim.Time
+	done func(resp interface{}, err error)
 }
 
-// registerRPC installs a typed service method for one envelope body type.
-func registerRPC[T any](t *transport, name string, fn func(from int, id uint64, req T)) {
-	var zero T
-	typ := reflect.TypeOf(zero)
-	if _, dup := t.rpc[typ]; dup {
-		panic("core: duplicate RPC handler for " + typ.String())
-	}
-	t.rpc[typ] = &rpcHandler{name: name, fn: func(from int, id uint64, body interface{}) {
-		fn(from, id, body.(T))
-	}}
+// call registers a request to dst and returns the id its message carries.
+// Ids start at 1 and only grow, so the table stays in id order.
+func (m *Machine) call(dst int, done func(resp interface{}, err error)) uint64 {
+	m.nextRPC++
+	m.calls = append(m.calls, pendingCall{id: m.nextRPC, dst: dst, sent: m.c.Eng.Now(), done: done})
+	return m.nextRPC
 }
 
-// innerSize models the wire size of a value nested inside an envelope or
-// reply, via its own registration.
-func (t *transport) innerSize(body interface{}) int {
-	return t.reg.Lookup(body).SizeOf(body)
+// answer passes resp to the call id names. An id never issued, already
+// answered or already failed answers nothing.
+func (m *Machine) answer(id uint64, resp interface{}) {
+	i, ok := slices.BinarySearchFunc(m.calls, id, func(c pendingCall, id uint64) int { return cmp.Compare(c.id, id) })
+	if !ok {
+		return
+	}
+	done := m.calls[i].done
+	m.calls = slices.Delete(m.calls, i, i+1)
+	done(resp, nil)
 }
+
+// failCalls fails with ErrUnavailable, in id order, the calls lost says no
+// answer will come to.
+func (m *Machine) failCalls(lost func(pendingCall) bool) {
+	var failed []pendingCall
+	kept := m.calls[:0]
+	for _, c := range m.calls {
+		if lost(c) {
+			failed = append(failed, c)
+		} else {
+			kept = append(kept, c)
+		}
+	}
+	clear(m.calls[len(kept):]) // hold no finished caller
+	m.calls = kept
+	for _, c := range failed {
+		c.done(nil, ErrUnavailable)
+	}
+}
+
+// callSize is the wire size of a request or reply that names a call: the
+// 16-byte call header plus a small fixed body.
+func callSize[T any](T) int { return 16 + proto.DefaultMsgSize }
 
 // recordWireSize models the serialized size of a log record carried inside
 // a recovery message (a modelled framing plus payloads; the ring encoding
@@ -164,21 +179,16 @@ func (t *transport) registerHandlers() {
 		func(v *proto.ValidateReq) int { return 24 + 16*len(v.Addrs) },
 		func(src int, v *proto.ValidateReq) { m.onValidateReq(src, v) })
 	proto.Register(r, "VALIDATE-REPLY", nil,
-		func(_ int, v *proto.ValidateReply) { m.onValidateReply(v) })
+		func(_ int, v *proto.ValidateReply) { m.answer(v.ID, v) })
 
-	// Slot allocation and mapping RPCs.
-	proto.Register(r, "RPC",
-		func(v *rpcEnvelope) int { return 16 + t.innerSize(v.Body) },
-		func(_ int, v *rpcEnvelope) { t.dispatchRPC(v) })
-	proto.Register(r, "RPC-REPLY",
-		func(v *rpcReply) int { return 16 + t.innerSize(v.Body) },
-		func(_ int, v *rpcReply) {
-			if w := m.rpcWaiters[v.ID]; w != nil {
-				delete(m.rpcWaiters, v.ID)
-				m.dropAnsweredWaits()
-				w(v.Body)
-			}
-		})
+	// Slot allocation (§5.5) and mapping lookups (§3): calls answered by
+	// an RPC-REPLY and a MAPPING-RESP.
+	proto.Register(r, "ALLOC-SLOT", callSize[*allocSlotReq],
+		func(src int, v *allocSlotReq) { m.onAllocSlot(src, v) })
+	proto.Register(r, "MAPPING-REQ", callSize[*proto.MappingReq],
+		func(src int, v *proto.MappingReq) { m.onMappingReq(src, v) })
+	proto.Register(r, "RPC-REPLY", callSize[*rpcReply],
+		func(_ int, v *rpcReply) { m.answer(v.ID, v.Body) })
 	proto.Register(r, "RELEASE-SLOT", nil,
 		func(src int, v *releaseSlotReq) {
 			// §5.2: only current members may return slots; a zombie's
@@ -193,9 +203,11 @@ func (t *transport) registerHandlers() {
 		})
 	proto.Register(r, "MAPPING-RESP", nil,
 		func(_ int, v *proto.MappingResp) {
+			// A late answer, or an announcement, still refreshes the cache.
 			if v.OK {
 				m.setMapping(&v.Map)
 			}
+			m.answer(v.ID, v)
 			// Wake waiters on failure too (the CM echoes the region in a
 			// miss): they retry with backoff and eventually surface an
 			// error, instead of hanging on a region the CM cannot resolve.
@@ -203,6 +215,8 @@ func (t *transport) registerHandlers() {
 		})
 
 	// Region allocation (CM side + replica side, §3).
+	proto.Register(r, "ALLOC-REGION-REQ", callSize[*proto.AllocRegionReq],
+		func(src int, v *proto.AllocRegionReq) { m.onAllocRegionReq(src, v) })
 	proto.Register(r, "ALLOC-REGION-PREPARE", nil,
 		func(src int, v *proto.AllocRegionPrepare) { m.onAllocPrepare(src, v) })
 	proto.Register(r, "ALLOC-REGION-PREPARED", nil,
@@ -334,21 +348,4 @@ func (t *transport) registerHandlers() {
 			}
 		})
 
-	// Send-only size models for RPC bodies nested in envelopes/replies.
-	proto.Register[*allocSlotReq](r, "ALLOC-SLOT", nil, nil)
-	proto.Register[*allocSlotResp](r, "ALLOC-SLOT-RESP", nil, nil)
-	proto.Register[*proto.MappingReq](r, "MAPPING-REQ", nil, nil)
-	proto.Register[*proto.AllocRegionReq](r, "ALLOC-REGION-REQ", nil, nil)
-	proto.Register[*proto.AllocRegionResp](r, "ALLOC-REGION-RESP", nil, nil)
-}
-
-// registerRPCHandlers wires the envelope-carried request types to their
-// service methods (the old onRPC switch).
-func (t *transport) registerRPCHandlers() {
-	m := t.m
-	registerRPC(t, "ALLOC-SLOT", m.rpcAllocSlot)
-	registerRPC(t, "VALIDATE", m.rpcValidate)
-	registerRPC(t, "MAPPING", m.rpcMapping)
-	registerRPC(t, "ALLOC-REGION",
-		func(from int, id uint64, req *proto.AllocRegionReq) { m.onAllocRegionReq(from, id, req) })
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"farm/internal/proto"
@@ -10,8 +9,8 @@ import (
 
 // TestRegistryCompleteness asserts every message type the system can put
 // on the wire has a registered handler: the proto package's public
-// vocabulary, the envelope-RPC request types, and core's internal control
-// messages. A type added to the protocol without a registration fails
+// vocabulary (the CM's call requests included) and core's internal control
+// messages and calls. A type added to the protocol without a registration fails
 // here rather than being silently dropped at runtime.
 func TestRegistryCompleteness(t *testing.T) {
 	c := New(Options{NumMachines: 2, Seed: 1})
@@ -23,7 +22,7 @@ func TestRegistryCompleteness(t *testing.T) {
 		}
 	}
 	internal := []interface{}{
-		&rpcEnvelope{}, &rpcReply{}, &releaseSlotReq{},
+		&allocSlotReq{}, &rpcReply{}, &releaseSlotReq{},
 		&suspectReport{}, &reconfigAsk{}, &regionActiveAnnounce{},
 		&dataRecoveryDone{}, &joinReq{},
 		&clientReadReq{}, &clientUpdateReq{}, &appCall{},
@@ -37,14 +36,6 @@ func TestRegistryCompleteness(t *testing.T) {
 	// even though machines never receive them.
 	if m.tp.reg.Lookup(&clientResp{}) == nil {
 		t.Error("clientResp not registered for send-side accounting")
-	}
-	for _, body := range proto.RPCBodies() {
-		if _, ok := m.tp.rpc[reflect.TypeOf(body)]; !ok {
-			t.Errorf("no RPC service method for envelope body %T", body)
-		}
-	}
-	if _, ok := m.tp.rpc[reflect.TypeOf(&allocSlotReq{})]; !ok {
-		t.Error("no RPC service method for allocSlotReq")
 	}
 }
 

@@ -520,6 +520,7 @@ func (m *Machine) allocCandidates(hint *proto.Addr) []uint32 {
 // coordinator and a region's primary (the free lists live only at the
 // primary, §5.5).
 type allocSlotReq struct {
+	ID     uint64
 	Region uint32
 	Size   int
 }
@@ -529,7 +530,6 @@ type allocSlotResp struct {
 	OK      bool
 	Off     uint32
 	Version uint64
-	ReqID   uint64
 }
 
 type releaseSlotReq struct {
@@ -551,19 +551,23 @@ func (m *Machine) allocSlot(thread int, region uint32, size int, cb func(off uin
 		})
 		return
 	}
-	req := &allocSlotReq{Region: region, Size: size}
-	id := m.nextRPC
-	m.nextRPC++
-	m.rpcWaiters[id] = func(resp interface{}) {
+	// A reservation the primary never answers reports ErrUnavailable, and
+	// its transaction tries the next candidate region; a late answer is
+	// dropped, and its slot left to allocator recovery.
+	id := m.call(p, func(resp interface{}, err error) {
+		if err != nil {
+			m.c.Counters.Inc("alloc_slot_stalled", 1)
+			cb(0, 0, err)
+			return
+		}
 		r := resp.(*allocSlotResp)
 		if !r.OK {
 			cb(0, 0, ErrNoSpace)
 			return
 		}
 		cb(r.Off, r.Version, nil)
-	}
-	m.rpcWaits = append(m.rpcWaits, rpcWait{id: id, dst: p, sent: m.c.Eng.Now(), alloc: cb})
-	m.sendFromThread(thread, p, &rpcEnvelope{ID: id, From: m.ID, Body: req})
+	})
+	m.sendFromThread(thread, p, &allocSlotReq{ID: id, Region: region, Size: size})
 }
 
 // allocSlotLocal pops a slot from the local primary's free list.
@@ -599,18 +603,8 @@ func (m *Machine) releaseSlot(addr proto.Addr) {
 	// (its allocation bit was never set).
 }
 
-// rpcEnvelope carries a request id so responses can be matched, and
-// piggybacks the sender's causal trace context so the service side can
-// parent its work (and its reply) on the requesting span even when the
-// envelope reaches it outside a traced batch.
-type rpcEnvelope struct {
-	ID   uint64
-	From int
-	Body interface{}
-	Ctx  trace.Ctx
-}
-
-// rpcReply pairs the response with the request id.
+// rpcReply answers a slot reservation, a region allocation or an
+// application call with the call id its request carried.
 type rpcReply struct {
 	ID   uint64
 	Body interface{}

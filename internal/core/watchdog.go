@@ -55,69 +55,15 @@ func (m *Machine) armTxStallSweep() {
 			m.c.Counters.Inc("tx_stall_aborted", 1)
 			m.abortTx(ct, ErrAborted)
 		}
-		m.sweepRPCWaits(now)
+		// Calls unanswered for txStallTimeout (an answer lost with its
+		// machine, or never sent) fail.
+		m.failCalls(func(c pendingCall) bool { return now-c.sent >= txStallTimeout })
 		// Participant side: recovering transactions whose COMMIT/ABORT-
 		// RECOVERY or TRUNCATE-RECOVERY was lost re-query their recovery
 		// coordinator (recovery.go).
 		m.sweepStuckRecovering(now)
 		m.armTxStallSweep()
 	})
-}
-
-// sweepRPCWaits fails the watched RPCs that have gone unanswered for
-// txStallTimeout (a reply lost with its primary).
-func (m *Machine) sweepRPCWaits(now sim.Time) {
-	m.failRPCWaits(func(w rpcWait) bool { return now-w.sent >= txStallTimeout })
-}
-
-// failRPCWaits fails, in id order, the unanswered watched RPCs whose reply
-// lost says will not come, and forgets the answered ones. A read-only commit
-// holds no locks, so it aborts; a slot reservation reports ErrUnavailable,
-// and its transaction tries the next candidate region (a late reply is
-// dropped, and its slot left to allocator recovery); an application call
-// reports ErrUnavailable.
-func (m *Machine) failRPCWaits(lost func(rpcWait) bool) {
-	var stalled []rpcWait
-	kept := m.rpcWaits[:0]
-	for _, w := range m.rpcWaits {
-		switch {
-		case m.rpcWaiters[w.id] == nil: // answered
-		case !lost(w):
-			kept = append(kept, w)
-		default:
-			delete(m.rpcWaiters, w.id)
-			stalled = append(stalled, w)
-		}
-	}
-	clear(m.rpcWaits[len(kept):]) // hold no finished transaction
-	m.rpcWaits = kept
-	for _, w := range stalled {
-		switch {
-		case w.app != nil:
-			m.c.Counters.Inc("app_call_stalled", 1)
-			w.app(nil, ErrUnavailable)
-		case w.alloc != nil:
-			m.c.Counters.Inc("alloc_slot_stalled", 1)
-			w.alloc(0, 0, ErrUnavailable)
-		case !w.t.roFailed:
-			m.c.Counters.Inc("tx_ro_validate_stalled", 1)
-			w.t.roFail(ErrAborted)
-		}
-	}
-}
-
-// dropAnsweredWaits forgets the answered RPCs at the front of the watch
-// list, so that a steady stream of calls keeps it short between sweeps.
-func (m *Machine) dropAnsweredWaits() {
-	k := 0
-	for k < len(m.rpcWaits) && m.rpcWaiters[m.rpcWaits[k].id] == nil {
-		k++
-	}
-	if k > 0 {
-		n := copy(m.rpcWaits, m.rpcWaits[k:])
-		clear(m.rpcWaits[n:])
-		m.rpcWaits = m.rpcWaits[:n]
-	}
 }
 
 // reportWriteFailure tells the membership layer a log write's retries were

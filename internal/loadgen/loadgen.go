@@ -34,6 +34,17 @@ type Generator struct {
 	aborted   uint64
 	stopped   bool
 	startAt   sim.Time
+	slots     []opSlot
+}
+
+// opSlot is one closed loop: where it runs, its random stream, and whether
+// it has an operation open and since when.
+type opSlot struct {
+	m      *core.Machine
+	thread int
+	rng    *sim.Rand
+	open   bool
+	began  sim.Time
 }
 
 // New creates a generator for op.
@@ -46,43 +57,60 @@ func New(c *core.Cluster, op Op) *Generator {
 	}
 }
 
-// Start launches the closed loops: on every listed machine, `threads`
-// worker threads each keep `concurrency` operations outstanding.
+// Start launches the closed loops, once per generator: on every listed
+// machine, `threads` worker threads each keep `concurrency` operations
+// outstanding.
 func (g *Generator) Start(machines []int, threads, concurrency int) {
 	g.startAt = g.c.Eng.Now()
+	g.slots = make([]opSlot, 0, len(machines)*threads*concurrency)
 	for _, mi := range machines {
-		m := g.c.Machines[mi]
 		for th := 0; th < threads; th++ {
 			for slot := 0; slot < concurrency; slot++ {
 				rng := sim.NewRand(g.c.Opts.Seed*1_000_003 + uint64(mi)*1009 + uint64(th)*31 + uint64(slot) + 1)
-				g.loop(m, th, rng)
+				g.slots = append(g.slots, opSlot{m: g.c.Machines[mi], thread: th, rng: rng})
 			}
 		}
 	}
+	for i := range g.slots {
+		g.loop(&g.slots[i])
+	}
 }
 
-func (g *Generator) loop(m *core.Machine, thread int, rng *sim.Rand) {
-	if g.stopped || !m.Alive() {
+func (g *Generator) loop(s *opSlot) {
+	if g.stopped || !s.m.Alive() {
 		return
 	}
-	begin := g.c.Eng.Now()
-	g.op(m, thread, rng, func(ok bool) {
+	s.open, s.began = true, g.c.Eng.Now()
+	g.op(s.m, s.thread, s.rng, func(ok bool) {
+		s.open = false
 		now := g.c.Eng.Now()
 		if ok {
 			g.committed++
 			if now-g.startAt >= g.Warmup {
-				g.Latency.Record(now - begin)
+				g.Latency.Record(now - s.began)
 				g.Timeline.Add(now, 1)
 			}
-			g.loop(m, thread, rng)
+			g.loop(s)
 			return
 		}
 		g.aborted++
 		// Back off briefly on aborts (conflict retry).
-		g.c.Eng.After(rng.Duration(20*sim.Microsecond)+sim.Microsecond, func() {
-			g.loop(m, thread, rng)
+		g.c.Eng.After(s.rng.Duration(20*sim.Microsecond)+sim.Microsecond, func() {
+			g.loop(s)
 		})
 	})
+}
+
+// Open counts machine mi's operations that began at or after since and
+// have not finished.
+func (g *Generator) Open(mi int, since sim.Time) int {
+	n := 0
+	for i := range g.slots {
+		if s := &g.slots[i]; s.open && s.m.ID == mi && s.began >= since {
+			n++
+		}
+	}
+	return n
 }
 
 // Stop ends the loops after in-flight operations complete.

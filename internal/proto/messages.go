@@ -14,16 +14,17 @@ type LockReply struct {
 
 // ValidateReq carries read-set addresses and versions for validation over
 // RPC, used when a primary holds more than tr objects read by the
-// transaction (§4 step 2; Table 2's VALIDATE message).
+// transaction (§4 step 2; Table 2's VALIDATE message). ID is the
+// coordinator's call id, which the reply echoes.
 type ValidateReq struct {
-	Tx       TxID
+	ID       uint64
 	Addrs    []Addr
 	Versions []uint64
 }
 
 // ValidateReply reports the outcome of RPC validation.
 type ValidateReply struct {
-	Tx TxID
+	ID uint64
 	OK bool
 }
 
@@ -232,8 +233,9 @@ type BlockHeaderSync struct {
 // --- Region allocation (§3) ---
 
 // AllocRegionReq asks the CM for a new region, optionally co-located with
-// a target region (locality hint).
+// a target region (locality hint). ID is the requester's call id.
 type AllocRegionReq struct {
+	ID       uint64
 	Size     int
 	Locality uint32 // 0 = none; region id to co-locate with
 	HasHint  bool
@@ -264,13 +266,17 @@ type AllocRegionResp struct {
 	Map RegionMap
 }
 
-// MappingReq fetches a region's mapping on demand (cache miss).
+// MappingReq fetches a region's mapping on demand (cache miss). ID is the
+// requester's call id.
 type MappingReq struct {
+	ID     uint64
 	Region uint32
 }
 
-// MappingResp answers MappingReq.
+// MappingResp answers MappingReq, echoing its ID. The CM's unsolicited
+// announcements of a new region carry ID 0, which answers no call.
 type MappingResp struct {
+	ID  uint64
 	OK  bool
 	Map RegionMap
 }

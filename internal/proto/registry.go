@@ -129,16 +129,10 @@ func WireMessages() []interface{} {
 		&NewConfig{}, &NewConfigAck{}, &NewConfigCommit{},
 		&RegionsActive{}, &AllRegionsActive{}, &BlockHeaderSync{},
 		// Region allocation (§3).
-		&AllocRegionPrepare{}, &AllocRegionPrepared{}, &AllocRegionCommit{},
-		&MappingResp{},
+		&AllocRegionReq{}, &AllocRegionPrepare{}, &AllocRegionPrepared{},
+		&AllocRegionCommit{}, &MappingReq{}, &MappingResp{},
 		// State-integrity auditing.
 		&AuditSnap{}, &AuditSnapReply{}, &AuditObjectsReq{},
 		&AuditObjectsReply{}, &AuditRepair{}, &AuditRepairDone{},
 	}
-}
-
-// RPCBodies returns one sample of every request type this package defines
-// for the request/response envelope transport.
-func RPCBodies() []interface{} {
-	return []interface{}{&ValidateReq{}, &MappingReq{}, &AllocRegionReq{}}
 }
