@@ -84,12 +84,14 @@ examples:
 
 # Smoke runs of the load, recovery and figure tools: every workload
 # farm-loadgen knows at a 2 ms window, a short backup failure and a short
-# CM failover (~10 s), two quick figures — and an unknown figure name,
-# which must fail.
+# CM failover (~10 s), the loss of one failure domain (~8 s: three machines
+# die and six regions are re-placed), two quick figures — and an unknown
+# figure name, which must fail.
 tools:
 	for w in tatp tpcc kv bank; do go run ./cmd/farm-loadgen -workload $$w -warm 1ms -measure 2ms || exit 1; done
 	go run ./cmd/farm-recovery -run 60ms -plot=false
 	go run ./cmd/farm-recovery -victim cm -run 60ms -plot=false
+	go run ./cmd/farm-recovery -victim domain -run 60ms -plot=false
 	go run ./cmd/farm-bench -fig 1
 	go run ./cmd/farm-bench -fig kv
 	! go run ./cmd/farm-bench -fig nope

@@ -208,7 +208,7 @@ func (m *Machine) processLock(rt *remoteTx, rec *proto.Record) {
 	held := len(rt.lockedObjs) // a replayed LOCK record finds earlier entries
 	for _, w := range rec.Writes {
 		rep := m.replica(w.Addr.Region)
-		if rep == nil || !rep.primary {
+		if rep == nil || !rep.primary || !rep.holds(w.Addr.Off) {
 			ok = false
 			break
 		}
@@ -429,14 +429,12 @@ func (m *Machine) onValidateReq(src int, req *proto.ValidateReq) {
 	if !m.isMember(src) {
 		return // §5.2: no validation service for non-member coordinators
 	}
-	ok := true
-	for i, addr := range req.Addrs {
+	ok := len(req.Versions) == len(req.Addrs)
+	for i := 0; ok && i < len(req.Addrs); i++ {
+		addr := req.Addrs[i]
 		rep := m.replica(addr.Region)
-		if rep == nil || !rep.primary ||
-			!validHeaderWord(regionmem.ReadHeader(rep.mem, int(addr.Off)), req.Versions[i]) {
-			ok = false
-			break
-		}
+		ok = rep != nil && rep.primary && rep.holds(addr.Off) &&
+			validHeaderWord(regionmem.ReadHeader(rep.mem, int(addr.Off)), req.Versions[i])
 	}
 	m.send(src, &proto.ValidateReply{ID: req.ID, OK: ok})
 }

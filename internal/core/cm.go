@@ -103,7 +103,7 @@ func (m *Machine) onAllocRegionReq(from int, req *proto.AllocRegionReq) {
 		target = m.cm.mapping(req.Locality)
 	}
 	region := uint32(len(m.cm.regions))
-	replicas := m.pickReplicas(nil, m.c.Opts.Replication, target, int(region))
+	replicas := m.placeReplicas(&m.config, nil, m.c.Opts.Replication, target, int(region))
 	if len(replicas) < m.c.Opts.Replication {
 		m.send(from, &rpcReply{ID: req.ID, Body: &proto.AllocRegionResp{}})
 		return
@@ -191,34 +191,27 @@ func (m *Machine) onAllocCommit(msg *proto.AllocRegionCommit) {
 	m.installReplica(msg.Region, mem, cp.Size, int(cp.Replicas[0]) == m.ID)
 }
 
-// pickReplicas chooses count machines for a region, balancing hosted
-// region counts subject to failure-domain separation, skipping machines in
-// exclude. A locality target pins placement to the target's replica set
-// (§3: "the region is co-located with a target region when the application
-// specifies a locality constraint").
-func (m *Machine) pickReplicas(exclude map[uint16]bool, count int, target *proto.RegionMap, rotate int) []uint16 {
+// placeReplicas extends have to count members of cfg, balancing hosted
+// region counts subject to failure-domain separation. A locality target's
+// members come first, so placement follows the target's replica set (§3:
+// "the region is co-located with a target region when the application
+// specifies a locality constraint"); the rest fill by load, ties broken by
+// a rotation so primaries spread across the cluster.
+func (m *Machine) placeReplicas(cfg *proto.Config, have []uint16, count int, target *proto.RegionMap, rotate int) []uint16 {
+	out := append([]uint16(nil), have...)
 	if target != nil {
-		var out []uint16
 		for _, r := range target.Replicas {
-			if m.config.Member(r) && !exclude[r] {
+			if len(out) >= count {
+				break
+			}
+			if cfg.Member(r) && !slices.Contains(out, r) {
 				out = append(out, r)
 			}
-			if len(out) == count {
-				return out
-			}
-		}
-		// Target shrank below count: fall through and fill the remainder.
-		if len(out) > 0 {
-			extra := m.fillReplicas(out, exclude, count, rotate)
-			return extra
 		}
 	}
-	return m.fillReplicas(nil, exclude, count, rotate)
-}
-
-// fillReplicas extends a partial replica list to count machines. Ties in
-// load are broken by a rotation so primaries spread across the cluster.
-func (m *Machine) fillReplicas(have []uint16, exclude map[uint16]bool, count, rotate int) []uint16 {
+	if len(out) >= count {
+		return out
+	}
 	load := make(map[uint16]int)
 	if m.cm != nil {
 		for i := range m.cm.regions {
@@ -231,11 +224,11 @@ func (m *Machine) fillReplicas(have []uint16, exclude map[uint16]bool, count, ro
 	}
 	usedDomains := make(map[int]bool)
 	used := make(map[uint16]bool)
-	for _, r := range have {
+	for _, r := range out {
 		used[r] = true
-		usedDomains[m.config.Domains[r]] = true
+		usedDomains[cfg.Domains[r]] = true
 	}
-	candidates := append([]uint16(nil), m.config.Machines...)
+	candidates := append([]uint16(nil), cfg.Machines...)
 	n := len(candidates)
 	rank := func(x uint16) int { return (int(x) + rotate) % max(n, 1) }
 	sort.Slice(candidates, func(i, j int) bool {
@@ -249,18 +242,17 @@ func (m *Machine) fillReplicas(have []uint16, exclude map[uint16]bool, count, ro
 		cap := m.c.Opts.MaxRegionsPerMachine
 		return cap > 0 && load[c] >= cap
 	}
-	out := append([]uint16(nil), have...)
 	// First pass: respect failure-domain separation and capacity (§3).
 	for _, c := range candidates {
 		if len(out) == count {
 			return out
 		}
-		if used[c] || exclude[c] || atCapacity(c) || usedDomains[m.config.Domains[c]] {
+		if used[c] || atCapacity(c) || usedDomains[cfg.Domains[c]] {
 			continue
 		}
 		out = append(out, c)
 		used[c] = true
-		usedDomains[m.config.Domains[c]] = true
+		usedDomains[cfg.Domains[c]] = true
 	}
 	// Second pass: relax domain separation if the cluster is too small
 	// (capacity is never relaxed).
@@ -268,7 +260,7 @@ func (m *Machine) fillReplicas(have []uint16, exclude map[uint16]bool, count, ro
 		if len(out) == count {
 			return out
 		}
-		if used[c] || exclude[c] || atCapacity(c) {
+		if used[c] || atCapacity(c) {
 			continue
 		}
 		out = append(out, c)

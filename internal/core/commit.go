@@ -51,8 +51,6 @@ type coordTx struct {
 	lockOutstanding int
 	lockFailed      bool
 
-	valOutstanding int
-
 	cbOutstanding int
 
 	cpOutstanding int
@@ -188,7 +186,7 @@ func (t *Tx) Commit(cb func(err error)) {
 	report := t.instrumented(cb)
 
 	if t.nWrites == 0 {
-		t.validateReadOnly(report)
+		t.commitReadOnly(report)
 		return
 	}
 
@@ -598,56 +596,141 @@ func (m *Machine) onAbortAck(ct *coordTx) {
 	}
 }
 
-// validate performs read validation (§4 step 2): one-sided reads of the
-// version words of all read-but-not-written objects, switching to RPC for
-// primaries holding more than tr of them.
+// validate is a read-write commit's step 2 (§4): every read-but-not-written
+// object goes through validateSet, and the last success moves on to
+// COMMIT-BACKUP.
 func (m *Machine) validate(ct *coordTx) {
 	m.beginPhase(ct, "VALIDATE")
-	if m.c.Opts.SkipReadValidation {
-		// TEST-ONLY consistency bug (Options.SkipReadValidation): commit
-		// without checking that read versions still stand.
-		ct.phase = phaseCommitBackup
-		m.commitBackups(ct)
-		return
-	}
 	t := ct.tx
-	vs := t.validationSet(0, 0)
+	var vs []valRead
+	if !m.c.Opts.SkipReadValidation {
+		// (Options.SkipReadValidation is a TEST-ONLY consistency bug: commit
+		// without checking that read versions still stand.)
+		vs = t.validationSet(0, 0)
+	}
 	if len(vs) == 0 {
 		ct.phase = phaseCommitBackup
 		m.commitBackups(ct)
 		return
 	}
-	if vs[0].pm == -1 { // unknown primaries sort first
-		m.abortTx(ct, ErrUnavailable)
+	t.ct = ct
+	t.validateSet(vs, ct.phaseCtx)
+}
+
+// commitReadOnly commits a transaction that wrote nothing. It serializes at
+// its last read: if that read ran alone, every other read finished before it
+// was issued, so validating those alone proves they held at its instant
+// (DESIGN.md §5); otherwise every read is validated. With nothing left to
+// validate it commits after one local step.
+func (t *Tx) commitReadOnly(cb func(error)) {
+	m := t.m
+	var vs []valRead
+	if !m.c.Opts.SkipReadValidation {
+		*m.c.cValidateSkipped += uint64(t.aloneHi - t.aloneLo)
+		vs = t.validationSet(t.aloneLo, t.aloneHi)
+	}
+	t.roCb = cb
+	if len(vs) == 0 {
+		t.valLeft = 1
+		m.c.Eng.After(cpuLocal, func() {
+			if m.alive {
+				t.validated(true)
+			}
+		})
 		return
 	}
-	// Every completion arrives through the engine, so the count may grow as
-	// the loop issues.
+	t.validateSet(vs, t.ctx)
+}
+
+// validateSet validates vs, a read set sorted by primary (§4 step 2), from
+// t's thread: direct header loads where this machine is the primary, one
+// VALIDATE RPC to a primary holding more than tr of the objects, one-sided
+// reads of the version words otherwise. A primary that is unknown or not a
+// member fails its share at once. ctx parents the RPCs' spans. Every verdict
+// goes to validated.
+func (t *Tx) validateSet(vs []valRead, ctx trace.Ctx) {
+	m := t.m
+	// Every verdict arrives through the engine, so the count may grow as the
+	// loop issues.
 	for i, j := 0, 0; i < len(vs); i = j {
 		j = primaryRun(vs, i)
 		pm, entries := vs[i].pm, vs[i:j]
-		if pm != m.ID && len(entries) > m.c.Opts.ValidateRPCThreshold {
-			// Validation over RPC (Table 2 VALIDATE). The phase span's
-			// context rides along, so the primary's work and its reply are
-			// parented on this validation. A call that fails is the stall
-			// sweep's and recovery's to settle, like a lost LOCK-REPLY.
+		switch {
+		case pm == m.ID:
+		case pm == -1 || !m.isMember(pm):
+			t.valLeft++
+			m.OnThread(t.thread, cpuLocal, func() { t.validated(false) })
+			continue
+		case len(entries) > m.c.Opts.ValidateRPCThreshold:
+			// A call that fails aborts a read-only commit, which holds no
+			// locks; a read-write commit's is the stall sweep's and
+			// recovery's to settle, like a lost LOCK-REPLY.
 			req := t.validateReqFor(entries)
-			tx := ct.id
 			req.ID = m.call(pm, func(resp interface{}, err error) {
-				if err == nil {
-					m.onValidateReply(tx, resp.(*proto.ValidateReply).OK)
+				switch {
+				case err == nil:
+					t.validated(resp.(*proto.ValidateReply).OK)
+				case t.ct == nil && !t.valFailed:
+					t.m.c.Counters.Inc("tx_ro_validate_stalled", 1)
+					t.valFail(ErrAborted)
 				}
 			})
 			*m.c.cValidateRPCs++
-			ct.valOutstanding++
-			m.sendFromThreadCtx(t.thread, pm, req, ct.phaseCtx)
+			t.valLeft++
+			m.sendFromThreadCtx(t.thread, pm, req, ctx)
 			continue
 		}
-		ct.valOutstanding += len(entries)
+		t.valLeft += len(entries)
 		for _, e := range entries {
-			m.validateObject(ct, t, pm, e.i)
+			m.validateObject(t, pm, e.i)
 		}
 	}
+}
+
+// validated acts on one verdict of t's validation: a header load, a
+// one-sided read or a VALIDATE-REPLY. The first failure aborts the commit;
+// verdicts after it are ignored, as are those reaching a read-write commit
+// that left the validate phase (the stall sweep aborted it) or is
+// recovering. After the last success a read-write commit moves on to
+// COMMIT-BACKUP and a read-only commit is reported.
+func (t *Tx) validated(ok bool) {
+	ct := t.ct
+	if t.valFailed || ct != nil && (ct.phase != phaseValidate || ct.recovering) {
+		return
+	}
+	if !ok {
+		t.valFail(ErrConflict)
+		return
+	}
+	if ct != nil {
+		ct.lastProgress = t.m.c.Eng.Now()
+	}
+	t.valLeft--
+	if t.valLeft > 0 {
+		return
+	}
+	if ct == nil {
+		// The report is lease-fenced like the read-write path, so a
+		// coordinator that validated against replicas the configuration has
+		// moved past cannot vouch for a stale snapshot.
+		t.m.reportCommitted(t.roCb)
+		return
+	}
+	ct.phase = phaseCommitBackup
+	t.m.commitBackups(ct)
+}
+
+// valFail ends t's validation with err: a read-write commit aborts, which
+// releases its locks; a read-only commit is reported aborted.
+func (t *Tx) valFail(err error) {
+	t.valFailed = true
+	if t.ct != nil {
+		t.m.abortTx(t.ct, err)
+		return
+	}
+	t.m.Aborted++
+	t.m.c.Counters.Inc("tx_aborted", 1)
+	t.roCb(err)
 }
 
 // valOp is one read-set object on its way through validation: a direct
@@ -659,7 +742,6 @@ func (m *Machine) validate(ct *coordTx) {
 // that dies with its machine is dropped, never recycled.
 type valOp struct {
 	m  *Machine
-	ct *coordTx // nil for a read-only transaction, whose state is in t
 	t  *Tx
 	i  int32
 	pm int
@@ -670,7 +752,7 @@ type valOp struct {
 
 // validateObject schedules the validation of t.set[i], whose primary pm is
 // this machine or a member validated by one-sided reads.
-func (m *Machine) validateObject(ct *coordTx, t *Tx, pm int, i int32) {
+func (m *Machine) validateObject(t *Tx, pm int, i int32) {
 	var op *valOp
 	if k := len(m.valFree); k > 0 {
 		op = m.valFree[k-1]
@@ -681,7 +763,7 @@ func (m *Machine) validateObject(ct *coordTx, t *Tx, pm int, i int32) {
 		op.issueFn = op.issue
 		op.readFn = op.readDone
 	}
-	op.ct, op.t, op.i, op.pm = ct, t, i, pm
+	op.t, op.i, op.pm = t, i, pm
 	*m.c.cValidateReads++
 	if pm == m.ID {
 		// Local validation: direct header loads.
@@ -691,21 +773,18 @@ func (m *Machine) validateObject(ct *coordTx, t *Tx, pm int, i int32) {
 	}
 }
 
-func (op *valOp) recycle() (ct *coordTx, t *Tx, e *txEntry) {
-	ct, t, e = op.ct, op.t, &op.t.set[op.i]
-	op.ct, op.t = nil, nil
+func (op *valOp) recycle() (t *Tx, e *txEntry) {
+	t, e = op.t, &op.t.set[op.i]
+	op.t = nil
 	op.m.valFree = append(op.m.valFree, op)
 	return
 }
 
 func (op *valOp) local() {
 	m := op.m
-	ct, t, e := op.recycle()
-	if ct != nil && (ct.phase != phaseValidate || ct.recovering) {
-		return
-	}
+	t, e := op.recycle()
 	rep := m.replica(e.addr.Region)
-	m.validated(ct, t, rep != nil && validHeaderWord(regionmem.ReadHeader(rep.mem, int(e.addr.Off)), e.version))
+	t.validated(rep != nil && validHeaderWord(regionmem.ReadHeader(rep.mem, int(e.addr.Off)), e.version))
 }
 
 func (op *valOp) issue() {
@@ -715,34 +794,9 @@ func (op *valOp) issue() {
 
 func (op *valOp) readDone(raw []byte, err error) {
 	m := op.m
-	ct, t, e := op.recycle()
-	// abortTx sets phase to done, so late replies become no-ops.
-	if !m.alive || (ct != nil && (ct.phase != phaseValidate || ct.recovering)) || (ct == nil && t.roFailed) {
-		return
-	}
-	m.validated(ct, t, err == nil && validHeaderWord(regionmem.ReadHeader(raw, 0), e.version))
-}
-
-// validated acts on one object's verdict.
-func (m *Machine) validated(ct *coordTx, t *Tx, ok bool) {
-	switch {
-	case ct == nil:
-		t.roValidated(ok)
-	case !ok:
-		m.abortTx(ct, ErrConflict)
-	default:
-		m.validationDone(ct)
-	}
-}
-
-// validationDone counts one successful validation completion (an object, or
-// a primary's RPC) and moves on to COMMIT-BACKUP after the last.
-func (m *Machine) validationDone(ct *coordTx) {
-	ct.lastProgress = m.c.Eng.Now()
-	ct.valOutstanding--
-	if ct.valOutstanding == 0 {
-		ct.phase = phaseCommitBackup
-		m.commitBackups(ct)
+	t, e := op.recycle()
+	if m.alive {
+		t.validated(err == nil && validHeaderWord(regionmem.ReadHeader(raw, 0), e.version))
 	}
 }
 
@@ -795,19 +849,6 @@ func (t *Tx) validateReqFor(entries []valRead) *proto.ValidateReq {
 
 func validHeaderWord(word, version uint64) bool {
 	return !regionmem.Locked(word) && regionmem.Version(word) == version
-}
-
-// onValidateReply finishes an RPC validation.
-func (m *Machine) onValidateReply(tx proto.TxID, ok bool) {
-	ct := m.inflight[tx]
-	if ct == nil || ct.recovering || ct.phase != phaseValidate {
-		return
-	}
-	if !ok {
-		m.abortTx(ct, ErrConflict)
-		return
-	}
-	m.validationDone(ct)
 }
 
 // commitBackups writes COMMIT-BACKUP records to every backup's
@@ -934,91 +975,4 @@ func (m *Machine) reportCommitted(cb func(error)) {
 		m.c.Counters.Inc("tx_committed", 1)
 		cb(nil)
 	})
-}
-
-// validateReadOnly is the read-only fast path: a committed read-only
-// transaction serializes at its last read. If that read ran alone, every
-// other read finished before it was issued, so validating those alone
-// proves they held at its instant (DESIGN.md §5); otherwise every read is
-// validated. Primaries holding more than tr read objects are validated with
-// a single RPC, like the read-write path (§4 step 2).
-func (t *Tx) validateReadOnly(cb func(error)) {
-	m := t.m
-	var vs []valRead
-	if !m.c.Opts.SkipReadValidation {
-		*m.c.cValidateSkipped += uint64(t.aloneHi - t.aloneLo)
-		vs = t.validationSet(t.aloneLo, t.aloneHi)
-	}
-	t.roCb = cb
-	if len(vs) == 0 {
-		t.roOutstanding = 1
-		m.c.Eng.After(cpuLocal, func() {
-			if m.alive {
-				t.roValidated(true)
-			}
-		})
-		return
-	}
-	for i, j := 0, 0; i < len(vs); i = j {
-		j = primaryRun(vs, i)
-		pm, entries := vs[i].pm, vs[i:j]
-		switch {
-		case pm == m.ID:
-		case pm == -1 || !m.isMember(pm):
-			t.roOutstanding++
-			m.OnThread(t.thread, cpuLocal, func() { t.roValidated(false) })
-			continue
-		case len(entries) > m.c.Opts.ValidateRPCThreshold:
-			// One RPC validates the whole per-primary read set. A read-only
-			// commit holds no locks, so one whose answer will not come aborts.
-			req := t.validateReqFor(entries)
-			req.ID = m.call(pm, func(resp interface{}, err error) {
-				switch {
-				case err == nil:
-					t.roValidated(resp.(*proto.ValidateReply).OK)
-				case !t.roFailed:
-					m.c.Counters.Inc("tx_ro_validate_stalled", 1)
-					t.roFail(ErrAborted)
-				}
-			})
-			*m.c.cValidateRPCs++
-			t.roOutstanding++
-			m.sendFromThreadCtx(t.thread, pm, req, t.ctx)
-			continue
-		}
-		t.roOutstanding += len(entries)
-		for _, e := range entries {
-			m.validateObject(nil, t, pm, e.i)
-		}
-	}
-}
-
-// roFail reports a read-only commit's first failure; completions after it
-// are ignored.
-func (t *Tx) roFail(err error) {
-	t.roFailed = true
-	t.m.Aborted++
-	t.m.c.Counters.Inc("tx_aborted", 1)
-	t.roCb(err)
-}
-
-// roValidated acts on one validation completion of a read-only commit: the
-// first failure reports the conflict, the last success the commit.
-func (t *Tx) roValidated(ok bool) {
-	m := t.m
-	if t.roFailed {
-		return
-	}
-	if !ok {
-		t.roFail(ErrConflict)
-		return
-	}
-	t.roOutstanding--
-	if t.roOutstanding == 0 {
-		// Read-only commits serialize at their last read; the report is
-		// lease-fenced like the read-write path, so a coordinator that
-		// validated against replicas the configuration has moved past
-		// cannot vouch for a stale snapshot.
-		m.reportCommitted(t.roCb)
-	}
 }

@@ -25,6 +25,7 @@ const (
 // records are processed like any other coordinator's — the LOCK takes the
 // lock and its reply goes nowhere, the ABORT releases it, the truncation
 // (carrier machine × piggybacked thread, both unknown) reclaims the entry.
+// A LOCK naming an offset beyond the region's memory is refused.
 func TestRecordFromUnknownMachine(t *testing.T) {
 	c, region := testCluster(t, Options{})
 	prim, coord := primaryAndOutsider(t, c, region)
@@ -39,14 +40,26 @@ func TestRecordFromUnknownMachine(t *testing.T) {
 		Type: proto.RecLock, Tx: id, Regions: []uint32{region}, TruncLow: 1,
 		Writes: []proto.ObjectWrite{{Addr: addr, Version: version, Allocated: true, Value: []byte("bbbbbbbb")}},
 	})
+	// A second transaction's LOCK names an offset at the region's end: it is
+	// refused, and no memory is touched.
+	bad := proto.TxID{Config: prim.config.ID, Machine: noSuchMachine, Thread: 3, Local: 2}
+	end := proto.Addr{Region: region, Off: uint32(len(rep.mem))}
+	appendRecord(t, coord, prim.ID, &proto.Record{
+		Type: proto.RecLock, Tx: bad, Regions: []uint32{region},
+		Writes: []proto.ObjectWrite{{Addr: end, Allocated: true, Value: []byte("bbbbbbbb")}},
+	})
 	c.RunFor(50 * sim.Microsecond)
 	if rt := prim.pend[mtlOf(id)]; rt == nil || !locked() {
 		t.Fatalf("LOCK record of machine %d not processed: %+v", noSuchMachine, rt)
 	}
+	if rt := prim.pend[mtlOf(bad)]; rt == nil || !rt.lockRefused {
+		t.Fatalf("LOCK record naming offset %d not refused: %+v", end.Off, rt)
+	}
 	appendRecord(t, coord, prim.ID, &proto.Record{Type: proto.RecAbort, Tx: id})
+	appendRecord(t, coord, prim.ID, &proto.Record{Type: proto.RecAbort, Tx: bad})
 	appendRecord(t, coord, prim.ID, &proto.Record{
 		Type: proto.RecTruncate, Tx: proto.TxID{Config: prim.config.ID, Machine: noSuchMachine},
-		TruncIDs: []uint64{packTruncID(3, 1), packTruncID(65535, 7)},
+		TruncIDs: []uint64{packTruncID(3, 1), packTruncID(3, 2), packTruncID(65535, 7)},
 	})
 	c.RunFor(50 * sim.Microsecond)
 	if len(prim.pend) != 0 || locked() {
@@ -70,7 +83,8 @@ func TestRecordFromUnknownMachine(t *testing.T) {
 }
 
 // TestMessagesNamingUnknownIDs drives the message handlers that index a table
-// by an id taken from the message.
+// by an id taken from the message, and those that touch memory at an object
+// offset taken from the message.
 func TestMessagesNamingUnknownIDs(t *testing.T) {
 	c, region := testCluster(t, Options{})
 	prim, coord := primaryAndOutsider(t, c, region)
@@ -118,6 +132,37 @@ func TestMessagesNamingUnknownIDs(t *testing.T) {
 			t.Fatalf("slot in region %#x: %v", r, err)
 		}
 		prim.releaseSlot(proto.Addr{Region: r})
+	}
+
+	// Object offsets in a region the primary does hold: VALIDATE of the
+	// region's end, or with fewer versions than addresses (the first one
+	// valid), answers "not valid"; RELEASE-SLOT of an offset that starts no
+	// slot is dropped.
+	rep := prim.replica(region)
+	version := regionmem.Version(regionmem.ReadHeader(rep.mem, int(addr.Off)))
+	for _, v := range []struct {
+		req *proto.ValidateReq
+		ok  bool
+	}{
+		{&proto.ValidateReq{Addrs: []proto.Addr{addr}, Versions: []uint64{version}}, true},
+		{&proto.ValidateReq{Addrs: []proto.Addr{{Region: region, Off: uint32(len(rep.mem))}}, Versions: []uint64{0}}, false},
+		{&proto.ValidateReq{Addrs: []proto.Addr{addr, addr}, Versions: []uint64{version}}, false},
+	} {
+		var reply *proto.ValidateReply
+		v.req.ID = coord.call(prim.ID, func(resp interface{}, _ error) { reply, _ = resp.(*proto.ValidateReply) })
+		coord.send(prim.ID, v.req)
+		runUntil(t, c, sim.Second, func() bool { return reply != nil })
+		if reply.OK != v.ok {
+			t.Fatalf("validation of %v at versions %v: OK=%v", v.req.Addrs, v.req.Versions, reply.OK)
+		}
+	}
+	free := rep.alloc.FreeCount(8)
+	for _, off := range []uint32{addr.Off + 3, uint32(len(rep.mem) - 64)} {
+		coord.send(prim.ID, &releaseSlotReq{Region: region, Off: off})
+	}
+	c.RunFor(sim.Millisecond)
+	if got := rep.alloc.FreeCount(8); got != free {
+		t.Fatalf("free slots %d → %d after releases of offsets that start no slot", free, got)
 	}
 
 	// RPC-REPLY, VALIDATE-REPLY and MAPPING-RESP naming a call never issued,

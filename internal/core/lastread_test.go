@@ -9,7 +9,7 @@ import (
 	"farm/internal/sim"
 )
 
-// The tests below hold read-only commits to the rule of validateReadOnly: a
+// The tests below hold read-only commits to the rule of commitReadOnly: a
 // read-only transaction serializes at its last read, so that read is not
 // validated when it ran alone, and every other read still is.
 

@@ -63,6 +63,13 @@ type replica struct {
 	repairAuditID uint64
 }
 
+// holds reports whether off leaves room for an object header inside the
+// replica: an offset from another machine is checked before memory is
+// touched.
+func (rep *replica) holds(off uint32) bool {
+	return int(off) <= len(rep.mem)-regionmem.HeaderSize
+}
+
 // remoteTx is participant-side state for a transaction whose records
 // appear in this machine's logs. Entries come from the machine's pool
 // (newRemoteTx) and go back to it when the transaction truncates, with the

@@ -334,50 +334,15 @@ func (m *Machine) remapRegions(cfg *proto.Config, suspects map[int]bool) {
 			m.c.noteLostRegion(rm.Region)
 			continue
 		}
-		exclude := make(map[uint16]bool)
-		for _, s := range survivors {
-			exclude[s] = true
-		}
 		target := m.cm.mapping(m.cm.regions[i].locality) // nil for 0, none
-		// Survivors stay (first survivor is promoted primary); new backups
-		// fill the remainder.
-		needed := m.c.Opts.Replication - len(survivors)
-		added := m.addBackups(cfg, exclude, survivors, needed, target)
-		rm.Replicas = added
+		// Survivors stay (the first is promoted primary); new backups fill
+		// the remainder.
+		rm.Replicas = m.placeReplicas(cfg, survivors, m.c.Opts.Replication, target, int(cfg.ID))
 		rm.LastReplicaChange = cfg.ID
 		if primaryFailed {
 			rm.LastPrimaryChange = cfg.ID
 		}
 	}
-}
-
-// addBackups extends survivors with `needed` new machines.
-func (m *Machine) addBackups(cfg *proto.Config, exclude map[uint16]bool, survivors []uint16, needed int, target *proto.RegionMap) []uint16 {
-	out := append([]uint16(nil), survivors...)
-	if needed <= 0 {
-		return out
-	}
-	// Temporarily act with the new membership for placement decisions.
-	saved := m.config
-	m.config = *cfg
-	if target != nil {
-		for _, r := range target.Replicas {
-			if needed == 0 {
-				break
-			}
-			if cfg.Member(r) && !exclude[r] {
-				out = append(out, r)
-				exclude[r] = true
-				needed--
-			}
-		}
-	}
-	if needed > 0 {
-		filled := m.fillReplicas(out, exclude, len(out)+needed, int(cfg.ID))
-		out = filled
-	}
-	m.config = saved
-	return out
 }
 
 // onNewConfig is step 6 at every member: adopt the configuration and

@@ -197,7 +197,7 @@ func (t *transport) registerHandlers() {
 			if !m.isMember(src) {
 				return
 			}
-			if rep := m.replica(v.Region); rep != nil && rep.primary && !rep.allocRecovering {
+			if rep := m.replica(v.Region); rep != nil && rep.primary && !rep.allocRecovering && rep.alloc.Slot(int(v.Off)) {
 				rep.alloc.Free(int(v.Off))
 			}
 		})

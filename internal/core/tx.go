@@ -82,11 +82,13 @@ type Tx struct {
 	crowded          bool
 	aloneLo, aloneHi int32
 
-	// Read-only commit (validateReadOnly): the report callback, header
-	// checks still due, and whether one already failed.
-	roCb          func(error)
-	roOutstanding int
-	roFailed      bool
+	// Commit-time validation (validateSet): the read-write commit (nil for a
+	// read-only one, which reports through roCb), verdicts still due, and
+	// whether one already failed.
+	ct        *coordTx
+	roCb      func(error)
+	valLeft   int
+	valFailed bool
 
 	// ctx is the root trace span of a sampled transaction (zero when this
 	// transaction is untraced); reads and commit phases hang off it.

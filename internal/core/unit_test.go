@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"farm/internal/fabric"
 	"farm/internal/proto"
 	"farm/internal/sim"
 )
@@ -229,95 +230,123 @@ func TestLocalityCoPlacement(t *testing.T) {
 	}
 }
 
+// TestValidationSwitchesToRPCOverThreshold runs a read-only and a read-write
+// commit through each way validateSet checks a read set: three objects read
+// one after another from one primary. The read-only commit's last read ran
+// alone, so it validates two of them; the read-write commit, which also
+// allocates an object in another region, validates all three.
 func TestValidationSwitchesToRPCOverThreshold(t *testing.T) {
-	// A read-write transaction reading tr+2 objects from one remote
-	// primary must validate with one RPC instead of tr+2 RDMA reads.
-	o := Options{NumMachines: 5, Seed: 19}
-	c := New(o)
-	regions, err := c.CreateRegions(0, 1, 0)
-	if err != nil {
-		t.Fatal(err)
+	type setup struct {
+		c           *Cluster
+		coord, prim *Machine
+		region      uint32
+		addrs       []proto.Addr
 	}
-	region := regions[0]
-	hint := proto.Addr{Region: region}
-	var addrs []proto.Addr
-	m0 := c.Machine(0)
-	done := false
-	tx := m0.Begin(0)
-	var alloc func(i int)
-	alloc = func(i int) {
-		if i == 8 {
-			tx.Commit(func(err error) {
-				if err != nil {
-					t.Fatal(err)
-				}
-				done = true
-			})
-			return
-		}
-		tx.Alloc(8, []byte("xxxxxxxx"), &hint, func(a proto.Addr, err error) {
-			if err != nil {
-				t.Fatal(err)
+	cases := []struct {
+		name      string
+		threshold int  // Options.ValidateRPCThreshold (0: the default, 4)
+		local     bool // the coordinator is the objects' primary
+		// before runs between the reads and Commit.
+		before func(t *testing.T, s setup)
+		err    error
+		rpc    bool // one VALIDATE RPC instead of header reads
+		none   bool // no verb at all
+	}{
+		{name: "local primary", local: true},
+		{name: "one-sided reads"},
+		{name: "one RPC over the threshold", threshold: 1, rpc: true},
+		{name: "stale object", err: ErrConflict, before: func(t *testing.T, s setup) {
+			// Both objects every commit validates change: two failing
+			// verdicts, one report.
+			commitBoth(t, s.c, s.prim, s.addrs[0], s.addrs[1], []byte("AAAAAAAA"), []byte("BBBBBBBB"))
+		}},
+		{name: "unanswered RPC", threshold: 1, rpc: true, err: ErrAborted, before: func(t *testing.T, s setup) {
+			s.c.Net.SetLinkFault(fabric.MachineID(s.prim.ID), fabric.MachineID(s.coord.ID), fabric.LinkFault{DropProb: 1})
+		}},
+		{name: "primary not a member", err: ErrConflict, none: true, before: func(t *testing.T, s setup) {
+			rm := *s.coord.mapping(s.region)
+			rm.Replicas = append([]uint16{noSuchMachine}, rm.Replicas[1:]...)
+			s.coord.region(s.region).mapping = &rm
+		}},
+	}
+	for _, tc := range cases {
+		for _, readOnly := range []bool{true, false} {
+			c := New(Options{NumMachines: 5, Seed: 19, ValidateRPCThreshold: tc.threshold})
+			region := regionWithPrimaryNotIn(t, c, 0, 1)
+			prim, coord := c.Machine(int(c.Machine(0).mapping(region).Replicas[0])), c.Machine(1)
+			if tc.local {
+				coord = prim
 			}
-			addrs = append(addrs, a)
-			alloc(i + 1)
-		})
-	}
-	alloc(0)
-	runUntil(t, c, sim.Second, func() bool { return done })
-	c.RunFor(10 * sim.Millisecond)
+			// The written object's region has another primary, so a fault on
+			// the read primary's link leaves the lock phase alone.
+			other := regionWithPrimaryNotIn(t, c, prim.ID)
+			var addrs []proto.Addr
+			for _, v := range []string{"aaaaaaaa", "bbbbbbbb", "cccccccc"} {
+				addrs = append(addrs, writeObjectIn(t, c, prim, region, []byte(v)))
+			}
+			c.RunFor(20 * sim.Millisecond)
 
-	primary := m0.PrimaryOf(region)
-	coord := (primary + 1) % 5
-	m := c.Machine(coord)
-	// Read 6 objects (> tr=4) and write one object elsewhere so the full
-	// (non-read-only) commit path runs.
-	other, err := c.CreateRegions(0, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var waddr proto.Addr
-	done = false
-	setup := m.Begin(0)
-	whint := proto.Addr{Region: other[0]}
-	setup.Alloc(8, []byte("wwwwwwww"), &whint, func(a proto.Addr, err error) {
-		waddr = a
-		setup.Commit(func(error) { done = true })
-	})
-	runUntil(t, c, sim.Second, func() bool { return done })
-
-	snap := c.Net.Counters.Snapshot()
-	done = false
-	tx2 := m.Begin(1)
-	var read func(i int)
-	read = func(i int) {
-		if i == 6 {
-			tx2.Read(waddr, 8, func(_ []byte, err error) {
-				tx2.Write(waddr, []byte("uuuuuuuu"))
-				tx2.Commit(func(err error) {
+			tx := coord.Begin(0)
+			for _, a := range addrs {
+				txRead(t, c, tx, a, 8)
+			}
+			want := uint64(2)
+			if !readOnly {
+				want = 3
+				hint := proto.Addr{Region: other}
+				allocated := false
+				tx.Alloc(8, []byte("dddddddd"), &hint, func(_ proto.Addr, err error) {
 					if err != nil {
-						t.Fatalf("commit: %v", err)
+						t.Fatalf("alloc: %v", err)
 					}
-					done = true
+					allocated = true
 				})
-			})
-			return
-		}
-		tx2.Read(addrs[i], 8, func(_ []byte, err error) {
-			if err != nil {
-				t.Fatal(err)
+				runUntil(t, c, sim.Second, func() bool { return allocated })
 			}
-			read(i + 1)
-		})
-	}
-	read(0)
-	runUntil(t, c, sim.Second, func() bool { return done })
-	diff := c.Net.Counters.Diff(snap)
-	// Execution reads: 6 + 1 (waddr, likely remote). Validation: ONE RPC
-	// for the 6-object primary instead of 6 one-sided reads. So total
-	// one-sided reads must stay ≤ 8.
-	if diff["rdma_read"] > 8 {
-		t.Fatalf("validation did not switch to RPC: %d one-sided reads (%v)", diff["rdma_read"], diff)
+			if tc.before != nil {
+				tc.before(t, setup{c, coord, prim, region, addrs})
+			}
+			snap, net := c.Counters.Snapshot(), c.Net.Counters.Snapshot()
+			var err error
+			reports := 0
+			tx.Commit(func(e error) { err = e; reports++ })
+			runUntil(t, c, sim.Second, func() bool { return reports > 0 })
+			c.RunFor(2 * txStallTimeout)
+			diff, netDiff := c.Counters.Diff(snap), c.Net.Counters.Diff(net)
+
+			kind := map[bool]string{true: "read-only", false: "read-write"}[readOnly]
+			if reports != 1 || err != tc.err {
+				t.Fatalf("%s, %s commit: %d reports, %v; want one, %v", tc.name, kind, reports, err, tc.err)
+			}
+			reads, rpcs, verbs := want, uint64(0), want
+			switch {
+			case tc.none:
+				reads, verbs = 0, 0
+			case tc.rpc:
+				reads, rpcs, verbs = 0, 1, 0
+			case tc.local:
+				verbs = 0
+			}
+			if diff["validate_reads"] != reads || diff["validate_rpcs"] != rpcs || diff["sent VALIDATE"] != rpcs || netDiff["rdma_read"] != verbs {
+				t.Fatalf("%s, %s commit: %d header reads, %d VALIDATE RPCs (%d sent), %d one-sided reads; want %d, %d, %d",
+					tc.name, kind, diff["validate_reads"], diff["validate_rpcs"], diff["sent VALIDATE"], netDiff["rdma_read"], reads, rpcs, verbs)
+			}
+			// An unanswered RPC fails a read-only commit when its call fails,
+			// and leaves a read-write commit, which holds locks, to the
+			// stall sweep.
+			var stalled, swept uint64
+			if tc.name == "unanswered RPC" {
+				if readOnly {
+					stalled = 1
+				} else {
+					swept = 1
+				}
+			}
+			if diff["tx_ro_validate_stalled"] != stalled || diff["tx_stall_aborted"] != swept {
+				t.Fatalf("%s, %s commit: tx_ro_validate_stalled %d, tx_stall_aborted %d; want %d, %d",
+					tc.name, kind, diff["tx_ro_validate_stalled"], diff["tx_stall_aborted"], stalled, swept)
+			}
+		}
 	}
 }
 

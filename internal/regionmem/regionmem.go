@@ -256,6 +256,17 @@ func (a *Allocator) Free(off int) {
 	a.used[b]--
 }
 
+// Slot reports whether off is where a slot starts: inside a block in use,
+// at a multiple of its slot size: the only offsets Free accepts.
+func (a *Allocator) Slot(off int) bool {
+	b := off / a.layout.BlockSize
+	if off < 0 || b >= len(a.class) {
+		return false
+	}
+	c := a.class[b]
+	return c != 0 && off%c == 0
+}
+
 // SlotPayload returns the payload capacity of the slot at off.
 func (a *Allocator) SlotPayload(off int) int {
 	c := a.class[off/a.layout.BlockSize]
