@@ -65,6 +65,30 @@ func TestCrashedMachineCommitsWithoutLeaseWait(t *testing.T) {
 	}
 }
 
+// TestCrashedMachineCommitWaitUnderHierarchicalLeases: with two lease
+// groups, {0,1,2} led by the CM and {3,4,5} led by 3, the CM granted the
+// crashed leader's lease and commits at once; a crashed member's lease was
+// granted by its leader, which the CM cannot bound, so it waits a lease.
+func TestCrashedMachineCommitWaitUnderHierarchicalLeases(t *testing.T) {
+	for _, tc := range []struct {
+		victim int
+		leader bool
+	}{{3, true}, {4, false}} {
+		o := recoveryOpts()
+		o.LeaseGroupSize = 3
+		c, _ := testCluster(t, o)
+		c.RunFor(20 * sim.Millisecond)
+		c.Kill(tc.victim)
+		lastAck, commitAt, _ := commitRound(t, c, sim.Second, nil)
+		switch d := commitAt - lastAck; {
+		case tc.leader && d >= 100*sim.Microsecond:
+			t.Errorf("crashed leader m%d: config-commit %v after the last NEW-CONFIG-ACK, want < 100µs", tc.victim, d)
+		case !tc.leader && d < o.LeaseDuration:
+			t.Errorf("crashed member m%d: config-commit %v after the last NEW-CONFIG-ACK, want ≥ %v", tc.victim, d, o.LeaseDuration)
+		}
+	}
+}
+
 // TestLiveRemovedMachineHoldsCommitUntilItsLeaseLapses: the CM removes a
 // machine that is alive and renewing. The commit waits until the lease the
 // CM last granted it has lapsed, and from then on the victim — which never
@@ -185,7 +209,7 @@ func TestCommitTimerCommitsOnlyItsConfiguration(t *testing.T) {
 	if cfg != 3 {
 		t.Fatalf("first commit is of configuration %d, want 3", cfg)
 	}
-	if lapse := c.Machine(3).lease.lastFromCM + o.LeaseDuration; commitAt <= lapse {
+	if lapse := c.Machine(3).lease.renewed + o.LeaseDuration; commitAt <= lapse {
 		t.Fatalf("configuration 3 committed at %v, before m3's lease lapsed at %v", commitAt, lapse)
 	}
 	c.RunFor(100 * sim.Millisecond)
@@ -254,9 +278,9 @@ func TestLeaseTimedFromRequest(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if mem.lease.lastFromCM > g {
+		if mem.lease.renewed > g {
 			t.Fatalf("at %v the member's lease runs from %v, after the CM's last grant at %v",
-				c.Now(), mem.lease.lastFromCM, g)
+				c.Now(), mem.lease.renewed, g)
 		}
 		checked++
 	}

@@ -17,7 +17,8 @@
 //	transport.go typed message transport: handler registry, the one send path,
 //	             the call table of requests awaiting an answer
 //	cm.go        region allocation and placement at the CM
-//	lease.go     failure detection: 3-way lease handshake, manager variants
+//	lease.go     failure detection: 3-way lease handshake, manager variants,
+//	             one driver for flat and two-level leases (grantorOf)
 //	tx.go        transaction API: writes, alloc/free, the read and write set
 //	read.go      object reads as pooled state machines, lock-free reads
 //	commit.go    the four-phase commit protocol (Figure 4)
@@ -148,8 +149,9 @@ type Options struct {
 	LeaseVariant LeaseVariant
 	// LeaseGroupSize, when > 0, enables the two-level lease hierarchy
 	// §5.1 prescribes for significantly larger clusters: machines are
-	// grouped; the CM exchanges leases only with group leaders, leaders
-	// with their members. Worst-case detection time doubles.
+	// grouped by id; the CM exchanges leases with group leaders and its
+	// own group, leaders with their members. Worst-case detection time
+	// doubles. 0 is flat leases: one group, led by the CM.
 	LeaseGroupSize int
 
 	// ValidateRPCThreshold is tr: primaries holding more than this many

@@ -9,7 +9,12 @@ import (
 // leaseManager implements §5.1: every machine holds a lease at the CM and
 // the CM holds a lease at every machine, granted by a 3-way handshake
 // (request → grant+request → grant) and renewed every lease/5. Expiry of
-// any lease triggers failure recovery.
+// any lease triggers failure recovery. "Significantly larger clusters may
+// require a two-level hierarchy": with Options.LeaseGroupSize > 0 the
+// machines are grouped by id, and a group's leader grants its members'
+// leases while it holds its own at the CM. Flat leases are the one-group
+// case, led by the CM; one driver serves both, in terms of who grants whose
+// lease (grantorOf).
 //
 // The four implementation variants of Figure 16 differ in how lease
 // messages are transported and scheduled:
@@ -41,16 +46,18 @@ type leaseManager struct {
 	// a stall every lease message through that path waits.
 	stallUntil sim.Time
 
-	// lastFromCM is when the CM's lease to this machine was last renewed:
-	// the send time of the request the latest grant+request answered, never
-	// that grant's arrival, so the CM's granted bounds it.
-	lastFromCM sim.Time
-	// grants (CM, or a group leader) holds the renewals received: machine →
-	// when its grant completing our grant+request last arrived.
+	// renewed is when this machine's own lease, at its grantor, was last
+	// renewed: the send time of the request the latest grant+request
+	// answered, never that grant's arrival, so the grantor's granted
+	// bounds it.
+	renewed sim.Time
+	// grants holds the renewals received for the leases this machine
+	// grants: machine → when its grant completing our grant+request last
+	// arrived.
 	grants map[int]sim.Time
-	// granted (CM only) holds the grants sent: machine → when this CM last
-	// sent it a grant+request. Its holder's lease lapses by granted +
-	// duration, whatever the datagram's delay (commitWait).
+	// granted holds the grants sent: machine → when this machine last sent
+	// it a grant+request. Its holder's lease lapses by granted + duration,
+	// whatever the datagram's delay (commitWait).
 	granted map[int]sim.Time
 
 	stopped bool
@@ -144,35 +151,62 @@ func (lm *leaseManager) start() {
 	if lm.started {
 		return
 	}
-	lm.started = true
-	now := lm.m.c.Eng.Now()
-	lm.lastFromCM = now
-	if lm.m.IsCM() {
-		for _, mem := range lm.m.config.Machines {
-			if int(mem) != lm.m.ID {
-				lm.grants[int(mem)] = now
-			}
-		}
-	}
-	if lm.hierarchical() {
-		lm.hierTick()
-	} else {
-		lm.tick()
-	}
+	lm.reset()
+	lm.tick()
 }
 
 func (lm *leaseManager) stop() { lm.stopped = true }
 
-// tick runs every renewal interval: send renewals and check expiries.
+// leaderOf returns the leader of id's lease group: the CM for the machines
+// in its own group, which with LeaseGroupSize 0 is every machine, and for
+// any other group its first member in configuration order (deterministic
+// across the cluster).
+func (lm *leaseManager) leaderOf(id int) int {
+	cm, size := int(lm.m.config.CM), lm.m.c.Opts.LeaseGroupSize
+	if size == 0 || id/size == cm/size {
+		return cm
+	}
+	for _, mem := range lm.m.config.Machines {
+		if int(mem)/size == id/size {
+			return int(mem)
+		}
+	}
+	return cm
+}
+
+// grantorOf returns the machine that grants id's lease: its group's
+// leader, the CM for a leader, and -1 for the CM, which renews with no one.
+func (lm *leaseManager) grantorOf(id int) int {
+	if l := lm.leaderOf(id); l != id {
+		return l
+	}
+	if id == int(lm.m.config.CM) {
+		return -1
+	}
+	return int(lm.m.config.CM)
+}
+
+// grantor returns the machine this one renews its own lease with.
+func (lm *leaseManager) grantor() int { return lm.grantorOf(lm.m.ID) }
+
+// leads reports whether this machine may grant leases: only a group's
+// leader does, and under flat leases only the CM.
+func (lm *leaseManager) leads() bool { return lm.leaderOf(lm.m.ID) == lm.m.ID }
+
+// watches reports whether this machine grants id's lease.
+func (lm *leaseManager) watches(id int) bool { return lm.grantorOf(id) == lm.m.ID }
+
+// tick runs every renewal interval: check the leases this machine grants,
+// then renew its own lease with its grantor and check that.
 func (lm *leaseManager) tick() {
 	if lm.stopped || !lm.m.alive {
 		return
 	}
 	now := lm.m.c.Eng.Now()
-	if lm.m.IsCM() {
+	if lm.leads() {
 		for _, mem := range lm.m.config.Machines {
 			id := int(mem)
-			if id == lm.m.ID {
+			if !lm.watches(id) {
 				continue
 			}
 			if _, ok := lm.grants[id]; !ok {
@@ -182,11 +216,11 @@ func (lm *leaseManager) tick() {
 				lm.expired(id)
 			}
 		}
-	} else {
-		// Renew our lease at the CM.
-		lm.transmit(int(lm.m.config.CM), &proto.LeaseRequest{Config: lm.m.config.ID, Sent: int64(now)})
-		if now-lm.lastFromCM > lm.duration {
-			lm.expired(int(lm.m.config.CM))
+	}
+	if g := lm.grantor(); g >= 0 {
+		lm.transmit(g, &proto.LeaseRequest{Config: lm.m.config.ID, Sent: int64(now)})
+		if now-lm.renewed > lm.duration {
+			lm.expired(g)
 		}
 	}
 	lm.m.maybeWithdrawSuspicion()
@@ -194,58 +228,59 @@ func (lm *leaseManager) tick() {
 	lm.m.c.Eng.After(lm.renewInterval(), func() { lm.tick() })
 }
 
-// fresh reports whether every lease this machine watches — the ones whose
-// expiry triggers suspicion — is currently unexpired.
+// fresh reports whether every lease this machine grants or holds — the
+// ones whose expiry triggers suspicion — is currently unexpired. On a
+// machine that grants none it reads one timestamp.
 func (lm *leaseManager) fresh() bool {
 	now := lm.m.c.Eng.Now()
-	if lm.hierarchical() {
-		_, track := lm.hierarchyPeers()
-		for _, id := range track {
-			if g, ok := lm.grants[id]; ok && now-g > lm.duration {
-				return false
-			}
-		}
-		if !lm.m.IsCM() && now-lm.lastFromCM > lm.duration {
-			return false
-		}
-		return true
-	}
-	if lm.m.IsCM() {
+	if lm.leads() {
 		for _, mem := range lm.m.config.Machines {
-			id := int(mem)
-			if id == lm.m.ID {
-				continue
-			}
-			if g, ok := lm.grants[id]; ok && now-g > lm.duration {
-				return false
+			if id := int(mem); lm.watches(id) {
+				if g, ok := lm.grants[id]; ok && now-g > lm.duration {
+					return false
+				}
 			}
 		}
-		return true
 	}
-	return now-lm.lastFromCM <= lm.duration
+	return lm.grantor() < 0 || now-lm.renewed <= lm.duration
+}
+
+// suspectReport carries a suspicion to the CM: a lease a group leader
+// grants, or holds from its own leader, lapsed, or a log write to a member
+// failed (reportWriteFailure).
+type suspectReport struct {
+	Config  uint64
+	Suspect int
 }
 
 // expired handles a lease expiry: count it, and unless the cluster runs
-// with recovery disabled (the Figure 16 methodology), start recovery.
-func (lm *leaseManager) expired(machine int) {
-	lm.m.c.Counters.Inc("lease_expiry", 1)
-	if lm.m.trb != nil {
-		lm.m.trb.Event("fault", "lease-expiry", lm.m.c.Eng.Now(), 0, 0, int64(machine))
+// with recovery disabled (the Figure 16 methodology), act on it. The CM
+// suspects the machine, a machine whose CM lease lapsed suspects the CM
+// (§5.2 step 1), and any other machine reports to the CM, which probes
+// before it evicts anyone.
+func (lm *leaseManager) expired(id int) {
+	m := lm.m
+	m.c.Counters.Inc("lease_expiry", 1)
+	if m.trb != nil {
+		m.trb.Event("fault", "lease-expiry", m.c.Eng.Now(), 0, 0, int64(id))
 	}
-	if lm.m.c.DisableRecovery {
-		// Reset so each expiry is counted once, as in §6.5.
-		now := lm.m.c.Eng.Now()
-		if lm.m.IsCM() {
-			lm.grants[machine] = now
-		} else {
-			lm.lastFromCM = now
-		}
+	switch {
+	case m.c.DisableRecovery:
+	case m.IsCM():
+		m.suspect(id)
 		return
+	case id == int(m.config.CM):
+		m.suspectCM()
+		return
+	default:
+		m.send(int(m.config.CM), &suspectReport{Config: m.config.ID, Suspect: id})
 	}
-	if lm.m.IsCM() {
-		lm.m.suspect(machine)
+	// Restart the lapsed lease's clock, so each expiry is counted and
+	// reported once.
+	if now := m.c.Eng.Now(); id == lm.grantor() {
+		lm.renewed = now
 	} else {
-		lm.m.suspectCM()
+		lm.grants[id] = now
 	}
 }
 
@@ -313,24 +348,21 @@ func (lm *leaseManager) onUD(src fabric.MachineID, msg interface{}) {
 	}
 }
 
-// onRequest handles a lease request: at the CM the reply is the combined
-// grant+request of the 3-way handshake; at a member a grant-tagged request
-// renews the CM's lease and is answered with the final grant.
+// onRequest handles a lease request: a machine this one watches gets the
+// combined grant+request of the 3-way handshake, with its send time echoed;
+// a grant-tagged request from this machine's grantor renews its own lease
+// and is answered with the final grant.
 func (lm *leaseManager) onRequest(src int, req *proto.LeaseRequest) {
-	if lm.hierarchical() {
-		lm.onHierRequest(src, req)
-		return
-	}
 	if req.Config < lm.m.config.ID {
 		return
 	}
-	if lm.m.IsCM() && !req.Grant {
+	if !req.Grant && lm.watches(src) {
 		lm.granted[src] = lm.m.c.Eng.Now()
 		lm.transmit(src, &proto.LeaseRequest{Config: lm.m.config.ID, Grant: true, Sent: req.Sent})
 		return
 	}
-	if req.Grant && src == int(lm.m.config.CM) {
-		lm.lastFromCM = max(lm.lastFromCM, sim.Time(req.Sent))
+	if req.Grant && src == lm.grantor() {
+		lm.renewed = max(lm.renewed, sim.Time(req.Sent))
 		lm.transmit(src, &proto.LeaseGrant{Config: lm.m.config.ID})
 	}
 }
@@ -341,9 +373,11 @@ func (lm *leaseManager) onRequest(src int, req *proto.LeaseRequest) {
 // before the grant did, so it lapses by granted + duration, and a crash,
 // suspected only after that, needs no wait at all. Where the CM cannot
 // bound a removed machine's lease it waits a full lease duration: the
-// round is unbounded (another CM or a power restore started the leases), a
-// group leader granted it (hierarchical leases), or this CM has no record
-// of a grant to it.
+// round is unbounded (another CM or a power restore started the leases),
+// or this CM has no record of a grant to it, as for a member whose lease
+// its group's leader granted. Leadership only passes on to a later member
+// and a joining machine takes a new id, so the CM holds no stale record
+// for a machine a leader now grants.
 func (lm *leaseManager) commitWait(removed []int, unbounded bool) sim.Time {
 	var wait sim.Time
 	for _, r := range removed {
@@ -351,172 +385,32 @@ func (lm *leaseManager) commitWait(removed []int, unbounded bool) sim.Time {
 		unbounded = unbounded || !ok
 		wait = max(wait, g+lm.duration+1-lm.m.c.Eng.Now())
 	}
-	if unbounded || lm.hierarchical() {
+	if unbounded {
 		return lm.duration
 	}
 	return wait
 }
 
-// onGrant completes the handshake at the grantor (CM, or a group leader
-// in hierarchical mode).
+// onGrant completes the handshake at the grantor.
 func (lm *leaseManager) onGrant(src int, g *proto.LeaseGrant) {
-	if g.Config < lm.m.config.ID {
-		return
-	}
-	if !lm.m.IsCM() && !(lm.hierarchical() && lm.isLeader()) {
+	if g.Config < lm.m.config.ID || !lm.watches(src) {
 		return
 	}
 	lm.grants[src] = lm.m.c.Eng.Now()
 }
 
-// resetFor adjusts lease state after a configuration change: NEW-CONFIG
+// reset restarts lease state for the current configuration: NEW-CONFIG
 // acts as a lease request from a (possibly new) CM, NEW-CONFIG-ACK as a
 // grant+request, and NEW-CONFIG-COMMIT as a grant (§5.2 steps 5–7).
-func (lm *leaseManager) resetFor(cfg *proto.Config) {
+func (lm *leaseManager) reset() {
 	now := lm.m.c.Eng.Now()
-	lm.lastFromCM = now
+	lm.renewed = now
 	lm.grants = make(map[int]sim.Time)
 	clear(lm.granted)
-	if int(cfg.CM) == lm.m.ID {
-		for _, mem := range cfg.Machines {
-			if int(mem) != lm.m.ID {
-				lm.grants[int(mem)] = now
-			}
+	for _, mem := range lm.m.config.Machines {
+		if lm.watches(int(mem)) {
+			lm.grants[int(mem)] = now
 		}
 	}
 	lm.started = true
-}
-
-// --- Two-level lease hierarchy (§5.1) ---
-//
-// "Significantly larger clusters may require a two-level hierarchy, which
-// in the worst case would double failure detection time." With
-// Options.LeaseGroupSize > 0, members exchange leases with their group's
-// leader instead of the CM; leaders exchange leases with the CM. A leader
-// that loses a member's lease reports the suspicion to the CM, which runs
-// the ordinary reconfiguration.
-
-// suspectReport carries a hierarchical suspicion to the CM.
-type suspectReport struct {
-	Config  uint64
-	Suspect int
-}
-
-// hierarchical reports whether the two-level mode is on.
-func (lm *leaseManager) hierarchical() bool { return lm.m.c.Opts.LeaseGroupSize > 0 }
-
-// groupOf returns the index of a machine's lease group.
-func (lm *leaseManager) groupOf(id int) int { return id / lm.m.c.Opts.LeaseGroupSize }
-
-// leaderOf returns the lease leader for a machine: the first member of its
-// group in configuration order (deterministic across the cluster).
-func (lm *leaseManager) leaderOf(id int) int {
-	g := lm.groupOf(id)
-	for _, mem := range lm.m.config.Machines {
-		if lm.groupOf(int(mem)) == g {
-			return int(mem)
-		}
-	}
-	return int(lm.m.config.CM)
-}
-
-// isLeader reports whether this machine leads its group.
-func (lm *leaseManager) isLeader() bool { return lm.leaderOf(lm.m.ID) == lm.m.ID }
-
-// hierarchyPeers returns (whom I renew with, whom I track leases for).
-func (lm *leaseManager) hierarchyPeers() (renewWith []int, track []int) {
-	m := lm.m
-	if m.IsCM() {
-		// The CM tracks every group leader (and leads its own group).
-		for _, mem := range m.config.Machines {
-			id := int(mem)
-			if id != m.ID && (lm.leaderOf(id) == id || lm.groupOf(id) == lm.groupOf(m.ID)) {
-				track = append(track, id)
-			}
-		}
-		return nil, track
-	}
-	if lm.isLeader() {
-		renewWith = []int{int(m.config.CM)}
-		for _, mem := range m.config.Machines {
-			id := int(mem)
-			if id != m.ID && lm.groupOf(id) == lm.groupOf(m.ID) {
-				track = append(track, id)
-			}
-		}
-		return renewWith, track
-	}
-	return []int{lm.leaderOf(m.ID)}, nil
-}
-
-// hierTick is the hierarchical replacement for tick().
-func (lm *leaseManager) hierTick() {
-	if lm.stopped || !lm.m.alive {
-		return
-	}
-	now := lm.m.c.Eng.Now()
-	renewWith, track := lm.hierarchyPeers()
-	for _, dst := range renewWith {
-		lm.transmit(dst, &proto.LeaseRequest{Config: lm.m.config.ID})
-	}
-	for _, id := range track {
-		if _, ok := lm.grants[id]; !ok {
-			lm.grants[id] = now
-		}
-		if now-lm.grants[id] > lm.duration {
-			lm.hierExpired(id)
-		}
-	}
-	if !lm.m.IsCM() && len(renewWith) > 0 {
-		if now-lm.lastFromCM > lm.duration {
-			lm.hierExpired(renewWith[0])
-		}
-	}
-	lm.m.maybeWithdrawSuspicion()
-	lm.m.flushFencedReports()
-	lm.m.c.Eng.After(lm.renewInterval(), func() { lm.hierTick() })
-}
-
-// hierExpired routes a hierarchical expiry: the CM reconfigures directly;
-// leaders and members report suspicions upward.
-func (lm *leaseManager) hierExpired(id int) {
-	m := lm.m
-	m.c.Counters.Inc("lease_expiry", 1)
-	if m.trb != nil {
-		m.trb.Event("fault", "lease-expiry", m.c.Eng.Now(), 0, 0, int64(id))
-	}
-	if m.c.DisableRecovery {
-		now := m.c.Eng.Now()
-		lm.grants[id] = now
-		if !m.IsCM() {
-			lm.lastFromCM = now
-		}
-		return
-	}
-	switch {
-	case m.IsCM():
-		m.suspect(id)
-	case id == int(m.config.CM) && lm.isLeader():
-		m.suspectCM()
-	default:
-		// Report to the CM; if the CM itself is unreachable the leader
-		// lease path will notice separately.
-		m.send(int(m.config.CM), &suspectReport{Config: m.config.ID, Suspect: id})
-		lm.grants[id] = m.c.Eng.Now() // report once per expiry
-	}
-}
-
-// onHierRequest serves hierarchical lease requests at leaders and the CM:
-// the 3-way handshake is the same, only the grantor differs.
-func (lm *leaseManager) onHierRequest(src int, req *proto.LeaseRequest) {
-	if req.Config < lm.m.config.ID {
-		return
-	}
-	if !req.Grant {
-		lm.transmit(src, &proto.LeaseRequest{Config: lm.m.config.ID, Grant: true})
-		return
-	}
-	// Grant+request from our grantor (leader, or CM for leaders).
-	lm.lastFromCM = lm.m.c.Eng.Now()
-	lm.transmit(src, &proto.LeaseGrant{Config: lm.m.config.ID})
 }

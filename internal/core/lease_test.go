@@ -198,6 +198,68 @@ func TestHierarchicalLeaderFailure(t *testing.T) {
 	}
 }
 
+// TestCMOutsideFirstGroupEvictsNoOne: the CM dies and machine 4 takes over.
+// Under hierarchical leases 4 is not the first member of its group, yet it
+// leads it: its group's members renew with it, and no healthy machine's
+// lease lapses anywhere once the new configuration commits.
+func TestCMOutsideFirstGroupEvictsNoOne(t *testing.T) {
+	for _, size := range []int{0, 3} {
+		o := Options{NumMachines: 9, Seed: 47, LeaseDuration: 5 * sim.Millisecond, LeaseGroupSize: size}
+		c := New(o)
+		c.RunFor(30 * sim.Millisecond)
+		c.Kill(0)
+		cm := c.Machine(4)
+		cm.suspect(0)
+		runUntil(t, c, sim.Second, func() bool { return cm.IsCM() && cm.configCommitted })
+		cfg, expiries := cm.config, c.Counters.Get("lease_expiry")
+		c.RunFor(300 * sim.Millisecond)
+		if n := c.Counters.Get("lease_expiry"); n != expiries {
+			t.Errorf("group size %d: %d lease expiries after configuration %d committed", size, n-expiries, cfg.ID)
+		}
+		for _, m := range c.Machines[1:] {
+			if !m.config.Member(uint16(m.ID)) || m.config.ID != cfg.ID {
+				t.Errorf("group size %d: healthy m%d at configuration %d (%v), want %d (%v)",
+					size, m.ID, m.config.ID, m.config.Machines, cfg.ID, cfg.Machines)
+			}
+		}
+	}
+}
+
+// TestSuspectReportNamingTheCM: the CM drops a SUSPECT-REPORT that names
+// itself instead of moving to a configuration without itself, and a failed
+// log write to the CM suspects the CM the §5.2 way: the CM's successors
+// take over, and every survivor commits one configuration without it. (The
+// evicted CM never hears of it and keeps suspecting its members, in vain.)
+func TestSuspectReportNamingTheCM(t *testing.T) {
+	c := New(Options{NumMachines: 5, Seed: 3, LeaseDuration: 5 * sim.Millisecond})
+	c.RunFor(10 * sim.Millisecond)
+	c.Machine(1).send(0, &suspectReport{Config: 1, Suspect: 0})
+	c.RunFor(200 * sim.Millisecond)
+	if n := c.Counters.Get("reconfig_started"); n != 0 {
+		t.Fatalf("%d reconfigurations after a report naming the CM", n)
+	}
+	for _, m := range c.Machines {
+		if m.config.ID != 1 || m.config.CM != 0 {
+			t.Fatalf("m%d at configuration %d with CM %d, want 1 with CM 0", m.ID, m.config.ID, m.config.CM)
+		}
+	}
+
+	c.Machine(2).reportWriteFailure(0)
+	c.RunFor(200 * sim.Millisecond)
+	cfg := c.Machine(1).config
+	if cfg.Member(0) || !cfg.Member(cfg.CM) {
+		t.Fatalf("configuration %d %v with CM %d, want one without m0 led by a member", cfg.ID, cfg.Machines, cfg.CM)
+	}
+	for _, m := range c.Machines[1:] {
+		if m.config.ID != cfg.ID || !m.configCommitted {
+			t.Fatalf("m%d at configuration %d (committed %v), want %d committed", m.ID, m.config.ID, m.configCommitted, cfg.ID)
+		}
+	}
+	if cfg.ID != 2 {
+		t.Fatalf("removing the CM took configurations up to %d, want one", cfg.ID)
+	}
+}
+
 // Asymmetric-partition coverage (the nemesis layer's hardest lease cases).
 
 // TestRxCutMachineIsEvicted: machine 3 can send (its lease requests reach

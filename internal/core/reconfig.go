@@ -438,7 +438,7 @@ func (m *Machine) onNewConfig(src int, nc *proto.NewConfig) {
 	m.blockClients()
 	// NEW-CONFIG resets the lease protocol if the CM changed (step 5).
 	if oldCM != m.config.CM {
-		m.lease.resetFor(&m.config)
+		m.lease.reset()
 	}
 	m.send(src, &proto.NewConfigAck{ConfigID: m.config.ID})
 	// Repair for lost acks / lost commits: until NEW-CONFIG-COMMIT arrives

@@ -239,10 +239,12 @@ func (t *transport) registerHandlers() {
 			}
 		})
 
-	// Hierarchical lease suspicions (§5.1).
+	// Suspicions reported to the CM (lease.go). One naming the CM itself
+	// is dropped: a machine that suspects the CM asks its successors
+	// (suspectCM).
 	proto.Register(r, "SUSPECT-REPORT", nil,
 		func(_ int, v *suspectReport) {
-			if v.Config == m.config.ID && m.IsCM() {
+			if v.Config == m.config.ID && m.IsCM() && v.Suspect != m.ID {
 				m.suspect(v.Suspect)
 			}
 		})

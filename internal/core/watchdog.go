@@ -69,15 +69,19 @@ func (m *Machine) armTxStallSweep() {
 // reportWriteFailure tells the membership layer a log write's retries were
 // exhausted against a configuration member. The CM double-checks with its
 // own probe protocol before evicting anyone, so false positives cost a
-// probe round, not a machine.
+// probe round, not a machine. A failed write to the CM suspects the CM
+// (§5.2 step 1).
 func (m *Machine) reportWriteFailure(dst int) {
 	if !m.isMember(dst) || dst == m.ID {
 		return
 	}
 	m.c.Counters.Inc("log_write_failed", 1)
-	if m.IsCM() {
+	switch {
+	case m.IsCM():
 		m.suspect(dst)
-		return
+	case dst == int(m.config.CM):
+		m.suspectCM()
+	default:
+		m.send(int(m.config.CM), &suspectReport{Config: m.config.ID, Suspect: dst})
 	}
-	m.send(int(m.config.CM), &suspectReport{Config: m.config.ID, Suspect: dst})
 }
