@@ -114,10 +114,12 @@ CORE := internal/core
 count:
 	@echo "core non-test lines:    $$(ls $(CORE)/*.go | grep -v _test.go | xargs cat | wc -l)"
 	@echo "core.Options fields:    $$(sed -n '/^type Options struct {/,/^}/p' $(CORE)/core.go | grep -c '^	[A-Z]')"
-	@echo "map fields in Machine, cmState, logReader, leaseManager: $$( \
+	@echo "map fields in Machine, cmState, logReader, leaseManager, recoveryState, regionRecovery, recTx, voteCollector: $$( \
 		{ sed -n '/^type Machine struct {/,/^}/p;/^type logReader struct {/,/^}/p' $(CORE)/machine.go; \
 		  sed -n '/^type cmState struct {/,/^}/p' $(CORE)/cm.go; \
-		  sed -n '/^type leaseManager struct {/,/^}/p' $(CORE)/lease.go; } | grep -v '^[[:space:]]*//' | grep -c 'map\[')"
+		  sed -n '/^type leaseManager struct {/,/^}/p' $(CORE)/lease.go; \
+		  sed -n '/^type recoveryState struct {/,/^}/p;/^type regionRecovery struct {/,/^}/p;/^type recTx struct {/,/^}/p;/^type voteCollector struct {/,/^}/p' $(CORE)/recovery.go; \
+		} | grep -v '^[[:space:]]*//' | grep -c 'map\[')"
 	@echo "sorted-keys call sites: $$(ls $(CORE)/*.go | grep -v _test.go | xargs grep -h '[A-Za-z0-9]Keys(' | grep -v '^func \|^[[:space:]]*//' | wc -l)"
 	@echo "cmd, examples, exper, perf non-test lines: $$(find cmd examples internal/exper internal/perf -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 

@@ -601,14 +601,20 @@ func Run(cfg Config) Result {
 	res.Commits, res.Aborts = load.Committed(), load.Aborted()
 	// Liveness after the quiesce: no client of an alive member of the final
 	// configuration still waits on an operation it began after the last
-	// power restore. Waiting on an answer owed by a machine that has left
-	// is not a legal stuck state: the configuration without it fails the
-	// call.
+	// power restore, and no call of such a member awaits its answer.
+	// Waiting on an answer owed by a machine that has left is not a legal
+	// stuck state: the configuration without it fails the call.
 	if last := latestMember(c); last != nil {
 		for _, id := range c.AliveMachines() {
-			if n := load.Open(id, nctx.restoredAt); n > 0 && last.Member(id) {
+			if !last.Member(id) {
+				continue
+			}
+			if n := load.Open(id, nctx.restoredAt); n > 0 {
 				res.Violations = append(res.Violations,
 					fmt.Sprintf("liveness: m%d still has %d operations open after the quiesce", id, n))
+			}
+			for _, call := range c.Machine(id).OpenCalls() {
+				res.Violations = append(res.Violations, fmt.Sprintf("liveness: m%d has a call open after the quiesce: %s", id, call))
 			}
 		}
 	}

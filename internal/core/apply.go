@@ -121,7 +121,6 @@ func (m *Machine) handleRecord(lr *logReader, rec *proto.Record, seq uint64, pre
 		}
 		rt = m.newRemoteTx(key, rec.Tx)
 	}
-	rt.lastChange = m.c.Eng.Now()
 	rt.frames = append(rt.frames, logFrame{lr: lr, seq: seq})
 	if len(rec.Regions) > 0 {
 		rt.regionHint = append(rt.regionHint[:0], rec.Regions...)

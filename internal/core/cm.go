@@ -73,7 +73,7 @@ func (m *Machine) AllocateRegion(hint uint32, cb func(region uint32, err error))
 		req.Locality = hint
 		req.HasHint = true
 	}
-	req.ID = m.call(int(m.config.CM), func(resp interface{}, err error) {
+	req.ID = m.call(int(m.config.CM), req, func(resp interface{}, err error) {
 		if err != nil {
 			m.c.Counters.Inc("region_alloc_stalled", 1)
 			cb(0, err)

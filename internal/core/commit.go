@@ -666,7 +666,7 @@ func (t *Tx) validateSet(vs []valRead, ctx trace.Ctx) {
 			// locks; a read-write commit's is the stall sweep's and
 			// recovery's to settle, like a lost LOCK-REPLY.
 			req := t.validateReqFor(entries)
-			req.ID = m.call(pm, func(resp interface{}, err error) {
+			req.ID = m.call(pm, req, func(resp interface{}, err error) {
 				switch {
 				case err == nil:
 					t.validated(resp.(*proto.ValidateReply).OK)

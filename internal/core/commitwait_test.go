@@ -14,6 +14,18 @@ import (
 // and a full lease after the last NEW-CONFIG-ACK only where it cannot bound
 // them.
 
+// awaitingAcks counts the NEW-CONFIG calls of configuration cfg (0: any)
+// open at m: its round has not collected their acks.
+func awaitingAcks(m *Machine, cfg uint64) int {
+	n := 0
+	for _, c := range m.calls {
+		if nc, ok := c.msg.(*proto.NewConfig); ok && (cfg == 0 || nc.Config.ID == cfg) {
+			n++
+		}
+	}
+	return n
+}
+
 // commitRound drives c until the next config-commit. It returns the commit
 // instant (the simulation stops there), the configuration committed, and
 // when the CM handled the round's last NEW-CONFIG-ACK. each, if not nil,
@@ -22,7 +34,7 @@ func commitRound(t *testing.T, c *Cluster, within sim.Time, each func()) (lastAc
 	t.Helper()
 	awaiting := func() bool {
 		for _, m := range c.Machines {
-			if m.awaitingAck() >= 0 {
+			if awaitingAcks(m, 0) > 0 {
 				return true
 			}
 		}
@@ -191,7 +203,8 @@ func TestCommitTimerCommitsOnlyItsConfiguration(t *testing.T) {
 	cm := c.Machine(0)
 	// A live machine first, so the round's wait is a lease, not zero.
 	cm.suspect(4)
-	runUntil(t, c, sim.Second, func() bool { return cm.config.ID == 2 && cm.awaitingAck() < 0 })
+	runUntil(t, c, sim.Second, func() bool { return cm.config.ID == 2 && awaitingAcks(cm, 0) == 0 })
+	lastOf2 := cm.nextRPC // round 2's last NEW-CONFIG call, answered
 	c.Kill(3)
 	cm.suspect(3)
 	// Between starting round 3 and adopting configuration 3 itself, the CM
@@ -200,9 +213,10 @@ func TestCommitTimerCommitsOnlyItsConfiguration(t *testing.T) {
 	if cm.config.ID != 2 {
 		t.Fatalf("the CM adopted configuration %d with its round", cm.config.ID)
 	}
-	cm.onNewConfigAck(1, &proto.NewConfigAck{ConfigID: 2})
-	if !cm.peer(1).awaitAck {
-		t.Fatal("an ack of configuration 2 was counted for round 3")
+	open := awaitingAcks(cm, 3)
+	cm.tp.reg.Lookup(&proto.NewConfigAck{}).Fn(1, &proto.NewConfigAck{ID: lastOf2, ConfigID: 2})
+	if open == 0 || awaitingAcks(cm, 3) != open {
+		t.Fatalf("an ack of configuration 2 was counted for round 3: %d calls open, then %d", open, awaitingAcks(cm, 3))
 	}
 
 	_, commitAt, cfg := commitRound(t, c, sim.Second, nil)

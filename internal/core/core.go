@@ -15,7 +15,7 @@
 //	machine.go   per-machine state (the peer and region tables), message
 //	             dispatch, log polling
 //	transport.go typed message transport: handler registry, the one send path,
-//	             the call table of requests awaiting an answer
+//	             the call table of requests awaiting an answer, resent by rule
 //	cm.go        region allocation and placement at the CM
 //	lease.go     failure detection: 3-way lease handshake, manager variants,
 //	             one driver for flat and two-level leases (grantorOf)
@@ -25,11 +25,10 @@
 //	apply.go     participant-side log record processing and truncation, the
 //	             pools of decoded records and participant entries
 //	truncate.go  coordinator-side lazy truncation, the id-window set
-//	watchdog.go  stall sweep: stuck lock/validate phases, unanswered calls,
-//	             lost decisions
+//	watchdog.go  stall sweep: stuck lock/validate phases, unanswered calls
 //	reconfig.go  precise-membership reconfiguration (Figure 5)
 //	join.go      cluster growth: a new machine joins by reconfiguration
-//	recovery.go  transaction state recovery (Figure 6)
+//	recovery.go  transaction state recovery (Figure 6) over the region table
 //	datarec.go   bulk data re-replication and allocator recovery
 //	power.go     whole-cluster power failure and restoration
 //	audit.go     replica state-integrity audits, localization and repair

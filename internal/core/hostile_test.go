@@ -68,9 +68,9 @@ func TestRecordFromUnknownMachine(t *testing.T) {
 	// Recovery messages about that coordinator's transactions are answered.
 	replies := c.Counters.Get("sent RECOVERY-VOTE") + c.Counters.Get("sent RECOVERY-DECISION-ACK")
 	prim.onRequestVote(coord.ID, &proto.RequestVote{Config: prim.config.ID, Tx: id, Region: region})
-	prim.onTruncateRecovery(&proto.TruncateRecovery{Config: prim.config.ID, Tx: id})
-	prim.onRecoveryDecision(coord.ID, id, false)
-	prim.onTruncateRecovery(&proto.TruncateRecovery{Config: prim.config.ID, Tx: id})
+	prim.onTruncateRecovery(coord.ID, &proto.TruncateRecovery{Config: prim.config.ID, Tx: id})
+	prim.onRecoveryDecision(coord.ID, 0, id, false)
+	prim.onTruncateRecovery(coord.ID, &proto.TruncateRecovery{Config: prim.config.ID, Tx: id})
 	c.RunFor(sim.Millisecond)
 	if got := c.Counters.Get("sent RECOVERY-VOTE") + c.Counters.Get("sent RECOVERY-DECISION-ACK"); got != replies+1 || len(prim.pend) != 0 {
 		// (No vote: this machine never ran a recovery. One ack.)
@@ -120,7 +120,7 @@ func TestMessagesNamingUnknownIDs(t *testing.T) {
 		// VALIDATE answers "not valid".
 		var reply *proto.ValidateReply
 		req := &proto.ValidateReq{Addrs: []proto.Addr{{Region: r}}, Versions: []uint64{0}}
-		req.ID = coord.call(prim.ID, func(resp interface{}, _ error) { reply, _ = resp.(*proto.ValidateReply) })
+		req.ID = coord.call(prim.ID, req, func(resp interface{}, _ error) { reply, _ = resp.(*proto.ValidateReply) })
 		sent := c.Counters.Get("sent VALIDATE-REPLY")
 		coord.send(prim.ID, req)
 		runUntil(t, c, sim.Second, func() bool { return reply != nil })
@@ -149,7 +149,7 @@ func TestMessagesNamingUnknownIDs(t *testing.T) {
 		{&proto.ValidateReq{Addrs: []proto.Addr{addr, addr}, Versions: []uint64{version}}, false},
 	} {
 		var reply *proto.ValidateReply
-		v.req.ID = coord.call(prim.ID, func(resp interface{}, _ error) { reply, _ = resp.(*proto.ValidateReply) })
+		v.req.ID = coord.call(prim.ID, v.req, func(resp interface{}, _ error) { reply, _ = resp.(*proto.ValidateReply) })
 		coord.send(prim.ID, v.req)
 		runUntil(t, c, sim.Second, func() bool { return reply != nil })
 		if reply.OK != v.ok {
@@ -169,8 +169,8 @@ func TestMessagesNamingUnknownIDs(t *testing.T) {
 	// or one that already failed, answer nothing: the failed call's done ran
 	// once, and a call still pending stays pending.
 	dones := 0
-	failed := coord.call(prim.ID, func(interface{}, error) { dones++ })
-	live := coord.call(prim.ID, func(interface{}, error) { dones++ })
+	failed := coord.call(prim.ID, &proto.MappingReq{}, func(interface{}, error) { dones++ })
+	live := coord.call(prim.ID, &proto.MappingReq{}, func(interface{}, error) { dones++ })
 	coord.failCalls(func(pc pendingCall) bool { return pc.id == failed })
 	for _, id := range []uint64{0, failed, live + 1, 1<<64 - 1} {
 		prim.send(coord.ID, &rpcReply{ID: id, Body: &allocSlotResp{OK: true}})
@@ -182,12 +182,50 @@ func TestMessagesNamingUnknownIDs(t *testing.T) {
 		t.Fatalf("stray answers: %d done calls, %d pending, want 1 and 1", dones, len(coord.calls))
 	}
 	coord.answer(live, nil)
+	// Nor does one answering a call that was answered already.
+	prim.send(coord.ID, &rpcReply{ID: live})
+	c.RunFor(sim.Millisecond)
+	if dones != 2 || len(coord.calls) != 0 {
+		t.Fatalf("a second answer: %d done calls, %d pending, want 2 and 0", dones, len(coord.calls))
+	}
+
+	// Recovery messages naming a region the table cannot hold, at a machine
+	// running recovery, are dropped or answered with an unknown vote; no
+	// table grows. A RECOVERY-VOTE naming a call id its sender never issued
+	// is collected and answered, and the answer finds no call there.
+	prim.startTxRecovery(prim.config.ID)
+	c.RunFor(sim.Millisecond)
+	tx := proto.TxID{Config: prim.config.ID - 1, Machine: uint16(coord.ID), Local: 1 << 40}
+	regions, pend, votes := len(prim.regions), len(prim.pend), c.Counters.Get("sent RECOVERY-VOTE")
+	for _, r := range []uint32{maxRegions, 1 << 31} {
+		lock := &proto.Record{Type: proto.RecLock, Tx: tx, Regions: []uint32{r}}
+		for _, msg := range []interface{}{
+			&proto.NeedRecovery{ID: 1, Config: prim.config.ID, Region: r, Txs: []proto.TxSeen{{Tx: tx, Saw: proto.SawLock}}},
+			&proto.SendTxState{Config: prim.config.ID, Region: r, Tx: tx, Lock: lock},
+			&proto.ReplicateTxState{ID: 1, Config: prim.config.ID, Region: r, Tx: tx, Lock: lock},
+			&proto.ReplicateTxStateAck{Config: prim.config.ID, Region: r, Tx: tx},
+			&proto.RequestVote{Config: prim.config.ID, Tx: tx, Region: r},
+		} {
+			prim.tp.reg.Lookup(msg).Fn(coord.ID, msg)
+		}
+	}
+	c.RunFor(sim.Millisecond)
+	if len(prim.regions) != regions || len(prim.pend) != pend || len(prim.calls) != 0 || len(coord.calls) != 0 ||
+		c.Counters.Get("sent RECOVERY-VOTE") != votes+2 {
+		t.Fatalf("regions %d → %d, pending %d → %d, calls %d and %d, %d votes, want 2",
+			regions, len(prim.regions), pend, len(prim.pend), len(prim.calls), len(coord.calls), c.Counters.Get("sent RECOVERY-VOTE")-votes)
+	}
+	coord.send(prim.ID, &proto.RecoveryVote{ID: coord.nextRPC + 100, Config: prim.config.ID, Region: region, Tx: tx, Vote: proto.VoteAbort})
+	c.RunFor(10 * sim.Millisecond)
+	if vc := prim.recov.votes[tx]; vc == nil || !vc.decided || vc.commit || len(prim.calls) != 0 || len(coord.calls) != 0 || dones != 2 {
+		t.Fatalf("vote naming an unissued call: collector %+v, calls %d and %d", vc, len(prim.calls), len(coord.calls))
+	}
 
 	// REGIONS-ACTIVE from a machine beyond the cluster never completes the
 	// CM's count; an ack from one never completes a NEW-CONFIG collection.
 	before := c.Counters.Get("sent ALL-REGIONS-ACTIVE") + c.Counters.Get("sent NEW-CONFIG-COMMIT")
 	cm.onRegionsActive(noSuchMachine, &proto.RegionsActive{ConfigID: cm.config.ID})
-	cm.onNewConfigAck(noSuchMachine, &proto.NewConfigAck{ConfigID: cm.config.ID})
+	cm.tp.reg.Lookup(&proto.NewConfigAck{}).Fn(noSuchMachine, &proto.NewConfigAck{ConfigID: cm.config.ID})
 	cm.onAllocPrepared(noSuchMachine, &proto.AllocRegionPrepared{Region: noSuchRegion, OK: true})
 	cm.onAllocPrepared(1, &proto.AllocRegionPrepared{Region: region, OK: true})
 	c.RunFor(sim.Millisecond)

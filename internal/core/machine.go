@@ -94,10 +94,6 @@ type remoteTx struct {
 	// frames are the log frames holding the transaction's records, reclaimed
 	// when it truncates.
 	frames []logFrame
-	// lastChange is when this entry last made protocol progress (a record,
-	// replicated state, or a recovery decision arrived). The stall sweep
-	// uses it to detect recovering transactions whose decision was lost.
-	lastChange sim.Time
 }
 
 // logFrame is one frame of a peer's log ring, by sequence number.
@@ -137,8 +133,6 @@ type peer struct {
 	// there, by packed id (made with the first).
 	truncQ       truncQueue
 	truncPending map[uint64]*coordTx
-	// awaitAck: at the CM, the peer's NEW-CONFIG-ACK is outstanding.
-	awaitAck bool
 	// trunc holds, per coordinator thread of the peer, the transaction ids
 	// truncated here (§5.3 step 6).
 	trunc []idWindow
@@ -254,20 +248,12 @@ type Machine struct {
 	fencedReports []func()
 	cm            *cmState
 	recov         *recoveryState
-	// earlyNeedRec buffers NEED-RECOVERY messages racing our own
-	// NEW-CONFIG-COMMIT.
-	earlyNeedRec []earlyNeed
 
 	// reconfiguring guards against concurrent reconfiguration attempts by
-	// this machine. The CM's NEW-CONFIG-ACK collection is peer.awaitAck;
-	// cmAckRound versions it so ack-collection timeout timers from a
-	// superseded NEW-CONFIG push cannot act on a newer one.
+	// this machine.
 	reconfiguring bool
-	cmAckRound    int
 	// configCommitted is false between adopting a NEW-CONFIG and receiving
-	// its COMMIT; while false the member periodically re-acks so a lost ack
-	// or lost COMMIT cannot wedge the protocol (clients stay blocked until
-	// COMMIT arrives).
+	// its COMMIT (clients stay blocked until COMMIT arrives).
 	configCommitted bool
 	// configShrank records whether the latest NEW-CONFIG removed any
 	// machine (then every region runs the recovery handshake).
@@ -390,6 +376,9 @@ type regionState struct {
 	activeWaiters []func()
 	// mappingWaiters await the outstanding mapping fetch; nil when none is.
 	mappingWaiters []func()
+	// recovery is the region's transaction recovery while this machine
+	// runs it as the primary (§5.3), for the configuration of m.recov.
+	recovery *regionRecovery
 }
 
 // maxRegions bounds the region table: the CM numbers regions 1, 2, 3, ...
@@ -476,14 +465,15 @@ func (m *Machine) fetchMapping(region uint32, fn func()) {
 		m.wakeMappingWaiters(region)
 		return
 	}
-	id := m.call(cm, func(_ interface{}, err error) {
+	req := &proto.MappingReq{Region: region}
+	req.ID = m.call(cm, req, func(_ interface{}, err error) {
 		// The MAPPING-RESP handler wakes the waiters of an answered fetch.
 		if err != nil {
 			m.c.Counters.Inc("mapping_fetch_stalled", 1)
 			m.wakeMappingWaiters(region)
 		}
 	})
-	m.send(cm, &proto.MappingReq{ID: id, Region: region})
+	m.send(cm, req)
 }
 
 func (m *Machine) wakeMappingWaiters(region uint32) {
@@ -635,13 +625,14 @@ func (m *Machine) SetAppHandler(h func(src int, req interface{}, call AppCall)) 
 // dst leaves the configuration, or txStallTimeout passes unanswered, cb gets
 // ErrUnavailable and a late answer is dropped.
 func (m *Machine) CallApp(dst int, req interface{}, cb func(resp interface{}, err error)) {
-	id := m.call(dst, func(resp interface{}, err error) {
+	call := &appCall{Req: req}
+	call.ID = m.call(dst, call, func(resp interface{}, err error) {
 		if err != nil {
 			m.c.Counters.Inc("app_call_stalled", 1)
 		}
 		cb(resp, err)
 	})
-	m.send(dst, &appCall{ID: id, Req: req})
+	m.send(dst, call)
 }
 
 // AppCall is how an application handler answers one CallApp request.

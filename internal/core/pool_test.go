@@ -128,7 +128,7 @@ func TestRecordHandedToRecoveryOutlivesPoolChurn(t *testing.T) {
 		}
 		return own != nil
 	})
-	prim.onFetchTxState(coord.ID, &proto.FetchTxState{Config: prim.config.ID, Region: region, TxIDs: []proto.TxID{id}})
+	prim.onFetchTxState(coord.ID, &proto.FetchTxState{Config: prim.config.ID, Region: region, Tx: id})
 	runUntil(t, c, sim.Second, func() bool { return got != nil && done })
 	if txErr != nil || got == own {
 		t.Fatalf("commit: %v; handed out the entry's own record: %v", txErr, got == own)

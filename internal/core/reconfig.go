@@ -2,7 +2,7 @@ package core
 
 import (
 	"maps"
-	"slices"
+	"math"
 
 	"farm/internal/fabric"
 	"farm/internal/proto"
@@ -282,15 +282,31 @@ func (m *Machine) becomeCM(cfg *proto.Config, suspects map[int]bool, bumpAll boo
 			}
 		}
 		m.cm.ackCfg, m.cm.unbounded = cfg.ID, m.cm.unbounded || cmChanged || bumpAll
-		m.clearAwaitAcks()
-		m.cmAckRound++
+		// The paper waits for every ack with no timeout, so one half-dead
+		// member would wedge reconfiguration with every client blocked. Each
+		// member's NEW-CONFIG is a call resent twice, two lease durations
+		// apart; a member whose call then fails is suspected, like one whose
+		// lease expired.
+		acks := len(cfg.Machines)
+		r := resend{every: 2 * m.c.Opts.LeaseDuration, tries: 2, cfg: cfg.ID, ctx: m.reconfigCtx}
 		for _, mem := range cfg.Machines {
-			if p := m.peer(int(mem)); p != nil {
-				p.awaitAck = true
-			}
-			m.sendCtx(int(mem), nc, m.reconfigCtx)
+			dst, push := int(mem), *nc
+			push.ID = m.callResent(dst, &push, r, func(_ interface{}, err error) {
+				switch {
+				case m.cm == nil || m.cm.ackCfg != cfg.ID:
+					// A round superseded by another suspicion.
+				case err == nil:
+					if acks--; acks == 0 {
+						m.commitConfig(cfg.ID)
+					}
+				case m.IsCM() && m.config.ID == cfg.ID:
+					m.c.Counters.Inc("reconfig_ack_timeout", 1)
+					m.c.trace("ack-timeout", m.ID, dst)
+					m.suspect(dst)
+				}
+			})
+			m.sendCtx(dst, &push, m.reconfigCtx)
 		}
-		m.armAckTimeout(m.cmAckRound, nc, 0)
 	}
 	if cmChanged && m.cm == nil {
 		// A new CM must first build the data structures only the CM
@@ -350,6 +366,10 @@ func (m *Machine) remapRegions(cfg *proto.Config, suspects map[int]bool) {
 // non-members, classify in-flight transactions, and ack.
 func (m *Machine) onNewConfig(src int, nc *proto.NewConfig) {
 	if nc.Config.ID <= m.config.ID {
+		if nc.Config.ID == m.config.ID && m.isMember(m.ID) {
+			// A resend: the ack was lost.
+			m.send(src, &proto.NewConfigAck{ID: nc.ID, ConfigID: nc.Config.ID})
+		}
 		return
 	}
 	oldCM := m.config.CM
@@ -440,27 +460,11 @@ func (m *Machine) onNewConfig(src int, nc *proto.NewConfig) {
 	if oldCM != m.config.CM {
 		m.lease.reset()
 	}
-	m.send(src, &proto.NewConfigAck{ConfigID: m.config.ID})
-	// Repair for lost acks / lost commits: until NEW-CONFIG-COMMIT arrives
-	// re-ack periodically. The interval is well inside the CM's ack-timeout
-	// eviction window, so a member whose single ack was dropped recovers
-	// instead of being evicted for it.
+	m.send(src, &proto.NewConfigAck{ID: nc.ID, ConfigID: m.config.ID})
 	m.configCommitted = false
-	m.armCommitReack(m.config.ID)
-	// No answer comes from a machine that left: its calls fail now.
-	m.failCalls(func(c pendingCall) bool { return !m.isMember(c.dst) })
-}
-
-// armCommitReack re-sends NEW-CONFIG-ACK while the commit is outstanding.
-func (m *Machine) armCommitReack(cfgID uint64) {
-	m.c.Eng.After(m.c.Opts.LeaseDuration+m.c.Opts.LeaseDuration/2, func() {
-		if !m.alive || m.configCommitted || m.config.ID != cfgID || !m.isMember(m.ID) {
-			return
-		}
-		m.c.Counters.Inc("reconfig_ack_resend", 1)
-		m.send(int(m.config.CM), &proto.NewConfigAck{ConfigID: cfgID})
-		m.armCommitReack(cfgID)
-	})
+	// No answer comes from a machine that left, and the calls of a
+	// superseded configuration end.
+	m.failCalls(func(c pendingCall) bool { return !m.isMember(c.dst) || c.every > 0 && c.cfg < m.config.ID })
 }
 
 // coordTxRecovering evaluates the recovering predicate with the
@@ -489,107 +493,45 @@ func (m *Machine) coordTxRecovering(ct *coordTx) bool {
 	return false
 }
 
-// armAckTimeout guards the CM's NEW-CONFIG-ACK collection against members
-// that cannot receive (one-way cuts) or whose acks are lost. The original
-// protocol waits for ALL acks with no timeout, so a single half-dead member
-// wedges reconfiguration forever while every client sits blocked. Repair:
-// re-push NEW-CONFIG to the silent members twice, then suspect them — a
-// member that cannot complete the handshake within ~6 lease durations is
-// treated exactly like one that failed its lease.
-func (m *Machine) armAckTimeout(round int, nc *proto.NewConfig, resends int) {
-	m.c.Eng.After(2*m.c.Opts.LeaseDuration, func() {
-		silent := m.awaitingAck()
-		if !m.alive || m.cmAckRound != round || silent < 0 ||
-			m.config.ID != nc.Config.ID || !m.IsCM() {
-			return
-		}
-		if resends < 2 {
-			m.c.Counters.Inc("reconfig_newconfig_resend", 1)
-			for _, p := range m.peers {
-				if p.awaitAck {
-					m.sendCtx(p.id, nc, m.reconfigCtx)
-				}
-			}
-			m.armAckTimeout(round, nc, resends+1)
-			return
-		}
-		// Deaf member: evict the lowest-id non-acker; a follow-up round
-		// removes any others.
-		m.clearAwaitAcks()
-		m.c.Counters.Inc("reconfig_ack_timeout", 1)
-		m.c.trace("ack-timeout", m.ID, silent)
-		m.suspect(silent)
-	})
-}
-
-// awaitingAck returns the lowest-id machine whose NEW-CONFIG-ACK the CM is
-// waiting for, -1 when no collection is running.
-func (m *Machine) awaitingAck() int {
-	return slices.IndexFunc(m.peers, func(p *peer) bool { return p.awaitAck })
-}
-
-// clearAwaitAcks ends, or resets, the CM's NEW-CONFIG-ACK collection.
-func (m *Machine) clearAwaitAcks() {
-	for _, p := range m.peers {
-		p.awaitAck = false
-	}
-}
-
-// onNewConfigAck is step 7 at the CM: once every member acked, wait out
-// the leases the removed machines may hold (commitWait), then commit. Acks
-// and the commit timer belong to one round: a round that begins meanwhile
-// (another suspicion) collects and commits its own configuration.
-func (m *Machine) onNewConfigAck(src int, ack *proto.NewConfigAck) {
-	if m.cm == nil || ack.ConfigID != m.config.ID || ack.ConfigID != m.cm.ackCfg {
-		return
-	}
-	if m.awaitingAck() < 0 {
-		// Ack collection already finished: this is a member re-acking
-		// because it never saw NEW-CONFIG-COMMIT (the commit was dropped, or
-		// its original ack was a duplicate). The commit wait already ran, so
-		// answer directly.
-		if m.IsCM() && m.configCommitted {
-			m.send(src, &proto.NewConfigCommit{ConfigID: m.config.ID})
-		}
-		return
-	}
-	if p := m.peer(src); p != nil {
-		p.awaitAck = false
-	}
-	if m.awaitingAck() >= 0 {
-		return
-	}
-	round, cfg := m.cmAckRound, m.config.ID
+// commitConfig is step 7 at the CM once every member acked cfg: wait out
+// the leases the removed machines may hold (commitWait), then commit. A
+// round that begins meanwhile (another suspicion) commits its own
+// configuration instead.
+func (m *Machine) commitConfig(cfg uint64) {
 	m.c.Eng.After(m.lease.commitWait(m.cm.removed, m.cm.unbounded), func() {
-		if !m.alive || !m.IsCM() || m.cmAckRound != round || m.config.ID != cfg {
+		if !m.alive || !m.IsCM() || m.cm.ackCfg != cfg || m.config.ID != cfg {
 			return
 		}
 		for _, r := range m.cm.removed {
 			delete(m.lease.granted, r) // an id that comes back starts afresh
 		}
 		m.cm.removed, m.cm.unbounded = m.cm.removed[:0], false
-		m.c.trace("config-commit", m.ID, int(m.config.ID))
+		m.c.trace("config-commit", m.ID, int(cfg))
 		if m.reconfigCtx.Valid() {
-			m.trb.End(m.reconfigCtx, m.c.Eng.Now(), int64(m.config.ID))
+			m.trb.End(m.reconfigCtx, m.c.Eng.Now(), int64(cfg))
 			m.reconfigCtx = trace.Ctx{}
 		}
 		if m.trb != nil {
-			m.trb.Event("recovery", "config-commit", m.c.Eng.Now(),
-				trace.RecoveryTraceBit|m.config.ID, 0, int64(m.config.ID))
+			m.trb.Event("recovery", "config-commit", m.c.Eng.Now(), trace.RecoveryTraceBit|cfg, 0, int64(cfg))
 		}
+		r := resend{every: 2 * m.c.Opts.LeaseDuration, tries: math.MaxInt, cfg: cfg, ctx: m.recoveryTraceCtx()}
 		for _, mem := range m.config.Machines {
-			m.sendCtx(int(mem), &proto.NewConfigCommit{ConfigID: m.config.ID}, m.recoveryTraceCtx())
+			cc := &proto.NewConfigCommit{ConfigID: cfg}
+			cc.ID = m.callResent(int(mem), cc, r, nil)
+			m.sendCtx(int(mem), cc, r.ctx)
 		}
 	})
 }
 
-// onNewConfigCommit triggers transaction state recovery (§5.3).
-func (m *Machine) onNewConfigCommit(cc *proto.NewConfigCommit) {
+// onNewConfigCommit answers the CM and triggers transaction state
+// recovery (§5.3).
+func (m *Machine) onNewConfigCommit(src int, cc *proto.NewConfigCommit) {
 	if cc.ConfigID != m.config.ID {
 		return
 	}
+	m.send(src, &rpcReply{ID: cc.ID})
 	if m.configCommitted {
-		return // duplicate commit (re-ack answered after the original landed)
+		return // a resend: the answer was lost
 	}
 	m.configCommitted = true
 	m.lease.start()

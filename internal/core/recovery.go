@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"hash/fnv"
+	"math"
 	"slices"
 
 	"farm/internal/proto"
@@ -23,24 +24,22 @@ import (
 //     recovery coordinator; explicit REQUEST-VOTE after a 250 µs timeout
 //  7. decide, then COMMIT/ABORT-RECOVERY and TRUNCATE-RECOVERY
 //
+// Every request of these steps is a call the table resends every voteTimeout
+// until answered (transport.go), so a lost message delays recovery and cannot
+// wedge it. A receiver not ready yet leaves a request unanswered; a request
+// whose answer was lost comes back, so every handler is idempotent.
+//
 // The recovery coordinator is the original coordinator if it is still in
 // the configuration, otherwise a machine chosen by hashing the transaction
 // id over the membership — a deterministic rule every machine evaluates
 // identically, which is what the paper's consistent hashing provides.
 
-// earlyNeed buffers NEED-RECOVERY messages that arrive before this
-// machine's NEW-CONFIG-COMMIT.
-type earlyNeed struct {
-	src int
-	msg *proto.NeedRecovery
-}
-
-// recoveryState is per-machine, per-configuration recovery progress.
+// recoveryState is per-machine, per-configuration recovery progress. The
+// regions this machine recovers as their primary hang off the region table
+// (regionState.recovery).
 type recoveryState struct {
 	configID uint64
 	drained  bool
-	// regions under recovery at this machine (we are the primary).
-	regions map[uint32]*regionRecovery
 	// votes collected by this machine as a recovery coordinator.
 	votes map[proto.TxID]*voteCollector
 	// regionsActiveSent guards the REGIONS-ACTIVE report.
@@ -49,13 +48,17 @@ type recoveryState struct {
 	ctx trace.Ctx
 }
 
-// newRecoveryState opens transaction recovery for configuration configID.
-func newRecoveryState(configID uint64) *recoveryState {
-	return &recoveryState{
-		configID: configID,
-		regions:  make(map[uint32]*regionRecovery),
-		votes:    make(map[proto.TxID]*voteCollector),
-	}
+// recovering reports whether this machine runs its configuration's recovery.
+func (m *Machine) recovering() bool { return m.recov != nil && m.recov.configID == m.config.ID }
+
+// voteTimeout is how long the recovery coordinator waits for votes before
+// sending explicit REQUEST-VOTE messages (§5.3), and the interval at which
+// every recovery call is resent.
+const voteTimeout = 250 * sim.Microsecond
+
+// recoveryResend is the resend rule of every §5.3 call.
+func (m *Machine) recoveryResend(ctx trace.Ctx) resend {
+	return resend{every: voteTimeout, tries: math.MaxInt, cfg: m.config.ID, ctx: ctx}
 }
 
 // recoveryTraceCtx tags a send with the current configuration's recovery
@@ -68,78 +71,83 @@ func (m *Machine) recoveryTraceCtx() trace.Ctx {
 	return trace.Ctx{Trace: trace.RecoveryTraceBit | m.config.ID}
 }
 
-// regionRecovery drives steps 3–6 for one region at its primary.
+// regionRecovery drives steps 3–6 for one region at its primary. A
+// position in replicas, the region's placement, indexes needed and each
+// transaction's sawBy; position 0 is this primary.
 type regionRecovery struct {
-	region uint32
-	// needed lists backups whose NEED-RECOVERY has not arrived yet.
-	needed map[int]bool
-	txs    map[mtl]*recTx
+	region   uint32
+	replicas []uint16
+	// needed[i] is set until backup i's NEED-RECOVERY arrives.
+	needed []bool
+	// txs are the recovering transactions, in mtl order.
+	txs []*recTx
 	// phase: 0 waiting (drain+NEED-RECOVERY), 1 fetching/locking,
 	// 2 active (locks recovered; replication/votes may still be running).
 	phase int
 	// ctx is the open "lock-recovery" span for this region.
 	ctx trace.Ctx
-	// pendingLock resumes lock acquisition once record fetches complete.
-	pendingLock func()
 }
 
-// newRegionRecovery opens recovery of region at its primary, waiting for a
-// NEED-RECOVERY from every other replica rm lists.
-func (m *Machine) newRegionRecovery(region uint32, rm *proto.RegionMap) *regionRecovery {
-	rr := &regionRecovery{region: region, needed: make(map[int]bool), txs: make(map[mtl]*recTx)}
-	for _, b := range rm.Replicas[1:] {
-		if int(b) != m.ID {
-			rr.needed[int(b)] = true
+// openRegionRecovery returns the recovery of region, whose slot is rs, at
+// its primary. A new one waits for a NEED-RECOVERY from every other replica.
+func (m *Machine) openRegionRecovery(region uint32, rs *regionState) *regionRecovery {
+	if rs.recovery == nil {
+		reps := rs.mapping.Replicas
+		rr := &regionRecovery{region: region, replicas: reps, needed: make([]bool, len(reps))}
+		for i, b := range reps {
+			rr.needed[i] = i > 0 && int(b) != m.ID
 		}
+		rs.recovery = rr
 	}
-	return rr
+	return rs.recovery
 }
 
 // recTx is one recovering transaction's state at a region primary.
 type recTx struct {
 	id  proto.TxID
 	saw uint8 // merged over all replicas of the region
-	// sawBy[machine] is each replica's own view, for replication targets.
-	sawBy            map[int]uint8
-	lock             *proto.Record
-	fetchOutstanding int
-	replOutstanding  int
-	voted            bool
+	// sawBy[i] is replica i's own view: where a missing lock record is
+	// fetched from, and which backups it is replicated to (steps 4–5).
+	sawBy []uint8
+	lock  *proto.Record
+	voted bool
 }
 
 // voteCollector gathers votes at the recovery coordinator.
 type voteCollector struct {
-	id           proto.TxID
-	regions      map[uint32]proto.Vote
-	known        map[uint32]bool
-	decided      bool
-	commit       bool
-	participants map[int]bool
-	// acked records which participants acknowledged the decision. A set —
-	// not a countdown — because decisions are retransmitted (late voters,
-	// QUERY-DECISION) and duplicate acks must not trip truncation early:
-	// a premature TRUNCATE-RECOVERY at a participant that never saw an
-	// ABORT-RECOVERY would apply the aborted writes at its backups.
-	acked map[int]bool
+	id proto.TxID
+	// regions are the transaction's write regions, in id order.
+	regions         []regionVote
+	decided, commit bool
+	// participants are the machines the decision goes to, in id order;
+	// unacked counts the decisions not acknowledged yet. Truncation waits
+	// for every acknowledgement: truncated at one participant before another
+	// saw its ABORT-RECOVERY, a transaction could commit in a later recovery.
+	participants []int
+	unacked      int
 	// ctx is the "vote-decide" span, open from the collector's creation to
 	// the decision; decision fan-out reuses it as the causal context.
 	ctx trace.Ctx
 }
 
+// regionVote is one write region's entry in a vote collector: its vote
+// once one came, and ask, the REQUEST-VOTE call the vote answers.
+type regionVote struct {
+	region uint32
+	vote   proto.Vote
+	voted  bool
+	ask    uint64
+}
+
 // startTxRecovery runs on NEW-CONFIG-COMMIT.
 func (m *Machine) startTxRecovery(configID uint64) {
-	m.recov = newRecoveryState(configID)
+	m.recov = &recoveryState{configID: configID, votes: make(map[proto.TxID]*voteCollector)}
+	for i := range m.regions {
+		m.regions[i].recovery = nil
+	}
 	if m.trb != nil {
 		m.recov.ctx = m.trb.Begin("recovery", "drain", m.c.Eng.Now(),
 			trace.RecoveryTraceBit|configID, 0, int64(len(m.peers)))
-	}
-	// Replay NEED-RECOVERY messages that raced ahead of our commit.
-	early := m.earlyNeedRec
-	m.earlyNeedRec = nil
-	for _, e := range early {
-		if e.msg.Config == configID {
-			m.onNeedRecovery(e.src, e.msg)
-		}
 	}
 	// Step 2: drain all logs. Records present in the rings at this instant
 	// are processed as part of the drain; records landing from now on see
@@ -152,7 +160,7 @@ func (m *Machine) startTxRecovery(configID uint64) {
 		if outstanding > 0 {
 			return
 		}
-		if !m.alive || m.recov == nil || m.recov.configID != m.config.ID {
+		if !m.alive || !m.recovering() || m.recov.configID != configID {
 			return
 		}
 		m.recov.drained = true
@@ -184,40 +192,35 @@ func (m *Machine) drainLog(lr *logReader, cb func()) {
 	})
 }
 
+// recoveringRegion reports whether the region in slot rs, hosted here, has
+// changed replicas in this configuration, or the configuration lost a
+// machine — then every region runs the (possibly empty) handshake, since a
+// removed machine may have coordinated transactions touching any region. A
+// hosted region's slot has its placement, primary first.
+func (m *Machine) recoveringRegion(rs *regionState) bool {
+	return rs.rep != nil && (rs.mapping.LastReplicaChange >= m.config.ID || m.configShrank)
+}
+
 // findRecoveringTxs is step 3: classify every transaction with records in
 // our logs; route NEED-RECOVERY messages; set up per-region recovery.
 func (m *Machine) findRecoveringTxs() {
-	rs := m.recov
-	// Initialize region recovery for every region we are (now) primary
-	// for. Regions whose replicas are all unchanged never instantiate
-	// recovery state, matching the paper's "only recovering transactions
-	// go through transaction recovery".
+	// Open recovery for every recovering region we are (now) primary for.
+	// Regions whose replicas are all unchanged never instantiate recovery
+	// state, matching the paper's "only recovering transactions go through
+	// transaction recovery".
 	for i := range m.regions {
-		id, rm, rep := uint32(i), m.regions[i].mapping, m.regions[i].rep
-		if rm == nil || rep == nil || !rep.primary {
-			continue
+		if rs := &m.regions[i]; m.recoveringRegion(rs) && rs.rep.primary {
+			m.openRegionRecovery(uint32(i), rs)
 		}
-		if rm.LastReplicaChange < m.config.ID && !m.configShrank {
-			continue
-		}
-		if rs.regions[id] != nil {
-			continue // created on demand by an early NEED-RECOVERY
-		}
-		rs.regions[id] = m.newRegionRecovery(id, rm)
 	}
-
 	// Classify our participant-side transactions.
-	needByPrimary := make(map[int]map[uint32][]proto.TxSeen)
+	need := make([][]proto.TxSeen, len(m.regions))
 	for _, k := range sortedKeys(m.pend, mtlCmp) {
 		rt := m.pend[k]
 		if !m.txIsRecovering(rt) {
 			continue
 		}
 		for _, region := range rt.regions() {
-			rm := m.mapping(region)
-			if rm == nil || len(rm.Replicas) == 0 {
-				continue
-			}
 			// What we saw is evidence for the regions our records write to
 			// (step 3: transactions "that updated the region"), not for every
 			// region they list: a record carries the writes of the regions
@@ -226,76 +229,66 @@ func (m *Machine) findRecoveringTxs() {
 			// our COMMIT-BACKUP to count there, a region none of whose
 			// replicas ever received the write would vote commit-backup and
 			// the transaction commit without it.
-			if m.replica(region) == nil || !remoteTxTouches(rt, region) {
+			rs := m.region(region)
+			if rs == nil || rs.rep == nil || !remoteTxTouches(rt, region) {
 				continue
 			}
-			if int(rm.Replicas[0]) == m.ID {
-				// We are the primary: fold into region recovery directly.
-				rr := rs.regions[region]
-				if rr == nil {
-					rr = m.newRegionRecovery(region, rm)
-					rs.regions[region] = rr
-				}
-				rr.add(m.ID, rt.id, rt.saw, rt.lock.Clone())
+			if rs.rep.primary {
+				m.openRegionRecovery(region, rs).add(0, rt.id, rt.saw, rt.lock.Clone())
 			} else {
-				// We are a backup: report to the primary (step 3).
-				p := int(rm.Replicas[0])
-				if needByPrimary[p] == nil {
-					needByPrimary[p] = make(map[uint32][]proto.TxSeen)
-				}
-				needByPrimary[p][region] = append(needByPrimary[p][region],
-					proto.TxSeen{Tx: rt.id, Saw: rt.saw})
+				need[region] = append(need[region], proto.TxSeen{Tx: rt.id, Saw: rt.saw})
 			}
 		}
 	}
 	// Every backup sends NEED-RECOVERY for every recovering region it
 	// backs, even when it has nothing, so primaries can detect completion.
+	ctx := m.recoveryTraceCtx()
 	for i := range m.regions {
-		id, rm, rep := uint32(i), m.regions[i].mapping, m.regions[i].rep
-		if rm == nil || rep == nil || rep.primary || len(rm.Replicas) == 0 || int(rm.Replicas[0]) == m.ID {
+		rs := &m.regions[i]
+		if need[i] == nil && (!m.recoveringRegion(rs) || rs.rep.primary) {
 			continue
 		}
-		if rm.LastReplicaChange < m.config.ID && !m.configShrank {
-			continue
-		}
-		p := int(rm.Replicas[0])
-		if needByPrimary[p] == nil {
-			needByPrimary[p] = make(map[uint32][]proto.TxSeen)
-		}
-		if _, ok := needByPrimary[p][id]; !ok {
-			needByPrimary[p][id] = nil
-		}
+		p := int(rs.mapping.Replicas[0])
+		nr := &proto.NeedRecovery{Config: m.config.ID, Region: uint32(i), Txs: need[i]}
+		nr.ID = m.callResent(p, nr, m.recoveryResend(ctx), nil)
+		m.sendCtx(p, nr, ctx)
 	}
-	for _, p := range sortedKeys(needByPrimary, cmp.Compare[int]) {
-		byRegion := needByPrimary[p]
-		for _, region := range sortedKeys(byRegion, cmp.Compare[uint32]) {
-			m.sendCtx(p, &proto.NeedRecovery{Config: m.config.ID, Region: region, Txs: byRegion[region]},
-				m.recoveryTraceCtx())
-		}
-	}
-	m.c.Counters.Inc("recovering_tx_found", uint64(countRecovering(rs)))
+	m.c.Counters.Inc("recovering_tx_found", uint64(m.countRecovering()))
 
-	// Coordinator side: arm vote collection for our own recovering
-	// transactions so read-set-only recoveries make progress too.
+	// Coordinator side: collect votes for our own recovering transactions.
+	// One with no write region (read-set-only recovery) aborts.
 	for _, id := range sortedKeys(m.inflight, txIDCmp) {
 		if ct := m.inflight[id]; ct.recovering {
-			m.armVoteCollector(ct.id, ct.writeRegions, ct.participantSet())
+			vc := m.collectVotes(ct.id, ct.writeRegions)
+			for i := range ct.groups {
+				vc.addParticipant(ct.groups[i].dst)
+			}
+			if len(vc.regions) == 0 {
+				m.decide(vc, false)
+			}
 		}
 	}
-	for _, region := range sortedKeys(rs.regions, cmp.Compare[uint32]) {
-		m.maybeRecoverRegion(rs.regions[region])
+	for i := range m.regions {
+		if rr := m.regions[i].recovery; rr != nil {
+			m.maybeRecoverRegion(rr)
+		}
 	}
 	m.maybeAllPrimariesActive()
 }
 
-func countRecovering(rs *recoveryState) int {
-	seen := make(map[mtl]bool)
-	for _, rr := range rs.regions {
-		for k := range rr.txs {
-			seen[k] = true
+// countRecovering counts the distinct transactions the regions recovered
+// here list.
+func (m *Machine) countRecovering() int {
+	var ids []mtl
+	for i := range m.regions {
+		if rr := m.regions[i].recovery; rr != nil {
+			for _, rt := range rr.txs {
+				ids = append(ids, mtlOf(rt.id))
+			}
 		}
 	}
-	return len(seen)
+	slices.SortFunc(ids, mtlCmp)
+	return len(slices.Compact(ids))
 }
 
 // regions returns the region list a participant knows for a transaction.
@@ -323,59 +316,57 @@ func (m *Machine) txIsRecovering(rt *remoteTx) bool {
 	return false
 }
 
-// add merges one replica's knowledge of a recovering transaction into the
+// find locates a transaction in the region's ordered txs.
+func (rr *regionRecovery) find(id proto.TxID) (int, bool) {
+	return slices.BinarySearchFunc(rr.txs, mtlOf(id), func(rt *recTx, k mtl) int { return mtlCmp(mtlOf(rt.id), k) })
+}
+
+// add merges replica pos's knowledge of a recovering transaction into the
 // region's recovery state.
-func (rr *regionRecovery) add(from int, id proto.TxID, saw uint8, lock *proto.Record) {
-	k := mtlOf(id)
-	rt := rr.txs[k]
-	if rt == nil {
-		rt = &recTx{id: id, sawBy: make(map[int]uint8)}
-		rr.txs[k] = rt
+func (rr *regionRecovery) add(pos int, id proto.TxID, saw uint8, lock *proto.Record) {
+	i, ok := rr.find(id)
+	if !ok {
+		rr.txs = slices.Insert(rr.txs, i, &recTx{id: id, sawBy: make([]uint8, len(rr.replicas))})
 	}
+	rt := rr.txs[i]
 	rt.saw |= saw
-	rt.sawBy[from] |= saw
+	rt.sawBy[pos] |= saw
 	if rt.lock == nil && lock != nil {
 		rt.lock = lock
 	}
 }
 
-// onNeedRecovery merges a backup's report (step 3 → step 4 hand-off).
+// onNeedRecovery merges a backup's report (step 3 → step 4 hand-off) and
+// answers it. Before this machine's own NEW-CONFIG-COMMIT it does not: the
+// resend brings the report back.
 func (m *Machine) onNeedRecovery(src int, nr *proto.NeedRecovery) {
-	if nr.Config != m.config.ID {
+	rs := m.region(nr.Region)
+	if nr.Config != m.config.ID || !m.recovering() || rs == nil || rs.rep == nil || !rs.rep.primary {
 		return
 	}
-	if m.recov == nil || m.recov.configID != m.config.ID {
-		// NEW-CONFIG-COMMIT has not reached us yet; replay once it does.
-		m.earlyNeedRec = append(m.earlyNeedRec, earlyNeed{src: src, msg: nr})
-		return
-	}
-	rr := m.recov.regions[nr.Region]
+	rr := rs.recovery
 	if rr == nil {
 		// We did not classify this region as recovering (e.g. only the
-		// coordinator died); create recovery state on demand.
-		rm := m.mapping(nr.Region)
-		rep := m.replica(nr.Region)
-		if rm == nil || rep == nil || !rep.primary {
-			return
-		}
-		rr = m.newRegionRecovery(nr.Region, rm)
-		// Fold in our own matching pending transactions.
+		// coordinator died); create recovery state on demand, with our own
+		// matching pending transactions.
+		rr = m.openRegionRecovery(nr.Region, rs)
 		for _, rt := range m.pend {
-			if !m.txIsRecovering(rt) {
-				continue
-			}
-			for _, r := range rt.regions() {
-				if r == nr.Region && remoteTxTouches(rt, r) {
-					rr.add(m.ID, rt.id, rt.saw, rt.lock.Clone())
-				}
+			if m.txIsRecovering(rt) && slices.Contains(rt.regions(), nr.Region) && remoteTxTouches(rt, nr.Region) {
+				rr.add(0, rt.id, rt.saw, rt.lock.Clone())
 			}
 		}
-		m.recov.regions[nr.Region] = rr
 	}
-	for _, ts := range nr.Txs {
-		rr.add(src, ts.Tx, ts.Saw, nil)
+	pos := slices.Index(rr.replicas, uint16(src))
+	if pos <= 0 {
+		return
 	}
-	delete(rr.needed, src)
+	if rr.needed[pos] { // a resend whose answer was lost is only answered
+		for _, ts := range nr.Txs {
+			rr.add(pos, ts.Tx, ts.Saw, nil)
+		}
+		rr.needed[pos] = false
+	}
+	m.send(src, &rpcReply{ID: nr.ID})
 	m.maybeRecoverRegion(rr)
 }
 
@@ -384,7 +375,7 @@ func (m *Machine) onNeedRecovery(src int, nr *proto.NeedRecovery) {
 // region becomes active immediately after (§5.3's fast path), with record
 // replication and voting continuing in the background.
 func (m *Machine) maybeRecoverRegion(rr *regionRecovery) {
-	if m.recov == nil || !m.recov.drained || len(rr.needed) > 0 || rr.phase != 0 {
+	if !m.recov.drained || slices.Contains(rr.needed, true) || rr.phase != 0 {
 		return
 	}
 	rr.phase = 1
@@ -392,75 +383,93 @@ func (m *Machine) maybeRecoverRegion(rr *regionRecovery) {
 		rr.ctx = m.trb.Begin("recovery", "lock-recovery", m.c.Eng.Now(),
 			trace.RecoveryTraceBit|m.config.ID, 0, int64(rr.region))
 	}
-	rep := m.replica(rr.region)
-	if rep == nil {
+	for _, rt := range rr.txs {
+		m.fetchLock(rr, rt)
+	}
+	m.lockRegion(rr)
+}
+
+// holder returns the position of a backup that saw rt's lock record while
+// the primary lacks it, -1 if there is none.
+func holder(rt *recTx) int {
+	for b := 1; rt.lock == nil && b < len(rt.sawBy); b++ {
+		if rt.sawBy[b]&(proto.SawLock|proto.SawCommitBackup) != 0 {
+			return b
+		}
+	}
+	return -1
+}
+
+// fetchLock asks a backup that saw rt's lock record for it (step 4). An
+// answer without one clears what that backup claimed, and the next is
+// asked; once no transaction lacks a record a backup holds, the region
+// locks.
+func (m *Machine) fetchLock(rr *regionRecovery, rt *recTx) {
+	b := holder(rt)
+	if b < 0 {
 		return
 	}
-	var lockAll func()
-	lockAll = func() {
-		for _, rt := range rr.txs {
-			if rt.fetchOutstanding > 0 {
-				return
-			}
+	dst := int(rr.replicas[b])
+	f := &proto.FetchTxState{Config: m.config.ID, Region: rr.region, Tx: rt.id}
+	f.ID = m.callResent(dst, f, m.recoveryResend(rr.ctx), func(resp interface{}, err error) {
+		if err != nil {
+			return
 		}
-		// Shard lock recovery across threads by coordinator thread id and
-		// charge the CPU there (§5.3 step 4).
-		work := make([][]*recTx, m.c.Opts.Threads)
-		pendingThreads := 0
-		for _, k := range sortedKeys(rr.txs, mtlCmp) {
-			rt := rr.txs[k]
-			th := int(rt.id.Thread) % len(work)
-			if work[th] == nil {
-				pendingThreads++
-			}
-			work[th] = append(work[th], rt)
+		if s := resp.(*proto.SendTxState); s.Lock != nil {
+			rt.lock = s.Lock
+			// Also install the record in the participant state so a later
+			// COMMIT-RECOVERY can apply the writes (the primary may never
+			// have received the original LOCK record).
+			m.installPendLock(rt.id, s.Lock)
+		} else {
+			rt.sawBy[b] &^= proto.SawLock | proto.SawCommitBackup
+			m.fetchLock(rr, rt)
 		}
-		finish := func() {
-			pendingThreads--
-			if pendingThreads > 0 {
-				return
-			}
+		m.lockRegion(rr)
+	})
+	m.sendCtx(dst, f, rr.ctx)
+}
+
+// lockRegion acquires the recovering transactions' locks once every lock
+// record a backup holds is here, sharded across threads by coordinator
+// thread id with the CPU charged there (§5.3 step 4), then activates the
+// region and starts steps 5–6.
+func (m *Machine) lockRegion(rr *regionRecovery) {
+	rep := m.replica(rr.region)
+	if rep == nil || slices.ContainsFunc(rr.txs, func(rt *recTx) bool { return holder(rt) >= 0 }) {
+		return
+	}
+	work := make([][]*recTx, m.c.Opts.Threads)
+	for _, rt := range rr.txs {
+		th := int(rt.id.Thread) % len(work)
+		work[th] = append(work[th], rt)
+	}
+	left := 1 // sentinel so the region cannot activate before every shard ran
+	finish := func() {
+		if left--; left == 0 {
 			rr.phase = 2
 			m.endLockRecSpan(rr)
 			m.activateRegion(rr.region)
 			m.replicateAndVote(rr)
 		}
-		if pendingThreads == 0 {
-			finish()
-			return
-		}
-		for th, txs := range work {
-			if txs == nil {
-				continue
-			}
-			cost := sim.Time(len(txs)) * (cpuPerObject*4 + cpuLocal)
-			m.pool.ByIndex(th).Do(cost, func() {
-				if !m.alive {
-					return
-				}
-				for _, rt := range txs {
-					m.recoverLocks(rep, rt)
-				}
-				finish()
-			})
-		}
 	}
-	// Fetch lock records we are missing but some backup saw (step 4).
-	for _, k := range sortedKeys(rr.txs, mtlCmp) {
-		rt := rr.txs[k]
-		if rt.lock != nil || rt.saw&(proto.SawLock|proto.SawCommitBackup) == 0 {
+	for th, txs := range work {
+		if txs == nil {
 			continue
 		}
-		for _, b := range sortedKeys(rt.sawBy, cmp.Compare[int]) {
-			if saw := rt.sawBy[b]; b != m.ID && saw&(proto.SawLock|proto.SawCommitBackup) != 0 {
-				rt.fetchOutstanding++
-				m.sendCtx(b, &proto.FetchTxState{Config: m.config.ID, Region: rr.region, TxIDs: []proto.TxID{rt.id}}, rr.ctx)
-				break
+		left++
+		cost := sim.Time(len(txs)) * (cpuPerObject*4 + cpuLocal)
+		m.pool.ByIndex(th).Do(cost, func() {
+			if !m.alive {
+				return
 			}
-		}
+			for _, rt := range txs {
+				m.recoverLocks(rep, rt)
+			}
+			finish()
+		})
 	}
-	rr.pendingLock = lockAll
-	lockAll()
+	finish()
 }
 
 // installPendLock upserts a recovered lock record into the participant
@@ -484,7 +493,6 @@ func (m *Machine) installPendLock(id proto.TxID, lock *proto.Record) {
 		}
 	}
 	rt.saw |= proto.SawLock
-	rt.lastChange = m.c.Eng.Now()
 }
 
 // recoverLocks write-locks every object a recovering transaction modified
@@ -552,12 +560,8 @@ func (m *Machine) maybeAllPrimariesActive() {
 		return
 	}
 	for i := range m.regions {
-		if rep := m.regions[i].rep; rep != nil && rep.primary && !rep.active {
-			return
-		}
-	}
-	for _, rr := range m.recov.regions {
-		if rr.phase < 2 {
+		rs := &m.regions[i]
+		if rs.rep != nil && rs.rep.primary && !rs.rep.active || rs.recovery != nil && rs.recovery.phase < 2 {
 			return
 		}
 	}
@@ -568,56 +572,65 @@ func (m *Machine) maybeAllPrimariesActive() {
 // replicateAndVote is steps 5–6: push lock records to backups missing
 // them, then vote to the recovery coordinator, sharded by thread.
 func (m *Machine) replicateAndVote(rr *regionRecovery) {
-	rm := m.mapping(rr.region)
-	if rm == nil {
-		return
-	}
-	for _, k := range sortedKeys(rr.txs, mtlCmp) {
-		rt := rr.txs[k]
-		if rt.voted {
-			continue
-		}
-		if rt.lock != nil {
-			for _, b := range rm.Replicas[1:] {
-				bid := int(b)
-				if bid == m.ID {
-					continue
-				}
-				if rt.sawBy[bid]&(proto.SawLock|proto.SawCommitBackup) == 0 {
-					rt.replOutstanding++
-					lock := rt.lock.Clone() // records leave a machine as copies of their own
-					m.sendCtx(bid, &proto.ReplicateTxState{
-						Config: m.config.ID, Region: rr.region, Tx: rt.id, Lock: lock,
-					}, m.recoveryTraceCtx())
-				}
+	for _, rt := range rr.txs {
+		for b := 1; !rt.voted && rt.lock != nil && b < len(rt.sawBy); b++ {
+			if rt.sawBy[b]&(proto.SawLock|proto.SawCommitBackup) == 0 {
+				m.replicate(rr, rt, b)
 			}
 		}
-		if rt.replOutstanding == 0 {
+		if replicated(rt) {
 			m.voteFor(rr, rt)
 		}
 	}
 }
 
-// voteFor computes and sends the region's vote (§5.3 step 6 rules).
+// replicated reports whether every backup holds rt's lock record: a vote
+// waits for that (step 5 → 6: "vote as before after first waiting for log
+// replication ... to complete").
+func replicated(rt *recTx) bool {
+	for b := 1; rt.lock != nil && b < len(rt.sawBy); b++ {
+		if rt.sawBy[b]&(proto.SawLock|proto.SawCommitBackup) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// replicate sends rt's lock record to the backup at position b; its answer
+// may complete the replication the vote waits for.
+func (m *Machine) replicate(rr *regionRecovery, rt *recTx, b int) {
+	dst, ctx := int(rr.replicas[b]), m.recoveryTraceCtx()
+	r := &proto.ReplicateTxState{Config: m.config.ID, Region: rr.region, Tx: rt.id,
+		Lock: rt.lock.Clone()} // records leave a machine as copies of their own
+	r.ID = m.callResent(dst, r, m.recoveryResend(ctx), func(_ interface{}, err error) {
+		if err == nil {
+			rt.sawBy[b] |= proto.SawLock
+			if replicated(rt) {
+				m.voteFor(rr, rt)
+			}
+		}
+	})
+	m.sendCtx(dst, r, ctx)
+}
+
+// vote is the region's vote on rt, computed by the rules of §5.3 step 6.
+func (m *Machine) vote(region uint32, rt *recTx) *proto.RecoveryVote {
+	v := &proto.RecoveryVote{Config: m.config.ID, Region: region, Tx: rt.id, Vote: voteFromSaw(rt.saw)}
+	if rt.lock != nil {
+		v.Regions = rt.lock.Regions
+	}
+	return v
+}
+
+// voteFor pushes the region's vote to the recovery coordinator, as a call.
 func (m *Machine) voteFor(rr *regionRecovery, rt *recTx) {
 	if rt.voted {
 		return
 	}
 	rt.voted = true
-	vote := voteFromSaw(rt.saw)
-	var regions []uint32
-	if rt.lock != nil {
-		regions = rt.lock.Regions
-	}
-	coord := m.recoveryCoordinator(rt.id)
-	msg := &proto.RecoveryVote{
-		Config:  m.config.ID,
-		Region:  rr.region,
-		Tx:      rt.id,
-		Regions: regions,
-		Vote:    vote,
-	}
-	m.sendFromThreadCtx(int(rt.id.Thread), coord, msg, m.recoveryTraceCtx())
+	coord, ctx, v := m.recoveryCoordinator(rt.id), m.recoveryTraceCtx(), m.vote(rr.region, rt)
+	v.ID = m.callResent(coord, v, m.recoveryResend(ctx), nil)
+	m.sendFromThreadCtx(int(rt.id.Thread), coord, v, ctx)
 }
 
 // voteFromSaw implements the vote precedence of §5.3 step 6.
@@ -654,254 +667,147 @@ func (m *Machine) recoveryCoordinator(id proto.TxID) int {
 	return int(members[h.Sum64()%uint64(len(members))])
 }
 
-// onFetchTxState serves a primary's request for missing lock records
+// onFetchTxState serves a primary's request for a missing lock record
 // (step 4).
 func (m *Machine) onFetchTxState(src int, f *proto.FetchTxState) {
 	if f.Config != m.config.ID {
 		return
 	}
-	for _, id := range f.TxIDs {
-		rt := m.pend[mtlOf(id)]
-		var lock *proto.Record
-		if rt != nil {
-			lock = rt.lock.Clone()
-		}
-		m.send(src, &proto.SendTxState{Config: m.config.ID, Region: f.Region, Tx: id, Lock: lock})
+	var lock *proto.Record
+	if rt := m.pend[mtlOf(f.Tx)]; rt != nil {
+		lock = rt.lock.Clone()
 	}
-}
-
-// onSendTxState installs a fetched record and resumes lock recovery.
-func (m *Machine) onSendTxState(s *proto.SendTxState) {
-	if s.Config != m.config.ID || m.recov == nil {
-		return
-	}
-	rr := m.recov.regions[s.Region]
-	if rr == nil {
-		return
-	}
-	rt := rr.txs[mtlOf(s.Tx)]
-	if rt == nil {
-		return
-	}
-	if rt.lock == nil && s.Lock != nil {
-		rt.lock = s.Lock
-	}
-	// Also install the record in the participant state so a later
-	// COMMIT-RECOVERY can apply the writes (the primary may never have
-	// received the original LOCK record).
-	if s.Lock != nil {
-		m.installPendLock(s.Tx, s.Lock)
-	}
-	if rt.fetchOutstanding > 0 {
-		rt.fetchOutstanding--
-	}
-	if rr.pendingLock != nil {
-		// Recount: all fetches done?
-		for _, other := range rr.txs {
-			if other.fetchOutstanding > 0 {
-				return
-			}
-		}
-		fn := rr.pendingLock
-		rr.pendingLock = nil
-		fn()
-	}
+	m.send(src, &proto.SendTxState{ID: f.ID, Config: m.config.ID, Region: f.Region, Tx: f.Tx, Lock: lock})
 }
 
 // onReplicateTxState stores a replicated lock record at a backup (step 5),
 // merged into what the backup holds: that can be the transaction's record
 // for another region, without this region's writes.
 func (m *Machine) onReplicateTxState(src int, r *proto.ReplicateTxState) {
-	if r.Config != m.config.ID {
+	if r.Config != m.config.ID || m.replica(r.Region) == nil {
 		return
 	}
 	m.installPendLock(r.Tx, r.Lock)
-	m.send(src, &proto.ReplicateTxStateAck{Config: r.Config, Region: r.Region, Tx: r.Tx})
+	m.send(src, &proto.ReplicateTxStateAck{ID: r.ID, Config: r.Config, Region: r.Region, Tx: r.Tx})
 }
 
-// onReplicateTxStateAck resumes voting once replication completed (step 5
-// → 6: "vote as before after first waiting for log replication ... to
-// complete").
-func (m *Machine) onReplicateTxStateAck(a *proto.ReplicateTxStateAck) {
-	if a.Config != m.config.ID || m.recov == nil {
-		return
-	}
-	rr := m.recov.regions[a.Region]
-	if rr == nil {
-		return
-	}
-	rt := rr.txs[mtlOf(a.Tx)]
-	if rt == nil {
-		return
-	}
-	rt.replOutstanding--
-	if rt.replOutstanding <= 0 && rr.phase == 2 {
-		m.voteFor(rr, rt)
-	}
-}
-
-// voteTimeout is how long the recovery coordinator waits for votes before
-// sending explicit REQUEST-VOTE messages (§5.3).
-const voteTimeout = 250 * sim.Microsecond
-
-// armVoteCollector creates (or refreshes) a vote collector and its
-// REQUEST-VOTE timeout.
-func (m *Machine) armVoteCollector(id proto.TxID, knownRegions []uint32, participants map[int]bool) *voteCollector {
-	if m.recov == nil {
-		m.recov = newRecoveryState(m.config.ID)
-	}
+// collectVotes returns transaction id's vote collector, made on first use,
+// having learnt the write regions listed.
+func (m *Machine) collectVotes(id proto.TxID, regions []uint32) *voteCollector {
 	vc := m.recov.votes[id]
 	if vc == nil {
-		vc = &voteCollector{
-			id:           id,
-			regions:      make(map[uint32]proto.Vote),
-			known:        make(map[uint32]bool),
-			participants: make(map[int]bool),
-		}
+		vc = &voteCollector{id: id}
 		m.recov.votes[id] = vc
 		if m.trb != nil {
 			vc.ctx = m.trb.Begin("recovery", "vote-decide", m.c.Eng.Now(),
 				trace.RecoveryTraceBit|m.config.ID, 0, int64(id.Local))
 		}
-		m.c.Eng.After(voteTimeout, func() {
-			if m.alive {
-				m.requestMissingVotes(vc)
-			}
-		})
 	}
-	for _, r := range knownRegions {
-		vc.known[r] = true
-	}
-	for p := range participants {
-		vc.participants[p] = true
+	for i := 0; i < len(regions) && !vc.decided; i++ {
+		m.regionVote(vc, regions[i])
 	}
 	return vc
 }
 
-// participantSet lists all machines holding records for a coordinator's
-// transaction.
-func (ct *coordTx) participantSet() map[int]bool {
-	out := make(map[int]bool, len(ct.groups))
-	for i := range ct.groups {
-		out[ct.groups[i].dst] = true
+// regionVote returns vc's entry for a write region. A region learnt here
+// gets a REQUEST-VOTE call to its primary whose first send waits a resend
+// interval: the primary's pushed vote normally answers it before then.
+// The entry is for immediate use: entries move as regions are learnt.
+func (m *Machine) regionVote(vc *voteCollector, region uint32) *regionVote {
+	i, ok := slices.BinarySearchFunc(vc.regions, region, func(r regionVote, id uint32) int { return cmp.Compare(r.region, id) })
+	if !ok {
+		rv := regionVote{region: region}
+		if rm := m.mapping(region); rm != nil && len(rm.Replicas) > 0 {
+			req := &proto.RequestVote{Config: m.config.ID, Tx: vc.id, Region: region}
+			rv.ask = m.callResent(int(rm.Replicas[0]), req, m.recoveryResend(vc.ctx), nil)
+		}
+		vc.regions = slices.Insert(vc.regions, i, rv)
 	}
-	return out
+	return &vc.regions[i]
+}
+
+// addParticipant adds machine p to the participants, reporting whether it
+// is new.
+func (vc *voteCollector) addParticipant(p int) bool {
+	i, found := slices.BinarySearch(vc.participants, p)
+	if !found {
+		vc.participants = slices.Insert(vc.participants, i, p)
+	}
+	return !found
 }
 
 // onRecoveryVote collects a region's vote (step 6) at the recovery
-// coordinator.
+// coordinator and answers a pushed one. Before this machine's own
+// NEW-CONFIG-COMMIT it does not: the resend brings the vote back.
 func (m *Machine) onRecoveryVote(src int, v *proto.RecoveryVote) {
-	if v.Config != m.config.ID {
+	if v.Config != m.config.ID || !m.recovering() {
 		return
 	}
-	vc := m.armVoteCollector(v.Tx, v.Regions, map[int]bool{src: true})
+	if v.ID != 0 {
+		m.send(src, &rpcReply{ID: v.ID})
+	}
+	vc := m.collectVotes(v.Tx, v.Regions)
+	if vc.addParticipant(src) && vc.decided {
+		m.sendDecision(vc, src) // a late voter the decision did not name
+	}
 	if vc.decided {
-		// Late vote after decision: resend the decision to the voter.
-		m.sendDecision(vc, src)
 		return
 	}
-	vc.known[v.Region] = true
-	if old, ok := vc.regions[v.Region]; !ok || v.Vote > old {
-		vc.regions[v.Region] = v.Vote
+	rv := m.regionVote(vc, v.Region)
+	if !rv.voted || v.Vote > rv.vote {
+		rv.vote, rv.voted = v.Vote, true
 	}
+	m.answer(rv.ask, nil)
 	m.maybeDecide(vc)
-}
-
-// requestMissingVotes is the 250 µs timeout path of step 6.
-func (m *Machine) requestMissingVotes(vc *voteCollector) {
-	if vc.decided || m.recov == nil {
-		return
-	}
-	missing := false
-	for _, region := range sortedKeys(vc.known, cmp.Compare[uint32]) {
-		if _, ok := vc.regions[region]; ok {
-			continue
-		}
-		missing = true
-		rm := m.mapping(region)
-		if rm == nil || len(rm.Replicas) == 0 {
-			continue
-		}
-		m.sendCtx(int(rm.Replicas[0]), &proto.RequestVote{Config: m.config.ID, Tx: vc.id, Region: region}, vc.ctx)
-	}
-	if missing {
-		m.c.Eng.After(voteTimeout, func() {
-			if m.alive {
-				m.requestMissingVotes(vc)
-			}
-		})
-	}
-	if len(vc.known) == 0 {
-		// A recovering transaction with no write regions (read-set-only
-		// recovery): abort it.
-		m.decide(vc, false)
-	}
 }
 
 // onRequestVote answers explicit vote requests, including for transactions
 // this primary never classified as recovering (§5.3: primaries with
 // records vote as before; without records they vote truncated or unknown).
+// The vote answers the request; it is not a call of its own.
 func (m *Machine) onRequestVote(src int, rv *proto.RequestVote) {
-	if rv.Config != m.config.ID {
-		return
-	}
 	// Vote only after this configuration's drain has completed and (if the
 	// region is recovering) its lock recovery has merged every replica's
 	// knowledge: a premature vote from partial state could read as LOCK a
 	// transaction whose COMMIT-BACKUP exists only at a backup, turning a
-	// reported commit into an abort. The requester retries on its timeout.
-	if m.recov == nil || m.recov.configID != m.config.ID || !m.recov.drained {
+	// reported commit into an abort. The requester resends.
+	if rv.Config != m.config.ID || !m.recovering() || !m.recov.drained {
 		return
 	}
-	if rr := m.recov.regions[rv.Region]; rr != nil && rr.phase < 2 {
-		return
-	}
-	k := mtlOf(rv.Tx)
-	vote := proto.VoteUnknown
-	var regions []uint32
-	if m.recov != nil {
-		if rr := m.recov.regions[rv.Region]; rr != nil {
-			if rt := rr.txs[k]; rt != nil {
-				if rt.replOutstanding > 0 {
-					return // will vote when replication completes
-				}
-				rt.voted = true
-				vote = voteFromSaw(rt.saw)
-				if rt.lock != nil {
-					regions = rt.lock.Regions
-				}
-				m.send(src, &proto.RecoveryVote{Config: m.config.ID, Region: rv.Region, Tx: rv.Tx, Regions: regions, Vote: vote})
-				return
+	if rs := m.region(rv.Region); rs != nil && rs.recovery != nil {
+		rr := rs.recovery
+		if rr.phase < 2 {
+			return
+		}
+		if i, ok := rr.find(rv.Tx); ok {
+			if replicated(rr.txs[i]) { // else it votes when replication completes
+				m.send(src, m.vote(rv.Region, rr.txs[i]))
 			}
+			return
 		}
 	}
-	if rt := m.pend[k]; rt != nil && remoteTxTouches(rt, rv.Region) {
-		vote = voteFromSaw(rt.saw)
-		regions = slices.Clone(rt.regions())
+	vote := &proto.RecoveryVote{Config: m.config.ID, Region: rv.Region, Tx: rv.Tx, Vote: proto.VoteUnknown}
+	if rt := m.pend[mtlOf(rv.Tx)]; rt != nil && remoteTxTouches(rt, rv.Region) {
+		vote.Vote, vote.Regions = voteFromSaw(rt.saw), slices.Clone(rt.regions())
 	} else if m.truncWindow(rv.Tx.Coord()).has(rv.Tx.Local) {
-		vote = proto.VoteTruncated
+		vote.Vote = proto.VoteTruncated
 	}
-	m.send(src, &proto.RecoveryVote{Config: m.config.ID, Region: rv.Region, Tx: rv.Tx, Regions: regions, Vote: vote})
+	m.send(src, vote)
 }
 
 // maybeDecide applies the decision rule of step 7.
 func (m *Machine) maybeDecide(vc *voteCollector) {
-	if vc.decided {
-		return
-	}
-	anyCommitPrimary := false
-	anyCommitBackup := false
-	allCompatible := true
-	for region := range vc.known {
-		v, ok := vc.regions[region]
-		if !ok {
-			// Commit-primary short-circuits waiting for all regions.
-			allCompatible = false
+	anyCommitBackup, allCompatible, allVoted := false, true, true
+	for _, r := range vc.regions {
+		if !r.voted {
+			allVoted = false
 			continue
 		}
-		switch v {
+		switch r.vote {
 		case proto.VoteCommitPrimary:
-			anyCommitPrimary = true
+			// Commit-primary short-circuits waiting for all regions.
+			m.decide(vc, true)
+			return
 		case proto.VoteCommitBackup:
 			anyCommitBackup = true
 		case proto.VoteLock, proto.VoteTruncated:
@@ -910,11 +816,7 @@ func (m *Machine) maybeDecide(vc *voteCollector) {
 			allCompatible = false
 		}
 	}
-	if anyCommitPrimary {
-		m.decide(vc, true)
-		return
-	}
-	if len(vc.regions) == len(vc.known) && len(vc.known) > 0 {
+	if allVoted && len(vc.regions) > 0 {
 		m.decide(vc, anyCommitBackup && allCompatible)
 	}
 }
@@ -942,22 +844,20 @@ func (m *Machine) decide(vc *voteCollector, commit bool) {
 	} else {
 		m.c.Counters.Inc("recovery_aborted", 1)
 	}
-	// Participants: all replicas of all written regions.
-	for region := range vc.known {
-		if rm := m.mapping(region); rm != nil {
-			for _, r := range rm.Replicas {
-				vc.participants[int(r)] = true
+	// Participants: all replicas of all written regions. No vote is awaited
+	// any more.
+	for _, r := range vc.regions {
+		m.answer(r.ask, nil)
+		if rm := m.mapping(r.region); rm != nil {
+			for _, x := range rm.Replicas {
+				vc.addParticipant(int(x))
 			}
 		}
 	}
-	vc.acked = make(map[int]bool)
-	anySent := false
-	for _, p := range sortedKeys(vc.participants, cmp.Compare[int]) {
-		if !m.isMember(p) {
-			continue
+	for _, p := range vc.participants {
+		if m.isMember(p) {
+			m.sendDecision(vc, p)
 		}
-		anySent = true
-		m.sendDecision(vc, p)
 	}
 	// Finish our own in-flight transaction, preserving any outcome
 	// already reported to the application.
@@ -983,47 +883,51 @@ func (m *Machine) decide(vc *voteCollector, commit bool) {
 			ct.cb(ErrAborted)
 		}
 	}
-	if !anySent {
-		m.sendTruncateRecovery(vc)
+	if vc.unacked == 0 {
+		m.truncateRecovery(vc)
 	}
 }
 
-// decisionAcksComplete reports whether every member participant has
-// acknowledged the decision (non-members are fenced and never ack).
-func (m *Machine) decisionAcksComplete(vc *voteCollector) bool {
-	for p := range vc.participants {
-		if m.isMember(p) && !vc.acked[p] {
-			return false
+// sendDecision sends the decision to dst as a call. The answer that leaves
+// none unacknowledged sends the truncations.
+func (m *Machine) sendDecision(vc *voteCollector, dst int) {
+	vc.unacked++
+	done := func(_ interface{}, err error) {
+		if vc.unacked--; err == nil && vc.unacked == 0 {
+			m.truncateRecovery(vc)
 		}
 	}
-	return true
-}
-
-func (m *Machine) sendDecision(vc *voteCollector, dst int) {
+	var msg interface{}
+	var id *uint64
 	if vc.commit {
-		m.sendCtx(dst, &proto.CommitRecovery{Config: m.config.ID, Tx: vc.id}, vc.ctx)
+		d := &proto.CommitRecovery{Config: m.config.ID, Tx: vc.id}
+		msg, id = d, &d.ID
 	} else {
-		m.sendCtx(dst, &proto.AbortRecovery{Config: m.config.ID, Tx: vc.id}, vc.ctx)
+		d := &proto.AbortRecovery{Config: m.config.ID, Tx: vc.id}
+		msg, id = d, &d.ID
 	}
+	*id = m.callResent(dst, msg, m.recoveryResend(vc.ctx), done)
+	m.sendCtx(dst, msg, vc.ctx)
 }
 
 // onRecoveryDecision processes COMMIT-RECOVERY / ABORT-RECOVERY at a
 // participant: like COMMIT-PRIMARY at primaries and COMMIT-BACKUP at
-// backups; ABORT-RECOVERY releases locks (§5.3 step 7).
-func (m *Machine) onRecoveryDecision(src int, id proto.TxID, commit bool) {
+// backups; ABORT-RECOVERY releases locks (§5.3 step 7). call is the
+// decision's call id, which the acknowledgement echoes.
+func (m *Machine) onRecoveryDecision(src int, call uint64, id proto.TxID, commit bool) {
+	ack := &proto.RecoveryDecisionAck{ID: call, Config: m.config.ID, Tx: id}
 	k := mtlOf(id)
 	if m.truncWindow(id.Coord()).has(id.Local) {
-		// A retransmitted decision for a transaction we already truncated:
+		// A resent decision for a transaction we already truncated:
 		// recreating participant state here would leak a pend entry that no
-		// future truncation cleans. Just re-acknowledge.
-		m.send(src, &proto.RecoveryDecisionAck{Config: m.config.ID, Tx: id})
+		// future truncation cleans. Just acknowledge.
+		m.send(src, ack)
 		return
 	}
 	rt := m.pend[k]
 	if rt == nil {
 		rt = m.newRemoteTx(k, id)
 	}
-	rt.lastChange = m.c.Eng.Now()
 	if commit {
 		rt.saw |= proto.SawCommitRecovery
 		// Apply at primary regions now; backup regions apply at
@@ -1039,7 +943,7 @@ func (m *Machine) onRecoveryDecision(src int, id proto.TxID, commit bool) {
 		m.releaseLocksRecovered(rt)
 	}
 	m.passRecoveryLocks(rt)
-	m.send(src, &proto.RecoveryDecisionAck{Config: m.config.ID, Tx: id})
+	m.send(src, ack)
 }
 
 // passRecoveryLocks runs when the decision for recovering transaction rt has
@@ -1055,33 +959,30 @@ func (m *Machine) onRecoveryDecision(src int, id proto.TxID, commit bool) {
 // it — what recoverLocks would have done had rt not been in the way — and
 // is free only when there is none. Normal commits never come through here.
 func (m *Machine) passRecoveryLocks(rt *remoteTx) {
-	if rt.lock == nil || m.recov == nil {
+	if rt.lock == nil {
 		return
 	}
 	for _, w := range rt.lock.Writes {
-		rep, rr := m.replica(w.Addr.Region), m.recov.regions[w.Addr.Region]
-		if rep == nil || !rep.primary || rr == nil {
+		rs := m.region(w.Addr.Region)
+		if rs == nil || rs.rep == nil || !rs.rep.primary || rs.recovery == nil {
 			continue
 		}
+		rep := rs.rep
 		if _, held := rep.lockOwner[w.Addr.Off]; held {
 			continue
 		}
 		word := regionmem.ReadHeader(rep.mem, int(w.Addr.Off))
 		var heir *recTx
 		var heirVersion uint64
-		for _, other := range rr.txs {
+		for _, other := range rs.recovery.txs {
 			p := m.pend[mtlOf(other.id)]
 			if other.lock == nil || p == nil ||
 				(other.saw|p.saw)&(proto.SawAbort|proto.SawAbortRecovery|proto.SawCommitRecovery) != 0 {
 				continue // nothing to protect, truncated, or decided
 			}
 			for _, ow := range other.lock.Writes {
-				if ow.Addr != w.Addr || ow.Version < regionmem.Version(word) {
-					continue
-				}
-				// rr.txs is a map: the choice must not depend on its order.
-				if heir == nil || ow.Version < heirVersion ||
-					ow.Version == heirVersion && mtlCmp(mtlOf(other.id), mtlOf(heir.id)) < 0 {
+				// txs is in mtl order: the first of equal versions inherits.
+				if ow.Addr == w.Addr && ow.Version >= regionmem.Version(word) && (heir == nil || ow.Version < heirVersion) {
 					heir, heirVersion = other, ow.Version
 				}
 			}
@@ -1114,117 +1015,23 @@ func (m *Machine) releaseLocksRecovered(rt *remoteTx) {
 	}
 }
 
-// onRecoveryDecisionAck records a participant ack; when every member
-// participant has acknowledged, send TRUNCATE-RECOVERY (§5.3 step 7).
-// Duplicate acks (decision retransmissions) are idempotent.
-func (m *Machine) onRecoveryDecisionAck(src int, a *proto.RecoveryDecisionAck) {
-	if m.recov == nil {
-		return
-	}
-	vc := m.recov.votes[a.Tx]
-	if vc == nil || !vc.decided || vc.acked[src] {
-		return
-	}
-	vc.acked[src] = true
-	if m.decisionAcksComplete(vc) {
-		m.sendTruncateRecovery(vc)
-	}
-}
-
-func (m *Machine) sendTruncateRecovery(vc *voteCollector) {
-	for _, p := range sortedKeys(vc.participants, cmp.Compare[int]) {
+// truncateRecovery sends TRUNCATE-RECOVERY to every member participant once
+// all have acknowledged the decision (§5.3 step 7).
+func (m *Machine) truncateRecovery(vc *voteCollector) {
+	for _, p := range vc.participants {
 		if m.isMember(p) {
-			m.sendCtx(p, &proto.TruncateRecovery{Config: m.config.ID, Tx: vc.id}, vc.ctx)
+			t := &proto.TruncateRecovery{Config: m.config.ID, Tx: vc.id}
+			t.ID = m.callResent(p, t, m.recoveryResend(vc.ctx), nil)
+			m.sendCtx(p, t, vc.ctx)
 		}
 	}
 }
 
-// onTruncateRecovery reclaims a recovered transaction's state: backups
-// apply committed writes, locks are dropped, frames reclaimed. (A
+// onTruncateRecovery reclaims a recovered transaction's state and answers:
+// backups apply committed writes, locks are dropped, frames reclaimed. (A
 // coordinator the peer table does not hold has no truncated-id set to
 // join.)
-func (m *Machine) onTruncateRecovery(t *proto.TruncateRecovery) {
+func (m *Machine) onTruncateRecovery(src int, t *proto.TruncateRecovery) {
 	m.truncateTx(t.Tx.Coord(), t.Tx.Local)
-}
-
-// queryDecision asks a transaction's recovery coordinator what became of a
-// recovering transaction. Decisions and truncations are plain messages, so
-// a participant whose COMMIT/ABORT-RECOVERY or TRUNCATE-RECOVERY was lost
-// (gray NIC, one-way cut during the recovery window) would otherwise hold
-// its pend entry forever: backups never vote, so no protocol message ever
-// comes to break the tie. The stall sweep detects such entries and sends
-// this query; see onQueryDecision for the coordinator side.
-type queryDecision struct {
-	Config  uint64
-	Tx      proto.TxID
-	Regions []uint32
-}
-
-// sweepStuckRecovering is the participant side: find recovering pend
-// entries with no protocol progress for a full stall period and ask their
-// recovery coordinator to retransmit the outcome. Called from the tx stall
-// sweep; rate-limited to one query per entry per period by bumping
-// lastChange.
-func (m *Machine) sweepStuckRecovering(now sim.Time) {
-	if m.recov != nil && (m.recov.configID != m.config.ID || !m.recov.drained) {
-		return // recovery for this configuration is still classifying
-	}
-	for _, k := range sortedKeys(m.pend, mtlCmp) {
-		rt := m.pend[k]
-		if now-rt.lastChange < txStallTimeout || !m.txIsRecovering(rt) {
-			continue
-		}
-		regions := rt.regions()
-		if len(regions) == 0 {
-			continue
-		}
-		rt.lastChange = now
-		m.c.Counters.Inc("recovery_query", 1)
-		q := &queryDecision{Config: m.config.ID, Tx: rt.id, Regions: slices.Clone(regions)}
-		coord := m.recoveryCoordinator(rt.id)
-		if coord == m.ID {
-			m.onQueryDecision(m.ID, q)
-		} else {
-			m.sendCtx(coord, q, m.recoveryTraceCtx())
-		}
-	}
-}
-
-// onQueryDecision serves a participant stuck on a recovering transaction.
-// Three cases: the transaction was already truncated here (the participant
-// only missed TRUNCATE-RECOVERY); a decision exists (retransmit it, or the
-// truncation if this participant already acknowledged the decision); or no
-// vote collector exists at all — every region vote was lost — in which
-// case a fresh vote collection is started against the written regions'
-// primaries, which vote from their merged post-drain state.
-func (m *Machine) onQueryDecision(src int, q *queryDecision) {
-	if q.Config != m.config.ID || !m.isMember(src) {
-		return
-	}
-	if m.truncWindow(q.Tx.Coord()).has(q.Tx.Local) {
-		m.c.Counters.Inc("recovery_query_truncated", 1)
-		m.send(src, &proto.TruncateRecovery{Config: m.config.ID, Tx: q.Tx})
-		return
-	}
-	if m.recov != nil && m.recov.configID == m.config.ID {
-		if vc := m.recov.votes[q.Tx]; vc != nil {
-			if !vc.decided {
-				return // vote collection in progress; the sweep retries
-			}
-			vc.participants[src] = true
-			if vc.acked[src] {
-				// It has the decision; only its truncation was lost.
-				m.c.Counters.Inc("recovery_query_retruncate", 1)
-				m.sendCtx(src, &proto.TruncateRecovery{Config: m.config.ID, Tx: q.Tx}, vc.ctx)
-			} else {
-				m.c.Counters.Inc("recovery_query_redecide", 1)
-				m.sendDecision(vc, src)
-			}
-			return
-		}
-	}
-	// No collector: the decision or every vote for it was lost in flight.
-	m.c.Counters.Inc("recovery_query_revote", 1)
-	vc := m.armVoteCollector(q.Tx, q.Regions, map[int]bool{src: true})
-	m.requestMissingVotes(vc)
+	m.send(src, &rpcReply{ID: t.ID})
 }

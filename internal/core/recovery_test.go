@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"farm/internal/history"
@@ -677,7 +678,7 @@ func TestRecoveringTransactionsChainedOnOneObject(t *testing.T) {
 		if next == old || next.recov == nil {
 			return false
 		}
-		rr = next.recov.regions[region]
+		rr = next.regions[region].recovery
 		return rr != nil && rr.phase == 2
 	})
 	rep := next.replica(region)
@@ -726,6 +727,159 @@ func TestRecoveringTransactionsChainedOnOneObject(t *testing.T) {
 		if !r.Clean {
 			t.Errorf("backup differs from its primary: %v", r)
 		}
+	}
+}
+
+// recoveryLeft names what keeps an alive member from having finished
+// recovery, "" when nothing does: a blocked region, an inactive primary, a
+// recovering participant entry, an undecided vote collector or a call.
+func recoveryLeft(c *Cluster) string {
+	for _, m := range c.Machines {
+		if !m.alive || !m.isMember(m.ID) {
+			continue
+		}
+		for i := range m.regions {
+			if rs := &m.regions[i]; rs.blocked || rs.rep != nil && rs.rep.primary && !rs.rep.active {
+				return fmt.Sprintf("m%d: region %d blocked or inactive", m.ID, i)
+			}
+		}
+		for _, rt := range m.pend {
+			if m.txIsRecovering(rt) {
+				return fmt.Sprintf("m%d: %v is recovering", m.ID, rt.id)
+			}
+		}
+		if m.recov != nil {
+			for id, vc := range m.recov.votes {
+				if !vc.decided {
+					return fmt.Sprintf("m%d: %v undecided", m.ID, id)
+				}
+			}
+		}
+		if len(m.calls) > 0 {
+			return fmt.Sprintf("m%d: %d calls open", m.ID, len(m.calls))
+		}
+	}
+	return ""
+}
+
+// TestRecoveryOutlivesALostMessage: a region's primary dies under a closed
+// loop, having coordinated a transaction that writes its region R and
+// another, R2, whose primary holds the LOCK record. Of R's replicas only
+// the second backup holds the COMMIT-BACKUP record: the promoted first
+// backup fetches it (FETCH-TX-STATE), replicates it to R's new backup and
+// votes commit-backup, R2 votes lock, and the transaction commits. In each
+// case the first k deliveries of some message types between two machines
+// are lost; to make REQUEST-VOTE go out, its case also delays R's vote by
+// losing two fetches. Every §5.3 exchange and the CM's NEW-CONFIG push are
+// calls the table resends, so recovery still finishes within the bound.
+func TestRecoveryOutlivesALostMessage(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		lost []interface{}
+		k    int
+	}{
+		{"NEED-RECOVERY", []interface{}{&proto.NeedRecovery{}}, 2},
+		{"FETCH-TX-STATE", []interface{}{&proto.FetchTxState{}}, 1},
+		{"SEND-TX-STATE", []interface{}{&proto.SendTxState{}}, 1},
+		{"REPLICATE-TX-STATE", []interface{}{&proto.ReplicateTxState{}}, 1},
+		{"REPLICATE-TX-STATE-ACK", []interface{}{&proto.ReplicateTxStateAck{}}, 1},
+		{"RECOVERY-VOTE", []interface{}{&proto.RecoveryVote{}}, 1},
+		{"REQUEST-VOTE", []interface{}{&proto.RequestVote{}, &proto.FetchTxState{}}, 2},
+		{"COMMIT-RECOVERY", []interface{}{&proto.CommitRecovery{}}, 1},
+		{"RECOVERY-DECISION-ACK", []interface{}{&proto.RecoveryDecisionAck{}}, 1},
+		{"TRUNCATE-RECOVERY", []interface{}{&proto.TruncateRecovery{}}, 1},
+		{"NEW-CONFIG-ACK", []interface{}{&proto.NewConfigAck{}}, 1},
+		{"NEW-CONFIG-COMMIT", []interface{}{&proto.NewConfigCommit{}}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _ := testCluster(t, recoveryOpts())
+			region := regionWithPrimaryNotIn(t, c, 0)
+			victim, client := primaryOfRegion(c, region), c.Machine(0)
+			replicas := client.mapping(region).Replicas
+			other := regionWithPrimaryNotIn(t, c, int(replicas[0]), int(replicas[1]), int(replicas[2]))
+			addr := writeObjectIn(t, c, client, region, u64b(0))
+			addr2 := writeObjectIn(t, c, client, other, u64b(0))
+			counter := writeObjectIn(t, c, client, region, u64b(0))
+			c.RunFor(20 * sim.Millisecond)
+			write := func(a proto.Addr, v uint64) []proto.ObjectWrite {
+				rep := primaryOfRegion(c, a.Region).replica(a.Region)
+				return []proto.ObjectWrite{{Addr: a, Version: regionmem.Version(regionmem.ReadHeader(rep.mem, int(a.Off))), Value: u64b(v)}}
+			}
+			id := proto.TxID{Config: victim.config.ID, Machine: uint16(victim.ID), Local: 1 << 40}
+			regions := []uint32{region, other}
+			appendRecord(t, victim, victim.ID, &proto.Record{Type: proto.RecLock, Tx: id, Regions: regions, Writes: write(addr, 7)})
+			appendRecord(t, victim, int(replicas[2]), &proto.Record{Type: proto.RecCommitBackup, Tx: id, Regions: regions, Writes: write(addr, 7)})
+			appendRecord(t, victim, primaryOfRegion(c, other).ID, &proto.Record{Type: proto.RecLock, Tx: id, Regions: regions, Writes: write(addr2, 9)})
+			runUntil(t, c, sim.Millisecond, func() bool {
+				return c.Machine(int(replicas[2])).pend[mtlOf(id)] != nil && primaryOfRegion(c, other).pend[mtlOf(id)] != nil
+			})
+
+			dropped := 0
+			for _, lost := range tc.lost {
+				n := 0
+				for _, m := range c.Machines {
+					h := m.tp.reg.Lookup(lost)
+					fn, self := h.Fn, m.ID
+					h.Fn = func(src int, msg interface{}) {
+						if src != self && n < tc.k {
+							n, dropped = n+1, dropped+1
+							return
+						}
+						fn(src, msg)
+					}
+				}
+			}
+			stop, committed := false, 0
+			var loop func()
+			next := func() {
+				if !stop {
+					c.Eng.After(20*sim.Microsecond, loop)
+				}
+			}
+			loop = func() {
+				tx := client.Begin(1)
+				tx.Read(counter, 8, func(data []byte, err error) {
+					if err != nil {
+						tx.Abort()
+						next()
+						return
+					}
+					tx.Write(counter, u64b(u64(data)+1))
+					tx.Commit(func(err error) {
+						if err == nil {
+							committed++
+						}
+						next()
+					})
+				})
+			}
+			loop()
+			c.Kill(victim.ID)
+			const bound = 300 * sim.Millisecond
+			deadline := c.Now() + bound
+			left := "no configuration without the dead primary committed"
+			for c.Now() < deadline && left != "" {
+				c.RunFor(sim.Millisecond)
+				if client.config.Member(uint16(victim.ID)) || !client.configCommitted {
+					continue
+				}
+				left = recoveryLeft(c)
+			}
+			if left != "" {
+				t.Fatalf("%d of %d %s lost: %s after %v", dropped, tc.k, tc.name, left, bound)
+			}
+			if dropped != tc.k*len(tc.lost) {
+				t.Fatalf("%d of %d messages lost: nothing tested", dropped, tc.k*len(tc.lost))
+			}
+			before := committed
+			c.RunFor(10 * sim.Millisecond)
+			stop = true
+			got, got2 := u64(readObject(t, c, client, addr, 8)), u64(readObject(t, c, client, addr2, 8))
+			if got != 7 || got2 != 9 || committed-before < 10 {
+				t.Fatalf("objects read %d and %d, want the recovered writes' 7 and 9; %d increments committed after recovery",
+					got, got2, committed-before)
+			}
+		})
 	}
 }
 

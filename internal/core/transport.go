@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"farm/internal/fabric"
@@ -93,38 +94,89 @@ func (t *transport) enqueue(dst int, msg interface{}, ctx trace.Ctx) {
 }
 
 // The call table: every request that awaits an answer from another
-// machine's CPU — VALIDATE, ALLOC-SLOT, MAPPING-REQ, ALLOC-REGION-REQ and
-// application calls — is a plain message carrying the id call returned. The
-// reply handler hands the answer to answer; failCalls fails the calls whose
-// answer will not come, because their destination left the configuration
-// (§5.2) or txStallTimeout passed (watchdog.go). Either way done runs once.
+// machine's CPU — VALIDATE, ALLOC-SLOT, MAPPING-REQ, ALLOC-REGION-REQ,
+// application calls, every §5.3 exchange, NEW-CONFIG and NEW-CONFIG-COMMIT —
+// is a plain message carrying the id call returned; the reply handler hands
+// the answer to answer. One rule covers the rest. A call with a resend goes
+// out again every interval until answered (a receiver not ready yet does not
+// answer), and fails when its tries run out; one without fails unanswered
+// after txStallTimeout (watchdog.go). Every call fails when its destination
+// leaves the configuration, a resent one also when its configuration is
+// superseded (onNewConfig). Either way done, if any, runs once.
 
 // pendingCall is one request awaiting its answer from dst.
 type pendingCall struct {
 	id   uint64
 	dst  int
+	msg  interface{}
 	sent sim.Time
 	done func(resp interface{}, err error)
+	resend
 }
 
-// call registers a request to dst and returns the id its message carries.
+// resend is how the table repeats a call: every interval, tries more times
+// at most, while configuration cfg lasts; ctx is the causal context of the
+// resends. The zero value does not resend.
+type resend struct {
+	every sim.Time
+	tries int
+	cfg   uint64
+	ctx   trace.Ctx
+}
+
+// call registers msg, a request to dst, and returns the id it must carry.
 // Ids start at 1 and only grow, so the table stays in id order.
-func (m *Machine) call(dst int, done func(resp interface{}, err error)) uint64 {
+func (m *Machine) call(dst int, msg interface{}, done func(resp interface{}, err error)) uint64 {
 	m.nextRPC++
-	m.calls = append(m.calls, pendingCall{id: m.nextRPC, dst: dst, sent: m.c.Eng.Now(), done: done})
+	m.calls = append(m.calls, pendingCall{id: m.nextRPC, dst: dst, msg: msg, sent: m.c.Eng.Now(), done: done})
 	return m.nextRPC
+}
+
+// callResent is call for a request the table resends by r. Its first send
+// is the caller's.
+func (m *Machine) callResent(dst int, msg interface{}, r resend, done func(resp interface{}, err error)) uint64 {
+	id := m.call(dst, msg, done)
+	m.calls[len(m.calls)-1].resend = r
+	m.armResend(id, r.every)
+	return id
+}
+
+// armResend resends call id after every, unless it ended meanwhile.
+func (m *Machine) armResend(id uint64, every sim.Time) {
+	m.c.Eng.After(every, func() {
+		i, open := m.findCall(id)
+		if !m.alive || !open {
+			return
+		}
+		c := &m.calls[i]
+		if c.tries == 0 {
+			m.failCalls(func(c pendingCall) bool { return c.id == id })
+			return
+		}
+		c.tries--
+		m.c.Counters.Inc("call_resent", 1)
+		m.sendCtx(c.dst, c.msg, c.ctx)
+		m.armResend(id, every)
+	})
+}
+
+// findCall locates call id in the table.
+func (m *Machine) findCall(id uint64) (int, bool) {
+	return slices.BinarySearchFunc(m.calls, id, func(c pendingCall, id uint64) int { return cmp.Compare(c.id, id) })
 }
 
 // answer passes resp to the call id names. An id never issued, already
 // answered or already failed answers nothing.
 func (m *Machine) answer(id uint64, resp interface{}) {
-	i, ok := slices.BinarySearchFunc(m.calls, id, func(c pendingCall, id uint64) int { return cmp.Compare(c.id, id) })
+	i, ok := m.findCall(id)
 	if !ok {
 		return
 	}
 	done := m.calls[i].done
 	m.calls = slices.Delete(m.calls, i, i+1)
-	done(resp, nil)
+	if done != nil {
+		done(resp, nil)
+	}
 }
 
 // failCalls fails with ErrUnavailable, in id order, the calls lost says no
@@ -142,8 +194,20 @@ func (m *Machine) failCalls(lost func(pendingCall) bool) {
 	clear(m.calls[len(kept):]) // hold no finished caller
 	m.calls = kept
 	for _, c := range failed {
-		c.done(nil, ErrUnavailable)
+		if c.done != nil {
+			c.done(nil, ErrUnavailable)
+		}
 	}
+}
+
+// OpenCalls describes each call awaiting its answer: the request's message
+// type, its destination and how long ago it was made.
+func (m *Machine) OpenCalls() []string {
+	out := make([]string, len(m.calls))
+	for i, c := range m.calls {
+		out[i] = fmt.Sprintf("%s to m%d for %v", m.tp.reg.Lookup(c.msg).Name, c.dst, m.c.Eng.Now()-c.sent)
+	}
+	return out
 }
 
 // callSize is the wire size of a request or reply that names a call: the
@@ -249,12 +313,13 @@ func (t *transport) registerHandlers() {
 			}
 		})
 
-	// Reconfiguration (§5.2).
+	// Reconfiguration (§5.2). NEW-CONFIG and NEW-CONFIG-COMMIT are calls,
+	// answered by NEW-CONFIG-ACK and an RPC-REPLY.
 	proto.Register(r, "RECONFIG-ASK", nil,
 		func(_ int, v *reconfigAsk) { m.onReconfigAsk(v) })
 	proto.Register(r, "NEW-CONFIG",
 		func(v *proto.NewConfig) int {
-			n := 32 + 2*len(v.Config.Machines)
+			n := 40 + 2*len(v.Config.Machines)
 			for i := range v.Regions {
 				n += 28 + 2*len(v.Regions[i].Replicas)
 			}
@@ -262,9 +327,9 @@ func (t *transport) registerHandlers() {
 		},
 		func(src int, v *proto.NewConfig) { m.onNewConfig(src, v) })
 	proto.Register(r, "NEW-CONFIG-ACK", nil,
-		func(src int, v *proto.NewConfigAck) { m.onNewConfigAck(src, v) })
+		func(_ int, v *proto.NewConfigAck) { m.answer(v.ID, v) })
 	proto.Register(r, "NEW-CONFIG-COMMIT", nil,
-		func(_ int, v *proto.NewConfigCommit) { m.onNewConfigCommit(v) })
+		func(src int, v *proto.NewConfigCommit) { m.onNewConfigCommit(src, v) })
 	proto.Register(r, "REGIONS-ACTIVE", nil,
 		func(src int, v *proto.RegionsActive) { m.onRegionsActive(src, v) })
 	proto.Register(r, "ALL-REGIONS-ACTIVE", nil,
@@ -275,37 +340,36 @@ func (t *transport) registerHandlers() {
 		func(v *proto.BlockHeaderSync) int { return 16 + 16*len(v.Headers) },
 		func(_ int, v *proto.BlockHeaderSync) { m.onBlockHeaderSync(v) })
 
-	// Transaction state recovery (§5.3).
+	// Transaction state recovery (§5.3). Every request is a call: NEED-
+	// RECOVERY, pushed votes and TRUNCATE-RECOVERY are answered by an
+	// RPC-REPLY, the others by their reply, and REQUEST-VOTE by the vote.
 	proto.Register(r, "NEED-RECOVERY",
-		func(v *proto.NeedRecovery) int { return 24 + 24*len(v.Txs) },
+		func(v *proto.NeedRecovery) int { return 32 + 24*len(v.Txs) },
 		func(src int, v *proto.NeedRecovery) { m.onNeedRecovery(src, v) })
 	proto.Register(r, "FETCH-TX-STATE",
-		func(v *proto.FetchTxState) int { return 24 + 16*len(v.TxIDs) },
+		func(*proto.FetchTxState) int { return 48 },
 		func(src int, v *proto.FetchTxState) { m.onFetchTxState(src, v) })
 	proto.Register(r, "SEND-TX-STATE",
-		func(v *proto.SendTxState) int { return 32 + recordWireSize(v.Lock) },
-		func(_ int, v *proto.SendTxState) { m.onSendTxState(v) })
+		func(v *proto.SendTxState) int { return 40 + recordWireSize(v.Lock) },
+		func(_ int, v *proto.SendTxState) { m.answer(v.ID, v) })
 	proto.Register(r, "REPLICATE-TX-STATE",
-		func(v *proto.ReplicateTxState) int { return 32 + recordWireSize(v.Lock) },
+		func(v *proto.ReplicateTxState) int { return 40 + recordWireSize(v.Lock) },
 		func(src int, v *proto.ReplicateTxState) { m.onReplicateTxState(src, v) })
 	proto.Register(r, "REPLICATE-TX-STATE-ACK", nil,
-		func(_ int, v *proto.ReplicateTxStateAck) { m.onReplicateTxStateAck(v) })
+		func(_ int, v *proto.ReplicateTxStateAck) { m.answer(v.ID, v) })
 	proto.Register(r, "RECOVERY-VOTE",
-		func(v *proto.RecoveryVote) int { return 40 + 4*len(v.Regions) },
+		func(v *proto.RecoveryVote) int { return 48 + 4*len(v.Regions) },
 		func(src int, v *proto.RecoveryVote) { m.onRecoveryVote(src, v) })
 	proto.Register(r, "REQUEST-VOTE", nil,
 		func(src int, v *proto.RequestVote) { m.onRequestVote(src, v) })
 	proto.Register(r, "COMMIT-RECOVERY", nil,
-		func(src int, v *proto.CommitRecovery) { m.onRecoveryDecision(src, v.Tx, true) })
+		func(src int, v *proto.CommitRecovery) { m.onRecoveryDecision(src, v.ID, v.Tx, true) })
 	proto.Register(r, "ABORT-RECOVERY", nil,
-		func(src int, v *proto.AbortRecovery) { m.onRecoveryDecision(src, v.Tx, false) })
+		func(src int, v *proto.AbortRecovery) { m.onRecoveryDecision(src, v.ID, v.Tx, false) })
 	proto.Register(r, "RECOVERY-DECISION-ACK", nil,
-		func(src int, v *proto.RecoveryDecisionAck) { m.onRecoveryDecisionAck(src, v) })
+		func(_ int, v *proto.RecoveryDecisionAck) { m.answer(v.ID, v) })
 	proto.Register(r, "TRUNCATE-RECOVERY", nil,
-		func(_ int, v *proto.TruncateRecovery) { m.onTruncateRecovery(v) })
-	proto.Register(r, "QUERY-DECISION",
-		func(v *queryDecision) int { return 28 + 4*len(v.Regions) },
-		func(src int, v *queryDecision) { m.onQueryDecision(src, v) })
+		func(src int, v *proto.TruncateRecovery) { m.onTruncateRecovery(src, v) })
 
 	// Data recovery (§5.4).
 	proto.Register(r, "DATA-REC-DONE", nil,

@@ -556,7 +556,8 @@ func (m *Machine) allocSlot(thread int, region uint32, size int, cb func(off uin
 	// A reservation the primary never answers reports ErrUnavailable, and
 	// its transaction tries the next candidate region; a late answer is
 	// dropped, and its slot left to allocator recovery.
-	id := m.call(p, func(resp interface{}, err error) {
+	req := &allocSlotReq{Region: region, Size: size}
+	req.ID = m.call(p, req, func(resp interface{}, err error) {
 		if err != nil {
 			m.c.Counters.Inc("alloc_slot_stalled", 1)
 			cb(0, 0, err)
@@ -569,7 +570,7 @@ func (m *Machine) allocSlot(thread int, region uint32, size int, cb func(off uin
 		}
 		cb(r.Off, r.Version, nil)
 	})
-	m.sendFromThread(thread, p, &allocSlotReq{ID: id, Region: region, Size: size})
+	m.sendFromThread(thread, p, req)
 }
 
 // allocSlotLocal pops a slot from the local primary's free list.

@@ -20,8 +20,8 @@ import "farm/internal/sim"
 // rely on ring-writer retransmission plus the reportWriteFailure backstop.
 
 // txStallTimeout is how long a transaction may go without progress before
-// its coordinator aborts it (lock and validate phases) or a participant asks
-// for the recovery decision again (sweepStuckRecovering).
+// its coordinator aborts it (lock and validate phases), and how long a call
+// the table does not resend waits for its answer.
 const txStallTimeout = 30 * sim.Millisecond
 
 func (m *Machine) startTxStallSweep() {
@@ -55,13 +55,9 @@ func (m *Machine) armTxStallSweep() {
 			m.c.Counters.Inc("tx_stall_aborted", 1)
 			m.abortTx(ct, ErrAborted)
 		}
-		// Calls unanswered for txStallTimeout (an answer lost with its
-		// machine, or never sent) fail.
-		m.failCalls(func(c pendingCall) bool { return now-c.sent >= txStallTimeout })
-		// Participant side: recovering transactions whose COMMIT/ABORT-
-		// RECOVERY or TRUNCATE-RECOVERY was lost re-query their recovery
-		// coordinator (recovery.go).
-		m.sweepStuckRecovering(now)
+		// Calls the table does not resend fail unanswered after
+		// txStallTimeout (an answer lost with its machine, or never sent).
+		m.failCalls(func(c pendingCall) bool { return c.every == 0 && now-c.sent >= txStallTimeout })
 		m.armTxStallSweep()
 	})
 }

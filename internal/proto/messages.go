@@ -50,22 +50,28 @@ type TxSeen struct {
 // recovering transactions that updated the region (§5.3 step 3), annotated
 // with which records the backup holds so the primary can both vote over
 // all replicas' knowledge and fetch records it is missing.
+//
+// Every §5.3 request carries the sender's call id, ID, which its answer
+// echoes: the sender resends the request until the answer comes.
 type NeedRecovery struct {
+	ID     uint64
 	Config uint64
 	Region uint32
 	Txs    []TxSeen
 }
 
-// FetchTxState asks a backup for the log records of recovering
-// transactions the primary is missing (§5.3 step 4).
+// FetchTxState asks a backup for the log record of a recovering
+// transaction the primary is missing (§5.3 step 4).
 type FetchTxState struct {
+	ID     uint64
 	Config uint64
 	Region uint32
-	TxIDs  []TxID
+	Tx     TxID
 }
 
 // SendTxState answers FetchTxState with the contents of the lock record.
 type SendTxState struct {
+	ID     uint64
 	Config uint64
 	Region uint32
 	Tx     TxID
@@ -75,6 +81,7 @@ type SendTxState struct {
 // ReplicateTxState pushes a transaction's lock record from the primary to
 // a backup that is missing it (§5.3 step 5).
 type ReplicateTxState struct {
+	ID     uint64
 	Config uint64
 	Region uint32
 	Tx     TxID
@@ -83,14 +90,17 @@ type ReplicateTxState struct {
 
 // ReplicateTxStateAck confirms a backup stored the replicated record.
 type ReplicateTxStateAck struct {
+	ID     uint64
 	Config uint64
 	Region uint32
 	Tx     TxID
 }
 
 // RecoveryVote is a region primary's vote on a recovering transaction
-// (§5.3 step 6).
+// (§5.3 step 6). A pushed vote is a call; a vote answering a RequestVote
+// is not, and carries ID 0.
 type RecoveryVote struct {
+	ID      uint64
 	Config  uint64
 	Region  uint32
 	Tx      TxID
@@ -99,7 +109,8 @@ type RecoveryVote struct {
 }
 
 // RequestVote is the coordinator's explicit vote request to primaries that
-// have not voted within the timeout (§5.3 step 6).
+// have not voted within the timeout (§5.3 step 6). The region's vote
+// answers it.
 type RequestVote struct {
 	Config uint64
 	Tx     TxID
@@ -110,12 +121,14 @@ type RequestVote struct {
 // transaction: processed like COMMIT-PRIMARY at primaries and
 // COMMIT-BACKUP at backups (§5.3 step 7).
 type CommitRecovery struct {
+	ID     uint64
 	Config uint64
 	Tx     TxID
 }
 
 // AbortRecovery aborts a recovering transaction at a replica.
 type AbortRecovery struct {
+	ID     uint64
 	Config uint64
 	Tx     TxID
 }
@@ -123,6 +136,7 @@ type AbortRecovery struct {
 // RecoveryDecisionAck confirms a replica processed CommitRecovery or
 // AbortRecovery.
 type RecoveryDecisionAck struct {
+	ID     uint64
 	Config uint64
 	Region uint32
 	Tx     TxID
@@ -131,6 +145,7 @@ type RecoveryDecisionAck struct {
 // TruncateRecovery is sent after the coordinator has collected all
 // decision acks (§5.3 step 7).
 type TruncateRecovery struct {
+	ID     uint64
 	Config uint64
 	Tx     TxID
 }
@@ -190,8 +205,9 @@ func (c *Config) Member(m uint16) bool {
 
 // NewConfig is the CM's configuration push (§5.2 step 5): the new
 // configuration plus all region mappings. It also acts as a lease request
-// from a new CM.
+// from a new CM. Like NewConfigCommit it is a call, and ID its call id.
 type NewConfig struct {
+	ID      uint64
 	Config  Config
 	Regions []RegionMap
 }
@@ -199,6 +215,7 @@ type NewConfig struct {
 // NewConfigAck acknowledges NewConfig (and grants/requests leases when the
 // CM changed).
 type NewConfigAck struct {
+	ID       uint64
 	ConfigID uint64
 }
 
@@ -206,6 +223,7 @@ type NewConfigAck struct {
 // leases have expired (§5.2 step 7); it also acts as a lease grant and
 // triggers log draining.
 type NewConfigCommit struct {
+	ID       uint64
 	ConfigID uint64
 }
 
