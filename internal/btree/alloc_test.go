@@ -2,6 +2,8 @@ package btree
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"testing"
 
 	"farm/internal/core"
@@ -86,11 +88,12 @@ func (r *localTree) commit(tb testing.TB, tx *core.Tx) {
 }
 
 // TestPutAllocationBudget: inserting a new key into a leaf with room, two
-// levels down and the root cached, costs the treeOp and one slab chunk,
-// which holds the leaf twice over (private copy and the op's own) and the
-// buffered leaf write — no closure per level, no path slice, no bounce
-// buffers, and since ISSUE 22 no chunks for an anchor and a root the
-// descent no longer reads (23 allocations before ISSUE 16, 4 since, 2 now).
+// levels down and the root cached, costs one slab chunk, which holds the leaf
+// twice over (private copy and the op's own) and the buffered leaf write — no
+// closure per level, no path slice, no bounce buffers, no chunks for an
+// anchor and a root the descent does not read, and no treeOp: it comes from
+// the tree's pool (23 allocations once, then 4, then 2 with its own treeOp,
+// 1 now).
 func TestPutAllocationBudget(t *testing.T) {
 	r := newLocalTree(t)
 	val := bytes.Repeat([]byte{0xAB}, 16)
@@ -118,8 +121,8 @@ func TestPutAllocationBudget(t *testing.T) {
 	measure(true) // warms the machine's cache too
 	base, withPut := measure(false), measure(true)
 	t.Logf("btree.Put into a non-full leaf at depth 2: %.1f allocs", withPut-base)
-	if n := withPut - base; n > 2.2 {
-		t.Fatalf("btree.Put into a non-full leaf at depth 2: %v allocs, want <= 2.2", n)
+	if n := withPut - base; n > 1.2 {
+		t.Fatalf("btree.Put into a non-full leaf at depth 2: %v allocs, want <= 1.2", n)
 	}
 }
 
@@ -171,5 +174,86 @@ func BenchmarkTreePut(b *testing.B) {
 		tx := r.m.Begin(0)
 		r.put(b, tx, uint64(10*(i%localTreeKeys)), val) // an update: the tree keeps its shape
 		r.commit(b, tx)
+	}
+}
+
+// TestPooledOpReusedFromItsCallback: an operation returns to its tree's pool,
+// reset whole, before its callback runs, so a Scan whose callback Gets hands
+// the Get its own treeOp. The Scan and the Get see and read exactly what they
+// do when the Get is issued from a fresh event instead.
+func TestPooledOpReusedFromItsCallback(t *testing.T) {
+	type outcome struct {
+		pairs         []Pair
+		val           []byte
+		ok            bool
+		reads, writes int
+		held          []proto.Addr
+	}
+	run := func(fromCallback bool) outcome {
+		r := newLocalTree(t)
+		// The anchor, the root and its leaves.
+		nodes := []proto.Addr{r.t.anchor}
+		tx := r.m.Begin(0)
+		rootAddr := addrFromBytes(r.read(t, tx, r.t.anchor, anchorBytes))
+		root := node{t: r.t, data: r.read(t, tx, rootAddr, r.t.NodeBytes())}
+		nodes = append(nodes, rootAddr)
+		for i := 0; i <= root.nkeys(); i++ {
+			nodes = append(nodes, root.child(i))
+		}
+		tx.Abort()
+
+		var o outcome
+		tx = r.m.Begin(0)
+		done := false
+		get := func() {
+			r.t.Get(tx, 250, func(val []byte, ok bool, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				o.val, o.ok, done = val, ok, true
+			})
+		}
+		if len(r.t.free) == 0 {
+			t.Fatal("setting up the tree left no op in its pool")
+		}
+		pooled := r.t.free[len(r.t.free)-1]
+		r.t.Scan(tx, 100, 5, func(pairs []Pair, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.pairs = pairs
+			if len(r.t.free) == 0 || r.t.free[len(r.t.free)-1] != pooled {
+				t.Fatal("the Scan's op is not back in the pool when its callback runs")
+			}
+			if reset := *pooled; reset.allocFn == nil {
+				t.Error("the recycled op lost its bound continuation")
+			} else if reset.allocFn = nil; !reflect.DeepEqual(reset, treeOp{t: r.t}) {
+				t.Errorf("the recycled op still holds state: %+v", reset)
+			}
+			if !fromCallback {
+				r.c.Eng.After(0, get)
+				return
+			}
+			get()
+			if slices.Contains(r.t.free, pooled) {
+				t.Error("the Get did not take the op its Scan just recycled")
+			}
+		})
+		r.run(func() bool { return done })
+		o.reads, o.writes = tx.ReadSetSize(), tx.WriteSetSize()
+		for _, a := range nodes {
+			if tx.Holds(a) {
+				o.held = append(o.held, a)
+			}
+		}
+		tx.Abort()
+		return o
+	}
+	inCallback, fresh := run(true), run(false)
+	if len(inCallback.pairs) != 5 || !inCallback.ok || len(inCallback.held) == 0 {
+		t.Fatalf("the run did not do its work: %+v", inCallback)
+	}
+	if !reflect.DeepEqual(inCallback, fresh) {
+		t.Fatalf("a Get issued from its Scan's callback differs from one issued afresh:\n%+v\n%+v", inCallback, fresh)
 	}
 }

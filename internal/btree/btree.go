@@ -37,6 +37,8 @@ type Tree struct {
 	// caches holds per-machine internal-node caches ("The B-Tree caches
 	// internal nodes at each machine", §6.2).
 	caches map[int]*cache
+	// free holds finished operations for the next to reuse (treeOp).
+	free []*treeOp
 }
 
 // cache is one machine's copy of the anchor and of internal nodes: committed
@@ -314,10 +316,12 @@ type pathEntry struct {
 
 // treeOp is one tree operation: a descent to the leaf covering key, then
 // the operation's work there. It is the read handler of every node read on
-// the way (stage says which read is outstanding), so an operation allocates
-// this and nothing per level. Node bytes delivered to it are its own copy
-// (core's ownership rule): Get and Scan hand out slices of them, writers
-// edit them in place and write them back.
+// the way (stage says which read is outstanding), and it comes from its
+// tree's pool: its continuations are bound once, and every terminal path
+// returns it to the pool, reset whole, before the callback runs, so a
+// callback that starts the next operation reuses it. Node bytes delivered to
+// it are its own copy (core's ownership rule): Get and Scan hand out slices
+// of them, writers edit them in place and write them back.
 type treeOp struct {
 	t   *Tree
 	tx  *core.Tx
@@ -367,16 +371,63 @@ const (
 	stScanLeaf            // tx read of a scan's next leaf
 )
 
+func (t *Tree) newOp(tx *core.Tx, key uint64) *treeOp {
+	var op *treeOp
+	if k := len(t.free); k > 0 {
+		op = t.free[k-1]
+		t.free = t.free[:k-1]
+	} else {
+		op = &treeOp{t: t}
+		op.allocFn = op.onAlloc
+	}
+	op.tx, op.key = tx, key
+	return op
+}
+
+// recycle resets the op whole, but for its tree and bound continuation, and
+// returns it to the pool. Its callers copy out the callback first.
+func (op *treeOp) recycle() {
+	t, allocFn := op.t, op.allocFn
+	*op = treeOp{t: t, allocFn: allocFn}
+	t.free = append(t.free, op)
+}
+
+// got, put, deleted and scanned end a Get, a Put, a Delete and a Scan: the
+// op returns to the pool, then the callback runs.
+func (op *treeOp) got(val []byte, ok bool, err error) {
+	cb := op.getCb
+	op.recycle()
+	cb(val, ok, err)
+}
+
+func (op *treeOp) put(err error) {
+	cb := op.putCb
+	op.recycle()
+	cb(err)
+}
+
+func (op *treeOp) deleted(ok bool, err error) {
+	cb := op.delCb
+	op.recycle()
+	cb(ok, err)
+}
+
+func (op *treeOp) scanned(pairs []Pair, err error) {
+	cb := op.scanCb
+	op.recycle()
+	cb(pairs, err)
+}
+
 func (op *treeOp) fail(err error) {
 	switch {
 	case op.getCb != nil:
-		op.getCb(nil, false, err)
+		op.got(nil, false, err)
 	case op.putCb != nil:
-		op.putCb(err)
+		op.put(err)
 	case op.delCb != nil:
-		op.delCb(false, err)
+		op.deleted(false, err)
 	default:
-		op.scanCb(nil, err)
+		op.scanned(nil, err)
 	}
 }
 
@@ -547,9 +598,9 @@ func (op *treeOp) atLeaf(addr proto.Addr, data []byte) {
 	switch {
 	case op.getCb != nil:
 		if i, found := n.leafIndex(op.key); found {
-			op.getCb(owned(n.val(i)), true, nil)
+			op.got(owned(n.val(i)), true, nil)
 		} else {
-			op.getCb(nil, false, nil)
+			op.got(nil, false, nil)
 		}
 	case op.putCb != nil:
 		i, found := n.leafIndex(op.key)
@@ -568,14 +619,14 @@ func (op *treeOp) atLeaf(addr proto.Addr, data []byte) {
 			return
 		}
 		op.tx.Write(addr, n.data)
-		op.putCb(nil)
+		op.put(nil)
 	case op.delCb != nil:
 		i, found := n.leafIndex(op.key)
 		if found {
 			n.leafRemoveAt(i)
 			op.tx.Write(addr, n.data)
 		}
-		op.delCb(found, nil)
+		op.deleted(found, nil)
 	default:
 		op.scanLeaf(data)
 	}
@@ -595,7 +646,7 @@ func (op *treeOp) scanLeaf(data []byte) {
 	}
 	next := n.next()
 	if len(op.out) >= op.limit || next == (proto.Addr{}) {
-		op.scanCb(op.out, nil)
+		op.scanned(op.out, nil)
 		return
 	}
 	op.stage = stScanLeaf
@@ -618,7 +669,9 @@ func (op *treeOp) start() {
 
 // Get looks key up within tx. val is the caller's to keep and change.
 func (t *Tree) Get(tx *core.Tx, key uint64, cb func(val []byte, ok bool, err error)) {
-	(&treeOp{t: t, tx: tx, key: key, getCb: cb}).start()
+	op := t.newOp(tx, key)
+	op.getCb = cb
+	op.start()
 }
 
 // Put inserts or updates key within tx, splitting full nodes along the
@@ -628,7 +681,9 @@ func (t *Tree) Put(tx *core.Tx, key uint64, val []byte, cb func(err error)) {
 		cb(fmt.Errorf("btree: value too long"))
 		return
 	}
-	(&treeOp{t: t, tx: tx, key: key, val: val, putCb: cb}).start()
+	op := t.newOp(tx, key)
+	op.val, op.putCb = val, cb
+	op.start()
 }
 
 // splitLeaf splits the full leaf at the end of path, inserts the pair into
@@ -668,24 +723,21 @@ func (op *treeOp) splitLeaf() {
 // allocSibling allocates right — the new right sibling of the just split
 // node left (path[up]), or the new root (left and right both) when up is -1
 // — next to leftAddr. onAlloc continues once its address is known; it is
-// bound on the first split and serves every level.
+// bound when the op is first made and serves every level of every split.
 func (op *treeOp) allocSibling(left node, leftAddr proto.Addr, sep uint64, right node, up int) {
 	op.left, op.leftAddr, op.sep, op.up = left, leftAddr, sep, up
-	if op.allocFn == nil {
-		op.allocFn = op.onAlloc
-	}
 	op.tx.Alloc(len(right.data), right.data, &leftAddr, op.allocFn)
 }
 
 func (op *treeOp) onAlloc(addr proto.Addr, err error) {
 	if err != nil {
-		op.putCb(err)
+		op.put(err)
 		return
 	}
 	if op.up < 0 {
 		// addr is the new root: point the anchor at it.
 		op.rewrite(op.t.anchor, newAnchor(addr, op.left.height()))
-		op.putCb(nil)
+		op.put(nil)
 		return
 	}
 	op.left.setNext(addr)
@@ -721,7 +773,7 @@ func (op *treeOp) insertUp(right proto.Addr) {
 	if p.nkeys() < t.order {
 		p.innerInsertAt(p.childIndex(sep), sep, right)
 		op.rewrite(parentE.addr, p.data)
-		op.putCb(nil)
+		op.put(nil)
 		return
 	}
 	// Split the internal node.
@@ -753,7 +805,9 @@ func (op *treeOp) insertUp(right proto.Addr) {
 // Delete removes key within tx (lazy deletion: leaves may underflow but
 // are never merged, which keeps fence keys stable).
 func (t *Tree) Delete(tx *core.Tx, key uint64, cb func(ok bool, err error)) {
-	(&treeOp{t: t, tx: tx, key: key, delCb: cb}).start()
+	op := t.newOp(tx, key)
+	op.delCb = cb
+	op.start()
 }
 
 // Pair is one key/value result of a Scan.
@@ -768,5 +822,7 @@ type Pair struct {
 // leaf the transaction validates. The pairs are the caller's to keep and
 // change.
 func (t *Tree) Scan(tx *core.Tx, from uint64, limit int, cb func(pairs []Pair, err error)) {
-	(&treeOp{t: t, tx: tx, key: from, limit: limit, scanCb: cb}).start()
+	op := t.newOp(tx, from)
+	op.limit, op.scanCb = limit, cb
+	op.start()
 }

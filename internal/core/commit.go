@@ -968,11 +968,18 @@ func (m *Machine) flushFencedReports() {
 	}
 }
 
-// reportCommitted finalizes a successful commit at the application.
+// reportCommitted finalizes a successful commit at the application. Only a
+// fenced report needs a closure to defer; the common one runs at once.
 func (m *Machine) reportCommitted(cb func(error)) {
-	m.fencedReport(func() {
-		m.Committed++
-		m.c.Counters.Inc("tx_committed", 1)
-		cb(nil)
-	})
+	if !m.selfLeaseOK() {
+		m.fencedReport(func() { m.committed(cb) })
+		return
+	}
+	m.committed(cb)
+}
+
+func (m *Machine) committed(cb func(error)) {
+	m.Committed++
+	m.c.Counters.Inc("tx_committed", 1)
+	cb(nil)
 }

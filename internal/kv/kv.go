@@ -32,8 +32,9 @@ var ErrFull = errors.New("kv: table full")
 // follow it in memory.
 const hood = 4
 
-// Table is a distributed hash table descriptor. It is immutable after
-// Create and safe to share across machines.
+// Table is a distributed hash table descriptor. Its layout is fixed at
+// Create; besides it, it owns a pool of finished operations. It is safe to
+// share across machines because the simulation engine is single-threaded.
 type Table struct {
 	Name     string
 	buckets  []proto.Addr
@@ -54,6 +55,8 @@ type Table struct {
 	// "kv_found_home", "kv_found_hood", "kv_found_chain", "kv_missed" and
 	// "kv_reads" counter cells.
 	cHome, cHood, cChain, cMiss, cReads *uint64
+	// free holds finished operations for the next to reuse (chainOp).
+	free []*chainOp
 }
 
 // Layout:
@@ -303,10 +306,12 @@ var zeroAddr = proto.Addr{}
 
 // chainOp is one table operation: a span read of the key's neighbourhood,
 // then, if the key is in none of its buckets, a walk down the home's chain.
-// It is the handler of every read it makes, so an operation allocates this
-// and nothing per read. A transaction that already holds the home walks the
-// neighbourhood bucket by bucket from its own buffers instead, so repeating
-// an operation on a key costs no verb.
+// It is the handler of every read it makes, and it comes from its table's
+// pool: its continuation is bound once, and every terminal path returns it to
+// the pool, reset whole, before the callback runs, so a callback that starts
+// the next operation reuses it. A transaction that already holds the home
+// walks the neighbourhood bucket by bucket from its own buffers instead, so
+// repeating an operation on a key costs no verb.
 type chainOp struct {
 	t      *Table
 	tx     *core.Tx      // nil for a lock-free get
@@ -327,7 +332,10 @@ type chainOp struct {
 	placing             bool
 	addr                proto.Addr
 	// tail is the last chain bucket, once a walk reached it (nil: no chain).
+	// chainOverflow points tail and addr at the bucket it links behind.
 	tail []byte
+	// allocFn is allocated, bound once.
+	allocFn func(proto.Addr, error)
 
 	key, val []byte
 	// Exactly one of these is set; it says which operation this is.
@@ -337,8 +345,45 @@ type chainOp struct {
 }
 
 func (t *Table) newOp(tx *core.Tx, key []byte) *chainOp {
+	var op *chainOp
+	if k := len(t.free); k > 0 {
+		op = t.free[k-1]
+		t.free = t.free[:k-1]
+	} else {
+		op = &chainOp{t: t}
+		op.allocFn = op.allocated
+	}
 	home := t.hash(key)
-	return &chainOp{t: t, tx: tx, home: home, n: 1 + int(t.adj[home]), key: key}
+	op.tx, op.home, op.n, op.key = tx, home, 1+int(t.adj[home]), key
+	return op
+}
+
+// recycle resets the op whole, but for its table and bound continuation,
+// and returns it to the pool. Its callers copy out the callback first.
+func (op *chainOp) recycle() {
+	t, allocFn := op.t, op.allocFn
+	*op = chainOp{t: t, allocFn: allocFn}
+	t.free = append(t.free, op)
+}
+
+// got, put and deleted end a Get, a Put and a Delete: the op returns to the
+// pool, then the callback runs.
+func (op *chainOp) got(val []byte, ok bool, err error) {
+	cb := op.getCb
+	op.recycle()
+	cb(val, ok, err)
+}
+
+func (op *chainOp) put(err error) {
+	cb := op.putCb
+	op.recycle()
+	cb(err)
+}
+
+func (op *chainOp) deleted(ok bool, err error) {
+	cb := op.delCb
+	op.recycle()
+	cb(ok, err)
 }
 
 // nbAddr is the address of neighbour d.
@@ -528,7 +573,7 @@ func (op *chainOp) hit(b bucket, addr proto.Addr, d, i int) {
 			*op.t.cChain++
 		}
 		v := slotVal(b.slot(i), op.t.maxKey)
-		op.getCb(v[:len(v):len(v)], true, nil)
+		op.got(v[:len(v):len(v)], true, nil)
 	case op.delCb != nil:
 		b.clearSlot(i)
 		op.tx.Write(addr, b.data)
@@ -536,11 +581,11 @@ func (op *chainOp) hit(b bucket, addr proto.Addr, d, i int) {
 			home.setHops(home.hops() &^ (1 << d))
 			op.tx.Write(op.nbAddr(0), home.data)
 		}
-		op.delCb(true, nil)
+		op.deleted(true, nil)
 	default:
 		b.setSlot(i, op.key, op.val)
 		op.tx.Write(addr, b.data)
-		op.putCb(nil)
+		op.put(nil)
 	}
 }
 
@@ -549,9 +594,9 @@ func (op *chainOp) missed() {
 	switch {
 	case op.getCb != nil:
 		*op.t.cMiss++
-		op.getCb(nil, false, nil)
+		op.got(nil, false, nil)
 	case op.delCb != nil:
-		op.delCb(false, nil)
+		op.deleted(false, nil)
 	default:
 		op.placing = true
 		op.place()
@@ -578,7 +623,7 @@ func (op *chainOp) place() {
 			home.setHops(home.hops() | 1<<d)
 			op.tx.Write(op.nbAddr(0), home.data)
 		}
-		op.putCb(nil)
+		op.put(nil)
 		return
 	}
 	if op.tail == nil {
@@ -589,7 +634,7 @@ func (op *chainOp) place() {
 	if i := b.freeSlot(); i >= 0 {
 		b.setSlot(i, op.key, op.val)
 		op.tx.Write(op.addr, b.data)
-		op.putCb(nil)
+		op.put(nil)
 		return
 	}
 	op.chainOverflow(b, op.addr)
@@ -600,27 +645,32 @@ func (op *chainOp) place() {
 func (op *chainOp) chainOverflow(b bucket, addr proto.Addr) {
 	overflow := make([]byte, op.t.BucketBytes())
 	bucket{t: op.t, data: overflow}.setSlot(0, op.key, op.val)
+	op.tail, op.addr = b.data, addr
 	hint := addr
-	op.tx.Alloc(len(overflow), overflow, &hint, func(oaddr proto.Addr, err error) {
-		if err != nil {
-			op.putCb(ErrFull)
-			return
-		}
-		b.setNext(oaddr)
-		op.tx.Write(addr, b.data)
-		op.putCb(nil)
-	})
+	op.tx.Alloc(len(overflow), overflow, &hint, op.allocFn)
+}
+
+// allocated links the overflow bucket at oaddr behind the tail.
+func (op *chainOp) allocated(oaddr proto.Addr, err error) {
+	if err != nil {
+		op.put(ErrFull)
+		return
+	}
+	b := bucket{t: op.t, data: op.tail}
+	b.setNext(oaddr)
+	op.tx.Write(op.addr, b.data)
+	op.put(nil)
 }
 
 // fail reports err through whichever callback the operation has.
 func (op *chainOp) fail(err error) {
 	switch {
 	case op.getCb != nil:
-		op.getCb(nil, false, err)
+		op.got(nil, false, err)
 	case op.delCb != nil:
-		op.delCb(false, err)
+		op.deleted(false, err)
 	default:
-		op.putCb(err)
+		op.put(err)
 	}
 }
 

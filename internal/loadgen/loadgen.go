@@ -38,13 +38,19 @@ type Generator struct {
 }
 
 // opSlot is one closed loop: where it runs, its random stream, and whether
-// it has an operation open and since when.
+// it has an operation open and since when. Its continuations — an
+// operation's done and the back-off after an abort — are bound once, when
+// the loop starts.
 type opSlot struct {
+	g      *Generator
 	m      *core.Machine
 	thread int
 	rng    *sim.Rand
 	open   bool
 	began  sim.Time
+
+	doneFn  func(ok bool)
+	retryFn func()
 }
 
 // New creates a generator for op.
@@ -72,33 +78,39 @@ func (g *Generator) Start(machines []int, threads, concurrency int) {
 		}
 	}
 	for i := range g.slots {
-		g.loop(&g.slots[i])
+		s := &g.slots[i]
+		s.g, s.doneFn, s.retryFn = g, s.done, s.loop
+		s.loop()
 	}
 }
 
-func (g *Generator) loop(s *opSlot) {
+// loop starts the slot's next operation.
+func (s *opSlot) loop() {
+	g := s.g
 	if g.stopped || !s.m.Alive() {
 		return
 	}
 	s.open, s.began = true, g.c.Eng.Now()
-	g.op(s.m, s.thread, s.rng, func(ok bool) {
-		s.open = false
-		now := g.c.Eng.Now()
-		if ok {
-			g.committed++
-			if now-g.startAt >= g.Warmup {
-				g.Latency.Record(now - s.began)
-				g.Timeline.Add(now, 1)
-			}
-			g.loop(s)
-			return
+	g.op(s.m, s.thread, s.rng, s.doneFn)
+}
+
+// done ends the slot's operation and starts the next, at once after a
+// success and after a brief back-off after an abort (conflict retry).
+func (s *opSlot) done(ok bool) {
+	g := s.g
+	s.open = false
+	now := g.c.Eng.Now()
+	if ok {
+		g.committed++
+		if now-g.startAt >= g.Warmup {
+			g.Latency.Record(now - s.began)
+			g.Timeline.Add(now, 1)
 		}
-		g.aborted++
-		// Back off briefly on aborts (conflict retry).
-		g.c.Eng.After(s.rng.Duration(20*sim.Microsecond)+sim.Microsecond, func() {
-			g.loop(s)
-		})
-	})
+		s.loop()
+		return
+	}
+	g.aborted++
+	g.c.Eng.After(s.rng.Duration(20*sim.Microsecond)+sim.Microsecond, s.retryFn)
 }
 
 // Open counts machine mi's operations that began at or after since and

@@ -83,6 +83,8 @@ type Workload struct {
 	local [][]*warehouse
 
 	histSeq uint64
+	// noFree holds finished NewOrder state machines for reuse (newOrder).
+	noFree []*newOrder
 
 	// NewOrderLat and NewOrderTimeline record only "new order"
 	// transactions, the metric of Figures 8 and 10.
@@ -120,7 +122,8 @@ var treeOrder = 32
 // B-tree keys within one warehouse.
 func orderKey(d, o int) uint64 { return uint64(d)<<40 | uint64(o) }
 func olKey(d, o, n int) uint64 { return uint64(d)<<40 | uint64(o)<<8 | uint64(n) }
-func custKey(d, c int) []byte  { return kv.U64Key(uint64(d)<<16 | uint64(c)) }
+func custKey(d, c int) []byte  { return kv.U64Key(custID(d, c)) }
+func custID(d, c int) uint64   { return uint64(d)<<16 | uint64(c) }
 
 // warehouseKey is the one key of a warehouse table (kv never changes or
 // keeps a key it is given, so every transaction can share it).
@@ -428,17 +431,7 @@ func (w *Workload) Mix() loadgen.Op {
 		wh := w.warehouseFor(m, rng)
 		switch p := rng.Intn(100); {
 		case p < 45:
-			begin := w.C.Eng.Now()
-			w.NewOrder(m, thread, wh, rng, func(ok bool) {
-				if ok {
-					now := w.C.Eng.Now()
-					if now >= w.MeasureFrom {
-						w.NewOrderLat.Record(now - begin)
-						w.NewOrderTimeline.Add(now, 1)
-					}
-				}
-				done(ok)
-			})
+			w.NewOrder(m, thread, wh, rng, done)
 		case p < 88:
 			w.Payment(m, thread, wh, rng, done)
 		case p < 92:
@@ -454,118 +447,186 @@ func (w *Workload) Mix() loadgen.Op {
 // NewOrder is the measured transaction: read warehouse/district/customer,
 // advance the district's next_o_id, insert the order, its new-order entry
 // and 5–15 order lines, reading and updating stock for each item (1%
-// remote warehouse per item).
+// remote warehouse per item). One that commits is counted in NewOrders and,
+// from MeasureFrom on, recorded in NewOrderLat and NewOrderTimeline.
 func (w *Workload) NewOrder(m *core.Machine, thread int, wh *warehouse, rng *sim.Rand, done func(bool)) {
+	no := w.newOrderOp()
 	cfg := w.Cfg
-	d := rng.Intn(cfg.Districts) + 1
-	cid := rng.Intn(cfg.CustomersPerDist)
-	nItems := rng.Intn(11) + 5
-	fail := func(error) { done(false) }
-
-	dkey := kv.U64Key(uint64(d))
-	tx := m.Begin(thread)
-	wh.wTbl.Get(tx, warehouseKey, func(_ []byte, ok bool, err error) {
-		if err != nil || !ok {
-			fail(err)
-			return
-		}
-		wh.dTbl.Get(tx, dkey, func(drow []byte, ok bool, err error) {
-			if err != nil || !ok {
-				fail(err)
-				return
-			}
-			oid := int(binary.LittleEndian.Uint32(drow))
-			binary.LittleEndian.PutUint32(drow, uint32(oid+1))
-			wh.dTbl.Put(tx, dkey, drow, func(err error) {
-				if err != nil {
-					fail(err)
-					return
-				}
-				wh.cTbl.Get(tx, custKey(d, cid), func(_ []byte, ok bool, err error) {
-					if err != nil || !ok {
-						fail(err)
-						return
-					}
-					// Insert order + new-order entries.
-					orow := make([]byte, orderVal)
-					binary.LittleEndian.PutUint32(orow, uint32(cid))
-					orow[12] = byte(nItems)
-					wh.orders[d].Put(tx, orderKey(d, oid), orow, func(err error) {
-						if err != nil {
-							fail(err)
-							return
-						}
-						wh.newOrders[d].Put(tx, orderKey(d, oid), []byte{1}, func(err error) {
-							if err != nil {
-								fail(err)
-								return
-							}
-							w.orderLinesLoop(tx, m, wh, rng, d, oid, cid, nItems, 0, done)
-						})
-					})
-				})
-			})
-		})
-	})
+	no.wh, no.rng, no.done, no.begin = wh, rng, done, w.C.Eng.Now()
+	no.d = rng.Intn(cfg.Districts) + 1
+	no.cid = rng.Intn(cfg.CustomersPerDist)
+	no.nItems = rng.Intn(11) + 5
+	binary.LittleEndian.PutUint64(no.dkey[:], uint64(no.d))
+	no.tx = m.Begin(thread)
+	no.stage = noWarehouse
+	wh.wTbl.Get(no.tx, warehouseKey, no.getFn)
 }
 
-// orderLinesLoop inserts order lines and updates stock (possibly remote).
-func (w *Workload) orderLinesLoop(tx *core.Tx, m *core.Machine, wh *warehouse, rng *sim.Rand, d, oid, cid, nItems, n int, done func(bool)) {
-	if n == nItems {
-		tx.Commit(func(err error) {
-			if err == nil {
-				w.NewOrders++
-			}
-			done(err == nil)
-		})
+// newOrder is one NewOrder transaction as a pooled state machine: stage
+// says which lookup, write or commit is outstanding, and its continuations
+// are bound once. Its keys and rows are its own arrays — kv and btree
+// neither keep nor change a key, and copy a value into the row they write —
+// and it returns to the workload's pool, reset whole, before done runs, so a
+// done that starts the next NewOrder reuses it.
+type newOrder struct {
+	w      *Workload
+	tx     *core.Tx
+	wh     *warehouse
+	supply *warehouse // the current line's stock warehouse
+	rng    *sim.Rand
+	done   func(bool)
+	begin  sim.Time
+
+	stage        uint8
+	d, cid, oid  int
+	nItems, n    int    // order lines, and the current line's number
+	item         int    // the current line's item
+	price, order uint32 // its price and quantity
+
+	dkey, ckey, ikey [8]byte // kv.U64Key's encoding
+	orow             [orderVal]byte
+	ol               [orderLineVal]byte
+
+	getFn    func(row []byte, ok bool, err error)
+	putFn    func(err error)
+	commitFn func(err error)
+}
+
+// What a newOrder is waiting for.
+const (
+	noWarehouse = iota // Get of the warehouse row
+	noDistrict         // Get of the district row
+	noNextID           // Put of its advanced next_o_id
+	noCustomer         // Get of the customer row
+	noOrder            // Put of the order
+	noNewOrder         // Put of its new-order entry
+	noItem             // Get of a line's item row
+	noStock            // Get of its stock row
+	noStockPut         // Put of the updated stock row
+	noLine             // Put of the order line
+)
+
+// newOrderVal is every new-order entry's value.
+var newOrderVal = []byte{1}
+
+func (w *Workload) newOrderOp() *newOrder {
+	if k := len(w.noFree); k > 0 {
+		no := w.noFree[k-1]
+		w.noFree = w.noFree[:k-1]
+		return no
+	}
+	no := &newOrder{w: w}
+	no.getFn, no.putFn, no.commitFn = no.gotRow, no.wrote, no.committed
+	return no
+}
+
+// finish returns the state machine to the pool, reset whole but for its
+// workload and bound continuations, then reports ok.
+func (no *newOrder) finish(ok bool) {
+	w, done := no.w, no.done
+	*no = newOrder{w: w, getFn: no.getFn, putFn: no.putFn, commitFn: no.commitFn}
+	w.noFree = append(w.noFree, no)
+	done(ok)
+}
+
+// gotRow takes the row a Get found.
+func (no *newOrder) gotRow(row []byte, ok bool, err error) {
+	if err != nil || !ok {
+		no.finish(false)
 		return
 	}
-	item := rng.Intn(w.Cfg.Items)
-	supply := wh
+	wh := no.wh
+	switch no.stage {
+	case noWarehouse:
+		no.stage = noDistrict
+		wh.dTbl.Get(no.tx, no.dkey[:], no.getFn)
+	case noDistrict:
+		no.oid = int(binary.LittleEndian.Uint32(row))
+		binary.LittleEndian.PutUint32(row, uint32(no.oid+1))
+		no.stage = noNextID
+		wh.dTbl.Put(no.tx, no.dkey[:], row, no.putFn)
+	case noCustomer:
+		binary.LittleEndian.PutUint32(no.orow[:], uint32(no.cid))
+		no.orow[12] = byte(no.nItems)
+		no.stage = noOrder
+		wh.orders[no.d].Put(no.tx, orderKey(no.d, no.oid), no.orow[:], no.putFn)
+	case noItem:
+		no.price = binary.LittleEndian.Uint32(row)
+		no.stage = noStock
+		no.supply.sTbl.Get(no.tx, no.ikey[:], no.getFn)
+	case noStock:
+		qty := binary.LittleEndian.Uint32(row)
+		if qty < 10 {
+			qty += 91
+		}
+		no.order = uint32(no.rng.Intn(10) + 1)
+		binary.LittleEndian.PutUint32(row, qty-no.order)
+		binary.LittleEndian.PutUint32(row[8:], binary.LittleEndian.Uint32(row[8:])+1) // order_cnt
+		no.stage = noStockPut
+		no.supply.sTbl.Put(no.tx, no.ikey[:], row, no.putFn)
+	}
+}
+
+// wrote goes on from a finished Put.
+func (no *newOrder) wrote(err error) {
+	if err != nil {
+		no.finish(false)
+		return
+	}
+	wh, d := no.wh, no.d
+	switch no.stage {
+	case noNextID:
+		binary.LittleEndian.PutUint64(no.ckey[:], custID(d, no.cid))
+		no.stage = noCustomer
+		wh.cTbl.Get(no.tx, no.ckey[:], no.getFn)
+	case noOrder:
+		no.stage = noNewOrder
+		wh.newOrders[d].Put(no.tx, orderKey(d, no.oid), newOrderVal, no.putFn)
+	case noNewOrder:
+		no.line()
+	case noStockPut:
+		binary.LittleEndian.PutUint32(no.ol[:], uint32(no.item))
+		binary.LittleEndian.PutUint32(no.ol[4:], no.order)
+		binary.LittleEndian.PutUint32(no.ol[8:], no.order*no.price)
+		no.stage = noLine
+		wh.orderLines[d].Put(no.tx, olKey(d, no.oid, no.n), no.ol[:], no.putFn)
+	case noLine:
+		no.n++
+		no.line()
+	}
+}
+
+// line starts order line n — its item, supplying warehouse, item and stock
+// rows — or commits once every line is in.
+func (no *newOrder) line() {
+	w, wh, rng := no.w, no.wh, no.rng
+	if no.n == no.nItems {
+		no.tx.Commit(no.commitFn)
+		return
+	}
+	no.item = rng.Intn(w.Cfg.Items)
+	no.supply = wh
 	if rng.Intn(100) < w.Cfg.RemoteItemPct && len(w.whs) > 1 {
-		supply = w.whs[rng.Intn(len(w.whs))]
-		if supply != wh {
+		no.supply = w.whs[rng.Intn(len(w.whs))]
+		if no.supply != wh {
 			w.RemoteAccesses++
 		}
 	}
-	ikey := kv.U64Key(uint64(item)) // the item row and its stock row share it
-	wh.iTbl.Get(tx, ikey, func(irow []byte, ok bool, err error) {
-		if err != nil || !ok {
-			done(false)
-			return
+	binary.LittleEndian.PutUint64(no.ikey[:], uint64(no.item)) // the item row and its stock row share it
+	no.stage = noItem
+	wh.iTbl.Get(no.tx, no.ikey[:], no.getFn)
+}
+
+func (no *newOrder) committed(err error) {
+	if err == nil {
+		w := no.w
+		w.NewOrders++
+		if now := w.C.Eng.Now(); now >= w.MeasureFrom {
+			w.NewOrderLat.Record(now - no.begin)
+			w.NewOrderTimeline.Add(now, 1)
 		}
-		price := binary.LittleEndian.Uint32(irow)
-		supply.sTbl.Get(tx, ikey, func(srow []byte, ok bool, err error) {
-			if err != nil || !ok {
-				done(false)
-				return
-			}
-			qty := binary.LittleEndian.Uint32(srow)
-			if qty < 10 {
-				qty += 91
-			}
-			order := uint32(rng.Intn(10) + 1)
-			binary.LittleEndian.PutUint32(srow, qty-order)
-			binary.LittleEndian.PutUint32(srow[8:], binary.LittleEndian.Uint32(srow[8:])+1) // order_cnt
-			supply.sTbl.Put(tx, ikey, srow, func(err error) {
-				if err != nil {
-					done(false)
-					return
-				}
-				ol := make([]byte, orderLineVal)
-				binary.LittleEndian.PutUint32(ol, uint32(item))
-				binary.LittleEndian.PutUint32(ol[4:], order)
-				binary.LittleEndian.PutUint32(ol[8:], order*price)
-				wh.orderLines[d].Put(tx, olKey(d, oid, n), ol, func(err error) {
-					if err != nil {
-						done(false)
-						return
-					}
-					w.orderLinesLoop(tx, m, wh, rng, d, oid, cid, nItems, n+1, done)
-				})
-			})
-		})
-	})
+	}
+	no.finish(err == nil)
 }
 
 // Payment updates warehouse/district ytd and the customer balance (15%
