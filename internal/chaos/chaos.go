@@ -492,10 +492,8 @@ func Run(cfg Config) Result {
 		LeaseDuration: cfg.Lease,
 		LogCapacity:   cfg.LogCapacity,
 		Trace:         cfg.Trace,
-		// Audits self-heal: a localized divergent backup is fenced into
-		// force-copy re-replication and the repair is re-audited.
-		AuditRepair:        cfg.Audit,
-		History:            cfg.HistCheck || cfg.HistDump,
+		History:       cfg.HistCheck || cfg.HistDump,
+		// TEST-ONLY: see Config.BugSkipValidation.
 		SkipReadValidation: cfg.BugSkipValidation,
 	}
 	c := core.New(opts)

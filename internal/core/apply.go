@@ -211,7 +211,7 @@ func (m *Machine) processLock(rt *remoteTx, rec *proto.Record) {
 			ok = false
 			break
 		}
-		if rep.auditFence {
+		if rep.audit != nil {
 			// A state-integrity audit holds the region at a quiescent
 			// point; the coordinator sees an ordinary conflict and retries.
 			m.c.Counters.Inc("audit_fence_conflict", 1)

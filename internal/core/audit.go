@@ -5,9 +5,9 @@ package core
 // committed state (internal/audit), and a region's primary can, on demand,
 // fence the region at a quiescent point, snapshot digests at itself and
 // every backup, and compare them. On divergence it drills down
-// (region → block → object) to the first divergent object and — when
-// Options.AuditRepair is set — fences the divergent backup into the §5.4
-// re-replication path in force-copy mode, then re-audits the repair.
+// (region → block → object) to the first divergent object, fences the
+// divergent backup into the §5.4 re-replication path in force-copy mode,
+// and re-audits the repair.
 //
 // Two digests per replica are compared:
 //
@@ -31,6 +31,7 @@ import (
 	"cmp"
 	"fmt"
 	"maps"
+	"slices"
 
 	"farm/internal/audit"
 	"farm/internal/proto"
@@ -110,21 +111,23 @@ func (r AuditReport) Divergence() string {
 	return s
 }
 
-// auditRun is the primary-side state of one in-flight region audit.
+// auditRun is the primary-side state of one in-flight region audit. It
+// hangs off its replica, rep (replica.audit), until it finishes.
 type auditRun struct {
-	id     uint64
-	region uint32
-	cfg    uint64
-	rep    *replica
-	cb     func(AuditReport)
-	report AuditReport
-	span   trace.Ctx
+	id       uint64
+	cfg      uint64
+	deadline sim.Time
+	rep      *replica
+	cb       func(AuditReport)
+	report   AuditReport
+	span     trace.Ctx
 
 	primaryScan   uint64
 	primaryBlocks map[int]uint64
 	backups       []int
-	replies       map[int]*proto.AuditSnapReply
-	awaiting      int
+	// replies holds each backup's snapshot by its position in backups, nil
+	// until the backup answers.
+	replies []*proto.AuditSnapReply
 
 	// reauditing marks the verification pass after a repair.
 	reauditing bool
@@ -173,7 +176,7 @@ func (m *Machine) StartRegionAudit(region uint32, cb func(AuditReport)) {
 	report := AuditReport{Region: region, Backup: -1, Block: -1, Off: -1}
 	rep := m.replica(region)
 	if !m.alive || rep == nil || !rep.primary || !rep.active ||
-		rep.auditFence || m.regionBlocked(region) || rep.allocRecovering {
+		rep.audit != nil || m.regionBlocked(region) || rep.allocRecovering {
 		report.Note = "primary not auditable"
 		m.c.Counters.Inc("audit_skipped", 1)
 		cb(report)
@@ -182,9 +185,8 @@ func (m *Machine) StartRegionAudit(region uint32, cb func(AuditReport)) {
 	m.nextAudit++
 	id := uint64(m.ID+1)<<40 | m.nextAudit
 	report.ID = id
-	run := &auditRun{id: id, region: region, cfg: m.config.ID, rep: rep, cb: cb, report: report}
-	m.audits[id] = run
-	rep.auditFence = true
+	run := &auditRun{id: id, cfg: m.config.ID, deadline: m.c.Eng.Now() + auditDeadline, rep: rep, cb: cb, report: report}
+	rep.audit = run
 	m.c.Counters.Inc("audit_started", 1)
 	if m.trb != nil {
 		run.span = m.trb.Begin("audit", "audit", m.c.Eng.Now(), id, 0, int64(region))
@@ -199,12 +201,12 @@ func (m *Machine) StartRegionAudit(region uint32, cb func(AuditReport)) {
 }
 
 // regionQuiet reports whether no transaction is in flight against the
-// region at this machine: no held object locks and no pending (non-
-// aborted, un-truncated) log records that write it. A transaction whose
+// replica's region at this machine: no held object locks and no pending
+// (non-aborted, un-truncated) log records that write it. A transaction whose
 // LOCK was refused here counts as aborted, or the retry stream the audit
 // fence itself provokes keeps a busy region from ever looking quiet.
 // Aggregation only, so ranging the maps directly is safe (see order.go).
-func (m *Machine) regionQuiet(region uint32, rep *replica) bool {
+func (m *Machine) regionQuiet(rep *replica) bool {
 	if len(rep.lockOwner) != 0 {
 		return false
 	}
@@ -212,7 +214,7 @@ func (m *Machine) regionQuiet(region uint32, rep *replica) bool {
 		if rt.lockRefused || rt.saw&(proto.SawAbort|proto.SawAbortRecovery) != 0 {
 			continue
 		}
-		if remoteTxTouches(rt, region) {
+		if remoteTxTouches(rt, rep.id) {
 			return false
 		}
 	}
@@ -252,38 +254,69 @@ func remoteTxTouches(rt *remoteTx, region uint32) bool {
 	return false
 }
 
-// auditSettle waits (behind the fence) for the region to quiesce at the
-// primary, then snapshots. Settle failure makes the audit inconclusive.
-func (m *Machine) auditSettle(run *auditRun) {
+// awaitQuiet is the settle loop of both sides of an audit: it polls the
+// replica every auditSettlePoll and calls settled(true) once the region has
+// been quiet auditSettleRounds polls in a row, or settled(false) once
+// auditSettleDeadline has passed. A backup also waits out frames behind a
+// hole in a log (gaps, logGap). The loop ends without a word when live
+// turns false.
+func (m *Machine) awaitQuiet(rep *replica, gaps bool, live func() bool, settled func(ok bool)) {
 	deadline := m.c.Eng.Now() + auditSettleDeadline
 	quiet := 0
 	var poll func()
 	poll = func() {
-		if run.done {
+		if !live() {
 			return
 		}
-		if !m.alive || m.config.ID != run.cfg {
-			run.report.Note = "configuration changed"
-			m.finishAudit(run)
-			return
-		}
-		if m.regionQuiet(run.region, run.rep) {
-			quiet++
-			if quiet >= auditSettleRounds {
-				m.auditSnapshot(run)
+		if m.regionQuiet(rep) && !(gaps && m.logGap()) {
+			if quiet++; quiet >= auditSettleRounds {
+				settled(true)
 				return
 			}
 		} else {
 			quiet = 0
 		}
 		if m.c.Eng.Now() >= deadline {
-			run.report.Note = "settle timeout at primary"
-			m.finishAudit(run)
+			settled(false)
 			return
 		}
 		m.c.Eng.After(auditSettlePoll, poll)
 	}
 	poll()
+}
+
+// auditSettle waits (behind the fence) for the region to quiesce at the
+// primary, then snapshots. Settle failure makes the audit inconclusive.
+func (m *Machine) auditSettle(run *auditRun) {
+	m.awaitQuiet(run.rep, false, func() bool {
+		if !run.done && (!m.alive || m.config.ID != run.cfg) {
+			run.report.Note = "configuration changed"
+			m.finishAudit(run)
+		}
+		return !run.done
+	}, func(ok bool) {
+		if ok {
+			m.auditSnapshot(run)
+			return
+		}
+		run.report.Note = "settle timeout at primary"
+		m.finishAudit(run)
+	})
+}
+
+// auditCall sends msg to dst as a call of the run's, with *id set to the
+// call's id. The call lives no longer than the run: the table fails it at
+// the run's deadline or when the run's configuration ends, by which time
+// the run has finished, so a failure does nothing and done only sees an
+// answer that came while the run was open.
+func (m *Machine) auditCall(run *auditRun, dst int, msg interface{}, id *uint64, done func(resp interface{})) {
+	*id = m.callResent(dst, msg, resend{every: run.deadline - m.c.Eng.Now(), cfg: run.cfg},
+		func(resp interface{}, err error) {
+			if err == nil && !run.done {
+				done(resp)
+			}
+		})
+	m.sendCtx(dst, msg, run.span)
 }
 
 // auditSnapshot computes the primary's digests (running the incremental
@@ -306,7 +339,7 @@ func (m *Machine) auditSnapshot(run *auditRun) {
 	}
 
 	run.backups = run.backups[:0]
-	rm := m.mapping(run.region)
+	rm := m.mapping(run.rep.id)
 	if rm != nil {
 		for _, b := range rm.Replicas[1:] {
 			if int(b) != m.ID && m.isMember(int(b)) {
@@ -322,12 +355,15 @@ func (m *Machine) auditSnapshot(run *auditRun) {
 		return
 	}
 	headers := maps.Clone(rep.headers)
-	run.replies = make(map[int]*proto.AuditSnapReply, len(run.backups))
-	run.awaiting = len(run.backups)
-	for _, b := range run.backups {
-		m.sendCtx(b, &proto.AuditSnap{
-			AuditID: run.id, Config: run.cfg, Region: run.region, Headers: headers,
-		}, run.span)
+	run.replies = make([]*proto.AuditSnapReply, len(run.backups))
+	for i, b := range run.backups {
+		snap := &proto.AuditSnap{Config: run.cfg, Region: run.rep.id, Headers: headers}
+		m.auditCall(run, b, snap, &snap.ID, func(resp interface{}) {
+			run.replies[i] = resp.(*proto.AuditSnapReply)
+			if !slices.Contains(run.replies, nil) {
+				m.auditCompare(run)
+			}
+		})
 	}
 }
 
@@ -338,7 +374,7 @@ func (m *Machine) auditSnapshot(run *auditRun) {
 // settle — pending transactions, data recovery in flight, configuration
 // mismatch — answers Settled=false and the audit is inconclusive.
 func (m *Machine) onAuditSnap(src int, v *proto.AuditSnap) {
-	reply := &proto.AuditSnapReply{AuditID: v.AuditID, Config: m.config.ID, Region: v.Region}
+	reply := &proto.AuditSnapReply{ID: v.ID, Config: m.config.ID, Region: v.Region}
 	rep := m.replica(v.Region)
 	if v.Config != m.config.ID || rep == nil || rep.primary ||
 		rep.needsDataRecovery || rep.repairing {
@@ -346,49 +382,22 @@ func (m *Machine) onAuditSnap(src int, v *proto.AuditSnap) {
 		return
 	}
 	m.learnHeaders(rep, v.Headers)
-	layout := m.c.Opts.Layout
 	cfg := m.config.ID
-	deadline := m.c.Eng.Now() + auditSettleDeadline
-	quiet := 0
-	var poll func()
-	poll = func() {
-		if !m.alive || m.config.ID != cfg || m.replica(v.Region) != rep ||
-			rep.needsDataRecovery || rep.primary {
-			return // audit aborted or superseded; primary's deadline handles it
+	m.awaitQuiet(rep, true, func() bool {
+		// An audit aborted or superseded is not answered: the primary's
+		// deadline ends it.
+		return m.alive && m.config.ID == cfg && m.replica(v.Region) == rep &&
+			!rep.needsDataRecovery && !rep.primary
+	}, func(ok bool) {
+		if ok {
+			layout := m.c.Opts.Layout
+			reply.Settled = true
+			reply.Inc = rep.dig.Value()
+			reply.Scan = audit.ScanRegion(rep.mem, layout.BlockSize, rep.headers)
+			reply.Blocks = audit.BlockDigests(rep.mem, layout.BlockSize, rep.headers)
 		}
-		if m.regionQuiet(v.Region, rep) && !m.logGap() {
-			quiet++
-			if quiet >= auditSettleRounds {
-				reply.Settled = true
-				reply.Inc = rep.dig.Value()
-				reply.Scan = audit.ScanRegion(rep.mem, layout.BlockSize, rep.headers)
-				reply.Blocks = audit.BlockDigests(rep.mem, layout.BlockSize, rep.headers)
-				m.send(src, reply)
-				return
-			}
-		} else {
-			quiet = 0
-		}
-		if m.c.Eng.Now() >= deadline {
-			m.send(src, reply) // Settled: false
-			return
-		}
-		m.c.Eng.After(auditSettlePoll, poll)
-	}
-	poll()
-}
-
-// onAuditSnapReply collects backup snapshots at the primary.
-func (m *Machine) onAuditSnapReply(src int, v *proto.AuditSnapReply) {
-	run := m.audits[v.AuditID]
-	if run == nil || run.done || run.replies == nil || run.replies[src] != nil {
-		return
-	}
-	run.replies[src] = v
-	run.awaiting--
-	if run.awaiting == 0 {
-		m.auditCompare(run)
-	}
+		m.send(src, reply)
+	})
 }
 
 // auditCompare judges the collected snapshots: all settled and all scans
@@ -396,16 +405,15 @@ func (m *Machine) onAuditSnapReply(src int, v *proto.AuditSnapReply) {
 // inconclusive; otherwise the first divergent backup (lowest machine id)
 // is drilled into.
 func (m *Machine) auditCompare(run *auditRun) {
-	for _, b := range run.backups {
-		v := run.replies[b]
-		if v == nil || !v.Settled || v.Config != run.cfg {
+	for i, b := range run.backups {
+		if v := run.replies[i]; !v.Settled || v.Config != run.cfg {
 			run.report.Note = fmt.Sprintf("backup m%d not settled", b)
 			m.finishAudit(run)
 			return
 		}
 	}
-	for _, b := range run.backups {
-		v := run.replies[b]
+	for i, b := range run.backups {
+		v := run.replies[i]
 		if v.Scan == run.primaryScan && v.Inc == v.Scan {
 			continue
 		}
@@ -424,19 +432,25 @@ func (m *Machine) auditCompare(run *auditRun) {
 			return
 		}
 		run.report.Block = blk
-		m.sendCtx(b, &proto.AuditObjectsReq{
-			AuditID: run.id, Config: run.cfg, Region: run.region, Block: blk,
-		}, run.span)
+		// The backup's slot digests of the block turn the first divergent
+		// slot into the exact object offset.
+		req := &proto.AuditObjectsReq{Config: run.cfg, Region: run.rep.id, Block: blk}
+		m.auditCall(run, b, req, &req.ID, func(resp interface{}) {
+			layout := m.c.Opts.Layout
+			if class := run.rep.headers[blk]; class != 0 {
+				mine := audit.ObjectDigests(run.rep.mem, blk*layout.BlockSize, layout.BlockSize, class)
+				if slot := audit.FirstDivergentObject(mine, resp.(*proto.AuditObjectsReply).Objects); slot >= 0 {
+					run.report.Off = blk*layout.BlockSize + slot*class
+				}
+			}
+			m.auditDiverged(run)
+		})
 		return
 	}
-	// All backups match the primary.
-	if run.reauditing {
-		run.report.Repaired = true
-		run.report.Clean = false
-	} else {
-		run.report.Clean = true
-	}
+	// All backups match the primary: clean, or repaired on a re-audit.
 	run.report.Conclusive = true
+	run.report.Clean = !run.reauditing
+	run.report.Repaired = run.reauditing
 	m.finishAudit(run)
 }
 
@@ -444,48 +458,29 @@ func (m *Machine) auditCompare(run *auditRun) {
 // block's per-slot digests in slot order.
 func (m *Machine) onAuditObjectsReq(src int, v *proto.AuditObjectsReq) {
 	rep := m.replica(v.Region)
-	if rep == nil || v.Config != m.config.ID {
+	if rep == nil || v.Config != m.config.ID || rep.headers[v.Block] == 0 {
 		return
 	}
 	class := rep.headers[v.Block]
-	if class == 0 {
-		return
-	}
 	m.send(src, &proto.AuditObjectsReply{
-		AuditID: v.AuditID, Region: v.Region, Block: v.Block,
+		ID: v.ID, Region: v.Region, Block: v.Block,
 		Objects: audit.ObjectDigests(rep.mem, v.Block*m.c.Opts.Layout.BlockSize,
 			m.c.Opts.Layout.BlockSize, class),
 	})
 }
 
-// onAuditObjectsReply finishes localization at the primary: the first
-// divergent slot index becomes the exact object offset.
-func (m *Machine) onAuditObjectsReply(_ int, v *proto.AuditObjectsReply) {
-	run := m.audits[v.AuditID]
-	if run == nil || run.done || run.report.Block != v.Block {
-		return
-	}
-	layout := m.c.Opts.Layout
-	class := run.rep.headers[v.Block]
-	if class != 0 {
-		mine := audit.ObjectDigests(run.rep.mem, v.Block*layout.BlockSize, layout.BlockSize, class)
-		if slot := audit.FirstDivergentObject(mine, v.Objects); slot >= 0 {
-			run.report.Off = v.Block*layout.BlockSize + slot*class
-		}
-	}
-	m.auditDiverged(run)
-}
-
 // auditDiverged records a localized divergence and either hands the
-// backup to the repair path (Options.AuditRepair, first pass only) or
-// finishes with the failure.
+// backup to the repair path (first pass only) or finishes with the
+// failure. The repaired region is re-audited: the snapshot/compare
+// machinery runs again, and a second divergence is reported, not
+// re-repaired.
 func (m *Machine) auditDiverged(run *auditRun) {
 	m.c.Counters.Inc("audit_divergence", 1)
-	m.c.trace("audit-divergence", run.report.Backup, int(run.region))
+	m.c.trace("audit-divergence", run.report.Backup, int(run.rep.id))
 	if m.trb != nil {
 		m.trb.Event("audit", "divergence", m.c.Eng.Now(), run.id, run.span.Span, int64(run.report.Off))
 	}
-	if !m.c.Opts.AuditRepair || run.reauditing || run.report.Backup == m.ID {
+	if run.reauditing || run.report.Backup == m.ID {
 		if run.reauditing {
 			run.report.Note = "repair did not converge"
 		}
@@ -493,9 +488,16 @@ func (m *Machine) auditDiverged(run *auditRun) {
 		return
 	}
 	m.c.Counters.Inc("audit_repair_started", 1)
-	m.sendCtx(run.report.Backup, &proto.AuditRepair{
-		AuditID: run.id, Config: run.cfg, Region: run.region,
-	}, run.span)
+	req := &proto.AuditRepair{Config: run.cfg, Region: run.rep.id}
+	m.auditCall(run, run.report.Backup, req, &req.ID, func(resp interface{}) {
+		if v := resp.(*proto.AuditRepairDone); !v.OK || v.Config != run.cfg {
+			run.report.Note = "repair failed"
+			m.finishAudit(run)
+			return
+		}
+		run.reauditing = true
+		m.auditSettle(run)
+	})
 }
 
 // onAuditRepair fences this backup replica into force-copy
@@ -506,31 +508,14 @@ func (m *Machine) onAuditRepair(src int, v *proto.AuditRepair) {
 	rep := m.replica(v.Region)
 	if v.Config != m.config.ID || rep == nil || rep.primary ||
 		rep.needsDataRecovery || rep.repairing {
-		m.send(src, &proto.AuditRepairDone{AuditID: v.AuditID, Config: m.config.ID, Region: v.Region})
+		m.send(src, &proto.AuditRepairDone{ID: v.ID, Config: m.config.ID, Region: v.Region})
 		return
 	}
 	rep.repairing = true
-	rep.repairAuditID = v.AuditID
+	rep.repairID = v.ID
 	rep.needsDataRecovery = true
 	m.c.trace("audit-repair", m.ID, int(v.Region))
 	m.startDataRecovery(rep)
-}
-
-// onAuditRepairDone re-audits the repaired region (the snapshot/compare
-// machinery runs again; a second divergence is reported, not re-repaired).
-func (m *Machine) onAuditRepairDone(_ int, v *proto.AuditRepairDone) {
-	run := m.audits[v.AuditID]
-	if run == nil || run.done {
-		return
-	}
-	if !v.OK || v.Config != run.cfg {
-		run.report.Note = "repair failed"
-		m.finishAudit(run)
-		return
-	}
-	run.reauditing = true
-	run.replies = nil
-	m.auditSettle(run)
 }
 
 // finishAudit drops the fence, emits the trace/counter epilogue, and
@@ -541,8 +526,7 @@ func (m *Machine) finishAudit(run *auditRun) {
 		return
 	}
 	run.done = true
-	delete(m.audits, run.id)
-	run.rep.auditFence = false
+	run.rep.audit = nil
 	switch {
 	case !run.report.Conclusive:
 		m.c.Counters.Inc("audit_inconclusive", 1)
@@ -562,22 +546,32 @@ func (m *Machine) finishAudit(run *auditRun) {
 	run.cb(run.report)
 }
 
-// abortAudits cancels every in-flight audit this machine coordinates and
-// clears all fences and repair marks — called on any configuration change
-// and on power restoration, so a fence can never leak past the epoch it
-// was taken in.
+// abortAudits cancels every in-flight audit this machine coordinates, in
+// region order, and clears every repair mark — called on any configuration
+// change and on power restoration, so a fence can never leak past the
+// epoch it was taken in.
 func (m *Machine) abortAudits(reason string) {
-	for _, id := range sortedKeys(m.audits, cmp.Compare[uint64]) {
-		run := m.audits[id]
-		run.report.Note = reason
-		m.finishAudit(run)
-	}
 	for i := range m.regions {
 		if r := m.regions[i].rep; r != nil {
-			r.auditFence = false
+			if run := r.audit; run != nil {
+				run.report.Note = reason
+				m.finishAudit(run)
+			}
 			r.repairing = false
 		}
 	}
+}
+
+// latestMember returns the alive member holding the latest configuration
+// any alive member holds (the lowest id among equals), nil if none.
+func (c *Cluster) latestMember() *Machine {
+	var src *Machine
+	for _, m := range c.Machines {
+		if m.alive && m.config.Member(uint16(m.ID)) && (src == nil || m.config.ID > src.config.ID) {
+			src = m
+		}
+	}
+	return src
 }
 
 // StartAudit audits every region of the cluster (each at its primary)
@@ -586,12 +580,7 @@ func (m *Machine) abortAudits(reason string) {
 // inconclusive. done always fires within auditDeadline of the last
 // region's start.
 func (c *Cluster) StartAudit(done func([]AuditReport)) {
-	var src *Machine
-	for _, m := range c.Machines {
-		if m.alive && m.config.Member(uint16(m.ID)) && (src == nil || m.config.ID > src.config.ID) {
-			src = m
-		}
-	}
+	src := c.latestMember()
 	if src == nil {
 		done(nil)
 		return
@@ -609,7 +598,6 @@ func (c *Cluster) StartAudit(done func([]AuditReport)) {
 	reports := make([]AuditReport, len(regions))
 	remaining := len(regions)
 	for i, r := range regions {
-		i, r := i, r
 		collect := func(rep AuditReport) {
 			reports[i] = rep
 			remaining--
@@ -635,12 +623,7 @@ func (c *Cluster) StartAudit(done func([]AuditReport)) {
 // according to the latest configuration any alive member holds — the
 // placement audits run against. Nil if no alive member knows the region.
 func (c *Cluster) RegionReplicas(region uint32) []int {
-	var src *Machine
-	for _, m := range c.Machines {
-		if m.alive && m.config.Member(uint16(m.ID)) && (src == nil || m.config.ID > src.config.ID) {
-			src = m
-		}
-	}
+	src := c.latestMember()
 	if src == nil || src.mapping(region) == nil {
 		return nil
 	}
@@ -659,12 +642,7 @@ func (c *Cluster) RegionReplicas(region uint32) []int {
 // under concurrent traffic). Returns the victim machine and object
 // offset.
 func (c *Cluster) CorruptBackupObject(region uint32, allocated bool) (machine, off int, ok bool) {
-	var src *Machine
-	for _, m := range c.Machines {
-		if m.alive && m.config.Member(uint16(m.ID)) && (src == nil || m.config.ID > src.config.ID) {
-			src = m
-		}
-	}
+	src := c.latestMember()
 	if src == nil {
 		return -1, -1, false
 	}
@@ -683,9 +661,7 @@ func (c *Cluster) CorruptBackupObject(region uint32, allocated bool) (machine, o
 		if !allocated {
 			// Search from the top so the victim slot is the least likely
 			// to be claimed by the allocator later.
-			for i, j := 0, len(blocks)-1; i < j; i, j = i+1, j-1 {
-				blocks[i], blocks[j] = blocks[j], blocks[i]
-			}
+			slices.Reverse(blocks)
 		}
 		for _, blk := range blocks {
 			class := rep.headers[blk]

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"farm/internal/fabric"
@@ -82,7 +84,7 @@ func TestAuditCleanAfterWorkload(t *testing.T) {
 }
 
 func TestAuditDetectsLocalizesAndRepairsCorruption(t *testing.T) {
-	c, region := testCluster(t, Options{AuditRepair: true})
+	c, region := testCluster(t, Options{})
 	m := c.Machine(0)
 	var addrs []proto.Addr
 	for i := 0; i < 6; i++ {
@@ -134,42 +136,6 @@ func TestAuditDetectsLocalizesAndRepairsCorruption(t *testing.T) {
 	// Workload data must have survived the repair.
 	if got := readObject(t, c, c.Machine(3), addrs[0], 4); got[1] != 9 {
 		t.Fatalf("data damaged by repair: %v", got)
-	}
-}
-
-func TestAuditDetectionWithoutRepair(t *testing.T) {
-	c, region := testCluster(t, Options{}) // AuditRepair off
-	writeObject(t, c, c.Machine(0), []byte("solo"))
-	c.RunFor(50 * sim.Millisecond)
-
-	victim, off, ok := c.CorruptBackupObject(region, true)
-	if !ok {
-		t.Fatal("nothing to corrupt")
-	}
-	reports := conclusiveAudit(t, c)
-	found := false
-	for _, r := range reports {
-		if r.Region == region && !r.Clean {
-			found = true
-			if r.Backup != victim || r.Off != off || r.Repaired {
-				t.Fatalf("report: %v, want backup m%d off %d unrepaired", r, victim, off)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("divergence not reported: %v", reports)
-	}
-	// Without repair the corruption persists: a second audit reports it
-	// again (detection is not destructive).
-	again := conclusiveAudit(t, c)
-	stillThere := false
-	for _, r := range again {
-		if r.Region == region && !r.Clean {
-			stillThere = true
-		}
-	}
-	if !stillThere {
-		t.Fatalf("divergence vanished without repair: %v", again)
 	}
 }
 
@@ -319,5 +285,86 @@ func TestAuditWaitsForFramesBehindAHole(t *testing.T) {
 	}
 	if n := c.Counters.Get("audit_divergence"); n != 0 {
 		t.Errorf("%d divergences reported, none exists", n)
+	}
+}
+
+// TestAuditOutlivesALostMessage: every audit request is a call bounded by
+// its run's deadline and configuration, so a lost message of any of the
+// six audit types ends the run at its deadline with what it knew then: no
+// snapshot, no object offset, or no repair. The fence is down by then, no
+// audit call is left open, and the next audits come back conclusive: the
+// repair a lost message cut short is done, and then every replica agrees.
+func TestAuditOutlivesALostMessage(t *testing.T) {
+	for _, tc := range []struct {
+		lost    interface{}
+		corrupt bool // the drill-down and the repair need a divergence
+		want    string
+	}{
+		{&proto.AuditSnap{}, false, "inconclusive (audit deadline)"},
+		{&proto.AuditSnapReply{}, false, "inconclusive (audit deadline)"},
+		{&proto.AuditObjectsReq{}, true, "DIVERGED backup m%[1]d block 0 (audit deadline)"},
+		{&proto.AuditObjectsReply{}, true, "DIVERGED backup m%[1]d block 0 (audit deadline)"},
+		{&proto.AuditRepair{}, true, "DIVERGED backup m%d block 0 object @%d (audit deadline)"},
+		{&proto.AuditRepairDone{}, true, "DIVERGED backup m%d block 0 object @%d (audit deadline)"},
+	} {
+		c, region := testCluster(t, Options{})
+		name := c.Machine(0).tp.reg.Lookup(tc.lost).Name
+		t.Run(name, func(t *testing.T) {
+			writeObject(t, c, c.Machine(0), []byte("first"))
+			writeObject(t, c, c.Machine(1), []byte("second"))
+			c.RunFor(50 * sim.Millisecond)
+			want := tc.want
+			if tc.corrupt {
+				victim, off, ok := c.CorruptBackupObject(region, true)
+				if !ok {
+					t.Fatal("nothing to corrupt")
+				}
+				want = fmt.Sprintf(want, victim, off)
+			}
+			lost := false
+			for _, m := range c.Machines {
+				h := m.tp.reg.Lookup(tc.lost)
+				fn := h.Fn
+				h.Fn = func(src int, msg interface{}) {
+					if !lost {
+						lost = true
+						return
+					}
+					fn(src, msg)
+				}
+			}
+
+			prim := primaryOfRegion(c, region)
+			start := c.Now()
+			var got *AuditReport
+			prim.StartRegionAudit(region, func(r AuditReport) { got = &r })
+			runUntil(t, c, sim.Second, func() bool { return got != nil })
+			if !lost {
+				t.Fatalf("no %s was sent", name)
+			}
+			if at := c.Now() - start; at != auditDeadline {
+				t.Errorf("the run ended after %v, want its deadline %v", at, auditDeadline)
+			}
+			if s := strings.TrimPrefix(got.String(), fmt.Sprintf("audit %#x region %d: ", got.ID, region)); s != want {
+				t.Errorf("report %q, want %q", s, want)
+			}
+			if prim.replica(region).audit != nil {
+				t.Error("the region is still fenced")
+			}
+			c.RunFor(sim.Millisecond)
+			if len(prim.calls) != 0 {
+				t.Errorf("calls left open: %v", prim.OpenCalls())
+			}
+			for _, r := range conclusiveAudit(t, c) {
+				if !r.Clean && !r.Repaired {
+					t.Fatalf("the next audit: %v", r)
+				}
+			}
+			for _, r := range conclusiveAudit(t, c) {
+				if !r.Clean {
+					t.Fatalf("the audit after: %v", r)
+				}
+			}
+		})
 	}
 }

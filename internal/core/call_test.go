@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"farm/internal/proto"
 	"farm/internal/sim"
 )
 
@@ -72,5 +73,81 @@ func TestRegionAllocationSurvivesCMDeath(t *testing.T) {
 	}
 	if len(m.calls) != 0 {
 		t.Fatalf("%d calls left", len(m.calls))
+	}
+}
+
+// TestRegionAllocationOutlivesALostPrepare: each prepare of a region
+// allocation is a call of the CM's, so one whose answer never comes ends
+// the round instead of holding it open. Whether the first PREPARED is lost
+// or a replica dies between PREPARE and PREPARED, the call fails and the
+// CM aborts: the surviving replicas free the region, the CM commits no
+// mapping and keeps no call open, the requester gets an error, and the
+// next allocation succeeds.
+func TestRegionAllocationOutlivesALostPrepare(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kill bool
+	}{{"lost PREPARED", false}, {"replica killed", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _ := testCluster(t, recoveryOpts())
+			c.RunFor(20 * sim.Millisecond)
+			cm, requester := c.Machine(0), c.Machine(3)
+			region := uint32(len(cm.cm.regions))
+			var prepared []int
+			victim := -1
+			for _, m := range c.Machines {
+				h := m.tp.reg.Lookup(&proto.AllocRegionPrepare{})
+				fn, id := h.Fn, m.ID
+				h.Fn = func(src int, msg interface{}) {
+					if tc.kill && victim < 0 && id != cm.ID && id != requester.ID {
+						victim = id
+						c.Kill(id)
+						return
+					}
+					prepared = append(prepared, id)
+					fn(src, msg)
+				}
+			}
+			if !tc.kill {
+				h := cm.tp.reg.Lookup(&proto.AllocRegionPrepared{})
+				fn := h.Fn
+				h.Fn = func(src int, msg interface{}) {
+					if victim < 0 {
+						victim = src
+						return
+					}
+					fn(src, msg)
+				}
+			}
+
+			done := false
+			var err error
+			requester.AllocateRegion(0, func(_ uint32, e error) { done, err = true, e })
+			runUntil(t, c, 500*sim.Millisecond, func() bool { return done })
+			if err == nil {
+				t.Fatal("the allocation succeeded without an answer from every replica")
+			}
+			if victim < 0 {
+				t.Fatal("no prepare was lost")
+			}
+			if tc.kill {
+				awaitNewCM(t, c, victim)
+			}
+			c.RunFor(50 * sim.Millisecond)
+			for _, id := range prepared {
+				if c.Machine(id).store.Region(toNVRAM(region)) != nil {
+					t.Errorf("m%d still holds the aborted region %d", id, region)
+				}
+			}
+			if e := cm.cm.region(region); e == nil || e.rm != nil {
+				t.Fatalf("the CM's entry for region %d: %+v, want one with no mapping", region, e)
+			}
+			if len(cm.calls) != 0 {
+				t.Fatalf("the CM has calls open: %v", cm.OpenCalls())
+			}
+			if _, err := c.CreateRegions(requester.ID, 1, 0); err != nil {
+				t.Fatalf("the next allocation: %v", err)
+			}
+		})
 	}
 }

@@ -33,15 +33,6 @@ type cmState struct {
 type cmRegion struct {
 	rm       *proto.RegionMap // nil until the allocation commits
 	locality uint32           // co-located target region, 0 for none
-	pending  *allocPending    // the allocation's prepare phase, while it runs
-}
-
-type allocPending struct {
-	rm        proto.RegionMap
-	requester int
-	reqID     uint64
-	awaiting  []uint16 // replicas yet to answer the prepare
-	failed    bool
 }
 
 func newCMState() *cmState {
@@ -115,64 +106,50 @@ func (m *Machine) onAllocRegionReq(from int, req *proto.AllocRegionReq) {
 		LastPrimaryChange: m.config.ID,
 		LastReplicaChange: m.config.ID,
 	}
-	p := &allocPending{rm: rm, requester: from, reqID: req.ID, awaiting: append([]uint16(nil), replicas...)}
-	entry := cmRegion{pending: p}
+	entry := cmRegion{}
 	if target != nil {
 		entry.locality = req.Locality
 	}
 	m.cm.regions = append(m.cm.regions, entry)
+	// Each prepare is a call. A refusal, or a call that failed because its
+	// replica left the configuration or did not answer in time, counts
+	// against the allocation; after the last call ends the CM commits or
+	// aborts.
+	awaiting, failed := len(replicas), false
+	prepared := func(resp interface{}, err error) {
+		failed = failed || err != nil || !resp.(*proto.AllocRegionPrepared).OK
+		if awaiting--; awaiting > 0 {
+			return
+		}
+		if failed {
+			for _, r := range replicas {
+				m.send(int(r), &proto.AllocRegionCommit{Region: region}) // empty map = abort
+			}
+			m.send(from, &rpcReply{ID: req.ID, Body: &proto.AllocRegionResp{}})
+			return
+		}
+		m.cm.region(region).rm = &rm
+		m.setMapping(&rm)
+		for _, r := range replicas {
+			m.send(int(r), &proto.AllocRegionCommit{Region: region, Map: rm})
+		}
+		// Announce the mapping to every other member so caches stay warm.
+		for _, member := range m.config.Machines {
+			m.send(int(member), &proto.MappingResp{OK: true, Map: rm})
+		}
+		m.send(from, &rpcReply{ID: req.ID, Body: &proto.AllocRegionResp{OK: true, Map: rm}})
+	}
 	for _, r := range replicas {
-		m.send(int(r), &proto.AllocRegionPrepare{Region: region, Size: req.Size})
+		prep := &proto.AllocRegionPrepare{Region: region, Size: req.Size}
+		prep.ID = m.call(int(r), prep, prepared)
+		m.send(int(r), prep)
 	}
 }
 
 // onAllocPrepare runs at a selected replica: reserve the NVRAM.
 func (m *Machine) onAllocPrepare(src int, req *proto.AllocRegionPrepare) {
 	_, err := m.store.Allocate(toNVRAM(req.Region), req.Size)
-	m.send(src, &proto.AllocRegionPrepared{Region: req.Region, OK: err == nil})
-}
-
-// onAllocPrepared collects prepare responses at the CM and commits or
-// aborts.
-func (m *Machine) onAllocPrepared(src int, resp *proto.AllocRegionPrepared) {
-	if m.cm == nil {
-		return
-	}
-	entry := m.cm.region(resp.Region)
-	if entry == nil || entry.pending == nil {
-		return
-	}
-	p := entry.pending
-	i := slices.Index(p.awaiting, uint16(src))
-	if i < 0 {
-		return
-	}
-	p.awaiting = slices.Delete(p.awaiting, i, i+1)
-	if !resp.OK {
-		p.failed = true
-	}
-	if len(p.awaiting) > 0 {
-		return
-	}
-	entry.pending = nil
-	if p.failed {
-		for _, r := range p.rm.Replicas {
-			m.send(int(r), &proto.AllocRegionCommit{Region: resp.Region}) // empty map = abort
-		}
-		m.send(p.requester, &rpcReply{ID: p.reqID, Body: &proto.AllocRegionResp{}})
-		return
-	}
-	rm := p.rm
-	entry.rm = &rm
-	m.setMapping(&rm)
-	for _, r := range rm.Replicas {
-		m.send(int(r), &proto.AllocRegionCommit{Region: rm.Region, Map: rm})
-	}
-	// Announce the mapping to every other member so caches stay warm.
-	for _, member := range m.config.Machines {
-		m.send(int(member), &proto.MappingResp{OK: true, Map: rm})
-	}
-	m.send(p.requester, &rpcReply{ID: p.reqID, Body: &proto.AllocRegionResp{OK: true, Map: rm}})
+	m.send(src, &proto.AllocRegionPrepared{ID: req.ID, Region: req.Region, OK: err == nil})
 }
 
 // onAllocCommit finalizes (or aborts) a prepared region at a replica.

@@ -143,7 +143,7 @@ func TestLiveRemovedMachineHoldsCommitUntilItsLeaseLapses(t *testing.T) {
 	cm.suspect(victim.ID)
 	var granted sim.Time
 	lastAck, commitAt, _ := commitRound(t, c, sim.Second, func() {
-		if g, ok := cm.lease.granted[victim.ID]; ok {
+		if g := *leaseSlot(&cm.lease.granted, victim.ID); g != noLease {
 			granted = max(granted, g)
 		}
 	})
@@ -288,8 +288,8 @@ func TestLeaseTimedFromRequest(t *testing.T) {
 	cm, mem := c.Machine(0), c.Machine(2)
 	checked := 0
 	for deadline := c.Now() + 100*sim.Millisecond; c.Now() < deadline && c.Eng.Step(); {
-		g, ok := cm.lease.granted[mem.ID]
-		if !ok {
+		g := *leaseSlot(&cm.lease.granted, mem.ID)
+		if g == noLease {
 			continue
 		}
 		if mem.lease.renewed > g {

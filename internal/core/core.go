@@ -166,12 +166,6 @@ type Options struct {
 	// (1 normally; 4 in the aggressive mode of §6.4).
 	DataRecConcurrency int
 
-	// AuditRepair lets a state-integrity audit that localized a divergent
-	// backup fence that backup into force-copy re-replication and then
-	// re-audit the repair (self-healing). Detection and localization always
-	// run when audits are requested; acting on the finding is opt-in.
-	AuditRepair bool
-
 	// Trace configures the deterministic causality tracer
 	// (internal/trace): spans per transaction and commit phase, recovery
 	// timelines, fault annotations. Disabled by default; when disabled no

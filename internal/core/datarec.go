@@ -17,13 +17,6 @@ import (
 // and paced so the latency-critical lock recovery and the foreground
 // workload are not disturbed.
 
-// dataRecoveryDone notifies the CM (bookkeeping only; the throughput
-// effect the paper measures comes from the fetch traffic itself).
-type dataRecoveryDone struct {
-	ConfigID uint64
-	Region   uint32
-}
-
 // dataRecInterval is the pacing interval of data recovery: a thread's next
 // fetch starts at a random point within it (§5.4).
 const dataRecInterval = 4 * sim.Millisecond
@@ -168,8 +161,8 @@ func (m *Machine) applyRecoveredBlock(rep *replica, base int, data []byte) {
 
 // finishDataRecovery marks the replica whole again. An audit repair ends
 // here too: the digest is reseeded from a ground-truth scan (force-copied
-// slots bypassed the incremental updates) and the auditing primary is told
-// to re-verify, instead of the normal CM bookkeeping.
+// slots bypassed the incremental updates) and the repair call is answered,
+// so the auditing primary re-verifies; it does not count as a re-replication.
 func (m *Machine) finishDataRecovery(rep *replica) {
 	if !rep.needsDataRecovery {
 		return
@@ -184,19 +177,13 @@ func (m *Machine) finishDataRecovery(rep *replica) {
 		rep.dig.Reseed(audit.ScanRegion(rep.mem, m.c.Opts.Layout.BlockSize, rep.headers))
 		m.c.Counters.Inc("audit_repairs_completed", 1)
 		if p := m.primaryOf(rep.id); p >= 0 && p != m.ID {
-			m.send(p, &proto.AuditRepairDone{
-				AuditID: rep.repairAuditID, Config: m.config.ID, Region: rep.id, OK: true,
-			})
+			m.send(p, &proto.AuditRepairDone{ID: rep.repairID, Config: m.config.ID, Region: rep.id, OK: true})
 		}
 		return
 	}
 	m.c.Counters.Inc("regions_rereplicated", 1)
 	m.c.noteRegionRecovered(rep.id)
-	m.sendCtx(int(m.config.CM), &dataRecoveryDone{ConfigID: m.config.ID, Region: rep.id}, m.recoveryTraceCtx())
 }
-
-// onDataRecoveryDone is CM bookkeeping.
-func (m *Machine) onDataRecoveryDone(*dataRecoveryDone) {}
 
 // allocScanBatch objects every allocScanInterval is the pace of allocator
 // recovery (§5.5).

@@ -223,14 +223,21 @@ func TestMessagesNamingUnknownIDs(t *testing.T) {
 
 	// REGIONS-ACTIVE from a machine beyond the cluster never completes the
 	// CM's count; an ack from one never completes a NEW-CONFIG collection.
-	before := c.Counters.Get("sent ALL-REGIONS-ACTIVE") + c.Counters.Get("sent NEW-CONFIG-COMMIT")
+	// A PREPARED from one, or naming a call the CM never issued, answers
+	// nothing and commits no region.
+	broadcasts := func() uint64 {
+		return c.Counters.Get("sent ALL-REGIONS-ACTIVE") + c.Counters.Get("sent NEW-CONFIG-COMMIT") +
+			c.Counters.Get("sent ALLOC-REGION-COMMIT")
+	}
+	before := broadcasts()
 	cm.onRegionsActive(noSuchMachine, &proto.RegionsActive{ConfigID: cm.config.ID})
 	cm.tp.reg.Lookup(&proto.NewConfigAck{}).Fn(noSuchMachine, &proto.NewConfigAck{ConfigID: cm.config.ID})
-	cm.onAllocPrepared(noSuchMachine, &proto.AllocRegionPrepared{Region: noSuchRegion, OK: true})
-	cm.onAllocPrepared(1, &proto.AllocRegionPrepared{Region: region, OK: true})
+	prepared := cm.tp.reg.Lookup(&proto.AllocRegionPrepared{}).Fn
+	prepared(noSuchMachine, &proto.AllocRegionPrepared{Region: noSuchRegion, OK: true})
+	prepared(1, &proto.AllocRegionPrepared{ID: cm.nextRPC + 100, Region: region, OK: true})
 	c.RunFor(sim.Millisecond)
-	if got := c.Counters.Get("sent ALL-REGIONS-ACTIVE") + c.Counters.Get("sent NEW-CONFIG-COMMIT"); got != before {
-		t.Fatalf("machine %d was counted: %d broadcasts", noSuchMachine, got-before)
+	if got := broadcasts(); got != before || len(cm.calls) != 0 {
+		t.Fatalf("machine %d was counted: %d broadcasts, %d calls open", noSuchMachine, got-before, len(cm.calls))
 	}
 	// A write landing in the log region of a sender beyond the cluster
 	// schedules no poll.

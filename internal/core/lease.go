@@ -52,13 +52,13 @@ type leaseManager struct {
 	// bounds it.
 	renewed sim.Time
 	// grants holds the renewals received for the leases this machine
-	// grants: machine → when its grant completing our grant+request last
-	// arrived.
-	grants map[int]sim.Time
-	// granted holds the grants sent: machine → when this machine last sent
-	// it a grant+request. Its holder's lease lapses by granted + duration,
-	// whatever the datagram's delay (commitWait).
-	granted map[int]sim.Time
+	// grants, by machine id: when its grant completing our grant+request
+	// last arrived.
+	grants []sim.Time
+	// granted holds the grants sent, by machine id: when this machine last
+	// sent it a grant+request. Its holder's lease lapses by granted +
+	// duration, whatever the datagram's delay (commitWait).
+	granted []sim.Time
 
 	stopped bool
 	// started is set once renewal and expiry checking are armed; start is
@@ -69,13 +69,23 @@ type leaseManager struct {
 // timerResolution is the system timer granularity (0.5 ms in §6.5).
 const timerResolution = 500 * sim.Microsecond
 
+// noLease is a machine's entry in grants or granted while none is
+// recorded: time 0 is a real time.
+const noLease sim.Time = -1
+
+// leaseSlot returns machine id's entry in *t, growing the table to hold it.
+func leaseSlot(t *[]sim.Time, id int) *sim.Time {
+	for len(*t) <= id {
+		*t = append(*t, noLease)
+	}
+	return &(*t)[id]
+}
+
 func newLeaseManager(m *Machine) *leaseManager {
 	lm := &leaseManager{
 		m:        m,
 		variant:  m.c.Opts.LeaseVariant,
 		duration: m.c.Opts.LeaseDuration,
-		grants:   make(map[int]sim.Time),
-		granted:  make(map[int]sim.Time),
 	}
 	lm.thread = sim.NewThread(m.c.Eng, "lease")
 	switch lm.variant {
@@ -209,10 +219,11 @@ func (lm *leaseManager) tick() {
 			if !lm.watches(id) {
 				continue
 			}
-			if _, ok := lm.grants[id]; !ok {
-				lm.grants[id] = now
+			g := leaseSlot(&lm.grants, id)
+			if *g == noLease {
+				*g = now
 			}
-			if now-lm.grants[id] > lm.duration {
+			if now-*g > lm.duration {
 				lm.expired(id)
 			}
 		}
@@ -236,7 +247,7 @@ func (lm *leaseManager) fresh() bool {
 	if lm.leads() {
 		for _, mem := range lm.m.config.Machines {
 			if id := int(mem); lm.watches(id) {
-				if g, ok := lm.grants[id]; ok && now-g > lm.duration {
+				if g := *leaseSlot(&lm.grants, id); g != noLease && now-g > lm.duration {
 					return false
 				}
 			}
@@ -280,7 +291,7 @@ func (lm *leaseManager) expired(id int) {
 	if now := m.c.Eng.Now(); id == lm.grantor() {
 		lm.renewed = now
 	} else {
-		lm.grants[id] = now
+		*leaseSlot(&lm.grants, id) = now
 	}
 }
 
@@ -357,7 +368,7 @@ func (lm *leaseManager) onRequest(src int, req *proto.LeaseRequest) {
 		return
 	}
 	if !req.Grant && lm.watches(src) {
-		lm.granted[src] = lm.m.c.Eng.Now()
+		*leaseSlot(&lm.granted, src) = lm.m.c.Eng.Now()
 		lm.transmit(src, &proto.LeaseRequest{Config: lm.m.config.ID, Grant: true, Sent: req.Sent})
 		return
 	}
@@ -381,8 +392,8 @@ func (lm *leaseManager) onRequest(src int, req *proto.LeaseRequest) {
 func (lm *leaseManager) commitWait(removed []int, unbounded bool) sim.Time {
 	var wait sim.Time
 	for _, r := range removed {
-		g, ok := lm.granted[r]
-		unbounded = unbounded || !ok
+		g := *leaseSlot(&lm.granted, r)
+		unbounded = unbounded || g == noLease
 		wait = max(wait, g+lm.duration+1-lm.m.c.Eng.Now())
 	}
 	if unbounded {
@@ -396,7 +407,7 @@ func (lm *leaseManager) onGrant(src int, g *proto.LeaseGrant) {
 	if g.Config < lm.m.config.ID || !lm.watches(src) {
 		return
 	}
-	lm.grants[src] = lm.m.c.Eng.Now()
+	*leaseSlot(&lm.grants, src) = lm.m.c.Eng.Now()
 }
 
 // reset restarts lease state for the current configuration: NEW-CONFIG
@@ -405,11 +416,10 @@ func (lm *leaseManager) onGrant(src int, g *proto.LeaseGrant) {
 func (lm *leaseManager) reset() {
 	now := lm.m.c.Eng.Now()
 	lm.renewed = now
-	lm.grants = make(map[int]sim.Time)
-	clear(lm.granted)
+	lm.grants, lm.granted = lm.grants[:0], lm.granted[:0]
 	for _, mem := range lm.m.config.Machines {
 		if lm.watches(int(mem)) {
-			lm.grants[int(mem)] = now
+			*leaseSlot(&lm.grants, int(mem)) = now
 		}
 	}
 	lm.started = true

@@ -328,7 +328,7 @@ func TestRefusedLocalLockAborts(t *testing.T) {
 					}
 					rep.lockOwner[addr.Off] = other
 				} else {
-					rep.auditFence = true
+					rep.audit = &auditRun{} // fenced
 				}
 				tx.Write(addr, []byte("bbbbbbbb"))
 				tx.Commit(func(err error) { done, txErr = true, err })
@@ -351,7 +351,7 @@ func TestRefusedLocalLockAborts(t *testing.T) {
 				regionmem.Unlock(rep.mem, int(addr.Off))
 				delete(rep.lockOwner, addr.Off)
 			} else {
-				rep.auditFence = false
+				rep.audit = nil
 			}
 			c.RunFor(5 * sim.Millisecond)
 			d := c.Counters.Diff(snap)

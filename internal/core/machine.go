@@ -51,16 +51,16 @@ type replica struct {
 	// every slot of every classed block (internal/audit). Updated in O(1)
 	// at every commit apply, recovery replay, and re-replication write.
 	dig audit.Digest
-	// auditFence blocks new LOCK acquisitions on this region at its
-	// primary while an audit snapshot/repair is in flight (lock failures
-	// surface as ordinary conflict aborts). Cleared when the audit ends
+	// audit is the state-integrity audit this primary runs on the region,
+	// nil when none does. While it runs the region is fenced: new LOCK
+	// acquisitions fail as ordinary conflict aborts. It ends with the audit
 	// and whenever the configuration changes.
-	auditFence bool
+	audit *auditRun
 	// repairing marks a backup replica re-running data recovery in
 	// force-copy mode to heal an audit divergence; finishing reseeds dig
-	// from a fresh scan and reports to repairAuditID's primary.
-	repairing     bool
-	repairAuditID uint64
+	// from a fresh scan and answers the repair call repairID.
+	repairing bool
+	repairID  uint64
 }
 
 // holds reports whether off leaves room for an object header inside the
@@ -271,10 +271,8 @@ type Machine struct {
 	// appHandler receives application calls (function shipping).
 	appHandler func(src int, req interface{}, call AppCall)
 
-	// audits tracks state-integrity audits this machine coordinates (as
-	// the audited region's primary), keyed by audit id; nextAudit feeds
-	// the deterministic id scheme (machine+1)<<40 | counter.
-	audits    map[uint64]*auditRun
+	// nextAudit feeds the deterministic audit id scheme
+	// (machine+1)<<40 | counter (a run hangs off its replica, replica.audit).
 	nextAudit uint64
 
 	// External-client gating (§5.2): requests queue between suspicion/
@@ -521,8 +519,6 @@ func (c *Cluster) newMachine(id int) *Machine {
 
 		truncThreads: make([]idWindow, c.Opts.Threads),
 		pollShards:   make([]*pollTask, c.Opts.Threads),
-
-		audits: make(map[uint64]*auditRun),
 	}
 	for i := range m.truncThreads {
 		m.truncThreads[i] = idWindow{low: 1, ids: make(map[uint64]bool)} // local ids start at 1

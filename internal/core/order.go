@@ -14,8 +14,8 @@ import (
 // replaying the exact run that produced a violation. State kept per machine,
 // per region or per coordinator thread lives in tables (Machine.peers,
 // Machine.regions, cmState.regions, peer.trunc) and iterates in index order.
-// What remains in Go maps is sparse — transactions, audits, block headers,
-// the per-run sets of recovery — and Go randomizes map iteration order per
+// What remains in Go maps is sparse — transactions, block headers, the
+// per-run sets of recovery — and Go randomizes map iteration order per
 // range statement, so any loop over one whose body emits simulation events
 // (ring writes, messages, one-sided reads, thread dispatches, timers, trace
 // records) or mutates order-sensitive state walks sortedKeys. regionmem.Rebuild

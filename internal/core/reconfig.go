@@ -503,7 +503,7 @@ func (m *Machine) commitConfig(cfg uint64) {
 			return
 		}
 		for _, r := range m.cm.removed {
-			delete(m.lease.granted, r) // an id that comes back starts afresh
+			*leaseSlot(&m.lease.granted, r) = noLease // an id that comes back starts afresh
 		}
 		m.cm.removed, m.cm.unbounded = m.cm.removed[:0], false
 		m.c.trace("config-commit", m.ID, int(cfg))

@@ -682,12 +682,17 @@ func (m *Machine) onFetchTxState(src int, f *proto.FetchTxState) {
 
 // onReplicateTxState stores a replicated lock record at a backup (step 5),
 // merged into what the backup holds: that can be the transaction's record
-// for another region, without this region's writes.
+// for another region, without this region's writes. One that comes after
+// the transaction's truncation here (a resend, or a send its truncation
+// overtook) is only acknowledged, as onRecoveryDecision does: the pend entry
+// it would make no later truncation cleans.
 func (m *Machine) onReplicateTxState(src int, r *proto.ReplicateTxState) {
 	if r.Config != m.config.ID || m.replica(r.Region) == nil {
 		return
 	}
-	m.installPendLock(r.Tx, r.Lock)
+	if !m.truncWindow(r.Tx.Coord()).has(r.Tx.Local) {
+		m.installPendLock(r.Tx, r.Lock)
+	}
 	m.send(src, &proto.ReplicateTxStateAck{ID: r.ID, Config: r.Config, Region: r.Region, Tx: r.Tx})
 }
 

@@ -977,3 +977,37 @@ func TestNewReplicaIsNoEvidenceForItsRegion(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicationAfterTruncationLeavesNoState: a REPLICATE-TX-STATE can
+// reach a backup after the transaction's TRUNCATE-RECOVERY — a resend whose
+// first send was answered late, or a first send the truncation overtook.
+// The backup acknowledges it and keeps nothing: a pend entry made then is
+// never truncated, and the region it writes never looks quiet to an audit
+// again (`tatp_failover` seed 7's post-run audit, backup m8 of region 11).
+func TestReplicationAfterTruncationLeavesNoState(t *testing.T) {
+	c, region := testCluster(t, recoveryOpts())
+	prim := primaryOfRegion(c, region)
+	backup := c.Machine(int(prim.mapping(region).Replicas[1]))
+	addr := writeObjectIn(t, c, prim, region, u64b(0))
+	c.RunFor(20 * sim.Millisecond)
+
+	id := proto.TxID{Config: backup.config.ID, Machine: uint16(prim.ID), Thread: 1, Local: 1 << 40}
+	lock := &proto.Record{Type: proto.RecLock, Tx: id, Regions: []uint32{region},
+		Writes: []proto.ObjectWrite{{Addr: addr, Version: 1, Value: u64b(7)}}}
+	acks := c.Counters.Get("sent REPLICATE-TX-STATE-ACK")
+	backup.tp.reg.Lookup(&proto.TruncateRecovery{}).Fn(prim.ID, &proto.TruncateRecovery{Config: backup.config.ID, Tx: id})
+	backup.tp.reg.Lookup(&proto.ReplicateTxState{}).Fn(prim.ID,
+		&proto.ReplicateTxState{ID: 1, Config: backup.config.ID, Region: region, Tx: id, Lock: lock})
+	c.RunFor(sim.Millisecond)
+	if rt := backup.pend[mtlOf(id)]; rt != nil {
+		t.Fatalf("the late replication left a pend entry at m%d: saw %d", backup.ID, rt.saw)
+	}
+	if n := c.Counters.Get("sent REPLICATE-TX-STATE-ACK") - acks; n != 1 {
+		t.Fatalf("%d acks sent, want 1", n)
+	}
+	for _, r := range collectAudit(t, c) {
+		if !r.Conclusive || !r.Clean {
+			t.Fatalf("audit after the late replication: %v", r)
+		}
+	}
+}

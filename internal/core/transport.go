@@ -94,15 +94,17 @@ func (t *transport) enqueue(dst int, msg interface{}, ctx trace.Ctx) {
 }
 
 // The call table: every request that awaits an answer from another
-// machine's CPU — VALIDATE, ALLOC-SLOT, MAPPING-REQ, ALLOC-REGION-REQ,
-// application calls, every §5.3 exchange, NEW-CONFIG and NEW-CONFIG-COMMIT —
-// is a plain message carrying the id call returned; the reply handler hands
-// the answer to answer. One rule covers the rest. A call with a resend goes
-// out again every interval until answered (a receiver not ready yet does not
-// answer), and fails when its tries run out; one without fails unanswered
-// after txStallTimeout (watchdog.go). Every call fails when its destination
-// leaves the configuration, a resent one also when its configuration is
-// superseded (onNewConfig). Either way done, if any, runs once.
+// machine's CPU — VALIDATE, ALLOC-SLOT, MAPPING-REQ, ALLOC-REGION-REQ and
+// the CM's ALLOC-REGION-PREPAREs, application calls, every §5.3 exchange,
+// NEW-CONFIG, NEW-CONFIG-COMMIT, and an audit's AUDIT-SNAP,
+// AUDIT-OBJECTS-REQ and AUDIT-REPAIR — is a plain message carrying the id
+// call returned; the reply handler hands the answer to answer. One rule
+// covers the rest. A call with a resend goes out again every interval until
+// answered (a receiver not ready yet does not answer), and fails when its
+// tries run out; one without fails unanswered after txStallTimeout
+// (watchdog.go). Every call fails when its destination leaves the
+// configuration, a resent one also when its configuration is superseded
+// (onNewConfig). Either way done, if any, runs once.
 
 // pendingCall is one request awaiting its answer from dst.
 type pendingCall struct {
@@ -278,13 +280,14 @@ func (t *transport) registerHandlers() {
 			m.wakeMappingWaiters(v.Map.Region)
 		})
 
-	// Region allocation (CM side + replica side, §3).
+	// Region allocation (CM side + replica side, §3): the request and each
+	// prepare are calls, answered by an RPC-REPLY and by PREPARED.
 	proto.Register(r, "ALLOC-REGION-REQ", callSize[*proto.AllocRegionReq],
 		func(src int, v *proto.AllocRegionReq) { m.onAllocRegionReq(src, v) })
 	proto.Register(r, "ALLOC-REGION-PREPARE", nil,
 		func(src int, v *proto.AllocRegionPrepare) { m.onAllocPrepare(src, v) })
 	proto.Register(r, "ALLOC-REGION-PREPARED", nil,
-		func(src int, v *proto.AllocRegionPrepared) { m.onAllocPrepared(src, v) })
+		func(_ int, v *proto.AllocRegionPrepared) { m.answer(v.ID, v) })
 	proto.Register(r, "ALLOC-REGION-COMMIT", nil,
 		func(_ int, v *proto.AllocRegionCommit) { m.onAllocCommit(v) })
 
@@ -371,26 +374,23 @@ func (t *transport) registerHandlers() {
 	proto.Register(r, "TRUNCATE-RECOVERY", nil,
 		func(src int, v *proto.TruncateRecovery) { m.onTruncateRecovery(src, v) })
 
-	// Data recovery (§5.4).
-	proto.Register(r, "DATA-REC-DONE", nil,
-		func(_ int, v *dataRecoveryDone) { m.onDataRecoveryDone(v) })
-
-	// State-integrity auditing.
+	// State-integrity auditing: each request is a call, answered by its
+	// reply.
 	proto.Register(r, "AUDIT-SNAP",
 		func(v *proto.AuditSnap) int { return 24 + 16*len(v.Headers) },
 		func(src int, v *proto.AuditSnap) { m.onAuditSnap(src, v) })
 	proto.Register(r, "AUDIT-SNAP-REPLY",
 		func(v *proto.AuditSnapReply) int { return 48 + 16*len(v.Blocks) },
-		func(src int, v *proto.AuditSnapReply) { m.onAuditSnapReply(src, v) })
+		func(_ int, v *proto.AuditSnapReply) { m.answer(v.ID, v) })
 	proto.Register(r, "AUDIT-OBJECTS-REQ", nil,
 		func(src int, v *proto.AuditObjectsReq) { m.onAuditObjectsReq(src, v) })
 	proto.Register(r, "AUDIT-OBJECTS-REPLY",
 		func(v *proto.AuditObjectsReply) int { return 24 + 8*len(v.Objects) },
-		func(src int, v *proto.AuditObjectsReply) { m.onAuditObjectsReply(src, v) })
+		func(_ int, v *proto.AuditObjectsReply) { m.answer(v.ID, v) })
 	proto.Register(r, "AUDIT-REPAIR", nil,
 		func(src int, v *proto.AuditRepair) { m.onAuditRepair(src, v) })
 	proto.Register(r, "AUDIT-REPAIR-DONE", nil,
-		func(src int, v *proto.AuditRepairDone) { m.onAuditRepairDone(src, v) })
+		func(_ int, v *proto.AuditRepairDone) { m.answer(v.ID, v) })
 
 	// Cluster growth (§3).
 	proto.Register(r, "JOIN-REQ", nil,

@@ -24,7 +24,7 @@ func TestRegistryCompleteness(t *testing.T) {
 	internal := []interface{}{
 		&allocSlotReq{}, &rpcReply{}, &releaseSlotReq{},
 		&suspectReport{}, &reconfigAsk{}, &regionActiveAnnounce{},
-		&dataRecoveryDone{}, &joinReq{},
+		&joinReq{},
 		&clientReadReq{}, &clientUpdateReq{}, &appCall{},
 	}
 	for _, msg := range internal {

@@ -2,7 +2,9 @@ package proto
 
 // This file defines the state-integrity audit protocol messages: a
 // primary snapshots its region digest at a fenced point, asks every
-// backup for theirs, and on divergence drills down block → object.
+// backup for theirs, and on divergence drills down block → object. Each
+// request is a call of the primary's: ID is its call id, and the reply
+// echoes it.
 
 // AuditSnap asks a backup for its digest snapshot of one region. The
 // primary's block-header map rides along so a backup that missed a
@@ -10,7 +12,7 @@ package proto
 // its digest domain) before scanning — digest domains must match for the
 // comparison to be meaningful.
 type AuditSnap struct {
-	AuditID uint64
+	ID      uint64
 	Config  uint64
 	Region  uint32
 	Headers map[int]int
@@ -24,7 +26,7 @@ type AuditSnap struct {
 // is the backup's self-check), and Blocks the per-block scan digests for
 // the drill-down.
 type AuditSnapReply struct {
-	AuditID uint64
+	ID      uint64
 	Config  uint64
 	Region  uint32
 	Settled bool
@@ -35,15 +37,15 @@ type AuditSnapReply struct {
 
 // AuditObjectsReq asks a diverged backup for one block's per-slot digests.
 type AuditObjectsReq struct {
-	AuditID uint64
-	Config  uint64
-	Region  uint32
-	Block   int
+	ID     uint64
+	Config uint64
+	Region uint32
+	Block  int
 }
 
 // AuditObjectsReply answers with the block's slot digests in slot order.
 type AuditObjectsReply struct {
-	AuditID uint64
+	ID      uint64
 	Region  uint32
 	Block   int
 	Objects []uint64
@@ -54,16 +56,16 @@ type AuditObjectsReply struct {
 // (every differing slot is overwritten, not just newer-versioned ones)
 // and reseeds its digest from a fresh scan when done.
 type AuditRepair struct {
-	AuditID uint64
-	Config  uint64
-	Region  uint32
+	ID     uint64
+	Config uint64
+	Region uint32
 }
 
 // AuditRepairDone reports a repair re-replication finished; the primary
 // re-audits the region to verify the repair took.
 type AuditRepairDone struct {
-	AuditID uint64
-	Config  uint64
-	Region  uint32
-	OK      bool
+	ID     uint64
+	Config uint64
+	Region uint32
+	OK     bool
 }

@@ -260,14 +260,17 @@ type AllocRegionReq struct {
 }
 
 // AllocRegionPrepare is the CM→replica prepare of the two-phase region
-// allocation protocol.
+// allocation protocol. ID is the CM's call id.
 type AllocRegionPrepare struct {
+	ID     uint64
 	Region uint32
 	Size   int
 }
 
-// AllocRegionPrepared is the replica's success report.
+// AllocRegionPrepared answers the prepare, echoing its ID: OK when the
+// replica reserved the region.
 type AllocRegionPrepared struct {
+	ID     uint64
 	Region uint32
 	OK     bool
 }
