@@ -221,6 +221,8 @@ type nemesisCtx struct {
 	// flight may stay open for good (their outcome is indeterminate); the
 	// liveness judge looks only at operations begun after it.
 	restoredAt sim.Time
+	// load is the run's clients; a power restore resumes those it parked.
+	load *loadgen.Generator
 }
 
 // afterHeal ends a durational episode and, when auditing is enabled,
@@ -475,6 +477,7 @@ func schedule(n *nemesisCtx) []Nemesis {
 			n.c.PowerFailure()
 			n.c.Eng.After(n.rng.Between(20*sim.Millisecond, 80*sim.Millisecond), func() {
 				n.c.RestorePower()
+				n.load.Resume()
 				n.restoredAt = n.c.Now()
 				n.afterHeal()
 			})
@@ -542,10 +545,11 @@ func Run(cfg Config) Result {
 
 	// Nemesis schedule: pick a generator by weight at randomized intervals.
 	nctx := &nemesisCtx{
-		c:   c,
-		cfg: cfg,
-		rng: sim.NewRand(cfg.Seed*31337 + 7),
-		res: &res,
+		c:    c,
+		cfg:  cfg,
+		rng:  sim.NewRand(cfg.Seed*31337 + 7),
+		res:  &res,
+		load: load,
 	}
 	gens := schedule(nctx)
 	weightSum := 0

@@ -34,8 +34,8 @@ func (m *Machine) newRecord() *proto.Record {
 	return new(proto.Record)
 }
 
-// putRecord returns a record to the pool, dropping the frame payloads its
-// Values alias so they can be collected while it waits.
+// putRecord returns a record to the pool, dropping the Values it held (ring
+// bytes in place, or a detached or foreign record's own) while it waits.
 func (m *Machine) putRecord(r *proto.Record) {
 	clear(r.Writes)
 	m.decFree = append(m.decFree, r)
@@ -170,7 +170,9 @@ func (m *Machine) fromNonMember(tx proto.TxID, preDrain bool) bool {
 // writes of src — another record of the same transaction — that dst lacks
 // (a machine can be primary for one written region and backup for another;
 // it then receives both LOCK and COMMIT-BACKUP records with different write
-// subsets). The Values appended alias src's payload, which outlives src.
+// subsets). The Values appended alias src's bytes: its frame's ring bytes,
+// which the entry keeps until it truncates (src's frame is one of
+// rt.frames), or a foreign record's own.
 func mergeRecords(dst, src *proto.Record) {
 	n := len(dst.Writes)
 	for _, w := range src.Writes {

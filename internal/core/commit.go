@@ -440,13 +440,14 @@ func (ct *coordTx) takeReservation(dst int, typ proto.RecordType) int {
 	return size
 }
 
-// recWrite is one of a committing transaction's records on its way into a
-// participant's log: scheduled on the coordinator thread (one verb per
-// record, or a memory write when the log is this machine's own), encoded
-// straight into a ring frame with piggybacked truncation ids, acked by the
-// NIC. It is pooled like msgTask, runFn/ackFn bound once. rec never leaves
-// the coordinator — it is encoded and dropped, and participants decode their
-// own copy out of the ring — which is what makes reusing it, and ids (the
+// recWrite is one record on its way into a participant's log: one of a
+// committing transaction's, scheduled on the coordinator thread (one verb
+// per record, or a memory write when the log is this machine's own), or an
+// explicit TRUNCATE (ct nil, written at once by flushTruncations). It is
+// encoded straight into a ring frame with piggybacked truncation ids and
+// acked by the NIC. It is pooled like msgTask, runFn/ackFn bound once. rec
+// never leaves the coordinator — it is encoded and dropped, and participants
+// decode the ring bytes — which is what makes reusing it, and ids (the
 // backing store of rec.TruncIDs), safe.
 type recWrite struct {
 	m   *Machine
@@ -459,9 +460,9 @@ type recWrite struct {
 	ackFn func(error)
 }
 
-// writeTxRecord sends ct's record of the given type to g's machine: LOCK
-// and COMMIT-BACKUP carry the group's writes, the others only the header.
-func (m *Machine) writeTxRecord(ct *coordTx, typ proto.RecordType, g *destGroup) {
+// newRecWrite returns a pooled recWrite of a record of type typ from
+// transaction tx, for dst's log.
+func (m *Machine) newRecWrite(ct *coordTx, dst int, typ proto.RecordType, tx proto.TxID) *recWrite {
 	var op *recWrite
 	if k := len(m.recFree); k > 0 {
 		op = m.recFree[k-1]
@@ -471,8 +472,16 @@ func (m *Machine) writeTxRecord(ct *coordTx, typ proto.RecordType, g *destGroup)
 		op.runFn = op.run
 		op.ackFn = op.ack
 	}
-	op.ct, op.dst = ct, g.dst
-	op.rec = proto.Record{Type: typ, Tx: ct.id, Regions: ct.writeRegions, TruncIDs: op.ids[:0]}
+	op.ct, op.dst = ct, dst
+	op.rec = proto.Record{Type: typ, Tx: tx, TruncIDs: op.ids[:0]}
+	return op
+}
+
+// writeTxRecord sends ct's record of the given type to g's machine: LOCK
+// and COMMIT-BACKUP carry the group's writes, the others only the header.
+func (m *Machine) writeTxRecord(ct *coordTx, typ proto.RecordType, g *destGroup) {
+	op := m.newRecWrite(ct, g.dst, typ, ct.id)
+	op.rec.Regions = ct.writeRegions
 	switch typ {
 	case proto.RecLock:
 		op.rec.Writes = g.primWrites
@@ -492,25 +501,42 @@ func (m *Machine) writeTxRecord(ct *coordTx, typ proto.RecordType, g *destGroup)
 }
 
 func (op *recWrite) run() {
-	m, p, rec := op.m, op.m.peer(op.dst), &op.rec
-	m.attachPiggyback(p, rec)
-	op.ids = rec.TruncIDs[:0] // keep the buffer attachPiggyback may have grown
-	if buf, ok := p.logW.Begin(proto.RecordSize(rec), op.ct.takeReservation(p.id, rec.Type)); ok {
-		proto.AppendRecord(buf[:0], rec)
-		p.logW.Commit(op.ackFn)
-	} else {
+	p := op.m.peer(op.dst)
+	if !op.write(p, op.ct.takeReservation(p.id, op.rec.Type)) {
 		// Only possible when the reservation is gone (unreserved write).
-		m.requeuePiggyback(p, rec)
 		op.ack(ErrNoSpace)
 	}
 }
 
+// write attaches p's queued truncation ids to the record and appends it to
+// p's log, in the reservation of reserved bytes (-1: none). Without space
+// it puts the ids back and reports false; the caller then acks or drops op.
+func (op *recWrite) write(p *peer, reserved int) bool {
+	m, rec := op.m, &op.rec
+	m.attachPiggyback(p, rec)
+	op.ids = rec.TruncIDs[:0] // keep the buffer attachPiggyback may have grown
+	buf, ok := p.logW.Begin(proto.RecordSize(rec), reserved)
+	if !ok {
+		m.requeuePiggyback(p, rec)
+		return false
+	}
+	proto.AppendRecord(buf[:0], rec)
+	p.logW.Commit(op.ackFn)
+	return true
+}
+
 // ack is the hardware ack of the record's ring write: settle the
-// piggybacked truncations, recycle, then advance the commit protocol.
+// piggybacked truncations, recycle, then advance the commit protocol. A
+// TRUNCATE record used one pooled slot itself, and settles only while its
+// machine lives.
 func (op *recWrite) ack(err error) {
 	m, ct, dst, typ := op.m, op.ct, op.dst, op.rec.Type
-	if err == nil {
+	switch {
+	case err != nil:
+	case typ != proto.RecTruncate:
 		m.truncDelivered(m.peer(dst), op.rec.TruncIDs, 0)
+	case m.alive:
+		m.truncDelivered(m.peer(dst), op.rec.TruncIDs, 1)
 	}
 	op.ct, op.rec = nil, proto.Record{}
 	m.recFree = append(m.recFree, op)
@@ -745,6 +771,8 @@ type valOp struct {
 	t  *Tx
 	i  int32
 	pm int
+	// hdr is where a one-sided read of the version word lands.
+	hdr [regionmem.HeaderSize]byte
 
 	localFn, issueFn func()
 	readFn           func([]byte, error)
@@ -789,14 +817,20 @@ func (op *valOp) local() {
 
 func (op *valOp) issue() {
 	addr := op.t.set[op.i].addr
-	op.m.nic.Read(fabric.MachineID(op.pm), nvram.RegionID(addr.Region), int(addr.Off), regionmem.HeaderSize, op.readFn)
+	op.m.nic.ReadInto(fabric.MachineID(op.pm), nvram.RegionID(addr.Region), int(addr.Off), op.hdr[:], op.readFn)
 }
 
+// readDone takes the version word out of hdr (raw) before the op is
+// recycled.
 func (op *valOp) readDone(raw []byte, err error) {
-	m := op.m
+	m, ok := op.m, err == nil
+	var word uint64
+	if ok {
+		word = regionmem.ReadHeader(raw, 0)
+	}
 	t, e := op.recycle()
 	if m.alive {
-		t.validated(err == nil && validHeaderWord(regionmem.ReadHeader(raw, 0), e.version))
+		t.validated(ok && validHeaderWord(word, e.version))
 	}
 }
 
@@ -810,14 +844,16 @@ type valRead struct {
 
 // validationSet returns the read-but-not-written objects sorted by primary
 // then address: each run of equal pm is that primary's share of the
-// validation, and the whole walk is deterministic.
+// validation, and the whole walk is deterministic. The slice is the
+// machine's scratch, valid until its next validationSet: validateSet's.
 func (t *Tx) validationSet(skipLo, skipHi int32) []valRead {
-	vs := make([]valRead, 0, t.nReads)
+	vs := t.m.valScratch[:0]
 	for i := range t.set {
 		if e := &t.set[i]; e.read && !e.written && (int32(i) < skipLo || int32(i) >= skipHi) {
 			vs = append(vs, valRead{addr: e.addr, pm: t.m.primaryOf(e.addr.Region), i: int32(i)})
 		}
 	}
+	t.m.valScratch = vs
 	slices.SortFunc(vs, func(a, b valRead) int {
 		if a.pm != b.pm {
 			return a.pm - b.pm

@@ -78,7 +78,9 @@ type remoteTx struct {
 	id proto.TxID
 	// lock holds the LOCK or COMMIT-BACKUP contents (our objects), the two
 	// merged when both arrive: a pooled record this entry owns, recycled
-	// with it. It never leaves the machine; recovery hands out clones.
+	// with it. Its values are the ring bytes of the entry's frames (or a
+	// recovered record's own), so it lives no longer than they do; it never
+	// leaves the machine, recovery hands out clones.
 	lock *proto.Record
 	saw  uint8 // proto.Saw* bits
 	// lockedObjs are objects this machine locked as primary.
@@ -308,6 +310,10 @@ type Machine struct {
 	// pollShards is decodeFrames' per-poll table, one slot per coordinator
 	// thread (mod workers); every slot is nil between polls.
 	pollShards []*pollTask
+	// valScratch backs the read set validationSet sorts. validateSet is
+	// done with it when it returns (every verdict comes through the
+	// engine), so one per machine serves every commit.
+	valScratch []valRead
 
 	// Stats.
 	Committed, Aborted uint64

@@ -135,7 +135,8 @@ func (c *Cluster) reestablishRings() {
 	}
 	// 2. Fresh ring state on both ends. The participant entries' frame
 	// indexes name frames of the old readers, which share the memory the
-	// fresh ones wrap: forget them, the rings are emptied.
+	// fresh ones wrap: forget them, the rings are emptied. A kept lock
+	// record's Values are those ring bytes, so it takes its own first.
 	for _, m := range c.Machines {
 		if !m.alive {
 			continue
@@ -143,6 +144,9 @@ func (c *Cluster) reestablishRings() {
 		for _, rt := range m.pend {
 			clear(rt.frames)
 			rt.frames = rt.frames[:0]
+			if rt.lock != nil {
+				rt.lock.Detach()
+			}
 		}
 		for src, p := range m.peers {
 			if p.logR.rd != nil {

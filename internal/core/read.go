@@ -41,6 +41,10 @@ type readOp struct {
 	lockRetries, mapRetries int
 	primary                 int      // remote primary chosen by start
 	rep                     *replica // local primary replica chosen by start
+	// buf is where the read lands, local copy or one-sided read: carved
+	// from tx's slab inside a transaction, else made for the caller to keep.
+	// Every retry of the read lands in it again.
+	buf []byte
 
 	startFn, ownFn, localFn, issueFn, backoffFn, lockRetryFn func()
 	readDoneFn                                               func([]byte, error)
@@ -68,7 +72,7 @@ func (m *Machine) getReadOp(thread int, addr proto.Addr, size int, h ReadHandler
 // recycle clears the op and returns it to the pool; callers copy out what
 // they still need first.
 func (op *readOp) recycle() {
-	op.tx, op.h, op.sh, op.rep = nil, nil, nil, nil
+	op.tx, op.h, op.sh, op.rep, op.buf = nil, nil, nil, nil, nil
 	op.rctx = trace.Ctx{}
 	op.lockRetries, op.mapRetries, op.n = 0, 0, 0
 	op.m.readFree = append(op.m.readFree, op)
@@ -210,32 +214,41 @@ func (op *readOp) lockedRetry() {
 	}
 }
 
+// buffer returns the bytes the read lands in, made on its first try.
+func (op *readOp) buffer() []byte {
+	if op.buf == nil {
+		if op.tx != nil {
+			op.buf = op.tx.carve(op.length())
+		} else {
+			op.buf = make([]byte, op.length())
+		}
+	}
+	return op.buf
+}
+
 // readLocal serves the read from this machine's own primary replica: the
 // header and payload are copied once, from region memory into the bytes the
 // read set (or, outside a transaction, the caller) keeps.
 func (op *readOp) readLocal() {
-	rep, off, n := op.rep, int(op.addr.Off), op.length()
-	if off+n > len(rep.mem) {
+	rep, off := op.rep, int(op.addr.Off)
+	if off+op.length() > len(rep.mem) {
 		op.deliver(0, nil, fabric.ErrBadAddress)
 		return
 	}
-	var raw []byte
-	if op.tx != nil {
-		raw = op.tx.carve(n)
-	} else {
-		raw = make([]byte, n)
-	}
+	raw := op.buffer()
 	copy(raw, rep.mem[off:])
 	op.landed(raw)
 }
 
+// issue reads header and payload from the remote primary with one verb,
+// straight into the read's buffer.
 func (op *readOp) issue() {
-	op.m.nic.Read(fabric.MachineID(op.primary), nvram.RegionID(op.addr.Region), int(op.addr.Off),
-		op.length(), op.readDoneFn)
+	op.m.nic.ReadInto(fabric.MachineID(op.primary), nvram.RegionID(op.addr.Region), int(op.addr.Off),
+		op.buffer(), op.readDoneFn)
 }
 
-// handle takes a remote read, which this read owns: the fabric made raw for
-// it and keeps no reference.
+// handle takes a remote read: raw is the read's own buffer, which the
+// fabric filled and keeps no reference to.
 func (op *readOp) handle(raw []byte, err error) {
 	if !op.m.alive {
 		return

@@ -190,38 +190,23 @@ func (m *Machine) armTruncFlush(p *peer) {
 	m.c.Eng.After(m.c.Opts.TruncateFlushInterval, q.flushFn)
 }
 
-// flushTruncations writes explicit TRUNCATE records for all queued ids.
+// flushTruncations writes explicit TRUNCATE records for all queued ids,
+// each through a pooled recWrite (recWrite.ack settles it).
 func (m *Machine) flushTruncations(p *peer) {
 	q := &p.truncQ
 	for len(q.ids) > 0 {
-		rec := &proto.Record{ // never escapes: encoded below, then dropped
-			Type: proto.RecTruncate,
-			Tx:   proto.TxID{Config: m.config.ID, Machine: uint16(m.ID)},
-		}
-		m.attachPiggyback(p, rec)
-		if len(rec.TruncIDs) == 0 {
-			return
-		}
+		op := m.newRecWrite(nil, p.id, proto.RecTruncate, proto.TxID{Config: m.config.ID, Machine: uint16(m.ID)})
 		// Consume one pooled reservation for the record itself.
 		reserved := -1
 		if q.pool > 0 {
 			q.pool--
 			reserved = truncateRecordSize
 		}
-		w := p.logW
-		buf, ok := w.Begin(proto.RecordSize(rec), reserved)
-		if !ok {
-			m.requeuePiggyback(p, rec)
+		if !op.write(p, reserved) {
+			op.ack(ErrNoSpace)
 			m.armTruncFlush(p)
 			return
 		}
-		proto.AppendRecord(buf[:0], rec)
-		delivered := rec.TruncIDs
-		w.Commit(func(err error) {
-			if err == nil && m.alive {
-				m.truncDelivered(p, delivered, 1)
-			}
-		})
 		m.c.Counters.Inc("explicit_truncate", 1)
 	}
 }

@@ -360,7 +360,7 @@ type verbOp struct {
 	readCb  func(data []byte, err error)
 	writeCb func(err error)
 
-	data []byte
+	data []byte // the read's destination, the initiator's buffer
 	err  error
 
 	txFn, arriveFn, execFn, returnFn, completeFn, failFn, localFn func()
@@ -469,13 +469,11 @@ func (op *verbOp) execOn(r *NIC) {
 	switch op.kind {
 	case verbRead:
 		b := r.mem.Region(op.region)
-		if b == nil || op.off < 0 || op.length < 0 || op.off+op.length > len(b) {
+		if b == nil || op.off < 0 || op.off+op.length > len(b) {
 			op.err = ErrBadAddress
 			return
 		}
-		data := make([]byte, op.length)
-		copy(data, b[op.off:op.off+op.length])
-		op.data = data
+		copy(op.data, b[op.off:])
 	case verbWrite:
 		b := r.mem.Region(op.region)
 		if b == nil || op.off < 0 || op.off+len(op.payload) > len(b) {
@@ -546,19 +544,28 @@ func (op *verbOp) finish() {
 }
 
 // Read issues a one-sided RDMA read of length bytes at (region, off) on
-// dst. cb receives the data or an error. No remote CPU is involved; the
-// remote NIC serves the request from registered memory.
+// dst into a fresh buffer, which cb receives with the data, or an error. No
+// remote CPU is involved; the remote NIC serves the request from registered
+// memory.
 func (c *NIC) Read(dst MachineID, region nvram.RegionID, off, length int, cb func(data []byte, err error)) {
+	c.ReadInto(dst, region, off, make([]byte, length), cb)
+}
+
+// ReadInto is Read landing in buf, as an RDMA READ lands in the buffer its
+// initiator names: it reads len(buf) bytes, and cb receives buf filled or an
+// error. The fabric writes buf only before cb, and keeps no reference to it.
+func (c *NIC) ReadInto(dst MachineID, region nvram.RegionID, off int, buf []byte, cb func(data []byte, err error)) {
 	net := c.net
 	if dst == c.ID {
 		*net.cLocalRead++
 	} else {
 		*net.cRDMARead++
-		*net.cRDMAReadBytes += uint64(length)
+		*net.cRDMAReadBytes += uint64(len(buf))
 	}
 	op := net.getVerbOp()
 	op.dst, op.kind = dst, verbRead
-	op.region, op.off, op.length = region, off, length
+	op.region, op.off, op.length = region, off, len(buf)
+	op.data = buf
 	op.readCb = cb
 	op.start(c)
 }

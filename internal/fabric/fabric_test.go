@@ -264,3 +264,42 @@ func TestWritePayloadIsCopied(t *testing.T) {
 		t.Fatal("write observed caller mutation")
 	}
 }
+
+// TestReadIntoLandsInTheCallersBuffer: a one-sided read lands in the buffer
+// its initiator names, remote or local, and in steady state (verb ops pooled)
+// allocates nothing; Read, which makes a fresh buffer per verb, costs one.
+func TestReadIntoLandsInTheCallersBuffer(t *testing.T) {
+	eng, _, n0, _, m0, m1 := newPair(t)
+	copy(mustAlloc(t, m1, 5, 64)[8:], "remote")
+	copy(mustAlloc(t, m0, 5, 64)[8:], "local!")
+	buf := make([]byte, 6)
+	var got []byte
+	cb := func(data []byte, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = data
+	}
+	for dst, want := range map[MachineID]string{1: "remote", 0: "local!"} {
+		got = nil
+		n0.ReadInto(dst, 5, 8, buf, cb)
+		eng.Run()
+		if string(got) != want || &got[0] != &buf[0] {
+			t.Fatalf("read from m%d delivered %q at %p, want %q in the caller's buffer at %p", dst, got, got, want, buf)
+		}
+	}
+	into := testing.AllocsPerRun(100, func() { n0.ReadInto(1, 5, 8, buf, cb); eng.Run() })
+	fresh := testing.AllocsPerRun(100, func() { n0.Read(1, 5, 8, len(buf), cb); eng.Run() })
+	if into != 0 || fresh != 1 {
+		t.Fatalf("allocations per read: %v into the caller's buffer (want 0), %v into a fresh one (want 1)", into, fresh)
+	}
+}
+
+func mustAlloc(t *testing.T, s *nvram.Store, region nvram.RegionID, size int) []byte {
+	t.Helper()
+	mem, err := s.Allocate(region, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mem
+}

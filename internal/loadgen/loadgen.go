@@ -38,15 +38,16 @@ type Generator struct {
 }
 
 // opSlot is one closed loop: where it runs, its random stream, and whether
-// it has an operation open and since when. Its continuations — an
-// operation's done and the back-off after an abort — are bound once, when
-// the loop starts.
+// it has an operation open and since when, or is parked on a dead machine.
+// Its continuations — an operation's done and the back-off after an abort —
+// are bound once, when the loop starts.
 type opSlot struct {
 	g      *Generator
 	m      *core.Machine
 	thread int
 	rng    *sim.Rand
 	open   bool
+	parked bool
 	began  sim.Time
 
 	doneFn  func(ok bool)
@@ -84,10 +85,14 @@ func (g *Generator) Start(machines []int, threads, concurrency int) {
 	}
 }
 
-// loop starts the slot's next operation.
+// loop starts the slot's next operation. On a dead machine the slot parks
+// until Resume.
 func (s *opSlot) loop() {
 	g := s.g
-	if g.stopped || !s.m.Alive() {
+	if g.stopped {
+		return
+	}
+	if s.parked = !s.m.Alive(); s.parked {
 		return
 	}
 	s.open, s.began = true, g.c.Eng.Now()
@@ -123,6 +128,18 @@ func (g *Generator) Open(mi int, since sim.Time) int {
 		}
 	}
 	return n
+}
+
+// Resume restarts, in slot order, every loop parked on a machine that is
+// alive again: a loop that was backing off from an abort when its machine
+// lost power finds it dead and parks, and the caller resumes it after
+// RestorePower.
+func (g *Generator) Resume() {
+	for i := range g.slots {
+		if s := &g.slots[i]; s.parked && s.m.Alive() {
+			s.loop()
+		}
+	}
 }
 
 // Stop ends the loops after in-flight operations complete.

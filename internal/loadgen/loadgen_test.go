@@ -112,3 +112,53 @@ func TestRunPointReportsThroughputAndLatency(t *testing.T) {
 		t.Fatalf("RunPoint: %v %v %v", tput, med, p99)
 	}
 }
+
+// TestPowerCycleDuringBackoffResumesEveryLoop: every loop is backing off from
+// an abort when the power fails, so each back-off fires on a dead machine and
+// parks its loop. Resume after RestorePower restarts them all: every loop
+// commits again.
+func TestPowerCycleDuringBackoffResumesEveryLoop(t *testing.T) {
+	c, addr := setup(t)
+	abort := false
+	type loop struct{ m, thread int }
+	commits := map[loop]int{}
+	g := New(c, func(m *core.Machine, thread int, rng *sim.Rand, done func(bool)) {
+		if abort {
+			done(false)
+			return
+		}
+		tx := m.Begin(thread)
+		tx.Read(addr, 8, func(_ []byte, err error) {
+			if err != nil {
+				tx.Abort()
+				done(false)
+				return
+			}
+			tx.Commit(func(err error) {
+				if err == nil {
+					commits[loop{m.ID, thread}]++
+				}
+				done(err == nil)
+			})
+		})
+	})
+	g.Start([]int{0, 1, 2, 3}, 2, 1)
+	c.RunFor(5 * sim.Millisecond)
+	abort = true
+	c.RunFor(sim.Millisecond) // every operation ends; each loop now aborts at once, and backs off
+	c.PowerFailure()
+	abort = false
+	c.RunFor(50 * sim.Millisecond)
+	c.RestorePower()
+	g.Resume()
+	clear(commits)
+	c.RunFor(300 * sim.Millisecond)
+	g.Stop()
+	for mi := 0; mi < 4; mi++ {
+		for th := 0; th < 2; th++ {
+			if commits[loop{mi, th}] == 0 {
+				t.Errorf("m%d thread %d committed nothing after the power returned", mi, th)
+			}
+		}
+	}
+}

@@ -247,10 +247,9 @@ func (r *reader) count(minBytes int) int {
 // that held as many elements before allocates nothing; an empty list leaves
 // a nil slice nil and cuts a used one to length zero. The decoded
 // ObjectWrite.Values ALIAS data (capacity-capped, so appending to one cannot
-// scribble on its neighbour): the caller must hand in bytes that nothing
-// will modify while the record is reachable — a ring frame's private
-// payload copy, never ring memory itself. On ErrBadRecord *rec is left
-// zero.
+// scribble on its neighbour): a record decoded from a ring frame in place
+// is valid until that frame is truncated, and one that must outlive it is
+// Detached or Cloned first. On ErrBadRecord *rec is left zero.
 func DecodeRecord(data []byte, rec *Record) error {
 	rd := reader{b: data}
 	typ := RecordType(rd.u8())
@@ -297,9 +296,9 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Clone returns a copy of r that shares no memory with it but the Values,
-// which no holder writes in place: what a record owned by a pool is handed
-// out as. A nil r clones to nil.
+// Clone returns a copy of r that shares no memory with it, Values
+// included: what a record owned by a pool, or decoded in place from a log
+// frame, is handed out as. It outlives the frame. A nil r clones to nil.
 func (r *Record) Clone() *Record {
 	if r == nil {
 		return nil
@@ -308,7 +307,28 @@ func (r *Record) Clone() *Record {
 	c.Regions = slices.Clone(r.Regions)
 	c.Writes = slices.Clone(r.Writes)
 	c.TruncIDs = slices.Clone(r.TruncIDs)
+	c.Detach()
 	return &c
+}
+
+// Detach gives r's Values bytes of their own, one allocation for all of
+// them, so that r outlives whatever they aliased (DecodeRecord's input).
+// Each stays capacity-capped; a nil Value stays nil.
+func (r *Record) Detach() {
+	n := 0
+	for i := range r.Writes {
+		n += len(r.Writes[i].Value)
+	}
+	if n == 0 {
+		return
+	}
+	buf := make([]byte, n)
+	for i := range r.Writes {
+		if w := &r.Writes[i]; w.Value != nil {
+			k := copy(buf, w.Value)
+			w.Value, buf = buf[:k:k], buf[k:]
+		}
+	}
 }
 
 // Vote is a recovery vote (§5.3 step 6) sent by the primary of a region to

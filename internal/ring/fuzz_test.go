@@ -22,14 +22,18 @@ func frameAt(mem []byte, off int, magic uint32, psn uint64, payload []byte, leng
 // Pending, Truncate, RewindTo and Gap calls, with more bytes landing between
 // them. Whatever the bytes, no call may panic or hang; the retained frames
 // carry consecutive Seqs; a frame's payload is the ring bytes it was parsed
-// from; Poll hands frames out in Seq order; and the bytes Truncate reclaims
-// are zero. NewReader refuses exactly the sizes NewWriter refuses.
+// from; Poll hands frames out in Seq order; every payload handed out equals
+// its ring bytes at each later step until that frame's Truncate, whatever
+// lands meanwhile (payloads are the ring bytes, in place); and the bytes
+// Truncate reclaims are zero. NewReader refuses exactly the sizes NewWriter
+// refuses.
 func FuzzReader(f *testing.F) {
 	valid := make([]byte, 256)
 	frameAt(valid, 0, frameMagic, 0, []byte("first frame"), 11)
 	frameAt(valid, 32, frameMagic, 1, []byte("second"), 6)
 	frameAt(valid, 64, wrapMagic, 2, nil, 192)
 	f.Add(valid, []byte{0, 0, 2, 0, 2, 1, 4, 0, 0, 0})
+	f.Add(valid, []byte{0, 0, 5, 16, 0, 0}) // bytes land over a frame handed out
 	stale := slices.Clone(valid)
 	frameAt(stale, 32, frameMagic, 7, []byte("stale"), 5)
 	f.Add(stale, []byte{4, 0, 1, 0, 3, 0, 2, 0, 0, 0})
@@ -77,6 +81,7 @@ func readerOps(ring, ops []byte) (err error) {
 	copy(mem, ring)
 	r := NewReader(mem)
 	parsed := map[uint64][]byte{} // Seq → the ring bytes its payload was parsed from
+	out := map[uint64]Frame{}     // frames handed out and not truncated since, by Seq
 	for i := 0; i+1 < len(ops); i += 2 {
 		arg := int(ops[i+1])
 		base := r.nextSeq
@@ -92,6 +97,7 @@ func readerOps(ring, ops []byte) (err error) {
 			polled = r.Pending()
 		case 2:
 			r.Truncate(base + uint64(arg%8))
+			delete(out, base+uint64(arg%8))
 		case 3:
 			r.RewindTo(base + uint64(arg%8))
 		case 4:
@@ -123,6 +129,13 @@ func readerOps(ring, ops []byte) (err error) {
 			}
 			if !bytes.Equal(fr.Payload, parsed[fr.Seq]) {
 				return fmt.Errorf("op %d: handed out frame %d as %x, parsed %x", i/2, fr.Seq, fr.Payload, parsed[fr.Seq])
+			}
+			out[fr.Seq] = fr
+		}
+		for seq, fr := range out {
+			at := fr.off + headerBytes
+			if !bytes.Equal(fr.Payload, mem[at:at+len(fr.Payload)]) {
+				return fmt.Errorf("op %d: frame %d handed out as %x, its ring bytes read %x", i/2, seq, fr.Payload, mem[at:at+len(fr.Payload)])
 			}
 		}
 		for _, fr := range kept {

@@ -311,10 +311,11 @@ type Frame struct {
 	// Seq is the frame's position in arrival order, unique per ring
 	// (consecutive, wrap markers included).
 	Seq uint64
-	// Payload is the frame body: a private, GC-owned copy made at parse
-	// time and never written again. It does NOT alias ring memory — reclaim
-	// zeroes that and the writer wraps over it — so holders (decoded log
-	// records alias it) may keep it for as long as they like.
+	// Payload is the frame body in place: a capacity-capped view of the
+	// ring bytes, as a receiver processes a record in its NVRAM log (§4).
+	// It is valid until the frame is truncated — reclaim zeroes those bytes
+	// and the writer wraps over them — so a holder that outlives the frame
+	// (decoded log records alias it) takes a copy of its own first.
 	Payload []byte
 
 	off  int
@@ -351,11 +352,21 @@ func NewReader(mem []byte) *Reader {
 // next expected is a stale retransmission resurrected in a reclaimed slot
 // (its first landing was processed and truncated); it is zeroed — the RC
 // duplicate drop — and the parser waits for the live frame to land there.
+// It never reads past the oldest retained frame when that lies ahead: a
+// writer's space accounting keeps frames clear of it, and bytes that claim
+// otherwise must not reach — or zero — payloads already handed out.
 func (r *Reader) parse() {
 	for {
 		if r.scan+headerBytes > len(r.mem) {
 			r.scan = 0
 			continue
+		}
+		limit := len(r.mem)
+		if len(r.frames) > 0 && r.frames[0].off >= r.scan {
+			limit = r.frames[0].off
+		}
+		if r.scan+headerBytes > limit {
+			return // full
 		}
 		length := binary.LittleEndian.Uint32(r.mem[r.scan:])
 		magic := binary.LittleEndian.Uint32(r.mem[r.scan+4:])
@@ -374,15 +385,15 @@ func (r *Reader) parse() {
 			r.scan = 0
 		case frameMagic:
 			size := headerBytes + pad16(int(length))
-			if r.scan+size > len(r.mem) {
+			if r.scan+size > limit {
 				return // torn/garbage; wait
 			}
 			if psn != r.nextPSN {
 				r.zero(r.scan, size)
 				return
 			}
-			payload := make([]byte, length)
-			copy(payload, r.mem[r.scan+headerBytes:])
+			at := r.scan + headerBytes
+			payload := r.mem[at : at+int(length) : at+int(length)]
 			r.frames = append(r.frames, Frame{Seq: r.nextSeq, Payload: payload, off: r.scan, size: size})
 			r.nextSeq++
 			r.nextPSN++
@@ -402,7 +413,7 @@ func (r *Reader) zero(off, size int) {
 // Poll returns frames that have landed since the last Poll, in order.
 // Frames remain in the log (for recovery draining and voting) until
 // truncated. The returned slice is reused by the next Poll; the Payloads
-// it points at are not.
+// it points at are the ring bytes, valid until their frame's Truncate.
 func (r *Reader) Poll() []Frame {
 	r.parse()
 	out := r.out[:0]
@@ -499,9 +510,8 @@ func (r *Reader) reclaim() {
 	if i == 0 {
 		return
 	}
-	// Slide the survivors down so the backing array is reused (and drops
-	// its references to reclaimed payloads) instead of creeping forward
-	// into a reallocation.
+	// Slide the survivors down so the backing array is reused instead of
+	// creeping forward into a reallocation.
 	n := copy(r.frames, r.frames[i:])
 	clear(r.frames[n:])
 	r.frames = r.frames[:n]

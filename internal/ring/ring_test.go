@@ -409,9 +409,10 @@ func TestBeginCommitFillsFrameInPlace(t *testing.T) {
 
 // TestAppendPollTruncateAllocationBudget pins the per-frame cost of the
 // whole ring path: the writer's frame buffer and retry state are pooled,
-// the reader keeps frames by value and reuses Poll's slice, so the one
-// allocation left is the private payload copy made at parse time (plus
-// head-room for the fabric's pooled buffers warming up).
+// the reader keeps frames by value, reuses Poll's slice and hands payloads
+// out in place, so a frame's round trip allocates nothing once the fabric's
+// pooled buffers are warm. (It cost 6 allocations before frames were pooled
+// and 1 while parse copied each payload.)
 func TestAppendPollTruncateAllocationBudget(t *testing.T) {
 	g := newRig(t, 1<<16)
 	payload := make([]byte, 128)
@@ -428,17 +429,19 @@ func TestAppendPollTruncateAllocationBudget(t *testing.T) {
 	for i := 0; i < 1000; i++ { // wrap a few times, fill the pools
 		op()
 	}
-	if n := testing.AllocsPerRun(1000, op); n > 1.1 {
-		t.Fatalf("append→poll→truncate of a 128 B payload: %v allocs, want 1 (budget 3 in ISSUE 14, 6 before it)", n)
+	if n := testing.AllocsPerRun(1000, op); n != 0 {
+		t.Fatalf("append→poll→truncate of a 128 B payload: %v allocs, want 0", n)
 	}
 }
 
 // TestDecodedRecordOutlivesItsRingBytes is the ownership rule as a test: a
-// decoded record aliases the frame's private payload copy, never ring
-// memory. Hold a decoded LOCK record, truncate its frame (the reader
-// zeroes the bytes), let the writer wrap over the same offsets with other
-// data, and the held values must not change. Aliasing ring memory in
-// parse or decode fails here.
+// record decoded from a polled frame aliases the ring bytes, in place, until
+// the frame is truncated, and a Clone taken before then outlives it. Decode
+// a LOCK record: its values are views of the ring. Clone it, truncate the
+// frame (the reader zeroes the bytes, and the in-place record reads zeros),
+// let the writer wrap over the same offsets with other data, and the clone's
+// values must not change. A parse that copies fails the first half; a
+// shallow Clone fails the second.
 func TestDecodedRecordOutlivesItsRingBytes(t *testing.T) {
 	const capacity = 1024
 	g := newRig(t, capacity)
@@ -462,19 +465,32 @@ func TestDecodedRecordOutlivesItsRingBytes(t *testing.T) {
 	if len(fs) != 1 {
 		t.Fatalf("polled %d frames", len(fs))
 	}
-	var held proto.Record
-	if err := proto.DecodeRecord(fs[0].Payload, &held); err != nil {
+	var inPlace proto.Record
+	if err := proto.DecodeRecord(fs[0].Payload, &inPlace); err != nil {
 		t.Fatal(err)
 	}
 	span := FrameBytes(proto.RecordSize(lock))
 	if !bytes.Contains(g.region[:span], lock.Writes[0].Value) {
 		t.Fatal("test is blind: the record's bytes are not where it expects them in the ring")
 	}
+	for i, w := range inPlace.Writes {
+		v := w.Value
+		if !bytes.Equal(v, lock.Writes[i].Value) {
+			t.Fatalf("decoded write %d: %x", i, v)
+		}
+		if off := bytes.Index(g.region[:span], v); &v[0] != &g.region[off] {
+			t.Fatalf("decoded write %d does not alias the ring: the payload was copied", i)
+		}
+	}
+	held := inPlace.Clone()
 
 	g.r.Truncate(fs[0].Seq)
 	g.w.UpdateConsumed(g.r.ConsumedBytes())
 	if !bytes.Equal(g.region[:span], make([]byte, span)) {
 		t.Fatal("truncate did not zero the frame")
+	}
+	if !bytes.Equal(inPlace.Writes[0].Value, make([]byte, len(lock.Writes[0].Value))) {
+		t.Fatalf("the in-place record did not see its frame zeroed: %x", inPlace.Writes[0].Value)
 	}
 	// Wrap the writer over offset 0 with different bytes.
 	filler := bytes.Repeat([]byte{0x55}, 200)
@@ -496,7 +512,7 @@ func TestDecodedRecordOutlivesItsRingBytes(t *testing.T) {
 
 	for i, w := range held.Writes {
 		if !bytes.Equal(w.Value, lock.Writes[i].Value) || w.Addr != lock.Writes[i].Addr || w.Version != lock.Writes[i].Version {
-			t.Fatalf("held write %d changed after its frame was truncated and overwritten: %x", i, w.Value)
+			t.Fatalf("cloned write %d changed after its frame was truncated and overwritten: %x", i, w.Value)
 		}
 	}
 }
