@@ -221,21 +221,6 @@ func (m *Machine) regionQuiet(rep *replica) bool {
 	return true
 }
 
-// logGap reports whether a member's log here holds frames this machine
-// cannot process yet, because an earlier frame's write is being retried. A
-// coordinator gets its hardware acks regardless and goes on to COMMIT-PRIMARY,
-// so among them can be the COMMIT-BACKUP of a transaction the primary has
-// applied: the backup looks quiet and is a version behind. Such a backup is
-// not settled.
-func (m *Machine) logGap() bool {
-	for src, p := range m.peers {
-		if rd := p.logR.rd; rd != nil && m.isMember(src) && rd.Gap() {
-			return true
-		}
-	}
-	return false
-}
-
 // remoteTxTouches reports whether a pending transaction writes the region.
 func remoteTxTouches(rt *remoteTx, region uint32) bool {
 	if rt.lock != nil {
@@ -257,10 +242,9 @@ func remoteTxTouches(rt *remoteTx, region uint32) bool {
 // awaitQuiet is the settle loop of both sides of an audit: it polls the
 // replica every auditSettlePoll and calls settled(true) once the region has
 // been quiet auditSettleRounds polls in a row, or settled(false) once
-// auditSettleDeadline has passed. A backup also waits out frames behind a
-// hole in a log (gaps, logGap). The loop ends without a word when live
+// auditSettleDeadline has passed. The loop ends without a word when live
 // turns false.
-func (m *Machine) awaitQuiet(rep *replica, gaps bool, live func() bool, settled func(ok bool)) {
+func (m *Machine) awaitQuiet(rep *replica, live func() bool, settled func(ok bool)) {
 	deadline := m.c.Eng.Now() + auditSettleDeadline
 	quiet := 0
 	var poll func()
@@ -268,7 +252,7 @@ func (m *Machine) awaitQuiet(rep *replica, gaps bool, live func() bool, settled 
 		if !live() {
 			return
 		}
-		if m.regionQuiet(rep) && !(gaps && m.logGap()) {
+		if m.regionQuiet(rep) {
 			if quiet++; quiet >= auditSettleRounds {
 				settled(true)
 				return
@@ -288,7 +272,7 @@ func (m *Machine) awaitQuiet(rep *replica, gaps bool, live func() bool, settled 
 // auditSettle waits (behind the fence) for the region to quiesce at the
 // primary, then snapshots. Settle failure makes the audit inconclusive.
 func (m *Machine) auditSettle(run *auditRun) {
-	m.awaitQuiet(run.rep, false, func() bool {
+	m.awaitQuiet(run.rep, func() bool {
 		if !run.done && (!m.alive || m.config.ID != run.cfg) {
 			run.report.Note = "configuration changed"
 			m.finishAudit(run)
@@ -383,7 +367,7 @@ func (m *Machine) onAuditSnap(src int, v *proto.AuditSnap) {
 	}
 	m.learnHeaders(rep, v.Headers)
 	cfg := m.config.ID
-	m.awaitQuiet(rep, true, func() bool {
+	m.awaitQuiet(rep, func() bool {
 		// An audit aborted or superseded is not answered: the primary's
 		// deadline ends it.
 		return m.alive && m.config.ID == cfg && m.replica(v.Region) == rep &&

@@ -216,14 +216,16 @@ func TestAuditSettlesUnderClosedLoopWriters(t *testing.T) {
 	}
 }
 
-// TestAuditWaitsForFramesBehindAHole: a ring write that times out is
-// retried in place, for milliseconds, while the frames behind it land and
-// are acknowledged — a coordinator commits on those acks. Until the hole is
-// filled the backup cannot parse them: it holds no pending transaction, looks
-// quiet, and is a version behind its primary. That is a backup that has not
-// settled, not one that diverged (chaos seed 126705 once convicted it, 21 ms
-// into a 27 ms hole).
-func TestAuditWaitsForFramesBehindAHole(t *testing.T) {
+// TestCommitBehindAHoleWaitsForIt: a ring write that times out is retried
+// in place, for milliseconds, while the frames behind it land and the NIC
+// acks them. The writer completes frames in psn order, so a transaction
+// whose COMMIT-BACKUP lands behind such a hole is not reported until the
+// hole fills and the backup can parse the record. Meanwhile the primary
+// holds the transaction's lock, and every audit stays clean. (Chaos seed
+// 126705 once convicted a backup 21 ms into a 27 ms hole: its coordinator
+// had gone on to COMMIT-PRIMARY at the ack of a frame the backup could not
+// parse yet.)
+func TestCommitBehindAHoleWaitsForIt(t *testing.T) {
 	c, region := testCluster(t, Options{})
 	prim, coord := primaryAndOutsider(t, c, region)
 	backup := c.Machine(int(prim.mapping(region).Replicas[1]))
@@ -236,15 +238,28 @@ func TestAuditWaitsForFramesBehindAHole(t *testing.T) {
 	src, dst := fabric.MachineID(coord.ID), fabric.MachineID(backup.ID)
 	start := c.Now()
 	c.Net.CutLink(src, dst)
-	appendRecord(t, coord, backup.ID, &proto.Record{
-		Type: proto.RecTruncate, Tx: proto.TxID{Config: coord.config.ID, Machine: uint16(coord.ID)},
+	var filled sim.Time // when the dropped frame completed
+	w := coord.peer(backup.ID).logW
+	hole := &proto.Record{Type: proto.RecTruncate, Tx: proto.TxID{Config: coord.config.ID, Machine: uint16(coord.ID)}}
+	buf, ok := w.Begin(proto.RecordSize(hole), -1)
+	if !ok {
+		t.Fatal("ring full")
+	}
+	proto.AppendRecord(buf[:0], hole)
+	w.Commit(func(err error) {
+		if err != nil {
+			t.Errorf("the dropped frame failed: %v", err)
+		}
+		filled = c.Now()
 	})
 	c.RunFor(10 * sim.Microsecond)
 	c.Net.HealLink(src, dst)
+	c.Eng.After(start+sim.Millisecond-c.Now(), func() { c.Net.CutLink(src, dst) })
+	c.Eng.After(start+1600*sim.Microsecond-c.Now(), func() { c.Net.HealLink(src, dst) })
 
-	// A transaction commits in the meantime: its COMMIT-BACKUP is in the
-	// backup's log, behind the hole.
-	done := false
+	// A transaction starts in the meantime: its COMMIT-BACKUP lands in the
+	// backup's log behind the hole.
+	var reported sim.Time
 	tx := coord.Begin(0)
 	tx.Read(addr, 8, func(data []byte, err error) {
 		if err != nil {
@@ -255,29 +270,37 @@ func TestAuditWaitsForFramesBehindAHole(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			done = true
+			reported = c.Now()
 		})
 	})
-	runUntil(t, c, sim.Millisecond, func() bool { return done })
-	c.RunFor(50 * sim.Microsecond) // COMMIT-PRIMARY is processed
-	c.Net.CutLink(src, dst)
-	c.Eng.After(start+1600*sim.Microsecond-c.Now(), func() { c.Net.HealLink(src, dst) })
-
-	version := func(m *Machine) uint64 {
-		return regionmem.Version(regionmem.ReadHeader(m.replica(region).mem, int(addr.Off)))
+	c.RunFor(start + 3500*sim.Microsecond - c.Now())
+	waiting := 0
+	for _, ct := range coord.inflight {
+		if ct.phase == phaseCommitBackup {
+			waiting++
+		}
 	}
-	if version(backup) == version(prim) || len(backup.pend) != 0 || !backup.peer(coord.ID).logR.rd.Gap() {
-		t.Fatalf("the hole was not built: primary v%d, backup v%d with %d pending transactions",
-			version(prim), version(backup), len(backup.pend))
+	if reported != 0 || waiting != 1 || len(prim.replica(region).lockOwner) != 1 || len(backup.pend) != 0 {
+		t.Fatalf("the hole was not built: reported at %v, %d transactions at COMMIT-BACKUP, %d locks at the primary, %d pending at the backup",
+			reported, waiting, len(prim.replica(region).lockOwner), len(backup.pend))
 	}
-	// The audit waits the hole out (or gives up, inconclusive); it does not
-	// compare a backup that has unread frames.
+	// The audit waits for the primary's lock (or gives up, inconclusive).
 	for _, r := range collectAudit(t, c) {
 		if r.Region == region && r.Conclusive && !r.Clean {
 			t.Errorf("audit with frames behind a hole at the backup: %v", r)
 		}
 	}
+	runUntil(t, c, sim.Second, func() bool { return reported != 0 })
+	if filled == 0 || filled > reported {
+		t.Fatalf("the commit was reported at %v, the hole filled at %v", reported-start, filled-start)
+	}
 	c.RunFor(50 * sim.Millisecond)
+	version := func(m *Machine) uint64 {
+		return regionmem.Version(regionmem.ReadHeader(m.replica(region).mem, int(addr.Off)))
+	}
+	if version(backup) != version(prim) {
+		t.Errorf("backup at v%d, primary at v%d", version(backup), version(prim))
+	}
 	for _, r := range conclusiveAudit(t, c) {
 		if !r.Clean {
 			t.Errorf("audit after the hole was filled: %v", r)

@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
+	"farm/internal/fabric"
 	"farm/internal/history"
 	"farm/internal/proto"
 	"farm/internal/regionmem"
@@ -727,6 +729,82 @@ func TestRecoveringTransactionsChainedOnOneObject(t *testing.T) {
 		if !r.Clean {
 			t.Errorf("backup differs from its primary: %v", r)
 		}
+	}
+}
+
+// TestReportedCommitBehindAHoleSurvivesADoubleFailure: a coordinator's
+// frame to one backup is dropped and retried while a transaction's
+// COMMIT-BACKUP lands behind it, and the primary and the other backup die
+// inside the retry window, which leaves that backup the region's sole
+// survivor. Its recovery drain cannot parse past the hole, so it promotes
+// without the COMMIT-BACKUP in its NVRAM and rejects the record as stale
+// when the hole fills. A writer that passed on the ack of the frame behind
+// the hole let the coordinator report that commit, which was then lost;
+// with acks in psn order the report waits for the hole, and recovery
+// decides the transaction instead. Every commit reported is in the
+// survivor's state, and the history checks.
+func TestReportedCommitBehindAHoleSurvivesADoubleFailure(t *testing.T) {
+	o := recoveryOpts()
+	o.History = true
+	c, _ := testCluster(t, o)
+	var region uint32
+	var prim, survivor, other, coord *Machine
+	for i := 0; prim == nil; i++ {
+		if i == 20 {
+			t.Fatal("could not place a region away from the CM")
+		}
+		regions, err := c.CreateRegions(0, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rm := c.Machine(0).mapping(regions[0])
+		if !slices.ContainsFunc(rm.Replicas, func(r uint16) bool { return c.Machine(int(r)).IsCM() }) {
+			region = regions[0]
+			prim, survivor, other = c.Machine(int(rm.Replicas[0])), c.Machine(int(rm.Replicas[1])), c.Machine(int(rm.Replicas[2]))
+		}
+	}
+	_, coord = primaryAndOutsider(t, c, region)
+	addr := writeObjectIn(t, c, coord, region, u64b(0))
+	c.RunFor(20 * sim.Millisecond)
+
+	src, dst := fabric.MachineID(coord.ID), fabric.MachineID(survivor.ID)
+	c.Net.CutLink(src, dst)
+	appendRecord(t, coord, survivor.ID, &proto.Record{
+		Type: proto.RecTruncate, Tx: proto.TxID{Config: coord.config.ID, Machine: uint16(coord.ID)},
+	})
+	c.RunFor(10 * sim.Microsecond) // the frame is dropped and will be retried
+	c.Net.HealLink(src, dst)
+	committed := 0
+	tx := coord.Begin(0)
+	tx.Read(addr, 8, func(data []byte, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx.Write(addr, u64b(u64(data)+1))
+		tx.Commit(func(err error) {
+			if err == nil {
+				committed++
+			}
+		})
+	})
+	// Long enough for every record of the transaction to land; the retries
+	// of the dropped frame keep failing until the link heals, 30 ms on.
+	c.RunFor(200 * sim.Microsecond)
+	c.Net.CutLink(src, dst)
+	c.Kill(prim.ID)
+	c.Kill(other.ID)
+	c.Eng.After(30*sim.Millisecond, func() { c.Net.HealLink(src, dst) })
+	c.RunFor(100 * sim.Millisecond)
+	runUntil(t, c, sim.Second, func() bool { return recoveryLeft(c) == "" })
+
+	if next := primaryOfRegion(c, region); next != survivor {
+		t.Fatalf("region %d is on m%d, want the survivor m%d", region, next.ID, survivor.ID)
+	}
+	if got := u64(readObject(t, c, coord, addr, 8)); got != uint64(committed) {
+		t.Errorf("the survivor's object reads %d after %d reported commits", got, committed)
+	}
+	if r := history.Check(c.Hist.Export()); !r.Ok() {
+		t.Errorf("history checker: %v", r.Violations)
 	}
 }
 

@@ -626,11 +626,6 @@ type Batch struct {
 // pass to SendBatch.
 func (c *NIC) GetBatch() *Batch { return c.net.getBatch() }
 
-// ReleaseBatch returns an unsent pooled batch to the pool (e.g. the sender
-// died between enqueue and flush). Batches passed to SendBatch must NOT be
-// released by the caller; the fabric owns them from that point.
-func (c *NIC) ReleaseBatch(b *Batch) { c.net.putBatch(b) }
-
 func (n *Network) getBatch() *Batch {
 	if k := len(n.batchFree); k > 0 {
 		b := n.batchFree[k-1]

@@ -7,6 +7,10 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"farm/internal/fabric"
+	"farm/internal/nvram"
+	"farm/internal/sim"
 )
 
 // frameAt lays a frame header (and, for a data frame, its payload) into mem
@@ -19,7 +23,7 @@ func frameAt(mem []byte, off int, magic uint32, psn uint64, payload []byte, leng
 }
 
 // FuzzReader hands a Reader arbitrary ring bytes and a sequence of Poll,
-// Pending, Truncate, RewindTo and Gap calls, with more bytes landing between
+// Pending, Truncate and RewindTo calls, with more bytes landing between
 // them. Whatever the bytes, no call may panic or hang; the retained frames
 // carry consecutive Seqs; a frame's payload is the ring bytes it was parsed
 // from; Poll hands frames out in Seq order; every payload handed out equals
@@ -32,15 +36,15 @@ func FuzzReader(f *testing.F) {
 	frameAt(valid, 0, frameMagic, 0, []byte("first frame"), 11)
 	frameAt(valid, 32, frameMagic, 1, []byte("second"), 6)
 	frameAt(valid, 64, wrapMagic, 2, nil, 192)
-	f.Add(valid, []byte{0, 0, 2, 0, 2, 1, 4, 0, 0, 0})
-	f.Add(valid, []byte{0, 0, 5, 16, 0, 0}) // bytes land over a frame handed out
+	f.Add(valid, []byte{0, 0, 2, 0, 2, 1, 0, 0})
+	f.Add(valid, []byte{0, 0, 4, 16, 0, 0}) // bytes land over a frame handed out
 	stale := slices.Clone(valid)
 	frameAt(stale, 32, frameMagic, 7, []byte("stale"), 5)
-	f.Add(stale, []byte{4, 0, 1, 0, 3, 0, 2, 0, 0, 0})
+	f.Add(stale, []byte{1, 0, 3, 0, 2, 0, 0, 0})
 	huge := make([]byte, 64)
 	frameAt(huge, 0, wrapMagic, 0, nil, 1<<31)
 	frameAt(huge, 16, frameMagic, 0, nil, 1<<30)
-	f.Add(huge, []byte{0, 0, 2, 0, 5, 1, 0, 0})
+	f.Add(huge, []byte{0, 0, 2, 0, 4, 1, 0, 0})
 	f.Add(make([]byte, 8), []byte{0, 0})
 	f.Fuzz(func(t *testing.T, ring, ops []byte) {
 		if len(ring) > 4096 {
@@ -90,7 +94,7 @@ func readerOps(ring, ops []byte) (err error) {
 		}
 		before, kept := slices.Clone(mem), slices.Clone(r.frames)
 		var polled []Frame
-		switch ops[i] % 6 {
+		switch ops[i] % 5 {
 		case 0:
 			polled = r.Poll()
 		case 1:
@@ -100,9 +104,7 @@ func readerOps(ring, ops []byte) (err error) {
 			delete(out, base+uint64(arg%8))
 		case 3:
 			r.RewindTo(base + uint64(arg%8))
-		case 4:
-			r.Gap()
-		case 5: // more bytes land
+		case 4: // more bytes land
 			copy(mem[arg*16%len(mem):], ring[min(arg, len(ring)):])
 		}
 		for j, fr := range r.frames {
@@ -146,6 +148,117 @@ func readerOps(ring, ops []byte) (err error) {
 				return fmt.Errorf("op %d: reclaimed frame %d left bytes in [%d, %d)", i/2, fr.Seq, fr.off, end)
 			}
 		}
+	}
+	return nil
+}
+
+// FuzzWriter drives a Writer and a Reader over a two-machine fabric with a
+// fuzzed schedule of appends, link cuts and heals (either direction: a cut
+// of 1→0 loses only completions), polls, truncations, UpdateConsumed calls
+// and spans of virtual time. Callbacks must run in psn order, and after a
+// final failure no later frame may be acked OK. Once the links heal and the
+// fabric is quiet, every frame has had its callback, and the reader has
+// handed out every frame acked OK, in order.
+func FuzzWriter(f *testing.F) {
+	f.Add([]byte{0, 8, 0, 40, 6, 1, 3, 0, 4, 0, 5, 0})
+	f.Add([]byte{0, 8, 1, 0, 0, 16, 2, 0, 0, 24, 6, 2, 3, 0, 6, 60, 3, 0}) // a hole, filled
+	f.Add([]byte{0, 8, 1, 1, 0, 16, 6, 30, 2, 1, 3, 0, 4, 0, 5, 0, 6, 40}) // lost completions
+	f.Add([]byte{1, 0, 0, 8, 0, 16, 6, 255, 2, 0, 0, 24, 6, 4, 3, 0})      // retries exhausted
+	f.Add([]byte("10001010101000B0C0C0Y01019"))                            // a wrap's padding is ring space too
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if err := writerOps(ops); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// writerOps runs the schedule ops over a fresh writer and reader and
+// reports the first broken promise. Frame k's payload starts with k.
+func writerOps(ops []byte) error {
+	eng := sim.NewEngine(1)
+	net := fabric.NewNetwork(eng, fabric.Options{})
+	store := nvram.NewStore()
+	nic := net.AddMachine(0, nvram.NewStore())
+	net.AddMachine(1, store)
+	const capacity = 512
+	mem, err := store.Allocate(100, capacity)
+	if err != nil {
+		return err
+	}
+	w, r := NewWriter(nic, 1, 100, capacity), NewReader(mem)
+	var (
+		issued    uint64   // frames appended
+		completed []uint64 // frames whose callback ran, in that order
+		okAcks    uint64   // callbacks with a nil error
+		failed    bool     // a callback had an error
+		polled    []uint64 // frames the reader handed out, in that order
+		kept      []uint64 // Seqs polled and not yet truncated
+		broken    error
+	)
+	poll := func() {
+		for _, fr := range r.Poll() {
+			polled = append(polled, binary.LittleEndian.Uint64(fr.Payload))
+			kept = append(kept, fr.Seq)
+		}
+	}
+	for i := 0; i+1 < len(ops) && broken == nil; i += 2 {
+		arg := int(ops[i+1])
+		switch ops[i] % 7 {
+		case 0:
+			k := issued
+			payload := make([]byte, 8+arg%64)
+			binary.LittleEndian.PutUint64(payload, k)
+			if w.Append(payload, -1, func(err error) {
+				switch {
+				case len(completed) > 0 && k != completed[len(completed)-1]+1 || len(completed) == 0 && k != 0:
+					broken = fmt.Errorf("frame %d completed after %v", k, completed)
+				case err == nil && failed:
+					broken = fmt.Errorf("frame %d acked OK after a final failure", k)
+				}
+				completed = append(completed, k)
+				if err != nil {
+					failed = true
+				} else {
+					okAcks++
+				}
+			}) {
+				issued++
+			}
+		case 1:
+			net.CutLink(fabric.MachineID(arg&1), fabric.MachineID(1-arg&1))
+		case 2:
+			net.HealLink(fabric.MachineID(arg&1), fabric.MachineID(1-arg&1))
+		case 3:
+			poll()
+		case 4:
+			if len(kept) > 0 {
+				j := arg % len(kept)
+				r.Truncate(kept[j])
+				kept = slices.Delete(kept, j, j+1)
+			}
+		case 5:
+			w.UpdateConsumed(r.ConsumedBytes())
+		case 6: // up to 130 ms, past the last retry
+			eng.RunFor(sim.Time(arg*arg) * 2 * sim.Microsecond)
+		}
+	}
+	net.HealLink(0, 1)
+	net.HealLink(1, 0)
+	eng.Run()
+	poll()
+	if broken != nil {
+		return broken
+	}
+	if uint64(len(completed)) != issued {
+		return fmt.Errorf("%d frames issued, %d completed on a quiet fabric", issued, len(completed))
+	}
+	for j, k := range polled {
+		if k != uint64(j) {
+			return fmt.Errorf("the reader handed out %v", polled)
+		}
+	}
+	if uint64(len(polled)) < okAcks {
+		return fmt.Errorf("%d frames acked OK, the reader handed out %d", okAcks, len(polled))
 	}
 	return nil
 }

@@ -25,6 +25,12 @@
 // retransmission safe — a retry of a frame whose first landing was already
 // processed (only the completion was lost) parses as a stale duplicate and
 // is zeroed instead of being applied twice.
+//
+// Completions come in psn order, as on an RC queue pair: frames land and
+// are acked out of order (wire jitter, retries in place), and the writer
+// runs a frame's callback only after every earlier frame's, so an ack means
+// the reader can parse the frame and all before it. A frame that fails for
+// good fails every later frame too, like a queue pair in its error state.
 package ring
 
 import (
@@ -63,29 +69,30 @@ type Writer struct {
 	consumed uint64 // total bytes the receiver reported truncated
 	reserved int    // bytes promised to reservations not yet written
 	psn      uint64 // next frame's packet sequence number
-	closed   bool   // Close() called: no further writes or retries
+	closed   bool   // Close() called: no further writes, retries or callbacks
+	err      error  // the final failure a callback got: every later one gets it
 
-	// cur is the frame opened by Begin and not yet issued by Commit.
-	cur *writeOp
+	queue    []*writeOp // issued frames whose callbacks have not run, in psn order
+	draining bool       // settle's loop is running
+	cur      *writeOp   // the frame opened by Begin and not yet issued by Commit
 	// opFree recycles writeOps — and the frame buffers they own — so an
 	// append allocates nothing in steady state. The pool is bounded by the
-	// number of frame writes in flight at once.
+	// number of frames whose callbacks have not run.
 	opFree []*writeOp
 }
 
-// Retransmission of timed-out frame writes. An RC connection delivers
-// writes in order or not at all, so a frame that timed out during a
-// transient fault (one-way cut, flap) left a hole the reader's parse()
-// stalls at — everything behind it is invisible until the hole is filled.
-// Two guards make re-writing the same frame at the same offset safe:
-// the reader's psn check discards a retry whose first landing was already
-// processed (only the completion leg was lost), and a retry is cancelled —
-// counted as delivered — once the receiver's truncation watermark passes
-// the frame, since truncation implies processing and the slot may by then
-// hold a newer frame the retry must not clobber. The retry span (~130 ms
-// with these constants) comfortably outlives nemesis fault episodes; a
-// destination that is genuinely dead fails every attempt and the final
-// error surfaces to cb as before.
+// Retransmission of timed-out frame writes. A frame that timed out during
+// a transient fault (one-way cut, flap) leaves a hole the reader's parse()
+// stalls at — everything behind it is invisible, and its callbacks wait,
+// until the hole is filled. Two guards make re-writing the same frame at the
+// same offset safe: the reader's psn check discards a retry whose first
+// landing was already processed (only the completion leg was lost), and a
+// retry is cancelled — counted as delivered — once the receiver's
+// truncation watermark passes the frame, since truncation implies
+// processing and the slot may by then hold a newer frame the retry must not
+// clobber. The retry span (~130 ms with these constants) comfortably
+// outlives nemesis fault episodes; at a destination that is genuinely dead
+// every attempt fails, and the final error fails every later frame too.
 const (
 	writeRetries    = 7
 	writeRetryDelay = sim.Millisecond // doubles per attempt: ~127 ms total span
@@ -93,9 +100,9 @@ const (
 
 // writeOp is one frame's write-and-retry state machine. frame is the
 // sender's only copy of the bytes (the fabric copies them at every issue),
-// kept until the final ack because a retry re-sends it; only then does the
-// op, buffer included, go back to the pool. ackFn/retryFn are bound once
-// when the op is first allocated.
+// kept until the final ack because a retry re-sends it; the op, buffer
+// included, goes back to the pool when its callback runs. ackFn/retryFn
+// are bound once when the op is first allocated.
 type writeOp struct {
 	w       *Writer
 	off     int
@@ -103,6 +110,8 @@ type writeOp struct {
 	end     uint64 // w.appended after this frame
 	attempt int
 	cb      func(error)
+	done    bool // settled, with err
+	err     error
 
 	ackFn   func(error)
 	retryFn func()
@@ -134,9 +143,6 @@ func NewWriter(nic *fabric.NIC, dst fabric.MachineID, region nvram.RegionID, cap
 	}
 	return &Writer{nic: nic, dst: dst, region: region, capacity: capacity}
 }
-
-// Dst returns the receiving machine.
-func (w *Writer) Dst() fabric.MachineID { return w.dst }
 
 // free returns bytes available for new frames, keeping one header of slack
 // for a possible wrap marker.
@@ -176,6 +182,10 @@ func (w *Writer) Begin(n, reservedSize int) ([]byte, bool) {
 		panic("ring: Begin with a frame already open")
 	}
 	need := FrameBytes(n)
+	skip := 0 // wrap padding, if the frame does not fit before the end
+	if w.tail+need > w.capacity {
+		skip = w.capacity - w.tail
+	}
 	if reservedSize >= 0 {
 		if n > reservedSize {
 			panic(fmt.Sprintf("ring: payload %d exceeds reservation %d", n, reservedSize))
@@ -184,11 +194,10 @@ func (w *Writer) Begin(n, reservedSize int) ([]byte, bool) {
 		if w.reserved < 0 {
 			panic("ring: append without matching reservation")
 		}
-	} else if need > w.free() {
+	} else if skip+need > w.free() {
 		return nil, false
 	}
-	// Wrap if the frame does not fit before the end of the buffer.
-	if w.tail+need > w.capacity {
+	if skip > 0 {
 		w.writeWrapMarker()
 	}
 	op := w.getOp(need)
@@ -206,12 +215,13 @@ func (w *Writer) Begin(n, reservedSize int) ([]byte, bool) {
 }
 
 // Commit issues the frame opened by Begin as one RDMA write. cb, if
-// non-nil, receives the hardware ack (or error).
+// non-nil, receives the hardware ack (or error), after the callbacks of
+// every frame issued before it.
 func (w *Writer) Commit(cb func(error)) {
 	op := w.cur
 	w.cur = nil
 	op.cb = cb
-	op.issue()
+	w.start(op)
 }
 
 // Append writes payload as one frame: Begin, copy, Commit.
@@ -225,50 +235,74 @@ func (w *Writer) Append(payload []byte, reservedSize int, cb func(error)) bool {
 	return true
 }
 
+// start queues op behind every frame issued before it and issues it.
+func (w *Writer) start(op *writeOp) {
+	w.queue = append(w.queue, op)
+	op.issue()
+}
+
 // issue sends the frame's RDMA write; ack retries timeouts in place with
 // doubling backoff. Once the receiver's truncation watermark reaches
 // op.end the frame was provably processed, so a pending retry reports
 // success instead of firing (the slot may already hold a newer frame).
 // Other errors (bad address = the ring is gone) and exhausted retries
-// surface to cb.
+// fail the frame for good.
 func (op *writeOp) issue() {
 	w := op.w
-	if w.closed {
-		return
+	switch {
+	case w.closed:
+	case w.err != nil:
+		w.settle(op, w.err)
+	case w.consumed >= op.end:
+		w.settle(op, nil)
+	default:
+		w.nic.Write(w.dst, w.region, op.off, op.frame, op.ackFn)
 	}
-	if w.consumed >= op.end {
-		op.finish(nil)
-		return
-	}
-	w.nic.Write(w.dst, w.region, op.off, op.frame, op.ackFn)
 }
 
 func (op *writeOp) ack(err error) {
 	w := op.w
-	if err == nil || !errors.Is(err, fabric.ErrTimeout) || op.attempt >= writeRetries || w.closed {
-		op.finish(err)
+	switch {
+	case w.closed:
+	case err != nil && errors.Is(err, fabric.ErrTimeout) && op.attempt < writeRetries && w.err == nil:
+		w.nic.Engine().After(writeRetryDelay<<op.attempt, op.retryFn)
+		op.attempt++
+	default:
+		w.settle(op, err)
+	}
+}
+
+// settle records op's outcome, then runs the callbacks of the settled
+// frames at the head of the queue, in psn order (a callback that settles
+// another frame leaves it to this loop). From the first final failure on,
+// every callback gets that error. Each op is recycled before its callback
+// runs (fabric's rule), so a callback that appends again may reuse it.
+func (w *Writer) settle(op *writeOp, err error) {
+	op.done, op.err = true, err
+	if w.draining {
 		return
 	}
-	backoff := writeRetryDelay << op.attempt
-	op.attempt++
-	w.nic.Engine().After(backoff, op.retryFn)
-}
-
-// finish recycles the op before invoking the callback (fabric's rule), so
-// a callback that appends again may reuse it.
-func (op *writeOp) finish(err error) {
-	cb := op.cb
-	op.cb, op.attempt = nil, 0
-	op.w.opFree = append(op.w.opFree, op)
-	if cb != nil {
-		cb(err)
+	w.draining = true
+	for len(w.queue) > 0 && w.queue[0].done && !w.closed {
+		op := w.queue[0]
+		w.queue = w.queue[:copy(w.queue, w.queue[1:])]
+		if w.err == nil {
+			w.err = op.err
+		}
+		cb := op.cb
+		op.cb, op.done, op.err, op.attempt = nil, false, nil, 0
+		w.opFree = append(w.opFree, op)
+		if cb != nil {
+			cb(w.err)
+		}
 	}
+	w.draining = false
 }
 
-// Close permanently disables the writer: pending retries stop and further
-// appends are dropped. Hosts close a writer when they replace it (ring
-// re-establishment after a power cycle), so a stale writer's retries can
-// never corrupt the re-created ring.
+// Close permanently disables the writer: pending retries stop, further
+// appends are dropped and no callback runs any more. Hosts close a writer
+// when they replace it (ring re-establishment after a power cycle), so a
+// stale writer's retries can never corrupt the re-created ring.
 func (w *Writer) Close() { w.closed = true }
 
 func (w *Writer) writeWrapMarker() {
@@ -281,7 +315,7 @@ func (w *Writer) writeWrapMarker() {
 	w.appended += uint64(skip)
 	op.off, op.end = w.tail, w.appended
 	w.tail = 0
-	op.issue()
+	w.start(op)
 }
 
 // UpdateConsumed installs the receiver's cumulative truncation counter.
@@ -425,28 +459,6 @@ func (r *Reader) Poll() []Frame {
 	r.polled = len(r.frames)
 	r.out = out
 	return out
-}
-
-// Gap reports whether a frame has landed beyond the parse head: the reader
-// waits for an earlier frame whose write is still being retried, and cannot
-// hand out what the ring already holds past it. Ring bytes are zero unless a
-// frame landed there and was not reclaimed, so any other byte outside the
-// retained span [head, scan) is such a frame (or a stale retransmission the
-// parser will drop when it gets there).
-func (r *Reader) Gap() bool {
-	r.parse()
-	landed := func(lo, hi int) bool {
-		for _, b := range r.mem[lo:hi] {
-			if b != 0 {
-				return true
-			}
-		}
-		return false
-	}
-	if r.scan < r.head || r.scan == r.head && len(r.frames) > 0 {
-		return landed(r.scan, r.head) // retained frames wrap around the end (or fill the ring)
-	}
-	return landed(r.scan, len(r.mem)) || landed(0, r.head)
 }
 
 // index returns the position in frames of sequence number seq, or

@@ -517,55 +517,82 @@ func TestDecodedRecordOutlivesItsRingBytes(t *testing.T) {
 	}
 }
 
-// TestGapIsAFrameBehindOneThatHasNotLanded: a write that times out is
-// retried in place while later frames land and are acknowledged. The reader
-// hands out nothing past the hole, and says so.
-func TestGapIsAFrameBehindOneThatHasNotLanded(t *testing.T) {
-	g := newRig(t, 256)
-	poll := func(want ...string) {
+// TestFramesCompleteInPsnOrder: acks come in psn order, as on an RC queue
+// pair. A frame whose write times out is retried in place while the frame
+// behind it lands and is acked by the NIC; the later frame completes only
+// after the earlier one, when the reader can parse both. A final failure
+// fails every frame behind it, landed or not, and every frame issued after
+// it. A closed writer completes nothing.
+func TestFramesCompleteInPsnOrder(t *testing.T) {
+	var got []string
+	record := func(name string) func(error) {
+		return func(err error) { got = append(got, fmt.Sprintf("%s:%v", name, err)) }
+	}
+	expect := func(t *testing.T, want ...string) {
 		t.Helper()
-		frames := g.r.Poll()
-		if len(frames) != len(want) {
-			t.Fatalf("polled %d frames, want %d", len(frames), len(want))
+		if !slices.Equal(got, want) {
+			t.Fatalf("callbacks %q, want %q", got, want)
 		}
-		for i, f := range frames {
-			if string(f.Payload) != want[i] {
-				t.Fatalf("frame %d = %q, want %q", i, f.Payload, want[i])
-			}
-			g.r.Truncate(f.Seq)
-		}
-		g.w.UpdateConsumed(g.r.ConsumedBytes())
+		got = nil
 	}
-	if g.r.Gap() {
-		t.Fatal("gap in an empty ring")
-	}
-	for round := 0; round < 8; round++ { // far enough to wrap several times
-		g.w.Append([]byte("first"), -1, nil)
-		g.eng.RunFor(10 * sim.Microsecond)
-		if g.r.Gap() {
-			t.Fatalf("round %d: gap with every frame landed", round)
-		}
+	// hole appends "lost", dropped on the wire and retried, then "behind",
+	// which lands at once; the NIC has acked "behind" when it returns.
+	hole := func(t *testing.T, g *rig) {
+		t.Helper()
 		g.net.CutLink(0, 1)
-		g.w.Append([]byte("lost and retried"), -1, nil)
+		g.w.Append([]byte("lost"), -1, record("lost"))
 		g.eng.RunFor(10 * sim.Microsecond) // reaches the cut and is dropped
 		g.net.HealLink(0, 1)
-		acked := false
-		g.w.Append([]byte("behind"), -1, func(err error) { acked = err == nil })
+		g.w.Append([]byte("behind"), -1, record("behind"))
 		g.eng.RunFor(10 * sim.Microsecond)
-		if !acked {
-			t.Fatalf("round %d: the frame behind the hole was not acknowledged", round)
-		}
-		poll("first")
-		if !g.r.Gap() {
-			t.Fatalf("round %d: a frame landed past the hole, and no gap", round)
-		}
-		g.pump() // the retry lands
-		if g.r.Gap() {
-			t.Fatalf("round %d: gap after the hole was filled", round)
-		}
-		poll("lost and retried", "behind")
-		if g.r.Gap() {
-			t.Fatalf("round %d: gap in a reclaimed ring", round)
+		if !bytes.Contains(g.region, []byte("behind")) || bytes.Contains(g.region, []byte("lost")) {
+			t.Fatal("the frame behind the hole did not land first")
 		}
 	}
+
+	t.Run("later frame waits", func(t *testing.T) {
+		g := newRig(t, 256)
+		for round := 0; round < 8; round++ { // far enough to wrap several times
+			hole(t, g)
+			expect(t)
+			if fs := g.r.Poll(); len(fs) != 0 {
+				t.Fatalf("round %d: polled %d frames past the hole", round, len(fs))
+			}
+			g.pump() // the retry lands
+			expect(t, "lost:<nil>", "behind:<nil>")
+			fs := g.r.Poll()
+			if len(fs) != 2 || string(fs[0].Payload) != "lost" || string(fs[1].Payload) != "behind" {
+				t.Fatalf("round %d: polled %v after the hole filled", round, fs)
+			}
+			for _, f := range fs {
+				g.r.Truncate(f.Seq)
+			}
+			g.w.UpdateConsumed(g.r.ConsumedBytes())
+		}
+	})
+
+	t.Run("final failure fails the frames behind it", func(t *testing.T) {
+		g := newRig(t, 256)
+		hole(t, g)
+		g.net.CutLink(0, 1) // every retry of "lost" fails
+		g.pump()
+		expect(t, "lost:"+fabric.ErrTimeout.Error(), "behind:"+fabric.ErrTimeout.Error())
+		g.net.HealLink(0, 1)
+		g.w.Append([]byte("later"), -1, record("later"))
+		expect(t, "later:"+fabric.ErrTimeout.Error())
+		g.pump()
+		expect(t)
+		if fs := g.r.Poll(); len(fs) != 0 {
+			t.Fatalf("polled %v past a frame that never landed", fs)
+		}
+	})
+
+	t.Run("closed writer completes nothing", func(t *testing.T) {
+		g := newRig(t, 256)
+		hole(t, g)
+		g.w.Close()
+		g.w.Append([]byte("after close"), -1, record("after close"))
+		g.pump()
+		expect(t)
+	})
 }
