@@ -97,6 +97,10 @@ func main() {
 	ops := float64(max(w.Committed, 1))
 	fmt.Printf("validate:   per committed op over the measured window: %.3f header reads, %.3f RPCs, %.3f last reads skipped\n",
 		float64(cpu["validate_reads"])/ops, float64(cpu["validate_rpcs"])/ops, float64(cpu["validate_skipped"])/ops)
+	// Explicit TRUNCATE records over the window: flushes of truncation ids
+	// that no later log record carried within the flush interval.
+	fmt.Printf("truncate:   %.4f explicit TRUNCATE records per committed op over the measured window\n",
+		float64(cpu["explicit_truncate"])/ops)
 	// Hash-table lookups over the window: the reads (one-sided or local) each
 	// made, and where it was answered — the key's home bucket, a neighbour in
 	// the same span read, the overflow chain, or nowhere.

@@ -603,7 +603,9 @@ func Run(cfg Config) Result {
 	res.Commits, res.Aborts = load.Committed(), load.Aborted()
 	// Liveness after the quiesce: no client of an alive member of the final
 	// configuration still waits on an operation it began after the last
-	// power restore, and no call of such a member awaits its answer.
+	// power restore, no call of such a member awaits its answer, and none
+	// keeps a transaction awaiting truncation or a pooled truncate-record
+	// slot toward a member.
 	// Waiting on an answer owed by a machine that has left is not a legal
 	// stuck state: the configuration without it fails the call.
 	if last := latestMember(c); last != nil {
@@ -617,6 +619,9 @@ func Run(cfg Config) Result {
 			}
 			for _, call := range c.Machine(id).OpenCalls() {
 				res.Violations = append(res.Violations, fmt.Sprintf("liveness: m%d has a call open after the quiesce: %s", id, call))
+			}
+			for _, tr := range c.Machine(id).OpenTruncations() {
+				res.Violations = append(res.Violations, fmt.Sprintf("liveness: m%d keeps truncation work after the quiesce: %s", id, tr))
 			}
 		}
 	}

@@ -136,7 +136,6 @@ func New(opts Options) *Cluster {
 	c.Machines[0].cm = newCMState()
 	for _, m := range c.Machines {
 		m.lease.start()
-		m.startTruncSweep()
 		m.startTxStallSweep()
 	}
 	return c

@@ -66,7 +66,8 @@ type coordTx struct {
 	// a lock/validate reply); the stall watchdog aborts lock/validate-phase
 	// transactions whose replies were lost to network faults.
 	lastProgress sim.Time
-	// truncLeft counts groups whose truncPending is set.
+	// truncLeft counts the participants whose truncation queue holds this
+	// transaction.
 	truncLeft int
 
 	// traceCtx is a copy of the transaction's root span context (it
@@ -91,9 +92,6 @@ type destGroup struct {
 	// res holds the payload sizes reserved in dst's log, consumed as
 	// records are written.
 	res resSet
-	// truncPending is set from queueing this transaction's truncation at
-	// dst until its delivery there is acked (or dst leaves).
-	truncPending bool
 }
 
 // group returns dst's group, or nil if dst is not a participant.
@@ -123,16 +121,6 @@ func (ct *coordTx) groupFor(dst int) *destGroup {
 		ct.groups[i] = destGroup{dst: dst}
 	}
 	return &ct.groups[i]
-}
-
-// truncDone notes that dst no longer awaits this transaction's truncation
-// and reports whether no participant does.
-func (ct *coordTx) truncDone(dst int) bool {
-	if g := ct.group(dst); g != nil && g.truncPending {
-		g.truncPending = false
-		ct.truncLeft--
-	}
-	return ct.truncLeft == 0
 }
 
 // beginPhase opens the named commit-phase child span, closing whichever
@@ -526,17 +514,11 @@ func (op *recWrite) write(p *peer, reserved int) bool {
 }
 
 // ack is the hardware ack of the record's ring write: settle the
-// piggybacked truncations, recycle, then advance the commit protocol. A
-// TRUNCATE record used one pooled slot itself, and settles only while its
-// machine lives.
+// piggybacked truncations, recycle, then advance the commit protocol.
 func (op *recWrite) ack(err error) {
 	m, ct, dst, typ := op.m, op.ct, op.dst, op.rec.Type
-	switch {
-	case err != nil:
-	case typ != proto.RecTruncate:
-		m.truncDelivered(m.peer(dst), op.rec.TruncIDs, 0)
-	case m.alive:
-		m.truncDelivered(m.peer(dst), op.rec.TruncIDs, 1)
+	if err == nil {
+		m.truncDelivered(m.peer(dst), len(op.rec.TruncIDs), typ == proto.RecTruncate)
 	}
 	op.ct, op.rec = nil, proto.Record{}
 	m.recFree = append(m.recFree, op)

@@ -34,7 +34,6 @@ func (c *Cluster) Join() *Machine {
 		old.addPeer()
 	}
 	m.lease = newLeaseManager(m)
-	m.startTruncSweep()
 	m.startTxStallSweep()
 
 	domain := id

@@ -130,11 +130,8 @@ type peer struct {
 	id   int
 	logW *ring.Writer // appends to this machine's ring in the peer's memory
 	logR *logReader   // reads the peer's ring here
-	// truncQ is the coordinator's truncation work toward the peer;
-	// truncPending the transactions whose truncation has not been delivered
-	// there, by packed id (made with the first).
-	truncQ       truncQueue
-	truncPending map[uint64]*coordTx
+	// truncQ is the coordinator's truncation work toward the peer.
+	truncQ truncQueue
 	// trunc holds, per coordinator thread of the peer, the transaction ids
 	// truncated here (§5.3 step 6).
 	trunc []idWindow
@@ -260,9 +257,8 @@ type Machine struct {
 	// configShrank records whether the latest NEW-CONFIG removed any
 	// machine (then every region runs the recovery handshake).
 	configShrank bool
-	// truncSweepOn/stallSweepOn guard the periodic sweeps against duplicate
-	// arming across power cycles.
-	truncSweepOn bool
+	// stallSweepOn guards the periodic stall sweep against duplicate arming
+	// across power cycles.
 	stallSweepOn bool
 
 	// calls are the requests awaiting an answer, in id order; nextRPC is
@@ -490,25 +486,6 @@ func (m *Machine) wakeMappingWaiters(region uint32) {
 	for _, fn := range waiters {
 		fn()
 	}
-}
-
-// truncQueue is the coordinator's pending truncation work toward one
-// participant machine: ids whose records there can be reclaimed, plus a
-// pool of explicit-TRUNCATE record reservations (one per undelivered
-// transaction, §4).
-type truncQueue struct {
-	ids        []uint64 // packed thread<<48 | local
-	pool       int      // pooled truncate-record reservations
-	flushArmed bool
-	flushFn    func() // the flush timer's callback, bound once (addPeer)
-}
-
-func packTruncID(thread uint16, local uint64) uint64 {
-	return uint64(thread)<<48 | (local & (1<<48 - 1))
-}
-
-func unpackTruncID(v uint64) (thread uint16, local uint64) {
-	return uint16(v >> 48), v & (1<<48 - 1)
 }
 
 func (c *Cluster) newMachine(id int) *Machine {

@@ -21,6 +21,9 @@ import (
 // records) or mutates order-sensitive state walks sortedKeys. regionmem.Rebuild
 // applies the same rule to block headers. Loops that only aggregate
 // commutatively (counting, flag folding, map-to-map copies) range directly.
+// A coordinator's truncation work toward a peer is no map but a queue
+// (truncQueue), in the order ids leave and acks pop them; dropping it when
+// the peer leaves sorts it by id first, because retiring ends trace spans.
 
 // sortedKeys returns m's keys in ascending order by cmp.
 func sortedKeys[K comparable, V any](m map[K]V, cmp func(a, b K) int) []K {

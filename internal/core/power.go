@@ -60,7 +60,6 @@ func (c *Cluster) RestorePower() {
 		m.fencedReports = nil
 		m.lease = newLeaseManager(m)
 		m.lease.start()
-		m.startTruncSweep()
 		m.startTxStallSweep()
 		m.reconfiguring = false
 		// Audits in flight at the outage are void (their messages died with
@@ -162,28 +161,39 @@ func (c *Cluster) reestablishRings() {
 			toMe.logW.Close()
 			toMe.logW = ring.NewWriter(sender.nic, fabric.MachineID(m.ID),
 				toNVRAM(logRegionID(src)), c.Opts.LogCapacity)
-			// Restore the pooled truncate-record reservations the sender
-			// still accounts for.
-			for i := 0; i < toMe.truncQ.pool; i++ {
+			// Reserve the pooled truncate-record slots again, one for each
+			// transaction queued toward m and each still committing with
+			// it; an aborted transaction whose ABORT acks died with the old
+			// writer never queues, and its slot goes. Every queued id is
+			// sent again: carriers in flight died with the old writer too.
+			q := &toMe.truncQ
+			q.pool, q.sent = len(q.txs), 0
+			for _, ct := range sender.inflight {
+				if g := ct.group(m.ID); g != nil {
+					q.pool += g.res.pooled
+				}
+			}
+			for range q.pool {
 				toMe.logW.Reserve(truncateRecordSize)
 			}
 		}
 	}
 	// 3. Per-transaction reservations named slots in the old rings; drop
 	// them (recovering transactions finish through messages, not records)
-	// and requeue undelivered truncations so backups converge.
+	// but the pooled slot, restored above, and flush undelivered
+	// truncations so backups converge.
 	for _, m := range c.Machines {
 		if !m.alive {
 			continue
 		}
 		for _, ct := range m.inflight {
 			for i := range ct.groups {
-				ct.groups[i].res = resSet{}
+				g := &ct.groups[i]
+				g.res = resSet{pooled: g.res.pooled}
 			}
 		}
 		for _, p := range m.peers {
-			requeuePending(p)
-			if len(p.truncQ.ids) > 0 {
+			if len(p.truncQ.txs) > 0 {
 				m.armTruncFlush(p)
 			}
 		}

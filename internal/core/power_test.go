@@ -100,6 +100,14 @@ func TestPowerFailureResolvesInFlightTransactions(t *testing.T) {
 			}
 		}
 	}
+	// Truncation has settled: no machine keeps a queued transaction or a
+	// pooled TRUNCATE slot, though commits and aborts were cut off by the
+	// outage mid-record.
+	for _, mm := range c.Machines {
+		if open := mm.OpenTruncations(); len(open) > 0 {
+			t.Errorf("m%d after the load: %v", mm.ID, open)
+		}
+	}
 	// The final value must be consistent across all replicas of the
 	// region after truncation settles.
 	var vals [][]byte

@@ -1,19 +1,26 @@
 package core
 
 import (
-	"cmp"
+	"fmt"
+	"slices"
 
 	"farm/internal/proto"
-	"farm/internal/sim"
 	"farm/internal/trace"
 )
 
 // This file implements the coordinator side of §4 step 5: lazy truncation.
-// After all COMMIT-PRIMARY (or ABORT) records are acked, the transaction's
-// ids are queued per participant and delivered by piggybacking on later
-// records; an explicit TRUNCATE record is written only when no carrier
-// appears within TruncateFlushInterval or when logs fill — using the
+// After all COMMIT-PRIMARY (or ABORT) records are acked, the transaction
+// joins one queue per participant and its id is delivered by piggybacking
+// on later records; an explicit TRUNCATE record is written only when no
+// carrier appears within TruncateFlushInterval — in one of the
 // truncate-record reservations pooled at commit time.
+//
+// The queue needs no other bookkeeping because a ring completes its frames
+// in psn order (DESIGN.md §9): carriers take ids from the queue in order,
+// so the first carrier acked holds the ids at the queue's head. A frame
+// that fails for good fails every later one, and nothing then pops until
+// the peer leaves or a power restore replaces the ring and sends
+// everything again.
 
 // idWindow is a set of transaction-local ids: every id below low, plus ids.
 // Adding the id at the bound advances it over the contiguous prefix, so a
@@ -63,6 +70,30 @@ func (w *idWindow) advance() {
 	}
 }
 
+// truncQueue is the coordinator's truncation work toward one participant
+// machine: the transactions whose truncation there is not acked yet, in the
+// order their ids leave, and the pool of explicit-TRUNCATE reservations
+// they hold, one each (§4). txs[:sent] ride carriers in flight, txs[sent:]
+// wait for one; a carrier's ack pops its ids off the head.
+type truncQueue struct {
+	txs  []*coordTx
+	sent int
+	// pool counts the queued transactions' slots and those of transactions
+	// still committing toward the peer. A TRUNCATE record in flight writes
+	// in one of the slots it counts; the ack returns the rest.
+	pool       int
+	flushArmed bool
+	flushFn    func() // the flush timer's callback, bound once (addPeer)
+}
+
+func packTruncID(thread uint16, local uint64) uint64 {
+	return uint64(thread)<<48 | (local & (1<<48 - 1))
+}
+
+func unpackTruncID(v uint64) (thread uint16, local uint64) {
+	return uint16(v >> 48), v & (1<<48 - 1)
+}
+
 // truncPoolReserve reserves one pooled truncate-record slot in p's log.
 func (m *Machine) truncPoolReserve(p *peer) bool {
 	if !p.logW.Reserve(truncateRecordSize) {
@@ -90,9 +121,9 @@ func (m *Machine) endTruncSpan(ct *coordTx) {
 	}
 }
 
-// queueTruncation enqueues a finished transaction's id for truncation at
-// each participant (after an abort: at the primaries only, the one place
-// that saw records) and arms the flush timer.
+// queueTruncation queues a finished transaction at each participant (after
+// an abort: at the primaries only, the one place that saw records), where
+// it keeps the pooled slot it reserved, and arms the flush timer.
 func (m *Machine) queueTruncation(ct *coordTx, primariesOnly bool) {
 	if ct.traceCtx.Valid() {
 		n := len(ct.groups)
@@ -102,20 +133,14 @@ func (m *Machine) queueTruncation(ct *coordTx, primariesOnly bool) {
 		ct.truncCtx = m.trb.Begin("tx", "TRUNCATE", m.c.Eng.Now(),
 			ct.traceCtx.Trace, ct.traceCtx.Span, int64(n))
 	}
-	packed := packTruncID(ct.id.Thread, ct.id.Local)
 	for i := range ct.groups {
 		g := &ct.groups[i]
 		if (primariesOnly && len(g.primWrites) == 0) || !m.isMember(g.dst) {
 			continue
 		}
-		g.truncPending = true
 		ct.truncLeft++
 		p := m.peer(g.dst)
-		p.truncQ.ids = append(p.truncQ.ids, packed)
-		if p.truncPending == nil {
-			p.truncPending = make(map[uint64]*coordTx)
-		}
-		p.truncPending[packed] = ct
+		p.truncQ.txs = append(p.truncQ.txs, ct)
 		m.armTruncFlush(p)
 	}
 	if ct.truncLeft == 0 {
@@ -123,60 +148,64 @@ func (m *Machine) queueTruncation(ct *coordTx, primariesOnly bool) {
 	}
 }
 
-// truncFinished runs once every participant has had ct's truncation
-// delivered (or left the configuration): the local id retires, advancing
-// the thread's low bound.
+// truncDone notes that one more participant no longer awaits ct's
+// truncation; after the last, the local id retires, advancing the thread's
+// low bound.
+func (m *Machine) truncDone(ct *coordTx) {
+	if ct.truncLeft--; ct.truncLeft == 0 {
+		m.truncFinished(ct)
+	}
+}
+
+// truncFinished retires a transaction no participant awaits truncation of.
 func (m *Machine) truncFinished(ct *coordTx) {
 	m.truncThreads[ct.id.Thread].add(ct.id.Local)
 	m.endTruncSpan(ct)
 }
 
-// attachPiggyback moves queued truncation ids (up to the per-record
-// budget) onto a record bound for p and stamps the thread's low bound.
+// attachPiggyback moves the next queued ids (up to the per-record budget)
+// onto a record bound for p and stamps the thread's low bound.
 func (m *Machine) attachPiggyback(p *peer, rec *proto.Record) {
 	rec.TruncLow = m.truncThreads[rec.Tx.Thread].low
 	q := &p.truncQ
-	if len(q.ids) == 0 {
-		return
+	n := min(len(q.txs)-q.sent, maxPiggyIDs)
+	for _, ct := range q.txs[q.sent : q.sent+n] {
+		rec.TruncIDs = append(rec.TruncIDs, packTruncID(ct.id.Thread, ct.id.Local))
 	}
-	n := min(len(q.ids), maxPiggyIDs)
-	rec.TruncIDs = append(rec.TruncIDs, q.ids[:n]...)
-	// Slide the rest down rather than re-slicing forward, so the queue
-	// reuses its backing array instead of creeping into a reallocation.
-	q.ids = q.ids[:copy(q.ids, q.ids[n:])]
+	q.sent += n
 }
 
-// requeuePiggyback puts ids back when a record could not be appended.
+// requeuePiggyback gives the ids back when a record could not be appended:
+// they were the last to leave.
 func (m *Machine) requeuePiggyback(p *peer, rec *proto.Record) {
-	if len(rec.TruncIDs) == 0 {
-		return
-	}
-	p.truncQ.ids = append(append([]uint64(nil), rec.TruncIDs...), p.truncQ.ids...)
-	rec.TruncIDs = nil
+	p.truncQ.sent -= len(rec.TruncIDs)
+	rec.TruncIDs = rec.TruncIDs[:0]
 }
 
-// truncDelivered runs when a record carrying truncation ids is acked:
-// every delivered id frees one pooled reservation (minus any slot the
-// carrier record itself consumed) and may complete a transaction's
-// truncation, advancing the thread low bound.
-func (m *Machine) truncDelivered(p *peer, ids []uint64, slotsConsumed int) {
-	if len(ids) == 0 {
+// truncDelivered runs when a record carrying n truncation ids to p is
+// acked: it pops the n transactions at the head of the queue, each
+// returning its pooled slot — a TRUNCATE record wrote in one of them — and
+// perhaps finishing its truncation. An ack after the queue was retired (p
+// left) pops nothing.
+func (m *Machine) truncDelivered(p *peer, n int, truncRec bool) {
+	q := &p.truncQ
+	if n = min(n, q.sent); n == 0 {
 		return
 	}
-	release := len(ids) - slotsConsumed
-	for i := 0; i < release; i++ {
-		m.truncPoolRelease(p)
+	release := n
+	if truncRec {
+		release--
 	}
-	for _, id := range ids {
-		ct := p.truncPending[id]
-		if ct == nil {
-			continue
-		}
-		delete(p.truncPending, id)
-		if ct.truncDone(p.id) {
-			m.truncFinished(ct)
-		}
+	for range release {
+		p.logW.Release(truncateRecordSize)
 	}
+	q.pool -= n
+	for _, ct := range q.txs[:n] {
+		m.truncDone(ct)
+	}
+	k := copy(q.txs, q.txs[n:])
+	clear(q.txs[k:]) // hold no finished transaction
+	q.txs, q.sent = q.txs[:k], q.sent-n
 }
 
 // armTruncFlush schedules an explicit TRUNCATE record toward p in case no
@@ -190,88 +219,43 @@ func (m *Machine) armTruncFlush(p *peer) {
 	m.c.Eng.After(m.c.Opts.TruncateFlushInterval, q.flushFn)
 }
 
-// flushTruncations writes explicit TRUNCATE records for all queued ids,
-// each through a pooled recWrite (recWrite.ack settles it).
+// flushTruncations writes explicit TRUNCATE records for every id not yet
+// on a carrier, each through a pooled recWrite (recWrite.ack settles it)
+// and in a pooled slot: every id it carries holds one.
 func (m *Machine) flushTruncations(p *peer) {
 	q := &p.truncQ
-	for len(q.ids) > 0 {
+	for q.sent < len(q.txs) {
 		op := m.newRecWrite(nil, p.id, proto.RecTruncate, proto.TxID{Config: m.config.ID, Machine: uint16(m.ID)})
-		// Consume one pooled reservation for the record itself.
-		reserved := -1
-		if q.pool > 0 {
-			q.pool--
-			reserved = truncateRecordSize
-		}
-		if !op.write(p, reserved) {
-			op.ack(ErrNoSpace)
-			m.armTruncFlush(p)
-			return
-		}
+		op.write(p, truncateRecordSize)
 		m.c.Counters.Inc("explicit_truncate", 1)
 	}
 }
 
-// requeuePending appends to p's queue, in id order, every pending truncation
-// that is not on it, and reports whether there was one.
-func requeuePending(p *peer) bool {
-	if len(p.truncPending) == 0 {
-		return false
-	}
-	q := &p.truncQ
-	queued := make(map[uint64]bool, len(q.ids))
-	for _, id := range q.ids {
-		queued[id] = true
-	}
-	n := len(q.ids)
-	for _, id := range sortedKeys(p.truncPending, cmp.Compare[uint64]) {
-		if !queued[id] {
-			q.ids = append(q.ids, id)
-		}
-	}
-	return len(q.ids) > n
-}
-
-// startTruncSweep arms the liveness sweep for truncation delivery: a
-// carrier record whose hardware ack was lost (partition, receiver eviction
-// window) leaves its transaction ids pending; the sweep re-queues them so
-// backups converge and the pooled reservations are eventually released.
-// Redelivery is idempotent at the receiver (§4 step 5's laziness cuts both
-// ways: delivery may happen more than once).
-func (m *Machine) startTruncSweep() {
-	if m.truncSweepOn {
-		return
-	}
-	m.truncSweepOn = true
-	m.armTruncSweep()
-}
-
-func (m *Machine) armTruncSweep() {
-	m.c.Eng.After(20*sim.Millisecond, func() {
-		if !m.alive {
-			// Dies with the machine; RestorePower re-arms via
-			// startTruncSweep, whose guard prevents duplicate sweeps.
-			m.truncSweepOn = false
-			return
-		}
-		for _, p := range m.peers {
-			if m.isMember(p.id) && requeuePending(p) {
-				m.armTruncFlush(p)
-			}
-		}
-		m.armTruncSweep()
-	})
-}
-
-// dropTruncStateFor discards truncation bookkeeping toward a machine that
-// left the configuration (its log, and with it our reservations, is gone).
-// Pending truncations retire in id order: truncFinished ends trace spans.
+// dropTruncStateFor retires the truncation queue toward a machine that
+// left the configuration (its log, and with it our reservations, is gone),
+// in id order: truncFinished ends trace spans, and the queue is in the
+// order commits finished.
 func (m *Machine) dropTruncStateFor(p *peer) {
-	for _, id := range sortedKeys(p.truncPending, cmp.Compare[uint64]) {
-		ct := p.truncPending[id]
-		delete(p.truncPending, id)
-		if ct.truncDone(p.id) {
-			m.truncFinished(ct)
+	q := &p.truncQ
+	slices.SortFunc(q.txs, func(a, b *coordTx) int { return txIDCmp(a.id, b.id) })
+	for _, ct := range q.txs {
+		m.truncDone(ct)
+	}
+	clear(q.txs)
+	q.txs, q.sent, q.pool, q.flushArmed = q.txs[:0], 0, 0, false
+}
+
+// OpenTruncations describes the truncation work this machine still keeps
+// toward each member: transactions awaiting truncation there, and pooled
+// slots in its log. Once the load stops and the flush timers have run,
+// both are zero.
+func (m *Machine) OpenTruncations() []string {
+	var out []string
+	for _, p := range m.peers {
+		if q := &p.truncQ; m.isMember(p.id) && (len(q.txs) > 0 || q.pool > 0) {
+			out = append(out, fmt.Sprintf("%d transactions (%d sent) and %d pooled slots toward m%d",
+				len(q.txs), q.sent, q.pool, p.id))
 		}
 	}
-	p.truncQ.ids, p.truncQ.pool, p.truncQ.flushArmed = nil, 0, false
+	return out
 }

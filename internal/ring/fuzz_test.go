@@ -153,18 +153,22 @@ func readerOps(ring, ops []byte) (err error) {
 }
 
 // FuzzWriter drives a Writer and a Reader over a two-machine fabric with a
-// fuzzed schedule of appends, link cuts and heals (either direction: a cut
-// of 1→0 loses only completions), polls, truncations, UpdateConsumed calls
-// and spans of virtual time. Callbacks must run in psn order, and after a
-// final failure no later frame may be acked OK. Once the links heal and the
-// fabric is quiet, every frame has had its callback, and the reader has
-// handed out every frame acked OK, in order.
+// fuzzed schedule of reservations, appends (in the oldest reservation when
+// the argument's top bit is set and one is held, unreserved otherwise),
+// link cuts and heals (either direction: a cut of 1→0 loses only
+// completions), polls, truncations, UpdateConsumed calls and spans of
+// virtual time. Callbacks must run in psn order, and after a final failure
+// no later frame may be acked OK. A frame handed out keeps its payload until
+// it is truncated. Once the links heal and the reader frees what it holds,
+// every frame has had its callback, and the reader has handed out every
+// frame acked OK, in order.
 func FuzzWriter(f *testing.F) {
 	f.Add([]byte{0, 8, 0, 40, 6, 1, 3, 0, 4, 0, 5, 0})
-	f.Add([]byte{0, 8, 1, 0, 0, 16, 2, 0, 0, 24, 6, 2, 3, 0, 6, 60, 3, 0}) // a hole, filled
-	f.Add([]byte{0, 8, 1, 1, 0, 16, 6, 30, 2, 1, 3, 0, 4, 0, 5, 0, 6, 40}) // lost completions
-	f.Add([]byte{1, 0, 0, 8, 0, 16, 6, 255, 2, 0, 0, 24, 6, 4, 3, 0})      // retries exhausted
-	f.Add([]byte("10001010101000B0C0C0Y01019"))                            // a wrap's padding is ring space too
+	f.Add([]byte{0, 8, 1, 0, 0, 16, 2, 0, 0, 24, 6, 2, 3, 0, 6, 60, 3, 0})                                   // a hole, filled
+	f.Add([]byte{0, 8, 1, 1, 0, 16, 6, 30, 2, 1, 3, 0, 4, 0, 5, 0, 6, 40})                                   // lost completions
+	f.Add([]byte{1, 0, 0, 8, 0, 16, 6, 255, 2, 0, 0, 24, 6, 4, 3, 0})                                        // retries exhausted
+	f.Add([]byte{0, 48, 6, 48, 0, 48, 0, 48, 0, 48, 0, 48, 6, 48, 3, 48, 4, 48, 4, 48, 5, 48, 0, 48, 0, 57}) // a wrap's padding is ring space too
+	f.Add([]byte("0Y00&000000070C00000$01000%0000\xae"))                                                     // so is a reserved frame's
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if err := writerOps(ops); err != nil {
 			t.Fatal(err)
@@ -191,24 +195,51 @@ func writerOps(ops []byte) error {
 		completed []uint64 // frames whose callback ran, in that order
 		okAcks    uint64   // callbacks with a nil error
 		failed    bool     // a callback had an error
+		sent      [][]byte // each frame's payload
 		polled    []uint64 // frames the reader handed out, in that order
-		kept      []uint64 // Seqs polled and not yet truncated
+		kept      []Frame  // frames polled and not yet truncated
+		keptK     []uint64 // the frame number each of them carries
+		held      []int    // reservations not yet written, oldest first
 		broken    error
 	)
 	poll := func() {
 		for _, fr := range r.Poll() {
-			polled = append(polled, binary.LittleEndian.Uint64(fr.Payload))
-			kept = append(kept, fr.Seq)
+			k := binary.LittleEndian.Uint64(fr.Payload)
+			if k >= uint64(len(sent)) || !bytes.Equal(fr.Payload, sent[k]) {
+				if broken == nil {
+					broken = fmt.Errorf("the reader handed out a frame reading %x", fr.Payload)
+				}
+				continue
+			}
+			polled = append(polled, k)
+			kept, keptK = append(kept, fr), append(keptK, k)
 		}
+	}
+	// intact checks that every frame still retained holds its own payload.
+	intact := func() error {
+		for j, fr := range kept {
+			if !bytes.Equal(fr.Payload, sent[keptK[j]]) {
+				return fmt.Errorf("retained frame %d (Seq %d) now reads %x", keptK[j], fr.Seq, fr.Payload)
+			}
+		}
+		return nil
 	}
 	for i := 0; i+1 < len(ops) && broken == nil; i += 2 {
 		arg := int(ops[i+1])
-		switch ops[i] % 7 {
+		switch ops[i] % 8 {
 		case 0:
 			k := issued
 			payload := make([]byte, 8+arg%64)
+			reserved := -1
+			if arg&128 != 0 && len(held) > 0 {
+				reserved, held = held[0], held[1:]
+				payload = payload[:min(len(payload), reserved)]
+			}
+			for j := range payload {
+				payload[j] = byte(k) + byte(j)
+			}
 			binary.LittleEndian.PutUint64(payload, k)
-			if w.Append(payload, -1, func(err error) {
+			if w.Append(payload, reserved, func(err error) {
 				switch {
 				case len(completed) > 0 && k != completed[len(completed)-1]+1 || len(completed) == 0 && k != 0:
 					broken = fmt.Errorf("frame %d completed after %v", k, completed)
@@ -223,6 +254,7 @@ func writerOps(ops []byte) error {
 				}
 			}) {
 				issued++
+				sent = append(sent, payload)
 			}
 		case 1:
 			net.CutLink(fabric.MachineID(arg&1), fabric.MachineID(1-arg&1))
@@ -231,21 +263,42 @@ func writerOps(ops []byte) error {
 		case 3:
 			poll()
 		case 4:
-			if len(kept) > 0 {
+			if broken = intact(); broken == nil && len(kept) > 0 {
 				j := arg % len(kept)
-				r.Truncate(kept[j])
-				kept = slices.Delete(kept, j, j+1)
+				r.Truncate(kept[j].Seq)
+				kept, keptK = slices.Delete(kept, j, j+1), slices.Delete(keptK, j, j+1)
 			}
 		case 5:
 			w.UpdateConsumed(r.ConsumedBytes())
 		case 6: // up to 130 ms, past the last retry
 			eng.RunFor(sim.Time(arg*arg) * 2 * sim.Microsecond)
+		case 7:
+			if n := 8 + arg%64; w.Reserve(n) {
+				held = append(held, n)
+			}
 		}
 	}
 	net.HealLink(0, 1)
 	net.HealLink(1, 0)
 	eng.Run()
+	// The reader frees everything it holds and says so, until the writer
+	// has nothing parked for space.
 	poll()
+	if broken == nil {
+		broken = intact()
+	}
+	for broken == nil {
+		for _, fr := range kept {
+			r.Truncate(fr.Seq)
+		}
+		kept, keptK = kept[:0], keptK[:0]
+		w.UpdateConsumed(r.ConsumedBytes())
+		eng.Run()
+		if poll(); len(kept) == 0 {
+			break
+		}
+		broken = intact()
+	}
 	if broken != nil {
 		return broken
 	}

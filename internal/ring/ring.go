@@ -73,6 +73,7 @@ type Writer struct {
 	err      error  // the final failure a callback got: every later one gets it
 
 	queue    []*writeOp // issued frames whose callbacks have not run, in psn order
+	parked   int        // frames at the queue's end waiting for the receiver to free space
 	draining bool       // settle's loop is running
 	cur      *writeOp   // the frame opened by Begin and not yet issued by Commit
 	// opFree recycles writeOps — and the frame buffers they own — so an
@@ -111,6 +112,7 @@ type writeOp struct {
 	attempt int
 	cb      func(error)
 	done    bool // settled, with err
+	parked  bool // not sent yet: it would land on bytes not yet truncated
 	err     error
 
 	ackFn   func(error)
@@ -176,7 +178,10 @@ func (w *Writer) Release(n int) {
 // place inside the frame buffer for the caller to encode into directly;
 // Commit then issues the frame. reservedSize >= n must name a prior
 // Reserve(reservedSize); pass -1 for unreserved appends, which fail
-// (return false, nothing opened) when space is insufficient.
+// (return false, nothing opened) when space is insufficient. A reserved
+// frame always opens, but its reservation does not cover the padding of a
+// wrap: a frame that would then land on bytes the receiver has not
+// truncated is held back until UpdateConsumed reports them free.
 func (w *Writer) Begin(n, reservedSize int) ([]byte, bool) {
 	if w.cur != nil {
 		panic("ring: Begin with a frame already open")
@@ -246,7 +251,8 @@ func (w *Writer) start(op *writeOp) {
 // op.end the frame was provably processed, so a pending retry reports
 // success instead of firing (the slot may already hold a newer frame).
 // Other errors (bad address = the ring is gone) and exhausted retries
-// fail the frame for good.
+// fail the frame for good. A frame whose bytes reach past the watermark's
+// lap parks instead, and every later frame behind it.
 func (op *writeOp) issue() {
 	w := op.w
 	switch {
@@ -255,6 +261,9 @@ func (op *writeOp) issue() {
 		w.settle(op, w.err)
 	case w.consumed >= op.end:
 		w.settle(op, nil)
+	case op.end > w.consumed+uint64(w.capacity):
+		op.parked = true
+		w.parked++
 	default:
 		w.nic.Write(w.dst, w.region, op.off, op.frame, op.ackFn)
 	}
@@ -275,17 +284,22 @@ func (op *writeOp) ack(err error) {
 // settle records op's outcome, then runs the callbacks of the settled
 // frames at the head of the queue, in psn order (a callback that settles
 // another frame leaves it to this loop). From the first final failure on,
-// every callback gets that error. Each op is recycled before its callback
-// runs (fabric's rule), so a callback that appends again may reuse it.
+// every callback gets that error, a parked frame's too. Each op is recycled
+// before its callback runs (fabric's rule), so a callback that appends
+// again may reuse it.
 func (w *Writer) settle(op *writeOp, err error) {
 	op.done, op.err = true, err
 	if w.draining {
 		return
 	}
 	w.draining = true
-	for len(w.queue) > 0 && w.queue[0].done && !w.closed {
+	for len(w.queue) > 0 && (w.queue[0].done || w.queue[0].parked && w.err != nil) && !w.closed {
 		op := w.queue[0]
 		w.queue = w.queue[:copy(w.queue, w.queue[1:])]
+		if op.parked {
+			op.parked = false
+			w.parked--
+		}
 		if w.err == nil {
 			w.err = op.err
 		}
@@ -318,11 +332,22 @@ func (w *Writer) writeWrapMarker() {
 	w.start(op)
 }
 
-// UpdateConsumed installs the receiver's cumulative truncation counter.
-// Values are monotonic; stale updates are ignored.
+// UpdateConsumed installs the receiver's cumulative truncation counter
+// and sends the parked frames it makes room for. Values are monotonic;
+// stale updates are ignored.
 func (w *Writer) UpdateConsumed(total uint64) {
-	if total > w.consumed {
-		w.consumed = total
+	if total <= w.consumed {
+		return
+	}
+	w.consumed = total
+	for w.parked > 0 && !w.closed {
+		op := w.queue[len(w.queue)-w.parked]
+		if op.end > w.consumed+uint64(w.capacity) {
+			return
+		}
+		op.parked = false
+		w.parked--
+		op.issue()
 	}
 }
 
