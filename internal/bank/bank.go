@@ -26,6 +26,9 @@ type Workload struct {
 	C        *core.Cluster
 	Accounts []proto.Addr
 	Initial  uint64
+
+	// free holds finished Transfer and Audit state machines for reuse (txOp).
+	free []*txOp
 }
 
 // Setup creates `regions` fresh regions and opens `accounts` accounts with
@@ -98,51 +101,109 @@ func (w *Workload) Transfer(m *core.Machine, thread int, rng *sim.Rand, done fun
 		to = w.Accounts[rng.Intn(n)]
 	}
 	amount := uint64(rng.Intn(9) + 1)
-	tx := m.Begin(thread)
-	tx.Read(from, 8, func(fb []byte, err error) {
-		if err != nil {
-			tx.Abort()
-			done(false)
-			return
-		}
-		tx.Read(to, 8, func(tb []byte, err error) {
-			if err != nil {
-				tx.Abort()
-				done(false)
-				return
-			}
-			if u64(fb) < amount {
-				tx.Commit(func(err error) { done(err == nil) })
-				return
-			}
-			tx.Write(from, u64b(u64(fb)-amount))
-			tx.Write(to, u64b(u64(tb)+amount))
-			tx.Commit(func(err error) { done(err == nil) })
-		})
-	})
+	o := w.newOp(m, thread, rng, done)
+	o.from, o.to, o.amount = from, to, amount
+	o.stage = readFrom
+	o.tx.ReadTo(from, 8, o)
 }
 
 // Audit reads a handful of uniformly chosen accounts and commits without
 // writing, exercising the read-validation-only commit path.
 func (w *Workload) Audit(m *core.Machine, thread int, rng *sim.Rand, done func(bool)) {
-	tx := m.Begin(thread)
-	var read func(i int)
-	read = func(i int) {
-		if i == auditReads {
-			tx.Commit(func(err error) { done(err == nil) })
-			return
-		}
-		tx.Read(w.Accounts[rng.Intn(len(w.Accounts))], 8, func(_ []byte, err error) {
-			if err != nil {
-				tx.Abort()
-				done(false)
-				return
-			}
-			read(i + 1)
-		})
-	}
-	read(0)
+	o := w.newOp(m, thread, rng, done)
+	o.stage = auditRead
+	o.auditNext()
 }
+
+// txOp is one Transfer or Audit as a pooled state machine: stage says which
+// read is outstanding, it is the reads' handler, and its commit callback is
+// bound once. It returns to the workload's pool, reset whole, before done
+// runs, so a done that starts the next operation reuses it.
+type txOp struct {
+	w    *Workload
+	tx   *core.Tx
+	rng  *sim.Rand
+	done func(bool)
+
+	stage    uint8
+	from, to proto.Addr
+	amount   uint64
+	fromBal  uint64 // the balance the first read found
+	reads    int    // an audit's reads delivered
+	val      [8]byte
+
+	commitFn func(err error)
+}
+
+// What a txOp is waiting for.
+const (
+	readFrom  = iota // a transfer's read of its source account
+	readTo           // its read of the destination
+	auditRead        // an audit's current read
+)
+
+func (w *Workload) newOp(m *core.Machine, thread int, rng *sim.Rand, done func(bool)) *txOp {
+	var o *txOp
+	if k := len(w.free); k > 0 {
+		o = w.free[k-1]
+		w.free = w.free[:k-1]
+	} else {
+		o = &txOp{w: w}
+		o.commitFn = o.committed
+	}
+	o.rng, o.done = rng, done
+	o.tx = m.Begin(thread)
+	return o
+}
+
+// finish returns the state machine to the pool, reset whole but for its
+// workload and bound callback, then reports ok.
+func (o *txOp) finish(ok bool) {
+	w, done := o.w, o.done
+	*o = txOp{w: w, commitFn: o.commitFn}
+	w.free = append(w.free, o)
+	done(ok)
+}
+
+// ReadDone takes the account a read delivered.
+func (o *txOp) ReadDone(data []byte, err error) {
+	if err != nil {
+		o.tx.Abort()
+		o.finish(false)
+		return
+	}
+	switch o.stage {
+	case readFrom:
+		o.fromBal = u64(data)
+		o.stage = readTo
+		o.tx.ReadTo(o.to, 8, o)
+	case readTo:
+		if o.fromBal >= o.amount {
+			// Write copies the value, so one buffer serves both accounts.
+			binary.LittleEndian.PutUint64(o.val[:], o.fromBal-o.amount)
+			o.tx.Write(o.from, o.val[:])
+			binary.LittleEndian.PutUint64(o.val[:], u64(data)+o.amount)
+			o.tx.Write(o.to, o.val[:])
+		}
+		o.tx.Commit(o.commitFn)
+	case auditRead:
+		o.reads++
+		o.auditNext()
+	}
+}
+
+// auditNext reads the next uniformly chosen account, or commits once all
+// auditReads are in.
+func (o *txOp) auditNext() {
+	if o.reads == auditReads {
+		o.tx.Commit(o.commitFn)
+		return
+	}
+	accounts := o.w.Accounts
+	o.tx.ReadTo(accounts[o.rng.Intn(len(accounts))], 8, o)
+}
+
+func (o *txOp) committed(err error) { o.finish(err == nil) }
 
 // Sum reads every account inside the caller's transaction and reports the
 // total; it neither commits nor aborts tx. A failed read stops the scan and

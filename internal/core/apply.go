@@ -242,18 +242,21 @@ func (m *Machine) processLock(rt *remoteTx, rec *proto.Record) {
 		m.handOffLockVerdict(rec.Tx, ok) // the coordinator is this machine: no LOCK-REPLY
 		return
 	}
-	m.send(int(rec.Tx.Machine), &proto.LockReply{Tx: rec.Tx, OK: ok})
+	m.send(int(rec.Tx.Machine), m.lockReplies.Get(rec.Tx, ok))
 }
 
-// lockVerdict carries the outcome of a LOCK record this machine wrote into
-// its own log from where the record landed to the coordinator's thread: what
-// a remote primary says in a LOCK-REPLY message, without the message. The
-// coordinator acts on it there, not inside the landing (DESIGN.md §5). Pooled
-// like msgTask, runFn bound once, and recycled before the verdict is acted
-// on; one whose machine dies first is dropped with the rest of that thread's
-// work, never recycled.
+// lockVerdict carries a LOCK verdict to the thread the coordinator acts on
+// it from: the outcome of a LOCK record this machine wrote into its own log,
+// from where the record landed to the coordinator's thread — what a remote
+// primary says in a LOCK-REPLY message, without the message — and the
+// verdict of a LOCK-REPLY received. The coordinator acts on it there, not
+// inside the landing or the delivery upcall (DESIGN.md §5). Pooled like
+// msgTask, runFn bound once, and recycled before the verdict is acted on; a
+// hand-off whose machine dies first is dropped with the rest of that
+// thread's work, never recycled.
 type lockVerdict struct {
 	m     *Machine
+	src   int // the primary that gave it
 	tx    proto.TxID
 	ok    bool
 	ctx   trace.Ctx
@@ -261,6 +264,16 @@ type lockVerdict struct {
 }
 
 func (m *Machine) handOffLockVerdict(tx proto.TxID, ok bool) {
+	v := m.newLockVerdict(m.ID, tx, ok, m.curCtx)
+	// A thread id off the wire only ever picks a thread (ByIndex is modular).
+	m.OnThread(int(tx.Thread), cpuLocal, v.runFn)
+}
+
+// newLockVerdict returns a pooled carrier of tx's lock verdict. A received
+// LOCK-REPLY travels in one too (dispatchMsg): its sender takes the reply
+// back with the frame that carried it, as soon as the delivery upcall
+// returns, so only the verdict may outlive the upcall.
+func (m *Machine) newLockVerdict(src int, tx proto.TxID, ok bool, ctx trace.Ctx) *lockVerdict {
 	var v *lockVerdict
 	if k := len(m.lockFree); k > 0 {
 		v = m.lockFree[k-1]
@@ -269,16 +282,18 @@ func (m *Machine) handOffLockVerdict(tx proto.TxID, ok bool) {
 		v = &lockVerdict{m: m}
 		v.runFn = v.run
 	}
-	v.tx, v.ok, v.ctx = tx, ok, m.curCtx
-	// A thread id off the wire only ever picks a thread (ByIndex is modular).
-	m.OnThread(int(tx.Thread), cpuLocal, v.runFn)
+	v.src, v.tx, v.ok, v.ctx = src, tx, ok, ctx
+	return v
 }
 
 func (v *lockVerdict) run() {
-	m, tx, ok, prev := v.m, v.tx, v.ok, v.m.curCtx
-	m.curCtx = v.ctx
+	m, src, tx, ok, prev := v.m, v.src, v.tx, v.ok, v.m.curCtx
 	m.lockFree = append(m.lockFree, v)
-	m.onLockReply(tx, ok)
+	if !m.alive {
+		return
+	}
+	m.curCtx = v.ctx
+	m.onLockReply(src, tx, ok)
 	m.curCtx = prev
 }
 

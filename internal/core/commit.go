@@ -29,7 +29,11 @@ const (
 	phaseDone
 )
 
-// coordTx is the coordinator-side state of one committing transaction.
+// coordTx is the coordinator-side state of one committing transaction. It
+// comes from the machine's pool (newCoordTx) and goes back when its
+// truncation finished (truncFinished) or when the commit failed before any
+// reservation was made; one that recovery decides, or that dies with its
+// machine, is dropped.
 type coordTx struct {
 	id proto.TxID
 	tx *Tx
@@ -43,6 +47,9 @@ type coordTx struct {
 	// so each protocol phase walks it in deterministic order without
 	// sorting anything.
 	groups []destGroup
+	// slab backs every group's write lists. A recycled coordTx keeps the
+	// capacity of groups, writeRegions and slab.
+	slab []proto.ObjectWrite
 	// primaries and backups count the groups with primWrites (the LOCK,
 	// ABORT and COMMIT-PRIMARY fan-out) and with backupWrites (the
 	// COMMIT-BACKUP fan-out).
@@ -89,9 +96,44 @@ type destGroup struct {
 	primWrites     []proto.ObjectWrite
 	backupWrites   []proto.ObjectWrite
 	nPrim, nBackup int
+	// lockAnswered: dst's verdict on the LOCK record came in.
+	lockAnswered bool
 	// res holds the payload sizes reserved in dst's log, consumed as
 	// records are written.
 	res resSet
+}
+
+// retiredCommit stands in, in the Tx it served, for a coordTx gone back to
+// the pool: a validation verdict still on its way finds it done and is
+// ignored, and is not taken for a read-only commit's (validated,
+// validateSet). Nothing writes to it.
+var retiredCommit = coordTx{phase: phaseDone}
+
+// newCoordTx returns a pooled coordTx for t's commit, reporting to cb.
+func (m *Machine) newCoordTx(t *Tx, cb func(error)) *coordTx {
+	var ct *coordTx
+	if k := len(m.ctFree); k > 0 {
+		ct = m.ctFree[k-1]
+		m.ctFree = m.ctFree[:k-1]
+	} else {
+		ct = &coordTx{}
+	}
+	ct.tx, ct.cb = t, cb
+	return ct
+}
+
+// putCoordTx returns ct to the pool, reset whole: its write lists alias the
+// Tx's values and tx pins the Tx, so every element is cleared. The Tx is cut
+// from it first: a verdict that arrives later must not reach whichever
+// commit takes ct next.
+func (m *Machine) putCoordTx(ct *coordTx) {
+	if t := ct.tx; t.ct == ct {
+		t.ct = &retiredCommit
+	}
+	clear(ct.groups)
+	clear(ct.slab)
+	*ct = coordTx{groups: ct.groups[:0], writeRegions: ct.writeRegions[:0], slab: ct.slab[:0]}
+	m.ctFree = append(m.ctFree, ct)
 }
 
 // group returns dst's group, or nil if dst is not a participant.
@@ -187,7 +229,7 @@ func (t *Tx) Commit(cb func(err error)) {
 		}
 	}
 
-	ct := &coordTx{tx: t, cb: report}
+	ct := m.newCoordTx(t, report)
 
 	// Group the write set by primary and backup machines: size the groups
 	// first, so that all their write lists are carved out of one slab.
@@ -196,6 +238,7 @@ func (t *Tx) Commit(cb func(err error)) {
 		addr := t.set[i].addr
 		rm := m.mapping(addr.Region)
 		if rm == nil || len(rm.Replicas) < 1 {
+			m.putCoordTx(ct)
 			t.releaseAllocs()
 			m.failTx(report, ErrUnavailable)
 			return
@@ -209,7 +252,11 @@ func (t *Tx) Commit(cb func(err error)) {
 		}
 		total += len(rm.Replicas)
 	}
-	slab := make([]proto.ObjectWrite, total)
+	if cap(ct.slab) < total {
+		ct.slab = make([]proto.ObjectWrite, total)
+	}
+	ct.slab = ct.slab[:total]
+	slab := ct.slab
 	for i := range ct.groups {
 		g := &ct.groups[i]
 		g.primWrites, slab = slab[:0:g.nPrim], slab[g.nPrim:]
@@ -247,6 +294,7 @@ func (t *Tx) Commit(cb func(err error)) {
 	// COMMIT-BACKUP at backups, and a truncate record everywhere.
 	if !m.reserveCommit(ct) {
 		m.truncThreads[t.thread].add(ct.id.Local)
+		m.putCoordTx(ct)
 		t.releaseAllocs()
 		m.failTx(report, ErrNoSpace)
 		return
@@ -543,13 +591,20 @@ func (m *Machine) sendLocks(ct *coordTx) {
 	}
 }
 
-// onLockReply handles a primary's lock result: Table 2's LOCK-REPLY from a
+// onLockReply handles primary src's lock result: Table 2's LOCK-REPLY from a
 // remote primary, the handed-off verdict (lockVerdict) from this machine.
-func (m *Machine) onLockReply(tx proto.TxID, ok bool) {
+// Each primary's first verdict counts; the fabric may deliver a LOCK-REPLY
+// twice.
+func (m *Machine) onLockReply(src int, tx proto.TxID, ok bool) {
 	ct := m.inflight[tx]
 	if ct == nil || ct.recovering || ct.phase != phaseLock {
 		return
 	}
+	g := ct.group(src)
+	if g == nil || len(g.primWrites) == 0 || g.lockAnswered {
+		return
+	}
+	g.lockAnswered = true
 	if !ok {
 		ct.lockFailed = true
 	}
@@ -640,11 +695,7 @@ func (t *Tx) commitReadOnly(cb func(error)) {
 	t.roCb = cb
 	if len(vs) == 0 {
 		t.valLeft = 1
-		m.c.Eng.After(cpuLocal, func() {
-			if m.alive {
-				t.validated(true)
-			}
-		})
+		m.c.Eng.After(cpuLocal, m.newValOp(t).passFn)
 		return
 	}
 	t.validateSet(vs, t.ctx)
@@ -743,7 +794,8 @@ func (t *Tx) valFail(err error) {
 
 // valOp is one read-set object on its way through validation: a direct
 // header load on the coordinator thread when this machine is the primary,
-// else a one-sided read of the version word issued from that thread. It is
+// else a one-sided read of the version word issued from that thread — or
+// the one local step of a read-only commit with nothing to validate. It is
 // pooled like recWrite, its stages bound once, and names its object by
 // position in the transaction's table; it is recycled before the verdict is
 // acted on, because that can run the application's commit callback. One
@@ -756,13 +808,12 @@ type valOp struct {
 	// hdr is where a one-sided read of the version word lands.
 	hdr [regionmem.HeaderSize]byte
 
-	localFn, issueFn func()
-	readFn           func([]byte, error)
+	localFn, issueFn, passFn func()
+	readFn                   func([]byte, error)
 }
 
-// validateObject schedules the validation of t.set[i], whose primary pm is
-// this machine or a member validated by one-sided reads.
-func (m *Machine) validateObject(t *Tx, pm int, i int32) {
+// newValOp returns a pooled valOp for a verdict of t's validation.
+func (m *Machine) newValOp(t *Tx) *valOp {
 	var op *valOp
 	if k := len(m.valFree); k > 0 {
 		op = m.valFree[k-1]
@@ -771,9 +822,18 @@ func (m *Machine) validateObject(t *Tx, pm int, i int32) {
 		op = &valOp{m: m}
 		op.localFn = op.local
 		op.issueFn = op.issue
+		op.passFn = op.pass
 		op.readFn = op.readDone
 	}
-	op.t, op.i, op.pm = t, i, pm
+	op.t = t
+	return op
+}
+
+// validateObject schedules the validation of t.set[i], whose primary pm is
+// this machine or a member validated by one-sided reads.
+func (m *Machine) validateObject(t *Tx, pm int, i int32) {
+	op := m.newValOp(t)
+	op.i, op.pm = i, pm
 	*m.c.cValidateReads++
 	if pm == m.ID {
 		// Local validation: direct header loads.
@@ -788,6 +848,16 @@ func (op *valOp) recycle() (t *Tx, e *txEntry) {
 	op.t = nil
 	op.m.valFree = append(op.m.valFree, op)
 	return
+}
+
+// pass is the verdict of a read-only commit with nothing left to validate.
+func (op *valOp) pass() {
+	m, t := op.m, op.t
+	op.t = nil
+	m.valFree = append(m.valFree, op)
+	if m.alive {
+		t.validated(true)
+	}
 }
 
 func (op *valOp) local() {

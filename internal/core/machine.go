@@ -290,19 +290,23 @@ type Machine struct {
 
 	// taskFree recycles msgTask carriers (deferred receive dispatches and
 	// outbound enqueues) so the per-message paths allocate nothing in
-	// steady state; pollFree, readFree, recFree, valFree and lockFree do the
-	// same for log-poll batches, object reads (read.go), commit-record
-	// writes, per-object validations (commit.go) and local LOCK verdicts
-	// (apply.go), decFree and pendFree for the log records participants
-	// decode and their participant entries (apply.go).
-	taskFree []*msgTask
-	pollFree []*pollTask
-	readFree []*readOp
-	recFree  []*recWrite
-	valFree  []*valOp
-	lockFree []*lockVerdict
-	decFree  []*proto.Record
-	pendFree []*remoteTx
+	// steady state; pollFree, readFree, recFree, ctFree, valFree and
+	// lockFree do the same for log-poll batches, object reads (read.go),
+	// commit-record writes, committing transactions, per-object validations
+	// (commit.go) and LOCK verdicts on their way to the coordinator's
+	// thread, decFree and pendFree for the log records participants decode
+	// and their participant entries, and lockReplies for the LOCK-REPLY
+	// messages this machine sends as a primary (apply.go).
+	taskFree    []*msgTask
+	pollFree    []*pollTask
+	readFree    []*readOp
+	recFree     []*recWrite
+	ctFree      []*coordTx
+	valFree     []*valOp
+	lockFree    []*lockVerdict
+	decFree     []*proto.Record
+	pendFree    []*remoteTx
+	lockReplies proto.LockReplyPool
 	// pollShards is decodeFrames' per-poll table, one slot per coordinator
 	// thread (mod workers); every slot is nil between polls.
 	pollShards []*pollTask
@@ -722,9 +726,15 @@ func (m *Machine) dispatchMsg(src int, msg interface{}, stamp sim.Time, ctx trac
 		// h.RecvCounter ("msg NAME") doubles as the precomputed event name.
 		m.trb.Event("msg", h.RecvCounter, m.c.Eng.Now(), ctx.Trace, ctx.Span, int64(src))
 	}
+	*m.c.cCPURecv += uint64(cpuMsg)
+	if v, ok := msg.(*proto.LockReply); ok {
+		// The sender reclaims the reply with its frame once this upcall
+		// returns: the verdict goes on by value, in a pooled carrier.
+		m.pool.Dispatch(cpuMsg, m.newLockVerdict(src, v.Tx, v.OK, ctx).runFn)
+		return
+	}
 	tk := m.getTask()
 	tk.h, tk.src, tk.msg, tk.ctx = h, src, msg, ctx
-	*m.c.cCPURecv += uint64(cpuMsg)
 	if v, ok := msg.(*proto.RecoveryVote); ok {
 		// Votes go to the peer thread of the coordinator thread (§5.3).
 		m.pool.ByIndex(int(v.Tx.Thread)).Do(cpuMsg, tk.runFn)

@@ -238,9 +238,11 @@ func (t *transport) registerHandlers() {
 	m := t.m
 	r := t.reg
 
-	// Transaction protocol (Table 2).
+	// Transaction protocol (Table 2). A LOCK-REPLY is pooled by its sender
+	// and reclaimed with its frame: dispatchMsg hands its verdict to
+	// onLockReply by value instead of running this handler on the message.
 	proto.Register(r, "LOCK-REPLY", nil,
-		func(_ int, v *proto.LockReply) { m.onLockReply(v.Tx, v.OK) })
+		func(src int, v *proto.LockReply) { m.onLockReply(src, v.Tx, v.OK) })
 	proto.Register(r, "VALIDATE",
 		func(v *proto.ValidateReq) int { return 24 + 16*len(v.Addrs) },
 		func(src int, v *proto.ValidateReq) { m.onValidateReq(src, v) })

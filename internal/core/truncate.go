@@ -158,9 +158,12 @@ func (m *Machine) truncDone(ct *coordTx) {
 }
 
 // truncFinished retires a transaction no participant awaits truncation of.
+// Nothing holds its coordTx any more — no truncation queue, record write or
+// inflight entry — so it goes back to the pool.
 func (m *Machine) truncFinished(ct *coordTx) {
 	m.truncThreads[ct.id.Thread].add(ct.id.Local)
 	m.endTruncSpan(ct)
+	m.putCoordTx(ct)
 }
 
 // attachPiggyback moves the next queued ids (up to the per-record budget)

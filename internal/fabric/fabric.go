@@ -613,7 +613,8 @@ func (c *NIC) Probe(dst MachineID, cb func(err error)) {
 //
 // Batches obtained from NIC.GetBatch are pooled: the fabric reclaims them
 // after the final delivery (or loss), so a sender must treat the frame as
-// consumed once passed to SendBatch.
+// consumed once passed to SendBatch. A message in a pooled frame that is a
+// Reclaimer is reclaimed with it.
 type Batch struct {
 	Msgs   []interface{}
 	Stamps []sim.Time
@@ -635,11 +636,19 @@ func (n *Network) getBatch() *Batch {
 	return &Batch{pooled: true}
 }
 
+// Reclaimer is a pooled message: the fabric calls Reclaim when it reclaims
+// the pooled batch frame carrying the message, once the last copy is
+// delivered or lost, so the sender may reuse it from then on.
+type Reclaimer interface{ Reclaim() }
+
 func (n *Network) putBatch(b *Batch) {
 	if b == nil || !b.pooled {
 		return
 	}
-	for i := range b.Msgs {
+	for i, msg := range b.Msgs {
+		if r, ok := msg.(Reclaimer); ok {
+			r.Reclaim()
+		}
 		b.Msgs[i] = nil
 	}
 	b.Msgs = b.Msgs[:0]

@@ -10,6 +10,37 @@ package proto
 type LockReply struct {
 	Tx TxID
 	OK bool
+
+	pool *LockReplyPool // the pool it goes back to; nil for one made bare
+}
+
+// LockReplyPool recycles a sender's LOCK-REPLY messages. A reply it hands
+// out comes back through Reclaim when the fabric reclaims the frame that
+// carried it, after its last delivered copy or its loss; a receiver takes
+// what it needs from the reply during the delivery upcall and keeps no
+// pointer to it.
+type LockReplyPool struct{ free []*LockReply }
+
+// Get returns a pooled reply carrying tx's verdict.
+func (p *LockReplyPool) Get(tx TxID, ok bool) *LockReply {
+	if k := len(p.free); k > 0 {
+		r := p.free[k-1]
+		p.free = p.free[:k-1]
+		r.Tx, r.OK = tx, ok
+		return r
+	}
+	return &LockReply{Tx: tx, OK: ok, pool: p}
+}
+
+// Len reports how many replies wait in the pool.
+func (p *LockReplyPool) Len() int { return len(p.free) }
+
+// Reclaim returns a pooled reply to its pool; a bare one is the collector's.
+func (r *LockReply) Reclaim() {
+	if r.pool != nil {
+		r.Tx, r.OK = TxID{}, false
+		r.pool.free = append(r.pool.free, r)
+	}
 }
 
 // ValidateReq carries read-set addresses and versions for validation over
