@@ -1,6 +1,6 @@
 # Convenience targets; everything is stdlib-only `go` commands.
 
-.PHONY: check test harness bench perf figures chaos examples tools fuzz vet race trace count
+.PHONY: check test harness bench perf figures chaos examples tools fuzz vet race trace count allocs
 
 # Everything the chaos and trace targets write lands here (gitignored).
 OUT := .farm-out
@@ -95,6 +95,23 @@ tools:
 	go run ./cmd/farm-bench -fig 1
 	go run ./cmd/farm-bench -fig kv
 	! go run ./cmd/farm-bench -fig nope
+
+# Where a transaction's allocations come from: the mix allocation budgets
+# of bank, tatp and tpcc (each a warmed window of the package's Mix, the
+# benchmark's shape scaled down) run under an exact allocation profile
+# (-memprofilerate 1), and the sites inside the measured window (loadgen's
+# allocWindow) print per committed operation, most first. Profiles and test
+# binaries land in $(OUT). Not part of check.
+allocs:
+	@mkdir -p $(OUT)
+	@for p in bank tatp tpcc; do \
+		ops=$$(go test -run 'MixAllocationBudget' -v -o $(OUT)/$$p.test -memprofile $(OUT)/allocs-$$p.prof \
+			-memprofilerate 1 ./internal/$$p | sed -n 's/.* over \([0-9]*\) committed.*/\1/p'); \
+		[ -n "$$ops" ] || exit 1; \
+		echo "$$p: allocations per committed operation by site, over $$ops operations"; \
+		go tool pprof -sample_index=alloc_objects -focus=allocWindow -top -nodecount=12 $(OUT)/allocs-$$p.prof 2>/dev/null | \
+			awk -v n=$$ops '$$1 ~ /^[0-9]/ && $$2 ~ /%$$/ { printf "  %8.3f  %s\n", $$1/n, $$6 }'; \
+	done
 
 # Ten seconds of coverage-guided fuzzing per target, one `go test -fuzz`
 # each (go runs one fuzz target at a time): the log-record decoder, the

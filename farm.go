@@ -45,7 +45,9 @@ type (
 	// Machine is one FaRM machine: worker threads, hosted region replicas,
 	// and a transaction coordinator.
 	Machine = core.Machine
-	// Tx is a transaction; Begin on a Machine creates one.
+	// Tx is a transaction; Begin on a Machine takes one from the machine's
+	// pool. It, and the bytes its reads hand out, are valid until its
+	// Commit callback or Abort returns.
 	Tx = core.Tx
 	// Addr is a global address: (region, offset).
 	Addr = proto.Addr

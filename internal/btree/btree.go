@@ -42,7 +42,9 @@ type Tree struct {
 }
 
 // cache is one machine's copy of the anchor and of internal nodes: committed
-// bytes from lock-free reads, looked up by address and never iterated. An
+// bytes from lock-free reads, looked up by address and never iterated. They
+// are the buffers those reads made for it, never a transaction's bytes,
+// which are recycled when it finishes (TestCacheHoldsNoTransactionBytes). An
 // entry can be stale; it is dropped when the node it named rejects a key by
 // its fences, and deleting one is always safe.
 type cache struct {
@@ -667,7 +669,8 @@ func (op *treeOp) start() {
 	op.descend()
 }
 
-// Get looks key up within tx. val is the caller's to keep and change.
+// Get looks key up within tx. val is the caller's to change, and valid until
+// tx finishes (its Commit callback or Abort returns).
 func (t *Tree) Get(tx *core.Tx, key uint64, cb func(val []byte, ok bool, err error)) {
 	op := t.newOp(tx, key)
 	op.getCb = cb
@@ -819,8 +822,8 @@ type Pair struct {
 // Scan returns up to limit pairs with key >= from, in key order (TPC-C's
 // range queries): a descent to from's leaf, then along the leaves, each
 // read transactionally — no key can appear in the range without changing a
-// leaf the transaction validates. The pairs are the caller's to keep and
-// change.
+// leaf the transaction validates. The pairs are the caller's to change, and
+// their values valid until tx finishes.
 func (t *Tree) Scan(tx *core.Tx, from uint64, limit int, cb func(pairs []Pair, err error)) {
 	op := t.newOp(tx, from)
 	op.limit, op.scanCb = limit, cb

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"farm/internal/proto"
@@ -115,10 +116,14 @@ func txCommit(t *testing.T, c *Cluster, tx *Tx) error {
 	return out
 }
 
-// TestReadDataOutlivesItsTransaction: what Tx.Read delivered is unchanged
-// after the transaction committed and a thousand later transactions — which
-// rewrite the very object it came from — ran on the same thread.
-func TestReadDataOutlivesItsTransaction(t *testing.T) {
+// TestReadDataLivesUntilItsTransactionFinishes: what Tx.Read delivered is
+// unchanged while its transaction is open, through a thousand later
+// transactions on the same thread — which rewrite the very object it came
+// from, on Txs and chunks recycled from one another — and in its commit
+// callback. Once that returns the Tx goes back to its machine's pool, and
+// the next Begin takes it with its chunks, whose bytes it hands out
+// cleared.
+func TestReadDataLivesUntilItsTransactionFinishes(t *testing.T) {
 	c, _ := testCluster(t, Options{})
 	m := c.Machine(0)
 	orig := bytes.Repeat([]byte{0xA5}, 48)
@@ -127,9 +132,6 @@ func TestReadDataOutlivesItsTransaction(t *testing.T) {
 	tx := m.Begin(0)
 	held := txRead(t, c, tx, addr, len(orig))
 	again := txRead(t, c, tx, addr, len(orig)) // repeated read: a copy of its own
-	if err := txCommit(t, c, tx); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 1000; i++ {
 		tx := m.Begin(0)
 		d := txRead(t, c, tx, addr, len(orig))
@@ -142,8 +144,31 @@ func TestReadDataOutlivesItsTransaction(t *testing.T) {
 		}
 	}
 	if !bytes.Equal(held, orig) || !bytes.Equal(again, orig) {
-		t.Fatalf("data held from a finished transaction changed: %x / %x", held[:4], again[:4])
+		t.Fatalf("data held in an open transaction changed: %x / %x", held[:4], again[:4])
 	}
+	done := false
+	tx.Commit(func(err error) {
+		// (It commits: a read-only transaction serializes at its one read.)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(held, orig) || !bytes.Equal(again, orig) {
+			t.Fatalf("data changed before the commit callback returned: %x / %x", held[:4], again[:4])
+		}
+		done = true
+	})
+	runUntil(t, c, sim.Second, func() bool { return done })
+	if !slices.Contains(m.txFree, tx) {
+		t.Fatal("the finished transaction did not go back to its machine's pool")
+	}
+	next := m.Begin(0)
+	if next != tx {
+		t.Fatal("Begin did not take the pooled transaction")
+	}
+	if b := next.carve(len(orig)); !bytes.Equal(b, make([]byte, len(orig))) {
+		t.Fatalf("a recycled chunk carved %x, want zeroes", b[:4])
+	}
+	next.Abort()
 }
 
 // TestDeliveredBytesAreTheCallersAlone: appending to or overwriting a

@@ -109,8 +109,9 @@ type destGroup struct {
 // validateSet). Nothing writes to it.
 var retiredCommit = coordTx{phase: phaseDone}
 
-// newCoordTx returns a pooled coordTx for t's commit, reporting to cb.
-func (m *Machine) newCoordTx(t *Tx, cb func(error)) *coordTx {
+// newCoordTx returns a pooled coordTx for t's commit, which holds t until
+// putCoordTx.
+func (m *Machine) newCoordTx(t *Tx) *coordTx {
 	var ct *coordTx
 	if k := len(m.ctFree); k > 0 {
 		ct = m.ctFree[k-1]
@@ -118,22 +119,27 @@ func (m *Machine) newCoordTx(t *Tx, cb func(error)) *coordTx {
 	} else {
 		ct = &coordTx{}
 	}
-	ct.tx, ct.cb = t, cb
+	ct.tx, ct.cb = t, t.reportFn
+	t.committing = true
 	return ct
 }
 
 // putCoordTx returns ct to the pool, reset whole: its write lists alias the
 // Tx's values and tx pins the Tx, so every element is cleared. The Tx is cut
 // from it first: a verdict that arrives later must not reach whichever
-// commit takes ct next.
+// commit takes ct next. The Tx goes back to its own pool if nothing else
+// holds it (Tx.release).
 func (m *Machine) putCoordTx(ct *coordTx) {
-	if t := ct.tx; t.ct == ct {
+	t := ct.tx
+	if t.ct == ct {
 		t.ct = &retiredCommit
 	}
 	clear(ct.groups)
 	clear(ct.slab)
 	*ct = coordTx{groups: ct.groups[:0], writeRegions: ct.writeRegions[:0], slab: ct.slab[:0]}
 	m.ctFree = append(m.ctFree, ct)
+	t.committing = false
+	t.release()
 }
 
 // group returns dst's group, or nil if dst is not a participant.
@@ -189,12 +195,19 @@ func (m *Machine) endPhase(ct *coordTx) {
 
 // Commit runs the four-phase commit protocol of §4 / Figure 4 and reports
 // the outcome through cb. Read-only transactions skip straight to
-// validation and have no commit phase.
+// validation and have no commit phase. t and the bytes it handed out stay
+// valid until cb returns, and are not to be used after.
 func (t *Tx) Commit(cb func(err error)) {
 	if t.finished {
 		panic(errTxDone)
 	}
 	t.finished = true
+	t.appCb = cb
+	t.commit()
+}
+
+// commit starts the commit, or parks it until it can start.
+func (t *Tx) commit() {
 	m := t.m
 	if !m.alive {
 		return
@@ -206,30 +219,24 @@ func (t *Tx) Commit(cb func(err error)) {
 		// LOCK records built on pre-eviction reads; if a new configuration
 		// arrives the retry locks at the observed versions and aborts on
 		// staleness.
-		t.finished = false
-		m.clientQueue = append(m.clientQueue, func() { t.Commit(cb) })
+		m.clientQueue = append(m.clientQueue, t.commit)
 		return
 	}
 
-	// (A variable of its own, assigned once: the closures below capture it
-	// by value instead of boxing it.)
-	report := t.instrumented(cb)
-
 	if t.nWrites == 0 {
-		t.commitReadOnly(report)
+		t.commitReadOnly()
 		return
 	}
 
 	// Wait for any blocked (recovering) write region before starting.
 	for i := t.firstW; i >= 0; i = t.set[i].wnext {
 		if region := t.set[i].addr.Region; m.regionBlocked(region) {
-			t.finished = false
-			m.blockUntilActive(region, func() { t.Commit(report) })
+			m.blockUntilActive(region, t.commit)
 			return
 		}
 	}
 
-	ct := m.newCoordTx(t, report)
+	ct := m.newCoordTx(t)
 
 	// Group the write set by primary and backup machines: size the groups
 	// first, so that all their write lists are carved out of one slab.
@@ -240,7 +247,7 @@ func (t *Tx) Commit(cb func(err error)) {
 		if rm == nil || len(rm.Replicas) < 1 {
 			m.putCoordTx(ct)
 			t.releaseAllocs()
-			m.failTx(report, ErrUnavailable)
+			m.failTx(t.reportFn, ErrUnavailable)
 			return
 		}
 		if !slices.Contains(ct.writeRegions, addr.Region) {
@@ -296,7 +303,7 @@ func (t *Tx) Commit(cb func(err error)) {
 		m.truncThreads[t.thread].add(ct.id.Local)
 		m.putCoordTx(ct)
 		t.releaseAllocs()
-		m.failTx(report, ErrNoSpace)
+		m.failTx(t.reportFn, ErrNoSpace)
 		return
 	}
 
@@ -309,31 +316,24 @@ func (t *Tx) Commit(cb func(err error)) {
 	m.sendLocks(ct)
 }
 
-// instrumented wraps a commit callback with what a traced or history-
-// recorded transaction owes on whatever path reports the outcome.
-func (t *Tx) instrumented(cb func(error)) func(error) {
-	if t.ctx.Valid() {
-		// Close the root trace span.
-		inner := cb
-		cb = func(err error) { t.endTxSpan(err); inner(err) }
-	}
+// report delivers the commit's outcome, on whatever path it was decided:
+// first what a history-recorded or traced transaction owes (the recorded
+// outcome and its simulated time — a coordinator that dies before reporting
+// leaves the event indeterminate, exactly what the checker's commit
+// inference is for — and the root span's end), then the application's
+// callback. Once that returns the application is finished with t.
+func (t *Tx) report(err error) {
 	if t.hrec != nil {
-		// Record the reported outcome and its simulated time. Commit's
-		// requeue paths wrap again on re-entry; Finish is idempotent, so
-		// only the first (outermost) report lands. A coordinator that dies
-		// before reporting leaves the event indeterminate — exactly what
-		// the checker's commit inference is for.
-		inner := cb
-		cb = func(err error) {
-			o := history.Committed
-			if err != nil {
-				o = history.Aborted
-			}
-			t.histFinish(o)
-			inner(err)
+		o := history.Committed
+		if err != nil {
+			o = history.Aborted
 		}
+		t.histFinish(o)
 	}
-	return cb
+	t.endTxSpan(err)
+	t.appCb(err)
+	t.appDone = true
+	t.release()
 }
 
 // failTx reports, on the coordinator thread, a commit that failed before
@@ -685,14 +685,13 @@ func (m *Machine) validate(ct *coordTx) {
 // was issued, so validating those alone proves they held at its instant
 // (DESIGN.md §5); otherwise every read is validated. With nothing left to
 // validate it commits after one local step.
-func (t *Tx) commitReadOnly(cb func(error)) {
+func (t *Tx) commitReadOnly() {
 	m := t.m
 	var vs []valRead
 	if !m.c.Opts.SkipReadValidation {
 		*m.c.cValidateSkipped += uint64(t.aloneHi - t.aloneLo)
 		vs = t.validationSet(t.aloneLo, t.aloneHi)
 	}
-	t.roCb = cb
 	if len(vs) == 0 {
 		t.valLeft = 1
 		m.c.Eng.After(cpuLocal, m.newValOp(t).passFn)
@@ -706,7 +705,7 @@ func (t *Tx) commitReadOnly(cb func(error)) {
 // VALIDATE RPC to a primary holding more than tr of the objects, one-sided
 // reads of the version words otherwise. A primary that is unknown or not a
 // member fails its share at once. ctx parents the RPCs' spans. Every verdict
-// goes to validated.
+// goes to validated, and each is due to t (Tx.live) until it has run.
 func (t *Tx) validateSet(vs []valRead, ctx trace.Ctx) {
 	m := t.m
 	// Every verdict arrives through the engine, so the count may grow as the
@@ -718,7 +717,8 @@ func (t *Tx) validateSet(vs []valRead, ctx trace.Ctx) {
 		case pm == m.ID:
 		case pm == -1 || !m.isMember(pm):
 			t.valLeft++
-			m.OnThread(t.thread, cpuLocal, func() { t.validated(false) })
+			t.live++
+			m.OnThread(t.thread, cpuLocal, func() { t.validated(false); t.settle() })
 			continue
 		case len(entries) > m.c.Opts.ValidateRPCThreshold:
 			// A call that fails aborts a read-only commit, which holds no
@@ -733,9 +733,11 @@ func (t *Tx) validateSet(vs []valRead, ctx trace.Ctx) {
 					t.m.c.Counters.Inc("tx_ro_validate_stalled", 1)
 					t.valFail(ErrAborted)
 				}
+				t.settle()
 			})
 			*m.c.cValidateRPCs++
 			t.valLeft++
+			t.live++
 			m.sendFromThreadCtx(t.thread, pm, req, ctx)
 			continue
 		}
@@ -772,7 +774,7 @@ func (t *Tx) validated(ok bool) {
 		// The report is lease-fenced like the read-write path, so a
 		// coordinator that validated against replicas the configuration has
 		// moved past cannot vouch for a stale snapshot.
-		t.m.reportCommitted(t.roCb)
+		t.m.reportCommitted(t.reportFn)
 		return
 	}
 	ct.phase = phaseCommitBackup
@@ -789,7 +791,7 @@ func (t *Tx) valFail(err error) {
 	}
 	t.m.Aborted++
 	t.m.c.Counters.Inc("tx_aborted", 1)
-	t.roCb(err)
+	t.report(err)
 }
 
 // valOp is one read-set object on its way through validation: a direct
@@ -812,7 +814,8 @@ type valOp struct {
 	readFn                   func([]byte, error)
 }
 
-// newValOp returns a pooled valOp for a verdict of t's validation.
+// newValOp returns a pooled valOp for a verdict of t's validation, due to
+// t until it has run.
 func (m *Machine) newValOp(t *Tx) *valOp {
 	var op *valOp
 	if k := len(m.valFree); k > 0 {
@@ -826,6 +829,7 @@ func (m *Machine) newValOp(t *Tx) *valOp {
 		op.readFn = op.readDone
 	}
 	op.t = t
+	t.live++
 	return op
 }
 
@@ -858,6 +862,7 @@ func (op *valOp) pass() {
 	if m.alive {
 		t.validated(true)
 	}
+	t.settle()
 }
 
 func (op *valOp) local() {
@@ -865,6 +870,7 @@ func (op *valOp) local() {
 	t, e := op.recycle()
 	rep := m.replica(e.addr.Region)
 	t.validated(rep != nil && validHeaderWord(regionmem.ReadHeader(rep.mem, int(e.addr.Off)), e.version))
+	t.settle()
 }
 
 func (op *valOp) issue() {
@@ -884,6 +890,7 @@ func (op *valOp) readDone(raw []byte, err error) {
 	if m.alive {
 		t.validated(ok && validHeaderWord(word, e.version))
 	}
+	t.settle()
 }
 
 // valRead is one read-set entry — its address and position in the table —

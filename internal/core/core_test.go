@@ -71,7 +71,7 @@ func readObject(t *testing.T, c *Cluster, m *Machine, addr proto.Addr, size int)
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}
-		out = data
+		out = append([]byte(nil), data...) // data is valid until the commit callback returns
 		tx.Commit(func(err error) {
 			if err != nil {
 				t.Fatalf("read-only commit: %v", err)

@@ -290,14 +290,17 @@ type Machine struct {
 
 	// taskFree recycles msgTask carriers (deferred receive dispatches and
 	// outbound enqueues) so the per-message paths allocate nothing in
-	// steady state; pollFree, readFree, recFree, ctFree, valFree and
-	// lockFree do the same for log-poll batches, object reads (read.go),
+	// steady state; txFree and allocFree do the same for transactions and
+	// their slot allocations (tx.go), pollFree, readFree, recFree, ctFree,
+	// valFree and lockFree for log-poll batches, object reads (read.go),
 	// commit-record writes, committing transactions, per-object validations
 	// (commit.go) and LOCK verdicts on their way to the coordinator's
 	// thread, decFree and pendFree for the log records participants decode
 	// and their participant entries, and lockReplies for the LOCK-REPLY
 	// messages this machine sends as a primary (apply.go).
 	taskFree    []*msgTask
+	txFree      []*Tx
+	allocFree   []*allocOp
 	pollFree    []*pollTask
 	readFree    []*readOp
 	recFree     []*recWrite

@@ -30,8 +30,9 @@ type readOp struct {
 	n  int
 
 	// tx is set for Tx.Read: a fresh read joins tx's read set and the
-	// caller gets a copy. nil (LockFreeRead, external clients) hands the
-	// fetched payload over as is.
+	// caller gets a copy, and tx is not recycled before the caller's
+	// handler returned (Tx.live). nil (LockFreeRead, external clients)
+	// hands the fetched payload over as is.
 	tx *Tx
 	// own is the table entry serving a read-your-writes or repeated read
 	// (-1 for a fresh read); its bytes are read at delivery, not at issue.
@@ -104,7 +105,7 @@ func (m *Machine) LockFreeReadSpanTo(thread int, addr proto.Addr, size, n int, h
 // Span is what a span read saw: the payloads of N adjacent objects, at most
 // four, all read at one instant. Payloads are views to look at only: inside a
 // transaction they are its read set's copies, or its own buffers for objects
-// it already held. Own returns bytes the caller may keep and change.
+// it already held. Own returns bytes the caller may change.
 type Span struct {
 	N    int
 	data [4][]byte
@@ -114,8 +115,10 @@ type Span struct {
 // Payload returns object i's bytes, to look at only.
 func (s *Span) Payload(i int) []byte { return s.data[i] }
 
-// Own returns object i's bytes for the caller to keep and change: a copy
-// inside a transaction, the fetched bytes themselves outside one.
+// Own returns object i's bytes for the caller to change: inside a
+// transaction a copy, valid until the transaction finishes (its Commit
+// callback or Abort returns); outside one the fetched bytes themselves, the
+// caller's to keep.
 func (s *Span) Own(i int) []byte {
 	if s.t == nil {
 		return s.data[i]
@@ -319,6 +322,9 @@ func (op *readOp) spanLanded(raw []byte) {
 		if alone {
 			t.aloneLo, t.aloneHi = lo, int32(len(t.set))
 		}
+		h.SpanDone(s, nil)
+		t.settle()
+		return
 	}
 	h.SpanDone(s, nil)
 }
@@ -346,6 +352,9 @@ func (op *readOp) deliver(word uint64, data []byte, err error) {
 		} else {
 			h.ReadDone(nil, err)
 		}
+		if t != nil {
+			t.settle()
+		}
 		return
 	}
 	if t != nil {
@@ -354,6 +363,7 @@ func (op *readOp) deliver(word uint64, data []byte, err error) {
 			t.aloneLo, t.aloneHi = i, i+1
 		}
 		h.ReadDone(t.copyOut(data), nil)
+		t.settle()
 		return
 	}
 	if !m.selfLeaseOK() {
@@ -371,4 +381,5 @@ func (op *readOp) deliverOwn() {
 	t, e, h := op.tx, &op.tx.set[op.own], op.h
 	op.recycle()
 	h.ReadDone(t.copyOut(e.view()), nil)
+	t.settle()
 }

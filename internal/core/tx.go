@@ -50,45 +50,55 @@ type txEntry struct {
 // coordinator (§3). All methods are asynchronous: they charge CPU to the
 // coordinator thread and deliver results through callbacks; a thread can
 // run several transactions concurrently, like FaRM's event loops.
+//
+// A Tx is recycled, with the bytes it handed out, once it finished: it, and
+// every byte it handed out — read copies, Span.Own copies, the Get values
+// and Scan pairs built on them — is valid until its Commit callback or
+// Abort returns. A caller that keeps bytes longer copies them.
 type Tx struct {
 	m      *Machine
 	thread int
 
-	// set is the read/write table in insertion order. It starts on inline,
-	// so Begin allocates the Tx and nothing else and a transaction touching
-	// a few objects never allocates a table. Entries move when set grows:
-	// hold indexes, not pointers, across anything that can insert.
-	set    []txEntry
-	inline [4]txEntry
-	// index finds an entry by address once set is too long to scan: open
-	// addressing over positions+1 (0 = empty), at most half full.
+	// set is the read/write table in insertion order, made for four
+	// entries with the Tx. Entries move when set grows: hold indexes, not
+	// pointers, across anything that can insert. A recycled Tx keeps the
+	// grown set and its index.
+	set []txEntry
+	// index finds an entry by address once set is longer than scanMax:
+	// open addressing over positions+1 (0 = empty), at most half full.
 	index           []int32
 	nReads, nWrites int
 	firstW, lastW   int32 // ends of the wnext chain (-1 = empty)
 
-	// slab is the unused tail of the transaction's newest byte chunk and
-	// chunk that chunk's size (see carve).
-	slab  []byte
-	chunk int
-
-	started  sim.Time
-	finished bool
+	// chunks are the byte chunks the transaction carves from (see carve),
+	// in carve order, kept across recycling; used counts those this
+	// transaction has started and slab is the unused tail of the newest.
+	chunks [][]byte
+	used   int
+	slab   []byte
 
 	// reading counts fresh reads in flight; crowded: two were, since none.
 	// [aloneLo, aloneHi) are the entries of the last fresh read if it was
 	// delivered and ran alone (empty otherwise): a read-only commit
 	// serializes at that read. A span read's entries are all its objects.
 	reading          int
-	crowded          bool
 	aloneLo, aloneHi int32
 
 	// Commit-time validation (validateSet): the read-write commit (nil for a
-	// read-only one, which reports through roCb), verdicts still due, and
-	// whether one already failed.
-	ct        *coordTx
-	roCb      func(error)
-	valLeft   int
-	valFailed bool
+	// read-only one, which reports through report), verdicts still due, and
+	// whether one already failed (valFailed).
+	ct      *coordTx
+	valLeft int
+
+	// The release rule (release): appCb is the application's commit
+	// callback and reportFn report, bound once; appDone says the
+	// application is finished with the transaction (its commit callback or
+	// Abort returned), committing that a coordTx holds it (newCoordTx until
+	// putCoordTx), and live counts the callbacks still due to it: reads,
+	// validation verdicts and allocations in flight.
+	appCb    func(error)
+	reportFn func(error)
+	live     int
 
 	// ctx is the root trace span of a sampled transaction (zero when this
 	// transaction is untraced); reads and commit phases hang off it.
@@ -97,27 +107,66 @@ type Tx struct {
 	// hrec is the per-transaction history recording handle (nil when
 	// recording is disabled — the hist* hooks then cost one nil check).
 	hrec *history.TxRec
+
+	// finished: Commit or Abort was called. The other flags belong to the
+	// groups above; they sit together to keep the Tx small.
+	finished, crowded, valFailed, appDone, committing bool
 }
 
-// Begin starts a transaction coordinated by worker thread `thread` of m.
+// Begin starts a transaction coordinated by worker thread `thread` of m,
+// on a Tx from m's pool, valid until its Commit callback or Abort returns.
 // When tracing is enabled, the deterministic N-of-every-M sampler decides
 // here whether this transaction gets a root span.
 func (m *Machine) Begin(thread int) *Tx {
-	t := &Tx{
-		m:       m,
-		thread:  thread % m.c.Opts.Threads,
-		firstW:  -1,
-		lastW:   -1,
-		started: m.c.Eng.Now(),
+	var t *Tx
+	if k := len(m.txFree); k > 0 {
+		t = m.txFree[k-1]
+		m.txFree = m.txFree[:k-1]
+	} else {
+		t = &Tx{m: m, set: make([]txEntry, 0, 4)}
+		t.reportFn = t.report
 	}
-	t.set = t.inline[:0]
+	t.thread = thread % m.c.Opts.Threads
+	t.firstW, t.lastW = -1, -1
+	now := m.c.Eng.Now()
 	if m.trb != nil && m.trb.SampleTx() {
-		t.ctx = m.trb.Begin("tx", "tx", t.started, 0, 0, int64(t.thread))
+		t.ctx = m.trb.Begin("tx", "tx", now, 0, 0, int64(t.thread))
 	}
 	if m.c.Hist != nil {
-		t.hrec = m.c.Hist.Open(m.ID, t.thread, t.started)
+		t.hrec = m.c.Hist.Open(m.ID, t.thread, now)
 	}
 	return t
+}
+
+// settle retires one callback due to t (a read, a verdict, an allocation)
+// once it has run.
+func (t *Tx) settle() {
+	t.live--
+	t.release()
+}
+
+// release returns t to its machine's pool once nothing can reach it any
+// more: the application is finished with it, no coordTx holds it and no
+// callback is due to it. Everything is reset but the grown table, its index
+// and the chunks, whose bytes carve clears when it reuses them. Of the
+// chunks this transaction did not carve, the last goes to the collector, so
+// a Tx that once served a large transaction (a bulk load) sheds what it no
+// longer needs one chunk per transaction. A Tx that recovery decides, that
+// dies with its machine or that the application drops without Commit or
+// Abort never gets here, and goes to the collector.
+func (t *Tx) release() {
+	if !t.appDone || t.committing || t.live > 0 {
+		return
+	}
+	m := t.m
+	clear(t.set)
+	if len(t.set) > scanMax {
+		clear(t.index)
+	}
+	keep := max(t.used, len(t.chunks)-1)
+	clear(t.chunks[keep:])
+	*t = Tx{m: m, set: t.set[:0], index: t.index, chunks: t.chunks[:keep], reportFn: t.reportFn}
+	m.txFree = append(m.txFree, t)
 }
 
 // scanMax is the longest table find scans instead of indexing.
@@ -129,7 +178,7 @@ func addrHash(a proto.Addr) uint32 {
 
 // find returns addr's position in the table, or -1.
 func (t *Tx) find(addr proto.Addr) int {
-	if t.index == nil {
+	if len(t.set) <= scanMax {
 		for i := range t.set {
 			if t.set[i].addr == addr {
 				return i
@@ -158,11 +207,16 @@ func (t *Tx) entry(addr proto.Addr) int {
 	}
 	i = len(t.set)
 	t.set = append(t.set, txEntry{addr: addr, wnext: -1})
-	switch {
-	case i < scanMax:
-	case 2*len(t.set) > len(t.index):
+	switch n := len(t.set); {
+	case n <= scanMax:
+	case 2*n > len(t.index):
 		// First index, or half full: quadruple and re-insert everything.
 		t.index = make([]int32, max(4*scanMax, 4*len(t.index)))
+		for j := range t.set {
+			t.indexPut(j)
+		}
+	case n == scanMax+1:
+		// The first use of an index kept from an earlier transaction.
 		for j := range t.set {
 			t.indexPut(j)
 		}
@@ -188,21 +242,43 @@ const maxChunk = 4096
 // carve returns n zeroed bytes owned by this transaction, capacity-capped so
 // that appending to them cannot reach a neighbour. The payload bytes a
 // transaction keeps or hands out (private read copies, the copies callbacks
-// receive, buffered write values) are carved from a few GC-owned chunks
-// instead of allocated one by one: the first chunk is four times the first
-// request, each later one twice the last, up to maxChunk. A chunk belongs to
-// one transaction, is never reused, and dies with the last slice into it.
+// receive, buffered write values) are carved from a few chunks instead of
+// allocated one by one: the first chunk is twice the first request, each
+// later one twice the last, up to maxChunk. The chunks stay with the Tx when
+// it is recycled (release), and the next transaction carves them again in
+// order, each cleared as it is taken up (nextChunk); a request of maxChunk/2
+// or more keeps its own allocation, which is not kept.
 func (t *Tx) carve(n int) []byte {
 	if n > len(t.slab) {
 		if n >= maxChunk/2 {
 			return make([]byte, n)
 		}
-		t.chunk = min(max(4*n, 2*t.chunk), maxChunk)
-		t.slab = make([]byte, t.chunk)
+		t.nextChunk(n)
 	}
 	b := t.slab[:n:n]
 	t.slab = t.slab[n:]
 	return b
+}
+
+// nextChunk makes the transaction's next chunk its slab: the next kept one,
+// cleared, if it holds n bytes, else a new one in its place.
+func (t *Tx) nextChunk(n int) {
+	if t.used < len(t.chunks) && len(t.chunks[t.used]) >= n {
+		t.slab = t.chunks[t.used]
+		clear(t.slab)
+	} else {
+		last := 0
+		if t.used > 0 {
+			last = len(t.chunks[t.used-1])
+		}
+		t.slab = make([]byte, min(max(2*n, 2*last), maxChunk))
+		if t.used < len(t.chunks) {
+			t.chunks[t.used] = t.slab
+		} else {
+			t.chunks = append(t.chunks, t.slab)
+		}
+	}
+	t.used++
 }
 
 // copyOut returns a copy of src the caller may keep and mutate.
@@ -346,19 +422,22 @@ func (f ReadFunc) ReadDone(data []byte, err error) { f(data, err) }
 
 // Read reads size payload bytes of the object at addr. Individual reads
 // are atomic and see only committed data (§3); consistency across objects
-// is enforced at commit time by validation. data belongs to the callback:
-// it may change it and keep it, and the transaction never touches it again.
+// is enforced at commit time by validation. data is the callback's to
+// change, and the transaction never touches it again; it is valid until the
+// transaction finishes (its Commit callback or Abort returns).
 func (t *Tx) Read(addr proto.Addr, size int, cb func(data []byte, err error)) {
 	t.ReadTo(addr, size, ReadFunc(cb))
 }
 
-// ReadTo is Read delivering to a ReadHandler.
+// ReadTo is Read delivering to a ReadHandler, under the same rule: data
+// is valid until the transaction finishes.
 func (t *Tx) ReadTo(addr proto.Addr, size int, h ReadHandler) {
 	op := t.m.getReadOp(t.thread, addr, size, h)
 	op.tx = t
 	// Read-your-writes, then repeated reads return the same data (§3):
 	// both are served from the transaction's own buffers on its thread.
 	if op.own = t.find(addr); op.own >= 0 {
+		t.live++
 		t.m.OnThread(t.thread, cpuLocal, op.ownFn)
 		return
 	}
@@ -380,6 +459,7 @@ func (t *Tx) issue(op *readOp) {
 	if t.ctx.Valid() {
 		op.rctx = t.m.trb.Begin("tx", "read", t.m.c.Eng.Now(), t.ctx.Trace, t.ctx.Span, int64(op.addr.Region))
 	}
+	t.live++
 	t.reading++
 	t.crowded = t.crowded || t.reading > 1
 	t.aloneLo, t.aloneHi = 0, 0
@@ -409,32 +489,137 @@ func (t *Tx) Write(addr proto.Addr, value []byte) {
 // as the hint (locality, §3); otherwise a region with a local primary is
 // preferred. The object becomes visible only when the transaction commits.
 func (t *Tx) Alloc(size int, value []byte, hint *proto.Addr, cb func(addr proto.Addr, err error)) {
-	regions := t.m.allocCandidates(hint)
-	if len(regions) == 0 {
-		t.m.OnThread(t.thread, cpuLocal, func() { cb(proto.Addr{}, ErrNoSpace) })
+	op := t.m.newAllocOp(t, hint)
+	op.size, op.value, op.cb = size, value, cb
+	t.live++
+	if len(op.regions) == 0 {
+		t.m.OnThread(t.thread, cpuLocal, op.noSpaceFn)
 		return
 	}
-	t.tryAlloc(regions, 0, size, value, cb)
+	op.try()
 }
 
-func (t *Tx) tryAlloc(regions []uint32, i, size int, value []byte, cb func(proto.Addr, error)) {
-	if i >= len(regions) {
-		cb(proto.Addr{}, ErrNoSpace)
+// allocOp is one Tx.Alloc as a pooled state machine, like readOp: it tries
+// the candidate regions in order, reserving a slot at each one's primary
+// (the free lists live only there, §5.5) — a local pop on the coordinator
+// thread or an ALLOC-SLOT call — until one has room. Its continuations are
+// bound once, and it returns to the pool before the callback runs. One
+// that dies with its machine is dropped.
+type allocOp struct {
+	m     *Machine
+	t     *Tx
+	size  int
+	value []byte
+	cb    func(proto.Addr, error)
+	// regions are the candidates, in the order they are tried (keeps its
+	// capacity); next is the one being tried.
+	regions []uint32
+	next    int
+
+	localFn, noSpaceFn func()
+	calledFn           func(interface{}, error)
+}
+
+// newAllocOp returns a pooled allocOp for t, its candidates filled in: the
+// hint's region alone, or every mapped region with this machine as its
+// primary, then every other one, each half ascending like the table.
+func (m *Machine) newAllocOp(t *Tx, hint *proto.Addr) *allocOp {
+	var op *allocOp
+	if k := len(m.allocFree); k > 0 {
+		op = m.allocFree[k-1]
+		m.allocFree = m.allocFree[:k-1]
+	} else {
+		op = &allocOp{m: m}
+		op.localFn = op.local
+		op.noSpaceFn = op.noSpace
+		op.calledFn = op.called
+	}
+	op.t = t
+	if hint != nil {
+		op.regions = append(op.regions, hint.Region)
+		return op
+	}
+	for _, local := range [...]bool{true, false} {
+		for i := range m.regions {
+			if rm := m.regions[i].mapping; rm != nil && len(rm.Replicas) > 0 && (int(rm.Replicas[0]) == m.ID) == local {
+				op.regions = append(op.regions, uint32(i))
+			}
+		}
+	}
+	return op
+}
+
+// try reserves a slot in the next candidate region, locally or through its
+// primary.
+func (op *allocOp) try() {
+	m := op.m
+	if op.next >= len(op.regions) {
+		op.done(proto.Addr{}, ErrNoSpace)
 		return
 	}
-	region := regions[i]
-	t.m.allocSlot(t.thread, region, size, func(off uint32, version uint64, err error) {
-		if err != nil {
-			t.tryAlloc(regions, i+1, size, value, cb)
-			return
-		}
-		addr := proto.Addr{Region: region, Off: off}
-		e := t.writeEntry(t.entry(addr))
-		e.version, e.allocated, e.isAlloc = version, true, true
-		t.setValue(e, value)
-		t.histWrite(addr, version, value, true, false)
-		cb(addr, nil)
-	})
+	region := op.regions[op.next]
+	p := m.primaryOf(region)
+	switch {
+	case p == -1:
+		op.slotDone(0, 0, ErrUnavailable)
+	case p == m.ID:
+		m.OnThread(op.t.thread, cpuLocal, op.localFn)
+	default:
+		// A reservation the primary never answers reports ErrUnavailable,
+		// and the next candidate is tried; a late answer is dropped, and
+		// its slot left to allocator recovery.
+		req := &allocSlotReq{Region: region, Size: op.size}
+		req.ID = m.call(p, req, op.calledFn)
+		m.sendFromThread(op.t.thread, p, req)
+	}
+}
+
+// local pops a slot from this machine's own primary replica.
+func (op *allocOp) local() {
+	off, ver, err := op.m.allocSlotLocal(op.regions[op.next], op.size)
+	op.slotDone(off, ver, err)
+}
+
+// called takes the primary's answer to ALLOC-SLOT.
+func (op *allocOp) called(resp interface{}, err error) {
+	if err != nil {
+		op.m.c.Counters.Inc("alloc_slot_stalled", 1)
+		op.slotDone(0, 0, err)
+		return
+	}
+	if r := resp.(*allocSlotResp); r.OK {
+		op.slotDone(r.Off, r.Version, nil)
+	} else {
+		op.slotDone(0, 0, ErrNoSpace)
+	}
+}
+
+// slotDone moves on to the next candidate after a failed reservation, or
+// enters the reserved slot into the write set with its first write.
+func (op *allocOp) slotDone(off uint32, version uint64, err error) {
+	if err != nil {
+		op.next++
+		op.try()
+		return
+	}
+	t := op.t
+	addr := proto.Addr{Region: op.regions[op.next], Off: off}
+	e := t.writeEntry(t.entry(addr))
+	e.version, e.allocated, e.isAlloc = version, true, true
+	t.setValue(e, op.value)
+	t.histWrite(addr, version, op.value, true, false)
+	op.done(addr, nil)
+}
+
+func (op *allocOp) noSpace() { op.done(proto.Addr{}, ErrNoSpace) }
+
+// done recycles the op, then reports to the application.
+func (op *allocOp) done(addr proto.Addr, err error) {
+	t, cb := op.t, op.cb
+	op.t, op.value, op.cb, op.regions, op.next = nil, nil, nil, op.regions[:0], 0
+	op.m.allocFree = append(op.m.allocFree, op)
+	cb(addr, err)
+	t.settle()
 }
 
 // Free deallocates the object at addr. The object must have been read in
@@ -474,7 +659,8 @@ func (t *Tx) Coordinator() *Machine { return t.m }
 
 // Abort abandons a transaction during the execute phase. Before Commit no
 // remote state exists — reads are one-sided and take no locks (§3) — so
-// aborting releases locally allocated slots and finishes the transaction.
+// aborting releases the slots Alloc reserved and finishes the transaction;
+// t and the bytes it handed out are not to be used once Abort returns.
 // Calling Abort after Commit (or twice) panics, like Commit.
 func (t *Tx) Abort() {
 	if t.finished {
@@ -485,6 +671,8 @@ func (t *Tx) Abort() {
 	t.endTxSpan(errTxDone)
 	t.histFinish(history.UserAborted)
 	t.m.c.Counters.Inc("tx_user_abort", 1)
+	t.appDone = true
+	t.release()
 }
 
 // releaseAllocs cleans up execute-phase side effects (allocated slots) for a
@@ -495,27 +683,6 @@ func (t *Tx) releaseAllocs() {
 			t.m.releaseSlot(e.addr)
 		}
 	}
-}
-
-// allocCandidates orders regions to try for an allocation.
-func (m *Machine) allocCandidates(hint *proto.Addr) []uint32 {
-	if hint != nil {
-		return []uint32{hint.Region}
-	}
-	var local, remote []uint32
-	for i := range m.regions {
-		rm := m.regions[i].mapping
-		if rm == nil || len(rm.Replicas) == 0 {
-			continue
-		}
-		if int(rm.Replicas[0]) == m.ID {
-			local = append(local, uint32(i))
-		} else {
-			remote = append(remote, uint32(i))
-		}
-	}
-	// Both halves ascend, like the table.
-	return append(local, remote...)
 }
 
 // allocSlotReq and friends are the slot-reservation RPCs between a
@@ -537,40 +704,6 @@ type allocSlotResp struct {
 type releaseSlotReq struct {
 	Region uint32
 	Off    uint32
-}
-
-// allocSlot reserves a slot in region (locally or via the primary).
-func (m *Machine) allocSlot(thread int, region uint32, size int, cb func(off uint32, version uint64, err error)) {
-	p := m.primaryOf(region)
-	if p == -1 {
-		cb(0, 0, ErrUnavailable)
-		return
-	}
-	if p == m.ID {
-		m.OnThread(thread, cpuLocal, func() {
-			off, ver, err := m.allocSlotLocal(region, size)
-			cb(off, ver, err)
-		})
-		return
-	}
-	// A reservation the primary never answers reports ErrUnavailable, and
-	// its transaction tries the next candidate region; a late answer is
-	// dropped, and its slot left to allocator recovery.
-	req := &allocSlotReq{Region: region, Size: size}
-	req.ID = m.call(p, req, func(resp interface{}, err error) {
-		if err != nil {
-			m.c.Counters.Inc("alloc_slot_stalled", 1)
-			cb(0, 0, err)
-			return
-		}
-		r := resp.(*allocSlotResp)
-		if !r.OK {
-			cb(0, 0, ErrNoSpace)
-			return
-		}
-		cb(r.Off, r.Version, nil)
-	})
-	m.sendFromThread(thread, p, req)
 }
 
 // allocSlotLocal pops a slot from the local primary's free list.
@@ -604,6 +737,17 @@ func (m *Machine) releaseSlot(addr proto.Addr) {
 	}
 	// If the primary is gone, allocator recovery's scan reclaims the slot
 	// (its allocation bit was never set).
+}
+
+// FreeSlots reports how many free slots the size class serving size-byte
+// payloads has in this machine's replica of region, or -1 when it is not the
+// region's primary: the slots an aborted transaction reserved come back here.
+func (m *Machine) FreeSlots(region uint32, size int) int {
+	rep := m.replica(region)
+	if rep == nil || !rep.primary {
+		return -1
+	}
+	return rep.alloc.FreeCount(size)
 }
 
 // rpcReply answers a slot reservation, a region allocation or an

@@ -675,7 +675,8 @@ func (op *chainOp) fail(err error) {
 }
 
 // Get looks key up within tx. ok reports presence; val is the caller's to
-// keep and change.
+// change, and valid until tx finishes (its Commit callback or Abort
+// returns).
 func (t *Table) Get(tx *core.Tx, key []byte, cb func(val []byte, ok bool, err error)) {
 	if len(key) > t.maxKey {
 		cb(nil, false, fmt.Errorf("kv: key too long"))

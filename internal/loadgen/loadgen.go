@@ -8,6 +8,8 @@
 package loadgen
 
 import (
+	"runtime"
+
 	"farm/internal/core"
 	"farm/internal/sim"
 	"farm/internal/stats"
@@ -182,6 +184,23 @@ func RunSync(c *core.Cluster, m *core.Machine, thread int, fn func(tx *core.Tx, 
 	}
 	return result
 }
+
+// AllocsPerOp runs the cluster for window, with g loaded, and returns the
+// heap allocations per operation g committed over it, and how many it
+// committed. The window runs in a function of its own, allocWindow, so that
+// an allocation profile can be narrowed to it (make allocs).
+func (g *Generator) AllocsPerOp(window sim.Time) (float64, uint64) {
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	ops := g.committed
+	allocWindow(g.c, window)
+	runtime.ReadMemStats(&m1)
+	ops = g.committed - ops
+	return float64(m1.Mallocs-m0.Mallocs) / float64(max(ops, 1)), ops
+}
+
+func allocWindow(c *core.Cluster, d sim.Time) { c.RunFor(d) }
 
 // RunPoint drives one load point for the throughput–latency sweeps: run
 // for warmup+measure of virtual time and return (throughput ops/s, median,

@@ -3,41 +3,135 @@ package tpcc
 import (
 	"testing"
 
+	"farm/internal/core"
+	"farm/internal/loadgen"
 	"farm/internal/sim"
 )
 
-// TestNewOrderAllocationBudget: on a warmed one-warehouse cluster whose
-// coordinator is the warehouse's primary, a committed NewOrder — its header
-// reads, order and new-order inserts, 5–15 order lines and the commit, plus
-// the events the cluster runs meanwhile — costs 28 allocations. Its state
-// machine, the kv and B-tree operations it issues and their keys and rows all
-// come from pools or its own arrays; with a chainOp and a treeOp per
-// operation and a closure, key and row per step it cost 153, and 34 while
-// participants copied every log record out of the ring and one-sided reads
-// made their own buffers.
-func TestNewOrderAllocationBudget(t *testing.T) {
+// The allocation budgets of the five transactions, each on a warmed
+// one-warehouse cluster whose coordinator is the warehouse's primary, per
+// committed transaction: the state machine, its Tx with the chunks it carves
+// from, the kv and B-tree operations it issues and their keys and rows all
+// come from pools or its own arrays, so what is left is the events the
+// cluster runs meanwhile. Each bound leaves about 10 % head-room.
+
+// txnFunc is one of the Workload's transaction entry points.
+type txnFunc func(w *Workload, m *core.Machine, thread int, wh *warehouse, rng *sim.Rand, done func(bool))
+
+// allocsPerCommit runs txn on a warmed cluster, then backlog more
+// NewOrders, and returns txn's allocations per committed run.
+func allocsPerCommit(t *testing.T, txn txnFunc, backlog int) float64 {
+	t.Helper()
 	c, w := setup(t, 1)
 	wh := w.whs[0]
 	m := c.Machine(wh.home)
 	rng := sim.NewRand(11)
 	finished, committed := false, false
 	done := func(ok bool) { finished, committed = true, ok }
-	one := func() {
+	run := func(txn txnFunc) {
 		finished = false
-		w.NewOrder(m, 0, wh, rng, done)
+		txn(w, m, 0, wh, rng, done)
 		for !finished && c.Eng.Step() {
 		}
 		if !committed {
-			t.Fatal("a NewOrder on an idle cluster did not commit")
+			t.Fatalf("a transaction on an idle cluster did not commit (%d NewOrders)", w.NewOrders)
 		}
 	}
-	for i := 0; i < 200; i++ {
-		one() // warm the pools, the B-tree caches and the indexes
+	for i := 0; i < 100; i++ {
+		// Warm the pools, the B-tree caches and the indexes.
+		run((*Workload).NewOrder)
+		run(txn)
 	}
-	per := testing.AllocsPerRun(200, one)
+	for i := 0; i < backlog; i++ {
+		run((*Workload).NewOrder)
+	}
+	return testing.AllocsPerRun(50, func() { run(txn) })
+}
+
+// TestNewOrderAllocationBudget: a committed NewOrder — its header reads,
+// order and new-order inserts, 5–15 order lines and the commit, plus the
+// events the cluster runs meanwhile — costs 2 to 3 allocations. With a
+// chainOp and a treeOp per operation and a closure, key and row per step it
+// cost 153, 34 while participants copied every log record out of the ring
+// and one-sided reads made their own buffers, and 23 while every
+// transaction made its own Tx and slab chunks.
+func TestNewOrderAllocationBudget(t *testing.T) {
+	per := allocsPerCommit(t, (*Workload).NewOrder, 0)
 	t.Logf("NewOrder: %.1f allocs per committed transaction", per)
-	const budget = 28 * 1.1
+	const budget = 3 * 1.1
 	if per > budget {
-		t.Errorf("NewOrder: %.1f allocs per committed transaction, want <= %.0f", per, budget)
+		t.Errorf("NewOrder: %.1f allocs per committed transaction, want <= %.1f", per, budget)
+	}
+}
+
+// TestPaymentAllocationBudget: a committed Payment — three row updates, a
+// history insert and the commit — allocates nothing; it cost 16 as a
+// closure chain on fresh keys, each run on a Tx of its own.
+func TestPaymentAllocationBudget(t *testing.T) {
+	per := allocsPerCommit(t, (*Workload).Payment, 0)
+	t.Logf("Payment: %.1f allocs per committed transaction", per)
+	if per > 0 {
+		t.Errorf("Payment: %.1f allocs per committed transaction, want 0", per)
+	}
+}
+
+// TestOrderStatusAllocationBudget: a committed OrderStatus costs the one
+// slice its order-line Scan returns the pairs in (12 as a closure chain).
+func TestOrderStatusAllocationBudget(t *testing.T) {
+	per := allocsPerCommit(t, (*Workload).OrderStatus, 0)
+	t.Logf("OrderStatus: %.1f allocs per committed transaction", per)
+	if per > 1 {
+		t.Errorf("OrderStatus: %.1f allocs per committed transaction, want <= 1", per)
+	}
+}
+
+// TestDeliveryAllocationBudget: a committed Delivery with an order to
+// deliver in every district — ten transactions of two Scans each — costs
+// the twenty slices the Scans return their pairs in, and about three more
+// (175 as a closure chain).
+func TestDeliveryAllocationBudget(t *testing.T) {
+	per := allocsPerCommit(t, (*Workload).Delivery, 800)
+	t.Logf("Delivery: %.1f allocs per committed transaction", per)
+	const budget = 23 * 1.1
+	if per > budget {
+		t.Errorf("Delivery: %.1f allocs per committed transaction, want <= %.1f", per, budget)
+	}
+}
+
+// TestStockLevelAllocationBudget: a committed StockLevel costs the slice its
+// order-line Scan returns the pairs in (137 as a closure chain: a key per
+// stock read among them).
+func TestStockLevelAllocationBudget(t *testing.T) {
+	per := allocsPerCommit(t, (*Workload).StockLevel, 0)
+	t.Logf("StockLevel: %.1f allocs per committed transaction", per)
+	if per > 1 {
+		t.Errorf("StockLevel: %.1f allocs per committed transaction, want <= 1", per)
+	}
+}
+
+// TestMixAllocationBudget: the benchmark's tpcc_mix shape, scaled down — 9
+// machines, 2 threads each, one client and one warehouse per thread —
+// running Mix over a warmed window, costs 3.6 allocations per committed
+// operation: slab chunks a Tx shed after smaller transactions and takes up
+// again, the pair slices Delivery's Scans return, the buffers lock-free node
+// reads make for the B-tree caches and the node bytes of splits (make allocs
+// lists the sites).
+func TestMixAllocationBudget(t *testing.T) {
+	c := core.New(core.Options{NumMachines: 9, Threads: 2, Seed: 1})
+	w, err := Setup(c, DefaultConfig(18))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := loadgen.New(c, w.Mix())
+	g.Start([]int{0, 1, 2, 3, 4, 5, 6, 7, 8}, 2, 1)
+	c.RunFor(5 * sim.Millisecond) // pools filled, rings wrapped
+	per, ops := g.AllocsPerOp(10 * sim.Millisecond)
+	if ops < 1000 {
+		t.Fatalf("only %d operations committed in the window", ops)
+	}
+	t.Logf("tpcc mix: %.2f allocs per committed operation over %d committed", per, ops)
+	const budget = 3.6 * 1.1
+	if per > budget {
+		t.Errorf("tpcc mix: %.2f allocs per committed operation, want <= %.2f", per, budget)
 	}
 }

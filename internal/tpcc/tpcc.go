@@ -83,8 +83,10 @@ type Workload struct {
 	local [][]*warehouse
 
 	histSeq uint64
-	// noFree holds finished NewOrder state machines for reuse (newOrder).
+	// noFree and opFree hold finished state machines for reuse: NewOrder's
+	// (newOrder) and the other four transactions' (txOp).
 	noFree []*newOrder
+	opFree []*txOp
 
 	// NewOrderLat and NewOrderTimeline record only "new order"
 	// transactions, the metric of Figures 8 and 10.
@@ -529,10 +531,16 @@ func (no *newOrder) finish(ok bool) {
 	done(ok)
 }
 
+// fail aborts the transaction after a failed step.
+func (no *newOrder) fail() {
+	no.tx.Abort()
+	no.finish(false)
+}
+
 // gotRow takes the row a Get found.
 func (no *newOrder) gotRow(row []byte, ok bool, err error) {
 	if err != nil || !ok {
-		no.finish(false)
+		no.fail()
 		return
 	}
 	wh := no.wh
@@ -570,7 +578,7 @@ func (no *newOrder) gotRow(row []byte, ok bool, err error) {
 // wrote goes on from a finished Put.
 func (no *newOrder) wrote(err error) {
 	if err != nil {
-		no.finish(false)
+		no.fail()
 		return
 	}
 	wh, d := no.wh, no.d
@@ -632,262 +640,350 @@ func (no *newOrder) committed(err error) {
 // Payment updates warehouse/district ytd and the customer balance (15%
 // remote customer) and appends a history row.
 func (w *Workload) Payment(m *core.Machine, thread int, wh *warehouse, rng *sim.Rand, done func(bool)) {
-	d := rng.Intn(w.Cfg.Districts) + 1
-	cwh := wh
+	op := w.newTxOp(m, thread, wh, rng, done)
+	op.d = rng.Intn(w.Cfg.Districts) + 1
+	op.cwh = wh
 	if rng.Intn(100) < w.Cfg.RemotePaymentPct && len(w.whs) > 1 {
-		cwh = w.whs[rng.Intn(len(w.whs))]
-		if cwh != wh {
+		op.cwh = w.whs[rng.Intn(len(w.whs))]
+		if op.cwh != wh {
 			w.RemoteAccesses++
 		}
 	}
-	cid := rng.Intn(w.Cfg.CustomersPerDist)
-	amount := uint64(rng.Intn(5000) + 1)
-
-	dkey, ckey := kv.U64Key(uint64(d)), custKey(d, cid)
-	tx := m.Begin(thread)
-	wh.wTbl.Get(tx, warehouseKey, func(wrow []byte, ok bool, err error) {
-		if err != nil || !ok {
-			done(false)
-			return
-		}
-		binary.LittleEndian.PutUint64(wrow, binary.LittleEndian.Uint64(wrow)+amount)
-		wh.wTbl.Put(tx, warehouseKey, wrow, func(err error) {
-			if err != nil {
-				done(false)
-				return
-			}
-			wh.dTbl.Get(tx, dkey, func(drow []byte, ok bool, err error) {
-				if err != nil || !ok {
-					done(false)
-					return
-				}
-				binary.LittleEndian.PutUint64(drow[8:], binary.LittleEndian.Uint64(drow[8:])+amount)
-				wh.dTbl.Put(tx, dkey, drow, func(err error) {
-					if err != nil {
-						done(false)
-						return
-					}
-					cwh.cTbl.Get(tx, ckey, func(crow []byte, ok bool, err error) {
-						if err != nil || !ok {
-							done(false)
-							return
-						}
-						binary.LittleEndian.PutUint64(crow, binary.LittleEndian.Uint64(crow)+amount)
-						binary.LittleEndian.PutUint32(crow[16:], binary.LittleEndian.Uint32(crow[16:])+1)
-						cwh.cTbl.Put(tx, ckey, crow, func(err error) {
-							if err != nil {
-								done(false)
-								return
-							}
-							w.histSeq++
-							hrow := make([]byte, historyRow)
-							binary.LittleEndian.PutUint64(hrow, amount)
-							wh.histTbl.Put(tx, kv.U64Key(w.histSeq<<8|uint64(wh.id)), hrow, func(err error) {
-								if err != nil {
-									done(false)
-									return
-								}
-								tx.Commit(func(err error) { done(err == nil) })
-							})
-						})
-					})
-				})
-			})
-		})
-	})
+	op.cid = rng.Intn(w.Cfg.CustomersPerDist)
+	op.amount = uint64(rng.Intn(5000) + 1)
+	binary.LittleEndian.PutUint64(op.dkey[:], uint64(op.d))
+	binary.LittleEndian.PutUint64(op.ckey[:], custID(op.d, op.cid))
+	op.tx = m.Begin(thread)
+	op.stage = payWarehouse
+	wh.wTbl.Get(op.tx, warehouseKey, op.getFn)
 }
 
 // OrderStatus reads a customer (by id or through the name index) and the
 // lines of the district's most recent order (read-only; B-tree range
 // read).
 func (w *Workload) OrderStatus(m *core.Machine, thread int, wh *warehouse, rng *sim.Rand, done func(bool)) {
-	d := rng.Intn(w.Cfg.Districts) + 1
-	cid := rng.Intn(w.Cfg.CustomersPerDist)
-	tx := m.Begin(thread)
-	lookupOrder := func() {
-		wh.dTbl.Get(tx, kv.U64Key(uint64(d)), func(drow []byte, ok bool, err error) {
-			if err != nil || !ok {
-				done(false)
-				return
-			}
-			next := int(binary.LittleEndian.Uint32(drow))
-			if next <= 1 {
-				tx.Commit(func(err error) { done(err == nil) })
-				return
-			}
-			oid := next - 1
-			wh.orders[d].Get(tx, orderKey(d, oid), func(_ []byte, _ bool, err error) {
-				if err != nil {
-					done(false)
-					return
-				}
-				wh.orderLines[d].Scan(tx, olKey(d, oid, 0), 15, func(_ []btree.Pair, err error) {
-					if err != nil {
-						done(false)
-						return
-					}
-					tx.Commit(func(err error) { done(err == nil) })
-				})
-			})
-		})
-	}
+	op := w.newTxOp(m, thread, wh, rng, done)
+	op.d = rng.Intn(w.Cfg.Districts) + 1
+	op.cid = rng.Intn(w.Cfg.CustomersPerDist)
+	binary.LittleEndian.PutUint64(op.dkey[:], uint64(op.d))
+	op.tx = m.Begin(thread)
 	if rng.Bool(0.6) {
 		// 60% select customer by last name through the name index.
-		wh.custByName.Scan(tx, custNameKey(d, cid)&^0xFFFF, 3, func(_ []btree.Pair, err error) {
-			if err != nil {
-				done(false)
-				return
-			}
-			lookupOrder()
-		})
+		op.stage = osByName
+		wh.custByName.Scan(op.tx, custNameKey(op.d, op.cid)&^0xFFFF, 3, op.scanFn)
 		return
 	}
-	wh.cTbl.Get(tx, custKey(d, cid), func(_ []byte, ok bool, err error) {
-		if err != nil || !ok {
-			done(false)
-			return
-		}
-		lookupOrder()
-	})
+	binary.LittleEndian.PutUint64(op.ckey[:], custID(op.d, op.cid))
+	op.stage = osCustomer
+	wh.cTbl.Get(op.tx, op.ckey[:], op.getFn)
 }
 
 // Delivery processes the oldest undelivered order of each district, one
 // transaction per district as the spec permits.
 func (w *Workload) Delivery(m *core.Machine, thread int, wh *warehouse, rng *sim.Rand, done func(bool)) {
-	var perDistrict func(d int)
-	perDistrict = func(d int) {
-		if d > w.Cfg.Districts {
-			done(true)
-			return
-		}
-		tx := m.Begin(thread)
-		wh.newOrders[d].Scan(tx, orderKey(d, 0), 1, func(pairs []btree.Pair, err error) {
-			if err != nil {
-				done(false)
-				return
-			}
-			if len(pairs) == 0 || pairs[0].Key>>40 != uint64(d) {
-				// No undelivered orders in this district.
-				tx.Commit(func(error) { perDistrict(d + 1) })
-				return
-			}
-			key := pairs[0].Key
-			oid := int(key & (1<<40 - 1))
-			wh.newOrders[d].Delete(tx, key, func(_ bool, err error) {
-				if err != nil {
-					done(false)
-					return
-				}
-				wh.orders[d].Get(tx, key, func(orow []byte, ok bool, err error) {
-					if err != nil || !ok {
-						done(false)
-						return
-					}
-					orow[13] = byte(rng.Intn(10) + 1) // carrier
-					wh.orders[d].Put(tx, key, orow, func(err error) {
-						if err != nil {
-							done(false)
-							return
-						}
-						cid := int(binary.LittleEndian.Uint32(orow))
-						wh.orderLines[d].Scan(tx, olKey(d, oid, 0), 15, func(lines []btree.Pair, err error) {
-							if err != nil {
-								done(false)
-								return
-							}
-							var total uint64
-							for _, l := range lines {
-								if l.Key>>8 == uint64(d)<<32|uint64(oid) {
-									total += uint64(binary.LittleEndian.Uint32(l.Val[8:]))
-								}
-							}
-							ckey := custKey(d, cid)
-							wh.cTbl.Get(tx, ckey, func(crow []byte, ok bool, err error) {
-								if err != nil || !ok {
-									done(false)
-									return
-								}
-								binary.LittleEndian.PutUint64(crow, binary.LittleEndian.Uint64(crow)+total)
-								binary.LittleEndian.PutUint32(crow[20:], binary.LittleEndian.Uint32(crow[20:])+1)
-								wh.cTbl.Put(tx, ckey, crow, func(err error) {
-									if err != nil {
-										done(false)
-										return
-									}
-									tx.Commit(func(err error) {
-										if err != nil {
-											done(false)
-											return
-										}
-										perDistrict(d + 1)
-									})
-								})
-							})
-						})
-					})
-				})
-			})
-		})
-	}
-	perDistrict(1)
+	op := w.newTxOp(m, thread, wh, rng, done)
+	op.d = 1
+	op.deliver()
 }
 
 // StockLevel counts recent-order items below a stock threshold (read-only,
 // large B-tree scan + stock point reads).
 func (w *Workload) StockLevel(m *core.Machine, thread int, wh *warehouse, rng *sim.Rand, done func(bool)) {
-	d := rng.Intn(w.Cfg.Districts) + 1
-	threshold := uint32(rng.Intn(11) + 10)
-	tx := m.Begin(thread)
-	wh.dTbl.Get(tx, kv.U64Key(uint64(d)), func(drow []byte, ok bool, err error) {
-		if err != nil || !ok {
-			done(false)
-			return
-		}
-		next := int(binary.LittleEndian.Uint32(drow))
+	op := w.newTxOp(m, thread, wh, rng, done)
+	op.d = rng.Intn(w.Cfg.Districts) + 1
+	op.threshold = uint32(rng.Intn(11) + 10)
+	binary.LittleEndian.PutUint64(op.dkey[:], uint64(op.d))
+	op.tx = m.Begin(thread)
+	op.stage = slDistrict
+	wh.dTbl.Get(op.tx, op.dkey[:], op.getFn)
+}
+
+// txOp is one Payment, OrderStatus, Delivery or StockLevel as a pooled state
+// machine, in newOrder's shape: stage says which lookup, write, scan or
+// commit is outstanding, its continuations are bound once, its keys and
+// history row are its own arrays, and it returns to the workload's pool,
+// reset whole, before done runs. The rows a Get returns and the pairs a Scan
+// returns are the transaction's bytes, changed in place and written back
+// before it finishes. Every failed step aborts the transaction, which
+// returns the slots a split or an overflow bucket reserved.
+type txOp struct {
+	w      *Workload
+	m      *core.Machine
+	thread int
+	tx     *core.Tx
+	wh     *warehouse
+	cwh    *warehouse // Payment's customer warehouse
+	rng    *sim.Rand
+	done   func(bool)
+
+	stage     uint8
+	d, cid    int
+	oid       int    // OrderStatus's and Delivery's order
+	amount    uint64 // Payment's amount, Delivery's order total
+	nokey     uint64 // Delivery's new-order key
+	threshold uint32 // StockLevel's
+	ids       []uint32
+	next      int // StockLevel's item being checked
+	low       int // StockLevel's items below threshold
+
+	dkey, ckey, key [8]byte // kv.U64Key's encoding; key is history's or stock's
+	hrow            [historyRow]byte
+
+	getFn    func(row []byte, ok bool, err error)
+	putFn    func(err error)
+	scanFn   func(pairs []btree.Pair, err error)
+	delFn    func(ok bool, err error)
+	commitFn func(err error)
+}
+
+// What a txOp is waiting for.
+const (
+	payWarehouse    = iota // Get of the warehouse row
+	payWarehousePut        // Put of its ytd
+	payDistrict            // Get of the district row
+	payDistrictPut         // Put of its ytd
+	payCustomer            // Get of the customer row
+	payCustomerPut         // Put of its balance
+	payHistory             // Put of the history row
+	osByName               // Scan of the name index
+	osCustomer             // Get of the customer row
+	osDistrict             // Get of the district row
+	osOrder                // Get of the latest order
+	osLines                // Scan of its lines
+	dlNewOrder             // Scan of the district's oldest new-order entry
+	dlEmpty                // commit of a district with none
+	dlDelete               // Delete of the entry
+	dlOrder                // Get of its order
+	dlOrderPut             // Put of the order's carrier
+	dlLines                // Scan of its lines
+	dlCustomer             // Get of the customer row
+	dlCustomerPut          // Put of its balance
+	dlCommit               // commit of the district's delivery
+	slDistrict             // Get of the district row
+	slLines                // Scan of the recent order lines
+	slStock                // Get of an item's stock row
+)
+
+func (w *Workload) newTxOp(m *core.Machine, thread int, wh *warehouse, rng *sim.Rand, done func(bool)) *txOp {
+	var op *txOp
+	if k := len(w.opFree); k > 0 {
+		op = w.opFree[k-1]
+		w.opFree = w.opFree[:k-1]
+	} else {
+		op = &txOp{w: w}
+		op.getFn, op.putFn, op.scanFn, op.delFn, op.commitFn = op.gotRow, op.wrote, op.scanned, op.deleted, op.committed
+	}
+	op.m, op.thread, op.wh, op.rng, op.done = m, thread, wh, rng, done
+	return op
+}
+
+// finish returns the state machine to the pool, reset whole but for its
+// workload, bound continuations and the capacity of ids, then reports ok.
+func (op *txOp) finish(ok bool) {
+	w, done := op.w, op.done
+	*op = txOp{w: w, ids: op.ids[:0], getFn: op.getFn, putFn: op.putFn, scanFn: op.scanFn, delFn: op.delFn, commitFn: op.commitFn}
+	w.opFree = append(w.opFree, op)
+	done(ok)
+}
+
+// fail aborts the transaction after a failed step.
+func (op *txOp) fail() {
+	op.tx.Abort()
+	op.finish(false)
+}
+
+// gotRow takes the row a Get found.
+func (op *txOp) gotRow(row []byte, ok bool, err error) {
+	if err != nil || !ok && op.stage != osOrder && op.stage != slStock {
+		op.fail()
+		return
+	}
+	wh, tx, d := op.wh, op.tx, op.d
+	switch op.stage {
+	case payWarehouse:
+		binary.LittleEndian.PutUint64(row, binary.LittleEndian.Uint64(row)+op.amount)
+		op.stage = payWarehousePut
+		wh.wTbl.Put(tx, warehouseKey, row, op.putFn)
+	case payDistrict:
+		binary.LittleEndian.PutUint64(row[8:], binary.LittleEndian.Uint64(row[8:])+op.amount)
+		op.stage = payDistrictPut
+		wh.dTbl.Put(tx, op.dkey[:], row, op.putFn)
+	case payCustomer:
+		binary.LittleEndian.PutUint64(row, binary.LittleEndian.Uint64(row)+op.amount)
+		binary.LittleEndian.PutUint32(row[16:], binary.LittleEndian.Uint32(row[16:])+1)
+		op.stage = payCustomerPut
+		op.cwh.cTbl.Put(tx, op.ckey[:], row, op.putFn)
+	case osCustomer:
+		op.lookupOrder()
+	case osDistrict:
+		next := int(binary.LittleEndian.Uint32(row))
 		if next <= 1 {
-			tx.Commit(func(err error) { done(err == nil) })
+			tx.Commit(op.commitFn)
 			return
 		}
-		from := next - 10
-		if from < 1 {
-			from = 1
+		op.oid = next - 1
+		op.stage = osOrder
+		wh.orders[d].Get(tx, orderKey(d, op.oid), op.getFn)
+	case osOrder:
+		op.stage = osLines
+		wh.orderLines[d].Scan(tx, olKey(d, op.oid, 0), 15, op.scanFn)
+	case dlOrder:
+		row[13] = byte(op.rng.Intn(10) + 1) // carrier
+		op.cid = int(binary.LittleEndian.Uint32(row))
+		op.stage = dlOrderPut
+		wh.orders[d].Put(tx, op.nokey, row, op.putFn)
+	case dlCustomer:
+		binary.LittleEndian.PutUint64(row, binary.LittleEndian.Uint64(row)+op.amount)
+		binary.LittleEndian.PutUint32(row[20:], binary.LittleEndian.Uint32(row[20:])+1)
+		op.stage = dlCustomerPut
+		wh.cTbl.Put(tx, op.ckey[:], row, op.putFn)
+	case slDistrict:
+		next := int(binary.LittleEndian.Uint32(row))
+		if next <= 1 {
+			tx.Commit(op.commitFn)
+			return
 		}
-		wh.orderLines[d].Scan(tx, olKey(d, from, 0), 60, func(lines []btree.Pair, err error) {
-			if err != nil {
-				done(false)
-				return
+		op.stage = slLines
+		wh.orderLines[d].Scan(tx, olKey(d, max(next-10, 1), 0), 60, op.scanFn)
+	case slStock:
+		if ok && binary.LittleEndian.Uint32(row) < op.threshold {
+			op.low++
+		}
+		op.checkStock(op.next + 1)
+	}
+}
+
+// wrote goes on from a finished Put.
+func (op *txOp) wrote(err error) {
+	if err != nil {
+		op.fail()
+		return
+	}
+	wh, tx, d := op.wh, op.tx, op.d
+	switch op.stage {
+	case payWarehousePut:
+		op.stage = payDistrict
+		wh.dTbl.Get(tx, op.dkey[:], op.getFn)
+	case payDistrictPut:
+		op.stage = payCustomer
+		op.cwh.cTbl.Get(tx, op.ckey[:], op.getFn)
+	case payCustomerPut:
+		w := op.w
+		w.histSeq++
+		binary.LittleEndian.PutUint64(op.hrow[:], op.amount)
+		binary.LittleEndian.PutUint64(op.key[:], w.histSeq<<8|uint64(wh.id))
+		op.stage = payHistory
+		wh.histTbl.Put(tx, op.key[:], op.hrow[:], op.putFn)
+	case payHistory, dlCustomerPut:
+		if op.stage == dlCustomerPut {
+			op.stage = dlCommit
+		}
+		tx.Commit(op.commitFn)
+	case dlOrderPut:
+		op.stage = dlLines
+		wh.orderLines[d].Scan(tx, olKey(d, op.oid, 0), 15, op.scanFn)
+	}
+}
+
+// scanned takes the pairs a Scan returned.
+func (op *txOp) scanned(pairs []btree.Pair, err error) {
+	if err != nil {
+		op.fail()
+		return
+	}
+	wh, tx, d := op.wh, op.tx, op.d
+	switch op.stage {
+	case osByName:
+		op.lookupOrder()
+	case osLines:
+		tx.Commit(op.commitFn)
+	case dlNewOrder:
+		if len(pairs) == 0 || pairs[0].Key>>40 != uint64(d) {
+			// No undelivered orders in this district.
+			op.stage = dlEmpty
+			tx.Commit(op.commitFn)
+			return
+		}
+		op.nokey = pairs[0].Key
+		op.oid = int(op.nokey & (1<<40 - 1))
+		op.stage = dlDelete
+		wh.newOrders[d].Delete(tx, op.nokey, op.delFn)
+	case dlLines:
+		for _, l := range pairs {
+			if l.Key>>8 == uint64(d)<<32|uint64(op.oid) {
+				op.amount += uint64(binary.LittleEndian.Uint32(l.Val[8:]))
 			}
-			// Distinct item ids in scan order: the stock Gets below are
-			// simulation events, so their order must be a function of the
-			// seed (a map's iteration order is not).
-			var ids []uint32
-			for _, l := range lines {
-				if int(l.Key>>40) != d {
-					break
-				}
-				if id := binary.LittleEndian.Uint32(l.Val); !slices.Contains(ids, id) {
-					ids = append(ids, id)
-				}
+		}
+		binary.LittleEndian.PutUint64(op.ckey[:], custID(d, op.cid))
+		op.stage = dlCustomer
+		wh.cTbl.Get(tx, op.ckey[:], op.getFn)
+	case slLines:
+		// Distinct item ids in scan order: the stock Gets below are
+		// simulation events, so their order must be a function of the
+		// seed (a map's iteration order is not).
+		for _, l := range pairs {
+			if int(l.Key>>40) != d {
+				break
 			}
-			low := 0
-			var check func(i int)
-			check = func(i int) {
-				if i == len(ids) {
-					tx.Commit(func(err error) { done(err == nil) })
-					return
-				}
-				wh.sTbl.Get(tx, kv.U64Key(uint64(ids[i])), func(srow []byte, ok bool, err error) {
-					if err != nil {
-						done(false)
-						return
-					}
-					if ok && binary.LittleEndian.Uint32(srow) < threshold {
-						low++
-					}
-					check(i + 1)
-				})
+			if id := binary.LittleEndian.Uint32(l.Val); !slices.Contains(op.ids, id) {
+				op.ids = append(op.ids, id)
 			}
-			check(0)
-		})
-	})
+		}
+		op.checkStock(0)
+	}
+}
+
+// deleted goes on from Delivery's Delete of the new-order entry.
+func (op *txOp) deleted(_ bool, err error) {
+	if err != nil {
+		op.fail()
+		return
+	}
+	op.stage = dlOrder
+	op.wh.orders[op.d].Get(op.tx, op.nokey, op.getFn)
+}
+
+// committed takes the commit's answer: Delivery goes on to the next
+// district (after an empty one whatever the answer), the others finish.
+func (op *txOp) committed(err error) {
+	switch {
+	case op.stage == dlEmpty || op.stage == dlCommit && err == nil:
+		op.d++
+		op.deliver()
+	default:
+		op.finish(err == nil)
+	}
+}
+
+// lookupOrder is OrderStatus's second half, once the customer was found:
+// the district's most recent order and its lines.
+func (op *txOp) lookupOrder() {
+	op.stage = osDistrict
+	op.wh.dTbl.Get(op.tx, op.dkey[:], op.getFn)
+}
+
+// deliver starts district d's delivery transaction, or finishes after the
+// last district.
+func (op *txOp) deliver() {
+	if op.d > op.w.Cfg.Districts {
+		op.finish(true)
+		return
+	}
+	op.amount = 0
+	op.tx = op.m.Begin(op.thread)
+	op.stage = dlNewOrder
+	op.wh.newOrders[op.d].Scan(op.tx, orderKey(op.d, 0), 1, op.scanFn)
+}
+
+// checkStock reads the stock row of StockLevel's item i, or commits once
+// every item was checked.
+func (op *txOp) checkStock(i int) {
+	if i == len(op.ids) {
+		op.tx.Commit(op.commitFn)
+		return
+	}
+	op.next = i
+	binary.LittleEndian.PutUint64(op.key[:], uint64(op.ids[i]))
+	op.stage = slStock
+	op.wh.sTbl.Get(op.tx, op.key[:], op.getFn)
 }

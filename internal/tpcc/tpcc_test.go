@@ -288,3 +288,61 @@ func TestConcurrentMixIsConsistentAndSerializable(t *testing.T) {
 		t.Fatalf("history not strictly serializable:\n%s", rep)
 	}
 }
+
+// TestFailedNewOrderReturnsItsSlots: a NewOrder whose stock read fails after
+// its order insert split a leaf aborts its transaction, so the slot the split
+// reserved goes back to the primary's free list and the history records the
+// abandonment. Dropped without Abort, the transaction would leave the slot
+// reserved until allocator recovery and the history event open.
+func TestFailedNewOrderReturnsItsSlots(t *testing.T) {
+	defer func(order int) { treeOrder = order }(treeOrder)
+	treeOrder = 4
+	c := core.New(core.Options{NumMachines: 5, Seed: 41, History: true})
+	cfg := DefaultConfig(1)
+	cfg.CustomersPerDist = 12
+	cfg.Items = 240
+	w, err := Setup(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wh := w.whs[0]
+	m := c.Machine(wh.home)
+	rng := sim.NewRand(5)
+	for i := 0; i < 40; i++ {
+		if !runOp(t, c, func(d func(bool)) { w.NewOrder(m, 0, wh, rng, d) }) {
+			t.Fatalf("new order %d failed", i)
+		}
+	}
+	// Without stock rows every NewOrder fails at its first line's stock
+	// read, after its order and new-order inserts.
+	for item := 0; item < cfg.Items; item++ {
+		err := loadgen.RunSync(c, m, 0, func(tx *core.Tx, done func(error)) {
+			wh.sTbl.Delete(tx, kv.U64Key(uint64(item)), func(_ bool, err error) { done(err) })
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	region, size := wh.regions[0], wh.orders[1].NodeBytes()
+	free, splits := m.FreeSlots(region, size), w.DescentStats()[4]
+	if free < 0 {
+		t.Fatalf("machine %d is not the primary of the order indexes' region", m.ID)
+	}
+	events := c.Hist.Len()
+	for i := 0; i < 40; i++ {
+		if runOp(t, c, func(d func(bool)) { w.NewOrder(m, 0, wh, rng, d) }) {
+			t.Fatalf("new order %d committed without stock rows", i)
+		}
+	}
+	if w.DescentStats()[4] == splits {
+		t.Fatal("no failed NewOrder split a leaf: nothing tested")
+	}
+	if got := m.FreeSlots(region, size); got != free {
+		t.Fatalf("%d free node slots after the failed NewOrders, %d before", got, free)
+	}
+	for _, ev := range c.Hist.Export().Events[events:] {
+		if ev.Outcome != history.UserAborted {
+			t.Fatalf("failed NewOrder recorded as %v, want %v", ev.Outcome, history.UserAborted)
+		}
+	}
+}
