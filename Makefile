@@ -97,14 +97,14 @@ tools:
 	! go run ./cmd/farm-bench -fig nope
 
 # Where a transaction's allocations come from: the mix allocation budgets
-# of bank, tatp and tpcc (each a warmed window of the package's Mix, the
-# benchmark's shape scaled down) run under an exact allocation profile
+# of bank, tatp, tpcc and ycsb (each a warmed window of the package's Mix,
+# or ycsb's LookupOp, the benchmark's shape scaled down) run under an exact allocation profile
 # (-memprofilerate 1), and the sites inside the measured window (loadgen's
 # allocWindow) print per committed operation, most first. Profiles and test
 # binaries land in $(OUT). Not part of check.
 allocs:
 	@mkdir -p $(OUT)
-	@for p in bank tatp tpcc; do \
+	@for p in bank tatp tpcc ycsb; do \
 		ops=$$(go test -run 'MixAllocationBudget' -v -o $(OUT)/$$p.test -memprofile $(OUT)/allocs-$$p.prof \
 			-memprofilerate 1 ./internal/$$p | sed -n 's/.* over \([0-9]*\) committed.*/\1/p'); \
 		[ -n "$$ops" ] || exit 1; \

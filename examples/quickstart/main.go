@@ -45,7 +45,7 @@ func main() {
 	var got []byte
 	err = c.Sync(func(done func(error)) {
 		c.Machine(4).LockFreeRead(0, addr, 13, func(data []byte, err error) {
-			got = data
+			got = append([]byte(nil), data...) // data is valid until this returns
 			done(err)
 		})
 	})

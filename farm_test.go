@@ -29,7 +29,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	var got []byte
 	err = c.Sync(func(done func(error)) {
 		c.Machine(3).LockFreeRead(0, addr, 8, func(data []byte, err error) {
-			got = data
+			got = append([]byte(nil), data...) // data is valid until this returns
 			done(err)
 		})
 	})

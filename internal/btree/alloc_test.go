@@ -208,6 +208,45 @@ func TestCacheHoldsNoTransactionBytes(t *testing.T) {
 	}
 }
 
+// TestCacheKeepsItsBytesWhenLaterReadsLand: a lock-free read hands its
+// handler the read's own pooled buffer, which later reads reuse, so the cache
+// keeps a copy of what it fills from one. Lock-free reads of every leaf,
+// issued at once from the machine whose cache it is, take every pooled read
+// and land leaf bytes in their buffers; every cached entry stays as it was.
+func TestCacheKeepsItsBytesWhenLaterReadsLand(t *testing.T) {
+	r := newLocalTree(t)
+	c := r.t.cacheFor(r.m.ID)
+	a, ok := c.nodes[r.t.anchor]
+	if !ok {
+		t.Fatal("the anchor is not cached")
+	}
+	rootAddr, _ := anchorRoot(a)
+	root, ok := c.nodes[rootAddr]
+	if !ok {
+		t.Fatal("the root is not cached")
+	}
+	snap := make(map[proto.Addr][]byte, len(c.nodes))
+	for a, b := range c.nodes {
+		snap[a] = bytes.Clone(b)
+	}
+	rn := node{t: r.t, data: root}
+	landed := 0
+	for i := 0; i <= rn.nkeys(); i++ {
+		r.m.LockFreeRead(0, rn.child(i), r.t.NodeBytes(), func(data []byte, err error) {
+			if err != nil || !(node{t: r.t, data: data}).isLeaf() {
+				t.Fatalf("leaf read: %v", err)
+			}
+			landed++
+		})
+	}
+	r.run(func() bool { return landed == rn.nkeys()+1 })
+	for a, want := range snap {
+		if !bytes.Equal(c.nodes[a], want) {
+			t.Fatalf("cached node %v changed when lock-free reads of leaves landed", a)
+		}
+	}
+}
+
 func BenchmarkTreePut(b *testing.B) {
 	r := newLocalTree(b)
 	val := bytes.Repeat([]byte{0xAB}, 16)

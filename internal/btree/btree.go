@@ -14,6 +14,7 @@
 package btree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -459,9 +460,9 @@ func (op *treeOp) ReadDone(data []byte, err error) {
 		}
 		op.txStep(n.child(n.childIndex(op.key)), op.depth+1)
 	case stCachedAnchor, stCachedNode:
-		// Committed bytes, this operation's alone: cache them and walk on
-		// through the cache.
-		op.c.nodes[op.addr] = data
+		// Committed bytes in the read's own buffer, valid until this
+		// returns: cache a copy and walk on through the cache.
+		op.c.nodes[op.addr] = bytes.Clone(data)
 		if op.stage == stCachedAnchor {
 			op.descend()
 		} else {

@@ -115,6 +115,49 @@ func TestFreshReadAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestLockFreeReadAllocationBudget: a lock-free read lands in its pooled
+// op's own buffer, from region memory or through one verb, and its handler
+// is given that buffer, valid until it returns: a read allocates nothing,
+// local or remote (one buffer per read, the caller's to keep, before). The
+// lease traffic the cluster runs meanwhile is measured over an idle stretch
+// of the same virtual length and taken off.
+func TestLockFreeReadAllocationBudget(t *testing.T) {
+	const reads, size = 16, 64
+	c, prim, addrs := localObjects(t, reads, size)
+	remote := c.Machine((prim.ID + 1) % len(c.Machines))
+	for _, m := range []*core.Machine{prim, remote} {
+		i := 0
+		var next func([]byte, error)
+		next = func(data []byte, err error) {
+			if err != nil || len(data) != size {
+				t.Fatalf("read %d: %d bytes, %v", i, len(data), err)
+			}
+			if i++; i < reads {
+				m.LockFreeRead(0, addrs[i], size, next)
+			}
+		}
+		run := func() {
+			i = 0
+			m.LockFreeRead(0, addrs[0], size, next)
+			for i < reads && c.Eng.Step() {
+			}
+		}
+		start := c.Now()
+		run() // warm the pools
+		took := c.Now() - start
+		idle := testing.AllocsPerRun(100, func() { c.RunFor(took) })
+		n := (testing.AllocsPerRun(100, run) - idle) / reads
+		where := "local"
+		if m != prim {
+			where = "remote"
+		}
+		t.Logf("%s LockFreeRead: %.2f allocs", where, n)
+		if n > 0 {
+			t.Errorf("%s LockFreeRead: %v allocs, want 0", where, n)
+		}
+	}
+}
+
 // TestLocalValidationAllocationBudget: committing a read-only transaction
 // whose eight objects are all local validates them through pooled ops, the
 // set sorted in the machine's scratch, and allocates nothing (14 allocations

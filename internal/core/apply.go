@@ -286,6 +286,47 @@ func (m *Machine) newLockVerdict(src int, tx proto.TxID, ok bool, ctx trace.Ctx)
 	return v
 }
 
+// answerTask carries an RPC-REPLY's answer from the delivery upcall to the
+// worker that hands it to the call table, for the same reason: a pooled
+// reply goes back to its sender with its frame. Pooled like lockVerdict.
+type answerTask struct {
+	m     *Machine
+	id    uint64
+	body  interface{}
+	ctx   trace.Ctx
+	runFn func()
+}
+
+func (m *Machine) newAnswer(id uint64, body interface{}, ctx trace.Ctx) *answerTask {
+	var a *answerTask
+	if k := len(m.ansFree); k > 0 {
+		a = m.ansFree[k-1]
+		m.ansFree = m.ansFree[:k-1]
+	} else {
+		a = &answerTask{m: m}
+		a.runFn = a.run
+	}
+	a.id, a.body, a.ctx = id, body, ctx
+	return a
+}
+
+func (a *answerTask) run() {
+	m, id, body, ctx := a.m, a.id, a.body, a.ctx
+	a.body, a.ctx = nil, trace.Ctx{}
+	m.ansFree = append(m.ansFree, a)
+	if !m.alive {
+		return
+	}
+	if m.trb != nil && ctx.Valid() {
+		prev := m.curCtx
+		m.curCtx = ctx
+		m.answer(id, body)
+		m.curCtx = prev
+		return
+	}
+	m.answer(id, body)
+}
+
 func (v *lockVerdict) run() {
 	m, src, tx, ok, prev := v.m, v.src, v.tx, v.ok, v.m.curCtx
 	m.lockFree = append(m.lockFree, v)

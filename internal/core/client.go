@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+
 	"farm/internal/fabric"
 	"farm/internal/nvram"
 	"farm/internal/proto"
@@ -121,7 +123,8 @@ func (m *Machine) serveClient(fn func()) {
 	fn()
 }
 
-// onClientRead serves a read on a worker thread.
+// onClientRead serves a read on a worker thread. The response outlives the
+// read's handler, so it carries a copy of the bytes read.
 func (m *Machine) onClientRead(src int, req *clientReadReq) {
 	m.serveClient(func() {
 		m.LockFreeRead(0, req.Addr, req.Size, func(data []byte, err error) {
@@ -129,7 +132,7 @@ func (m *Machine) onClientRead(src int, req *clientReadReq) {
 			if err != nil {
 				resp.Err = err.Error()
 			} else {
-				resp.Data = data
+				resp.Data = bytes.Clone(data)
 			}
 			m.sendToClient(src, resp)
 		})

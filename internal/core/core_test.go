@@ -266,7 +266,7 @@ func TestLockFreeRead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = data
+		got = append([]byte(nil), data...) // data is valid until this returns
 	})
 	runUntil(t, c, sim.Second, func() bool { return got != nil })
 	if string(got) != "lockfree" {

@@ -34,7 +34,7 @@ func TestJoinAddsMember(t *testing.T) {
 		if err != nil {
 			t.Errorf("newcomer read: %v", err)
 		}
-		got = data
+		got = append([]byte(nil), data...) // data is valid until this returns
 	})
 	runUntil(t, c, sim.Second, func() bool { return got != nil })
 	if string(got) != "pre-join" {

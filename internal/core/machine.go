@@ -296,8 +296,11 @@ type Machine struct {
 	// commit-record writes, committing transactions, per-object validations
 	// (commit.go) and LOCK verdicts on their way to the coordinator's
 	// thread, decFree and pendFree for the log records participants decode
-	// and their participant entries, and lockReplies for the LOCK-REPLY
-	// messages this machine sends as a primary (apply.go).
+	// and their participant entries, lockReplies for the LOCK-REPLY
+	// messages this machine sends as a primary (apply.go), ansFree for
+	// RPC-REPLY answers on their way to the call table, and appFree and
+	// replyFree for the application calls it makes and the replies its
+	// application handler sends.
 	taskFree    []*msgTask
 	txFree      []*Tx
 	allocFree   []*allocOp
@@ -310,6 +313,9 @@ type Machine struct {
 	decFree     []*proto.Record
 	pendFree    []*remoteTx
 	lockReplies proto.LockReplyPool
+	ansFree     []*answerTask
+	appFree     []*appCall
+	replyFree   []*rpcReply
 	// pollShards is decodeFrames' per-poll table, one slot per coordinator
 	// thread (mod workers); every slot is nil between polls.
 	pollShards []*pollTask
@@ -609,15 +615,20 @@ func (m *Machine) SetAppHandler(h func(src int, req interface{}, call AppCall)) 
 // CallApp sends req to the application handler of machine dst and passes cb
 // the handler's answer. The call is watched like a read-only VALIDATE: once
 // dst leaves the configuration, or txStallTimeout passes unanswered, cb gets
-// ErrUnavailable and a late answer is dropped.
+// ErrUnavailable (counted as app_call_stalled) and a late answer is dropped.
+// req must not change until the call is back in its pool; one that
+// implements fabric.Reclaimer is reclaimed with it, when no copy of the call
+// is in flight and no handler still reads it.
 func (m *Machine) CallApp(dst int, req interface{}, cb func(resp interface{}, err error)) {
-	call := &appCall{Req: req}
-	call.ID = m.call(dst, call, func(resp interface{}, err error) {
-		if err != nil {
-			m.c.Counters.Inc("app_call_stalled", 1)
-		}
-		cb(resp, err)
-	})
+	var call *appCall
+	if k := len(m.appFree); k > 0 {
+		call = m.appFree[k-1]
+		m.appFree = m.appFree[:k-1]
+	} else {
+		call = &appCall{pool: m}
+	}
+	call.Req, call.framed = req, true
+	call.ID = m.call(dst, call, cb)
 	m.send(dst, call)
 }
 
@@ -628,16 +639,58 @@ type AppCall struct {
 	id   uint64
 }
 
-// Reply sends resp to the caller.
+// Reply sends resp to the caller in a pooled RPC-REPLY, reclaimed with its
+// frame.
 func (a AppCall) Reply(resp interface{}) {
-	a.m.send(a.from, &rpcReply{ID: a.id, Body: resp})
+	m := a.m
+	var r *rpcReply
+	if k := len(m.replyFree); k > 0 {
+		r = m.replyFree[k-1]
+		m.replyFree = m.replyFree[:k-1]
+	} else {
+		r = &rpcReply{pool: m}
+	}
+	r.ID, r.Body = a.id, resp
+	m.send(a.from, r)
 }
 
 // appCall carries an application call's request; the answer comes back in
-// an rpcReply.
+// an rpcReply. It comes from its caller's pool (Machine.appFree). The fabric
+// reclaims it with its frame, once the last copy is delivered or lost, but
+// the handler of a delivered copy runs later, on a worker: each delivery
+// holds the call until its handler returned. The call goes back to its pool
+// when neither holds it, with its request if that is a fabric.Reclaimer; a
+// delivery whose machine dies first leaves it to the collector.
 type appCall struct {
 	ID  uint64
 	Req interface{}
+
+	pool   *Machine // the caller, whose pool it returns to
+	framed bool     // in a frame the fabric has not reclaimed
+	held   int      // deliveries whose handler has not returned
+}
+
+// Reclaim is the fabric's: the frame's last copy was delivered or lost.
+func (c *appCall) Reclaim() {
+	c.framed = false
+	c.free()
+}
+
+// release ends one delivery's hold, once its handler returned.
+func (c *appCall) release() {
+	c.held--
+	c.free()
+}
+
+func (c *appCall) free() {
+	if c.framed || c.held > 0 {
+		return
+	}
+	if r, ok := c.Req.(fabric.Reclaimer); ok {
+		r.Reclaim()
+	}
+	c.ID, c.Req = 0, nil
+	c.pool.appFree = append(c.pool.appFree, c)
 }
 
 // primaryOf returns the primary machine for a region, or -1 if unknown.
@@ -730,11 +783,21 @@ func (m *Machine) dispatchMsg(src int, msg interface{}, stamp sim.Time, ctx trac
 		m.trb.Event("msg", h.RecvCounter, m.c.Eng.Now(), ctx.Trace, ctx.Span, int64(src))
 	}
 	*m.c.cCPURecv += uint64(cpuMsg)
-	if v, ok := msg.(*proto.LockReply); ok {
+	switch v := msg.(type) {
+	case *proto.LockReply:
 		// The sender reclaims the reply with its frame once this upcall
 		// returns: the verdict goes on by value, in a pooled carrier.
 		m.pool.Dispatch(cpuMsg, m.newLockVerdict(src, v.Tx, v.OK, ctx).runFn)
 		return
+	case *rpcReply:
+		// So may an RPC-REPLY's sender: its answer goes on by value too.
+		m.pool.Dispatch(cpuMsg, m.newAnswer(v.ID, v.Body, ctx).runFn)
+		return
+	case *appCall:
+		// The caller reclaims the call once its frame is reclaimed and no
+		// handler reads it: this delivery holds it until the APP handler
+		// returned.
+		v.held++
 	}
 	tk := m.getTask()
 	tk.h, tk.src, tk.msg, tk.ctx = h, src, msg, ctx

@@ -16,9 +16,10 @@ import (
 // completion, timer, client queue, region and mapping waiters — is a stage
 // func bound once when the op is first allocated, so a read schedules
 // through them without allocating. Exactly one continuation is outstanding
-// at a time; deliver recycles the op before calling cb, so a callback that
-// reads again may reuse it. A read that dies with its machine is dropped,
-// never recycled.
+// at a time. The op goes back to the pool only after its handler returned:
+// outside a transaction the handler is given the op's own buffer, which the
+// next read reuses. A read that dies with its machine is dropped, never
+// recycled.
 type readOp struct {
 	m      *Machine
 	thread int
@@ -43,9 +44,12 @@ type readOp struct {
 	primary                 int      // remote primary chosen by start
 	rep                     *replica // local primary replica chosen by start
 	// buf is where the read lands, local copy or one-sided read: carved
-	// from tx's slab inside a transaction, else made for the caller to keep.
-	// Every retry of the read lands in it again.
+	// from tx's slab inside a transaction, else spare. Every retry of the
+	// read lands in it again.
 	buf []byte
+	// spare is the op's own buffer, kept across recycles and grown to the
+	// longest read outside a transaction it served.
+	spare []byte
 
 	startFn, ownFn, localFn, issueFn, backoffFn, lockRetryFn func()
 	readDoneFn                                               func([]byte, error)
@@ -70,8 +74,8 @@ func (m *Machine) getReadOp(thread int, addr proto.Addr, size int, h ReadHandler
 	return op
 }
 
-// recycle clears the op and returns it to the pool; callers copy out what
-// they still need first.
+// recycle clears the op, but for its spare buffer, and returns it to the
+// pool, once the read's handler returned.
 func (op *readOp) recycle() {
 	op.tx, op.h, op.sh, op.rep, op.buf = nil, nil, nil, nil, nil
 	op.rctx = trace.Ctx{}
@@ -81,7 +85,8 @@ func (op *readOp) recycle() {
 
 // LockFreeRead performs FaRM's optimized single-object read-only
 // transaction (§3): one RDMA read, no commit phase. It retries while the
-// object is write-locked. data belongs to the callback.
+// object is write-locked. data is the read's own buffer, valid until cb
+// returns: a caller that keeps the bytes copies them.
 func (m *Machine) LockFreeRead(thread int, addr proto.Addr, size int, cb func(data []byte, err error)) {
 	m.getReadOp(thread, addr, size, ReadFunc(cb)).start()
 }
@@ -95,7 +100,8 @@ func (m *Machine) LockFreeReadTo(thread int, addr proto.Addr, size int, h ReadHa
 // addr and the n-1 that follow it in memory, each with a size-byte payload —
 // with one verb, or one local copy, outside any transaction. Every object is
 // read at the same instant; the read is retried only while an object h says
-// the answer depends on is write-locked. The span's bytes belong to h.
+// the answer depends on is write-locked. The span's bytes are valid until
+// SpanDone returns.
 func (m *Machine) LockFreeReadSpanTo(thread int, addr proto.Addr, size, n int, h SpanHandler) {
 	op := m.getReadOp(thread, addr, size, nil)
 	op.sh, op.n = h, n
@@ -117,8 +123,8 @@ func (s *Span) Payload(i int) []byte { return s.data[i] }
 
 // Own returns object i's bytes for the caller to change: inside a
 // transaction a copy, valid until the transaction finishes (its Commit
-// callback or Abort returns); outside one the fetched bytes themselves, the
-// caller's to keep.
+// callback or Abort returns); outside one the fetched bytes themselves,
+// valid until SpanDone returns.
 func (s *Span) Own(i int) []byte {
 	if s.t == nil {
 		return s.data[i]
@@ -217,13 +223,17 @@ func (op *readOp) lockedRetry() {
 	}
 }
 
-// buffer returns the bytes the read lands in, made on its first try.
+// buffer returns the bytes the read lands in, taken on its first try.
 func (op *readOp) buffer() []byte {
 	if op.buf == nil {
+		n := op.length()
 		if op.tx != nil {
-			op.buf = op.tx.carve(op.length())
+			op.buf = op.tx.carve(n)
 		} else {
-			op.buf = make([]byte, op.length())
+			if cap(op.spare) < n {
+				op.spare = make([]byte, n)
+			}
+			op.buf = op.spare[:n:n]
 		}
 	}
 	return op.buf
@@ -231,7 +241,7 @@ func (op *readOp) buffer() []byte {
 
 // readLocal serves the read from this machine's own primary replica: the
 // header and payload are copied once, from region memory into the bytes the
-// read set (or, outside a transaction, the caller) keeps.
+// read set keeps (outside a transaction, the op's own buffer).
 func (op *readOp) readLocal() {
 	rep, off := op.rep, int(op.addr.Off)
 	if off+op.length() > len(rep.mem) {
@@ -305,7 +315,10 @@ func (op *readOp) spanLanded(raw []byte) {
 	}
 	alone := op.land()
 	if t == nil && !m.selfLeaseOK() {
-		m.fencedReport(func() { h.SpanDone(s, nil) })
+		m.fencedReport(func() {
+			h.SpanDone(s, nil)
+			op.recycle()
+		})
 		return
 	}
 	if t != nil {
@@ -323,18 +336,19 @@ func (op *readOp) spanLanded(raw []byte) {
 			t.aloneLo, t.aloneHi = lo, int32(len(t.set))
 		}
 		h.SpanDone(s, nil)
+		op.recycle()
 		t.settle()
 		return
 	}
 	h.SpanDone(s, nil)
+	op.recycle()
 }
 
-// land finishes a read its caller is about to be told of: the op returns to
-// the pool, its trace span ends and a transaction's fresh read retires.
-// It reports whether that read ran alone (readLanded).
+// land finishes a read its caller is about to be told of: its trace span
+// ends and a transaction's fresh read retires. It reports whether that read
+// ran alone (readLanded). The op is recycled once the handler returned.
 func (op *readOp) land() bool {
 	m, t, rctx := op.m, op.tx, op.rctx
-	op.recycle()
 	if rctx.Valid() {
 		m.trb.End(rctx, m.c.Eng.Now(), 0)
 	}
@@ -342,7 +356,8 @@ func (op *readOp) land() bool {
 }
 
 // deliver finishes a fetched read. Inside a transaction data becomes the
-// read set's private copy and the caller gets its own.
+// read set's private copy and the caller gets its own; outside one the
+// caller gets the op's buffer until its handler returns.
 func (op *readOp) deliver(word uint64, data []byte, err error) {
 	m, t, addr, h, sh := op.m, op.tx, op.addr, op.h, op.sh
 	alone := op.land()
@@ -352,6 +367,7 @@ func (op *readOp) deliver(word uint64, data []byte, err error) {
 		} else {
 			h.ReadDone(nil, err)
 		}
+		op.recycle()
 		if t != nil {
 			t.settle()
 		}
@@ -363,6 +379,7 @@ func (op *readOp) deliver(word uint64, data []byte, err error) {
 			t.aloneLo, t.aloneHi = i, i+1
 		}
 		h.ReadDone(t.copyOut(data), nil)
+		op.recycle()
 		t.settle()
 		return
 	}
@@ -370,16 +387,21 @@ func (op *readOp) deliver(word uint64, data []byte, err error) {
 		// A lock-free read is an outcome too: with its lease lapsed this
 		// machine may have been evicted, and the replica it read may no
 		// longer be the primary. (A transaction's reads wait for its commit.)
-		m.fencedReport(func() { h.ReadDone(data, nil) })
+		// The op, and with it data, waits with the report.
+		m.fencedReport(func() {
+			h.ReadDone(data, nil)
+			op.recycle()
+		})
 		return
 	}
 	h.ReadDone(data, nil)
+	op.recycle()
 }
 
 // deliverOwn finishes a read served from the transaction's own buffers.
 func (op *readOp) deliverOwn() {
 	t, e, h := op.tx, &op.tx.set[op.own], op.h
-	op.recycle()
 	h.ReadDone(t.copyOut(e.view()), nil)
+	op.recycle()
 	t.settle()
 }

@@ -106,7 +106,9 @@ func (t *transport) enqueue(dst int, msg interface{}, ctx trace.Ctx) {
 // configuration, a resent one also when its configuration is superseded
 // (onNewConfig). Either way done, if any, runs once.
 
-// pendingCall is one request awaiting its answer from dst.
+// pendingCall is one request awaiting its answer from dst. msg is kept for
+// a resent call's resends and for its type (OpenCalls, failCalls): a pooled
+// APP may carry another call by the time its own is answered.
 type pendingCall struct {
 	id   uint64
 	dst  int
@@ -196,6 +198,9 @@ func (m *Machine) failCalls(lost func(pendingCall) bool) {
 	clear(m.calls[len(kept):]) // hold no finished caller
 	m.calls = kept
 	for _, c := range failed {
+		if _, ok := c.msg.(*appCall); ok {
+			m.c.Counters.Inc("app_call_stalled", 1)
+		}
 		if c.done != nil {
 			c.done(nil, ErrUnavailable)
 		}
@@ -255,6 +260,9 @@ func (t *transport) registerHandlers() {
 		func(src int, v *allocSlotReq) { m.onAllocSlot(src, v) })
 	proto.Register(r, "MAPPING-REQ", callSize[*proto.MappingReq],
 		func(src int, v *proto.MappingReq) { m.onMappingReq(src, v) })
+	// An RPC-REPLY is pooled by an application's sender: dispatchMsg hands
+	// its answer to the call table by value instead of running this
+	// handler on the message.
 	proto.Register(r, "RPC-REPLY", callSize[*rpcReply],
 		func(_ int, v *rpcReply) { m.answer(v.ID, v.Body) })
 	proto.Register(r, "RELEASE-SLOT", nil,
@@ -408,12 +416,14 @@ func (t *transport) registerHandlers() {
 		func(v *clientResp) int { return 24 + len(v.Data) + len(v.Err) },
 		nil) // send-only: responses terminate at external clients
 
-	// Application calls (function shipping, §6.2).
+	// Application calls (function shipping, §6.2). The delivery holds the
+	// call until the handler returned (dispatchMsg).
 	proto.Register(r, "APP", nil,
 		func(src int, v *appCall) {
 			if m.appHandler != nil {
 				m.appHandler(src, v.Req, AppCall{m: m, from: src, id: v.ID})
 			}
+			v.release()
 		})
 
 }

@@ -751,10 +751,23 @@ func (m *Machine) FreeSlots(region uint32, size int) int {
 }
 
 // rpcReply answers a slot reservation, a region allocation or an
-// application call with the call id its request carried.
+// application call with the call id its request carried. An application's
+// reply comes from its sender's pool (AppCall.Reply) and goes back with its
+// frame; the receiver copies the answer out at the delivery upcall
+// (dispatchMsg).
 type rpcReply struct {
 	ID   uint64
 	Body interface{}
+
+	pool *Machine // nil for one made bare
+}
+
+// Reclaim returns a pooled reply to its sender's pool.
+func (r *rpcReply) Reclaim() {
+	if m := r.pool; m != nil {
+		r.ID, r.Body = 0, nil
+		m.replyFree = append(m.replyFree, r)
+	}
 }
 
 // errTxDone guards double commits.

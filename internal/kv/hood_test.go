@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -112,7 +113,7 @@ func (r *hoodRig) bucketAt(t *testing.T, j int) bucket {
 		if err != nil {
 			t.Fatalf("read bucket %d: %v", j, err)
 		}
-		data = b
+		data = bytes.Clone(b) // b is valid until this returns
 	})
 	r.runUntil(t, func() bool { return data != nil })
 	return bucket{t: r.t, data: data}

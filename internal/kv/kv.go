@@ -690,6 +690,7 @@ func (t *Table) Get(tx *core.Tx, key []byte, cb func(val []byte, ok bool, err er
 // LockFreeGet is the lookup outside any transaction (FaRM's lock-free reads,
 // used by TATP's read-only single-row operations): one span read of the
 // key's neighbourhood, then the home's chain if the key is in none of it.
+// val is a slice of the read's own buffer, valid until cb returns.
 func (t *Table) LockFreeGet(m *core.Machine, thread int, key []byte, cb func(val []byte, ok bool, err error)) {
 	op := t.newOp(nil, key)
 	op.m, op.thread, op.getCb = m, thread, cb

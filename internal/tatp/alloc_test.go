@@ -1,0 +1,165 @@
+package tatp
+
+import (
+	"testing"
+
+	"farm/internal/core"
+	"farm/internal/history"
+	"farm/internal/kv"
+	"farm/internal/loadgen"
+	"farm/internal/sim"
+)
+
+// allocsPerOp runs op until the pools are warm and returns what one run
+// allocates, less what the cluster's lease traffic allocates over an idle
+// stretch of the same virtual length.
+func allocsPerOp(c *core.Cluster, op func(done func(bool))) float64 {
+	finished := false
+	done := func(bool) { finished = true }
+	run := func() {
+		finished = false
+		op(done)
+		for !finished && c.Eng.Step() {
+		}
+	}
+	for i := 0; i < 200; i++ {
+		run()
+	}
+	start := c.Now()
+	with := testing.AllocsPerRun(100, run)
+	took := (c.Now() - start) / 101
+	return with - testing.AllocsPerRun(100, func() { c.RunFor(took) })
+}
+
+// TestTransactionAllocationBudgets: once warm, none of the seven
+// transactions allocates, issued from a machine that is not the primary of
+// the subscriber's row: each is one pooled state machine with its keys and
+// row in its own arrays and its continuations bound once, a lock-free lookup
+// lands in its pooled read's own buffer, and the Tx, the kv operations and
+// the commit come from pools. An UPDATE_LOCATION shipped to the row's
+// primary is measured at both ends: the call, its request and the reply are
+// pooled too. As closure chains on fresh keys, with a buffer per lock-free
+// read, GET_SUBSCRIBER_DATA, GET_ACCESS_DATA and DELETE_CALL_FORWARDING cost
+// 3 allocations each, GET_NEW_DESTINATION 12, UPDATE_SUBSCRIBER_DATA 9,
+// UPDATE_LOCATION 11 shipped and 6 local, INSERT_CALL_FORWARDING 6.
+func TestTransactionAllocationBudgets(t *testing.T) {
+	c, w := setup(t, 100)
+	c.RunFor(20 * sim.Millisecond)
+	primaryOf := func(s uint64) int { return c.Machine(0).PrimaryOf(w.Subscriber.BucketAddr(kv.U64Key(s)).Region) }
+	// m is the primary of subscriber local's row and not of s's.
+	const s, shipped = 5, 5
+	var m *core.Machine
+	local := uint64(0)
+	for ; m == nil && local < 100; local++ {
+		if p := primaryOf(local); p != primaryOf(s) {
+			m = c.Machine(p)
+		}
+	}
+	local--
+	if m == nil {
+		t.Fatal("every subscriber row has one primary")
+	}
+	rng := sim.NewRand(3)
+	for _, tc := range []struct {
+		name string
+		op   func(done func(bool))
+	}{
+		{"GetSubscriberData", func(d func(bool)) { w.GetSubscriberData(m, 0, s, d) }},
+		{"GetAccessData", func(d func(bool)) { w.GetAccessData(m, 0, s, rng, d) }},
+		{"GetNewDestination", func(d func(bool)) { w.GetNewDestination(m, 0, s, rng, d) }},
+		{"UpdateSubscriberData", func(d func(bool)) { w.UpdateSubscriberData(m, 0, s, rng, d) }},
+		{"UpdateLocation shipped", func(d func(bool)) { w.UpdateLocation(m, 0, shipped, rng, d) }},
+		{"UpdateLocation local", func(d func(bool)) { w.UpdateLocation(m, 0, local, rng, d) }},
+		{"InsertCallForwarding", func(d func(bool)) { w.InsertCallForwarding(m, 0, s, rng, d) }},
+		{"DeleteCallForwarding", func(d func(bool)) { w.DeleteCallForwarding(m, 0, s, rng, d) }},
+	} {
+		per := allocsPerOp(c, tc.op)
+		t.Logf("%s: %.2f allocs", tc.name, per)
+		if per > 0 {
+			t.Errorf("%s: %v allocs, want 0", tc.name, per)
+		}
+	}
+}
+
+// TestMixAllocationBudget: a scaled-down tatp_mix — 9 machines, 2 threads
+// each, two clients per thread, 2 000 subscribers in 6 regions — running Mix
+// over a warmed window, costs 0.12 allocations per committed operation: slab
+// chunks a Tx sheds after smaller transactions and takes up again, and the
+// cluster's lease traffic, mostly (make allocs lists the sites). It cost 4.84
+// while the transactions made closures and keys, lock-free reads made a
+// buffer for their callers and shipped calls their messages.
+func TestMixAllocationBudget(t *testing.T) {
+	c := core.New(core.Options{NumMachines: 9, Threads: 2, Seed: 1})
+	w, err := Setup(c, 2000, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := loadgen.New(c, w.Mix())
+	g.Start([]int{0, 1, 2, 3, 4, 5, 6, 7, 8}, 2, 2)
+	c.RunFor(5 * sim.Millisecond) // pools filled, rings wrapped
+	per, ops := g.AllocsPerOp(10 * sim.Millisecond)
+	if ops < 1000 {
+		t.Fatalf("only %d operations committed in the window", ops)
+	}
+	t.Logf("tatp mix: %.2f allocs per committed operation over %d committed", per, ops)
+	const budget = 0.12 * 1.1
+	if per > budget {
+		t.Errorf("tatp mix: %.2f allocs per committed operation, want <= %.2f", per, budget)
+	}
+}
+
+// TestFailedStepAborts: an update whose subscriber row is gone fails at its
+// first step, and must abort its transaction — local, or at the primary an
+// UPDATE_LOCATION is shipped to: the history records it aborted, and its Tx
+// goes back to its machine's pool with any slot it reserved. Reported as
+// failed without the abort, each stayed open for good (indeterminate).
+func TestFailedStepAborts(t *testing.T) {
+	c := core.New(core.Options{NumMachines: 5, Seed: 31, History: true})
+	w, err := Setup(c, 100, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const s = 7
+	err = loadgen.RunSync(c, c.Machine(0), 0, func(tx *core.Tx, done func(error)) {
+		w.Subscriber.Delete(tx, kv.U64Key(s), func(ok bool, err error) {
+			if err == nil && !ok {
+				t.Fatal("the subscriber row was not there to delete")
+			}
+			done(err)
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm := c.Machine(0).PrimaryOf(w.Subscriber.BucketAddr(kv.U64Key(s)).Region)
+	rng := sim.NewRand(4)
+	for _, tc := range []struct {
+		name string
+		op   func(m *core.Machine, done func(bool))
+	}{
+		{"UpdateSubscriberData", func(m *core.Machine, d func(bool)) { w.UpdateSubscriberData(m, 0, s, rng, d) }},
+		{"UpdateLocation", func(m *core.Machine, d func(bool)) { w.UpdateLocation(m, 0, s, rng, d) }},
+		{"InsertCallForwarding", func(m *core.Machine, d func(bool)) { w.InsertCallForwarding(m, 0, s, rng, d) }},
+	} {
+		for _, m := range []*core.Machine{c.Machine(pm), c.Machine((pm + 1) % 5)} {
+			events := c.Hist.Len()
+			finished, ok := false, true
+			tc.op(m, func(r bool) { finished, ok = true, r })
+			for !finished && c.Eng.Step() {
+			}
+			c.RunFor(sim.Millisecond)
+			if ok {
+				t.Fatalf("%s on m%d of a deleted subscriber succeeded", tc.name, m.ID)
+			}
+			evs := c.Hist.Export().Events[events:]
+			if len(evs) == 0 {
+				t.Fatalf("%s on m%d recorded no transaction", tc.name, m.ID)
+			}
+			for _, ev := range evs {
+				if ev.Outcome != history.UserAborted {
+					t.Errorf("%s on m%d: transaction recorded as %v, want %v", tc.name, m.ID, ev.Outcome, history.UserAborted)
+				}
+			}
+		}
+	}
+}

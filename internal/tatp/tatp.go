@@ -42,6 +42,11 @@ type Workload struct {
 	// FunctionShipped counts UPDATE_LOCATION operations executed at the
 	// row's primary instead of through a distributed commit.
 	FunctionShipped uint64
+
+	// opFree and shipFree pool the transactions' state machines (txOp) and
+	// the shipped UPDATE_LOCATION requests.
+	opFree   []*txOp
+	shipFree []*shipUpdateLocation
 }
 
 // Composite keys.
@@ -181,10 +186,20 @@ func subscriberValue(s uint64, msc, vlr uint32) []byte {
 // --- Function shipping (UPDATE_LOCATION, §6.2) ---
 
 // shipUpdateLocation is an UPDATE_LOCATION shipped to the row's primary on
-// core's watched call path; the answer is whether it committed.
+// core's watched call path; the answer is whether it committed. It comes
+// from the workload's pool and goes back through Reclaim, which core calls
+// once no copy of the call carrying it is in flight and no handler reads it.
 type shipUpdateLocation struct {
 	S   uint64
 	VLR uint32
+
+	w *Workload
+}
+
+// Reclaim returns the request to its workload's pool.
+func (r *shipUpdateLocation) Reclaim() {
+	r.S, r.VLR = 0, 0
+	r.w.shipFree = append(r.w.shipFree, r)
 }
 
 func (w *Workload) installHandlers() {
@@ -192,30 +207,12 @@ func (w *Workload) installHandlers() {
 		m := m
 		m.SetAppHandler(func(_ int, req interface{}, call core.AppCall) {
 			if v, ok := req.(*shipUpdateLocation); ok {
-				w.execUpdateLocation(m, v, func(ok bool) { call.Reply(ok) })
+				op := w.newOp(m, nil, nil)
+				op.s, op.vlr, op.call = v.S, v.VLR, call
+				op.updateLocation()
 			}
 		})
 	}
-}
-
-// execUpdateLocation runs the single-field update as a local transaction
-// at (ideally) the row's primary.
-func (w *Workload) execUpdateLocation(m *core.Machine, req *shipUpdateLocation, done func(bool)) {
-	tx := m.Begin(int(req.S) % m.Threads())
-	w.Subscriber.Get(tx, kv.U64Key(req.S), func(val []byte, ok bool, err error) {
-		if err != nil || !ok {
-			done(false)
-			return
-		}
-		binary.LittleEndian.PutUint32(val[32:], req.VLR)
-		w.Subscriber.Put(tx, kv.U64Key(req.S), val, func(err error) {
-			if err != nil {
-				done(false)
-				return
-			}
-			tx.Commit(func(err error) { done(err == nil) })
-		})
-	})
 }
 
 // --- The seven TATP transactions ---
@@ -246,22 +243,216 @@ func (w *Workload) Mix() loadgen.Op {
 	}
 }
 
+// txOp is one TATP transaction as a pooled state machine: stage says which
+// lookup, write or commit is outstanding, its continuations are bound once,
+// its key and call-forwarding row are its own arrays, and it returns to the
+// workload's pool, reset whole, before it reports. kv neither keeps nor
+// changes a key and copies a value into the bucket it writes, so the arrays
+// are free again when each operation answers; the rows a Get returns are
+// the transaction's bytes, changed in place and written back before it
+// finishes. Every failed step aborts the transaction.
+type txOp struct {
+	w   *Workload
+	m   *core.Machine
+	tx  *core.Tx
+	rng *sim.Rand // UPDATE_SUBSCRIBER_DATA's, for its data_a draw
+	// done takes the outcome; nil for an UPDATE_LOCATION shipped to this
+	// machine, which answers call instead.
+	done func(bool)
+	call core.AppCall
+
+	stage uint8
+	s     uint64
+	sf    int // the facility, or the access-info row's type
+	start int // the call-forwarding row's start time
+	next  int // GET_NEW_DESTINATION's call-forwarding row
+	vlr   uint32
+
+	key [8]byte // kv.U64Key's encoding
+	row [callFwdRow]byte
+
+	lfFn     func(val []byte, ok bool, err error)
+	getFn    func(val []byte, ok bool, err error)
+	putFn    func(err error)
+	delFn    func(ok bool, err error)
+	commitFn func(err error)
+	callFn   func(resp interface{}, err error)
+}
+
+// What a txOp is waiting for.
+const (
+	gsdLookup      = iota // GET_SUBSCRIBER_DATA's lock-free lookup
+	gadLookup             // GET_ACCESS_DATA's lock-free lookup
+	gndFacility           // GET_NEW_DESTINATION's Get of the facility row
+	gndForward            // its Get of call-forwarding row next
+	usdSub                // UPDATE_SUBSCRIBER_DATA's Get of the subscriber row
+	usdSubPut             // its Put of bit_1
+	usdFacility           // its Get of the facility row
+	usdFacilityPut        // its Put of data_a
+	ulSub                 // UPDATE_LOCATION's Get of the subscriber row
+	ulSubPut              // its Put of vlr_location
+	icfSub                // INSERT_CALL_FORWARDING's Get of the subscriber row
+	icfPut                // its Put of the call-forwarding row
+	dcfDelete             // DELETE_CALL_FORWARDING's Delete
+)
+
+// cfStarts are the start times of a facility's up to three call-forwarding
+// rows.
+var cfStarts = [3]int{0, 8, 16}
+
+func (w *Workload) newOp(m *core.Machine, rng *sim.Rand, done func(bool)) *txOp {
+	var op *txOp
+	if k := len(w.opFree); k > 0 {
+		op = w.opFree[k-1]
+		w.opFree = w.opFree[:k-1]
+	} else {
+		op = &txOp{w: w}
+		op.lfFn, op.getFn, op.putFn, op.delFn = op.looked, op.gotRow, op.wrote, op.deleted
+		op.commitFn, op.callFn = op.committed, op.called
+	}
+	op.m, op.rng, op.done = m, rng, done
+	return op
+}
+
+// finish returns the state machine to the pool, reset whole but for its
+// workload and bound continuations, then reports ok.
+func (op *txOp) finish(ok bool) {
+	w, done, call := op.w, op.done, op.call
+	*op = txOp{w: w, lfFn: op.lfFn, getFn: op.getFn, putFn: op.putFn, delFn: op.delFn, commitFn: op.commitFn, callFn: op.callFn}
+	w.opFree = append(w.opFree, op)
+	if done == nil {
+		call.Reply(ok)
+		return
+	}
+	done(ok)
+}
+
+// fail aborts the transaction after a failed step.
+func (op *txOp) fail() {
+	op.tx.Abort()
+	op.finish(false)
+}
+
+// setKey encodes v as the key of the next operation.
+func (op *txOp) setKey(v uint64) []byte {
+	binary.LittleEndian.PutUint64(op.key[:], v)
+	return op.key[:]
+}
+
+// subKey, typeKey and cfKey encode as the key of the next operation what
+// the package's key functions return: subscriber s's row, its access-info
+// or special-facility row of type sf (aiKey, sfKey), and its facility sf's
+// call-forwarding row at start.
+func (op *txOp) subKey() []byte  { return op.setKey(op.s) }
+func (op *txOp) typeKey() []byte { return op.setKey(op.s<<2 | uint64(op.sf-1)) }
+func (op *txOp) cfKey(start int) []byte {
+	return op.setKey(op.s<<(cfStartBits+2) | uint64(op.sf-1)<<cfStartBits | uint64(start))
+}
+
+// looked takes a lock-free lookup's answer: a missing access-info row still
+// completes GET_ACCESS_DATA.
+func (op *txOp) looked(_ []byte, ok bool, err error) {
+	op.finish(err == nil && (ok || op.stage == gadLookup))
+}
+
+// gotRow takes the row a Get found.
+func (op *txOp) gotRow(row []byte, ok bool, err error) {
+	if err != nil || !ok && (op.stage == usdSub || op.stage == ulSub || op.stage == icfSub) {
+		op.fail()
+		return
+	}
+	w, tx := op.w, op.tx
+	switch op.stage {
+	case gndFacility:
+		if !ok || row[9] == 0 {
+			tx.Commit(op.commitFn)
+			return
+		}
+		op.forward(0)
+	case gndForward:
+		op.forward(op.next + 1)
+	case usdSub:
+		row[8] ^= 1 // bit_1
+		op.stage = usdSubPut
+		w.Subscriber.Put(tx, op.subKey(), row, op.putFn)
+	case usdFacility:
+		if !ok {
+			tx.Commit(op.commitFn)
+			return
+		}
+		row[10] = byte(op.rng.Intn(256)) // data_a
+		op.stage = usdFacilityPut
+		w.SpecialFac.Put(tx, op.typeKey(), row, op.putFn)
+	case ulSub:
+		binary.LittleEndian.PutUint32(row[32:], op.vlr)
+		op.stage = ulSubPut
+		w.Subscriber.Put(tx, op.subKey(), row, op.putFn)
+	case icfSub:
+		binary.LittleEndian.PutUint64(op.row[:], op.s)
+		op.row[8] = byte(op.sf)
+		op.row[9] = byte(op.start)
+		op.row[10] = byte(op.start + 8)
+		op.stage = icfPut
+		w.CallFwd.Put(tx, op.cfKey(op.start), op.row[:], op.putFn)
+	}
+}
+
+// wrote goes on from a finished Put.
+func (op *txOp) wrote(err error) {
+	if err != nil {
+		op.fail()
+		return
+	}
+	if op.stage == usdSubPut {
+		op.stage = usdFacility
+		op.w.SpecialFac.Get(op.tx, op.typeKey(), op.getFn)
+		return
+	}
+	op.tx.Commit(op.commitFn)
+}
+
+// deleted goes on from DELETE_CALL_FORWARDING's Delete.
+func (op *txOp) deleted(_ bool, err error) {
+	if err != nil {
+		op.fail()
+		return
+	}
+	op.tx.Commit(op.commitFn)
+}
+
+// committed takes the commit's answer.
+func (op *txOp) committed(err error) { op.finish(err == nil) }
+
+// called takes the answer of an UPDATE_LOCATION shipped to the row's
+// primary.
+func (op *txOp) called(resp interface{}, err error) { op.finish(err == nil && resp.(bool)) }
+
+// forward reads GET_NEW_DESTINATION's call-forwarding row i, or commits
+// once all three were read.
+func (op *txOp) forward(i int) {
+	if i == len(cfStarts) {
+		op.tx.Commit(op.commitFn)
+		return
+	}
+	op.next, op.stage = i, gndForward
+	op.w.CallFwd.Get(op.tx, op.cfKey(cfStarts[i]), op.getFn)
+}
+
 // GetSubscriberData is a single-row lookup using a lock-free read (70% of
 // TATP together with GetAccessData; usually one RDMA read, no commit
 // phase).
 func (w *Workload) GetSubscriberData(m *core.Machine, thread int, s uint64, done func(bool)) {
-	w.Subscriber.LockFreeGet(m, thread, kv.U64Key(s), func(_ []byte, ok bool, err error) {
-		done(err == nil && ok)
-	})
+	op := w.newOp(m, nil, done)
+	op.s, op.stage = s, gsdLookup
+	w.Subscriber.LockFreeGet(m, thread, op.subKey(), op.lfFn)
 }
 
 // GetAccessData is the other single-row lock-free lookup; a miss (the
 // access-info row does not exist) still counts as a completed transaction.
 func (w *Workload) GetAccessData(m *core.Machine, thread int, s uint64, rng *sim.Rand, done func(bool)) {
-	ai := rng.Intn(4) + 1
-	w.AccessInfo.LockFreeGet(m, thread, aiKey(s, ai), func(_ []byte, _ bool, err error) {
-		done(err == nil)
-	})
+	op := w.newOp(m, nil, done)
+	op.s, op.sf, op.stage = s, rng.Intn(4)+1, gadLookup
+	w.AccessInfo.LockFreeGet(m, thread, op.typeKey(), op.lfFn)
 }
 
 // GetNewDestination reads a special facility and its call-forwarding rows
@@ -272,71 +463,19 @@ func (w *Workload) GetNewDestination(m *core.Machine, thread int, s uint64, rng 
 
 // getNewDestination is GET_NEW_DESTINATION of facility sf.
 func (w *Workload) getNewDestination(m *core.Machine, thread int, s uint64, sf int, done func(bool)) {
-	tx := m.Begin(thread)
-	w.SpecialFac.Get(tx, sfKey(s, sf), func(val []byte, ok bool, err error) {
-		if err != nil {
-			done(false)
-			return
-		}
-		if !ok || val[9] == 0 {
-			tx.Commit(func(err error) { done(err == nil) })
-			return
-		}
-		starts := []int{0, 8, 16}
-		var read func(i int)
-		read = func(i int) {
-			if i == len(starts) {
-				tx.Commit(func(err error) { done(err == nil) })
-				return
-			}
-			w.CallFwd.Get(tx, cfKey(s, sf, starts[i]), func(_ []byte, _ bool, err error) {
-				if err != nil {
-					done(false)
-					return
-				}
-				read(i + 1)
-			})
-		}
-		read(0)
-	})
+	op := w.newOp(m, nil, done)
+	op.s, op.sf, op.stage = s, sf, gndFacility
+	op.tx = m.Begin(thread)
+	w.SpecialFac.Get(op.tx, op.typeKey(), op.getFn)
 }
 
 // UpdateSubscriberData updates one subscriber bit and one special-facility
 // field in a single distributed transaction.
 func (w *Workload) UpdateSubscriberData(m *core.Machine, thread int, s uint64, rng *sim.Rand, done func(bool)) {
-	sf := rng.Intn(4) + 1
-	tx := m.Begin(thread)
-	w.Subscriber.Get(tx, kv.U64Key(s), func(sub []byte, ok bool, err error) {
-		if err != nil || !ok {
-			done(false)
-			return
-		}
-		sub[8] ^= 1 // bit_1
-		w.Subscriber.Put(tx, kv.U64Key(s), sub, func(err error) {
-			if err != nil {
-				done(false)
-				return
-			}
-			w.SpecialFac.Get(tx, sfKey(s, sf), func(fac []byte, ok bool, err error) {
-				if err != nil {
-					done(false)
-					return
-				}
-				if !ok {
-					tx.Commit(func(err error) { done(err == nil) })
-					return
-				}
-				fac[10] = byte(rng.Intn(256)) // data_a
-				w.SpecialFac.Put(tx, sfKey(s, sf), fac, func(err error) {
-					if err != nil {
-						done(false)
-						return
-					}
-					tx.Commit(func(err error) { done(err == nil) })
-				})
-			})
-		})
-	})
+	op := w.newOp(m, rng, done)
+	op.s, op.sf, op.stage = s, rng.Intn(4)+1, usdSub
+	op.tx = m.Begin(thread)
+	w.Subscriber.Get(op.tx, op.subKey(), op.getFn)
 }
 
 // UpdateLocation updates a single subscriber field. Since 70% of TATP
@@ -345,54 +484,48 @@ func (w *Workload) UpdateSubscriberData(m *core.Machine, thread int, s uint64, r
 // otherwise. A shipped call that gets no answer — its primary left the
 // configuration, or the stall timeout passed — counts as an abort.
 func (w *Workload) UpdateLocation(m *core.Machine, thread int, s uint64, rng *sim.Rand, done func(bool)) {
-	vlr := uint32(rng.Intn(1 << 30))
-	pm := m.PrimaryOf(w.Subscriber.BucketAddr(kv.U64Key(s)).Region)
-	if pm >= 0 && pm != m.ID {
-		w.FunctionShipped++
-		m.CallApp(pm, &shipUpdateLocation{S: s, VLR: vlr}, func(resp interface{}, err error) {
-			done(err == nil && resp.(bool))
-		})
+	op := w.newOp(m, nil, done)
+	op.s, op.vlr = s, uint32(rng.Intn(1<<30))
+	pm := m.PrimaryOf(w.Subscriber.BucketAddr(op.subKey()).Region)
+	if pm < 0 || pm == m.ID {
+		op.updateLocation()
 		return
 	}
-	w.execUpdateLocation(m, &shipUpdateLocation{S: s, VLR: vlr}, done)
+	w.FunctionShipped++
+	var req *shipUpdateLocation
+	if k := len(w.shipFree); k > 0 {
+		req = w.shipFree[k-1]
+		w.shipFree = w.shipFree[:k-1]
+	} else {
+		req = &shipUpdateLocation{w: w}
+	}
+	req.S, req.VLR = s, op.vlr
+	m.CallApp(pm, req, op.callFn)
+}
+
+// updateLocation runs UPDATE_LOCATION as a local transaction at (ideally)
+// the row's primary, on the subscriber's thread.
+func (op *txOp) updateLocation() {
+	op.tx = op.m.Begin(int(op.s) % op.m.Threads())
+	op.stage = ulSub
+	op.w.Subscriber.Get(op.tx, op.subKey(), op.getFn)
 }
 
 // InsertCallForwarding reads the subscriber and special facility, then
 // inserts a call-forwarding row (full commit protocol).
 func (w *Workload) InsertCallForwarding(m *core.Machine, thread int, s uint64, rng *sim.Rand, done func(bool)) {
-	sf := rng.Intn(4) + 1
-	start := []int{0, 8, 16}[rng.Intn(3)]
-	tx := m.Begin(thread)
-	w.Subscriber.Get(tx, kv.U64Key(s), func(_ []byte, ok bool, err error) {
-		if err != nil || !ok {
-			done(false)
-			return
-		}
-		row := make([]byte, callFwdRow)
-		binary.LittleEndian.PutUint64(row, s)
-		row[8] = byte(sf)
-		row[9] = byte(start)
-		row[10] = byte(start + 8)
-		w.CallFwd.Put(tx, cfKey(s, sf, start), row, func(err error) {
-			if err != nil {
-				done(false)
-				return
-			}
-			tx.Commit(func(err error) { done(err == nil) })
-		})
-	})
+	op := w.newOp(m, nil, done)
+	op.s, op.sf = s, rng.Intn(4)+1
+	op.start, op.stage = cfStarts[rng.Intn(3)], icfSub
+	op.tx = m.Begin(thread)
+	w.Subscriber.Get(op.tx, op.subKey(), op.getFn)
 }
 
 // DeleteCallForwarding removes a call-forwarding row.
 func (w *Workload) DeleteCallForwarding(m *core.Machine, thread int, s uint64, rng *sim.Rand, done func(bool)) {
-	sf := rng.Intn(4) + 1
-	start := []int{0, 8, 16}[rng.Intn(3)]
-	tx := m.Begin(thread)
-	w.CallFwd.Delete(tx, cfKey(s, sf, start), func(_ bool, err error) {
-		if err != nil {
-			done(false)
-			return
-		}
-		tx.Commit(func(err error) { done(err == nil) })
-	})
+	op := w.newOp(m, nil, done)
+	op.s, op.sf = s, rng.Intn(4)+1
+	op.start, op.stage = cfStarts[rng.Intn(3)], dcfDelete
+	op.tx = m.Begin(thread)
+	w.CallFwd.Delete(op.tx, op.cfKey(op.start), op.delFn)
 }

@@ -269,28 +269,3 @@ func TestTATPSurvivesFailureWithIntegrity(t *testing.T) {
 		t.Fatal("no commits")
 	}
 }
-
-// TestMixAllocationBudget: a scaled-down tatp_mix — 9 machines, 2 threads
-// each, two clients per thread, 2 000 subscribers in 6 regions — running Mix
-// over a warmed window, costs 4.84 allocations per committed operation:
-// the transactions' closures and keys and the buffers lock-free reads make
-// for their callers, mostly (make allocs lists the sites).
-func TestMixAllocationBudget(t *testing.T) {
-	c := core.New(core.Options{NumMachines: 9, Threads: 2, Seed: 1})
-	w, err := Setup(c, 2000, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := loadgen.New(c, w.Mix())
-	g.Start([]int{0, 1, 2, 3, 4, 5, 6, 7, 8}, 2, 2)
-	c.RunFor(5 * sim.Millisecond) // pools filled, rings wrapped
-	per, ops := g.AllocsPerOp(10 * sim.Millisecond)
-	if ops < 1000 {
-		t.Fatalf("only %d operations committed in the window", ops)
-	}
-	t.Logf("tatp mix: %.2f allocs per committed operation over %d committed", per, ops)
-	const budget = 4.84 * 1.1
-	if per > budget {
-		t.Errorf("tatp mix: %.2f allocs per committed operation, want <= %.2f", per, budget)
-	}
-}

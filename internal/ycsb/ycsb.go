@@ -20,6 +20,8 @@ type Workload struct {
 	C     *core.Cluster
 	Table *kv.Table
 	Keys  uint64
+
+	free []*lookup // LookupOp's pool
 }
 
 // Key produces the 16-byte key for id.
@@ -104,8 +106,30 @@ func syncTx(c *core.Cluster, m *core.Machine, fn func(tx *core.Tx, done func(err
 func (w *Workload) LookupOp() loadgen.Op {
 	return func(m *core.Machine, thread int, rng *sim.Rand, done func(bool)) {
 		id := rng.Uint64n(w.Keys)
-		w.Table.LockFreeGet(m, thread, Key(id), func(val []byte, ok bool, err error) {
-			done(err == nil && ok)
-		})
+		var l *lookup
+		if k := len(w.free); k > 0 {
+			l = w.free[k-1]
+			w.free = w.free[:k-1]
+		} else {
+			l = &lookup{w: w}
+			l.gotFn = l.got
+		}
+		l.done = done
+		w.Table.LockFreeGet(m, thread, Key(id), l.gotFn)
 	}
+}
+
+// lookup is one LookupOp's answer on its way to the caller: pooled, its
+// callback bound once, and back in the pool before it reports.
+type lookup struct {
+	w     *Workload
+	done  func(bool)
+	gotFn func(val []byte, ok bool, err error)
+}
+
+func (l *lookup) got(_ []byte, ok bool, err error) {
+	w, done := l.w, l.done
+	l.done = nil
+	w.free = append(w.free, l)
+	done(err == nil && ok)
 }

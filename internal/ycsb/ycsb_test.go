@@ -54,3 +54,30 @@ func TestLookupWorkloadRuns(t *testing.T) {
 		t.Fatalf("aborts %d vs commits %d", g.Aborted(), g.Committed())
 	}
 }
+
+// TestMixAllocationBudget: the benchmark's kv_lookup shape, scaled down — 9
+// machines, 2 threads each, two clients per thread, 2 000 keys in 6 regions
+// — running LookupOp over a warmed window, costs one allocation per committed
+// lookup, the key Key makes: the lookup's state comes from the table's pool,
+// its answer's from the workload's, and the neighbourhood lands in the pooled
+// read's own buffer (make allocs lists the sites). It cost 3.02 while each
+// lookup made a closure and its read a buffer for the caller.
+func TestMixAllocationBudget(t *testing.T) {
+	c := core.New(core.Options{NumMachines: 9, Threads: 2, Seed: 1})
+	w, err := Setup(c, 2000, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := loadgen.New(c, w.LookupOp())
+	g.Start([]int{0, 1, 2, 3, 4, 5, 6, 7, 8}, 2, 2)
+	c.RunFor(5 * sim.Millisecond) // pools filled
+	per, ops := g.AllocsPerOp(5 * sim.Millisecond)
+	if ops < 1000 {
+		t.Fatalf("only %d operations committed in the window", ops)
+	}
+	t.Logf("kv lookups: %.2f allocs per committed operation over %d committed", per, ops)
+	const budget = 1 * 1.1
+	if per > budget {
+		t.Errorf("kv lookups: %.2f allocs per committed operation, want <= %.2f", per, budget)
+	}
+}
