@@ -90,9 +90,9 @@ func (r *localTree) commit(tb testing.TB, tx *core.Tx) {
 // TestPutAllocationBudget: inserting a new key into a leaf with room, two
 // levels down and the root cached, allocates nothing — no closure per level,
 // no path slice, no bounce buffers, no chunks for an anchor and a root the
-// descent does not read, no treeOp (it comes from the tree's pool), and no
+// descent does not read, no treeOp (it comes from the package's pool), and no
 // chunk for the leaf twice over (private copy and the op's own) and the
-// buffered leaf write: the Tx comes from its machine's pool with its chunks
+// buffered leaf write: the Tx and its chunks come from its machine's pools
 // (23 allocations once, then 4, then 2 with its own treeOp, 1 while every
 // Tx made its own chunk, 0 now).
 func TestPutAllocationBudget(t *testing.T) {
@@ -127,6 +127,106 @@ func TestPutAllocationBudget(t *testing.T) {
 	}
 }
 
+// fillLeaf commits keys 201, 202, ... into the leaf of key 200 from m until
+// one more would split it, and returns that key.
+func (r *localTree) fillLeaf(tb testing.TB, m *core.Machine) uint64 {
+	tb.Helper()
+	for k := uint64(201); k < 210; k++ {
+		splits := r.t.DescentStats()[4]
+		tx := m.Begin(0)
+		r.put(tb, tx, k, bytes.Repeat([]byte{byte(k)}, 16))
+		if r.t.DescentStats()[4] > splits {
+			tx.Abort()
+			return k
+		}
+		r.commit(tb, tx)
+	}
+	tb.Fatal("no insert split the leaf of key 200")
+	return 0
+}
+
+// TestSplitPutAllocationBudget: a Put that splits a full leaf — the
+// transactional descent, the new sibling built in the op's node buffer and
+// allocated next to it, the leaf and parent rewritten, here the root split
+// as well — allocates nothing, and neither does refilling the cache entry of
+// the parent the split dropped, in the bytes the entry kept. It cost the new
+// nodes' bytes and the cache's copy of the parent.
+func TestSplitPutAllocationBudget(t *testing.T) {
+	r := newLocalTree(t)
+	key := r.fillLeaf(t, r.m)
+	val := bytes.Repeat([]byte{0xAB}, 16)
+	done := false
+	onPut := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		done = true
+	}
+	split := func() {
+		splits := r.t.DescentStats()[4]
+		tx := r.m.Begin(0)
+		done = false
+		r.t.Put(tx, key, val, onPut)
+		r.run(func() bool { return done })
+		if r.t.DescentStats()[4] == splits || tx.WriteSetSize() < 3 {
+			t.Fatalf("the Put wrote %d objects, want a split's leaf, sibling and parent at least", tx.WriteSetSize())
+		}
+		tx.Abort() // the tree stays as it was, but for the cache entry the split dropped
+	}
+	split()
+	if per := testing.AllocsPerRun(100, split); per > 0 {
+		t.Fatalf("a split Put: %v allocs, want 0", per)
+	}
+}
+
+// TestFenceMissRefillAllocationBudget: a descent through a cached anchor and
+// root that predate a split (here of the leaf and the root) reaches a leaf
+// whose fences reject the key, drops the root's entry and fetches it again
+// with a lock-free read, whose fences reject the key in turn: a dropped
+// entry keeps its bytes, and its refill copies into them and allocates
+// nothing. Each refill cost a copy of the node.
+func TestFenceMissRefillAllocationBudget(t *testing.T) {
+	r := newLocalTree(t)
+	c := r.t.cacheFor(r.m.ID)
+	staleAnchor := bytes.Clone(c.nodes[r.t.anchor])
+	rootAddr, _ := anchorRoot(staleAnchor)
+	stale := bytes.Clone(c.nodes[rootAddr])
+	other := r.c.Machine((r.m.ID + 1) % len(r.c.Machines))
+	tx := other.Begin(0)
+	r.put(t, tx, r.fillLeaf(t, other), bytes.Repeat([]byte{0xCD}, 16)) // the split, committed
+	r.commit(t, tx)
+	// The first key of the split leaf's new sibling: the stale root still
+	// sends it to the leaf.
+	rn := node{t: r.t, data: stale}
+	tx = r.m.Begin(0)
+	key := node{t: r.t, data: r.read(t, tx, rn.child(rn.childIndex(200)), r.t.NodeBytes())}.hi()
+	tx.Abort()
+	found := false
+	onGet := func(_ []byte, ok bool, err error) {
+		if err != nil || !ok {
+			t.Fatalf("Get %d: found %v, %v", key, ok, err)
+		}
+		found = true
+	}
+	get := func() {
+		c.fill(r.t.anchor, staleAnchor) // the cache as it was before the split
+		c.fill(rootAddr, stale)
+		misses := r.t.DescentStats()[3]
+		tx := r.m.Begin(0)
+		found = false
+		r.t.Get(tx, key, onGet)
+		r.run(func() bool { return found })
+		tx.Abort()
+		if r.t.DescentStats()[3] == misses {
+			t.Fatal("the stale root caused no fence miss")
+		}
+	}
+	get()
+	if per := testing.AllocsPerRun(100, get); per > 0 {
+		t.Fatalf("a fence miss and its refill: %v allocs, want 0", per)
+	}
+}
+
 // TestScanPairsAreTheCallersAlone: the values Scan hands out are capacity-
 // capped slices of leaf copies only the caller holds: appending to one pair
 // does not reach the next, and, while the transaction is open, they read the
@@ -135,7 +235,7 @@ func TestScanPairsAreTheCallersAlone(t *testing.T) {
 	r := newLocalTree(t)
 	tx := r.m.Begin(0)
 	var pairs []Pair
-	r.t.Scan(tx, 0, 12, func(p []Pair, err error) {
+	r.t.Scan(tx, 0, 12, nil, func(p []Pair, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +280,9 @@ func TestCacheHoldsNoTransactionBytes(t *testing.T) {
 	c := r.t.cacheFor(r.m.ID)
 	snap := make(map[proto.Addr][]byte, len(c.nodes))
 	for a, b := range c.nodes {
-		snap[a] = bytes.Clone(b)
+		if len(b) > 0 { // not dropped
+			snap[a] = bytes.Clone(b)
+		}
 	}
 	if len(snap) < 2 {
 		t.Fatalf("%d cached nodes: nothing tested", len(snap))
@@ -259,8 +361,9 @@ func BenchmarkTreePut(b *testing.B) {
 	}
 }
 
-// TestPooledOpReusedFromItsCallback: an operation returns to its tree's pool,
-// reset whole, before its callback runs, so a Scan whose callback Gets hands
+// TestPooledOpReusedFromItsCallback: an operation returns to the package's
+// pool, reset whole but for its node buffer and bound continuation, before
+// its callback runs, so a Scan whose callback Gets hands
 // the Get its own treeOp. The Scan and the Get see and read exactly what they
 // do when the Get is issued from a fresh event instead.
 func TestPooledOpReusedFromItsCallback(t *testing.T) {
@@ -295,21 +398,21 @@ func TestPooledOpReusedFromItsCallback(t *testing.T) {
 				o.val, o.ok, done = val, ok, true
 			})
 		}
-		if len(r.t.free) == 0 {
+		if len(opFree) == 0 {
 			t.Fatal("setting up the tree left no op in its pool")
 		}
-		pooled := r.t.free[len(r.t.free)-1]
-		r.t.Scan(tx, 100, 5, func(pairs []Pair, err error) {
+		pooled := opFree[len(opFree)-1]
+		r.t.Scan(tx, 100, 5, nil, func(pairs []Pair, err error) {
 			if err != nil {
 				t.Fatal(err)
 			}
 			o.pairs = pairs
-			if len(r.t.free) == 0 || r.t.free[len(r.t.free)-1] != pooled {
+			if len(opFree) == 0 || opFree[len(opFree)-1] != pooled {
 				t.Fatal("the Scan's op is not back in the pool when its callback runs")
 			}
 			if reset := *pooled; reset.allocFn == nil {
 				t.Error("the recycled op lost its bound continuation")
-			} else if reset.allocFn = nil; !reflect.DeepEqual(reset, treeOp{t: r.t}) {
+			} else if reset.allocFn, reset.buf = nil, nil; !reflect.DeepEqual(reset, treeOp{}) {
 				t.Errorf("the recycled op still holds state: %+v", reset)
 			}
 			if !fromCallback {
@@ -317,7 +420,7 @@ func TestPooledOpReusedFromItsCallback(t *testing.T) {
 				return
 			}
 			get()
-			if slices.Contains(r.t.free, pooled) {
+			if slices.Contains(opFree, pooled) {
 				t.Error("the Get did not take the op its Scan just recycled")
 			}
 		})

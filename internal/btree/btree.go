@@ -14,7 +14,6 @@
 package btree
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -38,20 +37,29 @@ type Tree struct {
 	// caches holds per-machine internal-node caches ("The B-Tree caches
 	// internal nodes at each machine", §6.2).
 	caches map[int]*cache
-	// free holds finished operations for the next to reuse (treeOp).
-	free []*treeOp
 }
 
+// opFree holds finished operations, of every tree, for the next to reuse
+// (treeOp). An operation belongs to its tree only while it runs, and one
+// pool serves TPC-C's thousands of per-district trees, each touched by few
+// operations at a time, where a pool per tree would keep warming in every
+// window. Trees, like the simulation that runs them, are single-threaded.
+var opFree []*treeOp
+
 // cache is one machine's copy of the anchor and of internal nodes: committed
-// bytes from lock-free reads, looked up by address and never iterated. They
-// are the buffers those reads made for it, never a transaction's bytes,
-// which are recycled when it finishes (TestCacheHoldsNoTransactionBytes). An
-// entry can be stale; it is dropped when the node it named rejects a key by
-// its fences, and deleting one is always safe.
+// bytes from lock-free reads, looked up by address and never iterated, and
+// only ever read synchronously. They are copies the cache owns, never a
+// transaction's bytes, which are recycled when it finishes
+// (TestCacheHoldsNoTransactionBytes), nor a lock-free read's buffer, which
+// is recycled when its handler returns. An entry can be stale; it is dropped
+// when the node it named rejects a key by its fences or a split rewrites
+// it, and dropping one is always safe. A dropped entry keeps its bytes as an
+// empty slice under its address, which the next descent that needs the node
+// fetches again and fills in place.
 type cache struct {
-	nodes map[proto.Addr][]byte
-	hits  uint64 // cached entries walked through
-	miss  uint64 // lock-free reads that fetched an entry
+	nodes map[proto.Addr][]byte // empty: dropped
+	hits  uint64                // cached entries walked through
+	miss  uint64                // lock-free reads that fetched an entry
 
 	descents  uint64 // operations that looked for their leaf
 	txReads   uint64 // transactional node reads on the way there
@@ -82,12 +90,12 @@ const (
 
 func anchorRoot(a []byte) (proto.Addr, int) { return addrFromBytes(a), int(a[8]) }
 
-func newAnchor(root proto.Addr, height int) []byte {
-	a := make([]byte, anchorBytes)
+// putAnchor encodes an anchor naming root, height levels above the leaves,
+// into a.
+func putAnchor(a []byte, root proto.Addr, height int) {
 	binary.LittleEndian.PutUint32(a, root.Region)
 	binary.LittleEndian.PutUint32(a[4:], root.Off)
 	a[8] = byte(height)
-	return a
 }
 
 func (t *Tree) valSlot() int { return 2 + t.maxVal }
@@ -245,7 +253,9 @@ func Create(m *core.Machine, cfg Config, cb func(*Tree, error)) {
 			cb(nil, err)
 			return
 		}
-		tx.Alloc(anchorBytes, newAnchor(rootAddr, 0), &hint, func(anchorAddr proto.Addr, err error) {
+		anchor := make([]byte, anchorBytes)
+		putAnchor(anchor, rootAddr, 0)
+		tx.Alloc(anchorBytes, anchor, &hint, func(anchorAddr proto.Addr, err error) {
 			if err != nil {
 				cb(nil, err)
 				return
@@ -310,6 +320,23 @@ func (t *Tree) DescentStats() (s [5]uint64) {
 	return s
 }
 
+// fill caches a copy of the committed bytes a lock-free read of addr
+// delivered, in the bytes of the entry it dropped if there was one.
+func (c *cache) fill(addr proto.Addr, data []byte) {
+	b := c.nodes[addr]
+	if cap(b) < len(data) {
+		b = make([]byte, len(data))
+	}
+	c.nodes[addr] = b[:copy(b[:len(data)], data)]
+}
+
+// drop empties addr's entry, keeping its bytes for the next fill.
+func (c *cache) drop(addr proto.Addr) {
+	if b, ok := c.nodes[addr]; ok {
+		c.nodes[addr] = b[:0]
+	}
+}
+
 var errTooDeep = fmt.Errorf("btree: descent too deep")
 
 type pathEntry struct {
@@ -319,12 +346,16 @@ type pathEntry struct {
 
 // treeOp is one tree operation: a descent to the leaf covering key, then
 // the operation's work there. It is the read handler of every node read on
-// the way (stage says which read is outstanding), and it comes from its
-// tree's pool: its continuations are bound once, and every terminal path
-// returns it to the pool, reset whole, before the callback runs, so a
+// the way (stage says which read is outstanding), and it comes from the
+// package's pool (opFree): its continuations are bound once, and every
+// terminal path returns it to the pool, reset whole, before the callback
+// runs, so a
 // callback that starts the next operation reuses it. Node bytes delivered to
 // it are its own copy (core's ownership rule): Get and Scan hand out slices
-// of them, writers edit them in place and write them back.
+// of them, writers edit them in place and write them back. A split builds
+// each new node in buf, which the op keeps across recycling: Tx.Alloc copies
+// it before its callback runs, and the next level's split starts only then.
+// A root split's new anchor is built on the stack: Write copies it.
 type treeOp struct {
 	t   *Tree
 	tx  *core.Tx
@@ -344,8 +375,8 @@ type treeOp struct {
 	path    []pathEntry
 	pathBuf [4]pathEntry
 
-	limit int // Scan
-	out   []Pair
+	limit, found int // Scan: the most pairs to append to out, and those appended
+	out          []Pair
 
 	// A Put that splits: left (at leftAddr, path[up]) is the node being
 	// split, whose new right sibling is being allocated, and sep the
@@ -356,6 +387,7 @@ type treeOp struct {
 	sep      uint64
 	up       int
 	allocFn  func(proto.Addr, error)
+	buf      []byte // NodeBytes, kept across recycling
 
 	// Exactly one of these is set; it says which operation this is.
 	getCb  func(val []byte, ok bool, err error)
@@ -376,23 +408,37 @@ const (
 
 func (t *Tree) newOp(tx *core.Tx, key uint64) *treeOp {
 	var op *treeOp
-	if k := len(t.free); k > 0 {
-		op = t.free[k-1]
-		t.free = t.free[:k-1]
+	if k := len(opFree); k > 0 {
+		op = opFree[k-1]
+		opFree[k-1] = nil
+		opFree = opFree[:k-1]
 	} else {
-		op = &treeOp{t: t}
+		op = &treeOp{}
 		op.allocFn = op.onAlloc
 	}
-	op.tx, op.key = tx, key
+	op.t, op.tx, op.key = t, tx, key
 	return op
 }
 
-// recycle resets the op whole, but for its tree and bound continuation, and
-// returns it to the pool. Its callers copy out the callback first.
+// recycle resets the op whole, but for its bound continuation and node
+// buffer, and returns it to the pool. Its callers copy out the callback
+// first.
 func (op *treeOp) recycle() {
-	t, allocFn := op.t, op.allocFn
-	*op = treeOp{t: t, allocFn: allocFn}
-	t.free = append(t.free, op)
+	allocFn, buf := op.allocFn, op.buf
+	*op = treeOp{allocFn: allocFn, buf: buf}
+	opFree = append(opFree, op)
+}
+
+// newNode returns op's node buffer, cleared and grown to the tree's node
+// size, to build a split's new node in.
+func (op *treeOp) newNode() node {
+	n := op.t.NodeBytes()
+	if cap(op.buf) < n {
+		op.buf = make([]byte, n)
+	}
+	op.buf = op.buf[:n]
+	clear(op.buf)
+	return node{t: op.t, data: op.buf}
 }
 
 // got, put, deleted and scanned end a Get, a Put, a Delete and a Scan: the
@@ -462,7 +508,7 @@ func (op *treeOp) ReadDone(data []byte, err error) {
 	case stCachedAnchor, stCachedNode:
 		// Committed bytes in the read's own buffer, valid until this
 		// returns: cache a copy and walk on through the cache.
-		op.c.nodes[op.addr] = bytes.Clone(data)
+		op.c.fill(op.addr, data)
 		if op.stage == stCachedAnchor {
 			op.descend()
 		} else {
@@ -520,7 +566,7 @@ func (op *treeOp) descend() {
 		op.txDescend()
 		return
 	}
-	if a, ok := c.nodes[t.anchor]; ok {
+	if a := c.nodes[t.anchor]; len(a) > 0 {
 		c.hits++
 		root, height := anchorRoot(a)
 		op.step(t.anchor, root, height)
@@ -541,7 +587,7 @@ func (op *treeOp) restart() {
 // predates a split, and would send every later descent the same way round.
 func (op *treeOp) fenceMiss() {
 	op.c.fenceMiss++
-	delete(op.c.nodes, op.from)
+	op.c.drop(op.from)
 }
 
 // step walks down from the node at addr, height levels above the leaves and
@@ -556,8 +602,8 @@ func (op *treeOp) step(from, addr proto.Addr, height int) {
 			op.fail(errTooDeep)
 			return
 		}
-		cached, ok := c.nodes[addr]
-		if !ok {
+		cached := c.nodes[addr]
+		if len(cached) == 0 {
 			c.miss++
 			op.addr, op.height, op.stage = addr, height, stCachedNode
 			op.tx.Coordinator().LockFreeReadTo(op.tx.Thread(), addr, op.t.NodeBytes(), op)
@@ -639,16 +685,14 @@ func (op *treeOp) atLeaf(addr proto.Addr, data []byte) {
 // until limit pairs are found or the leaves end.
 func (op *treeOp) scanLeaf(data []byte) {
 	n := node{t: op.t, data: data}
-	for i := 0; i < n.nkeys() && len(op.out) < op.limit; i++ {
+	for i := 0; i < n.nkeys() && op.found < op.limit; i++ {
 		if n.key(i) >= op.key {
-			if op.out == nil {
-				op.out = make([]Pair, 0, min(op.limit, 2*op.t.order))
-			}
 			op.out = append(op.out, Pair{Key: n.key(i), Val: owned(n.val(i))})
+			op.found++
 		}
 	}
 	next := n.next()
-	if len(op.out) >= op.limit || next == (proto.Addr{}) {
+	if op.found >= op.limit || next == (proto.Addr{}) {
 		op.scanned(op.out, nil)
 		return
 	}
@@ -697,7 +741,7 @@ func (op *treeOp) splitLeaf() {
 	leafE := op.path[len(op.path)-1]
 	left := node{t: t, data: leafE.data}
 
-	right := node{t: t, data: make([]byte, t.NodeBytes())}
+	right := op.newNode()
 	right.setLeaf(true)
 	mid := t.order / 2
 	sep := left.key(mid)
@@ -740,7 +784,9 @@ func (op *treeOp) onAlloc(addr proto.Addr, err error) {
 	}
 	if op.up < 0 {
 		// addr is the new root: point the anchor at it.
-		op.rewrite(op.t.anchor, newAnchor(addr, op.left.height()))
+		var a [anchorBytes]byte // Write copies it
+		putAnchor(a[:], addr, op.left.height())
+		op.rewrite(op.t.anchor, a[:])
 		op.put(nil)
 		return
 	}
@@ -752,7 +798,7 @@ func (op *treeOp) onAlloc(addr proto.Addr, err error) {
 // rewrite buffers a split's write of the anchor or a node and drops the
 // machine's cached copy, which commit would leave stale.
 func (op *treeOp) rewrite(addr proto.Addr, data []byte) {
-	delete(op.c.nodes, addr)
+	op.c.drop(addr)
 	op.tx.Write(addr, data)
 }
 
@@ -762,7 +808,7 @@ func (op *treeOp) insertUp(right proto.Addr) {
 	t, sep := op.t, op.sep
 	if op.up == 0 {
 		// Root split: new root with two children.
-		newRoot := node{t: t, data: make([]byte, t.NodeBytes())}
+		newRoot := op.newNode()
 		newRoot.setHeight(op.left.height() + 1)
 		newRoot.setHi(maxKey)
 		newRoot.setNKeys(1)
@@ -781,7 +827,7 @@ func (op *treeOp) insertUp(right proto.Addr) {
 		return
 	}
 	// Split the internal node.
-	rn := node{t: t, data: make([]byte, t.NodeBytes())}
+	rn := op.newNode()
 	rn.setHeight(p.height())
 	mid := t.order / 2
 	upSep := p.key(mid)
@@ -820,13 +866,15 @@ type Pair struct {
 	Val []byte
 }
 
-// Scan returns up to limit pairs with key >= from, in key order (TPC-C's
-// range queries): a descent to from's leaf, then along the leaves, each
-// read transactionally — no key can appear in the range without changing a
-// leaf the transaction validates. The pairs are the caller's to change, and
-// their values valid until tx finishes.
-func (t *Tree) Scan(tx *core.Tx, from uint64, limit int, cb func(pairs []Pair, err error)) {
+// Scan appends up to limit pairs with key >= from to dst, in key order
+// (TPC-C's range queries), and passes cb the result, or nil with an error: a
+// descent to from's leaf, then along the leaves, each read transactionally —
+// no key can appear in the range without changing a leaf the transaction
+// validates. The slice is the caller's, to keep and pass again (nil makes a
+// new one); the pairs' values are the transaction's bytes, the caller's to
+// change and valid until tx finishes.
+func (t *Tree) Scan(tx *core.Tx, from uint64, limit int, dst []Pair, cb func(pairs []Pair, err error)) {
 	op := t.newOp(tx, from)
-	op.limit, op.scanCb = limit, cb
+	op.limit, op.out, op.scanCb = limit, dst, cb
 	op.start()
 }

@@ -102,7 +102,7 @@ func (r *rig) scan(t *testing.T, mi int, from uint64, limit int) []Pair {
 	t.Helper()
 	var out []Pair
 	if err := r.do(t, mi, func(tx *core.Tx, done func(error)) {
-		r.t.Scan(tx, from, limit, func(pairs []Pair, err error) {
+		r.t.Scan(tx, from, limit, nil, func(pairs []Pair, err error) {
 			out = pairs
 			done(err)
 		})

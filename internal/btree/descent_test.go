@@ -66,7 +66,7 @@ func (r *rig) delOp(key uint64) func(*core.Tx, func(error)) {
 
 func (r *rig) scanOp(from uint64, limit int, want ...uint64) func(*core.Tx, func(error)) {
 	return func(tx *core.Tx, done func(error)) {
-		r.t.Scan(tx, from, limit, func(pairs []Pair, err error) {
+		r.t.Scan(tx, from, limit, nil, func(pairs []Pair, err error) {
 			if err == nil && len(pairs) != len(want) {
 				err = fmt.Errorf("scan from %d: %d pairs, want %d", from, len(pairs), len(want))
 			}

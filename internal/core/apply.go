@@ -461,7 +461,7 @@ func (m *Machine) onAllocSlot(from int, req *allocSlotReq) {
 	}
 	off, ver, err := m.allocSlotLocal(req.Region, req.Size)
 	m.send(from, &rpcReply{ID: req.ID, Body: &allocSlotResp{
-		Region: req.Region, OK: err == nil, Off: off, Version: ver,
+		Region: req.Region, OK: err == nil, Full: err == ErrNoSpace, Off: off, Version: ver,
 	}})
 }
 

@@ -64,6 +64,17 @@ type leaseManager struct {
 	// started is set once renewal and expiry checking are armed; start is
 	// called at every NEW-CONFIG-COMMIT and does nothing after the first.
 	started bool
+
+	// Lease traffic allocates nothing: tickFn is tick, bound once; the
+	// messages this machine sends come from reqFree and grantFree, and the
+	// fabric returns each once its last copy was delivered or lost; sendFree
+	// and recvFree hold the carriers of messages on their way to the wire
+	// and, copied at the upcall, to their handler.
+	tickFn    func()
+	reqFree   []*proto.LeaseRequest
+	grantFree []*proto.LeaseGrant
+	sendFree  []*leaseSend
+	recvFree  []*leaseRecv
 }
 
 // timerResolution is the system timer granularity (0.5 ms in §6.5).
@@ -88,6 +99,7 @@ func newLeaseManager(m *Machine) *leaseManager {
 		duration: m.c.Opts.LeaseDuration,
 	}
 	lm.thread = sim.NewThread(m.c.Eng, "lease")
+	lm.tickFn = lm.tick
 	switch lm.variant {
 	case LeaseUDThread:
 		// Normal priority: occasionally preempted for many milliseconds by
@@ -229,14 +241,14 @@ func (lm *leaseManager) tick() {
 		}
 	}
 	if g := lm.grantor(); g >= 0 {
-		lm.transmit(g, &proto.LeaseRequest{Config: lm.m.config.ID, Sent: int64(now)})
+		lm.transmit(g, proto.PooledLeaseRequest(&lm.reqFree, lm.m.config.ID, false, int64(now)))
 		if now-lm.renewed > lm.duration {
 			lm.expired(g)
 		}
 	}
 	lm.m.maybeWithdrawSuspicion()
 	lm.m.flushFencedReports()
-	lm.m.c.Eng.After(lm.renewInterval(), func() { lm.tick() })
+	lm.m.c.Eng.After(lm.renewInterval(), lm.tickFn)
 }
 
 // fresh reports whether every lease this machine grants or holds — the
@@ -297,37 +309,67 @@ func (lm *leaseManager) expired(id int) {
 
 // transmit sends a lease message using the variant's transport and charges
 // the variant's send-side scheduling.
-func (lm *leaseManager) transmit(dst int, msg interface{}) {
+func (lm *leaseManager) transmit(dst int, msg fabric.Reclaimer) {
 	m := lm.m
+	var s *leaseSend
+	if k := len(lm.sendFree); k > 0 {
+		s = lm.sendFree[k-1]
+		lm.sendFree = lm.sendFree[:k-1]
+	} else {
+		s = &leaseSend{lm: lm}
+		s.queueFn, s.sendFn = s.queue, s.send
+	}
+	s.dst, s.msg = dst, msg
 	switch lm.variant {
 	case LeaseRPC:
 		// Shared queue pairs and worker threads: wait out any QP stall,
 		// then queue behind normal work.
-		m.c.Eng.After(lm.stallDelay()+m.c.Eng.Rand().Duration(200*sim.Microsecond), func() {
-			m.pool.Dispatch(cpuMsg, func() {
-				if m.alive {
-					// Lease RPCs share the reliable queue pairs, so they
-					// occupy wire bandwidth like any other reliable send.
-					m.nic.SendSized(fabric.MachineID(dst), msg, proto.DefaultMsgSize)
-				}
-			})
-		})
+		m.c.Eng.After(lm.stallDelay()+m.c.Eng.Rand().Duration(200*sim.Microsecond), s.queueFn)
 	case LeaseUD:
 		// Own queue pair, shared thread: wait out event-loop stalls, then
 		// the send is prioritized within the thread.
-		m.c.Eng.After(lm.stallDelay()+m.c.Eng.Rand().Duration(50*sim.Microsecond), func() {
-			m.pool.ByIndex(0).DoPriority(cpuMsg, func() {
-				if m.alive {
-					m.nic.SendUD(fabric.MachineID(dst), msg)
-				}
-			})
-		})
+		m.c.Eng.After(lm.stallDelay()+m.c.Eng.Rand().Duration(50*sim.Microsecond), s.queueFn)
 	default:
-		lm.thread.Do(sim.Microsecond, func() {
-			if m.alive {
-				m.nic.SendUD(fabric.MachineID(dst), msg)
-			}
-		})
+		lm.thread.Do(sim.Microsecond, s.sendFn)
+	}
+}
+
+// leaseSend is one lease message on its way to the wire, pooled with its
+// continuations bound once.
+type leaseSend struct {
+	lm              *leaseManager
+	dst             int
+	msg             fabric.Reclaimer
+	queueFn, sendFn func()
+}
+
+// queue hands the send to the shared worker threads the RPC and UD
+// variants send from.
+func (s *leaseSend) queue() {
+	m := s.lm.m
+	if s.lm.variant == LeaseRPC {
+		m.pool.Dispatch(cpuMsg, s.sendFn)
+	} else {
+		m.pool.ByIndex(0).DoPriority(cpuMsg, s.sendFn)
+	}
+}
+
+// send puts the message on the wire, or back in its pool if the machine
+// died; the carrier goes back to its pool first.
+func (s *leaseSend) send() {
+	lm, dst, msg := s.lm, fabric.MachineID(s.dst), s.msg
+	s.msg = nil
+	lm.sendFree = append(lm.sendFree, s)
+	m := lm.m
+	switch {
+	case !m.alive:
+		msg.Reclaim()
+	case lm.variant == LeaseRPC:
+		// Lease RPCs share the reliable queue pairs, so they occupy wire
+		// bandwidth like any other reliable send.
+		m.nic.SendSized(dst, msg, proto.DefaultMsgSize)
+	default:
+		m.nic.SendUD(dst, msg)
 	}
 }
 
@@ -336,26 +378,62 @@ func (lm *leaseManager) onUD(src fabric.MachineID, msg interface{}) {
 	if !lm.m.alive || lm.stopped {
 		return
 	}
-	s := int(src)
-	process := func() {
-		if !lm.m.alive {
-			return
-		}
-		switch v := msg.(type) {
-		case *proto.LeaseRequest:
-			lm.onRequest(s, v)
-		case *proto.LeaseGrant:
-			lm.onGrant(s, v)
-		}
-	}
+	r := lm.received(int(src), msg)
 	switch lm.variant {
 	case LeaseUD:
 		// Same event-loop stall exposure on the receive side.
-		lm.m.c.Eng.After(lm.stallDelay(), func() {
-			lm.m.pool.ByIndex(0).DoPriority(cpuMsg, process)
-		})
+		lm.m.c.Eng.After(lm.stallDelay(), r.queueFn)
 	default:
-		lm.thread.Do(sim.Microsecond, process)
+		lm.thread.Do(sim.Microsecond, r.processFn)
+	}
+}
+
+// received copies a delivered lease message, whose sender reclaims it once
+// this upcall returns, into a pooled carrier that takes it to its handler.
+func (lm *leaseManager) received(src int, msg interface{}) *leaseRecv {
+	var r *leaseRecv
+	if k := len(lm.recvFree); k > 0 {
+		r = lm.recvFree[k-1]
+		lm.recvFree = lm.recvFree[:k-1]
+	} else {
+		r = &leaseRecv{lm: lm}
+		r.queueFn, r.processFn = r.queue, r.process
+	}
+	r.src = src
+	switch v := msg.(type) {
+	case *proto.LeaseRequest:
+		r.isReq, r.req = true, proto.LeaseRequest{Config: v.Config, Grant: v.Grant, Sent: v.Sent}
+	case *proto.LeaseGrant:
+		r.isReq, r.grant = false, proto.LeaseGrant{Config: v.Config}
+	}
+	return r
+}
+
+// leaseRecv is one received lease message on its way to its handler,
+// pooled with its continuations bound once.
+type leaseRecv struct {
+	lm                 *leaseManager
+	src                int
+	isReq              bool
+	req                proto.LeaseRequest
+	grant              proto.LeaseGrant
+	queueFn, processFn func()
+}
+
+// queue hands the message to the UD variant's shared worker thread.
+func (r *leaseRecv) queue() { r.lm.m.pool.ByIndex(0).DoPriority(cpuMsg, r.processFn) }
+
+// process runs the message's handler, once the carrier is back in its pool.
+func (r *leaseRecv) process() {
+	lm, src, isReq, req, grant := r.lm, r.src, r.isReq, r.req, r.grant
+	lm.recvFree = append(lm.recvFree, r)
+	if !lm.m.alive {
+		return
+	}
+	if isReq {
+		lm.onRequest(src, &req)
+	} else {
+		lm.onGrant(src, &grant)
 	}
 }
 
@@ -369,12 +447,12 @@ func (lm *leaseManager) onRequest(src int, req *proto.LeaseRequest) {
 	}
 	if !req.Grant && lm.watches(src) {
 		*leaseSlot(&lm.granted, src) = lm.m.c.Eng.Now()
-		lm.transmit(src, &proto.LeaseRequest{Config: lm.m.config.ID, Grant: true, Sent: req.Sent})
+		lm.transmit(src, proto.PooledLeaseRequest(&lm.reqFree, lm.m.config.ID, true, req.Sent))
 		return
 	}
 	if req.Grant && src == lm.grantor() {
 		lm.renewed = max(lm.renewed, sim.Time(req.Sent))
-		lm.transmit(src, &proto.LeaseGrant{Config: lm.m.config.ID})
+		lm.transmit(src, proto.PooledLeaseGrant(&lm.grantFree, lm.m.config.ID))
 	}
 }
 

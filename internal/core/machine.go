@@ -316,6 +316,10 @@ type Machine struct {
 	ansFree     []*answerTask
 	appFree     []*appCall
 	replyFree   []*rpcReply
+	// chunks are the slab chunks this machine's transactions carve from
+	// (tx.go), and reportFree the consumption reports it sends.
+	chunks     chunkPool
+	reportFree []*consumedReport
 	// pollShards is decodeFrames' per-poll table, one slot per coordinator
 	// thread (mod workers); every slot is nil between polls.
 	pollShards []*pollTask
@@ -798,6 +802,13 @@ func (m *Machine) dispatchMsg(src int, msg interface{}, stamp sim.Time, ctx trac
 		// handler reads it: this delivery holds it until the APP handler
 		// returned.
 		v.held++
+	case *proto.LeaseRequest, *proto.LeaseGrant:
+		// A lease RPC (LeaseRPC) is pooled by its sender too, and goes on
+		// by value.
+		if m.lease != nil {
+			m.pool.Dispatch(cpuMsg, m.lease.received(src, msg).processFn)
+			return
+		}
 	}
 	tk := m.getTask()
 	tk.h, tk.src, tk.msg, tk.ctx = h, src, msg, ctx
@@ -1036,11 +1047,34 @@ func (m *Machine) maybeReportConsumed(lr *logReader) {
 		return
 	}
 	m.c.Net.Counters.Inc("rdma_write", 1)
-	m.c.Eng.After(m.c.Opts.Fabric.WireLatency+sim.Microsecond, func() {
-		if sender := m.c.Machines[src]; sender.alive {
-			sender.peer(m.ID).logW.UpdateConsumed(consumed)
-		}
-	})
+	var r *consumedReport
+	if k := len(m.reportFree); k > 0 {
+		r = m.reportFree[k-1]
+		m.reportFree = m.reportFree[:k-1]
+	} else {
+		r = &consumedReport{m: m}
+		r.runFn = r.run
+	}
+	r.src, r.consumed = src, consumed
+	m.c.Eng.After(m.c.Opts.Fabric.WireLatency+sim.Microsecond, r.runFn)
+}
+
+// consumedReport is one consumption report on its way to the ring's sender:
+// pooled by the reporting machine, its event bound once, and back in the
+// pool before the sender's writer takes the value.
+type consumedReport struct {
+	m        *Machine
+	src      int
+	consumed uint64
+	runFn    func()
+}
+
+func (r *consumedReport) run() {
+	m, src, consumed := r.m, r.src, r.consumed
+	m.reportFree = append(m.reportFree, r)
+	if sender := m.c.Machines[src]; sender.alive {
+		sender.peer(m.ID).logW.UpdateConsumed(consumed)
+	}
 }
 
 // installReplica makes mem this machine's replica of a region in the table.

@@ -71,10 +71,9 @@ type Tx struct {
 	firstW, lastW   int32 // ends of the wnext chain (-1 = empty)
 
 	// chunks are the byte chunks the transaction carves from (see carve),
-	// in carve order, kept across recycling; used counts those this
-	// transaction has started and slab is the unused tail of the newest.
+	// taken from its machine's chunk pool in carve order and given back
+	// when it is released; slab is the unused tail of the newest.
 	chunks [][]byte
-	used   int
 	slab   []byte
 
 	// reading counts fresh reads in flight; crowded: two were, since none.
@@ -147,13 +146,11 @@ func (t *Tx) settle() {
 
 // release returns t to its machine's pool once nothing can reach it any
 // more: the application is finished with it, no coordTx holds it and no
-// callback is due to it. Everything is reset but the grown table, its index
-// and the chunks, whose bytes carve clears when it reuses them. Of the
-// chunks this transaction did not carve, the last goes to the collector, so
-// a Tx that once served a large transaction (a bulk load) sheds what it no
-// longer needs one chunk per transaction. A Tx that recovery decides, that
-// dies with its machine or that the application drops without Commit or
-// Abort never gets here, and goes to the collector.
+// callback is due to it. Its chunks go back to the machine's chunk pool;
+// everything else is reset but the grown table and its index. A Tx that
+// recovery decides, that dies with its machine or that the application
+// drops without Commit or Abort never gets here, and goes to the collector
+// with its chunks.
 func (t *Tx) release() {
 	if !t.appDone || t.committing || t.live > 0 {
 		return
@@ -163,9 +160,9 @@ func (t *Tx) release() {
 	if len(t.set) > scanMax {
 		clear(t.index)
 	}
-	keep := max(t.used, len(t.chunks)-1)
-	clear(t.chunks[keep:])
-	*t = Tx{m: m, set: t.set[:0], index: t.index, chunks: t.chunks[:keep], reportFn: t.reportFn}
+	m.chunks.put(t.chunks, m.c.Eng.Now())
+	clear(t.chunks)
+	*t = Tx{m: m, set: t.set[:0], index: t.index, chunks: t.chunks[:0], reportFn: t.reportFn}
 	m.txFree = append(m.txFree, t)
 }
 
@@ -243,11 +240,10 @@ const maxChunk = 4096
 // that appending to them cannot reach a neighbour. The payload bytes a
 // transaction keeps or hands out (private read copies, the copies callbacks
 // receive, buffered write values) are carved from a few chunks instead of
-// allocated one by one: the first chunk is twice the first request, each
-// later one twice the last, up to maxChunk. The chunks stay with the Tx when
-// it is recycled (release), and the next transaction carves them again in
-// order, each cleared as it is taken up (nextChunk); a request of maxChunk/2
-// or more keeps its own allocation, which is not kept.
+// allocated one by one: the first chunk holds twice the first request, each
+// later one twice the last, up to maxChunk, each taken from the machine's
+// chunk pool and cleared (nextChunk). A request of maxChunk/2 or more keeps
+// its own allocation, which is not pooled.
 func (t *Tx) carve(n int) []byte {
 	if n > len(t.slab) {
 		if n >= maxChunk/2 {
@@ -260,25 +256,88 @@ func (t *Tx) carve(n int) []byte {
 	return b
 }
 
-// nextChunk makes the transaction's next chunk its slab: the next kept one,
-// cleared, if it holds n bytes, else a new one in its place.
+// nextChunk makes a chunk from the pool the transaction's slab: the size
+// class of twice n, or twice the last chunk if that is larger.
 func (t *Tx) nextChunk(n int) {
-	if t.used < len(t.chunks) && len(t.chunks[t.used]) >= n {
-		t.slab = t.chunks[t.used]
-		clear(t.slab)
-	} else {
-		last := 0
-		if t.used > 0 {
-			last = len(t.chunks[t.used-1])
-		}
-		t.slab = make([]byte, min(max(2*n, 2*last), maxChunk))
-		if t.used < len(t.chunks) {
-			t.chunks[t.used] = t.slab
-		} else {
-			t.chunks = append(t.chunks, t.slab)
+	size := 2 * n
+	if k := len(t.chunks); k > 0 {
+		size = max(size, 2*len(t.chunks[k-1]))
+	}
+	t.slab = t.m.chunks.get(chunkClass(size))
+	t.chunks = append(t.chunks, t.slab)
+}
+
+// The chunk pool's size classes: minChunk << c bytes for class c, up to
+// maxChunk.
+const (
+	minChunkShift = 7
+	minChunk      = 1 << minChunkShift
+	chunkClasses  = 12 - minChunkShift + 1 // maxChunk is 1 << 12
+)
+
+// chunkClass returns the smallest class that holds size bytes, or the
+// largest.
+func chunkClass(size int) int {
+	c := 0
+	for c < chunkClasses-1 && minChunk<<c < size {
+		c++
+	}
+	return c
+}
+
+// chunkPool is a machine's free chunks, one list per size class, which its
+// transactions carve from (Tx.carve) and give back when they are released.
+// It keeps about as many chunks of a class as the machine's transactions
+// held at once lately, so a burst — set-up's bulk loads — is shed: inUse
+// counts the chunks transactions hold, peak the most they held since the
+// current window began, at the first release chunkWindow of virtual time
+// after the last one did, and last the most in the window before. Each
+// release sheds one free chunk of every class holding more, in use and free
+// together, than the larger of the two peaks.
+type chunkPool struct {
+	free   [chunkClasses][][]byte
+	inUse  [chunkClasses]int
+	peak   [chunkClasses]int
+	last   [chunkClasses]int
+	window sim.Time // when the current window began
+}
+
+// chunkWindow is the virtual time a chunk pool's peak spans, at least.
+const chunkWindow = 8 * sim.Millisecond
+
+// get takes a cleared chunk of class c, or makes one.
+func (p *chunkPool) get(c int) []byte {
+	if p.inUse[c]++; p.inUse[c] > p.peak[c] {
+		p.peak[c] = p.inUse[c]
+	}
+	if k := len(p.free[c]); k > 0 {
+		b := p.free[c][k-1]
+		p.free[c][k-1] = nil
+		p.free[c] = p.free[c][:k-1]
+		clear(b)
+		return b
+	}
+	return make([]byte, minChunk<<c)
+}
+
+// put takes back the chunks one transaction released at now held, then
+// sheds.
+func (p *chunkPool) put(chunks [][]byte, now sim.Time) {
+	for _, b := range chunks {
+		c := chunkClass(len(b))
+		p.inUse[c]--
+		p.free[c] = append(p.free[c], b)
+	}
+	if now-p.window >= chunkWindow {
+		p.window = now
+		p.last, p.peak = p.peak, p.inUse
+	}
+	for c := range p.free {
+		if k := len(p.free[c]); k > 0 && p.inUse[c]+k > max(p.peak[c], p.last[c]) {
+			p.free[c][k-1] = nil
+			p.free[c] = p.free[c][:k-1]
 		}
 	}
-	t.used++
 }
 
 // copyOut returns a copy of src the caller may keep and mutate.
@@ -485,9 +544,11 @@ func (t *Tx) Write(addr proto.Addr, value []byte) {
 }
 
 // Alloc allocates a new object of the given payload size and buffers its
-// first write. If hint is non-nil the object is placed in the same region
-// as the hint (locality, §3); otherwise a region with a local primary is
-// preferred. The object becomes visible only when the transaction commits.
+// first write, a copy of value made before cb runs: the caller may reuse
+// value from then on. If hint is non-nil the object is placed in the same
+// region as the hint (locality, §3) if that has room, else near it;
+// otherwise a region with a local primary is preferred. The object becomes
+// visible only when the transaction commits.
 func (t *Tx) Alloc(size int, value []byte, hint *proto.Addr, cb func(addr proto.Addr, err error)) {
 	op := t.m.newAllocOp(t, hint)
 	op.size, op.value, op.cb = size, value, cb
@@ -512,17 +573,18 @@ type allocOp struct {
 	value []byte
 	cb    func(proto.Addr, error)
 	// regions are the candidates, in the order they are tried (keeps its
-	// capacity); next is the one being tried.
+	// capacity); next is the one being tried. hinted: regions[0] is the
+	// hint's, and the others are added only if it is full.
 	regions []uint32
 	next    int
+	hinted  bool
 
 	localFn, noSpaceFn func()
 	calledFn           func(interface{}, error)
 }
 
 // newAllocOp returns a pooled allocOp for t, its candidates filled in: the
-// hint's region alone, or every mapped region with this machine as its
-// primary, then every other one, each half ascending like the table.
+// hint's region alone (nearby follows when it is full), or the nearby order.
 func (m *Machine) newAllocOp(t *Tx, hint *proto.Addr) *allocOp {
 	var op *allocOp
 	if k := len(m.allocFree); k > 0 {
@@ -536,17 +598,36 @@ func (m *Machine) newAllocOp(t *Tx, hint *proto.Addr) *allocOp {
 	}
 	op.t = t
 	if hint != nil {
-		op.regions = append(op.regions, hint.Region)
+		op.regions, op.hinted = append(op.regions, hint.Region), true
 		return op
 	}
-	for _, local := range [...]bool{true, false} {
+	op.nearby(m.ID, -1)
+	return op
+}
+
+// nearby appends candidates: every mapped region but skip (-1: none) whose
+// primary is machine p, then every one whose primary is this machine, then
+// every other one, each group ascending like the table.
+func (op *allocOp) nearby(p, skip int) {
+	m := op.m
+	for group := 0; group < 3; group++ {
 		for i := range m.regions {
-			if rm := m.regions[i].mapping; rm != nil && len(rm.Replicas) > 0 && (int(rm.Replicas[0]) == m.ID) == local {
+			rm := m.regions[i].mapping
+			if rm == nil || len(rm.Replicas) == 0 || i == skip {
+				continue
+			}
+			in := 2
+			switch int(rm.Replicas[0]) {
+			case p:
+				in = 0
+			case m.ID:
+				in = 1
+			}
+			if in == group {
 				op.regions = append(op.regions, uint32(i))
 			}
 		}
 	}
-	return op
 }
 
 // try reserves a slot in the next candidate region, locally or through its
@@ -587,10 +668,13 @@ func (op *allocOp) called(resp interface{}, err error) {
 		op.slotDone(0, 0, err)
 		return
 	}
-	if r := resp.(*allocSlotResp); r.OK {
+	switch r := resp.(*allocSlotResp); {
+	case r.OK:
 		op.slotDone(r.Off, r.Version, nil)
-	} else {
+	case r.Full:
 		op.slotDone(0, 0, ErrNoSpace)
+	default:
+		op.slotDone(0, 0, ErrUnavailable)
 	}
 }
 
@@ -598,6 +682,11 @@ func (op *allocOp) called(resp interface{}, err error) {
 // enters the reserved slot into the write set with its first write.
 func (op *allocOp) slotDone(off uint32, version uint64, err error) {
 	if err != nil {
+		if op.hinted && err == ErrNoSpace {
+			// The hint's region is full: try near it.
+			op.hinted = false
+			op.nearby(op.m.primaryOf(op.regions[0]), int(op.regions[0]))
+		}
 		op.next++
 		op.try()
 		return
@@ -616,7 +705,7 @@ func (op *allocOp) noSpace() { op.done(proto.Addr{}, ErrNoSpace) }
 // done recycles the op, then reports to the application.
 func (op *allocOp) done(addr proto.Addr, err error) {
 	t, cb := op.t, op.cb
-	op.t, op.value, op.cb, op.regions, op.next = nil, nil, nil, op.regions[:0], 0
+	op.t, op.value, op.cb, op.regions, op.next, op.hinted = nil, nil, nil, op.regions[:0], 0, false
 	op.m.allocFree = append(op.m.allocFree, op)
 	cb(addr, err)
 	t.settle()
@@ -697,6 +786,7 @@ type allocSlotReq struct {
 type allocSlotResp struct {
 	Region  uint32
 	OK      bool
+	Full    bool // not OK because the region has no free slot of the size
 	Off     uint32
 	Version uint64
 }

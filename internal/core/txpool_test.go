@@ -22,9 +22,9 @@ import (
 // validation read is held up on the wire is aborted by the stall sweep, and
 // its truncation recycles its coordTx; the verdict is still due to the Tx,
 // so the Tx stays out of the pool and the next transaction on the machine
-// gets another. When the late verdict — a success — lands, it must not
-// count for that transaction, whose own read went stale and must abort;
-// then the first Tx goes back.
+// gets another, which carves from other chunks. When the late verdict — a
+// success — lands, it must not count for that transaction, whose own read
+// went stale and must abort; then the first Tx goes back.
 func TestLateVerdictKeepsItsTxOutOfThePool(t *testing.T) {
 	c := New(Options{NumMachines: 5, Seed: 19})
 	cm := int(c.Machine(0).config.CM)
@@ -68,6 +68,14 @@ func TestLateVerdictKeepsItsTxOutOfThePool(t *testing.T) {
 	txRead(t, c, tx2, b, 8)
 	txRead(t, c, tx2, w, 8)
 	tx2.Write(w, []byte("yyyyyyyy"))
+	// Nor are the first Tx's chunks in the machine's pool: the second
+	// carves its copies elsewhere.
+	if got := tx1.set[tx1.find(a)].data; string(got) != "aaaaaaaa" {
+		t.Fatalf("the first Tx's copy of a reads %q: its chunk was handed out", got)
+	}
+	if got := tx1.set[tx1.find(w)].value; string(got) != "xxxxxxxx" {
+		t.Fatalf("the first Tx's write of w reads %q: its chunk was handed out", got)
+	}
 	var staled bool
 	var err error
 	update(t, prim, 2, b, []byte("BBBBBBBB"), &staled, &err)

@@ -157,7 +157,7 @@ type Window struct {
 	// Descents is the TPC-C B-tree descent statistics (tpcc.DescentStats).
 	Descents [5]uint64
 	// Mallocs and AllocBytes are the host's heap allocations; HeapAlloc is
-	// the live heap at the end.
+	// the live heap at the end, read after a collection.
 	Mallocs, AllocBytes, HeapAlloc uint64
 	Wall                           time.Duration
 }
@@ -199,7 +199,10 @@ func (s *Setup) Drive() Window {
 			w.Descents[i] = v - w.Descents[i]
 		}
 	}
-	w.Mallocs, w.AllocBytes, w.HeapAlloc = ms1.Mallocs-ms0.Mallocs, ms1.TotalAlloc-ms0.TotalAlloc, ms1.HeapAlloc
+	w.Mallocs, w.AllocBytes = ms1.Mallocs-ms0.Mallocs, ms1.TotalAlloc-ms0.TotalAlloc
+	runtime.GC()
+	runtime.ReadMemStats(&ms1)
+	w.HeapAlloc = ms1.HeapAlloc
 	return w
 }
 

@@ -636,8 +636,8 @@ func (n *Network) getBatch() *Batch {
 	return &Batch{pooled: true}
 }
 
-// Reclaimer is a pooled message: the fabric calls Reclaim when it reclaims
-// the pooled batch frame carrying the message, once the last copy is
+// Reclaimer is a pooled message: the fabric calls Reclaim once the last
+// copy of the message, or of the pooled batch frame carrying it, is
 // delivered or lost, so the sender may reuse it from then on.
 type Reclaimer interface{ Reclaim() }
 
@@ -657,10 +657,14 @@ func (n *Network) putBatch(b *Batch) {
 	n.batchFree = append(n.batchFree, b)
 }
 
-// releaseIfBatch reclaims a pooled batch that died before delivery.
-func (n *Network) releaseIfBatch(msg interface{}) {
-	if b, ok := msg.(*Batch); ok {
-		n.putBatch(b)
+// release reclaims a pooled batch or a Reclaimer sent bare, once its last
+// copy was delivered or died.
+func (n *Network) release(msg interface{}) {
+	switch v := msg.(type) {
+	case *Batch:
+		n.putBatch(v)
+	case Reclaimer:
+		v.Reclaim()
 	}
 }
 
@@ -704,13 +708,13 @@ func (c *NIC) SendUD(dst MachineID, msg interface{}) {
 // sendOp is the pooled state machine of one reliable send or datagram:
 // src tx NIC → wire → dst rx NIC → handler upcall. Duplicate-delivery
 // faults schedule two wire legs through the same op; the op (and a pooled
-// batch riding on it) is reclaimed when the last copy delivers or dies.
+// batch or message riding on it) is reclaimed when the last copy delivers
+// or dies.
 type sendOp struct {
 	net       *Network
 	src       *NIC
 	dst       MachineID
 	msg       interface{}
-	batch     *Batch // non-nil when msg is a pooled Batch
 	ud        bool
 	bytes     int
 	copies    int8
@@ -733,17 +737,15 @@ func (n *Network) getSendOp() *sendOp {
 }
 
 // done retires one delivery copy; the last one reclaims the op and any
-// pooled batch (whose messages have all been dispatched by now).
+// pooled batch or message (dispatched by now).
 func (op *sendOp) done() {
 	op.remaining--
 	if op.remaining > 0 {
 		return
 	}
-	if op.batch != nil {
-		op.net.putBatch(op.batch)
-	}
+	op.net.release(op.msg)
 	op.src = nil
-	op.msg, op.batch = nil, nil
+	op.msg = nil
 	op.net.sendFree = append(op.net.sendFree, op)
 }
 
@@ -784,11 +786,12 @@ func (op *sendOp) deliver() {
 func (c *NIC) transmit(dst MachineID, msg interface{}, ud bool, bytes int) {
 	net := c.net
 	if !c.powered {
-		net.releaseIfBatch(msg)
+		net.release(msg)
 		return // dead initiators send nothing
 	}
 	if ud && net.Eng.Rand().Bool(net.udLossProb(c.ID, dst)) {
 		*net.cUDDropped++
+		net.release(msg)
 		return
 	}
 	if dst == c.ID {
@@ -796,7 +799,6 @@ func (c *NIC) transmit(dst MachineID, msg interface{}, ud bool, bytes int) {
 		// they never apply to a machine talking to itself).
 		op := net.getSendOp()
 		op.src, op.dst, op.msg, op.ud, op.bytes = c, dst, msg, ud, bytes
-		op.batch = pooledBatch(msg)
 		op.copies, op.remaining = 1, 1
 		net.Eng.After(net.Opts.LocalOpTime, op.deliverFn)
 		return
@@ -809,7 +811,7 @@ func (c *NIC) transmit(dst MachineID, msg interface{}, ud bool, bytes int) {
 	if !ud {
 		if net.dropSend(c.ID, dst) {
 			*net.cFaultDrop++
-			net.releaseIfBatch(msg)
+			net.release(msg)
 			return
 		}
 		if net.dupSend(c.ID, dst) {
@@ -819,14 +821,6 @@ func (c *NIC) transmit(dst MachineID, msg interface{}, ud bool, bytes int) {
 	}
 	op := net.getSendOp()
 	op.src, op.dst, op.msg, op.ud, op.bytes = c, dst, msg, ud, bytes
-	op.batch = pooledBatch(msg)
 	op.copies, op.remaining = copies, copies
 	c.tx.Do(net.nicOpTime(c.ID)+net.xferTime(c.ID, bytes), op.txFn)
-}
-
-func pooledBatch(msg interface{}) *Batch {
-	if b, ok := msg.(*Batch); ok && b.pooled {
-		return b
-	}
-	return nil
 }

@@ -300,7 +300,8 @@ func TestLockFreeGetAllocationBudget(t *testing.T) {
 }
 
 // TestPooledOpReusedFromItsCallback: an operation returns to its table's
-// pool, reset whole, before its callback runs, so a Get whose callback Puts
+// pool, reset whole but for its bound continuation and its (empty) key
+// buffer, before its callback runs, so a Get whose callback Puts
 // another key of the table hands the Put its own chainOp. The Get and the
 // Put see, read, write and commit exactly what they do when the Put is issued
 // from a fresh event instead.
@@ -336,7 +337,9 @@ func TestPooledOpReusedFromItsCallback(t *testing.T) {
 			}
 			if reset := *pooled; reset.allocFn == nil {
 				t.Error("the recycled op lost its bound continuation")
-			} else if reset.allocFn = nil; !reflect.DeepEqual(reset, chainOp{t: r.t}) {
+			} else if len(reset.key) != 0 {
+				t.Errorf("the recycled op still holds its key: %q", reset.key)
+			} else if reset.allocFn, reset.key = nil, nil; !reflect.DeepEqual(reset, chainOp{t: r.t}) {
 				t.Errorf("the recycled op still holds state: %+v", reset)
 			}
 			if !fromCallback {

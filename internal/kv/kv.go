@@ -337,6 +337,8 @@ type chainOp struct {
 	// allocFn is allocated, bound once.
 	allocFn func(proto.Addr, error)
 
+	// key is the operation's copy of its key, in a buffer kept across
+	// recycling, so no caller's key outlives the call.
 	key, val []byte
 	// Exactly one of these is set; it says which operation this is.
 	getCb func(val []byte, ok bool, err error)
@@ -354,15 +356,16 @@ func (t *Table) newOp(tx *core.Tx, key []byte) *chainOp {
 		op.allocFn = op.allocated
 	}
 	home := t.hash(key)
-	op.tx, op.home, op.n, op.key = tx, home, 1+int(t.adj[home]), key
+	op.tx, op.home, op.n, op.key = tx, home, 1+int(t.adj[home]), append(op.key[:0], key...)
 	return op
 }
 
-// recycle resets the op whole, but for its table and bound continuation,
-// and returns it to the pool. Its callers copy out the callback first.
+// recycle resets the op whole, but for its table, bound continuation and
+// key buffer, and returns it to the pool. Its callers copy out the callback
+// first.
 func (op *chainOp) recycle() {
-	t, allocFn := op.t, op.allocFn
-	*op = chainOp{t: t, allocFn: allocFn}
+	t, allocFn, key := op.t, op.allocFn, op.key[:0]
+	*op = chainOp{t: t, allocFn: allocFn, key: key}
 	t.free = append(t.free, op)
 }
 

@@ -89,7 +89,8 @@ type Point struct {
 	// window (workload allocations included, so it bounds the engine's
 	// own cost from above).
 	AllocsPerEvent float64 `json:"allocs_per_event"`
-	// HeapMB is the live heap after the run, in MiB.
+	// HeapMB is the live heap at the window's end, after a collection, in
+	// MiB.
 	HeapMB float64 `json:"heap_mb"`
 	// ConfigCommitMs and TputBackMs are a kill point's recovery, in virtual
 	// milliseconds after the kill: when the CM committed the configuration

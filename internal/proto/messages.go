@@ -192,11 +192,60 @@ type LeaseRequest struct {
 	// Sent is the requester's clock (virtual ns) when it sent the request;
 	// the grant+request echoes it, and the holder times its lease from it.
 	Sent int64
+
+	free *[]*LeaseRequest // the pool a pooled request returns to
 }
 
 // LeaseGrant completes the handshake.
 type LeaseGrant struct {
 	Config uint64
+
+	free *[]*LeaseGrant // the pool a pooled grant returns to
+}
+
+// PooledLeaseRequest returns a request from *free, or a new one that
+// Reclaim returns there. The fabric reclaims it once its last copy was
+// delivered or lost, so a receiver copies what it needs during the delivery
+// upcall.
+func PooledLeaseRequest(free *[]*LeaseRequest, config uint64, grant bool, sent int64) *LeaseRequest {
+	r := pop(free)
+	*r = LeaseRequest{Config: config, Grant: grant, Sent: sent, free: free}
+	return r
+}
+
+// PooledLeaseGrant is PooledLeaseRequest for a grant.
+func PooledLeaseGrant(free *[]*LeaseGrant, config uint64) *LeaseGrant {
+	g := pop(free)
+	*g = LeaseGrant{Config: config, free: free}
+	return g
+}
+
+// Reclaim returns a pooled request to its pool; a bare one is the
+// collector's.
+func (r *LeaseRequest) Reclaim() {
+	if f := r.free; f != nil {
+		*r = LeaseRequest{}
+		*f = append(*f, r)
+	}
+}
+
+// Reclaim returns a pooled grant to its pool.
+func (g *LeaseGrant) Reclaim() {
+	if f := g.free; f != nil {
+		*g = LeaseGrant{}
+		*f = append(*f, g)
+	}
+}
+
+// pop takes the last element of *free, or makes one.
+func pop[T any](free *[]*T) *T {
+	if k := len(*free); k > 0 {
+		v := (*free)[k-1]
+		(*free)[k-1] = nil
+		*free = (*free)[:k-1]
+		return v
+	}
+	return new(T)
 }
 
 // --- Reconfiguration protocol (§5.2) ---

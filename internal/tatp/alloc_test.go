@@ -11,8 +11,8 @@ import (
 )
 
 // allocsPerOp runs op until the pools are warm and returns what one run
-// allocates, less what the cluster's lease traffic allocates over an idle
-// stretch of the same virtual length.
+// allocates, the events the cluster runs meanwhile (lease traffic among
+// them) included.
 func allocsPerOp(c *core.Cluster, op func(done func(bool))) float64 {
 	finished := false
 	done := func(bool) { finished = true }
@@ -25,10 +25,7 @@ func allocsPerOp(c *core.Cluster, op func(done func(bool))) float64 {
 	for i := 0; i < 200; i++ {
 		run()
 	}
-	start := c.Now()
-	with := testing.AllocsPerRun(100, run)
-	took := (c.Now() - start) / 101
-	return with - testing.AllocsPerRun(100, func() { c.RunFor(took) })
+	return testing.AllocsPerRun(100, run)
 }
 
 // TestTransactionAllocationBudgets: once warm, none of the seven
@@ -83,11 +80,11 @@ func TestTransactionAllocationBudgets(t *testing.T) {
 
 // TestMixAllocationBudget: a scaled-down tatp_mix — 9 machines, 2 threads
 // each, two clients per thread, 2 000 subscribers in 6 regions — running Mix
-// over a warmed window, costs 0.12 allocations per committed operation: slab
-// chunks a Tx sheds after smaller transactions and takes up again, and the
-// cluster's lease traffic, mostly (make allocs lists the sites). It cost 4.84
-// while the transactions made closures and keys, lock-free reads made a
-// buffer for their callers and shipped calls their messages.
+// over a warmed window, costs 0.05 allocations per committed operation, at
+// scattered sites (make allocs lists them). It cost 4.84 while the
+// transactions made closures and keys, lock-free reads made a buffer for
+// their callers and shipped calls their messages, and 0.12 while a Tx kept
+// its own chunks and lease messages were made afresh.
 func TestMixAllocationBudget(t *testing.T) {
 	c := core.New(core.Options{NumMachines: 9, Threads: 2, Seed: 1})
 	w, err := Setup(c, 2000, 6)
@@ -102,7 +99,7 @@ func TestMixAllocationBudget(t *testing.T) {
 		t.Fatalf("only %d operations committed in the window", ops)
 	}
 	t.Logf("tatp mix: %.2f allocs per committed operation over %d committed", per, ops)
-	const budget = 0.12 * 1.1
+	const budget = 0.05 * 1.1
 	if per > budget {
 		t.Errorf("tatp mix: %.2f allocs per committed operation, want <= %.2f", per, budget)
 	}

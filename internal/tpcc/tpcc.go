@@ -340,17 +340,17 @@ func (w *Workload) checkDistrict(wh *warehouse, d int) (last int, err error) {
 				return
 			}
 			last = int(binary.LittleEndian.Uint32(drow)) - 1
-			wh.orders[d].Scan(tx, 0, math.MaxInt, func(orders []btree.Pair, err error) {
+			wh.orders[d].Scan(tx, 0, math.MaxInt, nil, func(orders []btree.Pair, err error) {
 				if err != nil {
 					done(err)
 					return
 				}
-				wh.newOrders[d].Scan(tx, 0, math.MaxInt, func(newOrders []btree.Pair, err error) {
+				wh.newOrders[d].Scan(tx, 0, math.MaxInt, nil, func(newOrders []btree.Pair, err error) {
 					if err != nil {
 						done(err)
 						return
 					}
-					wh.orderLines[d].Scan(tx, 0, math.MaxInt, func(lines []btree.Pair, err error) {
+					wh.orderLines[d].Scan(tx, 0, math.MaxInt, nil, func(lines []btree.Pair, err error) {
 						if err != nil {
 							done(err)
 							return
@@ -670,7 +670,7 @@ func (w *Workload) OrderStatus(m *core.Machine, thread int, wh *warehouse, rng *
 	if rng.Bool(0.6) {
 		// 60% select customer by last name through the name index.
 		op.stage = osByName
-		wh.custByName.Scan(op.tx, custNameKey(op.d, op.cid)&^0xFFFF, 3, op.scanFn)
+		wh.custByName.Scan(op.tx, custNameKey(op.d, op.cid)&^0xFFFF, 3, op.pairs[:0], op.scanFn)
 		return
 	}
 	binary.LittleEndian.PutUint64(op.ckey[:], custID(op.d, op.cid))
@@ -723,8 +723,9 @@ type txOp struct {
 	nokey     uint64 // Delivery's new-order key
 	threshold uint32 // StockLevel's
 	ids       []uint32
-	next      int // StockLevel's item being checked
-	low       int // StockLevel's items below threshold
+	pairs     []btree.Pair // what the last Scan returned, kept across recycling
+	next      int          // StockLevel's item being checked
+	low       int          // StockLevel's items below threshold
 
 	dkey, ckey, key [8]byte // kv.U64Key's encoding; key is history's or stock's
 	hrow            [historyRow]byte
@@ -778,10 +779,12 @@ func (w *Workload) newTxOp(m *core.Machine, thread int, wh *warehouse, rng *sim.
 }
 
 // finish returns the state machine to the pool, reset whole but for its
-// workload, bound continuations and the capacity of ids, then reports ok.
+// workload, bound continuations and the capacity of ids and pairs, then
+// reports ok.
 func (op *txOp) finish(ok bool) {
 	w, done := op.w, op.done
-	*op = txOp{w: w, ids: op.ids[:0], getFn: op.getFn, putFn: op.putFn, scanFn: op.scanFn, delFn: op.delFn, commitFn: op.commitFn}
+	clear(op.pairs)
+	*op = txOp{w: w, ids: op.ids[:0], pairs: op.pairs[:0], getFn: op.getFn, putFn: op.putFn, scanFn: op.scanFn, delFn: op.delFn, commitFn: op.commitFn}
 	w.opFree = append(w.opFree, op)
 	done(ok)
 }
@@ -826,7 +829,7 @@ func (op *txOp) gotRow(row []byte, ok bool, err error) {
 		wh.orders[d].Get(tx, orderKey(d, op.oid), op.getFn)
 	case osOrder:
 		op.stage = osLines
-		wh.orderLines[d].Scan(tx, olKey(d, op.oid, 0), 15, op.scanFn)
+		wh.orderLines[d].Scan(tx, olKey(d, op.oid, 0), 15, op.pairs[:0], op.scanFn)
 	case dlOrder:
 		row[13] = byte(op.rng.Intn(10) + 1) // carrier
 		op.cid = int(binary.LittleEndian.Uint32(row))
@@ -844,7 +847,7 @@ func (op *txOp) gotRow(row []byte, ok bool, err error) {
 			return
 		}
 		op.stage = slLines
-		wh.orderLines[d].Scan(tx, olKey(d, max(next-10, 1), 0), 60, op.scanFn)
+		wh.orderLines[d].Scan(tx, olKey(d, max(next-10, 1), 0), 60, op.pairs[:0], op.scanFn)
 	case slStock:
 		if ok && binary.LittleEndian.Uint32(row) < op.threshold {
 			op.low++
@@ -881,16 +884,17 @@ func (op *txOp) wrote(err error) {
 		tx.Commit(op.commitFn)
 	case dlOrderPut:
 		op.stage = dlLines
-		wh.orderLines[d].Scan(tx, olKey(d, op.oid, 0), 15, op.scanFn)
+		wh.orderLines[d].Scan(tx, olKey(d, op.oid, 0), 15, op.pairs[:0], op.scanFn)
 	}
 }
 
-// scanned takes the pairs a Scan returned.
+// scanned takes the pairs a Scan returned, keeping the slice for the next.
 func (op *txOp) scanned(pairs []btree.Pair, err error) {
 	if err != nil {
 		op.fail()
 		return
 	}
+	op.pairs = pairs
 	wh, tx, d := op.wh, op.tx, op.d
 	switch op.stage {
 	case osByName:
@@ -972,7 +976,7 @@ func (op *txOp) deliver() {
 	op.amount = 0
 	op.tx = op.m.Begin(op.thread)
 	op.stage = dlNewOrder
-	op.wh.newOrders[op.d].Scan(op.tx, orderKey(op.d, 0), 1, op.scanFn)
+	op.wh.newOrders[op.d].Scan(op.tx, orderKey(op.d, 0), 1, op.pairs[:0], op.scanFn)
 }
 
 // checkStock reads the stock row of StockLevel's item i, or commits once

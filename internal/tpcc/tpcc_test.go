@@ -346,3 +346,25 @@ func TestFailedNewOrderReturnsItsSlots(t *testing.T) {
 		}
 	}
 }
+
+// TestNewOrdersOutgrowTheirFirstRegion: the range indexes live in a
+// warehouse's first region, and a split allocates its new node next to the
+// node it splits; once that region is full the node goes to the warehouse's
+// next region. While a hinted allocation tried the hint's region alone,
+// NewOrder 1 112 of this run failed at its order-line Put, and so did every
+// later one.
+func TestNewOrdersOutgrowTheirFirstRegion(t *testing.T) {
+	c, w := setup(t, 1)
+	wh := w.whs[0]
+	m := c.Machine(wh.home)
+	rng := sim.NewRand(11)
+	size := wh.orders[1].NodeBytes()
+	for i := 0; i < 1500; i++ {
+		if !runOp(t, c, func(d func(bool)) { w.NewOrder(m, 0, wh, rng, d) }) {
+			t.Fatalf("NewOrder %d failed, %d free node slots left in the first region", i, m.FreeSlots(wh.regions[0], size))
+		}
+	}
+	if n, err := w.CheckConsistency(); err != nil || n != 1500 {
+		t.Fatalf("consistency: %d orders, %v", n, err)
+	}
+}

@@ -103,20 +103,22 @@ func syncTx(c *core.Cluster, m *core.Machine, fn func(tx *core.Tx, done func(err
 }
 
 // LookupOp returns the uniform lock-free lookup operation.
-func (w *Workload) LookupOp() loadgen.Op {
-	return func(m *core.Machine, thread int, rng *sim.Rand, done func(bool)) {
-		id := rng.Uint64n(w.Keys)
-		var l *lookup
-		if k := len(w.free); k > 0 {
-			l = w.free[k-1]
-			w.free = w.free[:k-1]
-		} else {
-			l = &lookup{w: w}
-			l.gotFn = l.got
-		}
-		l.done = done
-		w.Table.LockFreeGet(m, thread, Key(id), l.gotFn)
+func (w *Workload) LookupOp() loadgen.Op { return w.lookupOne }
+
+// lookupOne is LookupOp's operation: a method, so its key stays on its
+// stack wherever LookupOp is inlined (kv copies it).
+func (w *Workload) lookupOne(m *core.Machine, thread int, rng *sim.Rand, done func(bool)) {
+	id := rng.Uint64n(w.Keys)
+	var l *lookup
+	if k := len(w.free); k > 0 {
+		l = w.free[k-1]
+		w.free = w.free[:k-1]
+	} else {
+		l = &lookup{w: w}
+		l.gotFn = l.got
 	}
+	l.done = done
+	w.Table.LockFreeGet(m, thread, Key(id), l.gotFn)
 }
 
 // lookup is one LookupOp's answer on its way to the caller: pooled, its
