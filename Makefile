@@ -115,16 +115,20 @@ allocs:
 
 # Ten seconds of coverage-guided fuzzing per target, one `go test -fuzz`
 # each (go runs one fuzz target at a time): the log-record decoder, the
-# history loader, the ring reader over arbitrary ring bytes, and a ring
+# history loader, the ring reader over arbitrary ring bytes, a ring
 # writer and reader under a schedule of appends, link cuts and heals,
 # polls, truncations and consumption updates (acks in psn order, every
-# frame acked OK handed out). A failing input lands in the package's
-# testdata/fuzz/ and replays with plain `go test` from then on.
+# frame acked OK handed out), and a block-materialized region against a
+# flat one under a schedule of header writes, locks, digest-aware commits,
+# straddling reads and writes, and allocator claims and frees. A failing
+# input lands in the package's testdata/fuzz/ and replays with plain
+# `go test` from then on.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/proto
 	go test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/history
 	go test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s ./internal/ring
 	go test -run '^$$' -fuzz '^FuzzWriter$$' -fuzztime 10s ./internal/ring
+	go test -run '^$$' -fuzz '^FuzzRegion$$' -fuzztime 10s ./internal/regionmem
 
 # The design-diet ledger (ROADMAP, CHANGES.md): four sizes of internal/core,
 # the size of internal/ring, and the size of the tools and experiment

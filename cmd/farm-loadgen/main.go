@@ -127,4 +127,11 @@ func main() {
 	// workload) over the measured window.
 	fmt.Printf("allocs:     %.1f allocations, %.0f B allocated per committed op over the measured window (%d ops)\n",
 		float64(w.Mallocs)/ops, float64(w.AllocBytes)/ops, w.Committed)
+	// Region memory at the end of the run: what the regions reserve, and
+	// the host memory behind them (data blocks are made on their first
+	// write, a log ring on its first record).
+	mem, mib := c.RegionMemory(), func(n int) float64 { return float64(n) / (1 << 20) }
+	fmt.Printf("mem:        data regions %.1f of %.1f MiB materialized, log rings %.1f of %.1f MiB; %.2f MiB per machine\n",
+		mib(mem.DataMaterialized), mib(mem.Data), mib(mem.FlatMaterialized), mib(mem.Flat),
+		mib(mem.DataMaterialized+mem.FlatMaterialized)/float64(len(c.Machines)))
 }

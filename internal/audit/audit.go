@@ -134,47 +134,54 @@ func (d *Digest) Value() uint64 { return d.sum }
 // folded in because the corruption bypassed the write hooks).
 func (d *Digest) Reseed(v uint64) { d.sum = v }
 
-// ScanBlock hashes every slot of one block of size class `class` whose
-// bytes start at mem[base]. It is the ground truth the incremental digest
-// is audited against: it reads the memory as it is, so silent corruption
-// (which bypasses the incremental hooks) shows up here.
-func ScanBlock(mem []byte, base, blockSize, class int) uint64 {
+// ScanBlock hashes every slot of size class `class` in blk, the bytes of
+// the block at region offset base. It is the ground truth the incremental
+// digest is audited against: it reads the memory as it is, so silent
+// corruption (which bypasses the incremental hooks) shows up here.
+func ScanBlock(blk []byte, base, class int) uint64 {
 	var sum uint64
-	for off := base; off+class <= base+blockSize; off += class {
-		word := regionmem.MaskLock(regionmem.ReadHeader(mem, off))
-		sum += ObjectHash(off, word, mem[off+regionmem.HeaderSize:off+class])
+	for so := 0; so+class <= len(blk); so += class {
+		word := regionmem.MaskLock(regionmem.ReadHeader(blk, so))
+		sum += ObjectHash(base+so, word, blk[so+regionmem.HeaderSize:so+class])
 	}
 	return sum
 }
 
 // ScanRegion hashes a replica's full digest domain: every slot of every
 // classed block. Summation commutes, so the header map may be ranged
-// directly (per the determinism rule in internal/core/order.go).
-func ScanRegion(mem []byte, blockSize int, headers map[int]int) uint64 {
+// directly (per the determinism rule in internal/core/order.go). It reads
+// blocks never written as zeros and materializes none.
+func ScanRegion(r *regionmem.Region, headers map[int]int) uint64 {
 	var sum uint64
 	for b, class := range headers {
-		sum += ScanBlock(mem, b*blockSize, blockSize, class)
+		sum += scanBlockOf(r, b, class)
 	}
 	return sum
 }
 
+func scanBlockOf(r *regionmem.Region, b, class int) uint64 {
+	blk := r.Block(b)
+	return ScanBlock(blk, b*len(blk), class)
+}
+
 // BlockDigests returns each classed block's scan digest, for the
 // region → block step of the drill-down diff.
-func BlockDigests(mem []byte, blockSize int, headers map[int]int) map[int]uint64 {
+func BlockDigests(r *regionmem.Region, headers map[int]int) map[int]uint64 {
 	out := make(map[int]uint64, len(headers))
 	for b, class := range headers {
-		out[b] = ScanBlock(mem, b*blockSize, blockSize, class)
+		out[b] = scanBlockOf(r, b, class)
 	}
 	return out
 }
 
-// ObjectDigests returns the per-slot digests of one block in slot order,
-// for the block → object step of the drill-down diff.
-func ObjectDigests(mem []byte, base, blockSize, class int) []uint64 {
-	out := make([]uint64, 0, blockSize/class)
-	for off := base; off+class <= base+blockSize; off += class {
-		word := regionmem.MaskLock(regionmem.ReadHeader(mem, off))
-		out = append(out, ObjectHash(off, word, mem[off+regionmem.HeaderSize:off+class]))
+// ObjectDigests returns the per-slot digests of block b in slot order, for
+// the block → object step of the drill-down diff.
+func ObjectDigests(r *regionmem.Region, b, class int) []uint64 {
+	blk := r.Block(b)
+	out := make([]uint64, 0, len(blk)/class)
+	for so := 0; so+class <= len(blk); so += class {
+		word := regionmem.MaskLock(regionmem.ReadHeader(blk, so))
+		out = append(out, ObjectHash(b*len(blk)+so, word, blk[so+regionmem.HeaderSize:so+class]))
 	}
 	return out
 }

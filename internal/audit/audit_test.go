@@ -10,8 +10,8 @@ import (
 func layout() regionmem.Layout { return regionmem.Layout{RegionSize: 1 << 12, BlockSize: 1 << 10} }
 
 // write commits a payload at off, maintaining dig incrementally.
-func write(mem []byte, off int, ver uint64, alloc bool, payload []byte, class int, dig *Digest) {
-	regionmem.CommitWriteDigest(mem, off, ver, alloc, payload, class, dig)
+func write(mem *regionmem.Region, off int, ver uint64, alloc bool, payload []byte, class int, dig *Digest) {
+	mem.CommitWriteDigest(off, ver, alloc, payload, class, dig)
 }
 
 // TestObjectHashSeesEverySingleByteChange: for payloads of every length up
@@ -79,12 +79,12 @@ func TestOrderIndependence(t *testing.T) {
 		{0, 1, 0xAA}, {16, 1, 0xBB}, {32, 2, 0xCC}, {48, 3, 0xDD}, {64, 1, 0xEE},
 	}
 
-	run := func(order []int) (uint64, []byte) {
-		mem := make([]byte, lo.RegionSize)
+	run := func(order []int) (uint64, *regionmem.Region) {
+		mem := regionmem.NewRegion(lo)
 		var d Digest
 		// Fold the empty block in first (AddBlock semantics).
 		for off := 0; off+class <= lo.BlockSize; off += class {
-			d.Fold(off, regionmem.MaskLock(regionmem.ReadHeader(mem, off)), mem[off+regionmem.HeaderSize:off+class])
+			d.Fold(off, regionmem.MaskLock(mem.ReadHeader(off)), mem.Payload(off, class-regionmem.HeaderSize))
 		}
 		for _, i := range order {
 			w := writes[i]
@@ -100,10 +100,10 @@ func TestOrderIndependence(t *testing.T) {
 	}
 	// And both equal the ground-truth scan.
 	headers := map[int]int{0: class}
-	if s := ScanRegion(memA, lo.BlockSize, headers); s != a {
+	if s := ScanRegion(memA, headers); s != a {
 		t.Fatalf("incremental %#x != scan %#x", a, s)
 	}
-	if s := ScanRegion(memB, lo.BlockSize, headers); s != b {
+	if s := ScanRegion(memB, headers); s != b {
 		t.Fatalf("incremental %#x != scan %#x (order B)", b, s)
 	}
 }
@@ -112,18 +112,18 @@ func TestOrderIndependence(t *testing.T) {
 // scan digest untouched (locks legitimately differ across replicas).
 func TestLockBitMasked(t *testing.T) {
 	lo := layout()
-	mem := make([]byte, lo.RegionSize)
+	mem := regionmem.NewRegion(lo)
 	headers := map[int]int{0: 16}
-	regionmem.CommitWrite(mem, 16, 3, true, []byte{5})
-	before := ScanRegion(mem, lo.BlockSize, headers)
-	if !regionmem.TryLock(mem, 16, 3) {
+	mem.CommitWrite(16, 3, true, []byte{5})
+	before := ScanRegion(mem, headers)
+	if !mem.TryLock(16, 3) {
 		t.Fatal("TryLock failed")
 	}
-	if got := ScanRegion(mem, lo.BlockSize, headers); got != before {
+	if got := ScanRegion(mem, headers); got != before {
 		t.Fatalf("lock bit changed digest: %#x vs %#x", got, before)
 	}
-	regionmem.Unlock(mem, 16)
-	if got := ScanRegion(mem, lo.BlockSize, headers); got != before {
+	mem.Unlock(16)
+	if got := ScanRegion(mem, headers); got != before {
 		t.Fatalf("unlock changed digest: %#x vs %#x", got, before)
 	}
 }
@@ -134,18 +134,21 @@ func TestLockBitMasked(t *testing.T) {
 // both use scans.
 func TestScanDetectsSilentCorruption(t *testing.T) {
 	lo := layout()
-	mem := make([]byte, lo.RegionSize)
+	mem := regionmem.NewRegion(lo)
 	var d Digest
 	for off := 0; off+16 <= lo.BlockSize; off += 16 {
-		d.Fold(off, 0, mem[off+regionmem.HeaderSize:off+16])
+		d.Fold(off, 0, mem.Payload(off, 16-regionmem.HeaderSize))
 	}
 	write(mem, 32, 1, true, []byte{1, 2, 3, 4}, 16, &d)
 	headers := map[int]int{0: 16}
-	if s := ScanRegion(mem, lo.BlockSize, headers); s != d.Value() {
+	if s := ScanRegion(mem, headers); s != d.Value() {
 		t.Fatalf("pre-corruption mismatch: inc %#x scan %#x", d.Value(), s)
 	}
-	mem[32+regionmem.HeaderSize] ^= 0xFF // silent corruption
-	if s := ScanRegion(mem, lo.BlockSize, headers); s == d.Value() {
+	corrupt := []byte{0}
+	mem.ReadAt(corrupt, 32+regionmem.HeaderSize)
+	corrupt[0] ^= 0xFF
+	mem.WriteAt(corrupt, 32+regionmem.HeaderSize) // silent corruption
+	if s := ScanRegion(mem, headers); s == d.Value() {
 		t.Fatal("scan did not detect the corrupted byte")
 	}
 }
@@ -155,25 +158,25 @@ func TestScanDetectsSilentCorruption(t *testing.T) {
 func TestDrillDown(t *testing.T) {
 	lo := layout()
 	const class = 32
-	a := make([]byte, lo.RegionSize)
-	b := make([]byte, lo.RegionSize)
+	a := regionmem.NewRegion(lo)
+	b := regionmem.NewRegion(lo)
 	headers := map[int]int{0: class, 2: class}
-	for _, mem := range [][]byte{a, b} {
-		regionmem.CommitWrite(mem, 0, 1, true, []byte{1})
-		regionmem.CommitWrite(mem, 2*lo.BlockSize+class, 4, true, []byte{7, 7})
+	for _, mem := range []*regionmem.Region{a, b} {
+		mem.CommitWrite(0, 1, true, []byte{1})
+		mem.CommitWrite(2*lo.BlockSize+class, 4, true, []byte{7, 7})
 	}
 	// Diverge one object in block 2.
 	targetOff := 2*lo.BlockSize + 3*class
-	b[targetOff+regionmem.HeaderSize+5] = 0x5A
+	b.WriteAt([]byte{0x5A}, targetOff+regionmem.HeaderSize+5)
 
-	da := BlockDigests(a, lo.BlockSize, headers)
-	db := BlockDigests(b, lo.BlockSize, headers)
+	da := BlockDigests(a, headers)
+	db := BlockDigests(b, headers)
 	blk := FirstDivergentBlock([]int{0, 2}, da, db)
 	if blk != 2 {
 		t.Fatalf("divergent block = %d, want 2", blk)
 	}
-	oa := ObjectDigests(a, blk*lo.BlockSize, lo.BlockSize, class)
-	ob := ObjectDigests(b, blk*lo.BlockSize, lo.BlockSize, class)
+	oa := ObjectDigests(a, blk, class)
+	ob := ObjectDigests(b, blk, class)
 	slot := FirstDivergentObject(oa, ob)
 	if got := blk*lo.BlockSize + slot*class; got != targetOff {
 		t.Fatalf("localized offset %d, want %d", got, targetOff)
@@ -205,13 +208,14 @@ func TestReseed(t *testing.T) {
 // part of the measured path.
 func TestCommitDigestUpdateZeroAlloc(t *testing.T) {
 	lo := layout()
-	mem := make([]byte, lo.RegionSize)
+	mem := regionmem.NewRegion(lo)
+	mem.WriteHeader(16, 1) // the block is materialized once, before the measured commits
 	var d Digest
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	ver := uint64(0)
 	avg := testing.AllocsPerRun(1000, func() {
 		ver++
-		regionmem.CommitWriteDigest(mem, 16, ver, true, payload, 16, &d)
+		mem.CommitWriteDigest(16, ver, true, payload, 16, &d)
 	})
 	if avg != 0 {
 		t.Fatalf("per-commit digest update allocates: %v allocs/op", avg)

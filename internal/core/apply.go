@@ -220,7 +220,7 @@ func (m *Machine) processLock(rt *remoteTx, rec *proto.Record) {
 			ok = false
 			break
 		}
-		if !regionmem.TryLock(rep.mem, int(w.Addr.Off), w.Version) {
+		if !rep.mem.TryLock(int(w.Addr.Off), w.Version) {
 			ok = false
 			break
 		}
@@ -231,7 +231,7 @@ func (m *Machine) processLock(rt *remoteTx, rec *proto.Record) {
 		// Roll back partial locks; the coordinator will write ABORT.
 		for _, addr := range rt.lockedObjs[held:] {
 			rep := m.replica(addr.Region)
-			regionmem.Unlock(rep.mem, int(addr.Off))
+			rep.mem.Unlock(int(addr.Off))
 			delete(rep.lockOwner, addr.Off)
 		}
 		rt.lockedObjs = rt.lockedObjs[:0]
@@ -352,7 +352,7 @@ func (m *Machine) applyCommitPrimary(rt *remoteTx) {
 			continue
 		}
 		// Version-gated for recovery replays: never regress an object.
-		cur := regionmem.ReadHeader(rep.mem, int(w.Addr.Off))
+		cur := rep.mem.ReadHeader(int(w.Addr.Off))
 		if regionmem.Version(cur) <= w.Version {
 			m.commitWrite(rep, int(w.Addr.Off), w.Version+1, w.Allocated, w.Value)
 			delete(rep.lockOwner, w.Addr.Off)
@@ -363,7 +363,7 @@ func (m *Machine) applyCommitPrimary(rt *remoteTx) {
 			// Already applied by an earlier replay: just drop our lock.
 			// Another transaction's lock (and its owner entry) must be
 			// left strictly alone — its own decision releases it.
-			regionmem.Unlock(rep.mem, int(w.Addr.Off))
+			rep.mem.Unlock(int(w.Addr.Off))
 			delete(rep.lockOwner, w.Addr.Off)
 		}
 	}
@@ -390,7 +390,7 @@ func (m *Machine) releaseLocks(rt *remoteTx) {
 			continue
 		}
 		if owner, ok := rep.lockOwner[addr.Off]; ok && owner == rt.id {
-			regionmem.Unlock(rep.mem, int(addr.Off))
+			rep.mem.Unlock(int(addr.Off))
 			delete(rep.lockOwner, addr.Off)
 		}
 	}
@@ -427,7 +427,7 @@ func (m *Machine) applyAtBackup(rt *remoteTx) {
 		if rep == nil || rep.primary {
 			continue
 		}
-		cur := regionmem.ReadHeader(rep.mem, int(w.Addr.Off))
+		cur := rep.mem.ReadHeader(int(w.Addr.Off))
 		if w.Version+1 > regionmem.Version(cur) {
 			m.commitWrite(rep, int(w.Addr.Off), w.Version+1, w.Allocated, w.Value)
 		}
@@ -491,7 +491,7 @@ func (m *Machine) onValidateReq(src int, req *proto.ValidateReq) {
 		addr := req.Addrs[i]
 		rep := m.replica(addr.Region)
 		ok = rep != nil && rep.primary && rep.holds(addr.Off) &&
-			validHeaderWord(regionmem.ReadHeader(rep.mem, int(addr.Off)), req.Versions[i])
+			validHeaderWord(rep.mem.ReadHeader(int(addr.Off)), req.Versions[i])
 	}
 	m.send(src, &proto.ValidateReply{ID: req.ID, OK: ok})
 }

@@ -30,7 +30,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 
 	"farm/internal/audit"
@@ -141,30 +140,42 @@ type auditRun struct {
 // digest domain until their header arrives.
 func (m *Machine) commitWrite(rep *replica, off int, newVersion uint64, allocated bool, payload []byte) {
 	class := rep.headers[off/m.c.Opts.Layout.BlockSize]
-	regionmem.CommitWriteDigest(rep.mem, off, newVersion, allocated, payload, class, &rep.dig)
+	rep.mem.CommitWriteDigest(off, newVersion, allocated, payload, class, &rep.dig)
 }
 
-// learnHeaders installs the block headers of a primary's header map that a
+// learnHeaders installs the block headers of a primary's list that a
 // backup does not know yet, folding each newly classed block into the
 // digest domain (block classes are immutable, so an already known header
-// never changes the domain). Blocks are learned in index order.
-func (m *Machine) learnHeaders(rep *replica, headers map[int]int) {
-	for _, b := range sortedKeys(headers, cmp.Compare[int]) {
-		if _, known := rep.headers[b]; !known {
-			rep.headers[b] = headers[b]
-			m.foldBlock(rep, b, headers[b])
+// never changes the domain). Blocks are learned in list order, which is
+// block order.
+func (m *Machine) learnHeaders(rep *replica, headers []proto.BlockHeader) {
+	for _, h := range headers {
+		if _, known := rep.headers[h.Block]; !known {
+			rep.headers[h.Block] = h.Class
+			m.foldBlock(rep, h.Block, h.Class)
 		}
 	}
 }
 
+// blockHeaders lists rep's block headers in block order.
+func (m *Machine) blockHeaders(rep *replica) []proto.BlockHeader {
+	out := make([]proto.BlockHeader, 0, len(rep.headers))
+	for b := range m.c.Opts.Layout.Blocks() {
+		if class, ok := rep.headers[b]; ok {
+			out = append(out, proto.BlockHeader{Block: b, Class: class})
+		}
+	}
+	return out
+}
+
 // foldBlock adds a newly classed block's current contents to the digest
 // domain (called when a block header is learned: allocation hook at the
-// primary, learnHeaders at backups).
+// primary, learnHeaders at backups). It only reads: a block never written
+// is folded as zeros and stays unmaterialized.
 func (m *Machine) foldBlock(rep *replica, block, class int) {
-	base := block * m.c.Opts.Layout.BlockSize
-	for off := base; off+class <= base+m.c.Opts.Layout.BlockSize; off += class {
-		rep.dig.Fold(off, regionmem.MaskLock(regionmem.ReadHeader(rep.mem, off)),
-			rep.mem[off+regionmem.HeaderSize:off+class])
+	blk, base := rep.mem.Block(block), block*m.c.Opts.Layout.BlockSize
+	for so := 0; so+class <= len(blk); so += class {
+		rep.dig.Fold(base+so, regionmem.MaskLock(regionmem.ReadHeader(blk, so)), blk[so+regionmem.HeaderSize:so+class])
 	}
 }
 
@@ -306,9 +317,9 @@ func (m *Machine) auditCall(run *auditRun, dst int, msg interface{}, id *uint64,
 // auditSnapshot computes the primary's digests (running the incremental
 // vs. scan self-check) and queries every live backup.
 func (m *Machine) auditSnapshot(run *auditRun) {
-	rep, layout := run.rep, m.c.Opts.Layout
-	run.primaryScan = audit.ScanRegion(rep.mem, layout.BlockSize, rep.headers)
-	run.primaryBlocks = audit.BlockDigests(rep.mem, layout.BlockSize, rep.headers)
+	rep := run.rep
+	run.primaryScan = audit.ScanRegion(rep.mem, rep.headers)
+	run.primaryBlocks = audit.BlockDigests(rep.mem, rep.headers)
 	if inc := rep.dig.Value(); inc != run.primaryScan {
 		// The primary's own memory disagrees with its incremental digest:
 		// local corruption or a missed write hook. Re-replication flows
@@ -338,7 +349,7 @@ func (m *Machine) auditSnapshot(run *auditRun) {
 		m.finishAudit(run)
 		return
 	}
-	headers := maps.Clone(rep.headers)
+	headers := m.blockHeaders(rep)
 	run.replies = make([]*proto.AuditSnapReply, len(run.backups))
 	for i, b := range run.backups {
 		snap := &proto.AuditSnap{Config: run.cfg, Region: run.rep.id, Headers: headers}
@@ -374,11 +385,10 @@ func (m *Machine) onAuditSnap(src int, v *proto.AuditSnap) {
 			!rep.needsDataRecovery && !rep.primary
 	}, func(ok bool) {
 		if ok {
-			layout := m.c.Opts.Layout
 			reply.Settled = true
 			reply.Inc = rep.dig.Value()
-			reply.Scan = audit.ScanRegion(rep.mem, layout.BlockSize, rep.headers)
-			reply.Blocks = audit.BlockDigests(rep.mem, layout.BlockSize, rep.headers)
+			reply.Scan = audit.ScanRegion(rep.mem, rep.headers)
+			reply.Blocks = audit.BlockDigests(rep.mem, rep.headers)
 		}
 		m.send(src, reply)
 	})
@@ -422,7 +432,7 @@ func (m *Machine) auditCompare(run *auditRun) {
 		m.auditCall(run, b, req, &req.ID, func(resp interface{}) {
 			layout := m.c.Opts.Layout
 			if class := run.rep.headers[blk]; class != 0 {
-				mine := audit.ObjectDigests(run.rep.mem, blk*layout.BlockSize, layout.BlockSize, class)
+				mine := audit.ObjectDigests(run.rep.mem, blk, class)
 				if slot := audit.FirstDivergentObject(mine, resp.(*proto.AuditObjectsReply).Objects); slot >= 0 {
 					run.report.Off = blk*layout.BlockSize + slot*class
 				}
@@ -448,8 +458,7 @@ func (m *Machine) onAuditObjectsReq(src int, v *proto.AuditObjectsReq) {
 	class := rep.headers[v.Block]
 	m.send(src, &proto.AuditObjectsReply{
 		ID: v.ID, Region: v.Region, Block: v.Block,
-		Objects: audit.ObjectDigests(rep.mem, v.Block*m.c.Opts.Layout.BlockSize,
-			m.c.Opts.Layout.BlockSize, class),
+		Objects: audit.ObjectDigests(rep.mem, v.Block, class),
 	})
 }
 
@@ -657,10 +666,13 @@ func (c *Cluster) CorruptBackupObject(region uint32, allocated bool) (machine, o
 					slot = slots - 1 - s
 				}
 				o := base + slot*class
-				if regionmem.Allocated(regionmem.ReadHeader(rep.mem, o)) != allocated {
+				if regionmem.Allocated(rep.mem.ReadHeader(o)) != allocated {
 					continue
 				}
-				rep.mem[o+regionmem.HeaderSize] ^= 0xA5
+				b := []byte{0}
+				rep.mem.ReadAt(b, o+regionmem.HeaderSize)
+				b[0] ^= 0xA5
+				rep.mem.WriteAt(b, o+regionmem.HeaderSize)
 				c.Counters.Inc("corruption_injected", 1)
 				c.trace("corrupt", bm.ID, o)
 				return bm.ID, o, true

@@ -123,8 +123,8 @@ func TestAuditDetectsLocalizesAndRepairsCorruption(t *testing.T) {
 	// fresh audit must be clean.
 	prim := c.Machine(int(c.Machine(0).mapping(region).Replicas[0])).replica(region)
 	rep := c.Machine(victim).replica(region)
-	pw, pd := regionmem.ReadObject(prim.mem, off, 4)
-	bw, bd := regionmem.ReadObject(rep.mem, off, 4)
+	pw, pd := objectAt(prim, off, 4)
+	bw, bd := objectAt(rep, off, 4)
 	if regionmem.MaskLock(pw) != regionmem.MaskLock(bw) || string(pd) != string(bd) {
 		t.Fatalf("backup still divergent after repair: %x/%q vs %x/%q", pw, pd, bw, bd)
 	}
@@ -296,7 +296,7 @@ func TestCommitBehindAHoleWaitsForIt(t *testing.T) {
 	}
 	c.RunFor(50 * sim.Millisecond)
 	version := func(m *Machine) uint64 {
-		return regionmem.Version(regionmem.ReadHeader(m.replica(region).mem, int(addr.Off)))
+		return regionmem.Version(m.replica(region).mem.ReadHeader(int(addr.Off)))
 	}
 	if version(backup) != version(prim) {
 		t.Errorf("backup at v%d, primary at v%d", version(backup), version(prim))

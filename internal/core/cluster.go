@@ -5,6 +5,7 @@ import (
 
 	"farm/internal/fabric"
 	"farm/internal/history"
+	"farm/internal/nvram"
 	"farm/internal/proto"
 	"farm/internal/regionmem"
 	"farm/internal/sim"
@@ -343,10 +344,26 @@ func (c *Cluster) PeekObject(addr proto.Addr, size int) ([]byte, error) {
 	}
 	rep := best.replica(addr.Region)
 	start := int(addr.Off) + regionmem.HeaderSize
-	if start+size > len(rep.mem) {
+	if start+size > rep.mem.Size() {
 		return nil, fabric.ErrBadAddress
 	}
-	return append([]byte(nil), rep.mem[start:start+size]...), nil
+	out := make([]byte, size)
+	rep.mem.ReadAt(out, start)
+	return out, nil
+}
+
+// RegionMemory sums the region bytes every machine's store reserves and
+// materializes: Data counts data regions, Flat the log rings.
+func (c *Cluster) RegionMemory() nvram.Usage {
+	var sum nvram.Usage
+	for _, m := range c.Machines {
+		u := m.store.Usage()
+		sum.Data += u.Data
+		sum.DataMaterialized += u.DataMaterialized
+		sum.Flat += u.Flat
+		sum.FlatMaterialized += u.FlatMaterialized
+	}
+	return sum
 }
 
 // TotalCommitted sums committed transactions across machines.

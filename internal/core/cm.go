@@ -148,7 +148,7 @@ func (m *Machine) onAllocRegionReq(from int, req *proto.AllocRegionReq) {
 
 // onAllocPrepare runs at a selected replica: reserve the NVRAM.
 func (m *Machine) onAllocPrepare(src int, req *proto.AllocRegionPrepare) {
-	_, err := m.store.Allocate(toNVRAM(req.Region), req.Size)
+	_, err := m.store.AllocateData(toNVRAM(req.Region), m.c.Opts.Layout)
 	m.send(src, &proto.AllocRegionPrepared{ID: req.ID, Region: req.Region, OK: err == nil})
 }
 
@@ -158,7 +158,7 @@ func (m *Machine) onAllocCommit(msg *proto.AllocRegionCommit) {
 		m.store.Free(toNVRAM(msg.Region))
 		return
 	}
-	mem := m.store.Region(toNVRAM(msg.Region))
+	mem := m.store.Data(toNVRAM(msg.Region))
 	rs := m.growRegion(msg.Region)
 	if mem == nil || rs == nil {
 		return

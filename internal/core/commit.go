@@ -694,7 +694,8 @@ func (t *Tx) commitReadOnly() {
 	}
 	if len(vs) == 0 {
 		t.valLeft = 1
-		m.c.Eng.After(cpuLocal, m.newValOp(t).passFn)
+		t.live++
+		m.c.Eng.After(cpuLocal, m.newValOp(t, 0).passFn)
 		return
 	}
 	t.validateSet(vs, t.ctx)
@@ -743,7 +744,7 @@ func (t *Tx) validateSet(vs []valRead, ctx trace.Ctx) {
 		}
 		t.valLeft += len(entries)
 		for _, e := range entries {
-			m.validateObject(t, pm, e.i)
+			m.validateObject(t, e)
 		}
 	}
 }
@@ -794,57 +795,107 @@ func (t *Tx) valFail(err error) {
 	t.report(err)
 }
 
-// valOp is one read-set object on its way through validation: a direct
-// header load on the coordinator thread when this machine is the primary,
-// else a one-sided read of the version word issued from that thread — or
-// the one local step of a read-only commit with nothing to validate. It is
-// pooled like recWrite, its stages bound once, and names its object by
-// position in the transaction's table; it is recycled before the verdict is
-// acted on, because that can run the application's commit callback. One
-// that dies with its machine is dropped, never recycled.
-type valOp struct {
-	m  *Machine
-	t  *Tx
-	i  int32
-	pm int
-	// hdr is where a one-sided read of the version word lands.
-	hdr [regionmem.HeaderSize]byte
-
-	localFn, issueFn, passFn func()
-	readFn                   func([]byte, error)
+// validateObject schedules the validation of e, whose primary is this
+// machine or a member validated by one-sided reads, on t's thread: its
+// verdict is due to t from now on.
+func (m *Machine) validateObject(t *Tx, e valRead) {
+	*m.c.cValidateReads++
+	t.live++
+	q := &m.valQueues[t.thread]
+	q.push(valStep{t: t, v: e})
+	cost := cpuVerb
+	if e.pm == m.ID {
+		// Local validation: direct header loads.
+		cost = cpuLocal
+	}
+	m.pool.ByIndex(t.thread).Do(cost, q.runFn)
 }
 
-// newValOp returns a pooled valOp for a verdict of t's validation, due to
-// t until it has run.
-func (m *Machine) newValOp(t *Tx) *valOp {
+// valQueue is one worker thread's validation steps, in the order they were
+// scheduled on it: the thread runs its items in order, so a run of runFn,
+// bound once, is the head's. The steps wait here rather than in an op each,
+// so nothing is held per object while it queues. A ring, grown by
+// doubling.
+type valQueue struct {
+	m       *Machine
+	steps   []valStep
+	head, n int
+	runFn   func()
+}
+
+// valStep is a read-set object of t's validation waiting on the thread.
+type valStep struct {
+	t *Tx
+	v valRead
+}
+
+func (q *valQueue) push(s valStep) {
+	if q.n == len(q.steps) {
+		grown := make([]valStep, 2*len(q.steps))
+		for i := range q.n {
+			grown[i] = q.steps[(q.head+i)%len(q.steps)]
+		}
+		q.steps, q.head = grown, 0
+	}
+	q.steps[(q.head+q.n)%len(q.steps)] = s
+	q.n++
+}
+
+// run takes the head step. Where this machine is the object's primary it
+// loads the header and acts on the verdict; elsewhere it reads the version
+// word with a valOp. A step whose machine died is dropped, as a thread item
+// guarded by alive is.
+func (q *valQueue) run() {
+	s := q.steps[q.head]
+	q.steps[q.head] = valStep{}
+	q.head = (q.head + 1) % len(q.steps)
+	q.n--
+	m, t := q.m, s.t
+	if !m.alive {
+		return
+	}
+	e := &t.set[s.v.i]
+	if s.v.pm == m.ID {
+		rep := m.replica(e.addr.Region)
+		t.validated(rep != nil && validHeaderWord(rep.mem.ReadHeader(int(e.addr.Off)), e.version))
+		t.settle()
+		return
+	}
+	op := m.newValOp(t, s.v.i)
+	m.nic.ReadInto(fabric.MachineID(s.v.pm), nvram.RegionID(e.addr.Region), int(e.addr.Off), op.hdr[:], op.readFn)
+}
+
+// valOp is a verdict of t's validation in flight: a one-sided read of a
+// read-set object's version word, or the one local step of a read-only
+// commit with nothing to validate (pass). It is pooled like msgTask, readFn
+// and passFn bound once, and names its object by position in the
+// transaction's table; it is recycled before the verdict is acted on,
+// because that can run the application's commit callback. One that dies
+// with its machine is dropped, never recycled.
+type valOp struct {
+	m *Machine
+	t *Tx
+	i int32
+	// hdr is where the read lands.
+	hdr [regionmem.HeaderSize]byte
+
+	readFn func([]byte, error)
+	passFn func()
+}
+
+// newValOp returns a pooled valOp for t's verdict on t.set[i].
+func (m *Machine) newValOp(t *Tx, i int32) *valOp {
 	var op *valOp
 	if k := len(m.valFree); k > 0 {
 		op = m.valFree[k-1]
 		m.valFree = m.valFree[:k-1]
 	} else {
 		op = &valOp{m: m}
-		op.localFn = op.local
-		op.issueFn = op.issue
-		op.passFn = op.pass
 		op.readFn = op.readDone
+		op.passFn = op.pass
 	}
-	op.t = t
-	t.live++
+	op.t, op.i = t, i
 	return op
-}
-
-// validateObject schedules the validation of t.set[i], whose primary pm is
-// this machine or a member validated by one-sided reads.
-func (m *Machine) validateObject(t *Tx, pm int, i int32) {
-	op := m.newValOp(t)
-	op.i, op.pm = i, pm
-	*m.c.cValidateReads++
-	if pm == m.ID {
-		// Local validation: direct header loads.
-		m.OnThread(t.thread, cpuLocal, op.localFn)
-	} else {
-		m.OnThread(t.thread, cpuVerb, op.issueFn)
-	}
 }
 
 func (op *valOp) recycle() (t *Tx, e *txEntry) {
@@ -863,19 +914,6 @@ func (op *valOp) pass() {
 		t.validated(true)
 	}
 	t.settle()
-}
-
-func (op *valOp) local() {
-	m := op.m
-	t, e := op.recycle()
-	rep := m.replica(e.addr.Region)
-	t.validated(rep != nil && validHeaderWord(regionmem.ReadHeader(rep.mem, int(e.addr.Off)), e.version))
-	t.settle()
-}
-
-func (op *valOp) issue() {
-	addr := op.t.set[op.i].addr
-	op.m.nic.ReadInto(fabric.MachineID(op.pm), nvram.RegionID(addr.Region), int(addr.Off), op.hdr[:], op.readFn)
 }
 
 // readDone takes the version word out of hdr (raw) before the op is

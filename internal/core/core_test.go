@@ -2,12 +2,28 @@ package core
 
 import (
 	"errors"
+	"hash"
 	"testing"
 
 	"farm/internal/proto"
 	"farm/internal/regionmem"
 	"farm/internal/sim"
 )
+
+// objectAt returns the header word and a copy of the size payload bytes of
+// the object at off in rep.
+func objectAt(rep *replica, off, size int) (uint64, []byte) {
+	data := make([]byte, size)
+	rep.mem.ReadAt(data, off+regionmem.HeaderSize)
+	return rep.mem.ReadHeader(off), data
+}
+
+// hashRegion writes every byte of rep's region to h, in address order.
+func hashRegion(h hash.Hash, rep *replica) {
+	for b := 0; b < rep.mem.Size()/rep.mem.BlockSize(); b++ {
+		h.Write(rep.mem.Block(b))
+	}
+}
 
 // testCluster builds a small cluster with one region and settles it.
 func testCluster(t *testing.T, opts Options) (*Cluster, uint32) {
@@ -159,7 +175,7 @@ func TestUpdateIncrementsVersionAndReplicates(t *testing.T) {
 		if rep == nil {
 			t.Fatalf("replica %d missing at machine %d", i, r)
 		}
-		word, data := regionmem.ReadObject(rep.mem, int(addr.Off), 4)
+		word, data := objectAt(rep, int(addr.Off), 4)
 		if string(data) != "bbbb" {
 			t.Fatalf("replica %d at m%d has %q", i, r, data)
 		}
@@ -298,7 +314,7 @@ func TestFreeReturnsSlotAndClearsAllocBit(t *testing.T) {
 
 	primary := c.Machine(int(m.mapping(region).Replicas[0]))
 	rep := primary.replica(region)
-	word := regionmem.ReadHeader(rep.mem, int(addr.Off))
+	word := rep.mem.ReadHeader(int(addr.Off))
 	if regionmem.Allocated(word) {
 		t.Fatal("allocation bit still set after free")
 	}
@@ -394,7 +410,7 @@ func TestAbortReleasesAllocation(t *testing.T) {
 		for _, rid := range mm.HostedRegions() {
 			if rep := mm.replica(rid); rep.primary {
 				for _, off := range rep.alloc.LiveObjects() {
-					_, data := regionmem.ReadObject(rep.mem, off, 8)
+					_, data := objectAt(rep, off, 8)
 					if string(data) == "leaked??" {
 						t.Fatal("aborted allocation leaked")
 					}

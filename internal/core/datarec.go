@@ -44,6 +44,9 @@ func (m *Machine) startDataRecovery(rep *replica) {
 	chains := min(threads*m.c.Opts.DataRecConcurrency, units)
 	remaining := units
 	cfgAtStart := m.config.ID
+	// A chain's fetches run one after another, each applied before the
+	// next is issued, so one buffer per chain holds them all.
+	bufs := make([][]byte, chains)
 
 	var fetch func(chain, u int)
 	fetch = func(chain, u int) {
@@ -64,7 +67,10 @@ func (m *Machine) startDataRecovery(rep *replica) {
 				if !m.alive {
 					return
 				}
-				m.nic.Read(fabric.MachineID(primary), toNVRAM(rep.id), off, n, func(data []byte, err error) {
+				if bufs[chain] == nil {
+					bufs[chain] = make([]byte, unit)
+				}
+				m.nic.ReadInto(fabric.MachineID(primary), toNVRAM(rep.id), off, bufs[chain][:n], func(data []byte, err error) {
 					if !m.alive || m.config.ID != cfgAtStart {
 						return
 					}
@@ -111,6 +117,10 @@ func (m *Machine) startDataRecovery(rep *replica) {
 // version untouched. Repair skips the incremental updates — the corrupted
 // old bytes were never folded in, so unfolding them would skew the sum —
 // and the digest is reseeded from a fresh scan in finishDataRecovery.
+//
+// The merge writes only slots it takes, so it materializes only blocks
+// holding a newer object; a wholesale copy of all-zero bytes leaves a
+// block never written unmaterialized.
 func (m *Machine) applyRecoveredBlock(rep *replica, base int, data []byte) {
 	layout := m.c.Opts.Layout
 	for rel := 0; rel < len(data); rel += layout.BlockSize {
@@ -119,7 +129,7 @@ func (m *Machine) applyRecoveredBlock(rep *replica, base int, data []byte) {
 		if !ok {
 			// Unused block: copy wholesale (it is zeroed at both ends in
 			// the common case).
-			copy(rep.mem[base+rel:], data[rel:min(rel+layout.BlockSize, len(data))])
+			rep.mem.WriteAt(data[rel:min(rel+layout.BlockSize, len(data))], base+rel)
 			continue
 		}
 		blockEnd := rel + layout.BlockSize
@@ -129,11 +139,11 @@ func (m *Machine) applyRecoveredBlock(rep *replica, base int, data []byte) {
 		for so := rel; so+class <= blockEnd; so += class {
 			recovered := regionmem.ReadHeader(data, so)
 			off := base + so
-			local := regionmem.ReadHeader(rep.mem, off)
+			local := rep.mem.ReadHeader(off)
 			take := regionmem.Version(recovered) > regionmem.Version(local)
 			if !take && rep.repairing {
 				take = regionmem.MaskLock(recovered) != regionmem.MaskLock(local) ||
-					!bytes.Equal(rep.mem[off+regionmem.HeaderSize:off+class],
+					!bytes.Equal(rep.mem.Payload(off, class-regionmem.HeaderSize),
 						data[so+regionmem.HeaderSize:so+class])
 			}
 			if !take {
@@ -144,16 +154,14 @@ func (m *Machine) applyRecoveredBlock(rep *replica, base int, data []byte) {
 				continue // being updated by a newer transaction
 			}
 			if !rep.repairing {
-				rep.dig.Unfold(off, regionmem.MaskLock(local),
-					rep.mem[off+regionmem.HeaderSize:off+class])
+				rep.dig.Unfold(off, regionmem.MaskLock(local), rep.mem.Payload(off, class-regionmem.HeaderSize))
 			}
-			copy(rep.mem[off:off+class], data[so:so+class])
+			rep.mem.WriteAt(data[so:so+class], off)
 			// Recovered state is stored unlocked.
-			regionmem.WriteHeader(rep.mem, off,
+			rep.mem.WriteHeader(off,
 				regionmem.Compose(regionmem.Version(recovered), false, regionmem.Allocated(recovered)))
 			if !rep.repairing {
-				rep.dig.Fold(off, regionmem.MaskLock(regionmem.ReadHeader(rep.mem, off)),
-					rep.mem[off+regionmem.HeaderSize:off+class])
+				rep.dig.Fold(off, regionmem.MaskLock(rep.mem.ReadHeader(off)), rep.mem.Payload(off, class-regionmem.HeaderSize))
 			}
 		}
 	}
@@ -174,7 +182,7 @@ func (m *Machine) finishDataRecovery(rep *replica) {
 	}
 	if rep.repairing {
 		rep.repairing = false
-		rep.dig.Reseed(audit.ScanRegion(rep.mem, m.c.Opts.Layout.BlockSize, rep.headers))
+		rep.dig.Reseed(audit.ScanRegion(rep.mem, rep.headers))
 		m.c.Counters.Inc("audit_repairs_completed", 1)
 		if p := m.primaryOf(rep.id); p >= 0 && p != m.ID {
 			m.send(p, &proto.AuditRepairDone{ID: rep.repairID, Config: m.config.ID, Region: rep.id, OK: true})

@@ -32,8 +32,8 @@ func TestRecordFromUnknownMachine(t *testing.T) {
 	addr := writeObjectIn(t, c, prim, region, []byte("aaaaaaaa"))
 	c.RunFor(20 * sim.Millisecond)
 	rep := prim.replica(region)
-	locked := func() bool { return regionmem.Locked(regionmem.ReadHeader(rep.mem, int(addr.Off))) }
-	version := regionmem.Version(regionmem.ReadHeader(rep.mem, int(addr.Off)))
+	locked := func() bool { return regionmem.Locked(rep.mem.ReadHeader(int(addr.Off))) }
+	version := regionmem.Version(rep.mem.ReadHeader(int(addr.Off)))
 
 	id := proto.TxID{Config: prim.config.ID, Machine: noSuchMachine, Thread: 3, Local: 1}
 	appendRecord(t, coord, prim.ID, &proto.Record{
@@ -43,7 +43,7 @@ func TestRecordFromUnknownMachine(t *testing.T) {
 	// A second transaction's LOCK names an offset at the region's end: it is
 	// refused, and no memory is touched.
 	bad := proto.TxID{Config: prim.config.ID, Machine: noSuchMachine, Thread: 3, Local: 2}
-	end := proto.Addr{Region: region, Off: uint32(len(rep.mem))}
+	end := proto.Addr{Region: region, Off: uint32(rep.mem.Size())}
 	appendRecord(t, coord, prim.ID, &proto.Record{
 		Type: proto.RecLock, Tx: bad, Regions: []uint32{region},
 		Writes: []proto.ObjectWrite{{Addr: end, Allocated: true, Value: []byte("bbbbbbbb")}},
@@ -112,7 +112,7 @@ func TestMessagesNamingUnknownIDs(t *testing.T) {
 			t.Fatalf("region %#x: %d MAPPING-RESP, mapping %v", r, got, coord.mapping(r))
 		}
 		// BLOCK-HEADER-SYNC and REGION-ACTIVE for a region not hosted: dropped.
-		prim.onBlockHeaderSync(&proto.BlockHeaderSync{ConfigID: prim.config.ID, Region: r, Headers: map[int]int{0: 64}})
+		prim.onBlockHeaderSync(&proto.BlockHeaderSync{ConfigID: prim.config.ID, Region: r, Headers: []proto.BlockHeader{{Block: 0, Class: 64}}})
 		prim.unblockRegion(r)
 		if prim.replica(r) != nil || prim.regionBlocked(r) {
 			t.Fatalf("region %#x appeared at machine %d", r, prim.ID)
@@ -139,13 +139,13 @@ func TestMessagesNamingUnknownIDs(t *testing.T) {
 	// valid), answers "not valid"; RELEASE-SLOT of an offset that starts no
 	// slot is dropped.
 	rep := prim.replica(region)
-	version := regionmem.Version(regionmem.ReadHeader(rep.mem, int(addr.Off)))
+	version := regionmem.Version(rep.mem.ReadHeader(int(addr.Off)))
 	for _, v := range []struct {
 		req *proto.ValidateReq
 		ok  bool
 	}{
 		{&proto.ValidateReq{Addrs: []proto.Addr{addr}, Versions: []uint64{version}}, true},
-		{&proto.ValidateReq{Addrs: []proto.Addr{{Region: region, Off: uint32(len(rep.mem))}}, Versions: []uint64{0}}, false},
+		{&proto.ValidateReq{Addrs: []proto.Addr{{Region: region, Off: uint32(rep.mem.Size())}}, Versions: []uint64{0}}, false},
 		{&proto.ValidateReq{Addrs: []proto.Addr{addr, addr}, Versions: []uint64{version}}, false},
 	} {
 		var reply *proto.ValidateReply
@@ -157,7 +157,7 @@ func TestMessagesNamingUnknownIDs(t *testing.T) {
 		}
 	}
 	free := rep.alloc.FreeCount(8)
-	for _, off := range []uint32{addr.Off + 3, uint32(len(rep.mem) - 64)} {
+	for _, off := range []uint32{addr.Off + 3, uint32(rep.mem.Size() - 64)} {
 		coord.send(prim.ID, &releaseSlotReq{Region: region, Off: off})
 	}
 	c.RunFor(sim.Millisecond)

@@ -16,7 +16,7 @@ import (
 
 // replicaValue returns the payload of addr in m's replica of its region.
 func replicaValue(m *Machine, addr proto.Addr, size int) []byte {
-	_, data := regionmem.ReadObject(m.replica(addr.Region).mem, int(addr.Off), size)
+	_, data := objectAt(m.replica(addr.Region), int(addr.Off), size)
 	return data
 }
 
@@ -94,7 +94,7 @@ func TestReplicatedLockRecordOutlivesItsSourceFrame(t *testing.T) {
 	addr := writeObjectIn(t, c, prim, region, u64b(0))
 	c.RunFor(20 * sim.Millisecond)
 
-	version := regionmem.Version(regionmem.ReadHeader(prim.replica(region).mem, int(addr.Off)))
+	version := regionmem.Version(prim.replica(region).mem.ReadHeader(int(addr.Off)))
 	val := bytes.Repeat([]byte{0x5A}, 8)
 	id := proto.TxID{Config: victim.config.ID, Machine: uint16(victim.ID), Local: 1 << 40}
 	rec := func(typ proto.RecordType) *proto.Record {

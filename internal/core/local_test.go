@@ -34,7 +34,7 @@ func stateFingerprint(c *Cluster) string {
 	for _, m := range c.Machines {
 		for _, r := range m.HostedRegions() {
 			rep := m.replica(r)
-			h.Write(rep.mem)
+			hashRegion(h, rep)
 			fmt.Fprintf(&out, "m%d r%d locks=%d ", m.ID, r, len(rep.lockOwner))
 		}
 		fmt.Fprintf(&out, "pend=%d inflight=%d\n", len(m.pend), len(m.inflight))
@@ -163,7 +163,7 @@ func TestDeathBetweenLocalLockAndHandOff(t *testing.T) {
 
 		const thread = 2
 		rep := m.replica(region)
-		locked := func() bool { return regionmem.Locked(regionmem.ReadHeader(rep.mem, int(addr.Off))) }
+		locked := func() bool { return regionmem.Locked(rep.mem.ReadHeader(int(addr.Off))) }
 		lr := m.peer(m.ID).logR
 		if !between {
 			lr.pollScheduled = true // the record lands and is never polled
@@ -323,7 +323,7 @@ func TestRefusedLocalLockAborts(t *testing.T) {
 				}
 				// Refuse what the transaction is about to lock.
 				if cause == "conflict" {
-					if !regionmem.TryLock(rep.mem, int(addr.Off), regionmem.Version(regionmem.ReadHeader(rep.mem, int(addr.Off)))) {
+					if !rep.mem.TryLock(int(addr.Off), regionmem.Version(rep.mem.ReadHeader(int(addr.Off)))) {
 						t.Fatal("object already locked")
 					}
 					rep.lockOwner[addr.Off] = other
@@ -348,7 +348,7 @@ func TestRefusedLocalLockAborts(t *testing.T) {
 				t.Fatal("the refused LOCK was never marked lockRefused on its participant entry")
 			}
 			if cause == "conflict" {
-				regionmem.Unlock(rep.mem, int(addr.Off))
+				rep.mem.Unlock(int(addr.Off))
 				delete(rep.lockOwner, addr.Off)
 			} else {
 				rep.audit = nil
@@ -381,7 +381,7 @@ func TestWireThreadIDOnSelfRecordOnlyPicksAThread(t *testing.T) {
 	addr := writeObjectIn(t, c, m, region, []byte("aaaaaaaa"))
 	c.RunFor(20 * sim.Millisecond)
 	rep := m.replica(region)
-	version := regionmem.Version(regionmem.ReadHeader(rep.mem, int(addr.Off)))
+	version := regionmem.Version(rep.mem.ReadHeader(int(addr.Off)))
 
 	id := proto.TxID{Config: m.config.ID, Machine: uint16(m.ID), Thread: 65535, Local: 1}
 	busy := m.WorkerBusy()
@@ -413,7 +413,7 @@ func TestWireThreadIDOnSelfRecordOnlyPicksAThread(t *testing.T) {
 		TruncIDs: []uint64{packTruncID(65535, 1)},
 	})
 	c.RunFor(50 * sim.Microsecond)
-	if len(m.pend) != 0 || regionmem.Locked(regionmem.ReadHeader(rep.mem, int(addr.Off))) {
+	if len(m.pend) != 0 || regionmem.Locked(rep.mem.ReadHeader(int(addr.Off))) {
 		t.Fatalf("transaction of thread 65535 not aborted and truncated: %d pending", len(m.pend))
 	}
 }
@@ -469,7 +469,7 @@ func TestSelfCommitPrimaryInstallsBeforeItsAck(t *testing.T) {
 	addr := writeObjectIn(t, c, m, region, []byte("aaaaaaaa"))
 	c.RunFor(20 * sim.Millisecond)
 	rep := m.replica(region)
-	version := regionmem.Version(regionmem.ReadHeader(rep.mem, int(addr.Off)))
+	version := regionmem.Version(rep.mem.ReadHeader(int(addr.Off)))
 
 	var done bool
 	tx := m.Begin(0)
@@ -482,7 +482,7 @@ func TestSelfCommitPrimaryInstallsBeforeItsAck(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			word, data := regionmem.ReadObject(rep.mem, int(addr.Off), 8)
+			word, data := objectAt(rep, int(addr.Off), 8)
 			if regionmem.Locked(word) || regionmem.Version(word) != version+1 || string(data) != "bbbbbbbb" || len(rep.lockOwner) != 0 {
 				t.Fatalf("commit reported with the object at version %d (was %d), locked=%v, %q, %d lock owners",
 					regionmem.Version(word), version, regionmem.Locked(word), data, len(rep.lockOwner))
@@ -507,7 +507,7 @@ func TestDeathBetweenSelfAppendAndLanding(t *testing.T) {
 
 		const thread = 2
 		rep := m.replica(region)
-		locked := func() bool { return regionmem.Locked(regionmem.ReadHeader(rep.mem, int(addr.Off))) }
+		locked := func() bool { return regionmem.Locked(rep.mem.ReadHeader(int(addr.Off))) }
 		p := m.peer(m.ID)
 		appended := p.logW.Appended()
 		var done bool

@@ -17,7 +17,7 @@ import (
 // replica is one hosted copy of a region.
 type replica struct {
 	id   uint32
-	mem  []byte
+	mem  *regionmem.Region
 	size int
 
 	primary bool
@@ -67,7 +67,7 @@ type replica struct {
 // replica: an offset from another machine is checked before memory is
 // touched.
 func (rep *replica) holds(off uint32) bool {
-	return int(off) <= len(rep.mem)-regionmem.HeaderSize
+	return rep.mem.Holds(int(off))
 }
 
 // remoteTx is participant-side state for a transaction whose records
@@ -309,6 +309,7 @@ type Machine struct {
 	recFree     []*recWrite
 	ctFree      []*coordTx
 	valFree     []*valOp
+	valQueues   []valQueue // by worker thread
 	lockFree    []*lockVerdict
 	decFree     []*proto.Record
 	pendFree    []*remoteTx
@@ -519,6 +520,13 @@ func (c *Cluster) newMachine(id int) *Machine {
 
 		truncThreads: make([]idWindow, c.Opts.Threads),
 		pollShards:   make([]*pollTask, c.Opts.Threads),
+		valQueues:    make([]valQueue, c.Opts.Threads),
+	}
+	for i := range m.valQueues {
+		// Sixteen steps hold a thread's usual backlog, so the ring grows
+		// only at a new peak.
+		q := &m.valQueues[i]
+		q.m, q.runFn, q.steps = m, q.run, make([]valStep, 16)
 	}
 	for i := range m.truncThreads {
 		m.truncThreads[i] = idWindow{low: 1, ids: make(map[uint64]bool)} // local ids start at 1
@@ -1078,7 +1086,7 @@ func (r *consumedReport) run() {
 }
 
 // installReplica makes mem this machine's replica of a region in the table.
-func (m *Machine) installReplica(region uint32, mem []byte, size int, primary bool) *replica {
+func (m *Machine) installReplica(region uint32, mem *regionmem.Region, size int, primary bool) *replica {
 	r := &replica{
 		id:        region,
 		mem:       mem,
@@ -1103,16 +1111,7 @@ func (m *Machine) installAllocHook(r *replica) {
 	r.alloc.OnNewBlock(func(block, slot int) {
 		r.headers[block] = slot
 		m.foldBlock(r, block, slot)
-		for _, b := range m.backupsOf(r.id) {
-			if int(b) == m.ID {
-				continue
-			}
-			m.send(int(b), &proto.BlockHeaderSync{
-				ConfigID: m.config.ID,
-				Region:   r.id,
-				Headers:  map[int]int{block: slot},
-			})
-		}
+		m.syncBlockHeaders(r, []proto.BlockHeader{{Block: block, Class: slot}})
 	})
 }
 

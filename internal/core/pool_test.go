@@ -167,7 +167,7 @@ func TestDroppedBatchIsNotRecycled(t *testing.T) {
 	if len(prim.decFree) != decoded {
 		t.Fatalf("%d records went back to a dead machine's pool", len(prim.decFree)-decoded)
 	}
-	if regionmem.Locked(regionmem.ReadHeader(prim.replica(region).mem, int(addr.Off))) {
+	if regionmem.Locked(prim.replica(region).mem.ReadHeader(int(addr.Off))) {
 		t.Fatal("the dropped LOCK record was handled")
 	}
 }

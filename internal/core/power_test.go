@@ -93,7 +93,7 @@ func TestPowerFailureResolvesInFlightTransactions(t *testing.T) {
 	for _, mm := range c.Machines {
 		for _, rid := range mm.HostedRegions() {
 			if rep := mm.replica(rid); rep.primary {
-				word := regionmem.ReadHeader(rep.mem, int(addr.Off))
+				word := rep.mem.ReadHeader(int(addr.Off))
 				if rid == addr.Region && regionmem.Locked(word) {
 					t.Fatal("object left locked after power-failure recovery")
 				}
@@ -114,7 +114,7 @@ func TestPowerFailureResolvesInFlightTransactions(t *testing.T) {
 	rm := c.Machine(0).mapping(addr.Region)
 	for _, r := range rm.Replicas {
 		rep := c.Machine(int(r)).replica(addr.Region)
-		_, data := regionmem.ReadObject(rep.mem, int(addr.Off), 8)
+		_, data := objectAt(rep, int(addr.Off), 8)
 		vals = append(vals, data)
 	}
 	for i := 1; i < len(vals); i++ {

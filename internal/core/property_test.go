@@ -190,7 +190,7 @@ func TestVersionsNeverRegress(t *testing.T) {
 			p := c.Machine(int(rm.Replicas[0]))
 			if p.Alive() {
 				if rep := p.replica(addr.Region); rep != nil {
-					word := u64(rep.mem[addr.Off : addr.Off+8])
+					word := rep.mem.ReadHeader(int(addr.Off))
 					v := word & (1<<62 - 1)
 					if v < lastVer {
 						violations++

@@ -244,12 +244,12 @@ func (op *readOp) buffer() []byte {
 // read set keeps (outside a transaction, the op's own buffer).
 func (op *readOp) readLocal() {
 	rep, off := op.rep, int(op.addr.Off)
-	if off+op.length() > len(rep.mem) {
+	if off+op.length() > rep.mem.Size() {
 		op.deliver(0, nil, fabric.ErrBadAddress)
 		return
 	}
 	raw := op.buffer()
-	copy(raw, rep.mem[off:])
+	rep.mem.ReadAt(raw, off)
 	op.landed(raw)
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"math"
 
 	"farm/internal/fabric"
@@ -418,7 +417,7 @@ func (m *Machine) onNewConfig(src int, nc *proto.NewConfig) {
 		case hosted && rep == nil:
 			// Newly assigned backup: fresh zeroed replica, to be filled by
 			// data recovery (§5.4).
-			mem, err := m.store.Allocate(toNVRAM(rm.Region), rm.Size)
+			mem, err := m.store.AllocateData(toNVRAM(rm.Region), m.c.Opts.Layout)
 			if err != nil {
 				panic(err)
 			}
@@ -542,15 +541,15 @@ func (m *Machine) onNewConfigCommit(src int, cc *proto.NewConfigCommit) {
 	// allocator metadata survives further failures (§5.5).
 	for id := range m.regions {
 		if rep := m.regions[id].rep; rep != nil && rep.primary && rep.promotedAt == m.config.ID {
-			m.syncBlockHeaders(rep)
+			m.syncBlockHeaders(rep, m.blockHeaders(rep))
 		}
 	}
 	m.startTxRecovery(cc.ConfigID)
 }
 
-// syncBlockHeaders replicates a region's block headers to all backups.
-func (m *Machine) syncBlockHeaders(rep *replica) {
-	headers := maps.Clone(rep.headers)
+// syncBlockHeaders replicates block headers of a region to all its
+// backups, every message carrying the one list.
+func (m *Machine) syncBlockHeaders(rep *replica, headers []proto.BlockHeader) {
 	for _, b := range m.backupsOf(rep.id) {
 		if int(b) != m.ID {
 			m.send(int(b), &proto.BlockHeaderSync{ConfigID: m.config.ID, Region: rep.id, Headers: headers})

@@ -511,7 +511,7 @@ func (m *Machine) recoverLocks(rep *replica, rt *recTx) {
 			// one that passes it on when it is decided (passRecoveryLocks).
 			continue
 		}
-		word := regionmem.ReadHeader(rep.mem, off)
+		word := rep.mem.ReadHeader(off)
 		if regionmem.Version(word) > w.Version {
 			// This replica already applied the write (it was primary in the
 			// old configuration, or a backup that truncated): nothing left
@@ -523,7 +523,7 @@ func (m *Machine) recoverLocks(rep *replica, rt *recTx) {
 			continue
 		}
 		if !regionmem.Locked(word) {
-			regionmem.WriteHeader(rep.mem, off, word|1<<63)
+			rep.mem.WriteHeader(off, word|1<<63)
 		}
 		rep.lockOwner[w.Addr.Off] = rt.id
 	}
@@ -976,7 +976,7 @@ func (m *Machine) passRecoveryLocks(rt *remoteTx) {
 		if _, held := rep.lockOwner[w.Addr.Off]; held {
 			continue
 		}
-		word := regionmem.ReadHeader(rep.mem, int(w.Addr.Off))
+		word := rep.mem.ReadHeader(int(w.Addr.Off))
 		var heir *recTx
 		var heirVersion uint64
 		for _, other := range rs.recovery.txs {
@@ -993,7 +993,7 @@ func (m *Machine) passRecoveryLocks(rt *remoteTx) {
 			}
 		}
 		if heir != nil {
-			regionmem.WriteHeader(rep.mem, int(w.Addr.Off), word|1<<63)
+			rep.mem.WriteHeader(int(w.Addr.Off), word|1<<63)
 			rep.lockOwner[w.Addr.Off] = heir.id
 		}
 	}
@@ -1014,7 +1014,7 @@ func (m *Machine) releaseLocksRecovered(rt *remoteTx) {
 			continue
 		}
 		if owner, ok := rep.lockOwner[w.Addr.Off]; ok && owner == rt.id {
-			regionmem.Unlock(rep.mem, int(w.Addr.Off))
+			rep.mem.Unlock(int(w.Addr.Off))
 			delete(rep.lockOwner, w.Addr.Off)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -217,10 +218,10 @@ func TestDataRecoveryRestoresReplication(t *testing.T) {
 	pRep := c.Machine(int(rm2.Replicas[0])).replica(region)
 	bRep := c.Machine(newBackup).replica(region)
 	for _, a := range addrs {
-		for i := 0; i < 12; i++ {
-			if pRep.mem[int(a.Off)+i] != bRep.mem[int(a.Off)+i] {
-				t.Fatalf("replica divergence at %v+%d", a, i)
-			}
+		pw, pd := objectAt(pRep, int(a.Off), 4)
+		bw, bd := objectAt(bRep, int(a.Off), 4)
+		if pw != bw || !bytes.Equal(pd, bd) {
+			t.Fatalf("replica divergence at %v", a)
 		}
 	}
 }
@@ -624,7 +625,7 @@ func TestRecoveringTransactionsChainedOnOneObject(t *testing.T) {
 	}
 	flushTruncations()
 	version := func(m *Machine) uint64 {
-		return regionmem.Version(regionmem.ReadHeader(m.replica(region).mem, int(addr.Off)))
+		return regionmem.Version(m.replica(region).mem.ReadHeader(int(addr.Off)))
 	}
 	v := version(old)
 
@@ -704,7 +705,7 @@ func TestRecoveringTransactionsChainedOnOneObject(t *testing.T) {
 	coordB.pool.ByIndex(threadB).Do(300*sim.Microsecond, nil)
 	runUntil(t, c, sim.Second, func() bool { return version(next) == v+1 })
 	if owner, held := rep.lockOwner[addr.Off]; !held || owner != idB ||
-		!regionmem.Locked(regionmem.ReadHeader(rep.mem, int(addr.Off))) {
+		!regionmem.Locked(rep.mem.ReadHeader(int(addr.Off))) {
 		t.Errorf("A's decision left the object free (owner %v, held %v) with B undecided", owner, held)
 	}
 	runUntil(t, c, sim.Second, func() bool { return doneB })
@@ -881,7 +882,7 @@ func TestRecoveryOutlivesALostMessage(t *testing.T) {
 			c.RunFor(20 * sim.Millisecond)
 			write := func(a proto.Addr, v uint64) []proto.ObjectWrite {
 				rep := primaryOfRegion(c, a.Region).replica(a.Region)
-				return []proto.ObjectWrite{{Addr: a, Version: regionmem.Version(regionmem.ReadHeader(rep.mem, int(a.Off))), Value: u64b(v)}}
+				return []proto.ObjectWrite{{Addr: a, Version: regionmem.Version(rep.mem.ReadHeader(int(a.Off))), Value: u64b(v)}}
 			}
 			id := proto.TxID{Config: victim.config.ID, Machine: uint16(victim.ID), Local: 1 << 40}
 			regions := []uint32{region, other}
@@ -1012,7 +1013,7 @@ func TestNewReplicaIsNoEvidenceForItsRegion(t *testing.T) {
 	addrB := writeObjectIn(t, c, reader, b, []byte("bbbbbbbb"))
 	c.RunFor(20 * sim.Millisecond)
 	versionAt := func(m *Machine, addr proto.Addr) uint64 {
-		return regionmem.Version(regionmem.ReadHeader(m.replica(addr.Region).mem, int(addr.Off)))
+		return regionmem.Version(m.replica(addr.Region).mem.ReadHeader(int(addr.Off)))
 	}
 
 	id := proto.TxID{Config: victim.config.ID, Machine: uint16(victim.ID), Thread: 0, Local: 1 << 40}

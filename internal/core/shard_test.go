@@ -332,14 +332,14 @@ func TestDeathBetweenShardsOfOnePoll(t *testing.T) {
 		for _, m := range c.Machines {
 			for _, r := range m.HostedRegions() {
 				rep := m.replica(r)
-				h.Write(rep.mem)
+				hashRegion(h, rep)
 				fmt.Fprintf(&out, "m%d r%d locks=%d ", m.ID, r, len(rep.lockOwner))
 			}
 			fmt.Fprintf(&out, "pend=%d\n", len(m.pend))
 		}
 		for _, addr := range []proto.Addr{a, b} {
 			rep := prim.replica(region)
-			if regionmem.Locked(regionmem.ReadHeader(rep.mem, int(addr.Off))) {
+			if regionmem.Locked(rep.mem.ReadHeader(int(addr.Off))) {
 				t.Fatalf("object %v left locked", addr)
 			}
 		}
@@ -360,7 +360,7 @@ func TestWireThreadIDOnlyPicksAShard(t *testing.T) {
 	addr := writeObjectIn(t, c, prim, region, []byte("aaaaaaaa"))
 	c.RunFor(20 * sim.Millisecond)
 	rep := prim.replica(region)
-	version := regionmem.Version(regionmem.ReadHeader(rep.mem, int(addr.Off)))
+	version := regionmem.Version(rep.mem.ReadHeader(int(addr.Off)))
 
 	id := proto.TxID{Config: prim.config.ID, Machine: uint16(coord.ID), Thread: 65535, Local: 1}
 	appendRecord(t, coord, prim.ID, &proto.Record{
@@ -382,7 +382,7 @@ func TestWireThreadIDOnlyPicksAShard(t *testing.T) {
 	if len(prim.pend) != 0 || !prim.truncWindow(id.Coord()).has(1) {
 		t.Fatalf("transaction of thread 65535 not truncated: %d pending", len(prim.pend))
 	}
-	if regionmem.Locked(regionmem.ReadHeader(rep.mem, int(addr.Off))) {
+	if regionmem.Locked(rep.mem.ReadHeader(int(addr.Off))) {
 		t.Fatal("ABORT record of thread 65535 left the object locked")
 	}
 }

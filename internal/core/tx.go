@@ -809,7 +809,7 @@ func (m *Machine) allocSlotLocal(region uint32, size int) (uint32, uint64, error
 	if !ok {
 		return 0, 0, ErrNoSpace
 	}
-	word := regionmem.ReadHeader(rep.mem, off)
+	word := rep.mem.ReadHeader(off)
 	return uint32(off), regionmem.Version(word), nil
 }
 

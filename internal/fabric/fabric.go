@@ -468,12 +468,9 @@ func (op *verbOp) exec() {
 func (op *verbOp) execOn(r *NIC) {
 	switch op.kind {
 	case verbRead:
-		b := r.mem.Region(op.region)
-		if b == nil || op.off < 0 || op.off+op.length > len(b) {
+		if !r.mem.ReadAt(op.region, op.off, op.data) {
 			op.err = ErrBadAddress
-			return
 		}
-		copy(op.data, b[op.off:])
 	case verbWrite:
 		b := r.mem.Region(op.region)
 		if b == nil || op.off < 0 || op.off+len(op.payload) > len(b) {

@@ -8,6 +8,7 @@ package nvram
 import (
 	"fmt"
 
+	"farm/internal/regionmem"
 	"farm/internal/sim"
 )
 
@@ -15,22 +16,28 @@ import (
 // space is built out of these regions (§3).
 type RegionID uint32
 
-// Store is one machine's non-volatile memory: a set of byte regions. The
+// Store is one machine's non-volatile memory: a set of regions. The
 // Store object deliberately lives *outside* the simulated process state, so
 // killing a FaRM process leaves its Store intact — exactly the durability
 // contract of battery-backed DRAM. Only Wipe (modelling machine replacement
 // or losing more than the save window allows) destroys data.
+//
+// A region is flat — one byte slice, the form of a log ring, which
+// one-sided writes target — or a data region, a regionmem.Region of blocks
+// materialized on their first write, which one-sided reads target.
 type Store struct {
 	regions map[RegionID][]byte
 	// onUse holds the sizes of regions allocated with AllocateOnUse whose
 	// bytes nobody has asked for yet. Such a region is all zeroes, so the
 	// simulator need not spend host memory on it until someone looks.
 	onUse map[RegionID]int
+	data  map[RegionID]*regionmem.Region
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{regions: make(map[RegionID][]byte), onUse: make(map[RegionID]int)}
+	return &Store{regions: make(map[RegionID][]byte), onUse: make(map[RegionID]int),
+		data: make(map[RegionID]*regionmem.Region)}
 }
 
 func (s *Store) checkNew(id RegionID, size int) error {
@@ -43,8 +50,8 @@ func (s *Store) checkNew(id RegionID, size int) error {
 	return nil
 }
 
-// Allocate creates a zeroed region of the given size. It is an error if the
-// region already exists.
+// Allocate creates a zeroed flat region of the given size. It is an error
+// if the region already exists.
 func (s *Store) Allocate(id RegionID, size int) ([]byte, error) {
 	if err := s.checkNew(id, size); err != nil {
 		return nil, err
@@ -66,14 +73,30 @@ func (s *Store) AllocateOnUse(id RegionID, size int) error {
 	return nil
 }
 
+// AllocateData creates a zeroed data region of layout's geometry, no block
+// of it materialized. It is an error if the region already exists.
+func (s *Store) AllocateData(id RegionID, layout regionmem.Layout) (*regionmem.Region, error) {
+	if err := s.checkNew(id, layout.RegionSize); err != nil {
+		return nil, err
+	}
+	if err := layout.Validate(); err != nil {
+		return nil, err
+	}
+	r := regionmem.NewRegion(layout)
+	s.data[id] = r
+	return r, nil
+}
+
 // Free releases a region. Freeing a missing region is a no-op (idempotent
 // cleanup after failed allocations).
 func (s *Store) Free(id RegionID) {
 	delete(s.regions, id)
 	delete(s.onUse, id)
+	delete(s.data, id)
 }
 
-// Region returns the backing bytes of a region, or nil if absent.
+// Region returns the bytes of a flat region, or nil if there is no flat
+// region id.
 func (s *Store) Region(id RegionID) []byte {
 	b, ok := s.regions[id]
 	if !ok {
@@ -86,22 +109,50 @@ func (s *Store) Region(id RegionID) []byte {
 	return b
 }
 
+// Data returns a data region, or nil if there is no data region id.
+func (s *Store) Data(id RegionID) *regionmem.Region { return s.data[id] }
+
+// ReadAt copies the bytes of region id from off on into dst, reporting
+// false if the region is missing or does not hold them all. A read of a
+// data region materializes nothing.
+func (s *Store) ReadAt(id RegionID, off int, dst []byte) bool {
+	if r := s.data[id]; r != nil {
+		if off < 0 || off+len(dst) > r.Size() {
+			return false
+		}
+		r.ReadAt(dst, off)
+		return true
+	}
+	b := s.Region(id)
+	if b == nil || off < 0 || off+len(dst) > len(b) {
+		return false
+	}
+	copy(dst, b[off:])
+	return true
+}
+
 // Has reports whether the region exists.
 func (s *Store) Has(id RegionID) bool {
 	_, ok := s.regions[id]
 	if !ok {
 		_, ok = s.onUse[id]
 	}
+	if !ok {
+		_, ok = s.data[id]
+	}
 	return ok
 }
 
 // RegionIDs returns the ids of all allocated regions (unordered).
 func (s *Store) RegionIDs() []RegionID {
-	out := make([]RegionID, 0, len(s.regions)+len(s.onUse))
+	out := make([]RegionID, 0, len(s.regions)+len(s.onUse)+len(s.data))
 	for id := range s.regions {
 		out = append(out, id)
 	}
 	for id := range s.onUse {
+		out = append(out, id)
+	}
+	for id := range s.data {
 		out = append(out, id)
 	}
 	return out
@@ -109,14 +160,36 @@ func (s *Store) RegionIDs() []RegionID {
 
 // TotalBytes returns the sum of region sizes.
 func (s *Store) TotalBytes() int {
-	total := 0
+	u := s.Usage()
+	return u.Flat + u.Data
+}
+
+// Usage is how many bytes a store's regions reserve and how many of them
+// are backed by host memory.
+type Usage struct {
+	// Flat and FlatMaterialized: flat regions (log rings), reserved, and
+	// made (an AllocateOnUse region is made by its first Region call).
+	Flat, FlatMaterialized int
+	// Data and DataMaterialized: data regions, reserved, and in
+	// materialized blocks.
+	Data, DataMaterialized int
+}
+
+// Usage returns the store's region bytes reserved and materialized.
+func (s *Store) Usage() Usage {
+	var u Usage
 	for _, b := range s.regions {
-		total += len(b)
+		u.Flat += len(b)
 	}
+	u.FlatMaterialized = u.Flat
 	for _, size := range s.onUse {
-		total += size
+		u.Flat += size
 	}
-	return total
+	for _, r := range s.data {
+		u.Data += r.Size()
+		u.DataMaterialized += r.Materialized() * r.BlockSize()
+	}
+	return u
 }
 
 // Wipe destroys all regions, modelling loss of the machine's memory (e.g.
@@ -124,6 +197,7 @@ func (s *Store) TotalBytes() int {
 func (s *Store) Wipe() {
 	s.regions = make(map[RegionID][]byte)
 	s.onUse = make(map[RegionID]int)
+	s.data = make(map[RegionID]*regionmem.Region)
 }
 
 // SaveModel captures the distributed-UPS save path of §2.1: on power

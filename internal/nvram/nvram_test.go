@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"farm/internal/regionmem"
 	"farm/internal/sim"
 )
 
@@ -188,5 +189,56 @@ func TestAllocateOnUse(t *testing.T) {
 	s.Wipe()
 	if s.Has(3) || s.TotalBytes() != 0 {
 		t.Fatal("Wipe left a region behind")
+	}
+}
+
+// TestDataRegion: a data region is reserved whole and made a block at a
+// time; a one-sided read of it materializes nothing, Usage tells reserved
+// from materialized bytes for flat and data regions, and Free and Wipe
+// remove it like any region.
+func TestDataRegion(t *testing.T) {
+	s := NewStore()
+	layout := regionmem.Layout{RegionSize: 4096, BlockSize: 1024}
+	r, err := s.AllocateData(4, layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AllocateData(4, layout); err == nil {
+		t.Fatal("double AllocateData succeeded")
+	}
+	if _, err := s.Allocate(4, 64); err == nil {
+		t.Fatal("Allocate over a data region succeeded")
+	}
+	if s.Data(4) != r || s.Region(4) != nil || !s.Has(4) || s.TotalBytes() != 4096 {
+		t.Fatalf("Data=%p Region=%v Has=%v TotalBytes=%d", s.Data(4), s.Region(4), s.Has(4), s.TotalBytes())
+	}
+	if _, err := s.Allocate(1, 512); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AllocateOnUse(2, 256); err != nil {
+		t.Fatal(err)
+	}
+	r.WriteHeader(2048, 7)
+	buf := make([]byte, 2000)
+	if !s.ReadAt(4, 1000, buf) || buf[1048] != 7 {
+		t.Fatal("ReadAt across blocks did not see the header written")
+	}
+	if s.ReadAt(4, 3000, buf) || s.ReadAt(9, 0, buf) {
+		t.Fatal("ReadAt past the region's end or of a missing region succeeded")
+	}
+	want := Usage{Flat: 768, FlatMaterialized: 512, Data: 4096, DataMaterialized: 1024}
+	if got := s.Usage(); got != want {
+		t.Fatalf("Usage = %+v, want %+v", got, want)
+	}
+	s.Free(4)
+	if s.Has(4) || s.Data(4) != nil {
+		t.Fatal("Free did not remove the data region")
+	}
+	if _, err := s.AllocateData(5, layout); err != nil {
+		t.Fatal(err)
+	}
+	s.Wipe()
+	if s.Has(5) || s.TotalBytes() != 0 {
+		t.Fatal("Wipe left a data region behind")
 	}
 }

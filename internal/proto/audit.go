@@ -7,7 +7,7 @@ package proto
 // echoes it.
 
 // AuditSnap asks a backup for its digest snapshot of one region. The
-// primary's block-header map rides along so a backup that missed a
+// primary's block headers ride along, in block order, so a backup that missed a
 // BLOCK-HEADER-SYNC can install the metadata (and fold the blocks into
 // its digest domain) before scanning — digest domains must match for the
 // comparison to be meaningful.
@@ -15,7 +15,7 @@ type AuditSnap struct {
 	ID      uint64
 	Config  uint64
 	Region  uint32
-	Headers map[int]int
+	Headers []BlockHeader
 }
 
 // AuditSnapReply carries one backup's snapshot. Settled is false when the

@@ -324,8 +324,14 @@ type AllRegionsActive struct {
 type BlockHeaderSync struct {
 	ConfigID uint64
 	Region   uint32
-	// Headers maps block index → object size class of the slab.
-	Headers map[int]int
+	// Headers lists the headers in block order.
+	Headers []BlockHeader
+}
+
+// BlockHeader is one block's allocator header: the object size class of
+// the slab the block is (§5.5).
+type BlockHeader struct {
+	Block, Class int
 }
 
 // --- Region allocation (§3) ---

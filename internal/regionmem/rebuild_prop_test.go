@@ -23,7 +23,7 @@ func TestRebuildProperty(t *testing.T) {
 
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		mem := make([]byte, layout.RegionSize)
+		mem := regionmem.NewRegion(layout)
 		a := regionmem.NewAllocator(layout, mem)
 		headers := make(map[int]int) // replicated block → class metadata
 		var dig audit.Digest
@@ -32,10 +32,8 @@ func TestRebuildProperty(t *testing.T) {
 		// layer's allocation hook.
 		a.OnNewBlock(func(block, slot int) {
 			headers[block] = slot
-			base := block * layout.BlockSize
-			for off := base; off+slot <= base+layout.BlockSize; off += slot {
-				dig.Fold(off, regionmem.MaskLock(regionmem.ReadHeader(mem, off)),
-					mem[off+regionmem.HeaderSize:off+slot])
+			for off := block * layout.BlockSize; off+slot <= (block+1)*layout.BlockSize; off += slot {
+				dig.Fold(off, regionmem.MaskLock(mem.ReadHeader(off)), mem.Payload(off, slot-regionmem.HeaderSize))
 			}
 		})
 
@@ -55,14 +53,14 @@ func TestRebuildProperty(t *testing.T) {
 				payload := make([]byte, size)
 				rng.Read(payload)
 				class := regionmem.SlotSize(size)
-				regionmem.CommitWriteDigest(mem, off, version, true, payload, class, &dig)
+				mem.CommitWriteDigest(off, version, true, payload, class, &dig)
 				live = append(live, obj{off, size})
 			case k < 7 && len(live) > 0: // free: clear alloc bit, return slot
 				i := rng.Intn(len(live))
 				o := live[i]
 				version++
 				class := regionmem.SlotSize(o.size)
-				regionmem.CommitWriteDigest(mem, o.off, version, false, make([]byte, o.size), class, &dig)
+				mem.CommitWriteDigest(o.off, version, false, make([]byte, o.size), class, &dig)
 				a.Free(o.off)
 				live = append(live[:i], live[i+1:]...)
 			case len(live) > 0: // overwrite an existing object
@@ -70,12 +68,12 @@ func TestRebuildProperty(t *testing.T) {
 				version++
 				payload := make([]byte, o.size)
 				rng.Read(payload)
-				regionmem.CommitWriteDigest(mem, o.off, version, true, payload, regionmem.SlotSize(o.size), &dig)
+				mem.CommitWriteDigest(o.off, version, true, payload, regionmem.SlotSize(o.size), &dig)
 			}
 		}
 
 		// The incremental digest must equal a fresh scan at all times.
-		if scan := audit.ScanRegion(mem, layout.BlockSize, headers); scan != dig.Value() {
+		if scan := audit.ScanRegion(mem, headers); scan != dig.Value() {
 			t.Fatalf("seed %d: incremental digest %#x != scan %#x", seed, dig.Value(), scan)
 		}
 

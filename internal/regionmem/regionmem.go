@@ -5,9 +5,10 @@
 // block headers (object size per block) and per-slab free lists kept at the
 // primary.
 //
-// Everything here operates on plain byte slices so the same code runs
-// against local memory, the bytes a one-sided RDMA read returned, or a
-// backup's replica during recovery scans.
+// A replica's memory is a Region, a table of blocks materialized on their
+// first write. The header helpers that take plain bytes act on one
+// contiguous stretch: a block, a region laid out flat, or the bytes a
+// one-sided RDMA read returned.
 package regionmem
 
 import (
@@ -55,37 +56,42 @@ func Version(word uint64) uint64 { return word & verMask }
 // that legitimately differs between a primary and its backups.
 func MaskLock(word uint64) uint64 { return word &^ lockBit }
 
-// ReadHeader loads the header word of the object at off.
+// ReadHeader loads the header word of the object at off in b: one block's
+// bytes, a region laid out flat, or the bytes a one-sided read returned.
 func ReadHeader(b []byte, off int) uint64 {
 	return binary.LittleEndian.Uint64(b[off:])
 }
 
-// WriteHeader stores the header word of the object at off.
+// WriteHeader stores the header word of the object at off in b.
 func WriteHeader(b []byte, off int, word uint64) {
 	binary.LittleEndian.PutUint64(b[off:], word)
 }
 
 // TryLock attempts the compare-and-swap a primary performs for a LOCK
-// record (§4 step 1): it succeeds iff the object is unlocked and its
-// version equals version. On success the lock bit is set.
+// record (§4 step 1) on the object at off in b: it succeeds iff the object
+// is unlocked and its version equals version. On success the lock bit is
+// set. Region.TryLock is the same on a replica's memory.
 func TryLock(b []byte, off int, version uint64) bool {
 	w := ReadHeader(b, off)
-	if Locked(w) || Version(w) != version {
+	if !lockable(w, version) {
 		return false
 	}
 	WriteHeader(b, off, w|lockBit)
 	return true
 }
 
-// Unlock clears the lock bit without changing version or allocation state
-// (used when a transaction aborts after locking).
+func lockable(word, version uint64) bool { return !Locked(word) && Version(word) == version }
+
+// Unlock clears the lock bit of the object at off in b without changing
+// version or allocation state (used when a transaction aborts after
+// locking).
 func Unlock(b []byte, off int) {
 	WriteHeader(b, off, ReadHeader(b, off)&^lockBit)
 }
 
-// CommitWrite installs a committed write at off: the payload is copied,
-// the version advanced to newVersion, the allocation bit set as given, and
-// the lock released (§4 step 4).
+// CommitWrite installs a committed write at off in b: the payload is
+// copied, the version advanced to newVersion, the allocation bit set as
+// given, and the lock released (§4 step 4).
 func CommitWrite(b []byte, off int, newVersion uint64, allocated bool, payload []byte) {
 	copy(b[off+HeaderSize:], payload)
 	WriteHeader(b, off, Compose(newVersion, false, allocated))
@@ -94,38 +100,11 @@ func CommitWrite(b []byte, off int, newVersion uint64, allocated bool, payload [
 // DigestSink receives incremental state-digest updates from digest-aware
 // memory operations. It is structural (rather than a concrete type from
 // the audit package) so regionmem stays dependency-free; internal/audit's
-// Digest satisfies it. Both methods take the slot's offset, its
+// Digest satisfies it. Both methods take the slot's region offset, its
 // lock-masked header word, and its full payload extent.
 type DigestSink interface {
 	Fold(off int, word uint64, payload []byte)
 	Unfold(off int, word uint64, payload []byte)
-}
-
-// CommitWriteDigest is CommitWrite with an incremental digest update: the
-// slot's old state (lock-masked word + full payload extent of its size
-// class) is unfolded from the sink, the write installed, and the new state
-// folded in — O(1) per mutation, no allocation. class is the slot size of
-// the block containing off; a zero class (block not yet classed at this
-// replica) or nil sink degrades to a plain CommitWrite, leaving the slot
-// outside the digest domain until its block header arrives.
-func CommitWriteDigest(b []byte, off int, newVersion uint64, allocated bool, payload []byte, class int, sink DigestSink) {
-	if sink == nil || class == 0 {
-		CommitWrite(b, off, newVersion, allocated, payload)
-		return
-	}
-	ext := b[off+HeaderSize : off+class]
-	sink.Unfold(off, MaskLock(ReadHeader(b, off)), ext)
-	CommitWrite(b, off, newVersion, allocated, payload)
-	sink.Fold(off, MaskLock(ReadHeader(b, off)), ext)
-}
-
-// ReadObject returns the header word and a copy of size payload bytes of
-// the object at off.
-func ReadObject(b []byte, off, size int) (word uint64, data []byte) {
-	word = ReadHeader(b, off)
-	data = make([]byte, size)
-	copy(data, b[off+HeaderSize:off+HeaderSize+size])
-	return word, data
 }
 
 // Layout fixes the geometry of regions. The paper uses 2 GB regions and
@@ -168,9 +147,10 @@ func SlotSize(payload int) int { return sizeClass(payload) }
 // Allocator manages one region's blocks and slab free lists. It lives at
 // the region's primary only (§5.5); backups learn block headers through
 // replication messages and rebuild free lists by scanning after a failure.
+// It never writes the region: claiming a fresh block materializes nothing.
 type Allocator struct {
 	layout Layout
-	mem    []byte
+	mem    *Region
 
 	// class[b] is the slot size of block b; 0 means the block is unused.
 	class []int
@@ -185,17 +165,30 @@ type Allocator struct {
 	onNewBlock func(block, slotSize int)
 }
 
+// Memory is the memory an allocator manages: a Region, or a region's bytes
+// laid out flat (seen through RegionOf).
+type Memory interface{ *Region | []byte }
+
+func asRegion[M Memory](layout Layout, mem M) *Region {
+	switch m := any(mem).(type) {
+	case *Region:
+		if m.Size() != layout.RegionSize || m.blockSize != layout.BlockSize {
+			panic(fmt.Sprintf("regionmem: region of %d bytes in %d-byte blocks != layout %+v", m.Size(), m.blockSize, layout))
+		}
+		return m
+	default:
+		return RegionOf(layout, m.([]byte))
+	}
+}
+
 // NewAllocator creates an allocator over a fresh region.
-func NewAllocator(layout Layout, mem []byte) *Allocator {
+func NewAllocator[M Memory](layout Layout, mem M) *Allocator {
 	if err := layout.Validate(); err != nil {
 		panic(err)
 	}
-	if len(mem) != layout.RegionSize {
-		panic(fmt.Sprintf("regionmem: region size %d != layout %d", len(mem), layout.RegionSize))
-	}
 	return &Allocator{
 		layout: layout,
-		mem:    mem,
+		mem:    asRegion(layout, mem),
 		class:  make([]int, layout.Blocks()),
 		free:   make(map[int][]int),
 		used:   make([]int, layout.Blocks()),
@@ -297,26 +290,23 @@ func (a *Allocator) FreeCount(size int) int { return len(a.free[sizeClass(size)]
 func (a *Allocator) LiveObjects() []int {
 	var out []int
 	for b, c := range a.class {
-		if c == 0 {
+		if c == 0 || !a.mem.IsMaterialized(b) {
 			continue
 		}
-		base := b * a.layout.BlockSize
-		for off := base; off+c <= base+a.layout.BlockSize; off += c {
-			if Allocated(ReadHeader(a.mem, off)) {
-				out = append(out, off)
+		blk, base := a.mem.Block(b), b*a.layout.BlockSize
+		for so := 0; so+c <= len(blk); so += c {
+			if Allocated(ReadHeader(blk, so)) {
+				out = append(out, base+so)
 			}
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 
 // Rebuild reconstructs an allocator from a region replica and replicated
 // block headers by scanning allocation bits — the §5.5 recovery path a new
-// primary runs. It returns the allocator plus the scanned offsets in scan
-// order so the caller can pace the scan (100 objects per 100 µs in the
-// paper).
-func Rebuild(layout Layout, mem []byte, headers map[int]int) *Allocator {
+// primary runs. A block never written holds no live slot and is not read.
+func Rebuild[M Memory](layout Layout, mem M, headers map[int]int) *Allocator {
 	a := NewAllocator(layout, mem)
 	// Deterministic block order.
 	blocks := make([]int, 0, len(headers))
@@ -327,12 +317,13 @@ func Rebuild(layout Layout, mem []byte, headers map[int]int) *Allocator {
 	for _, b := range blocks {
 		c := headers[b]
 		a.class[b] = c
-		base := b * layout.BlockSize
-		for off := base; off+c <= base+layout.BlockSize; off += c {
-			if Allocated(ReadHeader(mem, off)) {
+		blk, base := a.mem.Block(b), b*layout.BlockSize
+		live := a.mem.IsMaterialized(b)
+		for so := 0; so+c <= len(blk); so += c {
+			if live && Allocated(ReadHeader(blk, so)) {
 				a.used[b]++
 			} else {
-				a.free[c] = append(a.free[c], off)
+				a.free[c] = append(a.free[c], base+so)
 			}
 		}
 	}
@@ -345,13 +336,13 @@ func Rebuild(layout Layout, mem []byte, headers map[int]int) *Allocator {
 // digest from the same pass. Callers replace their replica's incremental
 // digest with the result (allocator recovery runs exactly when incremental
 // state may be stale — after a promotion).
-func RebuildWithDigest(layout Layout, mem []byte, headers map[int]int, sink DigestSink) *Allocator {
+func RebuildWithDigest[M Memory](layout Layout, mem M, headers map[int]int, sink DigestSink) *Allocator {
 	a := Rebuild(layout, mem, headers)
 	if sink != nil {
 		for b, c := range headers {
-			base := b * layout.BlockSize
-			for off := base; off+c <= base+layout.BlockSize; off += c {
-				sink.Fold(off, MaskLock(ReadHeader(mem, off)), mem[off+HeaderSize:off+c])
+			blk, base := a.mem.Block(b), b*layout.BlockSize
+			for so := 0; so+c <= len(blk); so += c {
+				sink.Fold(base+so, MaskLock(ReadHeader(blk, so)), blk[so+HeaderSize:so+c])
 			}
 		}
 	}

@@ -55,7 +55,7 @@ func TestCommitWriteAdvancesVersionAndUnlocks(t *testing.T) {
 	b := make([]byte, 64)
 	WriteHeader(b, 0, Compose(3, true, true))
 	CommitWrite(b, 0, 4, true, []byte("new value"))
-	w, data := ReadObject(b, 0, 9)
+	w, data := ReadHeader(b, 0), b[HeaderSize:HeaderSize+9]
 	if Locked(w) || Version(w) != 4 || !Allocated(w) {
 		t.Fatalf("header after commit: %x", w)
 	}
@@ -257,5 +257,38 @@ func TestFreePanicsOnBadOffset(t *testing.T) {
 			}()
 			a.Free(off)
 		}()
+	}
+}
+
+// TestRegionMaterializesOnWrite: a block is made by the first non-zero byte
+// stored into it and by nothing else; reads, zero stores and a failed lock
+// leave it alone, and ReadAt and WriteAt cross blocks.
+func TestRegionMaterializesOnWrite(t *testing.T) {
+	l := testLayout()
+	r := NewRegion(l)
+	buf := make([]byte, 2*l.BlockSize)
+	r.ReadAt(buf, l.BlockSize/2)
+	r.WriteHeader(0, 0)
+	r.Unlock(64)
+	r.CommitWrite(128, 0, false, make([]byte, 8))
+	r.WriteAt(make([]byte, 3*l.BlockSize), 100)
+	if r.TryLock(l.BlockSize, 3) || r.ReadHeader(2*l.BlockSize) != 0 || len(r.Payload(16, 8)) != 8 {
+		t.Fatal("a region never written does not read as zeros")
+	}
+	if r.Materialized() != 0 {
+		t.Fatalf("reads and zero stores materialized %d blocks", r.Materialized())
+	}
+	if !r.TryLock(l.BlockSize, 0) || !r.IsMaterialized(1) || r.Materialized() != 1 {
+		t.Fatal("a lock did not materialize its block")
+	}
+	r.Unlock(l.BlockSize)
+	r.WriteAt([]byte{1, 2, 3, 4}, 2*l.BlockSize-2)
+	got := make([]byte, 4)
+	r.ReadAt(got, 2*l.BlockSize-2)
+	if !reflect.DeepEqual(got, []byte{1, 2, 3, 4}) || r.Materialized() != 2 {
+		t.Fatalf("straddling write read back %v with %d blocks materialized", got, r.Materialized())
+	}
+	if r.Holds(l.BlockSize-4) || !r.Holds(l.BlockSize-HeaderSize) || r.Holds(l.RegionSize) || r.Holds(-8) {
+		t.Fatal("Holds accepts a header across a block end or outside the region")
 	}
 }

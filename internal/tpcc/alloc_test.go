@@ -121,9 +121,11 @@ func TestStockLevelAllocationBudget(t *testing.T) {
 
 // TestMixAllocationBudget: the benchmark's tpcc_mix shape, scaled down — 9
 // machines, 2 threads each, one client and one warehouse per thread —
-// running Mix over a warmed window, costs 0.42 allocations per committed
-// operation: validation ops as their pool grows (newValOp) and the
-// block-header sync, mostly (make allocs lists the sites). It cost 3.6 while
+// running Mix over a warmed window, costs 0.25 allocations per committed
+// operation: the block-header sync and the region blocks new objects are
+// first written into, mostly (make allocs lists the sites). It cost 0.42
+// while a validation op was held from its scheduling to its verdict, so its
+// pool grew with the largest read set validated at once, and 3.6 while
 // a Tx shed chunks after smaller transactions and took them up again,
 // Delivery's Scans returned new pair slices, the B-tree caches copied every
 // node they fetched, splits made their nodes and lease messages and log
@@ -142,7 +144,7 @@ func TestMixAllocationBudget(t *testing.T) {
 		t.Fatalf("only %d operations committed in the window", ops)
 	}
 	t.Logf("tpcc mix: %.2f allocs per committed operation over %d committed", per, ops)
-	const budget = 0.42 * 1.1
+	const budget = 0.25 * 1.1
 	if per > budget {
 		t.Errorf("tpcc mix: %.2f allocs per committed operation, want <= %.2f", per, budget)
 	}
