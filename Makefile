@@ -131,9 +131,13 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzRegion$$' -fuzztime 10s ./internal/regionmem
 
 # The design-diet ledger (ROADMAP, CHANGES.md): four sizes of internal/core,
-# the size of internal/ring, and the size of the tools and experiment
-# drivers around them, which a simplification should move down and nothing
-# should move up unnoticed. Plain grep/sed/wc over the source.
+# the size of internal/ring, the size of the tools and experiment drivers
+# around them, and the object free lists written by hand instead of with
+# internal/pool (a slice-of-pointer field named *Free or free, or a
+# len(...Free) pop, counted once per package and name; the size-classed
+# byte pools and regionmem's offset lists are not object lists), which a
+# simplification should move down and nothing should move up unnoticed.
+# Plain grep/sed/wc over the source.
 CORE := internal/core
 count:
 	@echo "core non-test lines:    $$(ls $(CORE)/*.go | grep -v _test.go | xargs cat | wc -l)"
@@ -147,6 +151,10 @@ count:
 		} | grep -v '^[[:space:]]*//' | grep -c 'map\[')"
 	@echo "sorted-keys call sites: $$(ls $(CORE)/*.go | grep -v _test.go | xargs grep -h '[A-Za-z0-9]Keys(' | grep -v '^func \|^[[:space:]]*//' | wc -l)"
 	@echo "cmd, examples, exper, perf non-test lines: $$(find cmd examples internal/exper internal/perf -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "hand-written free lists: $$(grep -rEo --include='*.go' --exclude='*_test.go' \
+		'\b([A-Za-z0-9_]*Free|free)[[:space:]]+\[\]\*|len\(\*?([A-Za-z0-9_]+\.)*([A-Za-z0-9_]*Free|free)\)' internal cmd examples | \
+		grep -v '^internal/pool/\|^internal/regionmem/' | \
+		sed -E 's#^(.*)/[^/]*\.go:(len\(\*?([A-Za-z0-9_]+\.)*)?([A-Za-z0-9_]*Free|free).*#\1 \4#' | sort -u | wc -l)"
 
 # gofmt -l only lists; a listed file must fail the target.
 vet:

@@ -14,6 +14,7 @@ import (
 
 	"farm/internal/core"
 	"farm/internal/loadgen"
+	"farm/internal/pool"
 	"farm/internal/proto"
 	"farm/internal/sim"
 )
@@ -27,8 +28,8 @@ type Workload struct {
 	Accounts []proto.Addr
 	Initial  uint64
 
-	// free holds finished Transfer and Audit state machines for reuse (txOp).
-	free []*txOp
+	// ops holds finished Transfer and Audit state machines for reuse (txOp).
+	ops pool.Free[txOp]
 }
 
 // Setup creates `regions` fresh regions and opens `accounts` accounts with
@@ -44,6 +45,11 @@ func Setup(c *core.Cluster, accounts, regions int, initial uint64) (*Workload, e
 		return nil, err
 	}
 	w := &Workload{C: c, Accounts: make([]proto.Addr, accounts), Initial: initial}
+	w.ops.New = func() *txOp {
+		o := &txOp{w: w}
+		o.commitFn = o.committed
+		return o
+	}
 	const perTx = 8
 	for base := 0; base < accounts; base += perTx {
 		base := base
@@ -143,14 +149,7 @@ const (
 )
 
 func (w *Workload) newOp(m *core.Machine, thread int, rng *sim.Rand, done func(bool)) *txOp {
-	var o *txOp
-	if k := len(w.free); k > 0 {
-		o = w.free[k-1]
-		w.free = w.free[:k-1]
-	} else {
-		o = &txOp{w: w}
-		o.commitFn = o.committed
-	}
+	o := w.ops.Get()
 	o.rng, o.done = rng, done
 	o.tx = m.Begin(thread)
 	return o
@@ -161,7 +160,7 @@ func (w *Workload) newOp(m *core.Machine, thread int, rng *sim.Rand, done func(b
 func (o *txOp) finish(ok bool) {
 	w, done := o.w, o.done
 	*o = txOp{w: w, commitFn: o.commitFn}
-	w.free = append(w.free, o)
+	w.ops.Put(o)
 	done(ok)
 }
 

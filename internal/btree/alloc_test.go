@@ -3,7 +3,6 @@ package btree
 import (
 	"bytes"
 	"reflect"
-	"slices"
 	"testing"
 
 	"farm/internal/core"
@@ -398,16 +397,17 @@ func TestPooledOpReusedFromItsCallback(t *testing.T) {
 				o.val, o.ok, done = val, ok, true
 			})
 		}
-		if len(opFree) == 0 {
+		if ops.Len() == 0 {
 			t.Fatal("setting up the tree left no op in its pool")
 		}
-		pooled := opFree[len(opFree)-1]
+		pooled, inUse := ops.Get(), ops.InUse()-1 // the op the Scan takes
+		ops.Put(pooled)
 		r.t.Scan(tx, 100, 5, nil, func(pairs []Pair, err error) {
 			if err != nil {
 				t.Fatal(err)
 			}
 			o.pairs = pairs
-			if len(opFree) == 0 || opFree[len(opFree)-1] != pooled {
+			if ops.InUse() != inUse || !ops.Holds(pooled) {
 				t.Fatal("the Scan's op is not back in the pool when its callback runs")
 			}
 			if reset := *pooled; reset.allocFn == nil {
@@ -420,7 +420,7 @@ func TestPooledOpReusedFromItsCallback(t *testing.T) {
 				return
 			}
 			get()
-			if slices.Contains(opFree, pooled) {
+			if ops.Holds(pooled) {
 				t.Error("the Get did not take the op its Scan just recycled")
 			}
 		})

@@ -19,6 +19,7 @@ import (
 	"math"
 
 	"farm/internal/core"
+	"farm/internal/pool"
 	"farm/internal/proto"
 )
 
@@ -39,12 +40,22 @@ type Tree struct {
 	caches map[int]*cache
 }
 
-// opFree holds finished operations, of every tree, for the next to reuse
+// ops holds finished operations, of every tree, for the next to reuse
 // (treeOp). An operation belongs to its tree only while it runs, and one
 // pool serves TPC-C's thousands of per-district trees, each touched by few
 // operations at a time, where a pool per tree would keep warming in every
 // window. Trees, like the simulation that runs them, are single-threaded.
-var opFree []*treeOp
+var ops pool.Free[treeOp]
+
+// New is set here, not in ops' declaration, because a treeOp's bound
+// continuation leads back to ops.
+func init() {
+	ops.New = func() *treeOp {
+		op := &treeOp{}
+		op.allocFn = op.onAlloc
+		return op
+	}
+}
 
 // cache is one machine's copy of the anchor and of internal nodes: committed
 // bytes from lock-free reads, looked up by address and never iterated, and
@@ -347,7 +358,7 @@ type pathEntry struct {
 // treeOp is one tree operation: a descent to the leaf covering key, then
 // the operation's work there. It is the read handler of every node read on
 // the way (stage says which read is outstanding), and it comes from the
-// package's pool (opFree): its continuations are bound once, and every
+// package's pool (ops): its continuations are bound once, and every
 // terminal path returns it to the pool, reset whole, before the callback
 // runs, so a
 // callback that starts the next operation reuses it. Node bytes delivered to
@@ -407,15 +418,7 @@ const (
 )
 
 func (t *Tree) newOp(tx *core.Tx, key uint64) *treeOp {
-	var op *treeOp
-	if k := len(opFree); k > 0 {
-		op = opFree[k-1]
-		opFree[k-1] = nil
-		opFree = opFree[:k-1]
-	} else {
-		op = &treeOp{}
-		op.allocFn = op.onAlloc
-	}
+	op := ops.Get()
 	op.t, op.tx, op.key = t, tx, key
 	return op
 }
@@ -426,7 +429,7 @@ func (t *Tree) newOp(tx *core.Tx, key uint64) *treeOp {
 func (op *treeOp) recycle() {
 	allocFn, buf := op.allocFn, op.buf
 	*op = treeOp{allocFn: allocFn, buf: buf}
-	opFree = append(opFree, op)
+	ops.Put(op)
 }
 
 // newNode returns op's node buffer, cleared and grown to the tree's node

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"slices"
 	"testing"
 
 	"farm/internal/proto"
@@ -158,7 +157,7 @@ func TestReadDataLivesUntilItsTransactionFinishes(t *testing.T) {
 		done = true
 	})
 	runUntil(t, c, sim.Second, func() bool { return done })
-	if !slices.Contains(m.txFree, tx) {
+	if !m.txs.Holds(tx) {
 		t.Fatal("the finished transaction did not go back to its machine's pool")
 	}
 	next := m.Begin(0)

@@ -42,7 +42,7 @@ func TestDuplicatedAppCall(t *testing.T) {
 	apps := func() uint64 { return c.Counters.Get("msg APP") }
 	replies := func() uint64 { return c.Counters.Get("msg RPC-REPLY") }
 	appBase, replyBase := apps(), replies()
-	freeCalls, freeReplies := len(caller.appFree), len(callee.replyFree)
+	freeCalls, freeReplies := caller.appCalls.Len(), callee.replies.Len()
 
 	reclaimed := 0
 	var answers []interface{}
@@ -57,14 +57,14 @@ func TestDuplicatedAppCall(t *testing.T) {
 	call(1)
 	reused, repliesBack := false, 0
 	for len(answers) < 2 && c.Eng.Step() {
-		if !reused && len(caller.appFree) > freeCalls {
+		if !reused && caller.appCalls.Len() > freeCalls {
 			reused = true
 			if n := apps() - appBase; n != 2 || handled != 2 || reclaimed != 1 {
 				t.Fatalf("the appCall came back after %d deliveries, %d handler runs and %d request reclaims, want 2, 2, 1", n, handled, reclaimed)
 			}
 			call(2) // takes the call just reclaimed
 		}
-		if k := len(callee.replyFree) - freeReplies; k > repliesBack {
+		if k := callee.replies.Len() - freeReplies; k > repliesBack {
 			repliesBack = k
 			if n := replies() - replyBase; n < uint64(2*k) {
 				t.Fatalf("%d RPC-REPLYs back in the pool after %d deliveries, want both copies of each delivered", k, n)

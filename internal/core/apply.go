@@ -20,37 +20,21 @@ func (c *Cluster) recCell(t proto.RecordType) *uint64 {
 	return c.recCells[t]
 }
 
-// newRecord returns a record from the machine's pool for a log frame to be
-// decoded into. A pooled record is the machine's alone (DESIGN.md §12): it
-// goes back to the pool when its handling ends (putRecord) or, kept as a
+// putRecord returns a record a log frame was decoded into to the pool,
+// dropping the Values it held (ring bytes in place, or a detached or foreign
+// record's own) while it waits. A pooled record is the machine's alone
+// (DESIGN.md §12): it goes back when its handling ends or, kept as a
 // participant entry's lock, with that entry (dropRemoteTx); it leaves the
 // machine only as a Clone.
-func (m *Machine) newRecord() *proto.Record {
-	if k := len(m.decFree); k > 0 {
-		r := m.decFree[k-1]
-		m.decFree = m.decFree[:k-1]
-		return r
-	}
-	return new(proto.Record)
-}
-
-// putRecord returns a record to the pool, dropping the Values it held (ring
-// bytes in place, or a detached or foreign record's own) while it waits.
 func (m *Machine) putRecord(r *proto.Record) {
 	clear(r.Writes)
-	m.decFree = append(m.decFree, r)
+	m.records.Put(r)
 }
 
 // newRemoteTx makes transaction id's participant entry under key k, from the
 // pool.
 func (m *Machine) newRemoteTx(k mtl, id proto.TxID) *remoteTx {
-	var rt *remoteTx
-	if n := len(m.pendFree); n > 0 {
-		rt = m.pendFree[n-1]
-		m.pendFree = m.pendFree[:n-1]
-	} else {
-		rt = new(remoteTx)
-	}
+	rt := m.remotes.Get()
 	rt.id = id
 	m.pend[k] = rt
 	return rt
@@ -64,7 +48,7 @@ func (m *Machine) dropRemoteTx(k mtl, rt *remoteTx) {
 		m.putRecord(rt.lock)
 	}
 	*rt = remoteTx{lockedObjs: rt.lockedObjs[:0], regionHint: rt.regionHint[:0], frames: rt.frames[:0]}
-	m.pendFree = append(m.pendFree, rt)
+	m.remotes.Put(rt)
 }
 
 // handleRecord processes one decoded log record from the ring of lr.src.
@@ -242,7 +226,7 @@ func (m *Machine) processLock(rt *remoteTx, rec *proto.Record) {
 		m.handOffLockVerdict(rec.Tx, ok) // the coordinator is this machine: no LOCK-REPLY
 		return
 	}
-	m.send(int(rec.Tx.Machine), m.lockReplies.Get(rec.Tx, ok))
+	m.send(int(rec.Tx.Machine), proto.PooledLockReply(&m.lockReplies, rec.Tx, ok))
 }
 
 // lockVerdict carries a LOCK verdict to the thread the coordinator acts on
@@ -274,14 +258,7 @@ func (m *Machine) handOffLockVerdict(tx proto.TxID, ok bool) {
 // back with the frame that carried it, as soon as the delivery upcall
 // returns, so only the verdict may outlive the upcall.
 func (m *Machine) newLockVerdict(src int, tx proto.TxID, ok bool, ctx trace.Ctx) *lockVerdict {
-	var v *lockVerdict
-	if k := len(m.lockFree); k > 0 {
-		v = m.lockFree[k-1]
-		m.lockFree = m.lockFree[:k-1]
-	} else {
-		v = &lockVerdict{m: m}
-		v.runFn = v.run
-	}
+	v := m.verdicts.Get()
 	v.src, v.tx, v.ok, v.ctx = src, tx, ok, ctx
 	return v
 }
@@ -297,23 +274,10 @@ type answerTask struct {
 	runFn func()
 }
 
-func (m *Machine) newAnswer(id uint64, body interface{}, ctx trace.Ctx) *answerTask {
-	var a *answerTask
-	if k := len(m.ansFree); k > 0 {
-		a = m.ansFree[k-1]
-		m.ansFree = m.ansFree[:k-1]
-	} else {
-		a = &answerTask{m: m}
-		a.runFn = a.run
-	}
-	a.id, a.body, a.ctx = id, body, ctx
-	return a
-}
-
 func (a *answerTask) run() {
 	m, id, body, ctx := a.m, a.id, a.body, a.ctx
 	a.body, a.ctx = nil, trace.Ctx{}
-	m.ansFree = append(m.ansFree, a)
+	m.answers.Put(a)
 	if !m.alive {
 		return
 	}
@@ -328,12 +292,12 @@ func (a *answerTask) run() {
 }
 
 func (v *lockVerdict) run() {
-	m, src, tx, ok, prev := v.m, v.src, v.tx, v.ok, v.m.curCtx
-	m.lockFree = append(m.lockFree, v)
+	m, src, tx, ok, ctx, prev := v.m, v.src, v.tx, v.ok, v.ctx, v.m.curCtx
+	m.verdicts.Put(v)
 	if !m.alive {
 		return
 	}
-	m.curCtx = v.ctx
+	m.curCtx = ctx
 	m.onLockReply(src, tx, ok)
 	m.curCtx = prev
 }

@@ -112,13 +112,7 @@ var retiredCommit = coordTx{phase: phaseDone}
 // newCoordTx returns a pooled coordTx for t's commit, which holds t until
 // putCoordTx.
 func (m *Machine) newCoordTx(t *Tx) *coordTx {
-	var ct *coordTx
-	if k := len(m.ctFree); k > 0 {
-		ct = m.ctFree[k-1]
-		m.ctFree = m.ctFree[:k-1]
-	} else {
-		ct = &coordTx{}
-	}
+	ct := m.commits.Get()
 	ct.tx, ct.cb = t, t.reportFn
 	t.committing = true
 	return ct
@@ -137,7 +131,7 @@ func (m *Machine) putCoordTx(ct *coordTx) {
 	clear(ct.groups)
 	clear(ct.slab)
 	*ct = coordTx{groups: ct.groups[:0], writeRegions: ct.writeRegions[:0], slab: ct.slab[:0]}
-	m.ctFree = append(m.ctFree, ct)
+	m.commits.Put(ct)
 	t.committing = false
 	t.release()
 }
@@ -499,15 +493,7 @@ type recWrite struct {
 // newRecWrite returns a pooled recWrite of a record of type typ from
 // transaction tx, for dst's log.
 func (m *Machine) newRecWrite(ct *coordTx, dst int, typ proto.RecordType, tx proto.TxID) *recWrite {
-	var op *recWrite
-	if k := len(m.recFree); k > 0 {
-		op = m.recFree[k-1]
-		m.recFree = m.recFree[:k-1]
-	} else {
-		op = &recWrite{m: m}
-		op.runFn = op.run
-		op.ackFn = op.ack
-	}
+	op := m.recWrites.Get()
 	op.ct, op.dst = ct, dst
 	op.rec = proto.Record{Type: typ, Tx: tx, TruncIDs: op.ids[:0]}
 	return op
@@ -562,14 +548,20 @@ func (op *recWrite) write(p *peer, reserved int) bool {
 }
 
 // ack is the hardware ack of the record's ring write: settle the
-// piggybacked truncations, recycle, then advance the commit protocol.
+// piggybacked truncations, recycle, report a write that failed for good,
+// then advance the commit protocol.
 func (op *recWrite) ack(err error) {
 	m, ct, dst, typ := op.m, op.ct, op.dst, op.rec.Type
 	if err == nil {
 		m.truncDelivered(m.peer(dst), len(op.rec.TruncIDs), typ == proto.RecTruncate)
 	}
 	op.ct, op.rec = nil, proto.Record{}
-	m.recFree = append(m.recFree, op)
+	m.recWrites.Put(op)
+	if err != nil && err != ErrNoSpace && m.alive {
+		// Whatever the record: a ring on which only TRUNCATEs failed holds
+		// its truncation queue, and every Tx in it, until dst leaves.
+		m.reportWriteFailure(dst)
+	}
 	switch typ {
 	case proto.RecAbort:
 		m.onAbortAck(ct)
@@ -885,15 +877,7 @@ type valOp struct {
 
 // newValOp returns a pooled valOp for t's verdict on t.set[i].
 func (m *Machine) newValOp(t *Tx, i int32) *valOp {
-	var op *valOp
-	if k := len(m.valFree); k > 0 {
-		op = m.valFree[k-1]
-		m.valFree = m.valFree[:k-1]
-	} else {
-		op = &valOp{m: m}
-		op.readFn = op.readDone
-		op.passFn = op.pass
-	}
+	op := m.vals.Get()
 	op.t, op.i = t, i
 	return op
 }
@@ -901,7 +885,7 @@ func (m *Machine) newValOp(t *Tx, i int32) *valOp {
 func (op *valOp) recycle() (t *Tx, e *txEntry) {
 	t, e = op.t, &op.t.set[op.i]
 	op.t = nil
-	op.m.valFree = append(op.m.valFree, op)
+	op.m.vals.Put(op)
 	return
 }
 
@@ -909,7 +893,7 @@ func (op *valOp) recycle() (t *Tx, e *txEntry) {
 func (op *valOp) pass() {
 	m, t := op.m, op.t
 	op.t = nil
-	m.valFree = append(m.valFree, op)
+	m.vals.Put(op)
 	if m.alive {
 		t.validated(true)
 	}
@@ -1007,12 +991,9 @@ func (m *Machine) onBackupAck(ct *coordTx, bm int, err error) {
 		return
 	}
 	if err != nil {
-		// The ring writer retried far longer than any transient fault
-		// episode: the backup is effectively unreachable. The transaction
-		// must wait for recovery (the backup may hold its COMMIT-BACKUP
-		// record), but the membership layer should know about the dead
-		// destination.
-		m.reportWriteFailure(bm)
+		// The write failed for good (ack reported it): the transaction must
+		// wait for recovery, since the backup may hold its COMMIT-BACKUP
+		// record.
 		return
 	}
 	// Precise membership: ignore acks from non-members (§5.2).
@@ -1044,8 +1025,7 @@ func (m *Machine) onPrimaryAck(ct *coordTx, pm int, err error) {
 		return
 	}
 	if err != nil {
-		m.reportWriteFailure(pm)
-		return
+		return // reported by ack
 	}
 	if !m.isMember(pm) {
 		return

@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"farm/internal/fabric"
+	"farm/internal/pool"
 	"farm/internal/proto"
 	"farm/internal/sim"
 )
 
 // The tests here hold the coordinator's pooled commit state to its rule
-// (DESIGN.md §12, "Pooled commit state"): a coordTx goes back to its
+// (DESIGN.md §12, "Pooled objects"): a coordTx goes back to its
 // machine's pool when its truncation finished, and a LOCK-REPLY to its
 // sender's when the fabric reclaims the frame that carried it; nothing that
 // outlives either may act through it.
@@ -85,7 +86,7 @@ func TestLateVerdictAfterRecycleIsIgnored(t *testing.T) {
 		tx1.Commit(func(err error) { out.first = err; reported++ })
 		runUntil(t, c, sim.Second, func() bool { return tx1.ct != nil })
 		ct1, validating := tx1.ct, c.Eng.Now()
-		runUntil(t, c, sim.Second, func() bool { return reported == 1 && slices.Contains(coord.ctFree, ct1) })
+		runUntil(t, c, sim.Second, func() bool { return reported == 1 && coord.commits.Holds(ct1) })
 		if out.first != ErrAborted {
 			t.Fatalf("first commit: %v, want the stall sweep's ErrAborted", out.first)
 		}
@@ -105,7 +106,7 @@ func TestLateVerdictAfterRecycleIsIgnored(t *testing.T) {
 		c.RunFor(validating + late - 5*sim.Millisecond - c.Eng.Now())
 		link(10 * sim.Millisecond)
 		if !reuse {
-			coord.ctFree = nil
+			coord.commits = pool.Free[coordTx]{}
 		}
 		tx2.Commit(func(err error) { out.second = err; reported++ })
 		runUntil(t, c, sim.Second, func() bool { return tx2.ct != nil })
@@ -189,7 +190,7 @@ func TestDuplicatedLockReply(t *testing.T) {
 			if n := recv() - base; n != 2 {
 				t.Fatalf("p1's LOCK-REPLY reclaimed after %d deliveries, want both copies", n)
 			}
-			p1.lockReplies.Get(id, false) // the reply just reclaimed
+			proto.PooledLockReply(&p1.lockReplies, id, false) // the reply just reclaimed
 		}
 		if !reclaimed {
 			t.Fatal("p1's LOCK-REPLY never went back to its pool")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"farm/internal/fabric"
+	"farm/internal/pool"
 	"farm/internal/proto"
 	"farm/internal/sim"
 )
@@ -66,15 +67,15 @@ type leaseManager struct {
 	started bool
 
 	// Lease traffic allocates nothing: tickFn is tick, bound once; the
-	// messages this machine sends come from reqFree and grantFree, and the
-	// fabric returns each once its last copy was delivered or lost; sendFree
-	// and recvFree hold the carriers of messages on their way to the wire
+	// messages this machine sends come from reqMsgs and grantMsgs, and the
+	// fabric returns each once its last copy was delivered or lost; sends
+	// and recvs hold the carriers of messages on their way to the wire
 	// and, copied at the upcall, to their handler.
 	tickFn    func()
-	reqFree   []*proto.LeaseRequest
-	grantFree []*proto.LeaseGrant
-	sendFree  []*leaseSend
-	recvFree  []*leaseRecv
+	reqMsgs   pool.Free[proto.LeaseRequest]
+	grantMsgs pool.Free[proto.LeaseGrant]
+	sends     pool.Free[leaseSend]
+	recvs     pool.Free[leaseRecv]
 }
 
 // timerResolution is the system timer granularity (0.5 ms in §6.5).
@@ -100,6 +101,18 @@ func newLeaseManager(m *Machine) *leaseManager {
 	}
 	lm.thread = sim.NewThread(m.c.Eng, "lease")
 	lm.tickFn = lm.tick
+	checked := m.c.Hist != nil
+	lm.reqMsgs.Checked, lm.grantMsgs.Checked = checked, checked
+	lm.sends = pool.Free[leaseSend]{Checked: checked, New: func() *leaseSend {
+		s := &leaseSend{lm: lm}
+		s.queueFn, s.sendFn = s.queue, s.send
+		return s
+	}}
+	lm.recvs = pool.Free[leaseRecv]{Checked: checked, New: func() *leaseRecv {
+		r := &leaseRecv{lm: lm}
+		r.queueFn, r.processFn = r.queue, r.process
+		return r
+	}}
 	switch lm.variant {
 	case LeaseUDThread:
 		// Normal priority: occasionally preempted for many milliseconds by
@@ -241,7 +254,7 @@ func (lm *leaseManager) tick() {
 		}
 	}
 	if g := lm.grantor(); g >= 0 {
-		lm.transmit(g, proto.PooledLeaseRequest(&lm.reqFree, lm.m.config.ID, false, int64(now)))
+		lm.transmit(g, proto.PooledLeaseRequest(&lm.reqMsgs, lm.m.config.ID, false, int64(now)))
 		if now-lm.renewed > lm.duration {
 			lm.expired(g)
 		}
@@ -311,14 +324,7 @@ func (lm *leaseManager) expired(id int) {
 // the variant's send-side scheduling.
 func (lm *leaseManager) transmit(dst int, msg fabric.Reclaimer) {
 	m := lm.m
-	var s *leaseSend
-	if k := len(lm.sendFree); k > 0 {
-		s = lm.sendFree[k-1]
-		lm.sendFree = lm.sendFree[:k-1]
-	} else {
-		s = &leaseSend{lm: lm}
-		s.queueFn, s.sendFn = s.queue, s.send
-	}
+	s := lm.sends.Get()
 	s.dst, s.msg = dst, msg
 	switch lm.variant {
 	case LeaseRPC:
@@ -359,7 +365,7 @@ func (s *leaseSend) queue() {
 func (s *leaseSend) send() {
 	lm, dst, msg := s.lm, fabric.MachineID(s.dst), s.msg
 	s.msg = nil
-	lm.sendFree = append(lm.sendFree, s)
+	lm.sends.Put(s)
 	m := lm.m
 	switch {
 	case !m.alive:
@@ -391,14 +397,7 @@ func (lm *leaseManager) onUD(src fabric.MachineID, msg interface{}) {
 // received copies a delivered lease message, whose sender reclaims it once
 // this upcall returns, into a pooled carrier that takes it to its handler.
 func (lm *leaseManager) received(src int, msg interface{}) *leaseRecv {
-	var r *leaseRecv
-	if k := len(lm.recvFree); k > 0 {
-		r = lm.recvFree[k-1]
-		lm.recvFree = lm.recvFree[:k-1]
-	} else {
-		r = &leaseRecv{lm: lm}
-		r.queueFn, r.processFn = r.queue, r.process
-	}
+	r := lm.recvs.Get()
 	r.src = src
 	switch v := msg.(type) {
 	case *proto.LeaseRequest:
@@ -426,7 +425,7 @@ func (r *leaseRecv) queue() { r.lm.m.pool.ByIndex(0).DoPriority(cpuMsg, r.proces
 // process runs the message's handler, once the carrier is back in its pool.
 func (r *leaseRecv) process() {
 	lm, src, isReq, req, grant := r.lm, r.src, r.isReq, r.req, r.grant
-	lm.recvFree = append(lm.recvFree, r)
+	lm.recvs.Put(r)
 	if !lm.m.alive {
 		return
 	}
@@ -447,12 +446,12 @@ func (lm *leaseManager) onRequest(src int, req *proto.LeaseRequest) {
 	}
 	if !req.Grant && lm.watches(src) {
 		*leaseSlot(&lm.granted, src) = lm.m.c.Eng.Now()
-		lm.transmit(src, proto.PooledLeaseRequest(&lm.reqFree, lm.m.config.ID, true, req.Sent))
+		lm.transmit(src, proto.PooledLeaseRequest(&lm.reqMsgs, lm.m.config.ID, true, req.Sent))
 		return
 	}
 	if req.Grant && src == lm.grantor() {
 		lm.renewed = max(lm.renewed, sim.Time(req.Sent))
-		lm.transmit(src, proto.PooledLeaseGrant(&lm.grantFree, lm.m.config.ID))
+		lm.transmit(src, proto.PooledLeaseGrant(&lm.grantMsgs, lm.m.config.ID))
 	}
 }
 

@@ -168,13 +168,13 @@ func TestDeathBetweenLocalLockAndHandOff(t *testing.T) {
 		if !between {
 			lr.pollScheduled = true // the record lands and is never polled
 		}
-		carriers := len(m.lockFree) // set-up's commits left theirs in the pool
+		carriers := m.verdicts.Len() // set-up's commits left theirs in the pool
 		var done bool
 		var txErr error
 		update(t, m, thread, addr, []byte("AAAAAAAA"), &done, &txErr)
 		if between {
 			runUntil(t, c, sim.Second, locked)
-			if carriers--; !m.pool.ByIndex(thread).Busy() || len(m.lockFree) != carriers {
+			if carriers--; !m.pool.ByIndex(thread).Busy() || m.verdicts.Len() != carriers {
 				t.Fatal("the verdict is not on its way to the coordinator's thread")
 			}
 		} else {
@@ -186,7 +186,7 @@ func TestDeathBetweenLocalLockAndHandOff(t *testing.T) {
 		}
 		c.PowerFailure()
 		c.RunFor(50 * sim.Millisecond)
-		if len(m.lockFree) != carriers {
+		if m.verdicts.Len() != carriers {
 			t.Fatal("a verdict carrier was recycled on a dead machine")
 		}
 		if ct := m.inflight[proto.TxID{Config: m.config.ID, Machine: uint16(m.ID), Thread: thread, Local: m.nextLocal[thread]}]; ct == nil || ct.phase != phaseLock {
@@ -393,8 +393,8 @@ func TestWireThreadIDOnSelfRecordOnlyPicksAThread(t *testing.T) {
 	if rt := m.pend[mtlOf(id)]; rt == nil || len(rt.lockedObjs) != 1 {
 		t.Fatalf("LOCK record of thread 65535 not processed: %+v", rt)
 	}
-	if len(m.lockFree) != 1 {
-		t.Fatalf("%d verdict carriers back in the pool, want the one that ran", len(m.lockFree))
+	if m.verdicts.Len() != 1 {
+		t.Fatalf("%d verdict carriers back in the pool, want the one that ran", m.verdicts.Len())
 	}
 	// The record was handled where it landed, on no worker; the verdict's
 	// hand-off is the only work left, on worker 65535 mod 8.

@@ -6,6 +6,7 @@ import (
 	"farm/internal/audit"
 	"farm/internal/fabric"
 	"farm/internal/nvram"
+	"farm/internal/pool"
 	"farm/internal/proto"
 	"farm/internal/regionmem"
 	"farm/internal/ring"
@@ -288,39 +289,27 @@ type Machine struct {
 	curCtx      trace.Ctx
 	reconfigCtx trace.Ctx
 
-	// taskFree recycles msgTask carriers (deferred receive dispatches and
-	// outbound enqueues) so the per-message paths allocate nothing in
-	// steady state; txFree and allocFree do the same for transactions and
-	// their slot allocations (tx.go), pollFree, readFree, recFree, ctFree,
-	// valFree and lockFree for log-poll batches, object reads (read.go),
-	// commit-record writes, committing transactions, per-object validations
-	// (commit.go) and LOCK verdicts on their way to the coordinator's
-	// thread, decFree and pendFree for the log records participants decode
-	// and their participant entries, lockReplies for the LOCK-REPLY
-	// messages this machine sends as a primary (apply.go), ansFree for
-	// RPC-REPLY answers on their way to the call table, and appFree and
-	// replyFree for the application calls it makes and the replies its
-	// application handler sends.
-	taskFree    []*msgTask
-	txFree      []*Tx
-	allocFree   []*allocOp
-	pollFree    []*pollTask
-	readFree    []*readOp
-	recFree     []*recWrite
-	ctFree      []*coordTx
-	valFree     []*valOp
-	valQueues   []valQueue // by worker thread
-	lockFree    []*lockVerdict
-	decFree     []*proto.Record
-	pendFree    []*remoteTx
-	lockReplies proto.LockReplyPool
-	ansFree     []*answerTask
-	appFree     []*appCall
-	replyFree   []*rpcReply
-	// chunks are the slab chunks this machine's transactions carve from
-	// (tx.go), and reportFree the consumption reports it sends.
-	chunks     chunkPool
-	reportFree []*consumedReport
+	// The pools of every object the per-message and per-operation paths
+	// take and give back, so steady state allocates nothing (initPools).
+	tasks       pool.Free[msgTask]
+	txs         pool.Free[Tx]
+	allocs      pool.Free[allocOp]
+	polls       pool.Free[pollTask]
+	reads       pool.Free[readOp]
+	recWrites   pool.Free[recWrite]
+	commits     pool.Free[coordTx]
+	vals        pool.Free[valOp]
+	verdicts    pool.Free[lockVerdict]
+	records     pool.Free[proto.Record]
+	remotes     pool.Free[remoteTx]
+	lockReplies pool.Free[proto.LockReply]
+	answers     pool.Free[answerTask]
+	appCalls    pool.Free[appCall]
+	replies     pool.Free[rpcReply]
+	reports     pool.Free[consumedReport]
+	// chunks are the slab chunks this machine's transactions carve from.
+	chunks    chunkPool
+	valQueues []valQueue // by worker thread
 	// pollShards is decodeFrames' per-poll table, one slot per coordinator
 	// thread (mod workers); every slot is nil between polls.
 	pollShards []*pollTask
@@ -349,22 +338,11 @@ type msgTask struct {
 	runFn func()
 }
 
-func (m *Machine) getTask() *msgTask {
-	if k := len(m.taskFree); k > 0 {
-		t := m.taskFree[k-1]
-		m.taskFree = m.taskFree[:k-1]
-		return t
-	}
-	t := &msgTask{m: m}
-	t.runFn = t.run
-	return t
-}
-
 func (t *msgTask) run() {
 	m := t.m
 	h, src, dst, msg, ctx, send := t.h, t.src, t.dst, t.msg, t.ctx, t.send
 	t.h, t.msg, t.ctx, t.send = nil, nil, trace.Ctx{}, false
-	m.taskFree = append(m.taskFree, t)
+	m.tasks.Put(t)
 	if !m.alive {
 		return
 	}
@@ -531,11 +509,86 @@ func (c *Cluster) newMachine(id int) *Machine {
 	for i := range m.truncThreads {
 		m.truncThreads[i] = idWindow{low: 1, ids: make(map[uint64]bool)} // local ids start at 1
 	}
+	m.initPools()
 	m.nic = c.Net.AddMachine(fabric.MachineID(id), store)
 	m.tp = newTransport(m)
 	m.nic.SetMessageHandler(m.onMessage)
 	m.nic.SetWriteHook(m.onRemoteWrite)
 	return m
+}
+
+// initPools gives each pool of m its constructor, which binds the object's
+// continuations once; with the history recorder on (tests and chaos runs)
+// every pool is checked (DESIGN.md §12, "Pooled objects").
+func (m *Machine) initPools() {
+	checked := m.c.Hist != nil
+	m.tasks = pool.Free[msgTask]{Checked: checked, New: func() *msgTask {
+		t := &msgTask{m: m}
+		t.runFn = t.run
+		return t
+	}}
+	m.txs = pool.Free[Tx]{Checked: checked, New: func() *Tx {
+		t := &Tx{m: m, set: make([]txEntry, 0, 4)}
+		t.reportFn = t.report
+		return t
+	}}
+	m.allocs = pool.Free[allocOp]{Checked: checked, New: func() *allocOp {
+		op := &allocOp{m: m}
+		op.localFn = op.local
+		op.noSpaceFn = op.noSpace
+		op.calledFn = op.called
+		return op
+	}}
+	m.polls = pool.Free[pollTask]{Checked: checked, New: func() *pollTask {
+		pt := &pollTask{m: m}
+		pt.runFn = pt.run
+		return pt
+	}}
+	m.reads = pool.Free[readOp]{Checked: checked, New: func() *readOp {
+		op := &readOp{m: m}
+		op.startFn = op.start
+		op.ownFn = op.deliverOwn
+		op.localFn = op.readLocal
+		op.issueFn = op.issue
+		op.backoffFn = op.refetchMapping
+		op.lockRetryFn = op.retryLocked
+		op.readDoneFn = op.handle
+		return op
+	}}
+	m.recWrites = pool.Free[recWrite]{Checked: checked, New: func() *recWrite {
+		op := &recWrite{m: m}
+		op.runFn = op.run
+		op.ackFn = op.ack
+		return op
+	}}
+	m.commits = pool.Free[coordTx]{Checked: checked}
+	m.vals = pool.Free[valOp]{Checked: checked, New: func() *valOp {
+		op := &valOp{m: m}
+		op.readFn = op.readDone
+		op.passFn = op.pass
+		return op
+	}}
+	m.verdicts = pool.Free[lockVerdict]{Checked: checked, New: func() *lockVerdict {
+		v := &lockVerdict{m: m}
+		v.runFn = v.run
+		return v
+	}}
+	m.records = pool.Free[proto.Record]{Checked: checked}
+	m.remotes = pool.Free[remoteTx]{Checked: checked}
+	m.lockReplies = pool.Free[proto.LockReply]{Checked: checked}
+	m.answers = pool.Free[answerTask]{Checked: checked, New: func() *answerTask {
+		a := &answerTask{m: m}
+		a.runFn = a.run
+		return a
+	}}
+	m.appCalls = pool.Free[appCall]{Checked: checked, New: func() *appCall { return &appCall{pool: m} }}
+	m.replies = pool.Free[rpcReply]{Checked: checked, New: func() *rpcReply { return &rpcReply{pool: m} }}
+	m.reports = pool.Free[consumedReport]{Checked: checked, New: func() *consumedReport {
+		r := &consumedReport{m: m}
+		r.runFn = r.run
+		return r
+	}}
+	m.chunks.checked = checked
 }
 
 // initLogs makes the peer entry, and with it the log pair, of every machine
@@ -632,13 +685,7 @@ func (m *Machine) SetAppHandler(h func(src int, req interface{}, call AppCall)) 
 // implements fabric.Reclaimer is reclaimed with it, when no copy of the call
 // is in flight and no handler still reads it.
 func (m *Machine) CallApp(dst int, req interface{}, cb func(resp interface{}, err error)) {
-	var call *appCall
-	if k := len(m.appFree); k > 0 {
-		call = m.appFree[k-1]
-		m.appFree = m.appFree[:k-1]
-	} else {
-		call = &appCall{pool: m}
-	}
+	call := m.appCalls.Get()
 	call.Req, call.framed = req, true
 	call.ID = m.call(dst, call, cb)
 	m.send(dst, call)
@@ -655,19 +702,13 @@ type AppCall struct {
 // frame.
 func (a AppCall) Reply(resp interface{}) {
 	m := a.m
-	var r *rpcReply
-	if k := len(m.replyFree); k > 0 {
-		r = m.replyFree[k-1]
-		m.replyFree = m.replyFree[:k-1]
-	} else {
-		r = &rpcReply{pool: m}
-	}
+	r := m.replies.Get()
 	r.ID, r.Body = a.id, resp
 	m.send(a.from, r)
 }
 
 // appCall carries an application call's request; the answer comes back in
-// an rpcReply. It comes from its caller's pool (Machine.appFree). The fabric
+// an rpcReply. It comes from its caller's pool (Machine.appCalls). The fabric
 // reclaims it with its frame, once the last copy is delivered or lost, but
 // the handler of a delivered copy runs later, on a worker: each delivery
 // holds the call until its handler returned. The call goes back to its pool
@@ -702,7 +743,7 @@ func (c *appCall) free() {
 		r.Reclaim()
 	}
 	c.ID, c.Req = 0, nil
-	c.pool.appFree = append(c.pool.appFree, c)
+	c.pool.appCalls.Put(c)
 }
 
 // primaryOf returns the primary machine for a region, or -1 if unknown.
@@ -803,7 +844,9 @@ func (m *Machine) dispatchMsg(src int, msg interface{}, stamp sim.Time, ctx trac
 		return
 	case *rpcReply:
 		// So may an RPC-REPLY's sender: its answer goes on by value too.
-		m.pool.Dispatch(cpuMsg, m.newAnswer(v.ID, v.Body, ctx).runFn)
+		a := m.answers.Get()
+		a.id, a.body, a.ctx = v.ID, v.Body, ctx
+		m.pool.Dispatch(cpuMsg, a.runFn)
 		return
 	case *appCall:
 		// The caller reclaims the call once its frame is reclaimed and no
@@ -818,7 +861,7 @@ func (m *Machine) dispatchMsg(src int, msg interface{}, stamp sim.Time, ctx trac
 			return
 		}
 	}
-	tk := m.getTask()
+	tk := m.tasks.Get()
 	tk.h, tk.src, tk.msg, tk.ctx = h, src, msg, ctx
 	if v, ok := msg.(*proto.RecoveryVote); ok {
 		// Votes go to the peer thread of the coordinator thread (§5.3).
@@ -916,13 +959,7 @@ func (m *Machine) shardFor(lr *logReader, thread uint16) *pollTask {
 	s := int(thread) % len(m.pollShards)
 	pt := m.pollShards[s]
 	if pt == nil {
-		if k := len(m.pollFree); k > 0 {
-			pt = m.pollFree[k-1]
-			m.pollFree = m.pollFree[:k-1]
-		} else {
-			pt = &pollTask{m: m}
-			pt.runFn = pt.run
-		}
+		pt = m.polls.Get()
 		pt.lr = lr
 		m.pollShards[s] = pt
 	}
@@ -944,7 +981,7 @@ func (m *Machine) decodeFrames(lr *logReader) {
 		return // nothing was ever written to this ring
 	}
 	for _, f := range lr.rd.Poll() {
-		rec := m.newRecord()
+		rec := m.records.Get()
 		if proto.DecodeRecord(f.Payload, rec) != nil {
 			m.putRecord(rec)
 			continue
@@ -990,7 +1027,7 @@ func (pt *pollTask) recycle() {
 	clear(pt.batch)
 	pt.batch = pt.batch[:0]
 	pt.lr, pt.done, pt.preDrain, pt.cost = nil, nil, false, 0
-	pt.m.pollFree = append(pt.m.pollFree, pt)
+	pt.m.polls.Put(pt)
 }
 
 func (pt *pollTask) run() {
@@ -1055,14 +1092,7 @@ func (m *Machine) maybeReportConsumed(lr *logReader) {
 		return
 	}
 	m.c.Net.Counters.Inc("rdma_write", 1)
-	var r *consumedReport
-	if k := len(m.reportFree); k > 0 {
-		r = m.reportFree[k-1]
-		m.reportFree = m.reportFree[:k-1]
-	} else {
-		r = &consumedReport{m: m}
-		r.runFn = r.run
-	}
+	r := m.reports.Get()
 	r.src, r.consumed = src, consumed
 	m.c.Eng.After(m.c.Opts.Fabric.WireLatency+sim.Microsecond, r.runFn)
 }
@@ -1079,7 +1109,7 @@ type consumedReport struct {
 
 func (r *consumedReport) run() {
 	m, src, consumed := r.m, r.src, r.consumed
-	m.reportFree = append(m.reportFree, r)
+	m.reports.Put(r)
 	if sender := m.c.Machines[src]; sender.alive {
 		sender.peer(m.ID).logW.UpdateConsumed(consumed)
 	}
@@ -1125,7 +1155,7 @@ func (m *Machine) sendMsg(thread, dst int, msg interface{}, ctx trace.Ctx) {
 	if !m.alive {
 		return
 	}
-	tk := m.getTask()
+	tk := m.tasks.Get()
 	tk.send, tk.dst, tk.msg, tk.ctx = true, dst, msg, ctx
 	*m.c.cCPUSend += uint64(cpuMsg)
 	if thread == anyThread {

@@ -11,7 +11,7 @@ import (
 )
 
 // The tests here hold the pooled participant state to its rule (DESIGN.md
-// §12, "Pooled participant state"): a decoded log record and a participant
+// §12, "Pooled objects", rule 2): a decoded log record and a participant
 // entry belong to their machine's pools, and nothing that outlives their
 // recycling may point into them.
 
@@ -156,16 +156,16 @@ func TestDroppedBatchIsNotRecycled(t *testing.T) {
 	var txErr error
 	update(t, coord, thread, addr, []byte("bbbbbbbb"), &done, &txErr)
 	c.RunFor(30 * sim.Microsecond)
-	pooled := len(prim.decFree)
+	pooled := prim.records.Len()
 	lr.pollFn()
-	decoded := len(prim.decFree)
+	decoded := prim.records.Len()
 	if decoded >= pooled {
 		t.Fatalf("the poll took no pooled record (%d before, %d after)", pooled, decoded)
 	}
 	c.Kill(prim.ID)
 	c.RunFor(200 * sim.Microsecond)
-	if len(prim.decFree) != decoded {
-		t.Fatalf("%d records went back to a dead machine's pool", len(prim.decFree)-decoded)
+	if prim.records.Len() != decoded {
+		t.Fatalf("%d records went back to a dead machine's pool", prim.records.Len()-decoded)
 	}
 	if regionmem.Locked(prim.replica(region).mem.ReadHeader(int(addr.Off))) {
 		t.Fatal("the dropped LOCK record was handled")

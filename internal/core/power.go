@@ -123,7 +123,7 @@ func (c *Cluster) reestablishRings() {
 				continue
 			}
 			for _, f := range lr.rd.Pending() {
-				rec := m.newRecord()
+				rec := m.records.Get()
 				if proto.DecodeRecord(f.Payload, rec) != nil {
 					m.putRecord(rec)
 					continue

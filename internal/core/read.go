@@ -56,31 +56,21 @@ type readOp struct {
 }
 
 func (m *Machine) getReadOp(thread int, addr proto.Addr, size int, h ReadHandler) *readOp {
-	var op *readOp
-	if k := len(m.readFree); k > 0 {
-		op = m.readFree[k-1]
-		m.readFree = m.readFree[:k-1]
-	} else {
-		op = &readOp{m: m}
-		op.startFn = op.start
-		op.ownFn = op.deliverOwn
-		op.localFn = op.readLocal
-		op.issueFn = op.issue
-		op.backoffFn = op.refetchMapping
-		op.lockRetryFn = op.retryLocked
-		op.readDoneFn = op.handle
-	}
+	op := m.reads.Get()
 	op.thread, op.addr, op.size, op.h, op.own = thread, addr, size, h, -1
 	return op
 }
 
 // recycle clears the op, but for its spare buffer, and returns it to the
-// pool, once the read's handler returned.
+// pool, once the read's handler returned; a checked pool's gets it poisoned.
 func (op *readOp) recycle() {
 	op.tx, op.h, op.sh, op.rep, op.buf = nil, nil, nil, nil, nil
 	op.rctx = trace.Ctx{}
 	op.lockRetries, op.mapRetries, op.n = 0, 0, 0
-	op.m.readFree = append(op.m.readFree, op)
+	if op.m.reads.Checked {
+		poison(op.spare)
+	}
+	op.m.reads.Put(op)
 }
 
 // LockFreeRead performs FaRM's optimized single-object read-only

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"farm/internal/pool"
 	"farm/internal/proto"
 	"farm/internal/regionmem"
 	"farm/internal/sim"
@@ -27,13 +28,11 @@ type handled struct {
 
 // observePolls makes every poll batch m processes announce its items just
 // before they are handled, without touching the production path: the
-// carrier pool is replaced (call it on a quiet machine) by n tasks whose
-// runFn logs first. Carriers recycle into the same pool, so as long as n
-// covers the batches in flight at once no unobserved carrier is ever made
-// — and the pool holds exactly n when the machine is quiet again.
-func observePolls(m *Machine, n int, log *[]handled) {
-	m.pollFree = nil
-	for i := 0; i < n; i++ {
+// carrier pool is replaced (call it on a quiet machine) by one whose
+// carriers' runFn logs first, so no unobserved carrier is ever made — and
+// every carrier is back in the pool when the machine is quiet again.
+func observePolls(m *Machine, log *[]handled) {
+	m.polls = pool.Free[pollTask]{New: func() *pollTask {
 		pt := &pollTask{m: m}
 		pt.runFn = func() {
 			for _, p := range pt.batch {
@@ -51,8 +50,8 @@ func observePolls(m *Machine, n int, log *[]handled) {
 			}
 			pt.run()
 		}
-		m.pollFree = append(m.pollFree, pt)
-	}
+		return pt
+	}}
 }
 
 // TestShardedLogProcessingKeepsPerThreadOrder is the property test of the
@@ -88,10 +87,9 @@ func shardOrderProperty(t *testing.T, seed uint64) {
 	}
 	c.RunFor(20 * sim.Millisecond)
 
-	const carriers = 256
 	logs := make([][]handled, len(c.Machines))
 	for i, m := range c.Machines {
-		observePolls(m, carriers, &logs[i])
+		observePolls(m, &logs[i])
 	}
 
 	stop := false
@@ -160,8 +158,8 @@ func shardOrderProperty(t *testing.T, seed uint64) {
 
 	splits := 0
 	for i, m := range c.Machines {
-		if len(m.pollFree) != carriers {
-			t.Fatalf("m%d: %d poll carriers in the pool, want the %d observed ones", i, len(m.pollFree), carriers)
+		if n := m.polls.InUse(); n != 0 {
+			t.Fatalf("m%d: %d observed poll carriers out of the pool", i, n)
 		}
 		type stream struct {
 			src int

@@ -117,14 +117,7 @@ type Tx struct {
 // When tracing is enabled, the deterministic N-of-every-M sampler decides
 // here whether this transaction gets a root span.
 func (m *Machine) Begin(thread int) *Tx {
-	var t *Tx
-	if k := len(m.txFree); k > 0 {
-		t = m.txFree[k-1]
-		m.txFree = m.txFree[:k-1]
-	} else {
-		t = &Tx{m: m, set: make([]txEntry, 0, 4)}
-		t.reportFn = t.report
-	}
+	t := m.txs.Get()
 	t.thread = thread % m.c.Opts.Threads
 	t.firstW, t.lastW = -1, -1
 	now := m.c.Eng.Now()
@@ -163,7 +156,7 @@ func (t *Tx) release() {
 	m.chunks.put(t.chunks, m.c.Eng.Now())
 	clear(t.chunks)
 	*t = Tx{m: m, set: t.set[:0], index: t.index, chunks: t.chunks[:0], reportFn: t.reportFn}
-	m.txFree = append(m.txFree, t)
+	m.txs.Put(t)
 }
 
 // scanMax is the longest table find scans instead of indexing.
@@ -293,13 +286,15 @@ func chunkClass(size int) int {
 // current window began, at the first release chunkWindow of virtual time
 // after the last one did, and last the most in the window before. Each
 // release sheds one free chunk of every class holding more, in use and free
-// together, than the larger of the two peaks.
+// together, than the larger of the two peaks. A checked pool poisons
+// every chunk it takes back.
 type chunkPool struct {
-	free   [chunkClasses][][]byte
-	inUse  [chunkClasses]int
-	peak   [chunkClasses]int
-	last   [chunkClasses]int
-	window sim.Time // when the current window began
+	free    [chunkClasses][][]byte
+	inUse   [chunkClasses]int
+	peak    [chunkClasses]int
+	last    [chunkClasses]int
+	window  sim.Time // when the current window began
+	checked bool
 }
 
 // chunkWindow is the virtual time a chunk pool's peak spans, at least.
@@ -324,6 +319,9 @@ func (p *chunkPool) get(c int) []byte {
 // sheds.
 func (p *chunkPool) put(chunks [][]byte, now sim.Time) {
 	for _, b := range chunks {
+		if p.checked {
+			poison(b)
+		}
 		c := chunkClass(len(b))
 		p.inUse[c]--
 		p.free[c] = append(p.free[c], b)
@@ -337,6 +335,13 @@ func (p *chunkPool) put(chunks [][]byte, now sim.Time) {
 			p.free[c][k-1] = nil
 			p.free[c] = p.free[c][:k-1]
 		}
+	}
+}
+
+// poison fills released bytes with 0xA5.
+func poison(b []byte) {
+	for i := range b {
+		b[i] = 0xA5
 	}
 }
 
@@ -586,16 +591,7 @@ type allocOp struct {
 // newAllocOp returns a pooled allocOp for t, its candidates filled in: the
 // hint's region alone (nearby follows when it is full), or the nearby order.
 func (m *Machine) newAllocOp(t *Tx, hint *proto.Addr) *allocOp {
-	var op *allocOp
-	if k := len(m.allocFree); k > 0 {
-		op = m.allocFree[k-1]
-		m.allocFree = m.allocFree[:k-1]
-	} else {
-		op = &allocOp{m: m}
-		op.localFn = op.local
-		op.noSpaceFn = op.noSpace
-		op.calledFn = op.called
-	}
+	op := m.allocs.Get()
 	op.t = t
 	if hint != nil {
 		op.regions, op.hinted = append(op.regions, hint.Region), true
@@ -706,7 +702,7 @@ func (op *allocOp) noSpace() { op.done(proto.Addr{}, ErrNoSpace) }
 func (op *allocOp) done(addr proto.Addr, err error) {
 	t, cb := op.t, op.cb
 	op.t, op.value, op.cb, op.regions, op.next, op.hinted = nil, nil, nil, op.regions[:0], 0, false
-	op.m.allocFree = append(op.m.allocFree, op)
+	op.m.allocs.Put(op)
 	cb(addr, err)
 	t.settle()
 }
@@ -856,7 +852,7 @@ type rpcReply struct {
 func (r *rpcReply) Reclaim() {
 	if m := r.pool; m != nil {
 		r.ID, r.Body = 0, nil
-		m.replyFree = append(m.replyFree, r)
+		m.replies.Put(r)
 	}
 }
 

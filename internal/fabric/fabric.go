@@ -34,6 +34,7 @@ import (
 	"math/bits"
 
 	"farm/internal/nvram"
+	"farm/internal/pool"
 	"farm/internal/sim"
 	"farm/internal/stats"
 	"farm/internal/trace"
@@ -126,13 +127,13 @@ type Network struct {
 	linkFaults    map[linkKey]LinkFault
 	machineFaults map[MachineID]MachineFault
 
-	// Free lists for the per-operation machinery (single goroutine, no
-	// locks). Ops, batches and write-staging buffers cycle through these
-	// so steady state allocates nothing.
-	verbFree  []*verbOp
-	sendFree  []*sendOp
-	batchFree []*Batch
-	bufFree   [bufBuckets][][]byte
+	// Free lists for the per-operation machinery. Ops, batches and
+	// write-staging buffers cycle through these so steady state allocates
+	// nothing.
+	verbs   pool.Free[verbOp]
+	sends   pool.Free[sendOp]
+	batches pool.Free[Batch]
+	bufFree [bufBuckets][][]byte
 
 	// Pre-resolved counter cells for the per-event hot paths.
 	cLocalRead, cRDMARead, cRDMAReadBytes    *uint64
@@ -166,6 +167,25 @@ func NewNetwork(eng *sim.Engine, opts Options) *Network {
 	n.cCompletionLost = n.Counters.Cell("completion_lost")
 	n.cFaultDrop = n.Counters.Cell("fault_send_dropped")
 	n.cFaultDup = n.Counters.Cell("fault_send_dup")
+	n.verbs.New = func() *verbOp {
+		op := &verbOp{net: n}
+		op.txFn = op.txDone
+		op.arriveFn = op.arrive
+		op.execFn = op.exec
+		op.returnFn = op.ret
+		op.completeFn = op.complete
+		op.failFn = op.failFire
+		op.localFn = op.local
+		return op
+	}
+	n.sends.New = func() *sendOp {
+		op := &sendOp{net: n}
+		op.txFn = op.txDone
+		op.arriveFn = op.arrive
+		op.deliverFn = op.deliver
+		return op
+	}
+	n.batches.New = func() *Batch { return &Batch{pooled: true} }
 	return n
 }
 
@@ -366,23 +386,6 @@ type verbOp struct {
 	txFn, arriveFn, execFn, returnFn, completeFn, failFn, localFn func()
 }
 
-func (n *Network) getVerbOp() *verbOp {
-	if k := len(n.verbFree); k > 0 {
-		op := n.verbFree[k-1]
-		n.verbFree = n.verbFree[:k-1]
-		return op
-	}
-	op := &verbOp{net: n}
-	op.txFn = op.txDone
-	op.arriveFn = op.arrive
-	op.execFn = op.exec
-	op.returnFn = op.ret
-	op.completeFn = op.complete
-	op.failFn = op.failFire
-	op.localFn = op.local
-	return op
-}
-
 func (op *verbOp) recycle() {
 	if op.payload != nil {
 		op.net.putBuf(op.payload)
@@ -391,7 +394,7 @@ func (op *verbOp) recycle() {
 	op.payload, op.data = nil, nil
 	op.readCb, op.writeCb = nil, nil
 	op.err = nil
-	op.net.verbFree = append(op.net.verbFree, op)
+	op.net.verbs.Put(op)
 }
 
 // wireBytes is the verb's modeled transfer size on the wire.
@@ -559,7 +562,7 @@ func (c *NIC) ReadInto(dst MachineID, region nvram.RegionID, off int, buf []byte
 		*net.cRDMARead++
 		*net.cRDMAReadBytes += uint64(len(buf))
 	}
-	op := net.getVerbOp()
+	op := net.verbs.Get()
 	op.dst, op.kind = dst, verbRead
 	op.region, op.off, op.length = region, off, len(buf)
 	op.data = buf
@@ -580,7 +583,7 @@ func (c *NIC) Write(dst MachineID, region nvram.RegionID, off int, data []byte, 
 	}
 	payload := net.getBuf(len(data))
 	copy(payload, data)
-	op := net.getVerbOp()
+	op := net.verbs.Get()
 	op.dst, op.kind = dst, verbWrite
 	op.region, op.off = region, off
 	op.payload = payload
@@ -594,7 +597,7 @@ func (c *NIC) Write(dst MachineID, region nvram.RegionID, off int, data []byte, 
 func (c *NIC) Probe(dst MachineID, cb func(err error)) {
 	net := c.net
 	*net.cRDMARead++
-	op := net.getVerbOp()
+	op := net.verbs.Get()
 	op.dst, op.kind = dst, verbProbe
 	op.length = 8
 	op.writeCb = cb
@@ -622,16 +625,7 @@ type Batch struct {
 
 // GetBatch returns an empty (possibly recycled) batch frame to fill and
 // pass to SendBatch.
-func (c *NIC) GetBatch() *Batch { return c.net.getBatch() }
-
-func (n *Network) getBatch() *Batch {
-	if k := len(n.batchFree); k > 0 {
-		b := n.batchFree[k-1]
-		n.batchFree = n.batchFree[:k-1]
-		return b
-	}
-	return &Batch{pooled: true}
-}
+func (c *NIC) GetBatch() *Batch { return c.net.batches.Get() }
 
 // Reclaimer is a pooled message: the fabric calls Reclaim once the last
 // copy of the message, or of the pooled batch frame carrying it, is
@@ -651,7 +645,7 @@ func (n *Network) putBatch(b *Batch) {
 	b.Msgs = b.Msgs[:0]
 	b.Stamps = b.Stamps[:0]
 	b.Ctxs = b.Ctxs[:0]
-	n.batchFree = append(n.batchFree, b)
+	n.batches.Put(b)
 }
 
 // release reclaims a pooled batch or a Reclaimer sent bare, once its last
@@ -720,19 +714,6 @@ type sendOp struct {
 	txFn, arriveFn, deliverFn func()
 }
 
-func (n *Network) getSendOp() *sendOp {
-	if k := len(n.sendFree); k > 0 {
-		op := n.sendFree[k-1]
-		n.sendFree = n.sendFree[:k-1]
-		return op
-	}
-	op := &sendOp{net: n}
-	op.txFn = op.txDone
-	op.arriveFn = op.arrive
-	op.deliverFn = op.deliver
-	return op
-}
-
 // done retires one delivery copy; the last one reclaims the op and any
 // pooled batch or message (dispatched by now).
 func (op *sendOp) done() {
@@ -743,7 +724,7 @@ func (op *sendOp) done() {
 	op.net.release(op.msg)
 	op.src = nil
 	op.msg = nil
-	op.net.sendFree = append(op.net.sendFree, op)
+	op.net.sends.Put(op)
 }
 
 func (op *sendOp) txDone() {
@@ -794,7 +775,7 @@ func (c *NIC) transmit(dst MachineID, msg interface{}, ud bool, bytes int) {
 	if dst == c.ID {
 		// Loopback: skip the NIC and wire (link faults model the fabric, so
 		// they never apply to a machine talking to itself).
-		op := net.getSendOp()
+		op := net.sends.Get()
 		op.src, op.dst, op.msg, op.ud, op.bytes = c, dst, msg, ud, bytes
 		op.copies, op.remaining = 1, 1
 		net.Eng.After(net.Opts.LocalOpTime, op.deliverFn)
@@ -816,7 +797,7 @@ func (c *NIC) transmit(dst MachineID, msg interface{}, ud bool, bytes int) {
 			copies = 2
 		}
 	}
-	op := net.getSendOp()
+	op := net.sends.Get()
 	op.src, op.dst, op.msg, op.ud, op.bytes = c, dst, msg, ud, bytes
 	op.copies, op.remaining = copies, copies
 	c.tx.Do(net.nicOpTime(c.ID)+net.xferTime(c.ID, bytes), op.txFn)

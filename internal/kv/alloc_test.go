@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"hash/fnv"
 	"reflect"
-	"slices"
 	"testing"
 
 	"farm/internal/core"
@@ -323,16 +322,17 @@ func TestPooledOpReusedFromItsCallback(t *testing.T) {
 		put := func() {
 			r.t.Put(tx, newKey, newVal, func(err error) { o.putErr, done = err, true })
 		}
-		if len(r.t.free) == 0 {
+		if r.t.ops.Len() == 0 {
 			t.Fatal("setting up the table left no op in its pool")
 		}
-		pooled := r.t.free[len(r.t.free)-1]
+		pooled, inUse := r.t.ops.Get(), r.t.ops.InUse()-1 // the op the Get takes
+		r.t.ops.Put(pooled)
 		r.t.Get(tx, r.keys[1], func(val []byte, ok bool, err error) {
 			if err != nil {
 				t.Fatal(err)
 			}
 			o.val, o.ok = val, ok
-			if len(r.t.free) == 0 || r.t.free[len(r.t.free)-1] != pooled {
+			if r.t.ops.InUse() != inUse || !r.t.ops.Holds(pooled) {
 				t.Fatal("the Get's op is not back in the pool when its callback runs")
 			}
 			if reset := *pooled; reset.allocFn == nil {
@@ -347,7 +347,7 @@ func TestPooledOpReusedFromItsCallback(t *testing.T) {
 				return
 			}
 			put()
-			if slices.Contains(r.t.free, pooled) {
+			if r.t.ops.Holds(pooled) {
 				t.Error("the Put did not take the op its Get just recycled")
 			}
 		})

@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"farm/internal/core"
+	"farm/internal/pool"
 	"farm/internal/proto"
 	"farm/internal/regionmem"
 )
@@ -55,8 +56,8 @@ type Table struct {
 	// "kv_found_home", "kv_found_hood", "kv_found_chain", "kv_missed" and
 	// "kv_reads" counter cells.
 	cHome, cHood, cChain, cMiss, cReads *uint64
-	// free holds finished operations for the next to reuse (chainOp).
-	free []*chainOp
+	// ops holds finished operations for the next to reuse (chainOp).
+	ops pool.Free[chainOp]
 }
 
 // Layout:
@@ -133,6 +134,11 @@ func Create(m *core.Machine, cfg Config, cb func(*Table, error)) {
 		maxKey: cfg.MaxKey,
 		maxVal: cfg.MaxVal,
 		group:  1<<cfg.GroupBits - 1,
+	}
+	t.ops.New = func() *chainOp {
+		op := &chainOp{t: t}
+		op.allocFn = op.allocated
+		return op
 	}
 	t.buckets = make([]proto.Addr, cfg.Buckets)
 	t.step = len(cfg.Regions)
@@ -347,14 +353,7 @@ type chainOp struct {
 }
 
 func (t *Table) newOp(tx *core.Tx, key []byte) *chainOp {
-	var op *chainOp
-	if k := len(t.free); k > 0 {
-		op = t.free[k-1]
-		t.free = t.free[:k-1]
-	} else {
-		op = &chainOp{t: t}
-		op.allocFn = op.allocated
-	}
+	op := t.ops.Get()
 	home := t.hash(key)
 	op.tx, op.home, op.n, op.key = tx, home, 1+int(t.adj[home]), append(op.key[:0], key...)
 	return op
@@ -366,7 +365,7 @@ func (t *Table) newOp(tx *core.Tx, key []byte) *chainOp {
 func (op *chainOp) recycle() {
 	t, allocFn, key := op.t, op.allocFn, op.key[:0]
 	*op = chainOp{t: t, allocFn: allocFn, key: key}
-	t.free = append(t.free, op)
+	t.ops.Put(op)
 }
 
 // got, put and deleted end a Get, a Put and a Delete: the op returns to the

@@ -5,41 +5,32 @@ package proto
 // Messages travel over the simulated reliable transport as values; only log
 // records (proto.go) need binary encoding because they live in NVRAM.
 
+import "farm/internal/pool"
+
 // LockReply reports whether a primary managed to lock all objects named in
 // a LOCK record (Table 2).
 type LockReply struct {
 	Tx TxID
 	OK bool
 
-	pool *LockReplyPool // the pool it goes back to; nil for one made bare
+	free *pool.Free[LockReply] // the pool it goes back to; nil for one made bare
 }
 
-// LockReplyPool recycles a sender's LOCK-REPLY messages. A reply it hands
-// out comes back through Reclaim when the fabric reclaims the frame that
-// carried it, after its last delivered copy or its loss; a receiver takes
-// what it needs from the reply during the delivery upcall and keeps no
-// pointer to it.
-type LockReplyPool struct{ free []*LockReply }
-
-// Get returns a pooled reply carrying tx's verdict.
-func (p *LockReplyPool) Get(tx TxID, ok bool) *LockReply {
-	if k := len(p.free); k > 0 {
-		r := p.free[k-1]
-		p.free = p.free[:k-1]
-		r.Tx, r.OK = tx, ok
-		return r
-	}
-	return &LockReply{Tx: tx, OK: ok, pool: p}
+// PooledLockReply returns a reply carrying tx's verdict from free, which
+// Reclaim returns it to. The fabric reclaims it once the frame that carried
+// it was delivered for the last time or lost, so a receiver takes what it
+// needs from the reply during the delivery upcall and keeps no pointer to it.
+func PooledLockReply(free *pool.Free[LockReply], tx TxID, ok bool) *LockReply {
+	r := free.Get()
+	*r = LockReply{Tx: tx, OK: ok, free: free}
+	return r
 }
-
-// Len reports how many replies wait in the pool.
-func (p *LockReplyPool) Len() int { return len(p.free) }
 
 // Reclaim returns a pooled reply to its pool; a bare one is the collector's.
 func (r *LockReply) Reclaim() {
-	if r.pool != nil {
-		r.Tx, r.OK = TxID{}, false
-		r.pool.free = append(r.pool.free, r)
+	if f := r.free; f != nil {
+		*r = LockReply{}
+		f.Put(r)
 	}
 }
 
@@ -193,29 +184,29 @@ type LeaseRequest struct {
 	// the grant+request echoes it, and the holder times its lease from it.
 	Sent int64
 
-	free *[]*LeaseRequest // the pool a pooled request returns to
+	free *pool.Free[LeaseRequest] // the pool a pooled request returns to
 }
 
 // LeaseGrant completes the handshake.
 type LeaseGrant struct {
 	Config uint64
 
-	free *[]*LeaseGrant // the pool a pooled grant returns to
+	free *pool.Free[LeaseGrant] // the pool a pooled grant returns to
 }
 
-// PooledLeaseRequest returns a request from *free, or a new one that
-// Reclaim returns there. The fabric reclaims it once its last copy was
+// PooledLeaseRequest returns a request from free, which Reclaim returns it
+// to. The fabric reclaims it once its last copy was
 // delivered or lost, so a receiver copies what it needs during the delivery
 // upcall.
-func PooledLeaseRequest(free *[]*LeaseRequest, config uint64, grant bool, sent int64) *LeaseRequest {
-	r := pop(free)
+func PooledLeaseRequest(free *pool.Free[LeaseRequest], config uint64, grant bool, sent int64) *LeaseRequest {
+	r := free.Get()
 	*r = LeaseRequest{Config: config, Grant: grant, Sent: sent, free: free}
 	return r
 }
 
 // PooledLeaseGrant is PooledLeaseRequest for a grant.
-func PooledLeaseGrant(free *[]*LeaseGrant, config uint64) *LeaseGrant {
-	g := pop(free)
+func PooledLeaseGrant(free *pool.Free[LeaseGrant], config uint64) *LeaseGrant {
+	g := free.Get()
 	*g = LeaseGrant{Config: config, free: free}
 	return g
 }
@@ -225,7 +216,7 @@ func PooledLeaseGrant(free *[]*LeaseGrant, config uint64) *LeaseGrant {
 func (r *LeaseRequest) Reclaim() {
 	if f := r.free; f != nil {
 		*r = LeaseRequest{}
-		*f = append(*f, r)
+		f.Put(r)
 	}
 }
 
@@ -233,19 +224,8 @@ func (r *LeaseRequest) Reclaim() {
 func (g *LeaseGrant) Reclaim() {
 	if f := g.free; f != nil {
 		*g = LeaseGrant{}
-		*f = append(*f, g)
+		f.Put(g)
 	}
-}
-
-// pop takes the last element of *free, or makes one.
-func pop[T any](free *[]*T) *T {
-	if k := len(*free); k > 0 {
-		v := (*free)[k-1]
-		(*free)[k-1] = nil
-		*free = (*free)[:k-1]
-		return v
-	}
-	return new(T)
 }
 
 // --- Reconfiguration protocol (§5.2) ---

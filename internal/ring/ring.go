@@ -40,6 +40,7 @@ import (
 
 	"farm/internal/fabric"
 	"farm/internal/nvram"
+	"farm/internal/pool"
 	"farm/internal/sim"
 )
 
@@ -76,10 +77,10 @@ type Writer struct {
 	parked   int        // frames at the queue's end waiting for the receiver to free space
 	draining bool       // settle's loop is running
 	cur      *writeOp   // the frame opened by Begin and not yet issued by Commit
-	// opFree recycles writeOps — and the frame buffers they own — so an
+	// ops recycles writeOps — and the frame buffers they own — so an
 	// append allocates nothing in steady state. The pool is bounded by the
 	// number of frames whose callbacks have not run.
-	opFree []*writeOp
+	ops pool.Free[writeOp]
 }
 
 // Retransmission of timed-out frame writes. A frame that timed out during
@@ -120,15 +121,7 @@ type writeOp struct {
 }
 
 func (w *Writer) getOp(size int) *writeOp {
-	var op *writeOp
-	if k := len(w.opFree); k > 0 {
-		op = w.opFree[k-1]
-		w.opFree = w.opFree[:k-1]
-	} else {
-		op = &writeOp{w: w}
-		op.ackFn = op.ack
-		op.retryFn = op.issue
-	}
+	op := w.ops.Get()
 	if cap(op.frame) < size {
 		op.frame = make([]byte, size)
 	}
@@ -143,7 +136,14 @@ func NewWriter(nic *fabric.NIC, dst fabric.MachineID, region nvram.RegionID, cap
 	if capacity%16 != 0 || capacity < 64 {
 		panic(fmt.Sprintf("ring: bad capacity %d", capacity))
 	}
-	return &Writer{nic: nic, dst: dst, region: region, capacity: capacity}
+	w := &Writer{nic: nic, dst: dst, region: region, capacity: capacity}
+	w.ops.New = func() *writeOp {
+		op := &writeOp{w: w}
+		op.ackFn = op.ack
+		op.retryFn = op.issue
+		return op
+	}
+	return w
 }
 
 // free returns bytes available for new frames, keeping one header of slack
@@ -305,7 +305,7 @@ func (w *Writer) settle(op *writeOp, err error) {
 		}
 		cb := op.cb
 		op.cb, op.done, op.err, op.attempt = nil, false, nil, 0
-		w.opFree = append(w.opFree, op)
+		w.ops.Put(op)
 		if cb != nil {
 			cb(w.err)
 		}

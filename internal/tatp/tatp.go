@@ -18,6 +18,7 @@ import (
 	"farm/internal/core"
 	"farm/internal/kv"
 	"farm/internal/loadgen"
+	"farm/internal/pool"
 	"farm/internal/sim"
 )
 
@@ -43,10 +44,10 @@ type Workload struct {
 	// row's primary instead of through a distributed commit.
 	FunctionShipped uint64
 
-	// opFree and shipFree pool the transactions' state machines (txOp) and
-	// the shipped UPDATE_LOCATION requests.
-	opFree   []*txOp
-	shipFree []*shipUpdateLocation
+	// ops and ships pool the transactions' state machines (txOp) and the
+	// shipped UPDATE_LOCATION requests.
+	ops   pool.Free[txOp]
+	ships pool.Free[shipUpdateLocation]
 }
 
 // Composite keys.
@@ -73,6 +74,13 @@ func Setup(c *core.Cluster, n uint64, regions int) (*Workload, error) {
 		return nil, err
 	}
 	w := &Workload{C: c, N: n}
+	w.ops.New = func() *txOp {
+		op := &txOp{w: w}
+		op.lfFn, op.getFn, op.putFn, op.delFn = op.looked, op.gotRow, op.wrote, op.deleted
+		op.commitFn, op.callFn = op.committed, op.called
+		return op
+	}
+	w.ships.New = func() *shipUpdateLocation { return &shipUpdateLocation{w: w} }
 	w.Subscriber = kv.MustCreate(c, c.Machine(0), kv.Config{
 		Name: "subscriber", Buckets: int(n/3) + 1, Slots: 4, MaxKey: 8, MaxVal: subscriberRow, Regions: regionIDs,
 	})
@@ -199,7 +207,7 @@ type shipUpdateLocation struct {
 // Reclaim returns the request to its workload's pool.
 func (r *shipUpdateLocation) Reclaim() {
 	r.S, r.VLR = 0, 0
-	r.w.shipFree = append(r.w.shipFree, r)
+	r.w.ships.Put(r)
 }
 
 func (w *Workload) installHandlers() {
@@ -301,15 +309,7 @@ const (
 var cfStarts = [3]int{0, 8, 16}
 
 func (w *Workload) newOp(m *core.Machine, rng *sim.Rand, done func(bool)) *txOp {
-	var op *txOp
-	if k := len(w.opFree); k > 0 {
-		op = w.opFree[k-1]
-		w.opFree = w.opFree[:k-1]
-	} else {
-		op = &txOp{w: w}
-		op.lfFn, op.getFn, op.putFn, op.delFn = op.looked, op.gotRow, op.wrote, op.deleted
-		op.commitFn, op.callFn = op.committed, op.called
-	}
+	op := w.ops.Get()
 	op.m, op.rng, op.done = m, rng, done
 	return op
 }
@@ -319,7 +319,7 @@ func (w *Workload) newOp(m *core.Machine, rng *sim.Rand, done func(bool)) *txOp 
 func (op *txOp) finish(ok bool) {
 	w, done, call := op.w, op.done, op.call
 	*op = txOp{w: w, lfFn: op.lfFn, getFn: op.getFn, putFn: op.putFn, delFn: op.delFn, commitFn: op.commitFn, callFn: op.callFn}
-	w.opFree = append(w.opFree, op)
+	w.ops.Put(op)
 	if done == nil {
 		call.Reply(ok)
 		return
@@ -492,13 +492,7 @@ func (w *Workload) UpdateLocation(m *core.Machine, thread int, s uint64, rng *si
 		return
 	}
 	w.FunctionShipped++
-	var req *shipUpdateLocation
-	if k := len(w.shipFree); k > 0 {
-		req = w.shipFree[k-1]
-		w.shipFree = w.shipFree[:k-1]
-	} else {
-		req = &shipUpdateLocation{w: w}
-	}
+	req := w.ships.Get()
 	req.S, req.VLR = s, op.vlr
 	m.CallApp(pm, req, op.callFn)
 }

@@ -21,6 +21,7 @@ import (
 	"farm/internal/core"
 	"farm/internal/kv"
 	"farm/internal/loadgen"
+	"farm/internal/pool"
 	"farm/internal/sim"
 	"farm/internal/stats"
 )
@@ -83,10 +84,10 @@ type Workload struct {
 	local [][]*warehouse
 
 	histSeq uint64
-	// noFree and opFree hold finished state machines for reuse: NewOrder's
+	// orders and ops hold finished state machines for reuse: NewOrder's
 	// (newOrder) and the other four transactions' (txOp).
-	noFree []*newOrder
-	opFree []*txOp
+	orders pool.Free[newOrder]
+	ops    pool.Free[txOp]
 
 	// NewOrderLat and NewOrderTimeline record only "new order"
 	// transactions, the metric of Figures 8 and 10.
@@ -144,6 +145,16 @@ func Setup(c *core.Cluster, cfg Config) (*Workload, error) {
 		Cfg:              cfg,
 		NewOrderLat:      stats.NewHistogram(),
 		NewOrderTimeline: stats.NewTimeline(sim.Millisecond),
+	}
+	w.orders.New = func() *newOrder {
+		no := &newOrder{w: w}
+		no.getFn, no.putFn, no.commitFn = no.gotRow, no.wrote, no.committed
+		return no
+	}
+	w.ops.New = func() *txOp {
+		op := &txOp{w: w}
+		op.getFn, op.putFn, op.scanFn, op.delFn, op.commitFn = op.gotRow, op.wrote, op.scanned, op.deleted, op.committed
+		return op
 	}
 	for wid := 0; wid < cfg.Warehouses; wid++ {
 		wh, err := w.setupWarehouse(wid)
@@ -452,7 +463,7 @@ func (w *Workload) Mix() loadgen.Op {
 // remote warehouse per item). One that commits is counted in NewOrders and,
 // from MeasureFrom on, recorded in NewOrderLat and NewOrderTimeline.
 func (w *Workload) NewOrder(m *core.Machine, thread int, wh *warehouse, rng *sim.Rand, done func(bool)) {
-	no := w.newOrderOp()
+	no := w.orders.Get()
 	cfg := w.Cfg
 	no.wh, no.rng, no.done, no.begin = wh, rng, done, w.C.Eng.Now()
 	no.d = rng.Intn(cfg.Districts) + 1
@@ -511,23 +522,12 @@ const (
 // newOrderVal is every new-order entry's value.
 var newOrderVal = []byte{1}
 
-func (w *Workload) newOrderOp() *newOrder {
-	if k := len(w.noFree); k > 0 {
-		no := w.noFree[k-1]
-		w.noFree = w.noFree[:k-1]
-		return no
-	}
-	no := &newOrder{w: w}
-	no.getFn, no.putFn, no.commitFn = no.gotRow, no.wrote, no.committed
-	return no
-}
-
 // finish returns the state machine to the pool, reset whole but for its
 // workload and bound continuations, then reports ok.
 func (no *newOrder) finish(ok bool) {
 	w, done := no.w, no.done
 	*no = newOrder{w: w, getFn: no.getFn, putFn: no.putFn, commitFn: no.commitFn}
-	w.noFree = append(w.noFree, no)
+	w.orders.Put(no)
 	done(ok)
 }
 
@@ -766,14 +766,7 @@ const (
 )
 
 func (w *Workload) newTxOp(m *core.Machine, thread int, wh *warehouse, rng *sim.Rand, done func(bool)) *txOp {
-	var op *txOp
-	if k := len(w.opFree); k > 0 {
-		op = w.opFree[k-1]
-		w.opFree = w.opFree[:k-1]
-	} else {
-		op = &txOp{w: w}
-		op.getFn, op.putFn, op.scanFn, op.delFn, op.commitFn = op.gotRow, op.wrote, op.scanned, op.deleted, op.committed
-	}
+	op := w.ops.Get()
 	op.m, op.thread, op.wh, op.rng, op.done = m, thread, wh, rng, done
 	return op
 }
@@ -785,7 +778,7 @@ func (op *txOp) finish(ok bool) {
 	w, done := op.w, op.done
 	clear(op.pairs)
 	*op = txOp{w: w, ids: op.ids[:0], pairs: op.pairs[:0], getFn: op.getFn, putFn: op.putFn, scanFn: op.scanFn, delFn: op.delFn, commitFn: op.commitFn}
-	w.opFree = append(w.opFree, op)
+	w.ops.Put(op)
 	done(ok)
 }
 

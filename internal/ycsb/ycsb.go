@@ -12,6 +12,7 @@ import (
 	"farm/internal/core"
 	"farm/internal/kv"
 	"farm/internal/loadgen"
+	"farm/internal/pool"
 	"farm/internal/sim"
 )
 
@@ -21,7 +22,7 @@ type Workload struct {
 	Table *kv.Table
 	Keys  uint64
 
-	free []*lookup // LookupOp's pool
+	lookups pool.Free[lookup] // LookupOp's pool
 }
 
 // Key produces the 16-byte key for id.
@@ -48,6 +49,11 @@ func Setup(c *core.Cluster, n uint64, regions int) (*Workload, error) {
 		Regions: regionIDs,
 	})
 	w := &Workload{C: c, Table: table, Keys: n}
+	w.lookups.New = func() *lookup {
+		l := &lookup{w: w}
+		l.gotFn = l.got
+		return l
+	}
 
 	val := make([]byte, 32)
 	const perTx = 16
@@ -109,14 +115,7 @@ func (w *Workload) LookupOp() loadgen.Op { return w.lookupOne }
 // stack wherever LookupOp is inlined (kv copies it).
 func (w *Workload) lookupOne(m *core.Machine, thread int, rng *sim.Rand, done func(bool)) {
 	id := rng.Uint64n(w.Keys)
-	var l *lookup
-	if k := len(w.free); k > 0 {
-		l = w.free[k-1]
-		w.free = w.free[:k-1]
-	} else {
-		l = &lookup{w: w}
-		l.gotFn = l.got
-	}
+	l := w.lookups.Get()
 	l.done = done
 	w.Table.LockFreeGet(m, thread, Key(id), l.gotFn)
 }
@@ -132,6 +131,6 @@ type lookup struct {
 func (l *lookup) got(_ []byte, ok bool, err error) {
 	w, done := l.w, l.done
 	l.done = nil
-	w.free = append(w.free, l)
+	w.lookups.Put(l)
 	done(err == nil && ok)
 }
