@@ -28,8 +28,6 @@ type replica struct {
 
 	// alloc is the slab allocator, maintained only while primary (§5.5).
 	alloc *regionmem.Allocator
-	// headers is the replicated block-header metadata (block → slot size).
-	headers map[int]int
 	// allocRecovering is true while free lists are being rebuilt by
 	// scanning; frees queue in freeQ meanwhile.
 	allocRecovering bool
@@ -1123,7 +1121,6 @@ func (m *Machine) installReplica(region uint32, mem *regionmem.Region, size int,
 		size:      size,
 		primary:   primary,
 		active:    true,
-		headers:   make(map[int]int),
 		lockOwner: make(map[uint32]proto.TxID),
 	}
 	if primary {
@@ -1139,8 +1136,7 @@ func (m *Machine) installReplica(region uint32, mem *regionmem.Region, size int,
 // primary's digest domain.
 func (m *Machine) installAllocHook(r *replica) {
 	r.alloc.OnNewBlock(func(block, slot int) {
-		r.headers[block] = slot
-		m.foldBlock(r, block, slot)
+		r.dig.FoldBlock(r.mem, block)
 		m.syncBlockHeaders(r, []proto.BlockHeader{{Block: block, Class: slot}})
 	})
 }

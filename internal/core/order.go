@@ -12,14 +12,14 @@ import (
 // The simulation's event sequence must be a pure function of the seed: the
 // chaos harness and every failure-reproduction workflow depend on a seed
 // replaying the exact run that produced a violation. State kept per machine,
-// per region or per coordinator thread lives in tables (Machine.peers,
-// Machine.regions, cmState.regions, peer.trunc) and iterates in index order.
-// What remains in Go maps is sparse — transactions, block headers, the
-// per-run sets of recovery — and Go randomizes map iteration order per
-// range statement, so any loop over one whose body emits simulation events
-// (ring writes, messages, one-sided reads, thread dispatches, timers, trace
-// records) or mutates order-sensitive state walks sortedKeys. regionmem.Rebuild
-// applies the same rule to block headers. Loops that only aggregate
+// per region, per block or per coordinator thread lives in tables
+// (Machine.peers, Machine.regions, cmState.regions, peer.trunc, a region's
+// class table of block headers) and iterates in index order. What remains
+// in Go maps is sparse — transactions and the per-run sets of recovery —
+// and Go randomizes map iteration order per range statement, so any loop
+// over one whose body emits simulation events (ring writes, messages,
+// one-sided reads, thread dispatches, timers, trace records) or mutates
+// order-sensitive state walks sortedKeys. Loops that only aggregate
 // commutatively (counting, flag folding, map-to-map copies) range directly.
 // A coordinator's truncation work toward a peer is no map but a queue
 // (truncQueue), in the order ids leave and acks pop them; dropping it when

@@ -557,10 +557,21 @@ func (m *Machine) syncBlockHeaders(rep *replica, headers []proto.BlockHeader) {
 	}
 }
 
-// onBlockHeaderSync installs replicated allocator metadata at a backup.
+// onBlockHeaderSync installs replicated allocator metadata at a backup,
+// then hands an answer to the BLOCK-HEADER-REQ it answers, if any.
 func (m *Machine) onBlockHeaderSync(s *proto.BlockHeaderSync) {
 	if rep := m.replica(s.Region); rep != nil {
 		m.learnHeaders(rep, s.Headers)
+	}
+	m.answer(s.ID, s)
+}
+
+// onBlockHeaderReq answers a new backup's request for every block header
+// of a region this machine is primary for; a primary not in the
+// requester's configuration yet leaves the call to its resend.
+func (m *Machine) onBlockHeaderReq(src int, v *proto.BlockHeaderReq) {
+	if rep := m.replica(v.Region); rep != nil && rep.primary && v.ConfigID == m.config.ID {
+		m.send(src, &proto.BlockHeaderSync{ID: v.ID, ConfigID: v.ConfigID, Region: v.Region, Headers: m.blockHeaders(rep)})
 	}
 }
 

@@ -185,7 +185,7 @@ func NewNetwork(eng *sim.Engine, opts Options) *Network {
 		op.deliverFn = op.deliver
 		return op
 	}
-	n.batches.New = func() *Batch { return &Batch{pooled: true} }
+	n.batches.New = func() *Batch { return new(Batch) }
 	return n
 }
 
@@ -611,16 +611,14 @@ func (c *NIC) Probe(dst MachineID, cb func(err error)) {
 // Ctxs carries each message's causal trace context. Each is either empty
 // or parallel to Msgs, so untraced runs pay nothing for the extra field.
 //
-// Batches obtained from NIC.GetBatch are pooled: the fabric reclaims them
-// after the final delivery (or loss), so a sender must treat the frame as
-// consumed once passed to SendBatch. A message in a pooled frame that is a
+// Every batch comes from NIC.GetBatch and is pooled: the fabric reclaims
+// it after the final delivery (or loss), so a sender must treat the frame
+// as consumed once passed to SendBatch. A message in the frame that is a
 // Reclaimer is reclaimed with it.
 type Batch struct {
 	Msgs   []interface{}
 	Stamps []sim.Time
 	Ctxs   []trace.Ctx
-
-	pooled bool
 }
 
 // GetBatch returns an empty (possibly recycled) batch frame to fill and
@@ -628,12 +626,12 @@ type Batch struct {
 func (c *NIC) GetBatch() *Batch { return c.net.batches.Get() }
 
 // Reclaimer is a pooled message: the fabric calls Reclaim once the last
-// copy of the message, or of the pooled batch frame carrying it, is
+// copy of the message, or of the batch frame carrying it, is
 // delivered or lost, so the sender may reuse it from then on.
 type Reclaimer interface{ Reclaim() }
 
 func (n *Network) putBatch(b *Batch) {
-	if b == nil || !b.pooled {
+	if b == nil {
 		return
 	}
 	for i, msg := range b.Msgs {

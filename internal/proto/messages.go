@@ -299,13 +299,26 @@ type AllRegionsActive struct {
 	ConfigID uint64
 }
 
-// BlockHeaderSync carries allocator block headers from a new primary to
-// backups right after reconfiguration (§5.5).
+// BlockHeaderSync carries allocator block headers from a primary to
+// backups: one header when a block is claimed, every header from a new
+// primary right after reconfiguration, and every header in answer to a
+// BlockHeaderReq (§5.5).
 type BlockHeaderSync struct {
+	// ID is the BlockHeaderReq answered, 0 for a push.
+	ID       uint64
 	ConfigID uint64
 	Region   uint32
 	// Headers lists the headers in block order.
 	Headers []BlockHeader
+}
+
+// BlockHeaderReq asks a region's primary for every block header: a new
+// backup's first call of data recovery (§5.4), made before any block is
+// fetched. ID is the requester's call id.
+type BlockHeaderReq struct {
+	ID       uint64
+	ConfigID uint64
+	Region   uint32
 }
 
 // BlockHeader is one block's allocator header: the object size class of

@@ -128,6 +128,7 @@ func WireMessages() []interface{} {
 		// Reconfiguration (§5.2).
 		&NewConfig{}, &NewConfigAck{}, &NewConfigCommit{},
 		&RegionsActive{}, &AllRegionsActive{}, &BlockHeaderSync{},
+		&BlockHeaderReq{},
 		// Region allocation (§3).
 		&AllocRegionReq{}, &AllocRegionPrepare{}, &AllocRegionPrepared{},
 		&AllocRegionCommit{}, &MappingReq{}, &MappingResp{},

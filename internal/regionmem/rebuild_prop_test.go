@@ -52,15 +52,13 @@ func TestRebuildProperty(t *testing.T) {
 				version++
 				payload := make([]byte, size)
 				rng.Read(payload)
-				class := regionmem.SlotSize(size)
-				mem.CommitWriteDigest(off, version, true, payload, class, &dig)
+				mem.CommitWriteDigest(off, version, true, payload, &dig)
 				live = append(live, obj{off, size})
 			case k < 7 && len(live) > 0: // free: clear alloc bit, return slot
 				i := rng.Intn(len(live))
 				o := live[i]
 				version++
-				class := regionmem.SlotSize(o.size)
-				mem.CommitWriteDigest(o.off, version, false, make([]byte, o.size), class, &dig)
+				mem.CommitWriteDigest(o.off, version, false, make([]byte, o.size), &dig)
 				a.Free(o.off)
 				live = append(live[:i], live[i+1:]...)
 			case len(live) > 0: // overwrite an existing object
@@ -68,24 +66,27 @@ func TestRebuildProperty(t *testing.T) {
 				version++
 				payload := make([]byte, o.size)
 				rng.Read(payload)
-				mem.CommitWriteDigest(o.off, version, true, payload, regionmem.SlotSize(o.size), &dig)
+				mem.CommitWriteDigest(o.off, version, true, payload, &dig)
 			}
 		}
 
 		// The incremental digest must equal a fresh scan at all times.
-		if scan := audit.ScanRegion(mem, headers); scan != dig.Value() {
+		if scan := audit.ScanRegion(mem); scan != dig.Value() {
 			t.Fatalf("seed %d: incremental digest %#x != scan %#x", seed, dig.Value(), scan)
 		}
 
-		// Recover: rebuild from the replicated headers and the raw bytes.
-		var rebuilt audit.Digest
-		b := regionmem.RebuildWithDigest(layout, mem, headers, &rebuilt)
+		// Recover: rebuild from the replicated headers and a copy of the
+		// raw bytes, as a promoted backup holds them.
+		flat := make([]byte, layout.RegionSize)
+		mem.ReadAt(flat, 0)
+		replica := regionmem.RegionOf(layout, flat)
+		b := regionmem.Rebuild(layout, replica, headers)
 
 		if got, want := b.LiveObjects(), a.LiveObjects(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: live-object set diverged after Rebuild:\n got %v\nwant %v", seed, got, want)
 		}
-		if rebuilt.Value() != dig.Value() {
-			t.Fatalf("seed %d: rebuild digest %#x != original %#x", seed, rebuilt.Value(), dig.Value())
+		if rebuilt := audit.ScanRegion(replica); rebuilt != dig.Value() {
+			t.Fatalf("seed %d: rebuild digest %#x != original %#x", seed, rebuilt, dig.Value())
 		}
 		// The rebuilt allocator must also hand out only slots the original
 		// considered free (same free capacity per class).

@@ -13,9 +13,16 @@ import "fmt"
 // (the allocator carves each slot from one block), so the header and
 // payload methods act inside one block; ReadAt and WriteAt may cross
 // blocks.
+//
+// A region also holds its blocks' size classes, the §5.5 block headers:
+// the one table the allocator claims blocks in at the primary, backups
+// learn into, and audits, digests and recovery read.
 type Region struct {
 	blockSize int
 	blocks    [][]byte
+	// class[b] is the slot size of block b's slab, 0 while b is unclassed.
+	// A block's class never changes once set.
+	class []int
 	// zero is the read view of a block never written: a shared,
 	// never-written zero block, which nothing may write through.
 	zero []byte
@@ -34,7 +41,7 @@ func NewRegion(layout Layout) *Region {
 	if err := layout.Validate(); err != nil {
 		panic(err)
 	}
-	r := &Region{blockSize: layout.BlockSize, blocks: make([][]byte, layout.Blocks())}
+	r := &Region{blockSize: layout.BlockSize, blocks: make([][]byte, layout.Blocks()), class: make([]int, layout.Blocks())}
 	if layout.BlockSize <= len(zeros) {
 		r.zero = zeros[:layout.BlockSize:layout.BlockSize]
 	} else {
@@ -68,6 +75,44 @@ func (r *Region) Materialized() int { return r.materialized }
 
 // IsMaterialized reports whether block b has been materialized.
 func (r *Region) IsMaterialized(b int) bool { return r.blocks[b] != nil }
+
+// Class returns block b's slot size: 0 if b is unclassed or not a block
+// of the region.
+func (r *Region) Class(b int) int {
+	if b < 0 || b >= len(r.class) {
+		return 0
+	}
+	return r.class[b]
+}
+
+// Classes returns a read view of the class table, indexed by block.
+// Nothing may write through it.
+func (r *Region) Classes() []int { return r.class }
+
+// SetClass classes block b as a slab of slot size c, and reports whether
+// it did: it leaves a classed block as it is, and refuses a block or a
+// slot size the layout has no room for (both may come from another
+// machine).
+func (r *Region) SetClass(b, c int) bool {
+	if b < 0 || b >= len(r.class) || r.class[b] != 0 || c < 2*HeaderSize || c > r.blockSize || c&(c-1) != 0 {
+		return false
+	}
+	r.class[b] = c
+	return true
+}
+
+// ScanWork returns the number of slots in the classed blocks: the slots
+// allocator recovery examines, the unit its paced scan charges time
+// against.
+func (r *Region) ScanWork() int {
+	total := 0
+	for _, c := range r.class {
+		if c != 0 {
+			total += r.blockSize / c
+		}
+	}
+	return total
+}
 
 // Block returns a read view of block b's bytes: the shared zero block if
 // b was never written. Nothing may write through it.
@@ -150,11 +195,11 @@ func (r *Region) CommitWrite(off int, newVersion uint64, allocated bool, payload
 // CommitWriteDigest is CommitWrite with an incremental digest update: the
 // slot's old state (lock-masked word + full payload extent of its size
 // class) is unfolded from the sink, the write installed, and the new state
-// folded in — O(1) per mutation, no allocation. class is the slot size of
-// the block containing off; a zero class (block not yet classed at this
-// replica) or nil sink degrades to a plain CommitWrite, leaving the slot
-// outside the digest domain until its block header arrives.
-func (r *Region) CommitWriteDigest(off int, newVersion uint64, allocated bool, payload []byte, class int, sink DigestSink) {
+// folded in — O(1) per mutation, no allocation. A block not classed yet
+// at this replica, or a nil sink, degrades to a plain CommitWrite, leaving
+// the slot outside the digest domain until its block is classed.
+func (r *Region) CommitWriteDigest(off int, newVersion uint64, allocated bool, payload []byte, sink DigestSink) {
+	class := r.class[off/r.blockSize]
 	if sink == nil || class == 0 {
 		r.CommitWrite(off, newVersion, allocated, payload)
 		return

@@ -2,19 +2,18 @@
 // global address space is made of regions; each object starts with a 64-bit
 // header word holding a lock bit, an allocation bit and a version; regions
 // are split into blocks used as slabs for small-object allocation, with
-// block headers (object size per block) and per-slab free lists kept at the
-// primary.
+// block headers (object size per block) in every replica and per-slab free
+// lists kept at the primary.
 //
-// A replica's memory is a Region, a table of blocks materialized on their
-// first write. The header helpers that take plain bytes act on one
-// contiguous stretch: a block, a region laid out flat, or the bytes a
-// one-sided RDMA read returned.
+// A replica's memory is a Region: a table of blocks materialized on their
+// first write, and the table of their size classes. The header helpers
+// that take plain bytes act on one contiguous stretch: a block, a region
+// laid out flat, or the bytes a one-sided RDMA read returned.
 package regionmem
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // HeaderSize is the size of the per-object version word.
@@ -144,16 +143,15 @@ func sizeClass(size int) int {
 // capacity planning).
 func SlotSize(payload int) int { return sizeClass(payload) }
 
-// Allocator manages one region's blocks and slab free lists. It lives at
-// the region's primary only (§5.5); backups learn block headers through
-// replication messages and rebuild free lists by scanning after a failure.
-// It never writes the region: claiming a fresh block materializes nothing.
+// Allocator manages one region's slab free lists. It lives at the
+// region's primary only (§5.5) and claims blocks in the region's class
+// table; backups learn the table through replication messages, and a
+// promoted primary builds its allocator from it by scanning allocation
+// bits. Claiming a fresh block materializes nothing.
 type Allocator struct {
 	layout Layout
 	mem    *Region
 
-	// class[b] is the slot size of block b; 0 means the block is unused.
-	class []int
 	// free maps slot size → offsets of free slots, LIFO.
 	free map[int][]int
 	// used counts allocated slots per block, to return empty blocks.
@@ -181,18 +179,45 @@ func asRegion[M Memory](layout Layout, mem M) *Region {
 	}
 }
 
-// NewAllocator creates an allocator over a fresh region.
+// NewAllocator creates an allocator over mem's class table: a block
+// already classed joins its class's free list with every slot whose
+// allocation bit is clear, in ascending block and slot order — the §5.5
+// scan a promoted primary runs. A block never written holds no live slot
+// and is not read. Over a fresh region the table is empty and the scan is
+// free.
 func NewAllocator[M Memory](layout Layout, mem M) *Allocator {
-	if err := layout.Validate(); err != nil {
-		panic(err)
-	}
-	return &Allocator{
+	a := &Allocator{
 		layout: layout,
 		mem:    asRegion(layout, mem),
-		class:  make([]int, layout.Blocks()),
 		free:   make(map[int][]int),
 		used:   make([]int, layout.Blocks()),
 	}
+	for b, c := range a.mem.class {
+		if c == 0 {
+			continue
+		}
+		blk, base := a.mem.Block(b), b*layout.BlockSize
+		live := a.mem.IsMaterialized(b)
+		for so := 0; so+c <= len(blk); so += c {
+			if live && Allocated(ReadHeader(blk, so)) {
+				a.used[b]++
+			} else {
+				a.free[c] = append(a.free[c], base+so)
+			}
+		}
+	}
+	return a
+}
+
+// Rebuild reconstructs an allocator from a region replica and replicated
+// block headers: it classes the blocks headers names, then builds the
+// free lists as NewAllocator does.
+func Rebuild[M Memory](layout Layout, mem M, headers map[int]int) *Allocator {
+	r := asRegion(layout, mem)
+	for b, c := range headers {
+		r.SetClass(b, c)
+	}
+	return NewAllocator(layout, r)
 }
 
 // OnNewBlock installs the block-header replication hook.
@@ -214,11 +239,11 @@ func (a *Allocator) Alloc(size int) (int, bool) {
 		return off, true
 	}
 	// Claim a fresh block as a slab of class c.
-	for b, cls := range a.class {
+	for b, cls := range a.mem.class {
 		if cls != 0 {
 			continue
 		}
-		a.class[b] = c
+		a.mem.class[b] = c
 		if a.onNewBlock != nil {
 			a.onNewBlock(b, c)
 		}
@@ -238,7 +263,7 @@ func (a *Allocator) Alloc(size int) (int, bool) {
 // for having cleared the allocation bit via a committed transaction first.
 func (a *Allocator) Free(off int) {
 	b := off / a.layout.BlockSize
-	c := a.class[b]
+	c := a.mem.Class(b)
 	if c == 0 {
 		panic(fmt.Sprintf("regionmem: free of offset %d in unused block", off))
 	}
@@ -252,33 +277,8 @@ func (a *Allocator) Free(off int) {
 // Slot reports whether off is where a slot starts: inside a block in use,
 // at a multiple of its slot size: the only offsets Free accepts.
 func (a *Allocator) Slot(off int) bool {
-	b := off / a.layout.BlockSize
-	if off < 0 || b >= len(a.class) {
-		return false
-	}
-	c := a.class[b]
-	return c != 0 && off%c == 0
-}
-
-// SlotPayload returns the payload capacity of the slot at off.
-func (a *Allocator) SlotPayload(off int) int {
-	c := a.class[off/a.layout.BlockSize]
-	if c == 0 {
-		return 0
-	}
-	return c - HeaderSize
-}
-
-// BlockHeaders returns a copy of the block → slot-size map for blocks in
-// use: the metadata replicated to backups.
-func (a *Allocator) BlockHeaders() map[int]int {
-	out := make(map[int]int)
-	for b, c := range a.class {
-		if c != 0 {
-			out[b] = c
-		}
-	}
-	return out
+	c := a.mem.Class(off / a.layout.BlockSize)
+	return off >= 0 && c != 0 && off%c == 0
 }
 
 // FreeCount returns the number of free slots of the class serving payload
@@ -286,10 +286,10 @@ func (a *Allocator) BlockHeaders() map[int]int {
 func (a *Allocator) FreeCount(size int) int { return len(a.free[sizeClass(size)]) }
 
 // LiveObjects returns the offsets of all slots whose allocation bit is set,
-// in address order (used by data recovery and tests).
+// in address order (for tests).
 func (a *Allocator) LiveObjects() []int {
 	var out []int
-	for b, c := range a.class {
+	for b, c := range a.mem.class {
 		if c == 0 || !a.mem.IsMaterialized(b) {
 			continue
 		}
@@ -301,60 +301,4 @@ func (a *Allocator) LiveObjects() []int {
 		}
 	}
 	return out
-}
-
-// Rebuild reconstructs an allocator from a region replica and replicated
-// block headers by scanning allocation bits — the §5.5 recovery path a new
-// primary runs. A block never written holds no live slot and is not read.
-func Rebuild[M Memory](layout Layout, mem M, headers map[int]int) *Allocator {
-	a := NewAllocator(layout, mem)
-	// Deterministic block order.
-	blocks := make([]int, 0, len(headers))
-	for b := range headers {
-		blocks = append(blocks, b)
-	}
-	sort.Ints(blocks)
-	for _, b := range blocks {
-		c := headers[b]
-		a.class[b] = c
-		blk, base := a.mem.Block(b), b*layout.BlockSize
-		live := a.mem.IsMaterialized(b)
-		for so := 0; so+c <= len(blk); so += c {
-			if live && Allocated(ReadHeader(blk, so)) {
-				a.used[b]++
-			} else {
-				a.free[c] = append(a.free[c], base+so)
-			}
-		}
-	}
-	return a
-}
-
-// RebuildWithDigest is Rebuild with a digest pass: while the §5.5 scan
-// walks every slot of every classed block it also folds each slot's state
-// into sink, so the caller gets the allocator AND a freshly scanned state
-// digest from the same pass. Callers replace their replica's incremental
-// digest with the result (allocator recovery runs exactly when incremental
-// state may be stale — after a promotion).
-func RebuildWithDigest[M Memory](layout Layout, mem M, headers map[int]int, sink DigestSink) *Allocator {
-	a := Rebuild(layout, mem, headers)
-	if sink != nil {
-		for b, c := range headers {
-			blk, base := a.mem.Block(b), b*layout.BlockSize
-			for so := 0; so+c <= len(blk); so += c {
-				sink.Fold(base+so, MaskLock(ReadHeader(blk, so)), blk[so+HeaderSize:so+c])
-			}
-		}
-	}
-	return a
-}
-
-// ScanWork returns the number of slots Rebuild must examine for the given
-// headers — the unit the paced recovery scan charges time against.
-func ScanWork(layout Layout, headers map[int]int) int {
-	total := 0
-	for _, c := range headers {
-		total += layout.BlockSize / c
-	}
-	return total
 }

@@ -77,8 +77,8 @@ func testLayout() Layout { return Layout{RegionSize: 1 << 16, BlockSize: 1 << 12
 
 func TestAllocatorBasics(t *testing.T) {
 	l := testLayout()
-	mem := make([]byte, l.RegionSize)
-	a := NewAllocator(l, mem)
+	r := NewRegion(l)
+	a := NewAllocator(l, r)
 	off1, ok := a.Alloc(24)
 	if !ok || off1 != 0 {
 		t.Fatalf("first alloc: %d %v", off1, ok)
@@ -87,8 +87,8 @@ func TestAllocatorBasics(t *testing.T) {
 	if !ok || off2 != 32 {
 		t.Fatalf("second alloc in same slab: %d", off2)
 	}
-	if a.SlotPayload(off1) != 24 {
-		t.Fatalf("slot payload = %d", a.SlotPayload(off1))
+	if c := r.Class(off1 / l.BlockSize); c-HeaderSize != 24 {
+		t.Fatalf("slot payload = %d", c-HeaderSize)
 	}
 	// Different class gets a different block.
 	off3, ok := a.Alloc(100)
@@ -143,7 +143,8 @@ func TestAllocatorExhaustion(t *testing.T) {
 
 func TestOnNewBlockHookAndHeaders(t *testing.T) {
 	l := testLayout()
-	a := NewAllocator(l, make([]byte, l.RegionSize))
+	r := NewRegion(l)
+	a := NewAllocator(l, r)
 	var hooked [][2]int
 	a.OnNewBlock(func(b, c int) { hooked = append(hooked, [2]int{b, c}) })
 	a.Alloc(8)
@@ -153,9 +154,21 @@ func TestOnNewBlockHookAndHeaders(t *testing.T) {
 		t.Fatalf("hook fired %d times, want 2", len(hooked))
 	}
 	want := map[int]int{0: 16, 1: 128}
-	if got := a.BlockHeaders(); !reflect.DeepEqual(got, want) {
+	if got := headersOf(r); !reflect.DeepEqual(got, want) {
 		t.Fatalf("headers = %v, want %v", got, want)
 	}
+}
+
+// headersOf returns r's class table as the block → class map Rebuild
+// takes.
+func headersOf(r *Region) map[int]int {
+	out := make(map[int]int)
+	for b, c := range r.Classes() {
+		if c != 0 {
+			out[b] = c
+		}
+	}
+	return out
 }
 
 // commitAt simulates a committed allocating write: sets alloc bit.
@@ -164,7 +177,8 @@ func commitAt(mem []byte, off int) { WriteHeader(mem, off, Compose(1, false, tru
 func TestRebuildMatchesLiveState(t *testing.T) {
 	l := testLayout()
 	mem := make([]byte, l.RegionSize)
-	a := NewAllocator(l, mem)
+	orig := RegionOf(l, mem)
+	a := NewAllocator(l, orig)
 	var live []int
 	for i := 0; i < 50; i++ {
 		off, ok := a.Alloc(24)
@@ -180,7 +194,7 @@ func TestRebuildMatchesLiveState(t *testing.T) {
 			a.Free(off)
 		}
 	}
-	r := Rebuild(l, mem, a.BlockHeaders())
+	r := Rebuild(l, mem, headersOf(orig))
 	if got := r.LiveObjects(); !reflect.DeepEqual(got, live) {
 		sort.Ints(live)
 		if !reflect.DeepEqual(got, live) {
@@ -212,7 +226,8 @@ func TestRebuildFreeCountsQuick(t *testing.T) {
 			commits = commits[:100]
 		}
 		mem := make([]byte, l.RegionSize)
-		a := NewAllocator(l, mem)
+		orig := RegionOf(l, mem)
+		a := NewAllocator(l, orig)
 		liveCount := 0
 		for _, c := range commits {
 			off, ok := a.Alloc(40)
@@ -226,7 +241,7 @@ func TestRebuildFreeCountsQuick(t *testing.T) {
 				a.Free(off)
 			}
 		}
-		r := Rebuild(l, mem, a.BlockHeaders())
+		r := Rebuild(l, mem, headersOf(orig))
 		return len(r.LiveObjects()) == liveCount &&
 			r.FreeCount(40) == a.FreeCount(40)
 	}
@@ -237,10 +252,57 @@ func TestRebuildFreeCountsQuick(t *testing.T) {
 
 func TestScanWork(t *testing.T) {
 	l := testLayout()
-	headers := map[int]int{0: 16, 1: 128}
+	r := NewRegion(l)
+	r.SetClass(0, 16)
+	r.SetClass(1, 128)
+	// A classed block, or a block or a slot size the layout cannot hold,
+	// is refused.
+	for _, bad := range [][2]int{{0, 32}, {-1, 16}, {l.Blocks(), 16}, {2, 0}, {2, 24}, {2, 2 * l.BlockSize}} {
+		if r.SetClass(bad[0], bad[1]) {
+			t.Errorf("SetClass(%d, %d) took", bad[0], bad[1])
+		}
+	}
 	want := l.BlockSize/16 + l.BlockSize/128
-	if got := ScanWork(l, headers); got != want {
+	if got := r.ScanWork(); got != want {
 		t.Fatalf("ScanWork = %d, want %d", got, want)
+	}
+}
+
+// TestAllocatorOverAClassTable: an allocator built over a region whose
+// class table is already set hands out slots in the order Rebuild
+// produces from the same map over flat bytes, and a fresh region claims
+// block 0 first.
+func TestAllocatorOverAClassTable(t *testing.T) {
+	l := testLayout()
+	headers := map[int]int{3: 64, 1: 16, 7: 64}
+	flat := make([]byte, l.RegionSize)
+	r := NewRegion(l)
+	for b, c := range headers {
+		r.SetClass(b, c)
+		// Every third slot of each classed block is live, in both.
+		for off := b * l.BlockSize; off < (b+1)*l.BlockSize; off += 3 * c {
+			commitAt(flat, off)
+			r.WriteHeader(off, Compose(1, false, true))
+		}
+	}
+	over, rebuilt := NewAllocator(l, r), Rebuild(l, flat, headers)
+	for _, size := range []int{8, 56, 8, 56, 500} {
+		for {
+			a, aok := over.Alloc(size)
+			b, bok := rebuilt.Alloc(size)
+			if a != b || aok != bok {
+				t.Fatalf("Alloc(%d): %d %v over the class table, %d %v rebuilt", size, a, aok, b, bok)
+			}
+			if !aok || a/l.BlockSize != 1 && a/l.BlockSize != 3 && a/l.BlockSize != 7 {
+				break // exhausted, or a fresh block claimed: the slots of the table are out
+			}
+			if Allocated(r.ReadHeader(a)) {
+				t.Fatalf("Alloc(%d) handed out live slot %d", size, a)
+			}
+		}
+	}
+	if off, ok := NewAllocator(l, NewRegion(l)).Alloc(8); !ok || off != 0 {
+		t.Fatalf("a fresh region's first slot is %d %v, want block 0's first", off, ok)
 	}
 }
 

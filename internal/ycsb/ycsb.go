@@ -59,7 +59,7 @@ func Setup(c *core.Cluster, n uint64, regions int) (*Workload, error) {
 	const perTx = 16
 	for base := uint64(0); base < n; base += perTx {
 		base := base
-		err := syncTx(c, c.Machine(int(base)%len(c.Machines)), func(tx *core.Tx, done func(error)) {
+		err := loadgen.RunSync(c, c.Machine(int(base)%len(c.Machines)), 0, func(tx *core.Tx, done func(error)) {
 			var put func(i uint64)
 			put = func(i uint64) {
 				if i >= perTx || base+i >= n {
@@ -82,30 +82,6 @@ func Setup(c *core.Cluster, n uint64, regions int) (*Workload, error) {
 		}
 	}
 	return w, nil
-}
-
-// syncTx drives one transaction to completion.
-func syncTx(c *core.Cluster, m *core.Machine, fn func(tx *core.Tx, done func(error))) error {
-	finished := false
-	var result error
-	tx := m.Begin(0)
-	fn(tx, func(err error) {
-		if err != nil {
-			finished, result = true, err
-			return
-		}
-		tx.Commit(func(err error) { finished, result = true, err })
-	})
-	deadline := c.Eng.Now() + 10*sim.Second
-	for !finished && c.Eng.Now() < deadline {
-		if !c.Eng.Step() {
-			break
-		}
-	}
-	if !finished {
-		return core.ErrUnavailable
-	}
-	return result
 }
 
 // LookupOp returns the uniform lock-free lookup operation.
