@@ -139,6 +139,36 @@ func TestAuditDetectsLocalizesAndRepairsCorruption(t *testing.T) {
 	}
 }
 
+// TestAuditLocalizesPastABlockOnlyTheBackupClassed: a backup whose class
+// table names a block the primary's does not (as after a promotion that
+// missed a claim's sync) still has its divergence localized to the right
+// block and object, because its per-block digests follow the primary's
+// list.
+func TestAuditLocalizesPastABlockOnlyTheBackupClassed(t *testing.T) {
+	c, region := testCluster(t, Options{})
+	writeObject(t, c, c.Machine(0), []byte{1, 2, 3, 4})
+	c.RunFor(50 * sim.Millisecond)
+	replicas := c.RegionReplicas(region)
+	pm, bm := c.Machine(replicas[0]), c.Machine(replicas[1])
+	// The primary classes blocks 0, 2 and 3; the backup block 1 as well.
+	pm.learnHeaders(pm.replica(region), []proto.BlockHeader{{Block: 2, Class: 64}, {Block: 3, Class: 64}})
+	rep := bm.replica(region)
+	bm.learnHeaders(rep, []proto.BlockHeader{{Block: 1, Class: 64}})
+	off := 3 * c.Opts.Layout.BlockSize
+	rep.mem.WriteAt([]byte{0x5A}, off+regionmem.HeaderSize)
+
+	for _, r := range conclusiveAudit(t, c) {
+		if r.Region != region {
+			continue
+		}
+		if r.Backup != bm.ID || r.Block != 3 || r.Off != off {
+			t.Fatalf("localization: %v, want backup m%d block 3 object @%d", r, bm.ID, off)
+		}
+		return
+	}
+	t.Fatalf("no report for region %d", region)
+}
+
 // TestStaleMappingSurfacesError pins the retry budget: a read of a region
 // that no machine can resolve must surface ErrUnavailable after the capped
 // exponential backoff burns the mapping-retry budget, not spin forever.
