@@ -135,7 +135,8 @@ fuzz:
 # around them, and the object free lists written by hand instead of with
 # internal/pool (a slice-of-pointer field named *Free or free, or a
 # len(...Free) pop, counted once per package and name; the size-classed
-# byte pools and regionmem's offset lists are not object lists), which a
+# byte pools and regionmem's offset lists are not object lists), and the
+# pool.Free fields of core.Machine, one per pooled kind of object, which a
 # simplification should move down and nothing should move up unnoticed.
 # Plain grep/sed/wc over the source.
 CORE := internal/core
@@ -151,6 +152,7 @@ count:
 		} | grep -v '^[[:space:]]*//' | grep -c 'map\[')"
 	@echo "sorted-keys call sites: $$(ls $(CORE)/*.go | grep -v _test.go | xargs grep -h '[A-Za-z0-9]Keys(' | grep -v '^func \|^[[:space:]]*//' | wc -l)"
 	@echo "cmd, examples, exper, perf non-test lines: $$(find cmd examples internal/exper internal/perf -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "pool.Free fields in Machine: $$(sed -n '/^type Machine struct {/,/^}/p' $(CORE)/machine.go | grep -c 'pool\.Free\[')"
 	@echo "hand-written free lists: $$(grep -rEo --include='*.go' --exclude='*_test.go' \
 		'\b([A-Za-z0-9_]*Free|free)[[:space:]]+\[\]\*|len\(\*?([A-Za-z0-9_]+\.)*([A-Za-z0-9_]*Free|free)\)' internal cmd examples | \
 		grep -v '^internal/pool/\|^internal/regionmem/' | \

@@ -156,7 +156,7 @@ func TestLockFreeReadAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestLocalValidationAllocationBudget: committing a read-only transaction
+// TestLocalValidationAllocationBudget: the commit of a read-only transaction
 // whose eight objects are all local validates them through pooled ops, the
 // set sorted in the machine's scratch, and allocates nothing (14 allocations
 // before ISSUE 16, a closure per object among them; 1, the set, while every
@@ -354,6 +354,46 @@ func TestLocalPrimaryCommitAllocationBudget(t *testing.T) {
 	t.Logf("local-primary update: %.1f allocs end to end", n)
 	if n > 12 {
 		t.Fatalf("local-primary update: %v allocs end to end, want <= 12", n)
+	}
+}
+
+// TestNoLogSpaceCommitAllocationBudget: an update of one object from its
+// primary whose own log has no room for the commit's reservations is
+// refused with ErrNoSpace — most of tatp_scale100's aborts — before any
+// record is written, and the refusal, reported through the Tx's bound
+// report, allocates nothing. It cost 1 while each refusal scheduled a
+// closure of its own.
+func TestNoLogSpaceCommitAllocationBudget(t *testing.T) {
+	c, m, addrs := localObjects(t, 1, 8)
+	release := m.HoldLog(m.ID)
+	defer release()
+	val := make([]byte, 8)
+	var tx *core.Tx
+	var result error
+	finished := false
+	onCommit := func(err error) { result, finished = err, true }
+	onRead := func(_ []byte, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx.Write(addrs[0], val)
+		tx.Commit(onCommit)
+	}
+	one := func() {
+		finished = false
+		tx = m.Begin(0)
+		tx.Read(addrs[0], 8, onRead)
+		for !finished && c.Eng.Step() {
+		}
+		if result != core.ErrNoSpace {
+			t.Fatalf("commit with the log held: %v, want ErrNoSpace", result)
+		}
+	}
+	one() // warm the pools and counters
+	n := testing.AllocsPerRun(200, one)
+	t.Logf("commit refused for log space: %.1f allocs", n)
+	if n > 0 {
+		t.Fatalf("commit refused for log space: %v allocs, want 0", n)
 	}
 }
 

@@ -20,74 +20,19 @@ const maxPiggyIDs = 8
 
 const piggyBudget = 8 * maxPiggyIDs
 
-// commit phases.
+// commit phases of a read-write transaction (Tx.phase). phaseIdle: none is
+// under way — before Commit, through a read-only commit, and again once the
+// truncation finished.
 const (
-	phaseLock = iota
+	phaseIdle = iota
+	phaseLock
 	phaseValidate
 	phaseCommitBackup
 	phaseCommitPrimary
 	phaseDone
 )
 
-// coordTx is the coordinator-side state of one committing transaction. It
-// comes from the machine's pool (newCoordTx) and goes back when its
-// truncation finished (truncFinished) or when the commit failed before any
-// reservation was made; one that recovery decides, or that dies with its
-// machine, is dropped.
-type coordTx struct {
-	id proto.TxID
-	tx *Tx
-	cb func(error)
-
-	phase int
-
-	writeRegions []uint32
-	// groups is the write set split by destination machine, one entry per
-	// participant (every machine holding records), sorted by machine id —
-	// so each protocol phase walks it in deterministic order without
-	// sorting anything.
-	groups []destGroup
-	// slab backs every group's write lists. A recycled coordTx keeps the
-	// capacity of groups, writeRegions and slab.
-	slab []proto.ObjectWrite
-	// primaries and backups count the groups with primWrites (the LOCK,
-	// ABORT and COMMIT-PRIMARY fan-out) and with backupWrites (the
-	// COMMIT-BACKUP fan-out).
-	primaries, backups int
-
-	lockOutstanding int
-	lockFailed      bool
-
-	cbOutstanding int
-
-	cpOutstanding int
-	reported      bool
-
-	abortOutstanding int // ABORT record acks still due
-
-	// recovering is set when reconfiguration classifies this transaction
-	// as recovering (§5.3): normal-path acks and replies are ignored from
-	// then on and the outcome comes from vote/decide.
-	recovering bool
-	// lastProgress is when the commit last advanced (started, or received
-	// a lock/validate reply); the stall watchdog aborts lock/validate-phase
-	// transactions whose replies were lost to network faults.
-	lastProgress sim.Time
-	// truncLeft counts the participants whose truncation queue holds this
-	// transaction.
-	truncLeft int
-
-	// traceCtx is a copy of the transaction's root span context (it
-	// survives the root span closing at the commit report, because the
-	// TRUNCATE phase outlives it); phaseCtx is the currently open commit-
-	// phase child span; truncCtx covers queueing → delivery of truncation.
-	traceCtx trace.Ctx
-	phaseCtx trace.Ctx
-	truncCtx trace.Ctx
-}
-
-// destGroup is one participant machine's share of a committing
-// transaction.
+// destGroup is one participant machine's share of a read-write commit.
 type destGroup struct {
 	dst int
 	// primWrites are the written objects dst is primary for (its LOCK
@@ -103,44 +48,11 @@ type destGroup struct {
 	res resSet
 }
 
-// retiredCommit stands in, in the Tx it served, for a coordTx gone back to
-// the pool: a validation verdict still on its way finds it done and is
-// ignored, and is not taken for a read-only commit's (validated,
-// validateSet). Nothing writes to it.
-var retiredCommit = coordTx{phase: phaseDone}
-
-// newCoordTx returns a pooled coordTx for t's commit, which holds t until
-// putCoordTx.
-func (m *Machine) newCoordTx(t *Tx) *coordTx {
-	ct := m.commits.Get()
-	ct.tx, ct.cb = t, t.reportFn
-	t.committing = true
-	return ct
-}
-
-// putCoordTx returns ct to the pool, reset whole: its write lists alias the
-// Tx's values and tx pins the Tx, so every element is cleared. The Tx is cut
-// from it first: a verdict that arrives later must not reach whichever
-// commit takes ct next. The Tx goes back to its own pool if nothing else
-// holds it (Tx.release).
-func (m *Machine) putCoordTx(ct *coordTx) {
-	t := ct.tx
-	if t.ct == ct {
-		t.ct = &retiredCommit
-	}
-	clear(ct.groups)
-	clear(ct.slab)
-	*ct = coordTx{groups: ct.groups[:0], writeRegions: ct.writeRegions[:0], slab: ct.slab[:0]}
-	m.commits.Put(ct)
-	t.committing = false
-	t.release()
-}
-
 // group returns dst's group, or nil if dst is not a participant.
-func (ct *coordTx) group(dst int) *destGroup {
-	for i := range ct.groups {
-		if ct.groups[i].dst == dst {
-			return &ct.groups[i]
+func (t *Tx) group(dst int) *destGroup {
+	for i := range t.groups {
+		if t.groups[i].dst == dst {
+			return &t.groups[i]
 		}
 	}
 	return nil
@@ -148,42 +60,42 @@ func (ct *coordTx) group(dst int) *destGroup {
 
 // groupFor returns dst's group, inserting an empty one in sorted position
 // if needed. The pointer is valid until the next insertion.
-func (ct *coordTx) groupFor(dst int) *destGroup {
+func (t *Tx) groupFor(dst int) *destGroup {
 	i := 0
-	for i < len(ct.groups) && ct.groups[i].dst < dst {
+	for i < len(t.groups) && t.groups[i].dst < dst {
 		i++
 	}
-	if i == len(ct.groups) || ct.groups[i].dst != dst {
-		if ct.groups == nil {
+	if i == len(t.groups) || t.groups[i].dst != dst {
+		if t.groups == nil {
 			// Room for two regions' replica sets before growing.
-			ct.groups = make([]destGroup, 0, 2*ct.tx.m.c.Opts.Replication)
+			t.groups = make([]destGroup, 0, 2*t.m.c.Opts.Replication)
 		}
-		ct.groups = append(ct.groups, destGroup{})
-		copy(ct.groups[i+1:], ct.groups[i:])
-		ct.groups[i] = destGroup{dst: dst}
+		t.groups = append(t.groups, destGroup{})
+		copy(t.groups[i+1:], t.groups[i:])
+		t.groups[i] = destGroup{dst: dst}
 	}
-	return &ct.groups[i]
+	return &t.groups[i]
 }
 
 // beginPhase opens the named commit-phase child span, closing whichever
 // phase span was open (phases are strictly sequential, §4). No-ops for
 // untraced transactions.
-func (m *Machine) beginPhase(ct *coordTx, name string) {
-	if !ct.traceCtx.Valid() {
+func (m *Machine) beginPhase(t *Tx, name string) {
+	if !t.traceCtx.Valid() {
 		return
 	}
 	now := m.c.Eng.Now()
-	if ct.phaseCtx.Valid() {
-		m.trb.End(ct.phaseCtx, now, 0)
+	if t.phaseCtx.Valid() {
+		m.trb.End(t.phaseCtx, now, 0)
 	}
-	ct.phaseCtx = m.trb.Begin("tx", name, now, ct.traceCtx.Trace, ct.traceCtx.Span, 0)
+	t.phaseCtx = m.trb.Begin("tx", name, now, t.traceCtx.Trace, t.traceCtx.Span, 0)
 }
 
 // endPhase closes the open commit-phase span, if any.
-func (m *Machine) endPhase(ct *coordTx) {
-	if ct.phaseCtx.Valid() {
-		m.trb.End(ct.phaseCtx, m.c.Eng.Now(), 0)
-		ct.phaseCtx = trace.Ctx{}
+func (m *Machine) endPhase(t *Tx) {
+	if t.phaseCtx.Valid() {
+		m.trb.End(t.phaseCtx, m.c.Eng.Now(), 0)
+		t.phaseCtx = trace.Ctx{}
 	}
 }
 
@@ -230,8 +142,6 @@ func (t *Tx) commit() {
 		}
 	}
 
-	ct := m.newCoordTx(t)
-
 	// Group the write set by primary and backup machines: size the groups
 	// first, so that all their write lists are carved out of one slab.
 	total := 0
@@ -239,51 +149,49 @@ func (t *Tx) commit() {
 		addr := t.set[i].addr
 		rm := m.mapping(addr.Region)
 		if rm == nil || len(rm.Replicas) < 1 {
-			m.putCoordTx(ct)
-			t.releaseAllocs()
-			m.failTx(t.reportFn, ErrUnavailable)
+			m.failTx(t, ErrUnavailable)
 			return
 		}
-		if !slices.Contains(ct.writeRegions, addr.Region) {
-			ct.writeRegions = append(ct.writeRegions, addr.Region)
+		if !slices.Contains(t.writeRegions, addr.Region) {
+			t.writeRegions = append(t.writeRegions, addr.Region)
 		}
-		ct.groupFor(int(rm.Replicas[0])).nPrim++
+		t.groupFor(int(rm.Replicas[0])).nPrim++
 		for _, b := range rm.Replicas[1:] {
-			ct.groupFor(int(b)).nBackup++
+			t.groupFor(int(b)).nBackup++
 		}
 		total += len(rm.Replicas)
 	}
-	if cap(ct.slab) < total {
-		ct.slab = make([]proto.ObjectWrite, total)
+	if cap(t.writeSlab) < total {
+		t.writeSlab = make([]proto.ObjectWrite, total)
 	}
-	ct.slab = ct.slab[:total]
-	slab := ct.slab
-	for i := range ct.groups {
-		g := &ct.groups[i]
+	t.writeSlab = t.writeSlab[:total]
+	slab := t.writeSlab
+	for i := range t.groups {
+		g := &t.groups[i]
 		g.primWrites, slab = slab[:0:g.nPrim], slab[g.nPrim:]
 		g.backupWrites, slab = slab[:0:g.nBackup], slab[g.nBackup:]
 		if g.nPrim > 0 {
-			ct.primaries++
+			t.primaries++
 		}
 		if g.nBackup > 0 {
-			ct.backups++
+			t.backups++
 		}
 	}
 	for i := t.firstW; i >= 0; i = t.set[i].wnext {
 		e := &t.set[i]
 		ow := proto.ObjectWrite{Addr: e.addr, Version: e.version, Allocated: e.allocated, Value: e.value}
 		replicas := m.mapping(e.addr.Region).Replicas
-		g := ct.group(int(replicas[0]))
+		g := t.group(int(replicas[0]))
 		g.primWrites = append(g.primWrites, ow)
 		for _, b := range replicas[1:] {
-			g = ct.group(int(b))
+			g = t.group(int(b))
 			g.backupWrites = append(g.backupWrites, ow)
 		}
 	}
 
 	// Assign the transaction id ⟨c, m, t, l⟩ at the start of commit (§5.3).
 	m.nextLocal[t.thread]++
-	ct.id = proto.TxID{
+	t.id = proto.TxID{
 		Config:  m.config.ID,
 		Machine: uint16(m.ID),
 		Thread:  uint16(t.thread),
@@ -293,21 +201,19 @@ func (t *Tx) commit() {
 	// Reserve log space for every record this commit and its truncation
 	// will need (§4): LOCK + COMMIT-PRIMARY/ABORT at primaries,
 	// COMMIT-BACKUP at backups, and a truncate record everywhere.
-	if !m.reserveCommit(ct) {
-		m.truncThreads[t.thread].add(ct.id.Local)
-		m.putCoordTx(ct)
-		t.releaseAllocs()
-		m.failTx(t.reportFn, ErrNoSpace)
+	if !m.reserveCommit(t) {
+		m.truncThreads[t.thread].add(t.id.Local)
+		m.failTx(t, ErrNoSpace)
 		return
 	}
 
-	m.inflight[ct.id] = ct
+	m.inflight[t.id] = t
 	m.c.Counters.Inc("tx_commit_started", 1)
-	ct.phase = phaseLock
-	ct.lastProgress = m.c.Eng.Now()
-	ct.traceCtx = t.ctx
-	m.beginPhase(ct, "LOCK")
-	m.sendLocks(ct)
+	t.phase = phaseLock
+	t.lastProgress = m.c.Eng.Now()
+	t.traceCtx = t.ctx
+	m.beginPhase(t, "LOCK")
+	m.sendLocks(t)
 }
 
 // report delivers the commit's outcome, on whatever path it was decided:
@@ -330,22 +236,30 @@ func (t *Tx) report(err error) {
 	t.release()
 }
 
-// failTx reports, on the coordinator thread, a commit that failed before
-// any record was written: ErrNoSpace (a participant's log had no room for
-// the reservations) or ErrUnavailable (a written region has no mapping).
-// Neither is a conflict, so each is counted under its own name.
-func (m *Machine) failTx(cb func(error), err error) {
-	cell := m.c.cNoLogSpace
-	if err == ErrUnavailable {
-		cell = m.c.cUnavailable
+// failTx releases the slots t allocated and reports err, on the coordinator
+// thread, for a commit that failed before any record was written:
+// ErrNoSpace (a participant's log had no room for the reservations) or
+// ErrUnavailable (a written region has no mapping).
+func (m *Machine) failTx(t *Tx, err error) {
+	t.releaseAllocs()
+	t.failErr = err
+	m.c.Eng.After(cpuLocal, t.failFn)
+}
+
+// fail is failTx's report. Neither error is a conflict, so each is counted
+// under its own name.
+func (t *Tx) fail() {
+	m := t.m
+	if !m.alive {
+		return
 	}
-	m.c.Eng.After(cpuLocal, func() {
-		if m.alive {
-			m.Aborted++
-			*cell++
-			cb(err)
-		}
-	})
+	m.Aborted++
+	if t.failErr == ErrUnavailable {
+		*m.c.cUnavailable++
+	} else {
+		*m.c.cNoLogSpace++
+	}
+	t.report(t.failErr)
 }
 
 // recordSize is the reservation for rec: its encoding plus room for a full
@@ -377,15 +291,15 @@ func (m *Machine) releaseRes(p *peer, r *resSet) {
 
 // reserveCommit makes all per-participant ring reservations, rolling back
 // on failure.
-func (m *Machine) reserveCommit(ct *coordTx) bool {
-	rec := proto.Record{Tx: ct.id, Regions: ct.writeRegions}
+func (m *Machine) reserveCommit(t *Tx) bool {
+	rec := proto.Record{Tx: t.id, Regions: t.writeRegions}
 	smallRec := recordSize(&rec)
-	for i := range ct.groups {
-		g := &ct.groups[i]
+	for i := range t.groups {
+		g := &t.groups[i]
 		if !m.reserveGroup(g, &rec, smallRec) {
 			for j := 0; j <= i; j++ {
-				if p := m.peer(ct.groups[j].dst); p != nil {
-					m.releaseRes(p, &ct.groups[j].res)
+				if p := m.peer(t.groups[j].dst); p != nil {
+					m.releaseRes(p, &t.groups[j].res)
 				}
 			}
 			return false
@@ -435,9 +349,9 @@ func (m *Machine) reserveGroup(g *destGroup, rec *proto.Record, smallRec int) bo
 // transaction finished outside the normal record-writing path (recovery
 // decisions). Reservations toward machines that left the configuration
 // vanished with their rings.
-func (m *Machine) releaseCoordReservations(ct *coordTx) {
-	for i := range ct.groups {
-		g := &ct.groups[i]
+func (m *Machine) releaseCoordReservations(t *Tx) {
+	for i := range t.groups {
+		g := &t.groups[i]
 		if p := m.peer(g.dst); p != nil && m.isMember(g.dst) {
 			m.releaseRes(p, &g.res)
 		}
@@ -446,8 +360,8 @@ func (m *Machine) releaseCoordReservations(ct *coordTx) {
 }
 
 // takeReservation consumes the reservation matching a record kind.
-func (ct *coordTx) takeReservation(dst int, typ proto.RecordType) int {
-	g := ct.group(dst)
+func (t *Tx) takeReservation(dst int, typ proto.RecordType) int {
+	g := t.group(dst)
 	if g == nil {
 		return -1
 	}
@@ -471,9 +385,9 @@ func (ct *coordTx) takeReservation(dst int, typ proto.RecordType) int {
 }
 
 // recWrite is one record on its way into a participant's log: one of a
-// committing transaction's, scheduled on the coordinator thread (one verb
+// read-write commit's, scheduled on the coordinator thread (one verb
 // per record, or a memory write when the log is this machine's own), or an
-// explicit TRUNCATE (ct nil, written at once by flushTruncations). It is
+// explicit TRUNCATE (t nil, written at once by flushTruncations). It is
 // encoded straight into a ring frame with piggybacked truncation ids and
 // acked by the NIC. It is pooled like msgTask, runFn/ackFn bound once. rec
 // never leaves the coordinator — it is encoded and dropped, and participants
@@ -481,7 +395,7 @@ func (ct *coordTx) takeReservation(dst int, typ proto.RecordType) int {
 // backing store of rec.TruncIDs), safe.
 type recWrite struct {
 	m   *Machine
-	ct  *coordTx
+	t   *Tx
 	dst int
 	rec proto.Record
 	ids []uint64
@@ -492,18 +406,18 @@ type recWrite struct {
 
 // newRecWrite returns a pooled recWrite of a record of type typ from
 // transaction tx, for dst's log.
-func (m *Machine) newRecWrite(ct *coordTx, dst int, typ proto.RecordType, tx proto.TxID) *recWrite {
+func (m *Machine) newRecWrite(t *Tx, dst int, typ proto.RecordType, tx proto.TxID) *recWrite {
 	op := m.recWrites.Get()
-	op.ct, op.dst = ct, dst
+	op.t, op.dst = t, dst
 	op.rec = proto.Record{Type: typ, Tx: tx, TruncIDs: op.ids[:0]}
 	return op
 }
 
-// writeTxRecord sends ct's record of the given type to g's machine: LOCK
+// writeTxRecord sends t's record of the given type to g's machine: LOCK
 // and COMMIT-BACKUP carry the group's writes, the others only the header.
-func (m *Machine) writeTxRecord(ct *coordTx, typ proto.RecordType, g *destGroup) {
-	op := m.newRecWrite(ct, g.dst, typ, ct.id)
-	op.rec.Regions = ct.writeRegions
+func (m *Machine) writeTxRecord(t *Tx, typ proto.RecordType, g *destGroup) {
+	op := m.newRecWrite(t, g.dst, typ, t.id)
+	op.rec.Regions = t.writeRegions
 	switch typ {
 	case proto.RecLock:
 		op.rec.Writes = g.primWrites
@@ -519,12 +433,12 @@ func (m *Machine) writeTxRecord(ct *coordTx, typ proto.RecordType, g *destGroup)
 		*m.c.cCPURecords += uint64(objs)
 		cost = cpuLocal + objs
 	}
-	m.OnThread(ct.tx.thread, cost, op.runFn)
+	m.OnThread(t.thread, cost, op.runFn)
 }
 
 func (op *recWrite) run() {
 	p := op.m.peer(op.dst)
-	if !op.write(p, op.ct.takeReservation(p.id, op.rec.Type)) {
+	if !op.write(p, op.t.takeReservation(p.id, op.rec.Type)) {
 		// Only possible when the reservation is gone (unreserved write).
 		op.ack(ErrNoSpace)
 	}
@@ -551,11 +465,11 @@ func (op *recWrite) write(p *peer, reserved int) bool {
 // piggybacked truncations, recycle, report a write that failed for good,
 // then advance the commit protocol.
 func (op *recWrite) ack(err error) {
-	m, ct, dst, typ := op.m, op.ct, op.dst, op.rec.Type
+	m, t, dst, typ := op.m, op.t, op.dst, op.rec.Type
 	if err == nil {
 		m.truncDelivered(m.peer(dst), len(op.rec.TruncIDs), typ == proto.RecTruncate)
 	}
-	op.ct, op.rec = nil, proto.Record{}
+	op.t, op.rec = nil, proto.Record{}
 	m.recWrites.Put(op)
 	if err != nil && err != ErrNoSpace && m.alive {
 		// Whatever the record: a ring on which only TRUNCATEs failed holds
@@ -564,21 +478,21 @@ func (op *recWrite) ack(err error) {
 	}
 	switch typ {
 	case proto.RecAbort:
-		m.onAbortAck(ct)
+		m.onAbortAck(t)
 	case proto.RecCommitBackup:
-		m.onBackupAck(ct, dst, err)
+		m.onBackupAck(t, dst, err)
 	case proto.RecCommitPrimary:
-		m.onPrimaryAck(ct, dst, err)
+		m.onPrimaryAck(t, dst, err)
 	}
 }
 
 // sendLocks writes a LOCK record to the log at every primary of a written
 // object (§4 step 1).
-func (m *Machine) sendLocks(ct *coordTx) {
-	ct.lockOutstanding = ct.primaries
-	for i := range ct.groups {
-		if g := &ct.groups[i]; len(g.primWrites) > 0 {
-			m.writeTxRecord(ct, proto.RecLock, g)
+func (m *Machine) sendLocks(t *Tx) {
+	t.lockOutstanding = t.primaries
+	for i := range t.groups {
+		if g := &t.groups[i]; len(g.primWrites) > 0 {
+			m.writeTxRecord(t, proto.RecLock, g)
 		}
 	}
 }
@@ -588,41 +502,41 @@ func (m *Machine) sendLocks(ct *coordTx) {
 // Each primary's first verdict counts; the fabric may deliver a LOCK-REPLY
 // twice.
 func (m *Machine) onLockReply(src int, tx proto.TxID, ok bool) {
-	ct := m.inflight[tx]
-	if ct == nil || ct.recovering || ct.phase != phaseLock {
+	t := m.inflight[tx]
+	if t == nil || t.recovering || t.phase != phaseLock {
 		return
 	}
-	g := ct.group(src)
+	g := t.group(src)
 	if g == nil || len(g.primWrites) == 0 || g.lockAnswered {
 		return
 	}
 	g.lockAnswered = true
 	if !ok {
-		ct.lockFailed = true
+		t.lockFailed = true
 	}
-	ct.lastProgress = m.c.Eng.Now()
-	ct.lockOutstanding--
-	if ct.lockOutstanding > 0 {
+	t.lastProgress = m.c.Eng.Now()
+	t.lockOutstanding--
+	if t.lockOutstanding > 0 {
 		return
 	}
-	if ct.lockFailed {
-		m.abortTx(ct, ErrConflict)
+	if t.lockFailed {
+		m.abortTx(t, ErrConflict)
 		return
 	}
-	ct.phase = phaseValidate
-	m.validate(ct)
+	t.phase = phaseValidate
+	m.validate(t)
 }
 
 // abortTx writes ABORT records to all lock-phase primaries, releases
 // unused reservations, and reports the conflict (§4 step 1).
-func (m *Machine) abortTx(ct *coordTx, err error) {
-	ct.phase = phaseDone
-	m.endPhase(ct)
-	delete(m.inflight, ct.id)
-	ct.tx.releaseAllocs()
-	ct.abortOutstanding = ct.primaries
-	for i := range ct.groups {
-		g := &ct.groups[i]
+func (m *Machine) abortTx(t *Tx, err error) {
+	t.phase = phaseDone
+	m.endPhase(t)
+	delete(m.inflight, t.id)
+	t.releaseAllocs()
+	t.abortOutstanding = t.primaries
+	for i := range t.groups {
+		g := &t.groups[i]
 		// No backup will see this transaction: release its COMMIT-BACKUP
 		// space and, for pure backups, their pooled truncate reservation —
 		// they get no record to truncate.
@@ -635,28 +549,27 @@ func (m *Machine) abortTx(ct *coordTx, err error) {
 			m.truncPoolRelease(p)
 			continue
 		}
-		m.writeTxRecord(ct, proto.RecAbort, g)
+		m.writeTxRecord(t, proto.RecAbort, g)
 	}
 	m.c.Counters.Inc("tx_aborted", 1)
 	m.Aborted++
-	ct.cb(err)
+	t.report(err)
 }
 
 // onAbortAck queues the aborted transaction's truncation once every
 // primary's ABORT record is acked (delivered or given up on).
-func (m *Machine) onAbortAck(ct *coordTx) {
-	ct.abortOutstanding--
-	if ct.abortOutstanding == 0 && m.alive {
-		m.queueTruncation(ct, true)
+func (m *Machine) onAbortAck(t *Tx) {
+	t.abortOutstanding--
+	if t.abortOutstanding == 0 && m.alive {
+		m.queueTruncation(t, true)
 	}
 }
 
 // validate is a read-write commit's step 2 (§4): every read-but-not-written
 // object goes through validateSet, and the last success moves on to
 // COMMIT-BACKUP.
-func (m *Machine) validate(ct *coordTx) {
-	m.beginPhase(ct, "VALIDATE")
-	t := ct.tx
+func (m *Machine) validate(t *Tx) {
+	m.beginPhase(t, "VALIDATE")
 	var vs []valRead
 	if !m.c.Opts.SkipReadValidation {
 		// (Options.SkipReadValidation is a TEST-ONLY consistency bug: commit
@@ -664,12 +577,11 @@ func (m *Machine) validate(ct *coordTx) {
 		vs = t.validationSet(0, 0)
 	}
 	if len(vs) == 0 {
-		ct.phase = phaseCommitBackup
-		m.commitBackups(ct)
+		t.phase = phaseCommitBackup
+		m.commitBackups(t)
 		return
 	}
-	t.ct = ct
-	t.validateSet(vs, ct.phaseCtx)
+	t.validateSet(vs, t.phaseCtx)
 }
 
 // commitReadOnly commits a transaction that wrote nothing. It serializes at
@@ -722,7 +634,7 @@ func (t *Tx) validateSet(vs []valRead, ctx trace.Ctx) {
 				switch {
 				case err == nil:
 					t.validated(resp.(*proto.ValidateReply).OK)
-				case t.ct == nil && !t.valFailed:
+				case t.nWrites == 0 && !t.valFailed:
 					t.m.c.Counters.Inc("tx_ro_validate_stalled", 1)
 					t.valFail(ErrAborted)
 				}
@@ -744,42 +656,43 @@ func (t *Tx) validateSet(vs []valRead, ctx trace.Ctx) {
 // validated acts on one verdict of t's validation: a header load, a
 // one-sided read or a VALIDATE-REPLY. The first failure aborts the commit;
 // verdicts after it are ignored, as are those reaching a read-write commit
-// that left the validate phase (the stall sweep aborted it) or is
-// recovering. After the last success a read-write commit moves on to
-// COMMIT-BACKUP and a read-only commit is reported.
+// that left the validate phase (the stall sweep aborted it, or its
+// truncation has finished since) or is recovering. After the last success a
+// read-write commit moves on to COMMIT-BACKUP and a read-only commit is
+// reported.
 func (t *Tx) validated(ok bool) {
-	ct := t.ct
-	if t.valFailed || ct != nil && (ct.phase != phaseValidate || ct.recovering) {
+	rw := t.nWrites > 0
+	if t.valFailed || rw && (t.phase != phaseValidate || t.recovering) {
 		return
 	}
 	if !ok {
 		t.valFail(ErrConflict)
 		return
 	}
-	if ct != nil {
-		ct.lastProgress = t.m.c.Eng.Now()
+	if rw {
+		t.lastProgress = t.m.c.Eng.Now()
 	}
 	t.valLeft--
 	if t.valLeft > 0 {
 		return
 	}
-	if ct == nil {
+	if !rw {
 		// The report is lease-fenced like the read-write path, so a
 		// coordinator that validated against replicas the configuration has
 		// moved past cannot vouch for a stale snapshot.
-		t.m.reportCommitted(t.reportFn)
+		t.m.reportCommitted(t)
 		return
 	}
-	ct.phase = phaseCommitBackup
-	t.m.commitBackups(ct)
+	t.phase = phaseCommitBackup
+	t.m.commitBackups(t)
 }
 
 // valFail ends t's validation with err: a read-write commit aborts, which
 // releases its locks; a read-only commit is reported aborted.
 func (t *Tx) valFail(err error) {
 	t.valFailed = true
-	if t.ct != nil {
-		t.m.abortTx(t.ct, err)
+	if t.nWrites > 0 {
+		t.m.abortTx(t, err)
 		return
 	}
 	t.m.Aborted++
@@ -971,23 +884,23 @@ func validHeaderWord(word, version uint64) bool {
 // commitBackups writes COMMIT-BACKUP records to every backup's
 // non-volatile log and waits for all hardware acks, without interrupting
 // any backup CPU (§4 step 3).
-func (m *Machine) commitBackups(ct *coordTx) {
-	m.beginPhase(ct, "COMMIT-BACKUP")
-	ct.cbOutstanding = ct.backups
-	if ct.backups == 0 {
-		ct.phase = phaseCommitPrimary
-		m.commitPrimaries(ct)
+func (m *Machine) commitBackups(t *Tx) {
+	m.beginPhase(t, "COMMIT-BACKUP")
+	t.cbOutstanding = t.backups
+	if t.backups == 0 {
+		t.phase = phaseCommitPrimary
+		m.commitPrimaries(t)
 		return
 	}
-	for i := range ct.groups {
-		if g := &ct.groups[i]; len(g.backupWrites) > 0 {
-			m.writeTxRecord(ct, proto.RecCommitBackup, g)
+	for i := range t.groups {
+		if g := &t.groups[i]; len(g.backupWrites) > 0 {
+			m.writeTxRecord(t, proto.RecCommitBackup, g)
 		}
 	}
 }
 
-func (m *Machine) onBackupAck(ct *coordTx, bm int, err error) {
-	if !m.alive || ct.recovering || ct.phase != phaseCommitBackup {
+func (m *Machine) onBackupAck(t *Tx, bm int, err error) {
+	if !m.alive || t.recovering || t.phase != phaseCommitBackup {
 		return
 	}
 	if err != nil {
@@ -1000,28 +913,28 @@ func (m *Machine) onBackupAck(ct *coordTx, bm int, err error) {
 	if !m.isMember(bm) {
 		return
 	}
-	ct.cbOutstanding--
-	if ct.cbOutstanding == 0 {
-		ct.phase = phaseCommitPrimary
-		m.commitPrimaries(ct)
+	t.cbOutstanding--
+	if t.cbOutstanding == 0 {
+		t.phase = phaseCommitPrimary
+		m.commitPrimaries(t)
 	}
 }
 
 // commitPrimaries writes COMMIT-PRIMARY records; completion is reported to
 // the application on the first hardware ack (§4 step 4). Truncation is
 // queued once all primaries acked (§4 step 5).
-func (m *Machine) commitPrimaries(ct *coordTx) {
-	m.beginPhase(ct, "COMMIT-PRIMARY")
-	ct.cpOutstanding = ct.primaries
-	for i := range ct.groups {
-		if g := &ct.groups[i]; len(g.primWrites) > 0 {
-			m.writeTxRecord(ct, proto.RecCommitPrimary, g)
+func (m *Machine) commitPrimaries(t *Tx) {
+	m.beginPhase(t, "COMMIT-PRIMARY")
+	t.cpOutstanding = t.primaries
+	for i := range t.groups {
+		if g := &t.groups[i]; len(g.primWrites) > 0 {
+			m.writeTxRecord(t, proto.RecCommitPrimary, g)
 		}
 	}
 }
 
-func (m *Machine) onPrimaryAck(ct *coordTx, pm int, err error) {
-	if !m.alive || ct.recovering {
+func (m *Machine) onPrimaryAck(t *Tx, pm int, err error) {
+	if !m.alive || t.recovering {
 		return
 	}
 	if err != nil {
@@ -1030,16 +943,16 @@ func (m *Machine) onPrimaryAck(ct *coordTx, pm int, err error) {
 	if !m.isMember(pm) {
 		return
 	}
-	if !ct.reported {
-		ct.reported = true
-		m.reportCommitted(ct.cb)
+	if !t.reported {
+		t.reported = true
+		m.reportCommitted(t)
 	}
-	ct.cpOutstanding--
-	if ct.cpOutstanding == 0 {
-		ct.phase = phaseDone
-		m.endPhase(ct)
-		delete(m.inflight, ct.id)
-		m.queueTruncation(ct, false)
+	t.cpOutstanding--
+	if t.cpOutstanding == 0 {
+		t.phase = phaseDone
+		m.endPhase(t)
+		delete(m.inflight, t.id)
+		m.queueTruncation(t, false)
 	}
 }
 
@@ -1083,16 +996,16 @@ func (m *Machine) flushFencedReports() {
 
 // reportCommitted finalizes a successful commit at the application. Only a
 // fenced report needs a closure to defer; the common one runs at once.
-func (m *Machine) reportCommitted(cb func(error)) {
+func (m *Machine) reportCommitted(t *Tx) {
 	if !m.selfLeaseOK() {
-		m.fencedReport(func() { m.committed(cb) })
+		m.fencedReport(func() { m.committed(t) })
 		return
 	}
-	m.committed(cb)
+	m.committed(t)
 }
 
-func (m *Machine) committed(cb func(error)) {
+func (m *Machine) committed(t *Tx) {
 	m.Committed++
 	m.c.Counters.Inc("tx_committed", 1)
-	cb(nil)
+	t.report(nil)
 }

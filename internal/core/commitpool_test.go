@@ -11,10 +11,10 @@ import (
 )
 
 // The tests here hold the coordinator's pooled commit state to its rule
-// (DESIGN.md §12, "Pooled objects"): a coordTx goes back to its
-// machine's pool when its truncation finished, and a LOCK-REPLY to its
-// sender's when the fabric reclaims the frame that carried it; nothing that
-// outlives either may act through it.
+// (DESIGN.md §12, "Pooled objects"): a Tx goes back to its machine's pool
+// only once its commit retired and no verdict is due to it, and a
+// LOCK-REPLY to its sender's when the fabric reclaims the frame that carried
+// it; nothing that outlives either may act through it.
 
 // regionAvoiding creates regions until one has none of avoid among its
 // replicas and a primary outside primaryNot.
@@ -42,12 +42,15 @@ func regionAvoiding(t *testing.T, c *Cluster, avoid, primaryNot []int) uint32 {
 }
 
 // TestLateVerdictAfterRecycleIsIgnored: a read-write commit whose one-sided
-// validation read is held up on the wire is aborted by the stall sweep; its
-// truncation finishes and its coordTx goes back to the pool, and a second
-// commit of the same machine takes it. When the first commit's verdict
-// finally lands — a success — it must not count for the second commit,
-// whose own read went stale and must abort. The outcomes match a twin run
-// in which the second commit gets a fresh coordTx.
+// validation read is held up on the wire is aborted by the stall sweep, and
+// its truncation finishes, which retires the commit while the verdict is
+// still due to its Tx. That Tx must not be recycled early: Begin hands out
+// every other Tx the machine's pool holds, and a fresh one, before it. A
+// second commit of the same machine runs while the first commit's verdict
+// finally lands — a success — which must not count for it: its own read went
+// stale and must abort. The outcomes match a twin run in which the second
+// commit's Tx is made fresh instead of taken from the pool, and in both the
+// first Tx goes back once its verdict has landed.
 func TestLateVerdictAfterRecycleIsIgnored(t *testing.T) {
 	type outcome struct{ first, second error }
 	run := func(reuse bool) outcome {
@@ -64,17 +67,11 @@ func TestLateVerdictAfterRecycleIsIgnored(t *testing.T) {
 		w := writeObjectIn(t, c, c.Machine(int(c.Machine(0).mapping(writeRegion).Replicas[0])), writeRegion, []byte("wwwwwwww"))
 		c.RunFor(20 * sim.Millisecond)
 
-		// Both transactions execute now: each reads an object of prim and
-		// writes w.
-		tx1, tx2 := coord.Begin(0), coord.Begin(1)
-		for _, x := range []struct {
-			tx *Tx
-			r  proto.Addr
-		}{{tx1, a}, {tx2, b}} {
-			txRead(t, c, x.tx, x.r, 8)
-			txRead(t, c, x.tx, w, 8)
-			x.tx.Write(w, []byte("xxxxxxxx"))
-		}
+		// The first transaction reads an object of prim and writes w.
+		tx1 := coord.Begin(0)
+		txRead(t, c, tx1, a, 8)
+		txRead(t, c, tx1, w, 8)
+		tx1.Write(w, []byte("xxxxxxxx"))
 
 		const late = 80 * sim.Millisecond
 		link := func(d sim.Time) {
@@ -84,18 +81,37 @@ func TestLateVerdictAfterRecycleIsIgnored(t *testing.T) {
 		var out outcome
 		reported := 0
 		tx1.Commit(func(err error) { out.first = err; reported++ })
-		runUntil(t, c, sim.Second, func() bool { return tx1.ct != nil })
-		ct1, validating := tx1.ct, c.Eng.Now()
-		runUntil(t, c, sim.Second, func() bool { return reported == 1 && coord.commits.Holds(ct1) })
+		runUntil(t, c, sim.Second, func() bool { return tx1.phase == phaseValidate })
+		validating := c.Eng.Now()
+		runUntil(t, c, sim.Second, func() bool { return reported == 1 && tx1.phase == phaseIdle })
 		if out.first != ErrAborted {
 			t.Fatalf("first commit: %v, want the stall sweep's ErrAborted", out.first)
 		}
 		if got := c.Eng.Now(); got > validating+late-10*sim.Millisecond {
-			t.Fatalf("first commit recycled %v after it began validating, too close to its verdict at %v", got-validating, late)
+			t.Fatalf("first commit retired %v after it began validating, too close to its verdict at %v", got-validating, late)
+		}
+		held := []*Tx{coord.Begin(0)}
+		for coord.txs.Len() > 0 {
+			held = append(held, coord.Begin(0))
+		}
+		for _, tx := range held {
+			if tx == tx1 {
+				t.Fatal("Begin handed out a Tx a verdict is still due to")
+			}
+			tx.Abort()
 		}
 
-		// b goes stale, and the second commit's validation read returns
-		// 5 ms after the first commit's.
+		// The second transaction reads b and writes w; then b goes stale,
+		// and the second commit's validation read returns 5 ms after the
+		// first commit's.
+		c.Net.HealLink(fabric.MachineID(prim.ID), fabric.MachineID(coord.ID))
+		if !reuse {
+			coord.txs = pool.Free[Tx]{New: coord.txs.New}
+		}
+		tx2 := coord.Begin(1)
+		txRead(t, c, tx2, b, 8)
+		txRead(t, c, tx2, w, 8)
+		tx2.Write(w, []byte("yyyyyyyy"))
 		var staled bool
 		var err error
 		update(t, prim, 2, b, []byte("BBBBBBBB"), &staled, &err)
@@ -103,22 +119,21 @@ func TestLateVerdictAfterRecycleIsIgnored(t *testing.T) {
 		if err != nil {
 			t.Fatalf("update of b: %v", err)
 		}
+		if c.Eng.Now() > validating+late-10*sim.Millisecond {
+			t.Fatalf("set-up took until %v after the first commit began validating, too close to its verdict at %v", c.Eng.Now()-validating, late)
+		}
 		c.RunFor(validating + late - 5*sim.Millisecond - c.Eng.Now())
 		link(10 * sim.Millisecond)
-		if !reuse {
-			coord.commits = pool.Free[coordTx]{}
-		}
 		tx2.Commit(func(err error) { out.second = err; reported++ })
-		runUntil(t, c, sim.Second, func() bool { return tx2.ct != nil })
-		if (tx2.ct == ct1) != reuse {
-			t.Fatalf("second commit took the recycled coordTx: %v, want %v", tx2.ct == ct1, reuse)
-		}
 		runUntil(t, c, sim.Second, func() bool { return reported == 2 })
+		if !coord.txs.Holds(tx1) {
+			t.Fatal("the first Tx did not go back to the pool once its verdict landed")
+		}
 		return out
 	}
 	pooled, fresh := run(true), run(false)
 	if pooled != fresh {
-		t.Fatalf("with the recycled coordTx: %+v; with a fresh one: %+v", pooled, fresh)
+		t.Fatalf("with a pooled Tx: %+v; with a fresh one: %+v", pooled, fresh)
 	}
 	if pooled.second != ErrConflict {
 		t.Fatalf("second commit over a stale read: %v, want ErrConflict", pooled.second)

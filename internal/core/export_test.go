@@ -19,11 +19,12 @@ func (m *Machine) ChunkPool() (free, inUse []int) {
 
 // OpenPools reports every pool of m — its own, its log writers' and its
 // chunk pool's size classes, its lease manager's aside — that has objects
-// taken and not given back, and every field of those owners that looks like
-// a free list written by hand. None is left once the load stopped and the
-// cluster drained.
+// taken and not given back, every field of those owners that looks like a
+// free list written by hand, and every Tx waiting in m's pool that pins
+// application bytes. None is left once the load stopped and the cluster
+// drained.
 func (m *Machine) OpenPools() []string {
-	open := OpenPoolsOf(m)
+	open := append(OpenPoolsOf(m), m.pooledTxPins()...)
 	for c, n := range m.chunks.inUse {
 		if n != 0 {
 			open = append(open, fmt.Sprintf("%d chunks of class %d", n, c))
@@ -35,6 +36,52 @@ func (m *Machine) OpenPools() []string {
 		}
 	}
 	return open
+}
+
+// pooledTxPins reports every Tx waiting in m's pool that holds a commit's
+// write list, or a write-slab element whose Value — an application's bytes
+// — is not cleared. It takes them out of the pool and puts them back in the
+// order they were in.
+func (m *Machine) pooledTxPins() []string {
+	var pins []string
+	held := make([]*Tx, 0, m.txs.Len())
+	for m.txs.Len() > 0 {
+		held = append(held, m.txs.Get())
+	}
+	for i := len(held) - 1; i >= 0; i-- {
+		t := held[i]
+		lists, values := 0, 0
+		for _, g := range t.groups[:cap(t.groups)] {
+			if g.primWrites != nil || g.backupWrites != nil {
+				lists++
+			}
+		}
+		for _, w := range t.writeSlab[:cap(t.writeSlab)] {
+			if w.Value != nil {
+				values++
+			}
+		}
+		if lists > 0 || values > 0 {
+			pins = append(pins, fmt.Sprintf("a pooled Tx holds %d participants' write lists and %d written values", lists, values))
+		}
+		m.txs.Put(t)
+	}
+	return pins
+}
+
+// HoldLog reserves the free space of m's log at dst, so that a commit with a
+// record for dst is refused for log space (ErrNoSpace), and returns what
+// gives it back.
+func (m *Machine) HoldLog(dst int) (release func()) {
+	w, n := m.peer(dst).logW, 0
+	for w.Reserve(0) {
+		n++
+	}
+	return func() {
+		for range n {
+			w.Release(0)
+		}
+	}
 }
 
 // LeaseMessagesInUse is the objects m's lease manager has out of its pools:

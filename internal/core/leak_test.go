@@ -16,7 +16,9 @@ import (
 // then the generator stops and the cluster drains. Every object a pool
 // handed out — the machines', their log writers', their chunk pools' and
 // the workload's — is back: an operation path that drops what it took, or
-// a pool written by hand beside internal/pool, fails here. Lease traffic
+// a pool written by hand beside internal/pool, fails here, and so does a
+// Tx waiting in its machine's pool that still holds a commit's write lists
+// or written values, which alias application bytes. Lease traffic
 // never stops, so the lease pools only stay within the messages in flight.
 func TestPoolsDrainAfterTheLoad(t *testing.T) {
 	type setup func(c *core.Cluster) (op loadgen.Op, owners []any, err error)

@@ -233,7 +233,7 @@ type Machine struct {
 	// Coordinator-side state. truncThreads holds, per own thread, the local
 	// ids truncated at every participant; the low bound rides on records
 	// (Table 1) so participants can compact their sets (§5.3 step 6).
-	inflight     map[proto.TxID]*coordTx
+	inflight     map[proto.TxID]*Tx
 	nextLocal    []uint64
 	truncThreads []idWindow
 
@@ -295,7 +295,6 @@ type Machine struct {
 	polls       pool.Free[pollTask]
 	reads       pool.Free[readOp]
 	recWrites   pool.Free[recWrite]
-	commits     pool.Free[coordTx]
 	vals        pool.Free[valOp]
 	verdicts    pool.Free[lockVerdict]
 	records     pool.Free[proto.Record]
@@ -491,7 +490,7 @@ func (c *Cluster) newMachine(id int) *Machine {
 		pool:      sim.NewThreadPool(c.Eng, c.Opts.Threads, fmt.Sprintf("m%d", id)),
 		alive:     true,
 		pend:      make(map[mtl]*remoteTx),
-		inflight:  make(map[proto.TxID]*coordTx),
+		inflight:  make(map[proto.TxID]*Tx),
 		nextLocal: make([]uint64, c.Opts.Threads),
 
 		truncThreads: make([]idWindow, c.Opts.Threads),
@@ -527,7 +526,7 @@ func (m *Machine) initPools() {
 	}}
 	m.txs = pool.Free[Tx]{Checked: checked, New: func() *Tx {
 		t := &Tx{m: m, set: make([]txEntry, 0, 4)}
-		t.reportFn = t.report
+		t.failFn = t.fail
 		return t
 	}}
 	m.allocs = pool.Free[allocOp]{Checked: checked, New: func() *allocOp {
@@ -559,7 +558,6 @@ func (m *Machine) initPools() {
 		op.ackFn = op.ack
 		return op
 	}}
-	m.commits = pool.Free[coordTx]{Checked: checked}
 	m.vals = pool.Free[valOp]{Checked: checked, New: func() *valOp {
 		op := &valOp{m: m}
 		op.readFn = op.readDone
@@ -599,13 +597,6 @@ func (m *Machine) initLogs() {
 
 // Alive reports whether the machine's process is running.
 func (m *Machine) Alive() bool { return m.alive }
-
-// Eng returns the simulation engine (for workloads running "on" the
-// machine).
-func (m *Machine) Eng() *sim.Engine { return m.c.Eng }
-
-// Opts returns the cluster options.
-func (m *Machine) Opts() *Options { return &m.c.Opts }
 
 // ConfigID returns the machine's current configuration id.
 func (m *Machine) ConfigID() uint64 { return m.config.ID }
@@ -1169,9 +1160,6 @@ const anyThread = -1
 func (m *Machine) send(dst int, msg interface{}) { m.sendMsg(anyThread, dst, msg, m.curCtx) }
 func (m *Machine) sendCtx(dst int, msg interface{}, ctx trace.Ctx) {
 	m.sendMsg(anyThread, dst, msg, ctx)
-}
-func (m *Machine) sendFromThread(thread, dst int, msg interface{}) {
-	m.sendMsg(thread, dst, msg, m.curCtx)
 }
 func (m *Machine) sendFromThreadCtx(thread, dst int, msg interface{}, ctx trace.Ctx) {
 	m.sendMsg(thread, dst, msg, ctx)

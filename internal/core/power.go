@@ -68,9 +68,9 @@ func (c *Cluster) RestorePower() {
 		// Every in-flight transaction's completions were lost with the
 		// outage: mark them recovering now so stray replies produced while
 		// reprocessing logs below cannot drive the normal path.
-		for _, ct := range m.inflight {
-			if ct.phase != phaseDone {
-				ct.recovering = true
+		for _, t := range m.inflight {
+			if t.phase != phaseDone {
+				t.recovering = true
 			}
 		}
 	}
@@ -162,14 +162,14 @@ func (c *Cluster) reestablishRings() {
 			toMe.logW = ring.NewWriter(sender.nic, fabric.MachineID(m.ID),
 				toNVRAM(logRegionID(src)), c.Opts.LogCapacity)
 			// Reserve the pooled truncate-record slots again, one for each
-			// transaction queued toward m and each still committing with
-			// it; an aborted transaction whose ABORT acks died with the old
+			// transaction queued toward m and each whose commit with it is
+			// still under way; an aborted transaction whose ABORT acks died with the old
 			// writer never queues, and its slot goes. Every queued id is
 			// sent again: carriers in flight died with the old writer too.
 			q := &toMe.truncQ
 			q.pool, q.sent = len(q.txs), 0
-			for _, ct := range sender.inflight {
-				if g := ct.group(m.ID); g != nil {
+			for _, t := range sender.inflight {
+				if g := t.group(m.ID); g != nil {
 					q.pool += g.res.pooled
 				}
 			}
@@ -186,9 +186,9 @@ func (c *Cluster) reestablishRings() {
 		if !m.alive {
 			continue
 		}
-		for _, ct := range m.inflight {
-			for i := range ct.groups {
-				g := &ct.groups[i]
+		for _, t := range m.inflight {
+			for i := range t.groups {
+				g := &t.groups[i]
 				g.res = resSet{pooled: g.res.pooled}
 			}
 		}

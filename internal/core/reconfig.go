@@ -448,9 +448,9 @@ func (m *Machine) onNewConfig(src int, nc *proto.NewConfig) {
 		}
 	}
 	// Classify in-flight transactions (§5.3 step 3, coordinator side).
-	for _, ct := range m.inflight {
-		if m.coordTxRecovering(ct) {
-			ct.recovering = true
+	for _, t := range m.inflight {
+		if m.commitRecovering(t) {
+			t.recovering = true
 		}
 	}
 	// Step 6: "It also starts blocking requests from external clients."
@@ -466,21 +466,21 @@ func (m *Machine) onNewConfig(src int, nc *proto.NewConfig) {
 	m.failCalls(func(c pendingCall) bool { return !m.isMember(c.dst) || c.every > 0 && c.cfg < m.config.ID })
 }
 
-// coordTxRecovering evaluates the recovering predicate with the
+// commitRecovering evaluates the recovering predicate with the
 // coordinator's full knowledge: written regions' replica epochs, read
 // regions' primary epochs, and its own membership (§5.3 step 3).
-func (m *Machine) coordTxRecovering(ct *coordTx) bool {
-	if ct.id.Config >= m.config.ID || ct.phase == phaseDone {
+func (m *Machine) commitRecovering(t *Tx) bool {
+	if t.id.Config >= m.config.ID || t.phase == phaseDone {
 		return false
 	}
-	for _, region := range ct.writeRegions {
+	for _, region := range t.writeRegions {
 		rm := m.mapping(region)
 		if rm == nil || rm.LastReplicaChange >= m.config.ID {
 			return true
 		}
 	}
-	for i := range ct.tx.set {
-		e := &ct.tx.set[i]
+	for i := range t.set {
+		e := &t.set[i]
 		if !e.read {
 			continue
 		}

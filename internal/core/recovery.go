@@ -258,10 +258,10 @@ func (m *Machine) findRecoveringTxs() {
 	// Coordinator side: collect votes for our own recovering transactions.
 	// One with no write region (read-set-only recovery) aborts.
 	for _, id := range sortedKeys(m.inflight, txIDCmp) {
-		if ct := m.inflight[id]; ct.recovering {
-			vc := m.collectVotes(ct.id, ct.writeRegions)
-			for i := range ct.groups {
-				vc.addParticipant(ct.groups[i].dst)
+		if t := m.inflight[id]; t.recovering {
+			vc := m.collectVotes(t.id, t.writeRegions)
+			for i := range t.groups {
+				vc.addParticipant(t.groups[i].dst)
 			}
 			if len(vc.regions) == 0 {
 				m.decide(vc, false)
@@ -865,27 +865,29 @@ func (m *Machine) decide(vc *voteCollector, commit bool) {
 		}
 	}
 	// Finish our own in-flight transaction, preserving any outcome
-	// already reported to the application.
-	if ct, ok := m.inflight[vc.id]; ok {
+	// already reported to the application. Its Tx stays in phaseDone, out
+	// of its pool, and goes to the collector: records written before
+	// recovery may still be acked to it.
+	if t, ok := m.inflight[vc.id]; ok {
 		delete(m.inflight, vc.id)
-		ct.phase = phaseDone
+		t.phase = phaseDone
 		// The records recovery makes unnecessary are never written, so
 		// their log reservations must be returned (they would otherwise
 		// leak ring space forever).
-		m.releaseCoordReservations(ct)
+		m.releaseCoordReservations(t)
 		if commit {
-			if !ct.reported {
-				ct.reported = true
-				m.reportCommitted(ct.cb)
+			if !t.reported {
+				t.reported = true
+				m.reportCommitted(t)
 			}
 		} else {
-			if ct.reported {
+			if t.reported {
 				panic("farm: recovery aborted a transaction already reported committed")
 			}
-			ct.tx.releaseAllocs()
+			t.releaseAllocs()
 			m.Aborted++
 			m.c.Counters.Inc("tx_aborted", 1)
-			ct.cb(ErrAborted)
+			t.report(ErrAborted)
 		}
 	}
 	if vc.unacked == 0 {

@@ -76,10 +76,10 @@ func (w *idWindow) advance() {
 // they hold, one each (§4). txs[:sent] ride carriers in flight, txs[sent:]
 // wait for one; a carrier's ack pops its ids off the head.
 type truncQueue struct {
-	txs  []*coordTx
+	txs  []*Tx
 	sent int
-	// pool counts the queued transactions' slots and those of transactions
-	// still committing toward the peer. A TRUNCATE record in flight writes
+	// pool counts the queued transactions' slots and those of commits
+	// toward the peer still under way. A TRUNCATE record in flight writes
 	// in one of the slots it counts; the ack returns the rest.
 	pool       int
 	flushArmed bool
@@ -114,56 +114,58 @@ func (m *Machine) truncPoolRelease(p *peer) {
 
 // endTruncSpan closes a transaction's TRUNCATE span once every participant
 // has had the truncation delivered (or left the configuration).
-func (m *Machine) endTruncSpan(ct *coordTx) {
-	if ct.truncCtx.Valid() {
-		m.trb.End(ct.truncCtx, m.c.Eng.Now(), 0)
-		ct.truncCtx = trace.Ctx{}
+func (m *Machine) endTruncSpan(t *Tx) {
+	if t.truncCtx.Valid() {
+		m.trb.End(t.truncCtx, m.c.Eng.Now(), 0)
+		t.truncCtx = trace.Ctx{}
 	}
 }
 
 // queueTruncation queues a finished transaction at each participant (after
 // an abort: at the primaries only, the one place that saw records), where
 // it keeps the pooled slot it reserved, and arms the flush timer.
-func (m *Machine) queueTruncation(ct *coordTx, primariesOnly bool) {
-	if ct.traceCtx.Valid() {
-		n := len(ct.groups)
+func (m *Machine) queueTruncation(t *Tx, primariesOnly bool) {
+	if t.traceCtx.Valid() {
+		n := len(t.groups)
 		if primariesOnly {
-			n = ct.primaries
+			n = t.primaries
 		}
-		ct.truncCtx = m.trb.Begin("tx", "TRUNCATE", m.c.Eng.Now(),
-			ct.traceCtx.Trace, ct.traceCtx.Span, int64(n))
+		t.truncCtx = m.trb.Begin("tx", "TRUNCATE", m.c.Eng.Now(),
+			t.traceCtx.Trace, t.traceCtx.Span, int64(n))
 	}
-	for i := range ct.groups {
-		g := &ct.groups[i]
+	for i := range t.groups {
+		g := &t.groups[i]
 		if (primariesOnly && len(g.primWrites) == 0) || !m.isMember(g.dst) {
 			continue
 		}
-		ct.truncLeft++
+		t.truncLeft++
 		p := m.peer(g.dst)
-		p.truncQ.txs = append(p.truncQ.txs, ct)
+		p.truncQ.txs = append(p.truncQ.txs, t)
 		m.armTruncFlush(p)
 	}
-	if ct.truncLeft == 0 {
-		m.truncFinished(ct)
+	if t.truncLeft == 0 {
+		m.truncFinished(t)
 	}
 }
 
-// truncDone notes that one more participant no longer awaits ct's
+// truncDone notes that one more participant no longer awaits t's
 // truncation; after the last, the local id retires, advancing the thread's
 // low bound.
-func (m *Machine) truncDone(ct *coordTx) {
-	if ct.truncLeft--; ct.truncLeft == 0 {
-		m.truncFinished(ct)
+func (m *Machine) truncDone(t *Tx) {
+	if t.truncLeft--; t.truncLeft == 0 {
+		m.truncFinished(t)
 	}
 }
 
-// truncFinished retires a transaction no participant awaits truncation of.
-// Nothing holds its coordTx any more — no truncation queue, record write or
-// inflight entry — so it goes back to the pool.
-func (m *Machine) truncFinished(ct *coordTx) {
-	m.truncThreads[ct.id.Thread].add(ct.id.Local)
-	m.endTruncSpan(ct)
-	m.putCoordTx(ct)
+// truncFinished retires a transaction no participant awaits truncation of:
+// no truncation queue, record write or inflight entry holds it any more, so
+// its commit is over, and the Tx goes back to its pool if nothing else holds
+// it (release).
+func (m *Machine) truncFinished(t *Tx) {
+	m.truncThreads[t.id.Thread].add(t.id.Local)
+	m.endTruncSpan(t)
+	t.phase = phaseIdle
+	t.release()
 }
 
 // attachPiggyback moves the next queued ids (up to the per-record budget)
@@ -172,8 +174,8 @@ func (m *Machine) attachPiggyback(p *peer, rec *proto.Record) {
 	rec.TruncLow = m.truncThreads[rec.Tx.Thread].low
 	q := &p.truncQ
 	n := min(len(q.txs)-q.sent, maxPiggyIDs)
-	for _, ct := range q.txs[q.sent : q.sent+n] {
-		rec.TruncIDs = append(rec.TruncIDs, packTruncID(ct.id.Thread, ct.id.Local))
+	for _, t := range q.txs[q.sent : q.sent+n] {
+		rec.TruncIDs = append(rec.TruncIDs, packTruncID(t.id.Thread, t.id.Local))
 	}
 	q.sent += n
 }
@@ -203,8 +205,8 @@ func (m *Machine) truncDelivered(p *peer, n int, truncRec bool) {
 		p.logW.Release(truncateRecordSize)
 	}
 	q.pool -= n
-	for _, ct := range q.txs[:n] {
-		m.truncDone(ct)
+	for _, t := range q.txs[:n] {
+		m.truncDone(t)
 	}
 	k := copy(q.txs, q.txs[n:])
 	clear(q.txs[k:]) // hold no finished transaction
@@ -240,9 +242,9 @@ func (m *Machine) flushTruncations(p *peer) {
 // order commits finished.
 func (m *Machine) dropTruncStateFor(p *peer) {
 	q := &p.truncQ
-	slices.SortFunc(q.txs, func(a, b *coordTx) int { return txIDCmp(a.id, b.id) })
-	for _, ct := range q.txs {
-		m.truncDone(ct)
+	slices.SortFunc(q.txs, func(a, b *Tx) int { return txIDCmp(a.id, b.id) })
+	for _, t := range q.txs {
+		m.truncDone(t)
 	}
 	clear(q.txs)
 	q.txs, q.sent, q.pool, q.flushArmed = q.txs[:0], 0, 0, false

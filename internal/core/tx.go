@@ -83,21 +83,23 @@ type Tx struct {
 	reading          int
 	aloneLo, aloneHi int32
 
-	// Commit-time validation (validateSet): the read-write commit (nil for a
-	// read-only one, which reports through report), verdicts still due, and
-	// whether one already failed (valFailed).
-	ct      *coordTx
+	// Commit-time validation (validateSet): verdicts still due, and whether
+	// one already failed (valFailed).
 	valLeft int
 
 	// The release rule (release): appCb is the application's commit
-	// callback and reportFn report, bound once; appDone says the
-	// application is finished with the transaction (its commit callback or
-	// Abort returned), committing that a coordTx holds it (newCoordTx until
-	// putCoordTx), and live counts the callbacks still due to it: reads,
-	// validation verdicts and allocations in flight.
-	appCb    func(error)
-	reportFn func(error)
-	live     int
+	// callback; appDone says the application is finished with the
+	// transaction (its commit callback or Abort returned), phase that a
+	// read-write commit is under way (not phaseIdle), and live counts the
+	// callbacks still due to it: reads, validation verdicts and allocations
+	// in flight.
+	appCb func(error)
+	live  int
+
+	// failErr is the error of a commit refused before any record was
+	// written, which failFn (fail, bound once) reports (failTx).
+	failErr error
+	failFn  func()
 
 	// ctx is the root trace span of a sampled transaction (zero when this
 	// transaction is untraced); reads and commit phases hang off it.
@@ -107,9 +109,54 @@ type Tx struct {
 	// recording is disabled — the hist* hooks then cost one nil check).
 	hrec *history.TxRec
 
-	// finished: Commit or Abort was called. The other flags belong to the
-	// groups above; they sit together to keep the Tx small.
-	finished, crowded, valFailed, appDone, committing bool
+	// The coordinator's state of a read-write commit (§4), from its start to
+	// the end of its truncation (truncFinished), or for good if recovery
+	// decides it.
+	id    proto.TxID
+	phase int
+
+	writeRegions []uint32
+	// groups is the write set split by destination machine, one entry per
+	// participant (every machine holding records), sorted by machine id —
+	// so each protocol phase walks it in deterministic order without
+	// sorting anything.
+	groups []destGroup
+	// writeSlab backs every group's write lists. A recycled Tx keeps the
+	// capacity of groups, writeRegions and writeSlab.
+	writeSlab []proto.ObjectWrite
+	// primaries and backups count the groups with primWrites (the LOCK,
+	// ABORT and COMMIT-PRIMARY fan-out) and with backupWrites (the
+	// COMMIT-BACKUP fan-out).
+	primaries, backups int
+
+	lockOutstanding  int
+	cbOutstanding    int
+	cpOutstanding    int
+	abortOutstanding int // ABORT record acks still due
+
+	// lastProgress is when the commit last advanced (started, or received
+	// a lock/validate reply); the stall watchdog aborts lock/validate-phase
+	// transactions whose replies were lost to network faults.
+	lastProgress sim.Time
+	// truncLeft counts the participants whose truncation queue holds this
+	// transaction.
+	truncLeft int
+
+	// traceCtx is a copy of ctx (it survives the root span closing at the
+	// commit report, because the TRUNCATE phase outlives it); phaseCtx is
+	// the currently open commit-phase child span; truncCtx covers queueing
+	// → delivery of truncation.
+	traceCtx trace.Ctx
+	phaseCtx trace.Ctx
+	truncCtx trace.Ctx
+
+	// finished: Commit or Abort was called. recovering is set when
+	// reconfiguration classifies the commit as recovering (§5.3): normal-
+	// path acks and replies are ignored from then on and the outcome comes
+	// from vote/decide. The other flags belong to the groups above; they
+	// sit together to keep the Tx small.
+	finished, crowded, valFailed, appDone bool
+	lockFailed, reported, recovering      bool
 }
 
 // Begin starts a transaction coordinated by worker thread `thread` of m,
@@ -138,14 +185,16 @@ func (t *Tx) settle() {
 }
 
 // release returns t to its machine's pool once nothing can reach it any
-// more: the application is finished with it, no coordTx holds it and no
-// callback is due to it. Its chunks go back to the machine's chunk pool;
-// everything else is reset but the grown table and its index. A Tx that
-// recovery decides, that dies with its machine or that the application
-// drops without Commit or Abort never gets here, and goes to the collector
-// with its chunks.
+// more: the application is finished with it, its commit is not under way
+// (phaseIdle: it retired, failed before its reservations, or never began)
+// and no callback is due to it. Its chunks go back to the machine's chunk
+// pool; everything else is reset but the grown table and its index and the
+// commit's lists, whose elements — they alias application values — are
+// cleared. A Tx that recovery decides, that dies with its machine or that
+// the application drops without Commit or Abort never gets here, and goes
+// to the collector with its chunks.
 func (t *Tx) release() {
-	if !t.appDone || t.committing || t.live > 0 {
+	if !t.appDone || t.phase != phaseIdle || t.live > 0 {
 		return
 	}
 	m := t.m
@@ -155,7 +204,10 @@ func (t *Tx) release() {
 	}
 	m.chunks.put(t.chunks, m.c.Eng.Now())
 	clear(t.chunks)
-	*t = Tx{m: m, set: t.set[:0], index: t.index, chunks: t.chunks[:0], reportFn: t.reportFn}
+	clear(t.groups)
+	clear(t.writeSlab)
+	*t = Tx{m: m, set: t.set[:0], index: t.index, chunks: t.chunks[:0], failFn: t.failFn,
+		groups: t.groups[:0], writeRegions: t.writeRegions[:0], writeSlab: t.writeSlab[:0]}
 	m.txs.Put(t)
 }
 
@@ -647,7 +699,7 @@ func (op *allocOp) try() {
 		// its slot left to allocator recovery.
 		req := &allocSlotReq{Region: region, Size: op.size}
 		req.ID = m.call(p, req, op.calledFn)
-		m.sendFromThread(op.t.thread, p, req)
+		m.sendFromThreadCtx(op.t.thread, p, req, m.curCtx)
 	}
 }
 

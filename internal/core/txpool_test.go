@@ -15,17 +15,17 @@ import (
 // The tests here hold the transaction pool to its rule (DESIGN.md §12,
 // "Pooled objects"): a Tx, and every byte it handed out, is valid
 // until its Commit callback or Abort returns, and it goes back to its
-// machine's pool only once the application is finished with it, its
-// coordTx went back to its own pool, and no read, verdict or allocation of
-// it is in flight.
+// machine's pool only once the application is finished with it, its commit
+// retired (its truncation finished, or it failed before its reservations),
+// and no read, verdict or allocation of it is in flight.
 
 // TestLateVerdictKeepsItsTxOutOfThePool: a read-write commit whose one-sided
 // validation read is held up on the wire is aborted by the stall sweep, and
-// its truncation recycles its coordTx; the verdict is still due to the Tx,
-// so the Tx stays out of the pool and the next transaction on the machine
-// gets another, which carves from other chunks. When the late verdict — a
-// success — lands, it must not count for that transaction, whose own read
-// went stale and must abort; then the first Tx goes back.
+// its truncation finishes, which retires the commit; the verdict is still
+// due to the Tx, so the Tx stays out of the pool and the next transaction
+// on the machine gets another, which carves from other chunks. When the late
+// verdict — a success — lands, it must not count for that transaction, whose
+// own read went stale and must abort; then the first Tx goes back.
 func TestLateVerdictKeepsItsTxOutOfThePool(t *testing.T) {
 	c := New(Options{NumMachines: 5, Seed: 19})
 	cm := int(c.Machine(0).config.CM)
@@ -50,11 +50,11 @@ func TestLateVerdictKeepsItsTxOutOfThePool(t *testing.T) {
 	var first, second error
 	reported := 0
 	tx1.Commit(func(err error) { first = err; reported++ })
-	runUntil(t, c, sim.Second, func() bool { return tx1.ct != nil })
-	ct1, validating := tx1.ct, c.Eng.Now()
+	runUntil(t, c, sim.Second, func() bool { return tx1.phase == phaseValidate })
+	validating := c.Eng.Now()
 	c.RunFor(sim.Millisecond) // the validation read is on its way back
 	c.Net.HealLink(fabric.MachineID(prim.ID), fabric.MachineID(coord.ID))
-	runUntil(t, c, sim.Second, func() bool { return reported == 1 && coord.commits.Holds(ct1) })
+	runUntil(t, c, sim.Second, func() bool { return reported == 1 && tx1.phase == phaseIdle })
 	if first != ErrAborted {
 		t.Fatalf("first commit: %v, want the stall sweep's ErrAborted", first)
 	}
@@ -103,7 +103,7 @@ func TestLateVerdictKeepsItsTxOutOfThePool(t *testing.T) {
 
 // heldTruncation is a committed transaction whose truncation a one-way cut
 // toward one of its backups holds at the coordinator, and with it the Tx
-// whose bytes the coordTx's write lists alias. Neither end of the cut is the
+// whose bytes the commit's write lists alias. Neither end of the cut is the
 // CM (leases cross it), and ys are objects of a region the backup holds no
 // replica of, so that the load's records wait behind no cut.
 type heldTruncation struct {
@@ -113,7 +113,6 @@ type heldTruncation struct {
 	x             proto.Addr
 	ys            [4]proto.Addr
 	tx            *Tx
-	ct            *coordTx
 	q             *truncQueue
 	want          []byte
 }
@@ -147,20 +146,19 @@ func holdTruncation(t *testing.T, opts Options) *heldTruncation {
 	})
 	runUntil(t, c, sim.Second, func() bool { return done })
 	h.q = &h.coord.peer(h.backup.ID).truncQ
-	if len(h.q.txs) != 1 || h.q.txs[0].tx != h.tx {
+	if len(h.q.txs) != 1 || h.q.txs[0] != h.tx {
 		t.Fatalf("%d transactions awaiting truncation toward m%d, want the one just committed", len(h.q.txs), h.backup.ID)
 	}
-	h.ct = h.q.txs[0]
 	return h
 }
 
 // check fails unless the transaction is still held, with its values.
 func (h *heldTruncation) check(when string) {
 	h.t.Helper()
-	if h.coord.txs.Holds(h.tx) || h.ct.tx != h.tx {
-		h.t.Fatalf("%s: the Tx went back to the pool while its truncation is held", when)
+	if h.coord.txs.Holds(h.tx) || h.tx.phase != phaseDone {
+		h.t.Fatalf("%s: the Tx went back to the pool, or its commit retired, while its truncation is held", when)
 	}
-	for _, g := range h.ct.groups {
+	for _, g := range h.tx.groups {
 		for _, w := range slices.Concat(g.primWrites, g.backupWrites) {
 			if !bytes.Equal(w.Value, h.want) {
 				h.t.Fatalf("%s: a record's value reads %q, want %q", when, w.Value, h.want)
@@ -200,7 +198,7 @@ func TestHeldTruncationKeepsItsTx(t *testing.T) {
 	restored := c.Now()
 	h.load()
 	h.check("after a power cycle and other transactions")
-	if len(q.txs) != 1 || q.txs[0] != h.ct {
+	if len(q.txs) != 1 || q.txs[0] != h.tx {
 		t.Fatalf("after the power cycle %d transactions await truncation toward m%d", len(q.txs), backup.ID)
 	}
 	// Healed while the fresh ring still retries the queued truncation.

@@ -42,18 +42,18 @@ func (m *Machine) armTxStallSweep() {
 		// Sorted iteration: the sweep emits events (abort records) and maps
 		// iterate in random order.
 		for _, id := range sortedKeys(m.inflight, txIDCmp) {
-			ct := m.inflight[id]
-			if ct == nil || ct.recovering {
+			t := m.inflight[id]
+			if t == nil || t.recovering {
 				continue
 			}
-			if ct.phase != phaseLock && ct.phase != phaseValidate {
+			if t.phase != phaseLock && t.phase != phaseValidate {
 				continue
 			}
-			if now-ct.lastProgress < txStallTimeout {
+			if now-t.lastProgress < txStallTimeout {
 				continue
 			}
 			m.c.Counters.Inc("tx_stall_aborted", 1)
-			m.abortTx(ct, ErrAborted)
+			m.abortTx(t, ErrAborted)
 		}
 		// Calls the table does not resend fail unanswered after
 		// txStallTimeout (an answer lost with its machine, or never sent).
