@@ -22,7 +22,9 @@
 // classed in its region's class table (regionmem.Region.Classes),
 // allocated or free — free slots carry residual bytes that re-replication
 // must also reproduce. Blocks not classed yet are outside the domain until
-// their header arrives, and are folded in whole at that moment. The
+// their class arrives — in the record of the allocation that first fills
+// the block, or in a primary's header list (data recovery, audit) — and
+// are folded in whole at that moment. The
 // domain therefore always equals "what a fresh scan over the replica's
 // own class table would hash", which is the invariant the per-replica
 // self-check (incremental value vs. fresh scan) enforces.

@@ -138,7 +138,7 @@ type auditRun struct {
 // digest-aware path: the slot's old state is unfolded and its new state
 // folded into the replica's incremental digest (O(1), zero allocations).
 // Blocks whose class this replica does not know yet stay outside the
-// digest domain until their header arrives.
+// digest domain until their class arrives (learnClasses, learnHeaders).
 func (m *Machine) commitWrite(rep *replica, off int, newVersion uint64, allocated bool, payload []byte) {
 	rep.mem.CommitWriteDigest(off, newVersion, allocated, payload, &rep.dig)
 }

@@ -179,7 +179,7 @@ func (t *Tx) commit() {
 	}
 	for i := t.firstW; i >= 0; i = t.set[i].wnext {
 		e := &t.set[i]
-		ow := proto.ObjectWrite{Addr: e.addr, Version: e.version, Allocated: e.allocated, Value: e.value}
+		ow := proto.ObjectWrite{Addr: e.addr, Version: e.version, Allocated: e.allocated, Class: e.class, Value: e.value}
 		replicas := m.mapping(e.addr.Region).Replicas
 		g := t.group(int(replicas[0]))
 		g.primWrites = append(g.primWrites, ow)

@@ -35,9 +35,6 @@ type replica struct {
 	// needsDataRecovery marks a freshly assigned backup replica awaiting
 	// bulk re-replication (§5.4).
 	needsDataRecovery bool
-	// promotedAt is the configuration in which this replica was promoted
-	// to primary (0 if it started as primary).
-	promotedAt uint64
 	// recCtx is the open "re-replication" span while bulk data recovery
 	// (§5.4) runs for this replica.
 	recCtx trace.Ctx
@@ -744,15 +741,6 @@ func (m *Machine) primaryOf(region uint32) int {
 	return int(rm.Replicas[0])
 }
 
-// backupsOf returns the backup machines for a region.
-func (m *Machine) backupsOf(region uint32) []uint16 {
-	rm := m.mapping(region)
-	if rm == nil || len(rm.Replicas) == 0 {
-		return nil
-	}
-	return rm.Replicas[1:]
-}
-
 // isMember applies precise membership (§5.2): operations are only issued
 // to, and replies only accepted from, machines in the current
 // configuration.
@@ -1116,21 +1104,15 @@ func (m *Machine) installReplica(region uint32, mem *regionmem.Region, size int,
 	}
 	if primary {
 		r.alloc = regionmem.NewAllocator(m.c.Opts.Layout, mem)
-		m.installAllocHook(r)
+		r.alloc.OnNewBlock(r.foldClaimed)
 	}
 	m.region(region).rep = r
 	return r
 }
 
-// installAllocHook replicates block headers to backups when the allocator
-// claims a new block (§5.5), and folds the freshly classed block into the
-// primary's digest domain.
-func (m *Machine) installAllocHook(r *replica) {
-	r.alloc.OnNewBlock(func(block, slot int) {
-		r.dig.FoldBlock(r.mem, block)
-		m.syncBlockHeaders(r, []proto.BlockHeader{{Block: block, Class: slot}})
-	})
-}
+// foldClaimed is the allocator's hook: it folds each block the primary
+// claims into its digest domain (backups learn the class in learnClasses).
+func (r *replica) foldClaimed(block, _ int) { r.dig.FoldBlock(r.mem, block) }
 
 // sendMsg is the one body behind the send* wrappers below: it transmits a
 // reliable message through the transport, charging the sender-side CPU cost

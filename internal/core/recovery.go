@@ -42,8 +42,9 @@ type recoveryState struct {
 	drained  bool
 	// votes collected by this machine as a recovery coordinator.
 	votes map[proto.TxID]*voteCollector
-	// regionsActiveSent guards the REGIONS-ACTIVE report.
-	regionsActiveSent bool
+	// regionsActiveSent guards the REGIONS-ACTIVE report, allActive the
+	// work ALL-REGIONS-ACTIVE starts.
+	regionsActiveSent, allActive bool
 	// ctx is the open "drain" span (§5.3 step 2) when tracing is on.
 	ctx trace.Ctx
 }
@@ -488,6 +489,7 @@ func (m *Machine) installPendLock(id proto.TxID, lock *proto.Record) {
 		} else {
 			mergeRecords(rt.lock, lock)
 		}
+		m.learnClasses(lock)
 		if len(lock.Regions) > 0 {
 			rt.regionHint = append(rt.regionHint[:0], lock.Regions...)
 		}
@@ -566,7 +568,9 @@ func (m *Machine) maybeAllPrimariesActive() {
 		}
 	}
 	m.recov.regionsActiveSent = true
-	m.sendCtx(int(m.config.CM), &proto.RegionsActive{ConfigID: m.config.ID}, m.recoveryTraceCtx())
+	ra := &proto.RegionsActive{ConfigID: m.config.ID}
+	ra.ID = m.callResent(int(m.config.CM), ra, m.recoveryResend(m.recoveryTraceCtx()), nil)
+	m.sendCtx(int(m.config.CM), ra, m.recoveryTraceCtx())
 }
 
 // replicateAndVote is steps 5–6: push lock records to backups missing

@@ -811,7 +811,8 @@ func TestReportedCommitBehindAHoleSurvivesADoubleFailure(t *testing.T) {
 
 // recoveryLeft names what keeps an alive member from having finished
 // recovery, "" when nothing does: a blocked region, an inactive primary, a
-// recovering participant entry, an undecided vote collector or a call.
+// replica awaiting data or allocator recovery, a recovering participant
+// entry, an undecided vote collector or a call.
 func recoveryLeft(c *Cluster) string {
 	for _, m := range c.Machines {
 		if !m.alive || !m.isMember(m.ID) {
@@ -820,6 +821,9 @@ func recoveryLeft(c *Cluster) string {
 		for i := range m.regions {
 			if rs := &m.regions[i]; rs.blocked || rs.rep != nil && rs.rep.primary && !rs.rep.active {
 				return fmt.Sprintf("m%d: region %d blocked or inactive", m.ID, i)
+			}
+			if rep := m.regions[i].rep; rep != nil && (rep.needsDataRecovery || rep.allocRecovering) {
+				return fmt.Sprintf("m%d: region %d awaits data or allocator recovery", m.ID, i)
 			}
 		}
 		for _, rt := range m.pend {
@@ -849,26 +853,35 @@ func recoveryLeft(c *Cluster) string {
 // votes commit-backup, R2 votes lock, and the transaction commits. In each
 // case the first k deliveries of some message types between two machines
 // are lost; to make REQUEST-VOTE go out, its case also delays R's vote by
-// losing two fetches. Every §5.3 exchange and the CM's NEW-CONFIG push are
-// calls the table resends, so recovery still finishes within the bound.
+// losing two fetches. ALL-REGIONS-ACTIVE is lost at every member but the
+// CM, REGION-ACTIVE only R's, at every member but R's new primary. Every
+// §5.3 exchange, the CM's NEW-CONFIG push and the *-REGIONS-ACTIVE reports
+// are calls the table resends, and ALL-REGIONS-ACTIVE unblocks a region
+// whose REGION-ACTIVE was lost, so recovery, data and allocator recovery
+// included, still finishes within the bound.
 func TestRecoveryOutlivesALostMessage(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		lost []interface{}
 		k    int
+		// ofR loses only REGION-ACTIVE messages naming R.
+		ofR bool
 	}{
-		{"NEED-RECOVERY", []interface{}{&proto.NeedRecovery{}}, 2},
-		{"FETCH-TX-STATE", []interface{}{&proto.FetchTxState{}}, 1},
-		{"SEND-TX-STATE", []interface{}{&proto.SendTxState{}}, 1},
-		{"REPLICATE-TX-STATE", []interface{}{&proto.ReplicateTxState{}}, 1},
-		{"REPLICATE-TX-STATE-ACK", []interface{}{&proto.ReplicateTxStateAck{}}, 1},
-		{"RECOVERY-VOTE", []interface{}{&proto.RecoveryVote{}}, 1},
-		{"REQUEST-VOTE", []interface{}{&proto.RequestVote{}, &proto.FetchTxState{}}, 2},
-		{"COMMIT-RECOVERY", []interface{}{&proto.CommitRecovery{}}, 1},
-		{"RECOVERY-DECISION-ACK", []interface{}{&proto.RecoveryDecisionAck{}}, 1},
-		{"TRUNCATE-RECOVERY", []interface{}{&proto.TruncateRecovery{}}, 1},
-		{"NEW-CONFIG-ACK", []interface{}{&proto.NewConfigAck{}}, 1},
-		{"NEW-CONFIG-COMMIT", []interface{}{&proto.NewConfigCommit{}}, 1},
+		{"NEED-RECOVERY", []interface{}{&proto.NeedRecovery{}}, 2, false},
+		{"FETCH-TX-STATE", []interface{}{&proto.FetchTxState{}}, 1, false},
+		{"SEND-TX-STATE", []interface{}{&proto.SendTxState{}}, 1, false},
+		{"REPLICATE-TX-STATE", []interface{}{&proto.ReplicateTxState{}}, 1, false},
+		{"REPLICATE-TX-STATE-ACK", []interface{}{&proto.ReplicateTxStateAck{}}, 1, false},
+		{"RECOVERY-VOTE", []interface{}{&proto.RecoveryVote{}}, 1, false},
+		{"REQUEST-VOTE", []interface{}{&proto.RequestVote{}, &proto.FetchTxState{}}, 2, false},
+		{"COMMIT-RECOVERY", []interface{}{&proto.CommitRecovery{}}, 1, false},
+		{"RECOVERY-DECISION-ACK", []interface{}{&proto.RecoveryDecisionAck{}}, 1, false},
+		{"TRUNCATE-RECOVERY", []interface{}{&proto.TruncateRecovery{}}, 1, false},
+		{"NEW-CONFIG-ACK", []interface{}{&proto.NewConfigAck{}}, 1, false},
+		{"NEW-CONFIG-COMMIT", []interface{}{&proto.NewConfigCommit{}}, 1, false},
+		{"REGIONS-ACTIVE", []interface{}{&proto.RegionsActive{}}, 1, false},
+		{"ALL-REGIONS-ACTIVE", []interface{}{&proto.AllRegionsActive{}}, 4, false},
+		{"REGION-ACTIVE", []interface{}{&regionActiveAnnounce{}}, 4, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, _ := testCluster(t, recoveryOpts())
@@ -900,7 +913,7 @@ func TestRecoveryOutlivesALostMessage(t *testing.T) {
 					h := m.tp.reg.Lookup(lost)
 					fn, self := h.Fn, m.ID
 					h.Fn = func(src int, msg interface{}) {
-						if src != self && n < tc.k {
+						if src != self && n < tc.k && (!tc.ofR || msg.(*regionActiveAnnounce).Region == region) {
 							n, dropped = n+1, dropped+1
 							return
 						}

@@ -49,7 +49,20 @@ func TestRegionMemoryFollowsWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	claimed := claimUnwritten(t, c, c.Machine(3).HostedRegions()[0])
+	// A block no commit filled is classed at its primary alone, so claim it
+	// in a region m3 only backs: a backup promoted in m3's place could
+	// claim the block afresh.
+	backed := -1
+	for _, r := range c.Machine(3).HostedRegions() {
+		if c.Machine(0).PrimaryOf(r) != 3 {
+			backed = int(r)
+			break
+		}
+	}
+	if backed < 0 {
+		t.Fatal("m3 backs no region")
+	}
+	claimed := claimUnwritten(t, c, uint32(backed))
 	g = loadgen.New(c, tw.Mix())
 	g.Start([]int{0, 1, 2, 4}, 2, 1)
 	c.RunFor(10 * sim.Millisecond)
@@ -79,7 +92,8 @@ func TestRegionMemoryFollowsWrites(t *testing.T) {
 
 // claimUnwritten claims a fresh block of region, in a size class nothing
 // else uses, for an object whose transaction aborts: the block is classed
-// at the primary, its header reaches the backups, and it holds no write.
+// at the primary, a backup learns its header only from an audit or data
+// recovery, and it holds no write.
 // It returns the object's address.
 func claimUnwritten(t *testing.T, c *core.Cluster, region uint32) proto.Addr {
 	t.Helper()

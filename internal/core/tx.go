@@ -43,7 +43,9 @@ type txEntry struct {
 
 	read, written bool
 	allocated     bool // allocation bit after commit (false for frees)
-	isAlloc       bool // freshly allocated slot: released back on abort
+	// class is the slot size of a fresh slot (released back on abort), 0
+	// otherwise; the commit records carry it to every replica (§5.5).
+	class int
 }
 
 // Tx is a FaRM transaction. The thread that begins a transaction is its
@@ -597,7 +599,7 @@ func (t *Tx) Write(addr proto.Addr, value []byte) {
 	}
 	t.writeEntry(i)
 	t.setValue(e, value)
-	t.histWrite(addr, e.version, value, e.isAlloc, !e.allocated)
+	t.histWrite(addr, e.version, value, e.class != 0, !e.allocated)
 }
 
 // Alloc allocates a new object of the given payload size and buffers its
@@ -742,7 +744,7 @@ func (op *allocOp) slotDone(off uint32, version uint64, err error) {
 	t := op.t
 	addr := proto.Addr{Region: op.regions[op.next], Off: off}
 	e := t.writeEntry(t.entry(addr))
-	e.version, e.allocated, e.isAlloc = version, true, true
+	e.version, e.allocated, e.class = version, true, regionmem.SlotSize(op.size)
 	t.setValue(e, op.value)
 	t.histWrite(addr, version, op.value, true, false)
 	op.done(addr, nil)
@@ -816,7 +818,7 @@ func (t *Tx) Abort() {
 // transaction abandoned before or during commit.
 func (t *Tx) releaseAllocs() {
 	for i := t.firstW; i >= 0; i = t.set[i].wnext {
-		if e := &t.set[i]; e.isAlloc {
+		if e := &t.set[i]; e.class != 0 {
 			t.m.releaseSlot(e.addr)
 		}
 	}

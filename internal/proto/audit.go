@@ -7,10 +7,11 @@ package proto
 // echoes it.
 
 // AuditSnap asks a backup for its digest snapshot of one region. The
-// primary's block headers ride along, in block order, so a backup that missed a
-// BLOCK-HEADER-SYNC can install the metadata (and fold the blocks into
-// its digest domain) before scanning — digest domains must match for the
-// comparison to be meaningful.
+// primary's block headers ride along, in block order, so a backup that has
+// not classed a block yet — one the primary claimed that no commit has
+// filled — can install the metadata (and fold the block into its digest
+// domain) before scanning — digest domains must match for the comparison
+// to be meaningful.
 type AuditSnap struct {
 	ID      uint64
 	Config  uint64

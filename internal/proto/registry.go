@@ -127,7 +127,7 @@ func WireMessages() []interface{} {
 		&LeaseRequest{}, &LeaseGrant{},
 		// Reconfiguration (§5.2).
 		&NewConfig{}, &NewConfigAck{}, &NewConfigCommit{},
-		&RegionsActive{}, &AllRegionsActive{}, &BlockHeaderSync{},
+		&RegionsActive{}, &AllRegionsActive{}, &BlockHeaderResp{},
 		&BlockHeaderReq{},
 		// Region allocation (§3).
 		&AllocRegionReq{}, &AllocRegionPrepare{}, &AllocRegionPrepared{},

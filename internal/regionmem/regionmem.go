@@ -145,9 +145,10 @@ func SlotSize(payload int) int { return sizeClass(payload) }
 
 // Allocator manages one region's slab free lists. It lives at the
 // region's primary only (§5.5) and claims blocks in the region's class
-// table; backups learn the table through replication messages, and a
-// promoted primary builds its allocator from it by scanning allocation
-// bits. Claiming a fresh block materializes nothing.
+// table; backups learn a block's class from the commit records of the
+// allocation that first fills it, and a promoted primary builds its
+// allocator from its table by scanning allocation bits. Claiming a fresh
+// block materializes nothing.
 type Allocator struct {
 	layout Layout
 	mem    *Region
@@ -158,8 +159,8 @@ type Allocator struct {
 	used []int
 
 	// onNewBlock, if set, is called when a block is assigned a size class
-	// — the hook the core layer uses to replicate block headers to backups
-	// at allocation time (§5.5).
+	// — the hook the core layer uses to fold the block into the primary's
+	// digest domain.
 	onNewBlock func(block, slotSize int)
 }
 
@@ -220,7 +221,7 @@ func Rebuild[M Memory](layout Layout, mem M, headers map[int]int) *Allocator {
 	return NewAllocator(layout, r)
 }
 
-// OnNewBlock installs the block-header replication hook.
+// OnNewBlock installs the hook called when a block is claimed.
 func (a *Allocator) OnNewBlock(fn func(block, slotSize int)) { a.onNewBlock = fn }
 
 // Alloc reserves a slot for a payload of size bytes and returns the object
