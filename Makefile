@@ -115,10 +115,12 @@ allocs:
 
 # Ten seconds of coverage-guided fuzzing per target, one `go test -fuzz`
 # each (go runs one fuzz target at a time): the log-record decoder, the
-# history loader, the ring reader over arbitrary ring bytes, a ring
-# writer and reader under a schedule of appends, link cuts and heals,
-# polls, truncations and consumption updates (acks in psn order, every
-# frame acked OK handed out), and a block-materialized region against a
+# history loader, the paged ring reader over arbitrary ring bytes next to
+# its flat oracle (NewReader), a ring writer into a paged ring, read by a
+# paged reader and the flat oracle, under a schedule of appends, link cuts
+# and heals, polls, truncations and consumption updates (acks in psn order,
+# every frame acked OK handed out, the two readers in agreement), and a
+# block-materialized region against a
 # flat one under a schedule of header writes, locks, digest-aware commits,
 # straddling reads and writes, and allocator claims and frees. A failing
 # input lands in the package's testdata/fuzz/ and replays with plain

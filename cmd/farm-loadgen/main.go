@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"farm/internal/exper"
+	"farm/internal/ring"
 	"farm/internal/sim"
 )
 
@@ -129,9 +130,10 @@ func main() {
 		float64(w.Mallocs)/ops, float64(w.AllocBytes)/ops, w.Committed)
 	// Region memory at the end of the run: what the regions reserve, and
 	// the host memory behind them (data blocks are made on their first
-	// write, a log ring on its first record).
+	// write; a log ring holds the pages its live window spans, and its
+	// machine a few spare pages).
 	mem, mib := c.RegionMemory(), func(n int) float64 { return float64(n) / (1 << 20) }
-	fmt.Printf("mem:        data regions %.1f of %.1f MiB materialized, log rings %.1f of %.1f MiB; %.2f MiB per machine\n",
-		mib(mem.DataMaterialized), mib(mem.Data), mib(mem.FlatMaterialized), mib(mem.Flat),
-		mib(mem.DataMaterialized+mem.FlatMaterialized)/float64(len(c.Machines)))
+	fmt.Printf("mem:        data regions %.1f of %.1f MiB materialized, log rings %d pages held (%.2f MiB) for %d rings of %.1f MiB; %.2f MiB per machine\n",
+		mib(mem.DataMaterialized), mib(mem.Data), mem.FlatMaterialized/ring.PageSize, mib(mem.FlatMaterialized),
+		mem.Flat/c.Opts.LogCapacity, mib(mem.Flat), mib(mem.DataMaterialized+mem.FlatMaterialized)/float64(len(c.Machines)))
 }

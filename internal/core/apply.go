@@ -357,14 +357,11 @@ func (m *Machine) applyCommitPrimary(rt *remoteTx) {
 	rt.lockedObjs = rt.lockedObjs[:0]
 }
 
-// freeSlotAtPrimary returns a freed object's slot to the allocator,
-// queueing it while allocator recovery is scanning (§5.5).
+// freeSlotAtPrimary returns a freed object's slot to the allocator. While
+// allocator recovery is scanning (§5.5) there is nothing to do: the scan
+// reads the allocation bits when it runs, this one cleared already.
 func (m *Machine) freeSlotAtPrimary(rep *replica, off int) {
-	if rep.allocRecovering {
-		rep.freeQ = append(rep.freeQ, off)
-		return
-	}
-	if rep.alloc != nil {
+	if !rep.allocRecovering && rep.alloc != nil {
 		rep.alloc.Free(off)
 	}
 }

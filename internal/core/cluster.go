@@ -353,7 +353,8 @@ func (c *Cluster) PeekObject(addr proto.Addr, size int) ([]byte, error) {
 }
 
 // RegionMemory sums the region bytes every machine's store reserves and
-// materializes: Data counts data regions, Flat the log rings.
+// materializes: Data counts data regions, Flat the log rings, whose
+// materialized bytes are the pages they hold and their machine's spares.
 func (c *Cluster) RegionMemory() nvram.Usage {
 	var sum nvram.Usage
 	for _, m := range c.Machines {
@@ -361,7 +362,7 @@ func (c *Cluster) RegionMemory() nvram.Usage {
 		sum.Data += u.Data
 		sum.DataMaterialized += u.DataMaterialized
 		sum.Flat += u.Flat
-		sum.FlatMaterialized += u.FlatMaterialized
+		sum.FlatMaterialized += u.FlatMaterialized + m.ringSpares.HeldBytes()
 	}
 	return sum
 }

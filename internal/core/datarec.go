@@ -248,10 +248,6 @@ func (m *Machine) startAllocRecovery(rep *replica) {
 			rep.dig.Reseed(audit.ScanRegion(rep.mem))
 			rep.alloc.OnNewBlock(rep.foldClaimed)
 			rep.allocRecovering = false
-			for _, off := range rep.freeQ {
-				rep.alloc.Free(off)
-			}
-			rep.freeQ = nil
 			if actx.Valid() {
 				m.trb.End(actx, m.c.Eng.Now(), 0)
 			}

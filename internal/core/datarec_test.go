@@ -321,3 +321,50 @@ func TestClassTablesAgreeAfterPromotion(t *testing.T) {
 		}
 	}
 }
+
+// TestFreeDuringAllocatorRecoveryFreesOnce: an object X is committed, its
+// region's primary dies, and while the promoted backup is still rebuilding
+// its free lists a transaction reads X and frees it. The rebuild reads the
+// allocation bits as they are when it runs, after that free, so the slot
+// must come back once: the block's free list holds as many slots as the
+// block has, and two allocations never share a slot.
+func TestFreeDuringAllocatorRecoveryFreesOnce(t *testing.T) {
+	c, _ := testCluster(t, recoveryOpts())
+	region := regionAwayFrom(t, c, 0)
+	client := c.Machine(0)
+	addr := writeObjectIn(t, c, client, region, u64b(1))
+	c.RunFor(20 * sim.Millisecond)
+	old := client.mapping(region).Replicas
+	backup := c.Machine(int(old[1]))
+	c.Kill(int(old[0]))
+
+	rep := backup.replica(region)
+	runUntil(t, c, sim.Second, func() bool {
+		return rep.primary && rep.allocRecovering && client.primaryOf(region) == backup.ID && !backup.regionBlocked(region)
+	})
+	var freeErr error
+	freed := false
+	tx := client.Begin(0)
+	tx.Read(addr, 8, func(_ []byte, err error) {
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		tx.Free(addr)
+		tx.Commit(func(err error) { freeErr, freed = err, true })
+	})
+	runUntil(t, c, sim.Second, func() bool { return freed })
+	if freeErr != nil {
+		t.Fatalf("the free did not commit: %v", freeErr)
+	}
+	if !rep.allocRecovering {
+		t.Fatal("allocator recovery was over before the free committed")
+	}
+	runUntil(t, c, sim.Second, func() bool { return rep.alloc != nil && !rep.allocRecovering })
+	if free, slots := rep.alloc.FreeCount(8), c.Opts.Layout.BlockSize/regionmem.SlotSize(8); free != slots {
+		t.Fatalf("%d free 8-byte slots after the rebuild, in a block of %d", free, slots)
+	}
+	a, b := writeObjectIn(t, c, client, region, u64b(2)), writeObjectIn(t, c, client, region, u64b(3))
+	if a == b {
+		t.Fatalf("two committed allocations both got %v", a)
+	}
+}

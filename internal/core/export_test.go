@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"unsafe"
+
+	"farm/internal/ring"
 )
 
 // ChunkPool reports, per size class, the free chunks in m's chunk pool and
@@ -67,6 +69,18 @@ func (m *Machine) pooledTxPins() []string {
 		m.txs.Put(t)
 	}
 	return pins
+}
+
+// RingPages reports the pages m's log rings hold, the pages their readers'
+// windows span, and the pages in m's spares.
+func (m *Machine) RingPages() (held, spanned, spares int) {
+	for _, p := range m.peers {
+		held += p.logR.mem.HeldBytes() / ring.PageSize
+		if p.logR.rd != nil {
+			spanned += p.logR.rd.WindowPages()
+		}
+	}
+	return held, spanned, m.ringSpares.HeldBytes() / ring.PageSize
 }
 
 // HoldLog reserves the free space of m's log at dst, so that a commit with a

@@ -29,9 +29,8 @@ type replica struct {
 	// alloc is the slab allocator, maintained only while primary (§5.5).
 	alloc *regionmem.Allocator
 	// allocRecovering is true while free lists are being rebuilt by
-	// scanning; frees queue in freeQ meanwhile.
+	// scanning; a free committed meanwhile is left to the scan.
 	allocRecovering bool
-	freeQ           []int
 	// needsDataRecovery marks a freshly assigned backup replica awaiting
 	// bulk re-replication (§5.4).
 	needsDataRecovery bool
@@ -103,9 +102,11 @@ type logFrame struct {
 // logReader wraps the receiver side of one peer's transaction log.
 type logReader struct {
 	src int
+	// mem is the ring's memory, a page table holding no page until a
+	// write lands one.
+	mem *ring.Pages
 	// rd parses the ring. It is nil until the first write lands in the
-	// ring (onRemoteWrite): until then the ring is empty, and neither it
-	// nor its bytes (nvram's AllocateOnUse) exist. Most of a large
+	// ring (onRemoteWrite): until then the ring is empty. Most of a large
 	// cluster's machines² rings stay that way, because a machine only ever
 	// receives records from coordinators it shares a region with.
 	rd *ring.Reader
@@ -167,13 +168,14 @@ func (m *Machine) truncWindow(k proto.CoordKey) *idWindow {
 // write locally (§4 "local memory accesses rather than RDMA").
 func (m *Machine) addPeer() {
 	id := len(m.peers)
-	if err := m.store.AllocateOnUse(nvram.RegionID(logRegionID(id)), m.c.Opts.LogCapacity); err != nil {
+	mem := ring.NewPages(m.c.Opts.LogCapacity, &m.ringSpares)
+	if err := m.store.AllocatePaged(nvram.RegionID(logRegionID(id)), mem); err != nil {
 		panic(fmt.Sprintf("core: log ring for peer %d: %v", id, err))
 	}
 	p := &peer{
 		id:   id,
 		logW: ring.NewWriter(m.nic, fabric.MachineID(id), nvram.RegionID(logRegionID(m.ID)), m.c.Opts.LogCapacity),
-		logR: newLogReader(m, id, nil),
+		logR: newLogReader(m, id, mem),
 	}
 	p.truncQ.flushFn = func() {
 		p.truncQ.flushArmed = false
@@ -184,10 +186,10 @@ func (m *Machine) addPeer() {
 	m.peers = append(m.peers, p)
 }
 
-// newLogReader builds the reader for one peer's log ring with its poll
-// callback bound once.
-func newLogReader(m *Machine, src int, rd *ring.Reader) *logReader {
-	lr := &logReader{src: src, rd: rd}
+// newLogReader builds the receive state of one peer's log ring, whose
+// memory is mem, with its poll callback bound once.
+func newLogReader(m *Machine, src int, mem *ring.Pages) *logReader {
+	lr := &logReader{src: src, mem: mem}
 	lr.pollFn = func() {
 		lr.pollScheduled = false
 		if m.alive {
@@ -206,7 +208,10 @@ type Machine struct {
 	c     *Cluster
 	nic   *fabric.NIC
 	store *nvram.Store
-	pool  *sim.ThreadPool
+	// ringSpares are the pages this machine's log rings dropped, for the
+	// next pages any of them makes.
+	ringSpares ring.Spares
+	pool       *sim.ThreadPool
 	// tp is the typed message transport: handler registry, the one send
 	// path, and per-type accounting.
 	tp *transport
@@ -873,8 +878,7 @@ func (m *Machine) onRemoteWrite(region nvram.RegionID, _, _ int) {
 	}
 	lr := p.logR
 	if lr.rd == nil {
-		// The ring's first frame: this write made its bytes.
-		lr.rd = ring.NewReader(m.store.Region(region))
+		lr.rd = ring.NewPagedReader(lr.mem) // the ring's first frame
 	}
 	if lr.pollScheduled {
 		return

@@ -134,8 +134,8 @@ func (c *Cluster) reestablishRings() {
 	}
 	// 2. Fresh ring state on both ends. The participant entries' frame
 	// indexes name frames of the old readers, which share the memory the
-	// fresh ones wrap: forget them, the rings are emptied. A kept lock
-	// record's Values are those ring bytes, so it takes its own first.
+	// fresh ones read: forget them, the rings give up every page. A kept
+	// lock record's Values are those ring bytes, so it takes its own first.
 	for _, m := range c.Machines {
 		if !m.alive {
 			continue
@@ -148,12 +148,8 @@ func (c *Cluster) reestablishRings() {
 			}
 		}
 		for src, p := range m.peers {
-			if p.logR.rd != nil {
-				// A ring nothing was ever written to is fresh already.
-				mem := m.store.Region(toNVRAM(logRegionID(src)))
-				clear(mem)
-				p.logR = newLogReader(m, src, ring.NewReader(mem))
-			}
+			p.logR.mem.Release()
+			p.logR = newLogReader(m, src, p.logR.mem)
 			sender := c.Machines[src]
 			toMe := sender.peer(m.ID)
 			// Close the replaced writer so any retransmissions it still has

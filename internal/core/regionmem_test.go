@@ -3,6 +3,7 @@ package core_test
 import (
 	"testing"
 
+	"farm/internal/bank"
 	"farm/internal/core"
 	"farm/internal/fabric"
 	"farm/internal/loadgen"
@@ -86,6 +87,81 @@ func TestRegionMemoryFollowsWrites(t *testing.T) {
 	for i, x := range zero {
 		if x != 0 {
 			t.Fatalf("the shared zero block holds %#x at %d", x, i)
+		}
+	}
+}
+
+// TestRingMemoryFollowsTheWindow: a log ring holds host memory only across
+// its live window. Every millisecond of a bank mix, every 10 ms of a TATP
+// run through a kill and the re-replication of the dead machine's regions,
+// and after each, every live machine's rings hold no more pages than their
+// windows span plus one each, and its spares no more than four per page
+// held or one per ring; once the cluster has been quiet for a while, the
+// rings hold no page and the spares one per ring at most; and a power cycle
+// gives up every page the rings hold.
+func TestRingMemoryFollowsTheWindow(t *testing.T) {
+	c := core.New(core.Options{NumMachines: 5, Seed: 43})
+	bw, err := bank.Setup(c, 512, 6, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := loadgen.New(c, bw.Mix())
+	g.Start([]int{0, 1, 2, 3, 4}, 2, 1)
+	for range 10 {
+		c.RunFor(sim.Millisecond)
+		ringsFollowWindows(t, c, false, "during the bank mix")
+	}
+	g.Stop()
+	c.RunFor(sim.Millisecond)
+	if g.Committed() == 0 {
+		t.Fatal("no bank operation committed")
+	}
+	ringsFollowWindows(t, c, false, "after the bank mix")
+	c.RunFor(100 * sim.Millisecond)
+	ringsFollowWindows(t, c, true, "after the quiesce")
+	c.PowerFailure()
+	c.RestorePower()
+	for _, id := range c.AliveMachines() {
+		if held, _, _ := c.Machine(id).RingPages(); held != 0 {
+			t.Fatalf("m%d's rings hold %d pages after the power cycle", id, held)
+		}
+	}
+
+	c = core.New(core.Options{NumMachines: 5, Seed: 59, LeaseDuration: 5 * sim.Millisecond})
+	tw, err := tatp.Setup(c, 300, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g = loadgen.New(c, tw.Mix())
+	g.Start([]int{0, 1, 2, 4}, 2, 1)
+	c.RunFor(10 * sim.Millisecond)
+	c.Kill(3)
+	for range 30 {
+		c.RunFor(10 * sim.Millisecond)
+		ringsFollowWindows(t, c, false, "during the TATP mix")
+	}
+	g.Stop()
+	c.RunFor(sim.Millisecond)
+	if c.Counters.Get("regions_rereplicated") == 0 {
+		t.Fatal("no region was re-replicated after the kill")
+	}
+	ringsFollowWindows(t, c, false, "after the TATP kill and re-replication")
+	c.RunFor(100 * sim.Millisecond)
+	ringsFollowWindows(t, c, true, "after the quiesce")
+}
+
+// ringsFollowWindows fails unless the log rings of every live machine hold
+// at most the pages their windows span plus one each, and its spares at
+// most four per page the rings hold or one per ring — or, on a quiet
+// cluster, unless the rings hold no page and the spares one per ring at
+// most.
+func ringsFollowWindows(t *testing.T, c *core.Cluster, quiet bool, when string) {
+	t.Helper()
+	rings := len(c.Machines)
+	for _, id := range c.AliveMachines() {
+		held, spanned, spares := c.Machine(id).RingPages()
+		if quiet && (held != 0 || spares > rings) || held > spanned+rings || spares > max(rings, 4*held) {
+			t.Fatalf("%s: m%d's rings hold %d pages and %d spares, their windows span %d", when, id, held, spares, spanned)
 		}
 	}
 }

@@ -37,13 +37,13 @@ func TestHeldCarriersDeliverEachTruncationOnce(t *testing.T) {
 	// Every distinct frame landing in the backup's ring for coord, by psn
 	// (a retry lands again under the same psn), and the frames each
 	// truncation id rode.
-	ring := backup.store.Region(nvram.RegionID(logRegionID(coord.ID)))
 	landed := make(map[uint64]bool)
 	rode := make(map[uint64][]uint64)
 	var rec proto.Record
 	backup.nic.SetWriteHook(func(region nvram.RegionID, off, length int) {
 		if region == nvram.RegionID(logRegionID(coord.ID)) && length > 16 {
-			frame := ring[off : off+length]
+			frame := make([]byte, length)
+			backup.store.ReadAt(region, off, frame)
 			psn, n := binary.LittleEndian.Uint64(frame[8:]), binary.LittleEndian.Uint32(frame)
 			if !landed[psn] && proto.DecodeRecord(frame[16:16+n], &rec) == nil {
 				landed[psn] = true

@@ -475,12 +475,10 @@ func (op *verbOp) execOn(r *NIC) {
 			op.err = ErrBadAddress
 		}
 	case verbWrite:
-		b := r.mem.Region(op.region)
-		if b == nil || op.off < 0 || op.off+len(op.payload) > len(b) {
+		if !r.mem.WriteAt(op.region, op.off, op.payload) {
 			op.err = ErrBadAddress
 			return
 		}
-		copy(b[op.off:], op.payload)
 		if r.writeHook != nil {
 			r.writeHook(op.region, op.off, len(op.payload))
 		}

@@ -19,24 +19,34 @@ type RegionID uint32
 // Store is one machine's non-volatile memory: a set of regions. The
 // Store object deliberately lives *outside* the simulated process state, so
 // killing a FaRM process leaves its Store intact — exactly the durability
-// contract of battery-backed DRAM. Only Wipe (modelling machine replacement
-// or losing more than the save window allows) destroys data.
+// contract of battery-backed DRAM.
 //
-// A region is flat — one byte slice, the form of a log ring, which
-// one-sided writes target — or a data region, a regionmem.Region of blocks
-// materialized on their first write, which one-sided reads target.
+// A region is flat — one byte slice, which one-sided writes target — or
+// paged, a log ring's memory held a page at a time, which one-sided writes
+// target too, or a data region, a regionmem.Region of blocks materialized
+// on their first write, which one-sided reads target.
 type Store struct {
 	regions map[RegionID][]byte
-	// onUse holds the sizes of regions allocated with AllocateOnUse whose
-	// bytes nobody has asked for yet. Such a region is all zeroes, so the
-	// simulator need not spend host memory on it until someone looks.
-	onUse map[RegionID]int
-	data  map[RegionID]*regionmem.Region
+	paged   map[RegionID]Paged
+	data    map[RegionID]*regionmem.Region
+}
+
+// Paged is a region whose host memory is made a page at a time by the
+// writes landing in it and given up again by its owner (package ring's
+// Pages, a log ring's memory).
+type Paged interface {
+	// Size is the region's size in bytes.
+	Size() int
+	// HeldBytes is the host memory behind it.
+	HeldBytes() int
+	// WriteAt and ReadAt report false for bytes outside the region.
+	WriteAt(b []byte, off int) bool
+	ReadAt(b []byte, off int) bool
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{regions: make(map[RegionID][]byte), onUse: make(map[RegionID]int),
+	return &Store{regions: make(map[RegionID][]byte), paged: make(map[RegionID]Paged),
 		data: make(map[RegionID]*regionmem.Region)}
 }
 
@@ -61,15 +71,13 @@ func (s *Store) Allocate(id RegionID, size int) ([]byte, error) {
 	return b, nil
 }
 
-// AllocateOnUse is Allocate for a region that may never be touched: the
-// region exists from now on (Has, RegionIDs and TotalBytes count it), but
-// its zeroed bytes are made by the first Region call, be it the owner's or
-// a one-sided verb landing in it.
-func (s *Store) AllocateOnUse(id RegionID, size int) error {
-	if err := s.checkNew(id, size); err != nil {
+// AllocatePaged makes mem the paged region id. It is an error if the region
+// already exists.
+func (s *Store) AllocatePaged(id RegionID, mem Paged) error {
+	if err := s.checkNew(id, mem.Size()); err != nil {
 		return err
 	}
-	s.onUse[id] = size
+	s.paged[id] = mem
 	return nil
 }
 
@@ -91,30 +99,20 @@ func (s *Store) AllocateData(id RegionID, layout regionmem.Layout) (*regionmem.R
 // cleanup after failed allocations).
 func (s *Store) Free(id RegionID) {
 	delete(s.regions, id)
-	delete(s.onUse, id)
+	delete(s.paged, id)
 	delete(s.data, id)
 }
 
 // Region returns the bytes of a flat region, or nil if there is no flat
 // region id.
-func (s *Store) Region(id RegionID) []byte {
-	b, ok := s.regions[id]
-	if !ok {
-		if size, lazy := s.onUse[id]; lazy {
-			b = make([]byte, size)
-			s.regions[id] = b
-			delete(s.onUse, id)
-		}
-	}
-	return b
-}
+func (s *Store) Region(id RegionID) []byte { return s.regions[id] }
 
 // Data returns a data region, or nil if there is no data region id.
 func (s *Store) Data(id RegionID) *regionmem.Region { return s.data[id] }
 
 // ReadAt copies the bytes of region id from off on into dst, reporting
-// false if the region is missing or does not hold them all. A read of a
-// data region materializes nothing.
+// false if the region is missing or does not hold them all. A read
+// materializes nothing.
 func (s *Store) ReadAt(id RegionID, off int, dst []byte) bool {
 	if r := s.data[id]; r != nil {
 		if off < 0 || off+len(dst) > r.Size() {
@@ -123,7 +121,10 @@ func (s *Store) ReadAt(id RegionID, off int, dst []byte) bool {
 		r.ReadAt(dst, off)
 		return true
 	}
-	b := s.Region(id)
+	if p := s.paged[id]; p != nil {
+		return p.ReadAt(dst, off)
+	}
+	b := s.regions[id]
 	if b == nil || off < 0 || off+len(dst) > len(b) {
 		return false
 	}
@@ -131,11 +132,26 @@ func (s *Store) ReadAt(id RegionID, off int, dst []byte) bool {
 	return true
 }
 
+// WriteAt lands src in the flat or paged region id at off, reporting false
+// if there is no such region or it does not hold them all. A data region
+// takes no one-sided write.
+func (s *Store) WriteAt(id RegionID, off int, src []byte) bool {
+	if p := s.paged[id]; p != nil {
+		return p.WriteAt(src, off)
+	}
+	b := s.regions[id]
+	if b == nil || off < 0 || off+len(src) > len(b) {
+		return false
+	}
+	copy(b[off:], src)
+	return true
+}
+
 // Has reports whether the region exists.
 func (s *Store) Has(id RegionID) bool {
 	_, ok := s.regions[id]
 	if !ok {
-		_, ok = s.onUse[id]
+		_, ok = s.paged[id]
 	}
 	if !ok {
 		_, ok = s.data[id]
@@ -143,32 +159,12 @@ func (s *Store) Has(id RegionID) bool {
 	return ok
 }
 
-// RegionIDs returns the ids of all allocated regions (unordered).
-func (s *Store) RegionIDs() []RegionID {
-	out := make([]RegionID, 0, len(s.regions)+len(s.onUse)+len(s.data))
-	for id := range s.regions {
-		out = append(out, id)
-	}
-	for id := range s.onUse {
-		out = append(out, id)
-	}
-	for id := range s.data {
-		out = append(out, id)
-	}
-	return out
-}
-
-// TotalBytes returns the sum of region sizes.
-func (s *Store) TotalBytes() int {
-	u := s.Usage()
-	return u.Flat + u.Data
-}
-
 // Usage is how many bytes a store's regions reserve and how many of them
 // are backed by host memory.
 type Usage struct {
-	// Flat and FlatMaterialized: flat regions (log rings), reserved, and
-	// made (an AllocateOnUse region is made by its first Region call).
+	// Flat and FlatMaterialized: flat and paged regions (log rings),
+	// reserved, and held (a flat region whole, a paged one in the pages
+	// it holds).
 	Flat, FlatMaterialized int
 	// Data and DataMaterialized: data regions, reserved, and in
 	// materialized blocks.
@@ -182,22 +178,15 @@ func (s *Store) Usage() Usage {
 		u.Flat += len(b)
 	}
 	u.FlatMaterialized = u.Flat
-	for _, size := range s.onUse {
-		u.Flat += size
+	for _, p := range s.paged {
+		u.Flat += p.Size()
+		u.FlatMaterialized += p.HeldBytes()
 	}
 	for _, r := range s.data {
 		u.Data += r.Size()
 		u.DataMaterialized += r.Materialized() * r.BlockSize()
 	}
 	return u
-}
-
-// Wipe destroys all regions, modelling loss of the machine's memory (e.g.
-// the machine is replaced, or the battery could not cover the save).
-func (s *Store) Wipe() {
-	s.regions = make(map[RegionID][]byte)
-	s.onUse = make(map[RegionID]int)
-	s.data = make(map[RegionID]*regionmem.Region)
 }
 
 // SaveModel captures the distributed-UPS save path of §2.1: on power

@@ -24,8 +24,8 @@ func TestStoreAllocateFreeRoundTrip(t *testing.T) {
 	if !s.Has(7) || s.Has(8) {
 		t.Fatal("Has wrong")
 	}
-	if s.TotalBytes() != 128 {
-		t.Fatalf("TotalBytes = %d", s.TotalBytes())
+	if u := s.Usage(); u != (Usage{Flat: 128, FlatMaterialized: 128}) {
+		t.Fatalf("Usage = %+v", u)
 	}
 	s.Free(7)
 	if s.Has(7) || s.Region(7) != nil {
@@ -59,12 +59,10 @@ func TestStoreSurvivesProcessCrashSemantics(t *testing.T) {
 	if string(s.Region(3)[:7]) != "durable" {
 		t.Fatal("contents lost")
 	}
-	s.Wipe()
-	if s.Has(3) || s.TotalBytes() != 0 {
-		t.Fatal("wipe incomplete")
-	}
 }
 
+// TestRegionIDs: every region id allocated exists, no other does, and Usage
+// sums their sizes.
 func TestRegionIDs(t *testing.T) {
 	s := NewStore()
 	for i := RegionID(0); i < 5; i++ {
@@ -72,18 +70,13 @@ func TestRegionIDs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ids := s.RegionIDs()
-	if len(ids) != 5 {
-		t.Fatalf("got %d ids", len(ids))
-	}
-	seen := map[RegionID]bool{}
-	for _, id := range ids {
-		seen[id] = true
-	}
-	for i := RegionID(0); i < 5; i++ {
-		if !seen[i] {
-			t.Fatalf("missing id %d", i)
+	for i := RegionID(0); i < 7; i++ {
+		if s.Has(i) != (i < 5) {
+			t.Fatalf("Has(%d) = %v", i, s.Has(i))
 		}
+	}
+	if u := s.Usage(); u.Flat != 40 {
+		t.Fatalf("Usage = %+v, want 40 flat bytes", u)
 	}
 }
 
@@ -141,61 +134,96 @@ func TestStoreAllocationSizesQuick(t *testing.T) {
 			}
 			want += int(sz)
 		}
-		return s.TotalBytes() == want
+		return s.Usage().Flat == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestAllocateOnUse: a region allocated on use exists from the start for
-// every accounting purpose, gets its zeroed bytes from the first Region call
-// and is an ordinary region from then on.
-func TestAllocateOnUse(t *testing.T) {
+// pages is a Paged region held in 64-byte pages, made by the first write
+// landing in them.
+type pages struct {
+	size int
+	held map[int][]byte
+}
+
+func (p *pages) Size() int      { return p.size }
+func (p *pages) HeldBytes() int { return 64 * len(p.held) }
+
+func (p *pages) WriteAt(b []byte, off int) bool {
+	if off < 0 || off+len(b) > p.size {
+		return false
+	}
+	for i := range b {
+		pg := p.held[(off+i)/64]
+		if pg == nil {
+			pg = make([]byte, 64)
+			p.held[(off+i)/64] = pg
+		}
+		pg[(off+i)%64] = b[i]
+	}
+	return true
+}
+
+func (p *pages) ReadAt(b []byte, off int) bool {
+	if off < 0 || off+len(b) > p.size {
+		return false
+	}
+	for i := range b {
+		b[i] = 0
+		if pg := p.held[(off+i)/64]; pg != nil {
+			b[i] = pg[(off+i)%64]
+		}
+	}
+	return true
+}
+
+// TestPagedRegion: a paged region exists from its allocation on, takes
+// one-sided writes and reads through the store, counts the pages it holds
+// as materialized, and goes with Free.
+func TestPagedRegion(t *testing.T) {
 	s := NewStore()
-	if err := s.AllocateOnUse(3, 256); err != nil {
+	p := &pages{size: 256, held: map[int][]byte{}}
+	if err := s.AllocatePaged(3, p); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Has(3) || s.TotalBytes() != 256 || len(s.RegionIDs()) != 1 {
-		t.Fatalf("before use: Has=%v TotalBytes=%d RegionIDs=%v", s.Has(3), s.TotalBytes(), s.RegionIDs())
+	if !s.Has(3) || s.Region(3) != nil || s.Usage() != (Usage{Flat: 256}) {
+		t.Fatalf("before use: Has=%v Region=%v Usage=%+v", s.Has(3), s.Region(3), s.Usage())
 	}
 	if _, err := s.Allocate(3, 256); err == nil {
-		t.Fatal("Allocate over a region allocated on use succeeded")
+		t.Fatal("Allocate over a paged region succeeded")
 	}
-	if err := s.AllocateOnUse(3, 256); err == nil {
-		t.Fatal("double AllocateOnUse succeeded")
+	if err := s.AllocatePaged(3, p); err == nil {
+		t.Fatal("double AllocatePaged succeeded")
 	}
-	if err := s.AllocateOnUse(4, 0); err == nil {
-		t.Fatal("zero-size AllocateOnUse succeeded")
+	if err := s.AllocatePaged(4, &pages{}); err == nil {
+		t.Fatal("zero-size AllocatePaged succeeded")
 	}
-	b := s.Region(3)
-	if len(b) != 256 {
-		t.Fatalf("first Region call returned %d bytes", len(b))
+	if !s.WriteAt(3, 60, []byte("straddles")) || s.WriteAt(3, 250, []byte("too long")) || s.WriteAt(9, 0, []byte{1}) {
+		t.Fatal("WriteAt took a write past the end or to a missing region, or refused one that fits")
 	}
-	b[5] = 0xCD
-	if got := s.Region(3); got[5] != 0xCD {
-		t.Fatal("Region does not return the same bytes twice")
+	buf := make([]byte, 9)
+	if !s.ReadAt(3, 60, buf) || string(buf) != "straddles" {
+		t.Fatalf("ReadAt read %q", buf)
 	}
-	if !s.Has(3) || s.TotalBytes() != 256 || len(s.RegionIDs()) != 1 {
-		t.Fatal("accounting changed when the bytes were made")
+	if got := s.Usage(); got != (Usage{Flat: 256, FlatMaterialized: 128}) {
+		t.Fatalf("Usage = %+v, want the two pages written", got)
 	}
-	if err := s.AllocateOnUse(9, 64); err != nil {
-		t.Fatal(err)
+	flat, _ := s.Allocate(5, 32)
+	if !s.WriteAt(5, 30, []byte{7, 8}) || flat[31] != 8 || s.WriteAt(5, 31, []byte{7, 8}) {
+		t.Fatal("WriteAt of a flat region")
 	}
-	s.Free(9)
-	if s.Has(9) || s.Region(9) != nil {
-		t.Fatal("Free did not remove an unused region")
-	}
-	s.Wipe()
-	if s.Has(3) || s.TotalBytes() != 0 {
-		t.Fatal("Wipe left a region behind")
+	s.Free(3)
+	if s.Has(3) || s.WriteAt(3, 0, []byte{1}) {
+		t.Fatal("Free did not remove the paged region")
 	}
 }
 
 // TestDataRegion: a data region is reserved whole and made a block at a
 // time; a one-sided read of it materializes nothing, Usage tells reserved
-// from materialized bytes for flat and data regions, and Free and Wipe
-// remove it like any region.
+// from materialized bytes for flat, paged and data regions, and Free
+// removes it like any region.
 func TestDataRegion(t *testing.T) {
 	s := NewStore()
 	layout := regionmem.Layout{RegionSize: 4096, BlockSize: 1024}
@@ -209,13 +237,16 @@ func TestDataRegion(t *testing.T) {
 	if _, err := s.Allocate(4, 64); err == nil {
 		t.Fatal("Allocate over a data region succeeded")
 	}
-	if s.Data(4) != r || s.Region(4) != nil || !s.Has(4) || s.TotalBytes() != 4096 {
-		t.Fatalf("Data=%p Region=%v Has=%v TotalBytes=%d", s.Data(4), s.Region(4), s.Has(4), s.TotalBytes())
+	if s.Data(4) != r || s.Region(4) != nil || !s.Has(4) || s.Usage().Data != 4096 {
+		t.Fatalf("Data=%p Region=%v Has=%v Usage=%+v", s.Data(4), s.Region(4), s.Has(4), s.Usage())
+	}
+	if s.WriteAt(4, 0, []byte{1}) {
+		t.Fatal("a one-sided write landed in a data region")
 	}
 	if _, err := s.Allocate(1, 512); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AllocateOnUse(2, 256); err != nil {
+	if err := s.AllocatePaged(2, &pages{size: 256, held: map[int][]byte{}}); err != nil {
 		t.Fatal(err)
 	}
 	r.WriteHeader(2048, 7)
@@ -233,12 +264,5 @@ func TestDataRegion(t *testing.T) {
 	s.Free(4)
 	if s.Has(4) || s.Data(4) != nil {
 		t.Fatal("Free did not remove the data region")
-	}
-	if _, err := s.AllocateData(5, layout); err != nil {
-		t.Fatal(err)
-	}
-	s.Wipe()
-	if s.Has(5) || s.TotalBytes() != 0 {
-		t.Fatal("Wipe left a data region behind")
 	}
 }

@@ -34,9 +34,11 @@
 package ring
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"farm/internal/fabric"
 	"farm/internal/nvram"
@@ -370,41 +372,54 @@ type Frame struct {
 	// Seq is the frame's position in arrival order, unique per ring
 	// (consecutive, wrap markers included).
 	Seq uint64
-	// Payload is the frame body in place: a capacity-capped view of the
-	// ring bytes, as a receiver processes a record in its NVRAM log (§4).
-	// It is valid until the frame is truncated — reclaim zeroes those bytes
-	// and the writer wraps over them — so a holder that outlives the frame
-	// (decoded log records alias it) takes a copy of its own first.
+	// Payload is the frame body. When it lies in one page of the ring's
+	// memory it is in place: a capacity-capped view of the ring bytes, as a
+	// receiver processes a record in its NVRAM log (§4). When it straddles
+	// a page edge it is a copy the reader made at parse. Either way it is
+	// valid until the frame is truncated — reclaim zeroes the ring bytes,
+	// the writer wraps over them and the reader reuses its copy — so a
+	// holder that outlives the frame (decoded log records alias it) takes a
+	// copy of its own first.
 	Payload []byte
 
-	off  int
-	size int
-	gone bool
+	off    int
+	size   int
+	gone   bool
+	copied bool // Payload is a copy from the reader's free list
 }
 
-// Reader is the receiver half: it parses frames out of the local region
-// bytes, hands them to the host exactly once via Poll, retains them until
+// Reader is the receiver half: it parses frames out of the ring's pages,
+// hands them to the host exactly once via Poll, retains them until
 // Truncate, and zeroes their bytes when truncating a contiguous prefix.
+// Pages the truncation leaves behind it reading all zero it gives up.
 type Reader struct {
-	mem      []byte
+	mem      *Pages
 	head     int // truncation head: first byte of first retained frame
 	scan     int // parse head: next byte to parse
 	nextSeq  uint64
-	nextPSN  uint64  // next expected writer psn (duplicate drop)
-	frames   []Frame // retained (parsed, not yet reclaimed), in Seq order
-	polled   int     // how many of frames were returned by Poll already
-	consumed uint64  // cumulative truncated bytes (reported to writer)
-	out      []Frame // Poll's result, reused by the next Poll
+	nextPSN  uint64   // next expected writer psn (duplicate drop)
+	frames   []Frame  // retained (parsed, not yet reclaimed), in Seq order
+	polled   int      // how many of frames were returned by Poll already
+	consumed uint64   // cumulative truncated bytes (reported to writer)
+	out      []Frame  // Poll's result, reused by the next Poll
+	copies   [][]byte // free buffers for payloads that straddle a page edge
 }
 
-// NewReader wraps the receiver's ring memory, which must be what NewWriter
-// accepts as a capacity: a multiple of 16 bytes, at least 64. (Shorter than
-// a frame header, parse would wrap to offset 0 forever.)
+// NewReader reads a ring whose memory is mem, the caller's: one page that
+// is never dropped. mem must be what NewWriter accepts as a capacity: a
+// multiple of 16 bytes, at least 64.
 func NewReader(mem []byte) *Reader {
-	if len(mem)%16 != 0 || len(mem) < 64 {
-		panic(fmt.Sprintf("ring: bad reader memory of %d bytes", len(mem)))
-	}
-	return &Reader{mem: mem}
+	checkSize(len(mem))
+	return NewPagedReader(&Pages{
+		size: len(mem), pageSize: len(mem), pages: [][]byte{mem}, held: 1,
+		spares: &Spares{}, pinned: true,
+	})
+}
+
+// NewPagedReader reads the ring held in mem.
+func NewPagedReader(mem *Pages) *Reader {
+	checkSize(mem.size)
+	return &Reader{mem: mem, copies: make([][]byte, 0, 4)}
 }
 
 // parse advances over newly landed frames. A frame whose psn is not the
@@ -413,27 +428,36 @@ func NewReader(mem []byte) *Reader {
 // duplicate drop — and the parser waits for the live frame to land there.
 // It never reads past the oldest retained frame when that lies ahead: a
 // writer's space accounting keeps frames clear of it, and bytes that claim
-// otherwise must not reach — or zero — payloads already handed out.
+// otherwise must not reach — or zero — payloads already handed out. A
+// header is 16-aligned, so it lies in one page; a page not held reads as
+// zeros, so nothing has landed there.
 func (r *Reader) parse() {
+	r.sweep()
+	ps := r.mem.pageSize
 	for {
-		if r.scan+headerBytes > len(r.mem) {
+		if r.scan+headerBytes > r.mem.size {
 			r.scan = 0
 			continue
 		}
-		limit := len(r.mem)
+		limit := r.mem.size
 		if len(r.frames) > 0 && r.frames[0].off >= r.scan {
 			limit = r.frames[0].off
 		}
 		if r.scan+headerBytes > limit {
 			return // full
 		}
-		length := binary.LittleEndian.Uint32(r.mem[r.scan:])
-		magic := binary.LittleEndian.Uint32(r.mem[r.scan+4:])
-		psn := binary.LittleEndian.Uint64(r.mem[r.scan+8:])
+		pg := r.mem.page(r.scan / ps)
+		if pg == nil {
+			return
+		}
+		hdr := pg[r.scan%ps:]
+		length := binary.LittleEndian.Uint32(hdr)
+		magic := binary.LittleEndian.Uint32(hdr[4:])
+		psn := binary.LittleEndian.Uint64(hdr[8:])
 		switch magic {
 		case wrapMagic:
 			if psn != r.nextPSN {
-				r.zero(r.scan, headerBytes)
+				r.zeroStale(headerBytes)
 				return
 			}
 			// Wrap marker: account its span and restart at 0. It is
@@ -448,12 +472,12 @@ func (r *Reader) parse() {
 				return // torn/garbage; wait
 			}
 			if psn != r.nextPSN {
-				r.zero(r.scan, size)
+				r.zeroStale(size)
 				return
 			}
-			at := r.scan + headerBytes
-			payload := r.mem[at : at+int(length) : at+int(length)]
-			r.frames = append(r.frames, Frame{Seq: r.nextSeq, Payload: payload, off: r.scan, size: size})
+			f := Frame{Seq: r.nextSeq, off: r.scan, size: size}
+			f.Payload, f.copied = r.payload(hdr, r.scan+headerBytes, int(length))
+			r.frames = append(r.frames, f)
 			r.nextSeq++
 			r.nextPSN++
 			r.scan += size
@@ -463,16 +487,101 @@ func (r *Reader) parse() {
 	}
 }
 
-// zero clears a stale or reclaimed frame's span so its bytes cannot
-// re-parse.
-func (r *Reader) zero(off, size int) {
-	clear(r.mem[off:min(off+size, len(r.mem))])
+// minCopy is the smallest buffer a straddling payload is copied into: most
+// records fit, so any buffer the reader has serves the next straddler.
+const minCopy = 1024
+
+// payload returns the n payload bytes at offset at, behind the header hdr:
+// in place when they lie in one page, which is made if a frame of zeros
+// left it unheld; otherwise a copy in a buffer of the reader's free list,
+// which gets it back at the frame's reclaim.
+func (r *Reader) payload(hdr []byte, at, n int) ([]byte, bool) {
+	if n == 0 {
+		return hdr[headerBytes:headerBytes:headerBytes], false
+	}
+	ps := r.mem.pageSize
+	if i, o := at/ps, at%ps; o+n <= r.mem.pageLen(i) {
+		return r.mem.materialize(i)[o : o+n : o+n], false
+	}
+	var buf []byte
+	for j := len(r.copies) - 1; j >= 0; j-- {
+		if cap(r.copies[j]) >= n {
+			buf = r.copies[j]
+			r.copies[j] = r.copies[len(r.copies)-1]
+			r.copies = r.copies[:len(r.copies)-1]
+			break
+		}
+	}
+	if buf == nil {
+		buf = make([]byte, 0, max(minCopy, 1<<bits.Len(uint(n-1))))
+	}
+	buf = buf[:n]
+	r.mem.ReadAt(buf, at)
+	return buf, true
+}
+
+// zeroStale clears the stale frame of size bytes at the parse head.
+func (r *Reader) zeroStale(size int) {
+	r.mem.zero(r.scan, size)
+	r.dropPages(r.scan, min(r.scan+size, r.mem.size))
+}
+
+// inWindow reports whether page i holds bytes of a retained frame: whether
+// it overlaps [frames[0].off, scan), circularly, the whole ring when the
+// two are equal.
+func (r *Reader) inWindow(i int) bool {
+	if len(r.frames) == 0 {
+		return false
+	}
+	lo := i * r.mem.pageSize
+	hi := lo + r.mem.pageLen(i)
+	start := r.frames[0].off
+	if start < r.scan {
+		return lo < r.scan && start < hi
+	}
+	return start < hi || lo < r.scan
+}
+
+// dropPages drops every page overlapping [from, to) — circularly, the
+// whole ring when the two are equal — that lies outside the window and
+// reads all zero. A dropped page reads as exactly the zeros it held, and no
+// payload handed out is in it, so parsing sees the same bytes as before.
+func (r *Reader) dropPages(from, to int) {
+	if r.mem.pinned || r.mem.pages == nil {
+		return
+	}
+	ps, last := r.mem.pageSize, len(r.mem.pages)-1
+	if from < to {
+		r.dropRange(from/ps, (to-1)/ps)
+	} else {
+		r.dropRange(from/ps, last)
+		if to > 0 {
+			r.dropRange(0, (to-1)/ps)
+		}
+	}
+}
+
+func (r *Reader) dropRange(lo, hi int) {
+	for i := lo; i <= hi; i++ {
+		if pg := r.mem.pages[i]; pg != nil && !r.inWindow(i) && bytes.Equal(pg, zeroPage[:len(pg)]) {
+			r.mem.drop(i)
+		}
+	}
+}
+
+// sweep looks at every page again after a write landed only zeros in a
+// page held.
+func (r *Reader) sweep() {
+	if r.mem.zeroLanded {
+		r.mem.zeroLanded = false
+		r.dropPages(0, 0)
+	}
 }
 
 // Poll returns frames that have landed since the last Poll, in order.
 // Frames remain in the log (for recovery draining and voting) until
 // truncated. The returned slice is reused by the next Poll; the Payloads
-// it points at are the ring bytes, valid until their frame's Truncate.
+// it points at are valid until their frame's Truncate.
 func (r *Reader) Poll() []Frame {
 	r.parse()
 	out := r.out[:0]
@@ -540,24 +649,53 @@ func (r *Reader) reclaim() {
 	i := 0
 	for ; i < len(r.frames) && r.frames[i].gone; i++ {
 		f := &r.frames[i]
-		r.zero(f.off, f.size)
+		r.mem.zero(f.off, f.size)
+		if f.copied {
+			r.copies = append(r.copies, f.Payload[:0])
+		}
 		r.consumed += uint64(f.size)
-		r.head = (f.off + f.size) % len(r.mem)
+		r.head = (f.off + f.size) % r.mem.size
 	}
-	if i == 0 {
-		return
+	if i > 0 {
+		// Slide the survivors down so the backing array is reused instead
+		// of creeping forward into a reallocation.
+		from := r.frames[0].off
+		n := copy(r.frames, r.frames[i:])
+		clear(r.frames[n:])
+		r.frames = r.frames[:n]
+		r.polled = max(r.polled-i, 0)
+		// The pages the window left behind.
+		to := r.scan
+		if n > 0 {
+			to = r.frames[0].off
+		}
+		r.dropPages(from, to)
 	}
-	// Slide the survivors down so the backing array is reused instead of
-	// creeping forward into a reallocation.
-	n := copy(r.frames, r.frames[i:])
-	clear(r.frames[n:])
-	r.frames = r.frames[:n]
-	r.polled = max(r.polled-i, 0)
+	r.sweep()
 }
 
 // ConsumedBytes returns the cumulative truncated byte counter the receiver
 // lazily reports to the writer.
 func (r *Reader) ConsumedBytes() uint64 { return r.consumed }
+
+// WindowPages returns how many pages of the ring's memory hold bytes of
+// retained frames (diagnostics): the pages the reader keeps whatever they
+// read, those overlapping [frames[0].off, scan) as inWindow counts them.
+func (r *Reader) WindowPages() int {
+	if len(r.frames) == 0 {
+		return 0
+	}
+	ps, n := r.mem.pageSize, (r.mem.size+r.mem.pageSize-1)/r.mem.pageSize
+	start := r.frames[0].off
+	if start < r.scan {
+		return (r.scan-1)/ps - start/ps + 1
+	}
+	spanned := n - start/ps
+	if r.scan > 0 {
+		spanned += (r.scan-1)/ps + 1
+	}
+	return min(n, spanned)
+}
 
 // Retained returns how many frames are currently held (diagnostics).
 func (r *Reader) Retained() int {

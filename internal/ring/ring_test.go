@@ -596,3 +596,27 @@ func TestFramesCompleteInPsnOrder(t *testing.T) {
 		expect(t)
 	})
 }
+
+// TestPagedReaderKeepsThePageAPayloadLiesIn: a payload of zeros that fills a
+// page of its own is handed out in place, in a page no write made. A write
+// that lands only zeros elsewhere makes the reader look at every page
+// again; it must not drop that page, which lies in the window, or the next
+// page made would take its memory and the payload would read another
+// page's bytes.
+func TestPagedReaderKeepsThePageAPayloadLiesIn(t *testing.T) {
+	mem := newPages(128, 16, &Spares{})
+	hdr := make([]byte, headerBytes)
+	frameAt(hdr, 0, frameMagic, 0, nil, 16)
+	mem.WriteAt(hdr, 0) // the payload, bytes 16–31, is page 1
+	r := NewPagedReader(mem)
+	frames := r.Poll()
+	if len(frames) != 1 || frames[0].copied || len(frames[0].Payload) != 16 {
+		t.Fatalf("polled %+v, want one frame whose 16-byte payload is in place", frames)
+	}
+	mem.WriteAt(make([]byte, 8), 8) // the header's psn, 0 already
+	r.Poll()
+	mem.WriteAt(bytes.Repeat([]byte{0xEE}, 16), 80)
+	if !bytes.Equal(frames[0].Payload, make([]byte, 16)) {
+		t.Fatalf("the payload handed out reads %x, want zeros", frames[0].Payload)
+	}
+}
